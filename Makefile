@@ -9,11 +9,12 @@
 # the E20 tenancy tier (seeded adversary attack matrix and the
 # tenant-ledger S1/S2/S3 audits under race), and the E21 partition tier
 # (asymmetric partitions, gray failures, epoch-lease fencing and the
-# client-history linearizability audit under race).
+# client-history linearizability audit under race), and the smoke run of
+# the nested benchmark module.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard check bench tables
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard bench-smoke check bench tables
 
 build:
 	$(GO) build ./...
@@ -107,7 +108,14 @@ partition:
 benchguard:
 	NOCPU_BENCH_GUARD=1 $(GO) test -run 'TestE17BenchGuard' -count=1 ./internal/exp -v
 
-check: vet lint build race fuzz chaos overload fabric reconcile tenancy partition
+# bench/ is its own module, so `go test ./...` here never enters it and
+# a change to a function it calls would surface only when the benchmark
+# next builds. This builds it against the tree and runs its smoke, schema
+# and unit tests (~5s).
+bench-smoke:
+	$(GO) test -C bench ./...
+
+check: vet lint build race fuzz chaos overload fabric reconcile tenancy partition bench-smoke
 
 bench:
 	$(GO) test -run=^$$ -bench . -benchtime=100x .

@@ -456,7 +456,7 @@ func (p *Port) transmit(env msg.Envelope) {
 		wire += d.Delay
 	}
 	submit := func() {
-		b.eng.After(wire, func() {
+		b.eng.Schedule(wire, func() {
 			if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
 				b.shedIngress(env)
 				return
@@ -562,7 +562,9 @@ func (b *Bus) IngressGauge() *metrics.Gauge { return b.ingressG }
 // processing cost paid.
 func (b *Bus) process(env msg.Envelope) {
 	b.stats.Messages++
-	b.tr.Record(b.eng.Now(), b.nameOf(env.Src), b.nameOf(env.Dst), env.Msg.Kind().String(), summarize(env.Msg))
+	if b.tr != nil { // summarize formats; with tracing off it must not run
+		b.tr.Record(b.eng.Now(), b.nameOf(env.Src), b.nameOf(env.Dst), env.Msg.Kind().String(), summarize(env.Msg))
+	}
 
 	src, ok := b.devices[env.Src]
 	if !ok {
@@ -734,7 +736,7 @@ func (b *Bus) deliver(env msg.Envelope, dst *attachment) {
 	size := msg.EncodedSize(env.Msg)
 	tx := sim.Duration(float64(size) / b.cfg.BytesPerNs)
 	b.egress.Submit(tx, func() {
-		b.eng.After(b.cfg.HopLatency, func() {
+		b.eng.Schedule(b.cfg.HopLatency, func() {
 			if !dst.alive {
 				// The destination died while the message was in flight.
 				// Tell a unicast sender if it can still be told.
@@ -752,7 +754,9 @@ func (b *Bus) deliver(env msg.Envelope, dst *attachment) {
 
 // sendFromBus emits a bus-originated message to one device.
 func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
-	b.tr.Record(b.eng.Now(), "bus", dst.name, m.Kind().String(), summarize(m))
+	if b.tr != nil {
+		b.tr.Record(b.eng.Now(), "bus", dst.name, m.Kind().String(), summarize(m))
+	}
 	b.stats.Deliveries++
 	b.busSeq++
 	env := msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m}
@@ -766,7 +770,7 @@ func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
 		hop += d.Delay
 	}
 	final := func() {
-		b.eng.After(hop, func() {
+		b.eng.Schedule(hop, func() {
 			// Reset must reach even dead devices — it is the revival path.
 			if !dst.alive {
 				if _, isReset := m.(*msg.Reset); !isReset {
@@ -1193,7 +1197,7 @@ func (b *Bus) handleRevoke(src *attachment, m *msg.RevokeReq) {
 
 // scheduleWatchdog arms the periodic liveness scan.
 func (b *Bus) scheduleWatchdog() {
-	b.eng.After(b.cfg.WatchdogTimeout/2, func() {
+	b.eng.Schedule(b.cfg.WatchdogTimeout/2, func() {
 		now := b.eng.Now()
 		for _, a := range b.sortedDevices() {
 			if a.alive && now.Sub(a.lastHB) > b.cfg.WatchdogTimeout {
@@ -1255,7 +1259,7 @@ func (b *Bus) failDevice(a *attachment, reason string) {
 func (b *Bus) Replay(env msg.Envelope) {
 	size := msg.EncodedSize(env.Msg)
 	wire := b.cfg.HopLatency + sim.Duration(float64(size)/b.cfg.BytesPerNs)
-	b.eng.After(wire, func() {
+	b.eng.Schedule(wire, func() {
 		if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
 			b.shedIngress(env)
 			return

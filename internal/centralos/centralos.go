@@ -308,7 +308,7 @@ func (c *CPU) onBusReset(m *msg.Reset) {
 		return
 	}
 	c.Kill()
-	c.eng.After(c.cfg.ResetDelay, c.reboot)
+	c.eng.Schedule(c.cfg.ResetDelay, c.reboot)
 }
 
 // reboot is the kernel's crash-recovery path — and the baseline's

@@ -184,7 +184,7 @@ func (d *Device) Start() {
 	}
 	d.state = StateInit
 	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "self-test", "")
-	d.eng.After(d.cfg.SelfTest, d.becomeAlive)
+	d.eng.Schedule(d.cfg.SelfTest, d.becomeAlive)
 }
 
 func (d *Device) becomeAlive() {
@@ -275,7 +275,7 @@ func (d *Device) receive(env msg.Envelope) {
 		if _, isReset := env.Msg.(*msg.Reset); isReset && d.cfg.ResetDelay > 0 {
 			d.tr.Record(d.eng.Now(), d.cfg.Name, "", "resetting", "")
 			d.state = StateInit
-			d.eng.After(d.cfg.ResetDelay, func() {
+			d.eng.Schedule(d.cfg.ResetDelay, func() {
 				// The revived device is a new incarnation: everything it
 				// sends from here on is stamped so the bus can fence the
 				// old life's in-flight messages. Pure port state — the

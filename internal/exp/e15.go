@@ -167,7 +167,7 @@ func (d *e15Driver) worker(w int) {
 			}
 			if !ok {
 				d.errs++
-				eng.After(e15ErrBackoff, issue)
+				eng.Schedule(e15ErrBackoff, issue)
 				return
 			}
 			issue()
@@ -202,7 +202,7 @@ func (d *e15Driver) probe() {
 				}
 			})
 		}
-		eng.After(e15ProbeGap, tick)
+		eng.Schedule(e15ProbeGap, tick)
 	}
 	tick()
 }
@@ -228,7 +228,7 @@ func (d *e15Driver) readback() {
 				return
 			}
 			resolved = true
-			eng.After(500*sim.Microsecond, next)
+			eng.Schedule(500*sim.Microsecond, next)
 		}
 		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
 		d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {

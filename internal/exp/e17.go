@@ -232,7 +232,7 @@ func (d *e17ChaosDriver) worker(w int) {
 			}
 			if !ok {
 				d.errs++
-				eng.After(e17ChaosBackoff, issue)
+				eng.Schedule(e17ChaosBackoff, issue)
 				return
 			}
 			issue()
@@ -303,7 +303,7 @@ func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17Chao
 	for i, v := range victims {
 		at := first.Add(sim.Duration(i) * 10 * sim.Millisecond)
 		v := v
-		eng.At(at, func() {
+		eng.ScheduleAt(at, func() {
 			cl.Kill(v)
 			//lint:allow boundedqueue a handful of scripted kills, drained on every ack
 			d.pending = append(d.pending, at)

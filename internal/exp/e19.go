@@ -141,7 +141,7 @@ func (d *e19Driver) worker(w int) {
 			}
 			if !ok {
 				d.errs++
-				eng.After(e19Backoff, issue)
+				eng.Schedule(e19Backoff, issue)
 				return
 			}
 			d.lat.Observe(eng.Now().Sub(issued))
@@ -321,13 +321,13 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 	d.buckets = make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
 
 	kills := 0
-	eng.At(d.start.Add(e19KillAt), func() {
+	eng.ScheduleAt(d.start.Add(e19KillAt), func() {
 		if v := e19SingleVictim(cl); v != 0 {
 			fl.Kill(v)
 			kills++
 		}
 	})
-	eng.At(d.start.Add(e19UpgradeAt), func() {
+	eng.ScheduleAt(d.start.Add(e19UpgradeAt), func() {
 		fl.SetSpec(reconcile.Spec{Size: n, ConfigVersion: 2, MaxUnavailable: e19MaxUnavail})
 	})
 	// The double kill lands at the first quiescent instant at or after
@@ -337,7 +337,7 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 	var tryDouble func()
 	tryDouble = func() {
 		if !e19Quiesced(cl) {
-			eng.After(2*sim.Millisecond, tryDouble)
+			eng.Schedule(2*sim.Millisecond, tryDouble)
 			return
 		}
 		a, b := e19SafePair(cl, e19Keys())
@@ -348,7 +348,7 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 		fl.Kill(b)
 		kills += 2
 	}
-	eng.At(d.start.Add(e19DoubleAt), tryDouble)
+	eng.ScheduleAt(d.start.Add(e19DoubleAt), tryDouble)
 
 	for w := 0; w < e19Workers; w++ {
 		d.worker(w)

@@ -217,7 +217,7 @@ func (d *e21Driver) worker(w int) {
 				issue()
 				return
 			}
-			eng.After(e21Backoff, issue)
+			eng.Schedule(e21Backoff, issue)
 		})
 		tm = eng.After(e21Timeout, func() {
 			if resolved {
@@ -263,7 +263,7 @@ func (d *e21Driver) sample() {
 }
 
 func (d *e21Driver) armProbe() {
-	d.cl.Eng.After(e21Probe, func() {
+	d.cl.Eng.Schedule(e21Probe, func() {
 		if d.cl.Eng.Now() >= d.stopAt {
 			return
 		}
@@ -318,9 +318,9 @@ type e21Row struct {
 	tmouts     uint64
 	maybes     uint64
 
-	lin        linearize.Result
-	splits     int
-	worstZero  sim.Duration
+	lin       linearize.Result
+	splits    int
+	worstZero sim.Duration
 	rep       fabric.Report
 	st        fabric.RouterStats
 	maxEpoch  uint32

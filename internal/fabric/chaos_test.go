@@ -79,7 +79,7 @@ func (d *fcDriver) ingress() msg.DeviceID {
 
 // kill schedules a whole-machine crash and opens a recovery window.
 func (d *fcDriver) kill(at sim.Time, id msg.DeviceID) {
-	d.cl.Eng.At(at, func() {
+	d.cl.Eng.ScheduleAt(at, func() {
 		d.cl.Kill(id)
 		//lint:allow boundedqueue a handful of scripted kills per test, drained on every ack
 		d.pending = append(d.pending, at)
@@ -135,7 +135,7 @@ func (d *fcDriver) worker(w int) {
 			}
 			if !ok {
 				d.errs++
-				eng.After(fcErrBackoff, issue)
+				eng.Schedule(fcErrBackoff, issue)
 				return
 			}
 			issue()

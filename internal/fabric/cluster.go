@@ -184,7 +184,9 @@ func New(cfg Config) (*Cluster, error) {
 	c.net.alive = c.aliveID
 	c.net.deliver = c.deliverFrame
 	c.net.unreachable = c.notifyUnreachable
-	c.net.trace = c.tracef
+	if cfg.Trace {
+		c.net.trace = c.tracef
+	}
 
 	head := msg.DeviceID(0)
 	if cfg.Flavor == FlavorHead {

@@ -47,7 +47,8 @@ type Network struct {
 	eng *sim.Engine
 	cfg NetConfig
 
-	// alive/deliver/unreachable/trace are wired by the Cluster.
+	// alive/deliver/unreachable/trace are wired by the Cluster; trace is
+	// nil unless the cluster records a trace.
 	alive       func(msg.DeviceID) bool
 	deliver     func(dst msg.DeviceID, frame []byte)
 	unreachable func(src, dst msg.DeviceID)
@@ -56,7 +57,7 @@ type Network struct {
 	// linkSeq tags frames per (src, dst) so receivers can suppress
 	// plane-injected duplicates with a msg.DedupWindow: per-directed-link
 	// counters keep tags dense, which the 64-deep window needs.
-	linkSeq map[[2]msg.DeviceID]uint32
+	linkSeq map[[2]msg.DeviceID]*uint32
 
 	stats NetStats
 }
@@ -68,7 +69,7 @@ func newNetwork(eng *sim.Engine, cfg NetConfig) *Network {
 	if cfg.PerByte == 0 {
 		cfg.PerByte = DefaultPerByte
 	}
-	return &Network{eng: eng, cfg: cfg, linkSeq: make(map[[2]msg.DeviceID]uint32)}
+	return &Network{eng: eng, cfg: cfg, linkSeq: make(map[[2]msg.DeviceID]*uint32)}
 }
 
 // Stats returns a copy of the traffic counters.
@@ -82,13 +83,23 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 		// Transport-level failure detection: the connection attempt burns
 		// a round trip, then the sender learns the peer is gone.
 		n.stats.Unreachable++
-		n.eng.After(2*n.cfg.LinkLatency, func() { n.unreachable(src, dst) })
+		n.eng.Schedule(2*n.cfg.LinkLatency, func() { n.unreachable(src, dst) })
 		return
 	}
+	// One map lookup per frame once a link has carried its first.
 	link := [2]msg.DeviceID{src, dst}
-	n.linkSeq[link]++
-	env := msg.Envelope{Src: src, Dst: dst, Seq: n.linkSeq[link], Inc: epoch, Msg: m}
-	frame := append([]byte{frameMagic}, env.Encode()...)
+	seq := n.linkSeq[link]
+	if seq == nil {
+		seq = new(uint32)
+		n.linkSeq[link] = seq
+	}
+	*seq++
+	env := msg.Envelope{Src: src, Dst: dst, Seq: *seq, Inc: epoch, Msg: m}
+	// One allocation holds the whole frame: the magic byte, then the
+	// envelope encoded in place behind it.
+	buf := make([]byte, 1, 1+env.EncodedLen())
+	buf[0] = frameMagic
+	frame := env.AppendEncode(buf)
 
 	lat := n.cfg.LinkLatency + sim.Duration(len(frame))*n.cfg.PerByte
 	copies := 1
@@ -112,11 +123,14 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	n.stats.Bytes += uint64(len(frame) * copies)
 	// Every wire event lands in the trace: the golden determinism test
 	// hashes the full message schedule, not just lifecycle milestones.
-	n.trace("net %d->%d kind=%d seq=%d len=%d", src, dst, m.Kind(), n.linkSeq[link], len(frame))
+	// With tracing off the hook is nil, so the arguments are never boxed.
+	if n.trace != nil {
+		n.trace("net %d->%d kind=%d seq=%d len=%d", src, dst, m.Kind(), *seq, len(frame))
+	}
 	for c := 0; c < copies; c++ {
 		// The duplicate trails the original by one serialization slot; it
 		// carries the same link seq, so the receiver's window eats it.
-		n.eng.After(lat+sim.Duration(c)*n.cfg.PerByte, func() {
+		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, func() {
 			if !n.alive(dst) {
 				n.stats.Vanished++
 				return

@@ -126,13 +126,13 @@ func (r *Ring) Owners(key string, dead map[msg.DeviceID]bool, replicas int) []ms
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]msg.DeviceID, 0, replicas)
-	seen := make(map[msg.DeviceID]bool, replicas)
 	for i := 0; i < len(r.points) && len(out) < replicas; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if seen[p.machine] || dead[p.machine] {
+		// out holds at most `replicas` entries (two or three), so scanning
+		// it is the whole "already chosen" check.
+		if memberOf(out, p.machine) || dead[p.machine] {
 			continue
 		}
-		seen[p.machine] = true
 		out = append(out, p.machine)
 	}
 	return out

@@ -157,8 +157,9 @@ type Router struct {
 
 	halted bool
 
-	dead  map[msg.DeviceID]bool
-	epoch uint32
+	dead       map[msg.DeviceID]bool
+	deadSorted []msg.DeviceID // dead in ID order, rebuilt when dead changes
+	epoch      uint32
 
 	// Staged membership (fleet reconciliation). ringVer is the version
 	// of the ring this router currently serves; a RingConfig prepare
@@ -230,16 +231,16 @@ type ControlAgent interface {
 
 func newRouter(cl *Cluster, cfg routerConfig, ring *Ring, store *kvs.Store, eng *sim.Engine) *Router {
 	return &Router{
-		cfg:      cfg,
-		cl:       cl,
-		ring:     ring,
-		store:    store,
-		eng:      eng,
-		confVer:  1,
-		dead:     make(map[msg.DeviceID]bool),
-		pending:  make(map[uint64]*pendingReq),
-		gates:    make(map[string]*keyGate),
-		inflight: make(map[uint64]*writeTask),
+		cfg:       cfg,
+		cl:        cl,
+		ring:      ring,
+		store:     store,
+		eng:       eng,
+		confVer:   1,
+		dead:      make(map[msg.DeviceID]bool),
+		pending:   make(map[uint64]*pendingReq),
+		gates:     make(map[string]*keyGate),
+		inflight:  make(map[uint64]*writeTask),
 		wm:        make(map[string]watermark),
 		lastBeat:  make(map[msg.DeviceID]sim.Time),
 		lastHeard: make(map[msg.DeviceID]sim.Time),
@@ -349,7 +350,7 @@ func (r *Router) Upgrading() bool { return r.upgrading }
 func (r *Router) ConfigVersion() uint32 { return r.confVer }
 
 // DeadIDs returns the machines this router's view has declared dead.
-func (r *Router) DeadIDs() []msg.DeviceID { return r.deadList() }
+func (r *Router) DeadIDs() []msg.DeviceID { return append([]msg.DeviceID{}, r.deadList()...) }
 
 // Conditions assembles this machine's status-condition report
 // (machine-controller style). Each call stamps a fresh sequence number.
@@ -421,16 +422,10 @@ func memberOf(ms []msg.DeviceID, id msg.DeviceID) bool {
 // timer and handler bails, modeling crash-stop.
 func (r *Router) halt() { r.halted = true }
 
-// deadList renders the dead set in sorted order (gossip payloads and
-// deterministic iteration).
-func (r *Router) deadList() []msg.DeviceID {
-	out := make([]msg.DeviceID, 0, len(r.dead))
-	for id := range r.dead {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// deadList returns the dead set in sorted order (gossip payloads and
+// deterministic iteration). The slice is shared and read-only: noteDead,
+// the only place the dead set changes, replaces it rather than editing it.
+func (r *Router) deadList() []msg.DeviceID { return r.deadSorted }
 
 // owners is the ring lookup under this router's view.
 func (r *Router) owners(key string) []msg.DeviceID {
@@ -988,6 +983,12 @@ func (r *Router) noteDead(why string, ids ...msg.DeviceID) {
 	if len(fresh) == 0 {
 		return
 	}
+	sorted := make([]msg.DeviceID, 0, len(r.dead))
+	for id := range r.dead {
+		sorted = append(sorted, id)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	r.deadSorted = sorted
 	// prev is the view before this change: the dead set minus the
 	// machines that just joined it.
 	prev := make(map[msg.DeviceID]bool, len(r.dead))
@@ -1241,7 +1242,7 @@ func (r *Router) onDrain(m *msg.Drain) {
 		r.stats.Upgrades++
 		v := m.ConfigVersion
 		r.cl.tracef("m%d upgrading to conf v%d", r.cfg.id, v)
-		r.eng.After(r.cfg.upgradeDelay, func() {
+		r.eng.Schedule(r.cfg.upgradeDelay, func() {
 			if r.halted {
 				return
 			}
@@ -1293,7 +1294,7 @@ func (r *Router) purgeKeys(keys []string, keep func(string) bool, done func()) {
 // --- head-node heartbeating ---
 
 func (r *Router) armHeartbeat() {
-	r.eng.After(r.cfg.hbEvery, func() {
+	r.eng.Schedule(r.cfg.hbEvery, func() {
 		if r.halted {
 			return
 		}
@@ -1306,7 +1307,7 @@ func (r *Router) armHeartbeat() {
 // armSweep runs the head's staleness sweep: a machine whose heartbeat
 // is older than failAfter is declared dead and the view broadcast.
 func (r *Router) armSweep() {
-	r.eng.After(r.cfg.failAfter/2, func() {
+	r.eng.Schedule(r.cfg.failAfter/2, func() {
 		if r.halted {
 			return
 		}
@@ -1423,7 +1424,7 @@ func (r *Router) Suspects() []msg.DeviceID {
 }
 
 func (r *Router) armLease() {
-	r.eng.After(r.cfg.leaseRenew, func() {
+	r.eng.Schedule(r.cfg.leaseRenew, func() {
 		if r.halted {
 			return
 		}
@@ -1494,7 +1495,7 @@ func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
 // half the patience: two independent signals, outbound failure plus
 // inbound silence, converge on a declaration sooner than either alone.
 func (r *Router) armSilence() {
-	r.eng.After(r.cfg.failAfter/2, func() {
+	r.eng.Schedule(r.cfg.failAfter/2, func() {
 		if r.halted {
 			return
 		}

@@ -204,7 +204,7 @@ func (p *Plane) Filter(l Layer, now sim.Time, src, dst msg.DeviceID, kind msg.Ki
 // schedules that mix message faults and device lifecycle faults live in
 // one place; the action itself uses the simulation's ordinary hooks.
 func (p *Plane) CrashAt(eng *sim.Engine, at sim.Time, action func()) {
-	eng.At(at, action)
+	eng.ScheduleAt(at, action)
 }
 
 // PartitionOneWay drops every interconnect frame from src to dst inside

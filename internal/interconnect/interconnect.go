@@ -183,9 +183,9 @@ func (f *Fabric) Ring(addr DoorbellAddr, value uint64) {
 	case faultinject.Dup:
 		// A doubled posted write: the handler runs twice (virtio handlers
 		// tolerate spurious notifications by re-scanning the ring).
-		f.eng.After(lat, deliver)
+		f.eng.Schedule(lat, deliver)
 	}
-	f.eng.After(lat, deliver)
+	f.eng.Schedule(lat, deliver)
 }
 
 // FaultHandler receives a translation fault delivered to the device (§4:
@@ -256,7 +256,7 @@ func (p *Port) submitDMA(service sim.Duration, run func(), shed func()) {
 	}
 	if len(p.waiting) >= 4*w {
 		p.fab.stats.DMAShed++
-		p.fab.eng.After(p.fab.costs.LinkLatency, shed)
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, shed)
 		return
 	}
 	p.fab.stats.DMAStalls++
@@ -332,7 +332,7 @@ type extent struct {
 func (p *Port) dispatchFault(err error, attempts int, retry func(), fail func(error)) {
 	p.fab.stats.Faults++
 	f, isFault := err.(*iommu.Fault)
-	p.fab.eng.After(p.fab.costs.LinkLatency, func() {
+	p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() {
 		// Not-present and bad-PASID faults are demand-resolvable (the
 		// first touch of a fresh address space has no context yet);
 		// permission and range faults are not.
@@ -368,7 +368,7 @@ func (p *Port) read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byt
 	if d.Op == faultinject.Drop {
 		// The transfer is lost on the link; surface a typed error after
 		// the propagation delay — §4: devices handle their own errors.
-		p.fab.eng.After(p.fab.costs.LinkLatency, func() { done(nil, &InjectedError{Op: "DMA read"}) })
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(nil, &InjectedError{Op: "DMA read"}) })
 		return
 	}
 	wait := p.busy.Delay()
@@ -416,7 +416,7 @@ func (p *Port) write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done fun
 	}
 	d := p.fab.plane.Filter(faultinject.LayerLink, p.fab.eng.Now(), 0, 0, msg.KindInvalid)
 	if d.Op == faultinject.Drop {
-		p.fab.eng.After(p.fab.costs.LinkLatency, func() { done(&InjectedError{Op: "DMA write"}) })
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(&InjectedError{Op: "DMA write"}) })
 		return
 	}
 	wait := p.busy.Delay()

@@ -297,7 +297,7 @@ func (s *Store) finishConnect() {
 
 func (s *Store) scheduleReconnect() {
 	epoch := s.epoch
-	s.rt.Engine().After(s.cfg.RetryEvery, func() {
+	s.rt.Engine().Schedule(s.cfg.RetryEvery, func() {
 		if epoch != s.epoch || s.ready {
 			return
 		}
@@ -506,7 +506,7 @@ func (s *Store) serve(req Request, reply func([]byte)) {
 		reply(b)
 	}
 	// Charge the NIC-local index probe before touching the data plane.
-	s.rt.Engine().After(s.cfg.IndexCost, func() {
+	s.rt.Engine().Schedule(s.cfg.IndexCost, func() {
 		switch req.Op {
 		case OpGet:
 			s.get(req, done)

@@ -1,0 +1,153 @@
+package msg
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// corpusEnvelopes decodes every entry of the FuzzDecode seed corpus that
+// is a valid envelope (the adversarial seeds mostly are not) — one per
+// kind at least, plus the extreme-valued and canonicalizing ones.
+func corpusEnvelopes(t *testing.T) []Envelope {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus found: %v", err)
+	}
+	var out []Envelope
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+		b, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", f, err)
+		}
+		if env, err := Decode([]byte(b)); err == nil {
+			out = append(out, env)
+		}
+	}
+	return out
+}
+
+// TestCodecAgreement holds the three encode entry points to one wire
+// form for every kind: EncodedSize counts what Encode writes (less the
+// link tags), AppendEncode extends a prefix with exactly Encode's bytes,
+// and the bytes decode back to the envelope.
+func TestCodecAgreement(t *testing.T) {
+	envs := corpusEnvelopes(t)
+	for _, m := range allMessages() {
+		envs = append(envs, Envelope{Src: 1, Dst: 2, Seq: 9, Inc: 1, Msg: m})
+	}
+	seen := map[Kind]bool{}
+	prefix := []byte{0xFB, 0x00, 0xAA}
+	for _, env := range envs {
+		k := env.Msg.Kind()
+		seen[k] = true
+		enc := env.Encode()
+		if got := EncodedSize(env.Msg); got != len(enc)-8 {
+			t.Errorf("%v: EncodedSize = %d, Encode wrote %d (want size+8)", k, got, len(enc))
+		}
+		if got := env.EncodedLen(); got != len(enc) {
+			t.Errorf("%v: EncodedLen = %d, Encode wrote %d", k, got, len(enc))
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%v: Encode sized its buffer to %d for %d bytes", k, cap(enc), len(enc))
+		}
+		app := env.AppendEncode(append([]byte(nil), prefix...))
+		if !bytes.Equal(app[:len(prefix)], prefix) || !bytes.Equal(app[len(prefix):], enc) {
+			t.Errorf("%v: AppendEncode(prefix) != prefix + Encode()", k)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Errorf("%v: decode of own encoding: %v", k, err)
+			continue
+		}
+		if back.Src != env.Src || back.Dst != env.Dst || back.Seq != env.Seq || back.Inc != env.Inc ||
+			!reflect.DeepEqual(back.Msg, env.Msg) {
+			t.Errorf("%v: round trip mismatch:\n got %+v\nwant %+v", k, back, env)
+		}
+	}
+	for k := KindInvalid + 1; k < kindMax; k++ {
+		if !seen[k] {
+			t.Errorf("kind %v not exercised", k)
+		}
+	}
+}
+
+// hotKinds are the messages the rack and control-plane workloads encode
+// most: the allocation guards and benchmarks below run over them.
+var hotKinds = []struct {
+	name string
+	m    Message
+}{
+	{"FabricReq", &FabricReq{Origin: 1, ReqID: 9, Payload: make([]byte, 64)}},
+	{"Replicate", &Replicate{Epoch: 1, Seq: 9, Key: "key-00007", Value: make([]byte, 64)}},
+	{"LeaseGrant", &LeaseGrant{Seq: 9, Until: 1 << 30}},
+	{"AllocReq", &AllocReq{App: 1, VA: 1 << 28, Bytes: 64 << 10, Perm: 3}},
+}
+
+// TestEncodeAllocs pins the one-buffer rule: Encode allocates its result
+// and nothing else, EncodedSize and AppendEncode into room allocate
+// nothing.
+func TestEncodeAllocs(t *testing.T) {
+	for _, h := range hotKinds {
+		env := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}
+		var out []byte
+		if n := testing.AllocsPerRun(200, func() { out = env.Encode() }); n != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", h.name, n)
+		}
+		size := 0
+		if n := testing.AllocsPerRun(200, func() { size = EncodedSize(h.m) }); n != 0 {
+			t.Errorf("%s: EncodedSize allocates %v times, want 0", h.name, n)
+		}
+		buf := make([]byte, 0, len(out))
+		if n := testing.AllocsPerRun(200, func() { out = env.AppendEncode(buf) }); n != 0 {
+			t.Errorf("%s: AppendEncode into room allocates %v times, want 0", h.name, n)
+		}
+		if size != len(out)-8 {
+			t.Errorf("%s: size %d, encoding %d", h.name, size, len(out))
+		}
+	}
+}
+
+var (
+	benchBytes []byte
+	benchEnv   Envelope
+)
+
+func BenchmarkEncode(b *testing.B) {
+	for _, h := range hotKinds {
+		env := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchBytes = env.Encode()
+			}
+		})
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	for _, h := range hotKinds {
+		frame := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}.Encode()
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env, err := Decode(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchEnv = env
+			}
+		})
+	}
+}

@@ -11,7 +11,10 @@
 // real wire format rather than passed Go pointers.
 package msg
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // DeviceID addresses a device on the system bus. 0 is invalid.
 type DeviceID uint16
@@ -245,21 +248,41 @@ type Envelope struct {
 	Msg Message
 }
 
-// Encode serializes the envelope: header (src, dst, kind, payload length,
-// sequence tag, incarnation) followed by the payload.
-func (e Envelope) Encode() []byte {
-	var pw writer
-	e.Msg.encode(&pw)
-	var w writer
+// Wire framing sizes: the envelope header is src, dst, kind (u16 each),
+// payload length, sequence tag and incarnation (u32 each); the last two
+// are link-layer tags that transfer-time accounting does not charge for.
+const (
+	headerSize  = 18
+	linkTagSize = 8
+)
+
+// AppendEncode appends the envelope's encoding to dst and returns the
+// extended slice: header (src, dst, kind, payload length, sequence tag,
+// incarnation) followed by the payload, written in one pass into the one
+// buffer with the length patched in once the payload is down.
+func (e Envelope) AppendEncode(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u16(uint16(e.Src))
 	w.u16(uint16(e.Dst))
 	w.u16(uint16(e.Msg.Kind()))
-	w.u32(uint32(len(pw.buf)))
+	lenAt := len(w.buf)
+	w.u32(0)
 	w.u32(e.Seq)
 	w.u32(e.Inc)
-	w.buf = append(w.buf, pw.buf...)
+	body := len(w.buf)
+	encodeBody(e.Msg, &w)
+	binary.LittleEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-body))
 	return w.buf
 }
+
+// Encode serializes the envelope into a fresh buffer of exactly its size.
+func (e Envelope) Encode() []byte {
+	return e.AppendEncode(make([]byte, 0, e.EncodedLen()))
+}
+
+// EncodedLen returns len(e.Encode()) without encoding: what a caller
+// reserves before AppendEncode so the buffer is allocated once.
+func (e Envelope) EncodedLen() int { return EncodedSize(e.Msg) + linkTagSize }
 
 // Decode parses an envelope produced by Encode.
 func Decode(b []byte) (Envelope, error) {
@@ -296,7 +319,7 @@ func Decode(b []byte) (Envelope, error) {
 // framing, not payload — so bus timing is independent of whether ports
 // stamp tags.
 func EncodedSize(m Message) int {
-	var w writer
-	m.encode(&w)
-	return len(w.buf) + 10 // header minus the link-layer seq + inc tags
+	w := writer{sizing: true}
+	encodeBody(m, &w)
+	return w.n + headerSize - linkTagSize
 }

@@ -1,5 +1,7 @@
 package msg
 
+import "fmt"
+
 // This file defines every message body. Encoders and decoders must list
 // fields in identical order; the round-trip tests in msg_test.go cover
 // each type, and Decode rejects trailing bytes, so drift fails loudly.
@@ -1341,4 +1343,110 @@ func newMessage(k Kind) Message {
 		return &LeaseRevoke{}
 	}
 	return nil
+}
+
+// encodeBody calls m.encode through m's concrete type. A *writer handed
+// to an interface method escapes to the heap; through a static call it
+// stays on the caller's stack, which is what lets EncodedSize allocate
+// nothing and AppendEncode only its buffer. The arms mirror newMessage;
+// the codec-agreement test walks every kind through here.
+func encodeBody(m Message, w *writer) {
+	switch m := m.(type) {
+	case *Hello:
+		m.encode(w)
+	case *HelloAck:
+		m.encode(w)
+	case *Heartbeat:
+		m.encode(w)
+	case *Reset:
+		m.encode(w)
+	case *ResetDone:
+		m.encode(w)
+	case *DiscoverReq:
+		m.encode(w)
+	case *DiscoverResp:
+		m.encode(w)
+	case *OpenReq:
+		m.encode(w)
+	case *OpenResp:
+		m.encode(w)
+	case *ConnectReq:
+		m.encode(w)
+	case *ConnectResp:
+		m.encode(w)
+	case *CloseReq:
+		m.encode(w)
+	case *CloseResp:
+		m.encode(w)
+	case *AllocReq:
+		m.encode(w)
+	case *AllocResp:
+		m.encode(w)
+	case *FreeReq:
+		m.encode(w)
+	case *FreeResp:
+		m.encode(w)
+	case *GrantReq:
+		m.encode(w)
+	case *GrantResp:
+		m.encode(w)
+	case *AuthReq:
+		m.encode(w)
+	case *AuthResp:
+		m.encode(w)
+	case *RevokeReq:
+		m.encode(w)
+	case *RevokeResp:
+		m.encode(w)
+	case *LoadReq:
+		m.encode(w)
+	case *LoadResp:
+		m.encode(w)
+	case *FileIOReq:
+		m.encode(w)
+	case *FileIOResp:
+		m.encode(w)
+	case *ErrorNotify:
+		m.encode(w)
+	case *DeviceFailed:
+		m.encode(w)
+	case *Nack:
+		m.encode(w)
+	case *StateQuery:
+		m.encode(w)
+	case *StateResp:
+		m.encode(w)
+	case *CreditUpdate:
+		m.encode(w)
+	case *FabricReq:
+		m.encode(w)
+	case *FabricResp:
+		m.encode(w)
+	case *Replicate:
+		m.encode(w)
+	case *ReplicateAck:
+		m.encode(w)
+	case *RingUpdate:
+		m.encode(w)
+	case *SpecGossip:
+		m.encode(w)
+	case *CondReport:
+		m.encode(w)
+	case *Drain:
+		m.encode(w)
+	case *RingConfig:
+		m.encode(w)
+	case *TenantGrant:
+		m.encode(w)
+	case *DenialReport:
+		m.encode(w)
+	case *LeaseRenew:
+		m.encode(w)
+	case *LeaseGrant:
+		m.encode(w)
+	case *LeaseRevoke:
+		m.encode(w)
+	default:
+		panic(fmt.Sprintf("msg: no encodeBody arm for %T", m))
+	}
 }

@@ -5,14 +5,34 @@ import (
 	"math"
 )
 
-// writer accumulates a little-endian encoding.
+// writer accumulates a little-endian encoding. With sizing set it
+// counts the bytes into n instead of appending them, so EncodedSize runs
+// the same encode bodies without materialising a buffer.
 type writer struct {
-	buf []byte
+	buf    []byte
+	sizing bool
+	n      int
 }
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = append(w.buf, byte(v), byte(v>>8)) }
+func (w *writer) u8(v uint8) {
+	if w.sizing {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
+func (w *writer) u16(v uint16) {
+	if w.sizing {
+		w.n += 2
+		return
+	}
+	w.buf = append(w.buf, byte(v), byte(v>>8))
+}
 func (w *writer) u32(v uint32) {
+	if w.sizing {
+		w.n += 4
+		return
+	}
 	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 func (w *writer) u64(v uint64) {
@@ -31,10 +51,18 @@ func (w *writer) str(s string) {
 		s = s[:math.MaxUint16]
 	}
 	w.u16(uint16(len(s)))
+	if w.sizing {
+		w.n += len(s)
+		return
+	}
 	w.buf = append(w.buf, s...)
 }
 func (w *writer) bytes(b []byte) {
 	w.u32(uint32(len(b)))
+	if w.sizing {
+		w.n += len(b)
+		return
+	}
 	w.buf = append(w.buf, b...)
 }
 func (w *writer) u64s(v []uint64) {

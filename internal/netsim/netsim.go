@@ -73,7 +73,7 @@ func (o *OpenLoop) Run(done func()) {
 	o.onDone = done
 	o.generating = true
 	o.started = o.Eng.Now()
-	o.Eng.After(o.Duration, func() {
+	o.Eng.Schedule(o.Duration, func() {
 		o.generating = false
 		o.maybeFinish()
 	})
@@ -92,7 +92,7 @@ func (o *OpenLoop) scheduleNext() {
 		return
 	}
 	mean := sim.Duration(float64(sim.Second) / o.Rate)
-	o.Eng.After(o.Rand.Exp(mean), func() {
+	o.Eng.Schedule(o.Rand.Exp(mean), func() {
 		if !o.generating {
 			return
 		}
@@ -107,9 +107,9 @@ func (o *OpenLoop) fire() {
 	o.outstanding++
 	payload := o.Gen(o.Rand, seq)
 	t0 := o.Eng.Now()
-	o.Eng.After(o.WireLatency, func() {
+	o.Eng.Schedule(o.WireLatency, func() {
 		o.Target(payload, func(resp []byte) {
-			o.Eng.After(o.WireLatency, func() {
+			o.Eng.Schedule(o.WireLatency, func() {
 				o.stats.Completed++
 				o.stats.Latency.Observe(o.Eng.Now().Sub(t0))
 				if o.IsError != nil && o.IsError(resp) {
@@ -189,9 +189,9 @@ func (c *ClosedLoop) workerStep(iter int) {
 	c.stats.Sent++
 	payload := c.Gen(c.Rand, seq)
 	t0 := c.Eng.Now()
-	c.Eng.After(c.WireLatency, func() {
+	c.Eng.Schedule(c.WireLatency, func() {
 		c.Target(payload, func(resp []byte) {
-			c.Eng.After(c.WireLatency, func() {
+			c.Eng.Schedule(c.WireLatency, func() {
 				c.stats.Completed++
 				c.stats.Latency.Observe(c.Eng.Now().Sub(t0))
 				if c.IsError != nil && c.IsError(resp) {
@@ -199,7 +199,7 @@ func (c *ClosedLoop) workerStep(iter int) {
 				}
 				c.lastDone = c.Eng.Now()
 				if c.Think > 0 {
-					c.Eng.After(c.Think, func() { c.workerStep(iter + 1) })
+					c.Eng.Schedule(c.Think, func() { c.workerStep(iter + 1) })
 				} else {
 					c.workerStep(iter + 1)
 				}

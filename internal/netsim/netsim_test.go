@@ -15,7 +15,7 @@ func fixedServer(eng *sim.Engine, service sim.Duration, serialize bool) Target {
 			srv.Submit(service, func() { reply(payload) })
 			return
 		}
-		eng.After(service, func() { reply(payload) })
+		eng.Schedule(service, func() { reply(payload) })
 	}
 }
 

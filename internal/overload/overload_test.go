@@ -81,7 +81,7 @@ func TestCompileValidation(t *testing.T) {
 // a pure delay line, no queueing).
 func echoTarget(eng *sim.Engine, service sim.Duration) netsim.Target {
 	return func(p []byte, reply func([]byte)) {
-		eng.After(service, func() { reply([]byte{0}) })
+		eng.Schedule(service, func() { reply([]byte{0}) })
 	}
 }
 

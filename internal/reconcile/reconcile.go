@@ -283,7 +283,7 @@ func (f *Fleet) Converged() bool {
 // convergence, and sample the C3 budget. The probe is an outside
 // observer — it never feeds back into the agents.
 func (f *Fleet) armProbe() {
-	f.cl.Eng.After(f.cfg.ProbeEvery, func() {
+	f.cl.Eng.Schedule(f.cfg.ProbeEvery, func() {
 		f.probes++
 		f.sampleBudget()
 		if len(f.open) > 0 && f.Converged() {

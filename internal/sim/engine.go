@@ -12,10 +12,7 @@
 // the experiment harness, which asserts on exact event orderings).
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -59,65 +56,48 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// event is a scheduled callback. seq breaks timestamp ties so that events
-// scheduled earlier run earlier, which keeps runs reproducible.
-type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	idx  int // heap index
-	dead bool
+// entry is one queued callback. Entries are ordered by (at, seq): seq is
+// the engine-wide insertion count, so events with equal timestamps fire
+// in the order they were scheduled, which keeps runs reproducible. tm is
+// the cancellation handle, nil for events scheduled without one.
+type entry struct {
+	at  Time
+	seq uint64
+	fn  func()
+	tm  *Timer
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
-// Timer is a handle to a scheduled event that can be cancelled.
+// Timer is a handle to a scheduled event that can be cancelled. It is
+// inert once the event has fired or been stopped.
 type Timer struct {
-	ev *event
+	eng *Engine // nil once fired or stopped
+	idx int     // position of the entry in eng.events while pending
 }
 
-// Stop cancels the timer. It reports whether the callback was still
-// pending (false means it already fired or was already stopped).
+// Stop cancels the timer, removing its event from the queue. It reports
+// whether the callback was still pending (false means it already fired
+// or was already stopped).
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead {
+	if t == nil || t.eng == nil {
 		return false
 	}
-	t.ev.dead = true
-	t.ev.fn = nil
+	t.eng.remove(t.idx)
 	return true
 }
 
 // Engine owns the virtual clock and the pending-event queue.
 type Engine struct {
-	now     Time
-	events  eventHeap
+	now Time
+	// events is a 4-ary min-heap on (at, seq) holding live events only:
+	// a stopped timer's entry is removed, never left to drain.
+	events  []entry
 	seq     uint64
 	running bool
 	// Executed counts events dispatched since creation; useful for
@@ -131,47 +111,128 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it
-// indicates a model bug (causality violation), never a recoverable state.
+// At schedules fn at absolute time t and returns a handle that can cancel
+// it. Scheduling in the past panics: it indicates a model bug (causality
+// violation), never a recoverable state.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	tm := &Timer{eng: e}
+	e.push(t, fn, tm)
+	return tm
+}
+
+// After schedules fn d nanoseconds from now and returns a handle that can
+// cancel it. Negative d is clamped to 0.
+func (e *Engine) After(d Duration, fn func()) *Timer {
+	return e.At(e.deadline(d), fn)
+}
+
+// ScheduleAt is At for callers that never cancel: no handle is made, so
+// the engine allocates nothing.
+func (e *Engine) ScheduleAt(t Time, fn func()) { e.push(t, fn, nil) }
+
+// Schedule is After for callers that never cancel.
+func (e *Engine) Schedule(d Duration, fn func()) { e.push(e.deadline(d), fn, nil) }
+
+func (e *Engine) deadline(d Duration) Time {
+	if d < 0 {
+		d = 0
+	}
+	return e.now.Add(d)
+}
+
+// Pending reports how many events are queued. Cancelled events are not
+// counted: Stop removes them.
+func (e *Engine) Pending() int { return len(e.events) }
+
+func (e *Engine) push(t Time, fn func(), tm *Timer) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	e.events = append(e.events, entry{})
+	e.up(len(e.events)-1, entry{at: t, seq: e.seq, fn: fn, tm: tm})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
 }
 
-// After schedules fn d nanoseconds from now. Negative d is clamped to 0.
-func (e *Engine) After(d Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
+// set stores x at heap position i and tells its handle where it is.
+func (e *Engine) set(i int, x entry) {
+	e.events[i] = x
+	if x.tm != nil {
+		x.tm.idx = i
 	}
-	return e.At(e.now.Add(d), fn)
 }
 
-// Pending reports how many events are queued (including cancelled ones not
-// yet drained).
-func (e *Engine) Pending() int { return len(e.events) }
+// up places x at or above the hole at position i.
+func (e *Engine) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&e.events[p]) {
+			break
+		}
+		e.set(i, e.events[p])
+		i = p
+	}
+	e.set(i, x)
+}
+
+// down places x at or below the hole at position i.
+func (e *Engine) down(i int, x entry) {
+	ev := e.events
+	for {
+		c := 4*i + 1
+		if c >= len(ev) {
+			break
+		}
+		// m is the least of the up to four children.
+		m := c
+		for j, end := c+1, min(c+4, len(ev)); j < end; j++ {
+			if ev[j].before(&ev[m]) {
+				m = j
+			}
+		}
+		if !ev[m].before(&x) {
+			break
+		}
+		e.set(i, ev[m])
+		i = m
+	}
+	e.set(i, x)
+}
+
+// remove deletes the entry at position i and makes its handle inert.
+func (e *Engine) remove(i int) {
+	if tm := e.events[i].tm; tm != nil {
+		tm.eng = nil
+	}
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = entry{} // drop the callback reference
+	e.events = e.events[:n]
+	if i == n {
+		return
+	}
+	// The displaced last entry may belong above or below the hole.
+	if i > 0 && last.before(&e.events[(i-1)/4]) {
+		e.up(i, last)
+	} else {
+		e.down(i, last)
+	}
+}
 
 // Step dispatches the next event, advancing the clock to its timestamp.
 // It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.Executed++
-		ev.fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	at, fn := e.events[0].at, e.events[0].fn
+	e.remove(0)
+	e.now = at
+	e.Executed++
+	fn()
+	return true
 }
 
 // Run dispatches events until the queue drains.
@@ -186,19 +247,7 @@ func (e *Engine) Run() {
 // t (even if no event fired exactly at t).
 func (e *Engine) RunUntil(t Time) {
 	e.running = true
-	for e.running {
-		if len(e.events) == 0 {
-			break
-		}
-		// Peek.
-		next := e.events[0]
-		if next.dead {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for e.running && len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
 	}
 	e.running = false

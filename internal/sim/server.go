@@ -40,7 +40,7 @@ func (s *Server) Submit(service Duration, done func()) Time {
 	s.prune()
 	s.finishes = append(s.finishes, finish)
 	if done != nil {
-		s.eng.At(finish, done)
+		s.eng.ScheduleAt(finish, done)
 	}
 	return finish
 }
@@ -135,7 +135,7 @@ func (p *Pool) Submit(service Duration, done func()) Time {
 	copy(p.finishes[at+1:], p.finishes[at:])
 	p.finishes[at] = finish
 	if done != nil {
-		p.eng.At(finish, done)
+		p.eng.ScheduleAt(finish, done)
 	}
 	return finish
 }

@@ -150,7 +150,7 @@ func TestManyConcurrentRequests(t *testing.T) {
 		})
 		if err != nil {
 			// Queue full: retry after a little while.
-			w.eng.After(10*sim.Microsecond, func() { submit(i) })
+			w.eng.Schedule(10*sim.Microsecond, func() { submit(i) })
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -217,7 +217,7 @@ func TestAsyncHandler(t *testing.T) {
 	w := newQWorld(t, 16, 128)
 	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		// Simulate a 100us flash read before answering.
-		w.eng.After(100*sim.Microsecond, func() { done([]byte{0xAA}) })
+		w.eng.Schedule(100*sim.Microsecond, func() { done([]byte{0xAA}) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestHandlerPipelining(t *testing.T) {
 	// 8 requests with 100us handlers must be far less than 800us.
 	w := newQWorld(t, 32, 128)
 	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
-		w.eng.After(100*sim.Microsecond, func() { done(req) })
+		w.eng.Schedule(100*sim.Microsecond, func() { done(req) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestMaxInflightBounds(t *testing.T) {
 		if cur > peak {
 			peak = cur
 		}
-		w.eng.After(50*sim.Microsecond, func() { cur--; done(req) })
+		w.eng.Schedule(50*sim.Microsecond, func() { cur--; done(req) })
 	})
 	if err != nil {
 		t.Fatal(err)
