@@ -29,18 +29,16 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsSmoke runs every registered experiment end to end and
-// asserts each emits at least one non-empty table. The whole suite costs a
-// few wall-clock seconds (virtual time is simulated), so no gating.
+// TestAllExperimentsSmoke asserts every registered experiment emits at
+// least one non-empty table under its own header. It judges the same run
+// TestTablesGolden compares against the goldens (runOnce), so each
+// experiment executes once per `go test`.
 func TestAllExperimentsSmoke(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runOnce(t, id)
 			if res.ID != id {
 				t.Errorf("result ID = %q, want %q", res.ID, id)
 			}
