@@ -222,6 +222,34 @@ func TestReportG3Bound(t *testing.T) {
 	}
 }
 
+// R3: a key the sweep could not get a definitive answer for fails the
+// run even with G1/G2 intact, and the tracked list is capped.
+func TestLedgerUnroutable(t *testing.T) {
+	l := NewLedger()
+	l.NoteAttempt("k", 1)
+	l.NoteAck("k", 1)
+	if r := l.Report(); !r.Clean(0) || r.Unroutable != nil {
+		t.Fatalf("ledger with no unroutable key not clean: %+v", r)
+	}
+	l.NoteUnroutable("k")
+	r := l.Report()
+	if r.G1Lost != 0 || r.G2Dups != 0 {
+		t.Fatalf("unroutable key miscounted as G1/G2: %+v", r)
+	}
+	if !reflect.DeepEqual(r.Unroutable, []string{"k"}) {
+		t.Fatalf("Unroutable = %v, want [k]", r.Unroutable)
+	}
+	if r.Clean(0) {
+		t.Fatal("Clean() true despite an unroutable key")
+	}
+	for i := 0; i < 200; i++ {
+		l.NoteUnroutable("k")
+	}
+	if n := len(l.Report().Unroutable); n != 64 {
+		t.Fatalf("tracked %d unroutable keys, want the cap of 64", n)
+	}
+}
+
 func TestLedgerKeysSorted(t *testing.T) {
 	l := NewLedger()
 	for _, k := range []string{"b", "a", "c"} {

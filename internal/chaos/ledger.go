@@ -24,6 +24,7 @@ type Ledger struct {
 	g2Dups uint64 // reads of never-issued values, or regressing reads
 
 	violations []string
+	unroutable []string
 }
 
 type keyState struct {
@@ -99,6 +100,18 @@ func (l *Ledger) NoteRead(key string, val uint64, found bool) {
 	ks.readAny, ks.lastRead = true, val
 }
 
+// NoteUnroutable records a key whose read-back sweep never got a
+// definitive answer (OK or NotFound) from the system under test — R3:
+// after failover settles, every key the workload touched must be
+// served by someone. On a rack it means the key's shard fell out of
+// the ring without a surviving replica taking it over.
+func (l *Ledger) NoteUnroutable(key string) {
+	const maxTracked = 64
+	if len(l.unroutable) < maxTracked {
+		l.unroutable = append(l.unroutable, key)
+	}
+}
+
 func (l *Ledger) note(format string, args ...any) {
 	const maxViolations = 16
 	if len(l.violations) < maxViolations {
@@ -119,6 +132,7 @@ type Report struct {
 	Recoveries []sim.Duration
 
 	Violations []string // first few violations, for diagnostics
+	Unroutable []string // keys with no definitive read-back answer (R3; must be empty)
 }
 
 // Report tallies the run. Keys with acked writes that were never read
@@ -132,6 +146,7 @@ func (l *Ledger) Report() Report {
 		G1Lost:     l.g1Lost,
 		G2Dups:     l.g2Dups,
 		Violations: append([]string(nil), l.violations...),
+		Unroutable: append([]string(nil), l.unroutable...),
 	}
 }
 
@@ -157,10 +172,11 @@ func (r Report) MaxRecovery() sim.Duration {
 	return max
 }
 
-// Clean reports whether the run upheld G1 and G2 and every crash event
-// recovered within bound (G3). bound <= 0 skips the G3 check.
+// Clean reports whether the run upheld G1 and G2 (R1/R2 on a rack),
+// left no key unroutable (R3), and every crash event recovered within
+// bound (G3). bound <= 0 skips the G3 check.
 func (r Report) Clean(bound sim.Duration) bool {
-	if r.G1Lost != 0 || r.G2Dups != 0 {
+	if r.G1Lost != 0 || r.G2Dups != 0 || len(r.Unroutable) != 0 {
 		return false
 	}
 	if bound > 0 {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/chaos"
@@ -28,21 +27,18 @@ import (
 // after the previous write to it is either resolved or provably dead,
 // which is what makes the ledger's per-key value ordering sound.
 const (
-	e15Workers   = 4
-	e15KeysPer   = 8
-	e15Warmup    = 5 * sim.Millisecond
-	e15Window    = 45 * sim.Millisecond
-	e15MinGap    = 8 * sim.Millisecond
-	e15Tail      = 10 * sim.Millisecond // workload continues past the window
-	e15OpTimeout = 200 * sim.Millisecond
-	e15ProbeGap  = 100 * sim.Microsecond
-	// e15ErrBackoff paces a worker that got an error reply (store mid-
-	// recovery answers Unavailable instantly; hammering it just inflates
-	// the attempt count).
+	e15Workers    = 4
+	e15KeysPer    = 8
+	e15Warmup     = 5 * sim.Millisecond
+	e15Window     = 45 * sim.Millisecond
+	e15MinGap     = 8 * sim.Millisecond
+	e15Tail       = 10 * sim.Millisecond // workload continues past the window
+	e15OpTimeout  = 200 * sim.Millisecond
+	e15ProbeGap   = 100 * sim.Microsecond
 	e15ErrBackoff = 200 * sim.Microsecond
-	// e15G3Bound is the recovery-window bound asserted by the chaos tier
-	// tests: watchdog detection + reset + remount + reconnect + log scan,
-	// with slack for back-to-back failures, is well under this.
+	// e15G3Bound is the recovery-window bound TestE15Guarantees asserts:
+	// watchdog detection + reset + remount + reconnect + log scan, with
+	// slack for back-to-back failures, is well under this.
 	e15G3Bound = 50 * sim.Millisecond
 )
 
@@ -89,116 +85,21 @@ func e15Targets(kind machineKind, sys *core.System, names []string) []chaos.Targ
 	return out
 }
 
-func e15Value(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-// e15Driver is the per-op-timeout write workload plus the recovery
-// prober. netsim's closed loop cannot drive a crashing machine — an op
-// lost in a crash would stall it forever — so every op here carries its
-// own virtual-time timeout and the worker moves on.
-type e15Driver struct {
-	rig *kvsRig
-	led *chaos.Ledger
-
-	stopAt  sim.Time
-	nextVal uint64
-	puts    uint64
-	acks    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	pending   []sim.Time // crash instants not yet followed by a success
-	recovered []sim.Duration
-}
-
-// noteProgress marks service restored: any acknowledged operation closes
-// every crash window still open.
-func (d *e15Driver) noteProgress() {
-	if len(d.pending) == 0 {
-		return
-	}
-	now := d.rig.sys.Eng.Now()
-	for _, at := range d.pending {
-		d.recovered = append(d.recovered, now.Sub(at))
-	}
-	d.pending = d.pending[:0]
-}
-
-// worker runs one closed loop over its own key partition (no two workers
-// share a key, so per-key write order equals issue order).
-func (d *e15Driver) worker(w int) {
-	eng := d.rig.sys.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := keyName(w*e15KeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e15KeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				// Count the ack even if it raced the timeout: the client
-				// was told the write succeeded, so G1 must cover it.
-				d.led.NoteAck(key, val)
-				d.acks++
-				d.noteProgress()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.Schedule(e15ErrBackoff, issue)
-				return
-			}
-			issue()
-		})
-		tm = eng.After(e15OpTimeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
-}
-
-// probe polls a warm key with short gets while a crash window is open,
-// so recovery is timed by first service restoration rather than by the
-// write workers' long op timeouts.
-func (d *e15Driver) probe() {
-	eng := d.rig.sys.Eng
+// e15Probe polls a warm key with short gets while a crash window is
+// open, so recovery is timed by first service restoration rather than by
+// the write workers' long op timeouts.
+func e15Probe(rig *kvsRig, out *outages, stopAt sim.Time) {
+	eng, send := rig.sys.Eng, rig.target()
 	var tick func()
 	tick = func() {
-		if eng.Now() >= d.stopAt && len(d.pending) == 0 {
+		if eng.Now() >= stopAt && len(out.open) == 0 {
 			return
 		}
-		if len(d.pending) > 0 {
+		if len(out.open) > 0 {
 			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(0)})
-			d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
-				if resp, err := kvs.DecodeResponse(b); err == nil && resp.Status == kvs.StatusOK {
-					d.noteProgress()
+			send(req, func(b []byte) {
+				if !kvsIsError(b) {
+					out.restored()
 				}
 			})
 		}
@@ -207,74 +108,16 @@ func (d *e15Driver) probe() {
 	tick()
 }
 
-// readback sweeps every key the workload touched, retrying transient
-// unavailability, and feeds the results to the ledger's G1/G2 checks.
-func (d *e15Driver) readback() {
-	eng := d.rig.sys.Eng
-	keys := d.led.Keys()
-	done := false
-	i := 0
-	var next func()
-	next = func() {
-		if i == len(keys) {
-			done = true
-			return
-		}
-		key := keys[i]
-		resolved := false
-		var tm *sim.Timer
-		retry := func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			eng.Schedule(500*sim.Microsecond, next)
-		}
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-		d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			if err != nil || resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable {
-				retry() // store mid-recovery; ask again
-				return
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-			} else if v := resp.Value; len(v) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(v), true)
-				d.noteProgress()
-			} else {
-				// Corrupt value: report it as a never-issued read.
-				d.led.NoteRead(key, ^uint64(0), true)
-			}
-			i++
-			next()
-		})
-		tm = eng.After(2*sim.Millisecond, retry)
-	}
-	next()
-	d.rig.drain(&done)
-}
-
 // e15Row is one (machine, schedule) cell's outcome.
 type e15Row struct {
-	report  chaos.Report
-	crashes int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	rejoins uint64
-	fenced  uint64
+	clientCounts
+	report      chaos.Report
+	crashes     int
+	rejoins     uint64
+	fencedByBus uint64
 }
 
-// e15Run executes one chaos campaign on a fresh machine. Exercised with
-// race detection by the chaos test tier (make chaos).
+// e15Run executes one chaos campaign on a fresh machine.
 func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 	const watchdog = 500 * sim.Microsecond
 	rig := newKVSRig(kind, seed, func(o *core.Options) {
@@ -300,40 +143,31 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 	}
 	sched := plan.MustCompile()
 
-	d := &e15Driver{rig: rig, led: chaos.NewLedger()}
-	d.stopAt = plan.Start.Add(e15Window + e15Tail)
-	plane := faultinject.New(seed)
-	//lint:allow boundedqueue at most Plan.Crashes events ever arm, and noteProgress drains on every ack
-	sched.Arm(eng, plane, func(ev chaos.Event) { d.pending = append(d.pending, ev.At) })
-	for w := 0; w < e15Workers; w++ {
-		d.worker(w)
+	// No two workers share a key, so per-key write order equals issue
+	// order.
+	out := &outages{eng: eng}
+	c := &campaignClient{
+		eng: eng, send: rig.target(), led: chaos.NewLedger(),
+		workers: e15Workers, timeout: e15OpTimeout, backoff: e15ErrBackoff,
+		stopAt: plan.Start.Add(e15Window + e15Tail),
+		key:    func(w, i int) string { return keyName(w*e15KeysPer + i%e15KeysPer) },
+		onAck:  func(sim.Time) { out.restored() },
 	}
-	d.probe()
-	allDone := false
-	check := func() bool { return d.done == e15Workers }
-	for !allDone {
-		deadline := eng.Now().Add(30 * sim.Second)
-		for !check() && eng.Now() < deadline {
-			eng.RunFor(sim.Millisecond)
-		}
-		if !check() {
-			panic("exp: e15 workload did not drain (an op neither acked nor timed out)")
-		}
-		allDone = true
-	}
-	d.readback()
+	sched.Arm(eng, faultinject.New(seed), func(ev chaos.Event) { out.crashed(ev.At) })
+	c.start()
+	e15Probe(rig, out, c.stopAt)
+	c.wait()
+	c.readback()
 
-	rep := d.led.Report()
-	rep.Recoveries = d.recovered
+	rep := c.led.Report()
+	rep.Recoveries = out.recovered
 	bs := rig.sys.Bus.Stats()
 	return e15Row{
-		report:  rep,
-		crashes: sc.crashes,
-		puts:    d.puts,
-		tmouts:  d.tmouts,
-		errs:    d.errs,
-		rejoins: bs.Rejoins,
-		fenced:  bs.DeadSenderDropped,
+		clientCounts: c.clientCounts,
+		report:       rep,
+		crashes:      sc.crashes,
+		rejoins:      bs.Rejoins,
+		fencedByBus:  bs.DeadSenderDropped,
 	}
 }
 
@@ -351,7 +185,7 @@ func E15CrashRecovery() *Result {
 			recovered := fmt.Sprintf("%d/%d", len(row.report.Recoveries), row.crashes)
 			tb.AddRow(kind.label(), sc.name, row.crashes, row.puts, row.report.Acks,
 				row.tmouts, row.report.G1Lost, row.report.G2Dups, recovered,
-				row.report.MaxRecovery(), row.rejoins, row.fenced)
+				row.report.MaxRecovery(), row.rejoins, row.fencedByBus)
 		}
 	}
 	res.Tables = append(res.Tables, tb)

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestE15Guarantees is the chaos test tier (make chaos): it runs seeded
-// crash schedules on every machine architecture and asserts the three
-// recovery guarantees the chaos ledger checks — G1 no acked write lost,
-// G2 no op applied twice, G3 every crash recovered within the bound —
-// plus the rejoin protocol's bookkeeping.
+// TestE15Guarantees runs seeded crash schedules on every machine
+// architecture and asserts the three recovery guarantees the chaos
+// ledger checks — G1 no acked write lost, G2 no op applied twice, G3
+// every crash recovered within the bound — plus the rejoin protocol's
+// bookkeeping.
 func TestE15Guarantees(t *testing.T) {
 	for _, kind := range []machineKind{kindDecentralized, kindCentralDirect, kindCentralMediated} {
 		for i, sc := range e15Scheds {

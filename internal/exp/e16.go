@@ -92,8 +92,7 @@ func e16Classify(resp []byte) overload.Outcome {
 
 // e16Campaign calibrates one flavor's saturation with a closed loop,
 // then runs the compiled ramp, one fresh machine per step so no queue
-// state leaks between load points. Exercised with race detection by the
-// overload test tier (make overload).
+// state leaks between load points.
 func e16Campaign(kind machineKind) (sat float64, led *overload.Ledger) {
 	cal := e16Rig(kind, e16Seed)
 	sat = cal.getLoad(e16CalWorkers, e16CalPerWorker, e16Keys).Throughput()

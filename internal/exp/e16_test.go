@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestE16Guarantees is the overload test tier (make overload): it runs
-// the seeded load ramp on every machine architecture and asserts the
-// three guarantees the overload ledger audits — Q1 no watched queue
-// exceeds its bound, Q2 goodput at 2× saturation holds ≥ 80% of goodput
-// at saturation, Q3 every issued request resolves explicitly.
+// TestE16Guarantees runs the seeded load ramp on every machine
+// architecture and asserts the three guarantees the overload ledger
+// audits — Q1 no watched queue exceeds its bound, Q2 goodput at 2×
+// saturation holds ≥ 80% of goodput at saturation, Q3 every issued
+// request resolves explicitly.
 func TestE16Guarantees(t *testing.T) {
 	for _, kind := range []machineKind{kindDecentralized, kindCentralDirect, kindCentralMediated} {
 		sat, led := e16Campaign(kind)

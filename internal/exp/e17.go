@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"nocpu/internal/chaos"
 	"nocpu/internal/fabric"
 	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
@@ -60,42 +60,6 @@ const (
 
 func e17Key(i int) string { return fmt.Sprintf("e17-%05d", i) }
 
-// e17Cluster assembles and boots one rack. cache > 0 enables the shard
-// stores' NIC value cache (scaling cells only; the chaos cells keep the
-// full flash write path in the loop).
-func e17Cluster(n int, flavor fabric.Flavor, seed uint64, cache int) *fabric.Cluster {
-	cl := fabric.MustNew(fabric.Config{
-		N: n, Flavor: flavor, Seed: seed, MachineMemory: e17Memory, CacheEntries: cache,
-	})
-	if err := cl.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: e17 boot: %v", err))
-	}
-	return cl
-}
-
-// e17Target spreads client requests round-robin over the live machines'
-// NIC ingresses (deterministic: LiveIDs is sorted, one cursor step per
-// request).
-func e17Target(cl *fabric.Cluster) netsim.Target {
-	rr := 0
-	return func(p []byte, reply func([]byte)) {
-		live := cl.LiveIDs()
-		rr++
-		cl.Ingress(live[rr%len(live)])(p, reply)
-	}
-}
-
-// e17Drain advances the shared engine until done.
-func e17Drain(cl *fabric.Cluster, done *bool) {
-	deadline := cl.Eng.Now().Add(30 * sim.Second)
-	for !*done && cl.Eng.Now() < deadline {
-		cl.Eng.RunFor(sim.Millisecond)
-	}
-	if !*done {
-		panic("exp: e17 workload did not drain")
-	}
-}
-
 // e17Scale runs one scaling cell: a replicated put preload, then a
 // closed-loop get workload over uniform or Zipf keys.
 func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.RouterStats) {
@@ -103,7 +67,11 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 	if zipf {
 		seed ^= 0x217F
 	}
-	cl := e17Cluster(n, flavor, seed, e17Cache)
+	// The NIC value cache is on for the scaling cells only; the chaos
+	// cells keep the full flash write path in the loop.
+	cl := bootRack(fabric.Config{
+		N: n, Flavor: flavor, Seed: seed, MachineMemory: e17Memory, CacheEntries: e17Cache,
+	})
 	nKeys := e17KeysPerMach * n
 
 	pre := &netsim.ClosedLoop{
@@ -113,11 +81,9 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 				Op: kvs.OpPut, Key: e17Key(int(seq) % nKeys), Value: make([]byte, e17ValSize),
 			})
 		},
-		Target: e17Target(cl),
+		Target: rackTarget(cl),
 	}
-	done := false
-	pre.Run(func() { done = true })
-	e17Drain(cl, &done)
+	runLoop(cl.Eng, pre)
 
 	preStats := cl.RouterStatsSum()
 	workers := e17WorkersPer * n
@@ -136,11 +102,9 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: e17Key(k)})
 		},
 		IsError: kvsIsError,
-		Target:  e17Target(cl),
+		Target:  rackTarget(cl),
 	}
-	done = false
-	load.Run(func() { done = true })
-	e17Drain(cl, &done)
+	runLoop(cl.Eng, load)
 
 	// Report the measured phase only: subtract the preload's counters.
 	st := cl.RouterStatsSum()
@@ -153,135 +117,11 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 
 // e17ChaosRow is one machine-kill campaign's outcome.
 type e17ChaosRow struct {
-	rep      fabric.Report
+	clientCounts
+	rep      chaos.Report
 	stats    fabric.RouterStats
-	puts     uint64
-	tmouts   uint64
-	errs     uint64
 	kills    int
 	maxEpoch uint32
-}
-
-// e17ChaosDriver is the per-op-timeout workload for the kill campaigns
-// (netsim's closed loop cannot drive a crashing fabric — an op lost in
-// a machine kill would stall its worker forever).
-type e17ChaosDriver struct {
-	cl  *fabric.Cluster
-	led *fabric.Ledger
-
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	pending   []sim.Time
-	recovered []sim.Duration
-}
-
-func (d *e17ChaosDriver) ingress() msg.DeviceID {
-	live := d.cl.LiveIDs()
-	d.rr++
-	return live[d.rr%len(live)]
-}
-
-func (d *e17ChaosDriver) noteProgress() {
-	if len(d.pending) == 0 {
-		return
-	}
-	now := d.cl.Eng.Now()
-	for _, at := range d.pending {
-		d.recovered = append(d.recovered, now.Sub(at))
-	}
-	d.pending = d.pending[:0]
-}
-
-func (d *e17ChaosDriver) worker(w int) {
-	eng := d.cl.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := e17Key(w*e17ChaosKeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e17ChaosKeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				d.led.NoteAck(key, val)
-				d.noteProgress()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.Schedule(e17ChaosBackoff, issue)
-				return
-			}
-			issue()
-		})
-		tm = eng.After(e17ChaosTimeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
-}
-
-// readback sweeps every touched key; a key with no definitive answer
-// after the retry budget is unroutable (R3 violation).
-func (d *e17ChaosDriver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
-	}
 }
 
 // e17Chaos runs one machine-kill campaign: a write workload over an
@@ -293,40 +133,26 @@ func (d *e17ChaosDriver) readback() {
 // it is a single point of failure by construction, which is the point
 // of the comparison.
 func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17ChaosRow {
-	cl := e17Cluster(e17ChaosN, flavor, seed, 0)
-	eng := cl.Eng
-	d := &e17ChaosDriver{cl: cl, led: fabric.NewLedger()}
-	d.stopAt = eng.Now().Add(e17ChaosWarmup + e17ChaosWindow + e17ChaosTail)
-
 	// Spread kills across the window, 10ms apart (>> one failover+resync).
-	first := eng.Now().Add(e17ChaosWarmup + 5*sim.Millisecond)
+	kills := make([]rackKill, len(victims))
 	for i, v := range victims {
-		at := first.Add(sim.Duration(i) * 10 * sim.Millisecond)
-		v := v
-		eng.ScheduleAt(at, func() {
-			cl.Kill(v)
-			//lint:allow boundedqueue a handful of scripted kills, drained on every ack
-			d.pending = append(d.pending, at)
-		})
+		kills[i] = rackKill{e17ChaosWarmup + sim.Duration(5+10*i)*sim.Millisecond, v}
 	}
-	for w := 0; w < e17ChaosWorkers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e17ChaosWorkers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e17ChaosWorkers {
-		panic("exp: e17 chaos workload did not drain")
-	}
-	eng.RunFor(e17ChaosSettle)
-	d.readback()
-
-	rep := d.led.Report()
-	rep.Recoveries = d.recovered
+	var out outages
+	cl, c, rep := runRackCampaign(rackCell{
+		cfg: fabric.Config{N: e17ChaosN, Flavor: flavor, Seed: seed, MachineMemory: e17Memory},
+		client: campaignClient{
+			workers: e17ChaosWorkers, timeout: e17ChaosTimeout, backoff: e17ChaosBackoff,
+			key: func(w, i int) string { return e17Key(w*e17ChaosKeysPer + i%e17ChaosKeysPer) },
+		},
+		window:   e17ChaosWarmup + e17ChaosWindow + e17ChaosTail,
+		schedule: out.killSchedule(kills),
+		settle:   func(cl *fabric.Cluster, _ sim.Time) { cl.Eng.RunFor(e17ChaosSettle) },
+	})
+	rep.Recoveries = out.recovered
 	return e17ChaosRow{
-		rep: rep, stats: cl.RouterStatsSum(), puts: d.puts, tmouts: d.tmouts,
-		errs: d.errs, kills: len(victims), maxEpoch: cl.MaxEpoch(),
+		clientCounts: c.clientCounts, rep: rep, stats: cl.RouterStatsSum(),
+		kills: len(victims), maxEpoch: cl.MaxEpoch(),
 	}
 }
 
@@ -369,7 +195,7 @@ func E17Fabric() *Result {
 	}
 	res.Tables = append(res.Tables, scale)
 
-	chaos := metrics.NewTable(
+	kill := metrics.NewTable(
 		fmt.Sprintf("machine-kill chaos on an %d-machine rack (%d workers, sequential kills 10ms apart)",
 			e17ChaosN, e17ChaosWorkers),
 		"flavor", "kills", "puts", "acked", "timeouts", "lost acked (R1)",
@@ -378,11 +204,11 @@ func E17Fabric() *Result {
 	for i, fc := range e17Flavors {
 		row := e17Chaos(fc.flavor, fc.victims, 0xE17C+uint64(i))
 		recovered := fmt.Sprintf("%d/%d", len(row.rep.Recoveries), row.kills)
-		chaos.AddRow(fc.flavor.String(), row.kills, row.puts, row.rep.Acks, row.tmouts,
+		kill.AddRow(fc.flavor.String(), row.kills, row.puts, row.rep.Acks, row.tmouts,
 			row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable), recovered,
 			row.rep.MaxRecovery(), row.maxEpoch, row.stats.Resyncs)
 	}
-	res.Tables = append(res.Tables, chaos)
+	res.Tables = append(res.Tables, kill)
 
 	res.Notes = append(res.Notes,
 		"every machine is a complete emulated system (bus, NIC, SSD, memory controller) sharing ONE deterministic event loop; the fabric models per-link latency plus per-byte serialization, and peer frames contend with client traffic in each NIC's rx queue",

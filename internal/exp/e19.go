@@ -1,11 +1,10 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"nocpu/internal/chaos"
 	"nocpu/internal/fabric"
-	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
 	"nocpu/internal/reconcile"
@@ -67,133 +66,6 @@ func e19Keys() []string {
 	return out
 }
 
-// e19Driver is the campaign workload: the e17 per-op-timeout write loop
-// extended with a put-latency histogram and bucketed goodput, so the
-// table can show the dip reconcile actions cost the client.
-type e19Driver struct {
-	cl  *fabric.Cluster
-	led *fabric.Ledger
-
-	start   sim.Time
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	lat     *metrics.Histogram
-	buckets []uint64 // acks per e19Bucket, fixed length — no growth mid-run
-}
-
-// ingress round-robins over the machines currently serving (alive, in
-// ring, not cordoned); any of them can route any key. Falls back to any
-// live machine in the instant between a kill and the repair commit.
-func (d *e19Driver) ingress() msg.DeviceID {
-	ids := d.cl.ServingIDs()
-	if len(ids) == 0 {
-		ids = d.cl.LiveIDs()
-	}
-	d.rr++
-	return ids[d.rr%len(ids)]
-}
-
-func (d *e19Driver) bucketAck() {
-	i := int(d.cl.Eng.Now().Sub(d.start) / e19Bucket)
-	if i >= 0 && i < len(d.buckets) {
-		d.buckets[i]++
-	}
-}
-
-func (d *e19Driver) worker(w int) {
-	eng := d.cl.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := e19Key(w*e19KeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e19KeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		issued := eng.Now()
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				d.led.NoteAck(key, val)
-				d.bucketAck()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.Schedule(e19Backoff, issue)
-				return
-			}
-			d.lat.Observe(eng.Now().Sub(issued))
-			issue()
-		})
-		tm = eng.After(e19Timeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
-}
-
-// readback sweeps every touched key once the fleet has converged; a key
-// with no definitive answer after the retry budget is an R3 violation.
-func (d *e19Driver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
-	}
-}
-
 // e19SingleVictim picks the first scripted kill: the highest-ID serving
 // machine that is not the head. Any single victim is safe at
 // replication factor 2 — the surviving replica covers every key.
@@ -239,15 +111,11 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 			dead[id] = true
 		}
 	}
-	reps := cl.Cfg.Replicas
-	if reps <= 0 {
-		reps = DefaultReplicasE19
-	}
 	ring := fabric.NewRing(cl.Machine(serving[0]).Router.RingMembers(), cl.Cfg.Vnodes)
 	replicaPair := make(map[[2]msg.DeviceID]bool)
 	soleOwner := make(map[msg.DeviceID]bool)
 	for _, k := range keys {
-		own := ring.Owners(k, dead, reps)
+		own := ring.Owners(k, dead, cl.Cfg.Replicas)
 		switch len(own) {
 		case 1:
 			soleOwner[own[0]] = true
@@ -273,116 +141,115 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 	return 0, 0
 }
 
-// DefaultReplicasE19 mirrors the fabric's replica default for the
-// safe-pair scan when the cluster config left it zero.
-const DefaultReplicasE19 = 2
-
-// e19Row is one campaign's outcome.
+// e19Row is one cell's outcome.
 type e19Row struct {
-	n      int
-	flavor fabric.Flavor
-	kills  int
+	clientCounts
+	kills int
 
-	rep   fabric.Report
+	rep   chaos.Report
 	fleet reconcile.Report
 
-	puts   uint64
-	tmouts uint64
-	errs   uint64
-
 	lat         *metrics.Histogram
-	floor, peak uint64
+	floor, peak uint64 // worst and best ack bucket past the ramp-up bucket
 
 	upgraded  string
 	converged bool
 	maxEpoch  uint32
 }
 
-// e19Campaign runs one cell: boot N machines plus spares, attach the
-// reconciler, and fire the scripted campaign under the write workload.
-func e19Campaign(n int, flavor fabric.Flavor) e19Row {
-	seed := uint64(0xE19)<<8 | uint64(n)
+// e19Cell runs one cell of N machines under the write workload.
+// campaign=true boots spares too, attaches the reconciler and fires the
+// scripted campaign; campaign=false is the same workload window with NO
+// reconciler and no chaos — the undisturbed goodput/latency reference
+// the campaign rows are read against.
+func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
+	cfg := fabric.Config{N: n, Flavor: flavor, Seed: uint64(0xE19B)<<8 | uint64(n), MachineMemory: e17Memory}
+	if campaign {
+		cfg.Spares, cfg.Seed = e19Spares, uint64(0xE19)<<8|uint64(n)
+	}
 	if flavor == fabric.FlavorHead {
-		seed ^= 0x4EAD
+		cfg.Seed ^= 0x4EAD
 	}
-	cl := fabric.MustNew(fabric.Config{
-		N: n, Spares: e19Spares, Flavor: flavor, Seed: seed, MachineMemory: e17Memory,
-	})
-	if err := cl.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: e19 boot: %v", err))
-	}
-	fl := reconcile.Attach(cl, reconcile.Config{
-		Spec: reconcile.Spec{Size: n, ConfigVersion: 1, MaxUnavailable: e19MaxUnavail},
-	})
-	eng := cl.Eng
-	d := &e19Driver{cl: cl, led: fabric.NewLedger(), lat: metrics.NewHistogram()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e19Warmup + e19Window + e19Tail)
-	d.buckets = make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
+	const window = e19Warmup + e19Window + e19Tail
+	row := e19Row{lat: metrics.NewHistogram()}
+	buckets := make([]uint64, int(window/e19Bucket)) // acks per e19Bucket, fixed length
+	var fl *reconcile.Fleet
 
-	kills := 0
-	eng.ScheduleAt(d.start.Add(e19KillAt), func() {
-		if v := e19SingleVictim(cl); v != 0 {
-			fl.Kill(v)
-			kills++
-		}
+	cl, c, rep := runRackCampaign(rackCell{
+		cfg: cfg,
+		client: campaignClient{
+			workers: e19Workers, timeout: e19Timeout, backoff: e19Backoff,
+			key: func(w, i int) string { return e19Key(w*e19KeysPer + i%e19KeysPer) },
+		},
+		window: window,
+		schedule: func(cl *fabric.Cluster, c *campaignClient, t0 sim.Time) {
+			eng := cl.Eng
+			c.onAck = func(issued sim.Time) {
+				if i := int(eng.Now().Sub(t0) / e19Bucket); i < len(buckets) {
+					buckets[i]++
+				}
+				row.lat.Observe(eng.Now().Sub(issued))
+			}
+			if !campaign {
+				return
+			}
+			fl = reconcile.Attach(cl, reconcile.Config{
+				Spec: reconcile.Spec{Size: n, ConfigVersion: 1, MaxUnavailable: e19MaxUnavail},
+			})
+			eng.ScheduleAt(t0.Add(e19KillAt), func() {
+				if v := e19SingleVictim(cl); v != 0 {
+					fl.Kill(v)
+					row.kills++
+				}
+			})
+			eng.ScheduleAt(t0.Add(e19UpgradeAt), func() {
+				fl.SetSpec(reconcile.Spec{Size: n, ConfigVersion: 2, MaxUnavailable: e19MaxUnavail})
+			})
+			// The double kill lands at the first quiescent instant at or
+			// after its scheduled time: both victims die in ONE event
+			// frame, zero virtual time apart — the concurrent-failure
+			// case E15/E17 only approached sequentially.
+			var tryDouble func()
+			tryDouble = func() {
+				if !e19Quiesced(cl) {
+					eng.Schedule(2*sim.Millisecond, tryDouble)
+					return
+				}
+				a, b := e19SafePair(cl, e19Keys())
+				if a == 0 || b == 0 {
+					return
+				}
+				fl.Kill(a)
+				fl.Kill(b)
+				row.kills += 2
+			}
+			eng.ScheduleAt(t0.Add(e19DoubleAt), tryDouble)
+		},
+		settle: func(cl *fabric.Cluster, t0 sim.Time) {
+			if !campaign {
+				return
+			}
+			convergeBy := t0.Add(e19ConvergeBudget)
+			for !fl.Converged() && cl.Eng.Now() < convergeBy {
+				cl.Eng.RunFor(sim.Millisecond)
+			}
+			cl.Eng.RunFor(2 * sim.Millisecond) // let the probe close the final windows
+		},
 	})
-	eng.ScheduleAt(d.start.Add(e19UpgradeAt), func() {
-		fl.SetSpec(reconcile.Spec{Size: n, ConfigVersion: 2, MaxUnavailable: e19MaxUnavail})
-	})
-	// The double kill lands at the first quiescent instant at or after
-	// its scheduled time: both victims die in ONE event frame, zero
-	// virtual time apart — the concurrent-failure case E15/E17 only
-	// approached sequentially.
-	var tryDouble func()
-	tryDouble = func() {
-		if !e19Quiesced(cl) {
-			eng.Schedule(2*sim.Millisecond, tryDouble)
-			return
-		}
-		a, b := e19SafePair(cl, e19Keys())
-		if a == 0 || b == 0 {
-			return
-		}
-		fl.Kill(a)
-		fl.Kill(b)
-		kills += 2
-	}
-	eng.ScheduleAt(d.start.Add(e19DoubleAt), tryDouble)
 
-	for w := 0; w < e19Workers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e19Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e19Workers {
-		panic("exp: e19 workload did not drain")
-	}
-	convergeBy := d.start.Add(e19ConvergeBudget)
-	for !fl.Converged() && eng.Now() < convergeBy {
-		eng.RunFor(sim.Millisecond)
-	}
-	eng.RunFor(2 * sim.Millisecond) // let the probe close the final windows
-	d.readback()
-
-	row := e19Row{
-		n: n, flavor: flavor, kills: kills,
-		rep: d.led.Report(), fleet: fl.Report(),
-		puts: d.puts, tmouts: d.tmouts, errs: d.errs,
-		lat: d.lat, converged: fl.Converged(), maxEpoch: cl.MaxEpoch(),
-	}
-	// Goodput floor/peak over full buckets past the ramp-up bucket.
-	for i := 1; i < len(d.buckets); i++ {
-		b := d.buckets[i]
+	row.clientCounts, row.rep = c.clientCounts, rep
+	for i, b := range buckets[1:] {
 		if b > row.peak {
 			row.peak = b
 		}
-		if i == 1 || b < row.floor {
+		if i == 0 || b < row.floor {
 			row.floor = b
 		}
 	}
+	if !campaign {
+		return row
+	}
+	row.fleet, row.converged, row.maxEpoch = fl.Report(), fl.Converged(), cl.MaxEpoch()
 	live := cl.LiveIDs()
 	up := 0
 	for _, id := range live {
@@ -391,52 +258,6 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 		}
 	}
 	row.upgraded = fmt.Sprintf("%d/%d", up, len(live))
-	return row
-}
-
-// e19Baseline runs the same workload window with NO reconciler and no
-// chaos: the undisturbed goodput/latency reference the campaign rows
-// are read against.
-func e19Baseline(n int, flavor fabric.Flavor) e19Row {
-	seed := uint64(0xE19B)<<8 | uint64(n)
-	if flavor == fabric.FlavorHead {
-		seed ^= 0x4EAD
-	}
-	cl := fabric.MustNew(fabric.Config{
-		N: n, Flavor: flavor, Seed: seed, MachineMemory: e17Memory,
-	})
-	if err := cl.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: e19 boot: %v", err))
-	}
-	eng := cl.Eng
-	d := &e19Driver{cl: cl, led: fabric.NewLedger(), lat: metrics.NewHistogram()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e19Warmup + e19Window + e19Tail)
-	d.buckets = make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
-	for w := 0; w < e19Workers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e19Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e19Workers {
-		panic("exp: e19 baseline did not drain")
-	}
-	d.readback()
-	row := e19Row{
-		n: n, flavor: flavor,
-		rep: d.led.Report(), puts: d.puts, tmouts: d.tmouts, errs: d.errs, lat: d.lat,
-	}
-	for i := 1; i < len(d.buckets); i++ {
-		b := d.buckets[i]
-		if b > row.peak {
-			row.peak = b
-		}
-		if i == 1 || b < row.floor {
-			row.floor = b
-		}
-	}
 	return row
 }
 
@@ -468,12 +289,12 @@ func E19SelfHealing() *Result {
 
 	for _, n := range sizes {
 		for _, flavor := range flavors {
-			base := e19Baseline(n, flavor)
+			base := e19Cell(n, flavor, false)
 			disrupt.AddRow(n, flavor.String(), "baseline", 0, base.puts, base.rep.Acks,
 				base.tmouts, base.rep.G1Lost, base.rep.G2Dups, len(base.rep.Unroutable),
 				e19Floor(base), base.lat.P50(), base.lat.P99())
 
-			row := e19Campaign(n, flavor)
+			row := e19Cell(n, flavor, true)
 			disrupt.AddRow(n, flavor.String(), "chaos+upgrade", row.kills, row.puts, row.rep.Acks,
 				row.tmouts, row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable),
 				e19Floor(row), row.lat.P50(), row.lat.P99())

@@ -7,17 +7,17 @@ import (
 	"nocpu/internal/fabric"
 )
 
-// TestE19CampaignClean is the reconcile tier's hard gate: the full
+// TestE19CampaignClean is the reconciler's hard gate: the full
 // campaign — kill, rolling upgrade, same-frame double kill — must
 // uphold C1 (convergence within bound), C2 (no acked write lost, via
 // fabric R1/R2), C3 (disruption budget) and R3 (all keys routable) on
-// both control architectures. Runs under -race via `make reconcile`.
+// both control architectures.
 func TestE19CampaignClean(t *testing.T) {
 	for _, flavor := range []fabric.Flavor{fabric.FlavorDecentralized, fabric.FlavorHead} {
 		flavor := flavor
 		t.Run(flavor.String(), func(t *testing.T) {
 			t.Parallel()
-			row := e19Campaign(8, flavor)
+			row := e19Cell(8, flavor, true)
 			if row.kills != 3 {
 				t.Fatalf("campaign scripted %d kills, want 3 (1 single + same-frame double)", row.kills)
 			}
@@ -64,7 +64,7 @@ func TestE19CampaignClean(t *testing.T) {
 // fabric's golden-trace guarantee.
 func TestE19Reproducible(t *testing.T) {
 	runCell := func() string {
-		row := e19Campaign(8, fabric.FlavorDecentralized)
+		row := e19Cell(8, fabric.FlavorDecentralized, true)
 		return fmt.Sprintf("%d %d %d %d %d %v %v %v %d %d %+v",
 			row.puts, row.rep.Acks, row.tmouts, row.errs, row.kills,
 			row.fleet.MaxWindow(), row.lat.P50(), row.lat.P99(),
@@ -80,7 +80,7 @@ func TestE19Reproducible(t *testing.T) {
 // attached and no chaos, the same workload sees no timeouts and a flat
 // goodput profile.
 func TestE19BaselineUndisturbed(t *testing.T) {
-	row := e19Baseline(8, fabric.FlavorDecentralized)
+	row := e19Cell(8, fabric.FlavorDecentralized, false)
 	if row.tmouts != 0 || row.rep.G1Lost != 0 || len(row.rep.Unroutable) != 0 {
 		t.Errorf("undisturbed baseline saw disruption: timeouts=%d lost=%d unroutable=%d",
 			row.tmouts, row.rep.G1Lost, len(row.rep.Unroutable))

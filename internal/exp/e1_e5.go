@@ -146,9 +146,7 @@ func E2Dataplane() *Result {
 				IsError: kvsIsError,
 				Target:  rig.target(),
 			}
-			done := false
-			ol.Run(func() { done = true })
-			rig.drain(&done)
+			runLoop(rig.sys.Eng, ol)
 			st := ol.Stats()
 			tb.AddRow(kind.label(), fmt.Sprintf("%.0f", rate),
 				fmt.Sprintf("%.0f", st.Throughput()), st.Latency.P50(), st.Latency.P99(), st.Errors)
@@ -340,11 +338,7 @@ func E5FaultRecovery() *Result {
 			},
 			Target: func(p []byte, reply func([]byte)) { sys.NIC().Deliver(1, p, reply) },
 		}
-		done := false
-		cl.Run(func() { done = true })
-		for !done {
-			sys.Eng.RunFor(sim.Millisecond)
-		}
+		runLoop(sys.Eng, cl)
 		if cse.snapshot {
 			snapped := false
 			store.Snapshot(func(err error) {
@@ -353,9 +347,7 @@ func E5FaultRecovery() *Result {
 				}
 				snapped = true
 			})
-			for !snapped {
-				sys.Eng.RunFor(sim.Millisecond)
-			}
+			drain(sys.Eng, func() bool { return snapped })
 		}
 
 		killedAt := sys.Eng.Now()

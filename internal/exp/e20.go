@@ -190,9 +190,9 @@ func e20Machine(kind machineKind) *e20Cell {
 	}
 
 	// Preload and baseline, attacker not yet attached.
-	e20Run(rig, e20Preload(eng, seed^1, stamped(1)))
+	runLoop(eng, e20Preload(eng, seed^1, stamped(1)))
 	base := e20VictimLoad(eng, seed^2, e20Workers, e20PerWorker, e20Keys, stamped(1))
-	e20Run(rig, base)
+	runLoop(eng, base)
 	cell.baseline = base.Stats()
 
 	adv, err := adversary.Attach(eng, rig.sys.Bus, rig.sys.Mem, reg, adversary.Config{
@@ -234,8 +234,8 @@ func e20Machine(kind machineKind) *e20Cell {
 	spamDone := false
 	spam.Run(func() { spamDone = true })
 	atk := e20VictimLoad(eng, seed^4, e20Workers, e20PerWorker, e20Keys, stamped(1))
-	e20Run(rig, atk)
-	rig.drain(&spamDone)
+	runLoop(eng, atk)
+	drain(eng, func() bool { return spamDone })
 	cell.attacked = atk.Stats()
 	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,
 		fmt.Sprintf("probe spam: %d probes, %d leaked", cell.probes, cell.leaked))
@@ -261,12 +261,6 @@ func e20Preload(eng *sim.Engine, seed uint64, target netsim.Target) *netsim.Clos
 	}
 }
 
-func e20Run(rig *kvsRig, cl *netsim.ClosedLoop) {
-	done := false
-	cl.Run(func() { done = true })
-	rig.drain(&done)
-}
-
 // e20Misprogram runs the blast-radius control: a centralized machine
 // WITHOUT per-device checks, whose kernel maps tenant 1's app into an
 // arbitrary device unchallenged.
@@ -286,13 +280,10 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 	seed := e20Seed ^ 0xF ^ uint64(flavor)<<12
 	reg := tenant.NewRegistry()
 	reg.SetBudget(2, e20Budget(0)) // no rx partition: routers wire-drop edge sheds
-	cl := fabric.MustNew(fabric.Config{
+	cl := bootRack(fabric.Config{
 		N: e20FabricN, Flavor: flavor, Seed: seed,
 		MachineMemory: e17Memory, Tenancy: reg,
 	})
-	if err := cl.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: e20 fabric boot: %v", err))
-	}
 	label := "fabric decentralized"
 	if flavor == fabric.FlavorHead {
 		label = "fabric head-node"
@@ -301,14 +292,9 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 	led := tenant.NewLedger(2, 1)
 
 	target := func(tn uint16) netsim.Target {
-		rr := 0
-		return func(p []byte, reply func([]byte)) {
-			live := cl.LiveIDs()
-			rr++
-			cl.TenantIngress(live[rr%len(live)], tn)(p, reply)
-		}
+		pick := rackIngress(cl)
+		return func(p []byte, reply func([]byte)) { cl.TenantIngress(pick(), tn)(p, reply) }
 	}
-	drain := func(done *bool) { e17Drain(cl, done) }
 
 	pre := &netsim.ClosedLoop{
 		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 1), Workers: 8, PerWorker: (e20FabricKeys + 7) / 8,
@@ -319,14 +305,10 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 		},
 		Target: target(1),
 	}
-	done := false
-	pre.Run(func() { done = true })
-	drain(&done)
+	runLoop(cl.Eng, pre)
 
 	base := e20VictimLoad(cl.Eng, seed^2, e20FabricWorkers, e20FabricPerWorker, e20FabricKeys, target(1))
-	done = false
-	base.Run(func() { done = true })
-	drain(&done)
+	runLoop(cl.Eng, base)
 	cell.baseline = base.Stats()
 
 	// Admission flood: the attacker hammers its own shard with a
@@ -339,9 +321,7 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 		},
 		Target: target(2),
 	}
-	done = false
-	burn.Run(func() { done = true })
-	drain(&done)
+	runLoop(cl.Eng, burn)
 	flood := &netsim.ClosedLoop{
 		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 6), Workers: 16, PerWorker: 8,
 		Gen: func(rd *sim.Rand, seq uint64) []byte {
@@ -349,9 +329,7 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 		},
 		Target: target(2),
 	}
-	done = false
-	flood.Run(func() { done = true })
-	drain(&done)
+	runLoop(cl.Eng, flood)
 	floodSheds := e20BudgetDenials(reg, 2)
 	led.NoteAttack(tenant.DenyBudget, false, floodSheds > 0,
 		fmt.Sprintf("admission flood: %d budget sheds", floodSheds))
@@ -364,10 +342,8 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 	spamDone := false
 	spam.Run(func() { spamDone = true })
 	atk := e20VictimLoad(cl.Eng, seed^4, e20FabricWorkers, e20FabricPerWorker, e20FabricKeys, target(1))
-	done = false
-	atk.Run(func() { done = true })
-	drain(&done)
-	drain(&spamDone)
+	runLoop(cl.Eng, atk)
+	drain(cl.Eng, func() bool { return spamDone })
 	cell.attacked = atk.Stats()
 
 	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,

@@ -6,7 +6,7 @@ import (
 	"nocpu/internal/fabric"
 )
 
-// TestE20MatrixClean is the tenancy tier's hard gate: every cell of the
+// TestE20MatrixClean is the tenancy hard gate: every cell of the
 // attack matrix — both machine flavors and both fabric control
 // architectures — must uphold S1 (no cross-tenant access, every
 // refusal typed), S2 (victim goodput/p99 within the declared bound)

@@ -1,12 +1,11 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"nocpu/internal/chaos"
 	"nocpu/internal/fabric"
 	"nocpu/internal/faultinject"
-	"nocpu/internal/kvs"
 	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
@@ -94,217 +93,53 @@ func e21Cells() []e21Cell {
 	}
 }
 
-// e21Driver runs the recorded workload: each worker alternates puts
-// and gets over the shared key pool, maps every fabric response onto
-// the checker's outcome vocabulary, and leaves timed-out operations
-// Pending (they may have executed — the checker carries them as
-// ambiguous writes).
-type e21Driver struct {
-	cl   *fabric.Cluster
-	led  *fabric.Ledger
-	hist *linearize.History
-
-	start   sim.Time
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	done    int
-
-	puts, gets uint64
-	fenced     uint64 // typed refusals observed by clients
-	tmouts     uint64
-	maybes     uint64 // ambiguous failures (error/unavailable/garbled)
-
-	// Split-brain probe state.
-	keys      []string
+// e21ProbeState is the split-brain probe: every e21Probe interval, for each
+// key, count the machines that would serve it RIGHT NOW as primary —
+// valid lease, own-view ownership, takeover fence lifted. More than one
+// is split-brain; zero is the (bounded) unavailability lease expiry
+// costs.
+type e21ProbeState struct {
 	splits    int // samples with >1 unfenced lease-holding primary
 	zeroRun   int
 	worstZero int // longest consecutive no-server run, in samples
 }
 
-func (d *e21Driver) ingress() msg.DeviceID {
-	ids := d.cl.ServingIDs()
-	if len(ids) == 0 {
-		ids = d.cl.LiveIDs()
-	}
-	d.rr++
-	return ids[d.rr%len(ids)]
-}
-
-// classify maps a fabric response onto the linearize outcome
-// vocabulary. Typed refusals (shed, fenced, denied) contractually did
-// not execute; anything ambiguous may have.
-func (d *e21Driver) classify(resp kvs.Response, err error, isGet bool) (linearize.Outcome, uint64) {
-	if err != nil {
-		d.maybes++
-		return linearize.Maybe, 0
-	}
-	switch resp.Status {
-	case kvs.StatusOK:
-		if isGet {
-			if len(resp.Value) != 8 {
-				d.maybes++
-				return linearize.Maybe, 0
-			}
-			return linearize.OK, binary.LittleEndian.Uint64(resp.Value)
-		}
-		return linearize.OK, 0
-	case kvs.StatusNotFound:
-		return linearize.NotFound, 0
-	case kvs.StatusShed, kvs.StatusDenied, kvs.StatusFenced:
-		d.fenced++
-		return linearize.Fail, 0
-	default: // StatusError, StatusUnavailable
-		d.maybes++
-		return linearize.Maybe, 0
-	}
-}
-
-func (d *e21Driver) worker(w int) {
-	eng := d.cl.Eng
-	keyIdx := w * 2 // offset the workers so collisions interleave
-	doPut := w%2 == 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := d.keys[keyIdx%len(d.keys)]
-		keyIdx++
-		isGet := !doPut
-		doPut = !doPut
-
-		var req []byte
-		var hid int
-		if isGet {
-			d.gets++
-			hid = d.hist.Invoke(linearize.Get, key, 0, eng.Now())
-			req = kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-		} else {
-			d.nextVal++
-			val := d.nextVal
-			d.puts++
-			d.led.NoteAttempt(key, val)
-			hid = d.hist.Invoke(linearize.Put, key, val, eng.Now())
-			req = kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		}
-
-		val := d.nextVal
-		resolved, returned := false, false
-		var tm *sim.Timer
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			// The history records the FIRST response even if it arrives
-			// after the client-side timeout fired: the client still
-			// observed it, so the checker must account for it.
-			if !returned {
-				returned = true
-				out, ret := d.classify(resp, err, isGet)
-				d.hist.Return(hid, out, ret, eng.Now())
-				if !isGet && out == linearize.OK {
-					d.led.NoteAck(key, val)
-				}
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if err == nil && (resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound) {
-				issue()
-				return
-			}
-			eng.Schedule(e21Backoff, issue)
-		})
-		tm = eng.After(e21Timeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++ // stays Pending in the history: an ambiguous write
-			issue()
-		})
-	}
-	issue()
-}
-
-// sample is the split-brain probe: for each key, count the machines
-// that would serve it RIGHT NOW as primary — valid lease, own-view
-// ownership, takeover fence lifted. More than one is split-brain; zero
-// is the (bounded) unavailability lease expiry costs.
-func (d *e21Driver) sample() {
+func (p *e21ProbeState) sample(cl *fabric.Cluster) {
 	zero := false
-	for _, key := range d.keys {
+	for i := 0; i < e21Keys; i++ {
+		key := e21Key(i)
 		servers := 0
-		for _, id := range d.cl.LiveIDs() {
-			r := d.cl.Machine(id).Router
+		for _, id := range cl.LiveIDs() {
+			r := cl.Machine(id).Router
 			if r.LeaseValid() && r.PrimaryFor(key) && !r.KeyFenced(key) {
 				servers++
 			}
 		}
 		if servers > 1 {
-			d.splits++
+			p.splits++
 		}
 		if servers == 0 {
 			zero = true
 		}
 	}
 	if zero {
-		d.zeroRun++
-		if d.zeroRun > d.worstZero {
-			d.worstZero = d.zeroRun
+		p.zeroRun++
+		if p.zeroRun > p.worstZero {
+			p.worstZero = p.zeroRun
 		}
 	} else {
-		d.zeroRun = 0
+		p.zeroRun = 0
 	}
 }
 
-func (d *e21Driver) armProbe() {
-	d.cl.Eng.Schedule(e21Probe, func() {
-		if d.cl.Eng.Now() >= d.stopAt {
+func (p *e21ProbeState) arm(cl *fabric.Cluster, stopAt sim.Time) {
+	cl.Eng.Schedule(e21Probe, func() {
+		if cl.Eng.Now() >= stopAt {
 			return
 		}
-		d.sample()
-		d.armProbe()
+		p.sample(cl)
+		p.arm(cl, stopAt)
 	})
-}
-
-// readback is the R3 sweep after the schedule ends (e19's, verbatim
-// semantics: a key with no definitive answer is unroutable).
-func (d *e21Driver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
-	}
 }
 
 // e21Row is one cell's outcome.
@@ -312,16 +147,11 @@ type e21Row struct {
 	cell   string
 	flavor fabric.Flavor
 
-	puts, gets uint64
-	acked      uint64
-	fenced     uint64
-	tmouts     uint64
-	maybes     uint64
-
+	clientCounts
 	lin       linearize.Result
 	splits    int
 	worstZero sim.Duration
-	rep       fabric.Report
+	rep       chaos.Report
 	st        fabric.RouterStats
 	maxEpoch  uint32
 	leasedEnd int
@@ -336,37 +166,30 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 		seed ^= 0x4EAD
 	}
 	plane := faultinject.New(seed ^ 0xF17)
-	cl := fabric.MustNew(fabric.Config{
-		N: e21N, Flavor: flavor, Seed: seed, MachineMemory: e17Memory,
-		Leases: true, Net: fabric.NetConfig{Plane: plane},
+	hist := linearize.NewHistory()
+	var probe e21ProbeState
+	cl, c, rep := runRackCampaign(rackCell{
+		cfg: fabric.Config{
+			N: e21N, Flavor: flavor, Seed: seed, MachineMemory: e17Memory,
+			Leases: true, Net: fabric.NetConfig{Plane: plane},
+		},
+		// Workers walk the shared pool from staggered offsets, so their
+		// collisions interleave.
+		client: campaignClient{
+			workers: e21Workers, timeout: e21Timeout, backoff: e21Backoff, hist: hist,
+			key: func(w, i int) string { return e21Key((w*2 + i) % e21Keys) },
+		},
+		window: e21Window,
+		schedule: func(cl *fabric.Cluster, c *campaignClient, t0 sim.Time) {
+			cell.apply(plane, t0)
+			probe.arm(cl, c.stopAt)
+		},
+		// Let in-flight frames, fences, and the last lease rounds settle
+		// before judging routability.
+		settle: func(cl *fabric.Cluster, _ sim.Time) {
+			cl.Eng.RunFor(fabric.DefaultLeaseDuration + fabric.DefaultFailTimeout + 2*sim.Millisecond)
+		},
 	})
-	if err := cl.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: e21 boot: %v", err))
-	}
-	eng := cl.Eng
-
-	d := &e21Driver{cl: cl, led: fabric.NewLedger(), hist: linearize.NewHistory()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e21Window)
-	for i := 0; i < e21Keys; i++ {
-		d.keys = append(d.keys, e21Key(i))
-	}
-	cell.apply(plane, d.start)
-	d.armProbe()
-	for w := 0; w < e21Workers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e21Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e21Workers {
-		panic("exp: e21 workload did not drain")
-	}
-	// Let in-flight frames, fences, and the last lease rounds settle
-	// before judging routability.
-	eng.RunFor(fabric.DefaultLeaseDuration + fabric.DefaultFailTimeout + 2*sim.Millisecond)
-	d.readback()
 
 	leased := 0
 	for _, m := range cl.Machines {
@@ -375,12 +198,10 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 		}
 	}
 	return e21Row{
-		cell: cell.name, flavor: flavor,
-		puts: d.puts, gets: d.gets, acked: d.led.Report().Acks,
-		fenced: d.fenced, tmouts: d.tmouts, maybes: d.maybes,
-		lin: linearize.Check(d.hist), splits: d.splits,
-		worstZero: sim.Duration(d.worstZero) * e21Probe,
-		rep:       d.led.Report(), st: cl.RouterStatsSum(), maxEpoch: cl.MaxEpoch(),
+		cell: cell.name, flavor: flavor, clientCounts: c.clientCounts,
+		lin: linearize.Check(hist), splits: probe.splits,
+		worstZero: sim.Duration(probe.worstZero) * e21Probe,
+		rep:       rep, st: cl.RouterStatsSum(), maxEpoch: cl.MaxEpoch(),
 		leasedEnd: leased,
 	}
 }
@@ -413,7 +234,7 @@ func E21SplitBrain() *Result {
 	for idx, cell := range e21Cells() {
 		for _, flavor := range []fabric.Flavor{fabric.FlavorDecentralized, fabric.FlavorHead} {
 			row := e21Run(flavor, idx, cell)
-			safety.AddRow(row.cell, row.flavor.String(), row.puts, row.gets, row.acked,
+			safety.AddRow(row.cell, row.flavor.String(), row.puts, row.gets, row.rep.Acks,
 				row.fenced, row.tmouts, row.maybes,
 				e21L1(row), fmt.Sprintf("%d+%d?", row.lin.Required, row.lin.Optional),
 				row.splits, row.worstZero, row.rep.G1Lost, len(row.rep.Unroutable))

@@ -8,14 +8,13 @@ import (
 	"nocpu/internal/sim"
 )
 
-// TestE21AllCellsSafe is the partition tier's hard gate: every
+// TestE21AllCellsSafe is the split-brain matrix's hard gate: every
 // schedule × flavor cell must be linearizable (L1 over the client
 // history), split-free (the probe never sees two unfenced lease-holding
 // primaries for one key), and lossless (R1/R2). Unavailability is the
 // only permitted symptom — bounded for every cell except the head-cut/
 // head-node contrast row, where a permanent TYPED outage (R3
-// unroutable) is the measured point. Runs under -race via
-// `make partition`.
+// unroutable) is the measured point.
 func TestE21AllCellsSafe(t *testing.T) {
 	for idx, cell := range e21Cells() {
 		for _, flavor := range []fabric.Flavor{fabric.FlavorDecentralized, fabric.FlavorHead} {
@@ -38,7 +37,7 @@ func TestE21AllCellsSafe(t *testing.T) {
 				if row.rep.G2Dups != 0 {
 					t.Errorf("R2 violated: %d duplicate applies: %v", row.rep.G2Dups, row.rep.Violations)
 				}
-				if row.acked == 0 {
+				if row.rep.Acks == 0 {
 					t.Error("cell acked nothing — the workload never ran")
 				}
 
@@ -84,7 +83,7 @@ func TestE21Reproducible(t *testing.T) {
 	runCell := func() string {
 		row := e21Run(fabric.FlavorDecentralized, 2, cells[2]) // flapping link
 		return fmt.Sprintf("%d %d %d %d %d %d %v %v %d %d %v %d %+v",
-			row.puts, row.gets, row.acked, row.fenced, row.tmouts, row.maybes,
+			row.puts, row.gets, row.rep.Acks, row.fenced, row.tmouts, row.maybes,
 			row.lin.OK, row.worstZero, row.splits, row.rep.G1Lost,
 			row.rep.Unroutable, row.leasedEnd, row.st)
 	}

@@ -104,9 +104,7 @@ func E7Discovery() *Result {
 			}
 			created = true
 		})
-		for !created {
-			sys.Eng.RunFor(sim.Millisecond)
-		}
+		drain(sys.Eng, func() bool { return created })
 		before := sys.Bus.Stats()
 		probe := &discoverProbe{id: 1, query: "file:far.dat"}
 		sys.NIC().AddApp(probe)
@@ -248,9 +246,7 @@ func E11ValueCache() *Result {
 			Target:  rig.target(),
 		}
 		base := store.Stats()
-		done := false
-		cl.Run(func() { done = true })
-		rig.drain(&done)
+		runLoop(rig.sys.Eng, cl)
 		st := cl.Stats()
 		s := store.Stats()
 		hitRate := 0.0

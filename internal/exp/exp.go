@@ -170,9 +170,7 @@ func (r *kvsRig) preload(n, valSize int) {
 		},
 		Target: r.target(),
 	}
-	done := false
-	cl.Run(func() { done = true })
-	r.drain(&done)
+	runLoop(r.sys.Eng, cl)
 }
 
 func keyName(i int) string { return fmt.Sprintf("key-%05d", i) }
@@ -180,18 +178,6 @@ func keyName(i int) string { return fmt.Sprintf("key-%05d", i) }
 // target returns the NIC network edge for app 1.
 func (r *kvsRig) target() netsim.Target {
 	return func(p []byte, reply func([]byte)) { r.sys.NIC().Deliver(r.store.AppID(), p, reply) }
-}
-
-// drain advances virtual time until *done (or panics after a very long
-// virtual interval — an experiment bug).
-func (r *kvsRig) drain(done *bool) {
-	deadline := r.sys.Eng.Now().Add(30 * sim.Second)
-	for !*done && r.sys.Eng.Now() < deadline {
-		r.sys.Eng.RunFor(sim.Millisecond)
-	}
-	if !*done {
-		panic("exp: scenario did not complete within 30s of virtual time")
-	}
 }
 
 // getLoad runs a closed-loop uniform-get workload and returns its stats.
@@ -204,9 +190,7 @@ func (r *kvsRig) getLoad(workers, perWorker, keys int) netsim.Stats {
 		IsError: kvsIsError,
 		Target:  r.target(),
 	}
-	done := false
-	cl.Run(func() { done = true })
-	r.drain(&done)
+	runLoop(r.sys.Eng, cl)
 	return cl.Stats()
 }
 

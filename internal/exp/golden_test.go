@@ -8,26 +8,14 @@ import (
 )
 
 // Every registered experiment is pinned byte-for-byte: the tables are
-// the contract a refactor of the harness (client loops, drain, sweep)
-// or of any layer underneath must leave unchanged. What each one
-// covers that the others do not: E1 (bus control-plane init, all
-// flavors), E2 (NIC/virtqueue/SSD data plane under load), E9 (doorbell
-// batching — virtqueue event timing), E10 (bus speed sensitivity —
-// wire and processing latency), E15 (crash-restart-rejoin chaos
-// schedules), E16 (overload ramps), E17 (rack-scale fabric scaling and
-// kill chaos, run with NO reconciler attached — pinning it proves the
-// E19 reconcile layer is byte-invisible until Attach is called), E19
-// (the reconciler's campaign itself), E20 (the adversarial-tenancy
-// matrix — pinning it proves both that the attack runs are
-// reproducible per seed AND, together with the other goldens all
-// running tenancy-off, that the tenancy hooks compiled into
-// bus/NIC/KVS/IOMMU are byte-invisible until a registry is configured)
-// and E21 (the split-brain matrix — the only golden that runs with
-// epoch leases ON, pinning the lease/fence/detector timing itself; the
-// leases-OFF goldens E17/E19 prove the lease hooks are byte-invisible
-// until Config.Leases is set). Any accidental event, cost, or ordering
-// change from a feature that should be gated off shifts at least one
-// of these tables.
+// the contract a refactor of the harness (client loops, drain, sweep) or
+// of any layer underneath must leave unchanged. Three of them also pin
+// that a feature is byte-invisible until configured: E17 runs with NO
+// reconciler attached (the E19 reconcile layer does nothing until
+// Attach); E20 is the only tenancy-on run, so every other golden proves
+// the tenancy hooks compiled into bus/NIC/KVS/IOMMU are inert without a
+// registry; E21 is the only run with epoch leases ON, so the leases-off
+// E17/E19 goldens prove the lease hooks are inert until Config.Leases.
 
 // expRun is one experiment's single execution per test binary:
 // TestTablesGolden and TestAllExperimentsSmoke judge the same run.

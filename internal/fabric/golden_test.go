@@ -39,7 +39,7 @@ const goldenTraceFile = "testdata/golden_trace.hash"
 // TestGoldenTraceDeterminism runs the scenario twice in-process and
 // asserts byte-identical traces, then pins the hash against testdata —
 // which also catches cross-run and race-vs-norace divergence, since
-// `make fabric` repeats this test under -race against the same file.
+// `make check` runs this test under -race against the same file.
 // Regenerate with NOCPU_REGEN_GOLDEN=1 after an intentional change to
 // the fabric's event schedule.
 func TestGoldenTraceDeterminism(t *testing.T) {

@@ -7,7 +7,8 @@
 // primary/backup replication with fenced failover, so a whole-machine
 // kill loses no acknowledged write.
 //
-// The recovery invariants, audited by the fabric Ledger (E17):
+// The recovery invariants, audited from the client side by chaos.Ledger
+// (G1/G2 read as R1/R2, NoteUnroutable as R3; E17):
 //
 //	R1 — no acked write lost: a read after failover never returns a
 //	     value older than the newest acknowledged write for that key.

@@ -140,7 +140,7 @@ var layerDAG = map[string][]string{
 	// Rack-scale fabric: N machines (core) on one engine, joined by a
 	// modeled network, running the sharded/replicated KVS (E17).
 	"nocpu/internal/fabric": {
-		"nocpu/internal/chaos", "nocpu/internal/core", "nocpu/internal/faultinject",
+		"nocpu/internal/core", "nocpu/internal/faultinject",
 		"nocpu/internal/kvs", "nocpu/internal/msg", "nocpu/internal/sim",
 		"nocpu/internal/smartnic", "nocpu/internal/tenant",
 	},

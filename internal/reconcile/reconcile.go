@@ -30,7 +30,7 @@
 //	     its members are alive, the ring is at the declared size, and
 //	     every live machine runs the declared config version.
 //	C2 — no acked write lost across reconcile actions: delegated to the
-//	     fabric Ledger (R1/R2/R3); reconciliation rides the same staged-
+//	     chaos.Ledger (R1/R2/R3); reconciliation rides the same staged-
 //	     ring/union-replication mechanism the ledger already audits.
 //	C3 — disruption budget: voluntary disruption (cordons, shrink-for-
 //	     upgrade) never pushes serving capacity below
@@ -125,7 +125,7 @@ type Report struct {
 }
 
 // Clean reports whether the run upheld C1 and C3 and left no
-// divergence open. C2 is the fabric Ledger's verdict, judged by the
+// divergence open. C2 is chaos.Ledger's verdict, judged by the
 // workload harness alongside this one.
 func (r Report) Clean() bool {
 	return r.C1Violations == 0 && r.C3Violations == 0 && r.OpenWindows == 0
