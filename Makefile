@@ -94,8 +94,11 @@ bench-smoke:
 
 check: vet lint build race fuzz bench-smoke
 
+# Every Go benchmark in the tree at a fixed iteration count: the root
+# package's experiment benchmarks and the per-layer ones that sit next to
+# their packages (sim, msg, physmem, interconnect, smartssd, fabric).
 bench:
-	$(GO) test -run=^$$ -bench . -benchtime=100x .
+	$(GO) test -run=^$$ -bench . -benchmem -benchtime=100x ./...
 
 # Regenerate all experiment tables (E1-E21).
 tables:

@@ -236,13 +236,14 @@ func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
 // submitDMA admits a transfer to the port's DMA engine under the
 // configured window: within the window it goes straight to the engine;
 // past it the transfer waits in the bounded FIFO, and past the FIFO's
-// bound it is shed. shed delivers the transfer's OverloadError; it runs
-// after a link latency like any other data-plane failure.
-func (p *Port) submitDMA(service sim.Duration, run func(), shed func()) {
+// bound it is shed: submitDMA reports false and the caller delivers the
+// transfer's OverloadError, after a link latency like any other data-plane
+// failure.
+func (p *Port) submitDMA(service sim.Duration, run func()) bool {
 	w := p.fab.costs.DMAWindow
 	if w <= 0 {
 		p.busy.Submit(service, run)
-		return
+		return true
 	}
 	launch := func(svc sim.Duration, fn func()) {
 		p.busy.Submit(svc, func() {
@@ -252,16 +253,16 @@ func (p *Port) submitDMA(service sim.Duration, run func(), shed func()) {
 	}
 	if p.busy.Pending() < w {
 		launch(service, run)
-		return
+		return true
 	}
 	if len(p.waiting) >= 4*w {
 		p.fab.stats.DMAShed++
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, shed)
-		return
+		return false
 	}
 	p.fab.stats.DMAStalls++
 	p.waiting = append(p.waiting, func() { launch(service, run) })
 	p.waitG.Set(len(p.waiting))
+	return true
 }
 
 // drainDMA moves stalled transfers into freed window slots, FIFO.
@@ -298,8 +299,8 @@ func (p *Port) transferTime(n, pages, walkReads int) sim.Duration {
 
 // translateRange resolves [va, va+n) page by page, returning the physical
 // extents and the total number of walk reads.
-func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, access iommu.Access) ([]extent, int, error) {
-	var exts []extent
+func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, access iommu.Access) (extents, int, error) {
+	var exts extents
 	walks := 0
 	remaining := n
 	cur := va
@@ -307,14 +308,14 @@ func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, acces
 		pa, reads, err := p.mmu.Translate(pasid, cur, access)
 		walks += reads
 		if err != nil {
-			return nil, walks, err
+			return extents{}, walks, err
 		}
 		pageEnd := (uint64(cur) &^ (physmem.PageSize - 1)) + physmem.PageSize
 		chunk := int(pageEnd - uint64(cur))
 		if chunk > remaining {
 			chunk = remaining
 		}
-		exts = append(exts, extent{pa: pa, n: chunk})
+		exts.add(extent{pa: pa, n: chunk})
 		cur += iommu.VirtAddr(chunk)
 		remaining -= chunk
 	}
@@ -324,6 +325,32 @@ func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, acces
 type extent struct {
 	pa physmem.Addr
 	n  int
+}
+
+// extents is the physical footprint of one transfer, one extent per page
+// touched. A transfer of up to a page touches at most two, and those are
+// kept inline so that the ring-index and cell DMAs allocate nothing for
+// them; only a longer transfer spills.
+type extents struct {
+	inline [2]extent
+	spill  []extent
+	n      int
+}
+
+func (x *extents) add(e extent) {
+	if x.n < len(x.inline) {
+		x.inline[x.n] = e
+	} else {
+		x.spill = append(x.spill, e)
+	}
+	x.n++
+}
+
+func (x extents) at(i int) extent {
+	if i < len(x.inline) {
+		return x.inline[i]
+	}
+	return x.spill[i-len(x.inline)]
 }
 
 // dispatchFault routes a translation error either to the device's fault
@@ -372,7 +399,7 @@ func (p *Port) read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byt
 		return
 	}
 	wait := p.busy.Delay()
-	service := p.transferTime(n, len(exts), walks)
+	service := p.transferTime(n, exts.n, walks)
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		service += d.Delay
 	}
@@ -385,18 +412,22 @@ func (p *Port) read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byt
 		// is identical, so only the cost is observable.
 		p.busy.Submit(service, func() {})
 	}
-	p.submitDMA(service, func() {
-		buf := make([]byte, 0, n)
-		for _, e := range exts {
-			b, err := p.fab.mem.Read(e.pa, e.n)
-			if err != nil {
+	admitted := p.submitDMA(service, func() {
+		buf := make([]byte, n)
+		off := 0
+		for i := 0; i < exts.n; i++ {
+			e := exts.at(i)
+			if err := p.fab.mem.ReadInto(e.pa, buf[off:off+e.n]); err != nil {
 				done(nil, err)
 				return
 			}
-			buf = append(buf, b...)
+			off += e.n
 		}
 		done(buf, nil)
-	}, func() { done(nil, &OverloadError{Op: "DMA read"}) })
+	})
+	if !admitted {
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(nil, &OverloadError{Op: "DMA read"}) })
+	}
 }
 
 // Write DMAs data to (pasid, va) and calls done when the write is visible
@@ -420,7 +451,7 @@ func (p *Port) write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done fun
 		return
 	}
 	wait := p.busy.Delay()
-	service := p.transferTime(len(data), len(exts), walks)
+	service := p.transferTime(len(data), exts.n, walks)
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		service += d.Delay
 	}
@@ -434,9 +465,10 @@ func (p *Port) write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done fun
 	// Capture the payload now: the caller may reuse its buffer.
 	payload := make([]byte, len(data))
 	copy(payload, data)
-	p.submitDMA(service, func() {
+	admitted := p.submitDMA(service, func() {
 		off := 0
-		for _, e := range exts {
+		for i := 0; i < exts.n; i++ {
+			e := exts.at(i)
 			if err := p.fab.mem.Write(e.pa, payload[off:off+e.n]); err != nil {
 				done(err)
 				return
@@ -444,7 +476,10 @@ func (p *Port) write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done fun
 			off += e.n
 		}
 		done(nil)
-	}, func() { done(&OverloadError{Op: "DMA write"}) })
+	})
+	if !admitted {
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(&OverloadError{Op: "DMA write"}) })
+	}
 }
 
 // ReadU16 is a convenience single-field DMA read (ring indices).

@@ -18,7 +18,7 @@ type rig struct {
 	mmu  *iommu.IOMMU
 }
 
-func newRig(t *testing.T, costs Costs) *rig {
+func newRig(t testing.TB, costs Costs) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	mem := physmem.MustNew(512 * physmem.PageSize)
@@ -28,7 +28,7 @@ func newRig(t *testing.T, costs Costs) *rig {
 	return &rig{eng: eng, mem: mem, fab: fab, port: port, mmu: mmu}
 }
 
-func (r *rig) mapPage(t *testing.T, pasid iommu.PASID, va iommu.VirtAddr, perm iommu.Perm) physmem.Frame {
+func (r *rig) mapPage(t testing.TB, pasid iommu.PASID, va iommu.VirtAddr, perm iommu.Perm) physmem.Frame {
 	t.Helper()
 	if !r.mmu.HasContext(pasid) {
 		if err := r.mmu.CreateContext(pasid); err != nil {
@@ -226,6 +226,53 @@ func TestDoorbellUnregister(t *testing.T) {
 	}
 }
 
+// A transfer over four pages has more extents than a Port keeps inline;
+// every page must land in its own frame and read back in order, and the
+// caller's buffer stays the caller's.
+func TestDMASpansManyPages(t *testing.T) {
+	r := newRig(t, DefaultCosts)
+	var frames [4]physmem.Frame
+	for i := range frames {
+		frames[i] = r.mapPage(t, 1, iommu.VirtAddr(0x1000*(i+1)), iommu.PermRW)
+	}
+	const start, n = 0x1000 + 3000, 3*physmem.PageSize - 1000 // 1096 + 4096 + 4096 + 2000
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i*13 + i>>8)
+	}
+	want := append([]byte(nil), payload...)
+	var got []byte
+	r.port.Write(1, start, payload, func(err error) {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+		r.port.Read(1, start, n, func(b []byte, err error) {
+			if err != nil {
+				t.Errorf("read: %v", err)
+			}
+			got = b
+		})
+	})
+	clear(payload)
+	r.eng.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatal("four-extent DMA corrupted data")
+	}
+	for i, off := range []int{0, 1096, 1096 + 4096, 1096 + 2*4096} {
+		at := frames[i].Addr()
+		if i == 0 {
+			at += 3000
+		}
+		b, _ := r.mem.Read(at, 16)
+		if !bytes.Equal(b, want[off:off+16]) {
+			t.Errorf("extent %d did not land at the start of its frame", i)
+		}
+	}
+	if st := r.fab.Stats(); st.DMAs != 2 || st.BytesMoved != 2*n {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
 func TestU16Helpers(t *testing.T) {
 	r := newRig(t, DefaultCosts)
 	r.mapPage(t, 1, 0x1000, iommu.PermRW)
@@ -269,5 +316,48 @@ func TestPasidIsolationOnPort(t *testing.T) {
 	r.eng.Run()
 	if gotErr == nil {
 		t.Error("PASID 2 read PASID 1's mapping")
+	}
+}
+
+// portPair is the virtio pattern: one 64-byte DMA write and one read of it
+// back, each run to completion.
+func portPair(tb testing.TB) func() {
+	r := newRig(tb, DefaultCosts)
+	r.mapPage(tb, 1, 0x1000, iommu.PermRW)
+	buf := make([]byte, 64)
+	wrote := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	read := func(b []byte, err error) {
+		if err != nil || len(b) != len(buf) {
+			tb.Fatalf("read %d bytes: %v", len(b), err)
+		}
+	}
+	return func() {
+		r.port.Write(1, 0x1000+128, buf, wrote)
+		r.eng.Run()
+		r.port.Read(1, 0x1000+128, len(buf), read)
+		r.eng.Run()
+	}
+}
+
+// TestPortAllocs pins what a DMA costs the host: the write's captured
+// payload and its completion, the read's buffer and its completion. The
+// extents, the shed path and physmem add nothing.
+func TestPortAllocs(t *testing.T) {
+	pair := portPair(t)
+	if n := testing.AllocsPerRun(1000, pair); n > 6 {
+		t.Errorf("DMA write+read allocates %v times, want <= 6", n)
+	}
+}
+
+func BenchmarkPortWriteRead64B(b *testing.B) {
+	pair := portPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
 	}
 }

@@ -274,3 +274,31 @@ func TestFrameAddrConversion(t *testing.T) {
 		t.Error("FrameOf wrong")
 	}
 }
+
+var benchSink *Memory
+
+// BenchmarkNew4MiB is what building one small machine's memory costs: New
+// allocates and zeroes the whole range up front.
+func BenchmarkNew4MiB(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = MustNew(4 << 20)
+	}
+}
+
+// BenchmarkWriteRead4K is the memory side of one page-sized DMA each way.
+func BenchmarkWriteRead4K(b *testing.B) {
+	m := MustNew(64 * PageSize)
+	buf := make([]byte, PageSize)
+	b.ReportAllocs()
+	b.SetBytes(2 * PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Write(8*PageSize, buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.ReadInto(8*PageSize, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

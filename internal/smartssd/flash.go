@@ -80,8 +80,16 @@ type flash struct {
 	tim      FlashTiming
 	eng      *sim.Engine
 	channels []*sim.Server
-	pages    [][]byte // nil = erased
-	erases   []uint64 // per-block erase count (wear)
+	// pages holds each physical page's data: nil = erased, zero = a
+	// programmed page whose data was dropped. A programmed page is
+	// immutable until its block is erased, so read hands out the stored
+	// slice and program keeps the slice it is given; nobody may write
+	// through either.
+	pages [][]byte
+	// zero is the one read-only page of zeros: what an erased, dropped or
+	// (in the FTL) unmapped page reads as.
+	zero   []byte
+	erases []uint64 // per-block erase count (wear)
 	// broken simulates a failed die/controller: every op errors.
 	broken bool
 
@@ -94,6 +102,7 @@ func newFlash(eng *sim.Engine, geo FlashGeometry, tim FlashTiming) *flash {
 		tim:    tim,
 		eng:    eng,
 		pages:  make([][]byte, geo.TotalPages()),
+		zero:   make([]byte, geo.PageSize),
 		erases: make([]uint64, geo.TotalBlocks()),
 	}
 	for i := 0; i < geo.Channels; i++ {
@@ -108,28 +117,35 @@ func (f *flash) chanFor(p PPA) *sim.Server {
 
 var errFlashBroken = fmt.Errorf("smartssd: flash failure")
 
-// read returns the page contents (zeros for an erased page).
+// read returns the page contents (zeros for an erased page). The slice is
+// the flash's own: the caller may keep it but must not write to it.
 func (f *flash) read(p PPA, cb func([]byte, error)) {
 	if int(p) >= len(f.pages) {
 		cb(nil, fmt.Errorf("smartssd: read of ppa %d beyond array", p))
 		return
 	}
 	f.reads++
+	// The read holds the page as it is now: the FTL may unmap and drop it
+	// while the read waits for its channel, and the read still returns what
+	// the cells hold until the erase. (Nothing programs a page a read is
+	// queued on: the FTL maps a page only once its program completed.)
+	data := f.pages[p]
+	if data == nil {
+		data = f.zero
+	}
 	f.chanFor(p).Submit(f.tim.Read, func() {
 		if f.broken {
 			cb(nil, errFlashBroken)
 			return
 		}
-		out := make([]byte, f.geo.PageSize)
-		if f.pages[p] != nil {
-			copy(out, f.pages[p])
-		}
-		cb(out, nil)
+		cb(data, nil)
 	})
 }
 
 // program writes an erased page. Programming a programmed page is an FTL
-// bug and returns an error.
+// bug and returns an error. A full page of data becomes the flash's own:
+// the caller must not write to it afterwards (it may share it, as GC
+// relocation does). Shorter data is borrowed and padded into a new page.
 func (f *flash) program(p PPA, data []byte, cb func(error)) {
 	if int(p) >= len(f.pages) {
 		cb(fmt.Errorf("smartssd: program of ppa %d beyond array", p))
@@ -139,8 +155,11 @@ func (f *flash) program(p PPA, data []byte, cb func(error)) {
 		cb(fmt.Errorf("smartssd: program of %d bytes into %d-byte page", len(data), f.geo.PageSize))
 		return
 	}
-	buf := make([]byte, f.geo.PageSize)
-	copy(buf, data)
+	if len(data) < f.geo.PageSize {
+		page := make([]byte, f.geo.PageSize)
+		copy(page, data)
+		data = page
+	}
 	f.programs++
 	f.chanFor(p).Submit(f.tim.Program, func() {
 		if f.broken {
@@ -151,9 +170,18 @@ func (f *flash) program(p PPA, data []byte, cb func(error)) {
 			cb(fmt.Errorf("smartssd: program of non-erased ppa %d", p))
 			return
 		}
-		f.pages[p] = buf
+		f.pages[p] = data
 		cb(nil)
 	})
+}
+
+// drop releases the data of a programmed page the FTL no longer maps. The
+// page stays programmed (program still refuses it) until its block is
+// erased, but the heap stops holding every stale copy of a rewritten page.
+func (f *flash) drop(p PPA) {
+	if f.pages[p] != nil {
+		f.pages[p] = f.zero
+	}
 }
 
 // erase clears a whole block.

@@ -1,6 +1,7 @@
 package smartssd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -43,11 +44,10 @@ func (ino *inode) pages() int {
 	return n
 }
 
-// encodeInode serializes into exactly inodeSize bytes.
-func encodeInode(ino *inode) []byte {
-	b := make([]byte, inodeSize)
+// encodeInode serializes into b, which is inodeSize zero bytes.
+func encodeInode(b []byte, ino *inode) {
 	if !ino.used {
-		return b
+		return
 	}
 	b[0] = 1
 	b[1] = byte(len(ino.name))
@@ -60,7 +60,6 @@ func encodeInode(ino *inode) []byte {
 		binary.LittleEndian.PutUint32(b[off+4:], e.count)
 		off += 8
 	}
-	return b
 }
 
 func decodeInode(b []byte) inode {
@@ -177,7 +176,7 @@ func (fs *FS) persistInodeRange(from, to int, cb func(error)) {
 	}
 	buf := make([]byte, fs.pageSize)
 	for i := 0; i < inodesPerPag; i++ {
-		copy(buf[i*inodeSize:], encodeInode(&fs.inodes[from*inodesPerPag+i]))
+		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &fs.inodes[from*inodesPerPag+i])
 	}
 	fs.ftl.Write(1+from, buf, func(err error) {
 		if err != nil {
@@ -417,7 +416,8 @@ func (f *File) grow(newPages int) error {
 
 // WriteAt writes data at the byte offset, growing the file as needed.
 // Partial pages are read-modified-written. cb runs after both the data
-// and the metadata update are durable.
+// and the metadata update are durable. data is borrowed for the call only:
+// the caller may reuse it as soon as WriteAt returns.
 func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
 	if len(data) == 0 {
 		cb(nil)
@@ -455,7 +455,10 @@ func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
 			cb(fmt.Errorf("smartssd: extent walk failed at page %d", pageIdx))
 			return
 		}
-		chunks = append(chunks, chunk{lpn: lpn, pageOff: pageOff, data: data[cur-off : cur-off+uint64(n)]})
+		// A chunk may wait for its page lock and for flash, so it takes its
+		// bytes now; a full page's copy is the buffer the flash will keep.
+		own := bytes.Clone(data[cur-off : cur-off+uint64(n)])
+		chunks = append(chunks, chunk{lpn: lpn, pageOff: pageOff, data: own})
 		cur += uint64(n)
 	}
 
@@ -493,13 +496,15 @@ func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
 				})
 				return
 			}
-			// Read-modify-write for partial pages.
-			fs.ftl.Read(c.lpn, func(page []byte, err error) {
+			// Read-modify-write for partial pages: the old page is the
+			// flash's, so the new one is built in a buffer of its own.
+			fs.ftl.Read(c.lpn, func(old []byte, err error) {
 				if err != nil {
 					release()
 					finishOne(err)
 					return
 				}
+				page := bytes.Clone(old)
 				copy(page[c.pageOff:], c.data)
 				fs.ftl.Write(c.lpn, page, func(err error) {
 					release()

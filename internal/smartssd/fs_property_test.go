@@ -11,6 +11,12 @@ import (
 // The filesystem against a reference model: random sequences of writes,
 // reads, truncates and appends on a small set of files must match a plain
 // in-memory byte-slice implementation, including across a remount.
+//
+// The test is also the proof of the buffer-ownership rule: it scribbles
+// over every buffer it lends to WriteAt/Append as soon as the call returns
+// and again after completion, and over every slice ReadAt gives it. If the
+// filesystem kept a reference to the first or handed out the flash's own
+// page as the second, later reads diverge from the model.
 
 type refFile struct {
 	data []byte
@@ -48,6 +54,23 @@ type fsOp struct {
 	Fill byte
 }
 
+// scribble changes every byte, differently each time it is applied:
+// whoever still reads b sees garbage.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] += 0x5B
+	}
+}
+
+// opLen maps the length seed to 1..700 bytes, or for the top quarter of
+// seeds to 4..11 KiB so that a write also carries whole pages.
+func opLen(seed uint8) int {
+	if seed >= 192 {
+		return int(seed-191)*173 + 4000
+	}
+	return int(seed)%700 + 1
+}
+
 func TestFSMatchesReferenceModel(t *testing.T) {
 	run := func(ops []fsOp) bool {
 		eng := sim.NewEngine()
@@ -78,18 +101,20 @@ func TestFSMatchesReferenceModel(t *testing.T) {
 			i := int(op.File) % len(files)
 			f, ref := files[i], refs[i]
 			off := uint64(op.Off) % 20000
-			n := int(op.Len)%700 + 1
+			n := opLen(op.Len)
 			switch op.Kind % 4 {
 			case 0: // write
 				payload := bytes.Repeat([]byte{op.Fill}, n)
+				ref.writeAt(off, payload)
 				var werr error
 				f.WriteAt(off, payload, func(err error) { werr = err })
+				scribble(payload)
 				eng.Run()
+				scribble(payload)
 				if werr != nil {
 					t.Logf("write: %v", werr)
 					return false
 				}
-				ref.writeAt(off, payload)
 			case 1: // read
 				var got []byte
 				var rerr error
@@ -104,15 +129,18 @@ func TestFSMatchesReferenceModel(t *testing.T) {
 					t.Logf("read mismatch file %d off %d n %d: got %d bytes want %d", i, off, n, len(got), len(want))
 					return false
 				}
+				scribble(got)
 			case 2: // append
 				payload := bytes.Repeat([]byte{op.Fill ^ 0x5A}, n)
+				ref.writeAt(uint64(len(ref.data)), payload)
 				var werr error
 				f.Append(payload, func(err error) { werr = err })
+				scribble(payload)
 				eng.Run()
+				scribble(payload)
 				if werr != nil {
 					return false
 				}
-				ref.writeAt(uint64(len(ref.data)), payload)
 			case 3: // truncate
 				var terr error
 				f.Truncate(func(err error) { terr = err })

@@ -2,16 +2,21 @@ package smartssd
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"nocpu/internal/sim"
 )
 
-// fsWorld builds a formatted filesystem on a fresh FTL.
-func fsWorld(t *testing.T) (*sim.Engine, *FS) {
+// fsWorld builds a formatted filesystem on a fresh FTL over a small array.
+func fsWorld(t testing.TB) (*sim.Engine, *FS) {
+	t.Helper()
+	return fsWorldOn(t, FlashGeometry{Channels: 2, DiesPerChan: 1, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 4096})
+}
+
+func fsWorldOn(t testing.TB, geo FlashGeometry) (*sim.Engine, *FS) {
 	t.Helper()
 	eng := sim.NewEngine()
-	geo := FlashGeometry{Channels: 2, DiesPerChan: 1, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 4096}
 	f := newFTL(eng, newFlash(eng, geo, DefaultTiming), 0.125)
 	fs := newFS(f, FSConfig{MaxFiles: 32})
 	var ferr error
@@ -23,7 +28,7 @@ func fsWorld(t *testing.T) (*sim.Engine, *FS) {
 	return eng, fs
 }
 
-func mustCreate(t *testing.T, eng *sim.Engine, fs *FS, name string) *File {
+func mustCreate(t testing.TB, eng *sim.Engine, fs *FS, name string) *File {
 	t.Helper()
 	var f *File
 	var cerr error
@@ -143,6 +148,49 @@ func TestPartialPageRMW(t *testing.T) {
 	want := []byte{0xAA, 0xAA, 1, 2, 3, 0xAA, 0xAA}
 	if !bytes.Equal(got, want) {
 		t.Errorf("got %v want %v", got, want)
+	}
+}
+
+// Every unmapped page reads as the one shared page of zeros; a partial
+// write into such a page must build its own page, not write through it.
+func TestUnmappedPagesStayZeroAfterRMW(t *testing.T) {
+	eng, fs := fsWorld(t)
+	f := mustCreate(t, eng, fs, "sparse")
+	// One byte in page 3 leaves pages 0-2 allocated but never written.
+	f.WriteAt(3*4096, []byte{7}, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	readPage := func(idx int) []byte {
+		var got []byte
+		f.ReadAt(uint64(idx)*4096, 4096, func(b []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			got = b
+		})
+		eng.Run()
+		return got
+	}
+	zeros := make([]byte, 4096)
+	if !bytes.Equal(readPage(0), zeros) {
+		t.Fatal("unwritten page 0 not zero")
+	}
+	f.WriteAt(100, []byte{1, 2, 3}, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	if got := readPage(0); !bytes.Equal(got[100:103], []byte{1, 2, 3}) {
+		t.Errorf("partial write lost: %v", got[98:105])
+	}
+	for _, idx := range []int{1, 2} {
+		if !bytes.Equal(readPage(idx), zeros) {
+			t.Errorf("unwritten page %d no longer reads as zeros: the shared zero page was written", idx)
+		}
 	}
 }
 
@@ -364,13 +412,102 @@ func TestDirectoryFull(t *testing.T) {
 func TestInodeCodecRoundTrip(t *testing.T) {
 	ino := inode{used: true, name: "some-file.dat", size: 123456789,
 		extents: []extent{{start: 10, count: 5}, {start: 99, count: 1}}}
-	got := decodeInode(encodeInode(&ino))
+	b := make([]byte, inodeSize)
+	encodeInode(b, &ino)
+	got := decodeInode(b)
 	if got.name != ino.name || got.size != ino.size || len(got.extents) != 2 ||
 		got.extents[0] != ino.extents[0] || got.extents[1] != ino.extents[1] {
 		t.Errorf("round trip: %+v", got)
 	}
-	empty := decodeInode(encodeInode(&inode{}))
+	b = make([]byte, inodeSize)
+	encodeInode(b, &inode{})
+	empty := decodeInode(b)
 	if empty.used {
 		t.Error("empty inode decodes used")
+	}
+}
+
+// logFile is the KVS log's shape: one file, already a page long, on the
+// default array.
+func logFile(tb testing.TB) (*sim.Engine, *File) {
+	eng, fs := fsWorldOn(tb, DefaultGeometry)
+	f := mustCreate(tb, eng, fs, "log")
+	f.WriteAt(0, make([]byte, 4096), func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	})
+	eng.Run()
+	return eng, f
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes.
+func allocBytesPerRun(runs int, fn func()) uint64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestFSAllocs pins the page path's host cost: a 64-byte append builds the
+// new tail page and the new inode page and nothing else of that size; a
+// 64-byte read is served from the stored page without a copy of it.
+func TestFSAllocs(t *testing.T) {
+	eng, f := logFile(t)
+	rec := make([]byte, 64)
+	fail := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := allocBytesPerRun(200, func() { f.Append(rec, fail); eng.Run() }); b >= 2*4096+1024 {
+		t.Errorf("64 B append allocates %d bytes, want two pages and under 1 KiB besides", b)
+	}
+	got := func(b []byte, err error) {
+		if err != nil || len(b) != 64 {
+			t.Fatalf("read %d bytes: %v", len(b), err)
+		}
+	}
+	if b := allocBytesPerRun(200, func() { f.ReadAt(128, 64, got); eng.Run() }); b >= 1024 {
+		t.Errorf("64 B read allocates %d bytes, want under 1 KiB (no page copy)", b)
+	}
+}
+
+func BenchmarkFSAppend64B(b *testing.B) {
+	eng, f := logFile(b)
+	rec := make([]byte, 64)
+	fail := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f.Size() >= 1<<20 {
+			// Keep the log, and the share of GC in the number, bounded.
+			f.Truncate(fail)
+		}
+		f.Append(rec, fail)
+		eng.Run()
+	}
+}
+
+func BenchmarkFSRead64B(b *testing.B) {
+	eng, f := logFile(b)
+	got := func(p []byte, err error) {
+		if err != nil || len(p) != 64 {
+			b.Fatalf("read %d bytes: %v", len(p), err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ReadAt(128, 64, got)
+		eng.Run()
 	}
 }

@@ -180,7 +180,10 @@ func (t *ftl) allocPage() (PPA, error) {
 	return 0, fmt.Errorf("smartssd: ftl out of space (gc cannot keep up)")
 }
 
-// invalidate drops the mapping for a physical page.
+// invalidate drops the mapping for a physical page, and with it the
+// page's data: no new read reaches an unmapped physical page (host reads go
+// through l2p, GC relocates only pages p2l still maps), and a read or
+// relocation already in flight holds its own reference to the slice.
 func (t *ftl) invalidate(ppa PPA) {
 	if ppa == invalidPPA {
 		return
@@ -188,11 +191,12 @@ func (t *ftl) invalidate(ppa PPA) {
 	if t.p2l[ppa] != invalidLPN {
 		t.p2l[ppa] = invalidLPN
 		t.validCount[t.geo.blockOf(ppa)]--
+		t.f.drop(ppa)
 	}
 }
 
 // Read fetches a logical page. An unwritten page reads as zeros without
-// touching flash.
+// touching flash. The slice is read-only, as for flash.read.
 func (t *ftl) Read(lpn int, cb func([]byte, error)) {
 	if lpn < 0 || lpn >= t.logicalPages {
 		cb(nil, fmt.Errorf("smartssd: read of lpn %d beyond capacity %d", lpn, t.logicalPages))
@@ -201,13 +205,14 @@ func (t *ftl) Read(lpn int, cb func([]byte, error)) {
 	t.stats.HostReads++
 	ppa := t.l2p[lpn]
 	if ppa == invalidPPA {
-		cb(make([]byte, t.geo.PageSize), nil)
+		cb(t.f.zero, nil)
 		return
 	}
 	t.f.read(ppa, cb)
 }
 
-// Write stores a logical page (always out-of-place).
+// Write stores a logical page (always out-of-place). A full page of data
+// is handed over, as for flash.program.
 func (t *ftl) Write(lpn int, data []byte, cb func(error)) {
 	if lpn < 0 || lpn >= t.logicalPages {
 		cb(fmt.Errorf("smartssd: write of lpn %d beyond capacity %d", lpn, t.logicalPages))
@@ -256,7 +261,13 @@ func (t *ftl) maybeGC() {
 	}
 	t.gcRunning = true
 	t.stats.GCRuns++
-	t.relocateBlock(victim, 0, func() {
+	t.relocateBlock(victim, 0, func(moved bool) {
+		if !moved {
+			// Valid pages remain in the victim (out of free pages mid-GC,
+			// or a flash error): it stays full and l2p keeps pointing at it.
+			t.gcRunning = false
+			return
+		}
 		t.f.erase(victim, func(err error) {
 			t.gcRunning = false
 			if err != nil {
@@ -286,10 +297,10 @@ func (t *ftl) pickVictim() int {
 }
 
 // relocateBlock moves every valid page of the block elsewhere, then calls
-// done.
-func (t *ftl) relocateBlock(block, pageIdx int, done func()) {
+// done with whether all of them moved; false means it stopped early.
+func (t *ftl) relocateBlock(block, pageIdx int, done func(moved bool)) {
 	if pageIdx >= t.geo.PagesPerBlock {
-		done()
+		done(true)
 		return
 	}
 	ppa := PPA(block*t.geo.PagesPerBlock + pageIdx)
@@ -300,17 +311,18 @@ func (t *ftl) relocateBlock(block, pageIdx int, done func()) {
 	}
 	t.f.read(ppa, func(data []byte, err error) {
 		if err != nil {
-			done()
+			done(false)
 			return
 		}
 		dst, aerr := t.allocPage()
 		if aerr != nil {
-			done()
+			done(false)
 			return
 		}
+		// Source and destination share the slice until the source drops it.
 		t.f.program(dst, data, func(err error) {
 			if err != nil {
-				done()
+				done(false)
 				return
 			}
 			// The host may have rewritten the LPN while we copied; only
@@ -324,6 +336,7 @@ func (t *ftl) relocateBlock(block, pageIdx int, done func()) {
 			} else {
 				// Stale copy: the destination page holds garbage now.
 				t.p2l[dst] = invalidLPN
+				t.f.drop(dst)
 			}
 			t.relocateBlock(block, pageIdx+1, done)
 		})

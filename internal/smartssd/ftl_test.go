@@ -2,6 +2,7 @@ package smartssd
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nocpu/internal/sim"
@@ -310,4 +311,183 @@ func TestFTLTrim(t *testing.T) {
 		})
 	})
 	eng.Run()
+}
+
+// heldPages counts the physical pages whose data the flash still holds,
+// and those merely marked programmed.
+func heldPages(f *flash) (held, programmed int) {
+	for _, p := range f.pages {
+		if p == nil {
+			continue
+		}
+		programmed++
+		if &p[0] != &f.zero[0] {
+			held++
+		}
+	}
+	return held, programmed
+}
+
+// Overwriting a logical page leaves one stale physical page per write
+// behind until GC erases its block; the flash keeps the data of mapped
+// pages only, yet a stale page still counts as programmed.
+func TestFlashDropsStalePages(t *testing.T) {
+	eng := sim.NewEngine()
+	f := newFlash(eng, testGeo(), DefaultTiming)
+	ftl := newFTL(eng, f, 0.25)
+	const rewrites = 20 // 24 programs in all: well short of the GC threshold
+	write := func(lpn int, fill byte) {
+		ftl.Write(lpn, bytes.Repeat([]byte{fill}, 4096), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		eng.Run()
+	}
+	write(1, 0xA1)
+	write(2, 0xA2)
+	write(5, 0xFF)
+	stale := ftl.l2p[5] // the first copy, overwritten next
+	for i := 0; i < rewrites; i++ {
+		write(5, byte(i))
+	}
+	write(2, 0xB2)
+	if ftl.Stats().GCRuns != 0 {
+		t.Fatal("GC ran: the test no longer isolates the drop")
+	}
+	if held, programmed := heldPages(f); held != 3 || programmed != rewrites+4 {
+		t.Errorf("flash holds data for %d of %d programmed pages, want 3 (the mapped ones) of %d", held, programmed, rewrites+4)
+	}
+	ftl.Trim(1)
+	if held, _ := heldPages(f); held != 2 {
+		t.Errorf("flash holds %d pages after a trim, want 2", held)
+	}
+	var got []byte
+	ftl.Read(5, func(b []byte, err error) { got = b })
+	eng.Run()
+	if !bytes.Equal(got, bytes.Repeat([]byte{rewrites - 1}, 4096)) {
+		t.Error("latest copy of the rewritten page lost")
+	}
+
+	// A dropped page is still programmed until its block is erased.
+	var perr error
+	f.program(stale, []byte("again"), func(err error) { perr = err })
+	eng.Run()
+	if perr == nil || !strings.Contains(perr.Error(), "non-erased ppa") {
+		t.Errorf("program of a dropped page: %v, want the non-erased refusal", perr)
+	}
+	f.erase(f.geo.blockOf(stale), func(err error) { perr = err })
+	eng.Run()
+	f.program(stale, []byte("again"), func(err error) { perr = err })
+	eng.Run()
+	if perr != nil {
+		t.Errorf("program after erase: %v", perr)
+	}
+}
+
+// A host read already on its way to a physical page returns that page's
+// data even if an overwrite completes, and drops the page, first.
+func TestFTLReadInFlightAcrossOverwrite(t *testing.T) {
+	eng := sim.NewEngine()
+	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
+	v1, v2 := bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)
+	ftl.Write(4, v1, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	eng.Run()
+	overwritten := false
+	ftl.Write(4, v2, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwritten = true
+	})
+	eng.RunFor(DefaultTiming.Program - DefaultTiming.Read/2)
+	var got []byte
+	ftl.Read(4, func(b []byte, err error) {
+		if !overwritten {
+			t.Error("the read completed before the overwrite: nothing tested")
+		}
+		got = b
+	})
+	eng.Run()
+	if !bytes.Equal(got, v1) {
+		t.Error("read in flight across an overwrite did not return the page it was issued to")
+	}
+	ftl.Read(4, func(b []byte, err error) { got = b })
+	eng.Run()
+	if !bytes.Equal(got, v2) {
+		t.Error("overwrite not visible to a later read")
+	}
+}
+
+// GC that runs out of free pages part-way through a victim must leave the
+// victim alone: its remaining valid pages are still what l2p points at.
+func TestFTLGCAbandonedRelocationKeepsData(t *testing.T) {
+	eng := sim.NewEngine()
+	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
+	// Sixteen cold pages fill one block on each channel exactly.
+	for lpn := 0; lpn < 16; lpn++ {
+		ftl.Write(lpn, bytes.Repeat([]byte{byte(0xC0 + lpn)}, 4096), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	eng.Run()
+	// No free block and no open one: relocation's first allocPage fails.
+	ftl.freeBlocks = nil
+	if _, err := ftl.allocPage(); err == nil {
+		t.Fatal("setup: allocPage still succeeds")
+	}
+	ftl.maybeGC()
+	eng.Run()
+	if ftl.Stats().GCRuns != 1 || ftl.gcRunning {
+		t.Fatalf("GC runs = %d, still running = %v; want one finished run", ftl.Stats().GCRuns, ftl.gcRunning)
+	}
+	if ftl.Stats().Erases != 0 || len(ftl.freeBlocks) != 0 {
+		t.Error("abandoned GC erased its victim")
+	}
+	for lpn := 0; lpn < 16; lpn++ {
+		var got []byte
+		ftl.Read(lpn, func(b []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			got = b
+		})
+		eng.Run()
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(0xC0 + lpn)}, 4096)) {
+			t.Fatalf("cold page %d lost after an abandoned GC", lpn)
+		}
+	}
+}
+
+func BenchmarkFlashProgramRead(b *testing.B) {
+	eng := sim.NewEngine()
+	f := newFlash(eng, DefaultGeometry, DefaultTiming)
+	page := make([]byte, f.geo.PageSize)
+	done := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	read := func(_ []byte, err error) { done(err) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ppa := PPA(i % f.geo.TotalPages())
+		if ppa == 0 && i > 0 {
+			// Every page is programmed: start over.
+			for blk := 0; blk < f.geo.TotalBlocks(); blk++ {
+				f.erase(blk, done)
+			}
+		}
+		f.program(ppa, page, done)
+		eng.Run()
+		f.read(ppa, read)
+		eng.Run()
+	}
 }

@@ -58,6 +58,9 @@ type Driver struct {
 	OnError func(error)
 	dead    bool
 	reaping bool
+	// failIfErr is the completion of every DMA write whose success needs
+	// no action; built once, not per write.
+	failIfErr func(error)
 
 	stats DriverStats
 }
@@ -78,6 +81,11 @@ func NewDriver(port *interconnect.Port, pasid iommu.PASID, lay Layout, reqBell i
 	}
 	for i := uint16(0); i < lay.Entries; i += 2 {
 		d.freePairs = append(d.freePairs, i)
+	}
+	d.failIfErr = func(err error) {
+		if err != nil {
+			d.fail(err)
+		}
 	}
 	d.RespBell = port.Fabric().AllocDoorbell(func(uint64) { d.reap() })
 	return d, nil
@@ -175,26 +183,14 @@ func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
 	// The port serializes DMAs FIFO, so the avail-index store is
 	// guaranteed to land after the payload, descriptors and ring slot —
 	// the VIRTIO publication ordering contract.
-	d.port.Write(d.pasid, d.lay.cellVA(head), req, func(err error) {
-		if err != nil {
-			d.fail(err)
-		}
-	})
+	d.port.Write(d.pasid, d.lay.cellVA(head), req, d.failIfErr)
 	descs := append(
 		encodeDesc(desc{Addr: uint64(d.lay.cellVA(head)), Len: uint32(len(req)), Flags: flagNext, Next: tail}),
 		encodeDesc(desc{Addr: uint64(d.lay.cellVA(tail)), Len: uint32(d.lay.CellSize), Flags: flagWrite})...)
-	d.port.Write(d.pasid, d.lay.descVA(head), descs, func(err error) {
-		if err != nil {
-			d.fail(err)
-		}
-	})
+	d.port.Write(d.pasid, d.lay.descVA(head), descs, d.failIfErr)
 	var slotBytes [2]byte
 	slotBytes[0], slotBytes[1] = byte(head), byte(head>>8)
-	d.port.Write(d.pasid, d.lay.availRingVA(slot), slotBytes[:], func(err error) {
-		if err != nil {
-			d.fail(err)
-		}
-	})
+	d.port.Write(d.pasid, d.lay.availRingVA(slot), slotBytes[:], d.failIfErr)
 	d.port.WriteU16(d.pasid, d.lay.availIdxVA(), idx, func(err error) {
 		if err != nil {
 			d.fail(err)
