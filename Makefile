@@ -1,7 +1,8 @@
 # Build/verification entry points. `make check` is the one gate used
 # before merging: vet, the nocpu-lint analyzer suite, build, every test
-# under the race detector (once), a short fuzz run of the wire-format
-# decoder, and the smoke run of the nested benchmark module. The
+# under the race detector (once, in shuffled order), a short fuzz run of
+# the wire-format decoder, and the smoke run of the nested benchmark
+# module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -35,13 +36,19 @@ allows:
 	$(GO) build -o bin/nocpu-lint ./cmd/nocpu-lint
 	./bin/nocpu-lint -allows .
 
+# -shuffle=on randomises test order inside each package (the seed is
+# printed on failure), so a test that leans on state another one left
+# behind fails here instead of passing by accident.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # Fuzz the bus wire-format decoder for 10s (regression corpus under
-# internal/msg/testdata/fuzz is always replayed by plain `go test`).
+# internal/msg/testdata/fuzz is always replayed by plain `go test`), then
+# the per-kind round-trip target for 5s: it builds a valid header around
+# the fuzzed body, so every kind's decoder is reached at once.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
+	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/msg
 
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.
@@ -96,7 +103,8 @@ check: vet lint build race fuzz bench-smoke
 
 # Every Go benchmark in the tree at a fixed iteration count: the root
 # package's experiment benchmarks and the per-layer ones that sit next to
-# their packages (sim, msg, physmem, interconnect, smartssd, fabric).
+# their packages (sim, msg, physmem, interconnect, smartssd, smartnic,
+# kvs, fabric).
 bench:
 	$(GO) test -run=^$$ -bench . -benchmem -benchtime=100x ./...
 

@@ -11,7 +11,7 @@ import (
 )
 
 // mustBoot builds and boots a cluster or fails the test.
-func mustBoot(t *testing.T, cfg Config) *Cluster {
+func mustBoot(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	cl := MustNew(cfg)
 	if err := cl.Boot(); err != nil {
@@ -22,7 +22,7 @@ func mustBoot(t *testing.T, cfg Config) *Cluster {
 
 // do issues one client op at the given ingress and runs the engine
 // until the reply arrives (or the deadline passes).
-func do(t *testing.T, cl *Cluster, ingress msg.DeviceID, req kvs.Request) kvs.Response {
+func do(t testing.TB, cl *Cluster, ingress msg.DeviceID, req kvs.Request) kvs.Response {
 	t.Helper()
 	var out kvs.Response
 	got := false
@@ -136,3 +136,41 @@ func TestSingleMachineSoloAcks(t *testing.T) {
 }
 
 func keyFor(i int) string { return fmt.Sprintf("fkey-%05d", i) }
+
+// TestRemoteGetAllocs pins the whole fabric op path: a get that enters at
+// machine 1, is forwarded to its owner, served from the NIC cache there
+// and answered back. One record per hop — the client NIC's Delivery and
+// the reply it hands the router, the pendingReq, each frame with its
+// arrival (which is also the far NIC's Delivery), the decoded FabricReq
+// and FabricResp, the owner's reply closure, the storeOp, the encoded
+// response — plus the key string of each of the two request decodes and
+// the two ring lookups: 16. The bound is that count and one to spare.
+func TestRemoteGetAllocs(t *testing.T) {
+	cl := mustBoot(t, Config{N: 2, Seed: 5, CacheEntries: 64, MachineMemory: 4 << 20})
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := keyFor(i); cl.Ring.Owners(k, nil, 1)[0] == 2 {
+			key = k
+		}
+	}
+	if resp := do(t, cl, 1, kvs.Request{Op: kvs.OpPut, Key: key, Value: make([]byte, 64)}); resp.Status != kvs.StatusOK {
+		t.Fatalf("put: %d", resp.Status)
+	}
+	ingress, get := cl.Ingress(1), kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
+	var last []byte
+	reply := func(b []byte) { last = b }
+	remote, hits := cl.RouterStatsSum().Remote, cl.Machine(2).Store.Stats().CacheHits
+	n := testing.AllocsPerRun(200, func() {
+		ingress(get, reply)
+		cl.Eng.Run()
+	})
+	if resp, err := kvs.DecodeResponse(last); err != nil || resp.Status != kvs.StatusOK || len(resp.Value) != 64 {
+		t.Fatalf("get answered %+v, %v", resp, err)
+	}
+	if cl.RouterStatsSum().Remote-remote < 200 || cl.Machine(2).Store.Stats().CacheHits-hits < 200 {
+		t.Fatal("the gets were not remote cache hits")
+	}
+	if n > 17 {
+		t.Errorf("a remote cached get allocates %v times, want <= 17", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"nocpu/internal/faultinject"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
 )
 
 // frameMagic prefixes every fabric frame delivered to a router's NIC.
@@ -50,7 +51,7 @@ type Network struct {
 	// alive/deliver/unreachable/trace are wired by the Cluster; trace is
 	// nil unless the cluster records a trace.
 	alive       func(msg.DeviceID) bool
-	deliver     func(dst msg.DeviceID, frame []byte)
+	deliver     func(a *arrival)
 	unreachable func(src, dst msg.DeviceID)
 	trace       func(format string, args ...any)
 
@@ -130,12 +131,26 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	for c := 0; c < copies; c++ {
 		// The duplicate trails the original by one serialization slot; it
 		// carries the same link seq, so the receiver's window eats it.
-		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, func() {
-			if !n.alive(dst) {
-				n.stats.Vanished++
-				return
-			}
-			n.deliver(dst, frame)
-		})
+		n.eng.ScheduleEvent(lat+sim.Duration(c)*n.cfg.PerByte, &arrival{net: n, dst: dst, frame: frame})
 	}
+}
+
+// arrival is one copy of a frame from the moment it is on the wire: the
+// event of its landing at dst and then, through the embedded Delivery,
+// of its passage through the destination NIC — one record for the hop.
+type arrival struct {
+	nic   smartnic.Delivery
+	net   *Network
+	dst   msg.DeviceID
+	frame []byte
+}
+
+// Fire lands the frame: a machine that died while it was in flight
+// never sees it.
+func (a *arrival) Fire() {
+	if !a.net.alive(a.dst) {
+		a.net.stats.Vanished++
+		return
+	}
+	a.net.deliver(a)
 }

@@ -13,7 +13,7 @@ import (
 func bareNetwork(got *[]byte) *Network {
 	n := newNetwork(sim.NewEngine(), NetConfig{})
 	n.alive = func(msg.DeviceID) bool { return true }
-	n.deliver = func(_ msg.DeviceID, frame []byte) { *got = frame }
+	n.deliver = func(a *arrival) { *got = a.frame }
 	n.unreachable = func(_, _ msg.DeviceID) {}
 	return n
 }
@@ -37,8 +37,8 @@ func TestNetworkSendFrame(t *testing.T) {
 	}
 }
 
-// TestNetworkSendAllocs: with tracing off a send costs the frame and the
-// delivery closure, with headroom for two more before this fails.
+// TestNetworkSendAllocs: with tracing off a send costs the frame and its
+// arrival record, with headroom for two more before this fails.
 func TestNetworkSendAllocs(t *testing.T) {
 	var got []byte
 	n := bareNetwork(&got)

@@ -164,3 +164,20 @@ func TestRingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+var ownersSink []msg.DeviceID
+
+// BenchmarkRingOwners is the lookup every client op pays at least once:
+// primary and backup of a key on a 16-machine ring with nobody dead.
+func BenchmarkRingOwners(b *testing.B) {
+	r := NewRing(ringMachines(16), 0)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = keyFor(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ownersSink = r.Owners(keys[i%len(keys)], nil, 2)
+	}
+}

@@ -92,13 +92,16 @@ type routerConfig struct {
 }
 
 // pendingReq is a client op forwarded to another machine, awaiting its
-// FabricResp.
+// FabricResp. It is the one record the forwarding hop allocates: tm is
+// armed with the record itself, whose Fire is the op timeout.
 type pendingReq struct {
+	tm       sim.Timer
+	r        *Router
+	id       uint64
 	target   msg.DeviceID
-	reply    func([]byte)
-	tm       *sim.Timer
-	payload  []byte
 	rerouted bool
+	reply    func([]byte)
+	payload  []byte
 }
 
 // writeTask is one mutation moving through a key's replication
@@ -107,11 +110,12 @@ type pendingReq struct {
 // (view-change resync and staged-ring transfer) skip the local apply
 // and carry the value read from the store instead.
 type writeTask struct {
+	r     *Router
 	key   string
 	del   bool
 	value []byte
-	// payload is the original client request (nil for sync tasks).
-	payload []byte
+	// req is the original client request (unset for sync tasks).
+	req kvs.Request
 	// reply acks the client (nil for sync tasks).
 	reply func([]byte)
 	resp  []byte // local store response, held until the backups ack
@@ -124,8 +128,9 @@ type writeTask struct {
 	// the current (and staged, when one exists) view on every attempt.
 	targets []msg.DeviceID
 	acked   map[msg.DeviceID]bool
-	tm      *sim.Timer
-	done    bool
+	// tm is the retransmit timer, armed with the task itself (Fire).
+	tm   sim.Timer
+	done bool
 }
 
 // keyGate serializes a key's mutations: one task in flight, later ones
@@ -186,6 +191,11 @@ type Router struct {
 
 	nextReq uint64
 	pending map[uint64]*pendingReq
+	// fwd and resp are the bodies of outgoing FabricReq and FabricResp
+	// frames. Network.Send encodes the message before it returns and
+	// keeps no reference, so one body per router is refilled per frame.
+	fwd  msg.FabricReq
+	resp msg.FabricResp
 
 	repSeq   uint64
 	gates    map[string]*keyGate
@@ -435,14 +445,7 @@ func (r *Router) owners(key string) []msg.DeviceID {
 // ServeNetwork implements smartnic.App: one byte discriminates peer
 // fabric frames (frameMagic) from client kvs requests.
 func (r *Router) ServeNetwork(payload []byte, reply func([]byte)) {
-	if r.halted {
-		return
-	}
-	if len(payload) > 0 && payload[0] == frameMagic {
-		r.onFrame(payload[1:])
-		return
-	}
-	r.onClient(payload, reply)
+	r.ServeTenantNetwork(0, payload, reply)
 }
 
 // ServeTenantNetwork implements smartnic.TenantApp: the NIC edge
@@ -458,23 +461,23 @@ func (r *Router) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte
 		r.onFrame(payload[1:]) // peer frames carry no tenant
 		return
 	}
-	if tn != 0 {
-		if req, err := kvs.DecodeRequest(payload); err == nil {
-			req.Tenant = uint32(tn)
-			payload = kvs.EncodeRequest(req)
-		}
-	}
-	r.onClient(payload, reply)
-}
-
-// --- client ingress ---
-
-func (r *Router) onClient(payload []byte, reply func([]byte)) {
+	// The one decode of a client request on this machine: everything
+	// downstream takes req, and payload only travels on.
 	req, err := kvs.DecodeRequest(payload)
 	if err != nil {
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
 		return
 	}
+	if tn != 0 {
+		req.Tenant = uint32(tn)
+		payload = kvs.EncodeRequest(req)
+	}
+	r.onClient(req, payload, reply)
+}
+
+// --- client ingress ---
+
+func (r *Router) onClient(req kvs.Request, payload []byte, reply func([]byte)) {
 	own := r.owners(req.Key)
 	if len(own) == 0 {
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
@@ -499,20 +502,22 @@ func (r *Router) forward(primary msg.DeviceID, payload []byte, reply func([]byte
 		target = r.cfg.head
 	}
 	r.nextReq++
-	id := r.nextReq
-	p := &pendingReq{target: primary, reply: reply, payload: payload, rerouted: rerouted}
-	r.pending[id] = p
-	p.tm = r.eng.After(r.cfg.opTimeout, func() {
-		if r.halted || r.pending[id] != p {
-			return
-		}
-		delete(r.pending, id)
-		r.stats.Timeouts++
-		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
-	})
-	r.cl.net.Send(r.cfg.id, target, r.epoch, &msg.FabricReq{
-		Origin: r.cfg.id, ReqID: id, Payload: payload,
-	})
+	p := &pendingReq{r: r, id: r.nextReq, target: primary, reply: reply, payload: payload, rerouted: rerouted}
+	r.pending[p.id] = p
+	p.tm.Arm(r.eng, r.cfg.opTimeout, p)
+	r.fwd = msg.FabricReq{Origin: r.cfg.id, ReqID: p.id, Payload: payload}
+	r.cl.net.Send(r.cfg.id, target, r.epoch, &r.fwd)
+}
+
+// Fire is the op timeout: nobody answered within opTimeout.
+func (p *pendingReq) Fire() {
+	r := p.r
+	if r.halted || r.pending[p.id] != p {
+		return
+	}
+	delete(r.pending, p.id)
+	r.stats.Timeouts++
+	p.reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 }
 
 // resolvePending finishes a forwarded op exactly once.
@@ -521,9 +526,7 @@ func (r *Router) resolvePending(id uint64, p *pendingReq, resp []byte) {
 		return
 	}
 	delete(r.pending, id)
-	if p.tm != nil {
-		p.tm.Stop()
-	}
+	p.tm.Stop()
 	p.reply(resp)
 }
 
@@ -621,9 +624,8 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 			return
 		}
 		r.stats.HeadRelayed++
-		r.cl.net.Send(r.cfg.id, own[0], r.epoch, &msg.FabricReq{
-			Origin: m.Origin, ReqID: m.ReqID, Hops: m.Hops + 1, Payload: m.Payload,
-		})
+		r.fwd = msg.FabricReq{Origin: m.Origin, ReqID: m.ReqID, Hops: m.Hops + 1, Payload: m.Payload}
+		r.cl.net.Send(r.cfg.id, own[0], r.epoch, &r.fwd)
 	default:
 		// Not ours: tell the origin whom we think is dead so it can catch
 		// up and re-route.
@@ -634,9 +636,8 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 
 // respond sends a FabricResp carrying this router's dead set as gossip.
 func (r *Router) respond(origin msg.DeviceID, id uint64, code uint8, resp []byte) {
-	r.cl.net.Send(r.cfg.id, origin, r.epoch, &msg.FabricResp{
-		ReqID: id, Code: code, Dead: r.deadList(), Payload: resp,
-	})
+	r.resp = msg.FabricResp{ReqID: id, Code: code, Dead: r.deadList(), Payload: resp}
+	r.cl.net.Send(r.cfg.id, origin, r.epoch, &r.resp)
 }
 
 func (r *Router) onFabricResp(m *msg.FabricResp) {
@@ -652,9 +653,7 @@ func (r *Router) onFabricResp(m *msg.FabricResp) {
 	// WrongOwner/unavailable: one re-route with the merged view, then
 	// give up and let the client retry.
 	delete(r.pending, m.ReqID)
-	if p.tm != nil {
-		p.tm.Stop()
-	}
+	p.tm.Stop()
 	if p.rerouted {
 		p.reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 		return
@@ -691,16 +690,17 @@ func (r *Router) servePrimary(req kvs.Request, payload []byte, reply func([]byte
 		return
 	}
 	if req.Op != kvs.OpPut && req.Op != kvs.OpDelete {
-		r.store.ServeNetwork(payload, reply)
+		r.store.Serve(req, reply)
 		return
 	}
 	r.enqueue(&writeTask{
 		key: req.Key, del: req.Op == kvs.OpDelete, value: req.Value,
-		payload: payload, reply: reply,
+		req: req, reply: reply,
 	})
 }
 
 func (r *Router) enqueue(t *writeTask) {
+	t.r = r
 	g := r.gates[t.key]
 	if g == nil {
 		g = &keyGate{}
@@ -729,8 +729,7 @@ func (r *Router) startTask(t *writeTask) {
 	if t.sync {
 		// Resync: replicate the key's current value (read under the gate,
 		// so no later client write can be overtaken by a stale sync).
-		get := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: t.key})
-		r.store.ServeNetwork(get, func(b []byte) {
+		r.store.Serve(kvs.Request{Op: kvs.OpGet, Key: t.key}, func(b []byte) {
 			resp, err := kvs.DecodeResponse(b)
 			switch {
 			case err != nil || resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable:
@@ -745,7 +744,7 @@ func (r *Router) startTask(t *writeTask) {
 		})
 		return
 	}
-	r.store.ServeNetwork(t.payload, func(b []byte) {
+	r.store.Serve(t.req, func(b []byte) {
 		resp, err := kvs.DecodeResponse(b)
 		if err != nil || resp.Status != kvs.StatusOK {
 			// Local apply failed (shed, unavailable, IO error): the client
@@ -816,15 +815,13 @@ func (r *Router) replicate(t *writeTask) {
 			Key: t.key, Value: t.value,
 		})
 	}
-	t.tm = r.eng.After(r.cfg.repRetry, func() {
-		if r.halted || t.done {
-			return
-		}
-		// Retransmit under the current view: a backup may have changed
-		// or vanished since the last attempt.
-		r.replicate(t)
-	})
+	t.tm.Arm(r.eng, r.cfg.repRetry, t)
 }
+
+// Fire is the retransmit timer: not every target acked within repRetry.
+// Retransmit under the current view — a backup may have changed or
+// vanished since the last attempt.
+func (t *writeTask) Fire() { t.r.replicate(t) }
 
 func (r *Router) onReplicate(src msg.DeviceID, m *msg.Replicate) {
 	w := r.wm[m.Key]
@@ -836,15 +833,13 @@ func (r *Router) onReplicate(src msg.DeviceID, m *msg.Replicate) {
 		r.sendAck(src, m.Seq, true)
 		return
 	}
-	var apply []byte
+	apply := kvs.Request{Op: kvs.OpPut, Key: m.Key, Value: m.Value}
 	if m.Del {
-		apply = kvs.EncodeRequest(kvs.Request{Op: kvs.OpDelete, Key: m.Key})
-	} else {
-		apply = kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: m.Key, Value: m.Value})
+		apply = kvs.Request{Op: kvs.OpDelete, Key: m.Key}
 	}
 	epoch, seq := m.Epoch, m.Seq
 	key := m.Key
-	r.store.ServeNetwork(apply, func(b []byte) {
+	r.store.Serve(apply, func(b []byte) {
 		if r.halted {
 			return
 		}
@@ -913,9 +908,7 @@ func (r *Router) finishTask(t *writeTask) {
 		return
 	}
 	t.done = true
-	if t.tm != nil {
-		t.tm.Stop()
-	}
+	t.tm.Stop()
 	delete(r.inflight, t.seq)
 	if t.xfer && r.pendingRing != nil && t.xferVer == r.pendingVer {
 		r.xferLeft--
@@ -1042,9 +1035,7 @@ func (r *Router) failPendingTo(died []msg.DeviceID) {
 	for _, id := range ids {
 		p := r.pending[id]
 		delete(r.pending, id)
-		if p.tm != nil {
-			p.tm.Stop()
-		}
+		p.tm.Stop()
 		p.reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 	}
 }
@@ -1280,8 +1271,7 @@ func (r *Router) purgeKeys(keys []string, keep func(string) bool, done func()) {
 		delete(r.wm, key)
 		r.stats.Strays++
 		rest := keys[i+1:]
-		del := kvs.EncodeRequest(kvs.Request{Op: kvs.OpDelete, Key: key})
-		r.store.ServeNetwork(del, func([]byte) {
+		r.store.Serve(kvs.Request{Op: kvs.OpDelete, Key: key}, func([]byte) {
 			r.purgeKeys(rest, keep, done)
 		})
 		return

@@ -97,8 +97,9 @@ func TestDMACrossesPageBoundary(t *testing.T) {
 		t.Error("cross-page DMA corrupted data")
 	}
 	// Verify the split actually landed in both frames.
-	a, _ := r.mem.Read(f1.Addr()+2000, 10)
-	bEnd, _ := r.mem.Read(f2.Addr(), 10)
+	a, bEnd := make([]byte, 10), make([]byte, 10)
+	_ = r.mem.ReadInto(f1.Addr()+2000, a)
+	_ = r.mem.ReadInto(f2.Addr(), bEnd)
 	if !bytes.Equal(a, payload[:10]) || !bytes.Equal(bEnd, payload[2096:2106]) {
 		t.Error("payload not split across frames as expected")
 	}
@@ -263,7 +264,8 @@ func TestDMASpansManyPages(t *testing.T) {
 		if i == 0 {
 			at += 3000
 		}
-		b, _ := r.mem.Read(at, 16)
+		b := make([]byte, 16)
+		_ = r.mem.ReadInto(at, b)
 		if !bytes.Equal(b, want[off:off+16]) {
 			t.Errorf("extent %d did not land at the start of its frame", i)
 		}

@@ -43,7 +43,7 @@ func TestValueCacheLRU(t *testing.T) {
 }
 
 // cachedTestbed builds a decentralized machine with a cache-enabled KVS.
-func cachedTestbed(t *testing.T, entries int) *testbed {
+func cachedTestbed(t testing.TB, entries int) *testbed {
 	t.Helper()
 	tb := newTestbed(t, 0)
 	// Second store with a cache, same file.
@@ -60,7 +60,7 @@ func cachedTestbed(t *testing.T, entries int) *testbed {
 	return tb
 }
 
-func (tb *testbed) opApp(t *testing.T, app uint32, req Request) Response {
+func (tb *testbed) opApp(t testing.TB, app uint32, req Request) Response {
 	t.Helper()
 	var resp Response
 	got := false

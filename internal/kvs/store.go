@@ -414,7 +414,7 @@ func (s *Store) ServeNetwork(payload []byte, reply func([]byte)) {
 		reply(EncodeResponse(Response{Status: StatusError}))
 		return
 	}
-	s.serve(req, reply)
+	s.Serve(req, reply)
 }
 
 // ServeTenantNetwork implements smartnic.TenantApp: the NIC edge
@@ -428,11 +428,23 @@ func (s *Store) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte)
 		return
 	}
 	req.Tenant = uint32(tn)
-	s.serve(req, reply)
+	s.Serve(req, reply)
 }
 
-// serve admits and executes one decoded request.
-func (s *Store) serve(req Request, reply func([]byte)) {
+// storeOp is one admitted request. It is the event that charges the
+// index probe and then the request's completion, so an op that needs no
+// I/O (a cached get, a miss) allocates this record and its response.
+type storeOp struct {
+	s     *Store
+	req   Request
+	reply func([]byte)
+	start sim.Time
+}
+
+// Serve admits and executes one decoded request, for a caller on the
+// same NIC that has already parsed it (the fabric router). Like
+// ServeNetwork it trusts the request's Tenant stamp.
+func (s *Store) Serve(req Request, reply func([]byte)) {
 	if !s.ready {
 		s.stats.Unavailable++
 		reply(EncodeResponse(Response{Status: StatusUnavailable}))
@@ -492,78 +504,85 @@ func (s *Store) serve(req Request, reply func([]byte)) {
 	if who != 0 {
 		s.tenInflight[who]++
 	}
-	start := s.rt.Engine().Now()
-	done := func(b []byte) {
-		// Fold the observed service time into the admission estimate
-		// (EWMA, 1/8 gain). State only — no events, no trace impact.
-		sample := s.rt.Engine().Now().Sub(start)
-		s.estServe += (sample - s.estServe) / 8
-		s.inflight--
-		s.inflightG.Set(s.inflight)
-		if who != 0 {
-			s.tenInflight[who]--
-		}
-		reply(b)
-	}
 	// Charge the NIC-local index probe before touching the data plane.
-	s.rt.Engine().Schedule(s.cfg.IndexCost, func() {
-		switch req.Op {
-		case OpGet:
-			s.get(req, done)
-		case OpPut:
-			s.put(req, done)
-		case OpDelete:
-			s.del(req, done)
-		default:
-			done(EncodeResponse(Response{Status: StatusError}))
-		}
-	})
+	eng := s.rt.Engine()
+	eng.ScheduleEvent(s.cfg.IndexCost, &storeOp{s: s, req: req, reply: reply, start: eng.Now()})
 }
 
-func (s *Store) get(req Request, reply func([]byte)) {
+// Fire runs the op once the index probe has been paid for.
+func (op *storeOp) Fire() {
+	switch op.req.Op {
+	case OpGet:
+		op.s.get(op)
+	case OpPut:
+		op.s.put(op)
+	case OpDelete:
+		op.s.del(op)
+	default:
+		op.done(Response{Status: StatusError})
+	}
+}
+
+// done releases the op's admission slots and answers the caller.
+func (op *storeOp) done(resp Response) {
+	s := op.s
+	// Fold the observed service time into the admission estimate
+	// (EWMA, 1/8 gain). State only — no events, no trace impact.
+	sample := s.rt.Engine().Now().Sub(op.start)
+	s.estServe += (sample - s.estServe) / 8
+	s.inflight--
+	s.inflightG.Set(s.inflight)
+	if who := tenant.ID(op.req.Tenant); who != 0 {
+		s.tenInflight[who]--
+	}
+	op.reply(EncodeResponse(resp))
+}
+
+func (s *Store) get(op *storeOp) {
 	s.stats.Gets++
-	l, ok := s.index[req.Key]
+	l, ok := s.index[op.req.Key]
 	if !ok {
 		s.stats.Misses++
-		reply(EncodeResponse(Response{Status: StatusNotFound}))
+		op.done(Response{Status: StatusNotFound})
 		return
 	}
 	s.stats.Hits++
 	if s.cache != nil {
-		if val, hit := s.cache.get(req.Key); hit {
+		if val, hit := s.cache.get(op.req.Key); hit {
 			// Served entirely from NIC memory — no data-plane traffic.
 			s.stats.CacheHits++
-			reply(EncodeResponse(Response{Status: StatusOK, Value: val}))
+			op.done(Response{Status: StatusOK, Value: val})
 			return
 		}
 	}
 	if l.n == 0 {
-		reply(EncodeResponse(Response{Status: StatusOK}))
+		op.done(Response{Status: StatusOK})
 		return
 	}
 	s.fc.Read(l.off, int(l.n), func(b []byte, err error) {
 		if err != nil {
 			s.stats.IOErrors++
-			reply(EncodeResponse(Response{Status: StatusError}))
+			op.done(Response{Status: StatusError})
 			return
 		}
 		if s.cache != nil {
-			s.cache.put(req.Key, b)
+			s.cache.put(op.req.Key, b)
 		}
-		reply(EncodeResponse(Response{Status: StatusOK, Value: b}))
+		op.done(Response{Status: StatusOK, Value: b})
 	})
 }
 
-func (s *Store) put(req Request, reply func([]byte)) {
+func (s *Store) put(op *storeOp) {
 	s.stats.Puts++
 	if s.compacting {
 		s.stats.Unavailable++
-		reply(EncodeResponse(Response{Status: StatusUnavailable}))
+		op.done(Response{Status: StatusUnavailable})
 		return
 	}
+	req := &op.req
 	rec := encodeRecord(req.Key, req.Value, false)
 	if len(rec) > s.fc.MaxIO() {
-		reply(EncodeResponse(Response{Status: StatusError}))
+		op.done(Response{Status: StatusError})
 		return
 	}
 	// The store is the file's only writer: it owns the append offset, so
@@ -573,7 +592,7 @@ func (s *Store) put(req Request, reply func([]byte)) {
 	s.fc.Write(off, rec, func(err error) {
 		if err != nil {
 			s.stats.IOErrors++
-			reply(EncodeResponse(Response{Status: StatusError}))
+			op.done(Response{Status: StatusError})
 			return
 		}
 		s.index[req.Key] = loc{off: off + recordHeader + uint64(len(req.Key)), n: uint32(len(req.Value))}
@@ -582,35 +601,36 @@ func (s *Store) put(req Request, reply func([]byte)) {
 			// than the log.
 			s.cache.put(req.Key, req.Value)
 		}
-		reply(EncodeResponse(Response{Status: StatusOK}))
+		op.done(Response{Status: StatusOK})
 	})
 }
 
-func (s *Store) del(req Request, reply func([]byte)) {
+func (s *Store) del(op *storeOp) {
 	s.stats.Deletes++
 	if s.compacting {
 		s.stats.Unavailable++
-		reply(EncodeResponse(Response{Status: StatusUnavailable}))
+		op.done(Response{Status: StatusUnavailable})
 		return
 	}
-	if _, ok := s.index[req.Key]; !ok {
+	key := op.req.Key
+	if _, ok := s.index[key]; !ok {
 		s.stats.Misses++
-		reply(EncodeResponse(Response{Status: StatusNotFound}))
+		op.done(Response{Status: StatusNotFound})
 		return
 	}
-	rec := encodeRecord(req.Key, nil, true)
+	rec := encodeRecord(key, nil, true)
 	off := s.fileEnd
 	s.fileEnd += uint64(len(rec))
 	s.fc.Write(off, rec, func(err error) {
 		if err != nil {
 			s.stats.IOErrors++
-			reply(EncodeResponse(Response{Status: StatusError}))
+			op.done(Response{Status: StatusError})
 			return
 		}
-		delete(s.index, req.Key)
+		delete(s.index, key)
 		if s.cache != nil {
-			s.cache.drop(req.Key)
+			s.cache.drop(key)
 		}
-		reply(EncodeResponse(Response{Status: StatusOK}))
+		op.done(Response{Status: StatusOK})
 	})
 }

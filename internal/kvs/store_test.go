@@ -34,7 +34,7 @@ type testbed struct {
 	watchdog sim.Duration
 }
 
-func newTestbed(t *testing.T, watchdog sim.Duration) *testbed {
+func newTestbed(t testing.TB, watchdog sim.Duration) *testbed {
 	t.Helper()
 	tb := &testbed{eng: sim.NewEngine(), watchdog: watchdog}
 	tr := trace.New(0)

@@ -163,23 +163,37 @@ func (m *Misplaced) decode(r *reader) { // want `encode/decode asymmetry in Misp
 	m.X = r.u16()
 }
 
-// newMessage is the decode dispatcher.
-func newMessage(k Kind) any {
+// decodeBody is the decode dispatcher.
+func decodeBody(k Kind, r *reader) any {
 	switch k {
 	case KindGood:
-		return &Good{}
+		m := &Good{}
+		m.decode(r)
+		return m
 	case KindSwap:
-		return &Swap{}
+		m := &Swap{}
+		m.decode(r)
+		return m
 	case KindShort:
-		return &Short{}
+		m := &Short{}
+		m.decode(r)
+		return m
 	case KindRetype:
-		return &Retype{}
+		m := &Retype{}
+		m.decode(r)
+		return m
 	case KindOpt:
-		return &Opt{}
+		m := &Opt{}
+		m.decode(r)
+		return m
 	case KindLenient:
-		return &Lenient{}
+		m := &Lenient{}
+		m.decode(r)
+		return m
 	case KindMisplaced:
-		return &Misplaced{}
+		m := &Misplaced{}
+		m.decode(r)
+		return m
 	}
 	return nil
 }

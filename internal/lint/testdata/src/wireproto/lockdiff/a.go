@@ -80,19 +80,29 @@ func (m *E) encode(w *writer) { // want `wire\.lock: new kind KindE reuses wire 
 }
 func (m *E) decode(r *reader) { m.V = r.u32() }
 
-// newMessage is the decode dispatcher.
-func newMessage(k Kind) any {
+// decodeBody is the decode dispatcher.
+func decodeBody(k Kind, r *reader) any {
 	switch k {
 	case KindA:
-		return &A{}
+		m := &A{}
+		m.decode(r)
+		return m
 	case KindB:
-		return &B{}
+		m := &B{}
+		m.decode(r)
+		return m
 	case KindC:
-		return &C{}
+		m := &C{}
+		m.decode(r)
+		return m
 	case KindD:
-		return &D{}
+		m := &D{}
+		m.decode(r)
+		return m
 	case KindE:
-		return &E{}
+		m := &E{}
+		m.decode(r)
+		return m
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ type Kind uint16
 const (
 	KindInvalid Kind = iota
 	KindA
-	KindB      // want `kind KindB is not constructed by the decode dispatcher \(newMessage\): inbound frames of this kind are rejected as unknown`
+	KindB      // want `kind KindB is not constructed by the decode dispatcher \(decodeBody\): inbound frames of this kind are rejected as unknown`
 	KindOrphan // want `msg\.Kind constant KindOrphan has no message type: no type's Kind\(\) method returns it`
 	KindMis
 	kindMax
@@ -35,7 +35,7 @@ func (m *A) Kind() Kind       { return KindA }
 func (m *A) encode(w *writer) { w.u16(m.X) }
 func (m *A) decode(r *reader) { m.X = r.u16() }
 
-// B has a type but newMessage never constructs it.
+// B has a type but decodeBody never constructs it.
 type B struct{ Y uint16 }
 
 func (m *B) Kind() Kind       { return KindB }
@@ -54,13 +54,17 @@ type Enc struct{ W uint16 }
 
 func (m *Enc) encode(w *writer) { w.u16(m.W) } // want `Enc has encode but no decode method: frames of this kind can never be parsed by a receiver`
 
-// newMessage is the decode dispatcher.
-func newMessage(k Kind) any {
+// decodeBody is the decode dispatcher.
+func decodeBody(k Kind, r *reader) any {
 	switch k {
 	case KindA:
-		return &A{}
+		m := &A{}
+		m.decode(r)
+		return m
 	case KindMis: // want `decode dispatcher returns A for KindMis, but A's Kind\(\) is KindA: frames of kind KindMis would be parsed with the wrong layout`
-		return &A{}
+		m := &A{}
+		m.decode(r)
+		return m
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ import (
 //
 //  2. Registration completeness — every exported msg.Kind constant has
 //     a message type whose Kind() returns it, is constructed by the
-//     decode dispatcher (newMessage) under the right type, and has at
+//     decode dispatcher (decodeBody) under the right type, and has at
 //     least one FuzzDecode corpus seed under testdata/fuzz/FuzzDecode.
 //
 //  3. Append-only evolution — the extracted schema must extend the
@@ -782,20 +782,20 @@ func (x *wireExtractor) checkRegistration(msgs []*msgType) {
 	x.checkCorpus(consts)
 }
 
-// checkDispatcher verifies newMessage constructs the right type for
+// checkDispatcher verifies decodeBody constructs the right type for
 // every kind. kindswitch already forces the switch to be exhaustive;
 // this adds the pairing check (case KindX must return the type whose
 // Kind() is KindX).
 func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string]*msgType) {
 	var nm *ast.FuncDecl
 	for obj, fd := range x.funcs {
-		if obj.Name() == "newMessage" {
+		if obj.Name() == "decodeBody" {
 			nm = fd
 			break
 		}
 	}
 	if nm == nil {
-		x.pass.Reportf(x.files[0].Pos(), "wire-codec package has no newMessage decode dispatcher: inbound frames cannot be constructed by kind")
+		x.pass.Reportf(x.files[0].Pos(), "wire-codec package has no decodeBody decode dispatcher: inbound frames cannot be constructed by kind")
 		return
 	}
 	covered := make(map[string]bool)
@@ -811,7 +811,7 @@ func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string
 				covered[name] = true
 			}
 		}
-		retType := returnedTypeName(cc.Body)
+		retType := constructedTypeName(cc.Body)
 		if retType == "" || len(kindNames) == 0 {
 			return true
 		}
@@ -829,7 +829,7 @@ func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string
 	})
 	for _, c := range consts {
 		if !covered[c.Name()] && byKind[c.Name()] != nil {
-			x.pass.Reportf(c.Pos(), "kind %s is not constructed by the decode dispatcher (newMessage): inbound frames of this kind are rejected as unknown", c.Name())
+			x.pass.Reportf(c.Pos(), "kind %s is not constructed by the decode dispatcher (decodeBody): inbound frames of this kind are rejected as unknown", c.Name())
 		}
 	}
 }
@@ -866,14 +866,22 @@ func (x *wireExtractor) caseConstName(e ast.Expr) (string, bool) {
 	return "", false
 }
 
-// returnedTypeName extracts T from `return &T{}` in a case body.
-func returnedTypeName(body []ast.Stmt) string {
+// constructedTypeName names the message type a dispatcher arm builds:
+// the T of the first `&T{}` the arm assigns (`m := &T{}`, which it then
+// decodes into and returns) or returns directly.
+func constructedTypeName(body []ast.Stmt) string {
 	for _, stmt := range body {
-		ret, ok := stmt.(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
+		var rhs []ast.Expr
+		switch st := stmt.(type) {
+		case *ast.AssignStmt:
+			rhs = st.Rhs
+		case *ast.ReturnStmt:
+			rhs = st.Results
+		}
+		if len(rhs) != 1 {
 			continue
 		}
-		ue, ok := unparen(ret.Results[0]).(*ast.UnaryExpr)
+		ue, ok := unparen(rhs[0]).(*ast.UnaryExpr)
 		if !ok || ue.Op != token.AND {
 			continue
 		}

@@ -151,3 +151,60 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestDecodeBorrows pins the borrow rule on Decode: a byte field is a
+// window onto the frame, clipped so an append cannot reach past it, and
+// Decode itself leaves the frame alone, so a frame delivered twice (the
+// fault plane's Dup hands both arrivals one buffer) decodes equal both
+// times.
+//
+// The rule is safe because nothing downstream writes into such a field.
+// Only the fabric router decodes frames (the in-machine bus passes
+// envelopes, it never encodes them back): FabricReq.Payload is parsed by
+// kvs.DecodeRequest, which copies, or re-encoded into the next hop's
+// frame; FabricResp.Payload goes to the client, which parses it the same
+// way; Replicate.Value is copied into the log record the store builds,
+// and from there the SSD and physmem sinks copy again (File.WriteAt
+// clones each chunk, a DMA write copies into memory). The value cache
+// keeps the slice, and only ever reads it.
+func TestDecodeBorrows(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		m     Message
+		field func(Message) []byte
+	}{
+		{"FabricReq", &FabricReq{Origin: 1, ReqID: 9, Payload: []byte("payload")},
+			func(m Message) []byte { return m.(*FabricReq).Payload }},
+		{"FabricResp", &FabricResp{ReqID: 9, Dead: []DeviceID{3}, Payload: []byte("payload")},
+			func(m Message) []byte { return m.(*FabricResp).Payload }},
+		{"Replicate", &Replicate{Epoch: 1, Seq: 2, Key: "k", Value: []byte("payload")},
+			func(m Message) []byte { return m.(*Replicate).Value }},
+		{"FileIOReq", &FileIOReq{App: 1, Handle: 2, Seq: 3, Data: []byte("payload")},
+			func(m Message) []byte { return m.(*FileIOReq).Data }},
+	} {
+		frame := Envelope{Src: 1, Dst: 2, Seq: 7, Msg: c.m}.Encode()
+		sent := bytes.Clone(frame)
+		first, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		second, err := Decode(frame)
+		if err != nil || !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: a frame delivered twice decoded as %+v then %+v (%v)", c.name, first.Msg, second.Msg, err)
+		}
+		if !bytes.Equal(frame, sent) {
+			t.Errorf("%s: Decode wrote into the frame", c.name)
+		}
+		got := c.field(first.Msg)
+		if !bytes.Equal(got, []byte("payload")) || cap(got) != len(got) {
+			t.Fatalf("%s: field = %q with cap %d, want the payload clipped to its length", c.name, got, cap(got))
+		}
+		// Aliasing, shown the one way a test can: break the rule and
+		// watch the field follow the frame.
+		at := bytes.Index(frame, []byte("payload"))
+		frame[at] = 'P'
+		if got[0] != 'P' {
+			t.Errorf("%s: field is a copy, not a window onto the frame", c.name)
+		}
+	}
+}

@@ -285,6 +285,13 @@ func (e Envelope) Encode() []byte {
 func (e Envelope) EncodedLen() int { return EncodedSize(e.Msg) + linkTagSize }
 
 // Decode parses an envelope produced by Encode.
+//
+// The message's byte fields (FabricReq.Payload, Replicate.Value,
+// FileIOReq.Data, ...) alias b rather than copy it: a frame is written
+// once, when it is encoded, and only read afterwards. The caller must
+// not modify b after Decode, and a handler must not write into a decoded
+// byte field; one that needs a buffer of its own copies. Strings and
+// lists are copied as before.
 func Decode(b []byte) (Envelope, error) {
 	r := reader{buf: b}
 	src := DeviceID(r.u16())
@@ -299,11 +306,10 @@ func Decode(b []byte) (Envelope, error) {
 	if int(n) != len(r.buf)-r.off {
 		return Envelope{}, fmt.Errorf("msg: payload length %d does not match remaining %d bytes", n, len(r.buf)-r.off)
 	}
-	m := newMessage(kind)
+	m := decodeBody(kind, &r)
 	if m == nil {
 		return Envelope{}, fmt.Errorf("msg: unknown kind %d", kind)
 	}
-	m.decode(&r)
 	if r.err != nil {
 		return Envelope{}, fmt.Errorf("msg: decoding %v: %w", kind, r.err)
 	}

@@ -93,8 +93,8 @@ func TestEveryKindCovered(t *testing.T) {
 		if !covered[k] {
 			t.Errorf("kind %v has no round-trip coverage", k)
 		}
-		if newMessage(k) == nil {
-			t.Errorf("kind %v missing from newMessage registry", k)
+		if decodeBody(k, &reader{}) == nil {
+			t.Errorf("kind %v missing from the decodeBody registry", k)
 		}
 	}
 }

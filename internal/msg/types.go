@@ -1243,104 +1243,201 @@ func (m *LeaseRevoke) decode(r *reader) {
 	m.Dead = decodeDevs(r)
 }
 
-// newMessage returns a zero value of the message type for kind, or nil
-// for an unknown kind.
-func newMessage(k Kind) Message {
+// decodeBody builds the message for kind k and decodes r into it through
+// the concrete type, for the reason encodeBody gives: a *reader handed to
+// an interface method escapes, and Decode wants it on its stack. nil
+// means an unknown kind. This switch is the registry of wire kinds; the
+// wireproto lint pass checks every arm's pairing.
+func decodeBody(k Kind, r *reader) Message {
 	switch k {
 	case KindHello:
-		return &Hello{}
+		m := &Hello{}
+		m.decode(r)
+		return m
 	case KindHelloAck:
-		return &HelloAck{}
+		m := &HelloAck{}
+		m.decode(r)
+		return m
 	case KindHeartbeat:
-		return &Heartbeat{}
+		m := &Heartbeat{}
+		m.decode(r)
+		return m
 	case KindReset:
-		return &Reset{}
+		m := &Reset{}
+		m.decode(r)
+		return m
 	case KindResetDone:
-		return &ResetDone{}
+		m := &ResetDone{}
+		m.decode(r)
+		return m
 	case KindDiscoverReq:
-		return &DiscoverReq{}
+		m := &DiscoverReq{}
+		m.decode(r)
+		return m
 	case KindDiscoverResp:
-		return &DiscoverResp{}
+		m := &DiscoverResp{}
+		m.decode(r)
+		return m
 	case KindOpenReq:
-		return &OpenReq{}
+		m := &OpenReq{}
+		m.decode(r)
+		return m
 	case KindOpenResp:
-		return &OpenResp{}
+		m := &OpenResp{}
+		m.decode(r)
+		return m
 	case KindConnectReq:
-		return &ConnectReq{}
+		m := &ConnectReq{}
+		m.decode(r)
+		return m
 	case KindConnectResp:
-		return &ConnectResp{}
+		m := &ConnectResp{}
+		m.decode(r)
+		return m
 	case KindCloseReq:
-		return &CloseReq{}
+		m := &CloseReq{}
+		m.decode(r)
+		return m
 	case KindCloseResp:
-		return &CloseResp{}
+		m := &CloseResp{}
+		m.decode(r)
+		return m
 	case KindAllocReq:
-		return &AllocReq{}
+		m := &AllocReq{}
+		m.decode(r)
+		return m
 	case KindAllocResp:
-		return &AllocResp{}
+		m := &AllocResp{}
+		m.decode(r)
+		return m
 	case KindFreeReq:
-		return &FreeReq{}
+		m := &FreeReq{}
+		m.decode(r)
+		return m
 	case KindFreeResp:
-		return &FreeResp{}
+		m := &FreeResp{}
+		m.decode(r)
+		return m
 	case KindGrantReq:
-		return &GrantReq{}
+		m := &GrantReq{}
+		m.decode(r)
+		return m
 	case KindGrantResp:
-		return &GrantResp{}
+		m := &GrantResp{}
+		m.decode(r)
+		return m
 	case KindAuthReq:
-		return &AuthReq{}
+		m := &AuthReq{}
+		m.decode(r)
+		return m
 	case KindAuthResp:
-		return &AuthResp{}
+		m := &AuthResp{}
+		m.decode(r)
+		return m
 	case KindRevokeReq:
-		return &RevokeReq{}
+		m := &RevokeReq{}
+		m.decode(r)
+		return m
 	case KindRevokeResp:
-		return &RevokeResp{}
+		m := &RevokeResp{}
+		m.decode(r)
+		return m
 	case KindLoadReq:
-		return &LoadReq{}
+		m := &LoadReq{}
+		m.decode(r)
+		return m
 	case KindLoadResp:
-		return &LoadResp{}
+		m := &LoadResp{}
+		m.decode(r)
+		return m
 	case KindFileIOReq:
-		return &FileIOReq{}
+		m := &FileIOReq{}
+		m.decode(r)
+		return m
 	case KindFileIOResp:
-		return &FileIOResp{}
+		m := &FileIOResp{}
+		m.decode(r)
+		return m
 	case KindErrorNotify:
-		return &ErrorNotify{}
+		m := &ErrorNotify{}
+		m.decode(r)
+		return m
 	case KindDeviceFailed:
-		return &DeviceFailed{}
+		m := &DeviceFailed{}
+		m.decode(r)
+		return m
 	case KindNack:
-		return &Nack{}
+		m := &Nack{}
+		m.decode(r)
+		return m
 	case KindStateQuery:
-		return &StateQuery{}
+		m := &StateQuery{}
+		m.decode(r)
+		return m
 	case KindStateResp:
-		return &StateResp{}
+		m := &StateResp{}
+		m.decode(r)
+		return m
 	case KindCreditUpdate:
-		return &CreditUpdate{}
+		m := &CreditUpdate{}
+		m.decode(r)
+		return m
 	case KindFabricReq:
-		return &FabricReq{}
+		m := &FabricReq{}
+		m.decode(r)
+		return m
 	case KindFabricResp:
-		return &FabricResp{}
+		m := &FabricResp{}
+		m.decode(r)
+		return m
 	case KindReplicate:
-		return &Replicate{}
+		m := &Replicate{}
+		m.decode(r)
+		return m
 	case KindReplicateAck:
-		return &ReplicateAck{}
+		m := &ReplicateAck{}
+		m.decode(r)
+		return m
 	case KindRingUpdate:
-		return &RingUpdate{}
+		m := &RingUpdate{}
+		m.decode(r)
+		return m
 	case KindSpecGossip:
-		return &SpecGossip{}
+		m := &SpecGossip{}
+		m.decode(r)
+		return m
 	case KindCondReport:
-		return &CondReport{}
+		m := &CondReport{}
+		m.decode(r)
+		return m
 	case KindDrain:
-		return &Drain{}
+		m := &Drain{}
+		m.decode(r)
+		return m
 	case KindRingConfig:
-		return &RingConfig{}
+		m := &RingConfig{}
+		m.decode(r)
+		return m
 	case KindTenantGrant:
-		return &TenantGrant{}
+		m := &TenantGrant{}
+		m.decode(r)
+		return m
 	case KindDenialReport:
-		return &DenialReport{}
+		m := &DenialReport{}
+		m.decode(r)
+		return m
 	case KindLeaseRenew:
-		return &LeaseRenew{}
+		m := &LeaseRenew{}
+		m.decode(r)
+		return m
 	case KindLeaseGrant:
-		return &LeaseGrant{}
+		m := &LeaseGrant{}
+		m.decode(r)
+		return m
 	case KindLeaseRevoke:
-		return &LeaseRevoke{}
+		m := &LeaseRevoke{}
+		m.decode(r)
+		return m
 	}
 	return nil
 }
@@ -1348,7 +1445,7 @@ func newMessage(k Kind) Message {
 // encodeBody calls m.encode through m's concrete type. A *writer handed
 // to an interface method escapes to the heap; through a static call it
 // stays on the caller's stack, which is what lets EncodedSize allocate
-// nothing and AppendEncode only its buffer. The arms mirror newMessage;
+// nothing and AppendEncode only its buffer. The arms mirror decodeBody;
 // the codec-agreement test walks every kind through here.
 func encodeBody(m Message, w *writer) {
 	switch m := m.(type) {

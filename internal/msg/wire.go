@@ -136,15 +136,17 @@ func (r *reader) str() string {
 	}
 	return string(b)
 }
+
+// bytesField borrows the field from the frame (see Decode). The capacity
+// is clipped so that an append by the holder cannot reach the bytes that
+// follow the field.
 func (r *reader) bytesField() []byte {
 	n := int(r.u32())
 	b := r.take(n)
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return b[:n:n]
 }
 func (r *reader) u16list() []uint16 {
 	n := int(r.u16())

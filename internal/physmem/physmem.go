@@ -77,16 +77,6 @@ func (m *Memory) check(addr Addr, n int) error {
 	return nil
 }
 
-// Read copies n bytes at addr into a fresh slice.
-func (m *Memory) Read(addr Addr, n int) ([]byte, error) {
-	if err := m.check(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, m.data[addr:])
-	return out, nil
-}
-
 // ReadInto copies len(dst) bytes at addr into dst.
 func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	if err := m.check(addr, len(dst)); err != nil {

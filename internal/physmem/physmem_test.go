@@ -28,8 +28,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if err := m.Write(100, src); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Read(100, len(src))
-	if err != nil {
+	got := make([]byte, len(src))
+	if err := m.ReadInto(100, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, src) {
@@ -42,7 +42,7 @@ func TestOutOfBoundsRejected(t *testing.T) {
 	if err := m.Write(PageSize-4, []byte("12345")); err == nil {
 		t.Error("write across end accepted")
 	}
-	if _, err := m.Read(PageSize, 1); err == nil {
+	if err := m.ReadInto(PageSize, make([]byte, 1)); err == nil {
 		t.Error("read at end accepted")
 	}
 	if _, err := m.ReadU64(PageSize - 7); err == nil {
@@ -77,7 +77,8 @@ func TestScalarAccessors(t *testing.T) {
 		t.Fatalf("u16 = %#x", v16)
 	}
 	// Little-endian layout check.
-	b, _ := m.Read(8, 2)
+	b := make([]byte, 2)
+	_ = m.ReadInto(8, b)
 	if b[0] != 0x0d {
 		t.Errorf("not little-endian: first byte %#x", b[0])
 	}
@@ -97,7 +98,8 @@ func TestAllocZeroesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := m.Read(f2.Addr(), 3)
+	got := []byte{9, 9, 9}
+	_ = m.ReadInto(f2.Addr(), got)
 	if !bytes.Equal(got, []byte{0, 0, 0}) {
 		t.Errorf("reallocated frame not scrubbed: %v", got)
 	}

@@ -56,15 +56,29 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// entry is one queued callback. Entries are ordered by (at, seq): seq is
+// Event is something the queue can fire. A component that owns a record
+// for the work in flight (a NIC delivery, a store op, a pending request)
+// makes the record its own event: the queue stores the record itself,
+// so scheduling its next stage allocates nothing.
+type Event interface {
+	Fire()
+}
+
+// funcEvent adapts a plain callback. A func value is pointer-shaped, so
+// storing one in the queue allocates nothing either.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// entry is one queued event. Entries are ordered by (at, seq): seq is
 // the engine-wide insertion count, so events with equal timestamps fire
-// in the order they were scheduled, which keeps runs reproducible. tm is
-// the cancellation handle, nil for events scheduled without one.
+// in the order they were scheduled, which keeps runs reproducible. A
+// cancellable event is queued as its *Timer, which is how the heap finds
+// the handle whose position it must keep current.
 type entry struct {
 	at  Time
 	seq uint64
-	fn  func()
-	tm  *Timer
+	ev  Event
 }
 
 func (a *entry) before(b *entry) bool {
@@ -74,21 +88,51 @@ func (a *entry) before(b *entry) bool {
 	return a.seq < b.seq
 }
 
-// Timer is a handle to a scheduled event that can be cancelled. It is
-// inert once the event has fired or been stopped.
+// Timer is a cancellable scheduled event. At and After return one as a
+// handle; a component can also embed a Timer in a record it owns and Arm
+// it, which schedules the record without allocating a handle. The zero
+// Timer is ready to Arm, and a Timer is inert (Stop reports false, Arm is
+// allowed again) once it has fired or been stopped. A Timer must not be
+// copied while pending: the queue holds its address.
 type Timer struct {
-	eng *Engine // nil once fired or stopped
+	eng *Engine // nil unless pending
 	idx int     // position of the entry in eng.events while pending
+	ev  Event   // what fires; nil unless pending
+}
+
+// Arm schedules ev to fire d nanoseconds from now (negative d is clamped
+// to 0) with t as its cancellation handle. Arming a pending timer is a
+// model bug and panics: the earlier event would become uncancellable.
+func (t *Timer) Arm(e *Engine, d Duration, ev Event) { t.armAt(e, e.deadline(d), ev) }
+
+func (t *Timer) armAt(e *Engine, at Time, ev Event) {
+	if t.eng != nil {
+		panic("sim: Arm of a pending timer")
+	}
+	if ev == nil {
+		panic("sim: nil event")
+	}
+	e.push(at, t)
+	t.eng, t.ev = e, ev
+}
+
+// Fire runs the armed event. The queue has already made t inert, so the
+// event may re-arm it.
+func (t *Timer) Fire() {
+	ev := t.ev
+	t.ev = nil
+	ev.Fire()
 }
 
 // Stop cancels the timer, removing its event from the queue. It reports
-// whether the callback was still pending (false means it already fired
-// or was already stopped).
+// whether the event was still pending (false means it already fired or
+// was already stopped).
 func (t *Timer) Stop() bool {
 	if t == nil || t.eng == nil {
 		return false
 	}
 	t.eng.remove(t.idx)
+	t.ev = nil
 	return true
 }
 
@@ -115,8 +159,8 @@ func (e *Engine) Now() Time { return e.now }
 // it. Scheduling in the past panics: it indicates a model bug (causality
 // violation), never a recoverable state.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	tm := &Timer{eng: e}
-	e.push(t, fn, tm)
+	tm := &Timer{}
+	tm.armAt(e, t, asEvent(fn))
 	return tm
 }
 
@@ -128,10 +172,24 @@ func (e *Engine) After(d Duration, fn func()) *Timer {
 
 // ScheduleAt is At for callers that never cancel: no handle is made, so
 // the engine allocates nothing.
-func (e *Engine) ScheduleAt(t Time, fn func()) { e.push(t, fn, nil) }
+func (e *Engine) ScheduleAt(t Time, fn func()) { e.push(t, asEvent(fn)) }
 
 // Schedule is After for callers that never cancel.
-func (e *Engine) Schedule(d Duration, fn func()) { e.push(e.deadline(d), fn, nil) }
+func (e *Engine) Schedule(d Duration, fn func()) { e.push(e.deadline(d), asEvent(fn)) }
+
+// ScheduleEventAt queues ev to fire at absolute time t. Like ScheduleAt
+// it makes no handle and allocates nothing.
+func (e *Engine) ScheduleEventAt(t Time, ev Event) { e.push(t, ev) }
+
+// ScheduleEvent queues ev to fire d nanoseconds from now.
+func (e *Engine) ScheduleEvent(d Duration, ev Event) { e.ScheduleEventAt(e.deadline(d), ev) }
+
+func asEvent(fn func()) Event {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	return funcEvent(fn)
+}
 
 func (e *Engine) deadline(d Duration) Time {
 	if d < 0 {
@@ -144,23 +202,24 @@ func (e *Engine) deadline(d Duration) Time {
 // counted: Stop removes them.
 func (e *Engine) Pending() int { return len(e.events) }
 
-func (e *Engine) push(t Time, fn func(), tm *Timer) {
+func (e *Engine) push(t Time, ev Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: nil event callback")
+	if ev == nil {
+		panic("sim: nil event")
 	}
 	e.events = append(e.events, entry{})
-	e.up(len(e.events)-1, entry{at: t, seq: e.seq, fn: fn, tm: tm})
+	e.up(len(e.events)-1, entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
 }
 
-// set stores x at heap position i and tells its handle where it is.
+// set stores x at heap position i and tells its handle where it is. The
+// handle is found by a concrete-type check, one pointer comparison.
 func (e *Engine) set(i int, x entry) {
 	e.events[i] = x
-	if x.tm != nil {
-		x.tm.idx = i
+	if tm, ok := x.ev.(*Timer); ok {
+		tm.idx = i
 	}
 }
 
@@ -203,12 +262,12 @@ func (e *Engine) down(i int, x entry) {
 
 // remove deletes the entry at position i and makes its handle inert.
 func (e *Engine) remove(i int) {
-	if tm := e.events[i].tm; tm != nil {
+	if tm, ok := e.events[i].ev.(*Timer); ok {
 		tm.eng = nil
 	}
 	n := len(e.events) - 1
 	last := e.events[n]
-	e.events[n] = entry{} // drop the callback reference
+	e.events[n] = entry{} // drop the event reference
 	e.events = e.events[:n]
 	if i == n {
 		return
@@ -227,11 +286,11 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	at, fn := e.events[0].at, e.events[0].fn
+	at, ev := e.events[0].at, e.events[0].ev
 	e.remove(0)
 	e.now = at
 	e.Executed++
-	fn()
+	ev.Fire()
 	return true
 }
 

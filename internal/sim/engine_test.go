@@ -90,6 +90,75 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// record is a component's op record: it embeds its timer and is the
+// event the timer fires.
+type record struct {
+	tm    Timer
+	fired int
+}
+
+func (r *record) Fire() { r.fired++ }
+
+// TestEmbeddedTimer: a caller-owned timer fires its record, is inert
+// afterwards (Stop is a no-op, Arm is allowed again), and refuses a
+// second Arm while pending — that would leave the first event queued
+// with no handle to cancel it.
+func TestEmbeddedTimer(t *testing.T) {
+	e := NewEngine()
+	r := &record{}
+	r.tm.Arm(e, 10, r)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Arm of a pending timer did not panic")
+			}
+		}()
+		r.tm.Arm(e, 20, r)
+	}()
+	e.Run()
+	if r.fired != 1 || e.Now() != 10 {
+		t.Fatalf("fired %d times by %v, want once at 10ns", r.fired, e.Now())
+	}
+	if r.tm.Stop() {
+		t.Error("Stop after fire reported pending")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Stop after fire left %d events queued", e.Pending())
+	}
+	r.tm.Arm(e, 5, r)
+	if !r.tm.Stop() || r.tm.Stop() {
+		t.Error("re-armed timer: want first Stop true, second false")
+	}
+	r.tm.Arm(e, 5, r)
+	e.Run()
+	if r.fired != 2 || e.Now() != 15 {
+		t.Errorf("after stop and re-arm: fired %d times by %v, want twice by 15ns", r.fired, e.Now())
+	}
+}
+
+// TestServerSubmitEvent: an event object completes a job exactly as a
+// callback does, and nil charges the service time and fires nothing.
+func TestServerSubmitEvent(t *testing.T) {
+	e := NewEngine()
+	s := NewServer(e)
+	r := &record{}
+	if at := s.SubmitEvent(10, r); at != 10 {
+		t.Errorf("first job finishes at %v, want 10ns", at)
+	}
+	if at := s.SubmitEvent(10, nil); at != 20 {
+		t.Errorf("second job finishes at %v, want 20ns", at)
+	}
+	done := Time(0)
+	s.Submit(5, func() { done = e.Now() })
+	if e.Pending() != 2 {
+		t.Errorf("%d events queued for three jobs, one of them silent; want 2", e.Pending())
+	}
+	e.Run()
+	if r.fired != 1 || done != 25 {
+		t.Errorf("record fired %d times, callback at %v; want once and 25ns", r.fired, done)
+	}
+}
+
 func TestRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // The differential test runs one seeded random program against the
@@ -12,12 +13,17 @@ import (
 // order, Stop results, Now, Executed and Pending must agree at every
 // step.
 
-// queue is what a program drives: the engine's scheduling surface.
+// queue is what a program drives: the engine's scheduling surface. The
+// func entry points, the Event-object ones and caller-owned timers all
+// draw from one seq counter, so a program mixes them freely.
 type queue interface {
 	at(t Time, fn func()) stopper
 	after(d Duration, fn func()) stopper
 	scheduleAt(t Time, fn func())
 	schedule(d Duration, fn func())
+	scheduleEventAt(t Time, fn func())
+	scheduleEvent(d Duration, fn func())
+	newOwned() owned
 	step() bool
 	runUntil(t Time)
 	halt()
@@ -28,12 +34,40 @@ type queue interface {
 
 type stopper interface{ Stop() bool }
 
+// owned is a record that embeds its timer: armed, stopped and armed
+// again, never while pending.
+type owned interface {
+	stopper
+	arm(d Duration, fn func())
+}
+
+// objEvent is an Event that is not a func.
+type objEvent struct{ fn func() }
+
+func (o *objEvent) Fire() { o.fn() }
+
+type engineOwned struct {
+	tm Timer
+	e  *Engine
+	fn func()
+}
+
+func (o *engineOwned) Fire()      { o.fn() }
+func (o *engineOwned) Stop() bool { return o.tm.Stop() }
+func (o *engineOwned) arm(d Duration, fn func()) {
+	o.fn = fn
+	o.tm.Arm(o.e, d, o)
+}
+
 type engineQueue struct{ e *Engine }
 
 func (q engineQueue) at(t Time, fn func()) stopper        { return q.e.At(t, fn) }
 func (q engineQueue) after(d Duration, fn func()) stopper { return q.e.After(d, fn) }
 func (q engineQueue) scheduleAt(t Time, fn func())        { q.e.ScheduleAt(t, fn) }
 func (q engineQueue) schedule(d Duration, fn func())      { q.e.Schedule(d, fn) }
+func (q engineQueue) scheduleEventAt(t Time, fn func())   { q.e.ScheduleEventAt(t, &objEvent{fn}) }
+func (q engineQueue) scheduleEvent(d Duration, fn func()) { q.e.ScheduleEvent(d, &objEvent{fn}) }
+func (q engineQueue) newOwned() owned                     { return &engineOwned{e: q.e} }
 func (q engineQueue) step() bool                          { return q.e.Step() }
 func (q engineQueue) runUntil(t Time)                     { q.e.RunUntil(t) }
 func (q engineQueue) halt()                               { q.e.Stop() }
@@ -83,8 +117,23 @@ func (q *refQueue) after(d Duration, fn func()) stopper {
 	}
 	return q.at(q.clock.Add(d), fn)
 }
-func (q *refQueue) scheduleAt(t Time, fn func())   { q.at(t, fn) }
-func (q *refQueue) schedule(d Duration, fn func()) { q.after(d, fn) }
+func (q *refQueue) scheduleAt(t Time, fn func())        { q.at(t, fn) }
+func (q *refQueue) schedule(d Duration, fn func())      { q.after(d, fn) }
+func (q *refQueue) scheduleEventAt(t Time, fn func())   { q.at(t, fn) }
+func (q *refQueue) scheduleEvent(d Duration, fn func()) { q.after(d, fn) }
+func (q *refQueue) newOwned() owned                     { return &refOwned{q: q} }
+
+// refOwned models an embedded timer as whichever list entry its last arm
+// made.
+type refOwned struct {
+	q   *refQueue
+	cur stopper
+}
+
+func (o *refOwned) Stop() bool { return o.cur != nil && o.cur.Stop() }
+func (o *refOwned) arm(d Duration, fn func()) {
+	o.cur = o.q.after(d, fn)
+}
 
 func (q *refQueue) sort() {
 	sort.SliceStable(q.events, func(i, j int) bool {
@@ -137,6 +186,7 @@ type program struct {
 	r       *Rand
 	log     []string
 	handles []stopper
+	owned   []owned
 	next    int // next event id
 	budget  int // events the program may still schedule
 }
@@ -159,7 +209,7 @@ func (p *program) arm() {
 	if d < 0 && p.r.Intn(2) == 0 {
 		d = 0
 	}
-	switch p.r.Intn(4) {
+	switch p.r.Intn(7) {
 	case 0:
 		p.handles = append(p.handles, p.q.after(d, fn))
 	case 1:
@@ -174,6 +224,28 @@ func (p *program) arm() {
 			d = 0
 		}
 		p.q.scheduleAt(p.q.now().Add(d), fn)
+	case 4:
+		p.q.scheduleEvent(d, fn)
+	case 5:
+		if d < 0 {
+			d = 0
+		}
+		p.q.scheduleEventAt(p.q.now().Add(d), fn)
+	case 6:
+		// A caller-owned timer: a new record, or an old one armed again
+		// after a Stop that says whether it was still pending. Inside a
+		// callback the old one may be the record that is firing.
+		var o owned
+		if len(p.owned) > 0 && p.r.Intn(2) == 0 {
+			i := p.r.Intn(len(p.owned))
+			o = p.owned[i]
+			p.logf("rearm owned #%d, stop = %v", i, o.Stop())
+		} else {
+			o = p.q.newOwned()
+			p.owned = append(p.owned, o)
+			p.handles = append(p.handles, o)
+		}
+		o.arm(d, fn)
 	}
 	p.logf("arm %d +%d", id, d)
 }
@@ -292,7 +364,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 }
 
 // TestEngineAllocs pins what one event costs: the handle for At/After,
-// nothing for the handle-free calls.
+// nothing for the handle-free calls, for an event object or for a timer
+// embedded in a record the caller already has.
 func TestEngineAllocs(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -310,6 +383,22 @@ func TestEngineAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.After(10*Millisecond, nop).Stop() }); n > 1 {
 		t.Errorf("After+Stop allocates %v times, want <= 1", n)
+	}
+	obj := &objEvent{nop}
+	if n := testing.AllocsPerRun(1000, func() { e.ScheduleEvent(5, obj); e.Step() }); n != 0 {
+		t.Errorf("ScheduleEvent+Step allocates %v times, want 0", n)
+	}
+	rec := &engineOwned{e: e}
+	if n := testing.AllocsPerRun(1000, func() { rec.arm(10*Millisecond, nop); rec.Stop() }); n != 0 {
+		t.Errorf("Arm+Stop allocates %v times, want 0", n)
+	}
+}
+
+// TestEntrySize: the queue moves entries by value on every sift, so the
+// Event interface must not have grown them past the four words they were.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 32 {
+		t.Errorf("entry is %d bytes, want <= 32", n)
 	}
 }
 

@@ -26,6 +26,15 @@ func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
 // Submit enqueues a job with the given service time and schedules done at
 // its completion. It returns the completion time.
 func (s *Server) Submit(service Duration, done func()) Time {
+	if done == nil {
+		return s.SubmitEvent(service, nil)
+	}
+	return s.SubmitEvent(service, funcEvent(done))
+}
+
+// SubmitEvent is Submit for a job whose completion is an event object
+// (nil charges the service time and fires nothing).
+func (s *Server) SubmitEvent(service Duration, done Event) Time {
 	if service < 0 {
 		service = 0
 	}
@@ -40,7 +49,7 @@ func (s *Server) Submit(service Duration, done func()) Time {
 	s.prune()
 	s.finishes = append(s.finishes, finish)
 	if done != nil {
-		s.eng.ScheduleAt(finish, done)
+		s.eng.push(finish, done)
 	}
 	return finish
 }

@@ -133,6 +133,10 @@ type NIC struct {
 	// rxG tracks rx backlog depth against RxQueueBound for the overload
 	// harness's Q1 audit.
 	rxG *metrics.Gauge
+
+	// discard is the reply every one-way delivery hands its app: one
+	// shared func, so a frame nobody answers costs no closure.
+	discard func([]byte)
 }
 
 type openKey struct {
@@ -182,6 +186,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		rxTenant:        make(map[uint16]int),
 		rxG:             metrics.NewGauge(cfg.RxQueueBound),
 	}
+	n.discard = func(resp []byte) { n.transmit(nil, resp) }
 	d.Handle(msg.KindDiscoverResp, n.onDiscoverResp)
 	d.Handle(msg.KindOpenResp, n.onOpenResp)
 	d.Handle(msg.KindAllocResp, n.onAllocResp)
@@ -257,7 +262,7 @@ func (n *NIC) sortedAppIDs() []msg.AppID {
 // netsim workload generators — this is the NIC's MAC/PHY edge). reply is
 // invoked with the response after tx processing.
 func (n *NIC) Deliver(app msg.AppID, payload []byte, reply func([]byte)) {
-	n.deliver(0, false, app, payload, reply)
+	n.deliver(nil, 0, false, app, payload, reply)
 }
 
 // DeliverFrom injects a network request whose origin the edge has
@@ -266,28 +271,47 @@ func (n *NIC) Deliver(app msg.AppID, payload []byte, reply func([]byte)) {
 // the payload — and the request is charged against the tenant's rx
 // partition before the shared RxQueueBound.
 func (n *NIC) DeliverFrom(tn uint16, app msg.AppID, payload []byte, reply func([]byte)) {
-	n.deliver(tn, true, app, payload, reply)
+	n.deliver(nil, tn, true, app, payload, reply)
 }
 
-func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, reply func([]byte)) {
+// DeliverOneWay injects a frame nobody waits on an answer to (a peer
+// machine's fabric frame). It takes the same path as Deliver — rx
+// bound, rx service, the app — and an app that answers anyway still
+// pays tx time for a response that goes nowhere. d is the frame's
+// record, supplied by the caller so that one who already owns an event
+// for the frame (the fabric's network arrival embeds its Delivery) adds
+// no allocation; it must stay untouched until the frame has left the NIC.
+func (n *NIC) DeliverOneWay(d *Delivery, app msg.AppID, payload []byte) {
+	n.deliver(d, 0, false, app, payload, nil)
+}
+
+// Delivery is one network request's record on this NIC and the event of
+// each of its stages: it is queued on rx, handed to the app, and — for
+// the app's first response — queued on tx, so a request costs one record
+// however many stages it crosses.
+type Delivery struct {
+	n       *NIC
+	app     App
+	payload []byte
+	reply   func([]byte) // the client's; nil when nobody waits for the answer
+	resp    []byte
+	tn      uint16
+	stamped bool
+	stage   uint8
+}
+
+// Delivery stages.
+const (
+	stageRx  uint8 = iota // queued on the rx pipeline
+	stageApp              // with the app, which has not answered yet
+	stageTx               // carrying a response through the tx pipeline
+)
+
+func (n *NIC) deliver(d *Delivery, tn uint16, stamped bool, app msg.AppID, payload []byte, reply func([]byte)) {
 	a, ok := n.apps[app]
 	if !ok || n.dev.State() != device.StateAlive {
 		// No such app or dead NIC: the packet vanishes, as on a real wire.
 		return
-	}
-	shed := func(tenantShed bool) {
-		// Shed at the edge. A Shedder app still answers (through tx, so
-		// the refusal costs what any response costs); others see a wire
-		// drop, as on a real NIC whose ring overflows. Either way the
-		// request never consumes rx service.
-		n.RxShed++
-		if tenantShed {
-			n.TenantRxShed++
-		}
-		if s, ok := a.(Shedder); ok {
-			resp := s.ShedResponse()
-			n.tx.Submit(n.cfg.TxCost, func() { reply(resp) })
-		}
 	}
 	// Per-tenant rx partition first: a tenant at its own bound sheds
 	// regardless of shared headroom, and is attributed in the registry.
@@ -295,28 +319,77 @@ func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, re
 		if b := reg.Budget(tenant.ID(tn)); b.RxBound > 0 && n.rxTenant[tn] >= int(b.RxBound) {
 			reg.Record(n.dev.Engine().Now(), tenant.ID(tn), 0, tenant.DenyBudget,
 				fmt.Sprintf("t%d over rx partition %d", tn, b.RxBound))
-			shed(true)
+			n.TenantRxShed++
+			n.shed(a, reply)
 			return
 		}
 	}
 	if bound := n.cfg.RxQueueBound; bound > 0 && n.rx.Pending() >= bound {
 		// Rx pipeline is full: shed at the shared bound.
-		shed(false)
+		n.shed(a, reply)
 		return
 	}
 	n.rxTenant[tn]++
-	n.rx.Submit(n.cfg.RxCost, func() {
-		n.rxTenant[tn]--
-		n.NetRequests++
-		serve := a.ServeNetwork
-		if ta, isTA := a.(TenantApp); isTA && stamped {
-			serve = func(p []byte, r func([]byte)) { ta.ServeTenantNetwork(tn, p, r) }
-		}
-		serve(payload, func(resp []byte) {
-			n.tx.Submit(n.cfg.TxCost, func() { reply(resp) })
-		})
-	})
+	if d == nil {
+		d = new(Delivery)
+	}
+	*d = Delivery{n: n, app: a, payload: payload, reply: reply, tn: tn, stamped: stamped}
+	n.rx.SubmitEvent(n.cfg.RxCost, d)
 	n.rxG.Set(n.rx.Pending())
+}
+
+// shed refuses a request at the edge. A Shedder app still answers
+// (through tx, so the refusal costs what any response costs); others
+// see a wire drop, as on a real NIC whose ring overflows. Either way
+// the request never consumes rx service.
+func (n *NIC) shed(a App, reply func([]byte)) {
+	n.RxShed++
+	if s, ok := a.(Shedder); ok {
+		n.transmit(reply, s.ShedResponse())
+	}
+}
+
+// transmit charges tx processing for a response that has no Delivery
+// of its own to ride on, then hands it to reply.
+func (n *NIC) transmit(reply func([]byte), resp []byte) {
+	n.tx.SubmitEvent(n.cfg.TxCost, &Delivery{n: n, reply: reply, resp: resp, stage: stageTx})
+}
+
+// Fire runs the stage the delivery was queued for.
+func (d *Delivery) Fire() {
+	n := d.n
+	if d.stage == stageTx {
+		if d.reply != nil {
+			d.reply(d.resp)
+		}
+		return
+	}
+	n.rxTenant[d.tn]--
+	n.NetRequests++
+	d.stage = stageApp
+	reply := n.discard
+	if d.reply != nil {
+		reply = d.respond
+	}
+	if d.stamped {
+		if ta, ok := d.app.(TenantApp); ok {
+			ta.ServeTenantNetwork(d.tn, d.payload, reply)
+			return
+		}
+	}
+	d.app.ServeNetwork(d.payload, reply)
+}
+
+// respond is the reply the app is given. The first response rides the
+// delivery through tx; a later one for the same request finds the record
+// in flight (or spent) and pays for a transmission of its own.
+func (d *Delivery) respond(resp []byte) {
+	if d.stage != stageApp {
+		d.n.transmit(d.reply, resp)
+		return
+	}
+	d.stage, d.resp = stageTx, resp
+	d.n.tx.SubmitEvent(d.n.cfg.TxCost, d)
 }
 
 // Control-plane response routing.

@@ -84,7 +84,6 @@ type retrier struct {
 	n    *NIC
 	pol  RetryPolicy
 	op   string
-	dst  msg.DeviceID
 	send func() uint32 // transmit one attempt; returns the port seq
 	// onFail must unregister the pending-response callback, then surface
 	// the error to the caller.
@@ -93,9 +92,12 @@ type retrier struct {
 	timer    *sim.Timer
 	attempts int
 	started  sim.Time
-	seq      uint32 // last attempt's link-layer seq, for NACK correlation
 	lastNack string
-	done     bool
+	// The three small fields share one word: a retrier is allocated per
+	// control request, and with them apart it falls in the next size class.
+	seq  uint32 // last attempt's link-layer seq, for NACK correlation
+	dst  msg.DeviceID
+	done bool
 }
 
 func (n *NIC) newRetrier(pol RetryPolicy, op string, dst msg.DeviceID, send func() uint32) *retrier {

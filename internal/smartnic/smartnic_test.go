@@ -34,14 +34,14 @@ const (
 	nicID = msg.DeviceID(3)
 )
 
-func newMachine(t *testing.T) *machine {
+func newMachine(t testing.TB) *machine {
 	t.Helper()
 	return buildMachine(t, 0)
 }
 
 // buildMachine assembles the memctrl+SSD+NIC testbed; a non-zero
 // watchdog enables heartbeats at watchdog/4.
-func buildMachine(t *testing.T, watchdog sim.Duration) *machine {
+func buildMachine(t testing.TB, watchdog sim.Duration) *machine {
 	t.Helper()
 	m := &machine{eng: sim.NewEngine(), tr: trace.New(0)}
 	mem := physmem.MustNew(16 * 1024 * physmem.PageSize) // 64 MiB
