@@ -1,8 +1,8 @@
 # Build/verification entry points. `make check` is the one gate used
 # before merging: vet, the nocpu-lint analyzer suite, build, every test
 # under the race detector (once, in shuffled order), a short fuzz run of
-# the wire-format decoder, and the smoke run of the nested benchmark
-# module. The
+# the wire-format decoder and of the virtqueue endpoint, and the smoke run
+# of the nested benchmark module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -45,10 +45,13 @@ race:
 # Fuzz the bus wire-format decoder for 10s (regression corpus under
 # internal/msg/testdata/fuzz is always replayed by plain `go test`), then
 # the per-kind round-trip target for 5s: it builds a valid header around
-# the fuzzed body, so every kind's decoder is reached at once.
+# the fuzzed body, so every kind's decoder is reached at once. Then 5s of
+# the virtqueue endpoint's state machine against whatever a hostile
+# driver could leave in the descriptor table and the avail ring.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/msg
+	$(GO) test -run=^$$ -fuzz=FuzzEndpointRing -fuzztime=5s ./internal/virtio
 
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.
@@ -103,8 +106,8 @@ check: vet lint build race fuzz bench-smoke
 
 # Every Go benchmark in the tree at a fixed iteration count: the root
 # package's experiment benchmarks and the per-layer ones that sit next to
-# their packages (sim, msg, physmem, interconnect, smartssd, smartnic,
-# kvs, fabric).
+# their packages (sim, msg, physmem, iommu, interconnect, virtio,
+# smartssd, smartnic, kvs, fabric).
 bench:
 	$(GO) test -run=^$$ -bench . -benchmem -benchtime=100x ./...
 

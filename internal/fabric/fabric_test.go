@@ -137,6 +137,15 @@ func TestSingleMachineSoloAcks(t *testing.T) {
 
 func keyFor(i int) string { return fmt.Sprintf("fkey-%05d", i) }
 
+// keyOwnedBy returns the first test key whose primary is machine id.
+func keyOwnedBy(cl *Cluster, id msg.DeviceID) string {
+	for i := 0; ; i++ {
+		if k := keyFor(i); cl.Ring.Owners(k, nil, 1)[0] == id {
+			return k
+		}
+	}
+}
+
 // TestRemoteGetAllocs pins the whole fabric op path: a get that enters at
 // machine 1, is forwarded to its owner, served from the NIC cache there
 // and answered back. One record per hop — the client NIC's Delivery and
@@ -147,12 +156,7 @@ func keyFor(i int) string { return fmt.Sprintf("fkey-%05d", i) }
 // the two ring lookups: 16. The bound is that count and one to spare.
 func TestRemoteGetAllocs(t *testing.T) {
 	cl := mustBoot(t, Config{N: 2, Seed: 5, CacheEntries: 64, MachineMemory: 4 << 20})
-	key := ""
-	for i := 0; key == ""; i++ {
-		if k := keyFor(i); cl.Ring.Owners(k, nil, 1)[0] == 2 {
-			key = k
-		}
-	}
+	key := keyOwnedBy(cl, 2)
 	if resp := do(t, cl, 1, kvs.Request{Op: kvs.OpPut, Key: key, Value: make([]byte, 64)}); resp.Status != kvs.StatusOK {
 		t.Fatalf("put: %d", resp.Status)
 	}
@@ -172,5 +176,50 @@ func TestRemoteGetAllocs(t *testing.T) {
 	}
 	if n > 17 {
 		t.Errorf("a remote cached get allocates %v times, want <= 17", n)
+	}
+}
+
+// TestFlashOpAllocs pins the same path with the value cache off, so the
+// owner's store goes to its SSD: one virtqueue round trip per get, and per
+// put on the primary and on the backup. The queue itself costs six
+// allocations a round trip (virtio's TestRoundTripAllocs); the rest is
+// the fabric path above plus the file-op ends of the queue (the SSD's
+// per-op closures, the FileReq/FileResp codecs, the inode pages a put
+// persists). Bounds are the measured counts and one to spare.
+func TestFlashOpAllocs(t *testing.T) {
+	cl := mustBoot(t, Config{N: 2, Seed: 5, MachineMemory: 4 << 20})
+	key := keyOwnedBy(cl, 2)
+	ingress := cl.Ingress(1)
+	put := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: make([]byte, 64)})
+	get := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
+	var last []byte
+	reply := func(b []byte) { last = b }
+	run := func(req []byte) func() {
+		return func() {
+			ingress(req, reply)
+			cl.Eng.Run()
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run(put)() // reach steady state: the value's extent exists, the queues' pair records are built
+		run(get)()
+	}
+	dmas := cl.Machine(2).Sys.Fabric.Stats().DMAs
+	gets := testing.AllocsPerRun(200, run(get))
+	if resp, err := kvs.DecodeResponse(last); err != nil || resp.Status != kvs.StatusOK || len(resp.Value) != 64 {
+		t.Fatalf("get answered %+v, %v", resp, err)
+	}
+	puts := testing.AllocsPerRun(200, run(put))
+	if resp, err := kvs.DecodeResponse(last); err != nil || resp.Status != kvs.StatusOK {
+		t.Fatalf("put answered %+v, %v", resp, err)
+	}
+	if cl.Machine(2).Sys.Fabric.Stats().DMAs-dmas < 400*16 {
+		t.Fatal("the ops did not go through the owner's virtqueue")
+	}
+	if gets > 37 {
+		t.Errorf("a remote flash get allocates %v times, want <= 37", gets)
+	}
+	if puts > 105 {
+		t.Errorf("a remote flash put allocates %v times, want <= 105", puts)
 	}
 }

@@ -14,6 +14,7 @@
 package interconnect
 
 import (
+	"bytes"
 	"fmt"
 
 	"nocpu/internal/faultinject"
@@ -209,8 +210,15 @@ type Port struct {
 	// waiting holds transfers stalled on the DMA window (Costs.DMAWindow
 	// > 0), FIFO, bounded at 4× the window; overflow sheds with an
 	// OverloadError.
-	waiting []func()
+	waiting []stalledDMA
 	waitG   *metrics.Gauge
+}
+
+// stalledDMA is a translated, accounted transfer waiting for a window
+// slot, with the service time it will be charged.
+type stalledDMA struct {
+	op      *DMA
+	service sim.Duration
 }
 
 // maxFaultRetries bounds demand-paging retries per operation: a handler
@@ -239,20 +247,10 @@ func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
 // bound it is shed: submitDMA reports false and the caller delivers the
 // transfer's OverloadError, after a link latency like any other data-plane
 // failure.
-func (p *Port) submitDMA(service sim.Duration, run func()) bool {
+func (p *Port) submitDMA(service sim.Duration, op *DMA) bool {
 	w := p.fab.costs.DMAWindow
-	if w <= 0 {
-		p.busy.Submit(service, run)
-		return true
-	}
-	launch := func(svc sim.Duration, fn func()) {
-		p.busy.Submit(svc, func() {
-			fn()
-			p.drainDMA()
-		})
-	}
-	if p.busy.Pending() < w {
-		launch(service, run)
+	if w <= 0 || p.busy.Pending() < w {
+		p.busy.SubmitEvent(service, op)
 		return true
 	}
 	if len(p.waiting) >= 4*w {
@@ -260,19 +258,20 @@ func (p *Port) submitDMA(service sim.Duration, run func()) bool {
 		return false
 	}
 	p.fab.stats.DMAStalls++
-	p.waiting = append(p.waiting, func() { launch(service, run) })
+	p.waiting = append(p.waiting, stalledDMA{op: op, service: service})
 	p.waitG.Set(len(p.waiting))
 	return true
 }
 
-// drainDMA moves stalled transfers into freed window slots, FIFO.
+// drainDMA moves stalled transfers into freed window slots, FIFO. With a
+// window configured it runs after every transfer's completion.
 func (p *Port) drainDMA() {
 	w := p.fab.costs.DMAWindow
 	for len(p.waiting) > 0 && p.busy.Pending() < w {
 		next := p.waiting[0]
-		p.waiting[0] = nil
+		p.waiting[0] = stalledDMA{}
 		p.waiting = p.waiting[1:]
-		next()
+		p.busy.SubmitEvent(next.service, next.op)
 	}
 	if len(p.waiting) == 0 {
 		p.waiting = nil
@@ -297,10 +296,10 @@ func (p *Port) transferTime(n, pages, walkReads int) sim.Duration {
 	return d
 }
 
-// translateRange resolves [va, va+n) page by page, returning the physical
-// extents and the total number of walk reads.
-func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, access iommu.Access) (extents, int, error) {
-	var exts extents
+// translateRange resolves [va, va+n) page by page into exts, returning
+// the total number of walk reads.
+func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, access iommu.Access, exts *extents) (int, error) {
+	exts.n, exts.spill = 0, nil
 	walks := 0
 	remaining := n
 	cur := va
@@ -308,7 +307,7 @@ func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, acces
 		pa, reads, err := p.mmu.Translate(pasid, cur, access)
 		walks += reads
 		if err != nil {
-			return extents{}, walks, err
+			return walks, err
 		}
 		pageEnd := (uint64(cur) &^ (physmem.PageSize - 1)) + physmem.PageSize
 		chunk := int(pageEnd - uint64(cur))
@@ -319,7 +318,7 @@ func (p *Port) translateRange(pasid iommu.PASID, va iommu.VirtAddr, n int, acces
 		cur += iommu.VirtAddr(chunk)
 		remaining -= chunk
 	}
-	return exts, walks, nil
+	return walks, nil
 }
 
 type extent struct {
@@ -346,7 +345,7 @@ func (x *extents) add(e extent) {
 	x.n++
 }
 
-func (x extents) at(i int) extent {
+func (x *extents) at(i int) extent {
 	if i < len(x.inline) {
 		return x.inline[i]
 	}
@@ -372,34 +371,105 @@ func (p *Port) dispatchFault(err error, attempts int, retry func(), fail func(er
 	})
 }
 
-// Read DMAs n bytes from (pasid, va) into a fresh buffer and delivers it
-// to done. Translation faults are delivered through done's error; per §4
-// the device must handle them itself — a registered FaultHandler may
-// resolve not-present faults (demand paging) and retry transparently.
-func (p *Port) Read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byte, error)) {
-	p.read(pasid, va, n, done, 0)
+// Completion receives the end of a transfer. op is the record that was
+// issued, idle again and free to reissue from inside the call.
+type Completion interface {
+	DMADone(op *DMA, err error)
 }
 
-func (p *Port) read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byte, error), attempts int) {
-	if n < 0 {
-		panic("interconnect: negative DMA length")
+// DMA is one transfer, as a record its issuer owns: it carries the
+// translated extents, the bytes and the completion, and it is itself the
+// event the port's DMA engine fires when the transfer's service time has
+// elapsed — so issuing a transfer allocates nothing. A device embeds one
+// DMA for each transfer it can have outstanding at once (see
+// internal/virtio) and reissues it once its completion has run; issuing a
+// record that is still in flight is a model bug and panics. A DMA must not
+// be copied while pending: the engine holds its address. The zero DMA is
+// ready to issue.
+//
+// The record is kept small on purpose. What only the rare paths need — the
+// address to retry after a fault, the typed error of a lost or shed
+// transfer — lives in the closure those paths schedule, not here.
+type DMA struct {
+	port *Port
+	done Completion // nil unless pending
+	// buf is the destination of a read or the payload of a write. It is
+	// the issuer's: the port neither copies nor keeps it past completion.
+	buf   []byte
+	exts  extents
+	write bool
+}
+
+// Pending reports whether the record has been issued and its completion
+// has not yet run.
+func (op *DMA) Pending() bool { return op.done != nil }
+
+// Bytes returns the buffer the transfer was issued with: inside the
+// completion of a read that ended without error, the bytes read. The record
+// lets go of the buffer when its completion returns.
+func (op *DMA) Bytes() []byte { return op.buf }
+
+// ReadOp DMAs len(buf) bytes from (pasid, va) into buf and then calls
+// done.DMADone(op, err). Translation faults arrive as done's error; per §4
+// the device must handle them itself — a registered FaultHandler may
+// resolve not-present faults (demand paging) and retry transparently. buf
+// belongs to the transfer until done runs.
+func (p *Port) ReadOp(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, buf []byte, done Completion) {
+	p.issue(op, pasid, va, buf, false, done)
+}
+
+// WriteOp DMAs data to (pasid, va) and calls done.DMADone(op, err) when
+// the write is visible in memory. data is not copied: it must stay
+// unmodified until done runs (Port.Write captures a copy for callers that
+// cannot promise that). Not-present faults may be resolved by the
+// FaultHandler as in ReadOp.
+func (p *Port) WriteOp(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, data []byte, done Completion) {
+	p.issue(op, pasid, va, data, true, done)
+}
+
+func (p *Port) issue(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, buf []byte, write bool, done Completion) {
+	if op.done != nil {
+		panic("interconnect: DMA record reused while in flight")
 	}
-	exts, walks, err := p.translateRange(pasid, va, n, iommu.AccessRead)
+	if done == nil {
+		panic("interconnect: DMA without a completion")
+	}
+	op.port, op.done, op.buf, op.write = p, done, buf, write
+	p.start(op, pasid, va, 0)
+}
+
+// opName names the transfer in typed errors.
+func (op *DMA) opName() string {
+	if op.write {
+		return "DMA write"
+	}
+	return "DMA read"
+}
+
+// start translates, judges and queues a pending transfer; a resolved
+// fault re-enters it with attempts+1.
+func (p *Port) start(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, attempts int) {
+	n := len(op.buf)
+	access := iommu.AccessRead
+	if op.write {
+		access = iommu.AccessWrite
+	}
+	walks, err := p.translateRange(pasid, va, n, access, &op.exts)
 	if err != nil {
 		p.dispatchFault(err, attempts,
-			func() { p.read(pasid, va, n, done, attempts+1) },
-			func(err error) { done(nil, err) })
+			func() { p.start(op, pasid, va, attempts+1) },
+			op.finish)
 		return
 	}
 	d := p.fab.plane.Filter(faultinject.LayerLink, p.fab.eng.Now(), 0, 0, msg.KindInvalid)
 	if d.Op == faultinject.Drop {
 		// The transfer is lost on the link; surface a typed error after
 		// the propagation delay — §4: devices handle their own errors.
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(nil, &InjectedError{Op: "DMA read"}) })
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { op.finish(&InjectedError{Op: op.opName()}) })
 		return
 	}
 	wait := p.busy.Delay()
-	service := p.transferTime(n, exts.n, walks)
+	service := p.transferTime(n, op.exts.n, walks)
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		service += d.Delay
 	}
@@ -412,90 +482,91 @@ func (p *Port) read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byt
 		// is identical, so only the cost is observable.
 		p.busy.Submit(service, func() {})
 	}
-	admitted := p.submitDMA(service, func() {
-		buf := make([]byte, n)
-		off := 0
-		for i := 0; i < exts.n; i++ {
-			e := exts.at(i)
-			if err := p.fab.mem.ReadInto(e.pa, buf[off:off+e.n]); err != nil {
-				done(nil, err)
-				return
-			}
-			off += e.n
+	if !p.submitDMA(service, op) {
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { op.finish(&OverloadError{Op: op.opName()}) })
+	}
+}
+
+// Fire is the DMA engine finishing the transfer: the bytes move, the
+// completion runs, and with a window configured the port admits what was
+// stalled behind this transfer.
+func (op *DMA) Fire() {
+	p := op.port
+	op.finish(op.move())
+	if p.fab.costs.DMAWindow > 0 {
+		p.drainDMA()
+	}
+}
+
+// move copies between buf and the translated extents.
+func (op *DMA) move() error {
+	mem := op.port.fab.mem
+	off := 0
+	for i := 0; i < op.exts.n; i++ {
+		e := op.exts.at(i)
+		var err error
+		if op.write {
+			err = mem.Write(e.pa, op.buf[off:off+e.n])
+		} else {
+			err = mem.ReadInto(e.pa, op.buf[off:off+e.n])
 		}
-		done(buf, nil)
-	})
-	if !admitted {
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(nil, &OverloadError{Op: "DMA read"}) })
-	}
-}
-
-// Write DMAs data to (pasid, va) and calls done when the write is visible
-// in memory. Not-present faults may be resolved by the FaultHandler as in
-// Read.
-func (p *Port) Write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done func(error)) {
-	p.write(pasid, va, data, done, 0)
-}
-
-func (p *Port) write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done func(error), attempts int) {
-	exts, walks, err := p.translateRange(pasid, va, len(data), iommu.AccessWrite)
-	if err != nil {
-		p.dispatchFault(err, attempts,
-			func() { p.write(pasid, va, data, done, attempts+1) },
-			done)
-		return
-	}
-	d := p.fab.plane.Filter(faultinject.LayerLink, p.fab.eng.Now(), 0, 0, msg.KindInvalid)
-	if d.Op == faultinject.Drop {
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(&InjectedError{Op: "DMA write"}) })
-		return
-	}
-	wait := p.busy.Delay()
-	service := p.transferTime(len(data), exts.n, walks)
-	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
-		service += d.Delay
-	}
-	p.fab.stats.DMAs++
-	p.fab.stats.BytesMoved += uint64(len(data))
-	p.fab.stats.TotalDMATime += service
-	p.fab.stats.TotalWaitTime += wait
-	if d.Op == faultinject.Dup {
-		p.busy.Submit(service, func() {})
-	}
-	// Capture the payload now: the caller may reuse its buffer.
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	admitted := p.submitDMA(service, func() {
-		off := 0
-		for i := 0; i < exts.n; i++ {
-			e := exts.at(i)
-			if err := p.fab.mem.Write(e.pa, payload[off:off+e.n]); err != nil {
-				done(err)
-				return
-			}
-			off += e.n
-		}
-		done(nil)
-	})
-	if !admitted {
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { done(&OverloadError{Op: "DMA write"}) })
-	}
-}
-
-// ReadU16 is a convenience single-field DMA read (ring indices).
-func (p *Port) ReadU16(pasid iommu.PASID, va iommu.VirtAddr, done func(uint16, error)) {
-	p.Read(pasid, va, 2, func(b []byte, err error) {
 		if err != nil {
-			done(0, err)
-			return
+			return err
 		}
-		done(uint16(b[0])|uint16(b[1])<<8, nil)
-	})
+		off += e.n
+	}
+	return nil
 }
 
-// WriteU16 is a convenience single-field DMA write.
-func (p *Port) WriteU16(pasid iommu.PASID, va iommu.VirtAddr, v uint16, done func(error)) {
-	p.Write(pasid, va, []byte{byte(v), byte(v >> 8)}, done)
+// finish makes the record idle and runs its completion, which may reissue
+// it. A record left idle drops its buffer: a long-lived record must not pin
+// the last payload it carried.
+func (op *DMA) finish(err error) {
+	done := op.done
+	op.done = nil
+	done.DMADone(op, err)
+	if op.done == nil {
+		op.buf = nil
+	}
+}
+
+// readCall and writeCall adapt the callback forms to a record of their
+// own.
+type readCall struct {
+	DMA
+	done func([]byte, error)
+}
+
+func (c *readCall) DMADone(op *DMA, err error) {
+	if err != nil {
+		c.done(nil, err)
+		return
+	}
+	c.done(op.buf, nil)
+}
+
+type writeCall struct {
+	DMA
+	done func(error)
+}
+
+func (c *writeCall) DMADone(_ *DMA, err error) { c.done(err) }
+
+// Read is ReadOp for callers without a record of their own: it DMAs n
+// bytes from (pasid, va) into a fresh buffer and delivers it to done.
+func (p *Port) Read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byte, error)) {
+	if n < 0 {
+		panic("interconnect: negative DMA length")
+	}
+	c := &readCall{done: done}
+	p.ReadOp(&c.DMA, pasid, va, make([]byte, n), c)
+}
+
+// Write is WriteOp for callers without a record of their own. The payload
+// is captured now: the caller may reuse its buffer.
+func (p *Port) Write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done func(error)) {
+	c := &writeCall{done: done}
+	p.WriteOp(&c.DMA, pasid, va, bytes.Clone(data), c)
 }
 
 // Name returns the port's device name (for diagnostics).

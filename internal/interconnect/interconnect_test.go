@@ -275,22 +275,6 @@ func TestDMASpansManyPages(t *testing.T) {
 	}
 }
 
-func TestU16Helpers(t *testing.T) {
-	r := newRig(t, DefaultCosts)
-	r.mapPage(t, 1, 0x1000, iommu.PermRW)
-	var got uint16
-	r.port.WriteU16(1, 0x1000+8, 0xbeef, func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		r.port.ReadU16(1, 0x1000+8, func(v uint16, err error) { got = v })
-	})
-	r.eng.Run()
-	if got != 0xbeef {
-		t.Errorf("u16 round trip = %#x", got)
-	}
-}
-
 func TestWriteBufferReuseSafe(t *testing.T) {
 	r := newRig(t, DefaultCosts)
 	r.mapPage(t, 1, 0x1000, iommu.PermRW)

@@ -1,8 +1,9 @@
 package virtio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"nocpu/internal/interconnect"
 	"nocpu/internal/iommu"
@@ -41,7 +42,11 @@ type Driver struct {
 	availIdx  uint16 // next avail index to publish
 	usedSeen  uint16 // next used index to reap
 
-	pending map[uint16]func([]byte, error) // head -> completion
+	// pairs holds each descriptor pair's record at head/2, built on the
+	// pair's first use and kept for the life of the ring: state shaped
+	// like the descriptor table, not a pool.
+	pairs    []*driverPair
+	inflight int // pairs with a completion outstanding
 
 	// KickBatch publishes a doorbell only every N submissions (E9
 	// ablation). Flush() forces one.
@@ -57,12 +62,55 @@ type Driver struct {
 	// revoke, corrupt rings). After it fires the queue is dead.
 	OnError func(error)
 	dead    bool
-	reaping bool
-	// failIfErr is the completion of every DMA write whose success needs
-	// no action; built once, not per write.
-	failIfErr func(error)
+
+	// The reap loop runs one step at a time, so it is one DMA record and
+	// the stage that record is in: used index, then per entry the used
+	// element and (when it has a response) the response cell.
+	reaping  bool
+	reapDMA  interconnect.DMA
+	reapAt   reapStage
+	reapTo   uint16      // used index being consumed up to
+	reapPair *driverPair // reapResp: whose response cell is being read
+	// reapBuf receives the index and the element; they are decoded inside
+	// the completion, before the record is reissued.
+	reapBuf [usedElemSize]byte
 
 	stats DriverStats
+}
+
+type reapStage uint8
+
+const (
+	reapIdx reapStage = iota
+	reapElem
+	reapResp
+)
+
+// driverPair is everything one descriptor pair has in flight on the
+// driver's side: the request's completion and the four publication
+// writes with the ring bytes they carry. The port serializes DMAs FIFO,
+// so the avail-index store lands after the payload, descriptors and ring
+// slot — the VIRTIO publication ordering contract — and the endpoint
+// cannot see, let alone return, the chain before all four have completed.
+// That is what makes one record per pair safe to reuse: a used entry for
+// a pair with a write still outstanding can only come from a corrupt ring
+// and fails the queue.
+//
+// The contract assumes ring and cell pages are mapped before the queue
+// runs (connection setup maps the whole shared region): a write that took
+// the port's fault-retry path leaves the FIFO and can land after the index
+// behind it. Then the peer reads a chain that is not there yet, and a used
+// entry that overtakes the straggler is refused here like any other — the
+// queue fails, it does not panic.
+type driverPair struct {
+	d    *Driver
+	head uint16
+	// cb is the request's completion; nil when none is outstanding.
+	cb func(resp []byte, err error)
+
+	cellW, descW, slotW, idxW interconnect.DMA
+	descs                     [2 * descSize]byte
+	slot, idx                 [2]byte
 }
 
 // NewDriver builds the requester half over an established layout and
@@ -76,16 +124,11 @@ func NewDriver(port *interconnect.Port, pasid iommu.PASID, lay Layout, reqBell i
 		pasid:     pasid,
 		lay:       lay,
 		reqBell:   reqBell,
-		pending:   make(map[uint16]func([]byte, error)),
+		pairs:     make([]*driverPair, lay.Entries/2),
 		KickBatch: 1,
 	}
 	for i := uint16(0); i < lay.Entries; i += 2 {
 		d.freePairs = append(d.freePairs, i)
-	}
-	d.failIfErr = func(err error) {
-		if err != nil {
-			d.fail(err)
-		}
 	}
 	d.RespBell = port.Fabric().AllocDoorbell(func(uint64) { d.reap() })
 	return d, nil
@@ -107,23 +150,23 @@ func (d *Driver) Capacity() int { return int(d.lay.Entries) / 2 }
 func (d *Driver) CellSize() int { return d.lay.CellSize }
 
 // InFlight returns the number of outstanding requests.
-func (d *Driver) InFlight() int { return len(d.pending) }
+func (d *Driver) InFlight() int { return d.inflight }
 
-// fail kills the queue and fails every outstanding request.
+// fail kills the queue and fails every outstanding request, in ascending
+// head order.
 func (d *Driver) fail(err error) {
 	if d.dead {
 		return
 	}
 	d.dead = true
 	d.stats.Errors++
-	heads := make([]uint16, 0, len(d.pending))
-	for head := range d.pending {
-		heads = append(heads, head)
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	for _, head := range heads {
-		cb := d.pending[head]
-		delete(d.pending, head)
+	for _, s := range d.pairs {
+		if s == nil || s.cb == nil {
+			continue
+		}
+		cb := s.cb
+		s.cb = nil
+		d.inflight--
 		cb(nil, fmt.Errorf("virtio: queue failed: %w", err))
 	}
 	if d.OnError != nil {
@@ -148,7 +191,12 @@ func (d *Driver) Quiesce() {
 		return
 	}
 	d.dead = true
-	d.pending = make(map[uint16]func([]byte, error))
+	for _, s := range d.pairs {
+		if s != nil {
+			s.cb = nil
+		}
+	}
+	d.inflight = 0
 	if d.flushTimer != nil {
 		d.flushTimer.Stop()
 		d.flushTimer = nil
@@ -156,10 +204,21 @@ func (d *Driver) Quiesce() {
 	d.port.Fabric().UnregisterDoorbell(d.RespBell)
 }
 
+// pair returns head's record, building it on first use.
+func (d *Driver) pair(head uint16) *driverPair {
+	s := d.pairs[head/2]
+	if s == nil {
+		s = &driverPair{d: d, head: head}
+		d.pairs[head/2] = s
+	}
+	return s
+}
+
 // Submit posts one request. The response buffer is the pair's second
-// cell; done receives the endpoint's response bytes. Submit returns an
-// error synchronously when the request cannot be posted (queue full,
-// oversized request, dead queue) — nothing is in flight in that case.
+// cell; done receives the endpoint's response bytes in a buffer it owns.
+// req is copied before Submit returns. Submit returns an error
+// synchronously when the request cannot be posted (queue full, oversized
+// request, dead queue) — nothing is in flight in that case.
 func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
 	if d.dead {
 		return fmt.Errorf("virtio: submit on dead queue")
@@ -168,52 +227,66 @@ func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
 		return fmt.Errorf("virtio: request of %d bytes exceeds cell size %d", len(req), d.lay.CellSize)
 	}
 	if len(d.freePairs) == 0 {
-		return fmt.Errorf("virtio: queue full (%d in flight)", len(d.pending))
+		return fmt.Errorf("virtio: queue full (%d in flight)", d.inflight)
 	}
 	head := d.freePairs[len(d.freePairs)-1]
 	d.freePairs = d.freePairs[:len(d.freePairs)-1]
 	tail := head + 1
-	d.pending[head] = done
+	s := d.pair(head)
+	s.cb = done
+	d.inflight++
 	d.stats.Submitted++
 
 	slot := d.availIdx % d.lay.Entries
 	idx := d.availIdx + 1
 	d.availIdx = idx
 
-	// The port serializes DMAs FIFO, so the avail-index store is
-	// guaranteed to land after the payload, descriptors and ring slot —
-	// the VIRTIO publication ordering contract.
-	d.port.Write(d.pasid, d.lay.cellVA(head), req, d.failIfErr)
-	descs := append(
-		encodeDesc(desc{Addr: uint64(d.lay.cellVA(head)), Len: uint32(len(req)), Flags: flagNext, Next: tail}),
-		encodeDesc(desc{Addr: uint64(d.lay.cellVA(tail)), Len: uint32(d.lay.CellSize), Flags: flagWrite})...)
-	d.port.Write(d.pasid, d.lay.descVA(head), descs, d.failIfErr)
-	var slotBytes [2]byte
-	slotBytes[0], slotBytes[1] = byte(head), byte(head>>8)
-	d.port.Write(d.pasid, d.lay.availRingVA(slot), slotBytes[:], d.failIfErr)
-	d.port.WriteU16(d.pasid, d.lay.availIdxVA(), idx, func(err error) {
-		if err != nil {
-			d.fail(err)
-			return
-		}
-		d.unkicked++
-		if d.KickBatch <= 1 || d.unkicked >= d.KickBatch {
-			d.Flush()
-			return
-		}
-		// Partial batch: arm the flush timer so requests cannot strand.
-		if d.flushTimer == nil {
-			after := d.FlushAfter
-			if after <= 0 {
-				after = 10 * sim.Microsecond
-			}
-			d.flushTimer = d.port.Fabric().Engine().After(after, func() {
-				d.flushTimer = nil
-				d.Flush()
-			})
-		}
-	})
+	// Payload, descriptors, ring slot, then avail index, FIFO on one port
+	// (see driverPair).
+	d.port.WriteOp(&s.cellW, d.pasid, d.lay.cellVA(head), bytes.Clone(req), s)
+	putDesc(s.descs[:descSize], desc{Addr: uint64(d.lay.cellVA(head)), Len: uint32(len(req)), Flags: flagNext, Next: tail})
+	putDesc(s.descs[descSize:], desc{Addr: uint64(d.lay.cellVA(tail)), Len: uint32(d.lay.CellSize), Flags: flagWrite})
+	d.port.WriteOp(&s.descW, d.pasid, d.lay.descVA(head), s.descs[:], s)
+	binary.LittleEndian.PutUint16(s.slot[:], head)
+	d.port.WriteOp(&s.slotW, d.pasid, d.lay.availRingVA(slot), s.slot[:], s)
+	binary.LittleEndian.PutUint16(s.idx[:], idx)
+	d.port.WriteOp(&s.idxW, d.pasid, d.lay.availIdxVA(), s.idx[:], s)
 	return nil
+}
+
+// publishing reports whether any of the pair's publication writes is still
+// on the port.
+func (s *driverPair) publishing() bool {
+	return s.cellW.Pending() || s.descW.Pending() || s.slotW.Pending() || s.idxW.Pending()
+}
+
+// DMADone is the completion of each of the pair's publication writes;
+// only the avail-index store has anything to do on success.
+func (s *driverPair) DMADone(op *interconnect.DMA, err error) {
+	d := s.d
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	if op != &s.idxW {
+		return
+	}
+	d.unkicked++
+	if d.KickBatch <= 1 || d.unkicked >= d.KickBatch {
+		d.Flush()
+		return
+	}
+	// Partial batch: arm the flush timer so requests cannot strand.
+	if d.flushTimer == nil {
+		after := d.FlushAfter
+		if after <= 0 {
+			after = 10 * sim.Microsecond
+		}
+		d.flushTimer = d.port.Fabric().Engine().After(after, func() {
+			d.flushTimer = nil
+			d.Flush()
+		})
+	}
 }
 
 // Flush rings the endpoint's doorbell if there are unannounced requests.
@@ -236,65 +309,90 @@ func (d *Driver) reap() {
 		return
 	}
 	d.reaping = true
-	d.reapStep()
+	d.readUsedIdx()
 }
 
-func (d *Driver) reapStep() {
-	d.port.ReadU16(d.pasid, d.lay.usedIdxVA(), func(idx uint16, err error) {
-		if err != nil {
-			d.reaping = false
-			d.fail(err)
-			return
-		}
+func (d *Driver) readUsedIdx() {
+	d.reapAt = reapIdx
+	d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.usedIdxVA(), d.reapBuf[:2], d)
+}
+
+// consumeUsed processes used entries up to reapTo, one at a time, then
+// re-reads the index.
+func (d *Driver) consumeUsed() {
+	if d.usedSeen == d.reapTo {
+		d.readUsedIdx()
+		return
+	}
+	slot := d.usedSeen % d.lay.Entries
+	d.reapAt = reapElem
+	d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.usedRingVA(slot), d.reapBuf[:], d)
+}
+
+// DMADone is the reap loop's next step: the completion of reapDMA in
+// whatever stage it was issued for.
+func (d *Driver) DMADone(op *interconnect.DMA, err error) {
+	if err != nil {
+		d.reaping = false
+		d.fail(err)
+		return
+	}
+	switch d.reapAt {
+	case reapIdx:
+		idx := binary.LittleEndian.Uint16(d.reapBuf[:])
 		if idx == d.usedSeen {
 			d.reaping = false
 			return
 		}
-		d.consumeUsed(idx)
-	})
-}
-
-// consumeUsed processes used entries up to idx, one at a time, then
-// re-reads the index.
-func (d *Driver) consumeUsed(idx uint16) {
-	if d.usedSeen == idx {
-		d.reapStep()
-		return
-	}
-	slot := d.usedSeen % d.lay.Entries
-	d.port.Read(d.pasid, d.lay.usedRingVA(slot), 8, func(b []byte, err error) {
-		if err != nil {
-			d.reaping = false
-			d.fail(err)
-			return
-		}
-		id, respLen := decodeUsedElem(b)
+		d.reapTo = idx
+		d.consumeUsed()
+	case reapElem:
+		id, respLen := decodeUsedElem(d.reapBuf[:])
 		head := uint16(id)
-		cb, ok := d.pending[head]
-		if !ok || head%2 != 0 || respLen > uint32(d.lay.CellSize) {
+		var s *driverPair
+		if head < d.lay.Entries && head%2 == 0 {
+			s = d.pairs[head/2]
+		}
+		// A used entry is believed only for a pair that has a request
+		// outstanding and nothing of its publication still in flight:
+		// these bytes are the peer's, and they must not be able to free a
+		// record the port still holds.
+		if s == nil || s.cb == nil || s.publishing() || respLen > uint32(d.lay.CellSize) {
 			d.reaping = false
 			d.fail(fmt.Errorf("virtio: corrupt used entry id=%d len=%d", id, respLen))
 			return
 		}
 		d.usedSeen++
-		finish := func(resp []byte) {
-			delete(d.pending, head)
-			d.freePairs = append(d.freePairs, head)
-			d.stats.Completed++
-			cb(resp, nil)
-			d.consumeUsed(idx)
-		}
 		if respLen == 0 {
-			finish(nil)
+			d.finish(s, nil)
 			return
 		}
-		d.port.Read(d.pasid, d.lay.cellVA(head+1), int(respLen), func(resp []byte, err error) {
-			if err != nil {
-				d.reaping = false
-				d.fail(err)
-				return
-			}
-			finish(resp)
-		})
-	})
+		d.reapPair = s
+		d.reapAt = reapResp
+		d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.cellVA(head+1), make([]byte, respLen), d)
+	case reapResp:
+		s := d.reapPair
+		if s.cb == nil {
+			// Quiesce or fail took the request while its response was on the
+			// port (a reset cancels no DMA): the pair is already accounted
+			// for, and nothing may fire.
+			d.reaping = false
+			return
+		}
+		// The response buffer was made for this request and is handed to
+		// its completion; the record keeps no claim on it.
+		d.finish(s, op.Bytes())
+	}
+}
+
+// finish frees the pair, completes its request and moves on to the next
+// used entry. The completion may Submit, and may get this same pair.
+func (d *Driver) finish(s *driverPair, resp []byte) {
+	cb := s.cb
+	s.cb = nil
+	d.inflight--
+	d.freePairs = append(d.freePairs, s.head)
+	d.stats.Completed++
+	cb(resp, nil)
+	d.consumeUsed()
 }

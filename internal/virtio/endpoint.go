@@ -1,6 +1,8 @@
 package virtio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/interconnect"
@@ -39,6 +41,10 @@ type Endpoint struct {
 	availSeen uint16
 	usedIdx   uint16
 
+	// pairs holds each descriptor pair's record at head/2, built when the
+	// driver first publishes the pair and kept for the life of the ring.
+	pairs []*endpointPair
+
 	// MaxInflight bounds concurrently processed requests (the device's
 	// internal parallelism).
 	MaxInflight int
@@ -52,10 +58,67 @@ type Endpoint struct {
 	// OnError receives transport-level failures; the queue is dead after.
 	OnError func(error)
 	dead    bool
-	polling bool
+
+	// The poll loop takes one available entry at a time, so it is one DMA
+	// record and the stage that record is in: avail index, then per entry
+	// the ring slot, the descriptor chain and the request cell.
+	polling  bool
+	pollDMA  interconnect.DMA
+	pollAt   pollStage
+	pollPair *endpointPair // pollDescs, pollReq: the pair being taken
+	// pollBuf receives the index, the slot and the chain; they are
+	// decoded inside the completion, before the record is reissued.
+	pollBuf [2 * descSize]byte
 
 	stats EndpointStats
 }
+
+type pollStage uint8
+
+const (
+	pollIdx pollStage = iota
+	pollSlot
+	pollDescs
+	pollReq
+)
+
+// endpointPair is everything one descriptor pair has in flight on the
+// endpoint's side, from the moment its head is taken off the available
+// ring until its used index is visible: the response descriptor, the
+// handler's done, and the response, used-element and used-index writes
+// with the ring bytes they carry. The driver reuses a pair only after
+// reaping its used entry, which it cannot see before the used-index write
+// has completed, so a head that arrives while its record is busy can only
+// come from a corrupt ring and fails the queue.
+//
+// As on the driver's side, the order of the three writes is the port's
+// FIFO and assumes mapped ring pages. A used element that took the
+// fault-retry path can land after the index behind it; the record then
+// stays busy (pairPublished) until the straggler is off the port.
+type endpointPair struct {
+	e     *Endpoint
+	head  uint16
+	state pairState
+	dresp desc
+	// done is what the handler is given. It is s.complete, taken once
+	// when the record is built: a method value taken per request would
+	// allocate per request.
+	done func(resp []byte)
+
+	respW, elemW, idxW interconnect.DMA
+	elem               [usedElemSize]byte
+	idx                [2]byte
+}
+
+type pairState uint8
+
+const (
+	pairFree       pairState = iota
+	pairTaken                // head accepted; chain and request being read
+	pairHandling             // the handler has the request and done
+	pairCompleting           // handler done; response and used entry on their way
+	pairPublished            // used index visible, used element still on the port
+)
 
 // NewEndpoint builds the provider half. The layout and respBell arrive
 // from the driver's ConnectReq.
@@ -72,6 +135,7 @@ func NewEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBel
 		lay:         lay,
 		respBell:    respBell,
 		handler:     h,
+		pairs:       make([]*endpointPair, lay.Entries/2),
 		MaxInflight: 64,
 		NotifyBatch: 1,
 	}
@@ -116,118 +180,162 @@ func (e *Endpoint) pollStep() {
 		e.polling = false
 		return
 	}
-	e.port.ReadU16(e.pasid, e.lay.availIdxVA(), func(idx uint16, err error) {
-		if err != nil {
-			e.polling = false
-			e.fail(err)
-			return
-		}
-		if idx == e.availSeen {
+	e.pollAt = pollIdx
+	e.port.ReadOp(&e.pollDMA, e.pasid, e.lay.availIdxVA(), e.pollBuf[:2], e)
+}
+
+// stopPoll ends the poll loop on a transport error or a corrupt ring.
+func (e *Endpoint) stopPoll(err error) {
+	e.polling = false
+	e.fail(err)
+}
+
+// DMADone is the poll loop's next step: the completion of pollDMA in
+// whatever stage it was issued for. One available entry is consumed per
+// pass; its handler is dispatched without being waited for.
+func (e *Endpoint) DMADone(op *interconnect.DMA, err error) {
+	if err != nil {
+		e.stopPoll(err)
+		return
+	}
+	switch e.pollAt {
+	case pollIdx:
+		if binary.LittleEndian.Uint16(e.pollBuf[:]) == e.availSeen {
 			// Idle: flush any batched notifications so the driver is
 			// never left waiting on a partial batch.
 			e.polling = false
 			e.flushNotify()
 			return
 		}
-		e.processSlot()
-	})
-}
-
-// processSlot consumes one available entry, dispatches the handler
-// without waiting for it, and continues the loop.
-func (e *Endpoint) processSlot() {
-	slot := e.availSeen % e.lay.Entries
-	e.availSeen++
-	e.port.ReadU16(e.pasid, e.lay.availRingVA(slot), func(head uint16, err error) {
-		if err != nil {
-			e.polling = false
-			e.fail(err)
-			return
-		}
+		slot := e.availSeen % e.lay.Entries
+		e.availSeen++
+		e.pollAt = pollSlot
+		e.port.ReadOp(&e.pollDMA, e.pasid, e.lay.availRingVA(slot), e.pollBuf[:2], e)
+	case pollSlot:
+		head := binary.LittleEndian.Uint16(e.pollBuf[:])
 		if head >= e.lay.Entries {
-			e.polling = false
-			e.fail(fmt.Errorf("virtio: avail entry %d out of range", head))
+			e.stopPoll(fmt.Errorf("virtio: avail entry %d out of range", head))
 			return
 		}
+		// A head is taken only if it starts a pair and that pair's record
+		// is free: these bytes are the peer's, and they must not be able
+		// to hand out a record the port or a handler still holds.
+		var s *endpointPair
+		if head%2 == 0 {
+			s = e.pair(head)
+		}
+		if s == nil || s.state != pairFree {
+			e.stopPoll(fmt.Errorf("virtio: corrupt avail entry %d (not a free pair)", head))
+			return
+		}
+		s.state = pairTaken
+		e.pollPair = s
 		// Read the two-descriptor chain in one DMA (pairs are adjacent).
-		e.port.Read(e.pasid, e.lay.descVA(head), 2*descSize, func(b []byte, err error) {
-			if err != nil {
-				e.polling = false
-				e.fail(err)
-				return
-			}
-			dreq := decodeDesc(b[:descSize])
-			dresp := decodeDesc(b[descSize:])
-			if dreq.Flags&flagNext == 0 || dresp.Flags&flagWrite == 0 || int(dreq.Len) > e.lay.CellSize {
-				e.polling = false
-				e.fail(fmt.Errorf("virtio: corrupt descriptor chain at %d", head))
-				return
-			}
-			e.port.Read(e.pasid, iommu.VirtAddr(dreq.Addr), int(dreq.Len), func(req []byte, err error) {
-				if err != nil {
-					e.polling = false
-					e.fail(err)
-					return
-				}
-				e.inflight++
-				dispatched := false
-				e.handler(req, func(resp []byte) {
-					if dispatched {
-						panic("virtio: handler completed twice")
-					}
-					dispatched = true
-					e.complete(head, dresp, resp)
-				})
-				// Keep draining while the handler runs.
-				e.pollStep()
-			})
-		})
-	})
+		e.pollAt = pollDescs
+		e.port.ReadOp(&e.pollDMA, e.pasid, e.lay.descVA(head), e.pollBuf[:], e)
+	case pollDescs:
+		dreq := decodeDesc(e.pollBuf[:descSize])
+		dresp := decodeDesc(e.pollBuf[descSize:])
+		if dreq.Flags&flagNext == 0 || dresp.Flags&flagWrite == 0 || int(dreq.Len) > e.lay.CellSize {
+			e.stopPoll(fmt.Errorf("virtio: corrupt descriptor chain at %d", e.pollPair.head))
+			return
+		}
+		e.pollPair.dresp = dresp
+		// The request gets a buffer of its own: the handler may keep it.
+		e.pollAt = pollReq
+		e.port.ReadOp(&e.pollDMA, e.pasid, iommu.VirtAddr(dreq.Addr), make([]byte, dreq.Len), e)
+	case pollReq:
+		s := e.pollPair
+		s.state = pairHandling
+		e.inflight++
+		e.handler(op.Bytes(), s.done)
+		// Keep draining while the handler runs.
+		e.pollStep()
+	}
 }
 
-// complete writes the response and publishes the used entry.
-func (e *Endpoint) complete(head uint16, dresp desc, resp []byte) {
+// pair returns head's record, building it on first use.
+func (e *Endpoint) pair(head uint16) *endpointPair {
+	s := e.pairs[head/2]
+	if s == nil {
+		s = &endpointPair{e: e, head: head}
+		s.done = s.complete
+		e.pairs[head/2] = s
+	}
+	return s
+}
+
+// complete is the handler's done: it writes the response and publishes
+// the used entry. resp is copied before complete returns.
+//
+// done is one func for every generation of the pair, so a second call is
+// caught by state alone: it panics unless the pair has meanwhile been
+// published again and handed to a handler that has not completed yet — in
+// that window a stale done is taken for the new request's. Closing it
+// would need a done bound to the request, which is an allocation per
+// request.
+func (s *endpointPair) complete(resp []byte) {
+	if s.state != pairHandling {
+		panic("virtio: handler completed twice")
+	}
+	s.state = pairCompleting
+	e := s.e
 	if e.dead {
 		return
 	}
-	if len(resp) > int(dresp.Len) {
-		resp = resp[:dresp.Len]
+	if len(resp) > int(s.dresp.Len) {
+		resp = resp[:s.dresp.Len]
 	}
-	publish := func() {
-		slot := e.usedIdx % e.lay.Entries
-		idx := e.usedIdx + 1
-		e.usedIdx = idx
-		e.port.Write(e.pasid, e.lay.usedRingVA(slot), encodeUsedElem(uint32(head), uint32(len(resp))), func(err error) {
-			if err != nil {
-				e.fail(err)
-			}
-		})
-		e.port.WriteU16(e.pasid, e.lay.usedIdxVA(), idx, func(err error) {
-			if err != nil {
-				e.fail(err)
-				return
-			}
-			e.stats.Processed++
-			e.inflight--
-			e.unnotified++
-			if e.NotifyBatch <= 1 || e.unnotified >= e.NotifyBatch {
-				e.flushNotify()
-			}
-			// Capacity freed: resume the poll loop if it parked.
-			e.Kick()
-		})
-	}
+	putUsedElem(s.elem[:], uint32(s.head), uint32(len(resp)))
 	if len(resp) == 0 {
-		publish()
+		s.publish()
 		return
 	}
-	e.port.Write(e.pasid, iommu.VirtAddr(dresp.Addr), resp, func(err error) {
-		if err != nil {
-			e.fail(err)
-			return
+	e.port.WriteOp(&s.respW, e.pasid, iommu.VirtAddr(s.dresp.Addr), bytes.Clone(resp), s)
+}
+
+// publish writes the used element, then the used index behind it.
+func (s *endpointPair) publish() {
+	e := s.e
+	slot := e.usedIdx % e.lay.Entries
+	idx := e.usedIdx + 1
+	e.usedIdx = idx
+	e.port.WriteOp(&s.elemW, e.pasid, e.lay.usedRingVA(slot), s.elem[:], s)
+	binary.LittleEndian.PutUint16(s.idx[:], idx)
+	e.port.WriteOp(&s.idxW, e.pasid, e.lay.usedIdxVA(), s.idx[:], s)
+}
+
+// DMADone is the completion of each of the pair's three writes.
+func (s *endpointPair) DMADone(op *interconnect.DMA, err error) {
+	e := s.e
+	if err != nil {
+		e.fail(err)
+		return
+	}
+	switch op {
+	case &s.respW:
+		s.publish()
+	case &s.elemW:
+		if s.state == pairPublished {
+			s.state = pairFree
 		}
-		publish()
-	})
+	case &s.idxW:
+		// The used entry is visible: the driver may publish this pair
+		// again, so the record is free from here — unless the element
+		// fell behind the index (see endpointPair).
+		s.state = pairFree
+		if s.elemW.Pending() {
+			s.state = pairPublished
+		}
+		e.stats.Processed++
+		e.inflight--
+		e.unnotified++
+		if e.NotifyBatch <= 1 || e.unnotified >= e.NotifyBatch {
+			e.flushNotify()
+		}
+		// Capacity freed: resume the poll loop if it parked.
+		e.Kick()
+	}
 }
 
 // flushNotify rings the driver's doorbell for any unannounced

@@ -130,13 +130,12 @@ type desc struct {
 	Next  uint16
 }
 
-func encodeDesc(d desc) []byte {
-	b := make([]byte, descSize)
+// putDesc encodes d into b[:descSize].
+func putDesc(b []byte, d desc) {
 	binary.LittleEndian.PutUint64(b[0:], d.Addr)
 	binary.LittleEndian.PutUint32(b[8:], d.Len)
 	binary.LittleEndian.PutUint16(b[12:], d.Flags)
 	binary.LittleEndian.PutUint16(b[14:], d.Next)
-	return b
 }
 
 func decodeDesc(b []byte) desc {
@@ -148,11 +147,13 @@ func decodeDesc(b []byte) desc {
 	}
 }
 
-func encodeUsedElem(id uint32, n uint32) []byte {
-	b := make([]byte, 8)
+// usedElemSize is one used-ring element: the chain's head and the number
+// of response bytes written.
+const usedElemSize = 8
+
+func putUsedElem(b []byte, id uint32, n uint32) {
 	binary.LittleEndian.PutUint32(b[0:], id)
 	binary.LittleEndian.PutUint32(b[4:], n)
-	return b
 }
 
 func decodeUsedElem(b []byte) (id uint32, n uint32) {

@@ -24,12 +24,14 @@ type qworld struct {
 }
 
 // newQWorld maps a shared region into both devices' IOMMUs (standing in
-// for the alloc+grant flow the bus performs in the full system).
-func newQWorld(t *testing.T, entries uint16, cellSize int) *qworld {
+// for the alloc+grant flow the bus performs in the full system). Memory is
+// 1 MiB, enough for the largest ring here and cheap enough for the fuzz
+// target to build a world per input.
+func newQWorld(t testing.TB, entries uint16, cellSize int) *qworld {
 	t.Helper()
 	w := &qworld{
 		eng: sim.NewEngine(),
-		mem: physmem.MustNew(4096 * physmem.PageSize),
+		mem: physmem.MustNew(256 * physmem.PageSize),
 	}
 	w.fab = interconnect.NewFabric(w.eng, w.mem, interconnect.DefaultCosts)
 	w.drvMMU = iommu.New("drv", w.mem, iommu.DefaultConfig)
@@ -64,7 +66,7 @@ func newQWorld(t *testing.T, entries uint16, cellSize int) *qworld {
 
 // echoPair builds a connected driver/endpoint where the endpoint reverses
 // the request bytes.
-func (w *qworld) echoPair(t *testing.T) (*Driver, *Endpoint) {
+func (w *qworld) echoPair(t testing.TB) (*Driver, *Endpoint) {
 	t.Helper()
 	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		out := make([]byte, len(req))
