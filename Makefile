@@ -106,8 +106,9 @@ check: vet lint build race fuzz bench-smoke
 
 # Every Go benchmark in the tree at a fixed iteration count: the root
 # package's experiment benchmarks and the per-layer ones that sit next to
-# their packages (sim, msg, physmem, iommu, interconnect, virtio,
-# smartssd, smartnic, kvs, fabric).
+# their packages (sim, msg, physmem, iommu, interconnect, virtio, bus,
+# smartssd, smartnic, kvs, fabric); the control plane's are
+# BenchmarkRoute in bus and BenchmarkControlCall in smartnic.
 bench:
 	$(GO) test -run=^$$ -bench . -benchmem -benchtime=100x ./...
 

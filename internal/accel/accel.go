@@ -14,13 +14,11 @@ package accel
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strings"
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
 	"nocpu/internal/interconnect"
-	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/trace"
@@ -90,17 +88,7 @@ type Accel struct {
 	cfg   Config
 	eng   *sim.Engine
 	pool  *sim.Pool
-	conns map[uint32]*conn
-	next  uint32
 	stats Stats
-}
-
-type conn struct {
-	id     uint32
-	app    msg.AppID
-	client msg.DeviceID
-	op     Op
-	ep     *virtio.Endpoint
 }
 
 // New builds the accelerator and attaches it.
@@ -119,16 +107,14 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if err != nil {
 		return nil, err
 	}
-	a := &Accel{
-		dev:   d,
-		cfg:   cfg,
-		eng:   eng,
-		pool:  sim.NewPool(eng, cfg.Engines),
-		conns: make(map[uint32]*conn),
-	}
-	d.AddService(&xformService{a: a})
-	d.OnReset = func() { a.dropConns() }
-	d.OnPeerFailed = a.onPeerFailed
+	a := &Accel{dev: d, cfg: cfg, eng: eng, pool: sim.NewPool(eng, cfg.Engines)}
+	svc := &xformService{Sessions: device.Sessions[Op]{
+		Dev: d, CellSize: cfg.CellSize, Admit: admit, Handler: a.handlerFor,
+		Resource: func(c *device.Session[Op]) string { return "xform:" + c.State.String() },
+	}}
+	d.AddService(svc)
+	d.OnReset = svc.DropAll
+	d.OnPeerFailed = svc.DropClient
 	return a, nil
 }
 
@@ -141,128 +127,41 @@ func (a *Accel) Start() { a.dev.Start() }
 // Stats returns a copy of the counters.
 func (a *Accel) Stats() Stats { return a.stats }
 
-func (a *Accel) dropConns() {
-	for _, id := range a.sortedConnIDs() {
-		if c := a.conns[id]; c.ep != nil {
-			a.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-		}
-		delete(a.conns, id)
-	}
-}
-
-// onPeerFailed drops connections whose client died; a revived client opens
-// fresh connections rather than resuming these.
-func (a *Accel) onPeerFailed(peer msg.DeviceID) {
-	for _, id := range a.sortedConnIDs() {
-		c := a.conns[id]
-		if c.client != peer {
-			continue
-		}
-		if c.ep != nil {
-			a.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-		}
-		delete(a.conns, id)
-	}
-}
-
-// sortedConnIDs iterates connections in id order for determinism.
-func (a *Accel) sortedConnIDs() []uint32 {
-	ids := make([]uint32, 0, len(a.conns))
-	for id := range a.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// xformService answers "xform:<name>" queries and sessions.
+// xformService answers "xform:<name>" queries and sessions, one session
+// (device.Sessions) per open transform queue.
 type xformService struct {
-	a *Accel
+	device.Sessions[Op]
 }
 
 func (s *xformService) Name() string { return "xform" }
 
 func (s *xformService) Match(query string) bool {
-	name, ok := strings.CutPrefix(query, "xform:")
-	if !ok {
-		return false
-	}
-	_, known := opNames[name]
-	return known
+	_, ok := lookup(query)
+	return ok
 }
 
-func (s *xformService) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
-	a := s.a
-	name, ok := strings.CutPrefix(req.Service, "xform:")
+// lookup resolves "xform:<name>" to a transform the engines implement.
+func lookup(service string) (Op, bool) {
+	name, ok := strings.CutPrefix(service, "xform:")
 	op, known := opNames[name]
-	if !ok || !known {
-		return &msg.OpenResp{Service: req.Service, App: req.App, OK: false, Reason: "unknown transform"}
-	}
-	a.next++
-	id := a.next
-	a.conns[id] = &conn{id: id, app: req.App, client: src, op: op}
-	return &msg.OpenResp{
-		Service: req.Service, App: req.App, OK: true, ConnID: id,
-		SharedBytes: virtio.SharedBytes(128, a.cfg.CellSize),
-	}
+	return op, ok && known
 }
 
-func (s *xformService) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectResp {
-	a := s.a
-	deny := func(reason string) *msg.ConnectResp {
-		return &msg.ConnectResp{ConnID: req.ConnID, OK: false, Reason: reason}
-	}
-	c, ok := a.conns[req.ConnID]
+// admit decides an open: any client may use any known transform.
+func admit(_ msg.DeviceID, req *msg.OpenReq) (Op, string) {
+	op, ok := lookup(req.Service)
 	if !ok {
-		return deny("no such connection")
+		return 0, "unknown transform"
 	}
-	if c.client != src || c.app != req.App {
-		return deny("connection belongs to another client")
-	}
-	if c.ep != nil {
-		return deny("already connected")
-	}
-	if req.RingEntries == 0 || req.DataBytes == 0 {
-		return deny("malformed queue geometry")
-	}
-	lay := virtio.Layout{
-		Base:     iommu.VirtAddr(req.RingVA),
-		Entries:  req.RingEntries,
-		DataVA:   iommu.VirtAddr(req.DataVA),
-		CellSize: int(req.DataBytes) / int(req.RingEntries),
-	}
-	ep, err := virtio.NewEndpoint(a.dev.DMA(), iommu.PASID(req.App), lay,
-		interconnect.DoorbellAddr(req.RespDoorbell), a.handlerFor(c))
-	if err != nil {
-		return deny(err.Error())
-	}
-	ep.OnError = func(err error) {
-		a.dev.Send(c.client, &msg.ErrorNotify{App: c.app, Resource: "xform:" + c.op.String(), Code: 1, Detail: err.Error()})
-		delete(a.conns, c.id)
-	}
-	c.ep = ep
-	return &msg.ConnectResp{ConnID: req.ConnID, OK: true, Reason: fmt.Sprintf("reqbell=%d", ep.ReqBell)}
-}
-
-func (s *xformService) Close(src msg.DeviceID, req *msg.CloseReq) *msg.CloseResp {
-	a := s.a
-	c, ok := a.conns[req.ConnID]
-	if !ok || c.client != src {
-		return &msg.CloseResp{ConnID: req.ConnID, OK: false}
-	}
-	if c.ep != nil {
-		a.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-	}
-	delete(a.conns, req.ConnID)
-	return &msg.CloseResp{ConnID: req.ConnID, OK: true}
+	return op, ""
 }
 
 // handlerFor executes one transform request on a compute engine.
-func (a *Accel) handlerFor(c *conn) virtio.Handler {
+func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Handler {
 	return func(req []byte, done func([]byte)) {
 		cost := a.cfg.Costs.Setup + sim.Duration(float64(len(req))/a.cfg.Costs.BytesPerNs)
 		a.pool.Submit(cost, func() {
-			out, ok := Transform(c.op, req)
+			out, ok := Transform(c.State, req)
 			a.stats.Ops++
 			a.stats.BytesProcessed += uint64(len(req))
 			if !ok {

@@ -7,6 +7,7 @@ import (
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
+	"nocpu/internal/faultinject"
 	"nocpu/internal/interconnect"
 	"nocpu/internal/memctrl"
 	"nocpu/internal/msg"
@@ -73,6 +74,7 @@ func newWorldCosts(t *testing.T, costs Costs) *world {
 type xformApp struct {
 	id      msg.AppID
 	service string
+	conn    *smartnic.Connection
 	client  *Client
 	openErr error
 }
@@ -84,13 +86,18 @@ func (a *xformApp) Boot(rt *smartnic.Runtime) {
 			a.openErr = err
 			return
 		}
-		a.client = &Client{Conn: c.Queue}
+		a.conn, a.client = c, &Client{Conn: c.Queue}
 	})
 }
 func (a *xformApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
 func (a *xformApp) PeerFailed(msg.DeviceID)                   {}
 
 func openClient(t *testing.T, w *world, service string) *Client {
+	t.Helper()
+	return openApp(t, w, service).client
+}
+
+func openApp(t *testing.T, w *world, service string) *xformApp {
 	t.Helper()
 	w.nextApp++
 	app := &xformApp{id: w.nextApp, service: service}
@@ -102,7 +109,55 @@ func openClient(t *testing.T, w *world, service string) *Client {
 	if app.client == nil {
 		t.Fatal("no client")
 	}
-	return app.client
+	return app
+}
+
+// TestHandshakeSurvivesLostResponses drops the first OpenResp, then the
+// first ConnectResp, then the first CloseResp on the bus. The client's
+// retransmission must be answered as the original was (device.Sessions'
+// three replay rules): one instance, a working queue, a clean close.
+func TestHandshakeSurvivesLostResponses(t *testing.T) {
+	for _, kind := range []msg.Kind{msg.KindOpenResp, msg.KindConnectResp, msg.KindCloseResp} {
+		t.Run(kind.String(), func(t *testing.T) {
+			w := newWorld(t)
+			plane := faultinject.New(1)
+			w.bus.SetFaultPlane(plane)
+			plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: kind, Op: faultinject.Drop, Count: 1})
+
+			app := openApp(t, w, "xform:rot13")
+			if app.conn.ConnID != 1 {
+				t.Errorf("connected to instance %d, want 1 (a retried open must not leak a second)", app.conn.ConnID)
+			}
+			var got []byte
+			app.client.Do([]byte("uryyb"), func(resp []byte, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				got = resp
+			})
+			w.eng.Run()
+			if string(got) != "hello" {
+				t.Errorf("transform over the recovered queue = %q", got)
+			}
+			closed := false
+			app.conn.Close(func(err error) {
+				if err != nil {
+					t.Errorf("close: %v", err)
+				}
+				closed = true
+			})
+			w.eng.Run()
+			if !closed {
+				t.Fatal("close never completed")
+			}
+			if d := plane.Stats().Dropped; d != 1 {
+				t.Errorf("plane dropped %d messages, want 1", d)
+			}
+			if st := w.nic.RetryStats(); st.Retries != 1 || st.Exhausted != 0 {
+				t.Errorf("retry stats = %+v, want exactly one retransmission", st)
+			}
+		})
+	}
 }
 
 func TestCRC32RoundTrip(t *testing.T) {

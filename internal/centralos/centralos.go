@@ -471,7 +471,7 @@ func (c *CPU) receive(env msg.Envelope) {
 }
 
 // onPeerFailed purges kernel state involving a dead device. Open flows
-// waiting on it are dropped (the app's retrier re-runs them after the
+// waiting on it are dropped (the app's call retransmits them after the
 // device recovers); mediated queues into it are quiesced, and the
 // at-most-once open cache forgets verdicts that named it so a post-reset
 // reopen re-runs the real work instead of replaying a dead connection.

@@ -22,7 +22,7 @@ import (
 // messages.
 
 // E15 tuning. The client-side op timeout must exceed the worst-case
-// in-system lifetime of a write (the mediated retrier exhausts its
+// in-system lifetime of a write (the mediated call exhausts its retry
 // budget in under 100ms of virtual time): a worker only reuses a key
 // after the previous write to it is either resolved or provably dead,
 // which is what makes the ledger's per-key value ordering sound.

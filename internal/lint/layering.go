@@ -78,11 +78,12 @@ var layerDAG = map[string][]string{
 	"nocpu/internal/device": {
 		"nocpu/internal/bus", "nocpu/internal/interconnect", "nocpu/internal/iommu",
 		"nocpu/internal/msg", "nocpu/internal/sim", "nocpu/internal/trace",
+		"nocpu/internal/virtio",
 	},
 	"nocpu/internal/smartssd": {
 		"nocpu/internal/bus", "nocpu/internal/device", "nocpu/internal/interconnect",
-		"nocpu/internal/iommu", "nocpu/internal/msg", "nocpu/internal/sim",
-		"nocpu/internal/trace", "nocpu/internal/virtio",
+		"nocpu/internal/msg", "nocpu/internal/sim", "nocpu/internal/trace",
+		"nocpu/internal/virtio",
 	},
 	"nocpu/internal/smartnic": {
 		"nocpu/internal/bus", "nocpu/internal/device", "nocpu/internal/interconnect",
@@ -97,8 +98,8 @@ var layerDAG = map[string][]string{
 	},
 	"nocpu/internal/accel": {
 		"nocpu/internal/bus", "nocpu/internal/device", "nocpu/internal/interconnect",
-		"nocpu/internal/iommu", "nocpu/internal/msg", "nocpu/internal/sim",
-		"nocpu/internal/trace", "nocpu/internal/virtio",
+		"nocpu/internal/msg", "nocpu/internal/sim", "nocpu/internal/trace",
+		"nocpu/internal/virtio",
 	},
 
 	// Centralized baseline kernel: the "traditional stack" the paper

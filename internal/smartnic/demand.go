@@ -86,7 +86,7 @@ func (rt *Runtime) resolveFault(f *iommu.Fault, retry func(), fail func(error)) 
 		return
 	}
 	rt.pendingFaults[va] = []func(error){outcome}
-	rt.allocAt(rt.lazyMemctrl, va, n, func(err error) {
+	rt.alloc(rt.lazyMemctrl, va, n, false, func(_ uint64, err error) {
 		waiters := rt.pendingFaults[va]
 		delete(rt.pendingFaults, va)
 		if err == nil {
@@ -96,20 +96,6 @@ func (rt *Runtime) resolveFault(f *iommu.Fault, retry func(), fail func(error)) 
 			w(err)
 		}
 	})
-}
-
-// allocAt requests backing for an exact VA (the demand-paging path;
-// AllocShared picks its own VA for eager allocations).
-func (rt *Runtime) allocAt(memctrl msg.DeviceID, va, bytes uint64, cb func(error)) {
-	n := rt.nic
-	n.pendingAlloc[allocKey{rt.app, va}] = func(m *msg.AllocResp) {
-		if !m.OK {
-			cb(fmt.Errorf("alloc denied: %s", m.Reason))
-			return
-		}
-		cb(nil)
-	}
-	n.dev.Send(memctrl, &msg.AllocReq{App: rt.app, VA: va, Bytes: bytes, Perm: uint8(iommu.PermRW)})
 }
 
 // ensureFaultHandler installs the NIC's demand-paging fault handler once.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nocpu/internal/faultinject"
 	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
@@ -154,6 +155,44 @@ func TestDemandPagingConcurrentFaultsCoalesce(t *testing.T) {
 	// All six writes hit the same page: exactly one demand allocation.
 	if app.rt.LazyChunksAllocated() != 1 {
 		t.Fatalf("chunks = %d, want 1 (coalesced)", app.rt.LazyChunksAllocated())
+	}
+}
+
+// TestDemandPagingSurvivesMessageLoss drops the first AllocReq, then
+// (separately) the first AllocResp, of a demand allocation: the fault is
+// resolved through the same retried call as an eager alloc, so the DMA
+// completes, late by one timeout, and the chunk is counted once.
+func TestDemandPagingSurvivesMessageLoss(t *testing.T) {
+	for _, kind := range []msg.Kind{msg.KindAllocReq, msg.KindAllocResp} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newMachine(t)
+			plane := faultinject.New(1)
+			m.bus.SetFaultPlane(plane)
+			app := &demandApp{id: 1, bytes: 8 * physmem.PageSize, chunk: 1}
+			m.nic.AddApp(app)
+			m.eng.Run()
+			plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: kind, Op: faultinject.Drop, Count: 1})
+
+			var werr error
+			done := false
+			m.nic.Device().DMA().Write(1, iommu.VirtAddr(app.va+100), []byte("late but whole"), func(err error) { werr, done = err, true })
+			m.eng.Run()
+			if !done || werr != nil {
+				t.Fatalf("first-touch write under loss: done=%v err=%v", done, werr)
+			}
+			if st := m.nic.RetryStats(); st.Retries != 1 || st.Exhausted != 0 {
+				t.Errorf("retry stats = %+v, want exactly one retransmission", st)
+			}
+			if n := app.rt.LazyChunksAllocated(); n != 1 {
+				t.Errorf("chunks allocated = %d, want 1", n)
+			}
+			if live := m.mc.Stats().BytesLive; live != physmem.PageSize {
+				t.Errorf("live bytes = %d, want one page (a replayed request must not allocate twice)", live)
+			}
+			if len(m.nic.pending) != 0 || len(app.rt.pendingFaults) != 0 {
+				t.Errorf("left behind: %d calls, %d fault waiters", len(m.nic.pending), len(app.rt.pendingFaults))
+			}
+		})
 	}
 }
 

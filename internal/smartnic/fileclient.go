@@ -36,17 +36,14 @@ func (rt *Runtime) openFileQuery(memctrl msg.DeviceID, query string, token uint6
 	})
 }
 
-// maxIO returns the largest read/write payload that fits one cell.
-func (fc *FileClient) maxIO() int {
+// MaxIO returns the largest read/write payload that fits one cell.
+func (fc *FileClient) MaxIO() int {
 	cell := fc.Conn.Queue.CellSize()
 	if n := cell - smartssd.RespHeaderBytes; n < cell-smartssd.ReqHeaderBytes {
 		return n
 	}
 	return cell - smartssd.ReqHeaderBytes
 }
-
-// MaxIO exposes the per-request payload bound.
-func (fc *FileClient) MaxIO() int { return fc.maxIO() }
 
 func (fc *FileClient) roundTrip(req smartssd.FileReq, cb func(smartssd.FileResp, error)) {
 	err := fc.Conn.Queue.Submit(smartssd.EncodeFileReq(req), func(respBytes []byte, err error) {
@@ -72,8 +69,8 @@ func (fc *FileClient) roundTrip(req smartssd.FileReq, cb func(smartssd.FileResp,
 
 // Read fetches n bytes at off (n bounded by MaxIO).
 func (fc *FileClient) Read(off uint64, n int, cb func([]byte, error)) {
-	if n > fc.maxIO() {
-		cb(nil, fmt.Errorf("smartnic: read of %d exceeds per-request max %d", n, fc.maxIO()))
+	if n > fc.MaxIO() {
+		cb(nil, fmt.Errorf("smartnic: read of %d exceeds per-request max %d", n, fc.MaxIO()))
 		return
 	}
 	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpRead, Off: off, Len: uint32(n)}, func(r smartssd.FileResp, err error) {
@@ -83,8 +80,8 @@ func (fc *FileClient) Read(off uint64, n int, cb func([]byte, error)) {
 
 // Write stores data at off.
 func (fc *FileClient) Write(off uint64, data []byte, cb func(error)) {
-	if len(data) > fc.maxIO() {
-		cb(fmt.Errorf("smartnic: write of %d exceeds per-request max %d", len(data), fc.maxIO()))
+	if len(data) > fc.MaxIO() {
+		cb(fmt.Errorf("smartnic: write of %d exceeds per-request max %d", len(data), fc.MaxIO()))
 		return
 	}
 	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpWrite, Off: off, Data: data}, func(r smartssd.FileResp, err error) {
@@ -94,8 +91,8 @@ func (fc *FileClient) Write(off uint64, data []byte, cb func(error)) {
 
 // Append adds data at EOF; cb receives the resulting file size.
 func (fc *FileClient) Append(data []byte, cb func(newSize uint64, err error)) {
-	if len(data) > fc.maxIO() {
-		cb(0, fmt.Errorf("smartnic: append of %d exceeds per-request max %d", len(data), fc.maxIO()))
+	if len(data) > fc.MaxIO() {
+		cb(0, fmt.Errorf("smartnic: append of %d exceeds per-request max %d", len(data), fc.MaxIO()))
 		return
 	}
 	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpAppend, Data: data}, func(r smartssd.FileResp, err error) {

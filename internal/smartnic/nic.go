@@ -94,28 +94,19 @@ type NIC struct {
 	rx   *sim.Server
 	tx   *sim.Server
 
-	// pending continuations for control-plane responses, keyed by each
-	// message's natural correlator.
-	pendingDiscover map[uint32]func(msg.DeviceID, *msg.DiscoverResp)
-	pendingOpen     map[openKey]func(*msg.OpenResp)
-	pendingAlloc    map[allocKey]func(*msg.AllocResp)
-	pendingFree     map[allocKey]func(*msg.FreeResp)
-	pendingGrant    map[grantKey]func(*msg.GrantResp)
-	pendingConnect  map[uint32]func(*msg.ConnectResp)
-	pendingClose    map[uint32]func(*msg.CloseResp)
-	pendingIO       map[ioKey]func(*msg.FileIOResp)
-	pendingState    map[uint32]func(*msg.StateResp)
+	// pending holds every control-plane call awaiting its response, keyed
+	// by the response's natural correlator; inflight maps each call's last
+	// link-layer seq to it so bus NACKs trigger fast retransmission
+	// (retry.go).
+	pending         map[callKey]*call
+	inflight        map[uint32]*call
+	retryStats      RetryStats
 	nextNonce       uint32
 	faultHandlerSet bool
 
 	// lastMemctrl remembers the controller the apps allocate through so
 	// rejoin() can free the previous incarnation's surviving regions.
 	lastMemctrl msg.DeviceID
-
-	// inflight maps each reliable request's last link-layer seq to its
-	// retrier so bus NACKs trigger fast retransmission (retry.go).
-	inflight   map[uint32]*retrier
-	retryStats RetryStats
 
 	// NetRequests counts network requests served.
 	NetRequests uint64
@@ -139,20 +130,6 @@ type NIC struct {
 	discard func([]byte)
 }
 
-type openKey struct {
-	app     msg.AppID
-	service string
-}
-type allocKey struct {
-	app msg.AppID
-	va  uint64
-}
-type grantKey struct {
-	app    msg.AppID
-	va     uint64
-	target msg.DeviceID
-}
-
 // New builds the NIC and attaches it.
 func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer, cfg Config) (*NIC, error) {
 	if cfg.RxCost == 0 {
@@ -167,37 +144,23 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		return nil, err
 	}
 	n := &NIC{
-		dev:             d,
-		cfg:             cfg,
-		apps:            make(map[msg.AppID]App),
-		rts:             make(map[msg.AppID]*Runtime),
-		rx:              sim.NewServer(eng),
-		tx:              sim.NewServer(eng),
-		pendingDiscover: make(map[uint32]func(msg.DeviceID, *msg.DiscoverResp)),
-		pendingOpen:     make(map[openKey]func(*msg.OpenResp)),
-		pendingAlloc:    make(map[allocKey]func(*msg.AllocResp)),
-		pendingFree:     make(map[allocKey]func(*msg.FreeResp)),
-		pendingGrant:    make(map[grantKey]func(*msg.GrantResp)),
-		pendingConnect:  make(map[uint32]func(*msg.ConnectResp)),
-		pendingClose:    make(map[uint32]func(*msg.CloseResp)),
-		pendingIO:       make(map[ioKey]func(*msg.FileIOResp)),
-		pendingState:    make(map[uint32]func(*msg.StateResp)),
-		inflight:        make(map[uint32]*retrier),
-		rxTenant:        make(map[uint16]int),
-		rxG:             metrics.NewGauge(cfg.RxQueueBound),
+		dev:      d,
+		cfg:      cfg,
+		apps:     make(map[msg.AppID]App),
+		rts:      make(map[msg.AppID]*Runtime),
+		rx:       sim.NewServer(eng),
+		tx:       sim.NewServer(eng),
+		pending:  make(map[callKey]*call),
+		inflight: make(map[uint32]*call),
+		rxTenant: make(map[uint16]int),
+		rxG:      metrics.NewGauge(cfg.RxQueueBound),
 	}
 	n.discard = func(resp []byte) { n.transmit(nil, resp) }
-	d.Handle(msg.KindDiscoverResp, n.onDiscoverResp)
-	d.Handle(msg.KindOpenResp, n.onOpenResp)
-	d.Handle(msg.KindAllocResp, n.onAllocResp)
-	d.Handle(msg.KindFreeResp, n.onFreeResp)
-	d.Handle(msg.KindGrantResp, n.onGrantResp)
-	d.Handle(msg.KindConnectResp, n.onConnectResp)
-	d.Handle(msg.KindCloseResp, n.onCloseResp)
-	d.Handle(msg.KindFileIOResp, n.onFileIOResp)
+	for _, k := range responseKinds {
+		d.Handle(k, n.onResponse)
+	}
 	d.Handle(msg.KindErrorNotify, n.onErrorNotify)
 	d.Handle(msg.KindNack, n.onNack)
-	d.Handle(msg.KindStateResp, n.onStateResp)
 	d.OnAlive = n.onAlive
 	d.OnReset = n.onReset
 	d.OnPeerFailed = n.onPeerFailed
@@ -390,79 +353,6 @@ func (d *Delivery) respond(resp []byte) {
 	}
 	d.stage, d.resp = stageTx, resp
 	d.n.tx.SubmitEvent(d.n.cfg.TxCost, d)
-}
-
-// Control-plane response routing.
-
-func (n *NIC) onDiscoverResp(env msg.Envelope) {
-	m := env.Msg.(*msg.DiscoverResp)
-	if cb, ok := n.pendingDiscover[m.Nonce]; ok {
-		// First responder wins; later responses for the same nonce are
-		// dropped (the paper leaves multi-provider arbitration open).
-		delete(n.pendingDiscover, m.Nonce)
-		cb(env.Src, m)
-	}
-}
-
-func (n *NIC) onOpenResp(env msg.Envelope) {
-	m := env.Msg.(*msg.OpenResp)
-	k := openKey{m.App, m.Service}
-	if cb, ok := n.pendingOpen[k]; ok {
-		delete(n.pendingOpen, k)
-		cb(m)
-	}
-}
-
-func (n *NIC) onAllocResp(env msg.Envelope) {
-	m := env.Msg.(*msg.AllocResp)
-	k := allocKey{m.App, m.VA}
-	if cb, ok := n.pendingAlloc[k]; ok {
-		delete(n.pendingAlloc, k)
-		cb(m)
-	}
-}
-
-func (n *NIC) onFreeResp(env msg.Envelope) {
-	m := env.Msg.(*msg.FreeResp)
-	k := allocKey{m.App, m.VA}
-	if cb, ok := n.pendingFree[k]; ok {
-		delete(n.pendingFree, k)
-		cb(m)
-	}
-}
-
-func (n *NIC) onGrantResp(env msg.Envelope) {
-	m := env.Msg.(*msg.GrantResp)
-	k := grantKey{m.App, m.VA, m.Target}
-	if cb, ok := n.pendingGrant[k]; ok {
-		delete(n.pendingGrant, k)
-		cb(m)
-	}
-}
-
-func (n *NIC) onConnectResp(env msg.Envelope) {
-	m := env.Msg.(*msg.ConnectResp)
-	if cb, ok := n.pendingConnect[m.ConnID]; ok {
-		delete(n.pendingConnect, m.ConnID)
-		cb(m)
-	}
-}
-
-func (n *NIC) onCloseResp(env msg.Envelope) {
-	m := env.Msg.(*msg.CloseResp)
-	if cb, ok := n.pendingClose[m.ConnID]; ok {
-		delete(n.pendingClose, m.ConnID)
-		cb(m)
-	}
-}
-
-func (n *NIC) onFileIOResp(env msg.Envelope) {
-	m := env.Msg.(*msg.FileIOResp)
-	k := ioKey{m.App, m.Handle, m.Seq}
-	if cb, ok := n.pendingIO[k]; ok {
-		delete(n.pendingIO, k)
-		cb(m)
-	}
 }
 
 func (n *NIC) onErrorNotify(env msg.Envelope) {

@@ -1,9 +1,6 @@
 package smartnic
 
 import (
-	"fmt"
-	"sort"
-
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
 )
@@ -11,9 +8,9 @@ import (
 // This file is the NIC's crash-recovery path (§4 "Error handling": "In the
 // case of a fatal error, all the applications that have been allocated the
 // resource are notified, and the device is reset"). A bus Reset tears the
-// whole device down to power-on state: every continuation, timer and
-// virtqueue belonging to the dying incarnation is discarded here, and
-// rejoin() reconciles surviving management state with the bus before the
+// whole device down to power-on state: every call, timer and virtqueue
+// belonging to the dying incarnation is discarded here, and rejoin()
+// reconciles surviving management state with the bus before the
 // applications boot again.
 
 // onReset discards the dying incarnation's volatile state. Nothing here
@@ -21,36 +18,9 @@ import (
 // its ResetDone, and the abort must not perturb the event schedule beyond
 // the crash itself.
 func (n *NIC) onReset() {
-	// Abort every in-flight reliable request silently. The completion
-	// callbacks belong to the incarnation that just died and must never
-	// run; timers are stopped (schedule-neutral) so no stale timeout fires
-	// into the next life.
-	seqs := make([]uint32, 0, len(n.inflight))
-	for seq := range n.inflight {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		r := n.inflight[seq]
-		r.done = true
-		if r.timer != nil {
-			r.timer.Stop()
-		}
-		delete(n.inflight, seq)
-	}
-	// Drop the dead continuations outright. Responses to the old life that
-	// are still in flight (the bus fences most of them by incarnation, but
-	// a provider may answer an old request with its own current
-	// incarnation) find no pending entry and vanish.
-	n.pendingDiscover = make(map[uint32]func(msg.DeviceID, *msg.DiscoverResp))
-	n.pendingOpen = make(map[openKey]func(*msg.OpenResp))
-	n.pendingAlloc = make(map[allocKey]func(*msg.AllocResp))
-	n.pendingFree = make(map[allocKey]func(*msg.FreeResp))
-	n.pendingGrant = make(map[grantKey]func(*msg.GrantResp))
-	n.pendingConnect = make(map[uint32]func(*msg.ConnectResp))
-	n.pendingClose = make(map[uint32]func(*msg.CloseResp))
-	n.pendingIO = make(map[ioKey]func(*msg.FileIOResp))
-	n.pendingState = make(map[uint32]func(*msg.StateResp))
+	// The calls in flight belong to the incarnation that just died: none
+	// of their continuations may run, none of their timers may fire.
+	n.abortCalls()
 	// Quiesce every app's virtqueues (doorbells unregistered, no callbacks
 	// fire) and reset the per-app runtimes to their newRuntime state.
 	for _, id := range n.sortedAppIDs() {
@@ -90,21 +60,18 @@ func (n *NIC) bootApps() {
 // the controller ("overlaps existing region") and the frames would leak.
 func (n *NIC) rejoin() {
 	n.nextNonce++
-	nonce := n.nextNonce
-	r := n.newRetrier(DefaultRetryPolicy, "rejoin state query", msg.BusID, func() uint32 {
-		return n.dev.Send(msg.BusID, &msg.StateQuery{Nonce: nonce})
-	})
-	r.onFail = func(error) {
-		delete(n.pendingState, nonce)
-		// The bus answered Hello but not StateQuery — boot anyway and let
-		// per-app allocation failures surface through the normal error path.
-		n.bootApps()
-	}
-	n.pendingState[nonce] = func(m *msg.StateResp) {
-		r.stop()
-		n.reclaim(m.Regions, 0)
-	}
-	r.start()
+	req := &msg.StateQuery{Nonce: n.nextNonce}
+	n.call(DefaultRetryPolicy, msg.BusID, req, callKey{kind: msg.KindStateResp, id: uint64(req.Nonce)},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if err != nil {
+				// The bus answered Hello but not StateQuery — boot anyway and
+				// let per-app allocation failures surface through the normal
+				// error path.
+				n.bootApps()
+				return
+			}
+			n.reclaim(resp.(*msg.StateResp).Regions, 0)
+		})
 }
 
 // reclaim frees the i-th surviving region, then the next; the StateResp
@@ -113,38 +80,16 @@ func (n *NIC) rejoin() {
 // allocated them, so lastMemctrl is set whenever there is work to do; if
 // it somehow is not, booting and letting allocs fail beats stalling.
 func (n *NIC) reclaim(regions []msg.OwnedRegion, i int) {
-	if n.lastMemctrl == 0 {
-		i = len(regions)
-	}
-	if i >= len(regions) {
+	if n.lastMemctrl == 0 || i >= len(regions) {
 		n.bootApps()
 		return
 	}
 	reg := regions[i]
 	// owners record extents in 4 KiB pages for both flavors, matching the
 	// controller's rounded byte count exactly.
-	bytes := uint64(reg.Pages) * physmem.PageSize
-	k := allocKey{reg.App, reg.VA}
-	r := n.newRetrier(DefaultRetryPolicy, fmt.Sprintf("rejoin free of va %#x", reg.VA), n.lastMemctrl, func() uint32 {
-		return n.dev.Send(n.lastMemctrl, &msg.FreeReq{App: reg.App, VA: reg.VA, Bytes: bytes})
-	})
-	next := func() { n.reclaim(regions, i+1) }
-	r.onFail = func(error) {
-		delete(n.pendingFree, k)
-		next()
-	}
-	n.pendingFree[k] = func(*msg.FreeResp) {
-		r.stop()
-		next()
-	}
-	r.start()
-}
-
-// onStateResp routes a bus state answer to the rejoin in progress.
-func (n *NIC) onStateResp(env msg.Envelope) {
-	m := env.Msg.(*msg.StateResp)
-	if cb, ok := n.pendingState[m.Nonce]; ok {
-		delete(n.pendingState, m.Nonce)
-		cb(m)
-	}
+	req := &msg.FreeReq{App: reg.App, VA: reg.VA, Bytes: uint64(reg.Pages) * physmem.PageSize}
+	// Answered, refused or timed out, the sweep moves on: a region the
+	// controller will not free is not worth stalling the boot for.
+	n.call(DefaultRetryPolicy, n.lastMemctrl, req, callKey{kind: msg.KindFreeResp, app: reg.App, id: reg.VA},
+		func(msg.DeviceID, msg.Message, error) { n.reclaim(regions, i+1) })
 }

@@ -2,21 +2,33 @@ package smartnic
 
 import (
 	"fmt"
+	"sort"
 
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartssd"
 )
 
-// This file is the runtime's reliability layer (§4 "Error handling"): the
+// This file is the runtime's control-plane call (§4 "Error handling"): the
 // system bus may drop, delay, duplicate or NACK control messages, so every
-// Figure-2 request carries a per-request timeout with bounded exponential
-// backoff and an idempotent retransmission. Providers tolerate replays
-// (memctrl re-sends recorded allocations, the SSD re-quotes an unconnected
-// instance, the bus re-acks grants), so a retransmission is always safe.
+// Figure-2 request — discovery, open, alloc, grant, connect, close, free,
+// a mediated file op, the rejoin state query — is one call record with a
+// per-request timeout, bounded exponential backoff and an idempotent
+// retransmission. Providers tolerate replays (memctrl re-sends recorded
+// allocations, a device's session table re-quotes an unconnected instance
+// and re-acks an identical connect or close, the bus re-acks grants), so a
+// retransmission is always safe.
 //
-// Determinism: each attempt arms one timer that the response callback
-// stops. In a fault-free run no retry timer ever fires, and stopped timers
-// leave the event schedule bit-identical, so the layer is free when
+// A call holds the request message itself (a retransmission sends it
+// again), the timer that is its own event, and the one continuation that
+// gets the response or the typed failure. NIC.pending maps a callKey —
+// what keyOf computes from the answering response — to the call, and
+// NIC.inflight the last attempt's link-layer seq, so a bus NACK finds it.
+//
+// Determinism: a request registers, counts, sends, then arms one timer;
+// a response unregisters, stops the timer, then runs the continuation.
+// In a fault-free run no call timer ever fires, and a stopped timer
+// leaves the event schedule bit-identical, so the layer is free when
 // injection is disabled.
 
 // RetryPolicy bounds one request's retransmission budget.
@@ -79,118 +91,216 @@ type RetryStats struct {
 	Exhausted uint64 // requests that failed after the full budget
 }
 
-// retrier drives one reliable request: send, wait, retransmit, give up.
-type retrier struct {
-	n    *NIC
-	pol  RetryPolicy
-	op   string
-	send func() uint32 // transmit one attempt; returns the port seq
-	// onFail must unregister the pending-response callback, then surface
-	// the error to the caller.
-	onFail func(error)
+// callKey is a response's natural correlator: the fields a provider
+// echoes from the request. id is the nonce, connection id, handle or VA;
+// sub the grant target or the mediated op's seq; name the service.
+type callKey struct {
+	kind msg.Kind // of the response
+	app  msg.AppID
+	id   uint64
+	sub  uint32
+	name string
+}
 
-	timer    *sim.Timer
-	attempts int
+// responseKinds lists what onResponse is registered for: exactly the
+// kinds keyOf has an arm for (retry_test.go holds the two together).
+var responseKinds = []msg.Kind{
+	msg.KindDiscoverResp, msg.KindOpenResp, msg.KindConnectResp, msg.KindCloseResp,
+	msg.KindAllocResp, msg.KindFreeResp, msg.KindGrantResp, msg.KindFileIOResp,
+	msg.KindStateResp,
+}
+
+// keyOf computes the key of the call a response answers; a message that
+// answers no call gets the zero key, which is never pending. It is a
+// switch here rather than a method on msg's types because which fields
+// correlate is this client's choice, not a fact about the wire format.
+func keyOf(m msg.Message) callKey {
+	k := callKey{kind: m.Kind()}
+	switch m := m.(type) {
+	case *msg.DiscoverResp:
+		k.id = uint64(m.Nonce)
+	case *msg.OpenResp:
+		k.app, k.name = m.App, m.Service
+	case *msg.ConnectResp:
+		k.id = uint64(m.ConnID)
+	case *msg.CloseResp:
+		k.id = uint64(m.ConnID)
+	case *msg.AllocResp:
+		k.app, k.id = m.App, m.VA
+	case *msg.FreeResp:
+		k.app, k.id = m.App, m.VA
+	case *msg.GrantResp:
+		k.app, k.id, k.sub = m.App, m.VA, uint32(m.Target)
+	case *msg.FileIOResp:
+		k.app, k.id, k.sub = m.App, uint64(m.Handle), m.Seq
+	case *msg.StateResp:
+		k.id = uint64(m.Nonce)
+	default:
+		return callKey{}
+	}
+	return k
+}
+
+// call is one reliable request: send, wait, retransmit, give up. It is
+// the entry of NIC.pending and the event of its own timer.
+type call struct {
+	// tm is armed with the call itself; Fire is the response timeout, or
+	// the end of the post-NACK delay when delaying is set.
+	tm   sim.Timer
+	n    *NIC
+	req  msg.Message // what every attempt sends
+	key  callKey
+	done func(src msg.DeviceID, resp msg.Message, err error) // runs exactly once
+
+	pol      RetryPolicy
 	started  sim.Time
 	lastNack string
-	// The three small fields share one word: a retrier is allocated per
-	// control request, and with them apart it falls in the next size class.
-	seq  uint32 // last attempt's link-layer seq, for NACK correlation
-	dst  msg.DeviceID
-	done bool
+	attempts int
+	seq      uint32 // last attempt's link-layer seq, for NACK correlation
+	dst      msg.DeviceID
+	delaying bool
 }
 
-func (n *NIC) newRetrier(pol RetryPolicy, op string, dst msg.DeviceID, send func() uint32) *retrier {
-	return &retrier{n: n, pol: pol, op: op, dst: dst, send: send}
+// call issues req to dst and runs done with the response whose keyOf is
+// key, or with a *TimeoutError once pol's budget is spent. A second call
+// on a key still pending takes the key over: the response goes to it, and
+// the first call runs out its budget and fails.
+func (n *NIC) call(pol RetryPolicy, dst msg.DeviceID, req msg.Message, key callKey, done func(src msg.DeviceID, resp msg.Message, err error)) {
+	c := &call{n: n, req: req, key: key, done: done, pol: pol, dst: dst, started: n.dev.Engine().Now()}
+	n.pending[key] = c
+	n.retryStats.Requests++
+	c.attempt()
 }
 
-func (r *retrier) start() {
-	r.started = r.n.dev.Engine().Now()
-	r.n.retryStats.Requests++
-	r.attempt()
+func (c *call) attempt() {
+	n := c.n
+	delete(n.inflight, c.seq)
+	c.seq = n.dev.Send(c.dst, c.req)
+	n.inflight[c.seq] = c
+	wait := c.pol.timeoutFor(c.attempts)
+	c.attempts++
+	c.tm.Arm(n.dev.Engine(), wait, c)
 }
 
-func (r *retrier) attempt() {
-	if r.seq != 0 {
-		delete(r.n.inflight, r.seq)
-	}
-	r.seq = r.send()
-	r.n.inflight[r.seq] = r
-	wait := r.pol.timeoutFor(r.attempts)
-	r.attempts++
-	r.timer = r.n.dev.Engine().After(wait, r.onTimeout)
-}
-
-func (r *retrier) onTimeout() {
-	if r.done {
+// Fire is the call's timer: retransmit, or fail once the budget is spent.
+func (c *call) Fire() {
+	if c.delaying {
+		c.delaying = false
+		c.attempt()
 		return
 	}
-	if r.attempts > r.pol.MaxRetries {
-		r.fail()
+	if c.attempts > c.pol.MaxRetries {
+		c.fail()
 		return
 	}
-	r.n.retryStats.Retries++
-	r.attempt()
+	c.n.retryStats.Retries++
+	c.attempt()
 }
 
 // nacked is the fast path: the bus told us the attempt was refused, so
 // retransmit after a short delay instead of waiting out the full timeout
 // (the NACK reason — e.g. a dead destination — may clear after a reset).
-func (r *retrier) nacked(m *msg.Nack) {
-	if r.done {
+func (c *call) nacked(m *msg.Nack) {
+	c.lastNack = fmt.Sprintf("%v: %s", m.Code, m.Reason)
+	c.tm.Stop() // the timeout, or an earlier NACK's delay: tm is re-armed below
+	if c.attempts > c.pol.MaxRetries {
+		c.fail()
 		return
 	}
-	r.lastNack = fmt.Sprintf("%v: %s", m.Code, m.Reason)
-	if r.timer != nil {
-		r.timer.Stop()
-	}
-	if r.attempts > r.pol.MaxRetries {
-		r.fail()
-		return
-	}
-	delay := r.pol.Timeout / 4
+	delay := c.pol.Timeout / 4
 	if delay <= 0 {
 		delay = sim.Millisecond
 	}
-	r.n.retryStats.Retries++
-	r.n.retryStats.NackFast++
-	r.timer = r.n.dev.Engine().After(delay, func() {
-		if r.done {
-			return
+	c.n.retryStats.Retries++
+	c.n.retryStats.NackFast++
+	c.delaying = true
+	c.tm.Arm(c.n.dev.Engine(), delay, c)
+}
+
+// forget takes the call out of both tables and stops its timer. The key
+// may have been taken over by a later call; that entry is not ours.
+func (c *call) forget() {
+	n := c.n
+	if n.pending[c.key] == c {
+		delete(n.pending, c.key)
+	}
+	c.tm.Stop()
+	delete(n.inflight, c.seq)
+}
+
+func (c *call) fail() {
+	c.forget()
+	c.n.retryStats.Exhausted++
+	c.done(0, nil, &TimeoutError{
+		Op:       opOf(c.req),
+		Dst:      c.dst,
+		Attempts: c.attempts,
+		Elapsed:  sim.Duration(c.n.dev.Engine().Now() - c.started),
+		LastNack: c.lastNack,
+	})
+}
+
+// opOf names a request for TimeoutError.Op. Only a failed call pays for
+// the formatting.
+func opOf(req msg.Message) string {
+	switch m := req.(type) {
+	case *msg.DiscoverReq:
+		return fmt.Sprintf("discovery of %q", m.Query)
+	case *msg.OpenReq:
+		return fmt.Sprintf("open of %q", m.Service)
+	case *msg.ConnectReq:
+		return fmt.Sprintf("connect of %q conn %d", m.Service, m.ConnID)
+	case *msg.CloseReq:
+		return fmt.Sprintf("close of conn %d", m.ConnID)
+	case *msg.AllocReq:
+		if m.Huge {
+			return fmt.Sprintf("huge alloc of %d bytes", m.Bytes)
 		}
-		r.attempt()
-	})
+		return fmt.Sprintf("alloc of %d bytes", m.Bytes)
+	case *msg.FreeReq:
+		return fmt.Sprintf("free of va %#x", m.VA)
+	case *msg.GrantReq:
+		return fmt.Sprintf("grant of va %#x to dev%d", m.VA, m.Target)
+	case *msg.FileIOReq:
+		return fmt.Sprintf("mediated %v (seq %d)", smartssd.FileOp(m.Op), m.Seq)
+	}
+	return req.Kind().String()
 }
 
-// stop ends the request successfully (a response arrived).
-func (r *retrier) stop() {
-	if r.done {
-		return
+// onResponse routes a response to the call it answers. The first answer
+// wins; a later one for the same key (a second discovery responder, a
+// replay, an answer past the budget) finds nothing pending and is dropped.
+func (n *NIC) onResponse(env msg.Envelope) {
+	if c, ok := n.pending[keyOf(env.Msg)]; ok {
+		c.forget()
+		c.done(env.Src, env.Msg, nil)
 	}
-	r.done = true
-	if r.timer != nil {
-		r.timer.Stop()
-	}
-	delete(r.n.inflight, r.seq)
-}
-
-func (r *retrier) fail() {
-	r.done = true
-	delete(r.n.inflight, r.seq)
-	r.n.retryStats.Exhausted++
-	r.onFail(&TimeoutError{
-		Op:       r.op,
-		Dst:      r.dst,
-		Attempts: r.attempts,
-		Elapsed:  sim.Duration(r.n.dev.Engine().Now() - r.started),
-		LastNack: r.lastNack,
-	})
 }
 
 // onNack routes a bus refusal to the request it answers.
 func (n *NIC) onNack(env msg.Envelope) {
 	m := env.Msg.(*msg.Nack)
-	if r, ok := n.inflight[m.Seq]; ok {
-		r.nacked(m)
+	if c, ok := n.inflight[m.Seq]; ok {
+		c.nacked(m)
 	}
+}
+
+// abortCalls discards every call of the dying incarnation without running
+// its continuation: timers are stopped (schedule-neutral) so no stale
+// timeout fires into the next life, and both tables start empty, so a
+// response to the old life that is still in flight (the bus fences most
+// of them by incarnation, but a provider may answer an old request with
+// its own current incarnation) finds nothing pending and vanishes. Every
+// live call is in inflight, including one whose key was taken over.
+func (n *NIC) abortCalls() {
+	seqs := make([]uint32, 0, len(n.inflight))
+	for seq := range n.inflight {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		n.inflight[seq].tm.Stop()
+	}
+	n.pending = make(map[callKey]*call)
+	n.inflight = make(map[uint32]*call)
 }

@@ -1,6 +1,7 @@
 package smartnic
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"nocpu/internal/faultinject"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartssd"
 )
 
 func TestRetryPolicyBackoff(t *testing.T) {
@@ -206,5 +208,293 @@ func TestNackFastRetry(t *testing.T) {
 	}
 	if elapsed := m.eng.Now().Sub(start); elapsed >= blind {
 		t.Errorf("NACK path took %v, not faster than blind timeouts (%v)", elapsed, blind)
+	}
+}
+
+// The tests below pin what every control request gets from the one call
+// mechanism: each was a property of fifteen hand-written copies before.
+
+// TestFirstResponseWins: two providers answer one discovery, and a
+// delayed AllocResp arrives after the retransmission was already
+// answered. The continuation runs once; the later answer finds nothing
+// pending and is dropped.
+func TestFirstResponseWins(t *testing.T) {
+	m := newMachineWithSSD(t, smartssd.Config{}) // a second volume: both answer "file+create:"
+	rt := m.bootApp(t, 1)
+	answers := 0
+	rt.Discover("file+create:x.dat", func(provider msg.DeviceID, _ string, err error) {
+		if err != nil || provider == 0 {
+			t.Errorf("discover = dev%d, %v", provider, err)
+		}
+		answers++
+	})
+	m.eng.Run()
+	if answers != 1 {
+		t.Fatalf("discovery continuation ran %d times for two responders, want 1", answers)
+	}
+
+	plane := faultinject.New(4)
+	m.bus.SetFaultPlane(plane)
+	plane.Add(faultinject.Rule{
+		Layer: faultinject.LayerBus, Kind: msg.KindAllocResp, Op: faultinject.Delay,
+		Delay: 2 * rt.Retry.Timeout, Count: 1,
+	})
+	allocs := 0
+	rt.AllocShared(mcID, 64<<10, func(va uint64, err error) {
+		if err != nil || va == 0 {
+			t.Errorf("alloc = %#x, %v", va, err)
+		}
+		allocs++
+	})
+	m.eng.Run() // past the delayed original's arrival
+	if allocs != 1 {
+		t.Fatalf("alloc continuation ran %d times (replayed answer plus delayed original), want 1", allocs)
+	}
+	if st := m.nic.RetryStats(); st.Retries != 1 {
+		t.Errorf("retries = %d, want 1", st.Retries)
+	}
+	if len(m.nic.pending) != 0 || len(m.nic.inflight) != 0 {
+		t.Errorf("tables not empty: %d pending, %d inflight", len(m.nic.pending), len(m.nic.inflight))
+	}
+}
+
+// TestResponseAfterBudgetIsDropped delays every AllocResp past the whole
+// retry budget: the caller gets one typed failure with the full attempt
+// count, and the answers that straggle in afterwards reach nobody.
+func TestResponseAfterBudgetIsDropped(t *testing.T) {
+	m := newMachine(t)
+	plane := faultinject.New(5)
+	m.bus.SetFaultPlane(plane)
+	rt := m.bootApp(t, 1)
+	rt.Retry = RetryPolicy{Timeout: sim.Millisecond, MaxRetries: 2}
+	plane.Add(faultinject.Rule{
+		Layer: faultinject.LayerBus, Kind: msg.KindAllocResp, Op: faultinject.Delay, Delay: 20 * sim.Millisecond,
+	})
+	var errs []error
+	rt.AllocShared(mcID, 64<<10, func(va uint64, err error) { errs = append(errs, err) })
+	m.eng.Run()
+	if len(errs) != 1 {
+		t.Fatalf("continuation ran %d times, want 1", len(errs))
+	}
+	var te *TimeoutError
+	if !errors.As(errs[0], &te) || te.Attempts != rt.Retry.MaxRetries+1 {
+		t.Fatalf("err = %v, want a TimeoutError after %d attempts", errs[0], rt.Retry.MaxRetries+1)
+	}
+	if te.Op != "alloc of 65536 bytes" || te.Dst != mcID {
+		t.Errorf("failure names %q to %v", te.Op, te.Dst)
+	}
+	if got := plane.Stats().Delayed; got != 3 {
+		t.Errorf("%d responses were delayed, want all 3 to have arrived late", got)
+	}
+}
+
+// TestResetAbortsCalls crashes the NIC with one call waiting out its
+// response timeout and one waiting out a post-NACK delay. Neither timer
+// survives, neither continuation ever runs, and the only thing that left
+// the event queue is those two timers.
+func TestResetAbortsCalls(t *testing.T) {
+	m := newMachine(t)
+	plane := faultinject.New(6)
+	m.bus.SetFaultPlane(plane)
+	rt := m.bootApp(t, 1)
+	plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindAllocReq, Dst: mcID, Op: faultinject.Drop})
+	idle := m.eng.Pending()
+
+	ran := 0
+	rt.AllocShared(mcID, 64<<10, func(uint64, error) { ran++ })             // request lost: timeout pending
+	rt.AllocShared(msg.DeviceID(99), 64<<10, func(uint64, error) { ran++ }) // NACKed: delay pending
+	m.eng.RunFor(100 * sim.Microsecond)
+	if st := m.nic.RetryStats(); st.NackFast != 1 {
+		t.Fatalf("nack-fast = %d, want the second call in its post-NACK delay", st.NackFast)
+	}
+	if got := m.eng.Pending(); got != idle+2 {
+		t.Fatalf("%d events queued, want the two call timers over %d", got, idle)
+	}
+	m.nic.onReset()
+	if got := m.eng.Pending(); got != idle {
+		t.Errorf("%d events queued after reset, want %d: only the stopped timers may leave", got, idle)
+	}
+	if len(m.nic.pending) != 0 || len(m.nic.inflight) != 0 {
+		t.Errorf("tables not empty: %d pending, %d inflight", len(m.nic.pending), len(m.nic.inflight))
+	}
+	before := m.nic.RetryStats()
+	m.eng.RunFor(sim.Second)
+	if ran != 0 {
+		t.Errorf("%d continuations of the dead incarnation ran", ran)
+	}
+	if after := m.nic.RetryStats(); after != before {
+		t.Errorf("retry stats moved after reset: %+v -> %+v", before, after)
+	}
+}
+
+// TestKeyTakeover issues a second call on a key that is still pending.
+// The response belongs to the second; the first runs out its budget, and
+// its failure must not unregister the second.
+func TestKeyTakeover(t *testing.T) {
+	m := newMachine(t)
+	m.createFile(t, "kv.dat", []byte("x"))
+	plane := faultinject.New(7)
+	m.bus.SetFaultPlane(plane)
+	m.bootApp(t, 1)
+	// The answer is slower than the first call's whole NACK-driven failure.
+	plane.Add(faultinject.Rule{
+		Layer: faultinject.LayerBus, Kind: msg.KindOpenResp, Op: faultinject.Delay, Delay: 2 * sim.Millisecond, Count: 1,
+	})
+	pol := RetryPolicy{Timeout: 400 * sim.Microsecond, MaxRetries: 2}
+	req := &msg.OpenReq{Service: "file:kv.dat", App: 1}
+	key := keyOf(&msg.OpenResp{Service: req.Service, App: req.App})
+
+	var firstErr error
+	var second *msg.OpenResp
+	m.nic.call(pol, msg.DeviceID(99), req, key, func(_ msg.DeviceID, _ msg.Message, err error) { firstErr = err })
+	m.nic.call(DefaultRetryPolicy, ssdID, req, key, func(_ msg.DeviceID, resp msg.Message, err error) {
+		if err != nil {
+			t.Errorf("second call: %v", err)
+			return
+		}
+		second = resp.(*msg.OpenResp)
+	})
+	m.eng.RunFor(sim.Millisecond)
+	var te *TimeoutError
+	if !errors.As(firstErr, &te) || te.LastNack == "" {
+		t.Fatalf("first call: %v, want it NACKed to exhaustion by now", firstErr)
+	}
+	if m.nic.pending[key] == nil {
+		t.Fatal("the first call's failure unregistered the second call")
+	}
+	m.eng.Run()
+	if second == nil || !second.OK {
+		t.Fatalf("second call's response = %+v", second)
+	}
+}
+
+// zeroMessage decodes an all-zero body of the right length for kind k.
+func zeroMessage(k msg.Kind) msg.Message {
+	for n := 0; n <= 256; n++ {
+		frame := msg.Envelope{Msg: &msg.HelloAck{}}.Encode() // an empty body: the bare header
+		binary.LittleEndian.PutUint16(frame[4:], uint16(k))
+		binary.LittleEndian.PutUint32(frame[6:], uint32(n))
+		if env, err := msg.Decode(append(frame, make([]byte, n)...)); err == nil {
+			return env.Msg
+		}
+	}
+	return nil
+}
+
+// TestEveryResponseKindIsWired walks every wire kind: onResponse is
+// registered for it if and only if keyOf has an arm for it, so a new
+// response kind cannot be half-wired.
+func TestEveryResponseKindIsWired(t *testing.T) {
+	registered := map[msg.Kind]bool{}
+	for _, k := range responseKinds {
+		if registered[k] {
+			t.Errorf("%v listed twice", k)
+		}
+		registered[k] = true
+	}
+	seen := 0
+	for k := msg.Kind(1); !strings.HasPrefix(k.String(), "kind("); k++ {
+		m := zeroMessage(k)
+		if m == nil {
+			t.Fatalf("no zero message for %v", k)
+		}
+		hasArm := keyOf(m) != callKey{}
+		if hasArm && keyOf(m).kind != k {
+			t.Errorf("keyOf(%v).kind = %v", k, keyOf(m).kind)
+		}
+		if hasArm != registered[k] {
+			t.Errorf("%v: keyOf arm %v, onResponse registered %v", k, hasArm, registered[k])
+		}
+		if registered[k] {
+			seen++
+		}
+	}
+	if seen != len(responseKinds) {
+		t.Errorf("walked %d of %d registered kinds", seen, len(responseKinds))
+	}
+}
+
+// controlBed is an untraced testbed with one app booted, and the three
+// round trips the guard and the benchmark below drive on it.
+type controlBed struct {
+	m  *machine
+	rt *Runtime
+	va uint64 // a live region, for grant
+}
+
+func newControlBed(t testing.TB) *controlBed {
+	t.Helper()
+	b := &controlBed{m: buildMachine(t, 0, nil)}
+	b.m.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) { b.rt = rt }})
+	b.m.eng.Run()
+	b.rt.AllocShared(mcID, 64<<10, func(va uint64, err error) { b.va = va })
+	b.m.eng.Run()
+	if b.va == 0 {
+		t.Fatal("no region to grant")
+	}
+	return b
+}
+
+func (b *controlBed) allocFree(t testing.TB) {
+	b.rt.AllocShared(mcID, 64<<10, func(va uint64, err error) {
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		b.rt.Free(mcID, va, 64<<10, func(err error) {
+			if err != nil {
+				t.Fatalf("free: %v", err)
+			}
+		})
+	})
+	b.m.eng.Run()
+}
+
+func (b *controlBed) discover(t testing.TB) {
+	b.rt.Discover("file+create:x.dat", func(_ msg.DeviceID, _ string, err error) {
+		if err != nil {
+			t.Fatalf("discover: %v", err)
+		}
+	})
+	b.m.eng.Run()
+}
+
+// grant re-grants the same region: the bus re-authorizes and re-acks.
+func (b *controlBed) grant(t testing.TB) {
+	b.rt.Grant(b.va, 64<<10, ssdID, func(err error) {
+		if err != nil {
+			t.Fatalf("grant: %v", err)
+		}
+	})
+	b.m.eng.Run()
+}
+
+// TestControlCallAllocs pins the host cost of a steady-state AllocShared +
+// Free round trip through the whole control plane (client call, bus route
+// and IOMMU programming, memctrl): 34 today. The client's share is the
+// call record, the request message and the continuation per request; with
+// a retrier, an op label, a send closure, an onFail closure and an After
+// handle per request instead (PR 17) the same round trip read 46.
+func TestControlCallAllocs(t *testing.T) {
+	b := newControlBed(t)
+	b.allocFree(t)
+	if n := testing.AllocsPerRun(200, func() { b.allocFree(t) }); n > 35 {
+		t.Errorf("alloc+free round trip allocates %v times, want <= 35", n)
+	}
+}
+
+// BenchmarkControlCall is one control round trip on the testbed: client
+// call, bus, provider and back.
+func BenchmarkControlCall(b *testing.B) {
+	bed := newControlBed(b)
+	for _, bc := range []struct {
+		name string
+		op   func(testing.TB)
+	}{{"alloc_free", bed.allocFree}, {"discover", bed.discover}, {"grant", bed.grant}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.op(b)
+			}
+		})
 	}
 }

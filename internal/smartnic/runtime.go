@@ -1,6 +1,7 @@
 package smartnic
 
 import (
+	"errors"
 	"fmt"
 
 	"nocpu/internal/iommu"
@@ -83,53 +84,29 @@ func (rt *Runtime) reserveVA(bytes uint64) uint64 {
 func (rt *Runtime) Discover(query string, cb func(provider msg.DeviceID, service string, err error)) {
 	n := rt.nic
 	n.nextNonce++
-	nonce := n.nextNonce
-	r := n.newRetrier(rt.Retry.withBase(rt.DiscoverTimeout), fmt.Sprintf("discovery of %q", query), msg.Broadcast, func() uint32 {
-		return n.dev.Send(msg.Broadcast, &msg.DiscoverReq{Query: query, Nonce: nonce})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingDiscover, nonce)
-		cb(0, "", err)
-	}
-	n.pendingDiscover[nonce] = func(src msg.DeviceID, m *msg.DiscoverResp) {
-		r.stop()
-		cb(src, m.Service, nil)
-	}
-	r.start()
+	req := &msg.DiscoverReq{Query: query, Nonce: n.nextNonce}
+	n.call(rt.Retry.withBase(rt.DiscoverTimeout), msg.Broadcast, req,
+		callKey{kind: msg.KindDiscoverResp, id: uint64(req.Nonce)},
+		func(src msg.DeviceID, resp msg.Message, err error) {
+			if err != nil {
+				cb(0, "", err)
+				return
+			}
+			cb(src, resp.(*msg.DiscoverResp).Service, nil)
+		})
 }
 
 // AllocShared asks the memory controller for shared memory mapped into
 // this app's address space (§3 step 5); the bus programs this NIC's IOMMU
 // before the response arrives (§3 step 6).
 func (rt *Runtime) AllocShared(memctrl msg.DeviceID, bytes uint64, cb func(va uint64, err error)) {
-	n := rt.nic
-	n.lastMemctrl = memctrl
-	va := rt.reserveVA(bytes)
-	k := allocKey{rt.app, va}
-	r := n.newRetrier(rt.Retry, fmt.Sprintf("alloc of %d bytes", bytes), memctrl, func() uint32 {
-		return n.dev.Send(memctrl, &msg.AllocReq{App: rt.app, VA: va, Bytes: bytes, Perm: uint8(iommu.PermRW)})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingAlloc, k)
-		cb(0, err)
-	}
-	n.pendingAlloc[k] = func(m *msg.AllocResp) {
-		r.stop()
-		if !m.OK {
-			cb(0, fmt.Errorf("smartnic: alloc failed: %s", m.Reason))
-			return
-		}
-		cb(va, nil)
-	}
-	r.start()
+	rt.alloc(memctrl, rt.reserveVA(bytes), bytes, false, cb)
 }
 
 // AllocSharedHuge is AllocShared with 2 MiB mappings: the controller
 // hands out contiguous runs and the bus installs one PTE per 2 MiB,
 // cutting table-programming cost ~512x and extending TLB reach (E13).
 func (rt *Runtime) AllocSharedHuge(memctrl msg.DeviceID, bytes uint64, cb func(va uint64, err error)) {
-	n := rt.nic
-	n.lastMemctrl = memctrl
 	// Round the reservation so the next region stays huge-aligned.
 	runs := (bytes + iommu.HugePageSize - 1) / iommu.HugePageSize
 	va := rt.nextVA
@@ -137,68 +114,99 @@ func (rt *Runtime) AllocSharedHuge(memctrl msg.DeviceID, bytes uint64, cb func(v
 		va += iommu.HugePageSize - rem
 	}
 	rt.nextVA = va + (runs+1)*iommu.HugePageSize
-	k := allocKey{rt.app, va}
-	r := n.newRetrier(rt.Retry, fmt.Sprintf("huge alloc of %d bytes", bytes), memctrl, func() uint32 {
-		return n.dev.Send(memctrl, &msg.AllocReq{App: rt.app, VA: va, Bytes: bytes, Perm: uint8(iommu.PermRW), Huge: true})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingAlloc, k)
-		cb(0, err)
-	}
-	n.pendingAlloc[k] = func(m *msg.AllocResp) {
-		r.stop()
-		if !m.OK {
-			cb(0, fmt.Errorf("smartnic: huge alloc failed: %s", m.Reason))
-			return
-		}
-		cb(va, nil)
-	}
-	r.start()
+	rt.alloc(memctrl, va, bytes, true, cb)
+}
+
+// alloc requests backing for exactly [va, va+bytes): an eager region
+// whose VA the caller just reserved, or one demand-paged chunk
+// (demand.go). cb receives va on success.
+func (rt *Runtime) alloc(memctrl msg.DeviceID, va, bytes uint64, huge bool, cb func(va uint64, err error)) {
+	rt.nic.lastMemctrl = memctrl
+	req := &msg.AllocReq{App: rt.app, VA: va, Bytes: bytes, Perm: uint8(iommu.PermRW), Huge: huge}
+	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindAllocResp, app: rt.app, id: va},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if err != nil {
+				cb(0, err)
+			} else if m := resp.(*msg.AllocResp); !m.OK {
+				cb(0, fmt.Errorf("smartnic: alloc failed: %s", m.Reason))
+			} else {
+				cb(va, nil)
+			}
+		})
 }
 
 // Free returns a shared region to the controller.
 func (rt *Runtime) Free(memctrl msg.DeviceID, va, bytes uint64, cb func(error)) {
-	n := rt.nic
-	k := allocKey{rt.app, va}
-	r := n.newRetrier(rt.Retry, fmt.Sprintf("free of va %#x", va), memctrl, func() uint32 {
-		return n.dev.Send(memctrl, &msg.FreeReq{App: rt.app, VA: va, Bytes: bytes})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingFree, k)
-		cb(err)
-	}
-	n.pendingFree[k] = func(m *msg.FreeResp) {
-		r.stop()
-		if !m.OK {
-			cb(fmt.Errorf("smartnic: free failed: %s", m.Reason))
-			return
-		}
-		cb(nil)
-	}
-	r.start()
+	req := &msg.FreeReq{App: rt.app, VA: va, Bytes: bytes}
+	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindFreeResp, app: rt.app, id: va},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if m, _ := resp.(*msg.FreeResp); err == nil && !m.OK {
+				err = fmt.Errorf("smartnic: free failed: %s", m.Reason)
+			}
+			cb(err)
+		})
 }
 
 // Grant asks the bus to extend one of this app's regions to another
 // device (§3 step 7, first half).
 func (rt *Runtime) Grant(va, bytes uint64, target msg.DeviceID, cb func(error)) {
+	req := &msg.GrantReq{App: rt.app, VA: va, Bytes: bytes, Target: target, Perm: uint8(iommu.PermRW)}
+	rt.nic.call(rt.Retry, msg.BusID, req, callKey{kind: msg.KindGrantResp, app: rt.app, id: va, sub: uint32(target)},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if m, _ := resp.(*msg.GrantResp); err == nil && !m.OK {
+				err = fmt.Errorf("smartnic: grant to %v denied: %s", target, m.Reason)
+			}
+			cb(err)
+		})
+}
+
+// open is §3 steps 3-4 against provider: a device's service, or the
+// kernel in the centralized baseline. cb receives the provider's verdict
+// as sent (OK or not), or the call's failure.
+func (rt *Runtime) open(provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
+	req := &msg.OpenReq{Service: service, App: rt.app, Token: token}
+	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			or, _ := resp.(*msg.OpenResp)
+			cb(or, err)
+		})
+}
+
+// connect builds the driver half of a queue over the shared region at
+// base, then programs the provider's half with it (§3 step 7b; the
+// driver comes first so the ConnectReq can carry the response doorbell).
+// An error names the step that failed.
+func (rt *Runtime) connect(provider msg.DeviceID, service string, connID uint32, base uint64, entries uint16, cellSize int, cb func(*virtio.Driver, error)) {
 	n := rt.nic
-	k := grantKey{rt.app, va, target}
-	r := n.newRetrier(rt.Retry, fmt.Sprintf("grant of va %#x to dev%d", va, target), msg.BusID, func() uint32 {
-		return n.dev.Send(msg.BusID, &msg.GrantReq{App: rt.app, VA: va, Bytes: bytes, Target: target, Perm: uint8(iommu.PermRW)})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingGrant, k)
-		cb(err)
+	layout := virtio.NewLayout(iommu.VirtAddr(base), entries, cellSize)
+	drv, err := virtio.NewDriver(n.dev.DMA(), iommu.PASID(rt.app), layout, 0)
+	if err != nil {
+		cb(nil, fmt.Errorf("driver: %w", err))
+		return
 	}
-	n.pendingGrant[k] = func(m *msg.GrantResp) {
-		r.stop()
-		if !m.OK {
-			cb(fmt.Errorf("smartnic: grant to %v denied: %s", target, m.Reason))
-			return
-		}
-		cb(nil)
+	req := &msg.ConnectReq{
+		Service: service, ConnID: connID, App: rt.app,
+		RingVA: uint64(layout.Base), RingEntries: entries,
+		DataVA: uint64(layout.DataVA), DataBytes: uint64(layout.DataBytes()),
+		RespDoorbell: uint64(drv.RespBell),
 	}
-	r.start()
+	n.call(rt.Retry, provider, req, callKey{kind: msg.KindConnectResp, id: uint64(connID)},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			var bell uint64
+			if err == nil {
+				if cr := resp.(*msg.ConnectResp); !cr.OK {
+					err = errors.New(cr.Reason)
+				} else if _, serr := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); serr != nil {
+					err = errors.New("no request doorbell in response")
+				}
+			}
+			if err != nil {
+				cb(nil, fmt.Errorf("connect: %w", err))
+				return
+			}
+			drv.SetRequestBell(bell)
+			cb(drv, nil)
+		})
 }
 
 // Connection is an established service connection with its virtqueue.
@@ -225,7 +233,6 @@ type Connection struct {
 //
 // cb receives a live Connection whose Queue is ready for requests.
 func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64, entries uint16, cb func(*Connection, error)) {
-	n := rt.nic
 	fail := func(stage string, err error) {
 		cb(nil, fmt.Errorf("smartnic: open %q: %s: %w", query, stage, err))
 	}
@@ -236,24 +243,16 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 			return
 		}
 		// Step 3-4: open.
-		ok := openKey{rt.app, service}
-		ro := n.newRetrier(rt.Retry, fmt.Sprintf("open of %q", service), provider, func() uint32 {
-			return n.dev.Send(provider, &msg.OpenReq{Service: service, App: rt.app, Token: token})
-		})
-		ro.onFail = func(err error) {
-			delete(n.pendingOpen, ok)
-			fail("open", err)
-		}
-		n.pendingOpen[ok] = func(or *msg.OpenResp) {
-			ro.stop()
-			if !or.OK {
-				fail("open", fmt.Errorf("%s", or.Reason))
+		rt.open(provider, service, token, func(or *msg.OpenResp, err error) {
+			if err == nil && !or.OK {
+				err = errors.New(or.Reason)
+			}
+			if err != nil {
+				fail("open", err)
 				return
 			}
-			// The provider quotes shared memory for a default ring; scale
-			// for the ring size we actually want.
-			cell := int(or.SharedBytes) // provider's quote for 128 entries
-			_ = cell
+			// The provider quotes shared memory for a default 128-entry
+			// ring; scale for the ring size we actually want.
 			cellSize := cellSizeFromQuote(or.SharedBytes, 128)
 			lay := virtio.NewLayout(0, entries, cellSize)
 			shared := uint64(lay.DataVA) + uint64(lay.DataBytes())
@@ -269,60 +268,22 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 						fail("grant", err)
 						return
 					}
-					// Build our driver half first so the ConnectReq can
-					// carry the response doorbell.
-					layout := virtio.NewLayout(iommu.VirtAddr(va), entries, cellSize)
-					drv, derr := virtio.NewDriver(n.dev.DMA(), iommu.PASID(rt.app), layout, 0)
-					if derr != nil {
-						fail("driver", derr)
-						return
-					}
 					// Step 7b: program the provider's queue.
-					rc := n.newRetrier(rt.Retry, fmt.Sprintf("connect of %q conn %d", service, or.ConnID), provider, func() uint32 {
-						return n.dev.Send(provider, &msg.ConnectReq{
-							Service:      service,
-							ConnID:       or.ConnID,
-							App:          rt.app,
-							RingVA:       uint64(layout.Base),
-							RingEntries:  entries,
-							DataVA:       uint64(layout.DataVA),
-							DataBytes:    uint64(layout.DataBytes()),
-							RespDoorbell: uint64(drv.RespBell),
-						})
-					})
-					rc.onFail = func(err error) {
-						delete(n.pendingConnect, or.ConnID)
-						fail("connect", err)
-					}
-					n.pendingConnect[or.ConnID] = func(cr *msg.ConnectResp) {
-						rc.stop()
-						if !cr.OK {
-							fail("connect", fmt.Errorf("%s", cr.Reason))
+					rt.connect(provider, service, or.ConnID, va, entries, cellSize, func(drv *virtio.Driver, err error) {
+						if err != nil {
+							cb(nil, fmt.Errorf("smartnic: open %q: %w", query, err))
 							return
 						}
-						var bell uint64
-						if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
-							fail("connect", fmt.Errorf("no request doorbell in response"))
-							return
-						}
-						drv.SetRequestBell(bell)
 						conn := &Connection{
-							rt:       rt,
-							Provider: provider,
-							Service:  service,
-							ConnID:   or.ConnID,
-							VA:       va,
-							Bytes:    shared,
-							Queue:    drv,
+							rt: rt, Provider: provider, Service: service,
+							ConnID: or.ConnID, VA: va, Bytes: shared, Queue: drv,
 						}
 						rt.conns = append(rt.conns, conn)
 						cb(conn, nil)
-					}
-					rc.start()
+					})
 				})
 			})
-		}
-		ro.start()
+		})
 	})
 }
 
@@ -336,30 +297,20 @@ func cellSizeFromQuote(quote uint64, entries uint16) int {
 	return int((quote - ring) / uint64(entries))
 }
 
-// Close tears down the connection (service side and local doorbell).
+// Close tears down the connection (service side and local doorbell). If
+// the provider is unreachable the local half is released regardless.
 func (c *Connection) Close(cb func(error)) {
 	n := c.rt.nic
-	r := n.newRetrier(c.rt.Retry, fmt.Sprintf("close of conn %d", c.ConnID), c.Provider, func() uint32 {
-		return n.dev.Send(c.Provider, &msg.CloseReq{Service: c.Service, ConnID: c.ConnID, App: c.rt.app})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingClose, c.ConnID)
-		// The provider is unreachable; release the local half regardless.
-		n.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
-		c.rt.forgetConn(c)
-		cb(err)
-	}
-	n.pendingClose[c.ConnID] = func(m *msg.CloseResp) {
-		r.stop()
-		n.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
-		c.rt.forgetConn(c)
-		if !m.OK {
-			cb(fmt.Errorf("smartnic: close refused"))
-			return
-		}
-		cb(nil)
-	}
-	r.start()
+	req := &msg.CloseReq{Service: c.Service, ConnID: c.ConnID, App: c.rt.app}
+	n.call(c.rt.Retry, c.Provider, req, callKey{kind: msg.KindCloseResp, id: uint64(c.ConnID)},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			n.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
+			c.rt.forgetConn(c)
+			if m, _ := resp.(*msg.CloseResp); err == nil && !m.OK {
+				err = fmt.Errorf("smartnic: close refused")
+			}
+			cb(err)
+		})
 }
 
 // forgetConn drops a closed connection from the crash-teardown list.

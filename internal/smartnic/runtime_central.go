@@ -1,9 +1,9 @@
 package smartnic
 
 import (
+	"errors"
 	"fmt"
 
-	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/smartssd"
 	"nocpu/internal/virtio"
@@ -35,7 +35,7 @@ type FileAPI interface {
 // Fail implements FileAPI for the mediated client: the kernel died, the
 // handle it issued is gone, and every subsequent syscall on it must fail
 // fast so the owner reopens through the rebooted kernel. In-flight
-// retriers drain on their own — the revived kernel answers an unknown
+// calls drain on their own — the revived kernel answers an unknown
 // handle with StatusBadRequest.
 func (m *mediatedFile) Fail(err error) { m.dead = true }
 
@@ -50,101 +50,47 @@ func (fc *FileClient) Fail(err error) { fc.Conn.Queue.Abort(err) }
 // programming, but the resulting virtqueue is app-to-SSD — the data
 // plane stays peer-to-peer.
 func (rt *Runtime) OpenFileCentralDirect(kernel msg.DeviceID, name string, token uint64, entries uint16, cb func(FileAPI, error)) {
-	n := rt.nic
 	service := "file:" + name
-	fail := func(stage string, err error) {
-		cb(nil, fmt.Errorf("smartnic: central open %q: %s: %w", name, stage, err))
+	fail := func(err error) {
+		cb(nil, fmt.Errorf("smartnic: central open %q: %w", name, err))
 	}
-	ok := openKey{rt.app, service}
-	ro := n.newRetrier(rt.Retry, fmt.Sprintf("central open of %q", service), kernel, func() uint32 {
-		return n.dev.Send(kernel, &msg.OpenReq{Service: service, App: rt.app, Token: token})
-	})
-	ro.onFail = func(err error) {
-		delete(n.pendingOpen, ok)
-		fail("open", err)
-	}
-	n.pendingOpen[ok] = func(or *msg.OpenResp) {
-		ro.stop()
-		if !or.OK {
-			fail("open", fmt.Errorf("%s", or.Reason))
+	rt.open(kernel, service, token, func(or *msg.OpenResp, err error) {
+		if err == nil && !or.OK {
+			err = errors.New(or.Reason)
+		}
+		if err != nil {
+			fail(fmt.Errorf("open: %w", err))
 			return
 		}
+		// The connect syscall also goes through the kernel.
 		cellSize := cellSizeFromQuote(or.SharedBytes, entries)
-		layout := virtio.NewLayout(iommu.VirtAddr(or.Base), entries, cellSize)
-		drv, derr := virtio.NewDriver(n.dev.DMA(), iommu.PASID(rt.app), layout, 0)
-		if derr != nil {
-			fail("driver", derr)
-			return
-		}
-		rc := n.newRetrier(rt.Retry, fmt.Sprintf("central connect of conn %d", or.ConnID), kernel, func() uint32 {
-			return n.dev.Send(kernel, &msg.ConnectReq{
-				Service:      service,
-				ConnID:       or.ConnID,
-				App:          rt.app,
-				RingVA:       uint64(layout.Base),
-				RingEntries:  entries,
-				DataVA:       uint64(layout.DataVA),
-				DataBytes:    uint64(layout.DataBytes()),
-				RespDoorbell: uint64(drv.RespBell),
-			})
-		})
-		rc.onFail = func(err error) {
-			delete(n.pendingConnect, or.ConnID)
-			fail("connect", err)
-		}
-		n.pendingConnect[or.ConnID] = func(cr *msg.ConnectResp) {
-			rc.stop()
-			if !cr.OK {
-				fail("connect", fmt.Errorf("%s", cr.Reason))
+		rt.connect(kernel, service, or.ConnID, or.Base, entries, cellSize, func(drv *virtio.Driver, err error) {
+			if err != nil {
+				fail(err)
 				return
 			}
-			var bell uint64
-			if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
-				fail("connect", fmt.Errorf("no request doorbell"))
-				return
-			}
-			drv.SetRequestBell(bell)
 			cb(&FileClient{Conn: &Connection{
 				rt: rt, Provider: kernel, Service: service,
 				ConnID: or.ConnID, VA: or.Base, Bytes: or.SharedBytes, Queue: drv,
 			}}, nil)
-		}
-		// The connect syscall also goes through the kernel.
-		rc.start()
-	}
-	ro.start()
+		})
+	})
 }
 
 // OpenFileMediated performs a traditional-stack open: the kernel owns the
 // device queue, and every subsequent I/O is a FileIOReq syscall with the
 // kernel copying data between the app and its page cache.
 func (rt *Runtime) OpenFileMediated(kernel msg.DeviceID, name string, token uint64, cb func(FileAPI, error)) {
-	n := rt.nic
-	service := "mediated:" + name
-	ok := openKey{rt.app, service}
-	r := n.newRetrier(rt.Retry, fmt.Sprintf("mediated open of %q", service), kernel, func() uint32 {
-		return n.dev.Send(kernel, &msg.OpenReq{Service: service, App: rt.app, Token: token})
-	})
-	r.onFail = func(err error) {
-		delete(n.pendingOpen, ok)
-		cb(nil, err)
-	}
-	n.pendingOpen[ok] = func(or *msg.OpenResp) {
-		r.stop()
-		if !or.OK {
-			cb(nil, fmt.Errorf("smartnic: mediated open %q: %s", name, or.Reason))
+	rt.open(kernel, "mediated:"+name, token, func(or *msg.OpenResp, err error) {
+		if err == nil && !or.OK {
+			err = fmt.Errorf("smartnic: mediated open %q: %s", name, or.Reason)
+		}
+		if err != nil {
+			cb(nil, err)
 			return
 		}
 		cb(&mediatedFile{rt: rt, kernel: kernel, handle: or.ConnID, maxIO: int(or.SharedBytes)}, nil)
-	}
-	r.start()
-}
-
-// ioKey correlates mediated I/O completions.
-type ioKey struct {
-	app    msg.AppID
-	handle uint32
-	seq    uint32
+	})
 }
 
 // mediatedFile is the syscall-based FileAPI.
@@ -165,32 +111,25 @@ func (m *mediatedFile) call(op smartssd.FileOp, off uint64, n uint32, data []byt
 		cb(nil, fmt.Errorf("smartnic: mediated handle %d is dead", m.handle))
 		return
 	}
-	nic := m.rt.nic
 	m.seq++
-	seq := m.seq
-	k := ioKey{m.rt.app, m.handle, seq}
 	// Safe to retransmit: the kernel deduplicates FileIOReq by (handle,
 	// seq) and replays the recorded response, so a lost FileIOResp does
 	// not re-apply a write.
-	r := nic.newRetrier(m.rt.Retry, fmt.Sprintf("mediated %v (seq %d)", op, seq), m.kernel, func() uint32 {
-		return nic.dev.Send(m.kernel, &msg.FileIOReq{
-			App: m.rt.app, Handle: m.handle, Seq: seq,
-			Op: uint8(op), Off: off, Len: n, Data: data,
+	req := &msg.FileIOReq{
+		App: m.rt.app, Handle: m.handle, Seq: m.seq,
+		Op: uint8(op), Off: off, Len: n, Data: data,
+	}
+	m.rt.nic.call(m.rt.Retry, m.kernel, req,
+		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.handle), sub: m.seq},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if err != nil {
+				cb(nil, err)
+			} else if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {
+				cb(nil, fmt.Errorf("smartnic: mediated %v failed with status %d", op, r.Status))
+			} else {
+				cb(r, nil)
+			}
 		})
-	})
-	r.onFail = func(err error) {
-		delete(nic.pendingIO, k)
-		cb(nil, err)
-	}
-	nic.pendingIO[k] = func(resp *msg.FileIOResp) {
-		r.stop()
-		if smartssd.Status(resp.Status) != smartssd.StatusOK {
-			cb(nil, fmt.Errorf("smartnic: mediated %v failed with status %d", op, resp.Status))
-			return
-		}
-		cb(resp, nil)
-	}
-	r.start()
 }
 
 func (m *mediatedFile) Read(off uint64, n int, cb func([]byte, error)) {

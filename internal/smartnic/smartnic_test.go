@@ -36,14 +36,15 @@ const (
 
 func newMachine(t testing.TB) *machine {
 	t.Helper()
-	return buildMachine(t, 0)
+	return buildMachine(t, 0, trace.New(0))
 }
 
 // buildMachine assembles the memctrl+SSD+NIC testbed; a non-zero
-// watchdog enables heartbeats at watchdog/4.
-func buildMachine(t testing.TB, watchdog sim.Duration) *machine {
+// watchdog enables heartbeats at watchdog/4, and a nil tracer turns
+// message tracing off (what a cost measurement wants).
+func buildMachine(t testing.TB, watchdog sim.Duration, tr *trace.Tracer) *machine {
 	t.Helper()
-	m := &machine{eng: sim.NewEngine(), tr: trace.New(0)}
+	m := &machine{eng: sim.NewEngine(), tr: tr}
 	mem := physmem.MustNew(16 * 1024 * physmem.PageSize) // 64 MiB
 	m.fab = interconnect.NewFabric(m.eng, mem, interconnect.DefaultCosts)
 	busCfg := bus.DefaultConfig
@@ -392,8 +393,7 @@ func TestConnectByOtherDeviceRefused(t *testing.T) {
 	m.nic.AddApp(&testApp{id: 3, onBoot: func(rt *Runtime) {
 		// Run only open (not the full sequence) so we can hijack.
 		rt.Discover("file:kv.dat", func(provider msg.DeviceID, service string, err error) {
-			m.nic.pendingOpen[openKey{3, service}] = func(or *msg.OpenResp) { connID = or.ConnID }
-			m.nic.dev.Send(provider, &msg.OpenReq{Service: service, App: 3})
+			rt.open(provider, service, 0, func(or *msg.OpenResp, err error) { connID = or.ConnID })
 		})
 	}})
 	m.eng.Run()
@@ -401,9 +401,10 @@ func TestConnectByOtherDeviceRefused(t *testing.T) {
 		t.Fatal("open failed")
 	}
 	var refused *msg.ConnectResp
-	nic2.pendingConnect[connID] = func(cr *msg.ConnectResp) { refused = cr }
-	nic2.dev.Send(ssdID, &msg.ConnectReq{Service: "file:kv.dat", ConnID: connID, App: 3,
-		RingVA: 0x1000_0000, RingEntries: 16, DataVA: 0x1001_0000, DataBytes: 16 * 4096})
+	req := &msg.ConnectReq{Service: "file:kv.dat", ConnID: connID, App: 3,
+		RingVA: 0x1000_0000, RingEntries: 16, DataVA: 0x1001_0000, DataBytes: 16 * 4096}
+	nic2.call(DefaultRetryPolicy, ssdID, req, keyOf(&msg.ConnectResp{ConnID: connID}),
+		func(_ msg.DeviceID, resp msg.Message, err error) { refused, _ = resp.(*msg.ConnectResp) })
 	m.eng.Run()
 	if refused == nil || refused.OK {
 		t.Fatalf("hijacked connect = %+v", refused)

@@ -1,14 +1,11 @@
 package smartssd
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
 	"nocpu/internal/interconnect"
-	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/trace"
@@ -38,21 +35,6 @@ type Config struct {
 	NotifyBatch int
 }
 
-// conn is one open file-service connection (one service instance; §2.1
-// requires per-instance contexts and isolation between them).
-type conn struct {
-	id      uint32
-	app     msg.AppID
-	client  msg.DeviceID
-	service string
-	file    *File
-	ep      *virtio.Endpoint
-	// estab is the ConnectReq that built ep; an identical retransmission
-	// (lost ConnectResp) is answered OK again instead of being rejected as
-	// "already connected".
-	estab msg.ConnectReq
-}
-
 // SSD is the smart SSD device.
 type SSD struct {
 	dev   *device.Device
@@ -61,14 +43,11 @@ type SSD struct {
 	ftl   *ftl
 	fs    *FS
 
-	ready    bool
-	booted   bool // formatted once
-	conns    map[uint32]*conn
-	nextConn uint32
-	// closed remembers torn-down connections (id → closer) so a retried
-	// CloseReq whose first response was lost gets OK, not "no such
-	// connection".
-	closed map[uint32]msg.DeviceID
+	ready  bool
+	booted bool // formatted once
+	// files is the file service: one session per open connection (the
+	// table, its isolation and its replay rules live in device.Sessions).
+	files *fileService
 
 	// ServedOps counts file-protocol requests completed.
 	ServedOps uint64
@@ -93,17 +72,17 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if err != nil {
 		return nil, err
 	}
-	s := &SSD{
-		dev:    d,
-		cfg:    cfg,
-		conns:  make(map[uint32]*conn),
-		closed: make(map[uint32]msg.DeviceID),
-	}
+	s := &SSD{dev: d, cfg: cfg}
 	s.flash = newFlash(eng, cfg.Geometry, cfg.Timing)
 	s.ftl = newFTL(eng, s.flash, cfg.OPRatio)
 	s.fs = newFS(s.ftl, cfg.FS)
 
-	d.AddService(&fileService{ssd: s})
+	s.files = &fileService{ssd: s, Sessions: device.Sessions[*File]{
+		Dev: d, CellSize: cfg.CellSize, NotifyBatch: cfg.NotifyBatch,
+		Admit: s.admit, Handler: s.handlerFor,
+		Resource: func(c *device.Session[*File]) string { return "file:" + c.State.Name() },
+	}}
+	d.AddService(s.files)
 	d.Handle(msg.KindLoadReq, s.onLoad)
 	d.OnAlive = s.onAlive
 	d.OnReset = s.onReset
@@ -136,7 +115,7 @@ func (s *SSD) Start() { s.dev.Start() }
 func (s *SSD) Kill() {
 	s.dev.Kill()
 	s.ready = false
-	s.dropConns()
+	s.files.DropAll()
 }
 
 // BreakFlash makes every subsequent flash operation fail (§4's "resource
@@ -145,25 +124,6 @@ func (s *SSD) BreakFlash() { s.flash.broken = true }
 
 // RepairFlash undoes BreakFlash.
 func (s *SSD) RepairFlash() { s.flash.broken = false }
-
-func (s *SSD) dropConns() {
-	for _, id := range s.sortedConnIDs() {
-		if c := s.conns[id]; c.ep != nil {
-			s.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-		}
-		delete(s.conns, id)
-	}
-}
-
-// sortedConnIDs iterates connections in id order for determinism.
-func (s *SSD) sortedConnIDs() []uint32 {
-	ids := make([]uint32, 0, len(s.conns))
-	for id := range s.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
 
 // onAlive runs at first boot (format+mount) and after every recovery
 // (mount only).
@@ -197,24 +157,11 @@ func (s *SSD) onAlive() {
 // remount.
 func (s *SSD) onReset() {
 	s.ready = false
-	s.dropConns()
+	s.files.DropAll()
 }
 
-// onPeerFailed drops connections whose client died (DeviceFailed
-// broadcast): their requests will never be reaped, and a revived client
-// opens fresh connections rather than resuming these.
-func (s *SSD) onPeerFailed(peer msg.DeviceID) {
-	for _, id := range s.sortedConnIDs() {
-		c := s.conns[id]
-		if c.client != peer {
-			continue
-		}
-		if c.ep != nil {
-			s.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-		}
-		delete(s.conns, id)
-	}
-}
+// onPeerFailed drops the sessions of a client that died.
+func (s *SSD) onPeerFailed(peer msg.DeviceID) { s.files.DropClient(peer) }
 
 // onLoad services the loader: authenticated image upload into the
 // filesystem (§2.1: "devices that store their applications internally
@@ -260,8 +207,10 @@ func (s *SSD) onLoad(env msg.Envelope) {
 	})
 }
 
-// fileService exposes every file on the volume as "file:<name>".
+// fileService exposes every file on the volume as "file:<name>", one
+// session (device.Sessions) per open connection.
 type fileService struct {
+	device.Sessions[*File]
 	ssd *SSD
 }
 
@@ -289,11 +238,9 @@ func (fs *fileService) Match(query string) bool {
 	return exists
 }
 
-func (fs *fileService) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
-	s := fs.ssd
-	deny := func(reason string) *msg.OpenResp {
-		return &msg.OpenResp{Service: req.Service, App: req.App, OK: false, Reason: reason}
-	}
+// admit decides a file-service open: the name must parse, the volume be mounted, the
+// token match (§3 step 3), and the file exist or be creatable.
+func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (*File, string) {
 	createRequested := false
 	name, ok := strings.CutPrefix(req.Service, "file:")
 	if !ok {
@@ -301,123 +248,38 @@ func (fs *fileService) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
 		createRequested = ok
 	}
 	if !ok {
-		return deny("malformed service name")
+		return nil, "malformed service name"
 	}
 	if !s.ready {
-		return deny("volume not ready")
+		return nil, "volume not ready"
 	}
 	if want, guarded := s.cfg.Tokens[name]; guarded && want != req.Token {
-		return deny("authentication failed")
-	}
-	// Idempotent replay: the opener retrying because an OpenResp was lost
-	// gets its existing, not-yet-connected instance back rather than a
-	// second one it would leak.
-	for _, id := range s.sortedConnIDs() {
-		if c := s.conns[id]; c.client == src && c.app == req.App && c.service == req.Service && c.ep == nil {
-			shared := virtio.SharedBytes(128, s.cfg.CellSize)
-			return &msg.OpenResp{Service: req.Service, App: req.App, OK: true, ConnID: c.id, SharedBytes: shared}
-		}
+		return nil, "authentication failed"
 	}
 	f, exists := s.fs.Lookup(name)
 	if !exists {
 		if !s.cfg.CreateOnOpen && !createRequested {
-			return deny("no such file")
+			return nil, "no such file"
 		}
 		// Create synchronously in metadata; persistence trails behind.
-		done := false
 		var cerr error
-		s.fs.Create(name, func(nf *File, err error) { f, cerr, done = nf, err, true })
-		_ = done
+		s.fs.Create(name, func(nf *File, err error) { f, cerr = nf, err })
 		if cerr != nil {
-			return deny(cerr.Error())
+			return nil, cerr.Error()
 		}
 		if f == nil {
 			// Creation persists asynchronously; look the inode up now.
-			f, _ = s.fs.Lookup(name)
-			if f == nil {
-				return deny("create failed")
+			if f, _ = s.fs.Lookup(name); f == nil {
+				return nil, "create failed"
 			}
 		}
 	}
-	s.nextConn++
-	id := s.nextConn
-	s.conns[id] = &conn{id: id, app: req.App, client: src, service: req.Service, file: f}
-	// Quote the shared memory for a default-geometry queue; the requester
-	// may choose a smaller ring in ConnectReq.
-	shared := virtio.SharedBytes(128, s.cfg.CellSize)
-	return &msg.OpenResp{Service: req.Service, App: req.App, OK: true, ConnID: id, SharedBytes: shared}
-}
-
-func (fs *fileService) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectResp {
-	s := fs.ssd
-	deny := func(reason string) *msg.ConnectResp {
-		return &msg.ConnectResp{ConnID: req.ConnID, OK: false, Reason: reason}
-	}
-	c, ok := s.conns[req.ConnID]
-	if !ok {
-		return deny("no such connection")
-	}
-	// Isolation: only the opener may connect, and only for its own app.
-	if c.client != src || c.app != req.App {
-		return deny("connection belongs to another client")
-	}
-	if c.ep != nil {
-		if *req == c.estab {
-			// Retransmitted ConnectReq (lost response): same verdict.
-			return &msg.ConnectResp{ConnID: req.ConnID, OK: true, Reason: fmt.Sprintf("reqbell=%d", c.ep.ReqBell)}
-		}
-		return deny("already connected")
-	}
-	if req.RingEntries == 0 || req.DataBytes == 0 {
-		return deny("malformed queue geometry")
-	}
-	cell := int(req.DataBytes) / int(req.RingEntries)
-	lay := virtio.Layout{
-		Base:     iommu.VirtAddr(req.RingVA),
-		Entries:  req.RingEntries,
-		DataVA:   iommu.VirtAddr(req.DataVA),
-		CellSize: cell,
-	}
-	ep, err := virtio.NewEndpoint(s.dev.DMA(), iommu.PASID(req.App), lay,
-		interconnect.DoorbellAddr(req.RespDoorbell), s.handlerFor(c))
-	if err != nil {
-		return deny(err.Error())
-	}
-	if s.cfg.NotifyBatch > 1 {
-		ep.NotifyBatch = s.cfg.NotifyBatch
-	}
-	ep.OnError = func(err error) {
-		// Transport failure (e.g. revoked grant): notify the consumer per
-		// §4 and drop the connection.
-		s.dev.Send(c.client, &msg.ErrorNotify{App: c.app, Resource: "file:" + c.file.Name(), Code: 1, Detail: err.Error()})
-		delete(s.conns, c.id)
-	}
-	c.ep = ep
-	c.estab = *req
-	// Tell the requester which doorbell to kick.
-	return &msg.ConnectResp{ConnID: req.ConnID, OK: true, Reason: fmt.Sprintf("reqbell=%d", ep.ReqBell)}
-}
-
-func (fs *fileService) Close(src msg.DeviceID, req *msg.CloseReq) *msg.CloseResp {
-	s := fs.ssd
-	c, ok := s.conns[req.ConnID]
-	if !ok || c.client != src {
-		if closer, was := s.closed[req.ConnID]; was && closer == src {
-			// Retransmitted CloseReq (lost response): already done.
-			return &msg.CloseResp{ConnID: req.ConnID, OK: true}
-		}
-		return &msg.CloseResp{ConnID: req.ConnID, OK: false}
-	}
-	if c.ep != nil {
-		s.dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
-	}
-	delete(s.conns, req.ConnID)
-	s.closed[req.ConnID] = src
-	return &msg.CloseResp{ConnID: req.ConnID, OK: true}
+	return f, ""
 }
 
 // handlerFor builds the virtio request handler bound to one connection.
-func (s *SSD) handlerFor(c *conn) virtio.Handler {
+func (s *SSD) handlerFor(c *device.Session[*File]) virtio.Handler {
+	file := c.State
 	return func(reqBytes []byte, done func([]byte)) {
 		req, err := DecodeFileReq(reqBytes)
 		if err != nil {
@@ -430,33 +292,33 @@ func (s *SSD) handlerFor(c *conn) virtio.Handler {
 		}
 		switch req.Op {
 		case OpRead:
-			c.file.ReadAt(req.Off, int(req.Len), func(data []byte, err error) {
+			file.ReadAt(req.Off, int(req.Len), func(data []byte, err error) {
 				if err != nil {
 					finish(FileResp{Status: StatusIOError})
 					return
 				}
-				finish(FileResp{Status: StatusOK, Size: c.file.Size(), Data: data})
+				finish(FileResp{Status: StatusOK, Size: file.Size(), Data: data})
 			})
 		case OpWrite:
-			c.file.WriteAt(req.Off, req.Data, func(err error) {
+			file.WriteAt(req.Off, req.Data, func(err error) {
 				if err != nil {
 					finish(FileResp{Status: StatusIOError})
 					return
 				}
-				finish(FileResp{Status: StatusOK, Size: c.file.Size()})
+				finish(FileResp{Status: StatusOK, Size: file.Size()})
 			})
 		case OpAppend:
-			c.file.Append(req.Data, func(err error) {
+			file.Append(req.Data, func(err error) {
 				if err != nil {
 					finish(FileResp{Status: StatusIOError})
 					return
 				}
-				finish(FileResp{Status: StatusOK, Size: c.file.Size()})
+				finish(FileResp{Status: StatusOK, Size: file.Size()})
 			})
 		case OpStat:
-			finish(FileResp{Status: StatusOK, Size: c.file.Size()})
+			finish(FileResp{Status: StatusOK, Size: file.Size()})
 		case OpTruncate:
-			c.file.Truncate(func(err error) {
+			file.Truncate(func(err error) {
 				if err != nil {
 					finish(FileResp{Status: StatusIOError})
 					return
@@ -465,7 +327,7 @@ func (s *SSD) handlerFor(c *conn) virtio.Handler {
 			})
 		case OpRename:
 			newName := string(req.Data)
-			c.file.Rename(newName, func(err error) {
+			file.Rename(newName, func(err error) {
 				if err != nil {
 					finish(FileResp{Status: StatusIOError})
 					return
