@@ -21,7 +21,9 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocpu/internal/faultinject"
@@ -167,7 +169,6 @@ type grantRec struct {
 	target msg.DeviceID
 	pages  int // 4 KiB units
 	huge   bool
-	runs   int // huge runs when huge
 }
 
 // Bus is the system-management bus.
@@ -180,6 +181,9 @@ type Bus struct {
 	// broadcast to N devices occupies the bus for N transmission times.
 	egress  *sim.Server
 	devices map[msg.DeviceID]*attachment
+	// order is the attachments in id order, kept by Attach: broadcasts,
+	// failure notices and the watchdog scan fan out in it, never in map order.
+	order   []*attachment
 	memctrl msg.DeviceID
 
 	// owners records, from intercepted AllocResps, which device owns each
@@ -344,7 +348,7 @@ type Port struct {
 	credits int
 	// stalled holds sends awaiting credit, FIFO, bounded at 4× the
 	// window; overflow drops deterministically (timeouts recover).
-	stalled []func()
+	stalled []msg.Envelope
 	stallG  *metrics.Gauge
 }
 
@@ -391,7 +395,10 @@ func (b *Bus) Attach(id msg.DeviceID, name string, role msg.Role, mmu *iommu.IOM
 		}
 		b.memctrl = id
 	}
-	b.devices[id] = &attachment{id: id, name: name, role: role, handler: h, mmu: mmu, mmuEngine: sim.NewServer(b.eng)}
+	a := &attachment{id: id, name: name, role: role, handler: h, mmu: mmu, mmuEngine: sim.NewServer(b.eng)}
+	b.devices[id] = a
+	at := sort.Search(len(b.order), func(i int) bool { return b.order[i].id > id })
+	b.order = slices.Insert(b.order, at, a)
 	p := &Port{bus: b, id: id, credits: b.windowFor(id)}
 	p.stallG = metrics.NewGauge(p.stallBound())
 	return p, nil
@@ -411,11 +418,11 @@ func (b *Bus) nameOf(id msg.DeviceID) string {
 	return id.String()
 }
 
-// Send submits a message from the port's device. Transport: one hop to
-// the bus, FIFO bus processing, then (for unicast/broadcast) one hop to
-// each destination. Encoded size determines serialization time. The
-// returned value is the envelope's link-layer seq tag, which a NACK for
-// this message will echo.
+// Send submits a message from the port's device and returns the
+// envelope's link-layer seq tag, which a NACK for this message will echo
+// (assigned here, so a send that waits for credit keeps it). Transport is
+// one hop to the bus, FIFO bus processing, then (for unicast/broadcast)
+// one hop to each destination; encoded size determines serialization time.
 func (p *Port) Send(dst msg.DeviceID, m msg.Message) uint32 {
 	b := p.bus
 	p.nextSeq++
@@ -433,7 +440,7 @@ func (p *Port) Send(dst msg.DeviceID, m msg.Message) uint32 {
 				return env.Seq
 			}
 			b.stats.CreditStalls++
-			p.stalled = append(p.stalled, func() { p.transmit(env) })
+			p.stalled = append(p.stalled, env)
 			p.stallG.Set(len(p.stalled))
 			return env.Seq
 		}
@@ -443,31 +450,92 @@ func (p *Port) Send(dst msg.DeviceID, m msg.Message) uint32 {
 	return env.Seq
 }
 
-// transmit puts a stamped envelope on the device→bus wire.
+// transmit puts a stamped envelope on the device→bus wire, which is where
+// the fault plane judges device traffic.
 func (p *Port) transmit(env msg.Envelope) {
 	b := p.bus
-	size := msg.EncodedSize(env.Msg)
-	wire := b.cfg.HopLatency + sim.Duration(float64(size)/b.cfg.BytesPerNs)
-	d := b.plane.Filter(faultinject.LayerBus, b.eng.Now(), env.Src, env.Dst, env.Msg.Kind())
+	b.ingress(env, b.plane.Filter(faultinject.LayerBus, b.eng.Now(), env.Src, env.Dst, env.Msg.Kind()))
+}
+
+// hopStage names where an envelope in flight is waiting, and so what its
+// record does when it fires.
+type hopStage uint8
+
+const (
+	hopWire        hopStage = iota // on the device→bus wire; meets the ingress bound
+	hopQueued                      // in the processing queue; runs process
+	hopProgramming                 // behind the IOMMU programming an AllocResp must not overtake; runs deliver
+	hopEgress                      // serializing on the shared egress medium; starts propagation
+	hopArriving                    // on the bus→device wire; runs arrive
+)
+
+// hop is one envelope in flight, and the event of every stage it crosses:
+// the engine and the three servers queue the record itself, so a unicast
+// message is one allocation from Port.Send to the destination's handler.
+// A broadcast takes a record per destination and a bus-originated message
+// one of its own. A duplicate the fault plane injects is a second record:
+// both copies are in flight at once, each at its own stage.
+type hop struct {
+	b   *Bus
+	env msg.Envelope
+	// dst is set once process has picked the destination.
+	dst *attachment
+	// last is the bus→device propagation time: HopLatency, plus the
+	// fault plane's delay on a bus-originated message.
+	last sim.Duration
+	// dup asks for a second copy on the bus→device wire (bus-originated
+	// traffic is judged on that hop).
+	dup   bool
+	stage hopStage
+}
+
+// Fire runs the stage the hop was queued for.
+func (h *hop) Fire() {
+	b := h.b
+	switch h.stage {
+	case hopWire:
+		if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
+			b.shedIngress(h.env)
+			return
+		}
+		h.stage = hopQueued
+		b.proc.SubmitEvent(b.cfg.ProcPerMsg, h)
+		b.ingressG.Set(b.proc.Pending())
+	case hopQueued:
+		b.process(h)
+	case hopProgramming:
+		b.deliver(h, h.dst)
+	case hopEgress:
+		// Transmission occupied the shared medium; propagation overlaps.
+		// The stage is final before either copy is queued, and the first
+		// copy is queued first.
+		h.stage = hopArriving
+		b.eng.ScheduleEvent(h.last, h)
+		if h.dup {
+			twin := *h // same seq: the receiver's dedup window eats it
+			b.eng.ScheduleEvent(h.last, &twin)
+		}
+	case hopArriving:
+		h.arrive()
+	}
+}
+
+// ingress is the one way into the bus: Port.transmit with the fault
+// plane's verdict, Replay with none. The envelope crosses the device→bus
+// wire (latency plus serialization, plus an injected delay) and then meets
+// the ingress bound. A duplicate is an identical envelope right behind the
+// first; the bus's dedup window eats it.
+func (b *Bus) ingress(env msg.Envelope, d faultinject.Decision) {
 	if d.Op == faultinject.Drop {
 		return // lost on the wire; the sender's timeout recovers
 	}
+	wire := b.cfg.HopLatency + sim.Duration(float64(msg.EncodedSize(env.Msg))/b.cfg.BytesPerNs)
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		wire += d.Delay
 	}
-	submit := func() {
-		b.eng.Schedule(wire, func() {
-			if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
-				b.shedIngress(env)
-				return
-			}
-			b.proc.Submit(b.cfg.ProcPerMsg, func() { b.process(env) })
-			b.ingressG.Set(b.proc.Pending())
-		})
-	}
-	submit()
+	b.eng.ScheduleEvent(wire, &hop{b: b, env: env})
 	if d.Op == faultinject.Dup {
-		submit() // identical envelope, same seq: the dedup window eats it
+		b.eng.ScheduleEvent(wire, &hop{b: b, env: env})
 	}
 }
 
@@ -502,11 +570,11 @@ func (p *Port) AddCredits(n, forInc uint32) {
 		p.credits = w
 	}
 	for p.credits > 0 && len(p.stalled) > 0 {
-		tx := p.stalled[0]
-		p.stalled[0] = nil
+		env := p.stalled[0]
+		p.stalled[0] = msg.Envelope{}
 		p.stalled = p.stalled[1:]
 		p.credits--
-		tx()
+		p.transmit(env)
 	}
 	if len(p.stalled) == 0 {
 		p.stalled = nil
@@ -559,8 +627,11 @@ func (b *Bus) replenish(src *attachment) {
 func (b *Bus) IngressGauge() *metrics.Gauge { return b.ingressG }
 
 // process runs on the bus after the message has been received and the
-// processing cost paid.
-func (b *Bus) process(env msg.Envelope) {
+// processing cost paid. It takes the hop the envelope arrived in: a
+// unicast goes on to its destination in the same record, so a response
+// the bus rewrites is rewritten in h.env.
+func (b *Bus) process(h *hop) {
+	env := h.env
 	b.stats.Messages++
 	if b.tr != nil { // summarize formats; with tracing off it must not run
 		b.tr.Record(b.eng.Now(), b.nameOf(env.Src), b.nameOf(env.Dst), env.Msg.Kind().String(), summarize(env.Msg))
@@ -626,7 +697,7 @@ func (b *Bus) process(env msg.Envelope) {
 		// audience is reported back once, typed, so the abuse is never a
 		// silent narrowing.
 		var scopedFrom tenant.ID
-		for _, a := range b.sortedDevices() {
+		for _, a := range b.order {
 			if a.id == env.Src || !a.alive {
 				continue
 			}
@@ -636,7 +707,7 @@ func (b *Bus) process(env msg.Envelope) {
 				}
 				continue
 			}
-			b.deliver(env, a)
+			b.deliver(&hop{b: b, env: env}, a)
 		}
 		if scopedFrom != 0 {
 			if _, isDiscover := env.Msg.(*msg.DiscoverReq); isDiscover {
@@ -669,32 +740,18 @@ func (b *Bus) process(env msg.Envelope) {
 			b.nack(src, env, msg.NackUnauthorized, "only the memory controller may send alloc responses")
 			return
 		}
-		if ar.OK && b.tenancy != nil {
-			// Cross-tenant mapping: the requesting device must share the
-			// app's isolation domain before the bus touches its IOMMU.
-			// (The device's own domain check would also refuse — this is
-			// defense in depth, and it attributes the denial.)
-			if terr := b.tenancy.CheckDevApp(dst.id, ar.App); terr != nil {
-				e := terr.(*tenant.Error)
-				b.reportDenial(dst, e.Victim, tenant.DenyMapping, env.Msg.Kind(), e.Detail)
-				env.Msg = &msg.AllocResp{App: ar.App, OK: false, Reason: "cross-tenant mapping refused", VA: ar.VA}
-				b.deliver(env, dst)
-				return
-			}
-		}
 		if ar.OK {
 			if err := b.programMappings(dst, ar); err != nil {
-				// Mapping failed: convert to a failure response so the
-				// requester learns the truth.
-				env.Msg = &msg.AllocResp{App: ar.App, OK: false, Reason: err.Error(), VA: ar.VA}
-				b.deliver(env, dst)
+				// Mapping refused or failed: convert to a failure response
+				// so the requester learns the truth.
+				h.env.Msg = &msg.AllocResp{App: ar.App, OK: false, Reason: err.Error(), VA: ar.VA}
+				b.deliver(h, dst)
 				return
 			}
 			// The response reaches the requester only after its IOMMU
 			// tables are programmed.
-			dst.mmuEngine.Submit(sim.Duration(len(ar.Frames))*b.cfg.MapPerPage, func() {
-				b.deliver(env, dst)
-			})
+			h.dst, h.stage = dst, hopProgramming
+			dst.mmuEngine.SubmitEvent(sim.Duration(len(ar.Frames))*b.cfg.MapPerPage, h)
 			return
 		}
 	}
@@ -702,24 +759,7 @@ func (b *Bus) process(env msg.Envelope) {
 		b.unmapEverywhere(dst, fr)
 	}
 
-	b.deliver(env, dst)
-}
-
-// sortedDevices iterates attachments in id order for determinism.
-func (b *Bus) sortedDevices() []*attachment {
-	out := make([]*attachment, 0, len(b.devices))
-	var max msg.DeviceID
-	for id := range b.devices {
-		if id > max {
-			max = id
-		}
-	}
-	for id := msg.DeviceID(1); id <= max; id++ {
-		if a, ok := b.devices[id]; ok {
-			out = append(out, a)
-		}
-	}
-	return out
+	b.deliver(h, dst)
 }
 
 // nack reports a refused message back to its (alive, attached) sender.
@@ -728,65 +768,64 @@ func (b *Bus) nack(src *attachment, env msg.Envelope, code msg.NackCode, reason 
 	b.sendFromBus(src, &msg.Nack{Of: env.Msg.Kind(), Seq: env.Seq, Dst: env.Dst, Code: code, Reason: reason})
 }
 
-// deliver schedules the final hop to one destination. Transmission time
-// occupies the shared medium (so broadcasts serialize per destination);
-// propagation overlaps.
-func (b *Bus) deliver(env msg.Envelope, dst *attachment) {
+// deliver sends a routed envelope on to one destination: a unicast in
+// the record it arrived in, a broadcast copy or a failure notice in a
+// record of its own.
+func (b *Bus) deliver(h *hop, dst *attachment) {
 	b.stats.Deliveries++
-	size := msg.EncodedSize(env.Msg)
-	tx := sim.Duration(float64(size) / b.cfg.BytesPerNs)
-	b.egress.Submit(tx, func() {
-		b.eng.Schedule(b.cfg.HopLatency, func() {
-			if !dst.alive {
-				// The destination died while the message was in flight.
-				// Tell a unicast sender if it can still be told.
-				if src, ok := b.devices[env.Src]; ok && src.alive && env.Dst != msg.Broadcast {
-					b.nack(src, env, msg.NackDeadDst, dst.name+" failed in flight")
-					return
-				}
-				b.stats.Dropped++
-				return
-			}
-			dst.handler(env)
-		})
-	})
+	h.dst, h.last = dst, b.cfg.HopLatency
+	h.egress()
 }
 
-// sendFromBus emits a bus-originated message to one device.
+// sendFromBus emits a bus-originated message to one device. The message
+// is traced, counted as a delivery and given the next bus seq before the
+// fault plane judges it — bus traffic is judged on the bus→device hop, so
+// a dropped one was still sent, and a delay lengthens that hop's
+// propagation.
 func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
 	if b.tr != nil {
 		b.tr.Record(b.eng.Now(), "bus", dst.name, m.Kind().String(), summarize(m))
 	}
 	b.stats.Deliveries++
 	b.busSeq++
-	env := msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m}
-	tx := sim.Duration(float64(msg.EncodedSize(m)) / b.cfg.BytesPerNs)
 	d := b.plane.Filter(faultinject.LayerBus, b.eng.Now(), msg.BusID, dst.id, m.Kind())
 	if d.Op == faultinject.Drop {
 		return
 	}
-	hop := b.cfg.HopLatency
+	h := &hop{b: b, env: msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m},
+		dst: dst, last: b.cfg.HopLatency, dup: d.Op == faultinject.Dup}
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
-		hop += d.Delay
+		h.last += d.Delay
 	}
-	final := func() {
-		b.eng.Schedule(hop, func() {
-			// Reset must reach even dead devices — it is the revival path.
-			if !dst.alive {
-				if _, isReset := m.(*msg.Reset); !isReset {
-					b.stats.Dropped++
-					return
-				}
-			}
-			dst.handler(env)
-		})
+	h.egress()
+}
+
+// egress is the one way out of the bus. Transmission time occupies the
+// shared medium (so a broadcast serializes per destination); when it is
+// done the hop propagates for h.last and arrives.
+func (h *hop) egress() {
+	h.stage = hopEgress
+	h.b.egress.SubmitEvent(sim.Duration(float64(msg.EncodedSize(h.env.Msg))/h.b.cfg.BytesPerNs), h)
+}
+
+// arrive hands the envelope to its destination's handler, unless the
+// destination died while the message was in flight. Then exactly three
+// rules apply. A Reset from the bus is delivered all the same: it is the
+// revival path (from the bus only — a device must not be able to revive a
+// failed peer by unicast). A unicast whose sender is still alive is
+// answered with NackDeadDst. Everything else — a broadcast copy, a
+// bus-originated message, a unicast whose sender died too — has no one to
+// tell and is counted Dropped.
+func (h *hop) arrive() {
+	b, dst, env := h.b, h.dst, h.env
+	switch {
+	case dst.alive || env.Src == msg.BusID && env.Msg.Kind() == msg.KindReset:
+		dst.handler(env)
+	case env.Dst != msg.Broadcast && b.Alive(env.Src):
+		b.nack(b.devices[env.Src], env, msg.NackDeadDst, dst.name+" failed in flight")
+	default:
+		b.stats.Dropped++
 	}
-	b.egress.Submit(tx, func() {
-		final()
-		if d.Op == faultinject.Dup {
-			final() // same seq: the receiver's dedup window eats it
-		}
-	})
 }
 
 // handleBusMessage processes messages addressed to the bus itself.
@@ -878,6 +917,17 @@ func (b *Bus) stateRespFor(a *attachment, nonce uint32) *msg.StateResp {
 // programMappings installs an AllocResp's frames into the requester's
 // IOMMU and records ownership.
 func (b *Bus) programMappings(dst *attachment, ar *msg.AllocResp) error {
+	if b.tenancy != nil {
+		// Cross-tenant mapping: the requesting device must share the
+		// app's isolation domain before the bus touches its IOMMU. (The
+		// device's own domain check would also refuse — this is defense
+		// in depth, and it attributes the denial.)
+		if terr := b.tenancy.CheckDevApp(dst.id, ar.App); terr != nil {
+			e := terr.(*tenant.Error)
+			b.reportDenial(dst, e.Victim, tenant.DenyMapping, msg.KindAllocResp, e.Detail)
+			return errors.New("cross-tenant mapping refused")
+		}
+	}
 	if dst.mmu == nil {
 		return fmt.Errorf("device %s has no IOMMU", dst.name)
 	}
@@ -891,43 +941,25 @@ func (b *Bus) programMappings(dst *attachment, ar *msg.AllocResp) error {
 		info.frameSum == frameFingerprint(ar.Frames, ar.Huge) {
 		return nil
 	}
-	pasid := iommu.PASID(ar.App)
-	if !dst.mmu.HasContext(pasid) {
-		if err := dst.mmu.CreateContext(pasid); err != nil {
-			return err
-		}
+	pages, err := b.mapFrames(dst.mmu, ar.App, ar.VA, ar.Frames, ar.Perm, ar.Huge)
+	if err != nil {
+		return err
 	}
-	perm := iommu.Perm(ar.Perm)
-	if perm == 0 {
-		perm = iommu.PermRW
-	}
-	if ar.Huge {
-		for i, f := range ar.Frames {
-			va := iommu.VirtAddr(ar.VA + uint64(i)*iommu.HugePageSize)
-			if err := dst.mmu.MapHuge(pasid, va, physmem.Frame(f), perm); err != nil {
-				for j := 0; j < i; j++ {
-					_ = dst.mmu.UnmapHuge(pasid, iommu.VirtAddr(ar.VA+uint64(j)*iommu.HugePageSize))
-				}
-				return err
-			}
-		}
-		b.stats.PagesMapped += uint64(len(ar.Frames) * iommu.HugeFrames)
-		b.owners[ownerKey{ar.App, ar.VA}] = ownerInfo{dev: dst.id, pages: len(ar.Frames) * iommu.HugeFrames, huge: true, frameSum: frameFingerprint(ar.Frames, true)}
-		return nil
-	}
-	for i, f := range ar.Frames {
-		va := iommu.VirtAddr(ar.VA + uint64(i)*physmem.PageSize)
-		if err := dst.mmu.Map(pasid, va, physmem.Frame(f), perm); err != nil {
-			// Roll back partial work so a failed alloc leaves no residue.
-			for j := 0; j < i; j++ {
-				_ = dst.mmu.Unmap(pasid, iommu.VirtAddr(ar.VA+uint64(j)*physmem.PageSize))
-			}
-			return err
-		}
-	}
-	b.stats.PagesMapped += uint64(len(ar.Frames))
-	b.owners[ownerKey{ar.App, ar.VA}] = ownerInfo{dev: dst.id, pages: len(ar.Frames), frameSum: frameFingerprint(ar.Frames, false)}
+	b.owners[ownerKey{ar.App, ar.VA}] = ownerInfo{dev: dst.id, pages: pages, huge: ar.Huge, frameSum: frameFingerprint(ar.Frames, ar.Huge)}
 	return nil
+}
+
+// mapFrames programs one authorized run of frames into a device's IOMMU
+// — the privileged mechanism, written once for an allocation and a grant
+// — and returns the 4 KiB pages it covers. iommu.MapRange owns geometry
+// and rollback: a refusal leaves nothing of this call behind.
+func (b *Bus) mapFrames(mmu *iommu.IOMMU, app msg.AppID, va uint64, frames []uint64, perm uint8, huge bool) (int, error) {
+	if err := iommu.MapRange(mmu, iommu.PASID(app), iommu.VirtAddr(va), frames, iommu.Perm(perm), huge); err != nil {
+		return 0, err
+	}
+	_, per := iommu.PageGeometry(huge)
+	b.stats.PagesMapped += uint64(len(frames) * per)
+	return len(frames) * per, nil
 }
 
 // ownsRange reports whether dev owns an allocated region of app fully
@@ -987,28 +1019,12 @@ func (b *Bus) unmapEverywhere(owner *attachment, fr *msg.FreeResp) {
 	delete(b.owners, key)
 }
 
-// unmapRegion removes a region's translations (huge-aware) and returns
-// the number of PTEs cleared.
+// unmapRegion removes a region's translations (pages counts 4 KiB units
+// whatever the mapping size) and returns the number of PTEs cleared.
 func (b *Bus) unmapRegion(mmu *iommu.IOMMU, pasid iommu.PASID, va uint64, pages int, huge bool) int {
-	n := 0
-	if huge {
-		runs := pages / iommu.HugeFrames
-		for i := 0; i < runs; i++ {
-			hva := iommu.VirtAddr(va + uint64(i)*iommu.HugePageSize)
-			if err := mmu.UnmapHuge(pasid, hva); err == nil {
-				b.stats.PagesUnmapped += uint64(iommu.HugeFrames)
-				n++
-			}
-		}
-		return n
-	}
-	for i := 0; i < pages; i++ {
-		pva := iommu.VirtAddr(va + uint64(i)*physmem.PageSize)
-		if err := mmu.Unmap(pasid, pva); err == nil {
-			b.stats.PagesUnmapped++
-			n++
-		}
-	}
+	_, per := iommu.PageGeometry(huge)
+	n := mmu.UnmapRange(pasid, iommu.VirtAddr(va), pages/per, huge)
+	b.stats.PagesUnmapped += uint64(n * per)
 	return n
 }
 
@@ -1109,50 +1125,13 @@ func (b *Bus) handleAuthResp(src *attachment, m *msg.AuthResp) {
 			return
 		}
 	}
-	pasid := iommu.PASID(m.App)
-	if !tgt.mmu.HasContext(pasid) {
-		if err := tgt.mmu.CreateContext(pasid); err != nil {
-			reply(false, err.Error())
-			return
-		}
-	}
-	perm := iommu.Perm(m.Perm)
-	if perm == 0 {
-		perm = iommu.PermRW
-	}
-	if m.Huge {
-		for i, f := range m.Frames {
-			va := iommu.VirtAddr(m.VA + uint64(i)*iommu.HugePageSize)
-			if err := tgt.mmu.MapHuge(pasid, va, physmem.Frame(f), perm); err != nil {
-				for j := 0; j < i; j++ {
-					_ = tgt.mmu.UnmapHuge(pasid, iommu.VirtAddr(m.VA+uint64(j)*iommu.HugePageSize))
-				}
-				reply(false, err.Error())
-				return
-			}
-		}
-		b.stats.PagesMapped += uint64(len(m.Frames) * iommu.HugeFrames)
-	} else {
-		for i, f := range m.Frames {
-			va := iommu.VirtAddr(m.VA + uint64(i)*physmem.PageSize)
-			if err := tgt.mmu.Map(pasid, va, physmem.Frame(f), perm); err != nil {
-				for j := 0; j < i; j++ {
-					_ = tgt.mmu.Unmap(pasid, iommu.VirtAddr(m.VA+uint64(j)*physmem.PageSize))
-				}
-				reply(false, err.Error())
-				return
-			}
-		}
-		b.stats.PagesMapped += uint64(len(m.Frames))
+	pages, err := b.mapFrames(tgt.mmu, m.App, m.VA, m.Frames, m.Perm, m.Huge)
+	if err != nil {
+		reply(false, err.Error())
+		return
 	}
 	key := ownerKey{m.App, m.VA}
-	rec := grantRec{target: pg.req.Target, pages: len(m.Frames)}
-	if m.Huge {
-		rec.pages = len(m.Frames) * iommu.HugeFrames
-		rec.huge = true
-		rec.runs = len(m.Frames)
-	}
-	b.grants[key] = append(b.grants[key], rec)
+	b.grants[key] = append(b.grants[key], grantRec{target: pg.req.Target, pages: pages, huge: m.Huge})
 	// The grant is acknowledged only after the target's tables are
 	// programmed.
 	tgt.mmuEngine.Submit(sim.Duration(len(m.Frames))*b.cfg.MapPerPage, func() {
@@ -1199,7 +1178,7 @@ func (b *Bus) handleRevoke(src *attachment, m *msg.RevokeReq) {
 func (b *Bus) scheduleWatchdog() {
 	b.eng.Schedule(b.cfg.WatchdogTimeout/2, func() {
 		now := b.eng.Now()
-		for _, a := range b.sortedDevices() {
+		for _, a := range b.order {
 			if a.alive && now.Sub(a.lastHB) > b.cfg.WatchdogTimeout {
 				b.failDevice(a, "watchdog: missed heartbeats")
 			}
@@ -1240,11 +1219,14 @@ func (b *Bus) failDevice(a *attachment, reason string) {
 		}
 	}
 	b.tr.Record(b.eng.Now(), "bus", "broadcast", "device.failed", a.name+": "+reason)
-	for _, other := range b.sortedDevices() {
+	// The notices are not sendFromBus messages: they carry Seq 0 (untagged,
+	// so never deduplicated, and busSeq does not move), leave no trace line
+	// beside the device.failed record above, and skip the fault plane.
+	for _, other := range b.order {
 		if other.id == a.id || !other.alive {
 			continue
 		}
-		b.deliver(msg.Envelope{Src: msg.BusID, Dst: other.id, Msg: &msg.DeviceFailed{Device: a.id}}, other)
+		b.deliver(&hop{b: b, env: msg.Envelope{Src: msg.BusID, Dst: other.id, Msg: &msg.DeviceFailed{Device: a.id}}}, other)
 	}
 	b.stats.Resets++
 	b.sendFromBus(a, &msg.Reset{Reason: reason})
@@ -1256,18 +1238,7 @@ func (b *Bus) failDevice(a *attachment, reason string) {
 // frame it sniffed earlier. The bus's defenses (incarnation fencing,
 // dedup window, tenancy checks) see exactly what they would see from a
 // real replay attack.
-func (b *Bus) Replay(env msg.Envelope) {
-	size := msg.EncodedSize(env.Msg)
-	wire := b.cfg.HopLatency + sim.Duration(float64(size)/b.cfg.BytesPerNs)
-	b.eng.Schedule(wire, func() {
-		if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
-			b.shedIngress(env)
-			return
-		}
-		b.proc.Submit(b.cfg.ProcPerMsg, func() { b.process(env) })
-		b.ingressG.Set(b.proc.Pending())
-	})
-}
+func (b *Bus) Replay(env msg.Envelope) { b.ingress(env, faultinject.Decision{}) }
 
 // FailDevice force-fails a device by id (fault injection in tests and the
 // fault-tolerance example).

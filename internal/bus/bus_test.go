@@ -1,13 +1,16 @@
 package bus
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"nocpu/internal/faultinject"
 	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
+	"nocpu/internal/tenant"
 	"nocpu/internal/trace"
 )
 
@@ -576,5 +579,309 @@ func TestTraceRecordsSequence(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("discovery not traced:\n%s", h.tr.String())
+	}
+}
+
+// timedCfg makes transport arithmetic exact: a message of n encoded bytes
+// serializes in n ns, each wire is 1000 ns, the bus processes in 100 ns.
+var timedCfg = Config{HopLatency: 1000, BytesPerNs: 1, ProcPerMsg: 100}
+
+// arrivals records when each message of one kind reaches a device.
+func (h *harness) arrivals(d *testDev, k msg.Kind) *[]sim.Time {
+	at := new([]sim.Time)
+	d.onMsg = func(env msg.Envelope) {
+		if env.Msg.Kind() == k {
+			*at = append(*at, h.eng.Now())
+		}
+	}
+	return at
+}
+
+// The fault plane judges device traffic on the device→bus wire: a delay
+// lengthens that wire, a duplicate is a second copy the bus's dedup window
+// eats after counting it, a drop never reaches the bus at all.
+func TestFaultPlaneOnDeviceHop(t *testing.T) {
+	size := sim.Duration(msg.EncodedSize(&msg.Heartbeat{}))
+	clean := 2*(1000+size) + 100
+	for _, tc := range []struct {
+		name                 string
+		rule                 faultinject.Rule
+		arrive               []sim.Duration
+		messages, deliveries uint64
+		dups                 uint64
+	}{
+		{"pass", faultinject.Rule{Op: faultinject.Pass}, []sim.Duration{clean}, 1, 1, 0},
+		{"delay", faultinject.Rule{Op: faultinject.Delay, Delay: 700}, []sim.Duration{clean + 700}, 1, 1, 0},
+		{"reorder", faultinject.Rule{Op: faultinject.Reorder, Delay: 300}, []sim.Duration{clean + 300}, 1, 1, 0},
+		{"dup", faultinject.Rule{Op: faultinject.Dup, Delay: 5000}, []sim.Duration{clean}, 2, 1, 1},
+		{"drop", faultinject.Rule{Op: faultinject.Drop}, nil, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, timedCfg)
+			a := h.addDev(1, "a", msg.RoleAccelerator)
+			b := h.addDev(2, "b", msg.RoleAccelerator)
+			h.boot()
+			tc.rule.Layer, tc.rule.Kind, tc.rule.Src = faultinject.LayerBus, msg.KindHeartbeat, 1
+			h.bus.SetFaultPlane(faultinject.New(1).Add(tc.rule))
+			at := h.arrivals(b, msg.KindHeartbeat)
+			before, start := h.bus.Stats(), h.eng.Now()
+			a.port.Send(2, &msg.Heartbeat{Seq: 7})
+			h.eng.Run()
+			if len(*at) != len(tc.arrive) {
+				t.Fatalf("%d arrivals, want %d", len(*at), len(tc.arrive))
+			}
+			for i, want := range tc.arrive {
+				if got := (*at)[i].Sub(start); got != want {
+					t.Errorf("arrival %d after %v, want %v", i, got, want)
+				}
+			}
+			st := h.bus.Stats()
+			if got := st.Messages - before.Messages; got != tc.messages {
+				t.Errorf("Messages +%d, want +%d", got, tc.messages)
+			}
+			if got := st.Deliveries - before.Deliveries; got != tc.deliveries {
+				t.Errorf("Deliveries +%d, want +%d", got, tc.deliveries)
+			}
+			if got := st.DupSuppressed - before.DupSuppressed; got != tc.dups {
+				t.Errorf("DupSuppressed +%d, want +%d", got, tc.dups)
+			}
+		})
+	}
+}
+
+// Bus-originated traffic is judged on the bus→device wire, after it was
+// traced, counted and given its seq: a dropped one was still sent, a delay
+// lengthens the propagation, and both copies of a duplicate carry one seq
+// for the receiver's dedup window.
+func TestFaultPlaneOnBusOriginatedHop(t *testing.T) {
+	for _, m := range []struct {
+		name    string
+		kind    msg.Kind
+		size    sim.Duration
+		provoke func(a *testDev)
+	}{
+		{"helloack", msg.KindHelloAck, sim.Duration(msg.EncodedSize(&msg.Hello{Name: "a"}) + msg.EncodedSize(&msg.HelloAck{})),
+			func(a *testDev) { a.port.Send(msg.BusID, &msg.Hello{Name: "a"}) }},
+		{"nack", msg.KindNack, sim.Duration(msg.EncodedSize(&msg.Heartbeat{}) +
+			msg.EncodedSize(&msg.Nack{Of: msg.KindHeartbeat, Code: msg.NackUnknownDst, Reason: "no such device"})),
+			func(a *testDev) { a.port.Send(9, &msg.Heartbeat{}) }},
+	} {
+		clean := 2*1000 + m.size + 100
+		for _, tc := range []struct {
+			name   string
+			rule   faultinject.Rule
+			arrive []sim.Duration
+		}{
+			{"pass", faultinject.Rule{Op: faultinject.Pass}, []sim.Duration{clean}},
+			{"delay", faultinject.Rule{Op: faultinject.Delay, Delay: 700}, []sim.Duration{clean + 700}},
+			{"dup", faultinject.Rule{Op: faultinject.Dup, Delay: 5000}, []sim.Duration{clean, clean}},
+			{"drop", faultinject.Rule{Op: faultinject.Drop}, nil},
+		} {
+			t.Run(m.name+"/"+tc.name, func(t *testing.T) {
+				h := newHarness(t, timedCfg)
+				a := h.addDev(1, "a", msg.RoleAccelerator)
+				h.boot()
+				tc.rule.Layer, tc.rule.Kind, tc.rule.Src = faultinject.LayerBus, m.kind, msg.BusID
+				h.bus.SetFaultPlane(faultinject.New(1).Add(tc.rule))
+				at := h.arrivals(a, m.kind)
+				inbox := len(a.inbox)
+				before, start := h.bus.Stats(), h.eng.Now()
+				m.provoke(a)
+				h.eng.Run()
+				if len(*at) != len(tc.arrive) {
+					t.Fatalf("%d arrivals, want %d", len(*at), len(tc.arrive))
+				}
+				for i, want := range tc.arrive {
+					if got := (*at)[i].Sub(start); got != want {
+						t.Errorf("arrival %d after %v, want %v", i, got, want)
+					}
+				}
+				// One message sent, however many copies arrived — or none.
+				if got := h.bus.Stats().Deliveries - before.Deliveries; got != 1 {
+					t.Errorf("Deliveries +%d, want +1", got)
+				}
+				for _, env := range a.inbox[inbox:] {
+					if env.Src != msg.BusID || env.Seq != h.bus.busSeq {
+						t.Errorf("copy from %v with seq %d, want the bus's seq %d", env.Src, env.Seq, h.bus.busSeq)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A broadcast reaches the live ports in id order whatever order they
+// attached in (the egress medium serializes the copies, so arrival order
+// is fan-out order), and so does a failure notice.
+func TestFanOutInIDOrder(t *testing.T) {
+	h := newHarness(t, DefaultConfig)
+	var order []msg.DeviceID
+	for _, id := range []msg.DeviceID{4, 2, 5, 1, 3} {
+		d := h.addDev(id, id.String(), msg.RoleAccelerator)
+		d.onMsg = func(env msg.Envelope) {
+			switch env.Msg.Kind() {
+			case msg.KindDiscoverReq, msg.KindDeviceFailed:
+				order = append(order, d.id)
+			}
+		}
+	}
+	h.boot()
+	h.devs[3].port.Send(msg.Broadcast, &msg.DiscoverReq{Query: "file:x", Nonce: 1})
+	h.eng.Run()
+	if want := []msg.DeviceID{1, 2, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("broadcast arrived in order %v, want %v", order, want)
+	}
+	order = nil
+	if err := h.bus.FailDevice(2, "test"); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Run()
+	if want := []msg.DeviceID{1, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("failure notice arrived in order %v, want %v", order, want)
+	}
+}
+
+// A send that waited for credit leaves with the seq tag Send returned for
+// it, behind the sends stalled before it and ahead of those after.
+func TestStalledSendKeepsItsSeq(t *testing.T) {
+	h := newHarness(t, creditCfg(1))
+	a := h.addDev(1, "a", msg.RoleAccelerator)
+	b := h.addDev(2, "b", msg.RoleAccelerator)
+	h.boot() // a ignores CreditUpdate: its one credit went on Hello
+	var sent []uint32
+	for i := 0; i < 3; i++ {
+		sent = append(sent, a.port.Send(2, &msg.Heartbeat{Seq: uint64(i + 1)}))
+	}
+	h.eng.Run()
+	if got := b.countKind(msg.KindHeartbeat); got != 0 {
+		t.Fatalf("%d heartbeats left without credit", got)
+	}
+	for range sent {
+		a.port.AddCredits(1, 0)
+		h.eng.Run()
+	}
+	var got []uint32
+	for _, env := range b.inbox {
+		if hb, ok := env.Msg.(*msg.Heartbeat); ok {
+			got = append(got, env.Seq)
+			if want := sent[hb.Seq-1]; env.Seq != want {
+				t.Errorf("heartbeat %d arrived with seq %d, Send returned %d", hb.Seq, env.Seq, want)
+			}
+		}
+	}
+	if !slices.Equal(got, sent) {
+		t.Errorf("arrival seqs %v, want the send order %v", got, sent)
+	}
+}
+
+// Replay enters through the same bounded ingress as a real send: against
+// a full processing queue it is shed with an overload NACK that echoes the
+// replayed seq.
+func TestReplayThroughFullIngressIsShed(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.IngressBound = 1
+	cfg.ProcPerMsg = 100 * sim.Microsecond
+	h := newHarness(t, cfg)
+	a := h.addDev(1, "a", msg.RoleAccelerator)
+	b := h.addDev(2, "b", msg.RoleAccelerator)
+	for _, d := range []*testDev{a, b} { // one Hello at a time fits the bound
+		d.port.Send(msg.BusID, &msg.Hello{Name: d.name})
+		h.eng.Run()
+	}
+	a.port.Send(2, &msg.Heartbeat{Seq: 1}) // fills the queue
+	h.bus.Replay(msg.Envelope{Src: 1, Dst: 2, Seq: 77, Msg: &msg.Heartbeat{Seq: 2}})
+	h.eng.Run()
+	if got := h.bus.Stats().IngressShed; got != 1 {
+		t.Fatalf("IngressShed = %d, want 1", got)
+	}
+	n, ok := a.lastOfKind(msg.KindNack).(*msg.Nack)
+	if !ok || n.Code != msg.NackOverload || n.Seq != 77 {
+		t.Errorf("replayer saw %+v, want an overload NACK for seq 77", n)
+	}
+	if got := b.countKind(msg.KindHeartbeat); got != 1 {
+		t.Errorf("%d heartbeats delivered, want only the real send", got)
+	}
+	if g := h.bus.IngressGauge(); g.Exceeded() {
+		t.Errorf("ingress gauge exceeded its bound: max %d > %d", g.Max(), g.Bound())
+	}
+}
+
+// An AllocResp the bus refuses to act on — the mapping fails, or tenancy
+// forbids it — reaches the requester rewritten as a failure: the body the
+// hop carries on is the rewritten one, not the controller's.
+func TestRefusedAllocRespReachesRequesterAsFailure(t *testing.T) {
+	check := func(t *testing.T, nic *testDev, reason string) {
+		t.Helper()
+		got, ok := nic.lastMsg().(*msg.AllocResp)
+		if !ok || got.OK || len(got.Frames) != 0 || got.VA != 0x10000 || !strings.Contains(got.Reason, reason) {
+			t.Errorf("requester saw %+v, want a refusal of va 0x10000 mentioning %q", got, reason)
+		}
+	}
+	t.Run("mapping fails", func(t *testing.T) {
+		h := newHarness(t, DefaultConfig)
+		mc := h.addDev(1, "memctrl", msg.RoleMemoryController)
+		nic := h.addDev(2, "nic", msg.RoleNIC)
+		h.boot()
+		h.allocRoundTrip(mc, nic, 5, 0x10000, 2)
+		mapped := h.bus.Stats().PagesMapped
+		// Different frames at the same VA: a conflict, not a replay. Its
+		// second page would map, were the first not refused.
+		h.allocRoundTrip(mc, nic, 5, 0x10000, 2)
+		check(t, nic, "already mapped")
+		if got := h.bus.Stats().PagesMapped; got != mapped {
+			t.Errorf("PagesMapped went %d -> %d on a refused response", mapped, got)
+		}
+	})
+	t.Run("tenancy forbids", func(t *testing.T) {
+		h, reg := tenancyHarness(t, DefaultConfig)
+		h.addDev(1, "victim", msg.RoleAccelerator)
+		nic := h.addDev(2, "attacker", msg.RoleNIC)
+		mc := h.addDev(3, "memctrl", msg.RoleMemoryController)
+		h.boot()
+		h.allocRoundTrip(mc, nic, 100, 0x10000, 1) // app 100 is tenant 1's
+		check(t, nic, "cross-tenant mapping refused")
+		if _, _, ok := nic.mmu.Lookup(100, 0x10000); ok {
+			t.Error("cross-tenant mapping programmed")
+		}
+		if dr, ok := nic.lastOfKind(msg.KindDenialReport).(*msg.DenialReport); !ok || tenant.Class(dr.Class) != tenant.DenyMapping {
+			t.Errorf("denial report = %+v, want class mapping", dr)
+		}
+		if dens := reg.DenialsBy(2); len(dens) != 1 || dens[0].Class != tenant.DenyMapping {
+			t.Errorf("registry denials = %+v", dens)
+		}
+	})
+}
+
+// TestRouteAllocs pins what a message costs the host between Port.Send and
+// the destination's handler: the hop record. A unicast is 1 allocation, a
+// broadcast to three ports 4 (the record it arrived in plus one per copy);
+// as a closure per stage the same two read 4 and 9.
+func TestRouteAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	b := New(eng, DefaultConfig, nil)
+	ports := map[msg.DeviceID]*Port{}
+	for id := msg.DeviceID(1); id <= 4; id++ {
+		p, err := b.Attach(id, id.String(), msg.RoleAccelerator, nil, func(msg.Envelope) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports[id] = p
+		p.Send(msg.BusID, &msg.Hello{Name: id.String()})
+	}
+	eng.Run()
+	for _, tc := range []struct {
+		name  string
+		dst   msg.DeviceID
+		m     msg.Message
+		bound float64
+	}{
+		{"unicast", 3, &msg.OpenReq{Service: "file:kv.dat", App: 5}, 2},
+		{"broadcast", msg.Broadcast, &msg.DiscoverReq{Query: "file:kv.dat", Nonce: 1}, 5},
+	} {
+		send := func() { ports[2].Send(tc.dst, tc.m); eng.Run() }
+		send()
+		if n := testing.AllocsPerRun(200, send); n > tc.bound {
+			t.Errorf("%s allocates %v times, want <= %v", tc.name, n, tc.bound)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
+	"nocpu/internal/sim"
 )
 
 // TestRejoinFencesOldIncarnation exercises the crash-restart-rejoin
@@ -55,7 +56,7 @@ func TestRejoinFencesOldIncarnation(t *testing.T) {
 	// life may describe state that no longer exists.
 	fencedBefore := h.bus.Stats().DeadSenderDropped
 	heartbeats := a.countKind(msg.KindHeartbeat)
-	h.bus.process(msg.Envelope{Src: 2, Dst: 1, Seq: 99, Inc: 0, Msg: &msg.Heartbeat{Seq: 41}})
+	h.bus.process(&hop{b: h.bus, env: msg.Envelope{Src: 2, Dst: 1, Seq: 99, Inc: 0, Msg: &msg.Heartbeat{Seq: 41}}})
 	h.eng.Run()
 	if got := h.bus.Stats().DeadSenderDropped; got != fencedBefore+1 {
 		t.Errorf("DeadSenderDropped = %d, want %d", got, fencedBefore+1)
@@ -230,4 +231,91 @@ func TestFailDeviceDeniesPendingGrants(t *testing.T) {
 			t.Errorf("GrantsDenied = %d, want 3", got)
 		}
 	})
+}
+
+// A destination that dies while a message is on the bus→device wire: the
+// three rules of hop.arrive. Device b is failed 500 ns before the message
+// would have reached it.
+func TestDestinationDiesInFlight(t *testing.T) {
+	sizeOf := func(m msg.Message) sim.Duration { return sim.Duration(msg.EncodedSize(m)) }
+	hb, disc, forged := &msg.Heartbeat{Seq: 3}, &msg.DiscoverReq{Query: "file:x", Nonce: 1}, &msg.Reset{Reason: "forged"}
+	hello := &msg.Hello{Name: "b"}
+	fromA := func(of msg.Message) func(*testDev) bool {
+		return func(d *testDev) bool {
+			for _, env := range d.inbox {
+				if env.Src == 1 && env.Msg.Kind() == of.Kind() {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		send     func(a, b *testDev) uint32
+		flight   sim.Duration // send to arrival at b, were it alive
+		alsoKill msg.DeviceID
+		nacked   bool
+		dropped  uint64
+		reached  func(b *testDev) bool
+	}{
+		{"unicast, sender alive: NackDeadDst",
+			func(a, b *testDev) uint32 { return a.port.Send(2, hb) }, 2*(1000+sizeOf(hb)) + 100, 0, true, 0, fromA(hb)},
+		// Two drops: the heartbeat, and the notice of a's failure that was
+		// on its way to b when b died.
+		{"unicast, sender dead too: dropped",
+			func(a, b *testDev) uint32 { return a.port.Send(2, hb) }, 2*(1000+sizeOf(hb)) + 100, 1, false, 2, fromA(hb)},
+		{"broadcast copy: dropped",
+			func(a, b *testDev) uint32 { return a.port.Send(msg.Broadcast, disc) }, 2*(1000+sizeOf(disc)) + 100, 0, false, 1, fromA(disc)},
+		{"bus-originated HelloAck: dropped",
+			func(a, b *testDev) uint32 { return b.port.Send(msg.BusID, hello) },
+			2*1000 + sizeOf(hello) + 100 + sizeOf(&msg.HelloAck{}), 0, false, 1,
+			func(b *testDev) bool { return b.countKind(msg.KindHelloAck) > 1 }},
+		{"device-sent Reset: not delivered",
+			func(a, b *testDev) uint32 { return a.port.Send(2, forged) }, 2*(1000+sizeOf(forged)) + 100, 0, true, 0, fromA(forged)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, timedCfg)
+			a := h.addDev(1, "a", msg.RoleAccelerator)
+			b := h.addDev(2, "b", msg.RoleAccelerator)
+			c := h.addDev(3, "c", msg.RoleAccelerator)
+			h.boot()
+			before := h.bus.Stats()
+			seq := tc.send(a, b)
+			h.eng.Schedule(tc.flight-500, func() {
+				if tc.alsoKill != 0 {
+					_ = h.bus.FailDevice(tc.alsoKill, "test")
+				}
+				if err := h.bus.FailDevice(2, "test"); err != nil {
+					t.Error(err)
+				}
+			})
+			h.eng.Run()
+			if tc.reached(b) {
+				t.Error("the message reached the dead device")
+			}
+			st := h.bus.Stats()
+			if got := st.Dropped - before.Dropped; got != tc.dropped {
+				t.Errorf("Dropped +%d, want +%d", got, tc.dropped)
+			}
+			n, _ := a.lastOfKind(msg.KindNack).(*msg.Nack)
+			switch {
+			case !tc.nacked && n != nil:
+				t.Errorf("sender was told %+v, want silence", n)
+			case tc.nacked && (n == nil || n.Code != msg.NackDeadDst || n.Seq != seq || n.Reason != "b failed in flight"):
+				t.Errorf("sender was told %+v, want NackDeadDst \"b failed in flight\" for seq %d", n, seq)
+			}
+			// The Reset the bus itself sends is the one message a dead
+			// device still receives, and the others hear of the failure.
+			if r, ok := b.lastOfKind(msg.KindReset).(*msg.Reset); !ok || r.Reason != "test" {
+				t.Errorf("dead device's last reset = %+v, want the bus's", r)
+			}
+			if c.countKind(msg.KindDeviceFailed) == 0 {
+				t.Error("bystander never heard of the failure")
+			}
+			if tc.name == "broadcast copy: dropped" && c.countKind(msg.KindDiscoverReq) != 1 {
+				t.Error("the live port's broadcast copy was lost with the dead one's")
+			}
+		})
+	}
 }

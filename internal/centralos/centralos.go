@@ -27,6 +27,7 @@ package centralos
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"nocpu/internal/bus"
 	"nocpu/internal/interconnect"
@@ -418,7 +419,7 @@ func (c *CPU) Misprogram(dev msg.DeviceID, app msg.AppID, va, bytes uint64) erro
 	if !ok {
 		return fmt.Errorf("centralos: no iommu handle for device %d", dev)
 	}
-	_, err := c.mapRegion(app, va, bytes, []*iommu.IOMMU{mmu})
+	_, err := c.mapRegion(app, va, bytes, mmu)
 	return err
 }
 
@@ -485,9 +486,9 @@ func (c *CPU) onPeerFailed(dev msg.DeviceID) {
 		v := c.completedOpens[k]
 		name := v.resp.Service
 		mediated := false
-		if n, ok := cutPrefix(name, "mediated:"); ok {
+		if n, ok := strings.CutPrefix(name, "mediated:"); ok {
 			name, mediated = n, true
-		} else if n, ok := cutPrefix(name, "file:"); ok {
+		} else if n, ok := strings.CutPrefix(name, "file:"); ok {
 			name = n
 		}
 		if v.origin == dev {
@@ -525,36 +526,44 @@ func (c *CPU) onPeerFailed(dev msg.DeviceID) {
 }
 
 // mapRegion allocates frames and maps them into the given device IOMMUs
-// under the app's PASID, charging kernel time on a core. Returns the
-// number of pages or an error.
-func (c *CPU) mapRegion(app msg.AppID, va uint64, bytes uint64, mmus []*iommu.IOMMU) (int, error) {
-	pages := int((bytes + physmem.PageSize - 1) / physmem.PageSize)
-	pasid := iommu.PASID(app)
+// under the app's PASID, through the same range routine the bus programs
+// with. It is all or nothing: a refusal — a device's own domain check
+// turning the kernel down, a page that is already mapped — unmaps what
+// this call installed (never an earlier owner's page) and frees the
+// frames.
+func (c *CPU) mapRegion(app msg.AppID, va, bytes uint64, mmus ...*iommu.IOMMU) ([]physmem.Frame, error) {
+	pasid, base := iommu.PASID(app), iommu.VirtAddr(va)
+	pages := pagesOf(bytes)
 	frames := make([]physmem.Frame, 0, pages)
+	undo := func(mapped []*iommu.IOMMU) {
+		for _, mmu := range mapped {
+			mmu.UnmapRange(pasid, base, len(frames), false)
+		}
+		for _, f := range frames {
+			_ = c.mem.FreeFrames(f, 1)
+		}
+	}
 	for i := 0; i < pages; i++ {
 		f, err := c.mem.AllocFrames(1)
 		if err != nil {
-			for _, ff := range frames {
-				_ = c.mem.FreeFrames(ff, 1)
-			}
-			return 0, err
+			undo(nil)
+			return nil, err
 		}
 		frames = append(frames, f)
 	}
-	for _, mmu := range mmus {
-		if !mmu.HasContext(pasid) {
-			if err := mmu.CreateContext(pasid); err != nil {
-				return 0, err
-			}
-		}
-		for i, f := range frames {
-			if err := mmu.Map(pasid, iommu.VirtAddr(va+uint64(i)*physmem.PageSize), f, iommu.PermRW); err != nil {
-				return 0, err
-			}
+	for i, mmu := range mmus {
+		if err := iommu.MapRange(mmu, pasid, base, frames, iommu.PermRW, false); err != nil {
+			undo(mmus[:i])
+			return nil, err
 		}
 	}
-	c.stats.PagesMapped += uint64(pages * len(mmus))
-	return pages, nil
+	c.stats.PagesMapped += uint64(len(frames) * len(mmus))
+	return frames, nil
+}
+
+// pagesOf rounds a byte count up to whole 4 KiB pages.
+func pagesOf(bytes uint64) int {
+	return int((bytes + physmem.PageSize - 1) / physmem.PageSize)
 }
 
 // vaFor advances the app's mmap pointer.
@@ -563,8 +572,7 @@ func (c *CPU) vaFor(app msg.AppID, bytes uint64) uint64 {
 	if !ok {
 		va = 0x2000_0000
 	}
-	pages := (bytes + physmem.PageSize - 1) / physmem.PageSize
-	c.appVA[app] = va + (pages+1)*physmem.PageSize
+	c.appVA[app] = va + uint64(pagesOf(bytes)+1)*physmem.PageSize
 	return va
 }
 
@@ -582,10 +590,10 @@ func (c *CPU) sysOpen(src msg.DeviceID, m *msg.OpenReq) {
 		}
 		mediated := false
 		name := m.Service
-		if n, ok := cutPrefix(name, "mediated:"); ok {
+		if n, ok := strings.CutPrefix(name, "mediated:"); ok {
 			mediated = true
 			name = n
-		} else if n, ok := cutPrefix(name, "file:"); ok {
+		} else if n, ok := strings.CutPrefix(name, "file:"); ok {
 			name = n
 		} else {
 			c.port.Send(src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: "unknown service class"})
@@ -621,7 +629,7 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 	}
 	// Direct mode: kernel performs the mmap + grant in one step, mapping
 	// the region into both the app's device and the provider.
-	cellSize := cellSizeFromQuote(m.SharedBytes, 128)
+	cellSize := virtio.CellSizeFromQuote(m.SharedBytes, 128)
 	lay := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
 	bytes := uint64(lay.DataVA) + uint64(lay.DataBytes())
 	va := c.vaFor(m.App, bytes)
@@ -631,9 +639,9 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 		c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: "kernel has no IOMMU handle"})
 		return
 	}
-	pages := int((bytes + physmem.PageSize - 1) / physmem.PageSize)
+	pages := pagesOf(bytes)
 	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
-		if _, err := c.mapRegion(m.App, va, bytes, []*iommu.IOMMU{appMMU, devMMU}); err != nil {
+		if _, err := c.mapRegion(m.App, va, bytes, appMMU, devMMU); err != nil {
 			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
 			return
 		}
@@ -651,7 +659,7 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 func (c *CPU) sysConnect(src msg.DeviceID, m *msg.ConnectReq) {
 	c.stats.Syscalls++
 	c.cores.Submit(c.cfg.SyscallCost, func() {
-		name, ok := cutPrefix(m.Service, "file:")
+		name, ok := strings.CutPrefix(m.Service, "file:")
 		if !ok {
 			c.port.Send(src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "unknown service class"})
 			return
@@ -691,7 +699,7 @@ func (c *CPU) sysClose(src msg.DeviceID, m *msg.CloseReq) {
 			c.port.Send(src, &msg.CloseResp{ConnID: m.ConnID, OK: true})
 			return
 		}
-		name, _ := cutPrefix(m.Service, "file:")
+		name, _ := strings.CutPrefix(m.Service, "file:")
 		if dev, ok := c.registry[name]; ok {
 			fwd := *m
 			c.port.Send(dev, &fwd)
@@ -710,13 +718,13 @@ func (c *CPU) openMediated(dev msg.DeviceID, st *openState, m *msg.OpenResp) {
 		c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: "kernel has no IOMMU handle"})
 		return
 	}
-	cellSize := cellSizeFromQuote(m.SharedBytes, 128)
+	cellSize := virtio.CellSizeFromQuote(m.SharedBytes, 128)
 	lay0 := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
 	bytes := uint64(lay0.DataVA) + uint64(lay0.DataBytes())
 	va := c.vaFor(m.App, bytes)
-	pages := int((bytes + physmem.PageSize - 1) / physmem.PageSize)
+	pages := pagesOf(bytes)
 	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
-		if _, err := c.mapRegion(m.App, va, bytes, []*iommu.IOMMU{c.mmu, devMMU}); err != nil {
+		if _, err := c.mapRegion(m.App, va, bytes, c.mmu, devMMU); err != nil {
 			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
 			return
 		}
@@ -877,37 +885,17 @@ func (c *CPU) sysMmap(src msg.DeviceID, m *msg.AllocReq) {
 		deny("region exists")
 		return
 	}
-	pages := int((m.Bytes + physmem.PageSize - 1) / physmem.PageSize)
+	pages := pagesOf(m.Bytes)
 	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
-		pasid := iommu.PASID(m.App)
-		if !mmu.HasContext(pasid) {
-			if err := mmu.CreateContext(pasid); err != nil {
-				deny(err.Error())
-				return
-			}
+		frames, err := c.mapRegion(m.App, m.VA, m.Bytes, mmu)
+		if err != nil {
+			deny(err.Error())
+			return
 		}
-		frames := make([]physmem.Frame, 0, pages)
-		fail := func(reason string) {
-			for _, f := range frames {
-				_ = c.mem.FreeFrames(f, 1)
-			}
-			deny(reason)
+		out := make([]uint64, len(frames))
+		for i, f := range frames {
+			out[i] = uint64(f)
 		}
-		out := make([]uint64, 0, pages)
-		for i := 0; i < pages; i++ {
-			f, err := c.mem.AllocFrames(1)
-			if err != nil {
-				fail(err.Error())
-				return
-			}
-			frames = append(frames, f)
-			if err := mmu.Map(pasid, iommu.VirtAddr(m.VA+uint64(i)*physmem.PageSize), f, iommu.PermRW); err != nil {
-				fail(err.Error())
-				return
-			}
-			out = append(out, uint64(f))
-		}
-		c.stats.PagesMapped += uint64(pages)
 		c.mmaps[mmapKey{m.App, m.VA}] = mmapRec{dev: src, frames: frames}
 		c.port.Send(src, &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm})
 	})
@@ -927,28 +915,11 @@ func (c *CPU) sysMunmap(src msg.DeviceID, m *msg.FreeReq) {
 	mmu := c.iommus[src]
 	pages := len(rec.frames)
 	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
-		pasid := iommu.PASID(m.App)
-		for i, f := range rec.frames {
-			_ = mmu.Unmap(pasid, iommu.VirtAddr(m.VA+uint64(i)*physmem.PageSize))
+		mmu.UnmapRange(iommu.PASID(m.App), iommu.VirtAddr(m.VA), pages, false)
+		for _, f := range rec.frames {
 			_ = c.mem.FreeFrames(f, 1)
 		}
 		delete(c.mmaps, mmapKey{m.App, m.VA})
 		c.port.Send(src, &msg.FreeResp{App: m.App, OK: true, VA: m.VA, Bytes: uint64(pages) * physmem.PageSize})
 	})
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
-}
-
-// cellSizeFromQuote mirrors smartnic's inversion of virtio.SharedBytes.
-func cellSizeFromQuote(quote uint64, entries uint16) int {
-	ring := uint64((virtio.RingBytes(entries) + physmem.PageSize - 1) &^ (physmem.PageSize - 1))
-	if quote <= ring {
-		return physmem.PageSize
-	}
-	return int((quote - ring) / uint64(entries))
 }

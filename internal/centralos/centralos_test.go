@@ -1,6 +1,7 @@
 package centralos
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -310,4 +311,65 @@ func TestKernelSerializesUnderLoad(t *testing.T) {
 	if ready != apps {
 		t.Fatalf("ready = %d of %d", ready, apps)
 	}
+}
+
+// A refused kernel mapping is all or nothing: the frames go back and
+// nothing the call installed stays — but a page that was there before,
+// which is what "already mapped" reports, is the earlier owner's to keep.
+func TestRefusedMappingLeavesNothingBehind(t *testing.T) {
+	const app, va = msg.AppID(1), uint64(0x4000_0000)
+	eng := sim.NewEngine()
+	mem := physmem.MustNew(1024 * physmem.PageSize)
+	fab := interconnect.NewFabric(eng, mem, interconnect.DefaultCosts)
+	cpu, err := New(eng, bus.New(eng, bus.DefaultConfig, nil), fab, nil, Config{ID: cpuID, Name: "cpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := iommu.New("dev", mem, iommu.DefaultConfig)
+	cpu.AttachDeviceIOMMU(nicID, dev)
+
+	t.Run("domain check refuses", func(t *testing.T) {
+		refused := errors.New("foreign isolation domain")
+		dev.SetDomainCheck(func(iommu.PASID) error { return refused })
+		defer dev.SetDomainCheck(nil)
+		free := mem.FreeFramesCount()
+		if err := cpu.Misprogram(nicID, app, va, 2*physmem.PageSize); !errors.Is(err, refused) {
+			t.Fatalf("Misprogram: %v, want the device's refusal", err)
+		}
+		if got := mem.FreeFramesCount(); got != free {
+			t.Errorf("refused mapping leaked %d frames", free-got)
+		}
+		if _, _, ok := dev.Lookup(iommu.PASID(app), iommu.VirtAddr(va)); ok {
+			t.Error("refused mapping left a page mapped")
+		}
+	})
+	t.Run("second page already mapped", func(t *testing.T) {
+		owner, err := mem.AllocFrames(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := iommu.VirtAddr(va + physmem.PageSize)
+		if err := dev.CreateContext(iommu.PASID(app)); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Map(iommu.PASID(app), second, owner, iommu.PermRW); err != nil {
+			t.Fatal(err)
+		}
+		free, mapped := mem.FreeFramesCount(), cpu.Stats().PagesMapped
+		if err := cpu.Misprogram(nicID, app, va, 2*physmem.PageSize); err == nil {
+			t.Fatal("mapping over an existing page accepted")
+		}
+		if got := mem.FreeFramesCount(); got != free {
+			t.Errorf("refused mapping leaked %d frames", free-got)
+		}
+		if _, _, ok := dev.Lookup(iommu.PASID(app), iommu.VirtAddr(va)); ok {
+			t.Error("the page installed before the refusal is still mapped")
+		}
+		if f, _, ok := dev.Lookup(iommu.PASID(app), second); !ok || f != owner {
+			t.Errorf("rollback took the earlier owner's page (ok=%v frame=%d, want %d)", ok, f, owner)
+		}
+		if got := cpu.Stats().PagesMapped; got != mapped {
+			t.Errorf("PagesMapped went %d -> %d on a refused mapping", mapped, got)
+		}
+	})
 }

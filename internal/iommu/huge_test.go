@@ -202,3 +202,152 @@ func TestHugeReachVsSmallTLB(t *testing.T) {
 		t.Fatalf("huge reach ineffective: huge walks %d vs 4K walks %d", wh, w4k)
 	}
 }
+
+// A 4 KiB unmap of an address a huge mapping covers must not follow the
+// huge leaf: its frame holds the application's data, and a word there that
+// happens to look like a valid PTE used to be zeroed with a nil error.
+func TestUnmapUnderHugeMappingRefused(t *testing.T) {
+	u, mem := hugeRig(t)
+	if err := u.CreateContext(1); err != nil {
+		t.Fatal(err)
+	}
+	run := allocHugeRun(t, mem)
+	if err := u.MapHuge(1, 0, run, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	// Page 8 of the window indexes slot 8 of the "table" a blind walk would
+	// read out of the data frame: byte offset 64.
+	word := physmem.Addr(uint64(run.Addr()) + 64)
+	const planted = 0xdeadbeef0001 // bit 0 set: reads as a valid PTE
+	if err := mem.WriteU64(word, planted); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Unmap(1, VirtAddr(8*physmem.PageSize)); err == nil {
+		t.Error("4 KiB unmap under a huge mapping reported success")
+	}
+	if got, err := mem.ReadU64(word); err != nil || got != planted {
+		t.Errorf("application data word = %#x (err %v), want %#x intact", got, err, uint64(planted))
+	}
+	if pa, _, err := u.Translate(1, VirtAddr(8*physmem.PageSize), AccessRead); err != nil ||
+		pa != physmem.Addr(uint64(run.Addr())+8*physmem.PageSize) {
+		t.Errorf("huge mapping no longer translates: pa %#x err %v", pa, err)
+	}
+	if _, _, ok := u.Lookup(1, 0); !ok {
+		t.Error("huge mapping gone after the refused unmap")
+	}
+}
+
+// Both page sizes go through one install walk and one remove walk: a map
+// followed by its unmap leaves nothing to look up, allocates exactly the
+// interior tables its depth needs (the root is the context's), and the
+// unmap of the other size is refused without disturbing the mapping.
+func TestMapUnmapBothSizes(t *testing.T) {
+	mapAt := func(u *IOMMU, huge bool, va VirtAddr, f physmem.Frame) error {
+		if huge {
+			return u.MapHuge(1, va, f, PermRW)
+		}
+		return u.Map(1, va, f, PermRW)
+	}
+	unmapAt := func(u *IOMMU, huge bool, va VirtAddr) error {
+		if huge {
+			return u.UnmapHuge(1, va.HugePage())
+		}
+		return u.Unmap(1, va)
+	}
+	for _, tc := range []struct {
+		name      string
+		huge      bool
+		va        VirtAddr
+		tables    int
+		walkReads int
+	}{
+		{"4k", false, VirtAddr(HugePageSize + 3*physmem.PageSize), 3, 4},
+		{"huge", true, VirtAddr(HugePageSize), 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, mem := hugeRig(t)
+			if err := u.CreateContext(1); err != nil {
+				t.Fatal(err)
+			}
+			run := allocHugeRun(t, mem)
+			before := mem.FreeFramesCount()
+			if err := mapAt(u, tc.huge, tc.va, run); err != nil {
+				t.Fatal(err)
+			}
+			if got := int(before - mem.FreeFramesCount()); got != tc.tables {
+				t.Errorf("install allocated %d table frames, want %d", got, tc.tables)
+			}
+			if _, reads, err := u.Translate(1, tc.va, AccessRead); err != nil || reads != tc.walkReads {
+				t.Errorf("cold walk: %d reads, err %v; want %d", reads, err, tc.walkReads)
+			}
+			if err := unmapAt(u, !tc.huge, tc.va); err == nil {
+				t.Error("unmap of the other page size accepted")
+			}
+			if f, _, ok := u.Lookup(1, tc.va); !ok || f != run {
+				t.Fatalf("mapping disturbed by the refused unmap (ok=%v frame=%d)", ok, f)
+			}
+			if err := unmapAt(u, tc.huge, tc.va); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := u.Lookup(1, tc.va); ok {
+				t.Error("Lookup still finds the mapping after unmap")
+			}
+			if _, _, err := u.Translate(1, tc.va, AccessRead); err == nil {
+				t.Error("stale TLB entry after unmap")
+			}
+			// Interior tables stay until DestroyContext; a second install
+			// reuses them.
+			mid := mem.FreeFramesCount()
+			if err := mapAt(u, tc.huge, tc.va, run); err != nil || mem.FreeFramesCount() != mid {
+				t.Errorf("re-install: err %v, %d more table frames", err, mid-mem.FreeFramesCount())
+			}
+		})
+	}
+}
+
+// MapRange installs all of a run or none of it, whatever the page size,
+// and its rollback takes out only what the call itself put in.
+func TestMapRangeAllOrNothing(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		step, per := PageGeometry(huge)
+		u, mem := hugeRig(t)
+		var frames []uint64
+		for i := 0; i < 3; i++ {
+			f, err := mem.AllocFrames(per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, uint64(f))
+		}
+		base := VirtAddr(4 * HugePageSize)
+		at := func(i int) VirtAddr { return base + VirtAddr(uint64(i)*step) }
+
+		// The context is created on first use, perm 0 means read+write.
+		if err := MapRange(u, 1, base, frames[:2], 0, huge); err != nil {
+			t.Fatalf("huge=%v: %v", huge, err)
+		}
+		for i := 0; i < 2; i++ {
+			if f, perm, ok := u.Lookup(1, at(i)); !ok || uint64(f) != frames[i] || perm != PermRW {
+				t.Fatalf("huge=%v: mapping %d = frame %d perm %v ok %v", huge, i, f, perm, ok)
+			}
+		}
+		// A second run that collides with the first at its third mapping
+		// is refused, leaves its own two mappings out, and leaves the
+		// earlier owner's in.
+		other := base - VirtAddr(2*step)
+		if err := MapRange(u, 1, other, []uint64{frames[2], frames[2], frames[2]}, PermRW, huge); err == nil {
+			t.Fatalf("huge=%v: colliding run accepted", huge)
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, ok := u.Lookup(1, other+VirtAddr(uint64(i)*step)); ok {
+				t.Errorf("huge=%v: refused run left mapping %d behind", huge, i)
+			}
+		}
+		if f, _, ok := u.Lookup(1, base); !ok || uint64(f) != frames[0] {
+			t.Errorf("huge=%v: rollback unmapped the earlier owner's mapping", huge)
+		}
+		if n := u.UnmapRange(1, base, 3, huge); n != 2 {
+			t.Errorf("huge=%v: UnmapRange cleared %d mappings, want the 2 present", huge, n)
+		}
+	}
+}

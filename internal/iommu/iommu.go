@@ -281,65 +281,36 @@ func idx(va VirtAddr, level int) uint64 {
 	return (uint64(va) >> shift) & (entriesPerT - 1)
 }
 
+// leaf describes one page size to the two table walks: the level whose
+// slot holds its PTE, the bytes one mapping covers (the virtual address
+// and the backing run are both aligned to that), the flag that tells a
+// 2 MiB leaf from the pointer to a table of 4 KiB ones in the same slot,
+// and the word error text puts in front of "map"/"unmap".
+type leaf struct {
+	level int
+	size  uint64
+	flag  uint64
+	name  string
+}
+
+var (
+	leaf4K = leaf{level: levels - 1, size: physmem.PageSize}
+	leaf2M = leaf{level: levels - 2, size: HugePageSize, flag: pteHuge, name: "huge "}
+)
+
+func leafFor(huge bool) *leaf {
+	if huge {
+		return &leaf2M
+	}
+	return &leaf4K
+}
+
 // Map installs a translation va -> frame with the given permissions. va
 // must be page-aligned. Intermediate tables are allocated on demand.
 // Remapping an already-present page is rejected: the bus must unmap first,
 // which keeps grant auditing simple.
 func (u *IOMMU) Map(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) error {
-	root, ok := u.ctx[p]
-	if !ok {
-		return fmt.Errorf("iommu %s: map on unknown PASID %d", u.name, p)
-	}
-	if err := u.checkDomain(p); err != nil {
-		return err
-	}
-	if va%physmem.PageSize != 0 {
-		return fmt.Errorf("iommu %s: map of unaligned va %#x", u.name, uint64(va))
-	}
-	if err := checkVA(va); err != nil {
-		return err
-	}
-	if perm&PermRW == 0 {
-		return fmt.Errorf("iommu %s: map with empty permissions", u.name)
-	}
-	tbl := root
-	for lvl := 0; lvl < levels-1; lvl++ {
-		slot := physmem.Addr(uint64(tbl) + idx(va, lvl)*8)
-		pte, err := u.mem.ReadU64(slot)
-		if err != nil {
-			return err
-		}
-		if pte&pteValid != 0 && pte&pteHuge != 0 {
-			return fmt.Errorf("iommu %s: va %#x pasid %d covered by a huge mapping", u.name, uint64(va), p)
-		}
-		if pte&pteValid == 0 {
-			next, err := u.allocTable(p)
-			if err != nil {
-				return err
-			}
-			pte = uint64(next)&pteAddrM | pteValid
-			if err := u.mem.WriteU64(slot, pte); err != nil {
-				return err
-			}
-		}
-		tbl = physmem.Addr(pte & pteAddrM)
-	}
-	slot := physmem.Addr(uint64(tbl) + idx(va, levels-1)*8)
-	pte, err := u.mem.ReadU64(slot)
-	if err != nil {
-		return err
-	}
-	if pte&pteValid != 0 {
-		return fmt.Errorf("iommu %s: va %#x pasid %d already mapped", u.name, uint64(va), p)
-	}
-	pte = uint64(frame.Addr())&pteAddrM | pteValid
-	if perm&AccessRead != 0 {
-		pte |= pteRead
-	}
-	if perm&AccessWrite != 0 {
-		pte |= pteWrite
-	}
-	return u.mem.WriteU64(slot, pte)
+	return u.install(p, va, frame, perm, &leaf4K)
 }
 
 // MapHuge installs one HugePageSize translation at a level-2 leaf. va
@@ -347,6 +318,16 @@ func (u *IOMMU) Map(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) error 
 // run of HugeFrames contiguous frames (the buddy allocator's
 // power-of-two blocks satisfy this).
 func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) error {
+	return u.install(p, va, frame, perm, &leaf2M)
+}
+
+// install is the one walk that adds a mapping. Every table it descends
+// through is allocated on demand; a huge leaf met on the way down already
+// covers va and is refused before it is followed (its frame holds the
+// application's data, not a table), and a valid leaf slot — a mapping of
+// either size, or for a huge install a table of 4 KiB ones — is refused
+// too.
+func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf *leaf) error {
 	root, ok := u.ctx[p]
 	if !ok {
 		return fmt.Errorf("iommu %s: map on unknown PASID %d", u.name, p)
@@ -354,11 +335,11 @@ func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) er
 	if err := u.checkDomain(p); err != nil {
 		return err
 	}
-	if uint64(va)%HugePageSize != 0 {
-		return fmt.Errorf("iommu %s: huge map of unaligned va %#x", u.name, uint64(va))
+	if uint64(va)%lf.size != 0 {
+		return fmt.Errorf("iommu %s: %smap of unaligned va %#x", u.name, lf.name, uint64(va))
 	}
-	if uint64(frame)%uint64(HugeFrames) != 0 {
-		return fmt.Errorf("iommu %s: huge map of unaligned frame %d", u.name, frame)
+	if uint64(frame.Addr())%lf.size != 0 {
+		return fmt.Errorf("iommu %s: %smap of unaligned frame %d", u.name, lf.name, frame)
 	}
 	if err := checkVA(va); err != nil {
 		return err
@@ -366,12 +347,24 @@ func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) er
 	if perm&PermRW == 0 {
 		return fmt.Errorf("iommu %s: map with empty permissions", u.name)
 	}
-	tbl := root
-	for lvl := 0; lvl < levels-2; lvl++ {
+	for tbl, lvl := root, 0; ; lvl++ {
 		slot := physmem.Addr(uint64(tbl) + idx(va, lvl)*8)
 		pte, err := u.mem.ReadU64(slot)
 		if err != nil {
 			return err
+		}
+		if lvl == lf.level {
+			if pte&pteValid != 0 {
+				return fmt.Errorf("iommu %s: va %#x pasid %d already mapped", u.name, uint64(va), p)
+			}
+			pte = uint64(frame.Addr())&pteAddrM | pteValid | lf.flag
+			if perm&AccessRead != 0 {
+				pte |= pteRead
+			}
+			if perm&AccessWrite != 0 {
+				pte |= pteWrite
+			}
+			return u.mem.WriteU64(slot, pte)
 		}
 		if pte&pteValid != 0 && pte&pteHuge != 0 {
 			return fmt.Errorf("iommu %s: va %#x pasid %d covered by a huge mapping", u.name, uint64(va), p)
@@ -388,116 +381,75 @@ func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) er
 		}
 		tbl = physmem.Addr(pte & pteAddrM)
 	}
-	slot := physmem.Addr(uint64(tbl) + idx(va, levels-2)*8)
-	pte, err := u.mem.ReadU64(slot)
-	if err != nil {
-		return err
-	}
-	if pte&pteValid != 0 {
-		// Either an existing huge leaf or a table of 4K mappings.
-		return fmt.Errorf("iommu %s: va %#x pasid %d already mapped (huge or 4K table present)", u.name, uint64(va), p)
-	}
-	pte = uint64(frame.Addr())&pteAddrM | pteValid | pteHuge
-	if perm&AccessRead != 0 {
-		pte |= pteRead
-	}
-	if perm&AccessWrite != 0 {
-		pte |= pteWrite
-	}
-	return u.mem.WriteU64(slot, pte)
 }
+
+// Unmap removes the translation for the page holding va and invalidates
+// its TLB entry.
+func (u *IOMMU) Unmap(p PASID, va VirtAddr) error { return u.remove(p, va.Page(), &leaf4K) }
 
 // UnmapHuge removes a huge translation and invalidates its TLB entry.
-func (u *IOMMU) UnmapHuge(p PASID, va VirtAddr) error {
-	root, ok := u.ctx[p]
-	if !ok {
-		return fmt.Errorf("iommu %s: unmap on unknown PASID %d", u.name, p)
-	}
-	if uint64(va)%HugePageSize != 0 {
-		return fmt.Errorf("iommu %s: huge unmap of unaligned va %#x", u.name, uint64(va))
-	}
-	if err := checkVA(va); err != nil {
-		return err
-	}
-	tbl := root
-	for lvl := 0; lvl < levels-2; lvl++ {
-		pte, err := u.mem.ReadU64(physmem.Addr(uint64(tbl) + idx(va, lvl)*8))
-		if err != nil {
-			return err
-		}
-		if pte&pteValid == 0 {
-			return fmt.Errorf("iommu %s: huge unmap of unmapped va %#x pasid %d", u.name, uint64(va), p)
-		}
-		tbl = physmem.Addr(pte & pteAddrM)
-	}
-	slot := physmem.Addr(uint64(tbl) + idx(va, levels-2)*8)
-	pte, err := u.mem.ReadU64(slot)
-	if err != nil {
-		return err
-	}
-	if pte&pteValid == 0 || pte&pteHuge == 0 {
-		return fmt.Errorf("iommu %s: huge unmap of non-huge va %#x pasid %d", u.name, uint64(va), p)
-	}
-	if err := u.mem.WriteU64(slot, 0); err != nil {
-		return err
-	}
-	u.tlb.invalidateHuge(p, va.HugePage())
-	return nil
-}
+func (u *IOMMU) UnmapHuge(p PASID, va VirtAddr) error { return u.remove(p, va, &leaf2M) }
 
-// Unmap removes the translation for va and invalidates its TLB entry.
-func (u *IOMMU) Unmap(p PASID, va VirtAddr) error {
+// remove is the one walk that takes a mapping out. It follows only
+// pointers to tables: a huge leaf above the level it is looking for
+// covers va with a mapping of the other size, and the slot it ends at
+// must hold a leaf of the size asked for (a huge unmap of a table of
+// 4 KiB mappings is refused there). Interior tables stay allocated until
+// DestroyContext.
+func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf) error {
 	root, ok := u.ctx[p]
 	if !ok {
 		return fmt.Errorf("iommu %s: unmap on unknown PASID %d", u.name, p)
 	}
+	if uint64(va)%lf.size != 0 {
+		return fmt.Errorf("iommu %s: %sunmap of unaligned va %#x", u.name, lf.name, uint64(va))
+	}
 	if err := checkVA(va); err != nil {
 		return err
 	}
-	tbl := root
-	for lvl := 0; lvl < levels-1; lvl++ {
+	for tbl, lvl := root, 0; ; lvl++ {
 		slot := physmem.Addr(uint64(tbl) + idx(va, lvl)*8)
 		pte, err := u.mem.ReadU64(slot)
 		if err != nil {
 			return err
 		}
 		if pte&pteValid == 0 {
-			return fmt.Errorf("iommu %s: unmap of unmapped va %#x pasid %d", u.name, uint64(va), p)
+			return fmt.Errorf("iommu %s: %sunmap of unmapped va %#x pasid %d", u.name, lf.name, uint64(va), p)
+		}
+		if lvl == lf.level {
+			if pte&pteHuge != lf.flag {
+				return fmt.Errorf("iommu %s: huge unmap of non-huge va %#x pasid %d", u.name, uint64(va), p)
+			}
+			if err := u.mem.WriteU64(slot, 0); err != nil {
+				return err
+			}
+			if lf.flag != 0 {
+				u.tlb.invalidateHuge(p, va)
+			} else {
+				u.tlb.invalidate(p, va)
+			}
+			return nil
+		}
+		if pte&pteHuge != 0 {
+			return fmt.Errorf("iommu %s: va %#x pasid %d covered by a huge mapping", u.name, uint64(va), p)
 		}
 		tbl = physmem.Addr(pte & pteAddrM)
 	}
-	slot := physmem.Addr(uint64(tbl) + idx(va, levels-1)*8)
-	pte, err := u.mem.ReadU64(slot)
-	if err != nil {
-		return err
-	}
-	if pte&pteValid == 0 {
-		return fmt.Errorf("iommu %s: unmap of unmapped va %#x pasid %d", u.name, uint64(va), p)
-	}
-	if err := u.mem.WriteU64(slot, 0); err != nil {
-		return err
-	}
-	u.tlb.invalidate(p, va.Page())
-	return nil
 }
 
 // Lookup reports the frame mapped at va without touching the TLB or the
 // stats — used by audits and tests, not by the data path.
 func (u *IOMMU) Lookup(p PASID, va VirtAddr) (physmem.Frame, Perm, bool) {
 	root, ok := u.ctx[p]
-	if !ok {
+	if !ok || va >= MaxVirtAddr {
 		return 0, 0, false
 	}
-	if va >= MaxVirtAddr {
-		return 0, 0, false
-	}
-	tbl := root
-	for lvl := 0; lvl < levels-1; lvl++ {
+	for tbl, lvl := root, 0; ; lvl++ {
 		pte, err := u.mem.ReadU64(physmem.Addr(uint64(tbl) + idx(va, lvl)*8))
 		if err != nil || pte&pteValid == 0 {
 			return 0, 0, false
 		}
-		if lvl == levels-2 && pte&pteHuge != 0 {
+		if lvl == levels-1 || pte&pteHuge != 0 {
 			var perm Perm
 			if pte&pteRead != 0 {
 				perm |= AccessRead
@@ -509,18 +461,6 @@ func (u *IOMMU) Lookup(p PASID, va VirtAddr) (physmem.Frame, Perm, bool) {
 		}
 		tbl = physmem.Addr(pte & pteAddrM)
 	}
-	pte, err := u.mem.ReadU64(physmem.Addr(uint64(tbl) + idx(va, levels-1)*8))
-	if err != nil || pte&pteValid == 0 {
-		return 0, 0, false
-	}
-	var perm Perm
-	if pte&pteRead != 0 {
-		perm |= AccessRead
-	}
-	if pte&pteWrite != 0 {
-		perm |= AccessWrite
-	}
-	return physmem.FrameOf(physmem.Addr(pte & pteAddrM)), perm, true
 }
 
 // Translate resolves one access. On success it returns the physical

@@ -1,0 +1,54 @@
+package iommu
+
+import "nocpu/internal/physmem"
+
+// PageGeometry is what one mapping of a page size covers: its bytes of
+// virtual address space and the contiguous base frames behind them.
+// Everything that steps through a region a mapping at a time — the range
+// routines below, the bus's page counts, the memory controller's
+// allocation units — takes its stride from here.
+func PageGeometry(huge bool) (bytes uint64, frames int) {
+	lf := leafFor(huge)
+	return lf.size, int(lf.size / physmem.PageSize)
+}
+
+// MapRange installs one mapping per frame at consecutive addresses from
+// va — 4 KiB pages, or 2 MiB runs when huge — creating the PASID's
+// context on first use; perm 0 means read+write. Frames arrive as the
+// caller holds them: wire-form uint64s on the bus, physmem.Frames in the
+// baseline kernel. It installs all of them or none: on a refusal it takes
+// out the mappings this call put in — never one that was there before,
+// which is what "already mapped" reports — and returns the refusal. A
+// context it created stays; an empty one translates nothing.
+func MapRange[F ~uint64](u *IOMMU, p PASID, va VirtAddr, frames []F, perm Perm, huge bool) error {
+	if !u.HasContext(p) {
+		if err := u.CreateContext(p); err != nil {
+			return err
+		}
+	}
+	if perm == 0 {
+		perm = PermRW
+	}
+	lf := leafFor(huge)
+	for i, f := range frames {
+		if err := u.install(p, va+VirtAddr(uint64(i)*lf.size), physmem.Frame(f), perm, lf); err != nil {
+			u.UnmapRange(p, va, i, huge)
+			return err
+		}
+	}
+	return nil
+}
+
+// UnmapRange removes n consecutive mappings of one page size from va on
+// and reports how many were there to remove (each is one PTE cleared, the
+// unit the bus charges IOMMU programming time in).
+func (u *IOMMU) UnmapRange(p PASID, va VirtAddr, n int, huge bool) int {
+	lf := leafFor(huge)
+	cleared := 0
+	for i := 0; i < n; i++ {
+		if u.remove(p, va+VirtAddr(uint64(i)*lf.size), lf) == nil {
+			cleared++
+		}
+	}
+	return cleared
+}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 
 	"nocpu/internal/iommu"
@@ -121,3 +122,52 @@ func TestHugeSubRangeGrantAlignment(t *testing.T) {
 		t.Fatalf("aligned huge sub-grant denied: %s", g.Reason)
 	}
 }
+
+// A request with two things wrong is refused for the first in a fixed
+// order — overlap of the extent in 4 KiB pages, 2 MiB alignment, overlap
+// of the extent rounded up to whole runs, quota — and a request retried
+// with the same rounded extent is the replay of the one that succeeded.
+func TestHugeAllocRefusalOrder(t *testing.T) {
+	const H = iommu.HugePageSize
+	w := newWorld(t, 3*H, 8192) // quota: three runs
+	nic := w.newRequester(t, 2, "nic")
+	w.eng.Run()
+	alloc := func(m msg.AllocReq) *msg.AllocResp {
+		t.Helper()
+		m.App, m.Perm = 5, uint8(iommu.PermRW)
+		nic.dev.Send(1, &m)
+		w.eng.Run()
+		return nic.lastAlloc()
+	}
+	if a := alloc(msg.AllocReq{VA: 4 * H, Bytes: 4096}); !a.OK {
+		t.Fatalf("4 KiB region: %+v", a)
+	}
+	first := alloc(msg.AllocReq{VA: 8 * H, Bytes: H + 1, Huge: true}) // rounds up to two runs
+	if !first.OK || len(first.Frames) != 2 {
+		t.Fatalf("huge region: %+v", first)
+	}
+	for _, tc := range []struct {
+		name string
+		req  msg.AllocReq
+		want string
+	}{
+		{"page overlap before alignment", msg.AllocReq{VA: 4*H - 4096, Bytes: 2 * 4096, Huge: true}, "overlaps existing region at " + hex(4*H)},
+		{"alignment before quota", msg.AllocReq{VA: 16*H + 4096, Bytes: 8 * H, Huge: true}, "huge allocation requires 2MiB-aligned virtual address"},
+		{"rounded overlap before quota", msg.AllocReq{VA: 3 * H, Bytes: H + 1, Huge: true}, "overlaps existing region at " + hex(4*H)},
+		{"quota last", msg.AllocReq{VA: 16 * H, Bytes: H + 1, Huge: true}, "quota exceeded"},
+	} {
+		if a := alloc(tc.req); a.OK || a.Reason != tc.want {
+			t.Errorf("%s: %+v, want refusal %q", tc.name, a, tc.want)
+		}
+	}
+	// Same rounded extent, different byte count: the replay, same frames.
+	again := alloc(msg.AllocReq{VA: 8 * H, Bytes: 2 * H, Huge: true})
+	if !again.OK || len(again.Frames) != 2 || again.Frames[0] != first.Frames[0] || again.Frames[1] != first.Frames[1] {
+		t.Errorf("replay = %+v, want the frames of %+v", again, first)
+	}
+	if got := w.ctrl.Stats().Allocs; got != 2 {
+		t.Errorf("Allocs = %d, want 2 (refusals and the replay allocate nothing)", got)
+	}
+}
+
+func hex(v uint64) string { return fmt.Sprintf("%#x", v) }

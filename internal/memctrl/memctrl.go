@@ -13,7 +13,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sort"
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
@@ -110,9 +109,9 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		appBytes: make(map[msg.AppID]uint64),
 		freed:    make(map[freeKey]freedRegion),
 	}
-	d.Handle(msg.KindAllocReq, c.onAlloc)
-	d.Handle(msg.KindFreeReq, c.onFree)
-	d.Handle(msg.KindAuthReq, c.onAuth)
+	d.Handle(msg.KindAllocReq, c.accept)
+	d.Handle(msg.KindFreeReq, c.accept)
+	d.Handle(msg.KindAuthReq, c.accept)
 	d.OnReset = c.onReset
 	return c, nil
 }
@@ -128,24 +127,13 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 func (c *Controller) onReset() {
 	c.appBytes = make(map[msg.AppID]uint64)
 	var live uint64
-	for _, app := range c.sortedApps() {
-		for _, base := range sortedBases(c.table[app]) {
-			a := c.table[app][base]
+	for app, regions := range c.table {
+		for _, a := range regions {
 			c.appBytes[app] += a.bytes
 			live += a.bytes
 		}
 	}
 	c.stats.BytesLive = live
-}
-
-// sortedApps iterates the table's apps in id order for determinism.
-func (c *Controller) sortedApps() []msg.AppID {
-	apps := make([]msg.AppID, 0, len(c.table))
-	for app := range c.table {
-		apps = append(apps, app)
-	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i] < apps[j] })
-	return apps
 }
 
 // Device exposes the chassis (Start, state).
@@ -170,24 +158,53 @@ func pagesOf(bytes uint64) int {
 	return int((bytes + physmem.PageSize - 1) / physmem.PageSize)
 }
 
-// sortedBases iterates an app's regions in base-address order: the loops
-// below reply from inside the loop body, so which region decides must not
-// depend on map iteration order.
-func sortedBases(regions map[uint64]*allocation) []uint64 {
-	bases := make([]uint64, 0, len(regions))
-	for base := range regions {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	return bases
+// request is one AllocReq, FreeReq or AuthReq waiting its turn at the
+// table engine; it is the event the processing queue fires, so accepting a
+// request allocates the record and nothing else.
+type request struct {
+	c   *Controller
+	env msg.Envelope
 }
 
-func (c *Controller) onAlloc(env msg.Envelope) {
-	m := env.Msg.(*msg.AllocReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
-		resp := c.doAlloc(env.Src, m)
-		c.dev.Send(env.Src, resp)
-	})
+// accept queues a request behind the table engine (registered for all
+// three kinds).
+func (c *Controller) accept(env msg.Envelope) {
+	c.proc.SubmitEvent(c.cfg.OpCost, &request{c: c, env: env})
+}
+
+// Fire answers the request: an authorization to the bus that asked, the
+// other two to the device that sent them.
+func (r *request) Fire() {
+	c, src := r.c, r.env.Src
+	switch m := r.env.Msg.(type) {
+	case *msg.AllocReq:
+		c.dev.Send(src, c.doAlloc(src, m))
+	case *msg.FreeReq:
+		c.dev.Send(src, c.doFree(src, m))
+	case *msg.AuthReq:
+		c.dev.Send(msg.BusID, c.doAuth(src, m))
+	}
+}
+
+// wireFrames renders frames as a response carries them.
+func wireFrames(frames []physmem.Frame) []uint64 {
+	out := make([]uint64, len(frames))
+	for i, f := range frames {
+		out[i] = uint64(f)
+	}
+	return out
+}
+
+// overlaps returns the lowest-based region of the app that [va, va+bytes)
+// intersects: the lowest, so that which region a refusal names does not
+// depend on map iteration order.
+func overlaps(regions map[uint64]*allocation, va, bytes uint64) (lowest uint64, hit bool) {
+	for base, a := range regions {
+		if va < base+a.bytes && base < va+bytes && (!hit || base < lowest) {
+			lowest, hit = base, true
+		}
+	}
+	return lowest, hit
 }
 
 func (c *Controller) doAlloc(src msg.DeviceID, m *msg.AllocReq) *msg.AllocResp {
@@ -209,106 +226,58 @@ func (c *Controller) doAlloc(src msg.DeviceID, m *msg.AllocReq) *msg.AllocResp {
 		apps = make(map[uint64]*allocation)
 		c.table[m.App] = apps
 	}
-	pages := pagesOf(m.Bytes)
-	bytes := uint64(pages) * physmem.PageSize
+	// A region is whole units of its page size: 4 KiB pages backed frame
+	// by frame (physical contiguity is not required — the IOMMU hides it
+	// — and page-wise allocation fragments less), or 2 MiB runs of
+	// contiguous, naturally aligned frames.
+	unit, per := iommu.PageGeometry(m.Huge)
+	units := int((m.Bytes + unit - 1) / unit)
+	bytes := uint64(units) * unit
 	// Idempotent replay: a retried AllocReq for a region this requester
 	// already holds (same extent, same flavor) re-sends the original
 	// verdict — the first response was lost in flight, not the request's
 	// effect. The frames must be the same ones, or the requester and its
 	// IOMMU would disagree about the region's backing.
-	if a, ok := apps[m.VA]; ok && a.owner == src && a.huge == m.Huge {
-		want := bytes
-		if m.Huge {
-			runs := int((m.Bytes + iommu.HugePageSize - 1) / iommu.HugePageSize)
-			want = uint64(runs) * iommu.HugePageSize
-		}
-		if a.bytes == want {
-			out := make([]uint64, len(a.frames))
-			for i, f := range a.frames {
-				out[i] = uint64(f)
-			}
-			return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm, Huge: a.huge}
-		}
+	if a, ok := apps[m.VA]; ok && a.owner == src && a.huge == m.Huge && a.bytes == bytes {
+		return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(a.frames), Perm: m.Perm, Huge: a.huge}
 	}
-	// Overlap check against this app's existing regions.
-	for _, base := range sortedBases(apps) {
-		if a := apps[base]; m.VA < base+a.bytes && base < m.VA+bytes {
-			return deny(fmt.Sprintf("overlaps existing region at %#x", base))
-		}
+	// Overlap check against this app's existing regions: first the extent
+	// in 4 KiB pages, then — once a huge request's address is known to be
+	// aligned — the extent rounded up to whole runs.
+	if base, hit := overlaps(apps, m.VA, uint64(pagesOf(m.Bytes))*physmem.PageSize); hit {
+		return deny(fmt.Sprintf("overlaps existing region at %#x", base))
 	}
 	if m.Huge {
-		// Huge allocations: VA must be 2 MiB aligned and bytes round up
-		// to whole runs of contiguous, naturally aligned frames.
-		if m.VA%iommu.HugePageSize != 0 {
+		if m.VA%unit != 0 {
 			return deny("huge allocation requires 2MiB-aligned virtual address")
 		}
-		runs := int((m.Bytes + iommu.HugePageSize - 1) / iommu.HugePageSize)
-		bytes = uint64(runs) * iommu.HugePageSize
-		// Re-check overlap with the rounded-up extent.
-		for _, base := range sortedBases(apps) {
-			if a := apps[base]; m.VA < base+a.bytes && base < m.VA+bytes {
-				return deny(fmt.Sprintf("overlaps existing region at %#x", base))
-			}
+		if base, hit := overlaps(apps, m.VA, bytes); hit {
+			return deny(fmt.Sprintf("overlaps existing region at %#x", base))
 		}
-		if q := c.cfg.QuotaPerApp; q > 0 && c.appBytes[m.App]+bytes > q {
-			return deny("quota exceeded")
-		}
-		frames := make([]physmem.Frame, 0, runs)
-		for i := 0; i < runs; i++ {
-			f, err := c.mem.AllocFrames(iommu.HugeFrames)
-			if err != nil {
-				for _, ff := range frames {
-					_ = c.mem.FreeFrames(ff, iommu.HugeFrames)
-				}
-				return deny("out of contiguous physical memory")
-			}
-			frames = append(frames, f)
-		}
-		apps[m.VA] = &allocation{owner: src, frames: frames, bytes: bytes, huge: true}
-		delete(c.freed, freeKey{m.App, m.VA})
-		c.appBytes[m.App] += bytes
-		c.stats.Allocs++
-		c.stats.BytesLive += bytes
-		out := make([]uint64, runs)
-		for i, f := range frames {
-			out[i] = uint64(f)
-		}
-		return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm, Huge: true}
 	}
 	if q := c.cfg.QuotaPerApp; q > 0 && c.appBytes[m.App]+bytes > q {
 		return deny("quota exceeded")
 	}
-	frames := make([]physmem.Frame, 0, pages)
-	// Allocate frame by frame: physical contiguity is not required (the
-	// IOMMU hides it), and page-wise allocation fragments less.
-	for i := 0; i < pages; i++ {
-		f, err := c.mem.AllocFrames(1)
+	frames := make([]physmem.Frame, 0, units)
+	for i := 0; i < units; i++ {
+		f, err := c.mem.AllocFrames(per)
 		if err != nil {
 			for _, ff := range frames {
-				_ = c.mem.FreeFrames(ff, 1)
+				_ = c.mem.FreeFrames(ff, per)
+			}
+			if m.Huge {
+				return deny("out of contiguous physical memory")
 			}
 			return deny("out of physical memory")
 		}
 		frames = append(frames, f)
 	}
-	apps[m.VA] = &allocation{owner: src, frames: frames, bytes: bytes}
+	apps[m.VA] = &allocation{owner: src, frames: frames, bytes: bytes, huge: m.Huge}
 	delete(c.freed, freeKey{m.App, m.VA})
 	c.appBytes[m.App] += bytes
 	c.stats.Allocs++
 	c.stats.BytesLive += bytes
-	out := make([]uint64, pages)
-	for i, f := range frames {
-		out[i] = uint64(f)
-	}
-	return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm}
-}
-
-func (c *Controller) onFree(env msg.Envelope) {
-	m := env.Msg.(*msg.FreeReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
-		resp := c.doFree(env.Src, m)
-		c.dev.Send(env.Src, resp)
-	})
+	return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(frames), Perm: m.Perm, Huge: m.Huge}
 }
 
 func (c *Controller) doFree(src msg.DeviceID, m *msg.FreeReq) *msg.FreeResp {
@@ -333,10 +302,7 @@ func (c *Controller) doFree(src msg.DeviceID, m *msg.FreeReq) *msg.FreeResp {
 		uint64(pagesOf(m.Bytes))*physmem.PageSize != a.bytes {
 		return deny("size mismatch")
 	}
-	per := 1
-	if a.huge {
-		per = iommu.HugeFrames
-	}
+	_, per := iommu.PageGeometry(a.huge)
 	for _, f := range a.frames {
 		if err := c.mem.FreeFrames(f, per); err != nil {
 			return deny("frame table corruption: " + err.Error())
@@ -348,14 +314,6 @@ func (c *Controller) doFree(src msg.DeviceID, m *msg.FreeReq) *msg.FreeResp {
 	c.stats.Frees++
 	c.stats.BytesLive -= a.bytes
 	return &msg.FreeResp{App: m.App, OK: true, VA: m.VA, Bytes: a.bytes}
-}
-
-func (c *Controller) onAuth(env msg.Envelope) {
-	m := env.Msg.(*msg.AuthReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
-		resp := c.doAuth(env.Src, m)
-		c.dev.Send(msg.BusID, resp)
-	})
 }
 
 func (c *Controller) doAuth(src msg.DeviceID, m *msg.AuthReq) *msg.AuthResp {
@@ -370,34 +328,26 @@ func (c *Controller) doAuth(src msg.DeviceID, m *msg.AuthReq) *msg.AuthResp {
 	if m.Bytes == 0 || m.VA%physmem.PageSize != 0 {
 		return deny("malformed range")
 	}
-	// Find the allocation containing [VA, VA+Bytes).
-	regions := c.table[m.App]
-	for _, base := range sortedBases(regions) {
-		a := regions[base]
-		if m.VA >= base && m.VA+m.Bytes <= base+a.bytes {
-			if a.huge {
-				// Huge regions are granted in whole 2 MiB runs only.
-				if (m.VA-base)%iommu.HugePageSize != 0 || m.Bytes%iommu.HugePageSize != 0 {
-					return deny("huge regions grant in whole 2MiB runs")
-				}
-				first := int((m.VA - base) / iommu.HugePageSize)
-				n := int(m.Bytes / iommu.HugePageSize)
-				out := make([]uint64, n)
-				for i := 0; i < n; i++ {
-					out[i] = uint64(a.frames[first+i])
-				}
-				c.stats.AuthsOK++
-				return &msg.AuthResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm, Nonce: m.Nonce, Huge: true}
-			}
-			first := int((m.VA - base) / physmem.PageSize)
-			n := pagesOf(m.Bytes)
-			out := make([]uint64, n)
-			for i := 0; i < n; i++ {
-				out[i] = uint64(a.frames[first+i])
-			}
-			c.stats.AuthsOK++
-			return &msg.AuthResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm, Nonce: m.Nonce}
+	// Find the allocation containing [VA, VA+Bytes). An app's regions
+	// never overlap, so at most one does, whatever the iteration order.
+	var a *allocation
+	var base uint64
+	for b, r := range c.table[m.App] {
+		if m.VA >= b && m.VA+m.Bytes <= b+r.bytes {
+			base, a = b, r
+			break
 		}
 	}
-	return deny("range not allocated to app")
+	if a == nil {
+		return deny("range not allocated to app")
+	}
+	unit, _ := iommu.PageGeometry(a.huge)
+	// Huge regions are granted in whole 2 MiB runs only.
+	if a.huge && ((m.VA-base)%unit != 0 || m.Bytes%unit != 0) {
+		return deny("huge regions grant in whole 2MiB runs")
+	}
+	first := int((m.VA - base) / unit)
+	n := int((m.Bytes + unit - 1) / unit)
+	c.stats.AuthsOK++
+	return &msg.AuthResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(a.frames[first : first+n]), Perm: m.Perm, Nonce: m.Nonce, Huge: a.huge}
 }

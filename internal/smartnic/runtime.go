@@ -253,7 +253,7 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 			}
 			// The provider quotes shared memory for a default 128-entry
 			// ring; scale for the ring size we actually want.
-			cellSize := cellSizeFromQuote(or.SharedBytes, 128)
+			cellSize := virtio.CellSizeFromQuote(or.SharedBytes, 128)
 			lay := virtio.NewLayout(0, entries, cellSize)
 			shared := uint64(lay.DataVA) + uint64(lay.DataBytes())
 			// Step 5-6: allocate shared memory (bus maps our IOMMU).
@@ -285,16 +285,6 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 			})
 		})
 	})
-}
-
-// cellSizeFromQuote inverts virtio.SharedBytes for the provider's default
-// 128-entry quote to recover its cell size.
-func cellSizeFromQuote(quote uint64, entries uint16) int {
-	ring := uint64((virtio.RingBytes(entries) + physmem.PageSize - 1) &^ (physmem.PageSize - 1))
-	if quote <= ring {
-		return physmem.PageSize
-	}
-	return int((quote - ring) / uint64(entries))
 }
 
 // Close tears down the connection (service side and local doorbell). If

@@ -63,7 +63,7 @@ func (rt *Runtime) OpenFileCentralDirect(kernel msg.DeviceID, name string, token
 			return
 		}
 		// The connect syscall also goes through the kernel.
-		cellSize := cellSizeFromQuote(or.SharedBytes, entries)
+		cellSize := virtio.CellSizeFromQuote(or.SharedBytes, entries)
 		rt.connect(kernel, service, or.ConnID, or.Base, entries, cellSize, func(drv *virtio.Driver, err error) {
 			if err != nil {
 				fail(err)

@@ -92,6 +92,19 @@ func SharedBytes(entries uint16, cellSize int) uint64 {
 	return uint64(l.DataVA) + uint64(l.DataBytes())
 }
 
+// CellSizeFromQuote inverts SharedBytes: from the footprint a provider
+// quoted for a queue of the given entry count it recovers the cell size
+// the provider serves, so a client that wants a different ring size can
+// scale the layout. A quote with no data region at all reads as one page
+// per cell.
+func CellSizeFromQuote(quote uint64, entries uint16) int {
+	ring := uint64(NewLayout(0, entries, 0).DataVA)
+	if quote <= ring {
+		return physmem.PageSize
+	}
+	return int((quote - ring) / uint64(entries))
+}
+
 // NewLayout computes the standard layout: rings at base, data region
 // immediately after (page aligned).
 func NewLayout(base iommu.VirtAddr, entries uint16, cellSize int) Layout {

@@ -108,6 +108,24 @@ func TestLayoutValidation(t *testing.T) {
 	}
 }
 
+// CellSizeFromQuote is the inverse of SharedBytes: a client recovers the
+// provider's cell size from the footprint it quoted, for every ring size a
+// client asks for and the cell sizes the providers serve (the SSD's page
+// plus headers, the accelerator's page plus 16, small test cells).
+func TestCellSizeFromQuoteInvertsSharedBytes(t *testing.T) {
+	for _, entries := range []uint16{4, 8, 64, 128, 256, 1024} {
+		for _, cell := range []int{64, 128, 512, 4096, 4096 + 16, 4096 + 22, 2 * 4096} {
+			if got := CellSizeFromQuote(SharedBytes(entries, cell), entries); got != cell {
+				t.Errorf("entries %d: cell %d quoted as %d bytes reads back as %d", entries, cell, SharedBytes(entries, cell), got)
+			}
+		}
+		// A quote with no room for data reads as one page per cell.
+		if got := CellSizeFromQuote(SharedBytes(entries, 0), entries); got != physmem.PageSize {
+			t.Errorf("entries %d: data-less quote reads as cell %d, want a page", entries, got)
+		}
+	}
+}
+
 func TestSingleRoundTrip(t *testing.T) {
 	w := newQWorld(t, 16, 256)
 	drv, ep := w.echoPair(t)
