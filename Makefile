@@ -1,8 +1,8 @@
 # Build/verification entry points. `make check` is the one gate used
 # before merging: vet, the nocpu-lint analyzer suite, build, every test
 # under the race detector (once, in shuffled order), a short fuzz run of
-# the wire-format decoder and of the virtqueue endpoint, and the smoke run
-# of the nested benchmark module. The
+# the wire-format decoder, of the virtqueue endpoint and of the SSD's file
+# service, and the smoke run of the nested benchmark module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -47,11 +47,15 @@ race:
 # the per-kind round-trip target for 5s: it builds a valid header around
 # the fuzzed body, so every kind's decoder is reached at once. Then 5s of
 # the virtqueue endpoint's state machine against whatever a hostile
-# driver could leave in the descriptor table and the avail ring.
+# driver could leave in the descriptor table and the avail ring, and 5s of
+# the SSD's file service against whatever a peer could put in a request
+# cell (any op, offset and length; every request answered once, the
+# volume's pages conserved).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzEndpointRing -fuzztime=5s ./internal/virtio
+	$(GO) test -run=^$$ -fuzz=FuzzFileService -fuzztime=5s ./internal/smartssd
 
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.

@@ -157,8 +157,8 @@ func admit(_ msg.DeviceID, req *msg.OpenReq) (Op, string) {
 }
 
 // handlerFor executes one transform request on a compute engine.
-func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Handler {
-	return func(req []byte, done func([]byte)) {
+func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Service {
+	return virtio.Handler(func(req []byte, done func([]byte)) {
 		cost := a.cfg.Costs.Setup + sim.Duration(float64(len(req))/a.cfg.Costs.BytesPerNs)
 		a.pool.Submit(cost, func() {
 			out, ok := Transform(c.State, req)
@@ -170,7 +170,7 @@ func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Handler {
 			}
 			done(append([]byte{StatusOK}, out...))
 		})
-	}
+	})
 }
 
 // Transform applies op to data (pure function; also used by clients to

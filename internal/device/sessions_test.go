@@ -33,8 +33,8 @@ func newTagService(d *Device) *tagService {
 			}
 			return word, ""
 		},
-		Handler: func(c *Session[string]) virtio.Handler {
-			return func(req []byte, done func([]byte)) { done([]byte(c.State)) }
+		Handler: func(c *Session[string]) virtio.Service {
+			return virtio.Handler(func(req []byte, done func([]byte)) { done([]byte(c.State)) })
 		},
 		Resource: func(c *Session[string]) string { return "tag:" + c.State },
 	}

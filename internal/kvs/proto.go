@@ -179,17 +179,25 @@ const tombstone = uint32(0xFFFFFFFF)
 // recordHeader is the fixed framing overhead.
 const recordHeader = 6
 
-// encodeRecord frames one log record.
-func encodeRecord(key string, value []byte, del bool) []byte {
+// recordLen is the framed length of one log record.
+func recordLen(key string, value []byte) int { return recordHeader + len(key) + len(value) }
+
+// putRecord frames one log record into b, which is recordLen bytes.
+func putRecord(b []byte, key string, value []byte, del bool) {
 	vl := uint32(len(value))
 	if del {
 		vl = tombstone
 	}
-	b := make([]byte, recordHeader+len(key)+len(value))
 	binary.LittleEndian.PutUint16(b[0:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(b[2:], vl)
 	copy(b[recordHeader:], key)
 	copy(b[recordHeader+len(key):], value)
+}
+
+// encodeRecord frames one log record into a buffer of its own.
+func encodeRecord(key string, value []byte, del bool) []byte {
+	b := make([]byte, recordLen(key, value))
+	putRecord(b, key, value, del)
 	return b
 }
 

@@ -433,12 +433,24 @@ func (s *Store) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte)
 
 // storeOp is one admitted request. It is the event that charges the
 // index probe and then the request's completion, so an op that needs no
-// I/O (a cached get, a miss) allocates this record and its response.
+// I/O (a cached get, a miss) allocates this record and its response. An
+// op that goes to the data file is also the completion of its file request
+// (FileDone): no continuation is allocated for the trip.
 type storeOp struct {
 	s     *Store
 	req   Request
 	reply func([]byte)
 	start sim.Time
+	// file is the op's file request. A put, a delete and a get on a store
+	// without a value cache will need one, so theirs is allocated with the
+	// op (fileStoreOp); a get that misses the cache makes its own.
+	file *smartnic.FileOp
+}
+
+// fileStoreOp is a storeOp with its file request in the same allocation.
+type fileStoreOp struct {
+	storeOp
+	fileOp smartnic.FileOp
 }
 
 // Serve admits and executes one decoded request, for a caller on the
@@ -506,7 +518,15 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 	}
 	// Charge the NIC-local index probe before touching the data plane.
 	eng := s.rt.Engine()
-	eng.ScheduleEvent(s.cfg.IndexCost, &storeOp{s: s, req: req, reply: reply, start: eng.Now()})
+	var op *storeOp
+	if req.Op != OpGet || s.cache == nil {
+		big := new(fileStoreOp)
+		big.file, op = &big.fileOp, &big.storeOp
+	} else {
+		op = new(storeOp)
+	}
+	op.s, op.req, op.reply, op.start = s, req, reply, eng.Now()
+	eng.ScheduleEvent(s.cfg.IndexCost, op)
 }
 
 // Fire runs the op once the index probe has been paid for.
@@ -559,17 +579,41 @@ func (s *Store) get(op *storeOp) {
 		op.done(Response{Status: StatusOK})
 		return
 	}
-	s.fc.Read(l.off, int(l.n), func(b []byte, err error) {
-		if err != nil {
-			s.stats.IOErrors++
-			op.done(Response{Status: StatusError})
-			return
-		}
+	if op.file == nil {
+		op.file = new(smartnic.FileOp)
+	}
+	s.fc.ReadOp(op.file, l.off, int(l.n), op)
+}
+
+// FileDone finishes an op whose file request has come back.
+func (op *storeOp) FileDone(f *smartnic.FileOp, err error) {
+	s, req := op.s, &op.req
+	if err != nil {
+		s.stats.IOErrors++
+		op.done(Response{Status: StatusError})
+		return
+	}
+	switch req.Op {
+	case OpGet:
 		if s.cache != nil {
-			s.cache.put(op.req.Key, b)
+			s.cache.put(req.Key, f.Data)
 		}
-		op.done(Response{Status: StatusOK, Value: b})
-	})
+		op.done(Response{Status: StatusOK, Value: f.Data})
+		return
+	case OpPut:
+		s.index[req.Key] = loc{off: f.Off() + recordHeader + uint64(len(req.Key)), n: uint32(len(req.Value))}
+		if s.cache != nil {
+			// Write-through: the cache never holds a value newer or older
+			// than the log.
+			s.cache.put(req.Key, req.Value)
+		}
+	case OpDelete:
+		delete(s.index, req.Key)
+		if s.cache != nil {
+			s.cache.drop(req.Key)
+		}
+	}
+	op.done(Response{Status: StatusOK})
 }
 
 func (s *Store) put(op *storeOp) {
@@ -579,30 +623,22 @@ func (s *Store) put(op *storeOp) {
 		op.done(Response{Status: StatusUnavailable})
 		return
 	}
-	req := &op.req
-	rec := encodeRecord(req.Key, req.Value, false)
-	if len(rec) > s.fc.MaxIO() {
+	if recordLen(op.req.Key, op.req.Value) > s.fc.MaxIO() {
 		op.done(Response{Status: StatusError})
 		return
 	}
-	// The store is the file's only writer: it owns the append offset, so
-	// concurrent puts write disjoint ranges.
+	s.appendRecord(op, op.req.Value, false)
+}
+
+// appendRecord frames the op's record straight into its file request and
+// sends it. The store is the file's only writer: it owns the append offset,
+// so concurrent puts write disjoint ranges.
+func (s *Store) appendRecord(op *storeOp, value []byte, del bool) {
+	n := recordLen(op.req.Key, value)
+	putRecord(op.file.Payload(n), op.req.Key, value, del)
 	off := s.fileEnd
-	s.fileEnd += uint64(len(rec))
-	s.fc.Write(off, rec, func(err error) {
-		if err != nil {
-			s.stats.IOErrors++
-			op.done(Response{Status: StatusError})
-			return
-		}
-		s.index[req.Key] = loc{off: off + recordHeader + uint64(len(req.Key)), n: uint32(len(req.Value))}
-		if s.cache != nil {
-			// Write-through: the cache never holds a value newer or older
-			// than the log.
-			s.cache.put(req.Key, req.Value)
-		}
-		op.done(Response{Status: StatusOK})
-	})
+	s.fileEnd += uint64(n)
+	s.fc.WriteOp(op.file, off, op)
 }
 
 func (s *Store) del(op *storeOp) {
@@ -612,25 +648,10 @@ func (s *Store) del(op *storeOp) {
 		op.done(Response{Status: StatusUnavailable})
 		return
 	}
-	key := op.req.Key
-	if _, ok := s.index[key]; !ok {
+	if _, ok := s.index[op.req.Key]; !ok {
 		s.stats.Misses++
 		op.done(Response{Status: StatusNotFound})
 		return
 	}
-	rec := encodeRecord(key, nil, true)
-	off := s.fileEnd
-	s.fileEnd += uint64(len(rec))
-	s.fc.Write(off, rec, func(err error) {
-		if err != nil {
-			s.stats.IOErrors++
-			op.done(Response{Status: StatusError})
-			return
-		}
-		delete(s.index, key)
-		if s.cache != nil {
-			s.cache.drop(key)
-		}
-		op.done(Response{Status: StatusOK})
-	})
+	s.appendRecord(op, nil, true)
 }

@@ -1,6 +1,7 @@
 package smartnic
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/msg"
@@ -8,9 +9,17 @@ import (
 )
 
 // FileClient wraps a service Connection with the smart SSD's file
-// protocol, giving NIC applications typed file I/O over the virtqueue.
+// protocol, giving NIC applications typed file I/O over the virtqueue. A
+// request is a FileOp record; the callback methods come from fileCalls.
 type FileClient struct {
 	Conn *Connection
+	fileCalls
+}
+
+func newFileClient(c *Connection) *FileClient {
+	fc := &FileClient{Conn: c}
+	fc.via = fc
+	return fc
 }
 
 // OpenFile runs the Figure-2 sequence for "file:<name>" and wraps the
@@ -32,92 +41,94 @@ func (rt *Runtime) openFileQuery(memctrl msg.DeviceID, query string, token uint6
 			cb(nil, err)
 			return
 		}
-		cb(&FileClient{Conn: c}, nil)
+		cb(newFileClient(c), nil)
 	})
 }
 
 // MaxIO returns the largest read/write payload that fits one cell.
 func (fc *FileClient) MaxIO() int {
-	cell := fc.Conn.Queue.CellSize()
-	if n := cell - smartssd.RespHeaderBytes; n < cell-smartssd.ReqHeaderBytes {
-		return n
-	}
-	return cell - smartssd.ReqHeaderBytes
+	return fc.Conn.Queue.CellSize() - max(smartssd.RespHeaderBytes, smartssd.ReqHeaderBytes)
 }
 
-func (fc *FileClient) roundTrip(req smartssd.FileReq, cb func(smartssd.FileResp, error)) {
-	err := fc.Conn.Queue.Submit(smartssd.EncodeFileReq(req), func(respBytes []byte, err error) {
-		if err != nil {
-			cb(smartssd.FileResp{}, err)
-			return
-		}
-		resp, derr := smartssd.DecodeFileResp(respBytes)
-		if derr != nil {
-			cb(smartssd.FileResp{}, derr)
-			return
-		}
-		if resp.Status != smartssd.StatusOK {
-			cb(resp, fmt.Errorf("smartnic: file op %v failed with status %d", req.Op, resp.Status))
-			return
-		}
-		cb(resp, nil)
-	})
+// FileOp is one file request as a record its issuer owns, embeddable like
+// interconnect.DMA and sim.Timer. It holds the request's header (a request
+// without payload is sent straight from the record), is the completion of
+// the queue it is submitted to, and decodes the response in place. The
+// record is idle when done.FileDone is entered and may be reissued from
+// inside it; issuing a record that is still pending panics.
+type FileOp struct {
+	done FileCompletion // nil unless pending
+	hdr  [smartssd.ReqHeaderBytes]byte
+	req  []byte // Payload's buffer, until issued
+	// Size is the file size the response reported. Data is what a read
+	// returned: a view of the response buffer, which was made for this
+	// request and is the receiver's to keep.
+	Size uint64
+	Data []byte
+}
+
+// FileCompletion receives the end of a FileOp.
+type FileCompletion interface {
+	FileDone(op *FileOp, err error)
+}
+
+// Payload sizes the next request for n payload bytes and returns them to
+// fill in: they sit behind the header in the one buffer the port will move,
+// so a write's bytes are copied once on their way out.
+func (op *FileOp) Payload(n int) []byte {
+	op.req = make([]byte, smartssd.ReqHeaderBytes+n)
+	return op.req[smartssd.ReqHeaderBytes:]
+}
+
+// Off returns the offset the record was last issued with.
+func (op *FileOp) Off() uint64 { return binary.LittleEndian.Uint64(op.hdr[1:]) }
+
+// prepare makes the record pending and returns the request to send.
+func (op *FileOp) prepare(kind smartssd.FileOp, off uint64, n int, done FileCompletion) []byte {
+	if op.done != nil {
+		panic("smartnic: FileOp reused while in flight")
+	}
+	req := op.req
+	op.done, op.req, op.Size, op.Data = done, nil, 0, nil
+	smartssd.PutFileReqHeader(op.hdr[:], kind, off, uint32(n))
+	if req == nil {
+		return op.hdr[:]
+	}
+	copy(req, op.hdr[:])
+	return req
+}
+
+func (op *FileOp) finish(err error) {
+	done := op.done
+	op.done = nil
+	done.FileDone(op, err)
+}
+
+// issue sends the record over the virtqueue. What cannot be sent (more
+// than a cell holds either way, a full or dead queue) completes at once.
+func (fc *FileClient) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion) {
+	req := op.prepare(kind, off, n, done)
+	var err error
+	if n = max(n, len(req)-smartssd.ReqHeaderBytes); n > fc.MaxIO() {
+		err = fmt.Errorf("smartnic: %v of %d exceeds per-request max %d", kind, n, fc.MaxIO())
+	} else {
+		err = fc.Conn.Queue.SubmitOp(req, op)
+	}
 	if err != nil {
-		cb(smartssd.FileResp{}, err)
+		op.finish(err)
 	}
 }
 
-// Read fetches n bytes at off (n bounded by MaxIO).
-func (fc *FileClient) Read(off uint64, n int, cb func([]byte, error)) {
-	if n > fc.MaxIO() {
-		cb(nil, fmt.Errorf("smartnic: read of %d exceeds per-request max %d", n, fc.MaxIO()))
-		return
+// RequestDone implements virtio.Completion.
+func (op *FileOp) RequestDone(b []byte, err error) {
+	if err == nil {
+		var resp smartssd.FileResp
+		if resp, err = smartssd.DecodeFileResp(b); err == nil {
+			op.Size, op.Data = resp.Size, resp.Data
+			if resp.Status != smartssd.StatusOK {
+				err = fmt.Errorf("smartnic: file op %v failed with status %d", smartssd.FileOp(op.hdr[0]), resp.Status)
+			}
+		}
 	}
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpRead, Off: off, Len: uint32(n)}, func(r smartssd.FileResp, err error) {
-		cb(r.Data, err)
-	})
-}
-
-// Write stores data at off.
-func (fc *FileClient) Write(off uint64, data []byte, cb func(error)) {
-	if len(data) > fc.MaxIO() {
-		cb(fmt.Errorf("smartnic: write of %d exceeds per-request max %d", len(data), fc.MaxIO()))
-		return
-	}
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpWrite, Off: off, Data: data}, func(r smartssd.FileResp, err error) {
-		cb(err)
-	})
-}
-
-// Append adds data at EOF; cb receives the resulting file size.
-func (fc *FileClient) Append(data []byte, cb func(newSize uint64, err error)) {
-	if len(data) > fc.MaxIO() {
-		cb(0, fmt.Errorf("smartnic: append of %d exceeds per-request max %d", len(data), fc.MaxIO()))
-		return
-	}
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpAppend, Data: data}, func(r smartssd.FileResp, err error) {
-		cb(r.Size, err)
-	})
-}
-
-// Stat reports the file size.
-func (fc *FileClient) Stat(cb func(size uint64, err error)) {
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpStat}, func(r smartssd.FileResp, err error) {
-		cb(r.Size, err)
-	})
-}
-
-// Truncate empties the file.
-func (fc *FileClient) Truncate(cb func(error)) {
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpTruncate}, func(r smartssd.FileResp, err error) {
-		cb(err)
-	})
-}
-
-// Rename renames the connection's file, replacing any existing file of
-// that name (used for compaction's atomic switch-over).
-func (fc *FileClient) Rename(newName string, cb func(error)) {
-	fc.roundTrip(smartssd.FileReq{Op: smartssd.OpRename, Data: []byte(newName)}, func(r smartssd.FileResp, err error) {
-		cb(err)
-	})
+	op.finish(err)
 }

@@ -1,0 +1,187 @@
+package smartnic
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+
+	"nocpu/internal/msg"
+)
+
+var errTest = errors.New("provider gone")
+
+// openTestFile boots an app on m that opens name over a queue of the given
+// size.
+func openTestFile(t *testing.T, m *machine, app msg.AppID, name string, entries uint16) *FileClient {
+	t.Helper()
+	var fc *FileClient
+	m.nic.AddApp(&testApp{id: app, onBoot: func(rt *Runtime) {
+		rt.OpenFile(mcID, name, 0, entries, func(c *FileClient, err error) {
+			if err != nil {
+				t.Errorf("open: %v", err)
+			}
+			fc = c
+		})
+	}})
+	m.eng.Run()
+	if fc == nil {
+		t.Fatal("no client")
+	}
+	return fc
+}
+
+// fileRecorder is a FileCompletion that keeps what it was given and may
+// issue the record again from inside the completion.
+type fileRecorder struct {
+	calls  int
+	errs   []error
+	sizes  []uint64
+	data   [][]byte
+	onDone func(op *FileOp)
+}
+
+func (r *fileRecorder) FileDone(op *FileOp, err error) {
+	r.calls++
+	r.errs = append(r.errs, err)
+	r.sizes = append(r.sizes, op.Size)
+	r.data = append(r.data, op.Data)
+	if r.onDone != nil {
+		r.onDone(op)
+	}
+}
+
+// A write whose offset wraps used to leave its descriptor pair waiting for
+// a done that never fired. Over a queue of one pair: the request completes
+// (refused, StatusBadRequest) and the pair serves the next one.
+func TestWrappingWriteCompletesAndFreesThePair(t *testing.T) {
+	m := newMachine(t)
+	m.createFile(t, "kv.dat", []byte("seed"))
+	fc := openTestFile(t, m, 7, "kv.dat", 2)
+	var werr error
+	calls := 0
+	fc.Write(^uint64(0)-3, make([]byte, 10), func(err error) { calls++; werr = err })
+	m.eng.Run()
+	if calls != 1 || werr == nil || !strings.Contains(werr.Error(), "status 1") {
+		t.Fatalf("%d completions, err %v, want one StatusBadRequest", calls, werr)
+	}
+	var got []byte
+	fc.Read(0, 4, func(b []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		got = b
+	})
+	m.eng.Run()
+	if string(got) != "seed" || fc.Conn.Queue.InFlight() != 0 || fc.Conn.Queue.Dead() {
+		t.Errorf("next request on the pair read %q (in flight %d)", got, fc.Conn.Queue.InFlight())
+	}
+}
+
+// A FileOp is idle inside its completion and may be reissued there; a
+// read's Data is a view of a buffer made for that request, so it survives
+// the pair's next request (the value cache keeps it).
+func TestFileOpReissueAndDataView(t *testing.T) {
+	m := newMachine(t)
+	m.createFile(t, "kv.dat", []byte("0123456789abcdef"))
+	fc := openTestFile(t, m, 7, "kv.dat", 2) // one pair: every request reuses it
+	var op FileOp
+	rec := &fileRecorder{}
+	rec.onDone = func(op *FileOp) {
+		switch rec.calls {
+		case 1:
+			fc.ReadOp(op, 8, 8, rec)
+		case 2:
+			copy(op.Payload(4), "WXYZ")
+			fc.WriteOp(op, 2, rec)
+		case 3:
+			fc.ReadOp(op, 0, 8, rec)
+		}
+	}
+	fc.ReadOp(&op, 0, 8, rec)
+	m.eng.Run()
+	if rec.calls != 4 || op.done != nil {
+		t.Fatalf("%d completions, errs %v", rec.calls, rec.errs)
+	}
+	for i, want := range []string{"01234567", "89abcdef", "", "01WXYZ67"} {
+		if rec.errs[i] != nil || string(rec.data[i]) != want || rec.sizes[i] != 16 {
+			t.Errorf("completion %d: %q size %d err %v, want %q", i, rec.data[i], rec.sizes[i], rec.errs[i], want)
+		}
+	}
+	if op.Off() != 0 {
+		t.Errorf("Off() = %d after the last issue", op.Off())
+	}
+	// Issuing a pending record is a bug in the issuer.
+	fc.ReadOp(&op, 0, 1, &fileRecorder{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reissuing a pending FileOp did not panic")
+			}
+		}()
+		fc.ReadOp(&op, 0, 1, rec)
+	}()
+	m.eng.Run()
+}
+
+// What cannot be sent completes synchronously with an error and leaves the
+// record idle: an oversized read or payload, a full queue.
+func TestFileOpRefusedSynchronously(t *testing.T) {
+	m := newMachine(t)
+	m.createFile(t, "kv.dat", []byte("x"))
+	fc := openTestFile(t, m, 7, "kv.dat", 2)
+	rec := &fileRecorder{}
+	var op, second FileOp
+	fc.ReadOp(&op, 0, fc.MaxIO()+1, rec)
+	op.Payload(fc.MaxIO() + 1)
+	fc.WriteOp(&op, 0, rec)
+	if rec.calls != 2 || rec.errs[0] == nil || rec.errs[1] == nil || op.done != nil {
+		t.Fatalf("oversized requests: %d completions, errs %v", rec.calls, rec.errs)
+	}
+	fc.ReadOp(&op, 0, 1, rec)
+	fc.ReadOp(&second, 0, 1, rec) // the one pair is taken
+	if rec.calls != 3 || rec.errs[2] == nil || !strings.Contains(rec.errs[2].Error(), "queue full") {
+		t.Fatalf("full queue: %d completions, errs %v", rec.calls, rec.errs)
+	}
+	m.eng.Run()
+	if rec.calls != 4 || rec.errs[3] != nil || !bytes.Equal(rec.data[3], []byte("x")) {
+		t.Errorf("the request that was in flight: %d completions, errs %v", rec.calls, rec.errs)
+	}
+}
+
+// Quiesce with file ops in flight fires no completion, ever; Fail fires
+// each exactly once, with the error.
+func TestFileOpAcrossQuiesceAndFail(t *testing.T) {
+	for _, quiesce := range []bool{true, false} {
+		m := newMachine(t)
+		m.createFile(t, "kv.dat", []byte("0123456789"))
+		fc := openTestFile(t, m, 7, "kv.dat", 8)
+		rec := &fileRecorder{}
+		var ops [3]FileOp
+		for i := range ops {
+			fc.ReadOp(&ops[i], uint64(i), 4, rec)
+		}
+		m.eng.RunFor(2000) // published, not yet answered
+		if fc.Conn.Queue.InFlight() != 3 {
+			t.Fatalf("%d in flight", fc.Conn.Queue.InFlight())
+		}
+		if quiesce {
+			fc.Conn.Queue.Quiesce()
+		} else {
+			fc.Fail(errTest)
+		}
+		m.eng.Run() // the SSD still answers; the responses land in a dead queue
+		want := 0
+		if !quiesce {
+			want = 3
+		}
+		if rec.calls != want {
+			t.Errorf("quiesce=%v: %d completions, want %d", quiesce, rec.calls, want)
+		}
+		for _, err := range rec.errs {
+			if err == nil {
+				t.Errorf("quiesce=%v: a failed queue completed a request without error", quiesce)
+			}
+		}
+	}
+}

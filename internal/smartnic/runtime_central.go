@@ -19,6 +19,10 @@ import (
 // whether the data path is peer-to-peer (FileClient) or kernel-mediated
 // (mediatedFile).
 type FileAPI interface {
+	// ReadOp and WriteOp issue a caller-owned record (FileOp); the callback
+	// methods below are adapters over the same path.
+	ReadOp(op *FileOp, off uint64, n int, done FileCompletion)
+	WriteOp(op *FileOp, off uint64, done FileCompletion)
 	Read(off uint64, n int, cb func([]byte, error))
 	Write(off uint64, data []byte, cb func(error))
 	Append(data []byte, cb func(newSize uint64, err error))
@@ -30,6 +34,83 @@ type FileAPI interface {
 	// Fail aborts the connection, erroring out all in-flight requests —
 	// called when the owner learns the provider died.
 	Fail(err error)
+}
+
+// fileIssuer is the half of a file connection that differs between the
+// peer-to-peer client and the kernel-mediated one.
+type fileIssuer interface {
+	issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion)
+}
+
+// fileCalls is the rest of FileAPI, written once over issue for both: the
+// typed record forms, and the callback forms as adapters that allocate a
+// record of their own.
+type fileCalls struct{ via fileIssuer }
+
+// ReadOp fetches n bytes at off (n bounded by MaxIO) into op.Data.
+func (c fileCalls) ReadOp(op *FileOp, off uint64, n int, done FileCompletion) {
+	c.via.issue(op, smartssd.OpRead, off, n, done)
+}
+
+// WriteOp stores op's Payload at off.
+func (c fileCalls) WriteOp(op *FileOp, off uint64, done FileCompletion) {
+	c.via.issue(op, smartssd.OpWrite, off, 0, done)
+}
+
+type fileCall struct {
+	FileOp
+	data  func([]byte, error)
+	size  func(uint64, error)
+	plain func(error)
+}
+
+func (c *fileCall) FileDone(op *FileOp, err error) {
+	switch {
+	case c.data != nil:
+		c.data(op.Data, err)
+	case c.size != nil:
+		c.size(op.Size, err)
+	default:
+		c.plain(err)
+	}
+}
+
+func (c fileCalls) call(fc *fileCall, kind smartssd.FileOp, off uint64, n int, payload []byte) {
+	if payload != nil {
+		copy(fc.Payload(len(payload)), payload)
+	}
+	c.via.issue(&fc.FileOp, kind, off, n, fc)
+}
+
+// Read fetches n bytes at off (n bounded by MaxIO).
+func (c fileCalls) Read(off uint64, n int, cb func([]byte, error)) {
+	c.call(&fileCall{data: cb}, smartssd.OpRead, off, n, nil)
+}
+
+// Write stores data at off.
+func (c fileCalls) Write(off uint64, data []byte, cb func(error)) {
+	c.call(&fileCall{plain: cb}, smartssd.OpWrite, off, 0, data)
+}
+
+// Append adds data at EOF; cb receives the resulting file size.
+func (c fileCalls) Append(data []byte, cb func(newSize uint64, err error)) {
+	c.call(&fileCall{size: cb}, smartssd.OpAppend, 0, 0, data)
+}
+
+// Stat reports the file size.
+func (c fileCalls) Stat(cb func(size uint64, err error)) {
+	c.call(&fileCall{size: cb}, smartssd.OpStat, 0, 0, nil)
+}
+
+// Truncate empties the file.
+func (c fileCalls) Truncate(cb func(error)) {
+	c.call(&fileCall{plain: cb}, smartssd.OpTruncate, 0, 0, nil)
+}
+
+// Rename renames the connection's file, replacing any existing file of
+// that name (used for compaction's atomic switch-over).
+func (c fileCalls) Rename(newName string, cb func(error)) {
+	c.call(&fileCall{plain: cb}, smartssd.OpRename, 0, 0, []byte(newName))
 }
 
 // Fail implements FileAPI for the mediated client: the kernel died, the
@@ -69,10 +150,10 @@ func (rt *Runtime) OpenFileCentralDirect(kernel msg.DeviceID, name string, token
 				fail(err)
 				return
 			}
-			cb(&FileClient{Conn: &Connection{
+			cb(newFileClient(&Connection{
 				rt: rt, Provider: kernel, Service: service,
 				ConnID: or.ConnID, VA: or.Base, Bytes: or.SharedBytes, Queue: drv,
-			}}, nil)
+			}), nil)
 		})
 	})
 }
@@ -89,7 +170,9 @@ func (rt *Runtime) OpenFileMediated(kernel msg.DeviceID, name string, token uint
 			cb(nil, err)
 			return
 		}
-		cb(&mediatedFile{rt: rt, kernel: kernel, handle: or.ConnID, maxIO: int(or.SharedBytes)}, nil)
+		m := &mediatedFile{rt: rt, kernel: kernel, handle: or.ConnID, maxIO: int(or.SharedBytes)}
+		m.via = m
+		cb(m, nil)
 	})
 }
 
@@ -101,14 +184,18 @@ type mediatedFile struct {
 	maxIO  int
 	seq    uint32
 	dead   bool
+	fileCalls
 }
 
 func (m *mediatedFile) Provider() msg.DeviceID { return m.kernel }
 func (m *mediatedFile) MaxIO() int             { return m.maxIO }
 
-func (m *mediatedFile) call(op smartssd.FileOp, off uint64, n uint32, data []byte, cb func(*msg.FileIOResp, error)) {
+// issue sends the record as a FileIOReq syscall; the kernel bounds the
+// transfer itself.
+func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion) {
+	b := op.prepare(kind, off, n, done)
 	if m.dead {
-		cb(nil, fmt.Errorf("smartnic: mediated handle %d is dead", m.handle))
+		op.finish(fmt.Errorf("smartnic: mediated handle %d is dead", m.handle))
 		return
 	}
 	m.seq++
@@ -117,55 +204,21 @@ func (m *mediatedFile) call(op smartssd.FileOp, off uint64, n uint32, data []byt
 	// not re-apply a write.
 	req := &msg.FileIOReq{
 		App: m.rt.app, Handle: m.handle, Seq: m.seq,
-		Op: uint8(op), Off: off, Len: n, Data: data,
+		Op: uint8(kind), Off: off, Len: uint32(n),
+	}
+	if len(b) > smartssd.ReqHeaderBytes {
+		req.Data = b[smartssd.ReqHeaderBytes:]
 	}
 	m.rt.nic.call(m.rt.Retry, m.kernel, req,
 		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.handle), sub: m.seq},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if err != nil {
-				cb(nil, err)
-			} else if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {
-				cb(nil, fmt.Errorf("smartnic: mediated %v failed with status %d", op, r.Status))
-			} else {
-				cb(r, nil)
+			if err == nil {
+				if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {
+					err = fmt.Errorf("smartnic: mediated %v failed with status %d", kind, r.Status)
+				} else {
+					op.Size, op.Data = r.Size, r.Data
+				}
 			}
+			op.finish(err)
 		})
-}
-
-func (m *mediatedFile) Read(off uint64, n int, cb func([]byte, error)) {
-	m.call(smartssd.OpRead, off, uint32(n), nil, func(r *msg.FileIOResp, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(r.Data, nil)
-	})
-}
-
-func (m *mediatedFile) Write(off uint64, data []byte, cb func(error)) {
-	m.call(smartssd.OpWrite, off, 0, data, func(r *msg.FileIOResp, err error) { cb(err) })
-}
-
-func (m *mediatedFile) Append(data []byte, cb func(uint64, error)) {
-	m.call(smartssd.OpAppend, 0, 0, data, func(r *msg.FileIOResp, err error) {
-		if err != nil {
-			cb(0, err)
-			return
-		}
-		cb(r.Size, nil)
-	})
-}
-
-func (m *mediatedFile) Stat(cb func(uint64, error)) {
-	m.call(smartssd.OpStat, 0, 0, nil, func(r *msg.FileIOResp, err error) {
-		if err != nil {
-			cb(0, err)
-			return
-		}
-		cb(r.Size, nil)
-	})
-}
-
-func (m *mediatedFile) Truncate(cb func(error)) {
-	m.call(smartssd.OpTruncate, 0, 0, nil, func(r *msg.FileIOResp, err error) { cb(err) })
 }

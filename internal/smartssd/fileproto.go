@@ -72,19 +72,26 @@ type FileResp struct {
 	Data   []byte // read payload
 }
 
-// EncodeFileReq serializes a request: op u8 | off u64 | len u32 | data.
+// PutFileReqHeader writes a request's fixed part into b[:ReqHeaderBytes]:
+// op u8 | off u64 | len u32. The payload follows it in the same buffer.
+func PutFileReqHeader(b []byte, op FileOp, off uint64, n uint32) {
+	b[0] = byte(op)
+	binary.LittleEndian.PutUint64(b[1:], off)
+	binary.LittleEndian.PutUint32(b[9:], n)
+}
+
+// EncodeFileReq serializes a request into a buffer of its own.
 func EncodeFileReq(r FileReq) []byte {
-	b := make([]byte, 13+len(r.Data))
-	b[0] = byte(r.Op)
-	binary.LittleEndian.PutUint64(b[1:], r.Off)
-	binary.LittleEndian.PutUint32(b[9:], r.Len)
-	copy(b[13:], r.Data)
+	b := make([]byte, ReqHeaderBytes+len(r.Data))
+	PutFileReqHeader(b, r.Op, r.Off, r.Len)
+	copy(b[ReqHeaderBytes:], r.Data)
 	return b
 }
 
-// DecodeFileReq parses a request.
+// DecodeFileReq parses a request in place: Data aliases b, which the
+// caller must own for as long as it uses the result.
 func DecodeFileReq(b []byte) (FileReq, error) {
-	if len(b) < 13 {
+	if len(b) < ReqHeaderBytes {
 		return FileReq{}, fmt.Errorf("smartssd: short file request (%d bytes)", len(b))
 	}
 	r := FileReq{
@@ -92,32 +99,31 @@ func DecodeFileReq(b []byte) (FileReq, error) {
 		Off: binary.LittleEndian.Uint64(b[1:]),
 		Len: binary.LittleEndian.Uint32(b[9:]),
 	}
-	if len(b) > 13 {
-		r.Data = append([]byte(nil), b[13:]...)
+	if len(b) > ReqHeaderBytes {
+		r.Data = b[ReqHeaderBytes:]
 	}
 	return r, nil
 }
 
-// EncodeFileResp serializes a response: status u8 | size u64 | data.
-func EncodeFileResp(r FileResp) []byte {
-	b := make([]byte, 9+len(r.Data))
-	b[0] = byte(r.Status)
-	binary.LittleEndian.PutUint64(b[1:], r.Size)
-	copy(b[9:], r.Data)
-	return b
+// PutFileRespHeader writes a response's fixed part into
+// b[:RespHeaderBytes]: status u8 | size u64. Read data follows it.
+func PutFileRespHeader(b []byte, st Status, size uint64) {
+	b[0] = byte(st)
+	binary.LittleEndian.PutUint64(b[1:], size)
 }
 
-// DecodeFileResp parses a response.
+// DecodeFileResp parses a response in place: Data aliases b, as for
+// DecodeFileReq.
 func DecodeFileResp(b []byte) (FileResp, error) {
-	if len(b) < 9 {
+	if len(b) < RespHeaderBytes {
 		return FileResp{}, fmt.Errorf("smartssd: short file response (%d bytes)", len(b))
 	}
 	r := FileResp{
 		Status: Status(b[0]),
 		Size:   binary.LittleEndian.Uint64(b[1:]),
 	}
-	if len(b) > 9 {
-		r.Data = append([]byte(nil), b[9:]...)
+	if len(b) > RespHeaderBytes {
+		r.Data = b[RespHeaderBytes:]
 	}
 	return r, nil
 }

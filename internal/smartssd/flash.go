@@ -117,11 +117,44 @@ func (f *flash) chanFor(p PPA) *sim.Server {
 
 var errFlashBroken = fmt.Errorf("smartssd: flash failure")
 
+// pageOp is one page read or program as a record its issuer owns: the
+// event the page's channel fires and, for a write through the FTL, the
+// commit step behind it. It is idle when done.pageDone is entered and may
+// be reissued from inside it. The last four fields belong to the file I/O
+// the record is a chunk of (fs.go); flash and FTL never look at them.
+type pageOp struct {
+	done    pageCompletion
+	f       *flash
+	t       *ftl // set by ftl.writeOp: where a completed program is committed
+	lpn     int  // for the FTL's forms
+	ppa     PPA
+	page    []byte // a read's result (the flash's own, read-only) or the full page a program hands over
+	program bool
+	stage   pageStage
+	pageOff int
+	data    []byte  // write: the bytes for page[pageOff:]; read: where they go
+	next    *pageOp // the chunk queued behind this one for the page lock
+}
+
+type pageCompletion interface {
+	pageDone(op *pageOp, err error)
+}
+
+// pageFunc is a completion that is a func, for the callback forms.
+type pageFunc func(op *pageOp, err error)
+
+func (fn pageFunc) pageDone(op *pageOp, err error) { fn(op, err) }
+
 // read returns the page contents (zeros for an erased page). The slice is
 // the flash's own: the caller may keep it but must not write to it.
 func (f *flash) read(p PPA, cb func([]byte, error)) {
-	if int(p) >= len(f.pages) {
-		cb(nil, fmt.Errorf("smartssd: read of ppa %d beyond array", p))
+	f.readOp(&pageOp{ppa: p, done: pageFunc(func(op *pageOp, err error) { cb(op.page, err) })})
+}
+
+// readOp is read for a record: op.ppa in, op.page out.
+func (f *flash) readOp(op *pageOp) {
+	if int(op.ppa) >= len(f.pages) {
+		op.done.pageDone(op, fmt.Errorf("smartssd: read of ppa %d beyond array", op.ppa))
 		return
 	}
 	f.reads++
@@ -129,50 +162,62 @@ func (f *flash) read(p PPA, cb func([]byte, error)) {
 	// while the read waits for its channel, and the read still returns what
 	// the cells hold until the erase. (Nothing programs a page a read is
 	// queued on: the FTL maps a page only once its program completed.)
-	data := f.pages[p]
-	if data == nil {
-		data = f.zero
+	if op.page = f.pages[op.ppa]; op.page == nil {
+		op.page = f.zero
 	}
-	f.chanFor(p).Submit(f.tim.Read, func() {
-		if f.broken {
-			cb(nil, errFlashBroken)
-			return
-		}
-		cb(data, nil)
-	})
+	op.f, op.t, op.program = f, nil, false
+	f.chanFor(op.ppa).SubmitEvent(f.tim.Read, op)
 }
 
 // program writes an erased page. Programming a programmed page is an FTL
-// bug and returns an error. A full page of data becomes the flash's own:
-// the caller must not write to it afterwards (it may share it, as GC
-// relocation does). Shorter data is borrowed and padded into a new page.
+// bug and returns an error. A full page of data is handed over: the flash
+// keeps that slice, so the caller must not write to it again (it may share
+// it, as GC relocation does, or be a view of a request buffer nobody writes
+// to). Shorter data is borrowed and padded into a new page.
 func (f *flash) program(p PPA, data []byte, cb func(error)) {
-	if int(p) >= len(f.pages) {
-		cb(fmt.Errorf("smartssd: program of ppa %d beyond array", p))
+	f.programOp(&pageOp{ppa: p, page: data, done: pageFunc(func(_ *pageOp, err error) { cb(err) })})
+}
+
+// programOp is program for a record: op.ppa and op.page in.
+func (f *flash) programOp(op *pageOp) {
+	if int(op.ppa) >= len(f.pages) {
+		op.done.pageDone(op, fmt.Errorf("smartssd: program of ppa %d beyond array", op.ppa))
 		return
 	}
-	if len(data) > f.geo.PageSize {
-		cb(fmt.Errorf("smartssd: program of %d bytes into %d-byte page", len(data), f.geo.PageSize))
+	if len(op.page) > f.geo.PageSize {
+		op.done.pageDone(op, fmt.Errorf("smartssd: program of %d bytes into %d-byte page", len(op.page), f.geo.PageSize))
 		return
 	}
-	if len(data) < f.geo.PageSize {
+	if len(op.page) < f.geo.PageSize {
 		page := make([]byte, f.geo.PageSize)
-		copy(page, data)
-		data = page
+		copy(page, op.page)
+		op.page = page
 	}
 	f.programs++
-	f.chanFor(p).Submit(f.tim.Program, func() {
-		if f.broken {
-			cb(errFlashBroken)
-			return
-		}
-		if f.pages[p] != nil {
-			cb(fmt.Errorf("smartssd: program of non-erased ppa %d", p))
-			return
-		}
-		f.pages[p] = data
-		cb(nil)
-	})
+	op.f, op.program = f, true
+	f.chanFor(op.ppa).SubmitEvent(f.tim.Program, op)
+}
+
+// Fire is the channel finishing the operation. A program that came through
+// the FTL commits its mapping before the completion runs, GC looks after.
+func (op *pageOp) Fire() {
+	f, t := op.f, op.t
+	var err error
+	switch {
+	case f.broken:
+		op.page, err = nil, errFlashBroken
+	case op.program && f.pages[op.ppa] != nil:
+		err = fmt.Errorf("smartssd: program of non-erased ppa %d", op.ppa)
+	case op.program:
+		f.pages[op.ppa] = op.page
+	}
+	if t != nil && err == nil {
+		t.commit(op)
+	}
+	op.done.pageDone(op, err)
+	if t != nil && err == nil {
+		t.maybeGC()
+	}
 }
 
 // drop releases the data of a programmed page the FTL no longer maps. The

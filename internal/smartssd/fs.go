@@ -3,7 +3,9 @@ package smartssd
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 )
 
 // The filesystem: a flat directory of extent files persisted through the
@@ -99,9 +101,10 @@ type FS struct {
 	bitmap     []bool // data-page allocation, indexed from dataStart
 	pageSize   int
 	// pageLocks serializes writers per data page: concurrent partial-page
-	// writes are read-modify-write and would otherwise lose updates. The
-	// map holds queued waiters for locked pages.
-	pageLocks map[int][]func()
+	// writes are read-modify-write and would otherwise lose updates. A
+	// locked page maps to the last chunk of its queue (holder first, linked
+	// by next).
+	pageLocks map[int]*pageOp
 }
 
 // FSConfig sizes the filesystem.
@@ -127,29 +130,32 @@ func newFS(t *ftl, cfg FSConfig) *FS {
 		pageSize:   t.geo.PageSize,
 	}
 	fs.bitmap = make([]bool, t.Capacity()-fs.dataStart)
-	fs.pageLocks = make(map[int][]func())
+	fs.pageLocks = make(map[int]*pageOp)
 	return fs
 }
 
-// lockPage runs fn with exclusive write access to the logical page; fn
-// must call release exactly once when its I/O completes.
-func (fs *FS) lockPage(lpn int, fn func(release func())) {
-	release := func() {
-		waiters := fs.pageLocks[lpn]
-		if len(waiters) == 0 {
-			delete(fs.pageLocks, lpn)
-			return
-		}
-		next := waiters[0]
-		fs.pageLocks[lpn] = waiters[1:]
-		next()
-	}
-	if _, locked := fs.pageLocks[lpn]; locked {
-		fs.pageLocks[lpn] = append(fs.pageLocks[lpn], func() { fn(release) })
+// lockPage gives the chunk exclusive write access to its logical page, at
+// once when it is free, else after every chunk queued before it. The grant
+// is the chunk's pageDone in stage pageLocked; it must unlockPage once.
+func (fs *FS) lockPage(op *pageOp) {
+	op.stage = pageLocked
+	tail, locked := fs.pageLocks[op.lpn]
+	fs.pageLocks[op.lpn] = op
+	if locked {
+		tail.next = op
 		return
 	}
-	fs.pageLocks[lpn] = nil // locked, no waiters yet
-	fn(release)
+	op.done.pageDone(op, nil)
+}
+
+// unlockPage hands the page to the next chunk in line, which runs now.
+func (fs *FS) unlockPage(op *pageOp) {
+	next := op.next
+	if op.next = nil; next == nil {
+		delete(fs.pageLocks, op.lpn)
+		return
+	}
+	next.done.pageDone(next, nil)
 }
 
 // Format writes a fresh superblock and empty inode table.
@@ -174,17 +180,22 @@ func (fs *FS) persistInodeRange(from, to int, cb func(error)) {
 		cb(nil)
 		return
 	}
-	buf := make([]byte, fs.pageSize)
-	for i := 0; i < inodesPerPag; i++ {
-		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &fs.inodes[from*inodesPerPag+i])
-	}
-	fs.ftl.Write(1+from, buf, func(err error) {
+	fs.ftl.Write(1+from, fs.inodePage(from), func(err error) {
 		if err != nil {
 			cb(err)
 			return
 		}
 		fs.persistInodeRange(from+1, to, cb)
 	})
+}
+
+// inodePage encodes one page of the inode table in a buffer for the flash.
+func (fs *FS) inodePage(page int) []byte {
+	buf := make([]byte, fs.pageSize)
+	for i := 0; i < inodesPerPag; i++ {
+		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &fs.inodes[page*inodesPerPag+i])
+	}
+	return buf
 }
 
 // persistInodeOf rewrites the single inode page containing index idx.
@@ -304,14 +315,8 @@ func (fs *FS) Delete(name string, cb func(error)) {
 		cb(fmt.Errorf("smartssd: no such file %q", name))
 		return
 	}
-	ino := &fs.inodes[f.idx]
-	for _, e := range ino.extents {
-		for p := e.start; p < e.start+e.count; p++ {
-			fs.ftl.Trim(int(p))
-			fs.bitmap[int(p)-fs.dataStart] = false
-		}
-	}
-	*ino = inode{}
+	f.shrink(0)
+	fs.inodes[f.idx] = inode{}
 	fs.persistInodeOf(f.idx, cb)
 }
 
@@ -363,45 +368,35 @@ func (f *File) lpnOf(pageIdx int) (int, bool) {
 	return 0, false
 }
 
-// allocRun finds the first free run of up to want pages (first fit) and
-// marks it allocated. Returns a zero-count extent when nothing is free.
+// allocRun marks the first free run of up to want pages allocated (first
+// fit). Returns a zero-count extent when nothing is free.
 func (fs *FS) allocRun(want int) extent {
-	run := 0
-	for i := 0; i <= len(fs.bitmap); i++ {
-		if i < len(fs.bitmap) && !fs.bitmap[i] {
-			run++
-			if run == want {
-				start := i - run + 1
-				for j := start; j <= i; j++ {
-					fs.bitmap[j] = true
-				}
-				return extent{start: uint32(fs.dataStart + start), count: uint32(run)}
-			}
-			continue
-		}
-		if run > 0 {
-			start := i - run
-			for j := start; j < i; j++ {
-				fs.bitmap[j] = true
-			}
-			return extent{start: uint32(fs.dataStart + start), count: uint32(run)}
-		}
-		run = 0
+	start := slices.Index(fs.bitmap, false)
+	if start < 0 {
+		return extent{}
 	}
-	return extent{}
+	n := 0
+	for ; n < want && start+n < len(fs.bitmap) && !fs.bitmap[start+n]; n++ {
+		fs.bitmap[start+n] = true
+	}
+	return extent{start: uint32(fs.dataStart + start), count: uint32(n)}
 }
 
-// grow extends the file to hold newPages pages.
+// grow extends the file to hold newPages pages. A refused grow gives back
+// what it took, so one file's oversized write costs no other file its space.
 func (f *File) grow(newPages int) error {
 	ino := &f.fs.inodes[f.idx]
-	need := newPages - ino.pages()
-	for need > 0 {
-		if len(ino.extents) == maxExtents {
-			return fmt.Errorf("smartssd: file %q too fragmented", ino.name)
+	had := ino.pages()
+	for need := newPages - had; need > 0; {
+		var e extent
+		err := fmt.Errorf("smartssd: file %q too fragmented", ino.name)
+		if len(ino.extents) < maxExtents {
+			e = f.fs.allocRun(need)
+			err = fmt.Errorf("smartssd: volume full growing %q", ino.name)
 		}
-		e := f.fs.allocRun(need)
 		if e.count == 0 {
-			return fmt.Errorf("smartssd: volume full growing %q", ino.name)
+			f.shrink(had)
+			return err
 		}
 		// Merge with the previous extent when contiguous.
 		if n := len(ino.extents); n > 0 && ino.extents[n-1].start+ino.extents[n-1].count == e.start {
@@ -414,105 +409,195 @@ func (f *File) grow(newPages int) error {
 	return nil
 }
 
-// WriteAt writes data at the byte offset, growing the file as needed.
-// Partial pages are read-modified-written. cb runs after both the data
-// and the metadata update are durable. data is borrowed for the call only:
-// the caller may reuse it as soon as WriteAt returns.
-func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
-	if len(data) == 0 {
-		cb(nil)
-		return
+// shrink cuts the file back to its first keep pages: the rest of the extent
+// keep ends in and every extent after it are trimmed and freed.
+func (f *File) shrink(keep int) {
+	fs, ino := f.fs, &f.fs.inodes[f.idx]
+	kept := 0
+	for i := range ino.extents {
+		e := &ino.extents[i]
+		n := min(keep, int(e.count))
+		for p := int(e.start) + n; p < int(e.start+e.count); p++ {
+			fs.ftl.Trim(p)
+			fs.bitmap[p-fs.dataStart] = false
+		}
+		e.count, keep = uint32(n), keep-n
+		if n > 0 {
+			kept = i + 1
+		}
 	}
+	ino.extents = ino.extents[:kept]
+}
+
+// errBadRequest refuses what no file on this volume could hold
+// (StatusBadRequest on the wire).
+var errBadRequest = errors.New("smartssd: bad request")
+
+// pageStage is where a chunk of a file I/O is: what its next pageDone means.
+type pageStage uint8
+
+const (
+	pageFilling pageStage = iota // read: waiting for the page to copy from
+	pageLocked                   // write: queued for, then granted, the page lock
+	pageMerging                  // partial write: waiting for the old page
+	pageWriting                  // write: the new page is being programmed
+	pageInode                    // the inode page is being programmed
+)
+
+// fileIO is one ReadAt or WriteAt as a record its issuer owns: a chunk per
+// page touched (inline for the two that up to a page of data can span; a
+// longer I/O spills), how many are in flight, the first error, and the
+// inode page a write that grew the file programs last. It is the completion of all of them, is idle when
+// done.ioDone is entered and may be reissued there.
+type fileIO struct {
+	f         *File
+	done      ioCompletion
+	grew      bool
+	remaining int
+	err       error
+	chunks    []pageOp
+	inline    [2]pageOp
+	inode     pageOp
+}
+
+type ioCompletion interface {
+	ioDone(io *fileIO, err error)
+}
+
+// ioFunc is a completion that is a func, for the callback forms.
+type ioFunc func(error)
+
+func (fn ioFunc) ioDone(_ *fileIO, err error) { fn(err) }
+
+// split cuts [off, off+len(buf)) into per-page chunks over views of buf.
+func (io *fileIO) split(off uint64, buf []byte) error {
+	ps := uint64(io.f.fs.pageSize)
+	io.chunks, io.err, io.grew = io.inline[:0], nil, false
+	for cur, end := off, off+uint64(len(buf)); cur < end; {
+		pageOff := int(cur % ps)
+		n := min(int(ps)-pageOff, int(end-cur))
+		lpn, ok := io.f.lpnOf(int(cur / ps))
+		if !ok {
+			return fmt.Errorf("smartssd: extent walk failed at page %d", cur/ps)
+		}
+		io.chunks = append(io.chunks, pageOp{done: io, lpn: lpn, pageOff: pageOff, data: buf[cur-off:][:n]})
+		cur += uint64(n)
+	}
+	io.remaining = len(io.chunks)
+	return nil
+}
+
+// writeAt is WriteAt for a record. data is handed over: a chunk may wait
+// for its page lock, and a full page of it is the slice the flash keeps.
+func (io *fileIO) writeAt(f *File, off uint64, data []byte, done ioCompletion) {
+	io.f, io.done = f, done
 	fs := f.fs
 	ps := uint64(fs.pageSize)
 	end := off + uint64(len(data))
-	if err := f.grow(int((end + ps - 1) / ps)); err != nil {
-		cb(err)
+	var err error
+	switch {
+	case len(data) == 0: // nothing to write: done at once
+	case end < off || end > uint64(len(fs.bitmap))*ps: // refused before the inode is touched
+		err = fmt.Errorf("%w: write of %d bytes at %d", errBadRequest, len(data), off)
+	default:
+		if err = f.grow(int((end + ps - 1) / ps)); err == nil {
+			err = io.split(off, data)
+		}
+	}
+	if err != nil || len(data) == 0 {
+		io.complete(err)
 		return
 	}
-	ino := &fs.inodes[f.idx]
-	grewSize := false
-	if end > ino.size {
-		ino.size = end
-		grewSize = true
+	if ino := &fs.inodes[f.idx]; end > ino.size {
+		ino.size, io.grew = end, true
 	}
+	for i, n := 0, len(io.chunks); i < n; i++ {
+		fs.lockPage(&io.chunks[i])
+	}
+}
 
-	type chunk struct {
-		lpn     int
-		pageOff int
-		data    []byte
+// readAt is ReadAt for a record: it fills dst, already clipped to the file.
+func (io *fileIO) readAt(f *File, off uint64, dst []byte, done ioCompletion) {
+	io.f, io.done = f, done
+	if err := io.split(off, dst); err != nil || len(dst) == 0 {
+		io.complete(err)
+		return
 	}
-	var chunks []chunk
-	for cur := off; cur < end; {
-		pageIdx := int(cur / ps)
-		pageOff := int(cur % ps)
-		n := int(ps) - pageOff
-		if rem := int(end - cur); n > rem {
-			n = rem
-		}
-		lpn, ok := f.lpnOf(pageIdx)
-		if !ok {
-			cb(fmt.Errorf("smartssd: extent walk failed at page %d", pageIdx))
-			return
-		}
-		// A chunk may wait for its page lock and for flash, so it takes its
-		// bytes now; a full page's copy is the buffer the flash will keep.
-		own := bytes.Clone(data[cur-off : cur-off+uint64(n)])
-		chunks = append(chunks, chunk{lpn: lpn, pageOff: pageOff, data: own})
-		cur += uint64(n)
+	for i, n := 0, len(io.chunks); i < n; i++ {
+		io.chunks[i].stage = pageFilling
+		f.fs.ftl.readOp(&io.chunks[i])
 	}
+}
 
-	remaining := len(chunks)
-	var firstErr error
-	finishOne := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+// pageDone is the next step of one chunk, or of the inode page.
+func (io *fileIO) pageDone(op *pageOp, err error) {
+	fs := io.f.fs
+	switch op.stage {
+	case pageFilling:
+		if err == nil {
+			copy(op.data, op.page[op.pageOff:])
 		}
-		remaining--
-		if remaining > 0 {
+		io.finishOne(err)
+	case pageLocked:
+		if op.pageOff == 0 && len(op.data) == fs.pageSize {
+			op.page, op.stage = op.data, pageWriting
+			fs.ftl.writeOp(op)
 			return
 		}
-		if firstErr != nil {
-			cb(firstErr)
+		op.stage = pageMerging
+		fs.ftl.readOp(op)
+	case pageMerging:
+		if err == nil {
+			// The old page is the flash's: the new one is a buffer of its own.
+			op.page, op.stage = bytes.Clone(op.page), pageWriting
+			copy(op.page[op.pageOff:], op.data)
+			fs.ftl.writeOp(op)
 			return
 		}
-		// Persist metadata if the size changed; extents changed => size
-		// changed too (append-only growth).
-		if grewSize {
-			fs.persistInodeOf(f.idx, cb)
-		} else {
-			cb(nil)
-		}
+		fallthrough
+	case pageWriting:
+		fs.unlockPage(op)
+		io.finishOne(err)
+	case pageInode:
+		io.complete(err)
 	}
-	for _, c := range chunks {
-		c := c
-		// Page-exclusive: concurrent writers to the same page would lose
-		// updates through the read-modify-write window.
-		fs.lockPage(c.lpn, func(release func()) {
-			if c.pageOff == 0 && len(c.data) == fs.pageSize {
-				fs.ftl.Write(c.lpn, c.data, func(err error) {
-					release()
-					finishOne(err)
-				})
-				return
-			}
-			// Read-modify-write for partial pages: the old page is the
-			// flash's, so the new one is built in a buffer of its own.
-			fs.ftl.Read(c.lpn, func(old []byte, err error) {
-				if err != nil {
-					release()
-					finishOne(err)
-					return
-				}
-				page := bytes.Clone(old)
-				copy(page[c.pageOff:], c.data)
-				fs.ftl.Write(c.lpn, page, func(err error) {
-					release()
-					finishOne(err)
-				})
-			})
-		})
+}
+
+// finishOne retires one chunk. After the last, a write that changed the
+// size (extents changed => size changed: append-only growth) persists its
+// inode page before it completes.
+func (io *fileIO) finishOne(err error) {
+	if err != nil && io.err == nil {
+		io.err = err
 	}
+	if io.remaining--; io.remaining > 0 {
+		return
+	}
+	if io.err != nil || !io.grew {
+		io.complete(io.err)
+		return
+	}
+	page := io.f.idx / inodesPerPag
+	io.inode = pageOp{done: io, stage: pageInode, lpn: 1 + page, page: io.f.fs.inodePage(page)}
+	io.f.fs.ftl.writeOp(&io.inode)
+}
+
+// complete makes the record idle, letting go of every page and buffer (a
+// record as long-lived as its descriptor pair must not pin them), and runs
+// its completion.
+func (io *fileIO) complete(err error) {
+	done := io.done
+	*io = fileIO{}
+	done.ioDone(io, err)
+}
+
+// WriteAt writes data at the byte offset, growing the file as needed.
+// Partial pages are read-modified-written. cb runs after both the data
+// and the metadata update are durable. data is borrowed for the call only
+// and cloned here; the file service, which owns its request buffer, hands
+// that to writeAt as it is.
+func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
+	new(fileIO).writeAt(f, off, bytes.Clone(data), ioFunc(cb))
 }
 
 // Append writes at the current end of file.
@@ -520,76 +605,32 @@ func (f *File) Append(data []byte, cb func(error)) {
 	f.WriteAt(f.Size(), data, cb)
 }
 
+// clip bounds a read of n bytes at off by the end of the file.
+func (f *File) clip(off uint64, n int) int {
+	if off >= f.Size() || n <= 0 {
+		return 0
+	}
+	return int(min(uint64(n), f.Size()-off))
+}
+
 // ReadAt reads n bytes at the offset. Reads past EOF are clipped; a read
 // entirely beyond EOF returns an empty slice.
 func (f *File) ReadAt(off uint64, n int, cb func([]byte, error)) {
-	fs := f.fs
-	size := f.Size()
-	if off >= size || n <= 0 {
-		cb(nil, nil)
-		return
+	var buf []byte
+	if n = f.clip(off, n); n > 0 {
+		buf = make([]byte, n)
 	}
-	if off+uint64(n) > size {
-		n = int(size - off)
-	}
-	ps := uint64(fs.pageSize)
-	out := make([]byte, n)
-	type chunk struct {
-		lpn     int
-		pageOff int
-		dst     []byte
-	}
-	var chunks []chunk
-	end := off + uint64(n)
-	for cur := off; cur < end; {
-		pageIdx := int(cur / ps)
-		pageOff := int(cur % ps)
-		cn := int(ps) - pageOff
-		if rem := int(end - cur); cn > rem {
-			cn = rem
+	new(fileIO).readAt(f, off, buf, ioFunc(func(err error) {
+		if err != nil {
+			buf = nil
 		}
-		lpn, ok := f.lpnOf(pageIdx)
-		if !ok {
-			cb(nil, fmt.Errorf("smartssd: extent walk failed at page %d", pageIdx))
-			return
-		}
-		chunks = append(chunks, chunk{lpn: lpn, pageOff: pageOff, dst: out[cur-off : cur-off+uint64(cn)]})
-		cur += uint64(cn)
-	}
-	remaining := len(chunks)
-	var firstErr error
-	for _, c := range chunks {
-		c := c
-		fs.ftl.Read(c.lpn, func(page []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err == nil {
-				copy(c.dst, page[c.pageOff:])
-			}
-			remaining--
-			if remaining == 0 {
-				if firstErr != nil {
-					cb(nil, firstErr)
-					return
-				}
-				cb(out, nil)
-			}
-		})
-	}
+		cb(buf, err)
+	}))
 }
 
 // Truncate sets the file size to zero, releasing its pages.
 func (f *File) Truncate(cb func(error)) {
-	fs := f.fs
-	ino := &fs.inodes[f.idx]
-	for _, e := range ino.extents {
-		for p := e.start; p < e.start+e.count; p++ {
-			fs.ftl.Trim(int(p))
-			fs.bitmap[int(p)-fs.dataStart] = false
-		}
-	}
-	ino.extents = nil
-	ino.size = 0
-	fs.persistInodeOf(f.idx, cb)
+	f.shrink(0)
+	f.fs.inodes[f.idx].size = 0
+	f.fs.persistInodeOf(f.idx, cb)
 }

@@ -198,45 +198,53 @@ func (t *ftl) invalidate(ppa PPA) {
 // Read fetches a logical page. An unwritten page reads as zeros without
 // touching flash. The slice is read-only, as for flash.read.
 func (t *ftl) Read(lpn int, cb func([]byte, error)) {
-	if lpn < 0 || lpn >= t.logicalPages {
-		cb(nil, fmt.Errorf("smartssd: read of lpn %d beyond capacity %d", lpn, t.logicalPages))
+	t.readOp(&pageOp{lpn: lpn, done: pageFunc(func(op *pageOp, err error) { cb(op.page, err) })})
+}
+
+// readOp is Read for a record: op.lpn in, op.page out.
+func (t *ftl) readOp(op *pageOp) {
+	if op.lpn < 0 || op.lpn >= t.logicalPages {
+		op.done.pageDone(op, fmt.Errorf("smartssd: read of lpn %d beyond capacity %d", op.lpn, t.logicalPages))
 		return
 	}
 	t.stats.HostReads++
-	ppa := t.l2p[lpn]
-	if ppa == invalidPPA {
-		cb(t.f.zero, nil)
+	if op.ppa = t.l2p[op.lpn]; op.ppa == invalidPPA {
+		op.page = t.f.zero
+		op.done.pageDone(op, nil)
 		return
 	}
-	t.f.read(ppa, cb)
+	t.f.readOp(op)
 }
 
 // Write stores a logical page (always out-of-place). A full page of data
 // is handed over, as for flash.program.
 func (t *ftl) Write(lpn int, data []byte, cb func(error)) {
-	if lpn < 0 || lpn >= t.logicalPages {
-		cb(fmt.Errorf("smartssd: write of lpn %d beyond capacity %d", lpn, t.logicalPages))
+	t.writeOp(&pageOp{lpn: lpn, page: data, done: pageFunc(func(_ *pageOp, err error) { cb(err) })})
+}
+
+// writeOp is Write for a record: op.lpn and op.page in. The mapping target
+// is reserved now and committed when the program completes (pageOp.Fire).
+func (t *ftl) writeOp(op *pageOp) {
+	if op.lpn < 0 || op.lpn >= t.logicalPages {
+		op.done.pageDone(op, fmt.Errorf("smartssd: write of lpn %d beyond capacity %d", op.lpn, t.logicalPages))
 		return
 	}
 	t.stats.HostWrites++
 	ppa, err := t.allocPage()
 	if err != nil {
-		cb(err)
+		op.done.pageDone(op, err)
 		return
 	}
-	// Reserve the mapping target now; commit on program completion.
-	t.f.program(ppa, data, func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		t.invalidate(t.l2p[lpn])
-		t.l2p[lpn] = ppa
-		t.p2l[ppa] = uint32(lpn)
-		t.validCount[t.geo.blockOf(ppa)]++
-		cb(nil)
-		t.maybeGC()
-	})
+	op.ppa, op.t = ppa, t
+	t.f.programOp(op)
+}
+
+// commit points the logical page at the page just programmed.
+func (t *ftl) commit(op *pageOp) {
+	t.invalidate(t.l2p[op.lpn])
+	t.l2p[op.lpn] = op.ppa
+	t.p2l[op.ppa] = uint32(op.lpn)
+	t.validCount[t.geo.blockOf(op.ppa)]++
 }
 
 // Trim invalidates a logical page (file deletion).

@@ -1,6 +1,7 @@
 package smartssd
 
 import (
+	"errors"
 	"strings"
 
 	"nocpu/internal/bus"
@@ -277,65 +278,86 @@ func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (*File, string) {
 	return f, ""
 }
 
-// handlerFor builds the virtio request handler bound to one connection.
-func (s *SSD) handlerFor(c *device.Session[*File]) virtio.Handler {
-	file := c.State
-	return func(reqBytes []byte, done func([]byte)) {
-		req, err := DecodeFileReq(reqBytes)
-		if err != nil {
-			done(EncodeFileResp(FileResp{Status: StatusBadRequest}))
-			return
-		}
-		finish := func(r FileResp) {
-			s.ServedOps++
-			done(EncodeFileResp(r))
-		}
-		switch req.Op {
-		case OpRead:
-			file.ReadAt(req.Off, int(req.Len), func(data []byte, err error) {
-				if err != nil {
-					finish(FileResp{Status: StatusIOError})
-					return
-				}
-				finish(FileResp{Status: StatusOK, Size: file.Size(), Data: data})
-			})
-		case OpWrite:
-			file.WriteAt(req.Off, req.Data, func(err error) {
-				if err != nil {
-					finish(FileResp{Status: StatusIOError})
-					return
-				}
-				finish(FileResp{Status: StatusOK, Size: file.Size()})
-			})
-		case OpAppend:
-			file.Append(req.Data, func(err error) {
-				if err != nil {
-					finish(FileResp{Status: StatusIOError})
-					return
-				}
-				finish(FileResp{Status: StatusOK, Size: file.Size()})
-			})
-		case OpStat:
-			finish(FileResp{Status: StatusOK, Size: file.Size()})
-		case OpTruncate:
-			file.Truncate(func(err error) {
-				if err != nil {
-					finish(FileResp{Status: StatusIOError})
-					return
-				}
-				finish(FileResp{Status: StatusOK})
-			})
-		case OpRename:
-			newName := string(req.Data)
-			file.Rename(newName, func(err error) {
-				if err != nil {
-					finish(FileResp{Status: StatusIOError})
-					return
-				}
-				finish(FileResp{Status: StatusOK})
-			})
-		default:
-			finish(FileResp{Status: StatusBadRequest})
+// handlerFor builds the request service bound to one connection.
+func (s *SSD) handlerFor(c *device.Session[*File]) virtio.Service {
+	return &fileConn{ssd: s, file: c.State, reqs: make(map[virtio.Responder]*fileReq)}
+}
+
+// fileConn serves one connection's file requests. A request in flight is a
+// record per descriptor pair, built on the pair's first use and reused by
+// its next request, like the queue's own records.
+type fileConn struct {
+	ssd  *SSD
+	file *File
+	reqs map[virtio.Responder]*fileReq
+}
+
+// fileReq is one request on the SSD's side: where its answer goes, the
+// response buffer (header, then what a read fills in directly) and the
+// file I/O whose completion it is. The request buffer is the service's, so
+// a write's data goes down to the flash as a view of it.
+type fileReq struct {
+	c        *fileConn
+	r        virtio.Responder
+	resp     []byte
+	io       fileIO
+	metaDone func(error) // made once per record: Truncate's and Rename's callback
+}
+
+// Serve implements virtio.Service.
+func (c *fileConn) Serve(b []byte, r virtio.Responder) {
+	req, err := DecodeFileReq(b)
+	if err != nil {
+		resp := make([]byte, RespHeaderBytes) // answered, not counted as served
+		PutFileRespHeader(resp, StatusBadRequest, 0)
+		r.Complete(resp)
+		return
+	}
+	q := c.reqs[r]
+	if q == nil {
+		q = &fileReq{c: c, r: r}
+		q.metaDone = func(err error) { q.finish(err, 0) }
+		c.reqs[r] = q
+	}
+	switch file := c.file; req.Op {
+	case OpRead:
+		// Len is the peer's: the response cell and the file bound it first.
+		n := file.clip(req.Off, min(int(req.Len), r.Cap()-RespHeaderBytes))
+		q.resp = make([]byte, RespHeaderBytes+n)
+		q.io.readAt(file, req.Off, q.resp[RespHeaderBytes:], q)
+	case OpWrite:
+		q.io.writeAt(file, req.Off, req.Data, q)
+	case OpAppend:
+		q.io.writeAt(file, file.Size(), req.Data, q)
+	case OpStat:
+		q.finish(nil, file.Size())
+	case OpTruncate:
+		file.Truncate(q.metaDone)
+	case OpRename:
+		file.Rename(string(req.Data), q.metaDone)
+	default:
+		q.finish(errBadRequest, 0)
+	}
+}
+
+// ioDone answers a read or a write with the file's size as it is now.
+func (q *fileReq) ioDone(_ *fileIO, err error) { q.finish(err, q.c.file.Size()) }
+
+// finish counts the request and hands its response to the port. Only a
+// successful read answers with more than the header.
+func (q *fileReq) finish(err error, size uint64) {
+	q.c.ssd.ServedOps++
+	resp, st := q.resp, StatusOK
+	q.resp = nil
+	if err != nil {
+		resp, st, size = nil, StatusIOError, 0
+		if errors.Is(err, errBadRequest) {
+			st = StatusBadRequest
 		}
 	}
+	if resp == nil {
+		resp = make([]byte, RespHeaderBytes)
+	}
+	PutFileRespHeader(resp, st, size)
+	q.r.Complete(resp)
 }

@@ -1,7 +1,6 @@
 package virtio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -105,8 +104,8 @@ const (
 type driverPair struct {
 	d    *Driver
 	head uint16
-	// cb is the request's completion; nil when none is outstanding.
-	cb func(resp []byte, err error)
+	// done is the request's completion; nil when none is outstanding.
+	done Completion
 
 	cellW, descW, slotW, idxW interconnect.DMA
 	descs                     [2 * descSize]byte
@@ -161,13 +160,13 @@ func (d *Driver) fail(err error) {
 	d.dead = true
 	d.stats.Errors++
 	for _, s := range d.pairs {
-		if s == nil || s.cb == nil {
+		if s == nil || s.done == nil {
 			continue
 		}
-		cb := s.cb
-		s.cb = nil
+		done := s.done
+		s.done = nil
 		d.inflight--
-		cb(nil, fmt.Errorf("virtio: queue failed: %w", err))
+		done.RequestDone(nil, fmt.Errorf("virtio: queue failed: %w", err))
 	}
 	if d.OnError != nil {
 		d.OnError(err)
@@ -193,7 +192,7 @@ func (d *Driver) Quiesce() {
 	d.dead = true
 	for _, s := range d.pairs {
 		if s != nil {
-			s.cb = nil
+			s.done = nil
 		}
 	}
 	d.inflight = 0
@@ -214,12 +213,28 @@ func (d *Driver) pair(head uint16) *driverPair {
 	return s
 }
 
-// Submit posts one request. The response buffer is the pair's second
-// cell; done receives the endpoint's response bytes in a buffer it owns.
-// req is copied before Submit returns. Submit returns an error
-// synchronously when the request cannot be posted (queue full, oversized
-// request, dead queue) — nothing is in flight in that case.
+// Completion receives the end of a request: the endpoint's response in a
+// buffer made for this request, which the receiver owns, or the error that
+// failed the queue. A per-request record can be the completion itself.
+type Completion interface {
+	RequestDone(resp []byte, err error)
+}
+
+type completionFunc func(resp []byte, err error)
+
+func (f completionFunc) RequestDone(resp []byte, err error) { f(resp, err) }
+
+// Submit is SubmitOp for a completion that is a func.
 func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
+	return d.SubmitOp(req, completionFunc(done))
+}
+
+// SubmitOp posts one request; the response buffer is the pair's second
+// cell. req is taken, not copied: it is the queue's, unmodified, until done
+// runs (the port moves it when the payload write fires). SubmitOp returns
+// an error synchronously when the request cannot be posted (queue full,
+// oversized request, dead queue) — nothing is in flight in that case.
+func (d *Driver) SubmitOp(req []byte, done Completion) error {
 	if d.dead {
 		return fmt.Errorf("virtio: submit on dead queue")
 	}
@@ -233,7 +248,7 @@ func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
 	d.freePairs = d.freePairs[:len(d.freePairs)-1]
 	tail := head + 1
 	s := d.pair(head)
-	s.cb = done
+	s.done = done
 	d.inflight++
 	d.stats.Submitted++
 
@@ -243,7 +258,7 @@ func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
 
 	// Payload, descriptors, ring slot, then avail index, FIFO on one port
 	// (see driverPair).
-	d.port.WriteOp(&s.cellW, d.pasid, d.lay.cellVA(head), bytes.Clone(req), s)
+	d.port.WriteOp(&s.cellW, d.pasid, d.lay.cellVA(head), req, s)
 	putDesc(s.descs[:descSize], desc{Addr: uint64(d.lay.cellVA(head)), Len: uint32(len(req)), Flags: flagNext, Next: tail})
 	putDesc(s.descs[descSize:], desc{Addr: uint64(d.lay.cellVA(tail)), Len: uint32(d.lay.CellSize), Flags: flagWrite})
 	d.port.WriteOp(&s.descW, d.pasid, d.lay.descVA(head), s.descs[:], s)
@@ -357,7 +372,7 @@ func (d *Driver) DMADone(op *interconnect.DMA, err error) {
 		// outstanding and nothing of its publication still in flight:
 		// these bytes are the peer's, and they must not be able to free a
 		// record the port still holds.
-		if s == nil || s.cb == nil || s.publishing() || respLen > uint32(d.lay.CellSize) {
+		if s == nil || s.done == nil || s.publishing() || respLen > uint32(d.lay.CellSize) {
 			d.reaping = false
 			d.fail(fmt.Errorf("virtio: corrupt used entry id=%d len=%d", id, respLen))
 			return
@@ -372,7 +387,7 @@ func (d *Driver) DMADone(op *interconnect.DMA, err error) {
 		d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.cellVA(head+1), make([]byte, respLen), d)
 	case reapResp:
 		s := d.reapPair
-		if s.cb == nil {
+		if s.done == nil {
 			// Quiesce or fail took the request while its response was on the
 			// port (a reset cancels no DMA): the pair is already accounted
 			// for, and nothing may fire.
@@ -388,11 +403,11 @@ func (d *Driver) DMADone(op *interconnect.DMA, err error) {
 // finish frees the pair, completes its request and moves on to the next
 // used entry. The completion may Submit, and may get this same pair.
 func (d *Driver) finish(s *driverPair, resp []byte) {
-	cb := s.cb
-	s.cb = nil
+	done := s.done
+	s.done = nil
 	d.inflight--
 	d.freePairs = append(d.freePairs, s.head)
 	d.stats.Completed++
-	cb(resp, nil)
+	done.RequestDone(resp, nil)
 	d.consumeUsed()
 }

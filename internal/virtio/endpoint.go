@@ -1,7 +1,6 @@
 package virtio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -9,10 +8,35 @@ import (
 	"nocpu/internal/iommu"
 )
 
-// Handler processes one request. done may be called immediately or later
-// (e.g. after a flash read completes); resp is copied into the request's
-// response cell and truncated to the cell size.
+// Service processes the requests of one queue. req is a buffer made for
+// this request, which the service owns; r is where the answer goes, now or
+// later (e.g. after a flash read completes).
+type Service interface {
+	Serve(req []byte, r Responder)
+}
+
+// Responder is the endpoint's side of one request: the descriptor pair's
+// own record, the same for the pair's every request, so a service can key
+// per-pair state of its own by it.
+type Responder interface {
+	// Cap is the length of the response cell: what Complete cuts resp to.
+	Cap() int
+	// Complete answers the request, exactly once. resp is taken, not
+	// copied: it must stay unmodified until the port has moved it.
+	Complete(resp []byte)
+}
+
+// Handler is a Service that is a func; done is Responder.Complete, taken
+// once per pair (a method value taken per request would allocate).
 type Handler func(req []byte, done func(resp []byte))
+
+func (h Handler) Serve(req []byte, r Responder) {
+	s := r.(*endpointPair)
+	if s.done == nil {
+		s.done = s.Complete
+	}
+	h(req, s.done)
+}
 
 // EndpointStats counts endpoint-side queue activity.
 type EndpointStats struct {
@@ -36,7 +60,7 @@ type Endpoint struct {
 	// entries.
 	respBell interconnect.DoorbellAddr
 
-	handler Handler
+	svc Service
 
 	availSeen uint16
 	usedIdx   uint16
@@ -100,10 +124,7 @@ type endpointPair struct {
 	head  uint16
 	state pairState
 	dresp desc
-	// done is what the handler is given. It is s.complete, taken once
-	// when the record is built: a method value taken per request would
-	// allocate per request.
-	done func(resp []byte)
+	done  func(resp []byte) // s.Complete, for a Handler
 
 	respW, elemW, idxW interconnect.DMA
 	elem               [usedElemSize]byte
@@ -115,26 +136,34 @@ type pairState uint8
 const (
 	pairFree       pairState = iota
 	pairTaken                // head accepted; chain and request being read
-	pairHandling             // the handler has the request and done
+	pairHandling             // the service has the request and the record
 	pairCompleting           // handler done; response and used entry on their way
 	pairPublished            // used index visible, used element still on the port
 )
 
-// NewEndpoint builds the provider half. The layout and respBell arrive
-// from the driver's ConnectReq.
+// NewEndpoint is NewServiceEndpoint for a service that is a func.
 func NewEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, h Handler) (*Endpoint, error) {
+	if h == nil {
+		return nil, fmt.Errorf("virtio: nil handler")
+	}
+	return NewServiceEndpoint(port, pasid, lay, respBell, h)
+}
+
+// NewServiceEndpoint builds the provider half. The layout and respBell
+// arrive from the driver's ConnectReq.
+func NewServiceEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, svc Service) (*Endpoint, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}
-	if h == nil {
-		return nil, fmt.Errorf("virtio: nil handler")
+	if svc == nil {
+		return nil, fmt.Errorf("virtio: nil service")
 	}
 	e := &Endpoint{
 		port:        port,
 		pasid:       pasid,
 		lay:         lay,
 		respBell:    respBell,
-		handler:     h,
+		svc:         svc,
 		pairs:       make([]*endpointPair, lay.Entries/2),
 		MaxInflight: 64,
 		NotifyBatch: 1,
@@ -248,8 +277,8 @@ func (e *Endpoint) DMADone(op *interconnect.DMA, err error) {
 		s := e.pollPair
 		s.state = pairHandling
 		e.inflight++
-		e.handler(op.Bytes(), s.done)
-		// Keep draining while the handler runs.
+		e.svc.Serve(op.Bytes(), s)
+		// Keep draining while the service works.
 		e.pollStep()
 	}
 }
@@ -259,22 +288,23 @@ func (e *Endpoint) pair(head uint16) *endpointPair {
 	s := e.pairs[head/2]
 	if s == nil {
 		s = &endpointPair{e: e, head: head}
-		s.done = s.complete
 		e.pairs[head/2] = s
 	}
 	return s
 }
 
-// complete is the handler's done: it writes the response and publishes
-// the used entry. resp is copied before complete returns.
+func (s *endpointPair) Cap() int { return int(s.dresp.Len) }
+
+// Complete implements Responder: it writes the response and publishes the
+// used entry. resp goes to the port as it is, cut to the response cell; a
+// dead endpoint drops it without touching the port.
 //
-// done is one func for every generation of the pair, so a second call is
+// The record is one for every generation of the pair, so a second call is
 // caught by state alone: it panics unless the pair has meanwhile been
-// published again and handed to a handler that has not completed yet — in
-// that window a stale done is taken for the new request's. Closing it
-// would need a done bound to the request, which is an allocation per
-// request.
-func (s *endpointPair) complete(resp []byte) {
+// published again and handed to the service, which has not completed yet —
+// in that window a stale call is taken for the new request's. Closing it
+// would need a responder bound to the request: an allocation per request.
+func (s *endpointPair) Complete(resp []byte) {
 	if s.state != pairHandling {
 		panic("virtio: handler completed twice")
 	}
@@ -283,15 +313,15 @@ func (s *endpointPair) complete(resp []byte) {
 	if e.dead {
 		return
 	}
-	if len(resp) > int(s.dresp.Len) {
-		resp = resp[:s.dresp.Len]
+	if len(resp) > s.Cap() {
+		resp = resp[:s.Cap()]
 	}
 	putUsedElem(s.elem[:], uint32(s.head), uint32(len(resp)))
 	if len(resp) == 0 {
 		s.publish()
 		return
 	}
-	e.port.WriteOp(&s.respW, e.pasid, iommu.VirtAddr(s.dresp.Addr), bytes.Clone(resp), s)
+	e.port.WriteOp(&s.respW, e.pasid, iommu.VirtAddr(s.dresp.Addr), resp, s)
 }
 
 // publish writes the used element, then the used index behind it.
