@@ -6,10 +6,12 @@
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
+# `make bench-full` is the whole benchmark (~1 min, sized by host time, so
+# it is not part of `check`): run it before quoting a benchmark number.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke check bench tables
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench tables
 
 build:
 	$(GO) build ./...
@@ -105,6 +107,14 @@ partition:
 # and unit tests (~5s).
 bench-smoke:
 	$(GO) test -C bench ./...
+
+# The benchmark itself: all five workloads at full work, seven
+# repetitions each, the traced run and every probe (~1 min), written to
+# bench/out. `check` runs only the smoke above, and that is how the full
+# run once broke unseen: a probe sized by host speed ran its fixture out
+# of page-table frames on a fast host.
+bench-full:
+	$(GO) run -C bench . -full -out out
 
 check: vet lint build race fuzz bench-smoke
 

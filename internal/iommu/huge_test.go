@@ -295,8 +295,8 @@ func TestMapUnmapBothSizes(t *testing.T) {
 			if _, _, err := u.Translate(1, tc.va, AccessRead); err == nil {
 				t.Error("stale TLB entry after unmap")
 			}
-			// Interior tables stay until DestroyContext; a second install
-			// reuses them.
+			// The tables the unmap emptied wait as spares; a second install
+			// takes them, not new frames.
 			mid := mem.FreeFramesCount()
 			if err := mapAt(u, tc.huge, tc.va, run); err != nil || mem.FreeFramesCount() != mid {
 				t.Errorf("re-install: err %v, %d more table frames", err, mid-mem.FreeFramesCount())

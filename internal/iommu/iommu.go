@@ -17,6 +17,7 @@ package iommu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocpu/internal/physmem"
@@ -140,12 +141,13 @@ type Stats struct {
 type IOMMU struct {
 	mem  *physmem.Memory
 	tlb  *tlb
-	ctx  map[PASID]physmem.Addr // PASID -> root table base
+	ctx  map[PASID]*context
 	st   Stats
 	name string
-	// pageTableFrames tracks frames backing the radix trees per PASID so
-	// DestroyContext can return them.
-	tableFrames map[PASID][]physmem.Frame
+	// spare holds tables an unmap found empty, for the next install to
+	// take: at most levels-1, the most one unmap can free. They are frames
+	// the IOMMU still owns, until its last context goes.
+	spare []physmem.Frame
 
 	// domainCheck, when set, is consulted before a context is created or
 	// extended: the tenancy layer's isolation-domain boundary, enforced
@@ -154,6 +156,13 @@ type IOMMU struct {
 	// mapping the device's own domain check refuses. nil means no
 	// tenancy (the default): any PASID may be instantiated.
 	domainCheck func(PASID) error
+}
+
+// context is one PASID's address space: the root table's base, and every
+// frame its radix tree is built of so DestroyContext can return them.
+type context struct {
+	root   physmem.Addr
+	tables []physmem.Frame
 }
 
 // Config sets the TLB geometry. The zero value selects DefaultConfig;
@@ -176,11 +185,10 @@ func New(name string, mem *physmem.Memory, cfg Config) *IOMMU {
 		cfg = DefaultConfig
 	}
 	return &IOMMU{
-		mem:         mem,
-		tlb:         newTLB(cfg.TLBSets, cfg.TLBWays),
-		ctx:         make(map[PASID]physmem.Addr),
-		tableFrames: make(map[PASID][]physmem.Frame),
-		name:        name,
+		mem:  mem,
+		tlb:  newTLB(cfg.TLBSets, cfg.TLBWays),
+		ctx:  make(map[PASID]*context),
+		name: name,
 	}
 }
 
@@ -235,38 +243,74 @@ func (u *IOMMU) CreateContext(p PASID) error {
 	if err := u.checkDomain(p); err != nil {
 		return err
 	}
-	root, err := u.allocTable(p)
-	if err != nil {
-		return err
+	c := &context{}
+	root, err := u.allocTable(c)
+	if err == nil {
+		c.root, u.ctx[p] = root, c
 	}
-	u.ctx[p] = root
-	return nil
+	return err
 }
 
 // DestroyContext tears down the PASID's address space, freeing its page
-// table frames and flushing its TLB entries.
+// table frames and flushing its TLB entries. The last context to go takes
+// the spare tables with it.
 func (u *IOMMU) DestroyContext(p PASID) error {
-	if _, ok := u.ctx[p]; !ok {
+	c, ok := u.ctx[p]
+	if !ok {
 		return fmt.Errorf("iommu %s: destroy of unknown PASID %d", u.name, p)
 	}
 	delete(u.ctx, p)
-	for _, f := range u.tableFrames[p] {
+	frames := c.tables
+	if len(u.ctx) == 0 {
+		frames, u.spare = append(frames, u.spare...), u.spare[:0]
+	}
+	for _, f := range frames {
 		if err := u.mem.FreeFrames(f, 1); err != nil {
 			return fmt.Errorf("iommu %s: freeing table frame: %w", u.name, err)
 		}
 	}
-	delete(u.tableFrames, p)
 	u.tlb.flushPASID(p)
 	return nil
 }
 
-func (u *IOMMU) allocTable(p PASID) (physmem.Addr, error) {
-	f, err := u.mem.AllocFrames(1)
-	if err != nil {
-		return 0, fmt.Errorf("iommu %s: allocating page table: %w", u.name, err)
+// allocTable gives the context an all-zero table: a spare one if there is
+// one — it was empty when it was set aside, so it needs no scrub and the
+// allocator is not asked — or a fresh frame, which AllocFrames scrubs.
+func (u *IOMMU) allocTable(c *context) (physmem.Addr, error) {
+	if len(u.spare) == 0 {
+		f, err := u.mem.AllocFrames(1)
+		if err != nil {
+			return 0, fmt.Errorf("iommu %s: allocating page table: %w", u.name, err)
+		}
+		u.spare = append(u.spare, f)
 	}
-	u.tableFrames[p] = append(u.tableFrames[p], f)
+	f := u.spare[len(u.spare)-1]
+	u.spare = u.spare[:len(u.spare)-1]
+	c.tables = append(c.tables, f)
 	return f.Addr(), nil
+}
+
+// prune gives back the tables a walk left without an entry. path holds
+// the slot the walk used in the table of each level; from the table at
+// level lvl upward, one that is all zero (a frame compare: no count is
+// kept that could go stale) is unlinked from its parent. The root stays,
+// and a huge leaf is never looked through: a path holds slots of tables
+// only. A page-walk cache, if there were one, would be invalidated here.
+func (u *IOMMU) prune(c *context, path *[levels]physmem.Addr, lvl int) {
+	for ; lvl > 0; lvl-- {
+		f := physmem.FrameOf(path[lvl])
+		if !u.mem.FrameIsZero(f) {
+			return
+		}
+		_ = u.mem.WriteU64(path[lvl-1], 0) // a slot the walk just read
+		i := slices.Index(c.tables, f)
+		c.tables = slices.Delete(c.tables, i, i+1)
+		if len(u.spare) < levels-1 {
+			u.spare = append(u.spare, f)
+		} else {
+			_ = u.mem.FreeFrames(f, 1) // allocTable's own frame
+		}
+	}
 }
 
 func checkVA(va VirtAddr) error {
@@ -326,9 +370,10 @@ func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) er
 // covers va and is refused before it is followed (its frame holds the
 // application's data, not a table), and a valid leaf slot — a mapping of
 // either size, or for a huge install a table of 4 KiB ones — is refused
-// too.
+// too. A walk that runs out of frames half way takes back the tables it
+// had added.
 func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf *leaf) error {
-	root, ok := u.ctx[p]
+	c, ok := u.ctx[p]
 	if !ok {
 		return fmt.Errorf("iommu %s: map on unknown PASID %d", u.name, p)
 	}
@@ -347,8 +392,10 @@ func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf
 	if perm&PermRW == 0 {
 		return fmt.Errorf("iommu %s: map with empty permissions", u.name)
 	}
-	for tbl, lvl := root, 0; ; lvl++ {
+	var path [levels]physmem.Addr
+	for tbl, lvl := c.root, 0; ; lvl++ {
 		slot := physmem.Addr(uint64(tbl) + idx(va, lvl)*8)
+		path[lvl] = slot
 		pte, err := u.mem.ReadU64(slot)
 		if err != nil {
 			return err
@@ -370,8 +417,9 @@ func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf
 			return fmt.Errorf("iommu %s: va %#x pasid %d covered by a huge mapping", u.name, uint64(va), p)
 		}
 		if pte&pteValid == 0 {
-			next, err := u.allocTable(p)
+			next, err := u.allocTable(c)
 			if err != nil {
+				u.prune(c, &path, lvl)
 				return err
 			}
 			pte = uint64(next)&pteAddrM | pteValid
@@ -385,19 +433,20 @@ func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf
 
 // Unmap removes the translation for the page holding va and invalidates
 // its TLB entry.
-func (u *IOMMU) Unmap(p PASID, va VirtAddr) error { return u.remove(p, va.Page(), &leaf4K) }
+func (u *IOMMU) Unmap(p PASID, va VirtAddr) error { return u.remove(p, va.Page(), &leaf4K, true) }
 
 // UnmapHuge removes a huge translation and invalidates its TLB entry.
-func (u *IOMMU) UnmapHuge(p PASID, va VirtAddr) error { return u.remove(p, va, &leaf2M) }
+func (u *IOMMU) UnmapHuge(p PASID, va VirtAddr) error { return u.remove(p, va, &leaf2M, true) }
 
 // remove is the one walk that takes a mapping out. It follows only
 // pointers to tables: a huge leaf above the level it is looking for
 // covers va with a mapping of the other size, and the slot it ends at
 // must hold a leaf of the size asked for (a huge unmap of a table of
-// 4 KiB mappings is refused there). Interior tables stay allocated until
-// DestroyContext.
-func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf) error {
-	root, ok := u.ctx[p]
+// 4 KiB mappings is refused there). With last set — the caller takes no
+// further page out of this leaf's table — the tables the unmap emptied are
+// given back, after the TLB invalidation.
+func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf, last bool) error {
+	c, ok := u.ctx[p]
 	if !ok {
 		return fmt.Errorf("iommu %s: unmap on unknown PASID %d", u.name, p)
 	}
@@ -407,13 +456,18 @@ func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf) error {
 	if err := checkVA(va); err != nil {
 		return err
 	}
-	for tbl, lvl := root, 0; ; lvl++ {
+	var path [levels]physmem.Addr
+	for tbl, lvl := c.root, 0; ; lvl++ {
 		slot := physmem.Addr(uint64(tbl) + idx(va, lvl)*8)
+		path[lvl] = slot
 		pte, err := u.mem.ReadU64(slot)
 		if err != nil {
 			return err
 		}
 		if pte&pteValid == 0 {
+			if last && lvl == lf.level {
+				u.prune(c, &path, lvl) // the pages before this one may have been the table's last
+			}
 			return fmt.Errorf("iommu %s: %sunmap of unmapped va %#x pasid %d", u.name, lf.name, uint64(va), p)
 		}
 		if lvl == lf.level {
@@ -428,6 +482,9 @@ func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf) error {
 			} else {
 				u.tlb.invalidate(p, va)
 			}
+			if last {
+				u.prune(c, &path, lvl)
+			}
 			return nil
 		}
 		if pte&pteHuge != 0 {
@@ -440,11 +497,11 @@ func (u *IOMMU) remove(p PASID, va VirtAddr, lf *leaf) error {
 // Lookup reports the frame mapped at va without touching the TLB or the
 // stats — used by audits and tests, not by the data path.
 func (u *IOMMU) Lookup(p PASID, va VirtAddr) (physmem.Frame, Perm, bool) {
-	root, ok := u.ctx[p]
+	c, ok := u.ctx[p]
 	if !ok || va >= MaxVirtAddr {
 		return 0, 0, false
 	}
-	for tbl, lvl := root, 0; ; lvl++ {
+	for tbl, lvl := c.root, 0; ; lvl++ {
 		pte, err := u.mem.ReadU64(physmem.Addr(uint64(tbl) + idx(va, lvl)*8))
 		if err != nil || pte&pteValid == 0 {
 			return 0, 0, false
@@ -474,7 +531,7 @@ func (u *IOMMU) Translate(p PASID, va VirtAddr, access Access) (physmem.Addr, in
 		f.PASID, f.Access = p, access
 		return 0, 0, f
 	}
-	root, ok := u.ctx[p]
+	c, ok := u.ctx[p]
 	if !ok {
 		u.st.Faults++
 		return 0, 0, &Fault{PASID: p, Addr: va, Access: access, Reason: FaultBadPASID}
@@ -495,7 +552,7 @@ func (u *IOMMU) Translate(p PASID, va VirtAddr, access Access) (physmem.Addr, in
 	}
 	u.st.TLBMisses++
 	// Walk.
-	tbl := root
+	tbl := c.root
 	reads := 0
 	for lvl := 0; lvl < levels-1; lvl++ {
 		pte, err := u.mem.ReadU64(physmem.Addr(uint64(tbl) + idx(va, lvl)*8))

@@ -41,12 +41,16 @@ func MapRange[F ~uint64](u *IOMMU, p PASID, va VirtAddr, frames []F, perm Perm, 
 
 // UnmapRange removes n consecutive mappings of one page size from va on
 // and reports how many were there to remove (each is one PTE cleared, the
-// unit the bus charges IOMMU programming time in).
+// unit the bus charges IOMMU programming time in). A table the range
+// leaves empty is given back: of the pages that share a table of leaves
+// (span bytes of address space), the last in the range asks for the check.
 func (u *IOMMU) UnmapRange(p PASID, va VirtAddr, n int, huge bool) int {
 	lf := leafFor(huge)
+	span := lf.size << bitsPerLvl
 	cleared := 0
 	for i := 0; i < n; i++ {
-		if u.remove(p, va+VirtAddr(uint64(i)*lf.size), lf) == nil {
+		end := uint64(va) + uint64(i+1)*lf.size
+		if u.remove(p, VirtAddr(end-lf.size), lf, i == n-1 || end%span == 0) == nil {
 			cleared++
 		}
 	}

@@ -279,8 +279,8 @@ func TestFrameAddrConversion(t *testing.T) {
 
 var benchSink *Memory
 
-// BenchmarkNew4MiB is what building one small machine's memory costs: New
-// allocates and zeroes the whole range up front.
+// BenchmarkNew4MiB is what building one small machine's memory costs: one
+// pointer per frame and the buddy's free lists; no frame exists yet.
 func BenchmarkNew4MiB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -300,6 +300,42 @@ func BenchmarkWriteRead4K(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := m.ReadInto(8*PageSize, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadWriteU64 is the access the IOMMU's page walk and the
+// virtqueue's ring indices make: one aligned word inside a resident frame.
+func BenchmarkReadWriteU64(b *testing.B) {
+	m := MustNew(64 * PageSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addr := Addr(8*PageSize + i%512*8)
+		if err := m.WriteU64(addr, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if v, err := m.ReadU64(addr); err != nil || v != uint64(i) {
+			b.Fatal(v, err)
+		}
+	}
+}
+
+// BenchmarkAllocFreeFrames16 is the allocator's side of one 64 KiB region:
+// the buddy, and the scrub of whichever of the sixteen frames were written
+// (here one, as a page table or a ring would be).
+func BenchmarkAllocFreeFrames16(b *testing.B) {
+	m := MustNew(4 << 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := m.AllocFrames(16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.WriteU64(f.Addr(), 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.FreeFrames(f, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,6 +69,9 @@ type PPA uint32
 // blockOf returns the physical block index containing the page.
 func (g FlashGeometry) blockOf(p PPA) int { return int(p) / g.PagesPerBlock }
 
+// indexOf returns the page's position inside its block.
+func (g FlashGeometry) indexOf(p PPA) int { return int(p) % g.PagesPerBlock }
+
 // channelOf returns the channel that owns the page's block. Blocks are
 // striped across channels so sequential block numbers alternate channels.
 func (g FlashGeometry) channelOf(block int) int { return block % g.Channels }
@@ -80,12 +83,14 @@ type flash struct {
 	tim      FlashTiming
 	eng      *sim.Engine
 	channels []*sim.Server
-	// pages holds each physical page's data: nil = erased, zero = a
-	// programmed page whose data was dropped. A programmed page is
-	// immutable until its block is erased, so read hands out the stored
-	// slice and program keeps the slice it is given; nobody may write
-	// through either.
-	pages [][]byte
+	// pages holds each physical page's data, a row per block: the row
+	// comes with the block's first program and goes with its erase, so the
+	// array costs the host what was written to it. A nil row is a block of
+	// erased pages; inside a row nil = erased, zero = a programmed page
+	// whose data was dropped. A programmed page is immutable until its
+	// block is erased, so read hands out the stored slice and program keeps
+	// the slice it is given; nobody may write through either.
+	pages [][][]byte
 	// zero is the one read-only page of zeros: what an erased, dropped or
 	// (in the FTL) unmapped page reads as.
 	zero   []byte
@@ -101,7 +106,7 @@ func newFlash(eng *sim.Engine, geo FlashGeometry, tim FlashTiming) *flash {
 		geo:    geo,
 		tim:    tim,
 		eng:    eng,
-		pages:  make([][]byte, geo.TotalPages()),
+		pages:  make([][][]byte, geo.TotalBlocks()),
 		zero:   make([]byte, geo.PageSize),
 		erases: make([]uint64, geo.TotalBlocks()),
 	}
@@ -113,6 +118,15 @@ func newFlash(eng *sim.Engine, geo FlashGeometry, tim FlashTiming) *flash {
 
 func (f *flash) chanFor(p PPA) *sim.Server {
 	return f.channels[f.geo.channelOf(f.geo.blockOf(p))]
+}
+
+// page returns what the array holds for the page; a block without a row
+// holds erased pages only.
+func (f *flash) page(p PPA) []byte {
+	if row := f.pages[f.geo.blockOf(p)]; row != nil {
+		return row[f.geo.indexOf(p)]
+	}
+	return nil
 }
 
 var errFlashBroken = fmt.Errorf("smartssd: flash failure")
@@ -153,7 +167,7 @@ func (f *flash) read(p PPA, cb func([]byte, error)) {
 
 // readOp is read for a record: op.ppa in, op.page out.
 func (f *flash) readOp(op *pageOp) {
-	if int(op.ppa) >= len(f.pages) {
+	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: read of ppa %d beyond array", op.ppa))
 		return
 	}
@@ -162,7 +176,7 @@ func (f *flash) readOp(op *pageOp) {
 	// while the read waits for its channel, and the read still returns what
 	// the cells hold until the erase. (Nothing programs a page a read is
 	// queued on: the FTL maps a page only once its program completed.)
-	if op.page = f.pages[op.ppa]; op.page == nil {
+	if op.page = f.page(op.ppa); op.page == nil {
 		op.page = f.zero
 	}
 	op.f, op.t, op.program = f, nil, false
@@ -180,7 +194,7 @@ func (f *flash) program(p PPA, data []byte, cb func(error)) {
 
 // programOp is program for a record: op.ppa and op.page in.
 func (f *flash) programOp(op *pageOp) {
-	if int(op.ppa) >= len(f.pages) {
+	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: program of ppa %d beyond array", op.ppa))
 		return
 	}
@@ -206,10 +220,14 @@ func (op *pageOp) Fire() {
 	switch {
 	case f.broken:
 		op.page, err = nil, errFlashBroken
-	case op.program && f.pages[op.ppa] != nil:
+	case op.program && f.page(op.ppa) != nil:
 		err = fmt.Errorf("smartssd: program of non-erased ppa %d", op.ppa)
 	case op.program:
-		f.pages[op.ppa] = op.page
+		b := f.geo.blockOf(op.ppa)
+		if f.pages[b] == nil {
+			f.pages[b] = make([][]byte, f.geo.PagesPerBlock)
+		}
+		f.pages[b][f.geo.indexOf(op.ppa)] = op.page
 	}
 	if t != nil && err == nil {
 		t.commit(op)
@@ -224,12 +242,12 @@ func (op *pageOp) Fire() {
 // page stays programmed (program still refuses it) until its block is
 // erased, but the heap stops holding every stale copy of a rewritten page.
 func (f *flash) drop(p PPA) {
-	if f.pages[p] != nil {
-		f.pages[p] = f.zero
+	if f.page(p) != nil {
+		f.pages[f.geo.blockOf(p)][f.geo.indexOf(p)] = f.zero
 	}
 }
 
-// erase clears a whole block.
+// erase clears a whole block: its row of pages goes in one store.
 func (f *flash) erase(block int, cb func(error)) {
 	if block < 0 || block >= f.geo.TotalBlocks() {
 		cb(fmt.Errorf("smartssd: erase of block %d beyond array", block))
@@ -241,10 +259,7 @@ func (f *flash) erase(block int, cb func(error)) {
 			cb(errFlashBroken)
 			return
 		}
-		base := block * f.geo.PagesPerBlock
-		for i := 0; i < f.geo.PagesPerBlock; i++ {
-			f.pages[base+i] = nil
-		}
+		f.pages[block] = nil
 		f.erases[block]++
 		cb(nil)
 	})

@@ -44,6 +44,10 @@ type ftl struct {
 	eng *sim.Engine
 	geo FlashGeometry
 
+	// l2p and p2l are sized by the array, not by what was written, unlike
+	// the flash's page rows: they hold no pointers, so the collector never
+	// scans them, and shrinking them would buy no mark time and put a
+	// second level on every translation.
 	l2p        []PPA    // logical page -> physical page
 	p2l        []uint32 // physical page -> logical page (for GC)
 	validCount []int    // valid pages per block

@@ -2,6 +2,7 @@ package smartssd
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -316,13 +317,15 @@ func TestFTLTrim(t *testing.T) {
 // heldPages counts the physical pages whose data the flash still holds,
 // and those merely marked programmed.
 func heldPages(f *flash) (held, programmed int) {
-	for _, p := range f.pages {
-		if p == nil {
-			continue
-		}
-		programmed++
-		if &p[0] != &f.zero[0] {
-			held++
+	for _, row := range f.pages {
+		for _, p := range row {
+			if p == nil {
+				continue
+			}
+			programmed++
+			if &p[0] != &f.zero[0] {
+				held++
+			}
 		}
 	}
 	return held, programmed
@@ -383,6 +386,75 @@ func TestFlashDropsStalePages(t *testing.T) {
 	if perr != nil {
 		t.Errorf("program after erase: %v", perr)
 	}
+}
+
+// The array costs the host what was programmed into it: no page state at
+// construction (the default geometry used to be 32 768 slice headers an
+// SSD, which every collection scanned), one row with a block's first
+// page, gone again with the erase. A page of a block without a row reads
+// as zeros, dropping it is a no-op, and a dropped page of a block with one
+// stays programmed until the erase.
+func TestFlashRowsFollowPrograms(t *testing.T) {
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := newFlash(eng, DefaultGeometry, DefaultTiming)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("newFlash allocated %d bytes, want a header per block and no more", got)
+	}
+	rows := func() (n int) {
+		for _, row := range f.pages {
+			if row != nil {
+				n++
+			}
+		}
+		return n
+	}
+	const ppa = PPA(5*64 + 9) // block 5, page 9
+	run := func(what string, op func(cb func(error))) {
+		t.Helper()
+		op(func(err error) {
+			if err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		})
+		eng.Run()
+	}
+	readsZeros := func(when string) {
+		t.Helper()
+		f.read(ppa, func(b []byte, err error) {
+			if err != nil || &b[0] != &f.zero[0] {
+				t.Errorf("%s the page reads %v (shared zero page: %v)", when, err, err == nil && &b[0] == &f.zero[0])
+			}
+		})
+		eng.Run()
+	}
+	f.drop(ppa)
+	readsZeros("before any program")
+	if rows() != 0 {
+		t.Fatalf("%d rows before any program", rows())
+	}
+	page := bytes.Repeat([]byte{7}, 4096)
+	run("program", func(cb func(error)) { f.program(ppa, page, cb) })
+	run("program of a second page", func(cb func(error)) { f.program(ppa+1, page, cb) })
+	if held, programmed := heldPages(f); rows() != 1 || held != 2 || programmed != 2 {
+		t.Fatalf("two pages of one block: %d rows, %d held, %d programmed", rows(), held, programmed)
+	}
+	f.drop(ppa)
+	readsZeros("after the drop")
+	var perr error
+	f.program(ppa, page, func(err error) { perr = err })
+	eng.Run()
+	if perr == nil {
+		t.Error("a dropped page was programmed again before its erase")
+	}
+	run("erase", func(cb func(error)) { f.erase(5, cb) })
+	readsZeros("after the erase")
+	if rows() != 0 {
+		t.Errorf("%d rows after the erase", rows())
+	}
+	run("program after erase", func(cb func(error)) { f.program(ppa, page, cb) })
 }
 
 // A host read already on its way to a physical page returns that page's
