@@ -8,10 +8,12 @@
 # is a strict subset of `race`, so `check` does not run them again.
 # `make bench-full` is the whole benchmark (~1 min, sized by host time, so
 # it is not part of `check`): run it before quoting a benchmark number.
+# `make lines` prints the non-test line counts the ROADMAP's line budgets
+# are stated in; quote a budget from it and from nothing else.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench tables
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench tables lines
 
 build:
 	$(GO) build ./...
@@ -129,3 +131,13 @@ bench:
 # Regenerate all experiment tables (E1-E21).
 tables:
 	$(GO) run ./cmd/nocpu-bench
+
+# Non-test Go lines (`_test.go` and testdata excluded) of each group the
+# ROADMAP budgets, then of all of internal/ and cmd/.
+lines:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
+	printf '%-42s %6d\n' 'fabric+bus+smartnic+kvs' $$(count internal/fabric internal/bus internal/smartnic internal/kvs); \
+	printf '%-42s %6d\n' 'smartssd+virtio+smartnic/fileclient.go' $$(count internal/smartssd internal/virtio internal/smartnic/fileclient.go); \
+	printf '%-42s %6d\n' 'centralos.go' $$(count internal/centralos/centralos.go); \
+	printf '%-42s %6d\n' 'sim engine+server' $$(count internal/sim/engine.go internal/sim/server.go); \
+	printf '%-42s %6d\n' 'internal/+cmd/' $$(count internal cmd)

@@ -1,10 +1,11 @@
 package nocpu
 
-// One benchmark per experiment table (E1–E10 in DESIGN.md/EXPERIMENTS.md).
-// Each benchmark drives the same scenario as its experiment at reduced
-// scale and reports the *virtual-time* cost of the measured operation as
-// "vns/op" (virtual nanoseconds); wall-clock ns/op additionally reflects
-// simulator speed. Full tables: `go run ./cmd/nocpu-bench`.
+// Benchmarks of the six experiment scenarios no per-package benchmark or
+// bench/ workload measures: E1, E2, E3, E8, E9 and E10 (EXPERIMENTS.md).
+// Each drives its experiment's scenario at reduced scale and reports the
+// *virtual-time* cost of the measured operation as "vns/op" (virtual
+// nanoseconds); wall-clock ns/op additionally reflects simulator speed.
+// Full tables: `go run ./cmd/nocpu-bench`.
 
 import (
 	"fmt"
@@ -12,14 +13,10 @@ import (
 
 	"nocpu/internal/bus"
 	"nocpu/internal/core"
-	"nocpu/internal/faultinject"
-	"nocpu/internal/iommu"
 	"nocpu/internal/kvs"
 	"nocpu/internal/msg"
-	"nocpu/internal/overload"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartnic"
-	"nocpu/internal/smartssd"
 )
 
 // benchRig is a booted machine with one ready KVS app and helpers to run
@@ -255,185 +252,6 @@ func BenchmarkE3SetupScalability(b *testing.B) {
 	}
 }
 
-// noiseApp mirrors exp's control-plane noisy neighbor.
-type noiseApp struct {
-	id    msg.AppID
-	bytes uint64
-	rt    *smartnic.Runtime
-	stop  bool
-}
-
-func (a *noiseApp) AppID() msg.AppID { return a.id }
-func (a *noiseApp) Boot(rt *smartnic.Runtime) {
-	a.rt = rt
-	a.loop()
-}
-func (a *noiseApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *noiseApp) PeerFailed(msg.DeviceID)                   {}
-func (a *noiseApp) loop() {
-	if a.stop {
-		return
-	}
-	a.rt.AllocShared(core.ControlID, a.bytes, func(va uint64, err error) {
-		if err != nil {
-			return
-		}
-		a.rt.Free(core.ControlID, va, a.bytes, func(error) { a.loop() })
-	})
-}
-
-// BenchmarkE4Isolation measures a victim get while 8 noisy tenants hammer
-// the control plane.
-func BenchmarkE4Isolation(b *testing.B) {
-	cases := []struct {
-		name     string
-		flavor   core.Flavor
-		mediated bool
-	}{
-		{"decentralized-victim", core.Decentralized, false},
-		{"mediated-victim", core.Centralized, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			rig := newBenchRig(b, core.Options{Flavor: c.flavor, Seed: 4, ExtraNICs: 1},
-				core.KVSOptions{QueueEntries: 128, Mediated: c.mediated})
-			rig.op(b, kvs.Request{Op: kvs.OpPut, Key: "k", Value: make([]byte, 512)})
-			for i := 0; i < 8; i++ {
-				rig.sys.NICs[1].AddApp(&noiseApp{id: msg.AppID(100 + i), bytes: 256 << 10})
-			}
-			b.ResetTimer()
-			start := rig.sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				rig.op(b, kvs.Request{Op: kvs.OpGet, Key: "k"})
-			}
-			reportVirtual(b, start, rig.sys)
-		})
-	}
-}
-
-// BenchmarkE5FaultRecovery measures one kill → detect → reset → remount →
-// rescan cycle. Each reconnection allocates a fresh shared region, so the
-// machine is refreshed periodically outside the timer.
-func BenchmarkE5FaultRecovery(b *testing.B) {
-	opts := core.Options{
-		Flavor: core.Decentralized, Seed: 5, Watchdog: 500 * sim.Microsecond,
-		NoTrace: true,
-	}
-	var rig *benchRig
-	rebuild := func() {
-		rig = newBenchRig(b, opts, core.KVSOptions{QueueEntries: 64})
-		for i := 0; i < 50; i++ {
-			rig.op(b, kvs.Request{Op: kvs.OpPut, Key: fmt.Sprintf("k%02d", i), Value: make([]byte, 256)})
-		}
-	}
-	rebuild()
-	var vns sim.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%25 == 0 {
-			b.StopTimer()
-			rebuild()
-			b.StartTimer()
-		}
-		t0 := rig.sys.Eng.Now()
-		rig.sys.SSD().Kill()
-		deadline := t0.Add(5 * sim.Second)
-		for !(rig.store.Ready() && rig.sys.SSD().Ready()) {
-			rig.sys.Eng.RunFor(50 * sim.Microsecond)
-			if rig.sys.Eng.Now() > deadline {
-				b.Fatal("recovery incomplete")
-			}
-		}
-		vns += rig.sys.Eng.Now().Sub(t0)
-	}
-	b.ReportMetric(float64(vns)/float64(b.N), "vns/op")
-}
-
-// BenchmarkE6IOMMUTLB measures gets with the device TLB on and off.
-func BenchmarkE6IOMMUTLB(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  iommu.Config
-	}{{"tlb-default", iommu.DefaultConfig}, {"tlb-disabled", iommu.Disabled}} {
-		b.Run(c.name, func(b *testing.B) {
-			opts := core.Options{Flavor: core.Decentralized, Seed: 6}
-			opts.NIC.Device.IOMMU = c.cfg
-			opts.SSD.Device.IOMMU = c.cfg
-			rig := newBenchRig(b, opts, core.KVSOptions{QueueEntries: 128})
-			rig.op(b, kvs.Request{Op: kvs.OpPut, Key: "k", Value: make([]byte, 512)})
-			b.ResetTimer()
-			start := rig.sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				rig.op(b, kvs.Request{Op: kvs.OpGet, Key: "k"})
-			}
-			reportVirtual(b, start, rig.sys)
-		})
-	}
-}
-
-// discProbe is a one-shot discovery prober.
-type discProbe struct {
-	id   msg.AppID
-	q    string
-	done bool
-	fail bool
-}
-
-func (p *discProbe) AppID() msg.AppID { return p.id }
-func (p *discProbe) Boot(rt *smartnic.Runtime) {
-	rt.Discover(p.q, func(_ msg.DeviceID, _ string, err error) {
-		p.done, p.fail = true, err != nil
-	})
-}
-func (p *discProbe) ServeNetwork(bb []byte, reply func([]byte)) { reply(bb) }
-func (p *discProbe) PeerFailed(msg.DeviceID)                    {}
-
-// BenchmarkE7Discovery measures one broadcast discovery on machines of
-// different sizes.
-func BenchmarkE7Discovery(b *testing.B) {
-	tiny := smartssd.Config{
-		Geometry: smartssd.FlashGeometry{Channels: 1, DiesPerChan: 1, BlocksPerDie: 16, PagesPerBlock: 16, PageSize: 4096},
-		FS:       smartssd.FSConfig{MaxFiles: 4},
-	}
-	for _, devs := range []int{8, 64} {
-		b.Run(fmt.Sprintf("devices-%d", devs), func(b *testing.B) {
-			opts := core.Options{
-				Flavor: core.Decentralized, Seed: 7, NoTrace: true,
-				SSD: tiny, ExtraSSDs: devs - 1, MemoryBytes: 512 << 20,
-			}
-			sys := core.MustNew(opts)
-			if err := sys.Boot(); err != nil {
-				b.Fatal(err)
-			}
-			created := false
-			sys.SSDs[len(sys.SSDs)-1].FS().Create("far.dat", func(_ *smartssd.File, err error) {
-				if err != nil {
-					b.Fatal(err)
-				}
-				created = true
-			})
-			for !created {
-				sys.Eng.RunFor(sim.Millisecond)
-			}
-			b.ResetTimer()
-			start := sys.Eng.Now()
-			id := msg.AppID(1)
-			for i := 0; i < b.N; i++ {
-				p := &discProbe{id: id, q: "file:far.dat"}
-				id++
-				sys.NIC().AddApp(p)
-				for !p.done {
-					sys.Eng.RunFor(10 * sim.Microsecond)
-				}
-				if p.fail {
-					b.Fatal("discovery failed")
-				}
-			}
-			b.ReportMetric(float64(sys.Eng.Now().Sub(start))/float64(b.N), "vns/op")
-		})
-	}
-}
-
 // pairApp performs alloc/free pairs on demand (E8's measured operation).
 type pairApp struct {
 	id msg.AppID
@@ -506,233 +324,6 @@ func BenchmarkE9Doorbell(b *testing.B) {
 	}
 }
 
-// BenchmarkE11ValueCache measures a repeat get with and without the
-// NIC-side value cache (extension experiment).
-func BenchmarkE11ValueCache(b *testing.B) {
-	for _, entries := range []int{0, 64} {
-		b.Run(fmt.Sprintf("cache-%d", entries), func(b *testing.B) {
-			sys := core.MustNew(core.Options{Flavor: core.Decentralized, Seed: 11, NoTrace: true})
-			if err := sys.Boot(); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.CreateFile("kv.dat", nil); err != nil {
-				b.Fatal(err)
-			}
-			store := kvs.New(kvs.Config{
-				App: 1, FileName: "kv.dat", Memctrl: core.ControlID,
-				QueueEntries: 128, CacheEntries: entries,
-			})
-			sys.NIC().AddApp(store)
-			if err := sys.WaitReady(store); err != nil {
-				b.Fatal(err)
-			}
-			rig := &benchRig{sys: sys, store: store}
-			rig.op(b, kvs.Request{Op: kvs.OpPut, Key: "hot", Value: make([]byte, 512)})
-			b.ResetTimer()
-			start := sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				if s := rig.op(b, kvs.Request{Op: kvs.OpGet, Key: "hot"}); s != kvs.StatusOK {
-					b.Fatalf("status %d", s)
-				}
-			}
-			reportVirtual(b, start, sys)
-		})
-	}
-}
-
-// demandBenchApp reserves a lazy region for E12's benchmark.
-type demandBenchApp struct {
-	id    msg.AppID
-	lazy  bool
-	bytes uint64
-	rt    *smartnic.Runtime
-	va    uint64
-	ready bool
-}
-
-func (a *demandBenchApp) AppID() msg.AppID { return a.id }
-func (a *demandBenchApp) Boot(rt *smartnic.Runtime) {
-	a.rt = rt
-	if a.lazy {
-		a.va = rt.ReserveLazy(core.ControlID, a.bytes, 1)
-		a.ready = true
-		return
-	}
-	rt.AllocShared(core.ControlID, a.bytes, func(va uint64, err error) {
-		if err != nil {
-			panic(err)
-		}
-		a.va, a.ready = va, true
-	})
-}
-func (a *demandBenchApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *demandBenchApp) PeerFailed(msg.DeviceID)                   {}
-
-// BenchmarkE12DemandPaging measures a first-touch write into an unbacked
-// page (fault + bus alloc + retry, plus a recycling free so physical
-// memory stays bounded for any b.N) vs a warm write into a pre-backed
-// page.
-func BenchmarkE12DemandPaging(b *testing.B) {
-	for _, lazy := range []bool{true, false} {
-		name := "eager-warm"
-		if lazy {
-			name = "lazy-first-touch"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys := core.MustNew(core.Options{
-				Flavor: core.Decentralized, Seed: 12, NoTrace: true,
-				MemoryBytes: 256 << 20,
-			})
-			if err := sys.Boot(); err != nil {
-				b.Fatal(err)
-			}
-			const eagerPages = 4096
-			bytes := uint64(eagerPages) * 4096
-			if lazy {
-				// Virtual reservation only; pages materialize on touch
-				// and are recycled below, so any b.N fits.
-				bytes = 1 << 32
-			}
-			app := &demandBenchApp{id: 1, lazy: lazy, bytes: bytes}
-			sys.NIC().AddApp(app)
-			for !app.ready {
-				sys.Eng.RunFor(10 * sim.Microsecond)
-			}
-			port := sys.NIC().Device().DMA()
-			b.ResetTimer()
-			start := sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				done := false
-				if lazy {
-					va := app.va + (uint64(i)%((1<<32)/4096))*4096
-					port.Write(1, iommu.VirtAddr(va), []byte{1}, func(err error) {
-						if err != nil {
-							b.Fatal(err)
-						}
-						// Recycle: return the page so physical memory is
-						// bounded (cost included in the metric; see note).
-						app.rt.Free(core.ControlID, va&^4095, 4096, func(err error) {
-							if err != nil {
-								b.Fatal(err)
-							}
-							done = true
-						})
-					})
-				} else {
-					va := app.va + (uint64(i)%eagerPages)*4096
-					port.Write(1, iommu.VirtAddr(va), []byte{1}, func(err error) {
-						if err != nil {
-							b.Fatal(err)
-						}
-						done = true
-					})
-				}
-				for !done && sys.Eng.Step() {
-				}
-			}
-			reportVirtual(b, start, sys)
-		})
-	}
-}
-
-// hugeBenchApp allocates one shared region per iteration (E13).
-type hugeBenchApp struct {
-	id    msg.AppID
-	rt    *smartnic.Runtime
-	ready bool
-}
-
-func (a *hugeBenchApp) AppID() msg.AppID                          { return a.id }
-func (a *hugeBenchApp) Boot(rt *smartnic.Runtime)                 { a.rt = rt; a.ready = true }
-func (a *hugeBenchApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *hugeBenchApp) PeerFailed(msg.DeviceID)                   {}
-
-// BenchmarkE13HugePages measures allocating+mapping an 8 MiB region with
-// 4 KiB vs 2 MiB pages.
-func BenchmarkE13HugePages(b *testing.B) {
-	for _, huge := range []bool{false, true} {
-		name := "4k"
-		if huge {
-			name = "huge"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys := core.MustNew(core.Options{
-				Flavor: core.Decentralized, Seed: 13, NoTrace: true,
-				MemoryBytes: 1 << 30,
-			})
-			if err := sys.Boot(); err != nil {
-				b.Fatal(err)
-			}
-			app := &hugeBenchApp{id: 1}
-			sys.NIC().AddApp(app)
-			sys.Eng.RunFor(sim.Millisecond)
-			if !app.ready {
-				b.Fatal("app not booted")
-			}
-			const region = 8 << 20
-			b.ResetTimer()
-			start := sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				done := false
-				cb := func(va uint64, err error) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Free immediately so memory does not run out across
-					// iterations.
-					app.rt.Free(core.ControlID, va, region, func(err error) {
-						if err != nil {
-							b.Fatal(err)
-						}
-						done = true
-					})
-				}
-				if huge {
-					app.rt.AllocSharedHuge(core.ControlID, region, cb)
-				} else {
-					app.rt.AllocShared(core.ControlID, region, cb)
-				}
-				for !done && sys.Eng.Step() {
-				}
-			}
-			reportVirtual(b, start, sys)
-		})
-	}
-}
-
-// BenchmarkE14FaultRetry measures one KVS get under 5% bus-message loss
-// (setup runs fault-free, then the drop rule switches on). The P2P data
-// plane never crosses the bus so loss costs it nothing; every
-// kernel-mediated I/O is a bus round trip and pays a retransmission
-// timeout per lost message.
-func BenchmarkE14FaultRetry(b *testing.B) {
-	cases := []struct {
-		name     string
-		flavor   core.Flavor
-		mediated bool
-	}{
-		{"p2p-decentralized", core.Decentralized, false},
-		{"kernel-mediated", core.Centralized, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			plane := faultinject.New(14)
-			rig := newBenchRig(b, core.Options{Flavor: c.flavor, Seed: 14, FaultPlane: plane},
-				core.KVSOptions{QueueEntries: 128, Mediated: c.mediated})
-			rig.op(b, kvs.Request{Op: kvs.OpPut, Key: "k", Value: make([]byte, 512)})
-			plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Op: faultinject.Drop, Prob: 0.05})
-			b.ResetTimer()
-			start := rig.sys.Eng.Now()
-			for i := 0; i < b.N; i++ {
-				if s := rig.op(b, kvs.Request{Op: kvs.OpGet, Key: "k"}); s != kvs.StatusOK {
-					b.Fatalf("get status %d", s)
-				}
-			}
-			reportVirtual(b, start, rig.sys)
-		})
-	}
-}
-
 // BenchmarkE10BusSensitivity measures app initialization across bus hop
 // latencies (data-plane gets are covered by E2).
 func BenchmarkE10BusSensitivity(b *testing.B) {
@@ -744,93 +335,4 @@ func BenchmarkE10BusSensitivity(b *testing.B) {
 			runInitIterations(b, opts, kvs.ModeDecentralized, 100)
 		})
 	}
-}
-
-// BenchmarkE15CrashRejoin measures one full crash-restart-rejoin cycle
-// of the SSD under a 500µs bus watchdog: silent death, watchdog
-// detection, bus Reset, device reboot, Hello with a bumped incarnation,
-// rejoin. This is the recovery loop the E15 chaos schedules exercise at
-// scale; vns/op is the virtual time of the whole cycle.
-func BenchmarkE15CrashRejoin(b *testing.B) {
-	rig := newBenchRig(b,
-		core.Options{Flavor: core.Decentralized, Seed: 15, Watchdog: 500 * sim.Microsecond},
-		core.KVSOptions{QueueEntries: 128})
-	sys := rig.sys
-	b.ResetTimer()
-	start := sys.Eng.Now()
-	for i := 0; i < b.N; i++ {
-		sys.SSD().Kill()
-		deadline := sys.Eng.Now().Add(sim.Second)
-		for sys.Bus.Alive(core.FirstSSD) && sys.Eng.Now() < deadline {
-			sys.Eng.RunFor(10 * sim.Microsecond)
-		}
-		for !sys.Bus.Alive(core.FirstSSD) && sys.Eng.Now() < deadline {
-			sys.Eng.RunFor(10 * sim.Microsecond)
-		}
-		if !sys.Bus.Alive(core.FirstSSD) {
-			b.Fatal("ssd never rejoined")
-		}
-	}
-	if got := sys.Bus.Stats().Rejoins; got < uint64(b.N) {
-		b.Fatalf("rejoins = %d, want >= %d", got, b.N)
-	}
-	reportVirtual(b, start, sys)
-}
-
-// BenchmarkE16Overload drives one open-loop window at 2× saturation
-// against a machine with every overload defense armed — the overload the
-// E16 ramp sweeps at full scale. Each iteration is one 2 ms window;
-// goodput/s is the within-deadline completion rate of the final window
-// (short windows are transient-heavy — the steady-state curves are the
-// E16 tables). The Q3 check inside the loop asserts no request is ever
-// silently lost, even at 2× offered load.
-func BenchmarkE16Overload(b *testing.B) {
-	opts := core.Options{Flavor: core.Decentralized, Seed: 16, NoTrace: true}
-	opts.Bus = bus.DefaultConfig
-	opts.Bus.CreditWindow = 32
-	opts.Bus.IngressBound = 64
-	opts.Costs.DMAWindow = 256
-	opts.NIC.RxQueueBound = 128
-	rig := newBenchRig(b, opts, core.KVSOptions{QueueEntries: 128, InflightBound: 32})
-	const keys = 64
-	for i := 0; i < keys; i++ {
-		rig.op(b, kvs.Request{Op: kvs.OpPut, Key: fmt.Sprintf("key-%05d", i), Value: make([]byte, 64)})
-	}
-	plan := overload.Plan{
-		Seed:        16,
-		Saturation:  100_000, // ≈ the E16-calibrated saturation of this flavor
-		Multipliers: []float64{2},
-		Window:      2 * sim.Millisecond,
-		Deadline:    sim.Millisecond,
-	}.MustCompile()
-	target := func(p []byte, reply func([]byte)) {
-		rig.sys.NIC().Deliver(rig.store.AppID(), p, reply)
-	}
-	classify := func(resp []byte) overload.Outcome {
-		r, err := kvs.DecodeResponse(resp)
-		if err != nil || r.Status == kvs.StatusError {
-			return overload.OutcomeError
-		}
-		if r.Status == kvs.StatusShed {
-			return overload.OutcomeShed
-		}
-		return overload.OutcomeOK
-	}
-	gen := func(rd *sim.Rand, seq uint64, deadline uint64) []byte {
-		return kvs.EncodeRequest(kvs.Request{
-			Op: kvs.OpGet, Key: fmt.Sprintf("key-%05d", rd.Intn(keys)), Deadline: deadline,
-		})
-	}
-	b.ResetTimer()
-	start := rig.sys.Eng.Now()
-	var goodput float64
-	for i := 0; i < b.N; i++ {
-		res := plan.RunStep(0, rig.sys.Eng, target, gen, classify)
-		if res.Resolved() != res.Sent {
-			b.Fatalf("%d of %d requests unresolved (Q3)", res.Sent-res.Resolved(), res.Sent)
-		}
-		goodput = res.Goodput
-	}
-	b.ReportMetric(goodput, "goodput/s")
-	reportVirtual(b, start, rig.sys)
 }

@@ -156,21 +156,37 @@ func admit(_ msg.DeviceID, req *msg.OpenReq) (Op, string) {
 	return op, ""
 }
 
-// handlerFor executes one transform request on a compute engine.
-func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Service {
-	return virtio.Handler(func(req []byte, done func([]byte)) {
-		cost := a.cfg.Costs.Setup + sim.Duration(float64(len(req))/a.cfg.Costs.BytesPerNs)
-		a.pool.Submit(cost, func() {
-			out, ok := Transform(c.State, req)
-			a.stats.Ops++
-			a.stats.BytesProcessed += uint64(len(req))
-			if !ok {
-				done([]byte{StatusBadRequest})
-				return
-			}
-			done(append([]byte{StatusOK}, out...))
-		})
-	})
+// handlerFor serves one transform queue: each request runs on a compute
+// engine as an xformJob.
+func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Service { return &xformQueue{a, c} }
+
+type xformQueue struct {
+	a *Accel
+	c *device.Session[Op]
+}
+
+// Serve implements virtio.Service.
+func (q *xformQueue) Serve(req []byte, r virtio.Responder) {
+	cost := q.a.cfg.Costs.Setup + sim.Duration(float64(len(req))/q.a.cfg.Costs.BytesPerNs)
+	q.a.pool.Submit(cost, &xformJob{q, req, r})
+}
+
+// xformJob is one transform request, the event of its engine finishing.
+type xformJob struct {
+	q   *xformQueue
+	req []byte
+	r   virtio.Responder
+}
+
+func (j *xformJob) Fire() {
+	out, ok := Transform(j.q.c.State, j.req)
+	j.q.a.stats.Ops++
+	j.q.a.stats.BytesProcessed += uint64(len(j.req))
+	if !ok {
+		j.r.Complete([]byte{StatusBadRequest})
+		return
+	}
+	j.r.Complete(append([]byte{StatusOK}, out...))
 }
 
 // Transform applies op to data (pure function; also used by clients to
@@ -241,18 +257,22 @@ type Client struct {
 
 // Do runs one transform round trip.
 func (c *Client) Do(data []byte, done func(resp []byte, err error)) {
-	err := c.Conn.Submit(data, func(resp []byte, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		if len(resp) < 1 || resp[0] != StatusOK {
-			done(nil, fmt.Errorf("accel: transform failed"))
-			return
-		}
-		done(resp[1:], nil)
-	})
-	if err != nil {
+	if err := c.Conn.SubmitOp(data, &call{done}); err != nil {
 		done(nil, err)
+	}
+}
+
+// call is one Do in flight, the completion of its queue request: it
+// checks and strips the transform's status byte.
+type call struct{ done func(resp []byte, err error) }
+
+func (c *call) RequestDone(resp []byte, err error) {
+	switch {
+	case err != nil:
+		c.done(nil, err)
+	case len(resp) < 1 || resp[0] != StatusOK:
+		c.done(nil, fmt.Errorf("accel: transform failed"))
+	default:
+		c.done(resp[1:], nil)
 	}
 }

@@ -270,7 +270,7 @@ func New(eng *sim.Engine, cfg Config, tr *trace.Tracer) *Bus {
 	}
 	b.ingressG = metrics.NewGauge(cfg.IngressBound)
 	if cfg.WatchdogTimeout > 0 {
-		b.scheduleWatchdog()
+		b.eng.Schedule(b.cfg.WatchdogTimeout/2, (*watchdog)(b))
 	}
 	return b
 }
@@ -499,7 +499,7 @@ func (h *hop) Fire() {
 			return
 		}
 		h.stage = hopQueued
-		b.proc.SubmitEvent(b.cfg.ProcPerMsg, h)
+		b.proc.Submit(b.cfg.ProcPerMsg, h)
 		b.ingressG.Set(b.proc.Pending())
 	case hopQueued:
 		b.process(h)
@@ -510,10 +510,10 @@ func (h *hop) Fire() {
 		// The stage is final before either copy is queued, and the first
 		// copy is queued first.
 		h.stage = hopArriving
-		b.eng.ScheduleEvent(h.last, h)
+		b.eng.Schedule(h.last, h)
 		if h.dup {
 			twin := *h // same seq: the receiver's dedup window eats it
-			b.eng.ScheduleEvent(h.last, &twin)
+			b.eng.Schedule(h.last, &twin)
 		}
 	case hopArriving:
 		h.arrive()
@@ -533,9 +533,9 @@ func (b *Bus) ingress(env msg.Envelope, d faultinject.Decision) {
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		wire += d.Delay
 	}
-	b.eng.ScheduleEvent(wire, &hop{b: b, env: env})
+	b.eng.Schedule(wire, &hop{b: b, env: env})
 	if d.Op == faultinject.Dup {
-		b.eng.ScheduleEvent(wire, &hop{b: b, env: env})
+		b.eng.Schedule(wire, &hop{b: b, env: env})
 	}
 }
 
@@ -751,7 +751,7 @@ func (b *Bus) process(h *hop) {
 			// The response reaches the requester only after its IOMMU
 			// tables are programmed.
 			h.dst, h.stage = dst, hopProgramming
-			dst.mmuEngine.SubmitEvent(sim.Duration(len(ar.Frames))*b.cfg.MapPerPage, h)
+			dst.mmuEngine.Submit(sim.Duration(len(ar.Frames))*b.cfg.MapPerPage, h)
 			return
 		}
 	}
@@ -805,7 +805,7 @@ func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
 // done the hop propagates for h.last and arrives.
 func (h *hop) egress() {
 	h.stage = hopEgress
-	h.b.egress.SubmitEvent(sim.Duration(float64(msg.EncodedSize(h.env.Msg))/h.b.cfg.BytesPerNs), h)
+	h.b.egress.Submit(sim.Duration(float64(msg.EncodedSize(h.env.Msg))/h.b.cfg.BytesPerNs), h)
 }
 
 // arrive hands the envelope to its destination's handler, unless the
@@ -1095,25 +1095,14 @@ func (b *Bus) handleAuthResp(src *attachment, m *msg.AuthResp) {
 		return
 	}
 	delete(b.pendingGrants, m.Nonce)
-	requester := b.devices[pg.src]
-	reply := func(ok bool, reason string) {
-		if requester == nil {
-			return
-		}
-		if ok {
-			b.stats.GrantsOK++
-		} else {
-			b.stats.GrantsDenied++
-		}
-		b.sendFromBus(requester, &msg.GrantResp{App: pg.req.App, OK: ok, Reason: reason, VA: pg.req.VA, Target: pg.req.Target})
-	}
+	ack := &grantAck{b: b, requester: b.devices[pg.src], pg: pg}
 	if !m.OK {
-		reply(false, m.Reason)
+		ack.reply(false, m.Reason)
 		return
 	}
 	tgt, ok := b.devices[pg.req.Target]
 	if !ok || !tgt.alive || tgt.mmu == nil {
-		reply(false, "target vanished")
+		ack.reply(false, "target vanished")
 		return
 	}
 	// Two authorizations for the same grant can race when the requester
@@ -1121,22 +1110,42 @@ func (b *Bus) handleAuthResp(src *attachment, m *msg.AuthResp) {
 	// would fail on already-installed PTEs. Treat it as the success it is.
 	for _, r := range b.grants[ownerKey{m.App, m.VA}] {
 		if r.target == pg.req.Target {
-			reply(true, "")
+			ack.reply(true, "")
 			return
 		}
 	}
 	pages, err := b.mapFrames(tgt.mmu, m.App, m.VA, m.Frames, m.Perm, m.Huge)
 	if err != nil {
-		reply(false, err.Error())
+		ack.reply(false, err.Error())
 		return
 	}
 	key := ownerKey{m.App, m.VA}
 	b.grants[key] = append(b.grants[key], grantRec{target: pg.req.Target, pages: pages, huge: m.Huge})
 	// The grant is acknowledged only after the target's tables are
 	// programmed.
-	tgt.mmuEngine.Submit(sim.Duration(len(m.Frames))*b.cfg.MapPerPage, func() {
-		reply(true, "")
-	})
+	tgt.mmuEngine.Submit(sim.Duration(len(m.Frames))*b.cfg.MapPerPage, ack)
+}
+
+// grantAck answers a grant's requester: at once, or as the event that ends
+// the target's table programming.
+type grantAck struct {
+	b         *Bus
+	requester *attachment
+	pg        pendingGrant
+}
+
+func (a *grantAck) Fire() { a.reply(true, "") }
+
+func (a *grantAck) reply(ok bool, reason string) {
+	if a.requester == nil {
+		return
+	}
+	if ok {
+		a.b.stats.GrantsOK++
+	} else {
+		a.b.stats.GrantsDenied++
+	}
+	a.b.sendFromBus(a.requester, &msg.GrantResp{App: a.pg.req.App, OK: ok, Reason: reason, VA: a.pg.req.VA, Target: a.pg.req.Target})
 }
 
 // handleRevoke removes a previous grant from the target device.
@@ -1174,17 +1183,19 @@ func (b *Bus) handleRevoke(src *attachment, m *msg.RevokeReq) {
 	b.sendFromBus(src, &msg.RevokeResp{App: m.App, OK: true})
 }
 
-// scheduleWatchdog arms the periodic liveness scan.
-func (b *Bus) scheduleWatchdog() {
-	b.eng.Schedule(b.cfg.WatchdogTimeout/2, func() {
-		now := b.eng.Now()
-		for _, a := range b.order {
-			if a.alive && now.Sub(a.lastHB) > b.cfg.WatchdogTimeout {
-				b.failDevice(a, "watchdog: missed heartbeats")
-			}
+// watchdog is the bus as the event of its periodic liveness scan (a
+// pointer conversion: re-arming it allocates nothing).
+type watchdog Bus
+
+func (w *watchdog) Fire() {
+	b := (*Bus)(w)
+	now := b.eng.Now()
+	for _, a := range b.order {
+		if a.alive && now.Sub(a.lastHB) > b.cfg.WatchdogTimeout {
+			b.failDevice(a, "watchdog: missed heartbeats")
 		}
-		b.scheduleWatchdog()
-	})
+	}
+	b.eng.Schedule(b.cfg.WatchdogTimeout/2, w)
 }
 
 // failDevice marks a device dead, notifies everyone, and attempts a reset

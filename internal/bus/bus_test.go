@@ -445,7 +445,7 @@ func TestWatchdogFailsSilentDevice(t *testing.T) {
 	var beat func()
 	beat = func() {
 		a.port.Send(msg.BusID, &msg.Heartbeat{})
-		h.eng.Schedule(50*sim.Microsecond, beat)
+		h.eng.After(50*sim.Microsecond, beat)
 	}
 	beat()
 	h.eng.RunUntil(sim.Time(400 * sim.Microsecond))

@@ -282,7 +282,7 @@ func TestDestinationDiesInFlight(t *testing.T) {
 			h.boot()
 			before := h.bus.Stats()
 			seq := tc.send(a, b)
-			h.eng.Schedule(tc.flight-500, func() {
+			h.eng.After(tc.flight-500, func() {
 				if tc.alsoKill != 0 {
 					_ = h.bus.FailDevice(tc.alsoKill, "test")
 				}

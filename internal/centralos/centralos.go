@@ -25,8 +25,9 @@
 package centralos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"nocpu/internal/bus"
@@ -119,9 +120,10 @@ type CPU struct {
 	// appVA is the kernel's per-app mmap pointer.
 	appVA map[msg.AppID]uint64
 
-	pendingOpen    map[openKey]*openState
-	pendingConnect map[uint32]func(*msg.ConnectResp) // connID -> continuation
-	kernelConns    map[uint32]*kernelFile            // mediated handles
+	// Syscalls waiting on a provider's OpenResp or ConnectResp.
+	pendingOpen    map[openKey]*syscall
+	pendingConnect map[uint32]*syscall
+	kernelConns    map[uint32]*kernelFile // mediated handles
 	nextHandle     uint32
 
 	// ioOutstanding counts mediated I/Os admitted by sysFileIO and not
@@ -136,9 +138,9 @@ type CPU struct {
 	// to affected apps when the backing device dies.
 	completedOpens map[openKey]*openVerdict
 
-	helloTimer *sim.Timer
+	hello, hb  sim.Timer // the next Hello and heartbeat; Kill stops both
+	boot       sim.Timer // the reboot after a bus Reset
 	helloTries int
-	hbTimer    *sim.Timer
 	hbSeq      uint64
 	alive      bool
 
@@ -154,11 +156,8 @@ type openKey struct {
 	service string
 }
 
-type openState struct {
-	origin   msg.DeviceID
-	service  string // the service name the app used
-	mediated bool
-	token    uint64
+func (k openKey) compare(o openKey) int {
+	return cmp.Or(cmp.Compare(k.app, o.app), strings.Compare(k.service, o.service))
 }
 
 // openVerdict is a completed open: the cached response plus the NIC it
@@ -220,8 +219,8 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		iommus:         make(map[msg.DeviceID]*iommu.IOMMU),
 		registry:       make(map[string]msg.DeviceID),
 		appVA:          make(map[msg.AppID]uint64),
-		pendingOpen:    make(map[openKey]*openState),
-		pendingConnect: make(map[uint32]func(*msg.ConnectResp)),
+		pendingOpen:    make(map[openKey]*syscall),
+		pendingConnect: make(map[uint32]*syscall),
 		kernelConns:    make(map[uint32]*kernelFile),
 		mmaps:          make(map[mmapKey]mmapRec),
 		completedOpens: make(map[openKey]*openVerdict),
@@ -259,8 +258,14 @@ func (c *CPU) sendHello() {
 	}
 	delay := helloRetryBase << uint(c.helloTries)
 	c.helloTries++
-	c.helloTimer = c.eng.After(delay, c.sendHello)
+	c.hello.Arm(c.eng, delay, (*helloRetry)(c))
 }
+
+// helloRetry, heartbeat and reboot are the kernel as an event: pointer
+// conversions, so arming them allocates nothing.
+type helloRetry CPU
+
+func (e *helloRetry) Fire() { (*CPU)(e).sendHello() }
 
 // Stats returns a copy of the counters.
 func (c *CPU) Stats() Stats { return c.stats }
@@ -277,39 +282,40 @@ func (c *CPU) scheduleHeartbeat() {
 	if c.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	c.hbTimer = c.eng.After(c.cfg.HeartbeatEvery, func() {
-		if !c.alive {
-			return
-		}
-		c.hbSeq++
-		c.port.Send(msg.BusID, &msg.Heartbeat{Seq: c.hbSeq})
-		c.scheduleHeartbeat()
-	})
+	c.hb.Arm(c.eng, c.cfg.HeartbeatEvery, (*heartbeat)(c))
+}
+
+type heartbeat CPU
+
+func (e *heartbeat) Fire() {
+	c := (*CPU)(e)
+	if !c.alive {
+		return
+	}
+	c.hbSeq++
+	c.port.Send(msg.BusID, &msg.Heartbeat{Seq: c.hbSeq})
+	c.scheduleHeartbeat()
 }
 
 // Kill simulates a kernel panic (fault injection): the CPU stops
 // answering syscalls and heartbeats until the bus watchdog resets it.
 func (c *CPU) Kill() {
 	c.alive = false
-	if c.helloTimer != nil {
-		c.helloTimer.Stop()
-		c.helloTimer = nil
-	}
-	if c.hbTimer != nil {
-		c.hbTimer.Stop()
-		c.hbTimer = nil
-	}
+	c.hello.Stop()
+	c.hb.Stop()
 }
 
 // onBusReset runs the baseline's recovery: after ResetDelay the kernel
-// reboots with a new incarnation.
+// reboots with a new incarnation. ResetDelay 0 means no recovery path (the
+// pre-crash-work machines). A second Reset before the reboot (the bus
+// resends one for each heartbeat it gets from a device it failed) joins the
+// reboot already coming, as a device mid-reset ignores one.
 func (c *CPU) onBusReset(m *msg.Reset) {
-	if c.cfg.ResetDelay <= 0 {
-		// No recovery path configured (the pre-crash-work machines).
+	if c.cfg.ResetDelay <= 0 || c.boot.Pending() {
 		return
 	}
 	c.Kill()
-	c.eng.Schedule(c.cfg.ResetDelay, c.reboot)
+	c.boot.Arm(c.eng, c.cfg.ResetDelay, (*reboot)(c))
 }
 
 // reboot is the kernel's crash-recovery path — and the baseline's
@@ -324,28 +330,32 @@ func (c *CPU) onBusReset(m *msg.Reset) {
 // device's resources. Physical frames reachable only through the lost
 // tables leak until a full power cycle; the reproduction accepts that
 // (bounded by crashes per run) rather than pretending the kernel can
-// recover state it no longer has.
-func (c *CPU) reboot() {
+// recover state it no longer has. A syscall the dead incarnation admitted
+// does nothing when its next stage comes up (syscall.Fire), so the mediated
+// I/Os it held are no longer outstanding.
+type reboot CPU
+
+func (e *reboot) Fire() {
+	c := (*CPU)(e)
 	c.port.NewIncarnation()
-	for _, id := range c.sortedIOMMUs() {
+	for _, id := range sortedKeys(c.iommus, cmp.Compare[msg.DeviceID]) {
 		flushContexts(c.iommus[id])
 	}
 	flushContexts(c.mmu)
-	for _, h := range c.sortedHandles() {
+	for _, h := range sortedKeys(c.kernelConns, cmp.Compare[uint32]) {
 		c.kernelConns[h].drv.Quiesce()
 	}
 	c.kernelConns = make(map[uint32]*kernelFile)
-	c.pendingOpen = make(map[openKey]*openState)
-	c.pendingConnect = make(map[uint32]func(*msg.ConnectResp))
+	c.pendingOpen = make(map[openKey]*syscall)
+	c.pendingConnect = make(map[uint32]*syscall)
 	c.completedOpens = make(map[openKey]*openVerdict)
 	c.mmaps = make(map[mmapKey]mmapRec)
 	c.appVA = make(map[msg.AppID]uint64)
+	c.ioOutstanding = 0
+	c.ioG.Set(0)
 	c.stats.Reboots++
 	c.tr.Record(c.eng.Now(), c.cfg.Name, "", "kernel.reboot", fmt.Sprintf("inc=%d", c.port.Incarnation()))
-	c.alive = true
-	c.helloTries = 0
-	c.sendHello()
-	c.scheduleHeartbeat()
+	c.Start()
 }
 
 // flushContexts destroys every live PASID context on one unit.
@@ -355,49 +365,15 @@ func flushContexts(u *iommu.IOMMU) {
 	}
 }
 
-func (c *CPU) sortedIOMMUs() []msg.DeviceID {
-	ids := make([]msg.DeviceID, 0, len(c.iommus))
-	for id := range c.iommus {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func (c *CPU) sortedHandles() []uint32 {
-	hs := make([]uint32, 0, len(c.kernelConns))
-	for h := range c.kernelConns {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	return hs
-}
-
-func (c *CPU) sortedOpenKeys(m map[openKey]*openState) []openKey {
-	ks := make([]openKey, 0, len(m))
+// sortedKeys returns m's keys in the order compare gives, for the loops
+// whose effects must not follow map order.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	ks := make([]K, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sortOpenKeys(ks)
+	slices.SortFunc(ks, compare)
 	return ks
-}
-
-func (c *CPU) sortedCompletedKeys() []openKey {
-	ks := make([]openKey, 0, len(c.completedOpens))
-	for k := range c.completedOpens {
-		ks = append(ks, k)
-	}
-	sortOpenKeys(ks)
-	return ks
-}
-
-func sortOpenKeys(ks []openKey) {
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].app != ks[j].app {
-			return ks[i].app < ks[j].app
-		}
-		return ks[i].service < ks[j].service
-	})
 }
 
 // AttachDeviceIOMMU gives the kernel its MMIO handle to a device's
@@ -443,15 +419,18 @@ func (c *CPU) receive(env msg.Envelope) {
 	}
 	switch m := env.Msg.(type) {
 	case *msg.OpenReq:
-		c.sysOpen(env.Src, m)
+		c.stats.Syscalls++
+		c.trap(env.Src, m, c.cfg.SyscallCost+c.cfg.RegistryCost)
 	case *msg.OpenResp:
 		c.onDeviceOpenResp(env.Src, m)
-	case *msg.ConnectReq:
-		c.sysConnect(env.Src, m)
+	case *msg.ConnectReq, *msg.CloseReq:
+		c.stats.Syscalls++
+		c.trap(env.Src, m, c.cfg.SyscallCost)
 	case *msg.ConnectResp:
-		c.onDeviceConnectResp(env.Src, m)
-	case *msg.CloseReq:
-		c.sysClose(env.Src, m)
+		if s, ok := c.pendingConnect[m.ConnID]; ok {
+			delete(c.pendingConnect, m.ConnID)
+			c.connected(s, m)
+		}
 	case *msg.FileIOReq:
 		c.sysFileIO(env.Src, m)
 	case *msg.AllocReq:
@@ -459,10 +438,7 @@ func (c *CPU) receive(env msg.Envelope) {
 	case *msg.FreeReq:
 		c.sysMunmap(env.Src, m)
 	case *msg.HelloAck:
-		if c.helloTimer != nil {
-			c.helloTimer.Stop()
-			c.helloTimer = nil
-		}
+		c.hello.Stop()
 	case *msg.DeviceFailed:
 		c.onPeerFailed(m.Device)
 	case *msg.CreditUpdate:
@@ -477,12 +453,12 @@ func (c *CPU) receive(env msg.Envelope) {
 // at-most-once open cache forgets verdicts that named it so a post-reset
 // reopen re-runs the real work instead of replaying a dead connection.
 func (c *CPU) onPeerFailed(dev msg.DeviceID) {
-	for _, k := range c.sortedOpenKeys(c.pendingOpen) {
-		if st := c.pendingOpen[k]; st.origin == dev {
+	for k, s := range c.pendingOpen {
+		if s.src == dev {
 			delete(c.pendingOpen, k)
 		}
 	}
-	for _, k := range c.sortedCompletedKeys() {
+	for _, k := range sortedKeys(c.completedOpens, openKey.compare) {
 		v := c.completedOpens[k]
 		name := v.resp.Service
 		mediated := false
@@ -515,13 +491,11 @@ func (c *CPU) onPeerFailed(dev msg.DeviceID) {
 	}
 	// Mediated handles ride kernel→device queues; when the device died the
 	// endpoint half is gone for good (it drops connections on reset).
-	for _, h := range c.sortedHandles() {
-		kf := c.kernelConns[h]
-		if kf.dev != dev {
-			continue
+	for _, h := range sortedKeys(c.kernelConns, cmp.Compare[uint32]) {
+		if kf := c.kernelConns[h]; kf.dev == dev {
+			kf.drv.Quiesce()
+			delete(c.kernelConns, h)
 		}
-		kf.drv.Quiesce()
-		delete(c.kernelConns, h)
 	}
 }
 
@@ -576,212 +550,239 @@ func (c *CPU) vaFor(app msg.AppID, bytes uint64) uint64 {
 	return va
 }
 
-// sysOpen handles the open syscall, both direct ("file:X") and mediated
-// ("mediated:X").
-func (c *CPU) sysOpen(src msg.DeviceID, m *msg.OpenReq) {
-	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost+c.cfg.RegistryCost, func() {
-		if done, ok := c.completedOpens[openKey{m.App, m.Service}]; ok {
-			// Retransmitted open (lost response): replay the recorded
-			// verdict rather than mmap a second region.
-			resp := *done.resp
-			c.port.Send(src, &resp)
-			return
+// syscall is one kernel entry as a record, from the trap to the answer:
+// who made it, what it asked, the kernel incarnation that admitted it and
+// the stage it is in. It is the event of every stage the cores run (the
+// entry, an open's mmap work, a mediated I/O's completion interrupt), what
+// an open or a connect leaves in pendingOpen/pendingConnect, and the
+// virtio.Completion of a mediated I/O.
+type syscall struct {
+	c         *CPU
+	src       msg.DeviceID
+	inc       uint32
+	req       msg.Message
+	stage     sysStage
+	grant     *msg.OpenResp   // an open: the provider's answer
+	mmus      [2]*iommu.IOMMU // what an open (both) or mmap maps into, munmap out of
+	va, bytes uint64
+	frames    []physmem.Frame
+	kf        *kernelFile // a mediated open's queue, a mediated I/O's handle
+	resp      smartssd.FileResp
+}
+
+type sysStage uint8
+
+const (
+	sysEntry     sysStage = iota // trap, dispatch and the call's own work
+	sysMap                       // an open's mmap + grant of the queue region
+	sysInterrupt                 // a mediated I/O's completion interrupt and copy-out
+)
+
+// trap admits a syscall: its entry runs on a core after cost.
+func (c *CPU) trap(src msg.DeviceID, req msg.Message, cost sim.Duration) *syscall {
+	s := &syscall{c: c, src: src, inc: c.port.Incarnation(), req: req}
+	c.cores.Submit(cost, s)
+	return s
+}
+
+// Fire runs the stage the cores just finished. A stage a previous
+// incarnation admitted does nothing: the kernel that took the call is
+// gone, and so is everything the stage would read or write.
+func (s *syscall) Fire() {
+	c := s.c
+	if s.inc != c.port.Incarnation() {
+		return
+	}
+	switch s.stage {
+	case sysMap:
+		c.mapQueue(s)
+	case sysInterrupt:
+		s.completeIO(s.resp)
+	default:
+		switch m := s.req.(type) {
+		case *msg.OpenReq:
+			c.open(s, m)
+		case *msg.ConnectReq:
+			c.connect(s, m)
+		case *msg.CloseReq:
+			c.close(s, m)
+		case *msg.FileIOReq:
+			if err := s.kf.drv.SubmitOp(smartssd.EncodeFileReq(smartssd.FileReq{
+				Op: smartssd.FileOp(m.Op), Off: m.Off, Len: m.Len, Data: m.Data,
+			}), s); err != nil {
+				s.completeIO(smartssd.FileResp{Status: smartssd.StatusIOError})
+			}
+		case *msg.AllocReq:
+			c.mmap(s, m)
+		case *msg.FreeReq:
+			c.munmap(s, m)
 		}
-		mediated := false
-		name := m.Service
-		if n, ok := strings.CutPrefix(name, "mediated:"); ok {
-			mediated = true
-			name = n
-		} else if n, ok := strings.CutPrefix(name, "file:"); ok {
-			name = n
-		} else {
-			c.port.Send(src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: "unknown service class"})
-			return
-		}
-		dev, ok := c.registry[name]
-		if !ok {
-			c.port.Send(src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: "no such file in registry"})
-			return
-		}
-		c.pendingOpen[openKey{m.App, "file:" + name}] = &openState{
-			origin: src, service: m.Service, mediated: mediated, token: m.Token,
-		}
-		c.port.Send(dev, &msg.OpenReq{Service: "file:" + name, App: m.App, Token: m.Token})
-	})
+	}
+}
+
+// open runs the open syscall, both direct ("file:X") and mediated
+// ("mediated:X"), up to the provider's OpenResp.
+func (c *CPU) open(s *syscall, m *msg.OpenReq) {
+	if done, ok := c.completedOpens[openKey{m.App, m.Service}]; ok {
+		// Retransmitted open (lost response): replay the recorded
+		// verdict rather than mmap a second region.
+		resp := *done.resp
+		c.port.Send(s.src, &resp)
+		return
+	}
+	name, ok := strings.CutPrefix(m.Service, "mediated:")
+	if !ok {
+		name, ok = strings.CutPrefix(m.Service, "file:")
+	}
+	if !ok {
+		c.refuseOpen(s, "unknown service class")
+		return
+	}
+	dev, ok := c.registry[name]
+	if !ok {
+		c.refuseOpen(s, "no such file in registry")
+		return
+	}
+	c.pendingOpen[openKey{m.App, "file:" + name}] = s
+	c.port.Send(dev, &msg.OpenReq{Service: "file:" + name, App: m.App, Token: m.Token})
+}
+
+// refuseOpen answers the app's open with a refusal.
+func (c *CPU) refuseOpen(s *syscall, reason string) {
+	m := s.req.(*msg.OpenReq)
+	c.port.Send(s.src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: reason})
+}
+
+// openDone records the open's verdict for replay and answers the app.
+func (c *CPU) openDone(s *syscall, resp *msg.OpenResp) {
+	c.completedOpens[openKey{resp.App, resp.Service}] = &openVerdict{resp: resp, origin: s.src}
+	out := *resp
+	c.port.Send(s.src, &out)
 }
 
 // onDeviceOpenResp continues an open after the device answered the
-// kernel.
+// kernel: the kernel performs the mmap + grant in one step, mapping the
+// queue region into the provider and into the app's device (direct) or
+// its own unit (mediated).
 func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
-	st, ok := c.pendingOpen[openKey{m.App, m.Service}]
+	s, ok := c.pendingOpen[openKey{m.App, m.Service}]
 	if !ok {
 		return
 	}
 	delete(c.pendingOpen, openKey{m.App, m.Service})
 	if !m.OK {
-		c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: m.Reason})
+		c.refuseOpen(s, m.Reason)
 		return
 	}
-	if st.mediated {
-		c.openMediated(dev, st, m)
-		return
+	first, ok1 := c.iommus[s.src]
+	if strings.HasPrefix(s.req.(*msg.OpenReq).Service, "mediated:") {
+		first, ok1 = c.mmu, true
+		s.kf = &kernelFile{app: m.App, dev: dev, completed: make(map[uint32]*msg.FileIOResp), inflight: make(map[uint32]bool)}
 	}
-	// Direct mode: kernel performs the mmap + grant in one step, mapping
-	// the region into both the app's device and the provider.
-	cellSize := virtio.CellSizeFromQuote(m.SharedBytes, 128)
-	lay := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
-	bytes := uint64(lay.DataVA) + uint64(lay.DataBytes())
-	va := c.vaFor(m.App, bytes)
-	appMMU, ok1 := c.iommus[st.origin]
 	devMMU, ok2 := c.iommus[dev]
 	if !ok1 || !ok2 {
-		c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: "kernel has no IOMMU handle"})
+		c.refuseOpen(s, "kernel has no IOMMU handle")
 		return
 	}
-	pages := pagesOf(bytes)
-	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
-		if _, err := c.mapRegion(m.App, va, bytes, appMMU, devMMU); err != nil {
-			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
-			return
-		}
-		resp := &msg.OpenResp{
-			Service: st.service, App: m.App, OK: true,
-			ConnID: m.ConnID, SharedBytes: m.SharedBytes, Base: va,
-		}
-		c.completedOpens[openKey{m.App, st.service}] = &openVerdict{resp: resp, origin: st.origin}
-		out := *resp
-		c.port.Send(st.origin, &out)
+	lay := virtio.NewLayout(0, c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
+	s.bytes = uint64(lay.DataVA) + uint64(lay.DataBytes())
+	s.va = c.vaFor(m.App, s.bytes)
+	s.grant, s.mmus, s.stage = m, [2]*iommu.IOMMU{first, devMMU}, sysMap
+	c.cores.Submit(sim.Duration(2*pagesOf(s.bytes))*c.cfg.MmapPerPage, s)
+}
+
+// mapQueue is an open's mmap + grant. A direct open is done; a mediated
+// one goes on to connect the kernel's own driver to the device endpoint.
+func (c *CPU) mapQueue(s *syscall) {
+	m, app := s.grant, s.req.(*msg.OpenReq)
+	if _, err := c.mapRegion(m.App, s.va, s.bytes, s.mmus[:]...); err != nil {
+		c.refuseOpen(s, err.Error())
+		return
+	}
+	if s.kf == nil {
+		c.openDone(s, &msg.OpenResp{
+			Service: app.Service, App: m.App, OK: true,
+			ConnID: m.ConnID, SharedBytes: m.SharedBytes, Base: s.va,
+		})
+		return
+	}
+	lay := virtio.NewLayout(iommu.VirtAddr(s.va), c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
+	drv, err := virtio.NewDriver(c.dma, iommu.PASID(m.App), lay, 0)
+	if err != nil {
+		c.refuseOpen(s, err.Error())
+		return
+	}
+	c.nextHandle++
+	s.kf.handle, s.kf.drv = c.nextHandle, drv
+	c.pendingConnect[m.ConnID] = s
+	c.port.Send(s.kf.dev, &msg.ConnectReq{Service: m.Service, ConnID: m.ConnID, App: m.App,
+		RingVA: uint64(lay.Base), RingEntries: c.cfg.QueueEntries, DataVA: uint64(lay.DataVA),
+		DataBytes: uint64(lay.DataBytes()), RespDoorbell: uint64(drv.RespBell)})
+}
+
+// connect forwards a direct-mode connect syscall to the provider.
+func (c *CPU) connect(s *syscall, m *msg.ConnectReq) {
+	name, ok := strings.CutPrefix(m.Service, "file:")
+	if !ok {
+		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "unknown service class"})
+		return
+	}
+	dev, ok := c.registry[name]
+	if !ok {
+		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "no such file"})
+		return
+	}
+	c.pendingConnect[m.ConnID] = s
+	fwd := *m
+	c.port.Send(dev, &fwd)
+}
+
+// connected hands the provider's ConnectResp to the syscall waiting on it:
+// a forwarded connect, or a mediated open whose queue is now connected.
+func (c *CPU) connected(s *syscall, cr *msg.ConnectResp) {
+	if _, fwd := s.req.(*msg.ConnectReq); fwd {
+		out := *cr
+		c.port.Send(s.src, &out)
+		return
+	}
+	if !cr.OK {
+		c.refuseOpen(s, cr.Reason)
+		return
+	}
+	var bell uint64
+	if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
+		c.refuseOpen(s, "no doorbell")
+		return
+	}
+	s.kf.drv.SetRequestBell(bell)
+	c.kernelConns[s.kf.handle] = s.kf
+	c.openDone(s, &msg.OpenResp{
+		Service: s.req.(*msg.OpenReq).Service, App: s.kf.app, OK: true,
+		ConnID: s.kf.handle, SharedBytes: uint64(s.kf.drv.CellSize() - smartssd.ReqHeaderBytes),
 	})
 }
 
-// sysConnect forwards a direct-mode connect syscall to the provider.
-func (c *CPU) sysConnect(src msg.DeviceID, m *msg.ConnectReq) {
-	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost, func() {
-		name, ok := strings.CutPrefix(m.Service, "file:")
-		if !ok {
-			c.port.Send(src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "unknown service class"})
-			return
-		}
-		dev, ok := c.registry[name]
-		if !ok {
-			c.port.Send(src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "no such file"})
-			return
-		}
-		c.pendingConnect[m.ConnID] = func(cr *msg.ConnectResp) {
-			fwd := *cr
-			c.port.Send(src, &fwd)
-		}
+// close runs a close syscall: the kernel's own mediated handle is dropped
+// here; a direct connection's close is forwarded to its provider.
+func (c *CPU) close(s *syscall, m *msg.CloseReq) {
+	if _, ok := c.kernelConns[m.ConnID]; ok {
+		delete(c.kernelConns, m.ConnID)
+	} else if dev, ok := c.registry[strings.TrimPrefix(m.Service, "file:")]; ok {
 		fwd := *m
 		c.port.Send(dev, &fwd)
-	})
-}
-
-// onDeviceConnectResp dispatches the provider's answer to whichever open
-// flow is waiting (app forward or kernel mediated setup).
-func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, m *msg.ConnectResp) {
-	cont, ok := c.pendingConnect[m.ConnID]
-	if !ok {
-		return
+		// Fire-and-forget: the provider's CloseResp returns to the
+		// kernel and is dropped; the app's close is acknowledged here.
 	}
-	delete(c.pendingConnect, m.ConnID)
-	cont(m)
+	c.port.Send(s.src, &msg.CloseResp{ConnID: m.ConnID, OK: true})
 }
 
-// sysClose forwards a close syscall.
-func (c *CPU) sysClose(src msg.DeviceID, m *msg.CloseReq) {
-	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost, func() {
-		if kf, ok := c.kernelConns[m.ConnID]; ok {
-			delete(c.kernelConns, m.ConnID)
-			_ = kf
-			c.port.Send(src, &msg.CloseResp{ConnID: m.ConnID, OK: true})
-			return
-		}
-		name, _ := strings.CutPrefix(m.Service, "file:")
-		if dev, ok := c.registry[name]; ok {
-			fwd := *m
-			c.port.Send(dev, &fwd)
-			// Fire-and-forget: the provider's CloseResp returns to the
-			// kernel and is dropped; the app's close is acknowledged
-			// here.
-		}
-		c.port.Send(src, &msg.CloseResp{ConnID: m.ConnID, OK: true})
-	})
-}
-
-// openMediated builds the kernel's own queue to the device.
-func (c *CPU) openMediated(dev msg.DeviceID, st *openState, m *msg.OpenResp) {
-	devMMU, ok := c.iommus[dev]
-	if !ok {
-		c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: "kernel has no IOMMU handle"})
-		return
-	}
-	cellSize := virtio.CellSizeFromQuote(m.SharedBytes, 128)
-	lay0 := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
-	bytes := uint64(lay0.DataVA) + uint64(lay0.DataBytes())
-	va := c.vaFor(m.App, bytes)
-	pages := pagesOf(bytes)
-	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
-		if _, err := c.mapRegion(m.App, va, bytes, c.mmu, devMMU); err != nil {
-			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
-			return
-		}
-		lay := virtio.NewLayout(iommu.VirtAddr(va), c.cfg.QueueEntries, cellSize)
-		drv, err := virtio.NewDriver(c.dma, iommu.PASID(m.App), lay, 0)
-		if err != nil {
-			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
-			return
-		}
-		c.nextHandle++
-		handle := c.nextHandle
-		// Connect the kernel driver to the device endpoint.
-		connDone := func(cr *msg.ConnectResp) {
-			if !cr.OK {
-				c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: cr.Reason})
-				return
-			}
-			var bell uint64
-			if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
-				c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: "no doorbell"})
-				return
-			}
-			drv.SetRequestBell(bell)
-			c.kernelConns[handle] = &kernelFile{handle: handle, app: m.App, dev: dev, drv: drv, completed: make(map[uint32]*msg.FileIOResp), inflight: make(map[uint32]bool)}
-			maxIO := cellSize - smartssd.ReqHeaderBytes
-			resp := &msg.OpenResp{
-				Service: st.service, App: m.App, OK: true,
-				ConnID: handle, SharedBytes: uint64(maxIO),
-			}
-			c.completedOpens[openKey{m.App, st.service}] = &openVerdict{resp: resp, origin: st.origin}
-			out := *resp
-			c.port.Send(st.origin, &out)
-		}
-		c.pendingConnect[m.ConnID] = connDone
-		c.port.Send(dev, &msg.ConnectReq{
-			Service:      m.Service,
-			ConnID:       m.ConnID,
-			App:          m.App,
-			RingVA:       uint64(lay.Base),
-			RingEntries:  c.cfg.QueueEntries,
-			DataVA:       uint64(lay.DataVA),
-			DataBytes:    uint64(lay.DataBytes()),
-			RespDoorbell: uint64(drv.RespBell),
-		})
-	})
-}
-
-// sysFileIO executes a mediated I/O on behalf of the app.
+// sysFileIO admits a mediated I/O on behalf of the app.
 func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 	c.stats.Syscalls++
 	c.stats.MediatedIOs++
 	kf, ok := c.kernelConns[m.Handle]
-	reject := func(status smartssd.Status) {
-		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(status)})
-	}
 	if !ok || kf.app != m.App {
-		reject(smartssd.StatusBadRequest)
+		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBadRequest)})
 		return
 	}
 	// At-most-once: replay a completed syscall's response; swallow a
@@ -800,57 +801,50 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 	// is retryable, and a retransmit competes for admission afresh.
 	if bound := c.cfg.IOBacklogBound; bound > 0 && c.ioOutstanding >= bound {
 		c.stats.IOShed++
-		reject(smartssd.StatusBusy)
+		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBusy)})
 		return
 	}
 	kf.inflight[m.Seq] = true
 	c.ioOutstanding++
 	c.ioG.Set(c.ioOutstanding)
-	// complete records the final response for replay, then sends it.
-	complete := func(resp *msg.FileIOResp) {
-		c.ioOutstanding--
-		c.ioG.Set(c.ioOutstanding)
-		delete(kf.inflight, m.Seq)
-		kf.completed[m.Seq] = resp
-		if m.Seq > ioWindow {
-			delete(kf.completed, m.Seq-ioWindow)
-		}
-		out := *resp
-		c.port.Send(src, &out)
-	}
-	fail := func(status smartssd.Status) {
-		complete(&msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(status)})
-	}
 	// Copy-in for writes (app buffer -> kernel page cache).
 	inCopy := sim.Duration(float64(len(m.Data)) / c.cfg.CopyBytesPerNs)
 	c.stats.BytesCopied += uint64(len(m.Data))
-	c.cores.Submit(c.cfg.SyscallCost+inCopy, func() {
-		req := smartssd.FileReq{Op: smartssd.FileOp(m.Op), Off: m.Off, Len: m.Len, Data: m.Data}
-		err := kf.drv.Submit(smartssd.EncodeFileReq(req), func(respBytes []byte, err error) {
-			if err != nil {
-				fail(smartssd.StatusIOError)
-				return
-			}
-			resp, derr := smartssd.DecodeFileResp(respBytes)
-			if derr != nil {
-				fail(smartssd.StatusIOError)
-				return
-			}
-			// Completion interrupt + copy-out (kernel -> app buffer).
-			outCopy := sim.Duration(float64(len(resp.Data)) / c.cfg.CopyBytesPerNs)
-			c.stats.BytesCopied += uint64(len(resp.Data))
-			c.stats.Interrupts++
-			c.cores.Submit(c.cfg.InterruptCost+outCopy, func() {
-				complete(&msg.FileIOResp{
-					App: m.App, Handle: m.Handle, Seq: m.Seq,
-					Status: uint8(resp.Status), Size: resp.Size, Data: resp.Data,
-				})
-			})
-		})
-		if err != nil {
-			fail(smartssd.StatusIOError)
-		}
-	})
+	c.trap(src, m, c.cfg.SyscallCost+inCopy).kf = kf
+}
+
+// RequestDone implements virtio.Completion for a mediated I/O: the device
+// answered, and a completion interrupt copies the answer out.
+func (s *syscall) RequestDone(b []byte, err error) {
+	if err == nil {
+		s.resp, err = smartssd.DecodeFileResp(b)
+	}
+	if err != nil {
+		s.completeIO(smartssd.FileResp{Status: smartssd.StatusIOError})
+		return
+	}
+	c := s.c
+	outCopy := sim.Duration(float64(len(s.resp.Data)) / c.cfg.CopyBytesPerNs)
+	c.stats.BytesCopied += uint64(len(s.resp.Data))
+	c.stats.Interrupts++
+	s.stage = sysInterrupt
+	c.cores.Submit(c.cfg.InterruptCost+outCopy, s)
+}
+
+// completeIO records a mediated I/O's final response for replay, then
+// sends it.
+func (s *syscall) completeIO(r smartssd.FileResp) {
+	c, m, kf := s.c, s.req.(*msg.FileIOReq), s.kf
+	c.ioOutstanding--
+	c.ioG.Set(c.ioOutstanding)
+	delete(kf.inflight, m.Seq)
+	resp := &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(r.Status), Size: r.Size, Data: r.Data}
+	kf.completed[m.Seq] = resp
+	if m.Seq > ioWindow {
+		delete(kf.completed, m.Seq-ioWindow)
+	}
+	out := *resp
+	c.port.Send(s.src, &out)
 }
 
 type mmapKey struct {
@@ -885,41 +879,41 @@ func (c *CPU) sysMmap(src msg.DeviceID, m *msg.AllocReq) {
 		deny("region exists")
 		return
 	}
-	pages := pagesOf(m.Bytes)
-	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
-		frames, err := c.mapRegion(m.App, m.VA, m.Bytes, mmu)
-		if err != nil {
-			deny(err.Error())
-			return
-		}
-		out := make([]uint64, len(frames))
-		for i, f := range frames {
-			out[i] = uint64(f)
-		}
-		c.mmaps[mmapKey{m.App, m.VA}] = mmapRec{dev: src, frames: frames}
-		c.port.Send(src, &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm})
-	})
+	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(pagesOf(m.Bytes))*c.cfg.MmapPerPage).mmus[0] = mmu
+}
+
+func (c *CPU) mmap(s *syscall, m *msg.AllocReq) {
+	frames, err := c.mapRegion(m.App, m.VA, m.Bytes, s.mmus[0])
+	if err != nil {
+		c.port.Send(s.src, &msg.AllocResp{App: m.App, OK: false, Reason: err.Error(), VA: m.VA})
+		return
+	}
+	out := make([]uint64, len(frames))
+	for i, f := range frames {
+		out[i] = uint64(f)
+	}
+	c.mmaps[mmapKey{m.App, m.VA}] = mmapRec{dev: s.src, frames: frames}
+	c.port.Send(s.src, &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm})
 }
 
 // sysMunmap releases a region mapped by sysMmap.
 func (c *CPU) sysMunmap(src msg.DeviceID, m *msg.FreeReq) {
 	c.stats.Syscalls++
-	deny := func(reason string) {
-		c.port.Send(src, &msg.FreeResp{App: m.App, OK: false, Reason: reason, VA: m.VA})
-	}
 	rec, ok := c.mmaps[mmapKey{m.App, m.VA}]
 	if !ok || rec.dev != src {
-		deny("no such region")
+		c.port.Send(src, &msg.FreeResp{App: m.App, OK: false, Reason: "no such region", VA: m.VA})
 		return
 	}
-	mmu := c.iommus[src]
-	pages := len(rec.frames)
-	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
-		mmu.UnmapRange(iommu.PASID(m.App), iommu.VirtAddr(m.VA), pages, false)
-		for _, f := range rec.frames {
-			_ = c.mem.FreeFrames(f, 1)
-		}
-		delete(c.mmaps, mmapKey{m.App, m.VA})
-		c.port.Send(src, &msg.FreeResp{App: m.App, OK: true, VA: m.VA, Bytes: uint64(pages) * physmem.PageSize})
-	})
+	s := c.trap(src, m, c.cfg.SyscallCost+sim.Duration(len(rec.frames))*c.cfg.MmapPerPage)
+	s.mmus[0], s.frames = c.iommus[src], rec.frames
+}
+
+func (c *CPU) munmap(s *syscall, m *msg.FreeReq) {
+	pages := len(s.frames)
+	s.mmus[0].UnmapRange(iommu.PASID(m.App), iommu.VirtAddr(m.VA), pages, false)
+	for _, f := range s.frames {
+		_ = c.mem.FreeFrames(f, 1)
+	}
+	delete(c.mmaps, mmapKey{m.App, m.VA})
+	c.port.Send(s.src, &msg.FreeResp{App: m.App, OK: true, VA: m.VA, Bytes: uint64(pages) * physmem.PageSize})
 }

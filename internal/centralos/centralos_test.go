@@ -26,6 +26,7 @@ const (
 
 type centralbed struct {
 	eng   *sim.Engine
+	tr    *trace.Tracer
 	bus   *bus.Bus
 	cpu   *CPU
 	ssd   *smartssd.SSD
@@ -35,8 +36,8 @@ type centralbed struct {
 
 func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	t.Helper()
-	cb := &centralbed{eng: sim.NewEngine()}
-	tr := trace.New(0)
+	cb := &centralbed{eng: sim.NewEngine(), tr: trace.New(0)}
+	tr := cb.tr
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	fab := interconnect.NewFabric(cb.eng, mem, interconnect.DefaultCosts)
 	// No memory controller attaches: the bus is pure transport here.
@@ -286,6 +287,139 @@ func TestKernelMmapChargesCPUTime(t *testing.T) {
 	if got := cb.eng.Now().Sub(start); got < minWork {
 		t.Fatalf("mmap took %v, below kernel work %v", got, minWork)
 	}
+}
+
+// A syscall admitted before a kernel reboot does not run after it. At
+// 1.5us of trap and 16us of mapping, a 64-page mmap is still in service
+// when a 5us reboot completes; its stage must not map into the IOMMU the
+// reboot flushed, write the new kernel's region table or answer.
+func TestSyscallDoesNotOutliveReboot(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	cb.cpu.cfg.ResetDelay = 5 * sim.Microsecond
+	nicDev := cb.nic.Device()
+	var alloc *msg.AllocResp
+	nicDev.Handle(msg.KindAllocResp, func(e msg.Envelope) { alloc = e.Msg.(*msg.AllocResp) })
+	nicDev.Send(cpuID, &msg.AllocReq{App: 60, VA: 0x5000_0000, Bytes: 64 * physmem.PageSize})
+	for cb.cpu.cores.Pending() == 0 && cb.eng.Step() {
+	}
+	if err := cb.bus.FailDevice(cpuID, "test"); err != nil {
+		t.Fatal(err)
+	}
+	cb.eng.Run()
+	if n := cb.cpu.Stats().Reboots; n != 1 {
+		t.Fatalf("kernel rebooted %d times, want 1", n)
+	}
+	if alloc != nil {
+		t.Errorf("the rebooted kernel answered its predecessor's mmap: %+v", alloc)
+	}
+	if _, _, ok := nicDev.IOMMU().Lookup(60, 0x5000_0000); ok {
+		t.Error("a stale mmap stage mapped into the flushed IOMMU")
+	}
+	if len(cb.cpu.mmaps) != 0 {
+		t.Errorf("the rebooted kernel's region table holds %d stale regions", len(cb.cpu.mmaps))
+	}
+}
+
+// A mediated I/O the kernel held when it rebooted is no longer outstanding.
+// Its next stage does nothing after the reboot, and a request stranded in
+// a quiesced queue never completes, so only the reboot can give its slot
+// of the backlog bound back.
+func TestRebootForgetsMediatedIOs(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	cb.cpu.cfg.ResetDelay = 1 * sim.Microsecond
+	var h uint32
+	for h = range cb.cpu.kernelConns {
+	}
+	cb.nic.Device().Send(cpuID, &msg.FileIOReq{App: 10, Handle: h, Seq: 100, Op: uint8(smartssd.OpWrite), Data: make([]byte, 4096)})
+	for cb.cpu.cores.Pending() == 0 && cb.eng.Step() {
+	}
+	if cb.cpu.ioOutstanding != 1 {
+		t.Fatalf("%d mediated I/Os outstanding before the reboot, want 1", cb.cpu.ioOutstanding)
+	}
+	if err := cb.bus.FailDevice(cpuID, "test"); err != nil {
+		t.Fatal(err)
+	}
+	cb.eng.Run()
+	if n := cb.cpu.Stats().Reboots; n != 1 {
+		t.Fatalf("kernel rebooted %d times, want 1", n)
+	}
+	if n, g := cb.cpu.ioOutstanding, cb.cpu.IOGauge().Cur(); n != 0 || g != 0 {
+		t.Errorf("after the reboot %d mediated I/Os are outstanding (gauge %d), want 0", n, g)
+	}
+}
+
+// A Reset that reaches the kernel while its reboot is pending joins that
+// reboot. The bus sends one such Reset when a heartbeat the kernel sent
+// before it was failed lands after the failure.
+func TestSecondResetJoinsPendingReboot(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	cb.cpu.cfg.HeartbeatEvery = 10 * sim.Microsecond
+	cb.cpu.cfg.ResetDelay = 50 * sim.Microsecond
+	cb.cpu.scheduleHeartbeat()
+	for seq := cb.cpu.hbSeq; cb.cpu.hbSeq == seq && cb.eng.Step(); {
+	}
+	resets := cb.bus.Stats().Resets
+	if err := cb.bus.FailDevice(cpuID, "test"); err != nil {
+		t.Fatal(err)
+	}
+	cb.eng.RunFor(cb.cpu.cfg.ResetDelay / 2)
+	if n := cb.bus.Stats().Resets - resets; n != 2 {
+		t.Fatalf("the bus sent %d Resets inside the reset delay, want 2", n)
+	}
+	cb.eng.RunFor(2 * cb.cpu.cfg.ResetDelay)
+	if n := cb.cpu.Stats().Reboots; n != 1 {
+		t.Fatalf("kernel rebooted %d times, want 1", n)
+	}
+	if !cb.cpu.Alive() {
+		t.Error("kernel is not running after its reboot")
+	}
+}
+
+// TestKernelClose covers both forms of the close syscall: a mediated
+// handle is the kernel's own and is dropped there; a direct connection's
+// close is forwarded to its provider. The app is answered either way.
+func TestKernelClose(t *testing.T) {
+	forwarded := func(cb *centralbed) bool {
+		for _, ev := range cb.tr.Filter("close.req") {
+			if ev.Src == "cpu" && ev.Dst == "ssd" {
+				return true
+			}
+		}
+		return false
+	}
+	closeConn := func(t *testing.T, cb *centralbed, req *msg.CloseReq) {
+		t.Helper()
+		var resp *msg.CloseResp
+		cb.nic.Device().Handle(msg.KindCloseResp, func(e msg.Envelope) { resp = e.Msg.(*msg.CloseResp) })
+		cb.nic.Device().Send(cpuID, req)
+		cb.eng.Run()
+		if resp == nil || !resp.OK || resp.ConnID != req.ConnID {
+			t.Fatalf("close of %+v answered %+v", req, resp)
+		}
+	}
+	t.Run("mediated handle", func(t *testing.T) {
+		cb := newCentralbed(t, kvs.ModeCentralMediated)
+		if len(cb.cpu.kernelConns) != 1 {
+			t.Fatalf("kernel holds %d mediated handles, want 1", len(cb.cpu.kernelConns))
+		}
+		var h uint32
+		for h = range cb.cpu.kernelConns {
+		}
+		closeConn(t, cb, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: h, App: 10})
+		if _, ok := cb.cpu.kernelConns[h]; ok {
+			t.Error("mediated handle survives its close")
+		}
+		if forwarded(cb) {
+			t.Error("the close of a kernel-owned handle went to the provider")
+		}
+	})
+	t.Run("direct connection", func(t *testing.T) {
+		cb := newCentralbed(t, kvs.ModeCentralDirect)
+		closeConn(t, cb, &msg.CloseReq{Service: "file:kv.dat", ConnID: 1, App: 10})
+		if !forwarded(cb) {
+			t.Error("a direct connection's close was not forwarded to its provider")
+		}
+	})
 }
 
 func TestKernelSerializesUnderLoad(t *testing.T) {

@@ -90,13 +90,14 @@ type Device struct {
 	fabPort *interconnect.Port
 	mmu     *iommu.IOMMU
 
-	state      State
-	hbSeq      uint64
-	hbTimer    *sim.Timer
-	helloTimer *sim.Timer
-	helloTries int
-	services   map[string]Service
-	svcOrder   []string // deterministic discovery-answer order
+	state State
+	hbSeq uint64
+	// The end of the self-test or reset in progress, the Hello retry and
+	// the next heartbeat: Kill stops all three.
+	life, hello, hb sim.Timer
+	helloTries      int
+	services        map[string]Service
+	svcOrder        []string // deterministic discovery-answer order
 
 	// handlers routes non-session messages (alloc responses, errors, ...)
 	// registered by the concrete device.
@@ -184,10 +185,15 @@ func (d *Device) Start() {
 	}
 	d.state = StateInit
 	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "self-test", "")
-	d.eng.Schedule(d.cfg.SelfTest, d.becomeAlive)
+	d.life.Arm(d.eng, d.cfg.SelfTest, (*selfTestDone)(d))
 }
 
-func (d *Device) becomeAlive() {
+// selfTestDone is the device as the event that ends its power-on self-test
+// (a pointer conversion: arming it allocates nothing), as are its others.
+type selfTestDone Device
+
+func (e *selfTestDone) Fire() {
+	d := (*Device)(e)
 	d.state = StateAlive
 	d.helloTries = 0
 	d.sendHello()
@@ -216,40 +222,69 @@ func (d *Device) sendHello() {
 	}
 	delay := helloRetryBase << uint(d.helloTries)
 	d.helloTries++
-	d.helloTimer = d.eng.After(delay, func() {
-		if d.state != StateAlive {
-			return
-		}
-		d.tr.Record(d.eng.Now(), d.cfg.Name, "", "hello-retry", fmt.Sprintf("attempt %d", d.helloTries+1))
-		d.sendHello()
-	})
+	d.hello.Arm(d.eng, delay, (*helloRetry)(d))
+}
+
+type helloRetry Device
+
+func (e *helloRetry) Fire() {
+	d := (*Device)(e)
+	if d.state != StateAlive {
+		return
+	}
+	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "hello-retry", fmt.Sprintf("attempt %d", d.helloTries+1))
+	d.sendHello()
 }
 
 func (d *Device) scheduleHeartbeat() {
 	if d.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	d.hbTimer = d.eng.After(d.cfg.HeartbeatEvery, func() {
-		if d.state != StateAlive {
-			return
-		}
-		d.hbSeq++
-		d.Send(msg.BusID, &msg.Heartbeat{Seq: d.hbSeq})
-		d.scheduleHeartbeat()
-	})
+	d.hb.Arm(d.eng, d.cfg.HeartbeatEvery, (*heartbeat)(d))
+}
+
+type heartbeat Device
+
+func (e *heartbeat) Fire() {
+	d := (*Device)(e)
+	if d.state != StateAlive {
+		return
+	}
+	d.hbSeq++
+	d.Send(msg.BusID, &msg.Heartbeat{Seq: d.hbSeq})
+	d.scheduleHeartbeat()
 }
 
 // Kill simulates a hard device failure: the device stops responding and
-// stops heartbeating. The bus watchdog will eventually notice (§4).
+// stops heartbeating, and a self-test or reset in progress never ends. The
+// bus watchdog will eventually notice (§4).
 func (d *Device) Kill() {
 	d.state = StateFailed
-	if d.hbTimer != nil {
-		d.hbTimer.Stop()
-	}
-	if d.helloTimer != nil {
-		d.helloTimer.Stop()
-	}
+	d.life.Stop()
+	d.hello.Stop()
+	d.hb.Stop()
 	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "killed", "")
+}
+
+// resetDone is the device coming back from a bus Reset.
+type resetDone Device
+
+func (e *resetDone) Fire() {
+	d := (*Device)(e)
+	// The revived device is a new incarnation: everything it sends from
+	// here on is stamped so the bus can fence the old life's in-flight
+	// messages. Pure port state — the restart itself adds no bus traffic.
+	d.busPort.NewIncarnation()
+	if d.OnReset != nil {
+		d.OnReset()
+	}
+	d.mmu.FlushTLB()
+	d.state = StateAlive
+	d.Send(msg.BusID, &msg.ResetDone{})
+	d.scheduleHeartbeat()
+	if d.OnAlive != nil {
+		d.OnAlive()
+	}
 }
 
 // lookupService resolves a session's service: exact name first, then the
@@ -275,23 +310,7 @@ func (d *Device) receive(env msg.Envelope) {
 		if _, isReset := env.Msg.(*msg.Reset); isReset && d.cfg.ResetDelay > 0 {
 			d.tr.Record(d.eng.Now(), d.cfg.Name, "", "resetting", "")
 			d.state = StateInit
-			d.eng.Schedule(d.cfg.ResetDelay, func() {
-				// The revived device is a new incarnation: everything it
-				// sends from here on is stamped so the bus can fence the
-				// old life's in-flight messages. Pure port state — the
-				// restart itself adds no bus traffic.
-				d.busPort.NewIncarnation()
-				if d.OnReset != nil {
-					d.OnReset()
-				}
-				d.mmu.FlushTLB()
-				d.state = StateAlive
-				d.Send(msg.BusID, &msg.ResetDone{})
-				d.scheduleHeartbeat()
-				if d.OnAlive != nil {
-					d.OnAlive()
-				}
-			})
+			d.life.Arm(d.eng, d.cfg.ResetDelay, (*resetDone)(d))
 		}
 		return
 	}
@@ -339,10 +358,7 @@ func (d *Device) receive(env msg.Envelope) {
 		d.Kill()
 		d.receive(env)
 	case *msg.HelloAck:
-		if d.helloTimer != nil {
-			d.helloTimer.Stop()
-			d.helloTimer = nil
-		}
+		d.hello.Stop()
 	case *msg.CreditUpdate:
 		// Flow-control replenishment is port plumbing, not device logic:
 		// hand it straight to the bus port, which drains stalled sends.

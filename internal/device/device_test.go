@@ -283,6 +283,51 @@ func TestUnrecoverableDeviceStaysDead(t *testing.T) {
 	}
 }
 
+// A device killed before its self-test ends stays dead: the end of the
+// self-test is the device's own event, and Kill stops it.
+func TestKillDuringSelfTestStaysDead(t *testing.T) {
+	w := newWorld(t, bus.DefaultConfig)
+	d := w.newDev(t, 1, "dev")
+	d.Start()
+	w.eng.RunUntil(sim.Time(5 * sim.Microsecond)) // half of the 10us self-test
+	d.Kill()
+	w.eng.Run()
+	if d.State() != StateFailed {
+		t.Errorf("device killed during self-test is %v after Run, want failed", d.State())
+	}
+	if w.bus.Alive(1) {
+		t.Error("bus enrolled a device killed during its self-test")
+	}
+}
+
+// A device killed while a reset is bringing it back stays dead: nothing
+// revives it until the bus resets it again.
+func TestKillDuringResetStaysDead(t *testing.T) {
+	w := newWorld(t, bus.DefaultConfig) // no watchdog: nobody resets it again
+	d := w.newDev(t, 1, "dev")
+	resets := 0
+	d.OnReset = func() { resets++ }
+	d.Start()
+	w.eng.Run()
+	if err := w.bus.FailDevice(1, "test"); err != nil {
+		t.Fatal(err)
+	}
+	for d.State() != StateInit && w.eng.Step() {
+	}
+	if d.State() != StateInit {
+		t.Fatalf("device never started its reset (state %v)", d.State())
+	}
+	w.eng.RunFor(20 * sim.Microsecond) // inside the 50us reset
+	d.Kill()
+	w.eng.Run()
+	if d.State() != StateFailed || resets != 0 {
+		t.Errorf("device killed mid-reset is %v with %d resets after Run, want failed with 0", d.State(), resets)
+	}
+	if w.bus.Alive(1) {
+		t.Error("bus believes a device killed mid-reset alive")
+	}
+}
+
 func TestFailedDeviceIgnoresSessionTraffic(t *testing.T) {
 	w := newWorld(t, bus.DefaultConfig)
 	provider := w.newDev(t, 1, "ssd")

@@ -54,8 +54,7 @@ type Sessions[T any] struct {
 	// Admit decides an OpenReq — name, token, whatever the service guards
 	// — and returns the instance's state, or a non-empty refusal.
 	Admit func(src msg.DeviceID, req *msg.OpenReq) (state T, refusal string)
-	// Handler builds the request service bound to one instance (a
-	// virtio.Handler func is one).
+	// Handler builds the request service bound to one instance.
 	Handler func(*Session[T]) virtio.Service
 	// Resource names an instance in the ErrorNotify its client is sent
 	// when the transport under it fails (§4).
@@ -154,7 +153,7 @@ func (s *Sessions[T]) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.Connec
 			DataVA:   iommu.VirtAddr(req.DataVA),
 			CellSize: int(req.DataBytes) / int(req.RingEntries),
 		}
-		ep, err := virtio.NewServiceEndpoint(s.Dev.DMA(), iommu.PASID(req.App), lay,
+		ep, err := virtio.NewEndpoint(s.Dev.DMA(), iommu.PASID(req.App), lay,
 			interconnect.DoorbellAddr(req.RespDoorbell), s.Handler(c))
 		if err != nil {
 			return deny(err.Error())

@@ -33,14 +33,17 @@ func newTagService(d *Device) *tagService {
 			}
 			return word, ""
 		},
-		Handler: func(c *Session[string]) virtio.Service {
-			return virtio.Handler(func(req []byte, done func([]byte)) { done([]byte(c.State)) })
-		},
+		Handler:  func(c *Session[string]) virtio.Service { return tagQueue{c} },
 		Resource: func(c *Session[string]) string { return "tag:" + c.State },
 	}
 	d.AddService(s)
 	return s
 }
+
+// tagQueue answers every request on an instance's queue with its word.
+type tagQueue struct{ c *Session[string] }
+
+func (q tagQueue) Serve(_ []byte, r virtio.Responder) { r.Complete([]byte(q.c.State)) }
 
 // sessionClient is a bare device that records the last answer to each verb.
 type sessionClient struct {

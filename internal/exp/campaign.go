@@ -165,7 +165,7 @@ func (c *campaignClient) worker(w int) {
 			// A system mid-recovery refuses instantly; hammering it only
 			// inflates the attempt count.
 			c.errs++
-			eng.Schedule(c.backoff, issue)
+			eng.After(c.backoff, issue)
 		})
 		tm = eng.After(c.timeout, func() {
 			if resolved {
@@ -267,7 +267,7 @@ func (o *outages) killSchedule(kills []rackKill) func(*fabric.Cluster, *campaign
 		c.onAck = func(sim.Time) { o.restored() }
 		for _, k := range kills {
 			at, victim := t0.Add(k.after), k.victim
-			cl.Eng.ScheduleAt(at, func() {
+			cl.Eng.At(at, func() {
 				cl.Kill(victim)
 				o.crashed(at)
 			})

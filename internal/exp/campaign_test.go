@@ -47,7 +47,7 @@ func (f *fakeKV) target() netsim.Target {
 			reply(kvs.EncodeResponse(resp))
 			return
 		}
-		f.eng.Schedule(f.delay, func() { reply(kvs.EncodeResponse(resp)) })
+		f.eng.After(f.delay, func() { reply(kvs.EncodeResponse(resp)) })
 	}
 }
 

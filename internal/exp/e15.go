@@ -103,7 +103,7 @@ func e15Probe(rig *kvsRig, out *outages, stopAt sim.Time) {
 				}
 			})
 		}
-		eng.Schedule(e15ProbeGap, tick)
+		eng.After(e15ProbeGap, tick)
 	}
 	tick()
 }

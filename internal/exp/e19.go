@@ -196,13 +196,13 @@ func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
 			fl = reconcile.Attach(cl, reconcile.Config{
 				Spec: reconcile.Spec{Size: n, ConfigVersion: 1, MaxUnavailable: e19MaxUnavail},
 			})
-			eng.ScheduleAt(t0.Add(e19KillAt), func() {
+			eng.At(t0.Add(e19KillAt), func() {
 				if v := e19SingleVictim(cl); v != 0 {
 					fl.Kill(v)
 					row.kills++
 				}
 			})
-			eng.ScheduleAt(t0.Add(e19UpgradeAt), func() {
+			eng.At(t0.Add(e19UpgradeAt), func() {
 				fl.SetSpec(reconcile.Spec{Size: n, ConfigVersion: 2, MaxUnavailable: e19MaxUnavail})
 			})
 			// The double kill lands at the first quiescent instant at or
@@ -212,7 +212,7 @@ func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
 			var tryDouble func()
 			tryDouble = func() {
 				if !e19Quiesced(cl) {
-					eng.Schedule(2*sim.Millisecond, tryDouble)
+					eng.After(2*sim.Millisecond, tryDouble)
 					return
 				}
 				a, b := e19SafePair(cl, e19Keys())
@@ -223,7 +223,7 @@ func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
 				fl.Kill(b)
 				row.kills += 2
 			}
-			eng.ScheduleAt(t0.Add(e19DoubleAt), tryDouble)
+			eng.At(t0.Add(e19DoubleAt), tryDouble)
 		},
 		settle: func(cl *fabric.Cluster, t0 sim.Time) {
 			if !campaign {

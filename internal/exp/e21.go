@@ -133,7 +133,7 @@ func (p *e21ProbeState) sample(cl *fabric.Cluster) {
 }
 
 func (p *e21ProbeState) arm(cl *fabric.Cluster, stopAt sim.Time) {
-	cl.Eng.Schedule(e21Probe, func() {
+	cl.Eng.After(e21Probe, func() {
 		if cl.Eng.Now() >= stopAt {
 			return
 		}

@@ -84,7 +84,7 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 		// Transport-level failure detection: the connection attempt burns
 		// a round trip, then the sender learns the peer is gone.
 		n.stats.Unreachable++
-		n.eng.Schedule(2*n.cfg.LinkLatency, func() { n.unreachable(src, dst) })
+		n.eng.Schedule(2*n.cfg.LinkLatency, &unreachable{net: n, src: src, dst: dst})
 		return
 	}
 	// One map lookup per frame once a link has carried its first.
@@ -131,9 +131,18 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	for c := 0; c < copies; c++ {
 		// The duplicate trails the original by one serialization slot; it
 		// carries the same link seq, so the receiver's window eats it.
-		n.eng.ScheduleEvent(lat+sim.Duration(c)*n.cfg.PerByte, &arrival{net: n, dst: dst, frame: frame})
+		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, &arrival{net: n, dst: dst, frame: frame})
 	}
 }
+
+// unreachable is the notice to src that dst is gone, a round trip after
+// the send that found it dead.
+type unreachable struct {
+	net      *Network
+	src, dst msg.DeviceID
+}
+
+func (u *unreachable) Fire() { u.net.unreachable(u.src, u.dst) }
 
 // arrival is one copy of a frame from the moment it is on the wire: the
 // event of its landing at dst and then, through the embedded Delivery,

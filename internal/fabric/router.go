@@ -182,7 +182,7 @@ type Router struct {
 
 	// Reconciler-driven machine conditions.
 	cordoned  bool
-	upgrading bool
+	upgradeTo uint32 // nonzero while an upgrade installs this config version
 	confVer   uint32
 	condSeq   uint64
 	ctrl      ControlAgent
@@ -293,18 +293,18 @@ func (r *Router) Boot(rt *smartnic.Runtime) {
 		if r.InRing() {
 			r.leaseUntil = r.eng.Now().Add(r.cfg.leaseDur)
 		}
-		r.armLease()
+		r.eng.Schedule(r.cfg.leaseRenew, (*leaseTick)(r))
 		if r.cfg.head == 0 {
-			r.armSilence()
+			r.eng.Schedule(r.cfg.failAfter/2, (*silence)(r))
 		}
 	}
 	if r.cfg.head == 0 {
 		return
 	}
 	if r.isHead() {
-		r.armSweep()
+		r.eng.Schedule(r.cfg.failAfter/2, (*sweep)(r))
 	} else {
-		r.armHeartbeat()
+		r.eng.Schedule(r.cfg.hbEvery, (*heartbeat)(r))
 	}
 }
 
@@ -354,7 +354,7 @@ func (r *Router) InRing() bool { return memberOf(r.ring.Machines(), r.cfg.id) }
 func (r *Router) Cordoned() bool { return r.cordoned }
 
 // Upgrading reports whether a config flash is in progress.
-func (r *Router) Upgrading() bool { return r.upgrading }
+func (r *Router) Upgrading() bool { return r.upgradeTo != 0 }
 
 // ConfigVersion returns the machine's running config/firmware version.
 func (r *Router) ConfigVersion() uint32 { return r.confVer }
@@ -368,9 +368,9 @@ func (r *Router) Conditions() *msg.CondReport {
 	r.condSeq++
 	return &msg.CondReport{
 		Seq:           r.condSeq,
-		Ready:         !r.halted && !r.upgrading,
+		Ready:         !r.halted && r.upgradeTo == 0,
 		Cordoned:      r.cordoned,
-		Upgrading:     r.upgrading,
+		Upgrading:     r.upgradeTo != 0,
 		ConfigVersion: r.confVer,
 		RingVer:       r.ringVer,
 		PendingVer:    r.pendingVer,
@@ -1226,22 +1226,28 @@ func (r *Router) onDrain(m *msg.Drain) {
 	case msg.DrainUncordon:
 		r.cordoned = false
 	case msg.DrainUpgrade:
-		if r.InRing() || r.upgrading || r.confVer >= m.ConfigVersion {
+		if r.InRing() || r.upgradeTo != 0 || r.confVer >= m.ConfigVersion {
 			return
 		}
-		r.upgrading = true
+		r.upgradeTo = m.ConfigVersion
 		r.stats.Upgrades++
-		v := m.ConfigVersion
-		r.cl.tracef("m%d upgrading to conf v%d", r.cfg.id, v)
-		r.eng.Schedule(r.cfg.upgradeDelay, func() {
-			if r.halted {
-				return
-			}
-			r.confVer = v
-			r.upgrading = false
-			r.cl.tracef("m%d upgraded to conf v%d", r.cfg.id, v)
-		})
+		r.cl.tracef("m%d upgrading to conf v%d", r.cfg.id, r.upgradeTo)
+		r.eng.Schedule(r.cfg.upgradeDelay, (*upgradeDone)(r))
 	}
+}
+
+// upgradeDone is the router as the event that ends its config flash (a
+// pointer conversion: arming it allocates nothing), as are its periodic
+// events below. A halted router's events do nothing.
+type upgradeDone Router
+
+func (e *upgradeDone) Fire() {
+	r := (*Router)(e)
+	if r.halted {
+		return
+	}
+	r.confVer, r.upgradeTo = r.upgradeTo, 0
+	r.cl.tracef("m%d upgraded to conf v%d", r.cfg.id, r.confVer)
 }
 
 // keepOwned keeps a key after a ring adoption iff this machine still
@@ -1283,40 +1289,43 @@ func (r *Router) purgeKeys(keys []string, keep func(string) bool, done func()) {
 
 // --- head-node heartbeating ---
 
-func (r *Router) armHeartbeat() {
-	r.eng.Schedule(r.cfg.hbEvery, func() {
-		if r.halted {
-			return
-		}
-		r.hbSeq++
-		r.cl.net.Send(r.cfg.id, r.cfg.head, r.epoch, &msg.Heartbeat{Seq: r.hbSeq})
-		r.armHeartbeat()
-	})
+// heartbeat is the router as the event of its next heartbeat to the head.
+type heartbeat Router
+
+func (e *heartbeat) Fire() {
+	r := (*Router)(e)
+	if r.halted {
+		return
+	}
+	r.hbSeq++
+	r.cl.net.Send(r.cfg.id, r.cfg.head, r.epoch, &msg.Heartbeat{Seq: r.hbSeq})
+	r.eng.Schedule(r.cfg.hbEvery, e)
 }
 
-// armSweep runs the head's staleness sweep: a machine whose heartbeat
-// is older than failAfter is declared dead and the view broadcast.
-func (r *Router) armSweep() {
-	r.eng.Schedule(r.cfg.failAfter/2, func() {
-		if r.halted {
-			return
+// sweep is the head's staleness sweep: a machine whose heartbeat is older
+// than failAfter is declared dead and the view broadcast.
+type sweep Router
+
+func (e *sweep) Fire() {
+	r := (*Router)(e)
+	if r.halted {
+		return
+	}
+	now := r.eng.Now()
+	var stale []msg.DeviceID
+	for _, id := range r.cl.MachineIDs() {
+		if id == r.cfg.id || r.dead[id] {
+			continue
 		}
-		now := r.eng.Now()
-		var stale []msg.DeviceID
-		for _, id := range r.cl.MachineIDs() {
-			if id == r.cfg.id || r.dead[id] {
-				continue
-			}
-			last, beaten := r.lastBeat[id]
-			if beaten && now.Sub(last) > r.cfg.failAfter {
-				stale = append(stale, id)
-			}
+		last, beaten := r.lastBeat[id]
+		if beaten && now.Sub(last) > r.cfg.failAfter {
+			stale = append(stale, id)
 		}
-		if len(stale) > 0 {
-			r.noteDead("heartbeat", stale...)
-		}
-		r.armSweep()
-	})
+	}
+	if len(stale) > 0 {
+		r.noteDead("heartbeat", stale...)
+	}
+	r.eng.Schedule(r.cfg.failAfter/2, e)
 }
 
 // --- epoch leases (Config.Leases) ---
@@ -1413,14 +1422,16 @@ func (r *Router) Suspects() []msg.DeviceID {
 	return out
 }
 
-func (r *Router) armLease() {
-	r.eng.Schedule(r.cfg.leaseRenew, func() {
-		if r.halted {
-			return
-		}
-		r.renewLease()
-		r.armLease()
-	})
+// leaseTick is the router as the event of its next lease renewal.
+type leaseTick Router
+
+func (e *leaseTick) Fire() {
+	r := (*Router)(e)
+	if r.halted {
+		return
+	}
+	r.renewLease()
+	r.eng.Schedule(r.cfg.leaseRenew, e)
 }
 
 // renewLease starts one countersigning round: a fresh Seq, a self-grant,
@@ -1476,7 +1487,7 @@ func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
 	}
 }
 
-// armSilence runs the decentralized inbound-silence failure detector.
+// silence is the decentralized inbound-silence failure detector.
 // The lease renewal chatter guarantees every pair of ring members
 // periodic traffic, so "I have heard nothing from p for failAfter" is
 // meaningful evidence — and unlike a transport-level send failure it
@@ -1484,50 +1495,51 @@ func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
 // reach us. Directionally-suspected peers (we failed to reach them) get
 // half the patience: two independent signals, outbound failure plus
 // inbound silence, converge on a declaration sooner than either alone.
-func (r *Router) armSilence() {
-	r.eng.Schedule(r.cfg.failAfter/2, func() {
-		if r.halted {
-			return
-		}
-		if r.InRing() {
-			now := r.eng.Now()
-			var silent []msg.DeviceID
-			for _, id := range r.ring.Machines() {
-				if id == r.cfg.id || r.dead[id] {
-					continue
-				}
-				last, heard := r.lastHeard[id]
-				if !heard {
-					// A peer that has never spoken to us cannot be judged
-					// silent: during a staggered boot it is indistinguishable
-					// from a machine still coming up, and declaring it dead
-					// here is exactly the false positive that cascades (the
-					// boot window grows with N, so any fixed grace loses).
-					// Once it speaks, the renewal chatter keeps every pair's
-					// clock fresh within microseconds — and a booted machine
-					// that dies IS heard-from by its neighbors first, whose
-					// silence verdict then reaches us as view gossip.
-					continue
-				}
-				patience := r.cfg.failAfter
-				if r.suspects[id] {
-					patience /= 2
-				}
-				if now.Sub(last) > patience {
-					silent = append(silent, id)
-				}
+type silence Router
+
+func (e *silence) Fire() {
+	r := (*Router)(e)
+	if r.halted {
+		return
+	}
+	if r.InRing() {
+		now := r.eng.Now()
+		var silent []msg.DeviceID
+		for _, id := range r.ring.Machines() {
+			if id == r.cfg.id || r.dead[id] {
+				continue
 			}
-			if len(silent) > 0 {
-				r.stats.SilenceDeaths += uint64(len(silent))
-				r.noteDead("silence", silent...)
-			} else if len(r.dead) > 0 {
-				// Level-triggered view gossip: re-broadcast the dead set
-				// each sweep so machines the original wave could not reach
-				// (one-way cuts) still converge, which bounds how long a
-				// deposed primary keeps finding willing grantors.
-				r.broadcastView()
+			last, heard := r.lastHeard[id]
+			if !heard {
+				// A peer that has never spoken to us cannot be judged
+				// silent: during a staggered boot it is indistinguishable
+				// from a machine still coming up, and declaring it dead
+				// here is exactly the false positive that cascades (the
+				// boot window grows with N, so any fixed grace loses).
+				// Once it speaks, the renewal chatter keeps every pair's
+				// clock fresh within microseconds — and a booted machine
+				// that dies IS heard-from by its neighbors first, whose
+				// silence verdict then reaches us as view gossip.
+				continue
+			}
+			patience := r.cfg.failAfter
+			if r.suspects[id] {
+				patience /= 2
+			}
+			if now.Sub(last) > patience {
+				silent = append(silent, id)
 			}
 		}
-		r.armSilence()
-	})
+		if len(silent) > 0 {
+			r.stats.SilenceDeaths += uint64(len(silent))
+			r.noteDead("silence", silent...)
+		} else if len(r.dead) > 0 {
+			// Level-triggered view gossip: re-broadcast the dead set
+			// each sweep so machines the original wave could not reach
+			// (one-way cuts) still converge, which bounds how long a
+			// deposed primary keeps finding willing grantors.
+			r.broadcastView()
+		}
+	}
+	r.eng.Schedule(r.cfg.failAfter/2, e)
 }

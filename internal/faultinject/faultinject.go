@@ -202,9 +202,11 @@ func (p *Plane) Filter(l Layer, now sim.Time, src, dst msg.DeviceID, kind msg.Ki
 // CrashAt schedules a crash/restart action (bus.FailDevice, Device.Kill,
 // a revive closure, ...) at virtual time at. It exists so fault
 // schedules that mix message faults and device lifecycle faults live in
-// one place; the action itself uses the simulation's ordinary hooks.
+// one place; the action itself uses the simulation's ordinary hooks. It is
+// glue: the action is the caller's, so it goes through the engine's closure
+// form.
 func (p *Plane) CrashAt(eng *sim.Engine, at sim.Time, action func()) {
-	eng.ScheduleAt(at, action)
+	eng.At(at, action)
 }
 
 // PartitionOneWay drops every interconnect frame from src to dst inside

@@ -167,11 +167,7 @@ func (f *Fabric) UnregisterDoorbell(addr DoorbellAddr) { delete(f.bells, addr) }
 func (f *Fabric) Ring(addr DoorbellAddr, value uint64) {
 	f.stats.Doorbells++
 	lat := f.costs.DoorbellLatency
-	deliver := func() {
-		if h, ok := f.bells[addr]; ok {
-			h(value)
-		}
-	}
+	deliver := &doorbell{f: f, addr: addr, value: value}
 	d := f.plane.Filter(faultinject.LayerLink, f.eng.Now(), 0, 0, msg.KindInvalid)
 	switch d.Op {
 	case faultinject.Drop:
@@ -187,6 +183,19 @@ func (f *Fabric) Ring(addr DoorbellAddr, value uint64) {
 		f.eng.Schedule(lat, deliver)
 	}
 	f.eng.Schedule(lat, deliver)
+}
+
+// doorbell is one posted doorbell write on its way to the register.
+type doorbell struct {
+	f     *Fabric
+	addr  DoorbellAddr
+	value uint64
+}
+
+func (b *doorbell) Fire() {
+	if h, ok := b.f.bells[b.addr]; ok {
+		h(b.value)
+	}
 }
 
 // FaultHandler receives a translation fault delivered to the device (§4:
@@ -250,7 +259,7 @@ func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
 func (p *Port) submitDMA(service sim.Duration, op *DMA) bool {
 	w := p.fab.costs.DMAWindow
 	if w <= 0 || p.busy.Pending() < w {
-		p.busy.SubmitEvent(service, op)
+		p.busy.Submit(service, op)
 		return true
 	}
 	if len(p.waiting) >= 4*w {
@@ -271,7 +280,7 @@ func (p *Port) drainDMA() {
 		next := p.waiting[0]
 		p.waiting[0] = stalledDMA{}
 		p.waiting = p.waiting[1:]
-		p.busy.SubmitEvent(next.service, next.op)
+		p.busy.Submit(next.service, next.op)
 	}
 	if len(p.waiting) == 0 {
 		p.waiting = nil
@@ -352,24 +361,33 @@ func (x *extents) at(i int) extent {
 	return x.spill[i-len(x.inline)]
 }
 
-// dispatchFault routes a translation error either to the device's fault
-// handler (not-present faults, retries remaining) or to fail. Fault
-// delivery costs a link latency either way.
-func (p *Port) dispatchFault(err error, attempts int, retry func(), fail func(error)) {
-	p.fab.stats.Faults++
-	f, isFault := err.(*iommu.Fault)
-	p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() {
-		// Not-present and bad-PASID faults are demand-resolvable (the
-		// first touch of a fresh address space has no context yet);
-		// permission and range faults are not.
-		resolvable := isFault && (f.Reason == iommu.FaultNotPresent || f.Reason == iommu.FaultBadPASID)
-		if resolvable && p.faultHandler != nil && attempts < maxFaultRetries {
-			p.faultHandler(f, retry, fail)
-			return
-		}
-		fail(err)
-	})
+// dmaError is a transfer's rare path, a link latency after the error: a
+// translation fault on its way to the device's fault handler (not-present
+// faults, retries remaining), or to the transfer's completion.
+type dmaError struct {
+	op       *DMA
+	err      error
+	pasid    iommu.PASID
+	va       iommu.VirtAddr
+	attempts int
 }
+
+func (e *dmaError) Fire() {
+	p := e.op.port
+	// Not-present and bad-PASID faults are demand-resolvable (the first
+	// touch of a fresh address space has no context yet); permission and
+	// range faults are not.
+	f, isFault := e.err.(*iommu.Fault)
+	resolvable := isFault && (f.Reason == iommu.FaultNotPresent || f.Reason == iommu.FaultBadPASID)
+	if resolvable && p.faultHandler != nil && e.attempts < maxFaultRetries {
+		p.faultHandler(f, e.retry, e.op.finish)
+		return
+	}
+	e.op.finish(e.err)
+}
+
+// retry re-enters a transfer whose fault the handler resolved.
+func (e *dmaError) retry() { e.op.port.start(e.op, e.pasid, e.va, e.attempts+1) }
 
 // Completion receives the end of a transfer. op is the record that was
 // issued, idle again and free to reissue from inside the call.
@@ -389,7 +407,7 @@ type Completion interface {
 //
 // The record is kept small on purpose. What only the rare paths need — the
 // address to retry after a fault, the typed error of a lost or shed
-// transfer — lives in the closure those paths schedule, not here.
+// transfer — lives in the dmaError those paths schedule, not here.
 type DMA struct {
 	port *Port
 	done Completion // nil unless pending
@@ -456,16 +474,15 @@ func (p *Port) start(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, attempts int
 	}
 	walks, err := p.translateRange(pasid, va, n, access, &op.exts)
 	if err != nil {
-		p.dispatchFault(err, attempts,
-			func() { p.start(op, pasid, va, attempts+1) },
-			op.finish)
+		p.fab.stats.Faults++
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, &dmaError{op: op, err: err, pasid: pasid, va: va, attempts: attempts})
 		return
 	}
 	d := p.fab.plane.Filter(faultinject.LayerLink, p.fab.eng.Now(), 0, 0, msg.KindInvalid)
 	if d.Op == faultinject.Drop {
 		// The transfer is lost on the link; surface a typed error after
 		// the propagation delay — §4: devices handle their own errors.
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { op.finish(&InjectedError{Op: op.opName()}) })
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, &dmaError{op: op, err: &InjectedError{Op: op.opName()}})
 		return
 	}
 	wait := p.busy.Delay()
@@ -480,12 +497,17 @@ func (p *Port) start(op *DMA, pasid iommu.PASID, va iommu.VirtAddr, attempts int
 	if d.Op == faultinject.Dup {
 		// The duplicate transfer burns engine time and bandwidth; its data
 		// is identical, so only the cost is observable.
-		p.busy.Submit(service, func() {})
+		p.busy.Submit(service, dupTransfer{})
 	}
 	if !p.submitDMA(service, op) {
-		p.fab.eng.Schedule(p.fab.costs.LinkLatency, func() { op.finish(&OverloadError{Op: op.opName()}) })
+		p.fab.eng.Schedule(p.fab.costs.LinkLatency, &dmaError{op: op, err: &OverloadError{Op: op.opName()}})
 	}
 }
+
+// dupTransfer is the completion of a duplicated transfer: it moves nothing.
+type dupTransfer struct{}
+
+func (dupTransfer) Fire() {}
 
 // Fire is the DMA engine finishing the transfer: the bytes move, the
 // completion runs, and with a window configured the port admits what was
@@ -553,7 +575,9 @@ type writeCall struct {
 func (c *writeCall) DMADone(_ *DMA, err error) { c.done(err) }
 
 // Read is ReadOp for callers without a record of their own: it DMAs n
-// bytes from (pasid, va) into a fresh buffer and delivers it to done.
+// bytes from (pasid, va) into a fresh buffer and delivers it to done. It
+// and Write are kept for the benchmark's DMA probe (bench/probes.go) and
+// the E12/E13 drivers; devices issue records.
 func (p *Port) Read(pasid iommu.PASID, va iommu.VirtAddr, n int, done func([]byte, error)) {
 	if n < 0 {
 		panic("interconnect: negative DMA length")

@@ -296,13 +296,21 @@ func (s *Store) finishConnect() {
 }
 
 func (s *Store) scheduleReconnect() {
-	epoch := s.epoch
-	s.rt.Engine().Schedule(s.cfg.RetryEvery, func() {
-		if epoch != s.epoch || s.ready {
-			return
-		}
-		s.connect()
-	})
+	s.rt.Engine().Schedule(s.cfg.RetryEvery, &reconnect{s: s, epoch: s.epoch})
+}
+
+// reconnect is a reconnection attempt; a store that came up or was reset (a
+// new epoch) in the meantime skips it.
+type reconnect struct {
+	s     *Store
+	epoch uint64
+}
+
+func (r *reconnect) Fire() {
+	if r.epoch != r.s.epoch || r.s.ready {
+		return
+	}
+	r.s.connect()
 }
 
 // PeerFailed implements smartnic.App: the bus told us our provider died
@@ -526,7 +534,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 		op = new(storeOp)
 	}
 	op.s, op.req, op.reply, op.start = s, req, reply, eng.Now()
-	eng.ScheduleEvent(s.cfg.IndexCost, op)
+	eng.Schedule(s.cfg.IndexCost, op)
 }
 
 // Fire runs the op once the index probe has been paid for.

@@ -169,7 +169,7 @@ type request struct {
 // accept queues a request behind the table engine (registered for all
 // three kinds).
 func (c *Controller) accept(env msg.Envelope) {
-	c.proc.SubmitEvent(c.cfg.OpCost, &request{c: c, env: env})
+	c.proc.Submit(c.cfg.OpCost, &request{c: c, env: env})
 }
 
 // Fire answers the request: an authorization to the bus that asked, the

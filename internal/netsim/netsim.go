@@ -55,12 +55,42 @@ type OpenLoop struct {
 	WireLatency sim.Duration
 	Target      Target
 
-	stats       Stats
+	loop
 	outstanding int
 	generating  bool
-	started     sim.Time
-	lastDone    sim.Time
-	onDone      func()
+}
+
+// loop is what both disciplines keep of a run: its counters and its end.
+type loop struct {
+	stats    Stats
+	started  sim.Time
+	lastDone sim.Time
+	onDone   func()
+}
+
+// Stats returns the accumulated statistics (valid after done).
+func (l *loop) Stats() Stats {
+	s := l.stats
+	s.Span = l.lastDone.Sub(l.started)
+	return s
+}
+
+// observe counts a request whose reply is back.
+func (l *loop) observe(q *request, isError func([]byte) bool) {
+	l.lastDone = q.eng.Now()
+	l.stats.Completed++
+	l.stats.Latency.Observe(l.lastDone.Sub(q.t0))
+	if isError != nil && isError(q.resp) {
+		l.stats.Errors++
+	}
+}
+
+// finish runs done, once.
+func (l *loop) finish() {
+	if cb := l.onDone; cb != nil {
+		l.onDone = nil
+		cb()
+	}
 }
 
 // Run starts the generator; done fires when the window has passed and all
@@ -73,18 +103,30 @@ func (o *OpenLoop) Run(done func()) {
 	o.onDone = done
 	o.generating = true
 	o.started = o.Eng.Now()
-	o.Eng.Schedule(o.Duration, func() {
-		o.generating = false
-		o.maybeFinish()
-	})
+	o.Eng.Schedule(o.Duration, (*windowEnd)(o))
 	o.scheduleNext()
 }
 
-// Stats returns the accumulated statistics (valid after done).
-func (o *OpenLoop) Stats() Stats {
-	s := o.stats
-	s.Span = o.lastDone.Sub(o.started)
-	return s
+// windowEnd is the open loop as the event that closes its generation
+// window (a pointer conversion: scheduling it allocates nothing), and
+// arrival as the event of its next Poisson arrival.
+type windowEnd OpenLoop
+
+func (w *windowEnd) Fire() {
+	o := (*OpenLoop)(w)
+	o.generating = false
+	o.maybeFinish()
+}
+
+type arrival OpenLoop
+
+func (a *arrival) Fire() {
+	o := (*OpenLoop)(a)
+	if !o.generating {
+		return
+	}
+	o.fire()
+	o.scheduleNext()
 }
 
 func (o *OpenLoop) scheduleNext() {
@@ -92,42 +134,26 @@ func (o *OpenLoop) scheduleNext() {
 		return
 	}
 	mean := sim.Duration(float64(sim.Second) / o.Rate)
-	o.Eng.Schedule(o.Rand.Exp(mean), func() {
-		if !o.generating {
-			return
-		}
-		o.fire()
-		o.scheduleNext()
-	})
+	o.Eng.Schedule(o.Rand.Exp(mean), (*arrival)(o))
 }
 
 func (o *OpenLoop) fire() {
 	seq := o.stats.Sent
 	o.stats.Sent++
 	o.outstanding++
-	payload := o.Gen(o.Rand, seq)
-	t0 := o.Eng.Now()
-	o.Eng.Schedule(o.WireLatency, func() {
-		o.Target(payload, func(resp []byte) {
-			o.Eng.Schedule(o.WireLatency, func() {
-				o.stats.Completed++
-				o.stats.Latency.Observe(o.Eng.Now().Sub(t0))
-				if o.IsError != nil && o.IsError(resp) {
-					o.stats.Errors++
-				}
-				o.lastDone = o.Eng.Now()
-				o.outstanding--
-				o.maybeFinish()
-			})
-		})
-	})
+	o.Eng.Schedule(o.WireLatency, &request{eng: o.Eng, target: o.Target, wire: o.WireLatency, gen: o,
+		payload: o.Gen(o.Rand, seq), t0: o.Eng.Now()})
+}
+
+func (o *OpenLoop) completed(q *request) {
+	o.observe(q, o.IsError)
+	o.outstanding--
+	o.maybeFinish()
 }
 
 func (o *OpenLoop) maybeFinish() {
-	if !o.generating && o.outstanding == 0 && o.onDone != nil {
-		cb := o.onDone
-		o.onDone = nil
-		cb()
+	if !o.generating && o.outstanding == 0 {
+		o.finish()
 	}
 }
 
@@ -145,12 +171,9 @@ type ClosedLoop struct {
 	WireLatency sim.Duration
 	Target      Target
 
-	stats    Stats
-	started  sim.Time
-	lastDone sim.Time
-	active   int
-	onDone   func()
-	seq      uint64
+	loop
+	active int
+	seq    uint64
 }
 
 // Run starts all workers; done fires when every worker finishes.
@@ -167,43 +190,59 @@ func (c *ClosedLoop) Run(done func()) {
 	}
 }
 
-// Stats returns the accumulated statistics (valid after done).
-func (c *ClosedLoop) Stats() Stats {
-	s := c.stats
-	s.Span = c.lastDone.Sub(c.started)
-	return s
-}
-
 func (c *ClosedLoop) workerStep(iter int) {
 	if iter >= c.PerWorker {
 		c.active--
-		if c.active == 0 && c.onDone != nil {
-			cb := c.onDone
-			c.onDone = nil
-			cb()
+		if c.active == 0 {
+			c.finish()
 		}
 		return
 	}
 	seq := c.seq
 	c.seq++
 	c.stats.Sent++
-	payload := c.Gen(c.Rand, seq)
-	t0 := c.Eng.Now()
-	c.Eng.Schedule(c.WireLatency, func() {
-		c.Target(payload, func(resp []byte) {
-			c.Eng.Schedule(c.WireLatency, func() {
-				c.stats.Completed++
-				c.stats.Latency.Observe(c.Eng.Now().Sub(t0))
-				if c.IsError != nil && c.IsError(resp) {
-					c.stats.Errors++
-				}
-				c.lastDone = c.Eng.Now()
-				if c.Think > 0 {
-					c.Eng.Schedule(c.Think, func() { c.workerStep(iter + 1) })
-				} else {
-					c.workerStep(iter + 1)
-				}
-			})
-		})
-	})
+	c.Eng.Schedule(c.WireLatency, &request{eng: c.Eng, target: c.Target, wire: c.WireLatency, gen: c,
+		payload: c.Gen(c.Rand, seq), t0: c.Eng.Now(), iter: iter})
+}
+
+// completed takes a request back after its reply and again after the
+// worker's think time.
+func (c *ClosedLoop) completed(q *request) {
+	if !q.thinking {
+		c.observe(q, c.IsError)
+		if c.Think > 0 {
+			q.thinking = true
+			c.Eng.Schedule(c.Think, q)
+			return
+		}
+	}
+	c.workerStep(q.iter + 1)
+}
+
+// request is one generated op, from send to completion: the event of its
+// arrival at the target, of the reply's arrival back and, for a closed-loop
+// worker that thinks, of the think time ending.
+type request struct {
+	eng            *sim.Engine
+	target         Target
+	wire           sim.Duration
+	gen            interface{ completed(*request) } // the loop that sent it
+	payload, resp  []byte
+	t0             sim.Time
+	iter           int // closed loop: the worker's request number
+	back, thinking bool
+}
+
+func (q *request) Fire() {
+	if !q.back {
+		q.target(q.payload, q.reply)
+		return
+	}
+	q.gen.completed(q)
+}
+
+// reply is the target's answer, which travels back over the wire.
+func (q *request) reply(resp []byte) {
+	q.resp, q.back = resp, true
+	q.eng.Schedule(q.wire, q)
 }

@@ -12,12 +12,20 @@ func fixedServer(eng *sim.Engine, service sim.Duration, serialize bool) Target {
 	srv := sim.NewServer(eng)
 	return func(payload []byte, reply func([]byte)) {
 		if serialize {
-			srv.Submit(service, func() { reply(payload) })
+			srv.Submit(service, answer{payload, reply})
 			return
 		}
-		eng.Schedule(service, func() { reply(payload) })
+		eng.After(service, func() { reply(payload) })
 	}
 }
+
+// answer is a queued job's completion: the reply, echoing the payload.
+type answer struct {
+	payload []byte
+	reply   func([]byte)
+}
+
+func (a answer) Fire() { a.reply(a.payload) }
 
 func TestClosedLoopCompletesAll(t *testing.T) {
 	eng := sim.NewEngine()

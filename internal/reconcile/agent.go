@@ -72,10 +72,15 @@ func (a *Agent) adoptSpec(s Spec) {
 // arm schedules the next tick. A halted machine's agent simply never
 // rearms — crash-stop silences policy and mechanism together.
 func (a *Agent) arm() {
-	a.fl.cl.Eng.Schedule(a.fl.cfg.ReconcileEvery, func() { a.tick() })
+	a.fl.cl.Eng.Schedule(a.fl.cfg.ReconcileEvery, (*tick)(a))
 }
 
-func (a *Agent) tick() {
+// tick is the agent as the event of its reconcile tick (a pointer
+// conversion: arming it allocates nothing).
+type tick Agent
+
+func (e *tick) Fire() {
+	a := (*Agent)(e)
 	if a.r.Halted() {
 		return
 	}

@@ -282,23 +282,27 @@ func (f *Fleet) Converged() bool {
 // armProbe runs the audit loop: close divergence windows on
 // convergence, and sample the C3 budget. The probe is an outside
 // observer — it never feeds back into the agents.
-func (f *Fleet) armProbe() {
-	f.cl.Eng.Schedule(f.cfg.ProbeEvery, func() {
-		f.probes++
-		f.sampleBudget()
-		if len(f.open) > 0 && f.Converged() {
-			now := f.cl.Eng.Now()
-			for _, at := range f.open {
-				if len(f.windows) < maxWindows {
-					f.windows = append(f.windows, now.Sub(at))
-				} else {
-					f.windowsLost++
-				}
+func (f *Fleet) armProbe() { f.cl.Eng.Schedule(f.cfg.ProbeEvery, (*probe)(f)) }
+
+// probe is the fleet as the event of one audit sample.
+type probe Fleet
+
+func (e *probe) Fire() {
+	f := (*Fleet)(e)
+	f.probes++
+	f.sampleBudget()
+	if len(f.open) > 0 && f.Converged() {
+		now := f.cl.Eng.Now()
+		for _, at := range f.open {
+			if len(f.windows) < maxWindows {
+				f.windows = append(f.windows, now.Sub(at))
+			} else {
+				f.windowsLost++
 			}
-			f.open = f.open[:0]
 		}
-		f.armProbe()
-	})
+		f.open = f.open[:0]
+	}
+	f.armProbe()
 }
 
 // sampleBudget audits C3: serving capacity must never fall below

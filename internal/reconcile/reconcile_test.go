@@ -234,7 +234,7 @@ func TestConcurrentDoubleFailure(t *testing.T) {
 		fabric.Config{N: 4, Spares: 2, Seed: 0xE19E},
 		reconcile.Config{Spec: reconcile.Spec{Size: 4, MaxUnavailable: 1}},
 	)
-	cl.Eng.ScheduleAt(cl.Eng.Now().Add(2*sim.Millisecond), func() {
+	cl.Eng.At(cl.Eng.Now().Add(2*sim.Millisecond), func() {
 		fl.Kill(2)
 		fl.Kill(3)
 	})
@@ -268,7 +268,7 @@ func TestActorDeathMidTransition(t *testing.T) {
 	fl.SetSpec(reconcile.Spec{Size: 4, ConfigVersion: 2, MaxUnavailable: 1})
 	// Give the actor time to flash a spare and stage the first
 	// rotation, then kill it mid-campaign.
-	cl.Eng.ScheduleAt(cl.Eng.Now().Add(6*sim.Millisecond), func() { fl.Kill(1) })
+	cl.Eng.At(cl.Eng.Now().Add(6*sim.Millisecond), func() { fl.Kill(1) })
 	runUntil(t, cl, 400*sim.Millisecond, "converge after actor death", fl.Converged)
 	cl.Eng.RunFor(2 * sim.Millisecond)
 

@@ -64,8 +64,8 @@ type Event interface {
 	Fire()
 }
 
-// funcEvent adapts a plain callback. A func value is pointer-shaped, so
-// storing one in the queue allocates nothing either.
+// funcEvent is At's callback as an event. A func value is pointer-shaped,
+// so storing one in the queue allocates nothing either.
 type funcEvent func()
 
 func (f funcEvent) Fire() { f() }
@@ -124,6 +124,10 @@ func (t *Timer) Fire() {
 	ev.Fire()
 }
 
+// Pending reports whether the timer is armed and has not yet fired or been
+// stopped.
+func (t *Timer) Pending() bool { return t.eng != nil }
+
 // Stop cancels the timer, removing its event from the queue. It reports
 // whether the event was still pending (false means it already fired or
 // was already stopped).
@@ -157,10 +161,16 @@ func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn at absolute time t and returns a handle that can cancel
 // it. Scheduling in the past panics: it indicates a model bug (causality
-// violation), never a recoverable state.
+// violation), never a recoverable state. At and After are the engine's one
+// closure form, for glue code (the experiment harness, fault schedules,
+// tests); a component queues an Event it owns instead, so the concrete
+// type of every queued event names the site that scheduled it.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
 	tm := &Timer{}
-	tm.armAt(e, t, asEvent(fn))
+	tm.armAt(e, t, funcEvent(fn))
 	return tm
 }
 
@@ -170,26 +180,13 @@ func (e *Engine) After(d Duration, fn func()) *Timer {
 	return e.At(e.deadline(d), fn)
 }
 
-// ScheduleAt is At for callers that never cancel: no handle is made, so
+// ScheduleAt queues ev to fire at absolute time t. No handle is made, so
 // the engine allocates nothing.
-func (e *Engine) ScheduleAt(t Time, fn func()) { e.push(t, asEvent(fn)) }
+func (e *Engine) ScheduleAt(t Time, ev Event) { e.push(t, ev) }
 
-// Schedule is After for callers that never cancel.
-func (e *Engine) Schedule(d Duration, fn func()) { e.push(e.deadline(d), asEvent(fn)) }
-
-// ScheduleEventAt queues ev to fire at absolute time t. Like ScheduleAt
-// it makes no handle and allocates nothing.
-func (e *Engine) ScheduleEventAt(t Time, ev Event) { e.push(t, ev) }
-
-// ScheduleEvent queues ev to fire d nanoseconds from now.
-func (e *Engine) ScheduleEvent(d Duration, ev Event) { e.ScheduleEventAt(e.deadline(d), ev) }
-
-func asEvent(fn func()) Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	return funcEvent(fn)
-}
+// Schedule queues ev to fire d nanoseconds from now (negative d is clamped
+// to 0).
+func (e *Engine) Schedule(d Duration, ev Event) { e.push(e.deadline(d), ev) }
 
 func (e *Engine) deadline(d Duration) Time {
 	if d < 0 {

@@ -100,13 +100,19 @@ type record struct {
 func (r *record) Fire() { r.fired++ }
 
 // TestEmbeddedTimer: a caller-owned timer fires its record, is inert
-// afterwards (Stop is a no-op, Arm is allowed again), and refuses a
-// second Arm while pending — that would leave the first event queued
-// with no handle to cancel it.
+// afterwards (Stop is a no-op, Arm is allowed again, Pending is false), and
+// refuses a second Arm while pending — that would leave the first event
+// queued with no handle to cancel it.
 func TestEmbeddedTimer(t *testing.T) {
 	e := NewEngine()
 	r := &record{}
+	if r.tm.Pending() {
+		t.Error("zero Timer reports pending")
+	}
 	r.tm.Arm(e, 10, r)
+	if !r.tm.Pending() {
+		t.Error("armed Timer does not report pending")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -119,15 +125,15 @@ func TestEmbeddedTimer(t *testing.T) {
 	if r.fired != 1 || e.Now() != 10 {
 		t.Fatalf("fired %d times by %v, want once at 10ns", r.fired, e.Now())
 	}
-	if r.tm.Stop() {
-		t.Error("Stop after fire reported pending")
+	if r.tm.Pending() || r.tm.Stop() {
+		t.Error("Pending or Stop after fire reported pending")
 	}
 	if e.Pending() != 0 {
 		t.Errorf("Stop after fire left %d events queued", e.Pending())
 	}
 	r.tm.Arm(e, 5, r)
-	if !r.tm.Stop() || r.tm.Stop() {
-		t.Error("re-armed timer: want first Stop true, second false")
+	if !r.tm.Stop() || r.tm.Stop() || r.tm.Pending() {
+		t.Error("re-armed timer: want first Stop true, second false, then not pending")
 	}
 	r.tm.Arm(e, 5, r)
 	e.Run()
@@ -136,20 +142,20 @@ func TestEmbeddedTimer(t *testing.T) {
 	}
 }
 
-// TestServerSubmitEvent: an event object completes a job exactly as a
+// TestServerSubmitEvent: an event object completes a job exactly as At's
 // callback does, and nil charges the service time and fires nothing.
 func TestServerSubmitEvent(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
 	r := &record{}
-	if at := s.SubmitEvent(10, r); at != 10 {
+	if at := s.Submit(10, r); at != 10 {
 		t.Errorf("first job finishes at %v, want 10ns", at)
 	}
-	if at := s.SubmitEvent(10, nil); at != 20 {
+	if at := s.Submit(10, nil); at != 20 {
 		t.Errorf("second job finishes at %v, want 20ns", at)
 	}
 	done := Time(0)
-	s.Submit(5, func() { done = e.Now() })
+	s.Submit(5, funcEvent(func() { done = e.Now() }))
 	if e.Pending() != 2 {
 		t.Errorf("%d events queued for three jobs, one of them silent; want 2", e.Pending())
 	}
@@ -226,8 +232,8 @@ func TestServerFIFO(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
 	var done []int
-	s.Submit(10, func() { done = append(done, 1) })
-	s.Submit(10, func() { done = append(done, 2) })
+	s.Submit(10, funcEvent(func() { done = append(done, 1) }))
+	s.Submit(10, funcEvent(func() { done = append(done, 2) }))
 	e.Run()
 	if e.Now() != 20 {
 		t.Fatalf("two back-to-back 10ns jobs finished at %v, want 20", e.Now())
@@ -269,7 +275,7 @@ func TestPoolParallelism(t *testing.T) {
 	p := NewPool(e, 2)
 	var finishes []Time
 	for i := 0; i < 4; i++ {
-		p.Submit(10, func() { finishes = append(finishes, e.Now()) })
+		p.Submit(10, funcEvent(func() { finishes = append(finishes, e.Now()) }))
 	}
 	e.Run()
 	// 2 servers, 4 jobs of 10ns: completions at 10,10,20,20.

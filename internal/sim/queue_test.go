@@ -14,15 +14,14 @@ import (
 // step.
 
 // queue is what a program drives: the engine's scheduling surface. The
-// func entry points, the Event-object ones and caller-owned timers all
-// draw from one seq counter, so a program mixes them freely.
+// closure entry points (At, After), the Event-object ones (Schedule,
+// ScheduleAt) and caller-owned timers all draw from one seq counter, so a
+// program mixes them freely.
 type queue interface {
 	at(t Time, fn func()) stopper
 	after(d Duration, fn func()) stopper
 	scheduleAt(t Time, fn func())
 	schedule(d Duration, fn func())
-	scheduleEventAt(t Time, fn func())
-	scheduleEvent(d Duration, fn func())
 	newOwned() owned
 	step() bool
 	runUntil(t Time)
@@ -63,10 +62,8 @@ type engineQueue struct{ e *Engine }
 
 func (q engineQueue) at(t Time, fn func()) stopper        { return q.e.At(t, fn) }
 func (q engineQueue) after(d Duration, fn func()) stopper { return q.e.After(d, fn) }
-func (q engineQueue) scheduleAt(t Time, fn func())        { q.e.ScheduleAt(t, fn) }
-func (q engineQueue) schedule(d Duration, fn func())      { q.e.Schedule(d, fn) }
-func (q engineQueue) scheduleEventAt(t Time, fn func())   { q.e.ScheduleEventAt(t, &objEvent{fn}) }
-func (q engineQueue) scheduleEvent(d Duration, fn func()) { q.e.ScheduleEvent(d, &objEvent{fn}) }
+func (q engineQueue) scheduleAt(t Time, fn func())        { q.e.ScheduleAt(t, &objEvent{fn}) }
+func (q engineQueue) schedule(d Duration, fn func())      { q.e.Schedule(d, &objEvent{fn}) }
 func (q engineQueue) newOwned() owned                     { return &engineOwned{e: q.e} }
 func (q engineQueue) step() bool                          { return q.e.Step() }
 func (q engineQueue) runUntil(t Time)                     { q.e.RunUntil(t) }
@@ -117,11 +114,9 @@ func (q *refQueue) after(d Duration, fn func()) stopper {
 	}
 	return q.at(q.clock.Add(d), fn)
 }
-func (q *refQueue) scheduleAt(t Time, fn func())        { q.at(t, fn) }
-func (q *refQueue) schedule(d Duration, fn func())      { q.after(d, fn) }
-func (q *refQueue) scheduleEventAt(t Time, fn func())   { q.at(t, fn) }
-func (q *refQueue) scheduleEvent(d Duration, fn func()) { q.after(d, fn) }
-func (q *refQueue) newOwned() owned                     { return &refOwned{q: q} }
+func (q *refQueue) scheduleAt(t Time, fn func())   { q.at(t, fn) }
+func (q *refQueue) schedule(d Duration, fn func()) { q.after(d, fn) }
+func (q *refQueue) newOwned() owned                { return &refOwned{q: q} }
 
 // refOwned models an embedded timer as whichever list entry its last arm
 // made.
@@ -209,7 +204,7 @@ func (p *program) arm() {
 	if d < 0 && p.r.Intn(2) == 0 {
 		d = 0
 	}
-	switch p.r.Intn(7) {
+	switch p.r.Intn(5) {
 	case 0:
 		p.handles = append(p.handles, p.q.after(d, fn))
 	case 1:
@@ -225,13 +220,6 @@ func (p *program) arm() {
 		}
 		p.q.scheduleAt(p.q.now().Add(d), fn)
 	case 4:
-		p.q.scheduleEvent(d, fn)
-	case 5:
-		if d < 0 {
-			d = 0
-		}
-		p.q.scheduleEventAt(p.q.now().Add(d), fn)
-	case 6:
 		// A caller-owned timer: a new record, or an old one armed again
 		// after a Stop that says whether it was still pending. Inside a
 		// callback the old one may be the record that is firing.
@@ -340,7 +328,7 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tms = append(tms, e.After(Duration(10+i%7), func() {}))
 	}
-	e.Schedule(3, func() {})
+	e.Schedule(3, &objEvent{func() {}})
 	if e.Pending() != 101 {
 		t.Fatalf("Pending = %d after 101 schedules", e.Pending())
 	}
@@ -364,29 +352,26 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 }
 
 // TestEngineAllocs pins what one event costs: the handle for At/After,
-// nothing for the handle-free calls, for an event object or for a timer
-// embedded in a record the caller already has.
+// nothing for an event object the caller already has or for a timer
+// embedded in a record.
 func TestEngineAllocs(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
+	obj := &objEvent{nop}
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Duration(1+i), nop)
+		e.Schedule(Duration(1+i), obj)
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.After(5, nop); e.Step() }); n > 1 {
 		t.Errorf("After+Step allocates %v times, want <= 1", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { e.Schedule(5, nop); e.Step() }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { e.Schedule(5, obj); e.Step() }); n != 0 {
 		t.Errorf("Schedule+Step allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { e.ScheduleAt(e.Now()+5, nop); e.Step() }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { e.ScheduleAt(e.Now()+5, obj); e.Step() }); n != 0 {
 		t.Errorf("ScheduleAt+Step allocates %v times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.After(10*Millisecond, nop).Stop() }); n > 1 {
 		t.Errorf("After+Stop allocates %v times, want <= 1", n)
-	}
-	obj := &objEvent{nop}
-	if n := testing.AllocsPerRun(1000, func() { e.ScheduleEvent(5, obj); e.Step() }); n != 0 {
-		t.Errorf("ScheduleEvent+Step allocates %v times, want 0", n)
 	}
 	rec := &engineOwned{e: e}
 	if n := testing.AllocsPerRun(1000, func() { rec.arm(10*Millisecond, nop); rec.Stop() }); n != 0 {
@@ -422,14 +407,15 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 // in the queue and the clock moving.
 func BenchmarkTimerStopChurn(b *testing.B) {
 	e, nop := NewEngine(), func() {}
+	obj := &objEvent{nop}
 	for i := 0; i < 256; i++ {
-		e.Schedule(Duration(1+i)*Microsecond, nop)
+		e.Schedule(Duration(1+i)*Microsecond, obj)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm := e.After(10*Millisecond, nop)
-		e.Schedule(256*Microsecond, nop)
+		e.Schedule(256*Microsecond, obj)
 		e.Step()
 		tm.Stop()
 	}

@@ -23,18 +23,10 @@ type Server struct {
 // NewServer returns an idle server on the given engine.
 func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
 
-// Submit enqueues a job with the given service time and schedules done at
-// its completion. It returns the completion time.
-func (s *Server) Submit(service Duration, done func()) Time {
-	if done == nil {
-		return s.SubmitEvent(service, nil)
-	}
-	return s.SubmitEvent(service, funcEvent(done))
-}
-
-// SubmitEvent is Submit for a job whose completion is an event object
-// (nil charges the service time and fires nothing).
-func (s *Server) SubmitEvent(service Duration, done Event) Time {
+// Submit enqueues a job with the given service time and queues done at
+// its completion (nil charges the service time and fires nothing). It
+// returns the completion time.
+func (s *Server) Submit(service Duration, done Event) Time {
 	if service < 0 {
 		service = 0
 	}
@@ -111,9 +103,9 @@ func NewPool(eng *Engine, k int) *Pool {
 	return &Pool{eng: eng, free: make([]Time, k)}
 }
 
-// Submit places a job on the earliest-free server and schedules done at
-// completion; returns the completion time.
-func (p *Pool) Submit(service Duration, done func()) Time {
+// Submit places a job on the earliest-free server and queues done at
+// completion (nil fires nothing); returns the completion time.
+func (p *Pool) Submit(service Duration, done Event) Time {
 	if service < 0 {
 		service = 0
 	}
@@ -144,7 +136,7 @@ func (p *Pool) Submit(service Duration, done func()) Time {
 	copy(p.finishes[at+1:], p.finishes[at:])
 	p.finishes[at] = finish
 	if done != nil {
-		p.eng.ScheduleAt(finish, done)
+		p.eng.push(finish, done)
 	}
 	return finish
 }

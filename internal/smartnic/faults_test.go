@@ -149,7 +149,7 @@ func TestErrorNotifyOnRevokedQueue(t *testing.T) {
 	m.nic.Device().Send(msg.BusID, &msg.RevokeReq{App: 1, VA: conn.VA, Bytes: conn.Bytes, Target: ssdID})
 	m.eng.Run()
 	// Drive a request: the SSD-side DMA faults.
-	_ = conn.Queue.Submit([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, func(b []byte, err error) {})
+	_ = conn.Queue.SubmitOp([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, ignoreResponse{})
 	m.eng.Run()
 	if notified == nil {
 		t.Fatal("no ErrorNotify after revocation fault")
@@ -183,3 +183,8 @@ func TestNICFailureRebootsApps(t *testing.T) {
 		t.Fatalf("reboot open failed: %v", lastErr)
 	}
 }
+
+// ignoreResponse is a queue request's completion that drops the answer.
+type ignoreResponse struct{}
+
+func (ignoreResponse) RequestDone([]byte, error) {}

@@ -297,7 +297,7 @@ func (n *NIC) deliver(d *Delivery, tn uint16, stamped bool, app msg.AppID, paylo
 		d = new(Delivery)
 	}
 	*d = Delivery{n: n, app: a, payload: payload, reply: reply, tn: tn, stamped: stamped}
-	n.rx.SubmitEvent(n.cfg.RxCost, d)
+	n.rx.Submit(n.cfg.RxCost, d)
 	n.rxG.Set(n.rx.Pending())
 }
 
@@ -315,7 +315,7 @@ func (n *NIC) shed(a App, reply func([]byte)) {
 // transmit charges tx processing for a response that has no Delivery
 // of its own to ride on, then hands it to reply.
 func (n *NIC) transmit(reply func([]byte), resp []byte) {
-	n.tx.SubmitEvent(n.cfg.TxCost, &Delivery{n: n, reply: reply, resp: resp, stage: stageTx})
+	n.tx.Submit(n.cfg.TxCost, &Delivery{n: n, reply: reply, resp: resp, stage: stageTx})
 }
 
 // Fire runs the stage the delivery was queued for.
@@ -352,7 +352,7 @@ func (d *Delivery) respond(resp []byte) {
 		return
 	}
 	d.stage, d.resp = stageTx, resp
-	d.n.tx.SubmitEvent(d.n.cfg.TxCost, d)
+	d.n.tx.Submit(d.n.cfg.TxCost, d)
 }
 
 func (n *NIC) onErrorNotify(env msg.Envelope) {

@@ -131,11 +131,12 @@ func (f *flash) page(p PPA) []byte {
 
 var errFlashBroken = fmt.Errorf("smartssd: flash failure")
 
-// pageOp is one page read or program as a record its issuer owns: the
-// event the page's channel fires and, for a write through the FTL, the
-// commit step behind it. It is idle when done.pageDone is entered and may
-// be reissued from inside it. The last four fields belong to the file I/O
-// the record is a chunk of (fs.go); flash and FTL never look at them.
+// pageOp is one page read or program, or one block erase, as a record its
+// issuer owns: the event the page's channel fires and, for a write through
+// the FTL, the commit step behind it. It is idle when done.pageDone is
+// entered and may be reissued from inside it. The last four fields belong
+// to the file I/O the record is a chunk of (fs.go); flash and FTL never
+// look at them.
 type pageOp struct {
 	done    pageCompletion
 	f       *flash
@@ -143,7 +144,7 @@ type pageOp struct {
 	lpn     int  // for the FTL's forms
 	ppa     PPA
 	page    []byte // a read's result (the flash's own, read-only) or the full page a program hands over
-	program bool
+	cmd     flashCmd
 	stage   pageStage
 	pageOff int
 	data    []byte  // write: the bytes for page[pageOff:]; read: where they go
@@ -154,18 +155,18 @@ type pageCompletion interface {
 	pageDone(op *pageOp, err error)
 }
 
-// pageFunc is a completion that is a func, for the callback forms.
-type pageFunc func(op *pageOp, err error)
+// flashCmd is what the channel does for a pageOp.
+type flashCmd uint8
 
-func (fn pageFunc) pageDone(op *pageOp, err error) { fn(op, err) }
+const (
+	cmdRead flashCmd = iota
+	cmdProgram
+	cmdErase // op.ppa's whole block
+)
 
-// read returns the page contents (zeros for an erased page). The slice is
-// the flash's own: the caller may keep it but must not write to it.
-func (f *flash) read(p PPA, cb func([]byte, error)) {
-	f.readOp(&pageOp{ppa: p, done: pageFunc(func(op *pageOp, err error) { cb(op.page, err) })})
-}
-
-// readOp is read for a record: op.ppa in, op.page out.
+// readOp reads the page at op.ppa into op.page: zeros for an erased page.
+// The slice is the flash's own: the issuer may keep it but must not write
+// to it.
 func (f *flash) readOp(op *pageOp) {
 	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: read of ppa %d beyond array", op.ppa))
@@ -179,20 +180,16 @@ func (f *flash) readOp(op *pageOp) {
 	if op.page = f.page(op.ppa); op.page == nil {
 		op.page = f.zero
 	}
-	op.f, op.t, op.program = f, nil, false
-	f.chanFor(op.ppa).SubmitEvent(f.tim.Read, op)
+	op.f, op.t, op.cmd = f, nil, cmdRead
+	f.chanFor(op.ppa).Submit(f.tim.Read, op)
 }
 
-// program writes an erased page. Programming a programmed page is an FTL
-// bug and returns an error. A full page of data is handed over: the flash
-// keeps that slice, so the caller must not write to it again (it may share
-// it, as GC relocation does, or be a view of a request buffer nobody writes
-// to). Shorter data is borrowed and padded into a new page.
-func (f *flash) program(p PPA, data []byte, cb func(error)) {
-	f.programOp(&pageOp{ppa: p, page: data, done: pageFunc(func(_ *pageOp, err error) { cb(err) })})
-}
-
-// programOp is program for a record: op.ppa and op.page in.
+// programOp writes op.page to the erased page at op.ppa. Programming a
+// programmed page is an FTL bug and fails the op. A full page is handed
+// over: the flash keeps that slice, so the issuer must not write to it
+// again (it may share it, as GC relocation does, or be a view of a request
+// buffer nobody writes to). A shorter one is borrowed and padded into a new
+// page.
 func (f *flash) programOp(op *pageOp) {
 	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: program of ppa %d beyond array", op.ppa))
@@ -208,8 +205,19 @@ func (f *flash) programOp(op *pageOp) {
 		op.page = page
 	}
 	f.programs++
-	op.f, op.program = f, true
-	f.chanFor(op.ppa).SubmitEvent(f.tim.Program, op)
+	op.f, op.cmd = f, cmdProgram
+	f.chanFor(op.ppa).Submit(f.tim.Program, op)
+}
+
+// eraseOp clears the block holding op.ppa.
+func (f *flash) eraseOp(op *pageOp) {
+	if f.geo.blockOf(op.ppa) >= len(f.pages) {
+		op.done.pageDone(op, fmt.Errorf("smartssd: erase of block %d beyond array", f.geo.blockOf(op.ppa)))
+		return
+	}
+	f.eraseOps++
+	op.f, op.t, op.cmd = f, nil, cmdErase
+	f.chanFor(op.ppa).Submit(f.tim.Erase, op)
 }
 
 // Fire is the channel finishing the operation. A program that came through
@@ -220,9 +228,14 @@ func (op *pageOp) Fire() {
 	switch {
 	case f.broken:
 		op.page, err = nil, errFlashBroken
-	case op.program && f.page(op.ppa) != nil:
+	case op.cmd == cmdErase:
+		// The block's row of pages goes in one store.
+		b := f.geo.blockOf(op.ppa)
+		f.pages[b] = nil
+		f.erases[b]++
+	case op.cmd == cmdProgram && f.page(op.ppa) != nil:
 		err = fmt.Errorf("smartssd: program of non-erased ppa %d", op.ppa)
-	case op.program:
+	case op.cmd == cmdProgram:
 		b := f.geo.blockOf(op.ppa)
 		if f.pages[b] == nil {
 			f.pages[b] = make([][]byte, f.geo.PagesPerBlock)
@@ -245,22 +258,4 @@ func (f *flash) drop(p PPA) {
 	if f.page(p) != nil {
 		f.pages[f.geo.blockOf(p)][f.geo.indexOf(p)] = f.zero
 	}
-}
-
-// erase clears a whole block: its row of pages goes in one store.
-func (f *flash) erase(block int, cb func(error)) {
-	if block < 0 || block >= f.geo.TotalBlocks() {
-		cb(fmt.Errorf("smartssd: erase of block %d beyond array", block))
-		return
-	}
-	f.eraseOps++
-	f.channels[f.geo.channelOf(block)].Submit(f.tim.Erase, func() {
-		if f.broken {
-			cb(errFlashBroken)
-			return
-		}
-		f.pages[block] = nil
-		f.erases[block]++
-		cb(nil)
-	})
 }

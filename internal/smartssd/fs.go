@@ -159,34 +159,86 @@ func (fs *FS) unlockPage(op *pageOp) {
 }
 
 // Format writes a fresh superblock and empty inode table.
-func (fs *FS) Format(cb func(error)) {
-	sb := make([]byte, fs.pageSize)
-	binary.LittleEndian.PutUint32(sb[0:], fsMagic)
-	binary.LittleEndian.PutUint32(sb[4:], fsVersion)
-	binary.LittleEndian.PutUint32(sb[8:], uint32(fs.inodePages))
-	binary.LittleEndian.PutUint32(sb[12:], uint32(fs.ftl.Capacity()))
-	fs.ftl.Write(0, sb, func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		fs.persistInodeRange(0, fs.inodePages, cb)
-	})
+func (fs *FS) Format(cb func(error)) { fs.walk(0, 1+fs.inodePages, false, cb) }
+
+// Mount reads the superblock and inode table, rebuilding in-memory state.
+func (fs *FS) Mount(cb func(error)) { fs.walk(0, 1+fs.inodePages, true, cb) }
+
+// persistInodeOf rewrites the single inode page containing index idx.
+func (fs *FS) persistInodeOf(idx int, cb func(error)) {
+	lpn := 1 + idx/inodesPerPag
+	fs.walk(lpn, lpn+1, false, cb)
 }
 
-// persistInodeRange rewrites inode pages [from, to).
-func (fs *FS) persistInodeRange(from, to int, cb func(error)) {
-	if from >= to {
-		cb(nil)
+// metaIO is a pass over the metadata pages as the page op of a walk: the
+// logical pages [next, end) in order (0 is the superblock, 1+i inode page
+// i), written from memory, or read into it by a mount; then cb.
+type metaIO struct {
+	fs        *FS
+	op        pageOp
+	next, end int
+	mount     bool
+	cb        func(error)
+}
+
+func (fs *FS) walk(from, to int, mount bool, cb func(error)) {
+	(&metaIO{fs: fs, next: from, end: to, mount: mount, cb: cb}).step()
+}
+
+func (m *metaIO) step() {
+	fs := m.fs
+	if m.next == m.end {
+		if m.mount { // rebuild the bitmap from the extents
+			clear(fs.bitmap)
+			for i := range fs.inodes {
+				for _, e := range fs.inodes[i].extents {
+					for p := e.start; p < e.start+e.count; p++ {
+						fs.bitmap[int(p)-fs.dataStart] = true
+					}
+				}
+			}
+		}
+		m.cb(nil)
 		return
 	}
-	fs.ftl.Write(1+from, fs.inodePage(from), func(err error) {
-		if err != nil {
-			cb(err)
-			return
+	m.op = pageOp{done: m, lpn: m.next}
+	m.next++
+	switch {
+	case m.mount:
+		fs.ftl.readOp(&m.op)
+		return
+	case m.op.lpn == 0:
+		m.op.page = make([]byte, fs.pageSize)
+		binary.LittleEndian.PutUint32(m.op.page[0:], fsMagic)
+		binary.LittleEndian.PutUint32(m.op.page[4:], fsVersion)
+		binary.LittleEndian.PutUint32(m.op.page[8:], uint32(fs.inodePages))
+		binary.LittleEndian.PutUint32(m.op.page[12:], uint32(fs.ftl.Capacity()))
+	default:
+		m.op.page = fs.inodePage(m.op.lpn - 1)
+	}
+	fs.ftl.writeOp(&m.op)
+}
+
+// pageDone checks the superblock or decodes an inode page a mount read,
+// then goes on to the next page.
+func (m *metaIO) pageDone(op *pageOp, err error) {
+	fs, b := m.fs, op.page
+	switch {
+	case err != nil || !m.mount:
+	case op.lpn > 0:
+		for i := 0; i < inodesPerPag; i++ {
+			fs.inodes[(op.lpn-1)*inodesPerPag+i] = decodeInode(b[i*inodeSize : (i+1)*inodeSize])
 		}
-		fs.persistInodeRange(from+1, to, cb)
-	})
+	case binary.LittleEndian.Uint32(b[0:]) != fsMagic:
+		err = fmt.Errorf("smartssd: bad superblock magic")
+	case int(binary.LittleEndian.Uint32(b[8:])) != fs.inodePages:
+		err = fmt.Errorf("smartssd: inode table size mismatch (disk %d, config %d)", binary.LittleEndian.Uint32(b[8:]), fs.inodePages)
+	}
+	if err != nil {
+		m.cb(err)
+		return
+	}
+	m.step()
 }
 
 // inodePage encodes one page of the inode table in a buffer for the flash.
@@ -196,57 +248,6 @@ func (fs *FS) inodePage(page int) []byte {
 		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &fs.inodes[page*inodesPerPag+i])
 	}
 	return buf
-}
-
-// persistInodeOf rewrites the single inode page containing index idx.
-func (fs *FS) persistInodeOf(idx int, cb func(error)) {
-	page := idx / inodesPerPag
-	fs.persistInodeRange(page, page+1, cb)
-}
-
-// Mount reads the superblock and inode table, rebuilding in-memory state.
-func (fs *FS) Mount(cb func(error)) {
-	fs.ftl.Read(0, func(sb []byte, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		if binary.LittleEndian.Uint32(sb[0:]) != fsMagic {
-			cb(fmt.Errorf("smartssd: bad superblock magic"))
-			return
-		}
-		if got := int(binary.LittleEndian.Uint32(sb[8:])); got != fs.inodePages {
-			cb(fmt.Errorf("smartssd: inode table size mismatch (disk %d, config %d)", got, fs.inodePages))
-			return
-		}
-		fs.mountInodePage(0, cb)
-	})
-}
-
-func (fs *FS) mountInodePage(page int, cb func(error)) {
-	if page >= fs.inodePages {
-		// Rebuild the bitmap from extents.
-		clear(fs.bitmap)
-		for i := range fs.inodes {
-			for _, e := range fs.inodes[i].extents {
-				for p := e.start; p < e.start+e.count; p++ {
-					fs.bitmap[int(p)-fs.dataStart] = true
-				}
-			}
-		}
-		cb(nil)
-		return
-	}
-	fs.ftl.Read(1+page, func(b []byte, err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		for i := 0; i < inodesPerPag; i++ {
-			fs.inodes[page*inodesPerPag+i] = decodeInode(b[i*inodeSize : (i+1)*inodeSize])
-		}
-		fs.mountInodePage(page+1, cb)
-	})
 }
 
 // File is an open handle (index into the inode table).
@@ -464,7 +465,7 @@ type ioCompletion interface {
 	ioDone(io *fileIO, err error)
 }
 
-// ioFunc is a completion that is a func, for the callback forms.
+// ioFunc is a completion that is a func, for ReadAt and WriteAt.
 type ioFunc func(error)
 
 func (fn ioFunc) ioDone(_ *fileIO, err error) { fn(err) }
@@ -595,14 +596,11 @@ func (io *fileIO) complete(err error) {
 // Partial pages are read-modified-written. cb runs after both the data
 // and the metadata update are durable. data is borrowed for the call only
 // and cloned here; the file service, which owns its request buffer, hands
-// that to writeAt as it is.
+// that to writeAt as it is. The callback form serves the loader, the
+// machine's file preload and the benchmark's FS probe (bench/probes.go);
+// the data path issues fileIO records.
 func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {
 	new(fileIO).writeAt(f, off, bytes.Clone(data), ioFunc(cb))
-}
-
-// Append writes at the current end of file.
-func (f *File) Append(data []byte, cb func(error)) {
-	f.WriteAt(f.Size(), data, cb)
 }
 
 // clip bounds a read of n bytes at off by the end of the file.
@@ -614,7 +612,9 @@ func (f *File) clip(off uint64, n int) int {
 }
 
 // ReadAt reads n bytes at the offset. Reads past EOF are clipped; a read
-// entirely beyond EOF returns an empty slice.
+// entirely beyond EOF returns an empty slice. It is kept for the
+// benchmark's FS probe (bench/probes.go), its last caller outside tests;
+// the file service issues fileIO records.
 func (f *File) ReadAt(off uint64, n int, cb func([]byte, error)) {
 	var buf []byte
 	if n = f.clip(off, n); n > 0 {

@@ -13,7 +13,7 @@ import (
 // in-memory byte-slice implementation, including across a remount.
 //
 // The test is also the proof of the buffer-ownership rule: it scribbles
-// over every buffer it lends to WriteAt/Append as soon as the call returns
+// over every buffer it lends to WriteAt as soon as the call returns
 // and again after completion, and over every slice ReadAt gives it. If the
 // filesystem kept a reference to the first or handed out the flash's own
 // page as the second, later reads diverge from the model.
@@ -134,7 +134,7 @@ func TestFSMatchesReferenceModel(t *testing.T) {
 				payload := bytes.Repeat([]byte{op.Fill ^ 0x5A}, n)
 				ref.writeAt(uint64(len(ref.data)), payload)
 				var werr error
-				f.Append(payload, func(err error) { werr = err })
+				f.WriteAt(f.Size(), payload, func(err error) { werr = err })
 				scribble(payload)
 				eng.Run()
 				scribble(payload)

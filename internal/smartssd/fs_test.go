@@ -201,7 +201,7 @@ func TestAppendGrows(t *testing.T) {
 	f := mustCreate(t, eng, fs, "log")
 	for i := 0; i < 10; i++ {
 		rec := bytes.Repeat([]byte{byte(i)}, 1000)
-		f.Append(rec, func(err error) {
+		f.WriteAt(f.Size(), rec, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -466,7 +466,7 @@ func TestFSAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b := allocBytesPerRun(200, func() { f.Append(rec, fail); eng.Run() }); b >= 2*4096+1024 {
+	if b := allocBytesPerRun(200, func() { f.WriteAt(f.Size(), rec, fail); eng.Run() }); b >= 2*4096+1024 {
 		t.Errorf("64 B append allocates %d bytes, want two pages and under 1 KiB besides", b)
 	}
 	got := func(b []byte, err error) {
@@ -494,7 +494,7 @@ func BenchmarkFSAppend64B(b *testing.B) {
 			// Keep the log, and the share of GC in the number, bounded.
 			f.Truncate(fail)
 		}
-		f.Append(rec, fail)
+		f.WriteAt(f.Size(), rec, fail)
 		eng.Run()
 	}
 }
@@ -752,7 +752,7 @@ func TestInodePersistedOnceAfterData(t *testing.T) {
 	}
 	before = st()
 	done := false
-	f.Append(make([]byte, 64), func(err error) { done = err == nil })
+	f.WriteAt(f.Size(), make([]byte, 64), func(err error) { done = err == nil })
 	eng.RunFor(DefaultTiming.Program - 1) // the data page (unmapped before: no read) is still being programmed
 	if d := st(); d.HostWrites-before.HostWrites != 1 || done {
 		t.Errorf("before the data is on flash: %d page writes, done=%v", d.HostWrites-before.HostWrites, done)

@@ -60,6 +60,7 @@ type ftl struct {
 	logicalPages int
 	gcThreshold  int
 	gcRunning    bool
+	gc           gcCycle // the collection in progress while gcRunning
 
 	stats FTLStats
 }
@@ -97,6 +98,7 @@ func newFTL(eng *sim.Engine, f *flash, opRatio float64) *ftl {
 	for c := range t.active {
 		t.active[c] = -1
 	}
+	t.gc.t = t
 	return t
 }
 
@@ -199,13 +201,9 @@ func (t *ftl) invalidate(ppa PPA) {
 	}
 }
 
-// Read fetches a logical page. An unwritten page reads as zeros without
-// touching flash. The slice is read-only, as for flash.read.
-func (t *ftl) Read(lpn int, cb func([]byte, error)) {
-	t.readOp(&pageOp{lpn: lpn, done: pageFunc(func(op *pageOp, err error) { cb(op.page, err) })})
-}
-
-// readOp is Read for a record: op.lpn in, op.page out.
+// readOp fetches the logical page op.lpn into op.page. An unwritten page
+// reads as zeros without touching flash. The slice is read-only, as for
+// flash.readOp.
 func (t *ftl) readOp(op *pageOp) {
 	if op.lpn < 0 || op.lpn >= t.logicalPages {
 		op.done.pageDone(op, fmt.Errorf("smartssd: read of lpn %d beyond capacity %d", op.lpn, t.logicalPages))
@@ -220,14 +218,9 @@ func (t *ftl) readOp(op *pageOp) {
 	t.f.readOp(op)
 }
 
-// Write stores a logical page (always out-of-place). A full page of data
-// is handed over, as for flash.program.
-func (t *ftl) Write(lpn int, data []byte, cb func(error)) {
-	t.writeOp(&pageOp{lpn: lpn, page: data, done: pageFunc(func(_ *pageOp, err error) { cb(err) })})
-}
-
-// writeOp is Write for a record: op.lpn and op.page in. The mapping target
-// is reserved now and committed when the program completes (pageOp.Fire).
+// writeOp stores op.page as the logical page op.lpn (always out-of-place).
+// A full page is handed over, as for flash.programOp. The mapping target is
+// reserved now and committed when the program completes (pageOp.Fire).
 func (t *ftl) writeOp(op *pageOp) {
 	if op.lpn < 0 || op.lpn >= t.logicalPages {
 		op.done.pageDone(op, fmt.Errorf("smartssd: write of lpn %d beyond capacity %d", op.lpn, t.logicalPages))
@@ -273,25 +266,8 @@ func (t *ftl) maybeGC() {
 	}
 	t.gcRunning = true
 	t.stats.GCRuns++
-	t.relocateBlock(victim, 0, func(moved bool) {
-		if !moved {
-			// Valid pages remain in the victim (out of free pages mid-GC,
-			// or a flash error): it stays full and l2p keeps pointing at it.
-			t.gcRunning = false
-			return
-		}
-		t.f.erase(victim, func(err error) {
-			t.gcRunning = false
-			if err != nil {
-				return // broken flash: GC abandons quietly, writes will fail
-			}
-			t.state[victim] = blockFree
-			t.nextInBlk[victim] = 0
-			t.freeBlocks = append(t.freeBlocks, victim)
-			sort.Ints(t.freeBlocks)
-			t.maybeGC()
-		})
-	})
+	t.gc.victim = victim
+	t.gc.relocate(0)
 }
 
 // pickVictim chooses the full block with the fewest valid pages.
@@ -308,49 +284,74 @@ func (t *ftl) pickVictim() int {
 	return best
 }
 
-// relocateBlock moves every valid page of the block elsewhere, then calls
-// done with whether all of them moved; false means it stopped early.
-func (t *ftl) relocateBlock(block, pageIdx int, done func(moved bool)) {
-	if pageIdx >= t.geo.PagesPerBlock {
-		done(true)
-		return
-	}
-	ppa := PPA(block*t.geo.PagesPerBlock + pageIdx)
-	lpn := t.p2l[ppa]
-	if lpn == invalidLPN {
-		t.relocateBlock(block, pageIdx+1, done)
-		return
-	}
-	t.f.read(ppa, func(data []byte, err error) {
-		if err != nil {
-			done(false)
+// gcCycle is a collection as a record the FTL owns (one runs at a time):
+// its one page op reads each valid page of the victim and programs it
+// elsewhere, then erases the victim.
+type gcCycle struct {
+	t      *ftl
+	op     pageOp
+	victim int
+	src    PPA    // the page being relocated
+	lpn    uint32 // and its logical page
+}
+
+// relocate moves the valid pages of the victim from page index i on, one
+// at a time; once none is left it erases the victim.
+func (g *gcCycle) relocate(i int) {
+	t := g.t
+	for ; i < t.geo.PagesPerBlock; i++ {
+		g.src = PPA(g.victim*t.geo.PagesPerBlock + i)
+		if g.lpn = t.p2l[g.src]; g.lpn != invalidLPN {
+			g.op = pageOp{done: g, ppa: g.src}
+			t.f.readOp(&g.op)
 			return
 		}
+	}
+	g.op = pageOp{done: g, ppa: PPA(g.victim * t.geo.PagesPerBlock)}
+	t.f.eraseOp(&g.op)
+}
+
+// pageDone is the next step of the cycle. A failure leaves the victim full
+// with l2p still pointing into it (out of free pages mid-GC, or a flash
+// error) and ends the cycle.
+func (g *gcCycle) pageDone(op *pageOp, err error) {
+	t := g.t
+	if err != nil {
+		t.gcRunning = false // broken flash: GC abandons quietly, writes will fail
+		return
+	}
+	switch op.cmd {
+	case cmdRead:
 		dst, aerr := t.allocPage()
 		if aerr != nil {
-			done(false)
+			t.gcRunning = false
 			return
 		}
 		// Source and destination share the slice until the source drops it.
-		t.f.program(dst, data, func(err error) {
-			if err != nil {
-				done(false)
-				return
-			}
-			// The host may have rewritten the LPN while we copied; only
-			// commit if our source is still current.
-			if t.l2p[lpn] == ppa {
-				t.invalidate(ppa)
-				t.l2p[lpn] = dst
-				t.p2l[dst] = lpn
-				t.validCount[t.geo.blockOf(dst)]++
-				t.stats.GCPagesMoved++
-			} else {
-				// Stale copy: the destination page holds garbage now.
-				t.p2l[dst] = invalidLPN
-				t.f.drop(dst)
-			}
-			t.relocateBlock(block, pageIdx+1, done)
-		})
-	})
+		op.ppa = dst
+		t.f.programOp(op)
+	case cmdProgram:
+		src, dst := g.src, op.ppa
+		// The host may have rewritten the LPN while we copied; only commit
+		// if our source is still current.
+		if t.l2p[g.lpn] == src {
+			t.invalidate(src)
+			t.l2p[g.lpn] = dst
+			t.p2l[dst] = g.lpn
+			t.validCount[t.geo.blockOf(dst)]++
+			t.stats.GCPagesMoved++
+		} else {
+			// Stale copy: the destination page holds garbage now.
+			t.p2l[dst] = invalidLPN
+			t.f.drop(dst)
+		}
+		g.relocate(t.geo.indexOf(src) + 1)
+	case cmdErase:
+		t.gcRunning = false
+		t.state[g.victim] = blockFree
+		t.nextInBlk[g.victim] = 0
+		t.freeBlocks = append(t.freeBlocks, g.victim)
+		sort.Ints(t.freeBlocks)
+		t.maybeGC()
+	}
 }

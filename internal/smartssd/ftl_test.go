@@ -13,16 +13,43 @@ func testGeo() FlashGeometry {
 	return FlashGeometry{Channels: 2, DiesPerChan: 1, BlocksPerDie: 8, PagesPerBlock: 8, PageSize: 4096}
 }
 
+// The page ops with a callback, for tests: each issues a record of its own
+// whose completion calls cb.
+
+type pageCB func(op *pageOp, err error)
+
+func (cb pageCB) pageDone(op *pageOp, err error) { cb(op, err) }
+
+func flashRead(f *flash, p PPA, cb func([]byte, error)) {
+	f.readOp(&pageOp{ppa: p, done: pageCB(func(op *pageOp, err error) { cb(op.page, err) })})
+}
+
+func flashProgram(f *flash, p PPA, data []byte, cb func(error)) {
+	f.programOp(&pageOp{ppa: p, page: data, done: pageCB(func(_ *pageOp, err error) { cb(err) })})
+}
+
+func flashErase(f *flash, block int, cb func(error)) {
+	f.eraseOp(&pageOp{ppa: PPA(block * f.geo.PagesPerBlock), done: pageCB(func(_ *pageOp, err error) { cb(err) })})
+}
+
+func ftlRead(t *ftl, lpn int, cb func([]byte, error)) {
+	t.readOp(&pageOp{lpn: lpn, done: pageCB(func(op *pageOp, err error) { cb(op.page, err) })})
+}
+
+func ftlWrite(t *ftl, lpn int, data []byte, cb func(error)) {
+	t.writeOp(&pageOp{lpn: lpn, page: data, done: pageCB(func(_ *pageOp, err error) { cb(err) })})
+}
+
 func TestFlashReadProgramErase(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newFlash(eng, testGeo(), DefaultTiming)
 	data := []byte("flash payload")
 	var got []byte
-	f.program(3, data, func(err error) {
+	flashProgram(f, 3, data, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
-		f.read(3, func(b []byte, err error) { got = b })
+		flashRead(f, 3, func(b []byte, err error) { got = b })
 	})
 	eng.Run()
 	if !bytes.Equal(got[:len(data)], data) {
@@ -30,19 +57,19 @@ func TestFlashReadProgramErase(t *testing.T) {
 	}
 	// Program-on-programmed must fail.
 	var perr error
-	f.program(3, data, func(err error) { perr = err })
+	flashProgram(f, 3, data, func(err error) { perr = err })
 	eng.Run()
 	if perr == nil {
 		t.Error("double program accepted")
 	}
 	// Erase block 0 (pages 0-7) clears page 3.
-	f.erase(0, func(err error) {
+	flashErase(f, 0, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
 	})
 	eng.Run()
-	f.read(3, func(b []byte, err error) { got = b })
+	flashRead(f, 3, func(b []byte, err error) { got = b })
 	eng.Run()
 	if got[0] != 0 {
 		t.Error("erase did not clear page")
@@ -56,7 +83,7 @@ func TestFlashTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newFlash(eng, testGeo(), DefaultTiming)
 	var doneAt sim.Time
-	f.read(0, func([]byte, error) { doneAt = eng.Now() })
+	flashRead(f, 0, func([]byte, error) { doneAt = eng.Now() })
 	eng.Run()
 	if doneAt != sim.Time(DefaultTiming.Read) {
 		t.Errorf("read completed at %v, want %v", doneAt, DefaultTiming.Read)
@@ -67,9 +94,9 @@ func TestFlashTiming(t *testing.T) {
 	eng2 := sim.NewEngine()
 	f2 := newFlash(eng2, testGeo(), DefaultTiming)
 	var t1, t2, t3 sim.Time
-	f2.read(0, func([]byte, error) { t1 = eng2.Now() })
-	f2.read(16, func([]byte, error) { t2 = eng2.Now() })
-	f2.read(8, func([]byte, error) { t3 = eng2.Now() })
+	flashRead(f2, 0, func([]byte, error) { t1 = eng2.Now() })
+	flashRead(f2, 16, func([]byte, error) { t2 = eng2.Now() })
+	flashRead(f2, 8, func([]byte, error) { t3 = eng2.Now() })
 	eng2.Run()
 	if t1 != sim.Time(DefaultTiming.Read) || t3 != t1 {
 		t.Errorf("parallel channels: t1=%v t3=%v", t1, t3)
@@ -83,23 +110,23 @@ func TestFlashBoundsAndBroken(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newFlash(eng, testGeo(), DefaultTiming)
 	var errs int
-	f.read(PPA(f.geo.TotalPages()), func(_ []byte, err error) {
+	flashRead(f, PPA(f.geo.TotalPages()), func(_ []byte, err error) {
 		if err != nil {
 			errs++
 		}
 	})
-	f.program(PPA(f.geo.TotalPages()), nil, func(err error) {
+	flashProgram(f, PPA(f.geo.TotalPages()), nil, func(err error) {
 		if err != nil {
 			errs++
 		}
 	})
-	f.erase(-1, func(err error) {
+	flashErase(f, -1, func(err error) {
 		if err != nil {
 			errs++
 		}
 	})
 	f.broken = true
-	f.read(0, func(_ []byte, err error) {
+	flashRead(f, 0, func(_ []byte, err error) {
 		if err != nil {
 			errs++
 		}
@@ -114,7 +141,7 @@ func TestFTLReadUnwrittenIsZeros(t *testing.T) {
 	eng := sim.NewEngine()
 	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
 	var got []byte
-	ftl.Read(5, func(b []byte, err error) {
+	ftlRead(ftl, 5, func(b []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -134,15 +161,15 @@ func TestFTLWriteReadOverwrite(t *testing.T) {
 	v1 := bytes.Repeat([]byte{1}, 4096)
 	v2 := bytes.Repeat([]byte{2}, 4096)
 	var got []byte
-	ftl.Write(7, v1, func(err error) {
+	ftlWrite(ftl, 7, v1, func(err error) {
 		if err != nil {
 			t.Error(err)
 		}
-		ftl.Write(7, v2, func(err error) {
+		ftlWrite(ftl, 7, v2, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
-			ftl.Read(7, func(b []byte, err error) { got = b })
+			ftlRead(ftl, 7, func(b []byte, err error) { got = b })
 		})
 	})
 	eng.Run()
@@ -158,12 +185,12 @@ func TestFTLBounds(t *testing.T) {
 	eng := sim.NewEngine()
 	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
 	var errs int
-	ftl.Read(ftl.Capacity(), func(_ []byte, err error) {
+	ftlRead(ftl, ftl.Capacity(), func(_ []byte, err error) {
 		if err != nil {
 			errs++
 		}
 	})
-	ftl.Write(-1, nil, func(err error) {
+	ftlWrite(ftl, -1, nil, func(err error) {
 		if err != nil {
 			errs++
 		}
@@ -187,7 +214,7 @@ func TestFTLGarbageCollection(t *testing.T) {
 			return
 		}
 		writes++
-		ftl.Write(writes%8, payload, func(err error) {
+		ftlWrite(ftl, writes%8, payload, func(err error) {
 			if err != nil {
 				t.Errorf("write %d: %v", writes, err)
 				return
@@ -206,7 +233,7 @@ func TestFTLGarbageCollection(t *testing.T) {
 	}
 	// The hot pages must still read back correctly after GC churn.
 	var got []byte
-	ftl.Read(1, func(b []byte, err error) {
+	ftlRead(ftl, 1, func(b []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -227,7 +254,7 @@ func TestFTLGCPreservesColdData(t *testing.T) {
 	cold := bytes.Repeat([]byte{0xCD}, 4096)
 	hot := bytes.Repeat([]byte{0x11}, 4096)
 	// Write cold data once, then hammer another page to force relocations.
-	ftl.Write(50, cold, func(err error) {
+	ftlWrite(ftl, 50, cold, func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +263,7 @@ func TestFTLGCPreservesColdData(t *testing.T) {
 			if i >= 300 {
 				return
 			}
-			ftl.Write(3, hot, func(err error) {
+			ftlWrite(ftl, 3, hot, func(err error) {
 				if err != nil {
 					t.Errorf("hot write: %v", err)
 					return
@@ -248,7 +275,7 @@ func TestFTLGCPreservesColdData(t *testing.T) {
 	})
 	eng.Run()
 	var got []byte
-	ftl.Read(50, func(b []byte, err error) {
+	ftlRead(ftl, 50, func(b []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -272,7 +299,7 @@ func TestFTLWearAccounting(t *testing.T) {
 		if i >= 500 {
 			return
 		}
-		ftl.Write(i%16, payload, func(err error) {
+		ftlWrite(ftl, i%16, payload, func(err error) {
 			if err != nil {
 				t.Errorf("write %d: %v", i, err)
 				return
@@ -297,12 +324,12 @@ func TestFTLWearAccounting(t *testing.T) {
 func TestFTLTrim(t *testing.T) {
 	eng := sim.NewEngine()
 	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
-	ftl.Write(2, bytes.Repeat([]byte{9}, 4096), func(err error) {
+	ftlWrite(ftl, 2, bytes.Repeat([]byte{9}, 4096), func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		ftl.Trim(2)
-		ftl.Read(2, func(b []byte, err error) {
+		ftlRead(ftl, 2, func(b []byte, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -340,7 +367,7 @@ func TestFlashDropsStalePages(t *testing.T) {
 	ftl := newFTL(eng, f, 0.25)
 	const rewrites = 20 // 24 programs in all: well short of the GC threshold
 	write := func(lpn int, fill byte) {
-		ftl.Write(lpn, bytes.Repeat([]byte{fill}, 4096), func(err error) {
+		ftlWrite(ftl, lpn, bytes.Repeat([]byte{fill}, 4096), func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +393,7 @@ func TestFlashDropsStalePages(t *testing.T) {
 		t.Errorf("flash holds %d pages after a trim, want 2", held)
 	}
 	var got []byte
-	ftl.Read(5, func(b []byte, err error) { got = b })
+	ftlRead(ftl, 5, func(b []byte, err error) { got = b })
 	eng.Run()
 	if !bytes.Equal(got, bytes.Repeat([]byte{rewrites - 1}, 4096)) {
 		t.Error("latest copy of the rewritten page lost")
@@ -374,14 +401,14 @@ func TestFlashDropsStalePages(t *testing.T) {
 
 	// A dropped page is still programmed until its block is erased.
 	var perr error
-	f.program(stale, []byte("again"), func(err error) { perr = err })
+	flashProgram(f, stale, []byte("again"), func(err error) { perr = err })
 	eng.Run()
 	if perr == nil || !strings.Contains(perr.Error(), "non-erased ppa") {
 		t.Errorf("program of a dropped page: %v, want the non-erased refusal", perr)
 	}
-	f.erase(f.geo.blockOf(stale), func(err error) { perr = err })
+	flashErase(f, f.geo.blockOf(stale), func(err error) { perr = err })
 	eng.Run()
-	f.program(stale, []byte("again"), func(err error) { perr = err })
+	flashProgram(f, stale, []byte("again"), func(err error) { perr = err })
 	eng.Run()
 	if perr != nil {
 		t.Errorf("program after erase: %v", perr)
@@ -423,7 +450,7 @@ func TestFlashRowsFollowPrograms(t *testing.T) {
 	}
 	readsZeros := func(when string) {
 		t.Helper()
-		f.read(ppa, func(b []byte, err error) {
+		flashRead(f, ppa, func(b []byte, err error) {
 			if err != nil || &b[0] != &f.zero[0] {
 				t.Errorf("%s the page reads %v (shared zero page: %v)", when, err, err == nil && &b[0] == &f.zero[0])
 			}
@@ -436,25 +463,25 @@ func TestFlashRowsFollowPrograms(t *testing.T) {
 		t.Fatalf("%d rows before any program", rows())
 	}
 	page := bytes.Repeat([]byte{7}, 4096)
-	run("program", func(cb func(error)) { f.program(ppa, page, cb) })
-	run("program of a second page", func(cb func(error)) { f.program(ppa+1, page, cb) })
+	run("program", func(cb func(error)) { flashProgram(f, ppa, page, cb) })
+	run("program of a second page", func(cb func(error)) { flashProgram(f, ppa+1, page, cb) })
 	if held, programmed := heldPages(f); rows() != 1 || held != 2 || programmed != 2 {
 		t.Fatalf("two pages of one block: %d rows, %d held, %d programmed", rows(), held, programmed)
 	}
 	f.drop(ppa)
 	readsZeros("after the drop")
 	var perr error
-	f.program(ppa, page, func(err error) { perr = err })
+	flashProgram(f, ppa, page, func(err error) { perr = err })
 	eng.Run()
 	if perr == nil {
 		t.Error("a dropped page was programmed again before its erase")
 	}
-	run("erase", func(cb func(error)) { f.erase(5, cb) })
+	run("erase", func(cb func(error)) { flashErase(f, 5, cb) })
 	readsZeros("after the erase")
 	if rows() != 0 {
 		t.Errorf("%d rows after the erase", rows())
 	}
-	run("program after erase", func(cb func(error)) { f.program(ppa, page, cb) })
+	run("program after erase", func(cb func(error)) { flashProgram(f, ppa, page, cb) })
 }
 
 // A host read already on its way to a physical page returns that page's
@@ -463,14 +490,14 @@ func TestFTLReadInFlightAcrossOverwrite(t *testing.T) {
 	eng := sim.NewEngine()
 	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
 	v1, v2 := bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)
-	ftl.Write(4, v1, func(err error) {
+	ftlWrite(ftl, 4, v1, func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	eng.Run()
 	overwritten := false
-	ftl.Write(4, v2, func(err error) {
+	ftlWrite(ftl, 4, v2, func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +505,7 @@ func TestFTLReadInFlightAcrossOverwrite(t *testing.T) {
 	})
 	eng.RunFor(DefaultTiming.Program - DefaultTiming.Read/2)
 	var got []byte
-	ftl.Read(4, func(b []byte, err error) {
+	ftlRead(ftl, 4, func(b []byte, err error) {
 		if !overwritten {
 			t.Error("the read completed before the overwrite: nothing tested")
 		}
@@ -488,7 +515,7 @@ func TestFTLReadInFlightAcrossOverwrite(t *testing.T) {
 	if !bytes.Equal(got, v1) {
 		t.Error("read in flight across an overwrite did not return the page it was issued to")
 	}
-	ftl.Read(4, func(b []byte, err error) { got = b })
+	ftlRead(ftl, 4, func(b []byte, err error) { got = b })
 	eng.Run()
 	if !bytes.Equal(got, v2) {
 		t.Error("overwrite not visible to a later read")
@@ -502,7 +529,7 @@ func TestFTLGCAbandonedRelocationKeepsData(t *testing.T) {
 	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
 	// Sixteen cold pages fill one block on each channel exactly.
 	for lpn := 0; lpn < 16; lpn++ {
-		ftl.Write(lpn, bytes.Repeat([]byte{byte(0xC0 + lpn)}, 4096), func(err error) {
+		ftlWrite(ftl, lpn, bytes.Repeat([]byte{byte(0xC0 + lpn)}, 4096), func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -524,7 +551,7 @@ func TestFTLGCAbandonedRelocationKeepsData(t *testing.T) {
 	}
 	for lpn := 0; lpn < 16; lpn++ {
 		var got []byte
-		ftl.Read(lpn, func(b []byte, err error) {
+		ftlRead(ftl, lpn, func(b []byte, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -541,12 +568,7 @@ func BenchmarkFlashProgramRead(b *testing.B) {
 	eng := sim.NewEngine()
 	f := newFlash(eng, DefaultGeometry, DefaultTiming)
 	page := make([]byte, f.geo.PageSize)
-	done := func(err error) {
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	read := func(_ []byte, err error) { done(err) }
+	op := pageOp{done: failOnError{b}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -554,12 +576,25 @@ func BenchmarkFlashProgramRead(b *testing.B) {
 		if ppa == 0 && i > 0 {
 			// Every page is programmed: start over.
 			for blk := 0; blk < f.geo.TotalBlocks(); blk++ {
-				f.erase(blk, done)
+				op.ppa = PPA(blk * f.geo.PagesPerBlock)
+				f.eraseOp(&op)
+				eng.Run()
 			}
 		}
-		f.program(ppa, page, done)
+		op.ppa, op.page = ppa, page
+		f.programOp(&op)
 		eng.Run()
-		f.read(ppa, read)
+		op.ppa = ppa
+		f.readOp(&op)
 		eng.Run()
+	}
+}
+
+// failOnError is a page op's completion that fails the benchmark on error.
+type failOnError struct{ b *testing.B }
+
+func (c failOnError) pageDone(_ *pageOp, err error) {
+	if err != nil {
+		c.b.Fatal(err)
 	}
 }

@@ -55,7 +55,7 @@ type Driver struct {
 	// 10us when batching is enabled.
 	FlushAfter sim.Duration
 	unkicked   int
-	flushTimer *sim.Timer
+	flush      sim.Timer // armed with flushDue while a partial batch waits
 
 	// OnError receives transport-level failures (DMA faults after a
 	// revoke, corrupt rings). After it fires the queue is dead.
@@ -196,10 +196,7 @@ func (d *Driver) Quiesce() {
 		}
 	}
 	d.inflight = 0
-	if d.flushTimer != nil {
-		d.flushTimer.Stop()
-		d.flushTimer = nil
-	}
+	d.flush.Stop()
 	d.port.Fabric().UnregisterDoorbell(d.RespBell)
 }
 
@@ -218,15 +215,6 @@ func (d *Driver) pair(head uint16) *driverPair {
 // failed the queue. A per-request record can be the completion itself.
 type Completion interface {
 	RequestDone(resp []byte, err error)
-}
-
-type completionFunc func(resp []byte, err error)
-
-func (f completionFunc) RequestDone(resp []byte, err error) { f(resp, err) }
-
-// Submit is SubmitOp for a completion that is a func.
-func (d *Driver) Submit(req []byte, done func(resp []byte, err error)) error {
-	return d.SubmitOp(req, completionFunc(done))
 }
 
 // SubmitOp posts one request; the response buffer is the pair's second
@@ -292,17 +280,19 @@ func (s *driverPair) DMADone(op *interconnect.DMA, err error) {
 		return
 	}
 	// Partial batch: arm the flush timer so requests cannot strand.
-	if d.flushTimer == nil {
+	if !d.flush.Pending() {
 		after := d.FlushAfter
 		if after <= 0 {
 			after = 10 * sim.Microsecond
 		}
-		d.flushTimer = d.port.Fabric().Engine().After(after, func() {
-			d.flushTimer = nil
-			d.Flush()
-		})
+		d.flush.Arm(d.port.Fabric().Engine(), after, (*flushDue)(d))
 	}
 }
+
+// flushDue is the driver as the event that flushes a partial batch.
+type flushDue Driver
+
+func (f *flushDue) Fire() { (*Driver)(f).Flush() }
 
 // Flush rings the endpoint's doorbell if there are unannounced requests.
 func (d *Driver) Flush() {
@@ -310,10 +300,7 @@ func (d *Driver) Flush() {
 		return
 	}
 	d.unkicked = 0
-	if d.flushTimer != nil {
-		d.flushTimer.Stop()
-		d.flushTimer = nil
-	}
+	d.flush.Stop()
 	d.stats.Kicks++
 	d.port.Fabric().Ring(d.reqBell, uint64(d.availIdx))
 }

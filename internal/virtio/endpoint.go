@@ -26,18 +26,6 @@ type Responder interface {
 	Complete(resp []byte)
 }
 
-// Handler is a Service that is a func; done is Responder.Complete, taken
-// once per pair (a method value taken per request would allocate).
-type Handler func(req []byte, done func(resp []byte))
-
-func (h Handler) Serve(req []byte, r Responder) {
-	s := r.(*endpointPair)
-	if s.done == nil {
-		s.done = s.Complete
-	}
-	h(req, s.done)
-}
-
 // EndpointStats counts endpoint-side queue activity.
 type EndpointStats struct {
 	Processed uint64
@@ -108,9 +96,9 @@ const (
 
 // endpointPair is everything one descriptor pair has in flight on the
 // endpoint's side, from the moment its head is taken off the available
-// ring until its used index is visible: the response descriptor, the
-// handler's done, and the response, used-element and used-index writes
-// with the ring bytes they carry. The driver reuses a pair only after
+// ring until its used index is visible: the response descriptor and the
+// response, used-element and used-index writes with the ring bytes they
+// carry. The driver reuses a pair only after
 // reaping its used entry, which it cannot see before the used-index write
 // has completed, so a head that arrives while its record is busy can only
 // come from a corrupt ring and fails the queue.
@@ -124,7 +112,6 @@ type endpointPair struct {
 	head  uint16
 	state pairState
 	dresp desc
-	done  func(resp []byte) // s.Complete, for a Handler
 
 	respW, elemW, idxW interconnect.DMA
 	elem               [usedElemSize]byte
@@ -141,17 +128,9 @@ const (
 	pairPublished            // used index visible, used element still on the port
 )
 
-// NewEndpoint is NewServiceEndpoint for a service that is a func.
-func NewEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, h Handler) (*Endpoint, error) {
-	if h == nil {
-		return nil, fmt.Errorf("virtio: nil handler")
-	}
-	return NewServiceEndpoint(port, pasid, lay, respBell, h)
-}
-
-// NewServiceEndpoint builds the provider half. The layout and respBell
-// arrive from the driver's ConnectReq.
-func NewServiceEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, svc Service) (*Endpoint, error) {
+// NewEndpoint builds the provider half. The layout and respBell arrive
+// from the driver's ConnectReq.
+func NewEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, svc Service) (*Endpoint, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
 	}

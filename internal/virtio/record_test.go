@@ -88,13 +88,14 @@ func (e *Endpoint) busyRecords() []string {
 }
 
 // TestRoundTripAllocs pins what one request costs the host in steady
-// state: the buffer the handler receives (and here hands back as the
-// response), the buffer the completion receives, and one doorbell closure
-// each way. Submit and done take the buffer they are given, and every ring
-// field moves through a record. (6 while both copied what they were given.)
+// state: the buffer the service receives (and here hands back as the
+// response), the buffer the completion receives, and one doorbell record
+// each way. SubmitOp and Complete take the buffer they are given, and every
+// ring field moves through a record. (6 while both copied what they were
+// given.)
 func TestRoundTripAllocs(t *testing.T) {
 	w := newQWorld(t, 16, 256)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) { done(req) })
+	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, echoService{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +106,14 @@ func TestRoundTripAllocs(t *testing.T) {
 	ep.respBell = drv.RespBell
 	req := bytes.Repeat([]byte{0x5a}, 100)
 	completed := 0
-	cb := func(resp []byte, err error) {
+	cb := completion(func(resp []byte, err error) {
 		if err != nil || len(resp) != len(req) {
 			t.Fatalf("resp %d bytes: %v", len(resp), err)
 		}
 		completed++
-	}
+	})
 	one := func() {
-		if err := drv.Submit(req, cb); err != nil {
+		if err := drv.SubmitOp(req, cb); err != nil {
 			t.Fatal(err)
 		}
 		w.eng.Run()
@@ -127,6 +128,11 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Fatalf("completed=%d inflight=%d", completed, drv.InFlight())
 	}
 }
+
+// echoService answers each request with the request buffer itself.
+type echoService struct{}
+
+func (echoService) Serve(req []byte, r Responder) { r.Complete(req) }
 
 func BenchmarkQueueRoundTrip(b *testing.B) {
 	for _, size := range []struct {
@@ -145,7 +151,7 @@ func BenchmarkQueueRoundTrip(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := drv.Submit(req, cb); err != nil {
+				if err := submit(drv, req, cb); err != nil {
 					b.Fatal(err)
 				}
 				w.eng.Run()
@@ -162,7 +168,7 @@ func TestEndpointRejectsBusyHead(t *testing.T) {
 	w := newQWorld(t, 8, 64)
 	calls := 0
 	var finish func([]byte)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		calls++
 		finish = done // answer later
 	})
@@ -216,7 +222,7 @@ func TestEndpointRejectsOddHead(t *testing.T) {
 // request with garbage and free a record the port still holds.
 func TestDriverRejectsUsedBeforePublished(t *testing.T) {
 	w := newQWorld(t, 8, 64)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +251,7 @@ func TestDriverRejectsUsedBeforePublished(t *testing.T) {
 			t.Fatal("reap loop never reached the used element")
 		}
 		if drv.reaping && drv.reapAt == reapElem {
-			if err := drv.Submit([]byte("real"), func(resp []byte, err error) { called++; cbErr = err }); err != nil {
+			if err := submit(drv, []byte("real"), func(resp []byte, err error) { called++; cbErr = err }); err != nil {
 				t.Fatal(err)
 			}
 			submitted = true
@@ -266,7 +272,7 @@ func TestDriverRejectsUsedBeforePublished(t *testing.T) {
 
 func TestDriverFailCompletesInHeadOrder(t *testing.T) {
 	w := newQWorld(t, 16, 64)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +284,7 @@ func TestDriverFailCompletesInHeadOrder(t *testing.T) {
 	var order []uint16
 	for i := 0; i < 5; i++ {
 		head := drv.freePairs[len(drv.freePairs)-1]
-		if err := drv.Submit([]byte{byte(i)}, func(resp []byte, err error) {
+		if err := submit(drv, []byte{byte(i)}, func(resp []byte, err error) {
 			if err == nil || resp != nil {
 				t.Errorf("head %d: resp=%v err=%v", head, resp, err)
 			}
@@ -310,7 +316,7 @@ func TestQuiesceWithWritesInFlight(t *testing.T) {
 	drv, ep := w.echoPair(t)
 	fired := 0
 	for i := 0; i < 2; i++ {
-		if err := drv.Submit([]byte{1, 2, 3}, func([]byte, error) { fired++ }); err != nil {
+		if err := submit(drv, []byte{1, 2, 3}, func([]byte, error) { fired++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +354,7 @@ func TestQuiesceWithResponseInFlight(t *testing.T) {
 	drv, _ := w.echoPair(t)
 	fired := 0
 	for i := 0; i < 2; i++ {
-		if err := drv.Submit([]byte{1, 2, 3}, func([]byte, error) { fired++ }); err != nil {
+		if err := submit(drv, []byte{1, 2, 3}, func([]byte, error) { fired++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,7 +381,7 @@ func TestFailWithResponseInFlight(t *testing.T) {
 	drv, _ := w.echoPair(t)
 	var errs []error
 	for i := 0; i < 2; i++ {
-		if err := drv.Submit([]byte{1, 2, 3}, func(resp []byte, err error) {
+		if err := submit(drv, []byte{1, 2, 3}, func(resp []byte, err error) {
 			if resp != nil {
 				t.Errorf("failed request completed with %x", resp)
 			}
@@ -400,7 +406,7 @@ func TestFailWithResponseInFlight(t *testing.T) {
 
 func TestHandlerCompletingTwicePanics(t *testing.T) {
 	w := newQWorld(t, 8, 64)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		done(req)
 		done(req)
 	})
@@ -411,7 +417,7 @@ func TestHandlerCompletingTwicePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = drv.Submit([]byte{1}, func([]byte, error) {})
+	_ = submit(drv, []byte{1}, func([]byte, error) {})
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "completed twice") {
 			t.Errorf("recovered %v, want the completed-twice panic", r)
@@ -426,7 +432,7 @@ func TestHandlerCompletingTwicePanics(t *testing.T) {
 func TestStaleDoneWhileChainIsReadPanics(t *testing.T) {
 	w := newQWorld(t, 2, 64)
 	var stale func([]byte)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		stale = done
 		done(req)
 	})
@@ -439,7 +445,7 @@ func TestStaleDoneWhileChainIsReadPanics(t *testing.T) {
 	}
 	ep.respBell = drv.RespBell
 	for gen := 0; gen < 2; gen++ {
-		if err := drv.Submit([]byte{byte(gen)}, func([]byte, error) {}); err != nil {
+		if err := submit(drv, []byte{byte(gen)}, func([]byte, error) {}); err != nil {
 			t.Fatal(err)
 		}
 		if gen == 0 {
@@ -484,7 +490,7 @@ func TestUsedElementBehindIndex(t *testing.T) {
 	faults := 0
 	w.epPrt.SetFaultHandler(func(f *iommu.Fault, retry func(), fail func(error)) {
 		faults++
-		w.eng.Schedule(50*sim.Microsecond, func() {
+		w.eng.After(50*sim.Microsecond, func() {
 			if err := w.epMMU.Map(testPASID, page, frame, iommu.PermRW); err != nil {
 				fail(err)
 				return
@@ -496,7 +502,7 @@ func TestUsedElementBehindIndex(t *testing.T) {
 	ep.OnError = func(err error) { epErr = err }
 
 	head := drv.freePairs[len(drv.freePairs)-1]
-	if err := drv.Submit([]byte("abc"), func([]byte, error) {}); err != nil {
+	if err := submit(drv, []byte("abc"), func([]byte, error) {}); err != nil {
 		t.Fatal(err)
 	}
 	s := func() *endpointPair { return ep.pairs[head/2] }
@@ -531,7 +537,7 @@ func TestUsedElementBehindIndex(t *testing.T) {
 func TestMaxInflightParksAndResumes(t *testing.T) {
 	w := newQWorld(t, 16, 64)
 	var waiting []func()
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		waiting = append(waiting, func() { done(req) })
 	})
 	if err != nil {
@@ -545,7 +551,7 @@ func TestMaxInflightParksAndResumes(t *testing.T) {
 	ep.respBell = drv.RespBell
 	var got []byte
 	for i := 0; i < 5; i++ {
-		_ = drv.Submit([]byte{byte(i)}, func(resp []byte, err error) { got = append(got, resp...) })
+		_ = submit(drv, []byte{byte(i)}, func(resp []byte, err error) { got = append(got, resp...) })
 	}
 	w.eng.Run()
 	if len(waiting) != 2 || ep.polling || ep.pollDMA.Pending() || ep.inflight != 2 {
@@ -582,7 +588,7 @@ func TestPairReuseAcrossGenerations(t *testing.T) {
 		return b
 	}
 	var keptReqs, handedResps [][]byte
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		keptReqs = append(keptReqs, req)
 		resp := respFor(int(req[0]))
 		handedResps = append(handedResps, resp)
@@ -608,7 +614,7 @@ func TestPairReuseAcrossGenerations(t *testing.T) {
 	var keptResps [][]byte
 	for gen := range lens {
 		req := reqFor(gen)
-		if err := drv.Submit(req, func(resp []byte, err error) {
+		if err := submit(drv, req, func(resp []byte, err error) {
 			if err != nil {
 				t.Fatalf("gen %d: %v", gen, err)
 			}
@@ -652,7 +658,7 @@ const (
 // that never answers and returns what the driver left in shared memory.
 func ringImage(t testing.TB, n int) []byte {
 	w := newQWorld(t, fuzzEntries, fuzzCell)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func([]byte, func([]byte)) {})
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func([]byte, func([]byte)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +667,7 @@ func ringImage(t testing.TB, n int) []byte {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := drv.Submit([]byte{byte(i), 1, 2}, func([]byte, error) {}); err != nil {
+		if err := submit(drv, []byte{byte(i), 1, 2}, func([]byte, error) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -698,9 +704,9 @@ func FuzzEndpointRing(f *testing.F) {
 		w.poke(t, w.lay.Base, image)
 
 		late := kicks&0x80 != 0
-		ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+		ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 			if late {
-				w.eng.Schedule(3*sim.Microsecond, func() { done(req) })
+				w.eng.After(3*sim.Microsecond, func() { done(req) })
 				return
 			}
 			done(req)
@@ -709,7 +715,7 @@ func FuzzEndpointRing(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i <= int(kicks&7); i++ {
-			w.eng.Schedule(sim.Duration(i)*2*sim.Microsecond, func() { w.fab.Ring(ep.ReqBell, 0) })
+			w.eng.After(sim.Duration(i)*2*sim.Microsecond, func() { w.fab.Ring(ep.ReqBell, 0) })
 		}
 		w.eng.Run()
 

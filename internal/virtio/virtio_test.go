@@ -68,7 +68,7 @@ func newQWorld(t testing.TB, entries uint16, cellSize int) *qworld {
 // the request bytes.
 func (w *qworld) echoPair(t testing.TB) (*Driver, *Endpoint) {
 	t.Helper()
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		out := make([]byte, len(req))
 		for i, b := range req {
 			out[len(req)-1-i] = b
@@ -84,6 +84,27 @@ func (w *qworld) echoPair(t testing.TB) (*Driver, *Endpoint) {
 	}
 	ep.respBell = drv.RespBell
 	return drv, ep
+}
+
+// handler is a service that is a func, and completion a request's
+// completion that is one: the callback forms, for tests. A handler's done
+// is the pair's Complete.
+type handler func(req []byte, done func(resp []byte))
+
+func (h handler) Serve(req []byte, r Responder) { h(req, r.Complete) }
+
+type completion func(resp []byte, err error)
+
+func (f completion) RequestDone(resp []byte, err error) { f(resp, err) }
+
+// newEndpoint and submit are NewEndpoint and SubmitOp for the callback
+// forms.
+func newEndpoint(port *interconnect.Port, pasid iommu.PASID, lay Layout, respBell interconnect.DoorbellAddr, h handler) (*Endpoint, error) {
+	return NewEndpoint(port, pasid, lay, respBell, h)
+}
+
+func submit(d *Driver, req []byte, done func(resp []byte, err error)) error {
+	return d.SubmitOp(req, completion(done))
 }
 
 func TestLayoutValidation(t *testing.T) {
@@ -130,7 +151,7 @@ func TestSingleRoundTrip(t *testing.T) {
 	w := newQWorld(t, 16, 256)
 	drv, ep := w.echoPair(t)
 	var got []byte
-	if err := drv.Submit([]byte("abcdef"), func(resp []byte, err error) {
+	if err := submit(drv, []byte("abcdef"), func(resp []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -155,10 +176,10 @@ func TestManyConcurrentRequests(t *testing.T) {
 	drv, _ := w.echoPair(t)
 	const n = 200
 	completed := 0
-	var submit func(i int)
-	submit = func(i int) {
+	var send func(i int)
+	send = func(i int) {
 		payload := []byte{byte(i), byte(i >> 8), byte(i * 3)}
-		err := drv.Submit(payload, func(resp []byte, err error) {
+		err := submit(drv, payload, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("req %d: %v", i, err)
 				return
@@ -170,11 +191,11 @@ func TestManyConcurrentRequests(t *testing.T) {
 		})
 		if err != nil {
 			// Queue full: retry after a little while.
-			w.eng.Schedule(10*sim.Microsecond, func() { submit(i) })
+			w.eng.After(10*sim.Microsecond, func() { send(i) })
 		}
 	}
 	for i := 0; i < n; i++ {
-		submit(i)
+		send(i)
 	}
 	w.eng.Run()
 	if completed != n {
@@ -190,7 +211,7 @@ func TestQueueFullSynchronousError(t *testing.T) {
 	drv, _ := w.echoPair(t)
 	ok := 0
 	for i := 0; i < 3; i++ {
-		if err := drv.Submit([]byte{1}, func([]byte, error) {}); err == nil {
+		if err := submit(drv, []byte{1}, func([]byte, error) {}); err == nil {
 			ok++
 		}
 	}
@@ -199,7 +220,7 @@ func TestQueueFullSynchronousError(t *testing.T) {
 	}
 	w.eng.Run()
 	// After completion, capacity is back.
-	if err := drv.Submit([]byte{1}, func([]byte, error) {}); err != nil {
+	if err := submit(drv, []byte{1}, func([]byte, error) {}); err != nil {
 		t.Errorf("post-drain submit failed: %v", err)
 	}
 }
@@ -207,14 +228,14 @@ func TestQueueFullSynchronousError(t *testing.T) {
 func TestOversizedRequestRejected(t *testing.T) {
 	w := newQWorld(t, 8, 64)
 	drv, _ := w.echoPair(t)
-	if err := drv.Submit(make([]byte, 65), func([]byte, error) {}); err == nil {
+	if err := submit(drv, make([]byte, 65), func([]byte, error) {}); err == nil {
 		t.Error("oversized request accepted")
 	}
 }
 
 func TestResponseTruncatedToCell(t *testing.T) {
 	w := newQWorld(t, 8, 64)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		done(make([]byte, 500)) // larger than the 64-byte cell
 	})
 	if err != nil {
@@ -226,7 +247,7 @@ func TestResponseTruncatedToCell(t *testing.T) {
 	}
 	ep.respBell = drv.RespBell
 	var got []byte
-	_ = drv.Submit([]byte{1}, func(resp []byte, err error) { got = resp })
+	_ = submit(drv, []byte{1}, func(resp []byte, err error) { got = resp })
 	w.eng.Run()
 	if len(got) != 64 {
 		t.Errorf("resp len = %d, want 64 (truncated)", len(got))
@@ -235,9 +256,9 @@ func TestResponseTruncatedToCell(t *testing.T) {
 
 func TestAsyncHandler(t *testing.T) {
 	w := newQWorld(t, 16, 128)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		// Simulate a 100us flash read before answering.
-		w.eng.Schedule(100*sim.Microsecond, func() { done([]byte{0xAA}) })
+		w.eng.After(100*sim.Microsecond, func() { done([]byte{0xAA}) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +269,7 @@ func TestAsyncHandler(t *testing.T) {
 	}
 	ep.respBell = drv.RespBell
 	var doneAt sim.Time
-	_ = drv.Submit([]byte{1}, func(resp []byte, err error) { doneAt = w.eng.Now() })
+	_ = submit(drv, []byte{1}, func(resp []byte, err error) { doneAt = w.eng.Now() })
 	w.eng.Run()
 	if doneAt < sim.Time(100*sim.Microsecond) {
 		t.Errorf("completed at %v, before handler delay", doneAt)
@@ -259,8 +280,8 @@ func TestHandlerPipelining(t *testing.T) {
 	// With async handlers, multiple requests must overlap: total time for
 	// 8 requests with 100us handlers must be far less than 800us.
 	w := newQWorld(t, 32, 128)
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
-		w.eng.Schedule(100*sim.Microsecond, func() { done(req) })
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+		w.eng.After(100*sim.Microsecond, func() { done(req) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +293,7 @@ func TestHandlerPipelining(t *testing.T) {
 	ep.respBell = drv.RespBell
 	done := 0
 	for i := 0; i < 8; i++ {
-		_ = drv.Submit([]byte{byte(i)}, func([]byte, error) { done++ })
+		_ = submit(drv, []byte{byte(i)}, func([]byte, error) { done++ })
 	}
 	w.eng.Run()
 	if done != 8 {
@@ -287,12 +308,12 @@ func TestMaxInflightBounds(t *testing.T) {
 	w := newQWorld(t, 64, 128)
 	peak := 0
 	cur := 0
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
 		cur++
 		if cur > peak {
 			peak = cur
 		}
-		w.eng.Schedule(50*sim.Microsecond, func() { cur--; done(req) })
+		w.eng.After(50*sim.Microsecond, func() { cur--; done(req) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +326,7 @@ func TestMaxInflightBounds(t *testing.T) {
 	ep.respBell = drv.RespBell
 	done := 0
 	for i := 0; i < 20; i++ {
-		_ = drv.Submit([]byte{byte(i)}, func([]byte, error) { done++ })
+		_ = submit(drv, []byte{byte(i)}, func([]byte, error) { done++ })
 	}
 	w.eng.Run()
 	if done != 20 {
@@ -323,7 +344,7 @@ func TestKickBatching(t *testing.T) {
 	drv.FlushAfter = 500 * sim.Microsecond
 	done := 0
 	for i := 0; i < 3; i++ {
-		_ = drv.Submit([]byte{1}, func([]byte, error) { done++ })
+		_ = submit(drv, []byte{1}, func([]byte, error) { done++ })
 	}
 	// Before the batch fills or the flush timer fires: silence.
 	w.eng.RunFor(100 * sim.Microsecond)
@@ -349,8 +370,8 @@ func TestKickBatchFlushTimerPreventsStranding(t *testing.T) {
 	drv.KickBatch = 8
 	done := 0
 	// Two requests: the batch never fills, so only the timer saves them.
-	_ = drv.Submit([]byte{1}, func([]byte, error) { done++ })
-	_ = drv.Submit([]byte{2}, func([]byte, error) { done++ })
+	_ = submit(drv, []byte{1}, func([]byte, error) { done++ })
+	_ = submit(drv, []byte{2}, func([]byte, error) { done++ })
 	w.eng.Run()
 	if done != 2 {
 		t.Fatalf("flush timer did not deliver partial batch: done=%d", done)
@@ -366,7 +387,7 @@ func TestNotifyBatching(t *testing.T) {
 	ep.NotifyBatch = 8
 	done := 0
 	for i := 0; i < 5; i++ {
-		_ = drv.Submit([]byte{byte(i)}, func([]byte, error) { done++ })
+		_ = submit(drv, []byte{byte(i)}, func([]byte, error) { done++ })
 	}
 	w.eng.Run()
 	// Fewer than 8 completions, but the idle flush must deliver them all.
@@ -392,7 +413,7 @@ func TestEndpointFaultAfterRevoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_ = drv.Submit([]byte{1}, func(resp []byte, err error) {})
+	_ = submit(drv, []byte{1}, func(resp []byte, err error) {})
 	w.eng.Run()
 	if epErr == nil || !ep.Dead() {
 		t.Error("endpoint survived revoked mapping")
@@ -402,7 +423,7 @@ func TestEndpointFaultAfterRevoke(t *testing.T) {
 func TestDriverDeadFailsPending(t *testing.T) {
 	w := newQWorld(t, 8, 128)
 	// Endpoint that never answers, so requests stay pending.
-	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
+	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +433,13 @@ func TestDriverDeadFailsPending(t *testing.T) {
 	}
 	ep.respBell = drv.RespBell
 	var cbErr error
-	_ = drv.Submit([]byte{1}, func(resp []byte, err error) { cbErr = err })
+	_ = submit(drv, []byte{1}, func(resp []byte, err error) { cbErr = err })
 	w.eng.Run()
 	drv.fail(errSelfTest)
 	if cbErr == nil {
 		t.Error("pending request not failed")
 	}
-	if err := drv.Submit([]byte{1}, func([]byte, error) {}); err == nil {
+	if err := submit(drv, []byte{1}, func([]byte, error) {}); err == nil {
 		t.Error("dead queue accepted submit")
 	}
 }
@@ -432,7 +453,7 @@ func TestDeterministicCompletionOrder(t *testing.T) {
 		var order []byte
 		for i := 0; i < 10; i++ {
 			i := i
-			_ = drv.Submit([]byte{byte(i)}, func(resp []byte, err error) {
+			_ = submit(drv, []byte{byte(i)}, func(resp []byte, err error) {
 				order = append(order, byte(i))
 			})
 		}
