@@ -47,6 +47,8 @@ type point struct {
 // by the caller's dead set, so every machine computes ownership from
 // (shared ring, local view) without any coordination.
 type Ring struct {
+	// machines is never written after NewRing, so the package reads it in
+	// place; Machines copies it for callers outside.
 	machines []msg.DeviceID
 	points   []point
 }

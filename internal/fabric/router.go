@@ -348,7 +348,7 @@ func (r *Router) TransferDone() bool {
 func (r *Router) RingMembers() []msg.DeviceID { return r.ring.Machines() }
 
 // InRing reports whether this machine is a member of its current ring.
-func (r *Router) InRing() bool { return memberOf(r.ring.Machines(), r.cfg.id) }
+func (r *Router) InRing() bool { return memberOf(r.ring.machines, r.cfg.id) }
 
 // Cordoned reports whether the machine is cordoned off client ingress.
 func (r *Router) Cordoned() bool { return r.cordoned }
@@ -1345,7 +1345,7 @@ func (e *sweep) Fire() {
 // leaseQuorum is a majority of the full ring membership. The membership
 // (not the live view) is the electorate: a machine that declares
 // everyone else dead must still find itself short of quorum.
-func (r *Router) leaseQuorum() int { return len(r.ring.Machines())/2 + 1 }
+func (r *Router) leaseQuorum() int { return len(r.ring.machines)/2 + 1 }
 
 // leaseValid reports whether this machine currently holds a
 // quorum-countersigned lease. With leases disabled it is always true —
@@ -1455,7 +1455,7 @@ func (r *Router) renewLease() {
 		return
 	}
 	renew := &msg.LeaseRenew{Seq: r.leaseSeq, Until: uint64(until)}
-	for _, id := range r.ring.Machines() {
+	for _, id := range r.ring.machines {
 		if id == r.cfg.id || r.dead[id] {
 			continue
 		}
@@ -1505,7 +1505,7 @@ func (e *silence) Fire() {
 	if r.InRing() {
 		now := r.eng.Now()
 		var silent []msg.DeviceID
-		for _, id := range r.ring.Machines() {
+		for _, id := range r.ring.machines {
 			if id == r.cfg.id || r.dead[id] {
 				continue
 			}

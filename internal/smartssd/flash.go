@@ -87,12 +87,15 @@ type flash struct {
 	// comes with the block's first program and goes with its erase, so the
 	// array costs the host what was written to it. A nil row is a block of
 	// erased pages; inside a row nil = erased, zero = a programmed page
-	// whose data was dropped. A programmed page is immutable until its
-	// block is erased, so read hands out the stored slice and program keeps
-	// the slice it is given; nobody may write through either.
+	// whose data was dropped. A page is the slice it was programmed with,
+	// up to PageSize long; bytes past its length read as zero. It is
+	// immutable up to its length until its block is erased: read hands out
+	// the stored slice, program keeps the slice it is given, and only the
+	// holder of a logical page's lock writes past the length of the page
+	// the FTL maps now, to program a longer view of it (FS.merge).
 	pages [][][]byte
-	// zero is the one read-only page of zeros: what an erased, dropped or
-	// (in the FTL) unmapped page reads as.
+	// zero is the one empty page: what an erased, dropped or (in the FTL)
+	// unmapped page reads as. It is not nil, which means erased.
 	zero   []byte
 	erases []uint64 // per-block erase count (wear)
 	// broken simulates a failed die/controller: every op errors.
@@ -107,7 +110,7 @@ func newFlash(eng *sim.Engine, geo FlashGeometry, tim FlashTiming) *flash {
 		tim:    tim,
 		eng:    eng,
 		pages:  make([][][]byte, geo.TotalBlocks()),
-		zero:   make([]byte, geo.PageSize),
+		zero:   []byte{},
 		erases: make([]uint64, geo.TotalBlocks()),
 	}
 	for i := 0; i < geo.Channels; i++ {
@@ -143,7 +146,7 @@ type pageOp struct {
 	t       *ftl // set by ftl.writeOp: where a completed program is committed
 	lpn     int  // for the FTL's forms
 	ppa     PPA
-	page    []byte // a read's result (the flash's own, read-only) or the full page a program hands over
+	page    []byte // a read's result (the flash's own, read-only up to its length) or the page a program hands over
 	cmd     flashCmd
 	stage   pageStage
 	pageOff int
@@ -164,9 +167,9 @@ const (
 	cmdErase // op.ppa's whole block
 )
 
-// readOp reads the page at op.ppa into op.page: zeros for an erased page.
-// The slice is the flash's own: the issuer may keep it but must not write
-// to it.
+// readOp reads the page at op.ppa into op.page: the empty page for an
+// erased one, and bytes past the page's length read as zero. The slice is
+// the flash's own: the issuer may keep it but must not write inside it.
 func (f *flash) readOp(op *pageOp) {
 	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: read of ppa %d beyond array", op.ppa))
@@ -185,11 +188,10 @@ func (f *flash) readOp(op *pageOp) {
 }
 
 // programOp writes op.page to the erased page at op.ppa. Programming a
-// programmed page is an FTL bug and fails the op. A full page is handed
-// over: the flash keeps that slice, so the issuer must not write to it
-// again (it may share it, as GC relocation does, or be a view of a request
-// buffer nobody writes to). A shorter one is borrowed and padded into a new
-// page.
+// programmed page is an FTL bug and fails the op. The page is handed over
+// as it is, of any length up to PageSize: the flash keeps that slice, so
+// the issuer must not write inside it again (it may share it, as GC
+// relocation does, or be a view of a request buffer nobody writes to).
 func (f *flash) programOp(op *pageOp) {
 	if f.geo.blockOf(op.ppa) >= len(f.pages) {
 		op.done.pageDone(op, fmt.Errorf("smartssd: program of ppa %d beyond array", op.ppa))
@@ -198,11 +200,6 @@ func (f *flash) programOp(op *pageOp) {
 	if len(op.page) > f.geo.PageSize {
 		op.done.pageDone(op, fmt.Errorf("smartssd: program of %d bytes into %d-byte page", len(op.page), f.geo.PageSize))
 		return
-	}
-	if len(op.page) < f.geo.PageSize {
-		page := make([]byte, f.geo.PageSize)
-		copy(page, op.page)
-		op.page = page
 	}
 	f.programs++
 	op.f, op.cmd = f, cmdProgram

@@ -208,7 +208,7 @@ func (m *metaIO) step() {
 		fs.ftl.readOp(&m.op)
 		return
 	case m.op.lpn == 0:
-		m.op.page = make([]byte, fs.pageSize)
+		m.op.page = make([]byte, 16)
 		binary.LittleEndian.PutUint32(m.op.page[0:], fsMagic)
 		binary.LittleEndian.PutUint32(m.op.page[4:], fsVersion)
 		binary.LittleEndian.PutUint32(m.op.page[8:], uint32(fs.inodePages))
@@ -220,9 +220,12 @@ func (m *metaIO) step() {
 }
 
 // pageDone checks the superblock or decodes an inode page a mount read,
-// then goes on to the next page.
+// padded to a full page, then goes on to the next page.
 func (m *metaIO) pageDone(op *pageOp, err error) {
 	fs, b := m.fs, op.page
+	if m.mount && err == nil && len(b) < fs.pageSize {
+		b = slices.Concat(b, make([]byte, fs.pageSize-len(b)))
+	}
 	switch {
 	case err != nil || !m.mount:
 	case op.lpn > 0:
@@ -241,11 +244,18 @@ func (m *metaIO) pageDone(op *pageOp, err error) {
 	m.step()
 }
 
-// inodePage encodes one page of the inode table in a buffer for the flash.
+// inodePage encodes one page of the inode table in a buffer for the flash,
+// through its last used inode only (the rest reads as zeros, which decode
+// as unused); with none used it is empty, never nil, which is erased.
 func (fs *FS) inodePage(page int) []byte {
-	buf := make([]byte, fs.pageSize)
-	for i := 0; i < inodesPerPag; i++ {
-		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &fs.inodes[page*inodesPerPag+i])
+	inodes := fs.inodes[page*inodesPerPag : (page+1)*inodesPerPag]
+	n := len(inodes)
+	for n > 0 && !inodes[n-1].used {
+		n--
+	}
+	buf := make([]byte, n*inodeSize)
+	for i := range n {
+		encodeInode(buf[i*inodeSize:(i+1)*inodeSize], &inodes[i])
 	}
 	return buf
 }
@@ -338,13 +348,12 @@ func (f *File) Rename(newName string, cb func(error)) {
 		fs.inodes[f.idx].name = newName
 		fs.persistInodeOf(f.idx, cb)
 	}
-	if old, exists := fs.Lookup(newName); exists {
+	if _, exists := fs.Lookup(newName); exists {
 		fs.Delete(newName, func(err error) {
 			if err != nil {
 				cb(err)
 				return
 			}
-			_ = old
 			finish()
 		})
 		return
@@ -535,8 +544,9 @@ func (io *fileIO) pageDone(op *pageOp, err error) {
 	fs := io.f.fs
 	switch op.stage {
 	case pageFilling:
-		if err == nil {
-			copy(op.data, op.page[op.pageOff:])
+		if err == nil { // the page may end before the chunk, even before it starts
+			n := copy(op.data, op.page[min(op.pageOff, len(op.page)):])
+			clear(op.data[n:])
 		}
 		io.finishOne(err)
 	case pageLocked:
@@ -549,9 +559,7 @@ func (io *fileIO) pageDone(op *pageOp, err error) {
 		fs.ftl.readOp(op)
 	case pageMerging:
 		if err == nil {
-			// The old page is the flash's: the new one is a buffer of its own.
-			op.page, op.stage = bytes.Clone(op.page), pageWriting
-			copy(op.page[op.pageOff:], op.data)
+			op.page, op.stage = fs.merge(op.page, op.pageOff, op.data), pageWriting
 			fs.ftl.writeOp(op)
 			return
 		}
@@ -562,6 +570,27 @@ func (io *fileIO) pageDone(op *pageOp, err error) {
 	case pageInode:
 		io.complete(err)
 	}
+}
+
+// merge is the page a partial write programs: old, the page the FTL maps
+// now, with data at pageOff. Only the holder of the page's lock calls it,
+// which is why it may write past old's length: a write at or past old's end
+// that fits in old's array clears the gap and extends old in place. No other
+// view of the array is longer than old, and a failed program's bytes past it
+// are rewritten by the next extension (DESIGN.md "The page path"). Any other
+// write copies into an array of its own, with a full page's capacity.
+func (fs *FS) merge(old []byte, pageOff int, data []byte) []byte {
+	end := pageOff + len(data)
+	var page []byte
+	if pageOff >= len(old) && end <= cap(old) {
+		page = old[:end]
+		clear(page[len(old):pageOff])
+	} else {
+		page = make([]byte, max(len(old), end), fs.pageSize)
+		copy(page, old)
+	}
+	copy(page[pageOff:], data)
+	return page
 }
 
 // finishOne retires one chunk. After the last, a write that changed the

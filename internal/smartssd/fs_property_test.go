@@ -9,8 +9,9 @@ import (
 )
 
 // The filesystem against a reference model: random sequences of writes,
-// reads, truncates and appends on a small set of files must match a plain
-// in-memory byte-slice implementation, including across a remount.
+// reads, truncates and appends (at the end or past it) on a small set of
+// files must match a plain in-memory byte-slice implementation, including
+// across a remount. Appends extend the page they read, overwrites copy it.
 //
 // The test is also the proof of the buffer-ownership rule: it scribbles
 // over every buffer it lends to WriteAt as soon as the call returns
@@ -47,7 +48,7 @@ func (r *refFile) readAt(off uint64, n int) []byte {
 
 // fsOp is one scripted operation.
 type fsOp struct {
-	Kind uint8  // 0 write, 1 read, 2 append, 3 truncate
+	Kind uint8  // 0 write, 1 read, 2 append, 3 truncate, 4 append after a gap
 	File uint8  // file index (mod 3)
 	Off  uint16 // offset seed
 	Len  uint8  // length seed
@@ -102,7 +103,7 @@ func TestFSMatchesReferenceModel(t *testing.T) {
 			f, ref := files[i], refs[i]
 			off := uint64(op.Off) % 20000
 			n := opLen(op.Len)
-			switch op.Kind % 4 {
+			switch op.Kind % 5 {
 			case 0: // write
 				payload := bytes.Repeat([]byte{op.Fill}, n)
 				ref.writeAt(off, payload)
@@ -130,11 +131,15 @@ func TestFSMatchesReferenceModel(t *testing.T) {
 					return false
 				}
 				scribble(got)
-			case 2: // append
+			case 2, 4: // append: at the end, or past it leaving a gap
+				at := f.Size()
+				if op.Kind%5 == 4 {
+					at += uint64(op.Off % 300)
+				}
 				payload := bytes.Repeat([]byte{op.Fill ^ 0x5A}, n)
-				ref.writeAt(uint64(len(ref.data)), payload)
+				ref.writeAt(at, payload)
 				var werr error
-				f.WriteAt(f.Size(), payload, func(err error) { werr = err })
+				f.WriteAt(at, payload, func(err error) { werr = err })
 				scribble(payload)
 				eng.Run()
 				scribble(payload)

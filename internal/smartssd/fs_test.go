@@ -455,9 +455,13 @@ func allocBytesPerRun(runs int, fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestFSAllocs pins the page path's host cost: a 64-byte append builds the
-// new tail page and the new inode page and nothing else of that size; a
-// 64-byte read is served from the stored page without a copy of it.
+// TestFSAllocs pins the page path's host cost. A 64-byte append into a
+// page already started extends that page in place and programs the inode
+// page of a one-file volume, encoded through its one used inode: measured
+// 768 bytes, the fileIO record (448), WriteAt's clone of the record (64)
+// and the inode page (256); 8 704 when the append cloned its 4 KiB page and
+// encoded a 4 KiB inode page. A 64-byte read is served from the stored
+// page without a copy of it: measured 560 bytes.
 func TestFSAllocs(t *testing.T) {
 	eng, f := logFile(t)
 	rec := make([]byte, 64)
@@ -466,15 +470,23 @@ func TestFSAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b := allocBytesPerRun(200, func() { f.WriteAt(f.Size(), rec, fail); eng.Run() }); b >= 2*4096+1024 {
-		t.Errorf("64 B append allocates %d bytes, want two pages and under 1 KiB besides", b)
+	// The warm-up append starts page 1 and the 60 measured ones fit in it.
+	b := allocBytesPerRun(60, func() { f.WriteAt(f.Size(), rec, fail); eng.Run() })
+	if b >= 1024 {
+		t.Errorf("64 B append allocates %d bytes, want under 1 KiB (no page copy, a 256 B inode page)", b)
+	}
+	var inodes []byte
+	ftlRead(f.fs.ftl, 1, func(b []byte, err error) { inodes = b })
+	eng.Run()
+	if len(inodes) > inodeSize {
+		t.Errorf("the inode page of a one-file volume is %d bytes, want <= %d", len(inodes), inodeSize)
 	}
 	got := func(b []byte, err error) {
 		if err != nil || len(b) != 64 {
 			t.Fatalf("read %d bytes: %v", len(b), err)
 		}
 	}
-	if b := allocBytesPerRun(200, func() { f.ReadAt(128, 64, got); eng.Run() }); b >= 1024 {
+	if b = allocBytesPerRun(200, func() { f.ReadAt(128, 64, got); eng.Run() }); b >= 1024 {
 		t.Errorf("64 B read allocates %d bytes, want under 1 KiB (no page copy)", b)
 	}
 }
@@ -805,5 +817,121 @@ func TestFileIOReissuedFromItsCompletion(t *testing.T) {
 	}
 	if got := mustRead(t, eng, r.f, 3*3000, 3000); !bytes.Equal(got, bytes.Repeat([]byte{3}, 3000)) {
 		t.Error("the last reissue's bytes are not in the file")
+	}
+}
+
+// A read takes the page as it is when issued. An append that extends the
+// page's array meanwhile writes only past that view, so the read returns the
+// page's old length and bytes and zeros after them; a later read sees the
+// append.
+func TestReadIssuedBeforeAppendReturnsOldLength(t *testing.T) {
+	eng, fs := fsWorld(t)
+	f := mustCreate(t, eng, fs, "a")
+	old := bytes.Repeat([]byte{'a'}, 100)
+	mustWrite(t, eng, f, 0, old)
+	appended := false
+	f.WriteAt(100, bytes.Repeat([]byte{'b'}, 100), func(err error) { appended = err == nil })
+	eng.RunFor(DefaultTiming.Read + 1) // merged into the array, still programming
+	var got []byte
+	f.ReadAt(0, 200, func(b []byte, err error) { got = b })
+	eng.Run()
+	if !appended {
+		t.Fatal("the append failed")
+	}
+	if want := append(bytes.Clone(old), make([]byte, 100)...); !bytes.Equal(got, want) {
+		t.Errorf("a read issued before the append returned %q", got)
+	}
+	if got := mustRead(t, eng, f, 100, 100); !bytes.Equal(got, bytes.Repeat([]byte{'b'}, 100)) {
+		t.Errorf("the append reads back %q", got)
+	}
+}
+
+// GC relocates the log's tail page while appends to it wait for, or hold,
+// its lock: whichever of the relocation and an extension commits first, no
+// record is lost.
+func TestGCRacingAppendsKeepsEveryRecord(t *testing.T) {
+	eng, fs := fsWorldOn(t, FlashGeometry{Channels: 2, DiesPerChan: 1, BlocksPerDie: 8, PagesPerBlock: 8, PageSize: 4096})
+	cold := mustCreate(t, eng, fs, "cold")
+	mustWrite(t, eng, cold, 0, bytes.Repeat([]byte{0xCD}, 60*4096)) // full blocks the collector must empty
+	log := mustCreate(t, eng, fs, "log")
+	const recLen, batches, perBatch = 64, 50, 8
+	races := 0
+	for i := 0; i < batches*perBatch; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, recLen)
+		log.WriteAt(uint64(i*recLen), rec, func(err error) {
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		})
+		if i%perBatch < perBatch-1 {
+			continue
+		}
+		for eng.Step() {
+			if g := &fs.ftl.gc; fs.ftl.gcRunning && g.lpn != invalidLPN && fs.pageLocks[int(g.lpn)] != nil {
+				races++
+			}
+		}
+	}
+	if races == 0 {
+		t.Fatal("no relocation of a page an append held: nothing tested")
+	}
+	got := mustRead(t, eng, log, 0, batches*perBatch*recLen)
+	for i := 0; i < batches*perBatch; i++ {
+		if rec := got[i*recLen : (i+1)*recLen]; !bytes.Equal(rec, bytes.Repeat([]byte{byte(i)}, recLen)) {
+			t.Fatalf("record %d reads %x", i, rec[:4])
+		}
+	}
+	if got := mustRead(t, eng, cold, 0, 60*4096); !bytes.Equal(got, bytes.Repeat([]byte{0xCD}, 60*4096)) {
+		t.Error("cold data lost")
+	}
+}
+
+// A write inside the page's written prefix, or straddling its end, copies
+// the page: the array a reader still holds is never written through.
+func TestOverwriteInPrefixCopiesThePage(t *testing.T) {
+	eng, fs := fsWorld(t)
+	f := mustCreate(t, eng, fs, "a")
+	mustWrite(t, eng, f, 0, bytes.Repeat([]byte{'a'}, 200))
+	lpn, _ := f.lpnOf(0)
+	var held []byte
+	ftlRead(fs.ftl, lpn, func(b []byte, err error) { held = b })
+	eng.Run()
+	kept := bytes.Clone(held)
+	mustWrite(t, eng, f, 50, bytes.Repeat([]byte{'b'}, 10))
+	mustWrite(t, eng, f, 150, bytes.Repeat([]byte{'c'}, 100))
+	if !bytes.Equal(held, kept) {
+		t.Error("an overwrite wrote through the page a reader holds")
+	}
+	want := bytes.Repeat([]byte{'a'}, 250)
+	copy(want[50:], bytes.Repeat([]byte{'b'}, 10))
+	copy(want[150:], bytes.Repeat([]byte{'c'}, 100))
+	if got := mustRead(t, eng, f, 0, 250); !bytes.Equal(got, want) {
+		t.Errorf("page reads %q", got)
+	}
+}
+
+// An append whose program failed left its bytes in the array past the
+// page's end. They read as zeros, and a later write past them clears the gap
+// it leaves instead of showing them.
+func TestGapAfterFailedAppendReadsZeros(t *testing.T) {
+	eng, fs := fsWorld(t)
+	f := mustCreate(t, eng, fs, "a")
+	mustWrite(t, eng, f, 0, bytes.Repeat([]byte{'a'}, 100))
+	var werr error
+	f.WriteAt(100, bytes.Repeat([]byte{'x'}, 100), func(err error) { werr = err })
+	eng.RunFor(DefaultTiming.Read + 1) // merged into the array, still programming
+	fs.ftl.f.broken = true
+	eng.Run()
+	fs.ftl.f.broken = false
+	if werr == nil {
+		t.Fatal("the append's program did not fail")
+	}
+	if got := mustRead(t, eng, f, 100, 100); !bytes.Equal(got, make([]byte, 100)) {
+		t.Errorf("a failed append's bytes read back: %q", got)
+	}
+	mustWrite(t, eng, f, 300, []byte("y"))
+	want := append(append(bytes.Repeat([]byte{'a'}, 100), make([]byte, 200)...), 'y')
+	if got := mustRead(t, eng, f, 0, 301); !bytes.Equal(got, want) {
+		t.Errorf("gap reads %q", got[100:300])
 	}
 }

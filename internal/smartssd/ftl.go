@@ -202,8 +202,8 @@ func (t *ftl) invalidate(ppa PPA) {
 }
 
 // readOp fetches the logical page op.lpn into op.page. An unwritten page
-// reads as zeros without touching flash. The slice is read-only, as for
-// flash.readOp.
+// reads as the empty page without touching flash. The slice is read-only
+// up to its length and reads as zero past it, as for flash.readOp.
 func (t *ftl) readOp(op *pageOp) {
 	if op.lpn < 0 || op.lpn >= t.logicalPages {
 		op.done.pageDone(op, fmt.Errorf("smartssd: read of lpn %d beyond capacity %d", op.lpn, t.logicalPages))
@@ -219,7 +219,7 @@ func (t *ftl) readOp(op *pageOp) {
 }
 
 // writeOp stores op.page as the logical page op.lpn (always out-of-place).
-// A full page is handed over, as for flash.programOp. The mapping target is
+// The page is handed over, as for flash.programOp. The mapping target is
 // reserved now and committed when the program completes (pageOp.Fire).
 func (t *ftl) writeOp(op *pageOp) {
 	if op.lpn < 0 || op.lpn >= t.logicalPages {

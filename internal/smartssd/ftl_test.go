@@ -40,6 +40,12 @@ func ftlWrite(t *ftl, lpn int, data []byte, cb func(error)) {
 	t.writeOp(&pageOp{lpn: lpn, page: data, done: pageCB(func(_ *pageOp, err error) { cb(err) })})
 }
 
+// padPage is a page read back as its readers see it: its bytes, then
+// zeros up to PageSize.
+func padPage(geo FlashGeometry, page []byte) []byte {
+	return append(bytes.Clone(page), make([]byte, geo.PageSize-len(page))...)
+}
+
 func TestFlashReadProgramErase(t *testing.T) {
 	eng := sim.NewEngine()
 	f := newFlash(eng, testGeo(), DefaultTiming)
@@ -52,8 +58,8 @@ func TestFlashReadProgramErase(t *testing.T) {
 		flashRead(f, 3, func(b []byte, err error) { got = b })
 	})
 	eng.Run()
-	if !bytes.Equal(got[:len(data)], data) {
-		t.Fatalf("read back %q", got[:len(data)])
+	if !bytes.Equal(padPage(f.geo, got), padPage(f.geo, data)) {
+		t.Fatalf("read back %q", got)
 	}
 	// Program-on-programmed must fail.
 	var perr error
@@ -71,7 +77,7 @@ func TestFlashReadProgramErase(t *testing.T) {
 	eng.Run()
 	flashRead(f, 3, func(b []byte, err error) { got = b })
 	eng.Run()
-	if got[0] != 0 {
+	if !bytes.Equal(padPage(f.geo, got), make([]byte, f.geo.PageSize)) {
 		t.Error("erase did not clear page")
 	}
 	if f.erases[0] != 1 {
@@ -333,7 +339,7 @@ func TestFTLTrim(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			if b[0] != 0 {
+			if !bytes.Equal(padPage(ftl.geo, b), make([]byte, ftl.geo.PageSize)) {
 				t.Error("trimmed page still has data")
 			}
 		})
@@ -342,7 +348,7 @@ func TestFTLTrim(t *testing.T) {
 }
 
 // heldPages counts the physical pages whose data the flash still holds,
-// and those merely marked programmed.
+// and those merely marked programmed (a dropped page is the empty page).
 func heldPages(f *flash) (held, programmed int) {
 	for _, row := range f.pages {
 		for _, p := range row {
@@ -350,7 +356,7 @@ func heldPages(f *flash) (held, programmed int) {
 				continue
 			}
 			programmed++
-			if &p[0] != &f.zero[0] {
+			if len(p) != 0 {
 				held++
 			}
 		}
@@ -395,7 +401,7 @@ func TestFlashDropsStalePages(t *testing.T) {
 	var got []byte
 	ftlRead(ftl, 5, func(b []byte, err error) { got = b })
 	eng.Run()
-	if !bytes.Equal(got, bytes.Repeat([]byte{rewrites - 1}, 4096)) {
+	if !bytes.Equal(padPage(f.geo, got), bytes.Repeat([]byte{rewrites - 1}, 4096)) {
 		t.Error("latest copy of the rewritten page lost")
 	}
 
@@ -427,7 +433,8 @@ func TestFlashRowsFollowPrograms(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	f := newFlash(eng, DefaultGeometry, DefaultTiming)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+	// Measured 17 976 bytes (22 072 while the zero page was a 4 KiB page).
+	if got := after.TotalAlloc - before.TotalAlloc; got > 60<<10 {
 		t.Errorf("newFlash allocated %d bytes, want a header per block and no more", got)
 	}
 	rows := func() (n int) {
@@ -451,8 +458,8 @@ func TestFlashRowsFollowPrograms(t *testing.T) {
 	readsZeros := func(when string) {
 		t.Helper()
 		flashRead(f, ppa, func(b []byte, err error) {
-			if err != nil || &b[0] != &f.zero[0] {
-				t.Errorf("%s the page reads %v (shared zero page: %v)", when, err, err == nil && &b[0] == &f.zero[0])
+			if empty := b != nil && len(b) == 0; err != nil || !empty || !bytes.Equal(padPage(f.geo, b), make([]byte, f.geo.PageSize)) {
+				t.Errorf("%s the page reads %v (shared empty page: %v)", when, err, empty)
 			}
 		})
 		eng.Run()

@@ -262,9 +262,11 @@ func TestFileCodecAliases(t *testing.T) {
 // against one service — any op, any offset and length, short and oversized
 // bodies, several pairs in flight — with flash failing now and then. (The
 // array is large enough that 64 requests never bring the FTL's collector
-// in: it is the bitmap that runs out, through large offsets.) Every request must be answered exactly once, nothing may
-// panic or leave a page locked, and the volume's pages are conserved: free
-// ones plus those the extents own is what the bitmap has.
+// in: it is the bitmap that runs out, through large offsets.) Every request
+// must be answered exactly once, nothing may panic or leave a page locked,
+// and the volume's pages are conserved: free ones plus those the extents own
+// is what the bitmap has. The file then reads back as its model says
+// (fileModel).
 func FuzzFileService(f *testing.F) {
 	le := binary.LittleEndian
 	step := func(op FileOp, off uint64, n uint32, body uint16) []byte {
@@ -277,6 +279,23 @@ func FuzzFileService(f *testing.F) {
 	f.Add(bytes.Join([][]byte{step(OpWrite, ^uint64(0)-3, 0, 10), step(OpWrite, 1<<40, 0, 1), step(OpRead, 0, 1<<30, 0)}, nil))
 	f.Add(bytes.Join([][]byte{step(OpWrite, 4090, 0, 5000), step(OpTruncate, 0, 0, 0), step(OpRename, 0, 0, 3), step(FileOp(0x80|OpWrite), 100, 0, 9)}, nil))
 	f.Add([]byte{byte(OpStat), 1, 2})
+	// Both merge branches under a broken flash. A step i sends byte(i) as its
+	// body, every third step lets 30 µs pass after it (a flash read takes 25),
+	// and a pair still busy runs the engine dry first: appends at a page's
+	// end, one leaving a gap, a failed overwrite inside the written prefix,
+	// then good ones.
+	brk := FileOp(0x80)
+	f.Add(bytes.Join([][]byte{step(OpAppend, 0, 0, 100), step(OpStat, 0, 0, 0), step(OpStat, 0, 0, 0),
+		step(OpStat, 0, 0, 0), step(OpAppend, 0, 0, 60), step(OpWrite, 400, 0, 40), step(brk|OpWrite, 20, 0, 30),
+		step(brk|OpAppend, 0, 0, 50), step(OpWrite, 10, 0, 20), step(OpAppend, 0, 0, 70), step(OpRead, 0, 4096, 0)}, nil))
+	// A broken-flash append followed by a good one: the append at step 6 has
+	// merged into its page's array when step 7 breaks the flash, so its
+	// program fails with its bytes past the page's end; step 11 reads them as
+	// zeros, and step 12's write past them must clear them, not show them.
+	f.Add(bytes.Join([][]byte{step(OpAppend, 0, 0, 100), step(OpStat, 0, 0, 0), step(OpStat, 0, 0, 0),
+		step(OpStat, 0, 0, 0), step(OpStat, 0, 0, 0), step(OpStat, 0, 0, 0), step(OpAppend, 0, 0, 100),
+		step(brk|OpStat, 0, 0, 0), step(brk|OpStat, 0, 0, 0), step(brk|OpStat, 0, 0, 0), step(brk|OpStat, 0, 0, 0),
+		step(OpRead, 100, 100, 0), step(OpWrite, 300, 0, 10)}, nil))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		eng, fs := fsWorld(t)
@@ -297,6 +316,7 @@ func FuzzFileService(f *testing.F) {
 			rs[i] = &testResponder{cap: testCell}
 		}
 		var sentOn [pairs]int
+		var model fileModel
 		sent := 0
 		for i := 0; len(script) > 0 && sent < 64; i++ {
 			// A step is the 15 bytes of step() above; the top bit of the op
@@ -319,6 +339,7 @@ func FuzzFileService(f *testing.F) {
 					req = req[:testCell] // what the queue would carry
 				}
 			}
+			model.sent(req, file.Size(), r, sentOn[i%pairs]-1)
 			svc.Serve(req, r)
 			sent++
 			if i%3 == 0 {
@@ -344,5 +365,89 @@ func FuzzFileService(f *testing.F) {
 		if free, owned := freePages(fs), ownedPages(fs); free+owned != len(fs.bitmap) {
 			t.Errorf("%d free + %d owned pages of %d", free, owned, len(fs.bitmap))
 		}
+		if want, ok := model.replay(); ok && answered == sent {
+			fs.ftl.f.broken = false
+			for i, b := range mustRead(t, eng, file, 0, int(file.Size())) {
+				v := int16(0) // past the model's end no write reached
+				if i < len(want) {
+					v = want[i]
+				}
+				if v >= 0 && b != byte(v) {
+					t.Fatalf("byte %d reads %d, want %d", i, b, v)
+				}
+			}
+		}
 	})
+}
+
+// fileModel is what the fuzzed file must read back as: the requests in the
+// order they were issued, replayed against their answers into a byte each,
+// a value (zero where no write reached) or -1 for unknown.
+type fileModel struct{ reqs []modelReq }
+
+type modelReq struct {
+	req   FileReq
+	at    uint64 // where the request's bytes are: an append's offset is the size at issue
+	r     *testResponder
+	k     int  // the index of its answer on r
+	quiet bool // every request issued before it had been answered
+}
+
+func (m *fileModel) sent(b []byte, size uint64, r *testResponder, k int) {
+	req, err := DecodeFileReq(b)
+	if err != nil {
+		return
+	}
+	q := modelReq{req: req, at: req.Off, r: r, k: k, quiet: true}
+	if req.Op == OpAppend {
+		q.at = size
+	}
+	for _, p := range m.reqs {
+		q.quiet = q.quiet && len(p.r.answers) > p.k
+	}
+	m.reqs = append(m.reqs, q)
+}
+
+// replay applies the requests in issue order, which is the order their
+// chunks took the page locks in. A write answered OK sets its bytes; a
+// failed one makes them unknown (a chunk, or the data but not the inode, may
+// have landed); one refused as a bad request touched nothing. A read issued
+// while nothing else was in flight saw what the file held, so it pins bytes
+// a failed write left unknown. A truncate empties the file, and with a
+// request still in flight the model is void (ok false): a write then lands
+// in pages the file gave back.
+func (m *fileModel) replay() (model []int16, ok bool) {
+	set := func(at uint64, data []byte, known bool) {
+		if len(data) == 0 { // done at once, at any offset
+			return
+		}
+		if end := at + uint64(len(data)); end > uint64(len(model)) {
+			model = append(model, make([]int16, end-uint64(len(model)))...)
+		}
+		for i, b := range data {
+			model[at+uint64(i)] = -1
+			if known {
+				model[at+uint64(i)] = int16(b)
+			}
+		}
+	}
+	for _, q := range m.reqs {
+		resp, _ := DecodeFileResp(q.r.answers[q.k])
+		switch q.req.Op {
+		case OpWrite, OpAppend:
+			if resp.Status != StatusBadRequest {
+				set(q.at, q.req.Data, resp.Status == StatusOK)
+			}
+		case OpRead:
+			if q.quiet && resp.Status == StatusOK {
+				set(q.at, resp.Data, true)
+			}
+		case OpTruncate:
+			if !q.quiet {
+				return nil, false
+			}
+			model = model[:0]
+		}
+	}
+	return model, true
 }
