@@ -3,9 +3,10 @@ package main_test
 // End-to-end test of the wire-compatibility gate through the real
 // `go vet -vettool` pipeline: a copy of internal/msg in a scratch
 // module (same module path, so the lockfile rules apply) must vet
-// clean, a seeded breaking schema edit must fail with a diagnostic
-// naming the kind and field, and a trailing-field addition must pass
-// and survive NOCPU_REGEN_WIRELOCK regeneration.
+// clean and regenerate its committed lock byte for byte, a seeded
+// breaking schema edit must fail with a diagnostic naming the kind and
+// field, and a trailing-field addition must pass and survive
+// NOCPU_REGEN_WIRELOCK regeneration.
 
 import (
 	"os"
@@ -60,6 +61,17 @@ func TestSeededWireBreakFailsVet(t *testing.T) {
 	if code, out := vet(false); code != 0 {
 		t.Fatalf("pristine copy should vet clean, got exit %d:\n%s", code, out)
 	}
+	lockPath := filepath.Join(msgDir, "wire.lock")
+	committed, err := os.ReadFile(lockPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, out := vet(true); code != 0 {
+		t.Fatalf("regenerating the pristine lock should succeed, got exit %d:\n%s", code, out)
+	}
+	if regen, err := os.ReadFile(lockPath); err != nil || string(regen) != string(committed) {
+		t.Fatalf("regenerating the pristine lock changed it (%v):\n%s", err, regen)
+	}
 
 	typesPath := filepath.Join(msgDir, "types.go")
 	pristine, err := os.ReadFile(typesPath)
@@ -67,12 +79,12 @@ func TestSeededWireBreakFailsVet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Breaking edit: swap CreditUpdate's two encoded fields. The decoder
-	// and the lockfile still have the old order.
-	const before = "w.u32(m.Window)\n\tw.u32(m.Credits)"
-	const after = "w.u32(m.Credits)\n\tw.u32(m.Window)"
+	// Breaking edit: swap CreditUpdate's two same-typed fields. The
+	// lockfile still has the old order; only the field names show it.
+	const before = "u32(c, &m.Window)\n\tu32(c, &m.Credits)"
+	const after = "u32(c, &m.Credits)\n\tu32(c, &m.Window)"
 	if n := strings.Count(string(pristine), before); n != 1 {
-		t.Fatalf("expected exactly one CreditUpdate encode site, found %d", n)
+		t.Fatalf("expected exactly one CreditUpdate wire site, found %d", n)
 	}
 	writeFile(t, typesPath, strings.Replace(string(pristine), before, after, 1))
 	code, out := vet(false)
@@ -95,12 +107,9 @@ func TestSeededWireBreakFailsVet(t *testing.T) {
 		"type Heartbeat struct{ Seq uint64 }",
 		"type Heartbeat struct {\n\tSeq  uint64\n\tBurst uint32 // optional burst hint (trailing, 0 = absent)\n}", 1)
 	src = strings.Replace(src,
-		"func (m *Heartbeat) encode(w *writer) { w.u64(m.Seq) }",
-		"func (m *Heartbeat) encode(w *writer) {\n\tw.u64(m.Seq)\n\tif m.Burst != 0 {\n\t\tw.u32(m.Burst)\n\t}\n}", 1)
-	src = strings.Replace(src,
-		"func (m *Heartbeat) decode(r *reader) { m.Seq = r.u64() }",
-		"func (m *Heartbeat) decode(r *reader) {\n\tm.Seq = r.u64()\n\tif r.err == nil && r.off < len(r.buf) {\n\t\tm.Burst = r.u32()\n\t}\n}", 1)
-	if strings.Count(src, "Burst") != 4 { // struct field + encoder guard/write + decoder read
+		"func (m *Heartbeat) wire(c *coder) { u64(c, &m.Seq) }",
+		"func (m *Heartbeat) wire(c *coder) {\n\tu64(c, &m.Seq)\n\tc.optU32(&m.Burst)\n}", 1)
+	if strings.Count(src, "Burst") != 2 { // struct field + optional op
 		t.Fatal("trailing-addition edit did not apply")
 	}
 	writeFile(t, typesPath, src)
@@ -110,7 +119,7 @@ func TestSeededWireBreakFailsVet(t *testing.T) {
 	if code, out := vet(true); code != 0 {
 		t.Fatalf("lock regeneration should succeed, got exit %d:\n%s", code, out)
 	}
-	lock, err := os.ReadFile(filepath.Join(msgDir, "wire.lock"))
+	lock, err := os.ReadFile(lockPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,13 @@
 //
 //  3. Wire compatibility. The bus protocol is a real wire format that
 //     must keep decoding frames from older builds across rolling
-//     upgrades (E19's campaigns): encode and decode of every kind must
-//     agree on the op sequence, every kind must be registered
-//     end-to-end (type, decode dispatcher, fuzz seed), and the schema
-//     may evolve only by trailing-field additions against the
+//     upgrades (E19's campaigns). Each kind lists its fields once, in
+//     a wire(c *coder) body that sizes, encodes and decodes it, so
+//     encoder and decoder agree by construction; every kind must be
+//     registered end-to-end (type, dispatcher arm, fuzz seed), and the
+//     schema may evolve only by trailing-field additions against the
 //     committed internal/msg/wire.lock. Enforced by the wireproto
-//     analyzer, which extracts the schema from the codec bodies by
-//     symbolic interpretation.
+//     analyzer, which extracts the schema from those bodies.
 //
 //  4. Overload safety. Every queue a message or request can wait in is
 //     either bounded — len() checked against a limit, with a

@@ -1,6 +1,6 @@
 // Package msg is a miniature codec package exercising wireproto's
 // registration-completeness checks: every Kind constant needs a message
-// type, and the decode dispatcher must construct the right type for
+// type, and the dispatcher must run the right type's wire body for
 // every kind.
 package msg
 
@@ -11,59 +11,49 @@ type Kind uint16
 const (
 	KindInvalid Kind = iota
 	KindA
-	KindB      // want `kind KindB is not constructed by the decode dispatcher \(decodeBody\): inbound frames of this kind are rejected as unknown`
+	KindB      // want `kind KindB has no arm in the dispatcher \(dispatch\): its frames can be neither encoded nor decoded`
 	KindOrphan // want `msg\.Kind constant KindOrphan has no message type: no type's Kind\(\) method returns it`
 	KindMis
 	kindMax
 )
 
-type writer struct{ buf []byte }
+type coder struct{ buf []byte }
 
-func (w *writer) u16(v uint16) {}
-
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) u16() uint16 { return 0 }
+func u16[T ~uint16](c *coder, v *T) {}
 
 // A is registered end-to-end.
 type A struct{ X uint16 }
 
-func (m *A) Kind() Kind       { return KindA }
-func (m *A) encode(w *writer) { w.u16(m.X) }
-func (m *A) decode(r *reader) { m.X = r.u16() }
+func (m *A) Kind() Kind    { return KindA }
+func (m *A) wire(c *coder) { u16(c, &m.X) }
 
-// B has a type but decodeBody never constructs it.
+// B has a type but dispatch never runs it.
 type B struct{ Y uint16 }
 
-func (m *B) Kind() Kind       { return KindB }
-func (m *B) encode(w *writer) { w.u16(m.Y) }
-func (m *B) decode(r *reader) { m.Y = r.u16() }
+func (m *B) Kind() Kind    { return KindB }
+func (m *B) wire(c *coder) { u16(c, &m.Y) }
 
-// Mis is registered, but the dispatcher returns the wrong type for it.
+// Mis is registered, but the dispatcher runs the wrong type for it.
 type Mis struct{ Z uint16 }
 
-func (m *Mis) Kind() Kind       { return KindMis }
-func (m *Mis) encode(w *writer) { w.u16(m.Z) }
-func (m *Mis) decode(r *reader) { m.Z = r.u16() }
+func (m *Mis) Kind() Kind    { return KindMis }
+func (m *Mis) wire(c *coder) { u16(c, &m.Z) }
 
-// Enc can be sent but never parsed.
+// Enc has a wire body but no kind to carry it.
 type Enc struct{ W uint16 }
 
-func (m *Enc) encode(w *writer) { w.u16(m.W) } // want `Enc has encode but no decode method: frames of this kind can never be parsed by a receiver`
+func (m *Enc) wire(c *coder) { u16(c, &m.W) } // want `Enc has a wire body but no resolvable Kind\(\) method returning a msg\.Kind constant`
 
-// decodeBody is the decode dispatcher.
-func decodeBody(k Kind, r *reader) any {
+// dispatch is the dispatcher.
+func dispatch(k Kind, c *coder) any {
 	switch k {
 	case KindA:
 		m := &A{}
-		m.decode(r)
+		m.wire(c)
 		return m
-	case KindMis: // want `decode dispatcher returns A for KindMis, but A's Kind\(\) is KindA: frames of kind KindMis would be parsed with the wrong layout`
+	case KindMis: // want `dispatcher runs A for KindMis, but A's Kind\(\) is KindA: frames of kind KindMis would be laid out as another kind's`
 		m := &A{}
-		m.decode(r)
+		m.wire(c)
 		return m
 	}
 	return nil

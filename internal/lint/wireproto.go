@@ -15,36 +15,34 @@ import (
 	"nocpu/internal/lint/analysis"
 )
 
-// Wireproto extracts the bus wire-protocol schema from the msg
-// package's encode/decode method bodies by symbolic interpretation and
-// enforces three things no reviewer should have to re-derive per PR:
+// Wireproto extracts the bus wire-protocol schema from the msg package's
+// wire bodies. Each message type lists its fields once, in a
+// wire(c *coder) method that a coder runs to size, encode and decode it,
+// so encoder and decoder agree by construction. What would otherwise be
+// re-derived by hand for every change is enforced here:
 //
-//  1. Symmetry — for every message kind, the encoder's op sequence and
-//     the decoder's agree field-for-field (a decoder-side trailing
-//     optional read of fields the encoder writes unconditionally is
-//     permitted: that is how a new decoder accepts old short frames).
+//  1. Shape — a wire body is straight-line coder ops (the integer ops,
+//     bool, str, bytes, the u64s/devs/strs lists, a trailing opt*) and
+//     `for i := range count(c, &m.List, wide, min)` loops over a counted
+//     slice. A coder op under an if or switch is a finding (a field that
+//     is present only sometimes is the trailing optional op, not a
+//     conditional), and so are an op whose layout the extractor does not
+//     know and an optional that is not the body's last field.
 //
 //  2. Registration completeness — every exported msg.Kind constant has
-//     a message type whose Kind() returns it, is constructed by the
-//     decode dispatcher (decodeBody) under the right type, and has at
-//     least one FuzzDecode corpus seed under testdata/fuzz/FuzzDecode.
+//     a message type whose Kind() returns it, has an arm in the
+//     dispatcher (dispatch) that runs that type's body, and has at least
+//     one FuzzDecode corpus seed under testdata/fuzz/FuzzDecode.
 //
 //  3. Append-only evolution — the extracted schema must extend the
 //     committed wire.lock only by trailing-field additions and new
 //     kinds; any reorder, retype, removal or renumbering of locked
-//     fields is reported. Regenerate the lock after an intentional
-//     compatible change with NOCPU_REGEN_WIRELOCK=1 (the golden-trace
-//     regeneration convention).
-//
-// The interpreter understands the codec idiom this package is written
-// in — straight-line writer/reader calls, a count write followed by a
-// loop, error/bomb guards, trailing-optional conditionals, and helpers
-// taking a *writer/*reader (inlined, so encodeDevs/decodeDevs frame
-// lists correctly) — and reports any body it cannot model rather than
-// guessing.
+//     fields is reported, two same-typed fields trading places included.
+//     Regenerate the lock after an intentional compatible change with
+//     NOCPU_REGEN_WIRELOCK=1 (the golden-trace regeneration convention).
 var Wireproto = &analysis.Analyzer{
 	Name: "wireproto",
-	Doc:  "extract the wire schema from encode/decode bodies; enforce symmetry, kind registration, and append-only evolution against wire.lock",
+	Doc:  "extract the wire schema from wire(c *coder) bodies; enforce body shape, kind registration, and append-only evolution against wire.lock",
 	Run:  runWireproto,
 }
 
@@ -54,11 +52,10 @@ const realMsgPath = "nocpu/internal/msg"
 
 // msgType is one collected message implementation.
 type msgType struct {
-	name       string
-	kindConst  *types.Const
-	kindPos    token.Pos // position of the Kind() method (for pairing faults)
-	encodeDecl *ast.FuncDecl
-	decodeDecl *ast.FuncDecl
+	name      string
+	kindConst *types.Const
+	kindPos   token.Pos // position of the Kind() method (for pairing faults)
+	wireDecl  *ast.FuncDecl
 }
 
 func runWireproto(pass *analysis.Pass) error {
@@ -72,15 +69,10 @@ func runWireproto(pass *analysis.Pass) error {
 	}
 
 	schema := &WireSchema{}
-	encPos := make(map[string]token.Pos) // kind const name -> encoder position
+	bodyPos := make(map[string]token.Pos) // kind const name -> wire body
 	for _, mt := range msgs {
-		encOps := x.encodeStmts(mt.encodeDecl.Body.List)
-		decOps := x.decodeStmts(mt.decodeDecl.Body.List)
-		x.checkOptPlacement(mt, encOps)
-		if detail := symmetryDiff(encOps, decOps); detail != "" {
-			pass.Reportf(mt.decodeDecl.Pos(),
-				"encode/decode asymmetry in %s: %s — the decoder would misparse every frame the encoder emits", mt.name, detail)
-		}
+		ops := x.bodyOps(mt.wireDecl.Body.List)
+		x.checkOptPlacement(mt, ops)
 		if mt.kindConst == nil {
 			continue // already reported by collectMsgTypes
 		}
@@ -89,50 +81,25 @@ func runWireproto(pass *analysis.Pass) error {
 			Kind:     uint16(kindVal),
 			KindName: mt.kindConst.Name(),
 			TypeName: mt.name,
-			Ops:      encOps,
+			Ops:      ops,
 		})
-		encPos[mt.kindConst.Name()] = mt.encodeDecl.Pos()
+		bodyPos[mt.kindConst.Name()] = mt.wireDecl.Pos()
 	}
-	for _, p := range x.problems {
-		pass.Reportf(p.pos, "%s", p.msg)
-	}
-
 	x.checkRegistration(msgs)
-	x.checkLock(schema, encPos)
+	x.checkLock(schema, bodyPos)
 	return nil
 }
 
 // --- collection ---
 
-type problem struct {
-	pos token.Pos
-	msg string
-}
-
 type wireExtractor struct {
-	pass *analysis.Pass
-	// funcs indexes package-level functions for helper inlining.
-	funcs map[types.Object]*ast.FuncDecl
-	// bindings maps helper parameters to the caller's argument
-	// expression so field names survive inlining.
-	bindings map[types.Object]ast.Expr
-	// anon marks loop element variables: their names are loop-local and
-	// carry no schema meaning.
-	anon     map[types.Object]bool
-	inlining map[*ast.FuncDecl]bool
-	problems []problem
-	pkgDir   string
-	files    []*ast.File // non-test files only
+	pass   *analysis.Pass
+	pkgDir string
+	files  []*ast.File // non-test files only
 }
 
 func newWireExtractor(pass *analysis.Pass) *wireExtractor {
-	x := &wireExtractor{
-		pass:     pass,
-		funcs:    make(map[types.Object]*ast.FuncDecl),
-		bindings: make(map[types.Object]ast.Expr),
-		anon:     make(map[types.Object]bool),
-		inlining: make(map[*ast.FuncDecl]bool),
-	}
+	x := &wireExtractor{pass: pass}
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
 			continue
@@ -141,57 +108,34 @@ func newWireExtractor(pass *analysis.Pass) *wireExtractor {
 		if x.pkgDir == "" {
 			x.pkgDir = filepath.Dir(pass.Fset.Position(f.Pos()).Filename)
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-				x.funcs[obj] = fd
-			}
-		}
 	}
 	return x
 }
 
-// collectMsgTypes finds every type with encode(*writer), decode(*reader)
-// and Kind() methods, resolving which kind constant each returns.
+// collectMsgTypes finds every type with a wire(*coder) method, resolving
+// which kind constant its Kind() method returns.
 func (x *wireExtractor) collectMsgTypes() []*msgType {
 	byName := make(map[string]*msgType)
 	var order []string
-	get := func(recv *ast.FuncDecl) *msgType {
-		name := recvTypeName(recv)
-		if name == "" {
-			return nil
-		}
-		mt, ok := byName[name]
-		if !ok {
-			mt = &msgType{name: name}
-			byName[name] = mt
-			order = append(order, name)
-		}
-		return mt
-	}
 	for _, f := range x.files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil || (fd.Name.Name != "wire" && fd.Name.Name != "Kind") {
 				continue
 			}
-			switch fd.Name.Name {
-			case "encode":
-				if mt := get(fd); mt != nil {
-					mt.encodeDecl = fd
-				}
-			case "decode":
-				if mt := get(fd); mt != nil {
-					mt.decodeDecl = fd
-				}
-			case "Kind":
-				mt := get(fd)
-				if mt == nil {
-					break
-				}
+			name := recvTypeName(fd)
+			if name == "" {
+				continue
+			}
+			mt, ok := byName[name]
+			if !ok {
+				mt = &msgType{name: name}
+				byName[name] = mt
+				order = append(order, name)
+			}
+			if fd.Name.Name == "wire" {
+				mt.wireDecl = fd
+			} else {
 				mt.kindPos = fd.Pos()
 				mt.kindConst = x.kindReturn(fd)
 			}
@@ -200,22 +144,15 @@ func (x *wireExtractor) collectMsgTypes() []*msgType {
 	var out []*msgType
 	for _, name := range order {
 		mt := byName[name]
-		switch {
-		case mt.encodeDecl == nil && mt.decodeDecl == nil:
+		if mt.wireDecl == nil {
 			continue // some other type with a Kind() method
-		case mt.encodeDecl == nil:
-			x.problemf(mt.decodeDecl.Pos(), "%s has decode but no encode method: a kind that can be received but never sent is dead wire vocabulary", mt.name)
-			continue
-		case mt.decodeDecl == nil:
-			x.problemf(mt.encodeDecl.Pos(), "%s has encode but no decode method: frames of this kind can never be parsed by a receiver", mt.name)
-			continue
 		}
 		if mt.kindConst == nil {
 			pos := mt.kindPos
 			if pos == token.NoPos {
-				pos = mt.encodeDecl.Pos()
+				pos = mt.wireDecl.Pos()
 			}
-			x.problemf(pos, "%s has encode/decode but no resolvable Kind() method returning a msg.Kind constant", mt.name)
+			x.pass.Reportf(pos, "%s has a wire body but no resolvable Kind() method returning a msg.Kind constant: no frame can carry it", mt.name)
 		}
 		out = append(out, mt)
 	}
@@ -253,419 +190,160 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	return ""
 }
 
-func (x *wireExtractor) problemf(pos token.Pos, format string, args ...any) {
-	x.problems = append(x.problems, problem{pos, fmt.Sprintf(format, args...)})
+// --- the coder vocabulary ---
+
+// coderLists are the list ops: the op of the count, then of each element.
+var coderLists = map[string][2]OpKind{
+	"u64s": {OpU32, OpU64},
+	"devs": {OpU16, OpU16},
+	"strs": {OpU16, OpStr},
 }
 
-// --- codec-call classification ---
-
-// codecRole identifies whether a call is a writer op, a reader op, or
-// neither, by the receiver's named type in this package.
-func (x *wireExtractor) codecCall(call *ast.CallExpr) (role string, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
+// coderOp recognizes a coder op: a method of *coder (c.str(&m.Name)) or
+// a package function whose first parameter is a *coder (u32(c, &m.App),
+// the generic integer ops, and count). It returns the op's name and the
+// argument that names the field.
+func (x *wireExtractor) coderOp(call *ast.CallExpr) (name string, field ast.Expr, ok bool) {
+	fun := unparen(call.Fun)
+	if ix, isIndex := fun.(*ast.IndexExpr); isIndex {
+		fun = ix.X // an explicit instantiation, u32[AppID](c, ...)
 	}
-	t := x.pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return "", "", false
+	first := 0
+	switch f := fun.(type) {
+	case *ast.SelectorExpr:
+		if !x.isCoder(x.pass.TypesInfo.TypeOf(f.X)) {
+			return "", nil, false
+		}
+		name = f.Sel.Name
+	case *ast.Ident:
+		fn, isFunc := x.pass.TypesInfo.Uses[f].(*types.Func)
+		if !isFunc {
+			return "", nil, false
+		}
+		params := fn.Type().(*types.Signature).Params()
+		if params.Len() == 0 || !x.isCoder(params.At(0).Type()) {
+			return "", nil, false
+		}
+		name, first = f.Name, 1
+	default:
+		return "", nil, false
 	}
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
+	if len(call.Args) > first {
+		field = call.Args[first]
 	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() != x.pass.Pkg {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "writer":
-		return "writer", sel.Sel.Name, true
-	case "reader":
-		return "reader", sel.Sel.Name, true
-	}
-	return "", "", false
+	return name, field, true
 }
 
-// helperDecl resolves a call to a package-level helper that threads a
-// *writer or *reader, returning its declaration for inlining.
-func (x *wireExtractor) helperDecl(call *ast.CallExpr, role string) (*ast.FuncDecl, bool) {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+// isCoder reports whether t is *coder, the codec type of this package.
+func (x *wireExtractor) isCoder(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
 	if !ok {
-		return nil, false
+		return false
 	}
-	if tv, ok := x.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		return nil, false // conversion, not a call
-	}
-	obj := x.pass.TypesInfo.Uses[id]
-	fd, ok := x.funcs[obj]
-	if !ok || fd.Body == nil {
-		return nil, false
-	}
-	for _, field := range fd.Type.Params.List {
-		t := x.pass.TypesInfo.TypeOf(field.Type)
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			if named, isNamed := p.Elem().(*types.Named); isNamed &&
-				named.Obj().Pkg() == x.pass.Pkg && named.Obj().Name() == role {
-				return fd, true
-			}
-		}
-	}
-	return nil, false
+	named, ok := p.Elem().(*types.Named)
+	return ok && named.Obj().Pkg() == x.pass.Pkg && named.Obj().Name() == "coder"
 }
 
-// inlineHelper interprets a helper body with the caller's arguments
-// bound to its parameters, so names resolve through the call.
-func (x *wireExtractor) inlineHelper(fd *ast.FuncDecl, call *ast.CallExpr, interp func([]ast.Stmt) []Op) []Op {
-	if x.inlining[fd] {
-		x.problemf(call.Pos(), "recursive codec helper %s cannot be modeled", fd.Name.Name)
-		return nil
-	}
-	x.inlining[fd] = true
-	defer delete(x.inlining, fd)
-	// Bind each parameter object to the corresponding argument.
-	i := 0
-	for _, field := range fd.Type.Params.List {
-		for _, pname := range field.Names {
-			if i < len(call.Args) {
-				if obj := x.pass.TypesInfo.Defs[pname]; obj != nil {
-					x.bindings[obj] = call.Args[i]
-					defer delete(x.bindings, obj)
-				}
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
-	}
-	return interp(fd.Body.List)
-}
-
-// containsCodecCalls reports whether any writer/reader op or codec
-// helper call hides inside n — used to refuse statement shapes the
-// interpreter does not model instead of silently dropping their ops.
-func (x *wireExtractor) containsCodecCalls(n ast.Node, role string) bool {
+// hasCoderOp reports whether any coder op hides inside n — used to refuse
+// statement shapes the extractor does not model instead of silently
+// dropping their ops.
+func (x *wireExtractor) hasCoderOp(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(nn ast.Node) bool {
-		if found {
-			return false
+		if call, ok := nn.(*ast.CallExpr); ok && !found {
+			_, _, found = x.coderOp(call)
 		}
-		if call, ok := nn.(*ast.CallExpr); ok {
-			if r, _, ok := x.codecCall(call); ok && r == role {
-				found = true
-				return false
-			}
-			if _, ok := x.helperDecl(call, role); ok {
-				found = true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// --- encode interpretation ---
+// --- extraction ---
 
-// encodeStmts interprets an encoder body into its op sequence. Ops come
-// from writer method calls and inlined helpers; a range/for loop
-// becomes a rep group; an if with writer ops becomes a conditional
-// (optional) group.
-func (x *wireExtractor) encodeStmts(stmts []ast.Stmt) []Op {
+// bodyOps interprets a wire body, or the body of a loop in one, into its
+// op sequence: each coder op statement in order, and for each
+// `for i := range count(...)` loop the count and a rep group.
+func (x *wireExtractor) bodyOps(stmts []ast.Stmt) []Op {
 	var ops []Op
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
-			call, ok := unparen(s.X).(*ast.CallExpr)
-			if !ok {
-				continue
+			if call, ok := unparen(s.X).(*ast.CallExpr); ok {
+				if name, field, ok := x.coderOp(call); ok {
+					ops = append(ops, x.opsOf(call, name, field)...)
+					continue
+				}
 			}
-			ops = append(ops, x.encodeCall(call)...)
 		case *ast.RangeStmt:
-			if s.Value != nil {
-				x.markAnon(s.Value)
+			if call, ok := unparen(s.X).(*ast.CallExpr); ok {
+				if name, field, ok := x.coderOp(call); ok && name == "count" {
+					ops = append(ops, x.countOp(call, field),
+						Op{Kind: OpRep, Name: nameOf(field), Body: x.bodyOps(s.Body.List)})
+					continue
+				}
 			}
-			body := x.encodeStmts(s.Body.List)
-			if len(body) > 0 {
-				ops = append(ops, Op{Kind: OpRep, Name: x.nameOf(s.X), Body: body})
+		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
+			if x.hasCoderOp(stmt) {
+				x.pass.Reportf(stmt.Pos(), "coder op under a condition: a wire body runs the same ops to size, encode and decode, so a decoder cannot tell whether the field is there — a field present only sometimes must be the trailing optional op (c.optU32)")
 			}
-		case *ast.ForStmt:
-			body := x.encodeStmts(s.Body.List)
-			if len(body) > 0 {
-				ops = append(ops, Op{Kind: OpRep, Body: body})
-			}
-		case *ast.IfStmt:
-			body := x.encodeStmts(s.Body.List)
-			if len(body) > 0 {
-				ops = append(ops, Op{Kind: OpOpt, Name: firstName(body), Body: body})
-			}
-			if s.Else != nil && x.containsCodecCalls(s.Else, "writer") {
-				x.problemf(s.Else.Pos(), "else-branch encoding cannot be modeled: wire layout must not fork on runtime state (only a trailing optional field may be conditional)")
-			}
-		default:
-			if x.containsCodecCalls(stmt, "writer") {
-				x.problemf(stmt.Pos(), "encode statement shape not modeled by wireproto: keep encoders to straight-line writer calls, counted loops over slices, and one trailing conditional field")
-			}
+			continue
+		}
+		if x.hasCoderOp(stmt) {
+			x.pass.Reportf(stmt.Pos(), "wire statement shape not modeled by wireproto: keep wire bodies to straight-line coder ops and `for i := range count(...)` loops over a counted slice")
 		}
 	}
 	return ops
 }
 
-// markAnon records a range element variable so nameOf treats it as
-// unnamed (its identifier is loop-local, not a schema name).
-func (x *wireExtractor) markAnon(e ast.Expr) {
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := x.pass.TypesInfo.Defs[id]; obj != nil {
-			x.anon[obj] = true
+// opsOf is the layout of one coder op statement.
+func (x *wireExtractor) opsOf(call *ast.CallExpr, name string, field ast.Expr) []Op {
+	f := nameOf(field)
+	switch name {
+	case "u8", "u16", "u32", "u64", "bool", "str", "bytes":
+		return []Op{{Kind: OpKind(name), Name: f}}
+	case "count":
+		x.pass.Reportf(call.Pos(), "count outside a for-range header: a list's count must range the loop that moves its elements")
+		return nil
+	}
+	if l, ok := coderLists[name]; ok {
+		return []Op{{Kind: l[0], Name: lenName(f)}, {Kind: OpRep, Name: f, Body: []Op{{Kind: l[1]}}}}
+	}
+	if k := OpKind(strings.ToLower(strings.TrimPrefix(name, "opt"))); strings.HasPrefix(name, "opt") {
+		switch k {
+		case OpU8, OpU16, OpU32, OpU64, OpBool:
+			return []Op{{Kind: OpOpt, Name: f, Body: []Op{{Kind: k, Name: f}}}}
 		}
 	}
-}
-
-func (x *wireExtractor) encodeCall(call *ast.CallExpr) []Op {
-	if role, method, ok := x.codecCall(call); ok {
-		if role != "writer" {
-			x.problemf(call.Pos(), "reader op inside an encoder body")
-			return nil
-		}
-		var argName string
-		if len(call.Args) > 0 {
-			argName = x.nameOf(call.Args[0])
-		}
-		switch method {
-		case "u8", "u16", "u32", "u64", "bool":
-			return []Op{{Kind: OpKind(method), Name: argName}}
-		case "str":
-			return []Op{{Kind: OpStr, Name: argName}}
-		case "bytes":
-			return []Op{{Kind: OpBytes, Name: argName}}
-		case "u64s":
-			return []Op{
-				{Kind: OpU32, Name: lenName(argName)},
-				{Kind: OpRep, Name: argName, Body: []Op{{Kind: OpU64}}},
-			}
-		case "u16s":
-			return []Op{
-				{Kind: OpU16, Name: lenName(argName)},
-				{Kind: OpRep, Name: argName, Body: []Op{{Kind: OpU16}}},
-			}
-		default:
-			x.problemf(call.Pos(), "unknown writer op w.%s: teach wireproto its wire layout before using it", method)
-			return nil
-		}
-	}
-	if fd, ok := x.helperDecl(call, "writer"); ok {
-		return x.inlineHelper(fd, call, x.encodeStmts)
-	}
-	if x.containsCodecCalls(call, "writer") {
-		x.problemf(call.Pos(), "encode call shape not modeled by wireproto")
-	}
+	x.pass.Reportf(call.Pos(), "unknown coder op %s: teach wireproto its wire layout before using it in a wire body", name)
 	return nil
 }
 
-// checkOptPlacement enforces that conditional encoding appears only as
-// the final field of a message: anywhere else, presence cannot be
-// inferred by the decoder and every later field shifts.
-func (x *wireExtractor) checkOptPlacement(mt *msgType, ops []Op) {
-	var walk func(ops []Op, topLevel bool)
-	walk = func(ops []Op, topLevel bool) {
-		for i, op := range ops {
-			switch op.Kind {
-			case OpOpt:
-				if !topLevel || i != len(ops)-1 {
-					x.problemf(mt.encodeDecl.Pos(),
-						"conditional field %q of %s is not the trailing field: optional fields are detected by buffer exhaustion, so only the last field may be conditional", opLabel(op), mt.name)
-				}
-				walk(op.Body, false)
-			case OpRep:
-				walk(op.Body, false)
-			}
-		}
+// countOp is the count a list loop ranges over: a u32 when count's wide
+// argument is true, else a u16.
+func (x *wireExtractor) countOp(call *ast.CallExpr, field ast.Expr) Op {
+	op := Op{Kind: OpU16, Name: lenName(nameOf(field))}
+	var wide constant.Value
+	if len(call.Args) > 2 {
+		wide = x.pass.TypesInfo.Types[call.Args[2]].Value
 	}
-	walk(ops, true)
-}
-
-// --- decode interpretation ---
-
-// decodeStmts interprets a decoder body. Reader ops are gathered from
-// expressions in evaluation order; loops become rep groups; an if whose
-// condition tests remaining buffer bytes becomes a trailing optional
-// group, while guards without reader ops (error/bomb checks) vanish and
-// any other if is transparent.
-func (x *wireExtractor) decodeStmts(stmts []ast.Stmt) []Op {
-	var ops []Op
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range s.Rhs {
-				rhsOps := x.decodeExpr(rhs)
-				// A single scalar read assigned to a struct field names
-				// the op, letting the symmetry check catch same-type
-				// field swaps that op kinds alone cannot see.
-				if len(rhsOps) == 1 && rhsOps[0].Kind != OpRep && rhsOps[0].Kind != OpOpt &&
-					len(s.Lhs) == len(s.Rhs) {
-					if sel, ok := unparen(s.Lhs[i]).(*ast.SelectorExpr); ok {
-						rhsOps[0].Name = sel.Sel.Name
-					}
-				}
-				ops = append(ops, rhsOps...)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							ops = append(ops, x.decodeExpr(v)...)
-						}
-					}
-				}
-			}
-		case *ast.ExprStmt:
-			ops = append(ops, x.decodeExpr(s.X)...)
-		case *ast.IfStmt:
-			if x.containsCodecCalls(s.Cond, "reader") {
-				x.problemf(s.Cond.Pos(), "reader op inside an if condition cannot be modeled")
-			}
-			body := x.decodeStmts(s.Body.List)
-			if s.Else != nil && x.containsCodecCalls(s.Else, "reader") {
-				x.problemf(s.Else.Pos(), "else-branch decoding cannot be modeled: wire layout must not fork on runtime state")
-			}
-			if len(body) == 0 {
-				continue // error/bomb guard
-			}
-			if condTestsRemaining(s.Cond) {
-				ops = append(ops, Op{Kind: OpOpt, Name: firstName(body), Body: body})
-			} else {
-				ops = append(ops, body...) // presence guard like `if n > 0`
-			}
-		case *ast.RangeStmt:
-			body := x.decodeStmts(s.Body.List)
-			if len(body) > 0 {
-				ops = append(ops, Op{Kind: OpRep, Name: x.nameOf(s.X), Body: body})
-			}
-		case *ast.ForStmt:
-			body := x.decodeStmts(s.Body.List)
-			if len(body) > 0 {
-				ops = append(ops, Op{Kind: OpRep, Body: body})
-			}
-		case *ast.ReturnStmt:
-			// Guard exits carry no ops; a helper's `return out` likewise.
-		default:
-			if x.containsCodecCalls(stmt, "reader") {
-				x.problemf(stmt.Pos(), "decode statement shape not modeled by wireproto: keep decoders to straight-line reader calls, counted loops, guards and one trailing optional")
-			}
-		}
+	switch {
+	case wide == nil || wide.Kind() != constant.Bool:
+		x.pass.Reportf(call.Pos(), "count's wide argument must be a constant: the count's width is part of the wire layout")
+	case constant.BoolVal(wide):
+		op.Kind = OpU32
 	}
-	return ops
+	return op
 }
 
-// decodeExpr extracts reader ops from one expression in evaluation
-// order, inlining *reader helpers.
-func (x *wireExtractor) decodeExpr(e ast.Expr) []Op {
-	var ops []Op
-	var walk func(e ast.Expr)
-	walk = func(e ast.Expr) {
-		switch e := e.(type) {
-		case nil:
-			return
-		case *ast.CallExpr:
-			if role, method, ok := x.codecCall(e); ok {
-				if role != "reader" {
-					x.problemf(e.Pos(), "writer op inside a decoder body")
-					return
-				}
-				switch method {
-				case "u8", "u16", "u32", "u64", "bool":
-					ops = append(ops, Op{Kind: OpKind(method)})
-				case "str":
-					ops = append(ops, Op{Kind: OpStr})
-				case "bytesField":
-					ops = append(ops, Op{Kind: OpBytes})
-				case "u64list":
-					ops = append(ops, Op{Kind: OpU32}, Op{Kind: OpRep, Body: []Op{{Kind: OpU64}}})
-				case "u16list":
-					ops = append(ops, Op{Kind: OpU16}, Op{Kind: OpRep, Body: []Op{{Kind: OpU16}}})
-				default:
-					x.problemf(e.Pos(), "unknown reader op r.%s: teach wireproto its wire layout before using it", method)
-				}
-				return
-			}
-			if fd, ok := x.helperDecl(e, "reader"); ok {
-				ops = append(ops, x.inlineHelper(fd, e, x.decodeStmts)...)
-				return
-			}
-			// Conversion or ordinary call: arguments evaluate in order.
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *ast.ParenExpr:
-			walk(e.X)
-		case *ast.StarExpr:
-			walk(e.X)
-		case *ast.UnaryExpr:
-			walk(e.X)
-		case *ast.BinaryExpr:
-			walk(e.X)
-			walk(e.Y)
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.SelectorExpr:
-			walk(e.X)
-		case *ast.CompositeLit:
-			for _, elt := range e.Elts {
-				walk(elt)
-			}
-		case *ast.KeyValueExpr:
-			walk(e.Value)
-		}
+// nameOf recovers a schema field name from a coder op's argument: the
+// field of &m.Name, or of &reg.App inside a loop. An element of a list
+// (&(*v)[i], &reg.Grantees[j]) has none.
+func nameOf(e ast.Expr) string {
+	if u, ok := unparen(e).(*ast.UnaryExpr); ok {
+		e = u.X
 	}
-	walk(e)
-	return ops
-}
-
-// condTestsRemaining reports whether an if condition examines the
-// reader's position against its buffer (`r.off < len(r.buf)`), the
-// idiom marking a trailing optional read.
-func condTestsRemaining(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "off" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// --- naming ---
-
-// nameOf recovers a schema field name from an encoder argument:
-// selector fields (m.Name -> "Name"), counts (len(m.X) -> "len(X)"),
-// conversions unwrapped, helper parameters resolved to the caller's
-// argument. Loop-local element variables yield "".
-func (x *wireExtractor) nameOf(e ast.Expr) string {
-	switch e := unparen(e).(type) {
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.Ident:
-		obj := x.pass.TypesInfo.Uses[e]
-		if obj != nil {
-			if x.anon[obj] {
-				return ""
-			}
-			if bound, ok := x.bindings[obj]; ok {
-				return x.nameOf(bound)
-			}
-		}
-		return e.Name
-	case *ast.CallExpr:
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "len" && len(e.Args) == 1 {
-			return lenName(x.nameOf(e.Args[0]))
-		}
-		if tv, ok := x.pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return x.nameOf(e.Args[0]) // conversion like uint32(m.App)
-		}
+	if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
 	}
 	return ""
 }
@@ -677,55 +355,26 @@ func lenName(inner string) string {
 	return "len(" + inner + ")"
 }
 
-// firstName labels an opt group by its first named member.
-func firstName(ops []Op) string {
-	for _, op := range ops {
-		if op.Name != "" {
-			return op.Name
-		}
-	}
-	return ""
-}
-
-// --- symmetry ---
-
-// symmetryDiff compares an encoder's op sequence against the decoder's
-// and describes the first divergence, or returns "". The one sanctioned
-// asymmetry: the decoder may wrap the encoder's trailing fields in an
-// optional group (new decoder accepting old short frames).
-func symmetryDiff(enc, dec []Op) string {
-	for i := 0; ; i++ {
-		switch {
-		case i == len(enc) && i == len(dec):
-			return ""
-		case i == len(enc):
-			return fmt.Sprintf("decoder reads %d extra op(s) starting with %q that the encoder never writes", len(dec)-i, opLabel(dec[i]))
-		case i == len(dec):
-			return fmt.Sprintf("encoder writes %d extra op(s) starting with %q that the decoder never reads", len(enc)-i, opLabel(enc[i]))
-		}
-		e, d := enc[i], dec[i]
-		// Trailing leniency: decoder-side opt absorbing the encoder's
-		// unconditional tail.
-		if d.Kind == OpOpt && e.Kind != OpOpt && i == len(dec)-1 {
-			if diff := symmetryDiff(enc[i:], d.Body); diff != "" {
-				return fmt.Sprintf("inside decoder's trailing optional group: %s", diff)
-			}
-			return ""
-		}
-		if e.Kind != d.Kind {
-			return fmt.Sprintf("op %d: encoder writes %q, decoder reads %q", i, opLabel(e), opLabel(d))
-		}
-		// Field order: when both sides name the field, the names must
-		// agree — a swapped pair of same-type reads is still a misparse.
-		if e.Name != "" && d.Name != "" && e.Name != d.Name {
-			return fmt.Sprintf("op %d: encoder writes field %q, decoder stores field %q — fields are swapped or reordered", i, opLabel(e), opLabel(d))
-		}
-		if e.Kind == OpRep || e.Kind == OpOpt {
-			if diff := symmetryDiff(e.Body, d.Body); diff != "" {
-				return fmt.Sprintf("inside %q: %s", opLabel(e), diff)
+// checkOptPlacement enforces that an optional field appears only as the
+// last field of a message: anywhere else, presence cannot be inferred by
+// the decoder and every later field shifts.
+func (x *wireExtractor) checkOptPlacement(mt *msgType, ops []Op) {
+	var walk func(ops []Op, topLevel bool)
+	walk = func(ops []Op, topLevel bool) {
+		for i, op := range ops {
+			switch op.Kind {
+			case OpOpt:
+				if !topLevel || i != len(ops)-1 {
+					x.pass.Reportf(mt.wireDecl.Pos(),
+						"optional field %q of %s is not the trailing field: optional fields are detected by buffer exhaustion, so only the last field may be optional", opLabel(op), mt.name)
+				}
+				walk(op.Body, false)
+			case OpRep:
+				walk(op.Body, false)
 			}
 		}
 	}
+	walk(ops, true)
 }
 
 // --- registration completeness ---
@@ -766,7 +415,7 @@ func (x *wireExtractor) checkRegistration(msgs []*msgType) {
 	for _, mt := range msgs {
 		if mt.kindConst != nil {
 			if prev, dup := byKind[mt.kindConst.Name()]; dup {
-				x.pass.Reportf(mt.kindPos, "%s and %s both claim kind %s: the decode dispatcher can construct only one of them", prev.name, mt.name, mt.kindConst.Name())
+				x.pass.Reportf(mt.kindPos, "%s and %s both claim kind %s: the dispatcher can run only one of them", prev.name, mt.name, mt.kindConst.Name())
 				continue
 			}
 			byKind[mt.kindConst.Name()] = mt
@@ -782,56 +431,80 @@ func (x *wireExtractor) checkRegistration(msgs []*msgType) {
 	x.checkCorpus(consts)
 }
 
-// checkDispatcher verifies decodeBody constructs the right type for
-// every kind. kindswitch already forces the switch to be exhaustive;
-// this adds the pairing check (case KindX must return the type whose
-// Kind() is KindX).
+// checkDispatcher verifies that dispatch runs the right type's wire body
+// for every kind. kindswitch already forces its switch to be exhaustive;
+// this adds the pairing check (case KindX must run the body of the type
+// whose Kind() is KindX).
 func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string]*msgType) {
-	var nm *ast.FuncDecl
-	for obj, fd := range x.funcs {
-		if obj.Name() == "decodeBody" {
-			nm = fd
-			break
+	var disp *ast.FuncDecl
+	for _, f := range x.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body != nil && fd.Name.Name == "dispatch" {
+				disp = fd
+			}
 		}
 	}
-	if nm == nil {
-		x.pass.Reportf(x.files[0].Pos(), "wire-codec package has no decodeBody decode dispatcher: inbound frames cannot be constructed by kind")
+	if disp == nil {
+		x.pass.Reportf(x.files[0].Pos(), "wire-codec package has no dispatch function: frames cannot be sized, encoded or decoded by kind")
 		return
 	}
 	covered := make(map[string]bool)
-	ast.Inspect(nm.Body, func(n ast.Node) bool {
+	ast.Inspect(disp.Body, func(n ast.Node) bool {
 		cc, ok := n.(*ast.CaseClause)
 		if !ok {
 			return true
 		}
 		var kindNames []string
 		for _, e := range cc.List {
-			if name, ok := x.caseConstName(e); ok {
+			if name, ok := constName(x.pass, e); ok {
 				kindNames = append(kindNames, name)
 				covered[name] = true
 			}
 		}
-		retType := constructedTypeName(cc.Body)
-		if retType == "" || len(kindNames) == 0 {
+		ran := x.dispatchedType(cc.Body)
+		if ran == "" {
 			return true
 		}
 		for _, kn := range kindNames {
-			mt := byKind[kn]
-			if mt == nil {
-				continue // missing-type finding already reported at the const
-			}
-			if mt.name != retType {
-				x.pass.Reportf(cc.Pos(), "decode dispatcher returns %s for %s, but %s's Kind() is %s: frames of kind %s would be parsed with the wrong layout",
-					retType, kn, retType, typeKindName(byTypeName(byKind, retType)), kn)
+			if mt := byKind[kn]; mt != nil && mt.name != ran {
+				x.pass.Reportf(cc.Pos(), "dispatcher runs %s for %s, but %s's Kind() is %s: frames of kind %s would be laid out as another kind's",
+					ran, kn, ran, typeKindName(byTypeName(byKind, ran)), kn)
 			}
 		}
 		return true
 	})
 	for _, c := range consts {
 		if !covered[c.Name()] && byKind[c.Name()] != nil {
-			x.pass.Reportf(c.Pos(), "kind %s is not constructed by the decode dispatcher (decodeBody): inbound frames of this kind are rejected as unknown", c.Name())
+			x.pass.Reportf(c.Pos(), "kind %s has no arm in the dispatcher (dispatch): its frames can be neither encoded nor decoded", c.Name())
 		}
 	}
+}
+
+// dispatchedType names the message type a dispatcher arm runs: the
+// receiver type of its wire call.
+func (x *wireExtractor) dispatchedType(body []ast.Stmt) string {
+	name := ""
+	for _, stmt := range body {
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || name != "" {
+				return name == ""
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "wire" {
+				return true
+			}
+			t := x.pass.TypesInfo.TypeOf(sel.X)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if named, ok := t.(*types.Named); ok {
+				name = named.Obj().Name()
+			}
+			return false
+		})
+	}
+	return name
 }
 
 func byTypeName(byKind map[string]*msgType, name string) *msgType {
@@ -848,52 +521,6 @@ func typeKindName(mt *msgType) string {
 		return "a different kind"
 	}
 	return mt.kindConst.Name()
-}
-
-func (x *wireExtractor) caseConstName(e ast.Expr) (string, bool) {
-	var id *ast.Ident
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return "", false
-	}
-	if c, ok := x.pass.TypesInfo.Uses[id].(*types.Const); ok {
-		return c.Name(), true
-	}
-	return "", false
-}
-
-// constructedTypeName names the message type a dispatcher arm builds:
-// the T of the first `&T{}` the arm assigns (`m := &T{}`, which it then
-// decodes into and returns) or returns directly.
-func constructedTypeName(body []ast.Stmt) string {
-	for _, stmt := range body {
-		var rhs []ast.Expr
-		switch st := stmt.(type) {
-		case *ast.AssignStmt:
-			rhs = st.Rhs
-		case *ast.ReturnStmt:
-			rhs = st.Results
-		}
-		if len(rhs) != 1 {
-			continue
-		}
-		ue, ok := unparen(rhs[0]).(*ast.UnaryExpr)
-		if !ok || ue.Op != token.AND {
-			continue
-		}
-		cl, ok := ue.X.(*ast.CompositeLit)
-		if !ok {
-			continue
-		}
-		if id, ok := cl.Type.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
 }
 
 // corpusEntryRE matches the []byte literal of a `go test fuzz v1`
@@ -944,7 +571,7 @@ func (x *wireExtractor) checkCorpus(consts []*types.Const) {
 // checkLock diffs the extracted schema against the committed wire.lock
 // (append-only evolution), or rewrites the lock under
 // NOCPU_REGEN_WIRELOCK=1.
-func (x *wireExtractor) checkLock(schema *WireSchema, encPos map[string]token.Pos) {
+func (x *wireExtractor) checkLock(schema *WireSchema, bodyPos map[string]token.Pos) {
 	lockPath := filepath.Join(x.pkgDir, "wire.lock")
 	if os.Getenv("NOCPU_REGEN_WIRELOCK") != "" && x.pass.Pkg.Path() == realMsgPath {
 		if err := os.WriteFile(lockPath, []byte(Format(schema)), 0o644); err != nil {
@@ -964,11 +591,49 @@ func (x *wireExtractor) checkLock(schema *WireSchema, encPos map[string]token.Po
 		x.pass.Reportf(x.files[0].Pos(), "unparsable %s: %v (regenerate with NOCPU_REGEN_WIRELOCK=1 make lint)", lockPath, err)
 		return
 	}
-	for _, v := range CompatDiff(lock, schema) {
-		pos := encPos[v.KindName]
+	for _, v := range append(CompatDiff(lock, schema), movedFields(lock, schema)...) {
+		pos := bodyPos[v.KindName]
 		if pos == token.NoPos {
 			pos = x.files[0].Pos()
 		}
 		x.pass.Reportf(pos, "wire.lock: %s", v.Msg)
 	}
+}
+
+// movedFields reports the locked fields that kept their op but not their
+// place: two same-typed fields that traded places, which CompatDiff's op
+// comparison cannot see. Names tell them apart — a locked name found
+// elsewhere in the same body moved, while one found nowhere was renamed
+// in place, which is not a wire change.
+func movedFields(old, cur *WireSchema) []CompatViolation {
+	curByName := make(map[string]*MsgSchema, len(cur.Msgs))
+	for i := range cur.Msgs {
+		curByName[cur.Msgs[i].KindName] = &cur.Msgs[i]
+	}
+	var out []CompatViolation
+	var walk func(kind string, old, cur []Op)
+	walk = func(kind string, old, cur []Op) {
+		names := make(map[string]bool, len(cur))
+		for _, op := range cur {
+			names[op.Name] = true
+		}
+		for i := 0; i < len(old) && i < len(cur); i++ {
+			o, c := old[i], cur[i]
+			if o.Kind != c.Kind {
+				continue // a retype: CompatDiff reports it
+			}
+			if o.Name != c.Name && o.Name != "" && names[o.Name] {
+				out = append(out, CompatViolation{kind, fmt.Sprintf(
+					"field %d of %s moved: wire.lock has %q there, tree has %q — old frames would decode one field into the other (wire evolution is append-only; only trailing additions are compatible)",
+					i, kind, opLabel(o), opLabel(c))})
+			}
+			walk(kind, o.Body, c.Body)
+		}
+	}
+	for _, om := range old.Msgs {
+		if cm := curByName[om.KindName]; cm != nil {
+			walk(om.KindName, om.Ops, cm.Ops)
+		}
+	}
+	return out
 }

@@ -7,8 +7,8 @@ import (
 	"nocpu/internal/lint/analysistest"
 )
 
-func TestWireprotoSymmetry(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), lint.Wireproto, "wireproto/asym")
+func TestWireprotoShape(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), lint.Wireproto, "wireproto/shape")
 }
 
 func TestWireprotoRegistration(t *testing.T) {

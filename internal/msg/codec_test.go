@@ -2,6 +2,8 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,16 +12,35 @@ import (
 	"testing"
 )
 
-// corpusEnvelopes decodes every entry of the FuzzDecode seed corpus that
-// is a valid envelope (the adversarial seeds mostly are not) — one per
-// kind at least, plus the extreme-valued and canonicalizing ones.
-func corpusEnvelopes(t *testing.T) []Envelope {
+// le builds a payload by hand, little-endian like the wire, for the
+// frames a wire body would never write: a truncated field, a count the
+// bytes cannot back, an older form of a message.
+type le []byte
+
+func (b le) u8(v uint8) le    { return append(b, v) }
+func (b le) u16(v uint16) le  { return binary.LittleEndian.AppendUint16(b, v) }
+func (b le) u32(v uint32) le  { return binary.LittleEndian.AppendUint32(b, v) }
+func (b le) u64(v uint64) le  { return binary.LittleEndian.AppendUint64(b, v) }
+func (b le) str(s string) le  { return append(b.u16(uint16(len(s))), s...) }
+func (b le) raw(p ...byte) le { return append(b, p...) }
+
+// frame puts payload under e's header for kind k, its length field
+// matching the payload.
+func frame(e Envelope, k Kind, payload le) []byte {
+	c := coder{mode: encoding}
+	n := uint32(len(payload))
+	e.header(&c, &k, &n)
+	return append(c.buf, payload...)
+}
+
+// corpusFrames reads the FuzzDecode seed corpus: one frame per file, in
+// file-name order, keyed by the file's name.
+func corpusFrames(t *testing.T) (names []string, frames [][]byte) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no fuzz corpus found: %v", err)
 	}
-	var out []Envelope
 	for _, f := range files {
 		raw, err := os.ReadFile(f)
 		if err != nil {
@@ -31,11 +52,64 @@ func corpusEnvelopes(t *testing.T) []Envelope {
 		if err != nil {
 			t.Fatalf("%s: not a []byte corpus entry: %v", f, err)
 		}
-		if env, err := Decode([]byte(b)); err == nil {
+		names = append(names, filepath.Base(f))
+		frames = append(frames, []byte(b))
+	}
+	return names, frames
+}
+
+// corpusEnvelopes decodes every entry of the FuzzDecode seed corpus that
+// is a valid envelope (the adversarial seeds mostly are not) — one per
+// kind at least, plus the extreme-valued and canonicalizing ones.
+func corpusEnvelopes(t *testing.T) []Envelope {
+	t.Helper()
+	_, frames := corpusFrames(t)
+	var out []Envelope
+	for _, b := range frames {
+		if env, err := Decode(b); err == nil {
 			out = append(out, env)
 		}
 	}
 	return out
+}
+
+// TestCorpusDecodesPinned holds Decode to what it made of every corpus
+// frame when the codec was last changed: the %#v of the message (so a
+// list that decodes nil stays nil and an empty one stays empty, and a
+// byte field keeps its contents) or the error text of a refusal.
+// NOCPU_REGEN_GOLDEN=1 rewrites testdata/decoded.golden after an
+// intentional change.
+func TestCorpusDecodesPinned(t *testing.T) {
+	names, frames := corpusFrames(t)
+	var b strings.Builder
+	for i, frame := range frames {
+		env, err := Decode(frame)
+		if err != nil {
+			fmt.Fprintf(&b, "%s: error: %v\n", names[i], err)
+			continue
+		}
+		fmt.Fprintf(&b, "%s: src=%d dst=%d seq=%d inc=%d %#v\n", names[i],
+			env.Src, env.Dst, env.Seq, env.Inc, reflect.ValueOf(env.Msg).Elem().Interface())
+	}
+	path := filepath.Join("testdata", "decoded.golden")
+	if os.Getenv("NOCPU_REGEN_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("decoded corpus differs from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		t.Fatalf("decoded corpus differs from %s: %d lines, want %d", path, len(gl), len(wl))
+	}
 }
 
 // TestCodecAgreement holds the three encode entry points to one wire
@@ -115,6 +189,21 @@ func TestEncodeAllocs(t *testing.T) {
 		}
 		if size != len(out)-8 {
 			t.Errorf("%s: size %d, encoding %d", h.name, size, len(out))
+		}
+	}
+}
+
+// TestDecodeAllocs pins what Decode allocates for each hot kind: the
+// message, and a Replicate's key string. The coder it decodes with stays
+// on its stack only while every body is reached through its concrete
+// type; a call through the Message interface would cost one more.
+func TestDecodeAllocs(t *testing.T) {
+	want := map[string]float64{"FabricReq": 1, "Replicate": 2, "LeaseGrant": 1, "AllocReq": 1}
+	for _, h := range hotKinds {
+		frame := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}.Encode()
+		var err error
+		if n := testing.AllocsPerRun(200, func() { benchEnv, err = Decode(frame) }); n != want[h.name] || err != nil {
+			t.Errorf("%s: Decode allocates %v times (%v), want %v", h.name, n, err, want[h.name])
 		}
 	}
 }

@@ -47,31 +47,20 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	}
 
 	// Adversarial seeds: structurally interesting inputs the mutator
-	// should start from.
+	// should start from. The hand-built ones carry a header whose payload
+	// length matches what they hold, so the body's own reader is what
+	// must refuse them.
 	write("seed-nack-of-nack", Envelope{Src: 1, Dst: 2, Seq: 3,
 		Msg: &Nack{Of: KindNack, Seq: 2, Dst: 3, Code: NackDeadDst, Reason: "nacked nack"}}.Encode())
 
-	// A Nack whose reason-string length claims more bytes than exist
-	// (payload-length field adjusted to match, so the string reader is
-	// what fails).
-	{
-		var pw writer
-		pw.u16(uint16(KindOpenReq))
-		pw.u32(7)
-		pw.u16(4)
-		pw.u8(uint8(NackDeadDst))
-		pw.u16(200) // reason claims 200 bytes...
-		pw.buf = append(pw.buf, []byte("shrt")...)
-		var w writer
-		w.u16(1)
-		w.u16(2)
-		w.u16(uint16(KindNack))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-nack-truncated", w.buf)
-	}
+	// A Nack whose reason-string length claims more bytes than exist.
+	write("seed-nack-truncated", frame(Envelope{Src: 1, Dst: 2}, KindNack, le{}.
+		u16(uint16(KindOpenReq)).
+		u32(7).
+		u16(4).
+		u8(uint8(NackDeadDst)).
+		u16(200). // reason claims 200 bytes...
+		raw([]byte("shrt")...)))
 
 	write("seed-heartbeat-maxseq", Envelope{Src: 1, Dst: BusID, Seq: 0xFFFFFFFF, Inc: 0xFFFFFFFF,
 		Msg: &Heartbeat{Seq: ^uint64(0)}}.Encode())
@@ -91,39 +80,17 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	// New-form adversarial seeds (incarnation field, state reconciliation).
 	// A Hello whose trailing incarnation field is truncated mid-u32: the
 	// payload length admits 2 extra bytes, the optional-field reader wants 4.
-	{
-		var pw writer
-		pw.u8(uint8(RoleNIC))
-		pw.str("nic0")
-		pw.u16(0)
-		pw.buf = append(pw.buf, 0x02, 0x00) // half an incarnation
-		var w writer
-		w.u16(1)
-		w.u16(uint16(BusID))
-		w.u16(uint16(KindHello))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(1)
-		w.u32(1)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-hello-inc-truncated", w.buf)
-	}
+	write("seed-hello-inc-truncated", frame(Envelope{Src: 1, Dst: BusID, Seq: 1, Inc: 1}, KindHello, le{}.
+		u8(uint8(RoleNIC)).
+		str("nic0").
+		u16(0).
+		raw(0x02, 0x00))) // half an incarnation
 
 	// A StateResp claiming 0xFFF0 regions in a 6-byte payload: the
 	// region-count bomb guard must refuse without allocating.
-	{
-		var pw writer
-		pw.u32(1)
-		pw.u16(0xFFF0)
-		var w writer
-		w.u16(uint16(BusID))
-		w.u16(3)
-		w.u16(uint16(KindStateResp))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-stateresp-bomb", w.buf)
-	}
+	write("seed-stateresp-bomb", frame(Envelope{Src: BusID, Dst: 3}, KindStateResp, le{}.
+		u32(1).
+		u16(0xFFF0)))
 
 	// Flow-control adversarial seeds (credit-update and shed-NACK kinds).
 	// An overload shed propagated as a typed NACK.
@@ -132,20 +99,9 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 
 	// A CreditUpdate truncated mid-field: payload length admits 6 bytes,
 	// the two-u32 body wants 8.
-	{
-		var pw writer
-		pw.u32(32)
-		pw.buf = append(pw.buf, 0x10, 0x00) // half a credit count
-		var w writer
-		w.u16(uint16(BusID))
-		w.u16(4)
-		w.u16(uint16(KindCreditUpdate))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-credit-truncated", w.buf)
-	}
+	write("seed-credit-truncated", frame(Envelope{Src: BusID, Dst: 4}, KindCreditUpdate, le{}.
+		u32(32).
+		raw(0x10, 0x00))) // half a credit count
 
 	// A CreditUpdate whose credit count overflows any sane window: the
 	// port must saturate at the window, not wrap its balance.
@@ -168,121 +124,54 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}}}.Encode())
 
 	// A Replicate whose key-string length claims more bytes than the
-	// payload holds (payload-length header adjusted to match, so the
-	// string reader is what must refuse).
-	{
-		var pw writer
-		pw.u32(1) // epoch
-		pw.u64(9) // seq
-		pw.bool(false)
-		pw.bool(false)
-		pw.u16(200) // key claims 200 bytes...
-		pw.buf = append(pw.buf, []byte("key")...)
-		var w writer
-		w.u16(1)
-		w.u16(2)
-		w.u16(uint16(KindReplicate))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-replicate-truncated", w.buf)
-	}
+	// payload holds.
+	write("seed-replicate-truncated", frame(Envelope{Src: 1, Dst: 2}, KindReplicate, le{}.
+		u32(1).   // epoch
+		u64(9).   // seq
+		u8(0).    // del
+		u8(0).    // sync
+		u16(200). // key claims 200 bytes...
+		raw([]byte("key")...)))
 
 	// A ReplicateAck truncated mid-epoch: seq and OK flag present, the
 	// trailing u32 cut to 2 bytes.
-	{
-		var pw writer
-		pw.u64(77)
-		pw.bool(true)
-		pw.buf = append(pw.buf, 0x02, 0x00) // half an epoch
-		var w writer
-		w.u16(2)
-		w.u16(1)
-		w.u16(uint16(KindReplicateAck))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-replicateack-truncated", w.buf)
-	}
+	write("seed-replicateack-truncated", frame(Envelope{Src: 2, Dst: 1}, KindReplicateAck, le{}.
+		u64(77).
+		u8(1).
+		raw(0x02, 0x00))) // half an epoch
 
 	// A RingUpdate claiming 0xFFF0 dead machines in a 6-byte payload:
 	// the dead-list bomb guard must refuse without allocating.
-	{
-		var pw writer
-		pw.u32(4)      // epoch
-		pw.u16(0xFFF0) // dead-count bomb
-		var w writer
-		w.u16(1)
-		w.u16(uint16(Broadcast))
-		w.u16(uint16(KindRingUpdate))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-ringupdate-bomb", w.buf)
-	}
+	write("seed-ringupdate-bomb", frame(Envelope{Src: 1, Dst: Broadcast}, KindRingUpdate, le{}.
+		u32(4).       // epoch
+		u16(0xFFF0))) // dead-count bomb
 
 	// A FabricResp whose inner payload-length field claims more bytes
 	// than remain after the dead list.
-	{
-		var pw writer
-		pw.u64(404)
-		pw.u8(FabricServed)
-		pw.u16(1)
-		pw.u16(5)
-		pw.u32(64) // payload claims 64 bytes...
-		pw.buf = append(pw.buf, 0x00, 0x01)
-		var w writer
-		w.u16(7)
-		w.u16(3)
-		w.u16(uint16(KindFabricResp))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-fabricresp-truncated", w.buf)
-	}
+	write("seed-fabricresp-truncated", frame(Envelope{Src: 7, Dst: 3}, KindFabricResp, le{}.
+		u64(404).
+		u8(FabricServed).
+		u16(1).
+		u16(5).
+		u32(64). // payload claims 64 bytes...
+		raw(0x00, 0x01)))
 
 	// Fleet-reconciliation adversarial seeds (spec gossip, condition
 	// report, drain, staged ring config).
 	// A SpecGossip truncated mid-ConfigVersion: SpecVer and Size present,
 	// the u32 cut to 2 bytes.
-	{
-		var pw writer
-		pw.u64(4)                           // SpecVer
-		pw.u16(8)                           // Size
-		pw.buf = append(pw.buf, 0x02, 0x00) // half a config version
-		var w writer
-		w.u16(1)
-		w.u16(uint16(Broadcast))
-		w.u16(uint16(KindSpecGossip))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-specgossip-truncated", w.buf)
-	}
+	write("seed-specgossip-truncated", frame(Envelope{Src: 1, Dst: Broadcast}, KindSpecGossip, le{}.
+		u64(4).           // SpecVer
+		u16(8).           // Size
+		raw(0x02, 0x00))) // half a config version
 
 	// A CondReport cut after the three condition flags: the four trailing
 	// u32 fields are entirely missing.
-	{
-		var pw writer
-		pw.u64(11) // Seq
-		pw.bool(true)
-		pw.bool(false)
-		pw.bool(true)
-		var w writer
-		w.u16(3)
-		w.u16(1)
-		w.u16(uint16(KindCondReport))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-condreport-truncated", w.buf)
-	}
+	write("seed-condreport-truncated", frame(Envelope{Src: 3, Dst: 1}, KindCondReport, le{}.
+		u64(11). // Seq
+		u8(1).
+		u8(0).
+		u8(1)))
 
 	// A Drain order with an unknown mode: must decode cleanly (mode
 	// policy is the receiver's judgment, not the codec's) and be ignored
@@ -292,21 +181,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 
 	// A RingConfig claiming 0xFFF0 members in a 7-byte payload: the
 	// member-list bomb guard must refuse without allocating.
-	{
-		var pw writer
-		pw.u32(3)          // Ver
-		pw.u8(RingPrepare) // Phase
-		pw.u16(0xFFF0)     // member-count bomb
-		var w writer
-		w.u16(1)
-		w.u16(uint16(Broadcast))
-		w.u16(uint16(KindRingConfig))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-ringconfig-bomb", w.buf)
-	}
+	write("seed-ringconfig-bomb", frame(Envelope{Src: 1, Dst: Broadcast}, KindRingConfig, le{}.
+		u32(3).          // Ver
+		u8(RingPrepare). // Phase
+		u16(0xFFF0)))    // member-count bomb
 
 	// A RingConfig commit for an empty membership: decode must succeed
 	// (an empty ring is the coordinator's error, surfaced at the router,
@@ -316,60 +194,27 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 
 	// A Drain order truncated mid-ConfigVersion: Mode present, the u32
 	// cut to 2 bytes.
-	{
-		var pw writer
-		pw.u8(DrainCordon)
-		pw.buf = append(pw.buf, 0x09, 0x00) // half a config version
-		var w writer
-		w.u16(1)
-		w.u16(5)
-		w.u16(uint16(KindDrain))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-drain-truncated", w.buf)
-	}
+	write("seed-drain-truncated", frame(Envelope{Src: 1, Dst: 5}, KindDrain, le{}.
+		u8(DrainCordon).
+		raw(0x09, 0x00))) // half a config version
 
 	// A FabricReq whose inner payload-length field claims far more bytes
 	// than the frame carries: the bytes reader must refuse, not allocate.
-	{
-		var pw writer
-		pw.u16(3)          // Origin
-		pw.u64(31)         // ReqID
-		pw.u8(0)           // Hops
-		pw.u32(0xFFFFFFF0) // payload claims ~4GiB...
-		pw.buf = append(pw.buf, 0xAB)
-		var w writer
-		w.u16(3)
-		w.u16(7)
-		w.u16(uint16(KindFabricReq))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-fabricreq-overflow", w.buf)
-	}
+	write("seed-fabricreq-overflow", frame(Envelope{Src: 3, Dst: 7}, KindFabricReq, le{}.
+		u16(3).          // Origin
+		u64(31).         // ReqID
+		u8(0).           // Hops
+		u32(0xFFFFFFF0). // payload claims ~4GiB...
+		raw(0xAB)))
 
 	// A RingConfig prepare whose member list is cut mid-element: the
 	// count promises two u16 members, only one and a half arrive.
-	{
-		var pw writer
-		pw.u32(4)                     // Ver
-		pw.u8(RingPrepare)            // Phase
-		pw.u16(2)                     // two members promised...
-		pw.u16(5)                     // one delivered
-		pw.buf = append(pw.buf, 0x06) // half of the second
-		var w writer
-		w.u16(1)
-		w.u16(uint16(Broadcast))
-		w.u16(uint16(KindRingConfig))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-ringconfig-truncated", w.buf)
-	}
+	write("seed-ringconfig-truncated", frame(Envelope{Src: 1, Dst: Broadcast}, KindRingConfig, le{}.
+		u32(4).          // Ver
+		u8(RingPrepare). // Phase
+		u16(2).          // two members promised...
+		u16(5).          // one delivered
+		raw(0x06)))      // half of the second
 
 	// A SpecGossip at the numeric extremes: max spec version, max fleet
 	// size, max config version. Decodes cleanly; overflow handling is the
@@ -380,64 +225,30 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	// Multi-tenancy adversarial seeds (tenant grant, denial report).
 	// A TenantGrant truncated mid-RxBound: the fixed body promises six
 	// fields, the last u32 is cut to 2 bytes.
-	{
-		var pw writer
-		pw.u16(2)                           // Tenant
-		pw.u16(7)                           // Device
-		pw.u32(0x100)                       // App
-		pw.u32(16)                          // CreditWindow
-		pw.u32(8)                           // KVSInflight
-		pw.buf = append(pw.buf, 0x04, 0x00) // half an rx bound
-		var w writer
-		w.u16(1)
-		w.u16(uint16(BusID))
-		w.u16(uint16(KindTenantGrant))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-tenantgrant-truncated", w.buf)
-	}
+	write("seed-tenantgrant-truncated", frame(Envelope{Src: 1, Dst: BusID}, KindTenantGrant, le{}.
+		u16(2).           // Tenant
+		u16(7).           // Device
+		u32(0x100).       // App
+		u32(16).          // CreditWindow
+		u32(8).           // KVSInflight
+		raw(0x04, 0x00))) // half an rx bound
 
 	// A DenialReport whose detail-string length claims more bytes than
-	// the payload holds (payload-length header adjusted to match, so the
-	// string reader is what must refuse).
-	{
-		var pw writer
-		pw.u16(2)                    // Tenant
-		pw.u16(1)                    // Victim
-		pw.u8(3)                     // Class
-		pw.u16(uint16(KindGrantReq)) // Of
-		pw.u16(300)                  // detail claims 300 bytes...
-		pw.buf = append(pw.buf, []byte("denied")...)
-		var w writer
-		w.u16(uint16(BusID))
-		w.u16(4)
-		w.u16(uint16(KindDenialReport))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-denialreport-overflow", w.buf)
-	}
+	// the payload holds.
+	write("seed-denialreport-overflow", frame(Envelope{Src: BusID, Dst: 4}, KindDenialReport, le{}.
+		u16(2).                    // Tenant
+		u16(1).                    // Victim
+		u8(3).                     // Class
+		u16(uint16(KindGrantReq)). // Of
+		u16(300).                  // detail claims 300 bytes...
+		raw([]byte("denied")...)))
 
 	// Epoch-lease adversarial seeds (renew, grant, revoke).
 	// A LeaseRenew truncated mid-Until: Seq present, the second u64 cut
 	// to 4 bytes.
-	{
-		var pw writer
-		pw.u64(12)                                      // Seq
-		pw.buf = append(pw.buf, 0x40, 0x4B, 0x4C, 0x00) // half an expiry
-		var w writer
-		w.u16(5)
-		w.u16(1)
-		w.u16(uint16(KindLeaseRenew))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-leaserenew-truncated", w.buf)
-	}
+	write("seed-leaserenew-truncated", frame(Envelope{Src: 5, Dst: 1}, KindLeaseRenew, le{}.
+		u64(12).                      // Seq
+		raw(0x40, 0x4B, 0x4C, 0x00))) // half an expiry
 
 	// A LeaseGrant at the numeric extremes: max round, max expiry. The
 	// codec accepts it; clamping an absurd lease is the router's
@@ -447,20 +258,9 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 
 	// A LeaseRevoke claiming 0xFFF0 dead machines in a 10-byte payload:
 	// the dead-list bomb guard must refuse without allocating.
-	{
-		var pw writer
-		pw.u64(12)     // Seq
-		pw.u16(0xFFF0) // dead-count bomb
-		var w writer
-		w.u16(5)
-		w.u16(1)
-		w.u16(uint16(KindLeaseRevoke))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-leaserevoke-bomb", w.buf)
-	}
+	write("seed-leaserevoke-bomb", frame(Envelope{Src: 5, Dst: 1}, KindLeaseRevoke, le{}.
+		u64(12).      // Seq
+		u16(0xFFF0))) // dead-count bomb
 
 	// Format-agnostic adversarial seeds.
 	write("seed-empty", []byte{})
@@ -470,22 +270,11 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		env[4], env[5] = 0xEE, 0xEE
 		write("seed-badkind", env)
 	}
-	{
-		// AllocResp frame-count bomb: claimed 0xFFFFFFF0 frames, no data.
-		var pw writer
-		pw.u32(1)
-		pw.u8(1)
-		pw.u16(0)
-		pw.u64(0)
-		pw.u32(0xFFFFFFF0)
-		var w writer
-		w.u16(1)
-		w.u16(2)
-		w.u16(uint16(KindAllocResp))
-		w.u32(uint32(len(pw.buf)))
-		w.u32(0)
-		w.u32(0)
-		w.buf = append(w.buf, pw.buf...)
-		write("seed-bomb", w.buf)
-	}
+	// AllocResp frame-count bomb: claimed 0xFFFFFFF0 frames, no data.
+	write("seed-bomb", frame(Envelope{Src: 1, Dst: 2}, KindAllocResp, le{}.
+		u32(1).
+		u8(1).
+		u16(0).
+		u64(0).
+		u32(0xFFFFFFF0)))
 }

@@ -224,8 +224,7 @@ func (k Kind) String() string {
 // Message is any bus message body.
 type Message interface {
 	Kind() Kind
-	encode(w *writer)
-	decode(r *reader)
+	wire(c *coder)
 }
 
 // Envelope is a routed message.
@@ -256,23 +255,31 @@ const (
 	linkTagSize = 8
 )
 
+// header moves the envelope's framing: source, destination and kind
+// (u16 each), payload length, sequence tag and incarnation (u32 each).
+func (e *Envelope) header(c *coder, k *Kind, n *uint32) {
+	u16(c, &e.Src)
+	u16(c, &e.Dst)
+	u16(c, k)
+	u32(c, n)
+	u32(c, &e.Seq)
+	u32(c, &e.Inc)
+}
+
 // AppendEncode appends the envelope's encoding to dst and returns the
-// extended slice: header (src, dst, kind, payload length, sequence tag,
-// incarnation) followed by the payload, written in one pass into the one
-// buffer with the length patched in once the payload is down.
+// extended slice: header followed by the payload, written in one pass
+// into the one buffer with the length patched in once the payload is
+// down.
 func (e Envelope) AppendEncode(dst []byte) []byte {
-	w := writer{buf: dst}
-	w.u16(uint16(e.Src))
-	w.u16(uint16(e.Dst))
-	w.u16(uint16(e.Msg.Kind()))
-	lenAt := len(w.buf)
-	w.u32(0)
-	w.u32(e.Seq)
-	w.u32(e.Inc)
-	body := len(w.buf)
-	encodeBody(e.Msg, &w)
-	binary.LittleEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-body))
-	return w.buf
+	c := coder{mode: encoding, buf: dst}
+	k := e.Msg.Kind()
+	var n uint32
+	lenAt := len(dst) + 6 // after src, dst and kind
+	e.header(&c, &k, &n)
+	body := len(c.buf)
+	dispatch(k, e.Msg, &c)
+	binary.LittleEndian.PutUint32(c.buf[lenAt:], uint32(len(c.buf)-body))
+	return c.buf
 }
 
 // Encode serializes the envelope into a fresh buffer of exactly its size.
@@ -293,30 +300,27 @@ func (e Envelope) EncodedLen() int { return EncodedSize(e.Msg) + linkTagSize }
 // byte field; one that needs a buffer of its own copies. Strings and
 // lists are copied as before.
 func Decode(b []byte) (Envelope, error) {
-	r := reader{buf: b}
-	src := DeviceID(r.u16())
-	dst := DeviceID(r.u16())
-	kind := Kind(r.u16())
-	n := r.u32()
-	seq := r.u32()
-	inc := r.u32()
-	if r.err != nil {
-		return Envelope{}, fmt.Errorf("msg: short header: %w", r.err)
+	c := coder{mode: decoding, buf: b}
+	var e Envelope
+	var k Kind
+	var n uint32
+	e.header(&c, &k, &n)
+	if c.err != nil {
+		return Envelope{}, fmt.Errorf("msg: short header: %w", c.err)
 	}
-	if int(n) != len(r.buf)-r.off {
-		return Envelope{}, fmt.Errorf("msg: payload length %d does not match remaining %d bytes", n, len(r.buf)-r.off)
+	if int(n) != len(c.buf)-c.off {
+		return Envelope{}, fmt.Errorf("msg: payload length %d does not match remaining %d bytes", n, len(c.buf)-c.off)
 	}
-	m := decodeBody(kind, &r)
-	if m == nil {
-		return Envelope{}, fmt.Errorf("msg: unknown kind %d", kind)
+	if e.Msg = dispatch(k, nil, &c); e.Msg == nil {
+		return Envelope{}, fmt.Errorf("msg: unknown kind %d", k)
 	}
-	if r.err != nil {
-		return Envelope{}, fmt.Errorf("msg: decoding %v: %w", kind, r.err)
+	if c.err != nil {
+		return Envelope{}, fmt.Errorf("msg: decoding %v: %w", k, c.err)
 	}
-	if r.off != len(r.buf) {
-		return Envelope{}, fmt.Errorf("msg: %d trailing bytes after %v", len(r.buf)-r.off, kind)
+	if c.off != len(c.buf) {
+		return Envelope{}, fmt.Errorf("msg: %d trailing bytes after %v", len(c.buf)-c.off, k)
 	}
-	return Envelope{Src: src, Dst: dst, Seq: seq, Inc: inc, Msg: m}, nil
+	return e, nil
 }
 
 // EncodedSize returns the wire size a message is charged for in
@@ -325,7 +329,7 @@ func Decode(b []byte) (Envelope, error) {
 // framing, not payload — so bus timing is independent of whether ports
 // stamp tags.
 func EncodedSize(m Message) int {
-	w := writer{sizing: true}
-	encodeBody(m, &w)
-	return w.n + headerSize - linkTagSize
+	c := coder{mode: sizing}
+	dispatch(m.Kind(), m, &c)
+	return c.off + headerSize - linkTagSize
 }

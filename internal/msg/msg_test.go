@@ -2,6 +2,7 @@ package msg
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -93,8 +94,8 @@ func TestEveryKindCovered(t *testing.T) {
 		if !covered[k] {
 			t.Errorf("kind %v has no round-trip coverage", k)
 		}
-		if decodeBody(k, &reader{}) == nil {
-			t.Errorf("kind %v missing from the decodeBody registry", k)
+		if dispatch(k, nil, &coder{mode: decoding}) == nil {
+			t.Errorf("kind %v missing from the dispatch registry", k)
 		}
 	}
 }
@@ -190,20 +191,9 @@ func TestEncodedSize(t *testing.T) {
 // still decodes, and a first-boot Hello encodes without the field.
 func TestHelloIncarnationBackwardCompat(t *testing.T) {
 	old := &Hello{Role: RoleNIC, Name: "nic0", Services: []string{"net"}}
-	var pw writer
-	pw.u8(uint8(old.Role))
-	pw.str(old.Name)
-	pw.u16(1)
-	pw.str("net")
-	var w writer
-	w.u16(1)
-	w.u16(uint16(BusID))
-	w.u16(uint16(KindHello))
-	w.u32(uint32(len(pw.buf)))
-	w.u32(7) // seq
-	w.u32(0) // inc
-	w.buf = append(w.buf, pw.buf...)
-	env, err := Decode(w.buf)
+	legacy := frame(Envelope{Src: 1, Dst: BusID, Seq: 7}, KindHello,
+		le{}.u8(uint8(old.Role)).str(old.Name).u16(1).str("net"))
+	env, err := Decode(legacy)
 	if err != nil {
 		t.Fatalf("legacy Hello rejected: %v", err)
 	}
@@ -212,8 +202,8 @@ func TestHelloIncarnationBackwardCompat(t *testing.T) {
 	}
 	// Zero incarnation encodes to the legacy wire form exactly.
 	firstBoot := Envelope{Src: 1, Dst: BusID, Seq: 7, Msg: old}
-	if got := firstBoot.Encode(); string(got) != string(w.buf) {
-		t.Errorf("first-boot Hello not byte-identical to legacy form:\n got %x\nwant %x", got, w.buf)
+	if got := firstBoot.Encode(); string(got) != string(legacy) {
+		t.Errorf("first-boot Hello not byte-identical to legacy form:\n got %x\nwant %x", got, legacy)
 	}
 	// Nonzero incarnation round-trips.
 	rej := &Hello{Role: RoleNIC, Name: "nic0", Services: []string{"net"}, Incarnation: 2}
@@ -229,19 +219,45 @@ func TestHelloIncarnationBackwardCompat(t *testing.T) {
 // TestStateRespBomb mirrors TestU64ListBomb for the region list: a
 // claimed huge region count with a tiny payload must error cleanly.
 func TestStateRespBomb(t *testing.T) {
-	var pw writer
-	pw.u32(1)      // Nonce
-	pw.u16(0xFFF0) // claimed region count
-	var w writer
-	w.u16(1)
-	w.u16(2)
-	w.u16(uint16(KindStateResp))
-	w.u32(uint32(len(pw.buf)))
-	w.u32(0)
-	w.u32(0)
-	w.buf = append(w.buf, pw.buf...)
-	if _, err := Decode(w.buf); err == nil {
+	bomb := frame(Envelope{Src: 1, Dst: 2}, KindStateResp, le{}.
+		u32(1).      // Nonce
+		u16(0xFFF0)) // claimed region count
+	if _, err := Decode(bomb); err == nil {
 		t.Error("region-count bomb accepted")
+	}
+}
+
+// TestDecodeListBombs holds the list guards to the element: a count is
+// refused unless its elements, at their smallest wire size (19 bytes for
+// a region, 2 for a string), fit in what is left of the frame. Each frame
+// here claims 65 535 elements and carries a little more than 65 535
+// bytes, enough for a guard that counts one byte an element, so the
+// decoder must refuse it before it makes the list.
+func TestDecodeListBombs(t *testing.T) {
+	pad := make([]byte, 65535)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"StateResp", frame(Envelope{Src: BusID, Dst: 3}, KindStateResp, le{}.u32(1).u16(0xFFFF).raw(pad...))},
+		{"Hello", frame(Envelope{Src: 1, Dst: BusID}, KindHello, le{}.u8(uint8(RoleNIC)).str("").u16(0xFFFF).raw(pad...))},
+	} {
+		// The least of a few tries: under -race, sync.Pool drops items at
+		// random, so the error's formatting may allocate a fresh printer.
+		grew := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(c.frame)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: a count of 65 535 in a %d B frame decoded", c.name, len(c.frame))
+			}
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew >= 4<<10 {
+			t.Errorf("%s: refusing a %d B frame allocated %d B, want < 4 KiB", c.name, len(c.frame), grew)
+		}
 	}
 }
 
@@ -284,22 +300,13 @@ func TestDedupWindow(t *testing.T) {
 func TestU64ListBomb(t *testing.T) {
 	// A claimed huge frame count with a tiny payload must error cleanly,
 	// not allocate gigabytes.
-	var w writer
-	w.u32(1) // App
-	w.u8(1)  // OK
-	w.u16(0) // Reason
-	w.u64(0) // VA
-	w.u32(0xFFFFFFF0)
-	payload := w.buf
-	var hdr writer
-	hdr.u16(1)
-	hdr.u16(2)
-	hdr.u16(uint16(KindAllocResp))
-	hdr.u32(uint32(len(payload)))
-	hdr.u32(0) // seq
-	hdr.u32(0) // inc
-	hdr.buf = append(hdr.buf, payload...)
-	if _, err := Decode(hdr.buf); err == nil {
+	bomb := frame(Envelope{Src: 1, Dst: 2}, KindAllocResp, le{}.
+		u32(1). // App
+		u8(1).  // OK
+		u16(0). // Reason
+		u64(0). // VA
+		u32(0xFFFFFFF0))
+	if _, err := Decode(bomb); err == nil {
 		t.Error("length bomb accepted")
 	}
 }

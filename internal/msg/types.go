@@ -1,10 +1,10 @@
 package msg
 
-import "fmt"
-
-// This file defines every message body. Encoders and decoders must list
-// fields in identical order; the round-trip tests in msg_test.go cover
-// each type, and Decode rejects trailing bytes, so drift fails loudly.
+// This file defines every message body. Each type lists its fields once,
+// in wire order, in its wire method, which a coder runs to size, encode
+// and decode it (wire.go); the wireproto lint extracts the schema from
+// that one body and holds it to wire.lock. dispatch, at the end, is the
+// registry of kinds.
 
 // Hello announces a device after it passes self-test (§2.2 "System
 // Initialization"). Services lists what it exposes, but the bus does not
@@ -23,64 +23,37 @@ type Hello struct {
 }
 
 func (*Hello) Kind() Kind { return KindHello }
-func (m *Hello) encode(w *writer) {
-	w.u8(uint8(m.Role))
-	w.str(m.Name)
-	w.u16(uint16(len(m.Services)))
-	for _, s := range m.Services {
-		w.str(s)
-	}
-	if m.Incarnation != 0 {
-		w.u32(m.Incarnation)
-	}
-}
-func (m *Hello) decode(r *reader) {
-	m.Role = Role(r.u8())
-	m.Name = r.str()
-	n := int(r.u16())
-	if r.err != nil || n > len(r.buf) {
-		r.err = errShort
-		return
-	}
-	if n > 0 {
-		m.Services = make([]string, n)
-		for i := range m.Services {
-			m.Services[i] = r.str()
-		}
-	}
-	if r.err == nil && r.off < len(r.buf) {
-		m.Incarnation = r.u32()
-	}
+func (m *Hello) wire(c *coder) {
+	u8(c, &m.Role)
+	c.str(&m.Name)
+	c.strs(&m.Services)
+	c.optU32(&m.Incarnation)
 }
 
 // HelloAck confirms registration.
 type HelloAck struct{}
 
-func (*HelloAck) Kind() Kind     { return KindHelloAck }
-func (*HelloAck) encode(*writer) {}
-func (*HelloAck) decode(*reader) {}
+func (*HelloAck) Kind() Kind  { return KindHelloAck }
+func (*HelloAck) wire(*coder) {}
 
 // Heartbeat is the watchdog keep-alive.
 type Heartbeat struct{ Seq uint64 }
 
-func (*Heartbeat) Kind() Kind         { return KindHeartbeat }
-func (m *Heartbeat) encode(w *writer) { w.u64(m.Seq) }
-func (m *Heartbeat) decode(r *reader) { m.Seq = r.u64() }
+func (*Heartbeat) Kind() Kind      { return KindHeartbeat }
+func (m *Heartbeat) wire(c *coder) { u64(c, &m.Seq) }
 
 // Reset orders a device to restart (§4: "The bus can also send a reset
 // signal to the failed device in an attempt to restart it").
 type Reset struct{ Reason string }
 
-func (*Reset) Kind() Kind         { return KindReset }
-func (m *Reset) encode(w *writer) { w.str(m.Reason) }
-func (m *Reset) decode(r *reader) { m.Reason = r.str() }
+func (*Reset) Kind() Kind      { return KindReset }
+func (m *Reset) wire(c *coder) { c.str(&m.Reason) }
 
 // ResetDone reports a device back up after Reset.
 type ResetDone struct{}
 
-func (*ResetDone) Kind() Kind     { return KindResetDone }
-func (*ResetDone) encode(*writer) {}
-func (*ResetDone) decode(*reader) {}
+func (*ResetDone) Kind() Kind  { return KindResetDone }
+func (*ResetDone) wire(*coder) {}
 
 // DiscoverReq asks, by broadcast, which device provides a service
 // (§3 step 1: "a broadcast message (containing the file name)").
@@ -91,13 +64,9 @@ type DiscoverReq struct {
 }
 
 func (*DiscoverReq) Kind() Kind { return KindDiscoverReq }
-func (m *DiscoverReq) encode(w *writer) {
-	w.str(m.Query)
-	w.u32(m.Nonce)
-}
-func (m *DiscoverReq) decode(r *reader) {
-	m.Query = r.str()
-	m.Nonce = r.u32()
+func (m *DiscoverReq) wire(c *coder) {
+	c.str(&m.Query)
+	u32(c, &m.Nonce)
 }
 
 // DiscoverResp is a provider's answer (§3 step 2).
@@ -108,15 +77,10 @@ type DiscoverResp struct {
 }
 
 func (*DiscoverResp) Kind() Kind { return KindDiscoverResp }
-func (m *DiscoverResp) encode(w *writer) {
-	w.str(m.Query)
-	w.u32(m.Nonce)
-	w.str(m.Service)
-}
-func (m *DiscoverResp) decode(r *reader) {
-	m.Query = r.str()
-	m.Nonce = r.u32()
-	m.Service = r.str()
+func (m *DiscoverResp) wire(c *coder) {
+	c.str(&m.Query)
+	u32(c, &m.Nonce)
+	c.str(&m.Service)
 }
 
 // OpenReq opens a service instance (§3 step 3, "including an
@@ -128,15 +92,10 @@ type OpenReq struct {
 }
 
 func (*OpenReq) Kind() Kind { return KindOpenReq }
-func (m *OpenReq) encode(w *writer) {
-	w.str(m.Service)
-	w.u32(uint32(m.App))
-	w.u64(m.Token)
-}
-func (m *OpenReq) decode(r *reader) {
-	m.Service = r.str()
-	m.App = AppID(r.u32())
-	m.Token = r.u64()
+func (m *OpenReq) wire(c *coder) {
+	c.str(&m.Service)
+	u32(c, &m.App)
+	u64(c, &m.Token)
 }
 
 // OpenResp returns "the connection details and the amount of shared
@@ -155,23 +114,14 @@ type OpenResp struct {
 }
 
 func (*OpenResp) Kind() Kind { return KindOpenResp }
-func (m *OpenResp) encode(w *writer) {
-	w.str(m.Service)
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-	w.u32(m.ConnID)
-	w.u64(m.SharedBytes)
-	w.u64(m.Base)
-}
-func (m *OpenResp) decode(r *reader) {
-	m.Service = r.str()
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
-	m.ConnID = r.u32()
-	m.SharedBytes = r.u64()
-	m.Base = r.u64()
+func (m *OpenResp) wire(c *coder) {
+	c.str(&m.Service)
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
+	u32(c, &m.ConnID)
+	u64(c, &m.SharedBytes)
+	u64(c, &m.Base)
 }
 
 // ConnectReq programs the provider's end of the connection: where in the
@@ -191,27 +141,16 @@ type ConnectReq struct {
 }
 
 func (*ConnectReq) Kind() Kind { return KindConnectReq }
-func (m *ConnectReq) encode(w *writer) {
-	w.str(m.Service)
-	w.u32(m.ConnID)
-	w.u32(uint32(m.App))
-	w.u64(m.RingVA)
-	w.u16(m.RingEntries)
-	w.u64(m.DataVA)
-	w.u64(m.DataBytes)
-	w.u64(m.ReqDoorbell)
-	w.u64(m.RespDoorbell)
-}
-func (m *ConnectReq) decode(r *reader) {
-	m.Service = r.str()
-	m.ConnID = r.u32()
-	m.App = AppID(r.u32())
-	m.RingVA = r.u64()
-	m.RingEntries = r.u16()
-	m.DataVA = r.u64()
-	m.DataBytes = r.u64()
-	m.ReqDoorbell = r.u64()
-	m.RespDoorbell = r.u64()
+func (m *ConnectReq) wire(c *coder) {
+	c.str(&m.Service)
+	u32(c, &m.ConnID)
+	u32(c, &m.App)
+	u64(c, &m.RingVA)
+	u16(c, &m.RingEntries)
+	u64(c, &m.DataVA)
+	u64(c, &m.DataBytes)
+	u64(c, &m.ReqDoorbell)
+	u64(c, &m.RespDoorbell)
 }
 
 // ConnectResp acknowledges ConnectReq.
@@ -222,15 +161,10 @@ type ConnectResp struct {
 }
 
 func (*ConnectResp) Kind() Kind { return KindConnectResp }
-func (m *ConnectResp) encode(w *writer) {
-	w.u32(m.ConnID)
-	w.bool(m.OK)
-	w.str(m.Reason)
-}
-func (m *ConnectResp) decode(r *reader) {
-	m.ConnID = r.u32()
-	m.OK = r.bool()
-	m.Reason = r.str()
+func (m *ConnectResp) wire(c *coder) {
+	u32(c, &m.ConnID)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
 }
 
 // CloseReq tears down a service connection.
@@ -241,15 +175,10 @@ type CloseReq struct {
 }
 
 func (*CloseReq) Kind() Kind { return KindCloseReq }
-func (m *CloseReq) encode(w *writer) {
-	w.str(m.Service)
-	w.u32(m.ConnID)
-	w.u32(uint32(m.App))
-}
-func (m *CloseReq) decode(r *reader) {
-	m.Service = r.str()
-	m.ConnID = r.u32()
-	m.App = AppID(r.u32())
+func (m *CloseReq) wire(c *coder) {
+	c.str(&m.Service)
+	u32(c, &m.ConnID)
+	u32(c, &m.App)
 }
 
 // CloseResp acknowledges CloseReq.
@@ -259,13 +188,9 @@ type CloseResp struct {
 }
 
 func (*CloseResp) Kind() Kind { return KindCloseResp }
-func (m *CloseResp) encode(w *writer) {
-	w.u32(m.ConnID)
-	w.bool(m.OK)
-}
-func (m *CloseResp) decode(r *reader) {
-	m.ConnID = r.u32()
-	m.OK = r.bool()
+func (m *CloseResp) wire(c *coder) {
+	u32(c, &m.ConnID)
+	c.bool(&m.OK)
 }
 
 // AllocReq asks the memory controller for Bytes of physical memory mapped
@@ -281,19 +206,12 @@ type AllocReq struct {
 }
 
 func (*AllocReq) Kind() Kind { return KindAllocReq }
-func (m *AllocReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-	w.u8(m.Perm)
-	w.bool(m.Huge)
-}
-func (m *AllocReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.VA = r.u64()
-	m.Bytes = r.u64()
-	m.Perm = r.u8()
-	m.Huge = r.bool()
+func (m *AllocReq) wire(c *coder) {
+	u32(c, &m.App)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
+	u8(c, &m.Perm)
+	c.bool(&m.Huge)
 }
 
 // AllocResp is the memory controller's answer. The bus intercepts it in
@@ -313,23 +231,14 @@ type AllocResp struct {
 }
 
 func (*AllocResp) Kind() Kind { return KindAllocResp }
-func (m *AllocResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-	w.u64(m.VA)
-	w.u64s(m.Frames)
-	w.u8(m.Perm)
-	w.bool(m.Huge)
-}
-func (m *AllocResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
-	m.VA = r.u64()
-	m.Frames = r.u64list()
-	m.Perm = r.u8()
-	m.Huge = r.bool()
+func (m *AllocResp) wire(c *coder) {
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
+	u64(c, &m.VA)
+	c.u64s(&m.Frames)
+	u8(c, &m.Perm)
+	c.bool(&m.Huge)
 }
 
 // FreeReq returns memory to the controller.
@@ -340,15 +249,10 @@ type FreeReq struct {
 }
 
 func (*FreeReq) Kind() Kind { return KindFreeReq }
-func (m *FreeReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-}
-func (m *FreeReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.VA = r.u64()
-	m.Bytes = r.u64()
+func (m *FreeReq) wire(c *coder) {
+	u32(c, &m.App)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
 }
 
 // FreeResp confirms a free; the bus unmaps the range from the requester's
@@ -362,19 +266,12 @@ type FreeResp struct {
 }
 
 func (*FreeResp) Kind() Kind { return KindFreeResp }
-func (m *FreeResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-}
-func (m *FreeResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
-	m.VA = r.u64()
-	m.Bytes = r.u64()
+func (m *FreeResp) wire(c *coder) {
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
 }
 
 // GrantReq asks the bus to extend one of the requester's app mappings to
@@ -391,19 +288,12 @@ type GrantReq struct {
 }
 
 func (*GrantReq) Kind() Kind { return KindGrantReq }
-func (m *GrantReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-	w.u16(uint16(m.Target))
-	w.u8(m.Perm)
-}
-func (m *GrantReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.VA = r.u64()
-	m.Bytes = r.u64()
-	m.Target = DeviceID(r.u16())
-	m.Perm = r.u8()
+func (m *GrantReq) wire(c *coder) {
+	u32(c, &m.App)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
+	u16(c, &m.Target)
+	u8(c, &m.Perm)
 }
 
 // GrantResp reports the outcome of a GrantReq.
@@ -416,19 +306,12 @@ type GrantResp struct {
 }
 
 func (*GrantResp) Kind() Kind { return KindGrantResp }
-func (m *GrantResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-	w.u64(m.VA)
-	w.u16(uint16(m.Target))
-}
-func (m *GrantResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
-	m.VA = r.u64()
-	m.Target = DeviceID(r.u16())
+func (m *GrantResp) wire(c *coder) {
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
+	u64(c, &m.VA)
+	u16(c, &m.Target)
 }
 
 // AuthReq is the bus's authorization query to the memory controller.
@@ -442,21 +325,13 @@ type AuthReq struct {
 }
 
 func (*AuthReq) Kind() Kind { return KindAuthReq }
-func (m *AuthReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-	w.u16(uint16(m.Target))
-	w.u8(m.Perm)
-	w.u32(m.Nonce)
-}
-func (m *AuthReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.VA = r.u64()
-	m.Bytes = r.u64()
-	m.Target = DeviceID(r.u16())
-	m.Perm = r.u8()
-	m.Nonce = r.u32()
+func (m *AuthReq) wire(c *coder) {
+	u32(c, &m.App)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
+	u16(c, &m.Target)
+	u8(c, &m.Perm)
+	u32(c, &m.Nonce)
 }
 
 // AuthResp carries the controller's verdict and, when authorized, the
@@ -475,25 +350,15 @@ type AuthResp struct {
 }
 
 func (*AuthResp) Kind() Kind { return KindAuthResp }
-func (m *AuthResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-	w.u64(m.VA)
-	w.u64s(m.Frames)
-	w.u8(m.Perm)
-	w.u32(m.Nonce)
-	w.bool(m.Huge)
-}
-func (m *AuthResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
-	m.VA = r.u64()
-	m.Frames = r.u64list()
-	m.Perm = r.u8()
-	m.Nonce = r.u32()
-	m.Huge = r.bool()
+func (m *AuthResp) wire(c *coder) {
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
+	u64(c, &m.VA)
+	c.u64s(&m.Frames)
+	u8(c, &m.Perm)
+	u32(c, &m.Nonce)
+	c.bool(&m.Huge)
 }
 
 // RevokeReq removes a previously granted mapping from Target.
@@ -505,17 +370,11 @@ type RevokeReq struct {
 }
 
 func (*RevokeReq) Kind() Kind { return KindRevokeReq }
-func (m *RevokeReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u64(m.VA)
-	w.u64(m.Bytes)
-	w.u16(uint16(m.Target))
-}
-func (m *RevokeReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.VA = r.u64()
-	m.Bytes = r.u64()
-	m.Target = DeviceID(r.u16())
+func (m *RevokeReq) wire(c *coder) {
+	u32(c, &m.App)
+	u64(c, &m.VA)
+	u64(c, &m.Bytes)
+	u16(c, &m.Target)
 }
 
 // RevokeResp reports the outcome of a RevokeReq.
@@ -526,15 +385,10 @@ type RevokeResp struct {
 }
 
 func (*RevokeResp) Kind() Kind { return KindRevokeResp }
-func (m *RevokeResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.bool(m.OK)
-	w.str(m.Reason)
-}
-func (m *RevokeResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.OK = r.bool()
-	m.Reason = r.str()
+func (m *RevokeResp) wire(c *coder) {
+	u32(c, &m.App)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
 }
 
 // LoadReq uploads a new application image via a device's loader service
@@ -546,15 +400,10 @@ type LoadReq struct {
 }
 
 func (*LoadReq) Kind() Kind { return KindLoadReq }
-func (m *LoadReq) encode(w *writer) {
-	w.str(m.Image)
-	w.u64(m.Token)
-	w.bytes(m.Data)
-}
-func (m *LoadReq) decode(r *reader) {
-	m.Image = r.str()
-	m.Token = r.u64()
-	m.Data = r.bytesField()
+func (m *LoadReq) wire(c *coder) {
+	c.str(&m.Image)
+	u64(c, &m.Token)
+	c.bytes(&m.Data)
 }
 
 // LoadResp reports the outcome of a LoadReq.
@@ -565,15 +414,10 @@ type LoadResp struct {
 }
 
 func (*LoadResp) Kind() Kind { return KindLoadResp }
-func (m *LoadResp) encode(w *writer) {
-	w.str(m.Image)
-	w.bool(m.OK)
-	w.str(m.Reason)
-}
-func (m *LoadResp) decode(r *reader) {
-	m.Image = r.str()
-	m.OK = r.bool()
-	m.Reason = r.str()
+func (m *LoadResp) wire(c *coder) {
+	c.str(&m.Image)
+	c.bool(&m.OK)
+	c.str(&m.Reason)
 }
 
 // FileIOReq is a kernel-mediated file operation (centralized baseline
@@ -589,23 +433,14 @@ type FileIOReq struct {
 }
 
 func (*FileIOReq) Kind() Kind { return KindFileIOReq }
-func (m *FileIOReq) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u32(m.Handle)
-	w.u32(m.Seq)
-	w.u8(m.Op)
-	w.u64(m.Off)
-	w.u32(m.Len)
-	w.bytes(m.Data)
-}
-func (m *FileIOReq) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.Handle = r.u32()
-	m.Seq = r.u32()
-	m.Op = r.u8()
-	m.Off = r.u64()
-	m.Len = r.u32()
-	m.Data = r.bytesField()
+func (m *FileIOReq) wire(c *coder) {
+	u32(c, &m.App)
+	u32(c, &m.Handle)
+	u32(c, &m.Seq)
+	u8(c, &m.Op)
+	u64(c, &m.Off)
+	u32(c, &m.Len)
+	c.bytes(&m.Data)
 }
 
 // FileIOResp is the kernel's completion for a FileIOReq.
@@ -619,21 +454,13 @@ type FileIOResp struct {
 }
 
 func (*FileIOResp) Kind() Kind { return KindFileIOResp }
-func (m *FileIOResp) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.u32(m.Handle)
-	w.u32(m.Seq)
-	w.u8(m.Status)
-	w.u64(m.Size)
-	w.bytes(m.Data)
-}
-func (m *FileIOResp) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.Handle = r.u32()
-	m.Seq = r.u32()
-	m.Status = r.u8()
-	m.Size = r.u64()
-	m.Data = r.bytesField()
+func (m *FileIOResp) wire(c *coder) {
+	u32(c, &m.App)
+	u32(c, &m.Handle)
+	u32(c, &m.Seq)
+	u8(c, &m.Status)
+	u64(c, &m.Size)
+	c.bytes(&m.Data)
 }
 
 // ErrorNotify tells a consumer that a resource it uses suffered a fatal
@@ -647,17 +474,11 @@ type ErrorNotify struct {
 }
 
 func (*ErrorNotify) Kind() Kind { return KindErrorNotify }
-func (m *ErrorNotify) encode(w *writer) {
-	w.u32(uint32(m.App))
-	w.str(m.Resource)
-	w.u32(m.Code)
-	w.str(m.Detail)
-}
-func (m *ErrorNotify) decode(r *reader) {
-	m.App = AppID(r.u32())
-	m.Resource = r.str()
-	m.Code = r.u32()
-	m.Detail = r.str()
+func (m *ErrorNotify) wire(c *coder) {
+	u32(c, &m.App)
+	c.str(&m.Resource)
+	u32(c, &m.Code)
+	c.str(&m.Detail)
 }
 
 // DeviceFailed is the bus's broadcast when a device dies (§4: "the
@@ -665,9 +486,8 @@ func (m *ErrorNotify) decode(r *reader) {
 // may be using a resource of the failed device").
 type DeviceFailed struct{ Device DeviceID }
 
-func (*DeviceFailed) Kind() Kind         { return KindDeviceFailed }
-func (m *DeviceFailed) encode(w *writer) { w.u16(uint16(m.Device)) }
-func (m *DeviceFailed) decode(r *reader) { m.Device = DeviceID(r.u16()) }
+func (*DeviceFailed) Kind() Kind      { return KindDeviceFailed }
+func (m *DeviceFailed) wire(c *coder) { u16(c, &m.Device) }
 
 // NackCode classifies why the bus refused to deliver a message.
 type NackCode uint8
@@ -695,19 +515,12 @@ type Nack struct {
 }
 
 func (*Nack) Kind() Kind { return KindNack }
-func (m *Nack) encode(w *writer) {
-	w.u16(uint16(m.Of))
-	w.u32(m.Seq)
-	w.u16(uint16(m.Dst))
-	w.u8(uint8(m.Code))
-	w.str(m.Reason)
-}
-func (m *Nack) decode(r *reader) {
-	m.Of = Kind(r.u16())
-	m.Seq = r.u32()
-	m.Dst = DeviceID(r.u16())
-	m.Code = NackCode(r.u8())
-	m.Reason = r.str()
+func (m *Nack) wire(c *coder) {
+	u16(c, &m.Of)
+	u32(c, &m.Seq)
+	u16(c, &m.Dst)
+	u8(c, &m.Code)
+	c.str(&m.Reason)
 }
 
 // StateQuery asks the bus which of the querying device's resources
@@ -716,9 +529,8 @@ func (m *Nack) decode(r *reader) {
 // the bus rather than polling every peer.
 type StateQuery struct{ Nonce uint32 }
 
-func (*StateQuery) Kind() Kind         { return KindStateQuery }
-func (m *StateQuery) encode(w *writer) { w.u32(m.Nonce) }
-func (m *StateQuery) decode(r *reader) { m.Nonce = r.u32() }
+func (*StateQuery) Kind() Kind      { return KindStateQuery }
+func (m *StateQuery) wire(c *coder) { u32(c, &m.Nonce) }
 
 // OwnedRegion is one surviving allocation reported in a StateResp: an
 // app region the queried device still owns, with the devices currently
@@ -739,46 +551,17 @@ type StateResp struct {
 }
 
 func (*StateResp) Kind() Kind { return KindStateResp }
-func (m *StateResp) encode(w *writer) {
-	w.u32(m.Nonce)
-	w.u16(uint16(len(m.Regions)))
-	for _, reg := range m.Regions {
-		w.u32(uint32(reg.App))
-		w.u64(reg.VA)
-		w.u32(reg.Pages)
-		w.bool(reg.Huge)
-		w.u16(uint16(len(reg.Grantees)))
-		for _, g := range reg.Grantees {
-			w.u16(uint16(g))
-		}
-	}
-}
-func (m *StateResp) decode(r *reader) {
-	m.Nonce = r.u32()
-	n := int(r.u16())
-	if r.err != nil || n > len(r.buf) {
-		r.err = errShort // claimed count exceeds remaining bytes: bomb
-		return
-	}
-	if n > 0 {
-		m.Regions = make([]OwnedRegion, n)
-		for i := range m.Regions {
-			reg := &m.Regions[i]
-			reg.App = AppID(r.u32())
-			reg.VA = r.u64()
-			reg.Pages = r.u32()
-			reg.Huge = r.bool()
-			g := int(r.u16())
-			if r.err != nil || g > len(r.buf) {
-				r.err = errShort
-				return
-			}
-			if g > 0 {
-				reg.Grantees = make([]DeviceID, g)
-				for j := range reg.Grantees {
-					reg.Grantees[j] = DeviceID(r.u16())
-				}
-			}
+func (m *StateResp) wire(c *coder) {
+	u32(c, &m.Nonce)
+	// A region is at least 19 bytes: App, VA, Pages, Huge and a count.
+	for i := range count(c, &m.Regions, false, 19) {
+		reg := &m.Regions[i]
+		u32(c, &reg.App)
+		u64(c, &reg.VA)
+		u32(c, &reg.Pages)
+		c.bool(&reg.Huge)
+		for j := range count(c, &reg.Grantees, false, 2) {
+			u16(c, &reg.Grantees[j])
 		}
 	}
 }
@@ -804,19 +587,10 @@ type CreditUpdate struct {
 }
 
 func (*CreditUpdate) Kind() Kind { return KindCreditUpdate }
-func (m *CreditUpdate) encode(w *writer) {
-	w.u32(m.Window)
-	w.u32(m.Credits)
-	if m.ForInc != 0 {
-		w.u32(m.ForInc)
-	}
-}
-func (m *CreditUpdate) decode(r *reader) {
-	m.Window = r.u32()
-	m.Credits = r.u32()
-	if r.err == nil && r.off < len(r.buf) {
-		m.ForInc = r.u32()
-	}
+func (m *CreditUpdate) wire(c *coder) {
+	u32(c, &m.Window)
+	u32(c, &m.Credits)
+	c.optU32(&m.ForInc)
 }
 
 // --- Rack-scale fabric messages (internal/fabric) ---
@@ -824,28 +598,6 @@ func (m *CreditUpdate) decode(r *reader) {
 // Envelope Src/Dst carry machine addresses on the datacenter fabric
 // here, not device addresses on a bus; the framing, codec and dedup
 // machinery are shared.
-
-// encodeDevs/decodeDevs frame a short machine list (dead-set gossip).
-// The decoder inherits u16list's bomb guard: a claimed count larger
-// than the remaining payload is refused without allocating.
-func encodeDevs(w *writer, ds []DeviceID) {
-	w.u16(uint16(len(ds)))
-	for _, d := range ds {
-		w.u16(uint16(d))
-	}
-}
-
-func decodeDevs(r *reader) []DeviceID {
-	raw := r.u16list()
-	if raw == nil {
-		return nil
-	}
-	out := make([]DeviceID, len(raw))
-	for i, v := range raw {
-		out[i] = DeviceID(v)
-	}
-	return out
-}
 
 // Fabric response codes (FabricResp.Code).
 const (
@@ -867,17 +619,11 @@ type FabricReq struct {
 }
 
 func (*FabricReq) Kind() Kind { return KindFabricReq }
-func (m *FabricReq) encode(w *writer) {
-	w.u16(uint16(m.Origin))
-	w.u64(m.ReqID)
-	w.u8(m.Hops)
-	w.bytes(m.Payload)
-}
-func (m *FabricReq) decode(r *reader) {
-	m.Origin = DeviceID(r.u16())
-	m.ReqID = r.u64()
-	m.Hops = r.u8()
-	m.Payload = r.bytesField()
+func (m *FabricReq) wire(c *coder) {
+	u16(c, &m.Origin)
+	u64(c, &m.ReqID)
+	u8(c, &m.Hops)
+	c.bytes(&m.Payload)
 }
 
 // FabricResp answers a FabricReq. Dead piggybacks the responder's dead
@@ -892,17 +638,11 @@ type FabricResp struct {
 }
 
 func (*FabricResp) Kind() Kind { return KindFabricResp }
-func (m *FabricResp) encode(w *writer) {
-	w.u64(m.ReqID)
-	w.u8(m.Code)
-	encodeDevs(w, m.Dead)
-	w.bytes(m.Payload)
-}
-func (m *FabricResp) decode(r *reader) {
-	m.ReqID = r.u64()
-	m.Code = r.u8()
-	m.Dead = decodeDevs(r)
-	m.Payload = r.bytesField()
+func (m *FabricResp) wire(c *coder) {
+	u64(c, &m.ReqID)
+	u8(c, &m.Code)
+	c.devs(&m.Dead)
+	c.bytes(&m.Payload)
 }
 
 // Replicate carries one write from a key's primary to its backup.
@@ -923,21 +663,13 @@ type Replicate struct {
 }
 
 func (*Replicate) Kind() Kind { return KindReplicate }
-func (m *Replicate) encode(w *writer) {
-	w.u32(m.Epoch)
-	w.u64(m.Seq)
-	w.bool(m.Del)
-	w.bool(m.Sync)
-	w.str(m.Key)
-	w.bytes(m.Value)
-}
-func (m *Replicate) decode(r *reader) {
-	m.Epoch = r.u32()
-	m.Seq = r.u64()
-	m.Del = r.bool()
-	m.Sync = r.bool()
-	m.Key = r.str()
-	m.Value = r.bytesField()
+func (m *Replicate) wire(c *coder) {
+	u32(c, &m.Epoch)
+	u64(c, &m.Seq)
+	c.bool(&m.Del)
+	c.bool(&m.Sync)
+	c.str(&m.Key)
+	c.bytes(&m.Value)
 }
 
 // ReplicateAck confirms a Replicate is durable at the backup. The
@@ -953,17 +685,11 @@ type ReplicateAck struct {
 }
 
 func (*ReplicateAck) Kind() Kind { return KindReplicateAck }
-func (m *ReplicateAck) encode(w *writer) {
-	w.u64(m.Seq)
-	w.bool(m.OK)
-	w.u32(m.Epoch)
-	encodeDevs(w, m.Dead)
-}
-func (m *ReplicateAck) decode(r *reader) {
-	m.Seq = r.u64()
-	m.OK = r.bool()
-	m.Epoch = r.u32()
-	m.Dead = decodeDevs(r)
+func (m *ReplicateAck) wire(c *coder) {
+	u64(c, &m.Seq)
+	c.bool(&m.OK)
+	u32(c, &m.Epoch)
+	c.devs(&m.Dead)
 }
 
 // RingUpdate is the head node's membership broadcast (head-node flavor
@@ -976,13 +702,9 @@ type RingUpdate struct {
 }
 
 func (*RingUpdate) Kind() Kind { return KindRingUpdate }
-func (m *RingUpdate) encode(w *writer) {
-	w.u32(m.Epoch)
-	encodeDevs(w, m.Dead)
-}
-func (m *RingUpdate) decode(r *reader) {
-	m.Epoch = r.u32()
-	m.Dead = decodeDevs(r)
+func (m *RingUpdate) wire(c *coder) {
+	u32(c, &m.Epoch)
+	c.devs(&m.Dead)
 }
 
 // --- Fleet reconciliation messages (internal/reconcile) ---
@@ -1020,17 +742,11 @@ type SpecGossip struct {
 }
 
 func (*SpecGossip) Kind() Kind { return KindSpecGossip }
-func (m *SpecGossip) encode(w *writer) {
-	w.u64(m.SpecVer)
-	w.u16(m.Size)
-	w.u32(m.ConfigVersion)
-	w.u8(m.MaxUnavailable)
-}
-func (m *SpecGossip) decode(r *reader) {
-	m.SpecVer = r.u64()
-	m.Size = r.u16()
-	m.ConfigVersion = r.u32()
-	m.MaxUnavailable = r.u8()
+func (m *SpecGossip) wire(c *coder) {
+	u64(c, &m.SpecVer)
+	u16(c, &m.Size)
+	u32(c, &m.ConfigVersion)
+	u8(c, &m.MaxUnavailable)
 }
 
 // CondReport is one machine's status-condition report (machine-
@@ -1050,27 +766,16 @@ type CondReport struct {
 }
 
 func (*CondReport) Kind() Kind { return KindCondReport }
-func (m *CondReport) encode(w *writer) {
-	w.u64(m.Seq)
-	w.bool(m.Ready)
-	w.bool(m.Cordoned)
-	w.bool(m.Upgrading)
-	w.u32(m.ConfigVersion)
-	w.u32(m.RingVer)
-	w.u32(m.PendingVer)
-	w.u32(m.TransferVer)
-	w.u32(m.Keys)
-}
-func (m *CondReport) decode(r *reader) {
-	m.Seq = r.u64()
-	m.Ready = r.bool()
-	m.Cordoned = r.bool()
-	m.Upgrading = r.bool()
-	m.ConfigVersion = r.u32()
-	m.RingVer = r.u32()
-	m.PendingVer = r.u32()
-	m.TransferVer = r.u32()
-	m.Keys = r.u32()
+func (m *CondReport) wire(c *coder) {
+	u64(c, &m.Seq)
+	c.bool(&m.Ready)
+	c.bool(&m.Cordoned)
+	c.bool(&m.Upgrading)
+	u32(c, &m.ConfigVersion)
+	u32(c, &m.RingVer)
+	u32(c, &m.PendingVer)
+	u32(c, &m.TransferVer)
+	u32(c, &m.Keys)
 }
 
 // Drain is the reconciler's order to one machine: cordon (stop taking
@@ -1083,13 +788,9 @@ type Drain struct {
 }
 
 func (*Drain) Kind() Kind { return KindDrain }
-func (m *Drain) encode(w *writer) {
-	w.u8(m.Mode)
-	w.u32(m.ConfigVersion)
-}
-func (m *Drain) decode(r *reader) {
-	m.Mode = r.u8()
-	m.ConfigVersion = r.u32()
+func (m *Drain) wire(c *coder) {
+	u8(c, &m.Mode)
+	u32(c, &m.ConfigVersion)
 }
 
 // RingConfig is the membership-change protocol frame. Prepare stages
@@ -1106,15 +807,10 @@ type RingConfig struct {
 }
 
 func (*RingConfig) Kind() Kind { return KindRingConfig }
-func (m *RingConfig) encode(w *writer) {
-	w.u32(m.Ver)
-	w.u8(m.Phase)
-	encodeDevs(w, m.Members)
-}
-func (m *RingConfig) decode(r *reader) {
-	m.Ver = r.u32()
-	m.Phase = r.u8()
-	m.Members = decodeDevs(r)
+func (m *RingConfig) wire(c *coder) {
+	u32(c, &m.Ver)
+	u8(c, &m.Phase)
+	c.devs(&m.Members)
 }
 
 // --- Multi-tenancy messages (internal/tenant) ---
@@ -1136,21 +832,13 @@ type TenantGrant struct {
 }
 
 func (*TenantGrant) Kind() Kind { return KindTenantGrant }
-func (m *TenantGrant) encode(w *writer) {
-	w.u16(m.Tenant)
-	w.u16(m.Device)
-	w.u32(m.App)
-	w.u32(m.CreditWindow)
-	w.u32(m.KVSInflight)
-	w.u32(m.RxBound)
-}
-func (m *TenantGrant) decode(r *reader) {
-	m.Tenant = r.u16()
-	m.Device = r.u16()
-	m.App = r.u32()
-	m.CreditWindow = r.u32()
-	m.KVSInflight = r.u32()
-	m.RxBound = r.u32()
+func (m *TenantGrant) wire(c *coder) {
+	u16(c, &m.Tenant)
+	u16(c, &m.Device)
+	u32(c, &m.App)
+	u32(c, &m.CreditWindow)
+	u32(c, &m.KVSInflight)
+	u32(c, &m.RxBound)
 }
 
 // DenialReport is the typed refusal of a cross-tenant access: the
@@ -1169,19 +857,12 @@ type DenialReport struct {
 }
 
 func (*DenialReport) Kind() Kind { return KindDenialReport }
-func (m *DenialReport) encode(w *writer) {
-	w.u16(m.Tenant)
-	w.u16(m.Victim)
-	w.u8(m.Class)
-	w.u16(m.Of)
-	w.str(m.Detail)
-}
-func (m *DenialReport) decode(r *reader) {
-	m.Tenant = r.u16()
-	m.Victim = r.u16()
-	m.Class = r.u8()
-	m.Of = r.u16()
-	m.Detail = r.str()
+func (m *DenialReport) wire(c *coder) {
+	u16(c, &m.Tenant)
+	u16(c, &m.Victim)
+	u8(c, &m.Class)
+	u16(c, &m.Of)
+	c.str(&m.Detail)
 }
 
 // LeaseRenew asks every current ring member to countersign the sender's
@@ -1195,13 +876,9 @@ type LeaseRenew struct {
 }
 
 func (*LeaseRenew) Kind() Kind { return KindLeaseRenew }
-func (m *LeaseRenew) encode(w *writer) {
-	w.u64(m.Seq)
-	w.u64(m.Until)
-}
-func (m *LeaseRenew) decode(r *reader) {
-	m.Seq = r.u64()
-	m.Until = r.u64()
+func (m *LeaseRenew) wire(c *coder) {
+	u64(c, &m.Seq)
+	u64(c, &m.Until)
 }
 
 // LeaseGrant countersigns one renewal round. Until echoes the renew's
@@ -1214,13 +891,9 @@ type LeaseGrant struct {
 }
 
 func (*LeaseGrant) Kind() Kind { return KindLeaseGrant }
-func (m *LeaseGrant) encode(w *writer) {
-	w.u64(m.Seq)
-	w.u64(m.Until)
-}
-func (m *LeaseGrant) decode(r *reader) {
-	m.Seq = r.u64()
-	m.Until = r.u64()
+func (m *LeaseGrant) wire(c *coder) {
+	u64(c, &m.Seq)
+	u64(c, &m.Until)
 }
 
 // LeaseRevoke is the typed refusal of a renewal round: the grantor's
@@ -1234,316 +907,128 @@ type LeaseRevoke struct {
 }
 
 func (*LeaseRevoke) Kind() Kind { return KindLeaseRevoke }
-func (m *LeaseRevoke) encode(w *writer) {
-	w.u64(m.Seq)
-	encodeDevs(w, m.Dead)
-}
-func (m *LeaseRevoke) decode(r *reader) {
-	m.Seq = r.u64()
-	m.Dead = decodeDevs(r)
+func (m *LeaseRevoke) wire(c *coder) {
+	u64(c, &m.Seq)
+	c.devs(&m.Dead)
 }
 
-// decodeBody builds the message for kind k and decodes r into it through
-// the concrete type, for the reason encodeBody gives: a *reader handed to
-// an interface method escapes, and Decode wants it on its stack. nil
-// means an unknown kind. This switch is the registry of wire kinds; the
-// wireproto lint pass checks every arm's pairing.
-func decodeBody(k Kind, r *reader) Message {
+// dispatch runs kind k's wire body on c and returns the message: m itself
+// when sizing or encoding, a new message when decoding (m nil), nil for
+// an unknown kind. It is the registry of wire kinds, and the one place
+// the codec's three modes reach a body. Each arm calls wire on the
+// concrete type: a *coder handed to an interface method, or to a method
+// of a type parameter, escapes to the heap, and EncodedSize would then
+// allocate, and Encode and Decode allocate once more (TestEncodeAllocs,
+// TestDecodeAllocs).
+func dispatch(k Kind, m Message, c *coder) Message {
 	switch k {
 	case KindHello:
-		m := &Hello{}
-		m.decode(r)
-		return m
+		as[Hello](&m).wire(c)
 	case KindHelloAck:
-		m := &HelloAck{}
-		m.decode(r)
-		return m
+		as[HelloAck](&m).wire(c)
 	case KindHeartbeat:
-		m := &Heartbeat{}
-		m.decode(r)
-		return m
+		as[Heartbeat](&m).wire(c)
 	case KindReset:
-		m := &Reset{}
-		m.decode(r)
-		return m
+		as[Reset](&m).wire(c)
 	case KindResetDone:
-		m := &ResetDone{}
-		m.decode(r)
-		return m
+		as[ResetDone](&m).wire(c)
 	case KindDiscoverReq:
-		m := &DiscoverReq{}
-		m.decode(r)
-		return m
+		as[DiscoverReq](&m).wire(c)
 	case KindDiscoverResp:
-		m := &DiscoverResp{}
-		m.decode(r)
-		return m
+		as[DiscoverResp](&m).wire(c)
 	case KindOpenReq:
-		m := &OpenReq{}
-		m.decode(r)
-		return m
+		as[OpenReq](&m).wire(c)
 	case KindOpenResp:
-		m := &OpenResp{}
-		m.decode(r)
-		return m
+		as[OpenResp](&m).wire(c)
 	case KindConnectReq:
-		m := &ConnectReq{}
-		m.decode(r)
-		return m
+		as[ConnectReq](&m).wire(c)
 	case KindConnectResp:
-		m := &ConnectResp{}
-		m.decode(r)
-		return m
+		as[ConnectResp](&m).wire(c)
 	case KindCloseReq:
-		m := &CloseReq{}
-		m.decode(r)
-		return m
+		as[CloseReq](&m).wire(c)
 	case KindCloseResp:
-		m := &CloseResp{}
-		m.decode(r)
-		return m
+		as[CloseResp](&m).wire(c)
 	case KindAllocReq:
-		m := &AllocReq{}
-		m.decode(r)
-		return m
+		as[AllocReq](&m).wire(c)
 	case KindAllocResp:
-		m := &AllocResp{}
-		m.decode(r)
-		return m
+		as[AllocResp](&m).wire(c)
 	case KindFreeReq:
-		m := &FreeReq{}
-		m.decode(r)
-		return m
+		as[FreeReq](&m).wire(c)
 	case KindFreeResp:
-		m := &FreeResp{}
-		m.decode(r)
-		return m
+		as[FreeResp](&m).wire(c)
 	case KindGrantReq:
-		m := &GrantReq{}
-		m.decode(r)
-		return m
+		as[GrantReq](&m).wire(c)
 	case KindGrantResp:
-		m := &GrantResp{}
-		m.decode(r)
-		return m
+		as[GrantResp](&m).wire(c)
 	case KindAuthReq:
-		m := &AuthReq{}
-		m.decode(r)
-		return m
+		as[AuthReq](&m).wire(c)
 	case KindAuthResp:
-		m := &AuthResp{}
-		m.decode(r)
-		return m
+		as[AuthResp](&m).wire(c)
 	case KindRevokeReq:
-		m := &RevokeReq{}
-		m.decode(r)
-		return m
+		as[RevokeReq](&m).wire(c)
 	case KindRevokeResp:
-		m := &RevokeResp{}
-		m.decode(r)
-		return m
+		as[RevokeResp](&m).wire(c)
 	case KindLoadReq:
-		m := &LoadReq{}
-		m.decode(r)
-		return m
+		as[LoadReq](&m).wire(c)
 	case KindLoadResp:
-		m := &LoadResp{}
-		m.decode(r)
-		return m
+		as[LoadResp](&m).wire(c)
 	case KindFileIOReq:
-		m := &FileIOReq{}
-		m.decode(r)
-		return m
+		as[FileIOReq](&m).wire(c)
 	case KindFileIOResp:
-		m := &FileIOResp{}
-		m.decode(r)
-		return m
+		as[FileIOResp](&m).wire(c)
 	case KindErrorNotify:
-		m := &ErrorNotify{}
-		m.decode(r)
-		return m
+		as[ErrorNotify](&m).wire(c)
 	case KindDeviceFailed:
-		m := &DeviceFailed{}
-		m.decode(r)
-		return m
+		as[DeviceFailed](&m).wire(c)
 	case KindNack:
-		m := &Nack{}
-		m.decode(r)
-		return m
+		as[Nack](&m).wire(c)
 	case KindStateQuery:
-		m := &StateQuery{}
-		m.decode(r)
-		return m
+		as[StateQuery](&m).wire(c)
 	case KindStateResp:
-		m := &StateResp{}
-		m.decode(r)
-		return m
+		as[StateResp](&m).wire(c)
 	case KindCreditUpdate:
-		m := &CreditUpdate{}
-		m.decode(r)
-		return m
+		as[CreditUpdate](&m).wire(c)
 	case KindFabricReq:
-		m := &FabricReq{}
-		m.decode(r)
-		return m
+		as[FabricReq](&m).wire(c)
 	case KindFabricResp:
-		m := &FabricResp{}
-		m.decode(r)
-		return m
+		as[FabricResp](&m).wire(c)
 	case KindReplicate:
-		m := &Replicate{}
-		m.decode(r)
-		return m
+		as[Replicate](&m).wire(c)
 	case KindReplicateAck:
-		m := &ReplicateAck{}
-		m.decode(r)
-		return m
+		as[ReplicateAck](&m).wire(c)
 	case KindRingUpdate:
-		m := &RingUpdate{}
-		m.decode(r)
-		return m
+		as[RingUpdate](&m).wire(c)
 	case KindSpecGossip:
-		m := &SpecGossip{}
-		m.decode(r)
-		return m
+		as[SpecGossip](&m).wire(c)
 	case KindCondReport:
-		m := &CondReport{}
-		m.decode(r)
-		return m
+		as[CondReport](&m).wire(c)
 	case KindDrain:
-		m := &Drain{}
-		m.decode(r)
-		return m
+		as[Drain](&m).wire(c)
 	case KindRingConfig:
-		m := &RingConfig{}
-		m.decode(r)
-		return m
+		as[RingConfig](&m).wire(c)
 	case KindTenantGrant:
-		m := &TenantGrant{}
-		m.decode(r)
-		return m
+		as[TenantGrant](&m).wire(c)
 	case KindDenialReport:
-		m := &DenialReport{}
-		m.decode(r)
-		return m
+		as[DenialReport](&m).wire(c)
 	case KindLeaseRenew:
-		m := &LeaseRenew{}
-		m.decode(r)
-		return m
+		as[LeaseRenew](&m).wire(c)
 	case KindLeaseGrant:
-		m := &LeaseGrant{}
-		m.decode(r)
-		return m
+		as[LeaseGrant](&m).wire(c)
 	case KindLeaseRevoke:
-		m := &LeaseRevoke{}
-		m.decode(r)
-		return m
+		as[LeaseRevoke](&m).wire(c)
+	default:
+		return nil
 	}
-	return nil
+	return m
 }
 
-// encodeBody calls m.encode through m's concrete type. A *writer handed
-// to an interface method escapes to the heap; through a static call it
-// stays on the caller's stack, which is what lets EncodedSize allocate
-// nothing and AppendEncode only its buffer. The arms mirror decodeBody;
-// the codec-agreement test walks every kind through here.
-func encodeBody(m Message, w *writer) {
-	switch m := m.(type) {
-	case *Hello:
-		m.encode(w)
-	case *HelloAck:
-		m.encode(w)
-	case *Heartbeat:
-		m.encode(w)
-	case *Reset:
-		m.encode(w)
-	case *ResetDone:
-		m.encode(w)
-	case *DiscoverReq:
-		m.encode(w)
-	case *DiscoverResp:
-		m.encode(w)
-	case *OpenReq:
-		m.encode(w)
-	case *OpenResp:
-		m.encode(w)
-	case *ConnectReq:
-		m.encode(w)
-	case *ConnectResp:
-		m.encode(w)
-	case *CloseReq:
-		m.encode(w)
-	case *CloseResp:
-		m.encode(w)
-	case *AllocReq:
-		m.encode(w)
-	case *AllocResp:
-		m.encode(w)
-	case *FreeReq:
-		m.encode(w)
-	case *FreeResp:
-		m.encode(w)
-	case *GrantReq:
-		m.encode(w)
-	case *GrantResp:
-		m.encode(w)
-	case *AuthReq:
-		m.encode(w)
-	case *AuthResp:
-		m.encode(w)
-	case *RevokeReq:
-		m.encode(w)
-	case *RevokeResp:
-		m.encode(w)
-	case *LoadReq:
-		m.encode(w)
-	case *LoadResp:
-		m.encode(w)
-	case *FileIOReq:
-		m.encode(w)
-	case *FileIOResp:
-		m.encode(w)
-	case *ErrorNotify:
-		m.encode(w)
-	case *DeviceFailed:
-		m.encode(w)
-	case *Nack:
-		m.encode(w)
-	case *StateQuery:
-		m.encode(w)
-	case *StateResp:
-		m.encode(w)
-	case *CreditUpdate:
-		m.encode(w)
-	case *FabricReq:
-		m.encode(w)
-	case *FabricResp:
-		m.encode(w)
-	case *Replicate:
-		m.encode(w)
-	case *ReplicateAck:
-		m.encode(w)
-	case *RingUpdate:
-		m.encode(w)
-	case *SpecGossip:
-		m.encode(w)
-	case *CondReport:
-		m.encode(w)
-	case *Drain:
-		m.encode(w)
-	case *RingConfig:
-		m.encode(w)
-	case *TenantGrant:
-		m.encode(w)
-	case *DenialReport:
-		m.encode(w)
-	case *LeaseRenew:
-		m.encode(w)
-	case *LeaseGrant:
-		m.encode(w)
-	case *LeaseRevoke:
-		m.encode(w)
-	default:
-		panic(fmt.Sprintf("msg: no encodeBody arm for %T", m))
+// as returns *m as a P, first pointing *m at a new T when it is nil.
+func as[T any, P interface {
+	*T
+	Message
+}](m *Message) P {
+	if *m == nil {
+		*m = P(new(T))
 	}
+	return (*m).(P)
 }
