@@ -1,8 +1,9 @@
 # Build/verification entry points. `make check` is the one gate used
 # before merging: vet, the nocpu-lint analyzer suite, build, every test
 # under the race detector (once, in shuffled order), a short fuzz run of
-# the wire-format decoder, of the virtqueue endpoint and of the SSD's file
-# service, and the smoke run of the nested benchmark module. The
+# the wire-format decoder, of the virtqueue endpoint, of the SSD's file
+# service and of the client-request key view, and the smoke run of the
+# nested benchmark module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -54,12 +55,15 @@ race:
 # driver could leave in the descriptor table and the avail ring, and 5s of
 # the SSD's file service against whatever a peer could put in a request
 # cell (any op, offset and length; every request answered once, the
-# volume's pages conserved).
+# volume's pages conserved). Then 5s of the client-request key view a
+# router routes on against the full decode the serving machine runs:
+# they refuse the same bytes and agree on every key.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzEndpointRing -fuzztime=5s ./internal/virtio
 	$(GO) test -run=^$$ -fuzz=FuzzFileService -fuzztime=5s ./internal/smartssd
+	$(GO) test -run=^$$ -fuzz=FuzzRequestKey -fuzztime=5s ./internal/kvs
 
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.

@@ -150,11 +150,14 @@ func keyOwnedBy(cl *Cluster, id msg.DeviceID) string {
 // TestRemoteGetAllocs pins the whole fabric op path: a get that enters at
 // machine 1, is forwarded to its owner, served from the NIC cache there
 // and answered back. One record per hop — the client NIC's Delivery and
-// the reply it hands the router, the pendingReq, each frame with its
-// arrival (which is also the far NIC's Delivery), the decoded FabricReq
-// and FabricResp, the owner's reply closure, the storeOp, the encoded
-// response — plus the key string of each of the two request decodes and
-// the two ring lookups: 16. The bound is that count and one to spare.
+// the reply it hands the router, the pendingReq, each frame's arrival
+// (which is also the far NIC's Delivery), the decoded FabricReq and
+// FabricResp, the owner's reply closure, the storeOp, the encoded
+// response — plus the key string of the owner's request decode and the
+// two ring lookups: 13. The frames are cut from chunks, and the ingress
+// routes on the key in place without decoding. It read 16 when each frame
+// was its own allocation and both ends decoded. The bound is the count
+// and one to spare.
 func TestRemoteGetAllocs(t *testing.T) {
 	cl := mustBoot(t, Config{N: 2, Seed: 5, CacheEntries: 64, MachineMemory: 4 << 20})
 	key := keyOwnedBy(cl, 2)
@@ -175,8 +178,8 @@ func TestRemoteGetAllocs(t *testing.T) {
 	if cl.RouterStatsSum().Remote-remote < 200 || cl.Machine(2).Store.Stats().CacheHits-hits < 200 {
 		t.Fatal("the gets were not remote cache hits")
 	}
-	if n > 17 {
-		t.Errorf("a remote cached get allocates %v times, want <= 17", n)
+	if n > 14 {
+		t.Errorf("a remote cached get allocates %v times, want <= 14", n)
 	}
 }
 
@@ -188,8 +191,10 @@ func TestRemoteGetAllocs(t *testing.T) {
 // put also builds its read-modify-write page and its inode page. The rest
 // is the fabric path above. Nothing else is left at the file-op ends of the
 // queue (DESIGN.md "The file op"): with a closure per stage and a copy per
-// layer there these read 36 and 104. Bounds are the measured counts and
-// one to spare.
+// layer there these read 36 and 104. They read 18 and 46 (21 and 54
+// before frames were cut from chunks, the Replicate and its ack were
+// router-owned bodies, and the ingress stopped decoding what it
+// forwards). Bounds are the measured counts and one to spare.
 func TestFlashOpAllocs(t *testing.T) {
 	cl := mustBoot(t, Config{N: 2, Seed: 5, MachineMemory: 4 << 20})
 	key := keyOwnedBy(cl, 2)
@@ -220,11 +225,34 @@ func TestFlashOpAllocs(t *testing.T) {
 	if cl.Machine(2).Sys.Fabric.Stats().DMAs-dmas < 400*16 {
 		t.Fatal("the ops did not go through the owner's virtqueue")
 	}
-	if gets > 22 {
-		t.Errorf("a remote flash get allocates %v times, want <= 22", gets)
+	if gets > 19 {
+		t.Errorf("a remote flash get allocates %v times, want <= 19", gets)
 	}
-	if puts > 57 {
-		t.Errorf("a remote flash put allocates %v times, want <= 57", puts)
+	if puts > 47 {
+		t.Errorf("a remote flash put allocates %v times, want <= 47", puts)
+	}
+}
+
+// TestLeaseRoundAllocs pins what the lease chatter costs the host. On an
+// idle decentralized rack every frame is a LeaseRenew or a LeaseGrant, and
+// each costs its arrival record (which is also the far NIC's Delivery),
+// the body the far router decodes, and its share of a chunk: 2.01 per
+// frame measured. It read 3.71 when each frame was its own allocation,
+// every grant and round allocated its body, and every round its map.
+func TestLeaseRoundAllocs(t *testing.T) {
+	cl := mustBoot(t, Config{N: 8, Seed: 17, Leases: true, MachineMemory: 4 << 20})
+	cl.Eng.RunFor(5 * sim.Millisecond)
+	frames, grants := cl.Network().Stats().Frames, cl.RouterStatsSum().LeaseGrants
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl.Eng.RunFor(20 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	frames, grants = cl.Network().Stats().Frames-frames, cl.RouterStatsSum().LeaseGrants-grants
+	if grants < 1000 || frames < 2*grants-64 || frames > 2*grants+64 {
+		t.Fatalf("%d frames for %d grants: the rack is not idle lease chatter", frames, grants)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(frames); per > 2.05 {
+		t.Errorf("a lease frame costs %.2f allocations, want <= 2.05", per)
 	}
 }
 

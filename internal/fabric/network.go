@@ -13,6 +13,9 @@ import (
 // router's ServeNetwork edge.
 const frameMagic = 0xFB
 
+// frameChunk is the size of the block Network.Send cuts frames from.
+const frameChunk = 4 << 10
+
 // Datacenter-network defaults: a few microseconds of switch+propagation
 // latency plus a per-byte serialization cost (~10 Gb/s).
 const (
@@ -60,6 +63,11 @@ type Network struct {
 	// counters keep tags dense, which the 64-deep window needs.
 	linkSeq map[[2]msg.DeviceID]*uint32
 
+	// Frames are cut from chunk at off, never twice (DESIGN.md "A
+	// frame's bytes are cut from a chunk").
+	chunk []byte
+	off   int
+
 	stats NetStats
 }
 
@@ -96,9 +104,9 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	}
 	*seq++
 	env := msg.Envelope{Src: src, Dst: dst, Seq: *seq, Inc: epoch, Msg: m}
-	// One allocation holds the whole frame: the magic byte, then the
-	// envelope encoded in place behind it.
-	buf := make([]byte, 1, 1+env.EncodedLen())
+	// The frame is the magic byte, then the envelope encoded in place
+	// behind it.
+	buf := n.cut(1 + env.EncodedLen())
 	buf[0] = frameMagic
 	frame := env.AppendEncode(buf)
 
@@ -133,6 +141,22 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 		// carries the same link seq, so the receiver's window eats it.
 		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, &arrival{net: n, dst: dst, frame: frame})
 	}
+}
+
+// cut returns a one-byte frame of capacity need from the current chunk:
+// the clip keeps an append on one frame from reaching the next. A frame
+// that does not fit starts a new chunk; one larger than a chunk gets its
+// own allocation and leaves the current chunk alone.
+func (n *Network) cut(need int) []byte {
+	if need > frameChunk {
+		return make([]byte, 1, need)
+	}
+	if n.off+need > len(n.chunk) {
+		n.chunk, n.off = make([]byte, frameChunk), 0
+	}
+	f := n.chunk[n.off : n.off+1 : n.off+need]
+	n.off += need
+	return f
 }
 
 // unreachable is the notice to src that dst is gone, a round trip after

@@ -191,11 +191,17 @@ type Router struct {
 
 	nextReq uint64
 	pending map[uint64]*pendingReq
-	// fwd and resp are the bodies of outgoing FabricReq and FabricResp
-	// frames. Network.Send encodes the message before it returns and
-	// keeps no reference, so one body per router is refilled per frame.
-	fwd  msg.FabricReq
-	resp msg.FabricResp
+	// The bodies of every outgoing steady-state frame: client ops and
+	// their answers, replication and its acks, and the lease round.
+	// Network.Send encodes the message before it returns and keeps no
+	// reference, so one body per kind is refilled per frame.
+	fwd    msg.FabricReq
+	resp   msg.FabricResp
+	rep    msg.Replicate
+	ack    msg.ReplicateAck
+	renew  msg.LeaseRenew
+	grant  msg.LeaseGrant
+	revoke msg.LeaseRevoke
 
 	repSeq   uint64
 	gates    map[string]*keyGate
@@ -241,20 +247,21 @@ type ControlAgent interface {
 
 func newRouter(cl *Cluster, cfg routerConfig, ring *Ring, store *kvs.Store, eng *sim.Engine) *Router {
 	return &Router{
-		cfg:       cfg,
-		cl:        cl,
-		ring:      ring,
-		store:     store,
-		eng:       eng,
-		confVer:   1,
-		dead:      make(map[msg.DeviceID]bool),
-		pending:   make(map[uint64]*pendingReq),
-		gates:     make(map[string]*keyGate),
-		inflight:  make(map[uint64]*writeTask),
-		wm:        make(map[string]watermark),
-		lastBeat:  make(map[msg.DeviceID]sim.Time),
-		lastHeard: make(map[msg.DeviceID]sim.Time),
-		suspects:  make(map[msg.DeviceID]bool),
+		cfg:        cfg,
+		cl:         cl,
+		ring:       ring,
+		store:      store,
+		eng:        eng,
+		confVer:    1,
+		dead:       make(map[msg.DeviceID]bool),
+		pending:    make(map[uint64]*pendingReq),
+		gates:      make(map[string]*keyGate),
+		inflight:   make(map[uint64]*writeTask),
+		wm:         make(map[string]watermark),
+		lastBeat:   make(map[msg.DeviceID]sim.Time),
+		lastHeard:  make(map[msg.DeviceID]sim.Time),
+		suspects:   make(map[msg.DeviceID]bool),
+		leaseRound: make(map[msg.DeviceID]bool),
 	}
 }
 
@@ -452,7 +459,9 @@ func (r *Router) ServeNetwork(payload []byte, reply func([]byte)) {
 // authenticated the client as tenant tn, and the stamp is re-encoded
 // into the request before routing so it survives fabric hops — the
 // owning machine's store sees the same authenticated tenant the entry
-// machine did, wherever the key lives.
+// machine did, wherever the key lives. Stamping is the one case in which
+// an ingress decodes a request; otherwise only the machine that serves
+// it does (onClient).
 func (r *Router) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte)) {
 	if r.halted {
 		return
@@ -461,35 +470,46 @@ func (r *Router) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte
 		r.onFrame(payload[1:]) // peer frames carry no tenant
 		return
 	}
-	// The one decode of a client request on this machine: everything
-	// downstream takes req, and payload only travels on.
+	if tn == 0 {
+		r.onClient(payload, nil, reply)
+		return
+	}
 	req, err := kvs.DecodeRequest(payload)
 	if err != nil {
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
 		return
 	}
-	if tn != 0 {
-		req.Tenant = uint32(tn)
-		payload = kvs.EncodeRequest(req)
-	}
-	r.onClient(req, payload, reply)
+	req.Tenant = uint32(tn)
+	r.onClient(kvs.EncodeRequest(req), &req, reply)
 }
 
 // --- client ingress ---
 
-func (r *Router) onClient(req kvs.Request, payload []byte, reply func([]byte)) {
-	own := r.owners(req.Key)
+// onClient routes a client request on its key, read in place. Only the
+// machine that serves a request decodes it (req, when the caller already
+// did); a forwarded one travels on as payload.
+func (r *Router) onClient(payload []byte, req *kvs.Request, reply func([]byte)) {
+	key, err := kvs.RequestKey(payload)
+	if err != nil {
+		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		return
+	}
+	own := r.owners(string(key))
 	if len(own) == 0 {
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 		return
 	}
-	if own[0] == r.cfg.id {
-		r.stats.Local++
-		r.servePrimary(req, payload, reply)
+	if own[0] != r.cfg.id {
+		r.stats.Remote++
+		r.forward(own[0], payload, reply, false)
 		return
 	}
-	r.stats.Remote++
-	r.forward(own[0], payload, reply, false)
+	r.stats.Local++
+	if req == nil {
+		decoded, _ := kvs.DecodeRequest(payload) // RequestKey accepted it
+		req = &decoded
+	}
+	r.servePrimary(*req, reply)
 }
 
 // forward sends a client op to the key's primary — directly, or through
@@ -556,7 +576,8 @@ func (r *Router) onFrame(raw []byte) {
 		// it lost its lease.
 		if ren, ok := env.Msg.(*msg.LeaseRenew); ok && r.cfg.leases {
 			r.stats.LeaseRevokes++
-			r.cl.net.Send(r.cfg.id, env.Src, r.epoch, &msg.LeaseRevoke{Seq: ren.Seq, Dead: r.deadList()})
+			r.revoke = msg.LeaseRevoke{Seq: ren.Seq, Dead: r.deadList()}
+			r.cl.net.Send(r.cfg.id, env.Src, r.epoch, &r.revoke)
 		}
 		return
 	}
@@ -596,18 +617,21 @@ func (r *Router) onFrame(raw []byte) {
 	}
 }
 
+// onFabricReq routes a forwarded client op on its key, read in place,
+// and decodes the request only to serve it.
 func (r *Router) onFabricReq(m *msg.FabricReq) {
-	req, err := kvs.DecodeRequest(m.Payload)
+	key, err := kvs.RequestKey(m.Payload)
 	if err != nil {
 		r.respond(m.Origin, m.ReqID, msg.FabricServed,
 			kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
 		return
 	}
-	own := r.owners(req.Key)
+	own := r.owners(string(key))
 	switch {
 	case len(own) > 0 && own[0] == r.cfg.id:
+		req, _ := kvs.DecodeRequest(m.Payload) // RequestKey accepted it
 		origin, id := m.Origin, m.ReqID
-		r.servePrimary(req, m.Payload, func(resp []byte) {
+		r.servePrimary(req, func(resp []byte) {
 			r.respond(origin, id, msg.FabricServed, resp)
 		})
 	case r.isHead() && m.Hops == 0 && len(own) > 0:
@@ -658,16 +682,16 @@ func (r *Router) onFabricResp(m *msg.FabricResp) {
 		p.reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 		return
 	}
-	req, err := kvs.DecodeRequest(p.payload)
-	if err == nil {
-		if own := r.owners(req.Key); len(own) > 0 && own[0] != r.cfg.id {
+	if key, err := kvs.RequestKey(p.payload); err == nil {
+		if own := r.owners(string(key)); len(own) > 0 && own[0] != r.cfg.id {
 			r.stats.Reroutes++
 			r.forward(own[0], p.payload, p.reply, true)
 			return
 		} else if len(own) > 0 {
 			// The merged view promoted us: serve locally after all.
 			r.stats.Reroutes++
-			r.servePrimary(req, p.payload, p.reply)
+			req, _ := kvs.DecodeRequest(p.payload) // RequestKey accepted it
+			r.servePrimary(req, p.reply)
 			return
 		}
 	}
@@ -683,7 +707,7 @@ func (r *Router) onFabricResp(m *msg.FabricResp) {
 // as a divergent write — behind the machine lease and the key's
 // takeover fence, and every refusal is typed (StatusFenced), never a
 // silent divergence.
-func (r *Router) servePrimary(req kvs.Request, payload []byte, reply func([]byte)) {
+func (r *Router) servePrimary(req kvs.Request, reply func([]byte)) {
 	if r.cfg.leases && (!r.leaseValid() || r.keyFenced(req.Key)) {
 		r.stats.LeaseFenced++
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
@@ -809,11 +833,9 @@ func (r *Router) replicate(t *writeTask) {
 		t.seq = r.repSeq
 		r.inflight[t.seq] = t
 	}
+	r.rep = msg.Replicate{Epoch: r.epoch, Seq: t.seq, Del: t.del, Sync: t.sync, Key: t.key, Value: t.value}
 	for _, b := range t.targets {
-		r.cl.net.Send(r.cfg.id, b, r.epoch, &msg.Replicate{
-			Epoch: r.epoch, Seq: t.seq, Del: t.del, Sync: t.sync,
-			Key: t.key, Value: t.value,
-		})
+		r.cl.net.Send(r.cfg.id, b, r.epoch, &r.rep)
 	}
 	t.tm.Arm(r.eng, r.cfg.repRetry, t)
 }
@@ -858,9 +880,8 @@ func (r *Router) onReplicate(src msg.DeviceID, m *msg.Replicate) {
 }
 
 func (r *Router) sendAck(to msg.DeviceID, seq uint64, ok bool) {
-	r.cl.net.Send(r.cfg.id, to, r.epoch, &msg.ReplicateAck{
-		Seq: seq, OK: ok, Epoch: r.epoch, Dead: r.deadList(),
-	})
+	r.ack = msg.ReplicateAck{Seq: seq, OK: ok, Epoch: r.epoch, Dead: r.deadList()}
+	r.cl.net.Send(r.cfg.id, to, r.epoch, &r.ack)
 }
 
 func (r *Router) onReplicateAck(src msg.DeviceID, m *msg.ReplicateAck) {
@@ -1447,19 +1468,20 @@ func (r *Router) renewLease() {
 	}
 	r.leaseSeq++
 	r.stats.LeaseRenews++
-	r.leaseRound = map[msg.DeviceID]bool{r.cfg.id: true}
+	clear(r.leaseRound)
+	r.leaseRound[r.cfg.id] = true
 	until := r.eng.Now().Add(r.cfg.leaseDur)
 	if len(r.leaseRound) >= r.leaseQuorum() {
 		// Single-member ring: the self-grant is the quorum.
 		r.extendLease(until)
 		return
 	}
-	renew := &msg.LeaseRenew{Seq: r.leaseSeq, Until: uint64(until)}
+	r.renew = msg.LeaseRenew{Seq: r.leaseSeq, Until: uint64(until)}
 	for _, id := range r.ring.machines {
 		if id == r.cfg.id || r.dead[id] {
 			continue
 		}
-		r.cl.net.Send(r.cfg.id, id, r.epoch, renew)
+		r.cl.net.Send(r.cfg.id, id, r.epoch, &r.renew)
 	}
 }
 
@@ -1474,11 +1496,12 @@ func (r *Router) extendLease(until sim.Time) {
 // LeaseRevoke), so reaching this handler IS the grant decision.
 func (r *Router) onLeaseRenew(src msg.DeviceID, m *msg.LeaseRenew) {
 	r.stats.LeaseGrants++
-	r.cl.net.Send(r.cfg.id, src, r.epoch, &msg.LeaseGrant{Seq: m.Seq, Until: m.Until})
+	r.grant = msg.LeaseGrant{Seq: m.Seq, Until: m.Until}
+	r.cl.net.Send(r.cfg.id, src, r.epoch, &r.grant)
 }
 
 func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
-	if m.Seq != r.leaseSeq || r.leaseRound == nil {
+	if m.Seq != r.leaseSeq {
 		return // a stale round's signature proves nothing about now
 	}
 	r.leaseRound[src] = true

@@ -132,3 +132,36 @@ func TestCacheEvictionFallsBackToSSD(t *testing.T) {
 		t.Fatal("miss did not repopulate the cache")
 	}
 }
+
+// TestCacheOwnsValues: the write-through put keeps its own copy of the
+// value. A replicated put's value is a window on the frame it arrived in,
+// and frames share chunks, so whatever happens to the caller's buffer
+// after the put, a cached get answers with the bytes that were put.
+func TestCacheOwnsValues(t *testing.T) {
+	tb := cachedTestbed(t, 16)
+	val := []byte("original-value")
+	var resp Response
+	reply := func(b []byte) {
+		var err error
+		if resp, err = DecodeResponse(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.store.Serve(Request{Op: OpPut, Key: "k", Value: val}, reply)
+	tb.eng.Run()
+	if resp.Status != StatusOK {
+		t.Fatalf("put: %+v", resp)
+	}
+	for i := range val {
+		val[i] = 'x'
+	}
+	hits := tb.store.Stats().CacheHits
+	tb.store.Serve(Request{Op: OpGet, Key: "k"}, reply)
+	tb.eng.Run()
+	if tb.store.Stats().CacheHits != hits+1 {
+		t.Fatal("the get was not served from the cache")
+	}
+	if resp.Status != StatusOK || string(resp.Value) != "original-value" {
+		t.Fatalf("cached get after the put's buffer was reused: %+v", resp)
+	}
+}

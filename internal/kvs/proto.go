@@ -120,20 +120,33 @@ func EncodeRequest(r Request) []byte {
 	return b
 }
 
-// DecodeRequest parses a client request.
-func DecodeRequest(b []byte) (Request, error) {
+// RequestKey returns an encoded request's key in place, a window on b
+// capped at its length: what a router reads to pick the machine that
+// will decode the request. It makes the framing check DecodeRequest
+// makes, so the two refuse exactly the same bytes.
+func RequestKey(b []byte) ([]byte, error) {
 	if len(b) < 7 {
-		return Request{}, fmt.Errorf("kvs: short request")
+		return nil, fmt.Errorf("kvs: short request")
 	}
 	kl := int(binary.LittleEndian.Uint16(b[1:]))
 	if len(b) < 3+kl+4 {
-		return Request{}, fmt.Errorf("kvs: truncated key")
+		return nil, fmt.Errorf("kvs: truncated key")
 	}
+	if len(b) < 7+kl+int(binary.LittleEndian.Uint32(b[3+kl:])) {
+		return nil, fmt.Errorf("kvs: truncated value")
+	}
+	return b[3 : 3+kl : 3+kl], nil
+}
+
+// DecodeRequest parses a client request.
+func DecodeRequest(b []byte) (Request, error) {
+	key, err := RequestKey(b)
+	if err != nil {
+		return Request{}, err
+	}
+	kl := len(key)
 	vl := int(binary.LittleEndian.Uint32(b[3+kl:]))
-	if len(b) < 7+kl+vl {
-		return Request{}, fmt.Errorf("kvs: truncated value")
-	}
-	r := Request{Op: Op(b[0]), Key: string(b[3 : 3+kl])}
+	r := Request{Op: Op(b[0]), Key: string(key)}
 	if vl > 0 {
 		r.Value = append([]byte(nil), b[7+kl:7+kl+vl]...)
 	}

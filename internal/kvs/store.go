@@ -612,8 +612,10 @@ func (op *storeOp) FileDone(f *smartnic.FileOp, err error) {
 		s.index[req.Key] = loc{off: f.Off() + recordHeader + uint64(len(req.Key)), n: uint32(len(req.Value))}
 		if s.cache != nil {
 			// Write-through: the cache never holds a value newer or older
-			// than the log.
-			s.cache.put(req.Key, req.Value)
+			// than the log. It keeps a copy: a replicated put's value is
+			// a window on the frame it came in (DESIGN.md "A frame's bytes
+			// are cut from a chunk").
+			s.cache.put(req.Key, append([]byte(nil), req.Value...))
 		}
 	case OpDelete:
 		delete(s.index, req.Key)

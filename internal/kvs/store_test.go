@@ -152,6 +152,28 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzRequestKey: a router that routes on RequestKey and a machine that
+// serves with DecodeRequest refuse exactly the same requests, and agree
+// on the key of every one they accept.
+func FuzzRequestKey(f *testing.F) {
+	full := EncodeRequest(Request{Op: OpPut, Key: "key", Value: []byte("value")})
+	f.Add([]byte{1, 2})                                                               // short
+	f.Add(full[:8])                                                                   // truncated key
+	f.Add(full[:len(full)-2])                                                         // truncated value
+	f.Add(EncodeRequest(Request{Op: OpGet, Key: "k", Deadline: 99}))                  // deadline tail
+	f.Add(EncodeRequest(Request{Op: OpPut, Key: "k", Value: []byte("v"), Tenant: 3})) // tenant tail
+	f.Fuzz(func(t *testing.T, b []byte) {
+		key, kerr := RequestKey(b)
+		req, derr := DecodeRequest(b)
+		if (kerr == nil) != (derr == nil) {
+			t.Fatalf("RequestKey err %v, DecodeRequest err %v", kerr, derr)
+		}
+		if kerr == nil && string(key) != req.Key {
+			t.Fatalf("RequestKey = %q, DecodeRequest key %q", key, req.Key)
+		}
+	})
+}
+
 func TestPutGetDelete(t *testing.T) {
 	tb := newTestbed(t, 0)
 	if r := tb.op(t, Request{Op: OpPut, Key: "alpha", Value: []byte("first value")}); r.Status != StatusOK {

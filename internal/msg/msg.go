@@ -297,8 +297,10 @@ func (e Envelope) EncodedLen() int { return EncodedSize(e.Msg) + linkTagSize }
 // FileIOReq.Data, ...) alias b rather than copy it: a frame is written
 // once, when it is encoded, and only read afterwards. The caller must
 // not modify b after Decode, and a handler must not write into a decoded
-// byte field; one that needs a buffer of its own copies. Strings and
-// lists are copied as before.
+// byte field; one that needs a buffer of its own copies, and so does a
+// handler that keeps a byte field past its return (a fabric frame shares
+// its chunk with other frames, so a kept window pins them all). Strings
+// and lists are copied as before.
 func Decode(b []byte) (Envelope, error) {
 	c := coder{mode: decoding, buf: b}
 	var e Envelope
