@@ -70,11 +70,14 @@ var DefaultCosts = Costs{Setup: 500 * sim.Nanosecond, BytesPerNs: 4}
 type Config struct {
 	Device device.Config
 	Costs  Costs
-	// CellSize for transform queues.
-	CellSize int
-	// Engines is the number of parallel compute engines.
-	Engines int
 }
+
+const (
+	// cellSize is a transform queue's buffer cell, 4 KiB plus 16 bytes.
+	cellSize = 4096 + 16
+	// engines is the number of parallel compute engines.
+	engines = 2
+)
 
 // Stats counts accelerator activity.
 type Stats struct {
@@ -96,20 +99,14 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.Costs.BytesPerNs == 0 {
 		cfg.Costs = DefaultCosts
 	}
-	if cfg.CellSize == 0 {
-		cfg.CellSize = 4096 + 16
-	}
-	if cfg.Engines <= 0 {
-		cfg.Engines = 2
-	}
 	cfg.Device.Role = msg.RoleAccelerator
 	d, err := device.New(eng, b, fab, tr, cfg.Device)
 	if err != nil {
 		return nil, err
 	}
-	a := &Accel{dev: d, cfg: cfg, eng: eng, pool: sim.NewPool(eng, cfg.Engines)}
+	a := &Accel{dev: d, cfg: cfg, eng: eng, pool: sim.NewPool(eng, engines)}
 	svc := &xformService{Sessions: device.Sessions[Op]{
-		Dev: d, CellSize: cfg.CellSize, Admit: admit, Handler: a.handlerFor,
+		Dev: d, CellSize: cellSize, Admit: admit, Handler: a.handlerFor,
 		Resource: func(c *device.Session[Op]) string { return "xform:" + c.State.String() },
 	}}
 	d.AddService(svc)

@@ -60,7 +60,6 @@ type Config struct {
 	CopyBytesPerNs float64
 	// QueueEntries sizes the kernel's own device queues.
 	QueueEntries uint16
-	IOMMU        iommu.Config
 	// HeartbeatEvery makes the kernel heartbeat on the management
 	// transport, so a bus watchdog can detect a kernel panic. 0 (the
 	// default) sends none — required for machines without a watchdog.
@@ -214,7 +213,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		cfg:            cfg,
 		tr:             tr,
 		mem:            fab.Memory(),
-		mmu:            iommu.New(cfg.Name, fab.Memory(), cfg.IOMMU),
+		mmu:            iommu.New(cfg.Name, fab.Memory(), iommu.DefaultConfig),
 		cores:          sim.NewPool(eng, cfg.Cores),
 		iommus:         make(map[msg.DeviceID]*iommu.IOMMU),
 		registry:       make(map[string]msg.DeviceID),

@@ -85,8 +85,6 @@ type Options struct {
 	// Watchdog enables the bus watchdog and device heartbeats at
 	// watchdog/4.
 	Watchdog sim.Duration
-	// TraceLimit caps the tracer (0 = unlimited).
-	TraceLimit int
 	// NoTrace disables tracing entirely (benchmarks).
 	NoTrace bool
 	// ExtraSSDs and ExtraNICs add more devices at construction.
@@ -94,8 +92,6 @@ type Options struct {
 	ExtraNICs int
 	// WithAccel adds a compute accelerator device ("accel").
 	WithAccel bool
-	// Accel configures it.
-	Accel accel.Config
 	// FaultPlane, when non-nil, injects faults on the bus and the
 	// interconnect (E14). Nil leaves the machine bit-identical to a build
 	// without injection.
@@ -171,7 +167,7 @@ func New(opts Options) (*System, error) {
 		Rand: sim.NewRand(opts.Seed ^ 0x6e6f637075), // "nocpu"
 	}
 	if !opts.NoTrace {
-		s.Tracer = trace.New(opts.TraceLimit)
+		s.Tracer = trace.New(0)
 	}
 	var err error
 	s.Mem, err = physmem.New(opts.MemoryBytes)
@@ -241,20 +237,13 @@ func New(opts Options) (*System, error) {
 		}
 	}
 	if opts.WithAccel {
-		acfg := opts.Accel
-		acfg.Device.ID = s.claimID()
-		if acfg.Device.Name == "" {
-			acfg.Device.Name = "accel"
-		}
-		if acfg.Device.HeartbeatEvery == 0 {
-			acfg.Device.HeartbeatEvery = s.heartbeat()
-		}
-		if acfg.Device.SelfTest == 0 {
-			acfg.Device.SelfTest = 5 * sim.Microsecond
-		}
-		if acfg.Device.ResetDelay == 0 {
-			acfg.Device.ResetDelay = 100 * sim.Microsecond
-		}
+		acfg := accel.Config{Device: device.Config{
+			ID:             s.claimID(),
+			Name:           "accel",
+			HeartbeatEvery: s.heartbeat(),
+			SelfTest:       5 * sim.Microsecond,
+			ResetDelay:     100 * sim.Microsecond,
+		}}
 		a, err := accel.New(s.Eng, s.Bus, s.Fabric, s.Tracer, acfg)
 		if err != nil {
 			return nil, err

@@ -34,7 +34,7 @@ import (
 // latency, which is identical for both. Replicated writes are measured
 // by the preload and stressed by the chaos table. The chaos client op
 // timeout must exceed the fabric's in-system write lifetime (ingress
-// forwarding gives up after the router's 10ms OpTimeout) so per-key
+// forwarding gives up after fabric.DefaultOpTimeout, 10ms) so per-key
 // order is preserved across driver retries.
 const (
 	e17ValSize     = 64
@@ -57,6 +57,10 @@ const (
 	e17ChaosSettle   = 20 * sim.Millisecond
 	e17RecoveryBound = 25 * sim.Millisecond
 )
+
+// e17ChaosTimeout > fabric.DefaultOpTimeout, checked at build time (DESIGN.md
+// "Timeout soundness"): a negative constant does not convert to uint.
+const _ = uint(e17ChaosTimeout - fabric.DefaultOpTimeout - 1)
 
 func e17Key(i int) string { return fmt.Sprintf("e17-%05d", i) }
 

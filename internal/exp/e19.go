@@ -56,6 +56,10 @@ const (
 	e19ConvergeBudget = 600 * sim.Millisecond
 )
 
+// e19Timeout > fabric.DefaultOpTimeout, checked at build time (DESIGN.md
+// "Timeout soundness"): a negative constant does not convert to uint.
+const _ = uint(e19Timeout - fabric.DefaultOpTimeout - 1)
+
 func e19Key(i int) string { return fmt.Sprintf("e19-%05d", i) }
 
 func e19Keys() []string {
@@ -111,11 +115,11 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 			dead[id] = true
 		}
 	}
-	ring := fabric.NewRing(cl.Machine(serving[0]).Router.RingMembers(), cl.Cfg.Vnodes)
+	ring := fabric.NewRing(cl.Machine(serving[0]).Router.RingMembers(), fabric.DefaultVnodes)
 	replicaPair := make(map[[2]msg.DeviceID]bool)
 	soleOwner := make(map[msg.DeviceID]bool)
 	for _, k := range keys {
-		own := ring.Owners(k, dead, cl.Cfg.Replicas)
+		own := ring.Owners(k, dead, fabric.DefaultReplicas)
 		switch len(own) {
 		case 1:
 			soleOwner[own[0]] = true

@@ -50,12 +50,16 @@ const (
 	e21HealAt  = 25 * sim.Millisecond // partition schedules heal here
 	e21SlowFor = 25 * sim.Millisecond // fail-slow degradation window
 
-	e21FlapUp     = 1 * sim.Millisecond // cut shorter than FailTimeout:
+	e21FlapUp     = 1 * sim.Millisecond // cut shorter than fabric.DefaultFailTimeout:
 	e21FlapPeriod = 3 * sim.Millisecond // a gray failure, not a death
 	e21FlapCycles = 6
 
 	e21SlowFactor = 20
 )
+
+// e21FlapUp < fabric.DefaultFailTimeout, checked at build time: a flap
+// that outlasts the failure timeout is a death, not a gray failure.
+const _ = uint(fabric.DefaultFailTimeout - e21FlapUp - 1)
 
 func e21Key(i int) string { return fmt.Sprintf("e21-%03d", i) }
 

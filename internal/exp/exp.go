@@ -87,15 +87,6 @@ func Run(id string) (*Result, error) {
 	return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, IDs())
 }
 
-// RunAll executes every experiment in order.
-func RunAll() []*Result {
-	out := make([]*Result, len(registry))
-	for i, e := range registry {
-		out[i] = e.run()
-	}
-	return out
-}
-
 // --- shared scenario plumbing ---
 
 // machineKind names the three machine configurations under comparison.

@@ -41,6 +41,10 @@ func (f Flavor) String() string {
 // use a small arena instead of the single-machine 128 MiB default.
 const DefaultMachineMemory = 8 << 20
 
+// traceLimit bounds Config.Trace's log; lines past it are counted, not
+// kept.
+const traceLimit = 1 << 16
+
 // Config assembles a Cluster.
 type Config struct {
 	N      int
@@ -55,14 +59,6 @@ type Config struct {
 	// exactly.
 	Spares int
 
-	// UpgradeDelay models flashing a config/firmware version onto an
-	// out-of-ring machine (default DefaultUpgradeDelay). Reconciler-only.
-	UpgradeDelay sim.Duration
-
-	// Vnodes/Replicas parameterize the ring (defaults 64 and 2).
-	Vnodes   int
-	Replicas int
-
 	// MachineMemory sizes each machine (default DefaultMachineMemory).
 	MachineMemory uint64
 
@@ -75,14 +71,6 @@ type Config struct {
 	// Net is the datacenter network model (defaults inside).
 	Net NetConfig
 
-	// Replication/routing/membership tuning; zero values take the
-	// Default* constants.
-	RepRetry       sim.Duration
-	OpTimeout      sim.Duration
-	HeartbeatEvery sim.Duration
-	FailTimeout    sim.Duration
-	WriteBound     int
-
 	// Leases enables epoch-lease fencing: a machine serves as primary
 	// (and may act as the reconcile actor) only while holding a
 	// virtual-clock lease countersigned by a majority of the ring
@@ -90,17 +78,15 @@ type Config struct {
 	// failure detection becomes directional (transport suspicion +
 	// inbound silence) instead of trusting a one-way send failure.
 	// Default off: the zero config keeps every earlier experiment
-	// byte-identical. LeaseDuration must stay below FailTimeout (the
-	// defaults are 2ms and 4ms) — that inequality is what makes a
-	// promoted primary's takeover fence outlive the deposed one's lease.
-	Leases          bool
-	LeaseDuration   sim.Duration
-	LeaseRenewEvery sim.Duration
+	// byte-identical. The lease (DefaultLeaseDuration, 2ms) is shorter
+	// than the failure timeout (DefaultFailTimeout, 4ms), checked at
+	// build time — that inequality is what makes a promoted primary's
+	// takeover fence outlive the deposed one's lease.
+	Leases bool
 
-	// Trace records a bounded deterministic event log for the golden
-	// determinism test.
-	Trace      bool
-	TraceLimit int
+	// Trace records a deterministic event log of at most traceLimit
+	// lines for the golden determinism test.
+	Trace bool
 
 	// Tenancy, when set, is the rack-wide tenant registry shared by
 	// every machine (one registry, one engine — still deterministic).
@@ -139,38 +125,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("fabric: cluster needs at least one machine, got %d", cfg.N)
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = DefaultReplicas
-	}
 	if cfg.MachineMemory == 0 {
 		cfg.MachineMemory = DefaultMachineMemory
-	}
-	if cfg.RepRetry == 0 {
-		cfg.RepRetry = DefaultRepRetry
-	}
-	if cfg.OpTimeout == 0 {
-		cfg.OpTimeout = DefaultOpTimeout
-	}
-	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if cfg.FailTimeout == 0 {
-		cfg.FailTimeout = DefaultFailTimeout
-	}
-	if cfg.WriteBound == 0 {
-		cfg.WriteBound = DefaultWriteBound
-	}
-	if cfg.UpgradeDelay == 0 {
-		cfg.UpgradeDelay = DefaultUpgradeDelay
-	}
-	if cfg.LeaseDuration == 0 {
-		cfg.LeaseDuration = DefaultLeaseDuration
-	}
-	if cfg.LeaseRenewEvery == 0 {
-		cfg.LeaseRenewEvery = DefaultLeaseRenewEvery
-	}
-	if cfg.TraceLimit == 0 {
-		cfg.TraceLimit = 1 << 16
 	}
 
 	c := &Cluster{Cfg: cfg, Eng: sim.NewEngine()}
@@ -179,7 +135,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = msg.DeviceID(i + 1)
 	}
-	c.Ring = NewRing(ids[:cfg.N], cfg.Vnodes)
+	c.Ring = NewRing(ids[:cfg.N], DefaultVnodes)
 	c.net = newNetwork(c.Eng, cfg.Net)
 	c.net.alive = c.aliveID
 	c.net.deliver = c.deliverFrame
@@ -251,21 +207,7 @@ func (c *Cluster) Boot() error {
 		if c.Cfg.Flavor == FlavorHead {
 			head = 1
 		}
-		m.Router = newRouter(c, routerConfig{
-			id:           m.ID,
-			head:         head,
-			replicas:     c.Cfg.Replicas,
-			vnodes:       c.Cfg.Vnodes,
-			repRetry:     c.Cfg.RepRetry,
-			opTimeout:    c.Cfg.OpTimeout,
-			hbEvery:      c.Cfg.HeartbeatEvery,
-			failAfter:    c.Cfg.FailTimeout,
-			upgradeDelay: c.Cfg.UpgradeDelay,
-			writeBound:   c.Cfg.WriteBound,
-			leases:       c.Cfg.Leases,
-			leaseDur:     c.Cfg.LeaseDuration,
-			leaseRenew:   c.Cfg.LeaseRenewEvery,
-		}, c.Ring, m.Store, c.Eng)
+		m.Router = newRouter(c, m.ID, head, c.Cfg.Leases, c.Ring, m.Store, c.Eng)
 		m.Sys.NIC().AddApp(m.Router)
 		m.alive = true
 		c.tracef("m%d up (%s)", m.ID, m.Sys.Opts.Flavor)
@@ -382,7 +324,7 @@ func (c *Cluster) tracef(format string, args ...any) {
 	if !c.Cfg.Trace {
 		return
 	}
-	if len(c.trace) >= c.Cfg.TraceLimit {
+	if len(c.trace) >= traceLimit {
 		c.traceLost++
 		return
 	}

@@ -49,7 +49,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	al, alost := a.TraceLog()
 	bl, blost := b.TraceLog()
 	if alost != 0 || blost != 0 {
-		t.Fatalf("trace overflowed (%d/%d lines lost); raise TraceLimit", alost, blost)
+		t.Fatalf("trace overflowed (%d/%d lines lost); raise traceLimit", alost, blost)
 	}
 	if len(al) == 0 {
 		t.Fatal("scenario produced an empty trace")

@@ -230,7 +230,7 @@ func TestTakeoverFenceWindow(t *testing.T) {
 	if !cl.Machine(newPrimary).Router.KeyFenced(key) {
 		t.Fatalf("m%d promoted %q without a takeover fence", newPrimary, key)
 	}
-	// Past leaseDur+failAfter the fence lifts and the key serves again,
+	// Past DefaultLeaseDuration+DefaultFailTimeout the fence lifts and the key serves again,
 	// value intact.
 	cl.Eng.RunFor(DefaultLeaseDuration + DefaultFailTimeout + sim.Millisecond)
 	if cl.Machine(newPrimary).Router.KeyFenced(key) {

@@ -18,7 +18,7 @@ const (
 	RouterApp msg.AppID = 2
 )
 
-// Router tuning defaults.
+// Router timings and sizes.
 const (
 	DefaultReplicas       = 2
 	DefaultRepRetry       = 500 * sim.Microsecond
@@ -29,15 +29,19 @@ const (
 	// DefaultUpgradeDelay models flashing a config/firmware version onto
 	// an out-of-ring machine (fleet reconciliation only).
 	DefaultUpgradeDelay = 2 * sim.Millisecond
-	// Epoch-lease defaults (Config.Leases). The lease must be shorter
-	// than the failure-detection timeout: by the time a majority has
-	// declared a machine dead and stopped countersigning, every lease it
-	// ever held has lapsed, so the promoted primary's takeover fence
-	// (leaseDur + failAfter past the promotion) outlives the old
-	// primary's authority.
+	// Epoch leases (Config.Leases). The lease must be shorter than the
+	// failure-detection timeout: by the time a majority has declared a
+	// machine dead and stopped countersigning, every lease it ever held
+	// has lapsed, so the promoted primary's takeover fence
+	// (DefaultLeaseDuration + DefaultFailTimeout past the promotion)
+	// outlives the old primary's authority.
 	DefaultLeaseDuration   = 2 * sim.Millisecond
 	DefaultLeaseRenewEvery = 500 * sim.Microsecond
 )
+
+// DefaultLeaseDuration < DefaultFailTimeout, checked at build time: a
+// negative constant does not convert to uint.
+const _ = uint(DefaultFailTimeout - DefaultLeaseDuration - 1)
 
 // RouterStats counts one machine's fabric activity.
 type RouterStats struct {
@@ -51,7 +55,7 @@ type RouterStats struct {
 	SoloAcks    uint64 // writes acked with no live backup in view
 	Shed        uint64 // writes refused at the per-key pipeline bound
 	ViewChanges uint64
-	Timeouts    uint64 // pending client ops that hit OpTimeout
+	Timeouts    uint64 // pending client ops that hit DefaultOpTimeout
 	Reroutes    uint64 // ops re-sent after a WrongOwner redirect
 
 	// Fleet-reconciliation activity (all zero unless a reconciler drives
@@ -72,23 +76,6 @@ type RouterStats struct {
 	LeaseLapses   uint64 // renewal rounds started with the previous lease already expired
 	Suspicions    uint64 // directional transport suspicions recorded
 	SilenceDeaths uint64 // peers declared dead by the inbound-silence detector
-}
-
-// routerConfig is assembled by the Cluster from its Config.
-type routerConfig struct {
-	id           msg.DeviceID
-	head         msg.DeviceID // 0 = decentralized membership
-	replicas     int
-	vnodes       int
-	repRetry     sim.Duration
-	opTimeout    sim.Duration
-	hbEvery      sim.Duration
-	failAfter    sim.Duration
-	upgradeDelay sim.Duration
-	writeBound   int
-	leases       bool
-	leaseDur     sim.Duration
-	leaseRenew   sim.Duration
 }
 
 // pendingReq is a client op forwarded to another machine, awaiting its
@@ -153,12 +140,14 @@ type watermark struct {
 // with fenced failover, and membership (reactive+gossip, or
 // heartbeat-to-head when a head node is configured).
 type Router struct {
-	cfg   routerConfig
-	cl    *Cluster
-	ring  *Ring
-	store *kvs.Store
-	eng   *sim.Engine
-	rt    *smartnic.Runtime
+	id     msg.DeviceID
+	head   msg.DeviceID // 0 = decentralized membership
+	leases bool         // Config.Leases
+	cl     *Cluster
+	ring   *Ring
+	store  *kvs.Store
+	eng    *sim.Engine
+	rt     *smartnic.Runtime
 
 	halted bool
 
@@ -212,7 +201,7 @@ type Router struct {
 	hbSeq    uint64
 	lastBeat map[msg.DeviceID]sim.Time
 
-	// Epoch-lease fencing (cfg.leases). The machine serves as primary
+	// Epoch-lease fencing (leases). The machine serves as primary
 	// only while leaseUntil is in the future, i.e. while a quorum of the
 	// ring membership countersigned its most recent renewal round.
 	// lastHeard feeds the inbound-silence failure detector (the renewal
@@ -245,9 +234,11 @@ type ControlAgent interface {
 	OnControl(src msg.DeviceID, m msg.Message)
 }
 
-func newRouter(cl *Cluster, cfg routerConfig, ring *Ring, store *kvs.Store, eng *sim.Engine) *Router {
+func newRouter(cl *Cluster, id, head msg.DeviceID, leases bool, ring *Ring, store *kvs.Store, eng *sim.Engine) *Router {
 	return &Router{
-		cfg:        cfg,
+		id:         id,
+		head:       head,
+		leases:     leases,
 		cl:         cl,
 		ring:       ring,
 		store:      store,
@@ -296,22 +287,22 @@ func (r *Router) AppID() msg.AppID { return RouterApp }
 // the head stays the sole death authority).
 func (r *Router) Boot(rt *smartnic.Runtime) {
 	r.rt = rt
-	if r.cfg.leases {
+	if r.leases {
 		if r.InRing() {
-			r.leaseUntil = r.eng.Now().Add(r.cfg.leaseDur)
+			r.leaseUntil = r.eng.Now().Add(DefaultLeaseDuration)
 		}
-		r.eng.Schedule(r.cfg.leaseRenew, (*leaseTick)(r))
-		if r.cfg.head == 0 {
-			r.eng.Schedule(r.cfg.failAfter/2, (*silence)(r))
+		r.eng.Schedule(DefaultLeaseRenewEvery, (*leaseTick)(r))
+		if r.head == 0 {
+			r.eng.Schedule(DefaultFailTimeout/2, (*silence)(r))
 		}
 	}
-	if r.cfg.head == 0 {
+	if r.head == 0 {
 		return
 	}
 	if r.isHead() {
-		r.eng.Schedule(r.cfg.failAfter/2, (*sweep)(r))
+		r.eng.Schedule(DefaultFailTimeout/2, (*sweep)(r))
 	} else {
-		r.eng.Schedule(r.cfg.hbEvery, (*heartbeat)(r))
+		r.eng.Schedule(DefaultHeartbeatEvery, (*heartbeat)(r))
 	}
 }
 
@@ -320,7 +311,7 @@ func (r *Router) Boot(rt *smartnic.Runtime) {
 // granularity by the network and the head.
 func (r *Router) PeerFailed(msg.DeviceID) {}
 
-func (r *Router) isHead() bool { return r.cfg.head != 0 && r.cfg.head == r.cfg.id }
+func (r *Router) isHead() bool { return r.head != 0 && r.head == r.id }
 
 // --- fleet-reconciliation surface (used by internal/reconcile) ---
 
@@ -328,10 +319,10 @@ func (r *Router) isHead() bool { return r.cfg.head != 0 && r.cfg.head == r.cfg.i
 func (r *Router) AttachControl(a ControlAgent) { r.ctrl = a }
 
 // ID returns the router's machine address.
-func (r *Router) ID() msg.DeviceID { return r.cfg.id }
+func (r *Router) ID() msg.DeviceID { return r.id }
 
 // Head returns the configured head machine (0 when decentralized).
-func (r *Router) Head() msg.DeviceID { return r.cfg.head }
+func (r *Router) Head() msg.DeviceID { return r.head }
 
 // Halted reports whether the machine has crash-stopped.
 func (r *Router) Halted() bool { return r.halted }
@@ -355,7 +346,7 @@ func (r *Router) TransferDone() bool {
 func (r *Router) RingMembers() []msg.DeviceID { return r.ring.Machines() }
 
 // InRing reports whether this machine is a member of its current ring.
-func (r *Router) InRing() bool { return memberOf(r.ring.machines, r.cfg.id) }
+func (r *Router) InRing() bool { return memberOf(r.ring.machines, r.id) }
 
 // Cordoned reports whether the machine is cordoned off client ingress.
 func (r *Router) Cordoned() bool { return r.cordoned }
@@ -391,7 +382,7 @@ func (r *Router) SendControl(dst msg.DeviceID, m msg.Message) {
 	if r.halted {
 		return
 	}
-	if dst == r.cfg.id {
+	if dst == r.id {
 		// Self-delivery: drain orders are mechanism (the decentralized
 		// actor must be able to cordon and rotate ITSELF out of the ring);
 		// everything else is policy traffic for the agent.
@@ -400,11 +391,11 @@ func (r *Router) SendControl(dst msg.DeviceID, m msg.Message) {
 			return
 		}
 		if r.ctrl != nil {
-			r.ctrl.OnControl(r.cfg.id, m)
+			r.ctrl.OnControl(r.id, m)
 		}
 		return
 	}
-	r.cl.net.Send(r.cfg.id, dst, r.epoch, m)
+	r.cl.net.Send(r.id, dst, r.epoch, m)
 }
 
 // ProposeRing broadcasts a RingConfig phase to every machine the view
@@ -416,14 +407,14 @@ func (r *Router) ProposeRing(ver uint32, phase uint8, members []msg.DeviceID) {
 		return
 	}
 	for _, id := range r.cl.MachineIDs() {
-		if id == r.cfg.id || r.dead[id] {
+		if id == r.id || r.dead[id] {
 			continue
 		}
-		r.cl.net.Send(r.cfg.id, id, r.epoch, &msg.RingConfig{
+		r.cl.net.Send(r.id, id, r.epoch, &msg.RingConfig{
 			Ver: ver, Phase: phase, Members: append([]msg.DeviceID(nil), members...),
 		})
 	}
-	r.applyRingConfig(r.cfg.id, &msg.RingConfig{Ver: ver, Phase: phase, Members: members})
+	r.applyRingConfig(r.id, &msg.RingConfig{Ver: ver, Phase: phase, Members: members})
 }
 
 func memberOf(ms []msg.DeviceID, id msg.DeviceID) bool {
@@ -446,7 +437,7 @@ func (r *Router) deadList() []msg.DeviceID { return r.deadSorted }
 
 // owners is the ring lookup under this router's view.
 func (r *Router) owners(key string) []msg.DeviceID {
-	return r.ring.Owners(key, r.dead, r.cfg.replicas)
+	return r.ring.Owners(key, r.dead, DefaultReplicas)
 }
 
 // ServeNetwork implements smartnic.App: one byte discriminates peer
@@ -499,7 +490,7 @@ func (r *Router) onClient(payload []byte, req *kvs.Request, reply func([]byte)) 
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 		return
 	}
-	if own[0] != r.cfg.id {
+	if own[0] != r.id {
 		r.stats.Remote++
 		r.forward(own[0], payload, reply, false)
 		return
@@ -518,18 +509,18 @@ func (r *Router) onClient(payload []byte, req *kvs.Request, reply func([]byte)) 
 // request leg transits the head).
 func (r *Router) forward(primary msg.DeviceID, payload []byte, reply func([]byte), rerouted bool) {
 	target := primary
-	if r.cfg.head != 0 && !r.isHead() {
-		target = r.cfg.head
+	if r.head != 0 && !r.isHead() {
+		target = r.head
 	}
 	r.nextReq++
 	p := &pendingReq{r: r, id: r.nextReq, target: primary, reply: reply, payload: payload, rerouted: rerouted}
 	r.pending[p.id] = p
-	p.tm.Arm(r.eng, r.cfg.opTimeout, p)
-	r.fwd = msg.FabricReq{Origin: r.cfg.id, ReqID: p.id, Payload: payload}
-	r.cl.net.Send(r.cfg.id, target, r.epoch, &r.fwd)
+	p.tm.Arm(r.eng, DefaultOpTimeout, p)
+	r.fwd = msg.FabricReq{Origin: r.id, ReqID: p.id, Payload: payload}
+	r.cl.net.Send(r.id, target, r.epoch, &r.fwd)
 }
 
-// Fire is the op timeout: nobody answered within opTimeout.
+// Fire is the op timeout: nobody answered within DefaultOpTimeout.
 func (p *pendingReq) Fire() {
 	r := p.r
 	if r.halted || r.pending[p.id] != p {
@@ -557,7 +548,7 @@ func (r *Router) onFrame(raw []byte) {
 	if err != nil {
 		return // a corrupt frame vanishes, like a bad checksum on a real wire
 	}
-	if r.cfg.leases {
+	if r.leases {
 		// Any inbound frame — even a duplicate — is proof the sender can
 		// reach us: feed the silence detector and clear directional
 		// transport suspicion.
@@ -574,10 +565,10 @@ func (r *Router) onFrame(raw []byte) {
 		// we hold dead gets a typed LeaseRevoke (carrying our dead set)
 		// instead of silence — the fenced machine provably observes why
 		// it lost its lease.
-		if ren, ok := env.Msg.(*msg.LeaseRenew); ok && r.cfg.leases {
+		if ren, ok := env.Msg.(*msg.LeaseRenew); ok && r.leases {
 			r.stats.LeaseRevokes++
 			r.revoke = msg.LeaseRevoke{Seq: ren.Seq, Dead: r.deadList()}
-			r.cl.net.Send(r.cfg.id, env.Src, r.epoch, &r.revoke)
+			r.cl.net.Send(r.id, env.Src, r.epoch, &r.revoke)
 		}
 		return
 	}
@@ -628,7 +619,7 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 	}
 	own := r.owners(string(key))
 	switch {
-	case len(own) > 0 && own[0] == r.cfg.id:
+	case len(own) > 0 && own[0] == r.id:
 		req, _ := kvs.DecodeRequest(m.Payload) // RequestKey accepted it
 		origin, id := m.Origin, m.ReqID
 		r.servePrimary(req, func(resp []byte) {
@@ -641,7 +632,7 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 		// authority partitioned away, the whole machine's typed answer is
 		// "fenced" — the contrast E21 measures against the decentralized
 		// flavor, where only the cut-off side stalls.
-		if r.cfg.leases && !r.leaseValid() {
+		if r.leases && !r.leaseValid() {
 			r.stats.LeaseFenced++
 			r.respond(m.Origin, m.ReqID, msg.FabricServed,
 				kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
@@ -649,7 +640,7 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 		}
 		r.stats.HeadRelayed++
 		r.fwd = msg.FabricReq{Origin: m.Origin, ReqID: m.ReqID, Hops: m.Hops + 1, Payload: m.Payload}
-		r.cl.net.Send(r.cfg.id, own[0], r.epoch, &r.fwd)
+		r.cl.net.Send(r.id, own[0], r.epoch, &r.fwd)
 	default:
 		// Not ours: tell the origin whom we think is dead so it can catch
 		// up and re-route.
@@ -661,7 +652,7 @@ func (r *Router) onFabricReq(m *msg.FabricReq) {
 // respond sends a FabricResp carrying this router's dead set as gossip.
 func (r *Router) respond(origin msg.DeviceID, id uint64, code uint8, resp []byte) {
 	r.resp = msg.FabricResp{ReqID: id, Code: code, Dead: r.deadList(), Payload: resp}
-	r.cl.net.Send(r.cfg.id, origin, r.epoch, &r.resp)
+	r.cl.net.Send(r.id, origin, r.epoch, &r.resp)
 }
 
 func (r *Router) onFabricResp(m *msg.FabricResp) {
@@ -683,7 +674,7 @@ func (r *Router) onFabricResp(m *msg.FabricResp) {
 		return
 	}
 	if key, err := kvs.RequestKey(p.payload); err == nil {
-		if own := r.owners(string(key)); len(own) > 0 && own[0] != r.cfg.id {
+		if own := r.owners(string(key)); len(own) > 0 && own[0] != r.id {
 			r.stats.Reroutes++
 			r.forward(own[0], p.payload, p.reply, true)
 			return
@@ -708,7 +699,7 @@ func (r *Router) onFabricResp(m *msg.FabricResp) {
 // takeover fence, and every refusal is typed (StatusFenced), never a
 // silent divergence.
 func (r *Router) servePrimary(req kvs.Request, reply func([]byte)) {
-	if r.cfg.leases && (!r.leaseValid() || r.keyFenced(req.Key)) {
+	if r.leases && (!r.leaseValid() || r.keyFenced(req.Key)) {
 		r.stats.LeaseFenced++
 		reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
 		return
@@ -735,7 +726,7 @@ func (r *Router) enqueue(t *writeTask) {
 		r.startTask(t)
 		return
 	}
-	if len(g.queue) >= r.cfg.writeBound {
+	if len(g.queue) >= DefaultWriteBound {
 		// Bounded pipeline: refuse rather than queue without limit.
 		r.stats.Shed++
 		if t.reply != nil {
@@ -792,13 +783,13 @@ func (r *Router) repTargets(key string) []msg.DeviceID {
 	own := r.owners(key)
 	out := make([]msg.DeviceID, 0, len(own))
 	for _, id := range own {
-		if id != r.cfg.id {
+		if id != r.id {
 			out = append(out, id)
 		}
 	}
 	if r.pendingRing != nil {
-		for _, id := range r.pendingRing.Owners(key, r.dead, r.cfg.replicas) {
-			if id != r.cfg.id && !memberOf(out, id) {
+		for _, id := range r.pendingRing.Owners(key, r.dead, DefaultReplicas) {
+			if id != r.id && !memberOf(out, id) {
 				out = append(out, id)
 			}
 		}
@@ -835,12 +826,12 @@ func (r *Router) replicate(t *writeTask) {
 	}
 	r.rep = msg.Replicate{Epoch: r.epoch, Seq: t.seq, Del: t.del, Sync: t.sync, Key: t.key, Value: t.value}
 	for _, b := range t.targets {
-		r.cl.net.Send(r.cfg.id, b, r.epoch, &r.rep)
+		r.cl.net.Send(r.id, b, r.epoch, &r.rep)
 	}
-	t.tm.Arm(r.eng, r.cfg.repRetry, t)
+	t.tm.Arm(r.eng, DefaultRepRetry, t)
 }
 
-// Fire is the retransmit timer: not every target acked within repRetry.
+// Fire is the retransmit timer: not every target acked within DefaultRepRetry.
 // Retransmit under the current view — a backup may have changed or
 // vanished since the last attempt.
 func (t *writeTask) Fire() { t.r.replicate(t) }
@@ -881,7 +872,7 @@ func (r *Router) onReplicate(src msg.DeviceID, m *msg.Replicate) {
 
 func (r *Router) sendAck(to msg.DeviceID, seq uint64, ok bool) {
 	r.ack = msg.ReplicateAck{Seq: seq, OK: ok, Epoch: r.epoch, Dead: r.deadList()}
-	r.cl.net.Send(r.cfg.id, to, r.epoch, &r.ack)
+	r.cl.net.Send(r.id, to, r.epoch, &r.ack)
 }
 
 func (r *Router) onReplicateAck(src msg.DeviceID, m *msg.ReplicateAck) {
@@ -958,7 +949,7 @@ func (r *Router) noteUnreachable(dst msg.DeviceID) {
 	if r.halted {
 		return
 	}
-	if r.cfg.leases {
+	if r.leases {
 		// Directional suspicion: failing to reach dst proves only that
 		// the forward path is broken — dst may be healthy and still
 		// hearing us (asymmetric cut), or merely slow. Record the
@@ -974,7 +965,7 @@ func (r *Router) noteUnreachable(dst msg.DeviceID) {
 		}
 		return
 	}
-	if r.cfg.head != 0 && !r.isHead() {
+	if r.head != 0 && !r.isHead() {
 		return
 	}
 	r.noteDead("unreachable", dst)
@@ -989,7 +980,7 @@ func (r *Router) noteDead(why string, ids ...msg.DeviceID) {
 	}
 	fresh := make([]msg.DeviceID, 0, len(ids))
 	for _, id := range ids {
-		if id != r.cfg.id && !r.dead[id] {
+		if id != r.id && !r.dead[id] {
 			r.dead[id] = true
 			fresh = append(fresh, id)
 		}
@@ -1014,9 +1005,9 @@ func (r *Router) noteDead(why string, ids ...msg.DeviceID) {
 	}
 	r.stats.ViewChanges++
 	r.recalcEpoch()
-	r.cl.tracef("m%d view epoch=%d dead=%v (%s)", r.cfg.id, r.epoch, r.deadList(), why)
+	r.cl.tracef("m%d view epoch=%d dead=%v (%s)", r.id, r.epoch, r.deadList(), why)
 
-	if r.cfg.leases {
+	if r.leases {
 		// Takeover fence: record the view this change replaced. Any key
 		// whose primary differs between a recent-past view and now is
 		// refused (typed, StatusFenced) until every lease the deposed
@@ -1067,11 +1058,11 @@ func (r *Router) failPendingTo(died []msg.DeviceID) {
 // every key reaches a full live replica set again.
 func (r *Router) resyncAfter(prevDead map[msg.DeviceID]bool) {
 	for _, key := range r.store.KeyList() {
-		now := r.ring.Owners(key, r.dead, r.cfg.replicas)
-		if len(now) == 0 || now[0] != r.cfg.id {
+		now := r.ring.Owners(key, r.dead, DefaultReplicas)
+		if len(now) == 0 || now[0] != r.id {
 			continue
 		}
-		was := r.ring.Owners(key, prevDead, r.cfg.replicas)
+		was := r.ring.Owners(key, prevDead, DefaultReplicas)
 		if ownersEqual(was, now) {
 			continue
 		}
@@ -1096,10 +1087,10 @@ func ownersEqual(a, b []msg.DeviceID) bool {
 func (r *Router) broadcastView() {
 	dead := r.deadList()
 	for _, id := range r.cl.MachineIDs() {
-		if id == r.cfg.id || r.dead[id] {
+		if id == r.id || r.dead[id] {
 			continue
 		}
-		r.cl.net.Send(r.cfg.id, id, r.epoch, &msg.RingUpdate{Epoch: r.epoch, Dead: dead})
+		r.cl.net.Send(r.id, id, r.epoch, &msg.RingUpdate{Epoch: r.epoch, Dead: dead})
 	}
 }
 
@@ -1136,14 +1127,14 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		if len(m.Members) == 0 || (r.pendingRing != nil && m.Ver <= r.pendingVer) {
 			return
 		}
-		joining := !r.InRing() && memberOf(m.Members, r.cfg.id)
+		joining := !r.InRing() && memberOf(m.Members, r.id)
 		r.pendingVer = m.Ver
 		r.pendingMembers = append([]msg.DeviceID(nil), m.Members...)
-		r.pendingRing = NewRing(m.Members, r.cfg.vnodes)
+		r.pendingRing = NewRing(m.Members, DefaultVnodes)
 		r.pendingFrom = src
 		r.xferReported = false
 		r.stats.RingStaged++
-		r.cl.tracef("m%d ring stage v%d members=%v", r.cfg.id, m.Ver, m.Members)
+		r.cl.tracef("m%d ring stage v%d members=%v", r.id, m.Ver, m.Members)
 		r.startXfer()
 		if joining {
 			// Joining: wipe whatever a previous ring stint left behind
@@ -1173,12 +1164,12 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		if len(members) == 0 {
 			return
 		}
-		r.ring = NewRing(members, r.cfg.vnodes)
+		r.ring = NewRing(members, DefaultVnodes)
 		r.ringVer = m.Ver
 		r.clearPending()
 		r.recalcEpoch()
 		r.stats.RingCommits++
-		r.cl.tracef("m%d ring commit v%d members=%v epoch=%d", r.cfg.id, m.Ver, members, r.epoch)
+		r.cl.tracef("m%d ring commit v%d members=%v epoch=%d", r.id, m.Ver, members, r.epoch)
 		r.purgeKeys(r.store.KeyList(), r.keepOwned, nil)
 	case msg.RingAbort:
 		if r.pendingRing == nil || m.Ver != r.pendingVer {
@@ -1186,7 +1177,7 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		}
 		r.clearPending()
 		r.stats.RingAborts++
-		r.cl.tracef("m%d ring abort v%d", r.cfg.id, m.Ver)
+		r.cl.tracef("m%d ring abort v%d", r.id, m.Ver)
 		r.purgeKeys(r.store.KeyList(), r.keepOwned, nil)
 	}
 }
@@ -1208,10 +1199,10 @@ func (r *Router) startXfer() {
 	count := 0
 	for _, key := range r.store.KeyList() {
 		cur := r.owners(key)
-		if len(cur) == 0 || cur[0] != r.cfg.id {
+		if len(cur) == 0 || cur[0] != r.id {
 			continue
 		}
-		if ownersEqual(cur, r.pendingRing.Owners(key, r.dead, r.cfg.replicas)) {
+		if ownersEqual(cur, r.pendingRing.Owners(key, r.dead, DefaultReplicas)) {
 			continue
 		}
 		count++
@@ -1230,7 +1221,7 @@ func (r *Router) xferCheck() {
 	r.xferReported = true
 	rep := r.Conditions()
 	rep.TransferVer = r.pendingVer
-	r.cl.tracef("m%d ring xfer done v%d", r.cfg.id, r.pendingVer)
+	r.cl.tracef("m%d ring xfer done v%d", r.id, r.pendingVer)
 	r.SendControl(r.pendingFrom, rep)
 }
 
@@ -1242,7 +1233,7 @@ func (r *Router) onDrain(m *msg.Drain) {
 		if !r.cordoned {
 			r.cordoned = true
 			r.stats.Cordons++
-			r.cl.tracef("m%d cordoned", r.cfg.id)
+			r.cl.tracef("m%d cordoned", r.id)
 		}
 	case msg.DrainUncordon:
 		r.cordoned = false
@@ -1252,8 +1243,8 @@ func (r *Router) onDrain(m *msg.Drain) {
 		}
 		r.upgradeTo = m.ConfigVersion
 		r.stats.Upgrades++
-		r.cl.tracef("m%d upgrading to conf v%d", r.cfg.id, r.upgradeTo)
-		r.eng.Schedule(r.cfg.upgradeDelay, (*upgradeDone)(r))
+		r.cl.tracef("m%d upgrading to conf v%d", r.id, r.upgradeTo)
+		r.eng.Schedule(DefaultUpgradeDelay, (*upgradeDone)(r))
 	}
 }
 
@@ -1268,7 +1259,7 @@ func (e *upgradeDone) Fire() {
 		return
 	}
 	r.confVer, r.upgradeTo = r.upgradeTo, 0
-	r.cl.tracef("m%d upgraded to conf v%d", r.cfg.id, r.confVer)
+	r.cl.tracef("m%d upgraded to conf v%d", r.id, r.confVer)
 }
 
 // keepOwned keeps a key after a ring adoption iff this machine still
@@ -1280,7 +1271,7 @@ func (r *Router) keepOwned(key string) bool {
 	if r.gates[key] != nil {
 		return true
 	}
-	return memberOf(r.owners(key), r.cfg.id)
+	return memberOf(r.owners(key), r.id)
 }
 
 // purgeKeys deletes the listed keys from the local store, skipping
@@ -1319,12 +1310,12 @@ func (e *heartbeat) Fire() {
 		return
 	}
 	r.hbSeq++
-	r.cl.net.Send(r.cfg.id, r.cfg.head, r.epoch, &msg.Heartbeat{Seq: r.hbSeq})
-	r.eng.Schedule(r.cfg.hbEvery, e)
+	r.cl.net.Send(r.id, r.head, r.epoch, &msg.Heartbeat{Seq: r.hbSeq})
+	r.eng.Schedule(DefaultHeartbeatEvery, e)
 }
 
 // sweep is the head's staleness sweep: a machine whose heartbeat is older
-// than failAfter is declared dead and the view broadcast.
+// than DefaultFailTimeout is declared dead and the view broadcast.
 type sweep Router
 
 func (e *sweep) Fire() {
@@ -1335,18 +1326,18 @@ func (e *sweep) Fire() {
 	now := r.eng.Now()
 	var stale []msg.DeviceID
 	for _, id := range r.cl.MachineIDs() {
-		if id == r.cfg.id || r.dead[id] {
+		if id == r.id || r.dead[id] {
 			continue
 		}
 		last, beaten := r.lastBeat[id]
-		if beaten && now.Sub(last) > r.cfg.failAfter {
+		if beaten && now.Sub(last) > DefaultFailTimeout {
 			stale = append(stale, id)
 		}
 	}
 	if len(stale) > 0 {
 		r.noteDead("heartbeat", stale...)
 	}
-	r.eng.Schedule(r.cfg.failAfter/2, e)
+	r.eng.Schedule(DefaultFailTimeout/2, e)
 }
 
 // --- epoch leases (Config.Leases) ---
@@ -1354,14 +1345,15 @@ func (e *sweep) Fire() {
 // The split-brain defense. A machine serves as primary (or acts as the
 // reconcile actor) only while holding a lease countersigned by a quorum
 // — a majority of the full ring membership, counting itself — within
-// the last leaseDur of virtual time. Two disjoint majorities cannot
-// exist, so two machines cannot hold live leases under contradictory
-// membership views: the side of a partition that cannot assemble a
-// quorum loses its lease within leaseDur and refuses every client op
-// with StatusFenced. Renewal runs every leaseRenew; since grantors stop
-// countersigning the moment their view declares the holder dead (and
-// dead sets never shrink), a deposed primary's authority dies no later
-// than leaseDur after its last quorum.
+// the last DefaultLeaseDuration of virtual time. Two disjoint
+// majorities cannot exist, so two machines cannot hold live leases
+// under contradictory membership views: the side of a partition that
+// cannot assemble a quorum loses its lease within DefaultLeaseDuration
+// and refuses every client op with StatusFenced. Renewal runs every
+// DefaultLeaseRenewEvery; since grantors stop countersigning the moment
+// their view declares the holder dead (and dead sets never shrink), a
+// deposed primary's authority dies no later than DefaultLeaseDuration
+// after its last quorum.
 
 // leaseQuorum is a majority of the full ring membership. The membership
 // (not the live view) is the electorate: a machine that declares
@@ -1372,7 +1364,7 @@ func (r *Router) leaseQuorum() int { return len(r.ring.machines)/2 + 1 }
 // quorum-countersigned lease. With leases disabled it is always true —
 // the gate compiles away and every earlier experiment is untouched.
 func (r *Router) leaseValid() bool {
-	if !r.cfg.leases {
+	if !r.leases {
 		return true
 	}
 	return r.InRing() && r.eng.Now() < r.leaseUntil
@@ -1391,16 +1383,16 @@ type viewSnap struct {
 }
 
 // keyFenced reports whether key sits behind a still-live takeover
-// fence: the view in effect leaseDur+failAfter ago named a different
-// primary, and that primary may still hold a lease granted under it
-// (one gossip round for its last grantor to learn of the death, ≤
-// failAfter, plus the lease itself). The check consults the view
+// fence: the view in effect DefaultLeaseDuration+DefaultFailTimeout ago
+// named a different primary, and that primary may still hold a lease
+// granted under it (one gossip round for its last grantor to learn of
+// the death, ≤ DefaultFailTimeout, plus the lease itself). The check consults the view
 // history rather than a per-key map so that keys promoted WITHOUT a
 // local replica are fenced too. Dead sets only grow, so a machine that
 // was primary for a key at the window's start stays primary through
 // now — checking the single view at the cutoff covers the whole window.
 func (r *Router) keyFenced(key string) bool {
-	cutoff := r.eng.Now().Add(-(r.cfg.leaseDur + r.cfg.failAfter))
+	cutoff := r.eng.Now().Add(-(DefaultLeaseDuration + DefaultFailTimeout))
 	// Views replaced at or before the cutoff can never fence again (the
 	// cutoff only advances); drop them.
 	for len(r.views) > 0 && r.views[0].until <= cutoff {
@@ -1410,13 +1402,13 @@ func (r *Router) keyFenced(key string) bool {
 		return false
 	}
 	v := r.views[0] // the view in effect at the cutoff instant
-	was := v.ring.Owners(key, v.dead, r.cfg.replicas)
-	return len(was) > 0 && was[0] != r.cfg.id
+	was := v.ring.Owners(key, v.dead, DefaultReplicas)
+	return len(was) > 0 && was[0] != r.id
 }
 
 // KeyFenced is the exported takeover-fence probe (E21 split-brain audit).
 func (r *Router) KeyFenced(key string) bool {
-	if !r.cfg.leases {
+	if !r.leases {
 		return false
 	}
 	return r.keyFenced(key)
@@ -1429,7 +1421,7 @@ func (r *Router) KeyFenced(key string) bool {
 // than one is a split brain.
 func (r *Router) PrimaryFor(key string) bool {
 	own := r.owners(key)
-	return len(own) > 0 && own[0] == r.cfg.id
+	return len(own) > 0 && own[0] == r.id
 }
 
 // Suspects returns the directionally-suspected peers (sorted; test and
@@ -1452,7 +1444,7 @@ func (e *leaseTick) Fire() {
 		return
 	}
 	r.renewLease()
-	r.eng.Schedule(r.cfg.leaseRenew, e)
+	r.eng.Schedule(DefaultLeaseRenewEvery, e)
 }
 
 // renewLease starts one countersigning round: a fresh Seq, a self-grant,
@@ -1469,8 +1461,8 @@ func (r *Router) renewLease() {
 	r.leaseSeq++
 	r.stats.LeaseRenews++
 	clear(r.leaseRound)
-	r.leaseRound[r.cfg.id] = true
-	until := r.eng.Now().Add(r.cfg.leaseDur)
+	r.leaseRound[r.id] = true
+	until := r.eng.Now().Add(DefaultLeaseDuration)
 	if len(r.leaseRound) >= r.leaseQuorum() {
 		// Single-member ring: the self-grant is the quorum.
 		r.extendLease(until)
@@ -1478,10 +1470,10 @@ func (r *Router) renewLease() {
 	}
 	r.renew = msg.LeaseRenew{Seq: r.leaseSeq, Until: uint64(until)}
 	for _, id := range r.ring.machines {
-		if id == r.cfg.id || r.dead[id] {
+		if id == r.id || r.dead[id] {
 			continue
 		}
-		r.cl.net.Send(r.cfg.id, id, r.epoch, &r.renew)
+		r.cl.net.Send(r.id, id, r.epoch, &r.renew)
 	}
 }
 
@@ -1497,7 +1489,7 @@ func (r *Router) extendLease(until sim.Time) {
 func (r *Router) onLeaseRenew(src msg.DeviceID, m *msg.LeaseRenew) {
 	r.stats.LeaseGrants++
 	r.grant = msg.LeaseGrant{Seq: m.Seq, Until: m.Until}
-	r.cl.net.Send(r.cfg.id, src, r.epoch, &r.grant)
+	r.cl.net.Send(r.id, src, r.epoch, &r.grant)
 }
 
 func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
@@ -1512,8 +1504,8 @@ func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
 
 // silence is the decentralized inbound-silence failure detector.
 // The lease renewal chatter guarantees every pair of ring members
-// periodic traffic, so "I have heard nothing from p for failAfter" is
-// meaningful evidence — and unlike a transport-level send failure it
+// periodic traffic, so "I have heard nothing from p for
+// DefaultFailTimeout" is meaningful evidence — and unlike a transport-level send failure it
 // measures the direction that matters for death: whether p can still
 // reach us. Directionally-suspected peers (we failed to reach them) get
 // half the patience: two independent signals, outbound failure plus
@@ -1529,7 +1521,7 @@ func (e *silence) Fire() {
 		now := r.eng.Now()
 		var silent []msg.DeviceID
 		for _, id := range r.ring.machines {
-			if id == r.cfg.id || r.dead[id] {
+			if id == r.id || r.dead[id] {
 				continue
 			}
 			last, heard := r.lastHeard[id]
@@ -1545,7 +1537,7 @@ func (e *silence) Fire() {
 				// silence verdict then reaches us as view gossip.
 				continue
 			}
-			patience := r.cfg.failAfter
+			patience := DefaultFailTimeout
 			if r.suspects[id] {
 				patience /= 2
 			}
@@ -1564,5 +1556,5 @@ func (e *silence) Fire() {
 			r.broadcastView()
 		}
 	}
-	r.eng.Schedule(r.cfg.failAfter/2, e)
+	r.eng.Schedule(DefaultFailTimeout/2, e)
 }

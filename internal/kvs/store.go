@@ -46,8 +46,6 @@ type Config struct {
 	QueueEntries uint16
 	// IndexCost models the NIC-local hash-table probe/update time.
 	IndexCost sim.Duration
-	// RetryEvery paces reconnection attempts after a provider failure.
-	RetryEvery sim.Duration
 	// KickBatch batches request doorbells on the store's virtqueue (E9
 	// ablation; 0/1 = kick per request).
 	KickBatch int
@@ -77,6 +75,9 @@ type Config struct {
 
 // DefaultIndexCost models an on-NIC hash probe.
 const DefaultIndexCost = 150 * sim.Nanosecond
+
+// retryEvery paces reconnection attempts after a provider failure.
+const retryEvery = 500 * sim.Microsecond
 
 // loc addresses a value inside the data file.
 type loc struct {
@@ -156,9 +157,6 @@ func New(cfg Config) *Store {
 	}
 	if cfg.IndexCost == 0 {
 		cfg.IndexCost = DefaultIndexCost
-	}
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 500 * sim.Microsecond
 	}
 	s := &Store{cfg: cfg, index: make(map[string]loc), tenInflight: make(map[tenant.ID]int)}
 	s.inflightG = metrics.NewGauge(cfg.InflightBound)
@@ -296,7 +294,7 @@ func (s *Store) finishConnect() {
 }
 
 func (s *Store) scheduleReconnect() {
-	s.rt.Engine().Schedule(s.cfg.RetryEvery, &reconnect{s: s, epoch: s.epoch})
+	s.rt.Engine().Schedule(retryEvery, &reconnect{s: s, epoch: s.epoch})
 }
 
 // reconnect is a reconnection attempt; a store that came up or was reset (a

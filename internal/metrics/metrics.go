@@ -144,10 +144,9 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return h.max
 }
 
-// P50, P99, P999 are convenience quantiles.
-func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
-func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
-func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }
+// P50 and P99 are convenience quantiles.
+func (h *Histogram) P50() sim.Duration { return h.Quantile(0.50) }
+func (h *Histogram) P99() sim.Duration { return h.Quantile(0.99) }
 
 // Merge adds all samples from other into h.
 func (h *Histogram) Merge(other *Histogram) {
@@ -267,13 +266,6 @@ func (g *Gauge) Set(v int) {
 
 // Inc adds one to the current depth.
 func (g *Gauge) Inc() { g.Set(g.cur + 1) }
-
-// Dec subtracts one from the current depth (floored at 0).
-func (g *Gauge) Dec() {
-	if g.cur > 0 {
-		g.cur--
-	}
-}
 
 // Cur returns the current depth.
 func (g *Gauge) Cur() int { return g.cur }

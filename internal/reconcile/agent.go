@@ -72,7 +72,7 @@ func (a *Agent) adoptSpec(s Spec) {
 // arm schedules the next tick. A halted machine's agent simply never
 // rearms — crash-stop silences policy and mechanism together.
 func (a *Agent) arm() {
-	a.fl.cl.Eng.Schedule(a.fl.cfg.ReconcileEvery, (*tick)(a))
+	a.fl.cl.Eng.Schedule(DefaultReconcileEvery, (*tick)(a))
 }
 
 // tick is the agent as the event of its reconcile tick (a pointer

@@ -43,7 +43,7 @@ import (
 	"nocpu/internal/sim"
 )
 
-// Control-loop tuning defaults.
+// Control-loop timings.
 const (
 	// DefaultReconcileEvery is the agent tick: condition reports flow and
 	// the actor re-derives its next action at this cadence.
@@ -84,10 +84,6 @@ type Spec struct {
 type Config struct {
 	// Spec is the initial declared state (Ver defaults to 1).
 	Spec Spec
-	// ReconcileEvery / ProbeEvery / Bound default to the constants above.
-	ReconcileEvery sim.Duration
-	ProbeEvery     sim.Duration
-	Bound          sim.Duration
 }
 
 // Stats aggregates every agent's reconcile activity.
@@ -147,8 +143,7 @@ func (r Report) MaxWindow() sim.Duration {
 // oracle plus the operator's spec store; all reconciliation decisions
 // happen inside the per-machine agents.
 type Fleet struct {
-	cl  *fabric.Cluster
-	cfg Config
+	cl *fabric.Cluster
 
 	agents []*Agent
 	spec   Spec
@@ -170,15 +165,6 @@ type Fleet struct {
 // which every machine can read at boot; later changes still propagate
 // via SpecGossip so late observers converge).
 func Attach(cl *fabric.Cluster, cfg Config) *Fleet {
-	if cfg.ReconcileEvery == 0 {
-		cfg.ReconcileEvery = DefaultReconcileEvery
-	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = DefaultProbeEvery
-	}
-	if cfg.Bound == 0 {
-		cfg.Bound = DefaultBound
-	}
 	if cfg.Spec.Ver == 0 {
 		cfg.Spec.Ver = 1
 	}
@@ -188,7 +174,7 @@ func Attach(cl *fabric.Cluster, cfg Config) *Fleet {
 	if cfg.Spec.ConfigVersion == 0 {
 		cfg.Spec.ConfigVersion = 1
 	}
-	f := &Fleet{cl: cl, cfg: cfg, spec: cfg.Spec}
+	f := &Fleet{cl: cl, spec: cfg.Spec}
 	for _, m := range cl.Machines {
 		a := newAgent(f, m.Router)
 		a.spec = f.spec
@@ -282,7 +268,7 @@ func (f *Fleet) Converged() bool {
 // armProbe runs the audit loop: close divergence windows on
 // convergence, and sample the C3 budget. The probe is an outside
 // observer — it never feeds back into the agents.
-func (f *Fleet) armProbe() { f.cl.Eng.Schedule(f.cfg.ProbeEvery, (*probe)(f)) }
+func (f *Fleet) armProbe() { f.cl.Eng.Schedule(DefaultProbeEvery, (*probe)(f)) }
 
 // probe is the fleet as the event of one audit sample.
 type probe Fleet
@@ -371,13 +357,13 @@ func (f *Fleet) Report() Report {
 		SpecVer:        f.spec.Ver,
 	}
 	for _, w := range rep.Windows {
-		if w > f.cfg.Bound {
+		if w > DefaultBound {
 			rep.C1Violations++
 		}
 	}
 	now := f.cl.Eng.Now()
 	for _, at := range f.open {
-		if now.Sub(at) > f.cfg.Bound {
+		if now.Sub(at) > DefaultBound {
 			rep.C1Violations++
 		}
 	}

@@ -47,9 +47,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Micros returns the duration in (possibly fractional) microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // Add returns t+d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nocpu/internal/device"
+	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/virtio"
 )
@@ -50,6 +51,45 @@ func serviceOn(f *File) (*SSD, virtio.Service) {
 
 func rawReq(op FileOp, off uint64, n uint32, data []byte) []byte {
 	return EncodeFileReq(FileReq{Op: op, Off: off, Len: n, Data: data})
+}
+
+// The file service's two name forms: "file:<name>" matches and admits only
+// a file the volume holds, "file+create:<name>" matches any volume and
+// creates a missing file on open. Through a device a missing "file:" name
+// already fails discovery and the service lookup (smartnic's
+// TestOpenUnknownFileFails); admit's own refusal is reached here.
+func TestFileServiceAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		query   string
+		file    string
+		match   bool
+		refusal string // "" = admitted
+	}{
+		{"file:ghost.dat", "ghost.dat", false, "no such file"},
+		{"file+create:ghost.dat", "ghost.dat", true, ""},
+		{"file:kv.dat", "kv.dat", true, ""},
+	} {
+		t.Run(tc.query, func(t *testing.T) {
+			eng, fs := fsWorld(t)
+			mustCreate(t, eng, fs, "kv.dat")
+			s := &SSD{fs: fs, ready: true}
+			s.files = &fileService{ssd: s}
+			if got := s.files.Match(tc.query); got != tc.match {
+				t.Errorf("Match = %v, want %v", got, tc.match)
+			}
+			f, refusal := s.admit(0, &msg.OpenReq{Service: tc.query})
+			eng.Run()
+			if refusal != tc.refusal {
+				t.Fatalf("admit refusal = %q, want %q", refusal, tc.refusal)
+			}
+			if (f != nil) != (tc.refusal == "") {
+				t.Fatalf("admit file = %v with refusal %q", f, refusal)
+			}
+			if _, exists := fs.Lookup(tc.file); exists != (tc.refusal == "") {
+				t.Errorf("%s exists = %v after admit", tc.file, exists)
+			}
+		})
+	}
 }
 
 // An OpWrite whose offset wraps used to wedge its descriptor pair for the

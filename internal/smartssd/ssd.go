@@ -18,9 +18,7 @@ type Config struct {
 	Device   device.Config
 	Geometry FlashGeometry
 	Timing   FlashTiming
-	// OPRatio is the FTL over-provisioning fraction.
-	OPRatio float64
-	FS      FSConfig
+	FS       FSConfig
 	// CellSize is the virtqueue buffer cell the file service uses.
 	CellSize int
 	// Tokens maps file names to required open tokens (§3 step 3 and the
@@ -29,12 +27,13 @@ type Config struct {
 	Tokens map[string]uint64
 	// LoaderToken authenticates LoadReq image uploads (§2.1, §4).
 	LoaderToken uint64
-	// CreateOnOpen makes the file service create missing files on open.
-	CreateOnOpen bool
 	// NotifyBatch sets used-ring notification batching on the file
 	// service's endpoints (E9 ablation; 0/1 = notify per completion).
 	NotifyBatch int
 }
+
+// ftlOPRatio is the FTL over-provisioning fraction.
+const ftlOPRatio = 0.125
 
 // SSD is the smart SSD device.
 type SSD struct {
@@ -62,9 +61,6 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.Timing.Read == 0 {
 		cfg.Timing = DefaultTiming
 	}
-	if cfg.OPRatio == 0 {
-		cfg.OPRatio = 0.125
-	}
 	if cfg.CellSize == 0 {
 		cfg.CellSize = 4096 + RespHeaderBytes + ReqHeaderBytes
 	}
@@ -75,7 +71,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	}
 	s := &SSD{dev: d, cfg: cfg}
 	s.flash = newFlash(eng, cfg.Geometry, cfg.Timing)
-	s.ftl = newFTL(eng, s.flash, cfg.OPRatio)
+	s.ftl = newFTL(eng, s.flash, ftlOPRatio)
 	s.fs = newFS(s.ftl, cfg.FS)
 
 	s.files = &fileService{ssd: s, Sessions: device.Sessions[*File]{
@@ -218,9 +214,8 @@ type fileService struct {
 func (fs *fileService) Name() string { return "file" }
 
 // Match answers discovery queries and session names. Two name forms:
-// "file:<name>" matches files present on the volume (or any name when
-// CreateOnOpen is set); "file+create:<name>" matches any storage volume
-// and creates the file on open if missing.
+// "file:<name>" matches files present on the volume; "file+create:<name>"
+// matches any storage volume and creates the file on open if missing.
 func (fs *fileService) Match(query string) bool {
 	if !fs.ssd.ready {
 		return false
@@ -231,9 +226,6 @@ func (fs *fileService) Match(query string) bool {
 	name, ok := strings.CutPrefix(query, "file:")
 	if !ok {
 		return false
-	}
-	if fs.ssd.cfg.CreateOnOpen {
-		return true
 	}
 	_, exists := fs.ssd.fs.Lookup(name)
 	return exists
@@ -259,7 +251,7 @@ func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (*File, string) {
 	}
 	f, exists := s.fs.Lookup(name)
 	if !exists {
-		if !s.cfg.CreateOnOpen && !createRequested {
+		if !createRequested {
 			return nil, "no such file"
 		}
 		// Create synchronously in metadata; persistence trails behind.

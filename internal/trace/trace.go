@@ -22,13 +22,14 @@ type Event struct {
 	Detail string
 }
 
-// String renders the event as one sequence-diagram line.
+// String renders the event as one sequence-diagram line, with no
+// trailing blanks when the detail is empty.
 func (e Event) String() string {
 	arrow := "->"
 	if e.Dst == "" {
 		arrow = "  "
 	}
-	return fmt.Sprintf("%12v  %-12s %s %-12s %-22s %s", e.At, e.Src, arrow, e.Dst, e.Kind, e.Detail)
+	return strings.TrimRight(fmt.Sprintf("%12v  %-12s %s %-12s %-22s %s", e.At, e.Src, arrow, e.Dst, e.Kind, e.Detail), " ")
 }
 
 // Tracer accumulates events. A nil *Tracer is valid and records nothing,

@@ -64,10 +64,6 @@ func RingBytes(n uint16) int {
 // DataBytes returns the size of the buffer-cell region.
 func (l Layout) DataBytes() int { return int(l.Entries) * l.CellSize }
 
-// TotalBytes returns the whole shared-memory footprint of the queue when
-// the data region directly follows the ring area.
-func (l Layout) TotalBytes() int { return RingBytes(l.Entries) + l.DataBytes() }
-
 func align4(n int) int { return (n + 3) &^ 3 }
 
 // Validate checks structural invariants.
