@@ -69,7 +69,7 @@ fuzz:
 # failure reproduces bit-for-bit.
 #
 # chaos: the E15 crash schedules on every machine flavor, the campaign
-# client's unit tests, and the chaos ledger/schedule unit tests.
+# client's unit tests, and the chaos ledger and plan-compile unit tests.
 chaos:
 	$(GO) test -race -run 'TestE15|TestCampaignClient' ./internal/exp
 	$(GO) test -race ./internal/chaos
@@ -145,4 +145,5 @@ lines:
 	printf '%-42s %6d\n' 'centralos.go' $$(count internal/centralos/centralos.go); \
 	printf '%-42s %6d\n' 'sim engine+server' $$(count internal/sim/engine.go internal/sim/server.go); \
 	printf '%-42s %6d\n' 'msg+lint/wireproto.go' $$(count internal/msg internal/lint/wireproto.go); \
+	printf '%-42s %6d\n' 'exp+chaos+overload+faultinject+netsim' $$(count internal/exp internal/chaos internal/overload internal/faultinject internal/netsim); \
 	printf '%-42s %6d\n' 'internal/+cmd/' $$(count internal cmd)

@@ -40,9 +40,6 @@ func newBenchRig(b *testing.B, opts core.Options, kvsOpts core.KVSOptions) *benc
 	if err := sys.CreateFile("kv.dat", nil); err != nil {
 		b.Fatal(err)
 	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
 	if kvsOpts.File == "" {
 		kvsOpts.File = "kv.dat"
 	}
@@ -102,9 +99,6 @@ func runInitIterations(b *testing.B, opts core.Options, mode kvs.Mode, refreshEv
 		if err := s.CreateFile("kv.dat", nil); err != nil {
 			b.Fatal(err)
 		}
-		if s.CPU != nil {
-			s.CPU.RegisterFile("kv.dat", core.FirstSSD)
-		}
 		sys, nextID = s, 1
 	}
 	rebuild()
@@ -116,12 +110,7 @@ func runInitIterations(b *testing.B, opts core.Options, mode kvs.Mode, refreshEv
 			rebuild()
 			b.StartTimer()
 		}
-		cfg := kvs.Config{App: nextID, FileName: "kv.dat", QueueEntries: 32, Mode: mode}
-		if mode == kvs.ModeDecentralized {
-			cfg.Memctrl = core.ControlID
-		} else {
-			cfg.Kernel = core.ControlID
-		}
+		cfg := kvs.Config{App: nextID, FileName: "kv.dat", QueueEntries: 32, Mode: mode, Control: core.ControlID}
 		nextID++
 		st := kvs.New(cfg)
 		ready := false
@@ -206,9 +195,6 @@ func BenchmarkE3SetupScalability(b *testing.B) {
 				if err := s.CreateFile("kv.dat", nil); err != nil {
 					b.Fatal(err)
 				}
-				if s.CPU != nil {
-					s.CPU.RegisterFile("kv.dat", core.FirstSSD)
-				}
 				sys, nextID = s, 1
 			}
 			rebuild()
@@ -224,11 +210,9 @@ func BenchmarkE3SetupScalability(b *testing.B) {
 				ready := 0
 				t0 := sys.Eng.Now()
 				for j := 0; j < batch; j++ {
-					cfg := kvs.Config{App: nextID, FileName: "kv.dat", QueueEntries: 16}
+					cfg := kvs.Config{App: nextID, FileName: "kv.dat", QueueEntries: 16, Control: core.ControlID}
 					if flavor == core.Centralized {
-						cfg.Mode, cfg.Kernel = kvs.ModeCentralDirect, core.ControlID
-					} else {
-						cfg.Memctrl = core.ControlID
+						cfg.Mode = kvs.ModeCentralDirect
 					}
 					nextID++
 					st := kvs.New(cfg)

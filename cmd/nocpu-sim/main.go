@@ -48,9 +48,6 @@ func main() {
 	if err := sys.CreateFile("kv.dat", nil); err != nil {
 		log.Fatal(err)
 	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
 	store := sys.NewKVS(core.KVSOptions{App: 1, File: "kv.dat", Mediated: mediated})
 	if err := sys.WaitReady(store); err != nil {
 		log.Fatal(err)

@@ -29,9 +29,6 @@ func runFlavor(flavor core.Flavor, mediated bool) netsim.Stats {
 	if err := sys.CreateFile("kv.dat", nil); err != nil {
 		log.Fatal(err)
 	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
 	store := sys.NewKVS(core.KVSOptions{App: 1, File: "kv.dat", Mediated: mediated, QueueEntries: 128})
 	if err := sys.WaitReady(store); err != nil {
 		log.Fatal(err)

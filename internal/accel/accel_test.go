@@ -38,7 +38,7 @@ func newWorld(t *testing.T) *world {
 func newWorldCosts(t *testing.T, costs Costs) *world {
 	t.Helper()
 	w := &world{eng: sim.NewEngine()}
-	tr := trace.New(0)
+	tr := trace.New()
 	mem := physmem.MustNew(8 * 1024 * physmem.PageSize)
 	fab := interconnect.NewFabric(w.eng, mem, interconnect.DefaultCosts)
 	w.bus = bus.New(w.eng, bus.DefaultConfig, tr)

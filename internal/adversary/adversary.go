@@ -106,9 +106,6 @@ func Attach(eng *sim.Engine, b *bus.Bus, mem *physmem.Memory, reg *tenant.Regist
 	return d, nil
 }
 
-// Port exposes the adversary's bus port (testing, budget setup).
-func (d *Device) Port() *bus.Port { return d.port }
-
 // IOMMU exposes the adversary's translation unit (testing).
 func (d *Device) IOMMU() *iommu.IOMMU { return d.mmu }
 
@@ -118,17 +115,6 @@ func (d *Device) Outcomes() []Outcome { return d.outcomes }
 func (d *Device) note(o Outcome) Outcome {
 	d.outcomes = append(d.outcomes, o)
 	return o
-}
-
-// countKind tallies inbox envelopes of one kind.
-func (d *Device) countKind(k msg.Kind) int {
-	n := 0
-	for _, e := range d.inbox {
-		if e.Msg.Kind() == k {
-			n++
-		}
-	}
-	return n
 }
 
 // denialReports tallies wire DenialReports of one class in the inbox.

@@ -30,7 +30,7 @@ func newRig(t *testing.T, seed uint64) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), reg: tenant.NewRegistry()}
 	mem := physmem.MustNew(1024 * physmem.PageSize)
-	r.bus = bus.New(r.eng, bus.DefaultConfig, trace.New(0))
+	r.bus = bus.New(r.eng, bus.DefaultConfig, trace.New())
 	r.reg.BindDevice(1, 1)
 	r.reg.BindApp(100, 1)
 	r.reg.SetBudget(2, tenant.Budget{CreditWindow: 2})

@@ -39,7 +39,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		t:    t,
 		eng:  sim.NewEngine(),
 		mem:  physmem.MustNew(1024 * physmem.PageSize),
-		tr:   trace.New(0),
+		tr:   trace.New(),
 		devs: make(map[msg.DeviceID]*testDev),
 	}
 	h.bus = New(h.eng, cfg, h.tr)

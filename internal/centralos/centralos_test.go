@@ -36,7 +36,7 @@ type centralbed struct {
 
 func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	t.Helper()
-	cb := &centralbed{eng: sim.NewEngine(), tr: trace.New(0)}
+	cb := &centralbed{eng: sim.NewEngine(), tr: trace.New()}
 	tr := cb.tr
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	fab := interconnect.NewFabric(cb.eng, mem, interconnect.DefaultCosts)
@@ -89,7 +89,7 @@ func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	}
 
 	cb.store = kvs.New(kvs.Config{
-		App: 10, FileName: "kv.dat", Mode: mode, Kernel: cpuID, QueueEntries: 64,
+		App: 10, FileName: "kv.dat", Mode: mode, Control: cpuID, QueueEntries: 64,
 	})
 	var bootErr error
 	booted := false
@@ -189,7 +189,7 @@ func TestMediatedSlowerThanDirect(t *testing.T) {
 
 func TestOpenUnregisteredFileFails(t *testing.T) {
 	cb := newCentralbed(t, kvs.ModeCentralDirect)
-	st2 := kvs.New(kvs.Config{App: 11, FileName: "nope.dat", Mode: kvs.ModeCentralDirect, Kernel: cpuID})
+	st2 := kvs.New(kvs.Config{App: 11, FileName: "nope.dat", Mode: kvs.ModeCentralDirect, Control: cpuID})
 	var bootErr error
 	st2.OnReady = func(err error) {
 		if bootErr == nil {
@@ -432,7 +432,7 @@ func TestKernelSerializesUnderLoad(t *testing.T) {
 	for i := 0; i < apps; i++ {
 		st := kvs.New(kvs.Config{
 			App: msg.AppID(100 + i), FileName: "kv.dat",
-			Mode: kvs.ModeCentralDirect, Kernel: cpuID, QueueEntries: 16,
+			Mode: kvs.ModeCentralDirect, Control: cpuID, QueueEntries: 16,
 		})
 		st.OnReady = func(err error) {
 			if err == nil {

@@ -2,10 +2,10 @@
 // recovery experiments (§4 "error handling"). A Plan names the crashable
 // components of a machine and the statistical shape of a crash campaign
 // (how many crashes, over what window, how tightly spaced, how many
-// coordinated double-failures); Compile turns it into a fixed timetable
-// using nothing but the plan's seed, and Arm schedules the crash actions
-// on the simulation engine through the fault plane's CrashAt hook so
-// message faults and lifecycle faults live in one schedule.
+// coordinated double-failures); Compile turns it into a fixed timetable,
+// a plain []Event, using nothing but the plan's seed, and the experiment
+// arms each event itself with the engine's closure form (eng.At): there
+// is no schedule object.
 //
 // The package also carries the Ledger, the oracle for the three recovery
 // guarantees the experiments assert:
@@ -29,9 +29,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"nocpu/internal/faultinject"
 	"nocpu/internal/sim"
 )
 
@@ -46,9 +44,13 @@ type Target struct {
 
 // Plan is the declarative description of a crash campaign.
 type Plan struct {
-	Seed    uint64       // RNG seed; the only source of randomness
-	Start   sim.Time     // earliest crash instant
-	Window  sim.Duration // crash instants are drawn in [Start, Start+Window)
+	Seed  uint64   // RNG seed; the only source of randomness
+	Start sim.Time // earliest crash instant
+	// Window is the range crash instants are drawn from,
+	// [Start, Start+Window). MinGap can push a later event past its end:
+	// Compile keeps the events sorted and at least MinGap apart, not
+	// inside the window.
+	Window  sim.Duration
 	Crashes int          // total crash events
 	MinGap  sim.Duration // minimum spacing between consecutive events
 	Doubles int          // of the events, how many hit two targets at once
@@ -62,18 +64,14 @@ type Event struct {
 	Targets []int // indices into Plan.Targets
 }
 
-// Schedule is a compiled, immutable crash timetable.
-type Schedule struct {
-	plan   Plan
-	Events []Event
-}
-
 // Compile fixes the campaign into a timetable. It validates the plan,
 // draws the crash instants, sorts them, enforces MinGap by pushing later
-// events out, then assigns targets. The first Doubles events in time
-// order become double-failures (deterministic, so a golden schedule in a
-// test pins both the instants and the victim pairs).
-func (p Plan) Compile() (*Schedule, error) {
+// events out, then assigns targets. The events come back sorted, at
+// least MinGap apart, the first at or after Start; a push can carry the
+// last ones past Start+Window. The first Doubles events in time order
+// become double-failures (deterministic, so a golden timetable in a test
+// pins both the instants and the victim pairs).
+func (p Plan) Compile() ([]Event, error) {
 	if p.Crashes < 0 || p.Doubles < 0 {
 		return nil, fmt.Errorf("chaos: negative crash counts")
 	}
@@ -95,7 +93,7 @@ func (p Plan) Compile() (*Schedule, error) {
 		}
 	}
 	rng := sim.NewRand(p.Seed ^ 0x63686173) // "chas"
-	s := &Schedule{plan: p}
+	events := make([]Event, 0, p.Crashes)
 	ats := make([]sim.Time, p.Crashes)
 	for i := range ats {
 		ats[i] = p.Start.Add(sim.Duration(rng.Intn(int(p.Window))))
@@ -115,47 +113,7 @@ func (p Plan) Compile() (*Schedule, error) {
 			}
 			ev.Targets = append(ev.Targets, second)
 		}
-		s.Events = append(s.Events, ev)
+		events = append(events, ev)
 	}
-	return s, nil
-}
-
-// MustCompile is Compile for fixed plans in experiments and tests.
-func (p Plan) MustCompile() *Schedule {
-	s, err := p.Compile()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Arm schedules every event's crash actions on the engine through the
-// fault plane (a nil plane still works — CrashAt only needs the engine).
-// onCrash, if non-nil, runs after the targets of an event have crashed,
-// so the experiment can mark the instant it starts timing recovery.
-func (s *Schedule) Arm(eng *sim.Engine, plane *faultinject.Plane, onCrash func(Event)) {
-	for _, ev := range s.Events {
-		ev := ev
-		plane.CrashAt(eng, ev.At, func() {
-			for _, ti := range ev.Targets {
-				s.plan.Targets[ti].Crash()
-			}
-			if onCrash != nil {
-				onCrash(ev)
-			}
-		})
-	}
-}
-
-// String renders the timetable, one event per line ("12.5ms nic+ssd").
-func (s *Schedule) String() string {
-	var b strings.Builder
-	for i, ev := range s.Events {
-		names := make([]string, len(ev.Targets))
-		for j, ti := range ev.Targets {
-			names[j] = s.plan.Targets[ti].Name
-		}
-		fmt.Fprintf(&b, "%d: %v %s\n", i, ev.At, strings.Join(names, "+"))
-	}
-	return b.String()
+	return events, nil
 }

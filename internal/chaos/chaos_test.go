@@ -25,50 +25,70 @@ func testPlan(seed uint64) Plan {
 	}
 }
 
+func mustCompile(t *testing.T, p Plan) []Event {
+	t.Helper()
+	events, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 // Compile is a pure function of the plan: same seed, same timetable;
 // different seed, different timetable.
 func TestCompileDeterministic(t *testing.T) {
-	a := testPlan(42).MustCompile()
-	b := testPlan(42).MustCompile()
-	if !reflect.DeepEqual(a.Events, b.Events) {
+	a := mustCompile(t, testPlan(42))
+	b := mustCompile(t, testPlan(42))
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same plan compiled differently:\n%v\nvs\n%v", a, b)
 	}
-	c := testPlan(43).MustCompile()
-	if reflect.DeepEqual(a.Events, c.Events) {
+	c := mustCompile(t, testPlan(43))
+	if reflect.DeepEqual(a, c) {
 		t.Fatalf("different seeds compiled identically:\n%v", a)
 	}
 }
 
+// TestCompileShape holds Compile to what it promises: the events sorted,
+// at least MinGap apart, the first at or after Start, doubles first. The
+// second plan packs 4 crashes 20 ms apart into a 45 ms window, so MinGap
+// must push its last events past the window's end.
 func TestCompileShape(t *testing.T) {
-	p := testPlan(7)
-	s := p.MustCompile()
-	if len(s.Events) != p.Crashes {
-		t.Fatalf("want %d events, got %d", p.Crashes, len(s.Events))
-	}
-	var prev sim.Time
-	for i, ev := range s.Events {
-		if ev.At < p.Start {
-			t.Errorf("event %d at %v before window start %v", i, ev.At, p.Start)
+	packed := testPlan(7)
+	packed.Window, packed.MinGap = ms(45), ms(20)
+	for _, p := range []Plan{testPlan(7), packed} {
+		events := mustCompile(t, p)
+		if len(events) != p.Crashes {
+			t.Fatalf("want %d events, got %d", p.Crashes, len(events))
 		}
-		if i > 0 && ev.At.Sub(prev) < p.MinGap {
-			t.Errorf("events %d and %d only %v apart, MinGap %v", i-1, i, ev.At.Sub(prev), p.MinGap)
-		}
-		prev = ev.At
-		want := 1
-		if i < p.Doubles {
-			want = 2
-		}
-		if len(ev.Targets) != want {
-			t.Errorf("event %d has %d targets, want %d", i, len(ev.Targets), want)
-		}
-		if len(ev.Targets) == 2 && ev.Targets[0] == ev.Targets[1] {
-			t.Errorf("event %d double-failure hit the same target twice", i)
-		}
-		for _, ti := range ev.Targets {
-			if ti < 0 || ti >= len(p.Targets) {
-				t.Errorf("event %d target index %d out of range", i, ti)
+		var prev sim.Time
+		for i, ev := range events {
+			if ev.At < p.Start {
+				t.Errorf("event %d at %v before window start %v", i, ev.At, p.Start)
+			}
+			if i > 0 && ev.At.Sub(prev) < p.MinGap {
+				t.Errorf("events %d and %d only %v apart, MinGap %v", i-1, i, ev.At.Sub(prev), p.MinGap)
+			}
+			prev = ev.At
+			want := 1
+			if i < p.Doubles {
+				want = 2
+			}
+			if len(ev.Targets) != want {
+				t.Errorf("event %d has %d targets, want %d", i, len(ev.Targets), want)
+			}
+			if len(ev.Targets) == 2 && ev.Targets[0] == ev.Targets[1] {
+				t.Errorf("event %d double-failure hit the same target twice", i)
+			}
+			for _, ti := range ev.Targets {
+				if ti < 0 || ti >= len(p.Targets) {
+					t.Errorf("event %d target index %d out of range", i, ti)
+				}
 			}
 		}
+	}
+	events := mustCompile(t, packed)
+	if end := packed.Start.Add(packed.Window); events[len(events)-1].At < end {
+		t.Errorf("last event at %v, want MinGap to push it past the window end %v", events[len(events)-1].At, end)
 	}
 }
 
@@ -84,49 +104,6 @@ func TestCompileRejectsBadPlans(t *testing.T) {
 		mutate(&p)
 		if _, err := p.Compile(); err == nil {
 			t.Errorf("%s: Compile accepted an invalid plan", name)
-		}
-	}
-}
-
-// Arm fires each event's crash actions at exactly the compiled instant,
-// in target order, and then the onCrash callback.
-func TestArmFiresOnSchedule(t *testing.T) {
-	eng := sim.NewEngine()
-	var fired []string
-	var times []sim.Time
-	p := testPlan(99)
-	for i := range p.Targets {
-		name := p.Targets[i].Name
-		p.Targets[i].Crash = func() {
-			fired = append(fired, name)
-			times = append(times, eng.Now())
-		}
-	}
-	s := p.MustCompile()
-	var crashEvents []Event
-	s.Arm(eng, nil, func(ev Event) { crashEvents = append(crashEvents, ev) })
-	eng.RunFor(p.Start.Sub(sim.Time(0)) + p.Window + ms(100))
-
-	wantFires := 0
-	for _, ev := range s.Events {
-		wantFires += len(ev.Targets)
-	}
-	if len(fired) != wantFires {
-		t.Fatalf("want %d crash actions, got %d (%v)", wantFires, len(fired), fired)
-	}
-	if len(crashEvents) != len(s.Events) {
-		t.Fatalf("want %d onCrash callbacks, got %d", len(s.Events), len(crashEvents))
-	}
-	i := 0
-	for _, ev := range s.Events {
-		for _, ti := range ev.Targets {
-			if fired[i] != p.Targets[ti].Name {
-				t.Errorf("fire %d: want %s, got %s", i, p.Targets[ti].Name, fired[i])
-			}
-			if times[i] != ev.At {
-				t.Errorf("fire %d: want time %v, got %v", i, ev.At, times[i])
-			}
-			i++
 		}
 	}
 }

@@ -167,7 +167,7 @@ func New(opts Options) (*System, error) {
 		Rand: sim.NewRand(opts.Seed ^ 0x6e6f637075), // "nocpu"
 	}
 	if !opts.NoTrace {
-		s.Tracer = trace.New(0)
+		s.Tracer = trace.New()
 	}
 	var err error
 	s.Mem, err = physmem.New(opts.MemoryBytes)
@@ -401,7 +401,9 @@ func (s *System) Settle(bound sim.Duration) {
 }
 
 // CreateFile synchronously creates and fills a file on the first SSD
-// (pre-Boot setup for workloads).
+// (setup for workloads, after Boot). On a machine with a CPU it also
+// mounts the file in the kernel's registry, so a centralized open finds
+// it.
 func (s *System) CreateFile(name string, contents []byte) error {
 	var ferr error
 	done := false
@@ -422,6 +424,9 @@ func (s *System) CreateFile(name string, contents []byte) error {
 	}
 	if !done {
 		return fmt.Errorf("core: CreateFile(%q) did not complete", name)
+	}
+	if ferr == nil && s.CPU != nil {
+		s.CPU.RegisterFile(name, s.SSD().Device().ID())
 	}
 	return ferr
 }
@@ -456,17 +461,13 @@ func (s *System) NewKVS(o KVSOptions) *kvs.Store {
 		InflightBound: o.InflightBound,
 		CacheEntries:  o.CacheEntries,
 		Tenancy:       s.Opts.Tenancy,
+		Control:       ControlID,
 	}
 	switch {
 	case s.CPU != nil && o.Mediated:
 		cfg.Mode = kvs.ModeCentralMediated
-		cfg.Kernel = ControlID
 	case s.CPU != nil:
 		cfg.Mode = kvs.ModeCentralDirect
-		cfg.Kernel = ControlID
-	default:
-		cfg.Mode = kvs.ModeDecentralized
-		cfg.Memctrl = ControlID
 	}
 	store := kvs.New(cfg)
 	s.NICs[o.NIC].AddApp(store)

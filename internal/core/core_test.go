@@ -68,10 +68,11 @@ func TestCentralizedEndToEnd(t *testing.T) {
 	if s.CPU == nil || s.Memctrl != nil {
 		t.Fatal("wrong component set for centralized flavor")
 	}
+	// CreateFile mounts the file in the kernel's registry: both opens
+	// below resolve it through the kernel.
 	if err := s.CreateFile("kv.dat", nil); err != nil {
 		t.Fatal(err)
 	}
-	s.CPU.RegisterFile("kv.dat", FirstSSD)
 	for _, mediated := range []bool{false, true} {
 		app := KVSOptions{App: 1, File: "kv.dat", Mediated: mediated}
 		if mediated {
@@ -91,6 +92,50 @@ func TestCentralizedEndToEnd(t *testing.T) {
 		if r := kvsOp(t, s, store, kvs.Request{Op: kvs.OpGet, Key: key}); string(r.Value) != "x" {
 			t.Fatalf("mediated=%v get: %+v", mediated, r)
 		}
+	}
+}
+
+// Snapshots and compaction create their files through the memory
+// controller, so they are decentralized-only. A central-direct store with
+// a snapshot file must come up as fast as one without, and Compact must
+// refuse it at once.
+func TestCentralDirectSnapshotFileIsIgnored(t *testing.T) {
+	boot := func(snapshot string) (*System, *kvs.Store, sim.Duration) {
+		s := bootSystem(t, Options{Flavor: Centralized, Seed: 5})
+		if err := s.CreateFile("kv.dat", nil); err != nil {
+			t.Fatal(err)
+		}
+		store := kvs.New(kvs.Config{App: 1, FileName: "kv.dat", Mode: kvs.ModeCentralDirect,
+			Control: ControlID, SnapshotFile: snapshot})
+		var readyAt sim.Time = -1
+		store.OnReady = func(err error) {
+			if err == nil && readyAt < 0 {
+				readyAt = s.Eng.Now()
+			}
+		}
+		start := s.Eng.Now()
+		s.NIC().AddApp(store)
+		for readyAt < 0 && s.Eng.Now() < start.Add(sim.Second) {
+			s.Eng.RunFor(10 * sim.Microsecond)
+		}
+		if readyAt < 0 {
+			t.Fatalf("snapshot %q: store never ready", snapshot)
+		}
+		return s, store, readyAt.Sub(start)
+	}
+	_, _, plain := boot("")
+	s, store, withSnap := boot("kv.snap")
+	if withSnap != plain {
+		t.Fatalf("ready after %v with a snapshot file, %v without", withSnap, plain)
+	}
+	var cerr error
+	refused := false
+	store.Compact(func(err error) { cerr, refused = err, true })
+	if !refused || cerr == nil {
+		t.Fatalf("Compact on a central-direct store: answered %v, err %v; want an immediate refusal", refused, cerr)
+	}
+	if r := kvsOp(t, s, store, kvs.Request{Op: kvs.OpPut, Key: "k", Value: []byte("v")}); r.Status != kvs.StatusOK {
+		t.Fatalf("put after refused compaction: %+v", r)
 	}
 }
 
@@ -131,7 +176,7 @@ func TestMultipleDevices(t *testing.T) {
 	if !done {
 		t.Fatal("create incomplete")
 	}
-	store := kvs.New(kvs.Config{App: 9, FileName: "far.dat", Memctrl: ControlID})
+	store := kvs.New(kvs.Config{App: 9, FileName: "far.dat", Control: ControlID})
 	s.NICs[1].AddApp(store)
 	if err := s.WaitReady(store); err != nil {
 		t.Fatal(err)

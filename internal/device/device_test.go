@@ -26,7 +26,7 @@ func newWorld(t *testing.T, busCfg bus.Config) *world {
 		eng: eng,
 		fab: interconnect.NewFabric(eng, mem, interconnect.DefaultCosts),
 		bus: bus.New(eng, busCfg, nil),
-		tr:  trace.New(0),
+		tr:  trace.New(),
 	}
 }
 

@@ -52,10 +52,7 @@ func E12DemandPaging() *Result {
 	tb := metrics.NewTable("4 MiB app buffer, 10% of pages written once then re-written",
 		"strategy", "setup time", "phys bytes live", "first-touch avg", "warm avg")
 	for _, lazy := range []bool{false, true} {
-		sys := core.MustNew(core.Options{Flavor: core.Decentralized, Seed: 121, NoTrace: true})
-		if err := sys.Boot(); err != nil {
-			panic(err)
-		}
+		sys := boot(core.Options{Flavor: core.Decentralized, Seed: 121, NoTrace: true})
 		app := &pagingApp{id: 1, lazy: lazy, bytes: bufBytes}
 		setupStart := sys.Eng.Now()
 		sys.NIC().AddApp(app)

@@ -45,13 +45,10 @@ func E13HugePages() *Result {
 	tb := metrics.NewTable("64 MiB shared region, then 4096 scattered 64B DMA reads (default 256-entry TLB)",
 		"granule", "alloc+map latency", "PTEs", "TLB hit rate", "walk reads/DMA", "sweep avg latency")
 	for _, huge := range []bool{false, true} {
-		sys := core.MustNew(core.Options{
+		sys := boot(core.Options{
 			Flavor: core.Decentralized, Seed: 131, NoTrace: true,
 			MemoryBytes: 256 << 20,
 		})
-		if err := sys.Boot(); err != nil {
-			panic(err)
-		}
 		app := &hugeApp{id: 1, huge: huge, bytes: regionBytes}
 		start := sys.Eng.Now()
 		sys.NIC().AddApp(app)

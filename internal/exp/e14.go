@@ -6,7 +6,6 @@ import (
 
 	"nocpu/internal/core"
 	"nocpu/internal/faultinject"
-	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/sim"
 )
@@ -42,18 +41,10 @@ func e14Init(kind machineKind, rate float64, trial uint64) e14InitResult {
 	if err := sys.CreateFile("kv.dat", nil); err != nil {
 		panic(err)
 	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
-	cfg := kvs.Config{App: 1, FileName: "kv.dat", QueueEntries: 128}
-	if kind == kindDecentralized {
-		cfg.Memctrl = core.ControlID
-	} else {
-		cfg.Mode, cfg.Kernel = kvs.ModeCentralDirect, core.ControlID
-	}
-	store := kvs.New(cfg)
 	var readyAt sim.Time = -1
 	failed := false
+	start := sys.Eng.Now()
+	store := sys.NewKVS(core.KVSOptions{App: 1, File: "kv.dat", QueueEntries: 128})
 	store.OnReady = func(err error) {
 		if err != nil {
 			failed = true
@@ -63,8 +54,6 @@ func e14Init(kind machineKind, rate float64, trial uint64) e14InitResult {
 			readyAt = sys.Eng.Now()
 		}
 	}
-	start := sys.Eng.Now()
-	sys.NIC().AddApp(store)
 	deadline := start.Add(2 * sim.Second)
 	for readyAt < 0 && !failed && sys.Eng.Now() < deadline {
 		sys.Eng.RunFor(50 * sim.Microsecond)

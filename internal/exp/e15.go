@@ -5,7 +5,6 @@ import (
 
 	"nocpu/internal/chaos"
 	"nocpu/internal/core"
-	"nocpu/internal/faultinject"
 	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/sim"
@@ -141,7 +140,10 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 		Doubles: sc.doubles,
 		Targets: e15Targets(kind, rig.sys, sc.targets),
 	}
-	sched := plan.MustCompile()
+	events, err := plan.Compile()
+	if err != nil {
+		panic(err)
+	}
 
 	// No two workers share a key, so per-key write order equals issue
 	// order.
@@ -153,7 +155,16 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 		key:    func(w, i int) string { return keyName(w*e15KeysPer + i%e15KeysPer) },
 		onAck:  func(sim.Time) { out.restored() },
 	}
-	sched.Arm(eng, faultinject.New(seed), func(ev chaos.Event) { out.crashed(ev.At) })
+	// Each event crashes its targets in order, then opens its outage so
+	// recovery is timed from the crash instant.
+	for _, ev := range events {
+		eng.At(ev.At, func() {
+			for _, ti := range ev.Targets {
+				plan.Targets[ti].Crash()
+			}
+			out.crashed(ev.At)
+		})
+	}
 	c.start()
 	e15Probe(rig, out, c.stopAt)
 	c.wait()

@@ -91,29 +91,26 @@ func e16Classify(resp []byte) overload.Outcome {
 }
 
 // e16Campaign calibrates one flavor's saturation with a closed loop,
-// then runs the compiled ramp, one fresh machine per step so no queue
-// state leaks between load points.
+// then runs the ramp, one fresh machine per step so no queue state leaks
+// between load points. Each step's generator seed is the next draw of a
+// private RNG seeded only by the flavor, in multiplier order, so a step's
+// arrivals depend on nothing else the machines consume.
 func e16Campaign(kind machineKind) (sat float64, led *overload.Ledger) {
 	cal := e16Rig(kind, e16Seed)
 	sat = cal.getLoad(e16CalWorkers, e16CalPerWorker, e16Keys).Throughput()
 
-	ramp := overload.Plan{
-		Seed:        e16Seed ^ uint64(kind)<<8,
-		Saturation:  sat,
-		Multipliers: e16Multipliers,
-		Window:      e16Window,
-		Deadline:    e16Deadline,
-	}.MustCompile()
-
+	seeds := sim.NewRand((e16Seed ^ uint64(kind)<<8) ^ 0x6f766c64) // "ovld"
 	led = overload.NewLedger()
-	for i := range ramp.Steps {
+	for i, m := range e16Multipliers {
+		seed := seeds.Uint64()
 		rig := e16Rig(kind, e16Seed+uint64(kind)*101+uint64(i)*7)
 		gen := func(rd *sim.Rand, seq uint64, deadline uint64) []byte {
 			return kvs.EncodeRequest(kvs.Request{
 				Op: kvs.OpGet, Key: keyName(rd.Intn(e16Keys)), Deadline: deadline,
 			})
 		}
-		res := ramp.RunStep(i, rig.sys.Eng, rig.target(), gen, e16Classify)
+		res := overload.RunStep(rig.sys.Eng, rig.target(), m*sat, seed, e16Window, e16Deadline, gen, e16Classify)
+		res.Multiplier = m
 		led.Record(res)
 		// Q1 evidence: every bounded queue this step could have filled.
 		tag := func(q string) string {

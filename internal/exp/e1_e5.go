@@ -21,34 +21,15 @@ func measureInit(kind machineKind, tweak func(*core.Options)) (sim.Duration, *co
 	if tweak != nil {
 		tweak(&opts)
 	}
-	sys := core.MustNew(opts)
-	if err := sys.Boot(); err != nil {
-		panic(err)
-	}
-	if err := sys.CreateFile("kv.dat", nil); err != nil {
-		panic(err)
-	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
+	sys := boot(opts, "kv.dat")
 	var readyAt sim.Time = -1
-	cfg := kvs.Config{App: 1, FileName: "kv.dat", QueueEntries: 128}
-	switch kind {
-	case kindCentralDirect:
-		cfg.Mode, cfg.Kernel = kvs.ModeCentralDirect, core.ControlID
-	case kindCentralMediated:
-		cfg.Mode, cfg.Kernel = kvs.ModeCentralMediated, core.ControlID
-	default:
-		cfg.Memctrl = core.ControlID
-	}
-	store := kvs.New(cfg)
+	start := sys.Eng.Now()
+	store := sys.NewKVS(core.KVSOptions{App: 1, File: "kv.dat", QueueEntries: 128, Mediated: kind == kindCentralMediated})
 	store.OnReady = func(err error) {
 		if err == nil && readyAt < 0 {
 			readyAt = sys.Eng.Now()
 		}
 	}
-	start := sys.Eng.Now()
-	sys.NIC().AddApp(store)
 	deadline := start.Add(sim.Second)
 	for readyAt < 0 && sys.Eng.Now() < deadline {
 		sys.Eng.RunFor(10 * sim.Microsecond)
@@ -168,36 +149,16 @@ func E3SetupScalability() *Result {
 		"machine", "apps", "makespan", "avg/app")
 	for _, kind := range []machineKind{kindDecentralized, kindCentralDirect} {
 		for _, n := range []int{1, 4, 16, 64} {
-			opts := core.Options{Flavor: kind.flavor(), Seed: 31, NoTrace: true}
-			sys := core.MustNew(opts)
-			if err := sys.Boot(); err != nil {
-				panic(err)
-			}
-			if err := sys.CreateFile("kv.dat", nil); err != nil {
-				panic(err)
-			}
-			if sys.CPU != nil {
-				sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-			}
+			sys := boot(core.Options{Flavor: kind.flavor(), Seed: 31, NoTrace: true}, "kv.dat")
 			ready := 0
-			stores := make([]*kvs.Store, n)
+			start := sys.Eng.Now()
 			for i := 0; i < n; i++ {
-				cfg := kvs.Config{App: appID(i + 1), FileName: "kv.dat", QueueEntries: 32}
-				if kind == kindDecentralized {
-					cfg.Memctrl = core.ControlID
-				} else {
-					cfg.Mode, cfg.Kernel = kvs.ModeCentralDirect, core.ControlID
-				}
-				stores[i] = kvs.New(cfg)
-				stores[i].OnReady = func(err error) {
+				st := sys.NewKVS(core.KVSOptions{App: appID(i + 1), File: "kv.dat", QueueEntries: 32})
+				st.OnReady = func(err error) {
 					if err == nil {
 						ready++
 					}
 				}
-			}
-			start := sys.Eng.Now()
-			for _, st := range stores {
-				sys.NIC().AddApp(st)
 			}
 			deadline := start.Add(10 * sim.Second)
 			for ready < n && sys.Eng.Now() < deadline {
@@ -305,17 +266,11 @@ func E5FaultRecovery() *Result {
 		{100, false}, {1000, false}, {4000, false}, {4000, true},
 	} {
 		records := cse.records
-		sys := core.MustNew(core.Options{
+		sys := boot(core.Options{
 			Flavor: core.Decentralized, Seed: 51,
 			Watchdog: 500 * sim.Microsecond,
-		})
-		if err := sys.Boot(); err != nil {
-			panic(err)
-		}
-		if err := sys.CreateFile("kv.dat", nil); err != nil {
-			panic(err)
-		}
-		cfg := kvs.Config{App: 1, FileName: "kv.dat", Memctrl: core.ControlID, QueueEntries: 128}
+		}, "kv.dat")
+		cfg := kvs.Config{App: 1, FileName: "kv.dat", Control: core.ControlID, QueueEntries: 128}
 		if cse.snapshot {
 			cfg.SnapshotFile = "kv.snap"
 		}

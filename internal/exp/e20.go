@@ -168,7 +168,40 @@ func e20Spam(eng *sim.Engine, seed uint64, keys int, target netsim.Target, cell 
 	}
 }
 
-// e20Machine runs the full matrix on one booted machine.
+// e20Run is the sequence every cell shares: preload the victim's keys,
+// measure its unattacked baseline, run the cell's attack step, overlay
+// the attacker's probe spam on a second victim workload, and audit.
+// target(tn) is a fresh ingress stamped with tenant tn; every RNG is
+// seeded from seed alone, so a cell's draws are fixed by its seed.
+func e20Run(cell *e20Cell, eng *sim.Engine, reg *tenant.Registry, seed uint64, keys, workers, perWorker int,
+	target func(tn uint16) netsim.Target, attack func(led *tenant.Ledger)) {
+	led := tenant.NewLedger(2, 1)
+	runLoop(eng, e20Preload(eng, seed^1, keys, target(1)))
+	base := e20VictimLoad(eng, seed^2, workers, perWorker, keys, target(1))
+	runLoop(eng, base)
+	cell.baseline = base.Stats()
+
+	attack(led)
+
+	spam := e20Spam(eng, seed^3, keys, target(2), cell)
+	spamDone := false
+	spam.Run(func() { spamDone = true })
+	atk := e20VictimLoad(eng, seed^4, workers, perWorker, keys, target(1))
+	runLoop(eng, atk)
+	drain(eng, func() bool { return spamDone })
+	cell.attacked = atk.Stats()
+	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,
+		fmt.Sprintf("probe spam: %d probes, %d leaked", cell.probes, cell.leaked))
+	cell.mounted++
+	if cell.leaked == 0 {
+		cell.refused++
+	}
+	e20Audit(cell, led, reg)
+}
+
+// e20Machine runs the full matrix on one booted machine: its attack step
+// is the adversary device's control-plane matrix plus, on a centralized
+// machine, the compromised kernel.
 func e20Machine(kind machineKind) *e20Cell {
 	seed := e20Seed ^ uint64(kind)<<8
 	reg := tenant.NewRegistry()
@@ -181,80 +214,57 @@ func e20Machine(kind machineKind) *e20Cell {
 	reg.BindDevice(nicID, 1)
 
 	cell := &e20Cell{label: kind.label()}
-	led := tenant.NewLedger(2, 1)
 	eng := rig.sys.Eng
 	stamped := func(tn uint16) netsim.Target {
 		return func(p []byte, reply func([]byte)) {
 			rig.sys.NIC().DeliverFrom(tn, rig.store.AppID(), p, reply)
 		}
 	}
-
-	// Preload and baseline, attacker not yet attached.
-	runLoop(eng, e20Preload(eng, seed^1, stamped(1)))
-	base := e20VictimLoad(eng, seed^2, e20Workers, e20PerWorker, e20Keys, stamped(1))
-	runLoop(eng, base)
-	cell.baseline = base.Stats()
-
-	adv, err := adversary.Attach(eng, rig.sys.Bus, rig.sys.Mem, reg, adversary.Config{
-		ID: e20AdversaryID, Tenant: 2, Seed: seed ^ 0xAD,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: e20 adversary: %v", err))
-	}
-	eng.Run()
-
-	// Control-plane attack matrix.
-	run := func() { eng.Run() }
-	adv.AttackRogueDMA(1)
-	adv.AttackStaleCredit(run)
-	adv.AttackReplay(nicID, run)
-	adv.AttackDiscovery("kvstore", run)
-	adv.AttackFlood(nicID, e20FloodSends, run)
-	adv.AttackKVSProbe(rig.sys.NIC(), rig.store.AppID(),
-		[]string{"t1/e20-0000", "t1/absent", "t1/e20-0001"}, run)
-
-	// Compromised kernel (centralized only): the head node misprograms a
-	// cross-tenant mapping into the adversary's device. The device's own
-	// domain check must refuse it, typed.
-	if rig.sys.CPU != nil {
-		rig.sys.CPU.AttachDeviceIOMMU(e20AdversaryID, adv.IOMMU())
-		merr := rig.sys.CPU.Misprogram(e20AdversaryID, 1, 0x4000_0000, 2*4096)
-		var terr *tenant.Error
-		typed := errors.As(merr, &terr)
-		led.NoteAttack(tenant.DenyDMA, merr == nil, typed, fmt.Sprintf("kernel misprogram: %v", merr))
-		cell.mounted++
-		if merr != nil && typed {
-			cell.refused++
+	e20Run(cell, eng, reg, seed, e20Keys, e20Workers, e20PerWorker, stamped, func(led *tenant.Ledger) {
+		adv, err := adversary.Attach(eng, rig.sys.Bus, rig.sys.Mem, reg, adversary.Config{
+			ID: e20AdversaryID, Tenant: 2, Seed: seed ^ 0xAD,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("exp: e20 adversary: %v", err))
 		}
-	}
-	e20NoteOutcomes(led, cell, adv.Outcomes())
+		eng.Run()
 
-	// Attacked phase: probe spam overlaid on the victim's workload.
-	spam := e20Spam(eng, seed^3, e20Keys, stamped(2), cell)
-	spamDone := false
-	spam.Run(func() { spamDone = true })
-	atk := e20VictimLoad(eng, seed^4, e20Workers, e20PerWorker, e20Keys, stamped(1))
-	runLoop(eng, atk)
-	drain(eng, func() bool { return spamDone })
-	cell.attacked = atk.Stats()
-	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,
-		fmt.Sprintf("probe spam: %d probes, %d leaked", cell.probes, cell.leaked))
-	cell.mounted++
-	if cell.leaked == 0 {
-		cell.refused++
-	}
+		// Control-plane attack matrix.
+		run := func() { eng.Run() }
+		adv.AttackRogueDMA(1)
+		adv.AttackStaleCredit(run)
+		adv.AttackReplay(nicID, run)
+		adv.AttackDiscovery("kvstore", run)
+		adv.AttackFlood(nicID, e20FloodSends, run)
+		adv.AttackKVSProbe(rig.sys.NIC(), rig.store.AppID(),
+			[]string{"t1/e20-0000", "t1/absent", "t1/e20-0001"}, run)
 
-	e20Audit(cell, led, reg)
+		// Compromised kernel (centralized only): the head node misprograms
+		// a cross-tenant mapping into the adversary's device. The device's
+		// own domain check must refuse it, typed.
+		if rig.sys.CPU != nil {
+			rig.sys.CPU.AttachDeviceIOMMU(e20AdversaryID, adv.IOMMU())
+			merr := rig.sys.CPU.Misprogram(e20AdversaryID, 1, 0x4000_0000, 2*4096)
+			var terr *tenant.Error
+			typed := errors.As(merr, &terr)
+			led.NoteAttack(tenant.DenyDMA, merr == nil, typed, fmt.Sprintf("kernel misprogram: %v", merr))
+			cell.mounted++
+			if merr != nil && typed {
+				cell.refused++
+			}
+		}
+		e20NoteOutcomes(led, cell, adv.Outcomes())
+	})
 	return cell
 }
 
 // e20Preload writes the victim's keys, stamped t1.
-func e20Preload(eng *sim.Engine, seed uint64, target netsim.Target) *netsim.ClosedLoop {
+func e20Preload(eng *sim.Engine, seed uint64, keys int, target netsim.Target) *netsim.ClosedLoop {
 	return &netsim.ClosedLoop{
-		Eng: eng, Rand: sim.NewRand(seed), Workers: 8, PerWorker: (e20Keys + 7) / 8,
+		Eng: eng, Rand: sim.NewRand(seed), Workers: 8, PerWorker: (keys + 7) / 8,
 		Gen: func(rd *sim.Rand, seq uint64) []byte {
 			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: e20Key(int(seq) % e20Keys), Value: make([]byte, e20ValSize),
+				Op: kvs.OpPut, Key: e20Key(int(seq) % keys), Value: make([]byte, e20ValSize),
 			})
 		},
 		Target: target,
@@ -289,70 +299,38 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 		label = "fabric head-node"
 	}
 	cell := &e20Cell{label: fmt.Sprintf("%s N=%d", label, e20FabricN)}
-	led := tenant.NewLedger(2, 1)
-
 	target := func(tn uint16) netsim.Target {
 		pick := rackIngress(cl)
 		return func(p []byte, reply func([]byte)) { cl.TenantIngress(pick(), tn)(p, reply) }
 	}
-
-	pre := &netsim.ClosedLoop{
-		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 1), Workers: 8, PerWorker: (e20FabricKeys + 7) / 8,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: e20Key(int(seq) % e20FabricKeys), Value: make([]byte, e20ValSize),
-			})
-		},
-		Target: target(1),
-	}
-	runLoop(cl.Eng, pre)
-
-	base := e20VictimLoad(cl.Eng, seed^2, e20FabricWorkers, e20FabricPerWorker, e20FabricKeys, target(1))
-	runLoop(cl.Eng, base)
-	cell.baseline = base.Stats()
-
-	// Admission flood: the attacker hammers its own shard with a
-	// concurrent burst far past its per-tenant inflight budget — the
-	// stores must shed the excess as DenyBudget on the attacker's tab.
-	burn := &netsim.ClosedLoop{
-		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 5), Workers: 1, PerWorker: 1,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: "t2/burn", Value: make([]byte, e20ValSize)})
-		},
-		Target: target(2),
-	}
-	runLoop(cl.Eng, burn)
-	flood := &netsim.ClosedLoop{
-		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 6), Workers: 16, PerWorker: 8,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: "t2/burn"})
-		},
-		Target: target(2),
-	}
-	runLoop(cl.Eng, flood)
-	floodSheds := e20BudgetDenials(reg, 2)
-	led.NoteAttack(tenant.DenyBudget, false, floodSheds > 0,
-		fmt.Sprintf("admission flood: %d budget sheds", floodSheds))
-	cell.mounted++
-	if floodSheds > 0 {
-		cell.refused++
-	}
-
-	spam := e20Spam(cl.Eng, seed^3, e20FabricKeys, target(2), cell)
-	spamDone := false
-	spam.Run(func() { spamDone = true })
-	atk := e20VictimLoad(cl.Eng, seed^4, e20FabricWorkers, e20FabricPerWorker, e20FabricKeys, target(1))
-	runLoop(cl.Eng, atk)
-	drain(cl.Eng, func() bool { return spamDone })
-	cell.attacked = atk.Stats()
-
-	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,
-		fmt.Sprintf("rack probe spam: %d probes, %d leaked", cell.probes, cell.leaked))
-	cell.mounted++
-	if cell.leaked == 0 {
-		cell.refused++
-	}
-	e20Audit(cell, led, reg)
+	e20Run(cell, cl.Eng, reg, seed, e20FabricKeys, e20FabricWorkers, e20FabricPerWorker, target, func(led *tenant.Ledger) {
+		// Admission flood: the attacker hammers its own shard with a
+		// concurrent burst far past its per-tenant inflight budget — the
+		// stores must shed the excess as DenyBudget on the attacker's tab.
+		burn := &netsim.ClosedLoop{
+			Eng: cl.Eng, Rand: sim.NewRand(seed ^ 5), Workers: 1, PerWorker: 1,
+			Gen: func(rd *sim.Rand, seq uint64) []byte {
+				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: "t2/burn", Value: make([]byte, e20ValSize)})
+			},
+			Target: target(2),
+		}
+		runLoop(cl.Eng, burn)
+		flood := &netsim.ClosedLoop{
+			Eng: cl.Eng, Rand: sim.NewRand(seed ^ 6), Workers: 16, PerWorker: 8,
+			Gen: func(rd *sim.Rand, seq uint64) []byte {
+				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: "t2/burn"})
+			},
+			Target: target(2),
+		}
+		runLoop(cl.Eng, flood)
+		floodSheds := e20BudgetDenials(reg, 2)
+		led.NoteAttack(tenant.DenyBudget, false, floodSheds > 0,
+			fmt.Sprintf("admission flood: %d budget sheds", floodSheds))
+		cell.mounted++
+		if floodSheds > 0 {
+			cell.refused++
+		}
+	})
 	return cell
 }
 

@@ -86,14 +86,11 @@ func E7Discovery() *Result {
 		FS:       smartssd.FSConfig{MaxFiles: 4},
 	}
 	for _, ssds := range []int{2, 8, 32, 96} {
-		sys := core.MustNew(core.Options{
+		sys := boot(core.Options{
 			Flavor: core.Decentralized, Seed: 71, NoTrace: true,
 			SSD: tiny, ExtraSSDs: ssds - 1,
 			MemoryBytes: 512 << 20,
 		})
-		if err := sys.Boot(); err != nil {
-			panic(err)
-		}
 		// The target file lives on the LAST SSD, so every broadcast
 		// traverses the full fanout before the answer.
 		last := sys.SSDs[len(sys.SSDs)-1]
@@ -132,11 +129,7 @@ func E8MemoryOps() *Result {
 		"machine", "clients", "pairs/s", "errors")
 	for _, kind := range []machineKind{kindDecentralized, kindCentralDirect} {
 		for _, clients := range []int{1, 4, 16} {
-			opts := core.Options{Flavor: kind.flavor(), Seed: 81, NoTrace: true, ExtraNICs: 0}
-			sys := core.MustNew(opts)
-			if err := sys.Boot(); err != nil {
-				panic(err)
-			}
+			sys := boot(core.Options{Flavor: kind.flavor(), Seed: 81, NoTrace: true})
 			apps := make([]*noisyApp, clients)
 			for i := range apps {
 				apps[i] = &noisyApp{id: appID(i + 1), bytes: 64 << 10}
@@ -191,15 +184,9 @@ func E9Doorbell() *Result {
 func buildBatchedRig(kick, notify int) *kvsRig {
 	opts := core.Options{Flavor: core.Decentralized, Seed: 91, NoTrace: true}
 	opts.SSD.NotifyBatch = notify
-	sys := core.MustNew(opts)
-	if err := sys.Boot(); err != nil {
-		panic(err)
-	}
-	if err := sys.CreateFile("kv.dat", nil); err != nil {
-		panic(err)
-	}
+	sys := boot(opts, "kv.dat")
 	store := kvs.New(kvs.Config{
-		App: 1, FileName: "kv.dat", Memctrl: core.ControlID,
+		App: 1, FileName: "kv.dat", Control: core.ControlID,
 		QueueEntries: 128, KickBatch: kick,
 	})
 	sys.NIC().AddApp(store)
@@ -218,37 +205,21 @@ func E11ValueCache() *Result {
 	tb := metrics.NewTable("closed-loop Zipf(0.99) gets over 1024 keys, 16 workers",
 		"cache entries", "ops/s", "p50", "p99", "cache hit rate")
 	for _, entries := range []int{0, 32, 128, 512} {
-		opts := core.Options{Flavor: core.Decentralized, Seed: 111, NoTrace: true}
-		sys := core.MustNew(opts)
-		if err := sys.Boot(); err != nil {
-			panic(err)
-		}
-		if err := sys.CreateFile("kv.dat", nil); err != nil {
-			panic(err)
-		}
-		store := kvs.New(kvs.Config{
-			App: 1, FileName: "kv.dat", Memctrl: core.ControlID,
-			QueueEntries: 128, CacheEntries: entries,
-		})
-		sys.NIC().AddApp(store)
-		if err := sys.WaitReady(store); err != nil {
-			panic(err)
-		}
-		rig := &kvsRig{sys: sys, store: store}
+		rig := newKVSRig(kindDecentralized, 111, nil, func(ko *core.KVSOptions) { ko.CacheEntries = entries })
 		rig.preload(keys, 512)
-		zipf := sim.NewZipf(sys.Rand.Fork(), keys, 0.99)
+		zipf := sim.NewZipf(rig.sys.Rand.Fork(), keys, 0.99)
 		cl := &netsim.ClosedLoop{
-			Eng: sys.Eng, Rand: sys.Rand.Fork(), Workers: 16, PerWorker: 400,
+			Eng: rig.sys.Eng, Rand: rig.sys.Rand.Fork(), Workers: 16, PerWorker: 400,
 			Gen: func(r *sim.Rand, seq uint64) []byte {
 				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(zipf.Next())})
 			},
 			IsError: kvsIsError,
 			Target:  rig.target(),
 		}
-		base := store.Stats()
+		base := rig.store.Stats()
 		runLoop(rig.sys.Eng, cl)
 		st := cl.Stats()
-		s := store.Stats()
+		s := rig.store.Stats()
 		hitRate := 0.0
 		if gets := s.Gets - base.Gets; gets > 0 {
 			hitRate = 100 * float64(s.CacheHits-base.CacheHits) / float64(gets)

@@ -122,6 +122,23 @@ type kvsRig struct {
 	store *kvs.Store
 }
 
+// boot builds and boots a machine, then creates each named empty file on
+// its first SSD (CreateFile mounts it for a kernel too). It panics on
+// failure: an experiment's machines are fixed, so one that does not boot
+// is a bug.
+func boot(opts core.Options, files ...string) *core.System {
+	sys := core.MustNew(opts)
+	if err := sys.Boot(); err != nil {
+		panic(fmt.Sprintf("exp: boot: %v", err))
+	}
+	for _, f := range files {
+		if err := sys.CreateFile(f, nil); err != nil {
+			panic(fmt.Sprintf("exp: create %s: %v", f, err))
+		}
+	}
+	return sys
+}
+
 // newKVSRig assembles, boots and readies a KVS machine. opts customizes
 // the system options after defaults are applied.
 func newKVSRig(kind machineKind, seed uint64, tweak func(*core.Options), kvsTweak func(*core.KVSOptions)) *kvsRig {
@@ -129,16 +146,7 @@ func newKVSRig(kind machineKind, seed uint64, tweak func(*core.Options), kvsTwea
 	if tweak != nil {
 		tweak(&opts)
 	}
-	sys := core.MustNew(opts)
-	if err := sys.Boot(); err != nil {
-		panic(fmt.Sprintf("exp: boot: %v", err))
-	}
-	if err := sys.CreateFile("kv.dat", nil); err != nil {
-		panic(fmt.Sprintf("exp: create: %v", err))
-	}
-	if sys.CPU != nil {
-		sys.CPU.RegisterFile("kv.dat", core.FirstSSD)
-	}
+	sys := boot(opts, "kv.dat")
 	ko := core.KVSOptions{App: 1, File: "kv.dat", QueueEntries: 128, Mediated: kind == kindCentralMediated}
 	if kvsTweak != nil {
 		kvsTweak(&ko)

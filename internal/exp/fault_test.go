@@ -105,7 +105,7 @@ func matrixInit(t *testing.T, plane *faultinject.Plane, schedule func(sys *core.
 	if err := sys.CreateFile("kv.dat", nil); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	store := kvs.New(kvs.Config{App: 1, FileName: "kv.dat", QueueEntries: 64, Memctrl: core.ControlID})
+	store := kvs.New(kvs.Config{App: 1, FileName: "kv.dat", QueueEntries: 64, Control: core.ControlID})
 	out := matrixOutcome{}
 	done := false
 	store.OnReady = func(err error) {
@@ -170,7 +170,7 @@ func TestFaultMatrix(t *testing.T) {
 			var schedule func(sys *core.System, start sim.Time)
 			if c.crashAt > 0 {
 				schedule = func(sys *core.System, start sim.Time) {
-					plane.CrashAt(sys.Eng, start.Add(c.crashAt), func() { sys.SSD().Kill() })
+					sys.Eng.At(start.Add(c.crashAt), func() { sys.SSD().Kill() })
 				}
 			} else {
 				plane.Add(c.rule)

@@ -193,9 +193,6 @@ func (c *Cluster) Boot() error {
 		if err := m.Sys.CreateFile("shard.dat", nil); err != nil {
 			return fmt.Errorf("fabric: machine %d shard file: %w", m.ID, err)
 		}
-		if m.Sys.CPU != nil {
-			m.Sys.CPU.RegisterFile("shard.dat", core.FirstSSD)
-		}
 		m.Store = m.Sys.NewKVS(core.KVSOptions{
 			App: StoreApp, File: "shard.dat", QueueEntries: 128,
 			CacheEntries: c.Cfg.CacheEntries,

@@ -4,9 +4,9 @@
 // interconnect — and decides, from its own seeded RNG and an ordered
 // rule schedule, whether each message passes, is dropped, delayed,
 // duplicated, or reordered. Device stalls are expressed as time-windowed
-// drop/delay rules; crashes and restarts reuse the existing lifecycle
-// hooks (bus.FailDevice, Device.Kill) scheduled at virtual times via
-// CrashAt.
+// drop/delay rules; crashes and restarts are the existing lifecycle
+// hooks (bus.FailDevice, Device.Kill), which a campaign schedules at
+// virtual times with the engine's closure form (eng.At).
 //
 // Determinism: the plane owns a private sim.Rand forked from nothing but
 // its seed, so two runs with the same seed, schedule and workload make
@@ -197,16 +197,6 @@ func (p *Plane) Filter(l Layer, now sim.Time, src, dst msg.DeviceID, kind msg.Ki
 		return Decision{Op: r.Op, Delay: r.Delay, Factor: r.Factor}
 	}
 	return Decision{}
-}
-
-// CrashAt schedules a crash/restart action (bus.FailDevice, Device.Kill,
-// a revive closure, ...) at virtual time at. It exists so fault
-// schedules that mix message faults and device lifecycle faults live in
-// one place; the action itself uses the simulation's ordinary hooks. It is
-// glue: the action is the caller's, so it goes through the engine's closure
-// form.
-func (p *Plane) CrashAt(eng *sim.Engine, at sim.Time, action func()) {
-	eng.At(at, action)
 }
 
 // PartitionOneWay drops every interconnect frame from src to dst inside

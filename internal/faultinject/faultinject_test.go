@@ -204,14 +204,3 @@ func TestSlowMachineCoversBothDirections(t *testing.T) {
 		t.Fatalf("unrelated link slowed: %+v", d)
 	}
 }
-
-func TestCrashAtFiresAtVirtualTime(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(1)
-	var fired sim.Time
-	p.CrashAt(eng, 1000, func() { fired = eng.Now() })
-	eng.Run()
-	if fired != 1000 {
-		t.Fatalf("crash action fired at %d", fired)
-	}
-}

@@ -109,9 +109,6 @@ func NewFabric(eng *sim.Engine, mem *physmem.Memory, costs Costs) *Fabric {
 // through a Port.
 func (f *Fabric) Memory() *physmem.Memory { return f.mem }
 
-// Costs returns the timing model.
-func (f *Fabric) Costs() Costs { return f.costs }
-
 // Engine returns the simulation engine driving the fabric.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
@@ -287,9 +284,6 @@ func (p *Port) drainDMA() {
 	}
 	p.waitG.Set(len(p.waiting))
 }
-
-// IOMMU returns the port's translation unit (the bus programs it).
-func (p *Port) IOMMU() *iommu.IOMMU { return p.mmu }
 
 // Fabric returns the fabric this port attaches to (for doorbell access).
 func (p *Port) Fabric() *Fabric { return p.fab }

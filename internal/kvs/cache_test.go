@@ -47,7 +47,7 @@ func cachedTestbed(t testing.TB, entries int) *testbed {
 	t.Helper()
 	tb := newTestbed(t, 0)
 	// Second store with a cache, same file.
-	st := New(Config{App: 20, FileName: "kv.dat", Memctrl: mcID, QueueEntries: 64, CacheEntries: entries})
+	st := New(Config{App: 20, FileName: "kv.dat", Control: mcID, QueueEntries: 64, CacheEntries: entries})
 	var bootErr error
 	booted := false
 	st.OnReady = func(err error) { bootErr, booted = err, true }

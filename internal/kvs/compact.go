@@ -18,14 +18,16 @@ import (
 // writer, so this is the whole consistency story.
 
 // Compact rewrites the log to contain only live records. cb reports the
-// outcome; on success the store serves from the compacted file.
+// outcome; on success the store serves from the compacted file. The new
+// file is created through the memory controller, so a centralized store
+// is refused at once.
 func (s *Store) Compact(cb func(error)) {
 	if !s.ready {
 		cb(fmt.Errorf("kvs: compact on unready store"))
 		return
 	}
-	if s.cfg.Mode == ModeCentralMediated {
-		cb(fmt.Errorf("kvs: compact unsupported in mediated mode"))
+	if s.cfg.Mode != ModeDecentralized {
+		cb(fmt.Errorf("kvs: compact is decentralized-only"))
 		return
 	}
 	if s.compacting {
@@ -38,7 +40,7 @@ func (s *Store) Compact(cb func(error)) {
 		cb(err)
 	}
 	tmpName := s.cfg.FileName + ".compact"
-	s.rt.OpenFileCreate(s.cfg.Memctrl, tmpName, s.cfg.Token, s.cfg.QueueEntries, func(nfc *smartnic.FileClient, err error) {
+	s.rt.OpenFileCreate(s.cfg.Control, tmpName, s.cfg.Token, s.cfg.QueueEntries, func(nfc *smartnic.FileClient, err error) {
 		if err != nil {
 			finish(fmt.Errorf("kvs: compact open: %w", err))
 			return

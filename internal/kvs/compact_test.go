@@ -85,7 +85,7 @@ func TestRecoveryFromCompactedLog(t *testing.T) {
 
 	// A fresh store recovers the exact state by scanning the compacted
 	// log.
-	st2 := New(Config{App: 40, FileName: "kv.dat", Memctrl: mcID, QueueEntries: 64})
+	st2 := New(Config{App: 40, FileName: "kv.dat", Control: mcID, QueueEntries: 64})
 	booted := false
 	var bootErr error
 	st2.OnReady = func(err error) { bootErr, booted = err, true }

@@ -65,7 +65,7 @@ func snapTestbed(t *testing.T) *testbed {
 	t.Helper()
 	tb := newTestbed(t, 0)
 	st := New(Config{
-		App: 30, FileName: "kv.dat", Memctrl: mcID,
+		App: 30, FileName: "kv.dat", Control: mcID,
 		QueueEntries: 64, SnapshotFile: "kv.snap",
 	})
 	booted := false
@@ -103,7 +103,7 @@ func TestSnapshotAcceleratedRecovery(t *testing.T) {
 
 	// A second store on the same files recovers from snapshot + suffix.
 	st2 := New(Config{
-		App: 31, FileName: "kv.dat", Memctrl: mcID,
+		App: 31, FileName: "kv.dat", Control: mcID,
 		QueueEntries: 64, SnapshotFile: "kv.snap",
 	})
 	booted := false
@@ -166,7 +166,7 @@ func TestCorruptSnapshotFallsBackToFullScan(t *testing.T) {
 	}
 
 	st2 := New(Config{
-		App: 31, FileName: "kv.dat", Memctrl: mcID,
+		App: 31, FileName: "kv.dat", Control: mcID,
 		QueueEntries: 64, SnapshotFile: "kv.snap",
 	})
 	booted := false
@@ -187,7 +187,7 @@ func TestCorruptSnapshotFallsBackToFullScan(t *testing.T) {
 func TestSnapshotSurvivesSSDFailure(t *testing.T) {
 	tb := newTestbed(t, 400*sim.Microsecond)
 	st := New(Config{
-		App: 30, FileName: "kv.dat", Memctrl: mcID,
+		App: 30, FileName: "kv.dat", Control: mcID,
 		QueueEntries: 64, SnapshotFile: "kv.snap",
 	})
 	booted := false

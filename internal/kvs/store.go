@@ -35,13 +35,11 @@ type Config struct {
 	FileName string
 	// Token is the file's authorization token (§3 step 3).
 	Token uint64
-	// Memctrl is the memory controller's bus address (decentralized
-	// mode).
-	Memctrl msg.DeviceID
 	// Mode selects decentralized vs. centralized control/data planes.
 	Mode Mode
-	// Kernel is the CPU's bus address (centralized modes).
-	Kernel msg.DeviceID
+	// Control is the control plane's bus address: the memory controller
+	// in decentralized mode, the CPU kernel in the centralized ones.
+	Control msg.DeviceID
 	// QueueEntries sizes the virtqueue (power of two).
 	QueueEntries uint16
 	// IndexCost models the NIC-local hash-table probe/update time.
@@ -55,7 +53,8 @@ type Config struct {
 	CacheEntries int
 	// SnapshotFile enables index snapshots: recovery loads the snapshot
 	// and scans only the log suffix past its watermark. The file is
-	// created on the SSD on demand. Not supported in mediated mode.
+	// created on the SSD on demand through the memory controller, so
+	// snapshots are decentralized-only: a centralized store ignores it.
 	SnapshotFile string
 	// InflightBound caps requests admitted but not yet replied. At the
 	// bound new requests are shed (StatusShed), which keeps the data
@@ -249,24 +248,24 @@ func (s *Store) dispatchOpen(done func(fc smartnic.FileAPI, err error)) {
 	}
 	switch s.cfg.Mode {
 	case ModeCentralDirect:
-		s.rt.OpenFileCentralDirect(s.cfg.Kernel, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, tune)
+		s.rt.OpenFileCentralDirect(s.cfg.Control, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, tune)
 	case ModeCentralMediated:
-		s.rt.OpenFileMediated(s.cfg.Kernel, s.cfg.FileName, s.cfg.Token, tune)
+		s.rt.OpenFileMediated(s.cfg.Control, s.cfg.FileName, s.cfg.Token, tune)
 	default:
-		s.rt.OpenFile(s.cfg.Memctrl, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, func(fc *smartnic.FileClient, err error) {
+		s.rt.OpenFile(s.cfg.Control, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, func(fc *smartnic.FileClient, err error) {
 			tune(fc, err)
 		})
 	}
 }
 
 // openSnapshot opens (creating if needed) the snapshot file when
-// configured and supported in this mode.
+// configured, on a decentralized store only.
 func (s *Store) openSnapshot(next func()) {
-	if s.cfg.SnapshotFile == "" || s.cfg.Mode == ModeCentralMediated || s.snap != nil {
+	if s.cfg.SnapshotFile == "" || s.cfg.Mode != ModeDecentralized || s.snap != nil {
 		next()
 		return
 	}
-	s.rt.OpenFileCreate(s.cfg.Memctrl, s.cfg.SnapshotFile, s.cfg.Token, 16, func(fc *smartnic.FileClient, err error) {
+	s.rt.OpenFileCreate(s.cfg.Control, s.cfg.SnapshotFile, s.cfg.Token, 16, func(fc *smartnic.FileClient, err error) {
 		if err == nil {
 			s.snap = fc
 		}

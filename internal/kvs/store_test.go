@@ -37,7 +37,7 @@ type testbed struct {
 func newTestbed(t testing.TB, watchdog sim.Duration) *testbed {
 	t.Helper()
 	tb := &testbed{eng: sim.NewEngine(), watchdog: watchdog}
-	tr := trace.New(0)
+	tr := trace.New()
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	tb.fab = interconnect.NewFabric(tb.eng, mem, interconnect.DefaultCosts)
 	busCfg := bus.DefaultConfig
@@ -90,7 +90,7 @@ func newTestbed(t testing.TB, watchdog sim.Duration) *testbed {
 		t.Fatal("file create incomplete")
 	}
 
-	tb.store = New(Config{App: 10, FileName: "kv.dat", Memctrl: mcID, QueueEntries: 64})
+	tb.store = New(Config{App: 10, FileName: "kv.dat", Control: mcID, QueueEntries: 64})
 	var bootErr error
 	booted := false
 	tb.store.OnReady = func(err error) { bootErr, booted = err, true }
@@ -243,7 +243,7 @@ func TestRecoveryFromScan(t *testing.T) {
 
 	// Boot a second store instance (fresh index) against the same file —
 	// it must rebuild exactly the same view by scanning.
-	st2 := New(Config{App: 11, FileName: "kv.dat", Memctrl: mcID, QueueEntries: 64})
+	st2 := New(Config{App: 11, FileName: "kv.dat", Control: mcID, QueueEntries: 64})
 	var bootErr error
 	st2.OnReady = func(err error) { bootErr = err }
 	tb.nic.AddApp(st2)

@@ -60,7 +60,7 @@ func TestRequestTenantWire(t *testing.T) {
 // on the shared testbed file.
 func tenantStore(t *testing.T, tb *testbed, reg *tenant.Registry) *Store {
 	t.Helper()
-	st := New(Config{App: 12, FileName: "kv.dat", Memctrl: mcID, QueueEntries: 64, Tenancy: reg})
+	st := New(Config{App: 12, FileName: "kv.dat", Control: mcID, QueueEntries: 64, Tenancy: reg})
 	var bootErr error
 	booted := false
 	st.OnReady = func(err error) { bootErr, booted = err, true }

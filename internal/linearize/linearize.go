@@ -96,9 +96,6 @@ func (h *History) Return(id int, outcome Outcome, ret uint64, now sim.Time) {
 // Len returns the number of recorded operations.
 func (h *History) Len() int { return len(h.ops) }
 
-// Ops returns a copy of the recorded operations, in invocation order.
-func (h *History) Ops() []Op { return append([]Op(nil), h.ops...) }
-
 // Result is the checker's verdict over one history.
 type Result struct {
 	OK     bool

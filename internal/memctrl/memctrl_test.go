@@ -25,7 +25,7 @@ type world struct {
 
 func newWorld(t *testing.T, quota uint64, memPages uint64) *world {
 	t.Helper()
-	w := &world{eng: sim.NewEngine(), tr: trace.New(0)}
+	w := &world{eng: sim.NewEngine(), tr: trace.New()}
 	w.mem = physmem.MustNew(memPages * physmem.PageSize)
 	w.fab = interconnect.NewFabric(w.eng, w.mem, interconnect.DefaultCosts)
 	w.bus = bus.New(w.eng, bus.DefaultConfig, w.tr)

@@ -264,9 +264,6 @@ func (g *Gauge) Set(v int) {
 	}
 }
 
-// Inc adds one to the current depth.
-func (g *Gauge) Inc() { g.Set(g.cur + 1) }
-
 // Cur returns the current depth.
 func (g *Gauge) Cur() int { return g.cur }
 

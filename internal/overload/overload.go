@@ -1,11 +1,9 @@
 // Package overload is the deterministic open-loop load-ramp harness for
-// the overload-resilience experiments. A Plan names a machine's measured
-// saturation throughput and the statistical shape of a ramp campaign
-// (which offered-load multipliers to visit, how long each step generates,
-// what per-request deadline clients carry); Compile turns it into a fixed
-// step table using nothing but the plan's seed, and RunStep drives one
-// step's Poisson arrivals through netsim against a NIC edge, classifying
-// every response at client completion time.
+// the overload-resilience experiments. A ramp is the experiment's own
+// data: the offered rates it visits and one generator seed per step.
+// RunStep drives one step's Poisson arrivals through netsim against a
+// NIC edge for a window, each request carrying an optional deadline, and
+// classifies every response at client completion time.
 //
 // The package also carries the Ledger, the oracle for the three overload
 // guarantees the experiments assert:
@@ -20,109 +18,17 @@
 //	     ok / late / shed / error; shed work is refused with an explicit
 //	     response, never dropped on the floor.
 //
-// Determinism: Compile draws per-step generator seeds from a private
-// sim.Rand seeded only by Plan.Seed, and each step's OpenLoop uses its
-// own seed, so the same plan produces the same arrival sequence on every
-// run regardless of what else the caller's RNGs have consumed.
+// Determinism: each step's OpenLoop draws only from the seed it is
+// given, so the same step produces the same arrival sequence on every run
+// regardless of what else the caller's RNGs have consumed.
 package overload
 
 import (
 	"fmt"
-	"strings"
 
 	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
-
-// Plan is the declarative description of a load-ramp campaign against
-// one machine configuration.
-type Plan struct {
-	Seed uint64 // RNG seed; the only source of randomness
-	// Saturation is the machine's measured peak sustainable throughput
-	// (requests/second, typically from a closed-loop calibration run).
-	// Step offered rates are Multiplier × Saturation.
-	Saturation float64
-	// Multipliers are the offered-load points to visit, as fractions of
-	// Saturation (e.g. 0.25, 0.5, 1, 2, 4).
-	Multipliers []float64
-	// Window is each step's generation window; the step ends when all
-	// in-flight requests resolve.
-	Window sim.Duration
-	// Deadline, when nonzero, is the per-request latency budget: each
-	// request is stamped with absolute deadline issue-time+Deadline, and
-	// an OK response arriving after its deadline counts as late, not
-	// goodput.
-	Deadline sim.Duration
-}
-
-// Step is one compiled ramp point.
-type Step struct {
-	Multiplier float64
-	Rate       float64 // offered requests/second
-	Seed       uint64  // private generator seed for this step
-}
-
-// Ramp is a compiled, immutable load timetable.
-type Ramp struct {
-	plan  Plan
-	Steps []Step
-}
-
-// Compile fixes the campaign into a step table. It validates the plan
-// and derives one generator seed per step from the plan seed, so a
-// step's arrival process depends only on (Plan.Seed, step index) — runs
-// are reproducible even when steps execute against freshly built
-// machines.
-func (p Plan) Compile() (*Ramp, error) {
-	if p.Saturation <= 0 {
-		return nil, fmt.Errorf("overload: saturation %v must be positive", p.Saturation)
-	}
-	if len(p.Multipliers) == 0 {
-		return nil, fmt.Errorf("overload: no multipliers")
-	}
-	if p.Window <= 0 {
-		return nil, fmt.Errorf("overload: window %v must be positive", p.Window)
-	}
-	if p.Deadline < 0 {
-		return nil, fmt.Errorf("overload: negative deadline %v", p.Deadline)
-	}
-	for i, m := range p.Multipliers {
-		if m <= 0 {
-			return nil, fmt.Errorf("overload: multiplier %d (%v) must be positive", i, m)
-		}
-	}
-	rng := sim.NewRand(p.Seed ^ 0x6f766c64) // "ovld"
-	r := &Ramp{plan: p}
-	for _, m := range p.Multipliers {
-		r.Steps = append(r.Steps, Step{
-			Multiplier: m,
-			Rate:       m * p.Saturation,
-			Seed:       rng.Uint64(),
-		})
-	}
-	return r, nil
-}
-
-// MustCompile is Compile for fixed plans in experiments and tests.
-func (p Plan) MustCompile() *Ramp {
-	r, err := p.Compile()
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Plan returns the compiled plan.
-func (r *Ramp) Plan() Plan { return r.plan }
-
-// String renders the step table, one step per line ("0: 0.25x 30000/s").
-func (r *Ramp) String() string {
-	var b strings.Builder
-	for i, s := range r.Steps {
-		fmt.Fprintf(&b, "%d: %gx %.0f/s\n", i, s.Multiplier, s.Rate)
-	}
-	return b.String()
-}
 
 // Outcome classifies one response at client completion time.
 type Outcome int
@@ -158,29 +64,29 @@ type StepResult struct {
 // Resolved is the number of requests that got a definite outcome.
 func (s StepResult) Resolved() uint64 { return s.OK + s.Late + s.Shed + s.Errors }
 
-// RunStep executes step i of the ramp against target: a Poisson open
-// loop at the step's rate for the plan's window, each request stamped
-// with its absolute deadline, the engine driven until every request
-// resolves. gen builds the i-th payload (deadline is 0 when the plan has
-// none); classify maps a response to its outcome (late-ness is applied
-// here, after classification, so classify only inspects bytes).
-func (r *Ramp) RunStep(i int, eng *sim.Engine, target netsim.Target,
+// RunStep runs one ramp step against target: a Poisson open loop at
+// rate requests/second drawn from seed for window, each request stamped
+// with its absolute deadline when deadline is nonzero, the engine driven
+// until every request resolves. gen builds the i-th payload (deadline is
+// 0 when the step has none); classify maps a response to its outcome
+// (late-ness is applied here, after classification, so classify only
+// inspects bytes). The result's Multiplier is the caller's to fill in.
+func RunStep(eng *sim.Engine, target netsim.Target, rate float64, seed uint64, window, deadline sim.Duration,
 	gen func(rd *sim.Rand, seq uint64, deadline uint64) []byte,
 	classify func(resp []byte) Outcome) StepResult {
 
-	step := r.Steps[i]
-	res := StepResult{Multiplier: step.Multiplier, Rate: step.Rate}
+	res := StepResult{Rate: rate}
 	wire := netsim.DefaultWireLatency
 	ol := &netsim.OpenLoop{
 		Eng:         eng,
-		Rand:        sim.NewRand(step.Seed),
-		Rate:        step.Rate,
-		Duration:    r.plan.Window,
+		Rand:        sim.NewRand(seed),
+		Rate:        rate,
+		Duration:    window,
 		WireLatency: wire,
 		Gen: func(rd *sim.Rand, seq uint64) []byte {
 			var dl uint64
-			if r.plan.Deadline > 0 {
-				dl = uint64(eng.Now().Add(r.plan.Deadline))
+			if deadline > 0 {
+				dl = uint64(eng.Now().Add(deadline))
 			}
 			return gen(rd, seq, dl)
 		},
@@ -189,8 +95,8 @@ func (r *Ramp) RunStep(i int, eng *sim.Engine, target netsim.Target,
 			// generation, so the stamped deadline is recoverable here
 			// without threading state: issue = now - wire.
 			var dl sim.Time
-			if r.plan.Deadline > 0 {
-				dl = eng.Now().Add(r.plan.Deadline - wire)
+			if deadline > 0 {
+				dl = eng.Now().Add(deadline - wire)
 			}
 			target(p, func(resp []byte) {
 				// The client observes the response one wire latency
@@ -215,12 +121,12 @@ func (r *Ramp) RunStep(i int, eng *sim.Engine, target netsim.Target,
 	}
 	done := false
 	ol.Run(func() { done = true })
-	deadline := eng.Now().Add(r.plan.Window + 30*sim.Second)
-	for !done && eng.Now() < deadline {
+	stop := eng.Now().Add(window + 30*sim.Second)
+	for !done && eng.Now() < stop {
 		eng.RunFor(sim.Millisecond)
 	}
 	if !done {
-		panic(fmt.Sprintf("overload: step %d (%gx) did not drain within 30s past its window", i, step.Multiplier))
+		panic(fmt.Sprintf("overload: step at %.0f/s did not drain within 30s past its window", rate))
 	}
 	st := ol.Stats()
 	res.Sent = st.Sent

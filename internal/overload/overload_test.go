@@ -9,74 +9,6 @@ import (
 	"nocpu/internal/sim"
 )
 
-func validPlan() Plan {
-	return Plan{
-		Seed:        7,
-		Saturation:  100000,
-		Multipliers: []float64{0.25, 0.5, 1, 2, 4},
-		Window:      10 * sim.Millisecond,
-		Deadline:    sim.Millisecond,
-	}
-}
-
-func TestCompileDeterministic(t *testing.T) {
-	a := validPlan().MustCompile()
-	b := validPlan().MustCompile()
-	if len(a.Steps) != len(b.Steps) {
-		t.Fatalf("step counts differ: %d vs %d", len(a.Steps), len(b.Steps))
-	}
-	for i := range a.Steps {
-		if a.Steps[i] != b.Steps[i] {
-			t.Fatalf("step %d differs: %+v vs %+v", i, a.Steps[i], b.Steps[i])
-		}
-	}
-	if a.String() != b.String() {
-		t.Fatalf("timetables differ:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestCompileSeedChangesSteps(t *testing.T) {
-	p := validPlan()
-	a := p.MustCompile()
-	p.Seed++
-	b := p.MustCompile()
-	same := true
-	for i := range a.Steps {
-		if a.Steps[i].Seed != b.Steps[i].Seed {
-			same = false
-		}
-		// Rates are seed-independent: they come from the plan alone.
-		if a.Steps[i].Rate != b.Steps[i].Rate {
-			t.Fatalf("step %d rate changed with seed: %v vs %v", i, a.Steps[i].Rate, b.Steps[i].Rate)
-		}
-	}
-	if same {
-		t.Fatal("different seeds compiled identical generator seeds")
-	}
-}
-
-func TestCompileValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Plan)
-		want string
-	}{
-		{"zero saturation", func(p *Plan) { p.Saturation = 0 }, "saturation"},
-		{"no multipliers", func(p *Plan) { p.Multipliers = nil }, "no multipliers"},
-		{"zero window", func(p *Plan) { p.Window = 0 }, "window"},
-		{"negative deadline", func(p *Plan) { p.Deadline = -1 }, "deadline"},
-		{"negative multiplier", func(p *Plan) { p.Multipliers = []float64{1, -2} }, "multiplier"},
-	}
-	for _, c := range cases {
-		p := validPlan()
-		c.mut(&p)
-		_, err := p.Compile()
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %v, want mention of %q", c.name, err, c.want)
-		}
-	}
-}
-
 // echoTarget replies after a fixed service delay (infinite concurrency —
 // a pure delay line, no queueing).
 func echoTarget(eng *sim.Engine, service sim.Duration) netsim.Target {
@@ -87,17 +19,9 @@ func echoTarget(eng *sim.Engine, service sim.Duration) netsim.Target {
 
 func TestRunStepClassifiesOutcomes(t *testing.T) {
 	eng := sim.NewEngine()
-	p := Plan{
-		Seed:        3,
-		Saturation:  1e6, // 1 req/us offered at 1x
-		Multipliers: []float64{1},
-		Window:      sim.Millisecond,
-		Deadline:    100 * sim.Microsecond,
-	}
-	r := p.MustCompile()
-	// Service takes 50us: with 2us wire each way the round trip is
-	// ~54us, inside the 100us deadline, so everything is OK.
-	res := r.RunStep(0, eng, echoTarget(eng, 50*sim.Microsecond),
+	// 1 req/us offered. Service takes 50us: with 2us wire each way the
+	// round trip is ~54us, inside the 100us deadline, so everything is OK.
+	res := RunStep(eng, echoTarget(eng, 50*sim.Microsecond), 1e6, 3, sim.Millisecond, 100*sim.Microsecond,
 		func(rd *sim.Rand, seq uint64, deadline uint64) []byte {
 			if deadline == 0 {
 				t.Fatal("deadline not stamped")
@@ -121,15 +45,8 @@ func TestRunStepClassifiesOutcomes(t *testing.T) {
 
 func TestRunStepMarksLate(t *testing.T) {
 	eng := sim.NewEngine()
-	p := Plan{
-		Seed:        3,
-		Saturation:  100000,
-		Multipliers: []float64{1},
-		Window:      sim.Millisecond,
-		Deadline:    10 * sim.Microsecond, // < service time: all late
-	}
-	r := p.MustCompile()
-	res := r.RunStep(0, eng, echoTarget(eng, 50*sim.Microsecond),
+	// The 10us deadline is below the service time: all late.
+	res := RunStep(eng, echoTarget(eng, 50*sim.Microsecond), 100000, 3, sim.Millisecond, 10*sim.Microsecond,
 		func(rd *sim.Rand, seq uint64, deadline uint64) []byte { return []byte{1} },
 		func(resp []byte) Outcome { return OutcomeOK })
 	if res.Late != res.Sent {
@@ -143,8 +60,7 @@ func TestRunStepMarksLate(t *testing.T) {
 func TestRunStepDeterministic(t *testing.T) {
 	run := func() StepResult {
 		eng := sim.NewEngine()
-		r := validPlan().MustCompile()
-		return r.RunStep(2, eng, echoTarget(eng, 5*sim.Microsecond),
+		return RunStep(eng, echoTarget(eng, 5*sim.Microsecond), 100000, 7, 10*sim.Millisecond, sim.Millisecond,
 			func(rd *sim.Rand, seq uint64, deadline uint64) []byte { return []byte{1} },
 			func(resp []byte) Outcome { return OutcomeOK })
 	}

@@ -60,9 +60,6 @@ func newAgent(fl *Fleet, r *fabric.Router) *Agent {
 	return &Agent{fl: fl, r: r, conds: make([]condState, len(fl.cl.Machines))}
 }
 
-// Stats returns a copy of this agent's counters.
-func (a *Agent) Stats() Stats { return a.stats }
-
 func (a *Agent) adoptSpec(s Spec) {
 	if s.Ver > a.spec.Ver {
 		a.spec = s

@@ -186,9 +186,6 @@ func Attach(cl *fabric.Cluster, cfg Config) *Fleet {
 	return f
 }
 
-// Spec returns the current declared state.
-func (f *Fleet) Spec() Spec { return f.spec }
-
 // SetSpec declares a new desired state and opens a divergence window.
 // A zero Ver is auto-bumped past the current spec. The spec reaches
 // every live agent immediately (the operator writes the spec store);

@@ -162,7 +162,7 @@ func TestErrorNotifyOnRevokedQueue(t *testing.T) {
 func TestNICFailureRebootsApps(t *testing.T) {
 	// Kill the NIC: watchdog resets it; the chassis re-runs OnAlive,
 	// which re-boots every app, which re-runs the Figure-2 sequence.
-	m2 := buildMachine(t, 500*sim.Microsecond, trace.New(0))
+	m2 := buildMachine(t, 500*sim.Microsecond, trace.New())
 	m2.createFile(t, "kv.dat", []byte("x"))
 	boots := 0
 	var lastErr error

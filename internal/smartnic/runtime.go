@@ -61,9 +61,6 @@ func newRuntime(n *NIC, app msg.AppID) *Runtime {
 	}
 }
 
-// App returns the application id.
-func (rt *Runtime) App() msg.AppID { return rt.app }
-
 // Engine returns the simulation engine (apps schedule timers with it).
 func (rt *Runtime) Engine() *sim.Engine { return rt.nic.dev.Engine() }
 

@@ -36,7 +36,7 @@ const (
 
 func newMachine(t testing.TB) *machine {
 	t.Helper()
-	return buildMachine(t, 0, trace.New(0))
+	return buildMachine(t, 0, trace.New())
 }
 
 // buildMachine assembles the memctrl+SSD+NIC testbed; a non-zero

@@ -19,8 +19,6 @@ type Config struct {
 	Geometry FlashGeometry
 	Timing   FlashTiming
 	FS       FSConfig
-	// CellSize is the virtqueue buffer cell the file service uses.
-	CellSize int
 	// Tokens maps file names to required open tokens (§3 step 3 and the
 	// §4 access-control discussion). Files absent from the map are open
 	// access.
@@ -34,6 +32,10 @@ type Config struct {
 
 // ftlOPRatio is the FTL over-provisioning fraction.
 const ftlOPRatio = 0.125
+
+// cellSize is the virtqueue buffer cell the file service uses: one 4 KiB
+// page plus the request and response headers.
+const cellSize = 4096 + RespHeaderBytes + ReqHeaderBytes
 
 // SSD is the smart SSD device.
 type SSD struct {
@@ -61,9 +63,6 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.Timing.Read == 0 {
 		cfg.Timing = DefaultTiming
 	}
-	if cfg.CellSize == 0 {
-		cfg.CellSize = 4096 + RespHeaderBytes + ReqHeaderBytes
-	}
 	cfg.Device.Role = msg.RoleStorage
 	d, err := device.New(eng, b, fab, tr, cfg.Device)
 	if err != nil {
@@ -75,7 +74,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	s.fs = newFS(s.ftl, cfg.FS)
 
 	s.files = &fileService{ssd: s, Sessions: device.Sessions[*File]{
-		Dev: d, CellSize: cfg.CellSize, NotifyBatch: cfg.NotifyBatch,
+		Dev: d, CellSize: cellSize, NotifyBatch: cfg.NotifyBatch,
 		Admit: s.admit, Handler: s.handlerFor,
 		Resource: func(c *device.Session[*File]) string { return "file:" + c.State.Name() },
 	}}
@@ -96,9 +95,6 @@ func (s *SSD) FS() *FS { return s.fs }
 
 // FTLStats exposes translation-layer counters.
 func (s *SSD) FTLStats() FTLStats { return s.ftl.Stats() }
-
-// Wear exposes the NAND erase-count distribution.
-func (s *SSD) Wear() WearStats { return s.ftl.Wear() }
 
 // Ready reports whether the volume is mounted and serving.
 func (s *SSD) Ready() bool { return s.ready }

@@ -36,18 +36,14 @@ func (e Event) String() string {
 // so hot paths can call t.Record unconditionally.
 type Tracer struct {
 	events []Event
-	limit  int
 }
 
-// New returns a tracer that keeps at most limit events (0 = unlimited).
-func New(limit int) *Tracer { return &Tracer{limit: limit} }
+// New returns an empty tracer.
+func New() *Tracer { return &Tracer{} }
 
 // Record appends an event.
 func (t *Tracer) Record(at sim.Time, src, dst, kind, detail string) {
 	if t == nil {
-		return
-	}
-	if t.limit > 0 && len(t.events) >= t.limit {
 		return
 	}
 	t.events = append(t.events, Event{At: at, Src: src, Dst: dst, Kind: kind, Detail: detail})

@@ -17,7 +17,7 @@ func TestNilTracerSafe(t *testing.T) {
 }
 
 func TestRecordAndKinds(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(10, "nic", "bus", "discover.req", "file=kv.dat")
 	tr.Record(20, "bus", "ssd", "discover.fwd", "")
 	if tr.Len() != 2 {
@@ -30,7 +30,7 @@ func TestRecordAndKinds(t *testing.T) {
 }
 
 func TestFilterByPrefix(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(1, "a", "b", "mem.alloc", "")
 	tr.Record(2, "a", "b", "mem.free", "")
 	tr.Record(3, "a", "b", "svc.open", "")
@@ -40,25 +40,15 @@ func TestFilterByPrefix(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	tr := New(2)
-	for i := 0; i < 5; i++ {
-		tr.Record(0, "s", "d", "k", "")
-	}
-	if tr.Len() != 2 {
-		t.Errorf("limit not enforced: %d", tr.Len())
-	}
-}
-
 func TestStringRendering(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(1500, "nic", "bus", "svc.open", "token=x")
 	s := tr.String()
 	if !strings.Contains(s, "nic") || !strings.Contains(s, "->") || !strings.Contains(s, "svc.open") {
 		t.Errorf("render = %q", s)
 	}
 	// Event with no destination renders without an arrow.
-	tr2 := New(0)
+	tr2 := New()
 	tr2.Record(1, "dev", "", "self-test", "")
 	if strings.Contains(tr2.String(), "->") {
 		t.Errorf("dst-less event rendered arrow: %q", tr2.String())
