@@ -145,5 +145,6 @@ lines:
 	printf '%-42s %6d\n' 'centralos.go' $$(count internal/centralos/centralos.go); \
 	printf '%-42s %6d\n' 'sim engine+server' $$(count internal/sim/engine.go internal/sim/server.go); \
 	printf '%-42s %6d\n' 'msg+lint/wireproto.go' $$(count internal/msg internal/lint/wireproto.go); \
+	printf '%-42s %6d\n' 'lint+cmd/nocpu-lint' $$(count internal/lint cmd/nocpu-lint); \
 	printf '%-42s %6d\n' 'exp+chaos+overload+faultinject+netsim' $$(count internal/exp internal/chaos internal/overload internal/faultinject internal/netsim); \
 	printf '%-42s %6d\n' 'internal/+cmd/' $$(count internal cmd)

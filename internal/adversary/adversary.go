@@ -85,15 +85,7 @@ func Attach(eng *sim.Engine, b *bus.Bus, mem *physmem.Memory, reg *tenant.Regist
 		rnd: sim.NewRand(cfg.Seed ^ 0xad5e),
 	}
 	d.mmu = iommu.New(cfg.Name, mem, iommu.DefaultConfig)
-	check := reg.DomainCheckFor(cfg.ID)
-	d.mmu.SetDomainCheck(func(p iommu.PASID) error {
-		err := check(msg.AppID(p))
-		var terr *tenant.Error
-		if errors.As(err, &terr) {
-			reg.RecordError(eng.Now(), terr)
-		}
-		return err
-	})
+	d.mmu.SetDomainCheck(tenant.DomainCheck[iommu.PASID](reg, eng, cfg.ID))
 	port, err := b.Attach(cfg.ID, cfg.Name, msg.RoleAccelerator, d.mmu, func(env msg.Envelope) {
 		d.inbox = append(d.inbox, env)
 	})

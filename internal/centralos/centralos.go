@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"nocpu/internal/bus"
+	"nocpu/internal/device"
 	"nocpu/internal/interconnect"
 	"nocpu/internal/iommu"
 	"nocpu/internal/metrics"
@@ -61,11 +62,12 @@ type Config struct {
 	// QueueEntries sizes the kernel's own device queues.
 	QueueEntries uint16
 	// HeartbeatEvery makes the kernel heartbeat on the management
-	// transport, so a bus watchdog can detect a kernel panic. 0 (the
-	// default) sends none — required for machines without a watchdog.
+	// transport, so a bus watchdog can detect a kernel panic. 0 sends
+	// none; core fills it as it does a device's.
 	HeartbeatEvery sim.Duration
 	// ResetDelay is the kernel reboot time after a bus Reset (the
 	// baseline's recovery path). 0 disables recovery: a Reset is ignored.
+	// core fills it (150µs) when left zero.
 	ResetDelay sim.Duration
 	// IOBacklogBound caps mediated file I/Os in flight inside the kernel
 	// (admitted by sysFileIO but not yet completed). At the bound new
@@ -137,11 +139,9 @@ type CPU struct {
 	// to affected apps when the backing device dies.
 	completedOpens map[openKey]*openVerdict
 
-	hello, hb  sim.Timer // the next Hello and heartbeat; Kill stops both
-	boot       sim.Timer // the reboot after a bus Reset
-	helloTries int
-	hbSeq      uint64
-	alive      bool
+	enr   device.Enrollment // Hello, heartbeat and credits; Kill stops it
+	boot  sim.Timer         // the reboot after a bus Reset
+	alive bool
 
 	// mmaps is the kernel's per-app region table for the explicit
 	// mmap/munmap syscalls (AllocReq/FreeReq addressed to the CPU).
@@ -231,40 +231,16 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		return nil, err
 	}
 	c.port = port
+	c.enr = device.NewEnrollment(eng, tr, port, msg.RoleAccelerator, cfg.Name, cfg.HeartbeatEvery)
 	return c, nil
 }
 
-// Start boots the kernel (announces the CPU on the transport). The Hello
-// retransmits with backoff until the bus acknowledges it (§4: enrollment
-// must survive a lossy bus); the timer never fires in a fault-free run.
+// Start boots the kernel: it enrolls on the transport as a device does,
+// without a self-test.
 func (c *CPU) Start() {
 	c.alive = true
-	c.helloTries = 0
-	c.sendHello()
-	c.scheduleHeartbeat()
+	c.enr.Enroll(nil)
 }
-
-const (
-	helloRetryBase = 2 * sim.Millisecond
-	helloRetryMax  = 5
-)
-
-func (c *CPU) sendHello() {
-	c.port.Send(msg.BusID, &msg.Hello{Role: msg.RoleAccelerator, Name: c.cfg.Name, Incarnation: c.port.Incarnation()})
-	if c.helloTries >= helloRetryMax {
-		c.tr.Record(c.eng.Now(), c.cfg.Name, "", "hello-abandoned", fmt.Sprintf("after %d attempts", c.helloTries+1))
-		return
-	}
-	delay := helloRetryBase << uint(c.helloTries)
-	c.helloTries++
-	c.hello.Arm(c.eng, delay, (*helloRetry)(c))
-}
-
-// helloRetry, heartbeat and reboot are the kernel as an event: pointer
-// conversions, so arming them allocates nothing.
-type helloRetry CPU
-
-func (e *helloRetry) Fire() { (*CPU)(e).sendHello() }
 
 // Stats returns a copy of the counters.
 func (c *CPU) Stats() Stats { return c.stats }
@@ -276,32 +252,11 @@ func (c *CPU) IOGauge() *metrics.Gauge { return c.ioG }
 // Alive reports whether the kernel is running.
 func (c *CPU) Alive() bool { return c.alive }
 
-// scheduleHeartbeat arms the kernel's liveness beacon when configured.
-func (c *CPU) scheduleHeartbeat() {
-	if c.cfg.HeartbeatEvery <= 0 {
-		return
-	}
-	c.hb.Arm(c.eng, c.cfg.HeartbeatEvery, (*heartbeat)(c))
-}
-
-type heartbeat CPU
-
-func (e *heartbeat) Fire() {
-	c := (*CPU)(e)
-	if !c.alive {
-		return
-	}
-	c.hbSeq++
-	c.port.Send(msg.BusID, &msg.Heartbeat{Seq: c.hbSeq})
-	c.scheduleHeartbeat()
-}
-
 // Kill simulates a kernel panic (fault injection): the CPU stops
 // answering syscalls and heartbeats until the bus watchdog resets it.
 func (c *CPU) Kill() {
 	c.alive = false
-	c.hello.Stop()
-	c.hb.Stop()
+	c.enr.Stop()
 }
 
 // onBusReset runs the baseline's recovery: after ResetDelay the kernel
@@ -436,13 +391,10 @@ func (c *CPU) receive(env msg.Envelope) {
 		c.sysMmap(env.Src, m)
 	case *msg.FreeReq:
 		c.sysMunmap(env.Src, m)
-	case *msg.HelloAck:
-		c.hello.Stop()
 	case *msg.DeviceFailed:
 		c.onPeerFailed(m.Device)
-	case *msg.CreditUpdate:
-		// Flow-control replenishment: pure port plumbing.
-		c.port.AddCredits(m.Credits, m.ForInc)
+	case *msg.HelloAck, *msg.CreditUpdate:
+		c.enr.Receive(m)
 	}
 }
 

@@ -36,6 +36,13 @@ type centralbed struct {
 
 func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	t.Helper()
+	return newCentralbedWith(t, mode, Config{})
+}
+
+// newCentralbedWith boots the bed with the kernel configured by cfg (its
+// ID and name are the bed's).
+func newCentralbedWith(t *testing.T, mode kvs.Mode, cfg Config) *centralbed {
+	t.Helper()
 	cb := &centralbed{eng: sim.NewEngine(), tr: trace.New()}
 	tr := cb.tr
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
@@ -43,7 +50,8 @@ func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	// No memory controller attaches: the bus is pure transport here.
 	cb.bus = bus.New(cb.eng, bus.DefaultConfig, tr)
 
-	cpu, err := New(cb.eng, cb.bus, fab, tr, Config{ID: cpuID, Name: "cpu"})
+	cfg.ID, cfg.Name = cpuID, "cpu"
+	cpu, err := New(cb.eng, cb.bus, fab, tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +80,7 @@ func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	cpu.Start()
 	ssd.Start()
 	nic.Start()
-	cb.eng.Run()
+	cb.settle()
 	if !ssd.Ready() {
 		t.Fatal("ssd not ready")
 	}
@@ -83,7 +91,7 @@ func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 		}
 		done = true
 	})
-	cb.eng.Run()
+	cb.settle()
 	if !done {
 		t.Fatal("create incomplete")
 	}
@@ -95,11 +103,21 @@ func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	booted := false
 	cb.store.OnReady = func(err error) { bootErr, booted = err, true }
 	nic.AddApp(cb.store)
-	cb.eng.Run()
+	cb.settle()
 	if !booted || bootErr != nil {
 		t.Fatalf("boot (mode %d): booted=%v err=%v\ntrace:\n%s", mode, booted, bootErr, tr.String())
 	}
 	return cb
+}
+
+// settle runs the bed until it quiesces or, while the kernel heartbeats,
+// for 10ms (booting takes about 1.1ms).
+func (cb *centralbed) settle() {
+	if cb.cpu.cfg.HeartbeatEvery > 0 {
+		cb.eng.RunFor(10 * sim.Millisecond)
+		return
+	}
+	cb.eng.Run()
 }
 
 func (cb *centralbed) op(t *testing.T, req kvs.Request) kvs.Response {
@@ -352,12 +370,11 @@ func TestRebootForgetsMediatedIOs(t *testing.T) {
 // reboot. The bus sends one such Reset when a heartbeat the kernel sent
 // before it was failed lands after the failure.
 func TestSecondResetJoinsPendingReboot(t *testing.T) {
-	cb := newCentralbed(t, kvs.ModeCentralDirect)
-	cb.cpu.cfg.HeartbeatEvery = 10 * sim.Microsecond
-	cb.cpu.cfg.ResetDelay = 50 * sim.Microsecond
-	cb.cpu.scheduleHeartbeat()
-	for seq := cb.cpu.hbSeq; cb.cpu.hbSeq == seq && cb.eng.Step(); {
-	}
+	const every = 10 * sim.Microsecond
+	cb := newCentralbedWith(t, kvs.ModeCentralDirect, Config{HeartbeatEvery: every, ResetDelay: 50 * sim.Microsecond})
+	// The kernel has beaten every 10us since it started at time 0. Fail it
+	// 1ns before the next beat, so that beat leaves before the Reset lands.
+	cb.eng.RunFor(every - 1 - sim.Duration(cb.eng.Now())%every)
 	resets := cb.bus.Stats().Resets
 	if err := cb.bus.FailDevice(cpuID, "test"); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 
 	"nocpu/internal/accel"
@@ -82,8 +82,8 @@ type Options struct {
 	SSD smartssd.Config
 	// NIC configures the (first) smart NIC.
 	NIC smartnic.Config
-	// Watchdog enables the bus watchdog and device heartbeats at
-	// watchdog/4.
+	// Watchdog enables the bus watchdog, and every endpoint — each device
+	// and the kernel — heartbeats at watchdog/4.
 	Watchdog sim.Duration
 	// NoTrace disables tracing entirely (benchmarks).
 	NoTrace bool
@@ -128,6 +128,7 @@ type System struct {
 	Accel   *accel.Accel // optional (Options.WithAccel)
 
 	nextID msg.DeviceID
+	hb     sim.Duration // every endpoint's heartbeat period: Watchdog/4
 }
 
 // SSD returns the first SSD.
@@ -153,9 +154,7 @@ func New(opts Options) (*System, error) {
 		opts.Bus.WatchdogTimeout = opts.Watchdog
 	}
 	if opts.Costs.LinkLatency == 0 {
-		dw := opts.Costs.DMAWindow
 		opts.Costs = interconnect.DefaultCosts
-		opts.Costs.DMAWindow = dw
 	}
 	eng := opts.Engine
 	if eng == nil {
@@ -165,6 +164,7 @@ func New(opts Options) (*System, error) {
 		Opts: opts,
 		Eng:  eng,
 		Rand: sim.NewRand(opts.Seed ^ 0x6e6f637075), // "nocpu"
+		hb:   opts.Watchdog / 4,
 	}
 	if !opts.NoTrace {
 		s.Tracer = trace.New()
@@ -187,29 +187,23 @@ func New(opts Options) (*System, error) {
 	}
 	s.nextID = ControlID
 
-	hb := sim.Duration(0)
-	if opts.Watchdog > 0 {
-		hb = opts.Watchdog / 4
-	}
-
 	switch opts.Flavor {
 	case Decentralized:
-		mcCfg := memctrl.Config{Device: device.Config{
-			ID: s.claimID(), Name: "memctrl", HeartbeatEvery: hb,
-			SelfTest:   1 * sim.Microsecond,
-			ResetDelay: 100 * sim.Microsecond,
-		}}
+		var mcCfg memctrl.Config
+		s.chassis(&mcCfg.Device, "memctrl", 1*sim.Microsecond, 100*sim.Microsecond)
 		s.Memctrl, err = memctrl.New(s.Eng, s.Bus, s.Fabric, s.Tracer, mcCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.applyTenancy(mcCfg.Device.ID, s.Memctrl.Device().IOMMU())
+		s.mount(s.Memctrl.Device())
 	case Centralized:
+		// The kernel's lifecycle timing is filled as a device's is; it has
+		// no self-test.
 		cpuCfg := opts.CPU
 		cpuCfg.ID = s.claimID()
-		if cpuCfg.Name == "" {
-			cpuCfg.Name = "cpu"
-		}
+		cpuCfg.Name = cmp.Or(cpuCfg.Name, "cpu")
+		cpuCfg.HeartbeatEvery = cmp.Or(cpuCfg.HeartbeatEvery, s.hb)
+		cpuCfg.ResetDelay = cmp.Or(cpuCfg.ResetDelay, 150*sim.Microsecond)
 		s.CPU, err = centralos.New(s.Eng, s.Bus, s.Fabric, s.Tracer, cpuCfg)
 		if err != nil {
 			return nil, err
@@ -237,44 +231,39 @@ func New(opts Options) (*System, error) {
 		}
 	}
 	if opts.WithAccel {
-		acfg := accel.Config{Device: device.Config{
-			ID:             s.claimID(),
-			Name:           "accel",
-			HeartbeatEvery: s.heartbeat(),
-			SelfTest:       5 * sim.Microsecond,
-			ResetDelay:     100 * sim.Microsecond,
-		}}
-		a, err := accel.New(s.Eng, s.Bus, s.Fabric, s.Tracer, acfg)
-		if err != nil {
+		var acfg accel.Config
+		s.chassis(&acfg.Device, "accel", 5*sim.Microsecond, 100*sim.Microsecond)
+		if s.Accel, err = accel.New(s.Eng, s.Bus, s.Fabric, s.Tracer, acfg); err != nil {
 			return nil, err
 		}
-		if s.CPU != nil {
-			s.CPU.AttachDeviceIOMMU(acfg.Device.ID, a.Device().IOMMU())
-		}
-		s.applyTenancy(acfg.Device.ID, a.Device().IOMMU())
-		s.Accel = a
+		s.mount(s.Accel.Device())
 	}
 	return s, nil
 }
 
-// applyTenancy installs the per-device isolation-domain check on a
-// device's translation unit: the device itself refuses contexts and
-// mappings for apps outside its tenant, whoever asks — including the
-// head node. This is the decentralized half of the E20 argument.
-func (s *System) applyTenancy(id msg.DeviceID, mmu *iommu.IOMMU) {
-	if s.Opts.Tenancy == nil {
-		return
+// chassis names a device, gives it the next ID and fills what it left
+// zero of its lifecycle timing, the one way for every device on the
+// machine: a heartbeat at Watchdog/4 (so a watchdog never fails a healthy
+// device), and the given self-test and reset times.
+func (s *System) chassis(cfg *device.Config, name string, selfTest, reset sim.Duration) {
+	cfg.ID, cfg.Name = s.claimID(), name
+	cfg.HeartbeatEvery = cmp.Or(cfg.HeartbeatEvery, s.hb)
+	cfg.SelfTest = cmp.Or(cfg.SelfTest, selfTest)
+	cfg.ResetDelay = cmp.Or(cfg.ResetDelay, reset)
+}
+
+// mount connects a device's translation unit to the machine: the kernel,
+// if there is one, gets its MMIO handle, and with tenancy on the unit
+// refuses contexts and mappings for apps outside the device's tenant,
+// whoever asks — including the head node. This is the decentralized half
+// of the E20 argument.
+func (s *System) mount(d *device.Device) {
+	if s.CPU != nil {
+		s.CPU.AttachDeviceIOMMU(d.ID(), d.IOMMU())
 	}
-	reg := s.Opts.Tenancy
-	check := reg.DomainCheckFor(id)
-	mmu.SetDomainCheck(func(p iommu.PASID) error {
-		err := check(msg.AppID(p))
-		var terr *tenant.Error
-		if errors.As(err, &terr) {
-			reg.RecordError(s.Eng.Now(), terr)
-		}
-		return err
-	})
+	if s.Opts.Tenancy != nil {
+		d.IOMMU().SetDomainCheck(tenant.DomainCheck[iommu.PASID](s.Opts.Tenancy, s.Eng, d.ID()))
+	}
 }
 
 // MustNew is New for static configuration.
@@ -292,60 +281,27 @@ func (s *System) claimID() msg.DeviceID {
 	return id
 }
 
-func (s *System) heartbeat() sim.Duration {
-	if s.Opts.Watchdog > 0 {
-		return s.Opts.Watchdog / 4
-	}
-	return 0
-}
-
 // AddSSD attaches another smart SSD (before Boot).
 func (s *System) AddSSD(name string, cfg smartssd.Config) (*smartssd.SSD, error) {
-	cfg.Device.ID = s.claimID()
-	cfg.Device.Name = name
-	if cfg.Device.HeartbeatEvery == 0 {
-		cfg.Device.HeartbeatEvery = s.heartbeat()
-	}
-	if cfg.Device.SelfTest == 0 {
-		cfg.Device.SelfTest = 5 * sim.Microsecond
-	}
-	if cfg.Device.ResetDelay == 0 {
-		cfg.Device.ResetDelay = 200 * sim.Microsecond
-	}
+	s.chassis(&cfg.Device, name, 5*sim.Microsecond, 200*sim.Microsecond)
 	ssd, err := smartssd.New(s.Eng, s.Bus, s.Fabric, s.Tracer, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s.CPU != nil {
-		s.CPU.AttachDeviceIOMMU(cfg.Device.ID, ssd.Device().IOMMU())
-	}
-	s.applyTenancy(cfg.Device.ID, ssd.Device().IOMMU())
+	s.mount(ssd.Device())
 	s.SSDs = append(s.SSDs, ssd)
 	return ssd, nil
 }
 
 // AddNIC attaches another smart NIC (before Boot).
 func (s *System) AddNIC(name string, cfg smartnic.Config) (*smartnic.NIC, error) {
-	cfg.Device.ID = s.claimID()
-	cfg.Device.Name = name
-	if cfg.Device.HeartbeatEvery == 0 {
-		cfg.Device.HeartbeatEvery = s.heartbeat()
-	}
-	if cfg.Device.SelfTest == 0 {
-		cfg.Device.SelfTest = 5 * sim.Microsecond
-	}
-	if cfg.Device.ResetDelay == 0 {
-		cfg.Device.ResetDelay = 100 * sim.Microsecond
-	}
+	s.chassis(&cfg.Device, name, 5*sim.Microsecond, 100*sim.Microsecond)
 	cfg.Tenancy = s.Opts.Tenancy
 	nic, err := smartnic.New(s.Eng, s.Bus, s.Fabric, s.Tracer, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s.CPU != nil {
-		s.CPU.AttachDeviceIOMMU(cfg.Device.ID, nic.Device().IOMMU())
-	}
-	s.applyTenancy(cfg.Device.ID, nic.Device().IOMMU())
+	s.mount(nic.Device())
 	s.NICs = append(s.NICs, nic)
 	return nic, nil
 }
@@ -382,6 +338,27 @@ func (s *System) Boot() error {
 		s.advance(100 * sim.Microsecond)
 	}
 	return fmt.Errorf("core: boot timed out; SSD volume never became ready")
+}
+
+// Kill fails every device the machine has, as a crash of the whole machine
+// does: its NICs, its SSDs, the memory controller or the kernel, and the
+// accelerator. The bus watchdog notices as it would any failure.
+func (s *System) Kill() {
+	for _, n := range s.NICs {
+		n.Device().Kill()
+	}
+	for _, d := range s.SSDs {
+		d.Kill()
+	}
+	if s.Memctrl != nil {
+		s.Memctrl.Device().Kill()
+	}
+	if s.CPU != nil {
+		s.CPU.Kill()
+	}
+	if s.Accel != nil {
+		s.Accel.Device().Kill()
+	}
 }
 
 // advance progresses virtual time even when recurring events (heartbeats)
@@ -435,14 +412,10 @@ func (s *System) CreateFile(name string, contents []byte) error {
 type KVSOptions struct {
 	App  msg.AppID
 	File string
-	// Token authenticates the file open.
-	Token uint64
 	// Mediated selects the kernel-mediated data path (Centralized only).
 	Mediated bool
 	// QueueEntries sizes the virtqueue (default 64).
 	QueueEntries uint16
-	// NIC selects which NIC hosts the app (default the first).
-	NIC int
 	// InflightBound caps the store's admitted-but-unreplied requests
 	// (kvs.Config.InflightBound; 0 = unbounded).
 	InflightBound int
@@ -456,7 +429,6 @@ func (s *System) NewKVS(o KVSOptions) *kvs.Store {
 	cfg := kvs.Config{
 		App:           o.App,
 		FileName:      o.File,
-		Token:         o.Token,
 		QueueEntries:  o.QueueEntries,
 		InflightBound: o.InflightBound,
 		CacheEntries:  o.CacheEntries,
@@ -470,7 +442,7 @@ func (s *System) NewKVS(o KVSOptions) *kvs.Store {
 		cfg.Mode = kvs.ModeCentralDirect
 	}
 	store := kvs.New(cfg)
-	s.NICs[o.NIC].AddApp(store)
+	s.NIC().AddApp(store)
 	return store
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nocpu/internal/device"
 	"nocpu/internal/kvs"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
@@ -156,6 +157,65 @@ func TestWatchdogRecoveryViaCore(t *testing.T) {
 	}
 	if r := kvsOp(t, s, store, kvs.Request{Op: kvs.OpGet, Key: "durable"}); string(r.Value) != "yes" {
 		t.Fatalf("post-recovery get: %+v", r)
+	}
+}
+
+// A centralized machine with a watchdog keeps its kernel: the kernel
+// heartbeats at Watchdog/4 as every device does, so the watchdog does not
+// fail it while the machine boots, and the store it serves becomes ready.
+func TestCentralizedWatchdogKeepsKernel(t *testing.T) {
+	for _, mediated := range []bool{false, true} {
+		s := bootSystem(t, Options{Flavor: Centralized, Seed: 3, Watchdog: 500 * sim.Microsecond})
+		if n := s.Bus.Stats().DevicesFailed; n != 0 || !s.CPU.Alive() {
+			t.Fatalf("mediated=%v: after Boot the bus failed %d devices, kernel alive %v", mediated, n, s.CPU.Alive())
+		}
+		if err := s.CreateFile("kv.dat", nil); err != nil {
+			t.Fatal(err)
+		}
+		store := s.NewKVS(KVSOptions{App: 1, File: "kv.dat", Mediated: mediated})
+		if err := s.WaitReady(store); err != nil {
+			t.Fatalf("mediated=%v: %v", mediated, err)
+		}
+		if r := kvsOp(t, s, store, kvs.Request{Op: kvs.OpPut, Key: "k", Value: []byte("v")}); r.Status != kvs.StatusOK {
+			t.Fatalf("mediated=%v: put: %+v", mediated, r)
+		}
+		if n := s.Bus.Stats().DevicesFailed; n != 0 {
+			t.Errorf("mediated=%v: the bus failed %d devices", mediated, n)
+		}
+	}
+}
+
+// Kill fails every device a machine has, extra SSDs and NICs and the
+// accelerator included, and the kernel on a centralized machine.
+func TestSystemKillStopsEveryDevice(t *testing.T) {
+	for _, f := range []Flavor{Decentralized, Centralized} {
+		s := bootSystem(t, Options{Flavor: f, ExtraSSDs: 1, ExtraNICs: 1, WithAccel: true})
+		s.Kill()
+		devs := []*device.Device{s.Accel.Device()}
+		for _, d := range s.SSDs {
+			devs = append(devs, d.Device())
+		}
+		for _, n := range s.NICs {
+			devs = append(devs, n.Device())
+		}
+		if s.Memctrl != nil {
+			devs = append(devs, s.Memctrl.Device())
+		}
+		want := 6 // two SSDs, two NICs, the accelerator, the memory controller
+		if f == Centralized {
+			want = 5 // the kernel stands in for the memory controller
+		}
+		if len(devs) != want {
+			t.Fatalf("%v: %d devices, want %d", f, len(devs), want)
+		}
+		for _, d := range devs {
+			if d.State() != device.StateFailed {
+				t.Errorf("%v: %s is %v after Kill", f, d.Name(), d.State())
+			}
+		}
+		if s.CPU != nil && s.CPU.Alive() {
+			t.Errorf("%v: the kernel is alive after Kill", f)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 // reset), broadcast-discovery answering, service-session routing
 // (Open/Connect/Close), and access to the data plane — so concrete
 // devices (smart SSD, smart NIC, memory controller) only implement their
-// service logic.
+// service logic. The enrollment half of the lifecycle (Enrollment) is the
+// centralized kernel's too, so both machines enroll one way.
 package device
 
 import (
@@ -91,13 +92,12 @@ type Device struct {
 	mmu     *iommu.IOMMU
 
 	state State
-	hbSeq uint64
-	// The end of the self-test or reset in progress, the Hello retry and
-	// the next heartbeat: Kill stops all three.
-	life, hello, hb sim.Timer
-	helloTries      int
-	services        map[string]Service
-	svcOrder        []string // deterministic discovery-answer order
+	enr   Enrollment
+	// life is the end of the self-test or reset in progress: Kill stops it
+	// with the enrollment.
+	life     sim.Timer
+	services map[string]Service
+	svcOrder []string // deterministic discovery-answer order
 
 	// handlers routes non-session messages (alloc responses, errors, ...)
 	// registered by the concrete device.
@@ -137,6 +137,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		return nil, err
 	}
 	d.busPort = port
+	d.enr = NewEnrollment(eng, tr, port, cfg.Role, cfg.Name, cfg.HeartbeatEvery)
 	return d, nil
 }
 
@@ -164,7 +165,6 @@ func (d *Device) AddService(s Service) {
 // connect/close requests) are managed by the chassis and cannot be
 // overridden.
 func (d *Device) Handle(k msg.Kind, fn func(env msg.Envelope)) {
-	//lint:allow kindswitch this is a denylist guard over the chassis-managed kinds, not a dispatch; every other kind is intentionally registrable here
 	switch k {
 	case msg.KindDiscoverReq, msg.KindOpenReq, msg.KindConnectReq, msg.KindCloseReq, msg.KindReset, msg.KindDeviceFailed:
 		panic(fmt.Sprintf("device %s: kind %v is chassis-managed", d.cfg.Name, k))
@@ -195,64 +195,10 @@ type selfTestDone Device
 func (e *selfTestDone) Fire() {
 	d := (*Device)(e)
 	d.state = StateAlive
-	d.helloTries = 0
-	d.sendHello()
-	d.scheduleHeartbeat()
+	d.enr.Enroll(d.svcOrder)
 	if d.OnAlive != nil {
 		d.OnAlive()
 	}
-}
-
-// Hello retransmission (§4: enrollment must survive a lossy bus). The
-// retry timer is stopped by the HelloAck; in a fault-free run it never
-// fires, and a stopped timer leaves the event schedule bit-identical.
-const (
-	helloRetryBase = 2 * sim.Millisecond
-	helloRetryMax  = 5
-)
-
-func (d *Device) sendHello() {
-	d.Send(msg.BusID, &msg.Hello{Role: d.cfg.Role, Name: d.cfg.Name, Services: append([]string(nil), d.svcOrder...), Incarnation: d.busPort.Incarnation()})
-	if d.helloTries >= helloRetryMax {
-		// Budget exhausted: give up rather than retry forever (an
-		// unbounded timer would keep the simulation from draining). The
-		// device stays up; the bus simply never learned of it.
-		d.tr.Record(d.eng.Now(), d.cfg.Name, "", "hello-abandoned", fmt.Sprintf("after %d attempts", d.helloTries+1))
-		return
-	}
-	delay := helloRetryBase << uint(d.helloTries)
-	d.helloTries++
-	d.hello.Arm(d.eng, delay, (*helloRetry)(d))
-}
-
-type helloRetry Device
-
-func (e *helloRetry) Fire() {
-	d := (*Device)(e)
-	if d.state != StateAlive {
-		return
-	}
-	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "hello-retry", fmt.Sprintf("attempt %d", d.helloTries+1))
-	d.sendHello()
-}
-
-func (d *Device) scheduleHeartbeat() {
-	if d.cfg.HeartbeatEvery <= 0 {
-		return
-	}
-	d.hb.Arm(d.eng, d.cfg.HeartbeatEvery, (*heartbeat)(d))
-}
-
-type heartbeat Device
-
-func (e *heartbeat) Fire() {
-	d := (*Device)(e)
-	if d.state != StateAlive {
-		return
-	}
-	d.hbSeq++
-	d.Send(msg.BusID, &msg.Heartbeat{Seq: d.hbSeq})
-	d.scheduleHeartbeat()
 }
 
 // Kill simulates a hard device failure: the device stops responding and
@@ -261,8 +207,7 @@ func (e *heartbeat) Fire() {
 func (d *Device) Kill() {
 	d.state = StateFailed
 	d.life.Stop()
-	d.hello.Stop()
-	d.hb.Stop()
+	d.enr.Stop()
 	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "killed", "")
 }
 
@@ -281,7 +226,7 @@ func (e *resetDone) Fire() {
 	d.mmu.FlushTLB()
 	d.state = StateAlive
 	d.Send(msg.BusID, &msg.ResetDone{})
-	d.scheduleHeartbeat()
+	d.enr.Beat()
 	if d.OnAlive != nil {
 		d.OnAlive()
 	}
@@ -357,12 +302,8 @@ func (d *Device) receive(env msg.Envelope) {
 		// Reset of an alive device: treat as failure plus recovery.
 		d.Kill()
 		d.receive(env)
-	case *msg.HelloAck:
-		d.hello.Stop()
-	case *msg.CreditUpdate:
-		// Flow-control replenishment is port plumbing, not device logic:
-		// hand it straight to the bus port, which drains stalled sends.
-		d.busPort.AddCredits(m.Credits, m.ForInc)
+	case *msg.HelloAck, *msg.CreditUpdate:
+		d.enr.Receive(m)
 	default:
 		if h, ok := d.handlers[env.Msg.Kind()]; ok {
 			h(env)

@@ -119,16 +119,7 @@ type e15Row struct {
 // e15Run executes one chaos campaign on a fresh machine.
 func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 	const watchdog = 500 * sim.Microsecond
-	rig := newKVSRig(kind, seed, func(o *core.Options) {
-		o.Watchdog = watchdog
-		if kind != kindDecentralized {
-			// The kernel joins the lifecycle protocol: it heartbeats like
-			// any device and reboots (with a cold, flushed kernel state)
-			// when the bus resets it.
-			o.CPU.HeartbeatEvery = watchdog / 4
-			o.CPU.ResetDelay = 150 * sim.Microsecond
-		}
-	}, nil)
+	rig := newKVSRig(kind, seed, func(o *core.Options) { o.Watchdog = watchdog }, nil)
 	eng := rig.sys.Eng
 
 	plan := chaos.Plan{

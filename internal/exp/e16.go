@@ -41,7 +41,6 @@ const (
 	e16Seed          = 0xE16
 	e16CreditWindow  = 32
 	e16IngressBound  = 64
-	e16DMAWindow     = 256
 	e16RxBound       = 128
 	e16InflightBound = 32
 	e16IOBacklog     = 64
@@ -60,7 +59,6 @@ func e16Rig(kind machineKind, seed uint64) *kvsRig {
 	rig := newKVSRig(kind, seed, func(o *core.Options) {
 		o.Bus.CreditWindow = e16CreditWindow
 		o.Bus.IngressBound = e16IngressBound
-		o.Costs.DMAWindow = e16DMAWindow
 		o.NIC.RxQueueBound = e16RxBound
 		if kind != kindDecentralized {
 			o.CPU.IOBacklogBound = e16IOBacklog

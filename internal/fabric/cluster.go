@@ -271,14 +271,7 @@ func (c *Cluster) Kill(id msg.DeviceID) {
 	}
 	m.alive = false
 	m.Router.halt()
-	m.Sys.NIC().Device().Kill()
-	m.Sys.SSD().Kill()
-	if m.Sys.Memctrl != nil {
-		m.Sys.Memctrl.Device().Kill()
-	}
-	if m.Sys.CPU != nil {
-		m.Sys.CPU.Kill()
-	}
+	m.Sys.Kill()
 	c.tracef("m%d killed", id)
 }
 

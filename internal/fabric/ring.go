@@ -26,6 +26,7 @@
 package fabric
 
 import (
+	"slices"
 	"sort"
 
 	"nocpu/internal/msg"
@@ -133,7 +134,7 @@ func (r *Ring) Owners(key string, dead map[msg.DeviceID]bool, replicas int) []ms
 		p := r.points[(start+i)%len(r.points)]
 		// out holds at most `replicas` entries (two or three), so scanning
 		// it is the whole "already chosen" check.
-		if memberOf(out, p.machine) || dead[p.machine] {
+		if slices.Contains(out, p.machine) || dead[p.machine] {
 			continue
 		}
 		out = append(out, p.machine)

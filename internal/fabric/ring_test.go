@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nocpu/internal/msg"
@@ -159,7 +160,7 @@ func TestRingDeterministic(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("det-%05d", i)
 		ao, bo := a.Owners(key, nil, 2), b.Owners(key, nil, 2)
-		if !ownersEqual(ao, bo) {
+		if !slices.Equal(ao, bo) {
 			t.Fatalf("key %s: owners differ across construction orders: %v vs %v", key, ao, bo)
 		}
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"sort"
 
 	"nocpu/internal/kvs"
@@ -346,7 +347,7 @@ func (r *Router) TransferDone() bool {
 func (r *Router) RingMembers() []msg.DeviceID { return r.ring.Machines() }
 
 // InRing reports whether this machine is a member of its current ring.
-func (r *Router) InRing() bool { return memberOf(r.ring.machines, r.id) }
+func (r *Router) InRing() bool { return slices.Contains(r.ring.machines, r.id) }
 
 // Cordoned reports whether the machine is cordoned off client ingress.
 func (r *Router) Cordoned() bool { return r.cordoned }
@@ -415,15 +416,6 @@ func (r *Router) ProposeRing(ver uint32, phase uint8, members []msg.DeviceID) {
 		})
 	}
 	r.applyRingConfig(r.id, &msg.RingConfig{Ver: ver, Phase: phase, Members: members})
-}
-
-func memberOf(ms []msg.DeviceID, id msg.DeviceID) bool {
-	for _, m := range ms {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 // halt freezes the router when the cluster kills its machine: every
@@ -789,7 +781,7 @@ func (r *Router) repTargets(key string) []msg.DeviceID {
 	}
 	if r.pendingRing != nil {
 		for _, id := range r.pendingRing.Owners(key, r.dead, DefaultReplicas) {
-			if id != r.id && !memberOf(out, id) {
+			if id != r.id && !slices.Contains(out, id) {
 				out = append(out, id)
 			}
 		}
@@ -1063,24 +1055,12 @@ func (r *Router) resyncAfter(prevDead map[msg.DeviceID]bool) {
 			continue
 		}
 		was := r.ring.Owners(key, prevDead, DefaultReplicas)
-		if ownersEqual(was, now) {
+		if slices.Equal(was, now) {
 			continue
 		}
 		r.stats.Resyncs++
 		r.enqueue(&writeTask{key: key, sync: true})
 	}
-}
-
-func ownersEqual(a, b []msg.DeviceID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // broadcastView sends the dead set to every machine still in the view.
@@ -1127,7 +1107,7 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		if len(m.Members) == 0 || (r.pendingRing != nil && m.Ver <= r.pendingVer) {
 			return
 		}
-		joining := !r.InRing() && memberOf(m.Members, r.id)
+		joining := !r.InRing() && slices.Contains(m.Members, r.id)
 		r.pendingVer = m.Ver
 		r.pendingMembers = append([]msg.DeviceID(nil), m.Members...)
 		r.pendingRing = NewRing(m.Members, DefaultVnodes)
@@ -1202,7 +1182,7 @@ func (r *Router) startXfer() {
 		if len(cur) == 0 || cur[0] != r.id {
 			continue
 		}
-		if ownersEqual(cur, r.pendingRing.Owners(key, r.dead, DefaultReplicas)) {
+		if slices.Equal(cur, r.pendingRing.Owners(key, r.dead, DefaultReplicas)) {
 			continue
 		}
 		count++
@@ -1271,7 +1251,7 @@ func (r *Router) keepOwned(key string) bool {
 	if r.gates[key] != nil {
 		return true
 	}
-	return memberOf(r.owners(key), r.id)
+	return slices.Contains(r.owners(key), r.id)
 }
 
 // purgeKeys deletes the listed keys from the local store, skipping

@@ -2,12 +2,14 @@ package interconnect
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
 	"nocpu/internal/faultinject"
 	"nocpu/internal/iommu"
+	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
 )
 
@@ -300,32 +302,30 @@ func TestDMARecordInjectedDupAndDelay(t *testing.T) {
 	}
 }
 
-// TestDMAWindowStallDrainShed fills a window of 2 and its FIFO of 8: the
-// first two transfers go to the engine, the next eight stall and drain in
-// order as slots free, the eleventh is shed with a typed error after one
-// link latency. The drain runs after the completion, as it always has: a
-// transfer issued from inside DMADone takes the slot its own completion
-// just freed, ahead of what is stalled.
+// TestDMAWindowStallDrainShed fills the window and its FIFO of 4× the
+// window: the first DMAWindow transfers go to the engine, the next
+// 4×DMAWindow stall and drain in order as slots free, and the one after is
+// shed with a typed error after one link latency. The drain runs after the
+// completion, as it always has: a transfer issued from inside DMADone takes
+// the slot its own completion just freed, ahead of what is stalled.
 func TestDMAWindowStallDrainShed(t *testing.T) {
-	costs := Costs{LinkLatency: 100, BytesPerNs: 1, DMAWindow: 2}
-	r := newRig(t, costs)
-	r.mapPage(t, 1, 0x1000, iommu.PermRW)
-	// Warm the TLB so every transfer costs 100 + 4.
-	var warm DMA
-	r.port.ReadOp(&warm, 1, 0x1000, make([]byte, 4), doneFunc(func(*DMA, error) {}))
-	r.eng.Run()
+	const w, stalled = DMAWindow, 4 * DMAWindow
+	const n = w + stalled + 1
+	r := newRig(t, Costs{LinkLatency: 100, BytesPerNs: 1})
+	for va := iommu.VirtAddr(0x1000); va < 0x1000+8*n; va += physmem.PageSize {
+		r.mapPage(t, 1, va, iommu.PermRW)
+	}
 	start := r.eng.Now()
 
-	const n = 11
-	var ops [n]DMA
+	ops := make([]DMA, n)
 	var order []int
-	var errs [n]error
-	var at [n]sim.Time
+	errs := make([]error, n)
+	at := make([]sim.Time, n)
 	var extra DMA
 	extraDone := false
 	for i := range ops {
 		i := i
-		data := []byte{byte(i), 0, 0, 0}
+		data := binary.LittleEndian.AppendUint32(nil, uint32(i))
 		r.port.WriteOp(&ops[i], 1, iommu.VirtAddr(0x1000+8*i), data, doneFunc(func(op *DMA, err error) {
 			order = append(order, i)
 			errs[i], at[i] = err, r.eng.Now()
@@ -336,27 +336,33 @@ func TestDMAWindowStallDrainShed(t *testing.T) {
 						t.Errorf("transfer issued from a completion: %v", err)
 					}
 					extraDone = true
-					order = append(order, 100)
+					order = append(order, -1)
 				}))
 			}
 		}))
 	}
-	if got := r.port.WaitGauge().Max(); got != 8 {
-		t.Errorf("stall FIFO peaked at %d, want 8", got)
+	if got := r.port.WaitGauge().Max(); got != stalled {
+		t.Errorf("stall FIFO peaked at %d, want %d", got, stalled)
 	}
 	r.eng.Run()
 
 	var over *OverloadError
-	if !errors.As(errs[10], &over) || over.Op != "DMA write" || at[10].Sub(start) != 100 {
-		t.Errorf("11th transfer: err=%v at +%v, want OverloadError at +100", errs[10], at[10].Sub(start))
+	if !errors.As(errs[n-1], &over) || over.Op != "DMA write" || at[n-1].Sub(start) != 100 {
+		t.Errorf("last transfer: err=%v at +%v, want OverloadError at +100", errs[n-1], at[n-1].Sub(start))
 	}
-	want := []int{10, 0, 1, 100, 2, 3, 4, 5, 6, 7, 8, 9}
+	want := []int{n - 1}
+	for i := 0; i < n-1; i++ {
+		if i == w {
+			want = append(want, -1)
+		}
+		want = append(want, i)
+	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("completion order %v, want %v", order, want)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n-1; i++ {
 		want := sim.Duration(104 * (i + 1))
-		if i >= 2 {
+		if i >= w {
 			want += 104 // behind the transfer that took the freed slot
 		}
 		if errs[i] != nil || at[i].Sub(start) != want {
@@ -366,19 +372,19 @@ func TestDMAWindowStallDrainShed(t *testing.T) {
 	if !extraDone || len(r.port.waiting) != 0 {
 		t.Errorf("extraDone=%v, %d still waiting", extraDone, len(r.port.waiting))
 	}
-	if st := r.fab.Stats(); st.DMAStalls != 8 || st.DMAShed != 1 {
-		t.Errorf("stats = %+v, want 8 stalls and 1 shed", st)
+	if st := r.fab.Stats(); st.DMAStalls != stalled || st.DMAShed != 1 {
+		t.Errorf("stats = %+v, want %d stalls and 1 shed", st, stalled)
 	}
 	// Every write landed in its own word.
-	b := make([]byte, 1)
-	for i := 0; i < 10; i++ {
+	b := make([]byte, 4)
+	for i := 0; i < n-1; i++ {
 		pa, _, err := r.mmu.Translate(1, iommu.VirtAddr(0x1000+8*i), iommu.AccessRead)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = r.mem.ReadInto(pa, b)
-		if b[0] != byte(i) {
-			t.Errorf("word %d holds %d", i, b[0])
+		if got := binary.LittleEndian.Uint32(b); got != uint32(i) {
+			t.Errorf("word %d holds %d", i, got)
 		}
 	}
 }

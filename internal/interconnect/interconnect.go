@@ -39,14 +39,13 @@ type Costs struct {
 	WalkRead sim.Duration
 	// DoorbellLatency is the delivery latency of a doorbell write.
 	DoorbellLatency sim.Duration
-	// DMAWindow bounds each port's outstanding DMA transfers when > 0:
-	// further transfers wait in a bounded port-local FIFO (4× the
-	// window) and overflow fails the transfer with an OverloadError —
-	// bounded queues with a deterministic shed policy instead of
-	// unbounded engine backlog. 0 means unlimited, the pre-overload
-	// behavior.
-	DMAWindow int
 }
+
+// DMAWindow bounds each port's outstanding DMA transfers: further
+// transfers wait in a bounded port-local FIFO (4× the window) and overflow
+// fails the transfer with an OverloadError — bounded queues with a
+// deterministic shed policy instead of unbounded engine backlog.
+const DMAWindow = 256
 
 // DefaultCosts is the baseline calibration used by the experiments.
 var DefaultCosts = Costs{
@@ -213,9 +212,8 @@ type Port struct {
 	// faultHandler, when set, gets a chance to resolve not-present
 	// faults (demand paging) before the operation fails.
 	faultHandler FaultHandler
-	// waiting holds transfers stalled on the DMA window (Costs.DMAWindow
-	// > 0), FIFO, bounded at 4× the window; overflow sheds with an
-	// OverloadError.
+	// waiting holds transfers stalled on the DMA window, FIFO, bounded at
+	// 4× the window; overflow sheds with an OverloadError.
 	waiting []stalledDMA
 	waitG   *metrics.Gauge
 }
@@ -240,26 +238,25 @@ func (p *Port) SetFaultHandler(h FaultHandler) { p.faultHandler = h }
 // NewPort attaches a device (with its IOMMU) to the fabric.
 func (f *Fabric) NewPort(name string, mmu *iommu.IOMMU) *Port {
 	p := &Port{fab: f, mmu: mmu, name: name, busy: sim.NewServer(f.eng)}
-	p.waitG = metrics.NewGauge(4 * f.costs.DMAWindow)
+	p.waitG = metrics.NewGauge(4 * DMAWindow)
 	return p
 }
 
 // WaitGauge exposes the DMA stall-FIFO depth for the overload audit.
 func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
 
-// submitDMA admits a transfer to the port's DMA engine under the
-// configured window: within the window it goes straight to the engine;
+// submitDMA admits a transfer to the port's DMA engine under the window:
+// within the window it goes straight to the engine;
 // past it the transfer waits in the bounded FIFO, and past the FIFO's
 // bound it is shed: submitDMA reports false and the caller delivers the
 // transfer's OverloadError, after a link latency like any other data-plane
 // failure.
 func (p *Port) submitDMA(service sim.Duration, op *DMA) bool {
-	w := p.fab.costs.DMAWindow
-	if w <= 0 || p.busy.Pending() < w {
+	if p.busy.Pending() < DMAWindow {
 		p.busy.Submit(service, op)
 		return true
 	}
-	if len(p.waiting) >= 4*w {
+	if len(p.waiting) >= 4*DMAWindow {
 		p.fab.stats.DMAShed++
 		return false
 	}
@@ -269,11 +266,10 @@ func (p *Port) submitDMA(service sim.Duration, op *DMA) bool {
 	return true
 }
 
-// drainDMA moves stalled transfers into freed window slots, FIFO. With a
-// window configured it runs after every transfer's completion.
+// drainDMA moves stalled transfers into freed window slots, FIFO. It runs
+// after a transfer's completion while any wait.
 func (p *Port) drainDMA() {
-	w := p.fab.costs.DMAWindow
-	for len(p.waiting) > 0 && p.busy.Pending() < w {
+	for len(p.waiting) > 0 && p.busy.Pending() < DMAWindow {
 		next := p.waiting[0]
 		p.waiting[0] = stalledDMA{}
 		p.waiting = p.waiting[1:]
@@ -504,12 +500,12 @@ type dupTransfer struct{}
 func (dupTransfer) Fire() {}
 
 // Fire is the DMA engine finishing the transfer: the bytes move, the
-// completion runs, and with a window configured the port admits what was
-// stalled behind this transfer.
+// completion runs, and the port admits what was stalled behind this
+// transfer.
 func (op *DMA) Fire() {
 	p := op.port
 	op.finish(op.move())
-	if p.fab.costs.DMAWindow > 0 {
+	if len(p.waiting) > 0 {
 		p.drainDMA()
 	}
 }

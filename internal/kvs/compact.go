@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"fmt"
+	"slices"
 
 	"nocpu/internal/smartnic"
 )
@@ -55,7 +56,7 @@ func (s *Store) Compact(cb func(error)) {
 			for k := range s.index {
 				keys = append(keys, k)
 			}
-			sortStrings(keys)
+			slices.Sort(keys)
 			newIndex := make(map[string]loc, len(keys))
 			s.compactStream(nfc, keys, 0, 0, newIndex, finish)
 		})

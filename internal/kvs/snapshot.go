@@ -3,6 +3,7 @@ package kvs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Index snapshots: §4 recovery rebuilds the index by scanning the whole
@@ -28,7 +29,7 @@ func encodeSnapshot(index map[string]loc, watermark uint64) []byte {
 	for k := range index {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	size := 20
 	for _, k := range keys {
 		size += 2 + len(k) + 12
@@ -101,16 +102,6 @@ func decodeSnapshot(b []byte) (map[string]loc, uint64, error) {
 		return nil, 0, fmt.Errorf("kvs: %d trailing snapshot bytes", len(b)-4-off)
 	}
 	return idx, watermark, nil
-}
-
-// sortStrings is an insertion-free stdlib-only sort (small helper to keep
-// imports lean).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Snapshot persists the current index to the snapshot file. The store

@@ -103,13 +103,14 @@ var layerDAG = map[string][]string{
 	},
 
 	// Centralized baseline kernel: the "traditional stack" the paper
-	// argues against. It drives the SSD directly (kernel-mediated I/O)
-	// but must not depend on the self-managing runtime.
+	// argues against. It enrolls through the device chassis's enrollment
+	// and drives the SSD directly (kernel-mediated I/O), but must not
+	// depend on the self-managing runtime.
 	"nocpu/internal/centralos": {
-		"nocpu/internal/bus", "nocpu/internal/interconnect", "nocpu/internal/iommu",
-		"nocpu/internal/metrics", "nocpu/internal/msg", "nocpu/internal/physmem",
-		"nocpu/internal/sim", "nocpu/internal/smartssd", "nocpu/internal/trace",
-		"nocpu/internal/virtio",
+		"nocpu/internal/bus", "nocpu/internal/device", "nocpu/internal/interconnect",
+		"nocpu/internal/iommu", "nocpu/internal/metrics", "nocpu/internal/msg",
+		"nocpu/internal/physmem", "nocpu/internal/sim", "nocpu/internal/smartssd",
+		"nocpu/internal/trace", "nocpu/internal/virtio",
 	},
 
 	// Applications ride on the NIC runtime.

@@ -13,9 +13,7 @@
 //     cooperate only through bus messages; nothing in the device tier
 //     may reach into the centralized-baseline kernel (centralos) or the
 //     experiment harness. Enforced by the layering analyzer, which
-//     encodes the package DAG, and by kindswitch, which keeps every
-//     switch over the bus-protocol message kinds exhaustive so a new
-//     kind cannot be dropped silently by old dispatch code.
+//     encodes the package DAG.
 //
 //  3. Wire compatibility. The bus protocol is a real wire format that
 //     must keep decoding frames from older builds across rolling
@@ -63,7 +61,6 @@ func Analyzers() []*analysis.Analyzer {
 		Nodeterminism,
 		Maporder,
 		Layering,
-		Kindswitch,
 		Boundedqueue,
 		Wireproto,
 	}

@@ -65,7 +65,7 @@ func runWireproto(pass *analysis.Pass) error {
 	x := newWireExtractor(pass)
 	msgs := x.collectMsgTypes()
 	if len(msgs) == 0 {
-		return nil // not a wire-codec package (e.g. the kindswitch stub)
+		return nil // not a wire-codec package
 	}
 
 	schema := &WireSchema{}
@@ -168,11 +168,18 @@ func (x *wireExtractor) kindReturn(fd *ast.FuncDecl) *types.Const {
 	if !ok || len(ret.Results) != 1 {
 		return nil
 	}
-	id, ok := unparen(ret.Results[0]).(*ast.Ident)
-	if !ok {
-		return nil
+	return x.constOf(ret.Results[0])
+}
+
+// constOf resolves an expression naming a constant (KindX or msg.KindX).
+func (x *wireExtractor) constOf(e ast.Expr) *types.Const {
+	var c *types.Const
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		c, _ = x.pass.TypesInfo.Uses[e].(*types.Const)
+	case *ast.SelectorExpr:
+		c, _ = x.pass.TypesInfo.Uses[e.Sel].(*types.Const)
 	}
-	c, _ := x.pass.TypesInfo.Uses[id].(*types.Const)
 	return c
 }
 
@@ -432,9 +439,8 @@ func (x *wireExtractor) checkRegistration(msgs []*msgType) {
 }
 
 // checkDispatcher verifies that dispatch runs the right type's wire body
-// for every kind. kindswitch already forces its switch to be exhaustive;
-// this adds the pairing check (case KindX must run the body of the type
-// whose Kind() is KindX).
+// for every kind: every kind has an arm, and case KindX runs the body of
+// the type whose Kind() is KindX.
 func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string]*msgType) {
 	var disp *ast.FuncDecl
 	for _, f := range x.files {
@@ -456,9 +462,9 @@ func (x *wireExtractor) checkDispatcher(consts []*types.Const, byKind map[string
 		}
 		var kindNames []string
 		for _, e := range cc.List {
-			if name, ok := constName(x.pass, e); ok {
-				kindNames = append(kindNames, name)
-				covered[name] = true
+			if c := x.constOf(e); c != nil {
+				kindNames = append(kindNames, c.Name())
+				covered[c.Name()] = true
 			}
 		}
 		ran := x.dispatchedType(cc.Body)

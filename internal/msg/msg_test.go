@@ -3,6 +3,7 @@ package msg
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,6 +97,9 @@ func TestEveryKindCovered(t *testing.T) {
 		}
 		if dispatch(k, nil, &coder{mode: decoding}) == nil {
 			t.Errorf("kind %v missing from the dispatch registry", k)
+		}
+		if s := k.String(); strings.HasPrefix(s, "kind(") {
+			t.Errorf("kind %d has no name in kindNames: it prints as %s", uint16(k), s)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package reconcile
 
 import (
-	"sort"
+	"slices"
 
 	"nocpu/internal/fabric"
 	"nocpu/internal/msg"
@@ -308,7 +308,7 @@ func (a *Agent) repair(dead map[msg.DeviceID]bool) bool {
 	}
 	var spares []msg.DeviceID
 	for _, id := range a.fl.cl.MachineIDs() {
-		if !dead[id] && !memberOf(cur, id) {
+		if !dead[id] && !slices.Contains(cur, id) {
 			spares = append(spares, id)
 		}
 	}
@@ -319,8 +319,8 @@ func (a *Agent) repair(dead map[msg.DeviceID]bool) bool {
 		return false
 	}
 	target := append(append([]msg.DeviceID(nil), liveCur...), add...)
-	sortIDs(target)
-	if len(target) == 0 || sameMembers(target, cur) {
+	slices.Sort(target)
+	if len(target) == 0 || slices.Equal(target, cur) {
 		return false
 	}
 	a.stats.Repairs++
@@ -342,7 +342,7 @@ func (a *Agent) pickSpares(spares []msg.DeviceID, n int, staleOK bool) []msg.Dev
 			if len(out) >= n {
 				break
 			}
-			if memberOf(out, id) {
+			if slices.Contains(out, id) {
 				continue
 			}
 			c, ok := a.condOf(id)
@@ -380,7 +380,7 @@ func (a *Agent) upgradeStep(dead map[msg.DeviceID]bool) {
 	// Flash stale out-of-ring machines — free, they serve no shard.
 	anyFlashing := false
 	for _, id := range a.fl.cl.MachineIDs() {
-		if dead[id] || memberOf(cur, id) {
+		if dead[id] || slices.Contains(cur, id) {
 			continue
 		}
 		c, ok := a.condOf(id)
@@ -456,7 +456,7 @@ func (a *Agent) upgradeStep(dead map[msg.DeviceID]bool) {
 	}
 	var upSpare msg.DeviceID
 	for _, id := range a.fl.cl.MachineIDs() {
-		if dead[id] || memberOf(cur, id) {
+		if dead[id] || slices.Contains(cur, id) {
 			continue
 		}
 		c, ok := a.condOf(id)
@@ -474,7 +474,7 @@ func (a *Agent) upgradeStep(dead map[msg.DeviceID]bool) {
 	switch {
 	case upSpare != 0:
 		target = append(target, upSpare)
-		sortIDs(target)
+		slices.Sort(target)
 		a.stats.Swaps++
 	case anyFlashing:
 		return // an upgraded spare is seconds away; swapping beats shrinking
@@ -544,8 +544,4 @@ func (a *Agent) OnControl(src msg.DeviceID, m msg.Message) {
 			a.markReported(src)
 		}
 	}
-}
-
-func sortIDs(ids []msg.DeviceID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

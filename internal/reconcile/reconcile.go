@@ -41,6 +41,7 @@ import (
 	"nocpu/internal/fabric"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"slices"
 )
 
 // Control-loop timings.
@@ -240,7 +241,7 @@ func (f *Fleet) Converged() bool {
 		if r.PendingVer() != 0 || r.Upgrading() {
 			return false
 		}
-		if r.RingVer() != ver || !sameMembers(r.RingMembers(), members) {
+		if r.RingVer() != ver || !slices.Equal(r.RingMembers(), members) {
 			return false
 		}
 		if f.cl.Cfg.Flavor == fabric.FlavorHead && id == r.Head() {
@@ -378,25 +379,4 @@ func (f *Fleet) Report() Report {
 		rep.Stats.Cordons += s.Cordons
 	}
 	return rep
-}
-
-func sameMembers(a, b []msg.DeviceID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func memberOf(ms []msg.DeviceID, id msg.DeviceID) bool {
-	for _, m := range ms {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }

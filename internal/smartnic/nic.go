@@ -11,7 +11,7 @@ package smartnic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
@@ -217,7 +217,7 @@ func (n *NIC) sortedAppIDs() []msg.AppID {
 	for id := range n.apps {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -199,11 +199,17 @@ func (r *Registry) CheckDevApp(d msg.DeviceID, a msg.AppID) error {
 		Detail: fmt.Sprintf("%v may not map app %d owned by %v", d, a, at)}
 }
 
-// DomainCheckFor returns the closure a device installs into its IOMMU
-// (via iommu.SetDomainCheck, adapted to the PASID type at the call
-// site). AppID doubles as the PASID, so the check is a direct lookup.
-func (r *Registry) DomainCheckFor(d msg.DeviceID) func(app msg.AppID) error {
-	return func(app msg.AppID) error { return r.CheckDevApp(d, app) }
+// DomainCheck is the check device d installs in its translation unit
+// (iommu.SetDomainCheck; P is the PASID type, and AppID doubles as the
+// PASID): CheckDevApp, with each refusal recorded at the engine's time.
+func DomainCheck[P ~uint32](r *Registry, eng *sim.Engine, d msg.DeviceID) func(P) error {
+	return func(p P) error {
+		err := r.CheckDevApp(d, msg.AppID(p))
+		if err != nil {
+			r.RecordError(eng.Now(), err.(*Error))
+		}
+		return err
+	}
 }
 
 // SameDomain reports whether two devices may see each other's control

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocpu/internal/msg"
+	"nocpu/internal/sim"
 )
 
 func TestEmptyRegistryDeniesNothing(t *testing.T) {
@@ -48,13 +49,16 @@ func TestDomainCheck(t *testing.T) {
 		t.Fatalf("denial attribution: %+v", te)
 	}
 
-	// The per-device closure is the same check.
-	check := r.DomainCheckFor(4)
+	// The per-device closure is the same check, and records its refusals.
+	check := DomainCheck[uint32](r, sim.NewEngine(), 4)
 	if err := check(200); err != nil {
 		t.Fatalf("closure same-domain: %v", err)
 	}
 	if err := check(100); err == nil {
 		t.Fatal("closure cross-domain: want denial")
+	}
+	if d := r.Denials(); len(d) != 1 || d[0].Tenant != 2 || d[0].Victim != 1 || d[0].Class != DenyDMA {
+		t.Fatalf("closure denials = %+v, want one DMA denial of tenant 1 by 2", d)
 	}
 
 	if r.SameDomain(3, 4) {
