@@ -7,8 +7,9 @@
 // machine. Differences:
 //
 //   - There is no memory-controller device and the bus performs no
-//     privileged work: the kernel holds direct handles to every device
-//     IOMMU (as a kernel does, via MMIO) and programs them itself.
+//     privileged work: the kernel owns a memctrl.Regions, the controller's
+//     region table, holds direct handles to every device IOMMU (as a
+//     kernel does, via MMIO) and programs them itself.
 //   - Applications make syscalls (messages to the CPU) for every control
 //     operation: open, mmap+grant (folded into open), connect, close.
 //     Each syscall costs a trap + dispatch and occupies a CPU core.
@@ -34,6 +35,7 @@ import (
 	"nocpu/internal/device"
 	"nocpu/internal/interconnect"
 	"nocpu/internal/iommu"
+	"nocpu/internal/memctrl"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
@@ -143,9 +145,9 @@ type CPU struct {
 	boot  sim.Timer         // the reboot after a bus Reset
 	alive bool
 
-	// mmaps is the kernel's per-app region table for the explicit
-	// mmap/munmap syscalls (AllocReq/FreeReq addressed to the CPU).
-	mmaps map[mmapKey]mmapRec
+	// regions holds the mmap syscalls' regions and, owned by the kernel
+	// itself, an open's queue and a misprogrammed mapping.
+	regions *memctrl.Regions
 
 	stats Stats
 }
@@ -221,7 +223,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		pendingOpen:    make(map[openKey]*syscall),
 		pendingConnect: make(map[uint32]*syscall),
 		kernelConns:    make(map[uint32]*kernelFile),
-		mmaps:          make(map[mmapKey]mmapRec),
+		regions:        memctrl.NewRegions(fab.Memory(), 0),
 		completedOpens: make(map[openKey]*openVerdict),
 		ioG:            metrics.NewGauge(cfg.IOBacklogBound),
 	}
@@ -276,10 +278,11 @@ func (c *CPU) onBusReset(m *msg.Reset) {
 // structural weakness the paper argues against (§2.3: the kernel is a
 // single point of failure). Everything the kernel held in RAM is gone:
 // syscall continuations, mediated queues, the at-most-once open cache,
-// the per-app region and mmap tables. Reinitializing the translation
-// units it drives (as a booting kernel must) tears down every live
-// context, so even direct-mode data planes that never touched the CPU die
-// with it and every application reconnects from scratch. Contrast with
+// the region table (swapped for an empty one, freeing nothing) and the
+// mmap pointers. Reinitializing the translation units it drives (as a
+// booting kernel must) tears down every live context, so even direct-mode
+// data planes that never touched the CPU die with it and every
+// application reconnects from scratch. Contrast with
 // the decentralized machine, where a device crash is contained to that
 // device's resources. Physical frames reachable only through the lost
 // tables leak until a full power cycle; the reproduction accepts that
@@ -303,7 +306,7 @@ func (e *reboot) Fire() {
 	c.pendingOpen = make(map[openKey]*syscall)
 	c.pendingConnect = make(map[uint32]*syscall)
 	c.completedOpens = make(map[openKey]*openVerdict)
-	c.mmaps = make(map[mmapKey]mmapRec)
+	c.regions = memctrl.NewRegions(c.mem, 0)
 	c.appVA = make(map[msg.AppID]uint64)
 	c.ioOutstanding = 0
 	c.ioG.Set(0)
@@ -349,7 +352,7 @@ func (c *CPU) Misprogram(dev msg.DeviceID, app msg.AppID, va, bytes uint64) erro
 	if !ok {
 		return fmt.Errorf("centralos: no iommu handle for device %d", dev)
 	}
-	_, err := c.mapRegion(app, va, bytes, mmu)
+	_, err := c.mapRegion(c.cfg.ID, &msg.AllocReq{App: app, VA: va, Bytes: bytes}, mmu)
 	return err
 }
 
@@ -450,45 +453,30 @@ func (c *CPU) onPeerFailed(dev msg.DeviceID) {
 	}
 }
 
-// mapRegion allocates frames and maps them into the given device IOMMUs
-// under the app's PASID, through the same range routine the bus programs
-// with. It is all or nothing: a refusal — a device's own domain check
-// turning the kernel down, a page that is already mapped — unmaps what
-// this call installed (never an earlier owner's page) and frees the
-// frames.
-func (c *CPU) mapRegion(app msg.AppID, va, bytes uint64, mmus ...*iommu.IOMMU) ([]physmem.Frame, error) {
-	pasid, base := iommu.PASID(app), iommu.VirtAddr(va)
-	pages := pagesOf(bytes)
-	frames := make([]physmem.Frame, 0, pages)
-	undo := func(mapped []*iommu.IOMMU) {
-		for _, mmu := range mapped {
-			mmu.UnmapRange(pasid, base, len(frames), false)
-		}
-		for _, f := range frames {
-			_ = c.mem.FreeFrames(f, 1)
-		}
+// mapRegion answers an AllocReq from the kernel's table and maps a fresh
+// region into the given device IOMMUs under the app's PASID, through the
+// same range routine the bus programs with; a replay was mapped when it
+// was fresh. It is all or nothing: a refusal — a device's own domain
+// check turning the kernel down, a page that is already mapped — unmaps
+// what this call installed (never an earlier owner's page) and gives the
+// region back to the table. A refused call's error is the refusal.
+func (c *CPU) mapRegion(owner msg.DeviceID, m *msg.AllocReq, mmus ...*iommu.IOMMU) (*msg.AllocResp, error) {
+	r, fresh := c.regions.Alloc(owner, m)
+	if !r.OK {
+		return r, fmt.Errorf("centralos: %s", r.Reason)
 	}
-	for i := 0; i < pages; i++ {
-		f, err := c.mem.AllocFrames(1)
-		if err != nil {
-			undo(nil)
-			return nil, err
-		}
-		frames = append(frames, f)
+	if !fresh {
+		return r, nil
 	}
 	for i, mmu := range mmus {
-		if err := iommu.MapRange(mmu, pasid, base, frames, iommu.PermRW, false); err != nil {
-			undo(mmus[:i])
-			return nil, err
+		if err := iommu.MapRange(mmu, iommu.PASID(m.App), iommu.VirtAddr(m.VA), r.Frames, iommu.PermRW, r.Huge); err != nil {
+			c.regions.Free(owner, &msg.FreeReq{App: m.App, VA: m.VA}, mmus[:i]...)
+			return &msg.AllocResp{App: m.App, OK: false, Reason: err.Error(), VA: m.VA}, err
 		}
 	}
-	c.stats.PagesMapped += uint64(len(frames) * len(mmus))
-	return frames, nil
-}
-
-// pagesOf rounds a byte count up to whole 4 KiB pages.
-func pagesOf(bytes uint64) int {
-	return int((bytes + physmem.PageSize - 1) / physmem.PageSize)
+	_, per := iommu.PageGeometry(r.Huge)
+	c.stats.PagesMapped += uint64(len(r.Frames) * per * len(mmus))
+	return r, nil
 }
 
 // vaFor advances the app's mmap pointer.
@@ -497,7 +485,7 @@ func (c *CPU) vaFor(app msg.AppID, bytes uint64) uint64 {
 	if !ok {
 		va = 0x2000_0000
 	}
-	c.appVA[app] = va + uint64(pagesOf(bytes)+1)*physmem.PageSize
+	c.appVA[app] = va + uint64(memctrl.Pages(bytes)+1)*physmem.PageSize
 	return va
 }
 
@@ -516,7 +504,6 @@ type syscall struct {
 	grant     *msg.OpenResp   // an open: the provider's answer
 	mmus      [2]*iommu.IOMMU // what an open (both) or mmap maps into, munmap out of
 	va, bytes uint64
-	frames    []physmem.Frame
 	kf        *kernelFile // a mediated open's queue, a mediated I/O's handle
 	resp      smartssd.FileResp
 }
@@ -639,14 +626,14 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 	s.bytes = uint64(lay.DataVA) + uint64(lay.DataBytes())
 	s.va = c.vaFor(m.App, s.bytes)
 	s.grant, s.mmus, s.stage = m, [2]*iommu.IOMMU{first, devMMU}, sysMap
-	c.cores.Submit(sim.Duration(2*pagesOf(s.bytes))*c.cfg.MmapPerPage, s)
+	c.cores.Submit(sim.Duration(2*memctrl.Pages(s.bytes))*c.cfg.MmapPerPage, s)
 }
 
 // mapQueue is an open's mmap + grant. A direct open is done; a mediated
 // one goes on to connect the kernel's own driver to the device endpoint.
 func (c *CPU) mapQueue(s *syscall) {
 	m, app := s.grant, s.req.(*msg.OpenReq)
-	if _, err := c.mapRegion(m.App, s.va, s.bytes, s.mmus[:]...); err != nil {
+	if _, err := c.mapRegion(c.cfg.ID, &msg.AllocReq{App: m.App, VA: s.va, Bytes: s.bytes}, s.mmus[:]...); err != nil {
 		c.refuseOpen(s, err.Error())
 		return
 	}
@@ -798,73 +785,34 @@ func (s *syscall) completeIO(r smartssd.FileResp) {
 	c.port.Send(s.src, &out)
 }
 
-type mmapKey struct {
-	app msg.AppID
-	va  uint64
-}
-
-type mmapRec struct {
-	dev    msg.DeviceID
-	frames []physmem.Frame
-}
-
-// sysMmap is the kernel's explicit shared-memory map syscall: allocate
-// frames and install them in the calling device's IOMMU at the requested
-// VA. Mirrors the decentralized AllocReq flow so E8 compares like for
-// like.
+// sysMmap is the kernel's explicit shared-memory map syscall. It runs the
+// controller's table and installs a fresh region in the caller's IOMMU, so
+// E8 compares like for like: only the trap and its cost differ.
 func (c *CPU) sysMmap(src msg.DeviceID, m *msg.AllocReq) {
 	c.stats.Syscalls++
-	deny := func(reason string) {
-		c.port.Send(src, &msg.AllocResp{App: m.App, OK: false, Reason: reason, VA: m.VA})
-	}
 	mmu, ok := c.iommus[src]
 	if !ok {
-		deny("kernel has no IOMMU handle for caller")
+		c.port.Send(src, &msg.AllocResp{App: m.App, OK: false, Reason: "kernel has no IOMMU handle for caller", VA: m.VA})
 		return
 	}
-	if m.App == 0 || m.Bytes == 0 || m.VA%physmem.PageSize != 0 {
-		deny("malformed mmap")
-		return
-	}
-	if _, dup := c.mmaps[mmapKey{m.App, m.VA}]; dup {
-		deny("region exists")
-		return
-	}
-	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(pagesOf(m.Bytes))*c.cfg.MmapPerPage).mmus[0] = mmu
+	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(memctrl.Pages(m.Bytes))*c.cfg.MmapPerPage).mmus[0] = mmu
 }
 
 func (c *CPU) mmap(s *syscall, m *msg.AllocReq) {
-	frames, err := c.mapRegion(m.App, m.VA, m.Bytes, s.mmus[0])
-	if err != nil {
-		c.port.Send(s.src, &msg.AllocResp{App: m.App, OK: false, Reason: err.Error(), VA: m.VA})
-		return
-	}
-	out := make([]uint64, len(frames))
-	for i, f := range frames {
-		out[i] = uint64(f)
-	}
-	c.mmaps[mmapKey{m.App, m.VA}] = mmapRec{dev: s.src, frames: frames}
-	c.port.Send(s.src, &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: out, Perm: m.Perm})
+	r, _ := c.mapRegion(s.src, m, s.mmus[0])
+	c.port.Send(s.src, r)
 }
 
-// sysMunmap releases a region mapped by sysMmap.
+// sysMunmap releases a region mapped by sysMmap, charged per frame it
+// holds at admission. A caller with no IOMMU handle owns no region, so
+// Free refuses it before it would unmap.
 func (c *CPU) sysMunmap(src msg.DeviceID, m *msg.FreeReq) {
 	c.stats.Syscalls++
-	rec, ok := c.mmaps[mmapKey{m.App, m.VA}]
-	if !ok || rec.dev != src {
-		c.port.Send(src, &msg.FreeResp{App: m.App, OK: false, Reason: "no such region", VA: m.VA})
-		return
-	}
-	s := c.trap(src, m, c.cfg.SyscallCost+sim.Duration(len(rec.frames))*c.cfg.MmapPerPage)
-	s.mmus[0], s.frames = c.iommus[src], rec.frames
+	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(c.regions.Frames(m.App, m.VA))*c.cfg.MmapPerPage).mmus[0] = c.iommus[src]
 }
 
+// munmap unmaps and frees inside Regions.Free; a duplicate queued behind
+// the first finds the region gone and replays.
 func (c *CPU) munmap(s *syscall, m *msg.FreeReq) {
-	pages := len(s.frames)
-	s.mmus[0].UnmapRange(iommu.PASID(m.App), iommu.VirtAddr(m.VA), pages, false)
-	for _, f := range s.frames {
-		_ = c.mem.FreeFrames(f, 1)
-	}
-	delete(c.mmaps, mmapKey{m.App, m.VA})
-	c.port.Send(s.src, &msg.FreeResp{App: m.App, OK: true, VA: m.VA, Bytes: uint64(pages) * physmem.PageSize})
+	c.port.Send(s.src, c.regions.Free(s.src, m, s.mmus[0]))
 }

@@ -3,6 +3,7 @@ package centralos
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"nocpu/internal/bus"
@@ -280,9 +281,21 @@ func TestKernelMmapSyscall(t *testing.T) {
 	if _, _, ok := nicDev.IOMMU().Lookup(50, 0x4000_0000); ok {
 		t.Fatal("mapping survives munmap")
 	}
-	// Double munmap refused.
+	// A byte-identical second munmap is a retransmission: it replays the
+	// first answer and frees nothing.
+	first, frames := *free, cb.cpu.mem.FreeFramesCount()
 	free = nil
 	nicDev.Send(cpuID, &msg.FreeReq{App: 50, VA: 0x4000_0000})
+	cb.eng.Run()
+	if free == nil || *free != first {
+		t.Fatalf("retransmitted munmap: %+v, want the first answer %+v", free, first)
+	}
+	if got := cb.cpu.mem.FreeFramesCount(); got != frames {
+		t.Errorf("retransmitted munmap moved the free frame count %d -> %d", frames, got)
+	}
+	// A later munmap naming another size is a distinct double free.
+	free = nil
+	nicDev.Send(cpuID, &msg.FreeReq{App: 50, VA: 0x4000_0000, Bytes: 3 * physmem.PageSize})
 	cb.eng.Run()
 	if free == nil || free.OK {
 		t.Fatalf("double munmap: %+v", free)
@@ -304,6 +317,111 @@ func TestKernelMmapChargesCPUTime(t *testing.T) {
 	minWork := DefaultConfig.SyscallCost + 64*DefaultConfig.MmapPerPage
 	if got := cb.eng.Now().Sub(start); got < minWork {
 		t.Fatalf("mmap took %v, below kernel work %v", got, minWork)
+	}
+}
+
+// A retransmitted mmap or munmap (the first answer was lost) replays
+// the first answer, as the decentralized machine's controller does: the
+// same frames, not mapped again; the same Bytes, nothing freed again.
+func TestKernelMmapRetransmissionReplays(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	nicDev := cb.nic.Device()
+	var alloc *msg.AllocResp
+	var free *msg.FreeResp
+	nicDev.Handle(msg.KindAllocResp, func(e msg.Envelope) { alloc = e.Msg.(*msg.AllocResp) })
+	nicDev.Handle(msg.KindFreeResp, func(e msg.Envelope) { free = e.Msg.(*msg.FreeResp) })
+	send := func(m msg.Message) {
+		alloc, free = nil, nil
+		nicDev.Send(cpuID, m)
+		cb.eng.Run()
+	}
+	req := &msg.AllocReq{App: 50, VA: 0x4000_0000, Bytes: 3 * physmem.PageSize}
+	send(req)
+	if alloc == nil || !alloc.OK {
+		t.Fatalf("mmap: %+v", alloc)
+	}
+	first := alloc.Frames
+	frames, mapped := cb.cpu.mem.FreeFramesCount(), cb.cpu.Stats().PagesMapped
+	send(req)
+	if alloc == nil || !alloc.OK || !slices.Equal(alloc.Frames, first) {
+		t.Fatalf("retransmitted mmap: %+v, want OK with frames %v", alloc, first)
+	}
+	if got := cb.cpu.mem.FreeFramesCount(); got != frames {
+		t.Errorf("retransmitted mmap moved the free frame count %d -> %d", frames, got)
+	}
+	if got := cb.cpu.Stats().PagesMapped; got != mapped {
+		t.Errorf("retransmitted mmap mapped again: PagesMapped %d -> %d", mapped, got)
+	}
+
+	unmap := &msg.FreeReq{App: 50, VA: 0x4000_0000, Bytes: 3 * physmem.PageSize}
+	send(unmap)
+	if free == nil || !free.OK || free.Bytes != 3*physmem.PageSize {
+		t.Fatalf("munmap: %+v", free)
+	}
+	frames = cb.cpu.mem.FreeFramesCount()
+	send(unmap)
+	if free == nil || !free.OK || free.Bytes != 3*physmem.PageSize {
+		t.Fatalf("retransmitted munmap: %+v, want OK with Bytes %d", free, 3*physmem.PageSize)
+	}
+	if got := cb.cpu.mem.FreeFramesCount(); got != frames {
+		t.Errorf("retransmitted munmap moved the free frame count %d -> %d", frames, got)
+	}
+}
+
+// Two identical munmaps admitted together, queued behind four busy kernel
+// cores, free the region once: the second finds it gone and replays. The
+// test takes every free frame the moment the first has run, so a second
+// free of the region's frames would give back frames the test now holds.
+func TestDuplicateMunmapFreesOnce(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	nicDev := cb.nic.Device()
+	var frees []*msg.FreeResp
+	nicDev.Handle(msg.KindAllocResp, func(msg.Envelope) {})
+	nicDev.Handle(msg.KindFreeResp, func(e msg.Envelope) { frees = append(frees, e.Msg.(*msg.FreeResp)) })
+	const va, bytes = uint64(0x4000_0000), 64 * physmem.PageSize
+	nicDev.Send(cpuID, &msg.AllocReq{App: 50, VA: va, Bytes: bytes})
+	cb.eng.Run()
+	if _, _, ok := nicDev.IOMMU().Lookup(50, iommu.VirtAddr(va)); !ok {
+		t.Fatal("mmap did not take effect")
+	}
+	admit := func(n int) {
+		for cb.cpu.cores.Pending() < n && cb.eng.Step() {
+		}
+		if got := cb.cpu.cores.Pending(); got != n {
+			t.Fatalf("%d syscalls admitted, want %d", got, n)
+		}
+	}
+	for i := uint64(1); i <= 4; i++ {
+		nicDev.Send(cpuID, &msg.AllocReq{App: 50, VA: va + i*0x100_0000, Bytes: bytes})
+	}
+	admit(4)
+	for i := 0; i < 2; i++ {
+		nicDev.Send(cpuID, &msg.FreeReq{App: 50, VA: va, Bytes: bytes})
+	}
+	admit(6)
+	// Run to the first munmap: the step after which the region is unmapped.
+	for {
+		if _, _, ok := nicDev.IOMMU().Lookup(50, iommu.VirtAddr(va)); !ok {
+			break
+		}
+		if !cb.eng.Step() {
+			t.Fatal("the region was never unmapped")
+		}
+	}
+	var held int
+	for ; ; held++ {
+		if _, err := cb.cpu.mem.AllocFrames(1); err != nil {
+			break
+		}
+	}
+	before := cb.cpu.mem.FreeFramesCount()
+	cb.eng.Run()
+	if len(frees) != 2 || !frees[0].OK || *frees[1] != *frees[0] {
+		t.Fatalf("munmaps answered %v, want two identical OKs", frees)
+	}
+	if after := cb.cpu.mem.FreeFramesCount(); after != before {
+		t.Errorf("after the first munmap freed the region, %d frames went back (free count %d -> %d, %d held by the test)",
+			after-before, before, after, held)
 	}
 }
 
@@ -333,8 +451,10 @@ func TestSyscallDoesNotOutliveReboot(t *testing.T) {
 	if _, _, ok := nicDev.IOMMU().Lookup(60, 0x5000_0000); ok {
 		t.Error("a stale mmap stage mapped into the flushed IOMMU")
 	}
-	if len(cb.cpu.mmaps) != 0 {
-		t.Errorf("the rebooted kernel's region table holds %d stale regions", len(cb.cpu.mmaps))
+	// The store reopens its file after the reboot, so the new table holds
+	// that queue region; it must hold nothing at the stale mmap's address.
+	if n := cb.cpu.regions.Frames(60, 0x5000_0000); n != 0 {
+		t.Errorf("the rebooted kernel's region table holds the stale mmap's %d frames", n)
 	}
 }
 

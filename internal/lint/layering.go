@@ -31,7 +31,7 @@ var Layering = &analysis.Analyzer{
 //	infra    trace, metrics, iommu, faultinject, netsim, chaos,
 //	         overload, interconnect, virtio, bus
 //	devices  device, smartssd, smartnic, memctrl, accel
-//	kernel   centralos                    (baseline; may drive smartssd)
+//	kernel   centralos                    (baseline; may drive smartssd, runs memctrl's table)
 //	apps     kvs, admin
 //	wiring   core
 //	harness  exp
@@ -103,14 +103,15 @@ var layerDAG = map[string][]string{
 	},
 
 	// Centralized baseline kernel: the "traditional stack" the paper
-	// argues against. It enrolls through the device chassis's enrollment
-	// and drives the SSD directly (kernel-mediated I/O), but must not
-	// depend on the self-managing runtime.
+	// argues against. It enrolls through the device chassis's enrollment,
+	// runs the memory controller's region table (memctrl.Regions) behind
+	// its mmap syscall and drives the SSD directly (kernel-mediated I/O),
+	// but must not depend on the self-managing runtime.
 	"nocpu/internal/centralos": {
 		"nocpu/internal/bus", "nocpu/internal/device", "nocpu/internal/interconnect",
-		"nocpu/internal/iommu", "nocpu/internal/metrics", "nocpu/internal/msg",
-		"nocpu/internal/physmem", "nocpu/internal/sim", "nocpu/internal/smartssd",
-		"nocpu/internal/trace", "nocpu/internal/virtio",
+		"nocpu/internal/iommu", "nocpu/internal/memctrl", "nocpu/internal/metrics",
+		"nocpu/internal/msg", "nocpu/internal/physmem", "nocpu/internal/sim",
+		"nocpu/internal/smartssd", "nocpu/internal/trace", "nocpu/internal/virtio",
 	},
 
 	// Applications ride on the NIC runtime.
