@@ -9,12 +9,13 @@
 # is a strict subset of `race`, so `check` does not run them again.
 # `make bench-full` is the whole benchmark (~1 min, sized by host time, so
 # it is not part of `check`): run it before quoting a benchmark number.
+# `make allocs` prints what every allocation guard measured.
 # `make lines` prints the non-test line counts the ROADMAP's line budgets
 # are stated in; quote a budget from it and from nothing else.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench tables lines
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines
 
 build:
 	$(GO) build ./...
@@ -131,6 +132,12 @@ check: vet lint build race fuzz bench-smoke
 # BenchmarkRoute in bus and BenchmarkControlCall in smartnic.
 bench:
 	$(GO) test -run=^$$ -bench . -benchmem -benchtime=100x ./...
+
+# Every allocation guard (the Test*Allocs tests, which plain `go test`
+# runs too) with -v: each logs the count it measured next to its bound, so
+# a change can quote its parent's counts and its own from one command.
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$' -v ./...
 
 # Regenerate all experiment tables (E1-E21).
 tables:

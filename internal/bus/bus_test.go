@@ -880,7 +880,9 @@ func TestRouteAllocs(t *testing.T) {
 	} {
 		send := func() { ports[2].Send(tc.dst, tc.m); eng.Run() }
 		send()
-		if n := testing.AllocsPerRun(200, send); n > tc.bound {
+		n := testing.AllocsPerRun(200, send)
+		t.Logf("%s: %v allocations", tc.name, n)
+		if n > tc.bound {
 			t.Errorf("%s allocates %v times, want <= %v", tc.name, n, tc.bound)
 		}
 	}

@@ -270,7 +270,7 @@ func (c *Cluster) Kill(id msg.DeviceID) {
 		return
 	}
 	m.alive = false
-	m.Router.halt()
+	m.Router.halted = true // every timer and handler bails: crash-stop
 	m.Sys.Kill()
 	c.tracef("m%d killed", id)
 }

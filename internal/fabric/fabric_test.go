@@ -149,15 +149,17 @@ func keyOwnedBy(cl *Cluster, id msg.DeviceID) string {
 
 // TestRemoteGetAllocs pins the whole fabric op path: a get that enters at
 // machine 1, is forwarded to its owner, served from the NIC cache there
-// and answered back. One record per hop — the client NIC's Delivery and
-// the reply it hands the router, the pendingReq, each frame's arrival
-// (which is also the far NIC's Delivery), the decoded FabricReq and
-// FabricResp, the owner's reply closure, the storeOp, the encoded
-// response — plus the key string of the owner's request decode and the
-// two ring lookups: 13. The frames are cut from chunks, and the ingress
-// routes on the key in place without decoding. It read 16 when each frame
-// was its own allocation and both ends decoded. The bound is the count
-// and one to spare.
+// and answered back. One record per hop — the client NIC's Delivery
+// (which is also the Replier the router answers), the pendingReq, each
+// frame's arrival (which is also the far NIC's Delivery), the decoded
+// FabricReq and FabricResp, the owner's served record, the storeOp, the
+// encoded response — plus the key string of the owner's request decode:
+// 10. Both routers' ring lookups fill router scratch. The frames are cut
+// from chunks, and the ingress routes on the key in place without
+// decoding. It read 13 while the NIC handed the router a reply func, the
+// owner made a reply closure and each ring lookup allocated its result,
+// and 16 when each frame was its own allocation and both ends decoded.
+// The bound is the count and one to spare.
 func TestRemoteGetAllocs(t *testing.T) {
 	cl := mustBoot(t, Config{N: 2, Seed: 5, CacheEntries: 64, MachineMemory: 4 << 20})
 	key := keyOwnedBy(cl, 2)
@@ -178,8 +180,9 @@ func TestRemoteGetAllocs(t *testing.T) {
 	if cl.RouterStatsSum().Remote-remote < 200 || cl.Machine(2).Store.Stats().CacheHits-hits < 200 {
 		t.Fatal("the gets were not remote cache hits")
 	}
-	if n > 14 {
-		t.Errorf("a remote cached get allocates %v times, want <= 14", n)
+	t.Logf("a remote cached get: %v allocations", n)
+	if n > 11 {
+		t.Errorf("a remote cached get allocates %v times, want <= 11", n)
 	}
 }
 
@@ -191,10 +194,12 @@ func TestRemoteGetAllocs(t *testing.T) {
 // put also builds its read-modify-write page and its inode page. The rest
 // is the fabric path above. Nothing else is left at the file-op ends of the
 // queue (DESIGN.md "The file op"): with a closure per stage and a copy per
-// layer there these read 36 and 104. They read 18 and 46 (21 and 54
-// before frames were cut from chunks, the Replicate and its ack were
-// router-owned bodies, and the ingress stopped decoding what it
-// forwards). Bounds are the measured counts and one to spare.
+// layer there these read 36 and 104. They read 15 and 38: 18 and
+// 46 while replies were funcs and ring lookups allocated (a put also made
+// the primary's apply closure and looked up its replication set twice),
+// and 21 and 54 before frames were cut from chunks, the Replicate
+// and its ack were router-owned bodies, and the ingress stopped decoding
+// what it forwards. Bounds are the measured counts and one to spare.
 func TestFlashOpAllocs(t *testing.T) {
 	cl := mustBoot(t, Config{N: 2, Seed: 5, MachineMemory: 4 << 20})
 	key := keyOwnedBy(cl, 2)
@@ -225,11 +230,12 @@ func TestFlashOpAllocs(t *testing.T) {
 	if cl.Machine(2).Sys.Fabric.Stats().DMAs-dmas < 400*16 {
 		t.Fatal("the ops did not go through the owner's virtqueue")
 	}
-	if gets > 19 {
-		t.Errorf("a remote flash get allocates %v times, want <= 19", gets)
+	t.Logf("a remote flash get: %v allocations, a put: %v", gets, puts)
+	if gets > 16 {
+		t.Errorf("a remote flash get allocates %v times, want <= 16", gets)
 	}
-	if puts > 47 {
-		t.Errorf("a remote flash put allocates %v times, want <= 47", puts)
+	if puts > 39 {
+		t.Errorf("a remote flash put allocates %v times, want <= 39", puts)
 	}
 }
 
@@ -251,7 +257,9 @@ func TestLeaseRoundAllocs(t *testing.T) {
 	if grants < 1000 || frames < 2*grants-64 || frames > 2*grants+64 {
 		t.Fatalf("%d frames for %d grants: the rack is not idle lease chatter", frames, grants)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(frames); per > 2.05 {
+	per := float64(after.Mallocs-before.Mallocs) / float64(frames)
+	t.Logf("a lease frame: %.3f allocations", per)
+	if per > 2.05 {
 		t.Errorf("a lease frame costs %.2f allocations, want <= 2.05", per)
 	}
 }
@@ -266,13 +274,16 @@ func TestRackSetupAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	cl := mustBoot(t, Config{N: 8, Seed: 11})
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 6<<20 {
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New+Boot of 8 machines: %d bytes", got)
+	if got > 6<<20 {
 		t.Errorf("New+Boot of 8 machines allocated %d bytes, want under 6 MiB", got)
 	}
 	var resident uint64
 	for _, m := range cl.Machines {
 		resident += m.Sys.Mem.ResidentFrames()
 	}
+	t.Logf("%d frames resident after boot", resident)
 	if resident > 88+8 {
 		t.Errorf("%d frames resident after boot, want at most 96", resident)
 	}

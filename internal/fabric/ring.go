@@ -127,9 +127,15 @@ func (r *Ring) Owners(key string, dead map[msg.DeviceID]bool, replicas int) []ms
 	if len(r.points) == 0 || replicas <= 0 {
 		return nil
 	}
+	return r.ownersInto(make([]msg.DeviceID, 0, replicas), key, dead, replicas)
+}
+
+// ownersInto is Owners written over dst's storage, for a caller that
+// keeps one slice to refill (the router's lookup scratch).
+func (r *Ring) ownersInto(dst []msg.DeviceID, key string, dead map[msg.DeviceID]bool, replicas int) []msg.DeviceID {
+	out := dst[:0]
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]msg.DeviceID, 0, replicas)
 	for i := 0; i < len(r.points) && len(out) < replicas; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		// out holds at most `replicas` entries (two or three), so scanning
@@ -140,13 +146,4 @@ func (r *Ring) Owners(key string, dead map[msg.DeviceID]bool, replicas int) []ms
 		out = append(out, p.machine)
 	}
 	return out
-}
-
-// Primary returns the key's first live owner (0 when none are left).
-func (r *Ring) Primary(key string, dead map[msg.DeviceID]bool) msg.DeviceID {
-	o := r.Owners(key, dead, 1)
-	if len(o) == 0 {
-		return 0
-	}
-	return o[0]
 }

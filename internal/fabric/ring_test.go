@@ -76,7 +76,7 @@ func TestRingImbalanceUnderZipf(t *testing.T) {
 			for s := 0; s < samples; s++ {
 				k := z.Next()
 				perKey[k]++
-				perMachine[r.Primary(fmt.Sprintf("zipf-%05d", k), nil)]++
+				perMachine[r.Owners(fmt.Sprintf("zipf-%05d", k), nil, 1)[0]]++
 			}
 			maxMachine, maxKey := 0, 0
 			for _, c := range perMachine {
@@ -110,8 +110,8 @@ func TestRingMinimalMovementOnLeave(t *testing.T) {
 	moved := 0
 	for i := 0; i < nKeys; i++ {
 		key := fmt.Sprintf("move-%05d", i)
-		before := r.Primary(key, nil)
-		after := r.Primary(key, dead)
+		before := r.Owners(key, nil, 1)[0]
+		after := r.Owners(key, dead, 1)[0]
 		if before != victim && after != before {
 			t.Fatalf("key %s: primary moved %d -> %d though %d survives", key, before, after, before)
 		}
@@ -138,8 +138,8 @@ func TestRingMinimalMovementOnJoin(t *testing.T) {
 	stolen := 0
 	for i := 0; i < nKeys; i++ {
 		key := fmt.Sprintf("join-%05d", i)
-		before := small.Primary(key, nil)
-		after := big.Primary(key, nil)
+		before := small.Owners(key, nil, 1)[0]
+		after := big.Owners(key, nil, 1)[0]
 		if after != before {
 			if after != 9 {
 				t.Fatalf("key %s: moved %d -> %d, but only the joiner may steal", key, before, after)

@@ -125,22 +125,21 @@ func recordPair(tb testing.TB, n int, fresh bool) (write, read func()) {
 // (index, used element, descriptor pair) costs the host nothing, and a
 // cell transfer only the buffer its receiver will own.
 func TestDMARecordAllocs(t *testing.T) {
+	check := func(what string, run func(), max float64) {
+		a := testing.AllocsPerRun(500, run)
+		t.Logf("%s: %v allocations", what, a)
+		if a > max {
+			t.Errorf("%s allocates %v times, want <= %v", what, a, max)
+		}
+	}
 	for _, n := range []int{2, 8, 32} {
 		write, read := recordPair(t, n, false)
-		if a := testing.AllocsPerRun(500, write); a != 0 {
-			t.Errorf("record write of %d bytes allocates %v times, want 0", n, a)
-		}
-		if a := testing.AllocsPerRun(500, read); a != 0 {
-			t.Errorf("record read of %d bytes allocates %v times, want 0", n, a)
-		}
+		check(fmt.Sprintf("record write of %d bytes", n), write, 0)
+		check(fmt.Sprintf("record read of %d bytes", n), read, 0)
 	}
 	write, read := recordPair(t, 64, true)
-	if a := testing.AllocsPerRun(500, write); a != 0 {
-		t.Errorf("record write of 64 bytes allocates %v times, want 0", a)
-	}
-	if a := testing.AllocsPerRun(500, read); a > 1 {
-		t.Errorf("record read of 64 bytes into a fresh buffer allocates %v times, want <= 1", a)
-	}
+	check("record write of 64 bytes", write, 0)
+	check("record read of 64 bytes into a fresh buffer", read, 1)
 }
 
 func BenchmarkDMA(b *testing.B) {

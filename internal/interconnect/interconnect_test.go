@@ -334,7 +334,9 @@ func portPair(tb testing.TB) func() {
 // extents, the shed path and physmem add nothing.
 func TestPortAllocs(t *testing.T) {
 	pair := portPair(t)
-	if n := testing.AllocsPerRun(1000, pair); n > 6 {
+	n := testing.AllocsPerRun(1000, pair)
+	t.Logf("DMA write+read: %v allocations", n)
+	if n > 6 {
 		t.Errorf("DMA write+read allocates %v times, want <= 6", n)
 	}
 }

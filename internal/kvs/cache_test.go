@@ -7,6 +7,7 @@ import (
 
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
 )
 
 func TestValueCacheLRU(t *testing.T) {
@@ -141,12 +142,12 @@ func TestCacheOwnsValues(t *testing.T) {
 	tb := cachedTestbed(t, 16)
 	val := []byte("original-value")
 	var resp Response
-	reply := func(b []byte) {
+	reply := smartnic.ReplyFunc(func(b []byte) {
 		var err error
 		if resp, err = DecodeResponse(b); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	tb.store.Serve(Request{Op: OpPut, Key: "k", Value: val}, reply)
 	tb.eng.Run()
 	if resp.Status != StatusOK {

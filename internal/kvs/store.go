@@ -409,31 +409,27 @@ func (s *Store) ShedResponse() []byte {
 	return EncodeResponse(Response{Status: StatusShed})
 }
 
-// ServeNetwork implements smartnic.App: decode, admit, execute, reply.
-// The request's Tenant stamp is taken as-is — this is the trusted path
-// (replication, recovery, and fabric frames whose stamp was written at
-// the originating machine's edge).
+// ServeNetwork implements smartnic.App for a caller that hands the store
+// a request directly: it is served as an unstamped ServeRequest.
 func (s *Store) ServeNetwork(payload []byte, reply func([]byte)) {
-	req, err := DecodeRequest(payload)
-	if err != nil {
-		reply(EncodeResponse(Response{Status: StatusError}))
-		return
-	}
-	s.Serve(req, reply)
+	s.ServeRequest(0, false, payload, smartnic.ReplyFunc(reply))
 }
 
-// ServeTenantNetwork implements smartnic.TenantApp: the NIC edge
-// authenticated the caller as tn, and that stamp overrides whatever the
-// client wrote into the payload — a forged Request.Tenant never
-// survives the edge.
-func (s *Store) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte)) {
+// ServeRequest implements smartnic.RequestApp: decode, admit, execute,
+// reply. An unstamped request's Tenant is trusted (replication, recovery,
+// and fabric frames stamped at the originating machine's edge). A stamped
+// one's edge authenticated the caller as tn, and that overrides whatever
+// the payload claims: a forged Request.Tenant never survives the edge.
+func (s *Store) ServeRequest(tn uint16, stamped bool, payload []byte, rep smartnic.Replier) {
 	req, err := DecodeRequest(payload)
 	if err != nil {
-		reply(EncodeResponse(Response{Status: StatusError}))
+		rep.Reply(EncodeResponse(Response{Status: StatusError}))
 		return
 	}
-	req.Tenant = uint32(tn)
-	s.Serve(req, reply)
+	if stamped {
+		req.Tenant = uint32(tn)
+	}
+	s.Serve(req, rep)
 }
 
 // storeOp is one admitted request. It is the event that charges the
@@ -444,7 +440,7 @@ func (s *Store) ServeTenantNetwork(tn uint16, payload []byte, reply func([]byte)
 type storeOp struct {
 	s     *Store
 	req   Request
-	reply func([]byte)
+	rep   smartnic.Replier
 	start sim.Time
 	// file is the op's file request. A put, a delete and a get on a store
 	// without a value cache will need one, so theirs is allocated with the
@@ -459,12 +455,12 @@ type fileStoreOp struct {
 }
 
 // Serve admits and executes one decoded request, for a caller on the
-// same NIC that has already parsed it (the fabric router). Like
-// ServeNetwork it trusts the request's Tenant stamp.
-func (s *Store) Serve(req Request, reply func([]byte)) {
+// same NIC that has already parsed it (the fabric router), and answers
+// rep. Like an unstamped request it trusts the request's Tenant stamp.
+func (s *Store) Serve(req Request, rep smartnic.Replier) {
 	if !s.ready {
 		s.stats.Unavailable++
-		reply(EncodeResponse(Response{Status: StatusUnavailable}))
+		rep.Reply(EncodeResponse(Response{Status: StatusUnavailable}))
 		return
 	}
 	// Tenancy gate, ahead of all admission: a cross-tenant probe is
@@ -477,7 +473,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 			s.stats.Denied++
 			reg.Record(s.rt.Engine().Now(), who, owner, tenant.DenyKVS,
 				fmt.Sprintf("%v %v %q refused", who, req.Op, req.Key))
-			reply(EncodeResponse(Response{Status: StatusDenied}))
+			rep.Reply(EncodeResponse(Response{Status: StatusDenied}))
 			return
 		}
 		if b := reg.Budget(who); b.KVSInflight > 0 && s.tenInflight[who] >= int(b.KVSInflight) {
@@ -485,7 +481,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 			s.stats.TenantShed++
 			reg.Record(s.rt.Engine().Now(), who, 0, tenant.DenyBudget,
 				fmt.Sprintf("%v over kvs budget %d", who, b.KVSInflight))
-			reply(EncodeResponse(Response{Status: StatusShed}))
+			rep.Reply(EncodeResponse(Response{Status: StatusShed}))
 			return
 		}
 	}
@@ -503,7 +499,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 			// the next admitted request pushes the estimate right back.
 			s.estServe -= s.estServe / 8
 			s.stats.Shed++
-			reply(EncodeResponse(Response{Status: StatusShed}))
+			rep.Reply(EncodeResponse(Response{Status: StatusShed}))
 			return
 		}
 	}
@@ -513,7 +509,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 	// open-loop overload rages.
 	if bound := s.cfg.InflightBound; bound > 0 && s.inflight >= bound {
 		s.stats.Shed++
-		reply(EncodeResponse(Response{Status: StatusShed}))
+		rep.Reply(EncodeResponse(Response{Status: StatusShed}))
 		return
 	}
 	s.inflight++
@@ -530,7 +526,7 @@ func (s *Store) Serve(req Request, reply func([]byte)) {
 	} else {
 		op = new(storeOp)
 	}
-	op.s, op.req, op.reply, op.start = s, req, reply, eng.Now()
+	op.s, op.req, op.rep, op.start = s, req, rep, eng.Now()
 	eng.Schedule(s.cfg.IndexCost, op)
 }
 
@@ -560,7 +556,7 @@ func (op *storeOp) done(resp Response) {
 	if who := tenant.ID(op.req.Tenant); who != 0 {
 		s.tenInflight[who]--
 	}
-	op.reply(EncodeResponse(resp))
+	op.rep.Reply(EncodeResponse(resp))
 }
 
 func (s *Store) get(op *storeOp) {

@@ -219,3 +219,45 @@ func TestPerTenantAdmissionBudget(t *testing.T) {
 		t.Error("victim accrued denials")
 	}
 }
+
+// The store keeps two tenancy rules however a request reaches it. An
+// unstamped request (Deliver) is the trusted path: its in-payload Tenant
+// stands. A stamped one (DeliverFrom) carries the tenant its edge
+// authenticated, which overwrites the payload's claim — a stamp of 0
+// included.
+func TestTenantStampRules(t *testing.T) {
+	tb := newTestbed(t, 0)
+	reg := tenant.NewRegistry()
+	tenantStore(t, tb, reg)
+	payload := EncodeRequest(Request{Op: OpGet, Key: "t3/k", Tenant: 5})
+	for _, c := range []struct {
+		name    string
+		deliver func(reply func([]byte))
+		want    Status
+		blamed  tenant.ID
+	}{
+		{"Deliver trusts the payload", func(reply func([]byte)) { tb.nic.Deliver(12, payload, reply) }, StatusDenied, 5},
+		{"DeliverFrom(0) clears it", func(reply func([]byte)) { tb.nic.DeliverFrom(0, 12, payload, reply) }, StatusNotFound, 0},
+		{"DeliverFrom(3) stamps the owner", func(reply func([]byte)) { tb.nic.DeliverFrom(3, 12, payload, reply) }, StatusNotFound, 0},
+		{"DeliverFrom(7) stamps a prober", func(reply func([]byte)) { tb.nic.DeliverFrom(7, 12, payload, reply) }, StatusDenied, 7},
+	} {
+		var got []Response
+		c.deliver(func(b []byte) {
+			r, err := DecodeResponse(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, r)
+		})
+		tb.run()
+		if len(got) != 1 || got[0].Status != c.want {
+			t.Errorf("%s: answered %+v, want one %v", c.name, got, c.want)
+		}
+		if c.blamed != 0 && len(reg.DenialsBy(c.blamed)) != 1 {
+			t.Errorf("%s: %d denials recorded against %v, want 1", c.name, len(reg.DenialsBy(c.blamed)), c.blamed)
+		}
+	}
+	if n := len(reg.DenialsBy(3)) + len(reg.DenialsBy(0)); n != 0 {
+		t.Errorf("%d denials recorded against the owner or tenant 0", n)
+	}
+}

@@ -176,7 +176,9 @@ func TestEncodeAllocs(t *testing.T) {
 	for _, h := range hotKinds {
 		env := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}
 		var out []byte
-		if n := testing.AllocsPerRun(200, func() { out = env.Encode() }); n != 1 {
+		n := testing.AllocsPerRun(200, func() { out = env.Encode() })
+		t.Logf("%s: Encode %v allocations", h.name, n)
+		if n != 1 {
 			t.Errorf("%s: Encode allocates %v times, want 1", h.name, n)
 		}
 		size := 0
@@ -202,7 +204,9 @@ func TestDecodeAllocs(t *testing.T) {
 	for _, h := range hotKinds {
 		frame := Envelope{Src: 1, Dst: 2, Seq: 7, Inc: 1, Msg: h.m}.Encode()
 		var err error
-		if n := testing.AllocsPerRun(200, func() { benchEnv, err = Decode(frame) }); n != want[h.name] || err != nil {
+		n := testing.AllocsPerRun(200, func() { benchEnv, err = Decode(frame) })
+		t.Logf("%s: Decode %v allocations", h.name, n)
+		if n != want[h.name] || err != nil {
 			t.Errorf("%s: Decode allocates %v times (%v), want %v", h.name, n, err, want[h.name])
 		}
 	}

@@ -361,21 +361,23 @@ func TestEngineAllocs(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		e.Schedule(Duration(1+i), obj)
 	}
-	if n := testing.AllocsPerRun(1000, func() { e.After(5, nop); e.Step() }); n > 1 {
-		t.Errorf("After+Step allocates %v times, want <= 1", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { e.Schedule(5, obj); e.Step() }); n != 0 {
-		t.Errorf("Schedule+Step allocates %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { e.ScheduleAt(e.Now()+5, obj); e.Step() }); n != 0 {
-		t.Errorf("ScheduleAt+Step allocates %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { e.After(10*Millisecond, nop).Stop() }); n > 1 {
-		t.Errorf("After+Stop allocates %v times, want <= 1", n)
-	}
 	rec := &engineOwned{e: e}
-	if n := testing.AllocsPerRun(1000, func() { rec.arm(10*Millisecond, nop); rec.Stop() }); n != 0 {
-		t.Errorf("Arm+Stop allocates %v times, want 0", n)
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"After+Step", 1, func() { e.After(5, nop); e.Step() }},
+		{"Schedule+Step", 0, func() { e.Schedule(5, obj); e.Step() }},
+		{"ScheduleAt+Step", 0, func() { e.ScheduleAt(e.Now()+5, obj); e.Step() }},
+		{"After+Stop", 1, func() { e.After(10*Millisecond, nop).Stop() }},
+		{"Arm+Stop", 0, func() { rec.arm(10*Millisecond, nop); rec.Stop() }},
+	} {
+		n := testing.AllocsPerRun(1000, c.run)
+		t.Logf("%s: %v allocations", c.name, n)
+		if n > c.max {
+			t.Errorf("%s allocates %v times, want <= %v", c.name, n, c.max)
+		}
 	}
 }
 

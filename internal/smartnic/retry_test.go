@@ -479,7 +479,9 @@ func (b *controlBed) grant(t testing.TB) {
 func TestControlCallAllocs(t *testing.T) {
 	b := newControlBed(t)
 	b.allocFree(t)
-	if n := testing.AllocsPerRun(200, func() { b.allocFree(t) }); n > 20 {
+	n := testing.AllocsPerRun(200, func() { b.allocFree(t) })
+	t.Logf("alloc+free round trip: %v allocations", n)
+	if n > 20 {
 		t.Errorf("alloc+free round trip allocates %v times, want <= 20", n)
 	}
 }

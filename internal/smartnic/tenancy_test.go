@@ -6,19 +6,21 @@ import (
 	"nocpu/internal/tenant"
 )
 
-// tenantEcho is a TenantApp that records the authenticated tenant of
-// every request it serves.
+// tenantEcho is a RequestApp that records the authenticated tenant of
+// every stamped request it serves.
 type tenantEcho struct {
 	testApp
 	seen []uint16
 }
 
-func (a *tenantEcho) ServeTenantNetwork(tn uint16, p []byte, reply func([]byte)) {
-	a.seen = append(a.seen, tn)
-	reply(p)
+func (a *tenantEcho) ServeRequest(tn uint16, stamped bool, p []byte, rep Replier) {
+	if stamped {
+		a.seen = append(a.seen, tn)
+	}
+	rep.Reply(p)
 }
 
-// DeliverFrom hands the edge-authenticated tenant to TenantApp apps;
+// DeliverFrom hands the edge-authenticated tenant to RequestApp apps;
 // plain Deliver keeps the legacy unstamped path.
 func TestDeliverFromStampsTenant(t *testing.T) {
 	m := newMachine(t)
@@ -35,7 +37,7 @@ func TestDeliverFromStampsTenant(t *testing.T) {
 	if replies != 3 {
 		t.Fatalf("replies = %d, want 3", replies)
 	}
-	// Deliver (unstamped) must not reach ServeTenantNetwork.
+	// Deliver (unstamped) must not reach ServeRequest with a stamp.
 	if len(app.seen) != 2 || app.seen[0] != 3 || app.seen[1] != 0 {
 		t.Errorf("stamped tenants = %v, want [3 0]", app.seen)
 	}

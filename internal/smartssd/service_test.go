@@ -254,10 +254,14 @@ func TestFileOpAllocs(t *testing.T) {
 		}
 	}
 	serve(read)()
-	if n := testing.AllocsPerRun(200, serve(read)); n > 2 {
+	n := testing.AllocsPerRun(200, serve(read))
+	t.Logf("64 B read: %v allocations", n)
+	if n > 2 {
 		t.Errorf("64 B read allocates %v times, want <= 2", n)
 	}
-	if n := testing.AllocsPerRun(40, serve(app)); n > 4 {
+	n = testing.AllocsPerRun(40, serve(app))
+	t.Logf("64 B append: %v allocations", n)
+	if n > 4 {
 		t.Errorf("64 B append allocates %v times, want <= 4", n)
 	}
 	if resp, _ := DecodeFileResp(r.answers[0]); resp.Status != StatusOK || resp.Size != 4096+100+41*64 {

@@ -121,7 +121,9 @@ func TestRoundTripAllocs(t *testing.T) {
 	for i := 0; i < drv.Capacity()+1; i++ {
 		one() // build the pair records
 	}
-	if n := testing.AllocsPerRun(500, one); n > 5 {
+	n := testing.AllocsPerRun(500, one)
+	t.Logf("echo round trip: %v allocations", n)
+	if n > 5 {
 		t.Errorf("echo round trip allocates %v times, want <= 5", n)
 	}
 	if completed == 0 || drv.InFlight() != 0 {
