@@ -151,6 +151,7 @@ lines:
 	printf '%-42s %6d\n' 'smartssd+virtio+smartnic/fileclient.go' $$(count internal/smartssd internal/virtio internal/smartnic/fileclient.go); \
 	printf '%-42s %6d\n' 'centralos.go' $$(count internal/centralos/centralos.go); \
 	printf '%-42s %6d\n' 'memctrl+centralos.go' $$(count internal/memctrl internal/centralos/centralos.go); \
+	printf '%-42s %6d\n' 'device+memctrl+centralos.go' $$(count internal/device internal/memctrl internal/centralos/centralos.go); \
 	printf '%-42s %6d\n' 'sim engine+server' $$(count internal/sim/engine.go internal/sim/server.go); \
 	printf '%-42s %6d\n' 'msg+lint/wireproto.go' $$(count internal/msg internal/lint/wireproto.go); \
 	printf '%-42s %6d\n' 'lint+cmd/nocpu-lint' $$(count internal/lint cmd/nocpu-lint); \

@@ -7,9 +7,10 @@
 // machine. Differences:
 //
 //   - There is no memory-controller device and the bus performs no
-//     privileged work: the kernel owns a memctrl.Regions, the controller's
-//     region table, holds direct handles to every device IOMMU (as a
-//     kernel does, via MMIO) and programs them itself.
+//     privileged work: the kernel owns the controller's region table
+//     (memctrl.Regions) and a device's session table (device.Instances),
+//     holds direct handles to every device IOMMU (as a kernel does, via
+//     MMIO) and programs them itself.
 //   - Applications make syscalls (messages to the CPU) for every control
 //     operation: open, mmap+grant (folded into open), connect, close.
 //     Each syscall costs a trap + dispatch and occupies a CPU core.
@@ -123,23 +124,13 @@ type CPU struct {
 	// appVA is the kernel's per-app mmap pointer.
 	appVA map[msg.AppID]uint64
 
-	// Syscalls waiting on a provider's OpenResp or ConnectResp.
-	pendingOpen    map[openKey]*syscall
-	pendingConnect map[uint32]*syscall
-	kernelConns    map[uint32]*kernelFile // mediated handles
-	nextHandle     uint32
+	// sessions is the device's instance table, placed in the kernel.
+	sessions device.Instances[*session]
 
 	// ioOutstanding counts mediated I/Os admitted by sysFileIO and not
 	// yet completed; ioG tracks it against IOBacklogBound (Q1 audit).
 	ioOutstanding int
 	ioG           *metrics.Gauge
-
-	// completedOpens is the kernel's at-most-once cache for the open
-	// syscall: a retransmitted OpenReq (lost response) replays the recorded
-	// verdict instead of re-running mmap/grant and leaking a second region.
-	// The verdict keeps the origin NIC so the kernel can push ErrorNotify
-	// to affected apps when the backing device dies.
-	completedOpens map[openKey]*openVerdict
 
 	enr   device.Enrollment // Hello, heartbeat and credits; Kill stops it
 	boot  sim.Timer         // the reboot after a bus Reset
@@ -152,33 +143,34 @@ type CPU struct {
 	stats Stats
 }
 
-type openKey struct {
-	app     msg.AppID
-	service string
+// session is one open the kernel brokers, from the trap to the close: the
+// table's instance, whose ID the app sees in both modes, and what the
+// kernel keeps to stand between the app and the provider.
+type session struct {
+	device.Instance
+	dev  msg.DeviceID // the provider
+	name string       // the file in the registry
+	conn uint32       // the provider's ConnID, once it answered
+	// asked is what the session waits on the provider for (the open, a
+	// connect), matched by its answer and resent by a retransmitted open.
+	asked   msg.Message
+	verdict *msg.OpenResp // the app's answer, replayed under rule 1
+	kf      *kernelFile   // a mediated open's queue
 }
 
-func (k openKey) compare(o openKey) int {
-	return cmp.Or(cmp.Compare(k.app, o.app), strings.Compare(k.service, o.service))
+// quiesce stops a mediated session's queue, if the kernel built one.
+func (o *session) quiesce() {
+	if o.kf != nil && o.kf.drv != nil {
+		o.kf.drv.Quiesce()
+	}
 }
 
-// openVerdict is a completed open: the cached response plus the NIC it
-// was delivered to.
-type openVerdict struct {
-	resp   *msg.OpenResp
-	origin msg.DeviceID
-}
-
-// kernelFile is the kernel's own connection to a device file (mediated
-// mode): the queue's driver half lives on the CPU.
+// kernelFile is a mediated session's queue, its driver half on the CPU,
+// and at-most-once I/O (§4): completed replays a retransmitted FileIOReq's
+// recorded response instead of re-applying the write, and inflight
+// suppresses duplicates of a request still in the device queue.
 type kernelFile struct {
-	handle uint32
-	app    msg.AppID
-	dev    msg.DeviceID // the device serving the queue
-	drv    *virtio.Driver
-	// At-most-once execution for mediated I/O (§4): completed caches
-	// recent responses by syscall seq so a retransmitted FileIOReq replays
-	// the result instead of re-applying the write; inflight suppresses
-	// duplicates of a request still in the device queue.
+	drv       *virtio.Driver
 	completed map[uint32]*msg.FileIOResp
 	inflight  map[uint32]bool
 }
@@ -192,40 +184,24 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.Cores <= 0 {
 		cfg.Cores = DefaultConfig.Cores
 	}
-	if cfg.SyscallCost == 0 {
-		cfg.SyscallCost = DefaultConfig.SyscallCost
-	}
-	if cfg.RegistryCost == 0 {
-		cfg.RegistryCost = DefaultConfig.RegistryCost
-	}
-	if cfg.MmapPerPage == 0 {
-		cfg.MmapPerPage = DefaultConfig.MmapPerPage
-	}
-	if cfg.InterruptCost == 0 {
-		cfg.InterruptCost = DefaultConfig.InterruptCost
-	}
-	if cfg.CopyBytesPerNs == 0 {
-		cfg.CopyBytesPerNs = DefaultConfig.CopyBytesPerNs
-	}
-	if cfg.QueueEntries == 0 {
-		cfg.QueueEntries = DefaultConfig.QueueEntries
-	}
+	cfg.SyscallCost = cmp.Or(cfg.SyscallCost, DefaultConfig.SyscallCost)
+	cfg.RegistryCost = cmp.Or(cfg.RegistryCost, DefaultConfig.RegistryCost)
+	cfg.MmapPerPage = cmp.Or(cfg.MmapPerPage, DefaultConfig.MmapPerPage)
+	cfg.InterruptCost = cmp.Or(cfg.InterruptCost, DefaultConfig.InterruptCost)
+	cfg.CopyBytesPerNs = cmp.Or(cfg.CopyBytesPerNs, DefaultConfig.CopyBytesPerNs)
+	cfg.QueueEntries = cmp.Or(cfg.QueueEntries, DefaultConfig.QueueEntries)
 	c := &CPU{
-		eng:            eng,
-		cfg:            cfg,
-		tr:             tr,
-		mem:            fab.Memory(),
-		mmu:            iommu.New(cfg.Name, fab.Memory(), iommu.DefaultConfig),
-		cores:          sim.NewPool(eng, cfg.Cores),
-		iommus:         make(map[msg.DeviceID]*iommu.IOMMU),
-		registry:       make(map[string]msg.DeviceID),
-		appVA:          make(map[msg.AppID]uint64),
-		pendingOpen:    make(map[openKey]*syscall),
-		pendingConnect: make(map[uint32]*syscall),
-		kernelConns:    make(map[uint32]*kernelFile),
-		regions:        memctrl.NewRegions(fab.Memory(), 0),
-		completedOpens: make(map[openKey]*openVerdict),
-		ioG:            metrics.NewGauge(cfg.IOBacklogBound),
+		eng:      eng,
+		cfg:      cfg,
+		tr:       tr,
+		mem:      fab.Memory(),
+		mmu:      iommu.New(cfg.Name, fab.Memory(), iommu.DefaultConfig),
+		cores:    sim.NewPool(eng, cfg.Cores),
+		iommus:   make(map[msg.DeviceID]*iommu.IOMMU),
+		registry: make(map[string]msg.DeviceID),
+		appVA:    make(map[msg.AppID]uint64),
+		regions:  memctrl.NewRegions(fab.Memory(), 0),
+		ioG:      metrics.NewGauge(cfg.IOBacklogBound),
 	}
 	c.dma = fab.NewPort(cfg.Name, c.mmu)
 	port, err := b.Attach(cfg.ID, cfg.Name, msg.RoleAccelerator, c.mmu, c.receive)
@@ -261,11 +237,10 @@ func (c *CPU) Kill() {
 	c.enr.Stop()
 }
 
-// onBusReset runs the baseline's recovery: after ResetDelay the kernel
-// reboots with a new incarnation. ResetDelay 0 means no recovery path (the
-// pre-crash-work machines). A second Reset before the reboot (the bus
-// resends one for each heartbeat it gets from a device it failed) joins the
-// reboot already coming, as a device mid-reset ignores one.
+// onBusReset runs the baseline's recovery: after ResetDelay (0: none) the
+// kernel reboots with a new incarnation. A second Reset before the reboot
+// (the bus resends one for each heartbeat it gets from a device it failed)
+// joins the reboot already coming, as a device mid-reset ignores one.
 func (c *CPU) onBusReset(m *msg.Reset) {
 	if c.cfg.ResetDelay <= 0 || c.boot.Pending() {
 		return
@@ -277,35 +252,33 @@ func (c *CPU) onBusReset(m *msg.Reset) {
 // reboot is the kernel's crash-recovery path — and the baseline's
 // structural weakness the paper argues against (§2.3: the kernel is a
 // single point of failure). Everything the kernel held in RAM is gone:
-// syscall continuations, mediated queues, the at-most-once open cache,
-// the region table (swapped for an empty one, freeing nothing) and the
-// mmap pointers. Reinitializing the translation units it drives (as a
-// booting kernel must) tears down every live context, so even direct-mode
-// data planes that never touched the CPU die with it and every
-// application reconnects from scratch. Contrast with
-// the decentralized machine, where a device crash is contained to that
-// device's resources. Physical frames reachable only through the lost
-// tables leak until a full power cycle; the reproduction accepts that
-// (bounded by crashes per run) rather than pretending the kernel can
-// recover state it no longer has. A syscall the dead incarnation admitted
-// does nothing when its next stage comes up (syscall.Fire), so the mediated
-// I/Os it held are no longer outstanding.
+// syscall continuations, the sessions and their mediated queues (IDs go on
+// from where they were, so a stale handle names nothing), the region table
+// (swapped for an empty one, freeing nothing) and the mmap pointers.
+// Reinitializing the translation units it drives tears down every live
+// context, so even direct-mode data planes that never touched the CPU die
+// with it; on the decentralized machine a device crash is contained to
+// that device's resources. Frames reachable only through the lost tables
+// leak until a full power cycle (bounded by crashes per run). A syscall
+// the dead incarnation admitted does nothing when its next stage comes up
+// (syscall.Fire), so the mediated I/Os it held are no longer outstanding.
 type reboot CPU
 
 func (e *reboot) Fire() {
 	c := (*CPU)(e)
 	c.port.NewIncarnation()
-	for _, id := range sortedKeys(c.iommus, cmp.Compare[msg.DeviceID]) {
+	ids := make([]msg.DeviceID, 0, len(c.iommus))
+	for id := range c.iommus {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		flushContexts(c.iommus[id])
 	}
 	flushContexts(c.mmu)
-	for _, h := range sortedKeys(c.kernelConns, cmp.Compare[uint32]) {
-		c.kernelConns[h].drv.Quiesce()
+	for _, o := range c.sessions.DropAll() {
+		o.quiesce()
 	}
-	c.kernelConns = make(map[uint32]*kernelFile)
-	c.pendingOpen = make(map[openKey]*syscall)
-	c.pendingConnect = make(map[uint32]*syscall)
-	c.completedOpens = make(map[openKey]*openVerdict)
 	c.regions = memctrl.NewRegions(c.mem, 0)
 	c.appVA = make(map[msg.AppID]uint64)
 	c.ioOutstanding = 0
@@ -322,17 +295,6 @@ func flushContexts(u *iommu.IOMMU) {
 	}
 }
 
-// sortedKeys returns m's keys in the order compare gives, for the loops
-// whose effects must not follow map order.
-func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.SortFunc(ks, compare)
-	return ks
-}
-
 // AttachDeviceIOMMU gives the kernel its MMIO handle to a device's
 // translation unit.
 func (c *CPU) AttachDeviceIOMMU(id msg.DeviceID, mmu *iommu.IOMMU) {
@@ -341,12 +303,10 @@ func (c *CPU) AttachDeviceIOMMU(id msg.DeviceID, mmu *iommu.IOMMU) {
 
 // Misprogram models a compromised (or merely buggy) kernel: it maps the
 // app's pages straight into the named device's translation unit, no
-// authorization asked. In the centralized architecture the kernel IS
-// the authorization, so nothing stands in the way; on a machine whose
-// devices carry per-device isolation domains (core.Options.Tenancy),
-// the device's own IOMMU refuses the foreign context and the returned
-// error is the typed refusal. E20's compromised-kernel cell measures
-// exactly this difference in blast radius.
+// authorization asked, since the kernel IS the authorization. On a machine
+// whose devices carry isolation domains (core.Options.Tenancy) the
+// device's own IOMMU refuses the foreign context, and the error is that
+// typed refusal: E20's compromised-kernel cell measures the difference.
 func (c *CPU) Misprogram(dev msg.DeviceID, app msg.AppID, va, bytes uint64) error {
 	mmu, ok := c.iommus[dev]
 	if !ok {
@@ -384,10 +344,7 @@ func (c *CPU) receive(env msg.Envelope) {
 		c.stats.Syscalls++
 		c.trap(env.Src, m, c.cfg.SyscallCost)
 	case *msg.ConnectResp:
-		if s, ok := c.pendingConnect[m.ConnID]; ok {
-			delete(c.pendingConnect, m.ConnID)
-			c.connected(s, m)
-		}
+		c.onDeviceConnectResp(env.Src, m)
 	case *msg.FileIOReq:
 		c.sysFileIO(env.Src, m)
 	case *msg.AllocReq:
@@ -401,65 +358,28 @@ func (c *CPU) receive(env msg.Envelope) {
 	}
 }
 
-// onPeerFailed purges kernel state involving a dead device. Open flows
-// waiting on it are dropped (the app's call retransmits them after the
-// device recovers); mediated queues into it are quiesced, and the
-// at-most-once open cache forgets verdicts that named it so a post-reset
-// reopen re-runs the real work instead of replaying a dead connection.
+// onPeerFailed drops the sessions a dead device opened (its reopen is a
+// new open), then those it served, telling an answered one's app (§4: its
+// handle names the kernel, not the device behind it).
 func (c *CPU) onPeerFailed(dev msg.DeviceID) {
-	for k, s := range c.pendingOpen {
-		if s.src == dev {
-			delete(c.pendingOpen, k)
-		}
+	for _, o := range c.sessions.DropClient(dev) {
+		o.quiesce()
 	}
-	for _, k := range sortedKeys(c.completedOpens, openKey.compare) {
-		v := c.completedOpens[k]
-		name := v.resp.Service
-		mediated := false
-		if n, ok := strings.CutPrefix(name, "mediated:"); ok {
-			name, mediated = n, true
-		} else if n, ok := strings.CutPrefix(name, "file:"); ok {
-			name = n
-		}
-		if v.origin == dev {
-			// The consumer's NIC died: after its reboot the app's reopen
-			// is a genuinely new open (new rings, new doorbells), not a
-			// retransmission, so the cached verdict must not replay.
-			delete(c.completedOpens, k)
-			if kf, ok := c.kernelConns[v.resp.ConnID]; mediated && ok && kf.app == k.app {
-				kf.drv.Quiesce()
-				delete(c.kernelConns, v.resp.ConnID)
-			}
-			continue
-		}
-		if c.registry[name] == dev {
-			delete(c.completedOpens, k)
-			// §4: tell the consumer its resource died. The app's runtime
-			// cannot see this itself — its file handle names the kernel,
-			// not the storage device behind it.
-			c.port.Send(v.origin, &msg.ErrorNotify{
-				App: k.app, Resource: v.resp.Service, Code: 1,
-				Detail: fmt.Sprintf("device %d serving %q failed", dev, name),
-			})
-		}
-	}
-	// Mediated handles ride kernel→device queues; when the device died the
-	// endpoint half is gone for good (it drops connections on reset).
-	for _, h := range sortedKeys(c.kernelConns, cmp.Compare[uint32]) {
-		if kf := c.kernelConns[h]; kf.dev == dev {
-			kf.drv.Quiesce()
-			delete(c.kernelConns, h)
+	for _, o := range c.sessions.Drop(func(o *session) bool { return o.dev == dev }) {
+		o.quiesce()
+		if o.verdict != nil {
+			c.port.Send(o.Client, &msg.ErrorNotify{App: o.App, Resource: o.Service, Code: 1,
+				Detail: fmt.Sprintf("device %d serving %q failed", dev, o.name)})
 		}
 	}
 }
 
 // mapRegion answers an AllocReq from the kernel's table and maps a fresh
 // region into the given device IOMMUs under the app's PASID, through the
-// same range routine the bus programs with; a replay was mapped when it
-// was fresh. It is all or nothing: a refusal — a device's own domain
-// check turning the kernel down, a page that is already mapped — unmaps
-// what this call installed (never an earlier owner's page) and gives the
-// region back to the table. A refused call's error is the refusal.
+// bus's range routine; a replay was mapped when it was fresh. It is all or
+// nothing: a refusal (a device's domain check, a page already mapped)
+// unmaps what this call installed, never an earlier owner's page, gives
+// the region back to the table and is the call's error.
 func (c *CPU) mapRegion(owner msg.DeviceID, m *msg.AllocReq, mmus ...*iommu.IOMMU) (*msg.AllocResp, error) {
 	r, fresh := c.regions.Alloc(owner, m)
 	if !r.OK {
@@ -489,22 +409,20 @@ func (c *CPU) vaFor(app msg.AppID, bytes uint64) uint64 {
 	return va
 }
 
-// syscall is one kernel entry as a record, from the trap to the answer:
-// who made it, what it asked, the kernel incarnation that admitted it and
-// the stage it is in. It is the event of every stage the cores run (the
-// entry, an open's mmap work, a mediated I/O's completion interrupt), what
-// an open or a connect leaves in pendingOpen/pendingConnect, and the
-// virtio.Completion of a mediated I/O.
+// syscall is one kernel entry as a record: who made it, what it asked,
+// the kernel incarnation that admitted it and its stage. It is the event
+// of every stage the cores run (the entry, an open's mmap work, a mediated
+// I/O's completion interrupt) and the virtio.Completion of a mediated I/O.
 type syscall struct {
 	c         *CPU
 	src       msg.DeviceID
 	inc       uint32
 	req       msg.Message
 	stage     sysStage
+	o         *session        // the session an open's map stage or a mediated I/O is for
 	grant     *msg.OpenResp   // an open: the provider's answer
 	mmus      [2]*iommu.IOMMU // what an open (both) or mmap maps into, munmap out of
 	va, bytes uint64
-	kf        *kernelFile // a mediated open's queue, a mediated I/O's handle
 	resp      smartssd.FileResp
 }
 
@@ -545,7 +463,7 @@ func (s *syscall) Fire() {
 		case *msg.CloseReq:
 			c.close(s, m)
 		case *msg.FileIOReq:
-			if err := s.kf.drv.SubmitOp(smartssd.EncodeFileReq(smartssd.FileReq{
+			if err := s.o.kf.drv.SubmitOp(smartssd.EncodeFileReq(smartssd.FileReq{
 				Op: smartssd.FileOp(m.Op), Off: m.Off, Len: m.Len, Data: m.Data,
 			}), s); err != nil {
 				s.completeIO(smartssd.FileResp{Status: smartssd.StatusIOError})
@@ -559,179 +477,203 @@ func (s *syscall) Fire() {
 }
 
 // open runs the open syscall, both direct ("file:X") and mediated
-// ("mediated:X"), up to the provider's OpenResp.
+// ("mediated:X"), up to the provider's OpenResp. Under replay rule 1 a
+// retransmission gets the recorded verdict back or, while the session
+// waits on the provider, resends what it asked; in the map stage it is
+// dropped, as the answer is on the cores.
 func (c *CPU) open(s *syscall, m *msg.OpenReq) {
-	if done, ok := c.completedOpens[openKey{m.App, m.Service}]; ok {
-		// Retransmitted open (lost response): replay the recorded
-		// verdict rather than mmap a second region.
-		resp := *done.resp
-		c.port.Send(s.src, &resp)
+	if o, ok := c.sessions.Reopen(s.src, m); ok {
+		if o.verdict != nil {
+			resp := *o.verdict
+			c.port.Send(s.src, &resp)
+		} else if o.asked != nil {
+			c.port.Send(o.dev, o.asked)
+		}
 		return
 	}
-	name, ok := strings.CutPrefix(m.Service, "mediated:")
+	name, mediated := strings.CutPrefix(m.Service, "mediated:")
+	ok := mediated
 	if !ok {
 		name, ok = strings.CutPrefix(m.Service, "file:")
 	}
-	if !ok {
-		c.refuseOpen(s, "unknown service class")
+	dev, mounted := c.registry[name]
+	if reason := "unknown service class"; !ok || !mounted {
+		if ok {
+			reason = "no such file in registry"
+		}
+		c.port.Send(s.src, &msg.OpenResp{Service: m.Service, App: m.App, Reason: reason})
 		return
 	}
-	dev, ok := c.registry[name]
-	if !ok {
-		c.refuseOpen(s, "no such file in registry")
-		return
+	o := c.sessions.Add(s.src, m, &session{dev: dev, name: name, asked: &msg.OpenReq{Service: "file:" + name, App: m.App, Token: m.Token}})
+	if mediated {
+		o.kf = &kernelFile{completed: make(map[uint32]*msg.FileIOResp), inflight: make(map[uint32]bool)}
 	}
-	c.pendingOpen[openKey{m.App, "file:" + name}] = s
-	c.port.Send(dev, &msg.OpenReq{Service: "file:" + name, App: m.App, Token: m.Token})
+	c.port.Send(dev, o.asked)
 }
 
-// refuseOpen answers the app's open with a refusal.
-func (c *CPU) refuseOpen(s *syscall, reason string) {
-	m := s.req.(*msg.OpenReq)
-	c.port.Send(s.src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: reason})
+// refuseOpen answers a session's open with a refusal and forgets it.
+func (c *CPU) refuseOpen(o *session, reason string) {
+	c.sessions.Remove(o.ID)
+	c.port.Send(o.Client, &msg.OpenResp{Service: o.Service, App: o.App, Reason: reason})
 }
 
-// openDone records the open's verdict for replay and answers the app.
-func (c *CPU) openDone(s *syscall, resp *msg.OpenResp) {
-	c.completedOpens[openKey{resp.App, resp.Service}] = &openVerdict{resp: resp, origin: s.src}
-	out := *resp
-	c.port.Send(s.src, &out)
+// accept records a session's verdict for replay and sends it.
+func (c *CPU) accept(o *session, shared, base uint64) {
+	o.verdict = &msg.OpenResp{Service: o.Service, App: o.App, OK: true, ConnID: o.ID, SharedBytes: shared, Base: base}
+	out := *o.verdict
+	c.port.Send(o.Client, &out)
 }
 
-// onDeviceOpenResp continues an open after the device answered the
-// kernel: the kernel performs the mmap + grant in one step, mapping the
-// queue region into the provider and into the app's device (direct) or
-// its own unit (mediated).
+// waiting is the first session whose request asked of dev answers fits.
+func (c *CPU) waiting(dev msg.DeviceID, answers func(asked msg.Message) bool) *session {
+	for _, o := range c.sessions.All() {
+		if o.dev == dev && o.asked != nil && answers(o.asked) {
+			return o
+		}
+	}
+	return nil
+}
+
+// onDeviceOpenResp continues an open the provider answered: one mmap +
+// grant maps the queue region into the provider and into the app's device
+// (direct) or the kernel's own unit (mediated).
 func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
-	s, ok := c.pendingOpen[openKey{m.App, m.Service}]
-	if !ok {
+	o := c.waiting(dev, func(asked msg.Message) bool {
+		r, ok := asked.(*msg.OpenReq)
+		return ok && r.App == m.App && r.Service == m.Service
+	})
+	if o == nil {
 		return
 	}
-	delete(c.pendingOpen, openKey{m.App, m.Service})
+	o.asked = nil
 	if !m.OK {
-		c.refuseOpen(s, m.Reason)
+		c.refuseOpen(o, m.Reason)
 		return
 	}
-	first, ok1 := c.iommus[s.src]
-	if strings.HasPrefix(s.req.(*msg.OpenReq).Service, "mediated:") {
-		first, ok1 = c.mmu, true
-		s.kf = &kernelFile{app: m.App, dev: dev, completed: make(map[uint32]*msg.FileIOResp), inflight: make(map[uint32]bool)}
+	first, devMMU := c.iommus[o.Client], c.iommus[dev]
+	if o.kf != nil {
+		first = c.mmu
 	}
-	devMMU, ok2 := c.iommus[dev]
-	if !ok1 || !ok2 {
-		c.refuseOpen(s, "kernel has no IOMMU handle")
+	if first == nil || devMMU == nil {
+		c.refuseOpen(o, "kernel has no IOMMU handle")
 		return
 	}
+	o.conn = m.ConnID
 	lay := virtio.NewLayout(0, c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
+	s := &syscall{c: c, src: o.Client, inc: c.port.Incarnation(), stage: sysMap, o: o, grant: m, mmus: [2]*iommu.IOMMU{first, devMMU}}
 	s.bytes = uint64(lay.DataVA) + uint64(lay.DataBytes())
 	s.va = c.vaFor(m.App, s.bytes)
-	s.grant, s.mmus, s.stage = m, [2]*iommu.IOMMU{first, devMMU}, sysMap
 	c.cores.Submit(sim.Duration(2*memctrl.Pages(s.bytes))*c.cfg.MmapPerPage, s)
 }
 
-// mapQueue is an open's mmap + grant. A direct open is done; a mediated
-// one goes on to connect the kernel's own driver to the device endpoint.
+// mapQueue is an open's mmap + grant, for a session still open. A direct
+// open is done; a mediated one goes on to connect the kernel's own driver
+// to the device endpoint.
 func (c *CPU) mapQueue(s *syscall) {
-	m, app := s.grant, s.req.(*msg.OpenReq)
-	if _, err := c.mapRegion(c.cfg.ID, &msg.AllocReq{App: m.App, VA: s.va, Bytes: s.bytes}, s.mmus[:]...); err != nil {
-		c.refuseOpen(s, err.Error())
+	o, m := s.o, s.grant
+	if _, refusal := c.sessions.Opened(o.Client, o.App, o.ID); refusal != "" {
 		return
 	}
-	if s.kf == nil {
-		c.openDone(s, &msg.OpenResp{
-			Service: app.Service, App: m.App, OK: true,
-			ConnID: m.ConnID, SharedBytes: m.SharedBytes, Base: s.va,
-		})
+	if _, err := c.mapRegion(c.cfg.ID, &msg.AllocReq{App: o.App, VA: s.va, Bytes: s.bytes}, s.mmus[:]...); err != nil {
+		c.refuseOpen(o, err.Error())
+		return
+	}
+	if o.kf == nil {
+		c.accept(o, m.SharedBytes, s.va)
 		return
 	}
 	lay := virtio.NewLayout(iommu.VirtAddr(s.va), c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
-	drv, err := virtio.NewDriver(c.dma, iommu.PASID(m.App), lay, 0)
+	drv, err := virtio.NewDriver(c.dma, iommu.PASID(o.App), lay, 0)
 	if err != nil {
-		c.refuseOpen(s, err.Error())
+		c.refuseOpen(o, err.Error())
 		return
 	}
-	c.nextHandle++
-	s.kf.handle, s.kf.drv = c.nextHandle, drv
-	c.pendingConnect[m.ConnID] = s
-	c.port.Send(s.kf.dev, &msg.ConnectReq{Service: m.Service, ConnID: m.ConnID, App: m.App,
+	o.kf.drv = drv
+	o.asked = &msg.ConnectReq{Service: m.Service, ConnID: o.conn, App: o.App,
 		RingVA: uint64(lay.Base), RingEntries: c.cfg.QueueEntries, DataVA: uint64(lay.DataVA),
-		DataBytes: uint64(lay.DataBytes()), RespDoorbell: uint64(drv.RespBell)})
+		DataBytes: uint64(lay.DataBytes()), RespDoorbell: uint64(drv.RespBell)}
+	c.port.Send(o.dev, o.asked)
 }
 
-// connect forwards a direct-mode connect syscall to the provider.
+// connect forwards a direct session's connect syscall to its provider,
+// under the provider's ConnID.
 func (c *CPU) connect(s *syscall, m *msg.ConnectReq) {
-	name, ok := strings.CutPrefix(m.Service, "file:")
-	if !ok {
-		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "unknown service class"})
+	o, refusal := c.sessions.Opened(s.src, m.App, m.ConnID)
+	if refusal == "" && (o.verdict == nil || o.kf != nil) {
+		refusal = "not a direct connection"
+	}
+	if refusal != "" {
+		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, Reason: refusal})
 		return
 	}
-	dev, ok := c.registry[name]
-	if !ok {
-		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "no such file"})
-		return
-	}
-	c.pendingConnect[m.ConnID] = s
 	fwd := *m
-	c.port.Send(dev, &fwd)
+	fwd.ConnID = o.conn
+	o.asked = &fwd
+	c.port.Send(o.dev, &fwd)
 }
 
-// connected hands the provider's ConnectResp to the syscall waiting on it:
-// a forwarded connect, or a mediated open whose queue is now connected.
-func (c *CPU) connected(s *syscall, cr *msg.ConnectResp) {
-	if _, fwd := s.req.(*msg.ConnectReq); fwd {
+// onDeviceConnectResp answers the session waiting on the provider's
+// ConnectResp: a forwarded connect, under the kernel's ID, or a mediated
+// open whose queue is now connected.
+func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, cr *msg.ConnectResp) {
+	o := c.waiting(dev, func(asked msg.Message) bool {
+		r, ok := asked.(*msg.ConnectReq)
+		return ok && r.ConnID == cr.ConnID
+	})
+	if o == nil {
+		return
+	}
+	o.asked = nil
+	if o.kf == nil {
 		out := *cr
-		c.port.Send(s.src, &out)
+		out.ConnID = o.ID
+		c.port.Send(o.Client, &out)
 		return
 	}
 	if !cr.OK {
-		c.refuseOpen(s, cr.Reason)
+		c.refuseOpen(o, cr.Reason)
 		return
 	}
 	var bell uint64
 	if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
-		c.refuseOpen(s, "no doorbell")
+		c.refuseOpen(o, "no doorbell")
 		return
 	}
-	s.kf.drv.SetRequestBell(bell)
-	c.kernelConns[s.kf.handle] = s.kf
-	c.openDone(s, &msg.OpenResp{
-		Service: s.req.(*msg.OpenReq).Service, App: s.kf.app, OK: true,
-		ConnID: s.kf.handle, SharedBytes: uint64(s.kf.drv.CellSize() - smartssd.ReqHeaderBytes),
-	})
+	o.kf.drv.SetRequestBell(bell)
+	c.accept(o, uint64(o.kf.drv.CellSize()-smartssd.ReqHeaderBytes), 0)
 }
 
-// close runs a close syscall: the kernel's own mediated handle is dropped
-// here; a direct connection's close is forwarded to its provider.
+// close runs a close syscall on the table's rules. A direct session's close
+// is forwarded to its provider, whose CloseResp the kernel drops; a
+// mediated session's queue is the kernel's own, and is forgotten here.
 func (c *CPU) close(s *syscall, m *msg.CloseReq) {
-	if _, ok := c.kernelConns[m.ConnID]; ok {
-		delete(c.kernelConns, m.ConnID)
-	} else if dev, ok := c.registry[strings.TrimPrefix(m.Service, "file:")]; ok {
-		fwd := *m
-		c.port.Send(dev, &fwd)
-		// Fire-and-forget: the provider's CloseResp returns to the
-		// kernel and is dropped; the app's close is acknowledged here.
-	}
-	c.port.Send(s.src, &msg.CloseResp{ConnID: m.ConnID, OK: true})
+	c.port.Send(s.src, c.sessions.Close(s.src, m, func(o *session) {
+		if o.kf == nil && o.conn != 0 {
+			fwd := *m
+			fwd.ConnID = o.conn
+			c.port.Send(o.dev, &fwd)
+		}
+	}))
 }
 
 // sysFileIO admits a mediated I/O on behalf of the app.
 func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 	c.stats.Syscalls++
 	c.stats.MediatedIOs++
-	kf, ok := c.kernelConns[m.Handle]
-	if !ok || kf.app != m.App {
+	o, refusal := c.sessions.Opened(src, m.App, m.Handle)
+	if refusal != "" || o.kf == nil || o.verdict == nil {
 		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBadRequest)})
 		return
 	}
 	// At-most-once: replay a completed syscall's response; swallow a
 	// duplicate of one still in flight (its response goes out when the
 	// device completes).
-	if done, was := kf.completed[m.Seq]; was {
+	if done, was := o.kf.completed[m.Seq]; was {
 		resp := *done
 		c.port.Send(src, &resp)
 		return
 	}
-	if kf.inflight[m.Seq] {
+	if o.kf.inflight[m.Seq] {
 		return
 	}
 	// Admission: bound the kernel's mediated-I/O backlog. Rejected
@@ -742,13 +684,13 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBusy)})
 		return
 	}
-	kf.inflight[m.Seq] = true
+	o.kf.inflight[m.Seq] = true
 	c.ioOutstanding++
 	c.ioG.Set(c.ioOutstanding)
 	// Copy-in for writes (app buffer -> kernel page cache).
 	inCopy := sim.Duration(float64(len(m.Data)) / c.cfg.CopyBytesPerNs)
 	c.stats.BytesCopied += uint64(len(m.Data))
-	c.trap(src, m, c.cfg.SyscallCost+inCopy).kf = kf
+	c.trap(src, m, c.cfg.SyscallCost+inCopy).o = o
 }
 
 // RequestDone implements virtio.Completion for a mediated I/O: the device
@@ -772,7 +714,7 @@ func (s *syscall) RequestDone(b []byte, err error) {
 // completeIO records a mediated I/O's final response for replay, then
 // sends it.
 func (s *syscall) completeIO(r smartssd.FileResp) {
-	c, m, kf := s.c, s.req.(*msg.FileIOReq), s.kf
+	c, m, kf := s.c, s.req.(*msg.FileIOReq), s.o.kf
 	c.ioOutstanding--
 	c.ioG.Set(c.ioOutstanding)
 	delete(kf.inflight, m.Seq)

@@ -29,6 +29,7 @@ type centralbed struct {
 	eng   *sim.Engine
 	tr    *trace.Tracer
 	bus   *bus.Bus
+	fab   *interconnect.Fabric
 	cpu   *CPU
 	ssd   *smartssd.SSD
 	nic   *smartnic.NIC
@@ -48,6 +49,7 @@ func newCentralbedWith(t *testing.T, mode kvs.Mode, cfg Config) *centralbed {
 	tr := cb.tr
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	fab := interconnect.NewFabric(cb.eng, mem, interconnect.DefaultCosts)
+	cb.fab = fab
 	// No memory controller attaches: the bus is pure transport here.
 	cb.bus = bus.New(cb.eng, bus.DefaultConfig, tr)
 
@@ -137,6 +139,18 @@ func (cb *centralbed) op(t *testing.T, req kvs.Request) kvs.Response {
 		t.Fatal("no response")
 	}
 	return resp
+}
+
+// mediatedHandles lists the kernel's live mediated handles: the sessions
+// whose queue the kernel owns and has connected.
+func mediatedHandles(c *CPU) []uint32 {
+	var hs []uint32
+	for _, o := range c.sessions.All() {
+		if o.kf != nil && o.verdict != nil {
+			hs = append(hs, o.ID)
+		}
+	}
+	return hs
 }
 
 func TestCentralDirectPutGet(t *testing.T) {
@@ -465,9 +479,7 @@ func TestSyscallDoesNotOutliveReboot(t *testing.T) {
 func TestRebootForgetsMediatedIOs(t *testing.T) {
 	cb := newCentralbed(t, kvs.ModeCentralMediated)
 	cb.cpu.cfg.ResetDelay = 1 * sim.Microsecond
-	var h uint32
-	for h = range cb.cpu.kernelConns {
-	}
+	h := mediatedHandles(cb.cpu)[0]
 	cb.nic.Device().Send(cpuID, &msg.FileIOReq{App: 10, Handle: h, Seq: 100, Op: uint8(smartssd.OpWrite), Data: make([]byte, 4096)})
 	for cb.cpu.cores.Pending() == 0 && cb.eng.Step() {
 	}
@@ -536,14 +548,13 @@ func TestKernelClose(t *testing.T) {
 	}
 	t.Run("mediated handle", func(t *testing.T) {
 		cb := newCentralbed(t, kvs.ModeCentralMediated)
-		if len(cb.cpu.kernelConns) != 1 {
-			t.Fatalf("kernel holds %d mediated handles, want 1", len(cb.cpu.kernelConns))
+		handles := mediatedHandles(cb.cpu)
+		if len(handles) != 1 {
+			t.Fatalf("kernel holds %d mediated handles, want 1", len(handles))
 		}
-		var h uint32
-		for h = range cb.cpu.kernelConns {
-		}
+		h := handles[0]
 		closeConn(t, cb, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: h, App: 10})
-		if _, ok := cb.cpu.kernelConns[h]; ok {
+		if _, refusal := cb.cpu.sessions.Opened(nicID, 10, h); refusal == "" {
 			t.Error("mediated handle survives its close")
 		}
 		if forwarded(cb) {
@@ -643,4 +654,130 @@ func TestRefusedMappingLeavesNothingBehind(t *testing.T) {
 			t.Errorf("PagesMapped went %d -> %d on a refused mapping", mapped, got)
 		}
 	})
+}
+
+// The kernel's close keeps the table's rules: an ID nobody opened is
+// refused, only the opener closes, and the closer's repeated close is
+// acknowledged again, to nobody else.
+func TestKernelCloseRules(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	nicDev := cb.nic.Device()
+	var resp *msg.CloseResp
+	nicDev.Handle(msg.KindCloseResp, func(e msg.Envelope) { resp = e.Msg.(*msg.CloseResp) })
+	closeAs := func(app msg.AppID, id uint32) *msg.CloseResp {
+		resp = nil
+		nicDev.Send(cpuID, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: id, App: app})
+		cb.eng.Run()
+		return resp
+	}
+	h := mediatedHandles(cb.cpu)[0]
+	for _, tc := range []struct {
+		what string
+		app  msg.AppID
+		id   uint32
+		ok   bool
+	}{
+		{"an ID nobody opened", 10, 777, false},
+		{"another app's handle", 11, h, false},
+		{"the opener's handle", 10, h, true},
+		{"the opener's handle again", 10, h, true},
+		{"the closed handle by another app", 11, h, false},
+	} {
+		if r := closeAs(tc.app, tc.id); r == nil || r.OK != tc.ok || r.ConnID != tc.id {
+			t.Errorf("close of %s answered %+v, want OK %v", tc.what, r, tc.ok)
+		}
+	}
+}
+
+// fileApp is a bare NIC app whose runtime the test drives.
+type fileApp struct{ rt *smartnic.Runtime }
+
+func (a *fileApp) AppID() msg.AppID                  { return 50 }
+func (a *fileApp) Boot(rt *smartnic.Runtime)         { a.rt = rt }
+func (a *fileApp) ServeNetwork([]byte, func([]byte)) {}
+func (a *fileApp) PeerFailed(msg.DeviceID)           {}
+
+// In both kernel modes a close ends the session: the app's next open gets
+// a fresh one, and it serves.
+func TestKernelReopenAfterClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode kvs.Mode
+	}{{"direct", kvs.ModeCentralDirect}, {"mediated", kvs.ModeCentralMediated}} {
+		mode := tc.mode
+		t.Run(tc.name, func(t *testing.T) {
+			cb := newCentralbed(t, mode)
+			created := false
+			cb.ssd.FS().Create("probe.dat", func(_ *smartssd.File, err error) { created = err == nil })
+			cb.eng.Run()
+			if !created {
+				t.Fatal("create probe.dat failed")
+			}
+			cb.cpu.RegisterFile("probe.dat", ssdID)
+			app := &fileApp{}
+			cb.nic.AddApp(app)
+			open := func() (smartnic.FileAPI, uint32) {
+				var f smartnic.FileAPI
+				var err error
+				done := func(fa smartnic.FileAPI, e error) { f, err = fa, e }
+				if mode == kvs.ModeCentralDirect {
+					app.rt.OpenFileCentralDirect(cpuID, "probe.dat", 0, 16, done)
+				} else {
+					app.rt.OpenFileMediated(cpuID, "probe.dat", 0, done)
+				}
+				cb.eng.Run()
+				if err != nil || f == nil {
+					t.Fatalf("open: %v", err)
+				}
+				all := cb.cpu.sessions.All()
+				return f, all[len(all)-1].ID
+			}
+			f, first := open()
+			if fc, ok := f.(*smartnic.FileClient); ok {
+				fc.Conn.Close(func(err error) {
+					if err != nil {
+						t.Errorf("close: %v", err)
+					}
+				})
+			} else {
+				cb.nic.Device().Send(cpuID, &msg.CloseReq{Service: "mediated:probe.dat", ConnID: first, App: 50})
+			}
+			cb.eng.Run()
+			f, second := open()
+			if second == first {
+				t.Fatalf("the reopen got closed session %d back", first)
+			}
+			var got []byte
+			var werr, rerr error
+			f.Write(0, []byte("fresh"), func(err error) { werr = err })
+			cb.eng.Run()
+			f.Read(0, 5, func(b []byte, err error) { got, rerr = b, err })
+			cb.eng.Run()
+			if werr != nil || rerr != nil || string(got) != "fresh" {
+				t.Errorf("the reopened session wrote (%v) and read %q (%v), want %q", werr, got, rerr, "fresh")
+			}
+		})
+	}
+}
+
+// A mediated handle is its opener's: a FileIOReq from another NIC that
+// names app 10's handle under app 10's ID is refused and reads nothing.
+func TestMediatedHandleRefusesAnotherNIC(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	if r := cb.op(t, kvs.Request{Op: kvs.OpPut, Key: "secret", Value: []byte("hunter2")}); r.Status != kvs.StatusOK {
+		t.Fatalf("put: %+v", r)
+	}
+	nic2, err := smartnic.New(cb.eng, cb.bus, cb.fab, cb.tr, smartnic.Config{Device: device.Config{ID: nicID + 1, Name: "nic2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic2.Start()
+	cb.eng.Run()
+	var resp *msg.FileIOResp
+	nic2.Device().Handle(msg.KindFileIOResp, func(e msg.Envelope) { resp = e.Msg.(*msg.FileIOResp) })
+	nic2.Device().Send(cpuID, &msg.FileIOReq{App: 10, Handle: mediatedHandles(cb.cpu)[0], Seq: 1, Op: uint8(smartssd.OpRead), Len: 4096})
+	cb.eng.Run()
+	if resp == nil || smartssd.Status(resp.Status) != smartssd.StatusBadRequest || len(resp.Data) != 0 {
+		t.Fatalf("another NIC's read of app 10's handle answered %+v, want StatusBadRequest and no data", resp)
+	}
 }

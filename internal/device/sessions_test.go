@@ -76,9 +76,9 @@ func (c *sessionClient) connect(w *world, req msg.ConnectReq) *msg.ConnectResp {
 	return c.connected
 }
 
-func (c *sessionClient) close(w *world, id uint32) *msg.CloseResp {
+func (c *sessionClient) close(w *world, id uint32, app msg.AppID) *msg.CloseResp {
 	c.closed = nil
-	c.dev.Send(1, &msg.CloseReq{Service: "tag:a", ConnID: id})
+	c.dev.Send(1, &msg.CloseReq{Service: "tag:a", ConnID: id, App: app})
 	w.eng.Run()
 	return c.closed
 }
@@ -100,6 +100,16 @@ func queueOf(id uint32, app msg.AppID) msg.ConnectReq {
 		DataVA: uint64(lay.DataVA), DataBytes: uint64(lay.DataBytes()), RespDoorbell: 99}
 }
 
+// session is live instance id.
+func (s *tagService) session(id uint32) *Session[string] {
+	for _, c := range s.table.All() {
+		if c.ID == id {
+			return c
+		}
+	}
+	return nil
+}
+
 // TestSessionsOpenReplay is replay rule 1: while an instance is still
 // unconnected, the same OpenReq from the same client and app gets it
 // back; another app, another client or another name gets its own.
@@ -117,7 +127,7 @@ func TestSessionsOpenReplay(t *testing.T) {
 			t.Errorf("distinct opener got %+v, want an instance of its own", other)
 		}
 	}
-	if got := len(svc.live); got != 4 {
+	if got := len(svc.table.All()); got != 4 {
 		t.Errorf("%d live instances, want 4", got)
 	}
 	// Once connected, the instance is in use: the same OpenReq is a new open.
@@ -171,11 +181,11 @@ func TestSessionsConnectReplay(t *testing.T) {
 	if first == nil || !first.OK || !strings.HasPrefix(first.Reason, "reqbell=") {
 		t.Fatalf("connect = %+v", first)
 	}
-	ep := svc.live[id].ep
+	ep := svc.session(id).ep
 	if again := a.connect(w, req); again == nil || !again.OK || again.Reason != first.Reason {
 		t.Errorf("retransmitted connect = %+v, want %+v again", again, first)
 	}
-	if svc.live[id].ep != ep {
+	if svc.session(id).ep != ep {
 		t.Error("retransmitted connect built a second endpoint")
 	}
 	moved := req
@@ -187,31 +197,38 @@ func TestSessionsConnectReplay(t *testing.T) {
 
 // TestSessionsCloseReplay is replay rule 3: the closer's retransmitted
 // CloseReq is acknowledged again; nobody else's is, and an id that never
-// existed is refused.
+// existed is refused. Only the opener may close: another client, or
+// another app on the opener's client, is refused.
 func TestSessionsCloseReplay(t *testing.T) {
 	w, svc, a, b := sessionWorld(t)
 	id := a.open(w, "tag:a", 5, 0).ConnID
 	a.connect(w, queueOf(id, 5))
-	bell := svc.live[id].ep.ReqBell
+	bell := svc.session(id).ep.ReqBell
 
-	if cr := b.close(w, id); cr == nil || cr.OK {
+	if cr := b.close(w, id, 5); cr == nil || cr.OK {
 		t.Errorf("close by another client = %+v", cr)
 	}
-	if cr := a.close(w, id); cr == nil || !cr.OK {
+	if cr := a.close(w, id, 6); cr == nil || cr.OK {
+		t.Errorf("close by another app of the opener's client = %+v", cr)
+	}
+	if cr := a.close(w, id, 5); cr == nil || !cr.OK {
 		t.Fatalf("close = %+v", cr)
 	}
-	if len(svc.live) != 0 {
+	if len(svc.table.All()) != 0 {
 		t.Error("instance survived its close")
 	}
 	// The request doorbell is free again: binding it must not panic.
 	w.fab.RegisterDoorbell(bell, func(uint64) {})
-	if cr := a.close(w, id); cr == nil || !cr.OK {
+	if cr := a.close(w, id, 5); cr == nil || !cr.OK {
 		t.Errorf("retransmitted close = %+v, want OK again", cr)
 	}
-	if cr := b.close(w, id); cr == nil || cr.OK {
+	if cr := b.close(w, id, 5); cr == nil || cr.OK {
 		t.Errorf("close of a's closed instance by b = %+v", cr)
 	}
-	if cr := a.close(w, 77); cr == nil || cr.OK {
+	if cr := a.close(w, id, 6); cr == nil || cr.OK {
+		t.Errorf("close of a's closed instance by another app of a = %+v", cr)
+	}
+	if cr := a.close(w, 77, 5); cr == nil || cr.OK {
 		t.Errorf("close of an id that never existed = %+v", cr)
 	}
 }
@@ -224,17 +241,17 @@ func TestSessionsDrop(t *testing.T) {
 	for _, c := range []*sessionClient{a, b} {
 		id := c.open(w, "tag:a", 5, 0).ConnID
 		c.connect(w, queueOf(id, 5))
-		bells = append(bells, svc.live[id].ep.ReqBell)
+		bells = append(bells, svc.session(id).ep.ReqBell)
 	}
 	a.open(w, "tag:b", 5, 0) // unconnected: nothing to release
 	svc.DropClient(2)
-	if len(svc.live) != 1 {
-		t.Fatalf("%d instances after client 2 died, want client 3's one", len(svc.live))
+	if len(svc.table.All()) != 1 {
+		t.Fatalf("%d instances after client 2 died, want client 3's one", len(svc.table.All()))
 	}
 	w.fab.RegisterDoorbell(bells[0], func(uint64) {})
 	svc.DropAll()
-	if len(svc.live) != 0 {
-		t.Fatalf("%d instances after DropAll", len(svc.live))
+	if len(svc.table.All()) != 0 {
+		t.Fatalf("%d instances after DropAll", len(svc.table.All()))
 	}
 	w.fab.RegisterDoorbell(bells[1], func(uint64) {})
 	// Ids are not reused across a drop: a stale CloseReq cannot hit a new instance.

@@ -93,7 +93,8 @@ type RetryStats struct {
 
 // callKey is a response's natural correlator: the fields a provider
 // echoes from the request. id is the nonce, connection id, handle or VA;
-// sub the grant target or the mediated op's seq; name the service.
+// sub the grant target, the mediated op's seq, or the provider answering
+// a connect or close (each numbers its own connections); name the service.
 type callKey struct {
 	kind msg.Kind // of the response
 	app  msg.AppID
@@ -114,17 +115,17 @@ var responseKinds = []msg.Kind{
 // answers no call gets the zero key, which is never pending. It is a
 // switch here rather than a method on msg's types because which fields
 // correlate is this client's choice, not a fact about the wire format.
-func keyOf(m msg.Message) callKey {
-	k := callKey{kind: m.Kind()}
-	switch m := m.(type) {
+func keyOf(env msg.Envelope) callKey {
+	k := callKey{kind: env.Msg.Kind()}
+	switch m := env.Msg.(type) {
 	case *msg.DiscoverResp:
 		k.id = uint64(m.Nonce)
 	case *msg.OpenResp:
 		k.app, k.name = m.App, m.Service
 	case *msg.ConnectResp:
-		k.id = uint64(m.ConnID)
+		k.id, k.sub = uint64(m.ConnID), uint32(env.Src)
 	case *msg.CloseResp:
-		k.id = uint64(m.ConnID)
+		k.id, k.sub = uint64(m.ConnID), uint32(env.Src)
 	case *msg.AllocResp:
 		k.app, k.id = m.App, m.VA
 	case *msg.FreeResp:
@@ -271,7 +272,7 @@ func opOf(req msg.Message) string {
 // wins; a later one for the same key (a second discovery responder, a
 // replay, an answer past the budget) finds nothing pending and is dropped.
 func (n *NIC) onResponse(env msg.Envelope) {
-	if c, ok := n.pending[keyOf(env.Msg)]; ok {
+	if c, ok := n.pending[keyOf(env)]; ok {
 		c.forget()
 		c.done(env.Src, env.Msg, nil)
 	}

@@ -342,7 +342,7 @@ func TestKeyTakeover(t *testing.T) {
 	})
 	pol := RetryPolicy{Timeout: 400 * sim.Microsecond, MaxRetries: 2}
 	req := &msg.OpenReq{Service: "file:kv.dat", App: 1}
-	key := keyOf(&msg.OpenResp{Service: req.Service, App: req.App})
+	key := keyOf(msg.Envelope{Msg: &msg.OpenResp{Service: req.Service, App: req.App}})
 
 	var firstErr error
 	var second *msg.OpenResp
@@ -398,9 +398,10 @@ func TestEveryResponseKindIsWired(t *testing.T) {
 		if m == nil {
 			t.Fatalf("no zero message for %v", k)
 		}
-		hasArm := keyOf(m) != callKey{}
-		if hasArm && keyOf(m).kind != k {
-			t.Errorf("keyOf(%v).kind = %v", k, keyOf(m).kind)
+		key := keyOf(msg.Envelope{Msg: m})
+		hasArm := key != callKey{}
+		if hasArm && key.kind != k {
+			t.Errorf("keyOf(%v).kind = %v", k, key.kind)
 		}
 		if hasArm != registered[k] {
 			t.Errorf("%v: keyOf arm %v, onResponse registered %v", k, hasArm, registered[k])

@@ -187,7 +187,7 @@ func (rt *Runtime) connect(provider msg.DeviceID, service string, connID uint32,
 		DataVA: uint64(layout.DataVA), DataBytes: uint64(layout.DataBytes()),
 		RespDoorbell: uint64(drv.RespBell),
 	}
-	n.call(rt.Retry, provider, req, callKey{kind: msg.KindConnectResp, id: uint64(connID)},
+	n.call(rt.Retry, provider, req, callKey{kind: msg.KindConnectResp, id: uint64(connID), sub: uint32(provider)},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			var bell uint64
 			if err == nil {
@@ -289,7 +289,7 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 func (c *Connection) Close(cb func(error)) {
 	n := c.rt.nic
 	req := &msg.CloseReq{Service: c.Service, ConnID: c.ConnID, App: c.rt.app}
-	n.call(c.rt.Retry, c.Provider, req, callKey{kind: msg.KindCloseResp, id: uint64(c.ConnID)},
+	n.call(c.rt.Retry, c.Provider, req, callKey{kind: msg.KindCloseResp, id: uint64(c.ConnID), sub: uint32(c.Provider)},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			n.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
 			c.rt.forgetConn(c)
