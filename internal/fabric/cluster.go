@@ -299,8 +299,8 @@ func (c *Cluster) TenantIngress(id msg.DeviceID, tn uint16) func([]byte, func([]
 // router through its NIC rx pipeline — peer traffic queues behind (and
 // contends with) client traffic, which is what makes a head node a
 // measurable bottleneck.
-func (c *Cluster) deliverFrame(a *arrival) {
-	c.Machine(a.dst).Sys.NIC().DeliverOneWay(&a.nic, RouterApp, a.frame)
+func (c *Cluster) deliverFrame(dst msg.DeviceID, frame []byte) {
+	c.Machine(dst).Sys.NIC().DeliverOneWay(RouterApp, frame)
 }
 
 func (c *Cluster) notifyUnreachable(src, dst msg.DeviceID) {

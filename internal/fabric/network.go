@@ -4,7 +4,6 @@ import (
 	"nocpu/internal/faultinject"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
-	"nocpu/internal/smartnic"
 )
 
 // frameMagic prefixes every fabric frame delivered to a router's NIC.
@@ -54,7 +53,7 @@ type Network struct {
 	// alive/deliver/unreachable/trace are wired by the Cluster; trace is
 	// nil unless the cluster records a trace.
 	alive       func(msg.DeviceID) bool
-	deliver     func(a *arrival)
+	deliver     func(dst msg.DeviceID, frame []byte)
 	unreachable func(src, dst msg.DeviceID)
 	trace       func(format string, args ...any)
 
@@ -67,6 +66,9 @@ type Network struct {
 	// frame's bytes are cut from a chunk").
 	chunk []byte
 	off   int
+
+	// arrivals recycles the wire's one record per frame copy.
+	arrivals sim.Free[arrival]
 
 	stats NetStats
 }
@@ -139,7 +141,9 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	for c := 0; c < copies; c++ {
 		// The duplicate trails the original by one serialization slot; it
 		// carries the same link seq, so the receiver's window eats it.
-		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, &arrival{net: n, dst: dst, frame: frame})
+		a := n.arrivals.Get()
+		*a = arrival{net: n, dst: dst, frame: frame}
+		n.eng.Schedule(lat+sim.Duration(c)*n.cfg.PerByte, a)
 	}
 }
 
@@ -168,11 +172,10 @@ type unreachable struct {
 
 func (u *unreachable) Fire() { u.net.unreachable(u.src, u.dst) }
 
-// arrival is one copy of a frame from the moment it is on the wire: the
-// event of its landing at dst and then, through the embedded Delivery,
-// of its passage through the destination NIC — one record for the hop.
+// arrival is one copy of a frame on the wire, the event of its landing
+// at dst. Only the event queue ever holds one, so it is free again the
+// moment it fires.
 type arrival struct {
-	nic   smartnic.Delivery
 	net   *Network
 	dst   msg.DeviceID
 	frame []byte
@@ -181,9 +184,11 @@ type arrival struct {
 // Fire lands the frame: a machine that died while it was in flight
 // never sees it.
 func (a *arrival) Fire() {
-	if !a.net.alive(a.dst) {
-		a.net.stats.Vanished++
+	n, dst, frame := a.net, a.dst, a.frame
+	n.arrivals.Put(a)
+	if !n.alive(dst) {
+		n.stats.Vanished++
 		return
 	}
-	a.net.deliver(a)
+	n.deliver(dst, frame)
 }

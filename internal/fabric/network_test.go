@@ -7,6 +7,7 @@ import (
 	"nocpu/internal/faultinject"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
 )
 
 // bareNetwork is a Network with nothing behind it: every machine is
@@ -14,7 +15,7 @@ import (
 func bareNetwork(got *[]byte) *Network {
 	n := newNetwork(sim.NewEngine(), NetConfig{})
 	n.alive = func(msg.DeviceID) bool { return true }
-	n.deliver = func(a *arrival) { *got = a.frame }
+	n.deliver = func(_ msg.DeviceID, frame []byte) { *got = frame }
 	n.unreachable = func(_, _ msg.DeviceID) {}
 	return n
 }
@@ -38,9 +39,10 @@ func TestNetworkSendFrame(t *testing.T) {
 	}
 }
 
-// TestNetworkSendAllocs: with tracing off a send costs its arrival record
-// and a share of a chunk (1 measured; 2 when each frame was its own
-// allocation).
+// TestNetworkSendAllocs: with tracing off a send costs its share of a
+// chunk; its arrival record comes back off the network's free list (0
+// measured; 1 while every arrival was allocated, 2 when each frame was
+// its own allocation too).
 func TestNetworkSendAllocs(t *testing.T) {
 	var got []byte
 	n := bareNetwork(&got)
@@ -51,23 +53,42 @@ func TestNetworkSendAllocs(t *testing.T) {
 		n.eng.Run()
 	})
 	t.Logf("Network.Send: %v allocations", a)
-	if a > 1 {
-		t.Errorf("Network.Send allocates %v times, want <= 1", a)
+	if a > 0 {
+		t.Errorf("Network.Send allocates %v times, want 0", a)
 	}
 }
 
+// frameKeeper is a NIC app that keeps every frame it is handed past its
+// delivery, as a value cache holding a window on one would.
+type frameKeeper struct{ kept [][]byte }
+
+const keeperApp = RouterApp + 1
+
+func (k *frameKeeper) AppID() msg.AppID                      { return keeperApp }
+func (k *frameKeeper) Boot(*smartnic.Runtime)                {}
+func (k *frameKeeper) ServeNetwork(p []byte, _ func([]byte)) { k.kept = append(k.kept, p) }
+func (k *frameKeeper) PeerFailed(msg.DeviceID)               {}
+
 // TestFramesKeepTheirBytes: frames cut from shared chunks stay what was
-// sent. Every delivered frame is kept past its delivery, as a value
-// cache holding a window on it would; once the wire has drained, each
-// still decodes to the message sent under its link seq, and none has
-// room to grow into its neighbour. The frames span several chunks, one
-// is larger than a chunk, and the fault plane duplicates some.
+// sent. Every frame lands through a machine's NIC, whose rx backs up
+// with more of them than its free list of records holds, and is kept
+// past its delivery; once the wire has drained, each still decodes to
+// the message sent under its link seq, and none has room to grow into
+// its neighbour. The frames span several chunks, one is larger than a
+// chunk, and the fault plane duplicates some, so arrival records are
+// recycled while copies of one frame are still in flight.
 func TestFramesKeepTheirBytes(t *testing.T) {
+	cl := mustBoot(t, Config{N: 2, Seed: 5, MachineMemory: 4 << 20})
+	nic, app := cl.Machine(2).Sys.NIC(), &frameKeeper{}
+	nic.AddApp(app)
 	plane := faultinject.New(5).Add(faultinject.Rule{Layer: faultinject.LayerLink, Op: faultinject.Dup, Prob: 0.25})
-	n := newNetwork(sim.NewEngine(), NetConfig{Plane: plane})
+	n := newNetwork(cl.Eng, NetConfig{Plane: plane})
 	n.alive = func(msg.DeviceID) bool { return true }
-	var kept [][]byte
-	n.deliver = func(a *arrival) { kept = append(kept, a.frame) }
+	backlog := 0
+	n.deliver = func(_ msg.DeviceID, frame []byte) {
+		nic.DeliverOneWay(keeperApp, frame)
+		backlog = max(backlog, nic.RxGauge().Cur())
+	}
 	n.unreachable = func(_, _ msg.DeviceID) {}
 
 	var sent []*msg.FabricReq
@@ -84,8 +105,12 @@ func TestFramesKeepTheirBytes(t *testing.T) {
 	}
 	n.eng.Run()
 
+	kept := app.kept
 	if dups := plane.Stats().Duped; dups == 0 || len(kept) != len(sent)+int(dups) {
 		t.Fatalf("%d frames delivered for %d sent and %d duplicated", len(kept), len(sent), dups)
+	}
+	if backlog <= sim.FreeBound {
+		t.Fatalf("rx held at most %d frames at once, want more than the %d records a free list keeps", backlog, sim.FreeBound)
 	}
 	for _, f := range kept {
 		if cap(f) != len(f) {
@@ -99,6 +124,31 @@ func TestFramesKeepTheirBytes(t *testing.T) {
 		if want := sent[env.Seq-1]; !ok || m.ReqID != want.ReqID || !bytes.Equal(m.Payload, want.Payload) {
 			t.Fatalf("frame with link seq %d decodes to %+v, want request %d", env.Seq, env.Msg, want.ReqID)
 		}
+	}
+}
+
+// BenchmarkPeerFrame times one lease round between two booted machines:
+// a LeaseRenew from Send through the wire, the far NIC's rx and its
+// router's decode to the grant, and the LeaseGrant back the same way
+// (the round is not the sender's current one, so its router drops it
+// there). It is the path every peer frame takes, and a frame should cost
+// only its share of a chunk.
+func BenchmarkPeerFrame(b *testing.B) {
+	cl := MustNew(Config{N: 2, Seed: 11, MachineMemory: 4 << 20})
+	if err := cl.Boot(); err != nil {
+		b.Fatal(err)
+	}
+	renew := &msg.LeaseRenew{Seq: 1 << 40, Until: 1 << 50}
+	grants := cl.Machine(2).Router.Stats().LeaseGrants
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl.Network().Send(1, 2, 0, renew)
+		cl.Eng.Run()
+	}
+	b.StopTimer()
+	if got := cl.Machine(2).Router.Stats().LeaseGrants - grants; got != uint64(b.N) {
+		b.Fatalf("%d grants for %d renewals", got, b.N)
 	}
 }
 

@@ -197,6 +197,8 @@ type Router struct {
 	renew  msg.LeaseRenew
 	grant  msg.LeaseGrant
 	revoke msg.LeaseRevoke
+	// in holds the bodies the same kinds arrive in, and heartbeats.
+	in inbox
 
 	repSeq   uint64
 	gates    map[string]*keyGate
@@ -528,8 +530,46 @@ func (p *pendingReq) finish(resp []byte) {
 
 // --- peer frames ---
 
+// inbox is the one body per steady-state kind that onFrame decodes into.
+// A body is refilled by the next frame of its kind, which no handler can
+// see arrive: frames land only through NIC rx events. So nothing may
+// keep a body past its handler, and none does: a handler copies the
+// fields it keeps (served, applied, noteDead's ids, r.fwd), and a byte
+// field is a window onto the frame, not onto the body. Policy traffic
+// (handed to the ControlAgent, which may keep it) and the rare control
+// and membership kinds decode fresh.
+type inbox struct {
+	req   msg.FabricReq
+	resp  msg.FabricResp
+	rep   msg.Replicate
+	ack   msg.ReplicateAck
+	renew msg.LeaseRenew
+	grant msg.LeaseGrant
+	hb    msg.Heartbeat
+}
+
+func (in *inbox) body(k msg.Kind) msg.Message {
+	switch k {
+	case msg.KindFabricReq:
+		return &in.req
+	case msg.KindFabricResp:
+		return &in.resp
+	case msg.KindReplicate:
+		return &in.rep
+	case msg.KindReplicateAck:
+		return &in.ack
+	case msg.KindLeaseRenew:
+		return &in.renew
+	case msg.KindLeaseGrant:
+		return &in.grant
+	case msg.KindHeartbeat:
+		return &in.hb
+	}
+	return nil
+}
+
 func (r *Router) onFrame(raw []byte) {
-	env, err := msg.Decode(raw)
+	env, err := msg.DecodeInto(raw, r.in.body)
 	if err != nil {
 		return // a corrupt frame vanishes, like a bad checksum on a real wire
 	}

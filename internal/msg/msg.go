@@ -301,7 +301,16 @@ func (e Envelope) EncodedLen() int { return EncodedSize(e.Msg) + linkTagSize }
 // handler that keeps a byte field past its return (a fabric frame shares
 // its chunk with other frames, so a kept window pins them all). Strings
 // and lists are copied as before.
-func Decode(b []byte) (Envelope, error) {
+func Decode(b []byte) (Envelope, error) { return DecodeInto(b, nil) }
+
+// DecodeInto is Decode into bodies the caller owns. body, when not nil,
+// is asked for the message of the frame's kind once the header is read:
+// it returns a body of that kind's type, which the decode overwrites
+// whole, or nil for a fresh one. Every field of a reused body is written
+// and every list made anew, so it keeps nothing of the frame it held
+// before; its byte fields borrow b as Decode's do. After an error the
+// body holds a partial decode.
+func DecodeInto(b []byte, body func(Kind) Message) (Envelope, error) {
 	c := coder{mode: decoding, buf: b}
 	var e Envelope
 	var k Kind
@@ -313,7 +322,11 @@ func Decode(b []byte) (Envelope, error) {
 	if int(n) != len(c.buf)-c.off {
 		return Envelope{}, fmt.Errorf("msg: payload length %d does not match remaining %d bytes", n, len(c.buf)-c.off)
 	}
-	if e.Msg = dispatch(k, nil, &c); e.Msg == nil {
+	var m Message
+	if body != nil {
+		m = body(k)
+	}
+	if e.Msg = dispatch(k, m, &c); e.Msg == nil {
 		return Envelope{}, fmt.Errorf("msg: unknown kind %d", k)
 	}
 	if c.err != nil {

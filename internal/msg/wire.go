@@ -156,7 +156,8 @@ func (c *coder) bytes(v *[]byte) {
 // it refuses a count whose elements, at minSize bytes each, could not
 // fit in what is left of the frame, so a claimed count never allocates
 // more than the frame could fill; otherwise it makes *v that long (nil
-// for a count of 0).
+// for a count of 0). The list is always made anew, never grown into, so
+// a body decoded into again (DecodeInto) keeps nothing of its last frame.
 func count[E any](c *coder, v *[]E, wide bool, minSize int) int {
 	n := uint32(len(*v))
 	if wide {
@@ -176,6 +177,7 @@ func count[E any](c *coder, v *[]E, wide bool, minSize int) int {
 		c.err = errShort
 		return 0
 	}
+	*v = nil
 	if n > 0 {
 		*v = make([]E, n)
 	}
@@ -186,22 +188,22 @@ func count[E any](c *coder, v *[]E, wide bool, minSize int) int {
 // decodes a count of 0 as an empty list rather than nil, the form both
 // have always decoded to (TestCorpusDecodesPinned).
 func (c *coder) u64s(v *[]uint64) {
-	if c.mode == decoding {
-		*v = []uint64{}
-	}
 	for i := range count(c, v, true, 8) {
 		u64(c, &(*v)[i])
+	}
+	if c.mode == decoding && *v == nil {
+		*v = []uint64{}
 	}
 }
 
 // devs is a u16-counted machine or device list (dead sets, ring
 // members), decoded empty rather than nil when the count is 0.
 func (c *coder) devs(v *[]DeviceID) {
-	if c.mode == decoding {
-		*v = []DeviceID{}
-	}
 	for i := range count(c, v, false, 2) {
 		u16(c, &(*v)[i])
+	}
+	if c.mode == decoding && *v == nil {
+		*v = []DeviceID{}
 	}
 }
 
@@ -220,6 +222,7 @@ func (c *coder) optU32(v *uint32) {
 	present := *v != 0
 	if c.mode == decoding {
 		present = c.err == nil && c.off < len(c.buf)
+		*v = 0
 	}
 	if present {
 		u32(c, v)

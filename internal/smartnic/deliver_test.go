@@ -2,6 +2,8 @@ package smartnic
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"nocpu/internal/sim"
@@ -25,6 +27,24 @@ func (a *sink) ServeNetwork([]byte, func([]byte)) {}
 type recordEcho struct{ testApp }
 
 func (a *recordEcho) ServeRequest(_ uint16, _ bool, p []byte, rep Replier) { rep.Reply(p) }
+
+// recordSink is a RequestApp that never answers.
+type recordSink struct{ testApp }
+
+func (a *recordSink) ServeRequest(uint16, bool, []byte, Replier) {}
+
+// keeper is a RequestApp that keeps every payload and Replier it is
+// handed and answers none of them.
+type keeper struct {
+	testApp
+	got  []string
+	reps []Replier
+}
+
+func (a *keeper) ServeRequest(_ uint16, _ bool, p []byte, rep Replier) {
+	a.got = append(a.got, string(p))
+	a.reps = append(a.reps, rep)
+}
 
 // shedEcho is a Shedder that echoes what it serves.
 type shedEcho struct{ testApp }
@@ -70,8 +90,8 @@ func TestOneWayStillChargesTx(t *testing.T) {
 	m.eng.Run()
 
 	jobs, busy := m.nic.tx.Jobs(), m.nic.tx.BusyTotal()
-	m.nic.DeliverOneWay(new(Delivery), 7, []byte("peer frame")) // served, echoed into the void
-	m.nic.DeliverOneWay(new(Delivery), 7, []byte("peer frame")) // rx is full: shed
+	m.nic.DeliverOneWay(7, []byte("peer frame")) // served, echoed into the void
+	m.nic.DeliverOneWay(7, []byte("peer frame")) // rx is full: shed
 	if m.nic.RxShed != 1 {
 		t.Fatalf("RxShed = %d, want 1", m.nic.RxShed)
 	}
@@ -88,19 +108,68 @@ func TestOneWayStillChargesTx(t *testing.T) {
 	}
 }
 
+// A one-way frame's record is recycled as its app stage begins, so the
+// Replier an app is handed for one must not lead back to it. A RequestApp
+// keeps the Replier of a first frame and answers it only after more
+// frames than the free list holds have queued on rx together and another
+// round has reused their records: every frame reaches the app once, with
+// its own payload, and every answer costs one tx job of its own.
+func TestOneWayRecordIsNotSeenInFlight(t *testing.T) {
+	m := newMachine(t)
+	app := &keeper{testApp: testApp{id: 7}}
+	m.nic.AddApp(app)
+	m.eng.Run()
+
+	var want []string
+	send := func(p string) {
+		want = append(want, p)
+		m.nic.DeliverOneWay(7, []byte(p))
+	}
+	send("first")
+	m.eng.Run()
+	for round := range 2 {
+		for i := range 2 * sim.FreeBound {
+			send(fmt.Sprintf("round %d frame %d", round, i))
+		}
+		if round == 0 && m.nic.rx.Pending() != 2*sim.FreeBound {
+			t.Fatalf("%d frames queued on rx, want %d", m.nic.rx.Pending(), 2*sim.FreeBound)
+		}
+		m.eng.Run()
+	}
+	if !slices.Equal(app.got, want) {
+		t.Fatalf("the app saw %q, want %q", app.got, want)
+	}
+
+	jobs, busy := m.nic.tx.Jobs(), m.nic.tx.BusyTotal()
+	for _, rep := range app.reps {
+		rep.Reply([]byte("late"))
+	}
+	m.eng.Run()
+	if n := m.nic.tx.Jobs() - jobs; n != uint64(len(want)) {
+		t.Errorf("tx served %d jobs for %d late answers, want one each", n, len(want))
+	}
+	if d := m.nic.tx.BusyTotal() - busy; d != sim.Duration(len(want))*DefaultTxCost {
+		t.Errorf("tx busy for %v, want %v", d, sim.Duration(len(want))*DefaultTxCost)
+	}
+	if len(app.got) != len(want) || m.nic.NetRequests != uint64(len(want)) {
+		t.Errorf("late answers reached the app again: it saw %d frames, NetRequests = %d, want %d", len(app.got), m.nic.NetRequests, len(want))
+	}
+}
+
 // TestNICDeliverAllocs pins what a frame costs the NIC. A client request
-// to a plain app costs its Delivery and the Delivery's Reply handed to the
-// app as a func (2). A RequestApp is handed the Delivery itself as its
-// Replier, so a request to one costs only its Delivery (1). A one-way
-// frame costs only its Delivery, which the fabric embeds in the arrival
-// record it already has: a plain app gets the NIC's shared discard func,
-// a RequestApp the Delivery (1). The parent read 2 for a client request
-// to any app and 1 for a one-way frame.
+// to a plain app costs its delivery and the delivery's Reply handed to the
+// app as a func (2). A RequestApp is handed the delivery itself as its
+// Replier, so a request to one costs only its delivery (1). A one-way
+// frame's record comes from the NIC's free list and every app is handed
+// the shared discard, so a frame nobody answers costs nothing (0), and
+// one a RequestApp echoes costs only the echo's tx record (1). A one-way
+// frame read 1 to any app while the caller supplied its record.
 func TestNICDeliverAllocs(t *testing.T) {
 	m := newMachine(t)
 	m.nic.AddApp(&testApp{id: 7})
 	m.nic.AddApp(&sink{testApp{id: 8}})
 	m.nic.AddApp(&recordEcho{testApp{id: 9}})
+	m.nic.AddApp(&recordSink{testApp{id: 10}})
 	m.eng.Run()
 	payload, reply := []byte("ping"), func([]byte) {}
 
@@ -111,8 +180,9 @@ func TestNICDeliverAllocs(t *testing.T) {
 	}{
 		{"client request to a plain app", 2, func() { m.nic.Deliver(7, payload, reply) }},
 		{"client request to a RequestApp", 1, func() { m.nic.Deliver(9, payload, reply) }},
-		{"one-way frame to a plain app", 1, func() { m.nic.DeliverOneWay(&Delivery{}, 8, payload) }},
-		{"one-way frame to a RequestApp", 1, func() { m.nic.DeliverOneWay(&Delivery{}, 9, payload) }},
+		{"one-way frame to a plain app", 0, func() { m.nic.DeliverOneWay(8, payload) }},
+		{"one-way frame to a RequestApp that does not answer", 0, func() { m.nic.DeliverOneWay(10, payload) }},
+		{"one-way frame to a RequestApp that echoes", 1, func() { m.nic.DeliverOneWay(9, payload) }},
 	} {
 		n := testing.AllocsPerRun(200, func() {
 			c.run()
@@ -144,7 +214,7 @@ func BenchmarkNICDeliver(b *testing.B) {
 	b.Run("oneway", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.nic.DeliverOneWay(new(Delivery), 8, payload)
+			m.nic.DeliverOneWay(8, payload)
 			m.eng.Run()
 		}
 	})

@@ -135,9 +135,12 @@ type NIC struct {
 	// harness's Q1 audit.
 	rxG *metrics.Gauge
 
-	// discard is the reply a plain app is handed for a one-way frame:
-	// one shared func, so a frame nobody answers costs no closure.
+	// discard is the reply an app is handed for a one-way frame: one
+	// shared func, so a frame nobody answers costs no closure.
 	discard func([]byte)
+	// oneWay recycles the records of one-way frames, which no app ever
+	// sees (deliver).
+	oneWay sim.Free[delivery]
 }
 
 // New builds the NIC and attaches it.
@@ -235,7 +238,7 @@ func (n *NIC) sortedAppIDs() []msg.AppID {
 // netsim workload generators — this is the NIC's MAC/PHY edge). reply is
 // invoked with the response after tx processing.
 func (n *NIC) Deliver(app msg.AppID, payload []byte, reply func([]byte)) {
-	n.deliver(nil, 0, false, app, payload, reply)
+	n.deliver(0, false, app, payload, reply)
 }
 
 // DeliverFrom injects a network request whose origin the edge has
@@ -244,25 +247,24 @@ func (n *NIC) Deliver(app msg.AppID, payload []byte, reply func([]byte)) {
 // the payload — and the request is charged against the tenant's rx
 // partition before the shared RxQueueBound.
 func (n *NIC) DeliverFrom(tn uint16, app msg.AppID, payload []byte, reply func([]byte)) {
-	n.deliver(nil, tn, true, app, payload, reply)
+	n.deliver(tn, true, app, payload, reply)
 }
 
 // DeliverOneWay injects a frame nobody waits on an answer to (a peer
 // machine's fabric frame). It takes the same path as Deliver — rx
 // bound, rx service, the app — and an app that answers anyway still
-// pays tx time for a response that goes nowhere. d is the frame's
-// record, supplied by the caller so that one who already owns an event
-// for the frame (the fabric's network arrival embeds its Delivery) adds
-// no allocation; it must stay untouched until the frame has left the NIC.
-func (n *NIC) DeliverOneWay(d *Delivery, app msg.AppID, payload []byte) {
-	n.deliver(d, 0, false, app, payload, nil)
+// pays tx time for a response that goes nowhere.
+func (n *NIC) DeliverOneWay(app msg.AppID, payload []byte) {
+	n.deliver(0, false, app, payload, nil)
 }
 
-// Delivery is one network request's record on this NIC and the event of
+// delivery is one network request's record on this NIC and the event of
 // each of its stages: it is queued on rx, handed to the app, and — for
 // the app's first response — queued on tx, so a request costs one record
-// however many stages it crosses.
-type Delivery struct {
+// however many stages it crosses. A one-way frame's record goes no
+// further than rx: its app is handed the shared discard instead, so the
+// record is free again when the app stage begins.
+type delivery struct {
 	n       *NIC
 	app     App
 	payload []byte
@@ -273,14 +275,14 @@ type Delivery struct {
 	stage   uint8
 }
 
-// Delivery stages.
+// delivery stages.
 const (
 	stageRx  uint8 = iota // queued on the rx pipeline
 	stageApp              // with the app, which has not answered yet
 	stageTx               // carrying a response through the tx pipeline
 )
 
-func (n *NIC) deliver(d *Delivery, tn uint16, stamped bool, app msg.AppID, payload []byte, reply func([]byte)) {
+func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, reply func([]byte)) {
 	a, ok := n.apps[app]
 	if !ok || n.dev.State() != device.StateAlive {
 		// No such app or dead NIC: the packet vanishes, as on a real wire.
@@ -303,10 +305,13 @@ func (n *NIC) deliver(d *Delivery, tn uint16, stamped bool, app msg.AppID, paylo
 		return
 	}
 	n.rxTenant[tn]++
-	if d == nil {
-		d = new(Delivery)
+	var d *delivery
+	if reply == nil {
+		d = n.oneWay.Get()
+	} else {
+		d = new(delivery)
 	}
-	*d = Delivery{n: n, app: a, payload: payload, reply: reply, tn: tn, stamped: stamped}
+	*d = delivery{n: n, app: a, payload: payload, reply: reply, tn: tn, stamped: stamped}
 	n.rx.Submit(n.cfg.RxCost, d)
 	n.rxG.Set(n.rx.Pending())
 }
@@ -322,14 +327,14 @@ func (n *NIC) shed(a App, reply func([]byte)) {
 	}
 }
 
-// transmit charges tx processing for a response that has no Delivery
+// transmit charges tx processing for a response that has no delivery
 // of its own to ride on, then hands it to reply.
 func (n *NIC) transmit(reply func([]byte), resp []byte) {
-	n.tx.Submit(n.cfg.TxCost, &Delivery{n: n, reply: reply, resp: resp, stage: stageTx})
+	n.tx.Submit(n.cfg.TxCost, &delivery{n: n, reply: reply, resp: resp, stage: stageTx})
 }
 
 // Fire runs the stage the delivery was queued for.
-func (d *Delivery) Fire() {
+func (d *delivery) Fire() {
 	n := d.n
 	if d.stage == stageTx {
 		if d.reply != nil {
@@ -339,22 +344,31 @@ func (d *Delivery) Fire() {
 	}
 	n.rxTenant[d.tn]--
 	n.NetRequests++
+	if d.reply == nil {
+		// A one-way frame: the app is handed discard, never the record,
+		// so an answer pays a tx job of its own and the record is done
+		// with here.
+		app, payload := d.app, d.payload
+		n.oneWay.Put(d)
+		if ra, ok := app.(RequestApp); ok {
+			ra.ServeRequest(0, false, payload, ReplyFunc(n.discard))
+			return
+		}
+		app.ServeNetwork(payload, n.discard)
+		return
+	}
 	d.stage = stageApp
 	if ra, ok := d.app.(RequestApp); ok {
 		ra.ServeRequest(d.tn, d.stamped, d.payload, d)
 		return
 	}
-	reply := n.discard
-	if d.reply != nil {
-		reply = d.Reply
-	}
-	d.app.ServeNetwork(d.payload, reply)
+	d.app.ServeNetwork(d.payload, d.Reply)
 }
 
 // Reply answers the request. The first response rides the delivery
 // through tx; a later one for the same request finds the record in
 // flight (or spent) and pays for a transmission of its own.
-func (d *Delivery) Reply(resp []byte) {
+func (d *delivery) Reply(resp []byte) {
 	if d.stage != stageApp {
 		d.n.transmit(d.reply, resp)
 		return
