@@ -12,10 +12,11 @@
 # `make allocs` prints what every allocation guard measured.
 # `make lines` prints the non-test line counts the ROADMAP's line budgets
 # are stated in; quote a budget from it and from nothing else.
+# `make reach` lists the functions only tests reach.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines reach
 
 build:
 	$(GO) build ./...
@@ -157,3 +158,20 @@ lines:
 	printf '%-42s %6d\n' 'lint+cmd/nocpu-lint' $$(count internal/lint cmd/nocpu-lint); \
 	printf '%-42s %6d\n' 'exp+chaos+overload+faultinject+netsim' $$(count internal/exp internal/chaos internal/overload internal/faultinject internal/netsim); \
 	printf '%-42s %6d\n' 'internal/+cmd/' $$(count internal cmd)
+
+# The functions of internal/ (the linter aside) that only tests reach: at
+# 0.0% both in the table goldens and examples and in the benchmark's own
+# tests, yet run by the full suite. Each is a candidate for deletion or a
+# probe a test needs; a code that no non-test code sends does not show
+# here, since its receiving arm runs in the full suite. Three coverage
+# profiles go to bin/, with the test output next to them.
+reach:
+	@mkdir -p bin
+	$(GO) test -count=1 -coverpkg=nocpu/internal/... -coverprofile=bin/reach-all.out ./... > bin/reach-all.log
+	$(GO) test -count=1 -coverpkg=nocpu/internal/... -coverprofile=bin/reach-tables.out -run 'TestTablesGolden|Example' ./internal/exp ./examples/... > bin/reach-tables.log
+	$(GO) test -C bench -count=1 -coverpkg=nocpu/internal/... -coverprofile=$(CURDIR)/bin/reach-bench.out ./... > bin/reach-bench.log
+	@for p in all tables bench; do \
+		$(GO) tool cover -func=bin/reach-$$p.out | awk '$$1 !~ /internal\/lint\// && $$1 != "total:" { print $$1 $$2, $$3 }' | LC_ALL=C sort -k1,1 > bin/reach-$$p.txt; \
+	done; \
+	LC_ALL=C join bin/reach-tables.txt bin/reach-bench.txt | LC_ALL=C join - bin/reach-all.txt | \
+		awk '$$2 == "0.0%" && $$3 == "0.0%" && $$4 != "0.0%" { print $$1, $$4 }'

@@ -147,10 +147,6 @@ type Console struct {
 	log   smartnic.FileAPI
 	ready bool
 
-	// pendingUploads routes loader responses back to the operator
-	// commands that initiated them, keyed by image name.
-	pendingUploads map[string]func(*msg.LoadResp)
-
 	// Served counts successfully executed commands.
 	Served uint64
 	// AuthFailures counts rejected commands.
@@ -159,7 +155,7 @@ type Console struct {
 
 // New builds a console app; add it to a NIC with AddApp.
 func New(cfg Config) *Console {
-	return &Console{cfg: cfg, pendingUploads: make(map[string]func(*msg.LoadResp))}
+	return &Console{cfg: cfg}
 }
 
 // AppID implements smartnic.App.
@@ -171,15 +167,6 @@ func (c *Console) Ready() bool { return c.ready }
 // Boot implements smartnic.App.
 func (c *Console) Boot(rt *smartnic.Runtime) {
 	c.rt = rt
-	// One LoadResp handler for the console's lifetime; individual upload
-	// commands register continuations by image name.
-	rt.NIC().Device().Handle(msg.KindLoadResp, func(e msg.Envelope) {
-		m := e.Msg.(*msg.LoadResp)
-		if cb, ok := c.pendingUploads[m.Image]; ok {
-			delete(c.pendingUploads, m.Image)
-			cb(m)
-		}
-	})
 	rt.OpenFile(c.cfg.Memctrl, c.cfg.LogFile, c.cfg.LogToken, 32, func(f *smartnic.FileClient, err error) {
 		if err != nil {
 			return // console stays unavailable; operator sees StatusUnavailable
@@ -264,19 +251,14 @@ func (c *Console) ServeNetwork(payload []byte, reply func([]byte)) {
 		}
 		// Forward to the device loader (§2.1) with the loader credential;
 		// the operator's own credential was already checked.
-		if _, busy := c.pendingUploads[req.Name]; busy {
-			reply(EncodeResponse(Response{Status: StatusError, Data: []byte("upload in progress")}))
-			return
-		}
-		c.pendingUploads[req.Name] = func(m *msg.LoadResp) {
-			if m.OK {
-				c.Served++
-				reply(EncodeResponse(Response{Status: StatusOK}))
-			} else {
-				reply(EncodeResponse(Response{Status: StatusError, Data: []byte(m.Reason)}))
+		c.rt.Load(c.cfg.Loader, req.Name, c.cfg.LoaderToken, req.Data, func(err error) {
+			if err != nil {
+				reply(EncodeResponse(Response{Status: StatusError, Data: []byte(err.Error())}))
+				return
 			}
-		}
-		c.rt.NIC().Device().Send(c.cfg.Loader, &msg.LoadReq{Image: req.Name, Token: c.cfg.LoaderToken, Data: req.Data})
+			c.Served++
+			reply(EncodeResponse(Response{Status: StatusOK}))
+		})
 	default:
 		reply(EncodeResponse(Response{Status: StatusError}))
 	}

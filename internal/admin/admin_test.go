@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"nocpu/internal/core"
+	"nocpu/internal/faultinject"
 	"nocpu/internal/kvs"
+	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 )
 
@@ -21,9 +23,10 @@ type world struct {
 	store   *kvs.Store
 }
 
-func newWorld(t *testing.T) *world {
+// newWorld boots the machine with plane (nil for none) on its bus.
+func newWorld(t *testing.T, plane *faultinject.Plane) *world {
 	t.Helper()
-	opts := core.Options{Flavor: core.Decentralized, Seed: 23}
+	opts := core.Options{Flavor: core.Decentralized, Seed: 23, FaultPlane: plane}
 	opts.SSD.LoaderToken = loaderToken
 	sys := core.MustNew(opts)
 	if err := sys.Boot(); err != nil {
@@ -85,7 +88,7 @@ func (w *world) kvPut(t *testing.T, key, val string) {
 }
 
 func TestAuthenticationGate(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, nil)
 	if r := w.cmd(t, Request{Op: OpPing, Token: 0xBAD}); r.Status != StatusAuthFailed {
 		t.Fatalf("bad token: %+v", r)
 	}
@@ -98,7 +101,7 @@ func TestAuthenticationGate(t *testing.T) {
 }
 
 func TestRemoteLogAccess(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, nil)
 	// The KVS writes its log; the operator reads it remotely.
 	w.kvPut(t, "alpha", "first-entry")
 	w.kvPut(t, "beta", "second-entry")
@@ -122,7 +125,7 @@ func TestRemoteLogAccess(t *testing.T) {
 }
 
 func TestRemoteImageUpload(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, nil)
 	image := bytes.Repeat([]byte{0xF0}, 5000)
 	r := w.cmd(t, Request{Op: OpUpload, Token: opToken, Name: "fw.bin", Data: image})
 	if r.Status != StatusOK {
@@ -140,8 +143,28 @@ func TestRemoteImageUpload(t *testing.T) {
 	}
 }
 
+// An upload is one retried control-plane call: a LoadResp lost on the bus
+// costs a retransmission, not the upload, and leaves nothing behind that
+// refuses the next upload of the same name.
+func TestUploadSurvivesLostLoadResp(t *testing.T) {
+	plane := faultinject.New(1)
+	w := newWorld(t, plane)
+	plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindLoadResp, Op: faultinject.Drop, Count: 1})
+	for i, image := range [][]byte{bytes.Repeat([]byte{1}, 3000), bytes.Repeat([]byte{2}, 2000)} {
+		if r := w.cmd(t, Request{Op: OpUpload, Token: opToken, Name: "fw.bin", Data: image}); r.Status != StatusOK {
+			t.Fatalf("upload %d: %+v (%s)", i, r, r.Data)
+		}
+		if f, ok := w.sys.SSD().FS().Lookup("fw.bin"); !ok || f.Size() != uint64(len(image)) {
+			t.Fatalf("upload %d: image not on the volume at %d bytes", i, len(image))
+		}
+	}
+	if st := plane.Stats(); st.Dropped != 1 {
+		t.Errorf("plane dropped %d messages, want the one LoadResp", st.Dropped)
+	}
+}
+
 func TestUnknownOpAndMalformed(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, nil)
 	if r := w.cmd(t, Request{Op: 99, Token: opToken}); r.Status != StatusError {
 		t.Fatalf("unknown op: %+v", r)
 	}

@@ -367,16 +367,6 @@ func (s *System) advance(d sim.Duration) {
 	s.Eng.RunFor(d)
 }
 
-// Settle runs the simulation until it quiesces, or — when heartbeats/
-// watchdogs keep the queue alive forever — for the given bound.
-func (s *System) Settle(bound sim.Duration) {
-	if s.Opts.Watchdog == 0 {
-		s.Eng.Run()
-		return
-	}
-	s.Eng.RunFor(bound)
-}
-
 // CreateFile synchronously creates and fills a file on the first SSD
 // (setup for workloads, after Boot). On a machine with a CPU it also
 // mounts the file in the kernel's registry, so a centralized open finds

@@ -96,10 +96,9 @@ func TestCentralizedEndToEnd(t *testing.T) {
 	}
 }
 
-// Snapshots and compaction create their files through the memory
-// controller, so they are decentralized-only. A central-direct store with
-// a snapshot file must come up as fast as one without, and Compact must
-// refuse it at once.
+// Snapshots create their file through the memory controller, so they are
+// decentralized-only. A central-direct store with a snapshot file must come
+// up as fast as one without, and serve.
 func TestCentralDirectSnapshotFileIsIgnored(t *testing.T) {
 	boot := func(snapshot string) (*System, *kvs.Store, sim.Duration) {
 		s := bootSystem(t, Options{Flavor: Centralized, Seed: 5})
@@ -129,14 +128,8 @@ func TestCentralDirectSnapshotFileIsIgnored(t *testing.T) {
 	if withSnap != plain {
 		t.Fatalf("ready after %v with a snapshot file, %v without", withSnap, plain)
 	}
-	var cerr error
-	refused := false
-	store.Compact(func(err error) { cerr, refused = err, true })
-	if !refused || cerr == nil {
-		t.Fatalf("Compact on a central-direct store: answered %v, err %v; want an immediate refusal", refused, cerr)
-	}
 	if r := kvsOp(t, s, store, kvs.Request{Op: kvs.OpPut, Key: "k", Value: []byte("v")}); r.Status != kvs.StatusOK {
-		t.Fatalf("put after refused compaction: %+v", r)
+		t.Fatalf("put on a store with a snapshot file: %+v", r)
 	}
 }
 
@@ -151,7 +144,7 @@ func TestWatchdogRecoveryViaCore(t *testing.T) {
 	}
 	kvsOp(t, s, store, kvs.Request{Op: kvs.OpPut, Key: "durable", Value: []byte("yes")})
 	s.SSD().Kill()
-	s.Settle(50 * sim.Millisecond)
+	s.Eng.RunFor(50 * sim.Millisecond)
 	if !store.Ready() {
 		t.Fatal("store not recovered")
 	}

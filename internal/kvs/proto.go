@@ -207,13 +207,6 @@ func putRecord(b []byte, key string, value []byte, del bool) {
 	copy(b[recordHeader+len(key):], value)
 }
 
-// encodeRecord frames one log record into a buffer of its own.
-func encodeRecord(key string, value []byte, del bool) []byte {
-	b := make([]byte, recordLen(key, value))
-	putRecord(b, key, value, del)
-	return b
-}
-
 // recordMeta describes a parsed record header.
 type recordMeta struct {
 	keyLen int

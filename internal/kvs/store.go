@@ -95,7 +95,6 @@ type Stats struct {
 	RecoveredRecords    uint64
 	Snapshots           uint64
 	SnapshotRestores    uint64
-	Compactions         uint64
 	// Shed counts requests refused by admission control: their deadline
 	// had passed, or the store's service-time estimate said it would
 	// pass before the reply. Every shed request gets a StatusShed
@@ -115,12 +114,11 @@ type Store struct {
 	rt  *smartnic.Runtime
 	fc  smartnic.FileAPI
 
-	index      map[string]loc
-	fileEnd    uint64
-	ready      bool
-	compacting bool
-	cache      *valueCache      // nil when disabled
-	snap       smartnic.FileAPI // nil when snapshots disabled
+	index   map[string]loc
+	fileEnd uint64
+	ready   bool
+	cache   *valueCache      // nil when disabled
+	snap    smartnic.FileAPI // nil when snapshots disabled
 
 	// epoch counts Boot calls. The NIC re-Boots the store after a crash
 	// recovery; timers armed by the previous life capture their epoch and
@@ -201,7 +199,6 @@ func (s *Store) Boot(rt *smartnic.Runtime) {
 	s.epoch++
 	s.rt = rt
 	s.ready = false
-	s.compacting = false
 	s.fc = nil
 	s.snap = nil
 	s.index = make(map[string]loc)
@@ -621,11 +618,6 @@ func (op *storeOp) FileDone(f *smartnic.FileOp, err error) {
 
 func (s *Store) put(op *storeOp) {
 	s.stats.Puts++
-	if s.compacting {
-		s.stats.Unavailable++
-		op.done(Response{Status: StatusUnavailable})
-		return
-	}
 	if recordLen(op.req.Key, op.req.Value) > s.fc.MaxIO() {
 		op.done(Response{Status: StatusError})
 		return
@@ -646,11 +638,6 @@ func (s *Store) appendRecord(op *storeOp, value []byte, del bool) {
 
 func (s *Store) del(op *storeOp) {
 	s.stats.Deletes++
-	if s.compacting {
-		s.stats.Unavailable++
-		op.done(Response{Status: StatusUnavailable})
-		return
-	}
 	if _, ok := s.index[op.req.Key]; !ok {
 		s.stats.Misses++
 		op.done(Response{Status: StatusNotFound})

@@ -77,17 +77,12 @@ type Facts interface {
 	Set(analyzer string, blob []byte)
 }
 
-// Run applies every analyzer to the package and returns the surviving
-// diagnostics in file/position order. It implements the one suite-wide
-// behavior shared by the vettool and the test harness: //lint:allow
-// suppression (see Suppressed) and the requirement that every allow
-// directive carries a reason.
-func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunWithFacts(analyzers, fset, files, pkg, info, nil)
-}
-
-// RunWithFacts is Run with a facts channel for interprocedural
-// analyzers; facts may be nil.
+// RunWithFacts applies every analyzer to the package and returns the
+// surviving diagnostics in file/position order; facts is the channel for
+// interprocedural analyzers and may be nil. It implements the one
+// suite-wide behavior shared by the vettool and the test harness:
+// //lint:allow suppression (see Suppressed) and the requirement that every
+// allow directive carries a reason.
 func RunWithFacts(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts Facts) ([]Diagnostic, error) {
 	allows := collectAllows(fset, files)
 	var out []Diagnostic

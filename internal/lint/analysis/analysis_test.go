@@ -35,7 +35,7 @@ func run(t *testing.T, src string) []Diagnostic {
 			return nil
 		},
 	}
-	diags, err := Run([]*Analyzer{a}, fset, []*ast.File{f}, pkg, info)
+	diags, err := RunWithFacts([]*Analyzer{a}, fset, []*ast.File{f}, pkg, info, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,9 @@ var layerDAG = map[string][]string{
 	"nocpu/examples/kvstore": {
 		"nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/netsim", "nocpu/internal/sim",
 	},
+	"nocpu/examples/maintenance": {
+		"nocpu/internal/admin", "nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/msg", "nocpu/internal/sim",
+	},
 	"nocpu/examples/multitenant": {
 		"nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/msg", "nocpu/internal/sim",
 	},

@@ -21,8 +21,8 @@ import (
 // (for a later sort), folding into a scalar (sums, max), writing or
 // deleting map entries, and order-independent early returns. Anything
 // that calls a non-builtin function is treated as a side effect; the
-// sanctioned pattern is to collect the keys, sort them (see
-// metrics.Sorted), and loop over the sorted slice.
+// sanctioned pattern is to collect the keys, sort them, and loop over the
+// sorted slice.
 var Maporder = &analysis.Analyzer{
 	Name: "maporder",
 	Doc:  "flag side effects performed in map iteration order",
@@ -51,7 +51,7 @@ func runMaporder(pass *analysis.Pass) error {
 			}
 			if offender, what := firstSideEffect(pass, rs.Body); offender != nil {
 				pass.Reportf(offender.Pos(),
-					"%s inside range over map %s runs in map iteration order, which differs between runs; iterate sorted keys instead (see metrics.Sorted), or annotate //lint:allow maporder <reason>",
+					"%s inside range over map %s runs in map iteration order, which differs between runs; iterate sorted keys instead, or annotate //lint:allow maporder <reason>",
 					what, exprString(pass.Fset, rs.X))
 			}
 			// The body was fully judged above; don't re-enter nested

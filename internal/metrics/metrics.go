@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"nocpu/internal/sim"
@@ -19,7 +18,6 @@ import (
 type Histogram struct {
 	counts []uint64
 	total  uint64
-	sum    sim.Duration
 	min    sim.Duration
 	max    sim.Duration
 }
@@ -77,7 +75,6 @@ func (h *Histogram) Observe(d sim.Duration) {
 	}
 	h.counts[bucketOf(d)]++
 	h.total++
-	h.sum += d
 	if d < h.min {
 		h.min = d
 	}
@@ -89,14 +86,6 @@ func (h *Histogram) Observe(d sim.Duration) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.total }
 
-// Mean returns the average sample, or 0 with no samples.
-func (h *Histogram) Mean() sim.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / sim.Duration(h.total)
-}
-
 // Min returns the smallest sample, or 0 with no samples.
 func (h *Histogram) Min() sim.Duration {
 	if h.total == 0 {
@@ -107,9 +96,6 @@ func (h *Histogram) Min() sim.Duration {
 
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Duration { return h.max }
-
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() sim.Duration { return h.sum }
 
 // Quantile returns the approximate q-quantile (0 <= q <= 1). The true
 // value lies within one bucket (~6%) of the result.
@@ -147,36 +133,6 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 // P50 and P99 are convenience quantiles.
 func (h *Histogram) P50() sim.Duration { return h.Quantile(0.50) }
 func (h *Histogram) P99() sim.Duration { return h.Quantile(0.99) }
-
-// Merge adds all samples from other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.total > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.total, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxInt64
-}
-
-// Summary renders a one-line digest.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.total, h.Mean(), h.P50(), h.P99(), h.Max())
-}
 
 // Table is a simple column-aligned table used for experiment output.
 type Table struct {
@@ -275,14 +231,3 @@ func (g *Gauge) Bound() int { return g.bound }
 
 // Exceeded reports whether the high-watermark ever passed the bound.
 func (g *Gauge) Exceeded() bool { return g.bound > 0 && g.max > g.bound }
-
-// Sorted returns sorted copies of keys for deterministic map iteration in
-// reports.
-func Sorted[K ~string](m map[K]uint64) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

@@ -163,44 +163,6 @@ func (m *Memory) WriteU64(addr Addr, v uint64) error {
 	return m.Write(addr, binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v))
 }
 
-// ReadU32 reads a little-endian uint32 at addr.
-func (m *Memory) ReadU32(addr Addr) (uint32, error) {
-	if b := m.word(addr, 4, false); b != nil {
-		return binary.LittleEndian.Uint32(b), nil
-	}
-	var b [4]byte
-	err := m.ReadInto(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-// WriteU32 writes a little-endian uint32 at addr.
-func (m *Memory) WriteU32(addr Addr, v uint32) error {
-	if b := m.word(addr, 4, true); b != nil {
-		binary.LittleEndian.PutUint32(b, v)
-		return nil
-	}
-	return m.Write(addr, binary.LittleEndian.AppendUint32(make([]byte, 0, 4), v))
-}
-
-// ReadU16 reads a little-endian uint16 at addr.
-func (m *Memory) ReadU16(addr Addr) (uint16, error) {
-	if b := m.word(addr, 2, false); b != nil {
-		return binary.LittleEndian.Uint16(b), nil
-	}
-	var b [2]byte
-	err := m.ReadInto(addr, b[:])
-	return binary.LittleEndian.Uint16(b[:]), err
-}
-
-// WriteU16 writes a little-endian uint16 at addr.
-func (m *Memory) WriteU16(addr Addr, v uint16) error {
-	if b := m.word(addr, 2, true); b != nil {
-		binary.LittleEndian.PutUint16(b, v)
-		return nil
-	}
-	return m.Write(addr, binary.LittleEndian.AppendUint16(make([]byte, 0, 2), v))
-}
-
 // Zero clears n bytes at addr. A frame that has a backing store is cleared
 // in place and one that has none is zero already: Zero neither creates a
 // store (AllocFrames scrubs every region it hands out, written or not) nor

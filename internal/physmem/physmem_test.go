@@ -62,20 +62,6 @@ func TestScalarAccessors(t *testing.T) {
 	if err != nil || v != 0xdeadbeefcafef00d {
 		t.Fatalf("u64 = %#x, err=%v", v, err)
 	}
-	if err := m.WriteU32(16, 0x12345678); err != nil {
-		t.Fatal(err)
-	}
-	v32, _ := m.ReadU32(16)
-	if v32 != 0x12345678 {
-		t.Fatalf("u32 = %#x", v32)
-	}
-	if err := m.WriteU16(20, 0xbeef); err != nil {
-		t.Fatal(err)
-	}
-	v16, _ := m.ReadU16(20)
-	if v16 != 0xbeef {
-		t.Fatalf("u16 = %#x", v16)
-	}
 	// Little-endian layout check.
 	b := make([]byte, 2)
 	_ = m.ReadInto(8, b)

@@ -22,10 +22,6 @@ type memory interface {
 	Write(Addr, []byte) error
 	ReadU64(Addr) (uint64, error)
 	WriteU64(Addr, uint64) error
-	ReadU32(Addr) (uint32, error)
-	WriteU32(Addr, uint32) error
-	ReadU16(Addr) (uint16, error)
-	WriteU16(Addr, uint16) error
 	Zero(Addr, int) error
 	AllocFrames(int) (Frame, error)
 	FreeFrames(Frame, int) error
@@ -76,32 +72,8 @@ func (d *dense) ReadU64(addr Addr) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (d *dense) ReadU32(addr Addr) (uint32, error) {
-	b, err := d.span(addr, 4, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (d *dense) ReadU16(addr Addr) (uint16, error) {
-	b, err := d.span(addr, 2, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
 func (d *dense) WriteU64(addr Addr, v uint64) error {
 	return d.Write(addr, binary.LittleEndian.AppendUint64(nil, v))
-}
-
-func (d *dense) WriteU32(addr Addr, v uint32) error {
-	return d.Write(addr, binary.LittleEndian.AppendUint32(nil, v))
-}
-
-func (d *dense) WriteU16(addr Addr, v uint16) error {
-	return d.Write(addr, binary.LittleEndian.AppendUint16(nil, v))
 }
 
 func (d *dense) Zero(addr Addr, n int) error {
@@ -180,7 +152,7 @@ func (p *program) length() int {
 }
 
 func (p *program) step() {
-	switch p.r.Intn(12) {
+	switch p.r.Intn(10) {
 	case 0, 1:
 		src := make([]byte, p.length()+8)
 		for i := 0; i+8 <= len(src); i += 8 {
@@ -199,31 +171,13 @@ func (p *program) step() {
 		v, err := p.m.ReadU64(addr)
 		p.logf("r64 %#x: %#x %v", addr, v, err)
 	case 5:
-		addr := p.span(4)
-		v, err := p.m.ReadU32(addr)
-		p.logf("r32 %#x: %#x %v", addr, v, err)
+		addr := p.span(8)
+		p.logf("w64 %#x: %v", addr, p.m.WriteU64(addr, p.r.Uint64()|0x0101010101010101))
 	case 6:
-		addr := p.span(2)
-		v, err := p.m.ReadU16(addr)
-		p.logf("r16 %#x: %#x %v", addr, v, err)
-	case 7:
-		v := p.r.Uint64() | 0x0101010101010101
-		switch p.r.Intn(3) {
-		case 0:
-			addr := p.span(8)
-			p.logf("w64 %#x: %v", addr, p.m.WriteU64(addr, v))
-		case 1:
-			addr := p.span(4)
-			p.logf("w32 %#x: %v", addr, p.m.WriteU32(addr, uint32(v)))
-		default:
-			addr := p.span(2)
-			p.logf("w16 %#x: %v", addr, p.m.WriteU16(addr, uint16(v)))
-		}
-	case 8:
 		n := p.length() - 1 // -1 now and then
 		addr := p.span(max(n, 0))
 		p.logf("zero %#x+%d: %v", addr, n, p.m.Zero(addr, n))
-	case 9, 10:
+	case 7, 8:
 		n := p.r.Intn(6) - 1 // -1 and 0 are refused
 		if p.r.Intn(16) == 0 {
 			n = int(p.size/PageSize) + p.r.Intn(2)

@@ -12,12 +12,13 @@ import (
 // This file is the runtime's control-plane call (§4 "Error handling"): the
 // system bus may drop, delay, duplicate or NACK control messages, so every
 // Figure-2 request — discovery, open, alloc, grant, connect, close, free,
-// a mediated file op, the rejoin state query — is one call record with a
-// per-request timeout, bounded exponential backoff and an idempotent
-// retransmission. Providers tolerate replays (memctrl re-sends recorded
-// allocations, a device's session table re-quotes an unconnected instance
-// and re-acks an identical connect or close, the bus re-acks grants), so a
-// retransmission is always safe.
+// a mediated file op, the rejoin state query — and every image load is one
+// call record with a per-request timeout, bounded exponential backoff and
+// an idempotent retransmission. Providers tolerate replays (memctrl
+// re-sends recorded allocations, a device's session table re-quotes an
+// unconnected instance and re-acks an identical connect or close, the bus
+// re-acks grants, a loader rewrites the whole image), so a retransmission
+// is always safe.
 //
 // A call holds the request message itself (a retransmission sends it
 // again), the timer that is its own event, and the one continuation that
@@ -94,7 +95,8 @@ type RetryStats struct {
 // callKey is a response's natural correlator: the fields a provider
 // echoes from the request. id is the nonce, connection id, handle or VA;
 // sub the grant target, the mediated op's seq, or the provider answering
-// a connect or close (each numbers its own connections); name the service.
+// a connect, close or load (providers number their connections and name
+// their images independently); name the service or the image.
 type callKey struct {
 	kind msg.Kind // of the response
 	app  msg.AppID
@@ -108,7 +110,7 @@ type callKey struct {
 var responseKinds = []msg.Kind{
 	msg.KindDiscoverResp, msg.KindOpenResp, msg.KindConnectResp, msg.KindCloseResp,
 	msg.KindAllocResp, msg.KindFreeResp, msg.KindGrantResp, msg.KindFileIOResp,
-	msg.KindStateResp,
+	msg.KindStateResp, msg.KindLoadResp,
 }
 
 // keyOf computes the key of the call a response answers; a message that
@@ -136,6 +138,8 @@ func keyOf(env msg.Envelope) callKey {
 		k.app, k.id, k.sub = m.App, uint64(m.Handle), m.Seq
 	case *msg.StateResp:
 		k.id = uint64(m.Nonce)
+	case *msg.LoadResp:
+		k.name, k.sub = m.Image, uint32(env.Src)
 	default:
 		return callKey{}
 	}

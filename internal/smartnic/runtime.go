@@ -157,6 +157,19 @@ func (rt *Runtime) Grant(va, bytes uint64, target msg.DeviceID, cb func(error)) 
 		})
 }
 
+// Load uploads an image to dev's loader service (§2.1) under the
+// device's loader token.
+func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byte, cb func(error)) {
+	req := &msg.LoadReq{Image: image, Token: token, Data: data}
+	rt.nic.call(rt.Retry, dev, req, callKey{kind: msg.KindLoadResp, name: image, sub: uint32(dev)},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if m, _ := resp.(*msg.LoadResp); err == nil && !m.OK {
+				err = fmt.Errorf("smartnic: load of %q refused: %s", image, m.Reason)
+			}
+			cb(err)
+		})
+}
+
 // open is §3 steps 3-4 against provider: a device's service, or the
 // kernel in the centralized baseline. cb receives the provider's verdict
 // as sent (OK or not), or the call's failure.

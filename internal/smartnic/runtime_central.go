@@ -107,12 +107,6 @@ func (c fileCalls) Truncate(cb func(error)) {
 	c.call(&fileCall{plain: cb}, smartssd.OpTruncate, 0, 0, nil)
 }
 
-// Rename renames the connection's file, replacing any existing file of
-// that name (used for compaction's atomic switch-over).
-func (c fileCalls) Rename(newName string, cb func(error)) {
-	c.call(&fileCall{plain: cb}, smartssd.OpRename, 0, 0, []byte(newName))
-}
-
 // Fail implements FileAPI for the mediated client: the kernel died, the
 // handle it issued is gone, and every subsequent syscall on it must fail
 // fast so the owner reopens through the rebooted kernel. In-flight

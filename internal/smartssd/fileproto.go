@@ -20,10 +20,6 @@ const (
 	OpAppend
 	OpStat
 	OpTruncate
-	// OpRename renames the connection's file to the name in Data,
-	// replacing any existing file of that name (atomic replace for
-	// compaction).
-	OpRename
 )
 
 func (o FileOp) String() string {
@@ -38,8 +34,6 @@ func (o FileOp) String() string {
 		return "stat"
 	case OpTruncate:
 		return "truncate"
-	case OpRename:
-		return "rename"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

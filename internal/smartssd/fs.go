@@ -319,48 +319,6 @@ func (fs *FS) Create(name string, cb func(*File, error)) {
 	})
 }
 
-// Delete removes a file, trimming its pages.
-func (fs *FS) Delete(name string, cb func(error)) {
-	f, ok := fs.Lookup(name)
-	if !ok {
-		cb(fmt.Errorf("smartssd: no such file %q", name))
-		return
-	}
-	f.shrink(0)
-	fs.inodes[f.idx] = inode{}
-	fs.persistInodeOf(f.idx, cb)
-}
-
-// Rename gives the file a new name, deleting any existing file of that
-// name first (rename-over, the usual atomic-replace idiom). Both inode
-// pages are persisted.
-func (f *File) Rename(newName string, cb func(error)) {
-	fs := f.fs
-	if newName == "" || len(newName) > maxName {
-		cb(fmt.Errorf("smartssd: bad file name %q", newName))
-		return
-	}
-	if fs.inodes[f.idx].name == newName {
-		cb(nil)
-		return
-	}
-	finish := func() {
-		fs.inodes[f.idx].name = newName
-		fs.persistInodeOf(f.idx, cb)
-	}
-	if _, exists := fs.Lookup(newName); exists {
-		fs.Delete(newName, func(err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			finish()
-		})
-		return
-	}
-	finish()
-}
-
 // Name returns the file's name.
 func (f *File) Name() string { return f.fs.inodes[f.idx].name }
 

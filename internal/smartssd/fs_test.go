@@ -239,40 +239,6 @@ func TestReadPastEOF(t *testing.T) {
 	eng.Run()
 }
 
-func TestDeleteFreesPages(t *testing.T) {
-	eng, fs := fsWorld(t)
-	f := mustCreate(t, eng, fs, "victim")
-	f.WriteAt(0, make([]byte, 8*4096), func(error) {})
-	eng.Run()
-	used := 0
-	for _, b := range fs.bitmap {
-		if b {
-			used++
-		}
-	}
-	if used != 8 {
-		t.Fatalf("used pages = %d", used)
-	}
-	fs.Delete("victim", func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-	used = 0
-	for _, b := range fs.bitmap {
-		if b {
-			used++
-		}
-	}
-	if used != 0 {
-		t.Errorf("pages leaked after delete: %d", used)
-	}
-	if _, ok := fs.Lookup("victim"); ok {
-		t.Error("file survives delete")
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	eng, fs := fsWorld(t)
 	f := mustCreate(t, eng, fs, "t")

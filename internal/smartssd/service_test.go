@@ -124,6 +124,35 @@ func TestServiceRefusesWrappingWrite(t *testing.T) {
 	}
 }
 
+// Op 6 was a rename that replaced any file of the given name, past that
+// file's own Tokens check; the victim's open session then read whatever
+// file was created into the freed inode slot. It is an unknown op now:
+// answered StatusBadRequest, with every other file and session untouched.
+func TestServiceRefusesOpSix(t *testing.T) {
+	eng, fs := fsWorld(t)
+	a := mustCreate(t, eng, fs, "a.dat")
+	mustWrite(t, eng, a, 0, []byte("attacker"))
+	secret := mustCreate(t, eng, fs, "secret.dat")
+	mustWrite(t, eng, secret, 0, []byte("password"))
+	_, attacker := serviceOn(a)
+	_, victim := serviceOn(secret)
+	r := &testResponder{cap: testCell}
+	attacker.Serve(rawReq(FileOp(6), 0, 0, []byte("secret.dat")), r)
+	eng.Run()
+	if resp := r.last(t); resp.Status != StatusBadRequest {
+		t.Errorf("op 6 over secret.dat: status %d, want StatusBadRequest", resp.Status)
+	}
+	if f, ok := fs.Lookup("secret.dat"); !ok || string(mustRead(t, eng, f, 0, 8)) != "password" {
+		t.Errorf("secret.dat lost its bytes (found %v)", ok)
+	}
+	mustWrite(t, eng, mustCreate(t, eng, fs, "next.dat"), 0, []byte("newcomer"))
+	victim.Serve(rawReq(OpRead, 0, 8, nil), r)
+	eng.Run()
+	if resp := r.last(t); resp.Status != StatusOK || string(resp.Data) != "password" {
+		t.Errorf("victim's session reads %+v, want its own bytes", resp)
+	}
+}
+
 // A read's Len is the peer's. The service bounds it by the response cell
 // before touching flash: one cell's worth of page reads, not the file's.
 func TestServiceBoundsReadByResponseCell(t *testing.T) {
@@ -321,7 +350,7 @@ func FuzzFileService(f *testing.F) {
 	}
 	f.Add(bytes.Join([][]byte{step(OpAppend, 0, 0, 100), step(OpRead, 0, 64, 0), step(OpStat, 0, 0, 0)}, nil))
 	f.Add(bytes.Join([][]byte{step(OpWrite, ^uint64(0)-3, 0, 10), step(OpWrite, 1<<40, 0, 1), step(OpRead, 0, 1<<30, 0)}, nil))
-	f.Add(bytes.Join([][]byte{step(OpWrite, 4090, 0, 5000), step(OpTruncate, 0, 0, 0), step(OpRename, 0, 0, 3), step(FileOp(0x80|OpWrite), 100, 0, 9)}, nil))
+	f.Add(bytes.Join([][]byte{step(OpWrite, 4090, 0, 5000), step(OpTruncate, 0, 0, 0), step(FileOp(6), 0, 0, 3), step(FileOp(0x80|OpWrite), 100, 0, 9)}, nil))
 	f.Add([]byte{byte(OpStat), 1, 2})
 	// Both merge branches under a broken flash. A step i sends byte(i) as its
 	// body, every third step lets 30 µs pass after it (a flash read takes 25),

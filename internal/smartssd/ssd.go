@@ -289,7 +289,7 @@ type fileReq struct {
 	r        virtio.Responder
 	resp     []byte
 	io       fileIO
-	metaDone func(error) // made once per record: Truncate's and Rename's callback
+	metaDone func(error) // made once per record: Truncate's callback
 }
 
 // Serve implements virtio.Service.
@@ -321,8 +321,6 @@ func (c *fileConn) Serve(b []byte, r virtio.Responder) {
 		q.finish(nil, file.Size())
 	case OpTruncate:
 		file.Truncate(q.metaDone)
-	case OpRename:
-		file.Rename(string(req.Data), q.metaDone)
 	default:
 		q.finish(errBadRequest, 0)
 	}

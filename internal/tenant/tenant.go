@@ -20,7 +20,6 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
 
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
@@ -244,34 +243,6 @@ func (r *Registry) DenialsBy(t ID) []Denial {
 		if d.Tenant == t {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// ClassCounts tallies denials per class, sorted by class, for table
-// rendering.
-func (r *Registry) ClassCounts() []struct {
-	Class Class
-	N     int
-} {
-	m := make(map[Class]int)
-	for _, d := range r.denials {
-		m[d.Class]++
-	}
-	classes := make([]Class, 0, len(m))
-	for c := range m {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	out := make([]struct {
-		Class Class
-		N     int
-	}, 0, len(classes))
-	for _, c := range classes {
-		out = append(out, struct {
-			Class Class
-			N     int
-		}{c, m[c]})
 	}
 	return out
 }
