@@ -21,6 +21,7 @@
 package bus
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -214,6 +215,14 @@ type Bus struct {
 	// records every refusal as a typed, attributed denial. nil (the
 	// default) disables all of it — byte-identical legacy behavior.
 	tenancy *tenant.Registry
+
+	// hops and acks recycle the bus's own event records: only the bus
+	// ever holds one, so it alone can tell when one is dead (DESIGN.md
+	// "Pool only what the owner alone sees").
+	hops sim.Free[hop]
+	acks sim.Free[grantAck]
+	// gkeys is unmapEverywhere's scratch.
+	gkeys []ownerKey
 
 	stats Stats
 }
@@ -470,11 +479,14 @@ const (
 )
 
 // hop is one envelope in flight, and the event of every stage it crosses:
-// the engine and the three servers queue the record itself, so a unicast
-// message is one allocation from Port.Send to the destination's handler.
-// A broadcast takes a record per destination and a bus-originated message
-// one of its own. A duplicate the fault plane injects is a second record:
-// both copies are in flight at once, each at its own stage.
+// the engine and the three servers queue the record itself. A broadcast
+// takes a record per destination and a bus-originated message one of its
+// own. A duplicate the fault plane injects is a second record: both copies
+// are in flight at once, each at its own stage. Only the bus holds a hop
+// (a handler gets the envelope by value), so each goes back on the bus's
+// free list where its last stage ends: shed at the ingress bound, not sent
+// on by process, or after arrive. A message, broadcast or not, then costs
+// no allocation between Port.Send and the destination's handler.
 type hop struct {
 	b   *Bus
 	env msg.Envelope
@@ -496,6 +508,7 @@ func (h *hop) Fire() {
 	case hopWire:
 		if bound := b.cfg.IngressBound; bound > 0 && b.proc.Pending() >= bound {
 			b.shedIngress(h.env)
+			b.hops.Put(h)
 			return
 		}
 		h.stage = hopQueued
@@ -503,6 +516,11 @@ func (h *hop) Fire() {
 		b.ingressG.Set(b.proc.Pending())
 	case hopQueued:
 		b.process(h)
+		if h.stage == hopQueued {
+			// Not sent on: dropped, consumed by the bus, refused, or
+			// fanned out in records of their own.
+			b.hops.Put(h)
+		}
 	case hopProgramming:
 		b.deliver(h, h.dst)
 	case hopEgress:
@@ -512,12 +530,21 @@ func (h *hop) Fire() {
 		h.stage = hopArriving
 		b.eng.Schedule(h.last, h)
 		if h.dup {
-			twin := *h // same seq: the receiver's dedup window eats it
-			b.eng.Schedule(h.last, &twin)
+			twin := b.hops.Get()
+			*twin = *h // same seq: the receiver's dedup window eats it
+			b.eng.Schedule(h.last, twin)
 		}
 	case hopArriving:
 		h.arrive()
+		b.hops.Put(h)
 	}
+}
+
+// newHop takes a record for env off the free list.
+func (b *Bus) newHop(env msg.Envelope) *hop {
+	h := b.hops.Get()
+	h.b, h.env = b, env
+	return h
 }
 
 // ingress is the one way into the bus: Port.transmit with the fault
@@ -533,9 +560,9 @@ func (b *Bus) ingress(env msg.Envelope, d faultinject.Decision) {
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		wire += d.Delay
 	}
-	b.eng.Schedule(wire, &hop{b: b, env: env})
+	b.eng.Schedule(wire, b.newHop(env))
 	if d.Op == faultinject.Dup {
-		b.eng.Schedule(wire, &hop{b: b, env: env})
+		b.eng.Schedule(wire, b.newHop(env))
 	}
 }
 
@@ -707,7 +734,7 @@ func (b *Bus) process(h *hop) {
 				}
 				continue
 			}
-			b.deliver(&hop{b: b, env: env}, a)
+			b.deliver(b.newHop(env), a)
 		}
 		if scopedFrom != 0 {
 			if _, isDiscover := env.Msg.(*msg.DiscoverReq); isDiscover {
@@ -792,8 +819,8 @@ func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
 	if d.Op == faultinject.Drop {
 		return
 	}
-	h := &hop{b: b, env: msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m},
-		dst: dst, last: b.cfg.HopLatency, dup: d.Op == faultinject.Dup}
+	h := b.newHop(msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m})
+	h.dst, h.last, h.dup = dst, b.cfg.HopLatency, d.Op == faultinject.Dup
 	if d.Op == faultinject.Delay || d.Op == faultinject.Reorder {
 		h.last += d.Delay
 	}
@@ -996,14 +1023,15 @@ func (b *Bus) unmapEverywhere(owner *attachment, fr *msg.FreeResp) {
 	// Any grants whose range falls inside the freed region. The unmap
 	// submissions below schedule simulator events, so iterate the grant
 	// table in key order, not map order.
-	var gkeys []ownerKey
+	gkeys := b.gkeys[:0]
 	for gkey := range b.grants {
 		if gkey.app != fr.App || gkey.va < fr.VA || gkey.va >= regionEnd {
 			continue
 		}
 		gkeys = append(gkeys, gkey)
 	}
-	sort.Slice(gkeys, func(i, j int) bool { return gkeys[i].va < gkeys[j].va })
+	slices.SortFunc(gkeys, func(x, y ownerKey) int { return cmp.Compare(x.va, y.va) })
+	b.gkeys = gkeys
 	for _, gkey := range gkeys {
 		for _, rec := range b.grants[gkey] {
 			a, ok := b.devices[rec.target]
@@ -1095,7 +1123,8 @@ func (b *Bus) handleAuthResp(src *attachment, m *msg.AuthResp) {
 		return
 	}
 	delete(b.pendingGrants, m.Nonce)
-	ack := &grantAck{b: b, requester: b.devices[pg.src], pg: pg}
+	ack := b.acks.Get()
+	ack.b, ack.requester, ack.pg = b, b.devices[pg.src], pg
 	if !m.OK {
 		ack.reply(false, m.Reason)
 		return
@@ -1127,7 +1156,8 @@ func (b *Bus) handleAuthResp(src *attachment, m *msg.AuthResp) {
 }
 
 // grantAck answers a grant's requester: at once, or as the event that ends
-// the target's table programming.
+// the target's table programming. It is dead once reply has read it, and
+// goes back on the bus's list there.
 type grantAck struct {
 	b         *Bus
 	requester *attachment
@@ -1137,15 +1167,17 @@ type grantAck struct {
 func (a *grantAck) Fire() { a.reply(true, "") }
 
 func (a *grantAck) reply(ok bool, reason string) {
-	if a.requester == nil {
+	b, requester, req := a.b, a.requester, a.pg.req
+	b.acks.Put(a)
+	if requester == nil {
 		return
 	}
 	if ok {
-		a.b.stats.GrantsOK++
+		b.stats.GrantsOK++
 	} else {
-		a.b.stats.GrantsDenied++
+		b.stats.GrantsDenied++
 	}
-	a.b.sendFromBus(a.requester, &msg.GrantResp{App: a.pg.req.App, OK: ok, Reason: reason, VA: a.pg.req.VA, Target: a.pg.req.Target})
+	b.sendFromBus(requester, &msg.GrantResp{App: req.App, OK: ok, Reason: reason, VA: req.VA, Target: req.Target})
 }
 
 // handleRevoke removes a previous grant from the target device.
@@ -1237,7 +1269,7 @@ func (b *Bus) failDevice(a *attachment, reason string) {
 		if other.id == a.id || !other.alive {
 			continue
 		}
-		b.deliver(&hop{b: b, env: msg.Envelope{Src: msg.BusID, Dst: other.id, Msg: &msg.DeviceFailed{Device: a.id}}}, other)
+		b.deliver(b.newHop(msg.Envelope{Src: msg.BusID, Dst: other.id, Msg: &msg.DeviceFailed{Device: a.id}}), other)
 	}
 	b.stats.Resets++
 	b.sendFromBus(a, &msg.Reset{Reason: reason})

@@ -48,6 +48,9 @@ type Controller struct {
 	cfg     Config
 	proc    *sim.Server
 	regions *Regions
+	// reqs recycles the request records: only the processing queue holds
+	// one, and it is dead once Fire has read it.
+	reqs sim.Free[request]
 }
 
 // New builds and registers the controller on the bus. The device config's
@@ -80,8 +83,10 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 // any host) — losing them would leak every live frame forever, since no
 // other component knows the frame lists. What a crash does destroy is the
 // volatile derived state: the per-app accounting is rebuilt here by
-// walking the table, and any request in the processing queue died with the
-// engine (requesters retransmit; alloc and free replays are idempotent).
+// walking the table. A request still in the processing queue died with
+// the engine: it was stamped with the incarnation that accepted it, and
+// request.Fire drops it (requesters retransmit; alloc and free replays
+// are idempotent).
 func (c *Controller) onReset() { c.regions.recount() }
 
 // Device exposes the chassis (Start, state).
@@ -97,24 +102,35 @@ func (c *Controller) Stats() Stats { return c.regions.stats }
 func (c *Controller) LiveAllocations() int { return c.regions.live() }
 
 // request is one AllocReq, FreeReq or AuthReq waiting its turn at the
-// table engine; it is the event the processing queue fires, so accepting a
-// request allocates the record and nothing else.
+// table engine; it is the event the processing queue fires, and comes off
+// the controller's free list, so accepting a request allocates nothing.
 type request struct {
 	c   *Controller
 	env msg.Envelope
+	// inc is the controller's incarnation when it accepted the request.
+	inc uint32
 }
 
 // accept queues a request behind the table engine (registered for all
 // three kinds).
 func (c *Controller) accept(env msg.Envelope) {
-	c.proc.Submit(c.cfg.OpCost, &request{c: c, env: env})
+	r := c.reqs.Get()
+	r.c, r.env, r.inc = c, env, c.dev.Incarnation()
+	c.proc.Submit(c.cfg.OpCost, r)
 }
 
 // Fire answers the request: an authorization to the bus that asked, the
-// other two to the device that sent them.
+// other two to the device that sent them. A request whose controller was
+// killed since it was accepted is not answered, whether the controller is
+// still dead or already revived.
 func (r *request) Fire() {
-	c, src := r.c, r.env.Src
-	switch m := r.env.Msg.(type) {
+	c, env, inc := r.c, r.env, r.inc
+	c.reqs.Put(r)
+	if c.dev.State() != device.StateAlive || c.dev.Incarnation() != inc {
+		return
+	}
+	src := env.Src
+	switch m := env.Msg.(type) {
 	case *msg.AllocReq:
 		resp, _ := c.regions.Alloc(src, m)
 		c.dev.Send(src, resp)

@@ -25,14 +25,19 @@ type world struct {
 
 func newWorld(t *testing.T, quota uint64, memPages uint64) *world {
 	t.Helper()
+	return newWorldWith(t, Config{QuotaPerApp: quota}, memPages)
+}
+
+// newWorldWith boots a controller with cfg; its device is always id 1,
+// "memctrl".
+func newWorldWith(t *testing.T, cfg Config, memPages uint64) *world {
+	t.Helper()
 	w := &world{eng: sim.NewEngine(), tr: trace.New()}
 	w.mem = physmem.MustNew(memPages * physmem.PageSize)
 	w.fab = interconnect.NewFabric(w.eng, w.mem, interconnect.DefaultCosts)
 	w.bus = bus.New(w.eng, bus.DefaultConfig, w.tr)
-	ctrl, err := New(w.eng, w.bus, w.fab, w.tr, Config{
-		Device:      device.Config{ID: 1, Name: "memctrl"},
-		QuotaPerApp: quota,
-	})
+	cfg.Device.ID, cfg.Device.Name = 1, "memctrl"
+	ctrl, err := New(w.eng, w.bus, w.fab, w.tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,5 +358,72 @@ func TestControllerOpCostSerializes(t *testing.T) {
 	}
 	if w.ctrl.LiveAllocations() != 50 {
 		t.Errorf("live allocations = %d", w.ctrl.LiveAllocations())
+	}
+}
+
+// The request records come off a free list of sim.FreeBound: a backlog
+// several times that long, queued behind the table engine at once, is
+// answered request by request, each once and with its own VA.
+func TestQueuedRequestsKeepTheirOwnEnvelopes(t *testing.T) {
+	w := newWorldWith(t, Config{OpCost: sim.Microsecond}, 4096)
+	nic := w.newRequester(t, 2, "nic")
+	w.eng.Run()
+	const n = 3 * sim.FreeBound
+	va := func(i int) uint64 { return uint64(0x100000 + i*0x10000) }
+	for i := 0; i < n; i++ {
+		nic.dev.Send(1, &msg.AllocReq{App: 1, VA: va(i), Bytes: physmem.PageSize, Perm: uint8(iommu.PermRW)})
+	}
+	w.eng.Run()
+	if len(nic.allocs) != n {
+		t.Fatalf("%d responses to %d requests", len(nic.allocs), n)
+	}
+	for i, a := range nic.allocs {
+		if !a.OK || a.VA != va(i) || len(a.Frames) != 1 {
+			t.Errorf("response %d = %+v, want an OK single-frame answer for va %#x", i, a, va(i))
+		}
+	}
+}
+
+// A request the controller accepted dies with it: killed while the
+// request waits behind OpCost, the controller answers nothing, whether it
+// stays dead or is revived (a new incarnation) before the request's turn.
+// The requester retransmits; nothing is allocated or mapped behind its
+// back.
+func TestKilledControllerAnswersNothingItQueued(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		revive bool
+	}{{"stays dead", false}, {"revived", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorldWith(t, Config{OpCost: 50 * sim.Microsecond,
+				Device: device.Config{ResetDelay: 10 * sim.Microsecond}}, 1024)
+			nic := w.newRequester(t, 2, "nic")
+			w.eng.Run()
+			nic.dev.Send(1, &msg.AllocReq{App: 5, VA: 0x100000, Bytes: 3 * physmem.PageSize, Perm: uint8(iommu.PermRW)})
+			w.eng.RunFor(20 * sim.Microsecond)
+			if got := w.ctrl.proc.Pending(); got != 1 {
+				t.Fatalf("%d requests queued at the kill, want 1", got)
+			}
+			inc := w.ctrl.Device().Incarnation()
+			w.ctrl.Device().Kill()
+			if tc.revive {
+				if err := w.bus.FailDevice(1, "test"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.eng.RunFor(200 * sim.Microsecond)
+			if revived := w.ctrl.Device().Incarnation() != inc; revived != tc.revive {
+				t.Fatalf("controller revived = %v, want %v", revived, tc.revive)
+			}
+			if len(nic.allocs) != 0 {
+				t.Errorf("requester got %+v from a controller killed before answering", nic.allocs[0])
+			}
+			if n := w.ctrl.LiveAllocations(); n != 0 {
+				t.Errorf("%d live allocations", n)
+			}
+			if _, _, ok := nic.dev.IOMMU().Lookup(5, 0x100000); ok {
+				t.Error("requester's IOMMU maps the region")
+			}
+		})
 	}
 }

@@ -110,6 +110,7 @@ type NIC struct {
 	// (retry.go).
 	pending         map[callKey]*call
 	inflight        map[uint32]*call
+	calls           sim.Free[call] // finished calls' records (call.finish)
 	retryStats      RetryStats
 	nextNonce       uint32
 	faultHandlerSet bool

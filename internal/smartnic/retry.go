@@ -147,7 +147,8 @@ func keyOf(env msg.Envelope) callKey {
 }
 
 // call is one reliable request: send, wait, retransmit, give up. It is
-// the entry of NIC.pending and the event of its own timer.
+// the entry of NIC.pending and the event of its own timer; it comes off
+// NIC.calls and goes back there in finish.
 type call struct {
 	// tm is armed with the call itself; Fire is the response timeout, or
 	// the end of the post-NACK delay when delaying is set.
@@ -171,7 +172,8 @@ type call struct {
 // on a key still pending takes the key over: the response goes to it, and
 // the first call runs out its budget and fails.
 func (n *NIC) call(pol RetryPolicy, dst msg.DeviceID, req msg.Message, key callKey, done func(src msg.DeviceID, resp msg.Message, err error)) {
-	c := &call{n: n, req: req, key: key, done: done, pol: pol, dst: dst, started: n.dev.Engine().Now()}
+	c := n.calls.Get()
+	*c = call{n: n, req: req, key: key, done: done, pol: pol, dst: dst, started: n.dev.Engine().Now()}
 	n.pending[key] = c
 	n.retryStats.Requests++
 	c.attempt()
@@ -222,27 +224,33 @@ func (c *call) nacked(m *msg.Nack) {
 	c.tm.Arm(c.n.dev.Engine(), delay, c)
 }
 
-// forget takes the call out of both tables and stops its timer. The key
-// may have been taken over by a later call; that entry is not ours.
-func (c *call) forget() {
-	n := c.n
+// finish ends the call: it takes it out of both tables, stops its timer,
+// puts the record back on the NIC's list and returns the continuation for
+// the caller to run. The key may have been taken over by a later call;
+// that entry is not ours. Once the tables and the timer let go, nothing
+// holds the record, so the continuation may start the next call at once
+// and that call may reuse it.
+func (c *call) finish() func(src msg.DeviceID, resp msg.Message, err error) {
+	n, done := c.n, c.done
 	if n.pending[c.key] == c {
 		delete(n.pending, c.key)
 	}
 	c.tm.Stop()
 	delete(n.inflight, c.seq)
+	n.calls.Put(c)
+	return done
 }
 
 func (c *call) fail() {
-	c.forget()
-	c.n.retryStats.Exhausted++
-	c.done(0, nil, &TimeoutError{
+	err := &TimeoutError{
 		Op:       opOf(c.req),
 		Dst:      c.dst,
 		Attempts: c.attempts,
 		Elapsed:  sim.Duration(c.n.dev.Engine().Now() - c.started),
 		LastNack: c.lastNack,
-	})
+	}
+	c.n.retryStats.Exhausted++
+	c.finish()(0, nil, err)
 }
 
 // opOf names a request for TimeoutError.Op. Only a failed call pays for
@@ -277,8 +285,7 @@ func opOf(req msg.Message) string {
 // replay, an answer past the budget) finds nothing pending and is dropped.
 func (n *NIC) onResponse(env msg.Envelope) {
 	if c, ok := n.pending[keyOf(env)]; ok {
-		c.forget()
-		c.done(env.Src, env.Msg, nil)
+		c.finish()(env.Src, env.Msg, nil)
 	}
 }
 

@@ -415,8 +415,8 @@ func TestEveryResponseKindIsWired(t *testing.T) {
 	}
 }
 
-// controlBed is an untraced testbed with one app booted, and the three
-// round trips the guard and the benchmark below drive on it.
+// controlBed is an untraced testbed with one app booted and kv.dat on the
+// SSD, and the round trips the guards and the benchmark below drive on it.
 type controlBed struct {
 	m  *machine
 	rt *Runtime
@@ -426,6 +426,7 @@ type controlBed struct {
 func newControlBed(t testing.TB) *controlBed {
 	t.Helper()
 	b := &controlBed{m: buildMachine(t, 0, nil)}
+	b.m.createFile(t, "kv.dat", nil)
 	b.m.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) { b.rt = rt }})
 	b.m.eng.Run()
 	b.rt.AllocShared(mcID, 64<<10, func(va uint64, err error) { b.va = va })
@@ -469,32 +470,76 @@ func (b *controlBed) grant(t testing.TB) {
 	b.m.eng.Run()
 }
 
+// cycle is one op of the benchmark's machine1_ctrl_churn workload:
+// discover kv.dat, allocate a region, grant it to the SSD and free it,
+// each step started from the previous one's continuation, so every call
+// but the first may take the record the one before it just gave back.
+func (b *controlBed) cycle(t testing.TB) {
+	const bytes = 64 << 10
+	b.rt.Discover("file:kv.dat", func(provider msg.DeviceID, _ string, err error) {
+		if err != nil {
+			t.Fatalf("discover: %v", err)
+		}
+		b.rt.AllocShared(mcID, bytes, func(va uint64, err error) {
+			if err != nil {
+				t.Fatalf("alloc: %v", err)
+			}
+			b.rt.Grant(va, bytes, provider, func(err error) {
+				if err != nil {
+					t.Fatalf("grant: %v", err)
+				}
+				b.rt.Free(mcID, va, bytes, func(err error) {
+					if err != nil {
+						t.Fatalf("free: %v", err)
+					}
+				})
+			})
+		})
+	})
+	b.m.eng.Run()
+}
+
 // TestControlCallAllocs pins the host cost of a steady-state AllocShared +
 // Free round trip through the whole control plane (client call, bus route
-// and IOMMU programming, memctrl): 19 today — per request the client's call
-// record, message and continuation, the bus's hop record per message, and
-// memctrl's request record, region record, frame slices and response. With
-// a closure per bus stage and per memctrl request it read 34 (PR 19), and
-// with a retrier, an op label, a send closure, an onFail closure and an
-// After handle per client request on top of that 46 (PR 17).
+// and IOMMU programming, memctrl): 11 — per request the client's message
+// and continuation, and memctrl's region record, frame slices and
+// response. The call, hop and memctrl request records come off their
+// owners' free lists; allocated per use they read 19, with a closure per
+// bus stage and per memctrl request 34, and with a retrier, an op label, a
+// send closure, an onFail closure and an After handle per client request
+// on top of that 46.
 func TestControlCallAllocs(t *testing.T) {
 	b := newControlBed(t)
 	b.allocFree(t)
 	n := testing.AllocsPerRun(200, func() { b.allocFree(t) })
 	t.Logf("alloc+free round trip: %v allocations", n)
-	if n > 20 {
-		t.Errorf("alloc+free round trip allocates %v times, want <= 20", n)
+	if n > 12 {
+		t.Errorf("alloc+free round trip allocates %v times, want <= 12", n)
+	}
+}
+
+// TestControlCycleAllocs pins the host cost of the churn workload's cycle
+// (discover → alloc → grant → free, controlBed.cycle): 23, where the call,
+// hop, grantAck and memctrl request records allocated per use, and
+// discovery allocated a file handle to answer a query, read 46.
+func TestControlCycleAllocs(t *testing.T) {
+	b := newControlBed(t)
+	b.cycle(t)
+	n := testing.AllocsPerRun(200, func() { b.cycle(t) })
+	t.Logf("discover+alloc+grant+free cycle: %v allocations", n)
+	if n > 24 {
+		t.Errorf("the control cycle allocates %v times, want <= 24", n)
 	}
 }
 
 // BenchmarkControlCall is one control round trip on the testbed: client
-// call, bus, provider and back.
+// call, bus, provider and back; cycle is the churn workload's whole op.
 func BenchmarkControlCall(b *testing.B) {
 	bed := newControlBed(b)
 	for _, bc := range []struct {
 		name string
 		op   func(testing.TB)
-	}{{"alloc_free", bed.allocFree}, {"discover", bed.discover}, {"grant", bed.grant}} {
+	}{{"alloc_free", bed.allocFree}, {"discover", bed.discover}, {"grant", bed.grant}, {"cycle", bed.cycle}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

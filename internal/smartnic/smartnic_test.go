@@ -104,7 +104,7 @@ func (m *machine) run() {
 }
 
 // createFile pre-populates the SSD volume.
-func (m *machine) createFile(t *testing.T, name string, contents []byte) {
+func (m *machine) createFile(t testing.TB, name string, contents []byte) {
 	t.Helper()
 	var done bool
 	m.ssd.FS().Create(name, func(f *smartssd.File, err error) {

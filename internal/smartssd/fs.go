@@ -268,12 +268,21 @@ type File struct {
 
 // Lookup finds a file by name.
 func (fs *FS) Lookup(name string) (*File, bool) {
-	for i := range fs.inodes {
-		if fs.inodes[i].used && fs.inodes[i].name == name {
-			return &File{fs: fs, idx: i}, true
-		}
+	if i := fs.index(name); i >= 0 {
+		return &File{fs: fs, idx: i}, true
 	}
 	return nil, false
+}
+
+// index is the inode slot of a file by name, or -1: a lookup that only
+// asks whether the file exists allocates no handle.
+func (fs *FS) index(name string) int {
+	for i := range fs.inodes {
+		if fs.inodes[i].used && fs.inodes[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // List returns all file names (directory order).
@@ -293,7 +302,7 @@ func (fs *FS) Create(name string, cb func(*File, error)) {
 		cb(nil, fmt.Errorf("smartssd: bad file name %q", name))
 		return
 	}
-	if _, exists := fs.Lookup(name); exists {
+	if fs.index(name) >= 0 {
 		cb(nil, fmt.Errorf("smartssd: file %q exists", name))
 		return
 	}

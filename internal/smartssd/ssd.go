@@ -223,8 +223,7 @@ func (fs *fileService) Match(query string) bool {
 	if !ok {
 		return false
 	}
-	_, exists := fs.ssd.fs.Lookup(name)
-	return exists
+	return fs.ssd.fs.index(name) >= 0
 }
 
 // admit decides a file-service open: the name must parse, the volume be mounted, the
