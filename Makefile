@@ -2,8 +2,8 @@
 # before merging: vet, the nocpu-lint analyzer suite, build, every test
 # under the race detector (once, in shuffled order), a short fuzz run of
 # the wire-format decoder, of the virtqueue endpoint, of the SSD's file
-# service and of the client-request key view, and the smoke run of the
-# nested benchmark module. The
+# service, of the client-request key view and of the fabric's ring
+# transition, and the smoke run of the nested benchmark module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -59,13 +59,17 @@ race:
 # cell (any op, offset and length; every request answered once, the
 # volume's pages conserved). Then 5s of the client-request key view a
 # router routes on against the full decode the serving machine runs:
-# they refuse the same bytes and agree on every key.
+# they refuse the same bytes and agree on every key. Then 5s of one
+# machine's ring transition under any schedule of prepare, commit and
+# abort phases: the ring version never goes back, and a staged ring's
+# transfer always drains.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/msg
 	$(GO) test -run=^$$ -fuzz=FuzzEndpointRing -fuzztime=5s ./internal/virtio
 	$(GO) test -run=^$$ -fuzz=FuzzFileService -fuzztime=5s ./internal/smartssd
 	$(GO) test -run=^$$ -fuzz=FuzzRequestKey -fuzztime=5s ./internal/kvs
+	$(GO) test -run=^$$ -fuzz=FuzzRingTransition -fuzztime=5s ./internal/fabric
 
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.
@@ -145,10 +149,16 @@ tables:
 	$(GO) run ./cmd/nocpu-bench
 
 # Non-test Go lines (`_test.go` and testdata excluded) of each group the
-# ROADMAP budgets, then of all of internal/ and cmd/.
+# ROADMAP budgets, then of all of internal/ and cmd/. The fabric rows
+# hold the router split to its budgets: the package, the hub, and the
+# package's largest file, named.
 lines:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
 	printf '%-42s %6d\n' 'fabric+bus+smartnic+kvs' $$(count internal/fabric internal/bus internal/smartnic internal/kvs); \
+	printf '%-42s %6d\n' 'internal/fabric' $$(count internal/fabric); \
+	printf '%-42s %6d\n' 'fabric/router.go' $$(count internal/fabric/router.go); \
+	find internal/fabric -name '*.go' ! -name '*_test.go' -exec wc -l {} + | grep -v ' total$$' | sort -n | tail -1 | \
+		awk '{ sub(".*/", "", $$2); printf "%-42s %6d\n", "largest fabric file (" $$2 ")", $$1 }'; \
 	printf '%-42s %6d\n' 'smartssd+virtio+smartnic/fileclient.go' $$(count internal/smartssd internal/virtio internal/smartnic/fileclient.go); \
 	printf '%-42s %6d\n' 'centralos.go' $$(count internal/centralos/centralos.go); \
 	printf '%-42s %6d\n' 'memctrl+centralos.go' $$(count internal/memctrl internal/centralos/centralos.go); \

@@ -1,0 +1,201 @@
+package fabric
+
+import (
+	"slices"
+
+	"nocpu/internal/kvs"
+	"nocpu/internal/msg"
+	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
+)
+
+// client is the router's client path: it routes each client op on its
+// key, serves the ops this machine owns through the replicator, forwards
+// the rest and answers what other machines forward here. It owns the
+// forwarded ops awaiting their answer and the bodies of the frames it
+// sends.
+type client struct {
+	v     *view
+	repl  *replicator
+	lease *lease
+
+	nextReq uint64
+	pending map[uint64]*pendingReq
+	fwd     msg.FabricReq
+	resp    msg.FabricResp
+}
+
+// pendingReq is a client op forwarded to another machine, awaiting its
+// FabricResp. It is the one record the forwarding hop allocates: tm is
+// armed with the record itself, whose Fire is the op timeout.
+type pendingReq struct {
+	tm       sim.Timer
+	c        *client
+	id       uint64
+	target   msg.DeviceID
+	rerouted bool
+	rep      smartnic.Replier
+	payload  []byte
+}
+
+// onClient routes a client request on its key, read in place. Only the
+// machine that serves a request decodes it (req, when the caller already
+// did); a forwarded one travels on as payload.
+func (c *client) onClient(payload []byte, req *kvs.Request, rep smartnic.Replier) {
+	key, err := kvs.RequestKey(payload)
+	if err != nil {
+		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		return
+	}
+	own := c.v.owners(string(key))
+	if len(own) == 0 {
+		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+		return
+	}
+	if own[0] != c.v.id {
+		c.v.stats.Remote++
+		c.forward(own[0], payload, rep, false)
+		return
+	}
+	c.v.stats.Local++
+	if req == nil {
+		decoded, _ := kvs.DecodeRequest(payload) // RequestKey accepted it
+		req = &decoded
+	}
+	c.repl.servePrimary(*req, rep)
+}
+
+// forward sends a client op to the key's primary — directly, or through
+// the head node when one is configured (the centralized-routing
+// baseline; the owner still answers the origin directly, so only the
+// request leg transits the head).
+func (c *client) forward(primary msg.DeviceID, payload []byte, rep smartnic.Replier, rerouted bool) {
+	target := primary
+	if c.v.head != 0 && !c.v.isHead() {
+		target = c.v.head
+	}
+	c.nextReq++
+	p := &pendingReq{c: c, id: c.nextReq, target: primary, rep: rep, payload: payload, rerouted: rerouted}
+	c.pending[p.id] = p
+	p.tm.Arm(c.v.eng, DefaultOpTimeout, p)
+	c.fwd = msg.FabricReq{Origin: c.v.id, ReqID: p.id, Payload: payload}
+	c.v.send(target, &c.fwd)
+}
+
+// Fire is the op timeout: nobody answered within DefaultOpTimeout.
+func (p *pendingReq) Fire() {
+	if p.c.v.halted || p.c.pending[p.id] != p {
+		return
+	}
+	p.c.v.stats.Timeouts++
+	p.finish(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+}
+
+// finish forgets a forwarded op and answers its client.
+func (p *pendingReq) finish(resp []byte) {
+	delete(p.c.pending, p.id)
+	p.tm.Stop()
+	p.rep.Reply(resp)
+}
+
+// onFabricReq routes a forwarded client op on its key, read in place,
+// and decodes the request only to serve it.
+func (c *client) onFabricReq(m *msg.FabricReq) {
+	key, err := kvs.RequestKey(m.Payload)
+	if err != nil {
+		c.respond(m.Origin, m.ReqID, msg.FabricServed,
+			kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		return
+	}
+	own := c.v.owners(string(key))
+	switch {
+	case len(own) > 0 && own[0] == c.v.id:
+		req, _ := kvs.DecodeRequest(m.Payload) // RequestKey accepted it
+		c.repl.servePrimary(req, &served{c: c, origin: m.Origin, id: m.ReqID})
+	case c.v.isHead() && m.Hops == 0 && len(own) > 0:
+		// Head relay: forward to the shard owner, origin preserved. Hops
+		// guards the (unreachable in a sane view) forwarding loop. A head
+		// that lost its lease is fenced like any primary: with the sole
+		// authority partitioned away, the whole machine's typed answer is
+		// "fenced" — the contrast E21 measures against the decentralized
+		// flavor, where only the cut-off side stalls.
+		if !c.lease.valid() {
+			c.v.stats.LeaseFenced++
+			c.respond(m.Origin, m.ReqID, msg.FabricServed,
+				kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
+			return
+		}
+		c.v.stats.HeadRelayed++
+		c.fwd = msg.FabricReq{Origin: m.Origin, ReqID: m.ReqID, Hops: m.Hops + 1, Payload: m.Payload}
+		c.v.send(own[0], &c.fwd)
+	default:
+		// Not ours: tell the origin whom we think is dead so it can catch
+		// up and re-route.
+		c.v.stats.WrongOwner++
+		c.respond(m.Origin, m.ReqID, msg.FabricWrongOwner, nil)
+	}
+}
+
+// served is a forwarded op this machine serves as the key's owner: its
+// answer goes back to the origin router.
+type served struct {
+	c      *client
+	origin msg.DeviceID
+	id     uint64
+}
+
+func (s *served) Reply(resp []byte) { s.c.respond(s.origin, s.id, msg.FabricServed, resp) }
+
+// respond sends a FabricResp carrying this router's dead set as gossip.
+func (c *client) respond(origin msg.DeviceID, id uint64, code uint8, resp []byte) {
+	c.resp = msg.FabricResp{ReqID: id, Code: code, Dead: c.v.deadSorted, Payload: resp}
+	c.v.send(origin, &c.resp)
+}
+
+// onFabricResp answers the forwarded op m resolves. The hub has merged
+// the response's dead set into the view first.
+func (c *client) onFabricResp(m *msg.FabricResp) {
+	p := c.pending[m.ReqID]
+	if p == nil {
+		return // already timed out or resolved
+	}
+	if m.Code == msg.FabricServed {
+		p.finish(m.Payload)
+		return
+	}
+	// WrongOwner/unavailable: one re-route with the merged view, then
+	// give up and let the client retry.
+	delete(c.pending, m.ReqID)
+	p.tm.Stop()
+	if key, err := kvs.RequestKey(p.payload); err == nil && !p.rerouted {
+		if own := c.v.owners(string(key)); len(own) > 0 {
+			c.v.stats.Reroutes++
+			if own[0] != c.v.id {
+				c.forward(own[0], p.payload, p.rep, true)
+				return
+			}
+			// The merged view promoted us: serve locally after all.
+			req, _ := kvs.DecodeRequest(p.payload) // RequestKey accepted it
+			c.repl.servePrimary(req, p.rep)
+			return
+		}
+	}
+	p.rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+}
+
+// failPendingTo answers every pending op whose target just died, in
+// ReqID order: Unavailable now beats a client timeout later.
+func (c *client) failPendingTo(died []msg.DeviceID) {
+	var ids []uint64
+	for id, p := range c.pending {
+		for _, d := range died {
+			if p.target == d {
+				ids = append(ids, id)
+			}
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		c.pending[id].finish(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+	}
+}

@@ -186,6 +186,7 @@ func (c *Cluster) Network() *Network { return c.net }
 // boot, shard file, KVS store, router. Sequential boot is deliberate —
 // it is deterministic and it staggers the machines' periodic timers.
 func (c *Cluster) Boot() error {
+	ids := c.MachineIDs()
 	for _, m := range c.Machines {
 		if err := m.Sys.Boot(); err != nil {
 			return fmt.Errorf("fabric: machine %d boot: %w", m.ID, err)
@@ -204,7 +205,7 @@ func (c *Cluster) Boot() error {
 		if c.Cfg.Flavor == FlavorHead {
 			head = 1
 		}
-		m.Router = newRouter(c, m.ID, head, c.Cfg.Leases, c.Ring, m.Store, c.Eng)
+		m.Router = newRouter(view{id: m.ID, head: head, ids: ids, net: c.net, eng: c.Eng, store: m.Store, ring: c.Ring}, c.Cfg.Leases)
 		m.Sys.NIC().AddApp(m.Router)
 		m.alive = true
 		c.tracef("m%d up (%s)", m.ID, m.Sys.Opts.Flavor)
@@ -270,7 +271,7 @@ func (c *Cluster) Kill(id msg.DeviceID) {
 		return
 	}
 	m.alive = false
-	m.Router.halted = true // every timer and handler bails: crash-stop
+	m.Router.v.halted = true // every timer and handler bails: crash-stop
 	m.Sys.Kill()
 	c.tracef("m%d killed", id)
 }
@@ -375,8 +376,8 @@ func (c *Cluster) RouterStatsSum() RouterStats {
 func (c *Cluster) MaxEpoch() uint32 {
 	var max uint32
 	for _, m := range c.Machines {
-		if m.alive && m.Router.Epoch() > max {
-			max = m.Router.Epoch()
+		if m.alive && m.Router.v.epoch > max {
+			max = m.Router.v.epoch
 		}
 	}
 	return max

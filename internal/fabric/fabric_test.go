@@ -140,9 +140,16 @@ func keyFor(i int) string { return fmt.Sprintf("fkey-%05d", i) }
 
 // keyOwnedBy returns the first test key whose primary is machine id.
 func keyOwnedBy(cl *Cluster, id msg.DeviceID) string {
-	for i := 0; ; i++ {
-		if k := keyFor(i); cl.Ring.Owners(k, nil, 1)[0] == id {
-			return k
+	k, _ := keyLedBy(cl.Ring, id, 0)
+	return k
+}
+
+// keyLedBy returns the first test key from keyFor(from) on whose primary
+// under ring is id, and its index.
+func keyLedBy(ring *Ring, id msg.DeviceID, from int) (string, int) {
+	for i := from; ; i++ {
+		if ring.Owners(keyFor(i), nil, 1)[0] == id {
+			return keyFor(i), i
 		}
 	}
 }

@@ -27,28 +27,28 @@ func TestRouterLookupsMatchRing(t *testing.T) {
 	}
 	for _, pending := range []*Ring{nil, staged} {
 		for _, dead := range deads {
-			r := newRouter(nil, 1, 0, false, ring, nil, nil)
-			r.dead, r.pendingRing = dead, pending
+			v := &newRouter(view{id: 1, ring: ring}, false).v
+			v.dead, v.staged = dead, pending
 			for i := 0; i < 1000; i++ {
 				key := keyFor(i)
 				want := ring.Owners(key, dead, DefaultReplicas)
-				if got := r.owners(key); !slices.Equal(got, want) {
+				if got := v.owners(key); !slices.Equal(got, want) {
 					t.Fatalf("dead %v staged %v: owners(%q) = %v, Ring.Owners = %v", dead, pending != nil, key, got, want)
 				}
 				var targets []msg.DeviceID
 				for _, id := range want {
-					if id != r.id {
+					if id != v.id {
 						targets = append(targets, id)
 					}
 				}
 				if pending != nil {
 					for _, id := range pending.Owners(key, dead, DefaultReplicas) {
-						if id != r.id && !slices.Contains(targets, id) {
+						if id != v.id && !slices.Contains(targets, id) {
 							targets = append(targets, id)
 						}
 					}
 				}
-				if got := r.repTargets(key); !slices.Equal(got, targets) {
+				if got := v.repTargets(key); !slices.Equal(got, targets) {
 					t.Fatalf("dead %v staged %v: repTargets(%q) = %v, want %v", dead, pending != nil, key, got, targets)
 				}
 			}
@@ -75,7 +75,7 @@ func TestQueuedPutStartsInsideAck(t *testing.T) {
 		answered = append(answered, kvs.Status(resp[0]))
 		// The second put started when the first was acked, ahead of this
 		// answer's trip through tx.
-		if g := r.gates[key]; g == nil || g.cur == nil || !bytes.Equal(g.cur.req.Value, second) {
+		if g := r.repl.gates[key]; g == nil || g.cur == nil || !bytes.Equal(g.cur.req.Value, second) {
 			t.Error("the first put's answer arrived before the second put started")
 		}
 	})
@@ -90,8 +90,8 @@ func TestQueuedPutStartsInsideAck(t *testing.T) {
 	if n := b.Stats().Applies - applies; n != 2 {
 		t.Errorf("the backup applied %d puts, want 2", n)
 	}
-	if len(r.gates) != 0 || len(r.inflight) != 0 {
-		t.Errorf("the primary still holds %d gates and %d tasks", len(r.gates), len(r.inflight))
+	if len(r.repl.gates) != 0 || len(r.repl.inflight) != 0 {
+		t.Errorf("the primary still holds %d gates and %d tasks", len(r.repl.gates), len(r.repl.inflight))
 	}
 	var held []byte
 	cl.Machine(backup).Store.Serve(kvs.Request{Op: kvs.OpGet, Key: key}, smartnic.ReplyFunc(func(resp []byte) {

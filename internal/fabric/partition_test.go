@@ -23,14 +23,7 @@ func holdsDead(r *Router, id msg.DeviceID) bool {
 	return false
 }
 
-func holdsSuspect(r *Router, id msg.DeviceID) bool {
-	for _, s := range r.Suspects() {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
+func holdsSuspect(r *Router, id msg.DeviceID) bool { return r.lease.suspects[id] }
 
 // A transport-level send failure proves only that the forward path is
 // broken. With leases enabled it must record directional suspicion, not
@@ -47,7 +40,7 @@ func TestTransportFailureIsSuspicionNotDeath(t *testing.T) {
 	cl.Eng.RunFor(600 * sim.Microsecond)
 	r1 := cl.Machine(1).Router
 	if !holdsSuspect(r1, 4) {
-		t.Fatalf("m1 did not suspect the unreachable machine: suspects=%v", r1.Suspects())
+		t.Fatalf("m1 did not suspect the unreachable machine: suspects=%v", r1.lease.suspects)
 	}
 	if holdsDead(r1, 4) {
 		t.Fatal("m1 declared death from a one-way transport failure alone")

@@ -1,0 +1,366 @@
+package fabric
+
+import (
+	"slices"
+
+	"nocpu/internal/kvs"
+	"nocpu/internal/msg"
+	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
+)
+
+// replicator is the router's primary/backup replication: as a key's
+// primary it runs each mutation through the key's pipeline to every
+// replication target, and as a backup it applies what primaries send
+// behind the key's watermark. It owns the pipelines, the watermarks and
+// the bodies of the frames it sends.
+type replicator struct {
+	v     *view
+	tr    *transition
+	lease *lease
+
+	repSeq   uint64
+	gates    map[string]*keyGate
+	inflight map[uint64]*writeTask
+	wm       map[string]watermark
+	rep      msg.Replicate
+	ack      msg.ReplicateAck
+}
+
+// writeTask is one mutation moving through a key's replication
+// pipeline: local apply, then Replicate to every replication target,
+// then the client ack once ALL current targets acked. Sync tasks
+// (view-change resync and staged-ring transfer) skip the local apply:
+// their request starts as a read of the key, and its answer turns it
+// into the put (or delete) of the value the store holds. The task is
+// the store's answer target for either (Reply).
+type writeTask struct {
+	p *replicator
+	// req is the mutation: the client's request, or a sync task's read.
+	req kvs.Request
+	// rep acks the client (nil for sync tasks).
+	rep  smartnic.Replier
+	resp []byte // local store response, held until the backups ack
+
+	sync bool
+	xfer *Ring // the staged ring whose transfer this sync task counts toward
+	seq  uint64
+	// targets is the remaining unacked replication set, recomputed under
+	// the current (and staged, when one exists) view on every attempt.
+	targets []msg.DeviceID
+	acked   map[msg.DeviceID]bool
+	// tm is the retransmit timer, armed with the task itself (Fire).
+	tm   sim.Timer
+	done bool
+}
+
+// keyGate serializes a key's mutations: one task in flight, later ones
+// wait. Per-key FIFO order is what makes the backup's watermark fencing
+// equivalent to "newest write wins".
+type keyGate struct {
+	cur   *writeTask
+	queue []*writeTask
+}
+
+// watermark fences replicated applies: a backup applies a Replicate iff
+// its (epoch, seq) exceeds the key's watermark (R2).
+type watermark struct {
+	epoch uint32
+	seq   uint64
+}
+
+// before reports whether w orders strictly before (epoch, seq).
+func (w watermark) before(epoch uint32, seq uint64) bool {
+	return epoch > w.epoch || (epoch == w.epoch && seq > w.seq)
+}
+
+// servePrimary executes one op this machine owns: reads hit the local
+// shard directly; mutations enter the key's replication pipeline. With
+// leases enabled, both paths are fenced — reads as well as writes,
+// because a stale read from a deposed primary is just as nonlinearizable
+// as a divergent write — behind the machine lease and the key's
+// takeover fence, and every refusal is typed (StatusFenced), never a
+// silent divergence.
+func (p *replicator) servePrimary(req kvs.Request, rep smartnic.Replier) {
+	if !p.lease.valid() || p.lease.fences(req.Key) {
+		p.v.stats.LeaseFenced++
+		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
+		return
+	}
+	if req.Op != kvs.OpPut && req.Op != kvs.OpDelete {
+		p.v.store.Serve(req, rep)
+		return
+	}
+	p.enqueue(&writeTask{req: req, rep: rep})
+}
+
+func (p *replicator) enqueue(t *writeTask) {
+	t.p = p
+	g := p.gates[t.req.Key]
+	if g == nil {
+		g = &keyGate{}
+		p.gates[t.req.Key] = g
+	}
+	if g.cur == nil {
+		g.cur = t
+		p.startTask(t)
+		return
+	}
+	// Bounded pipeline: refuse a client write rather than queue without
+	// limit. A sync task carries no client and comes at most once per
+	// owned key per view or ring change, and a staged ring's transfer
+	// counts on its transfer tasks finishing, so those always queue.
+	if len(g.queue) >= DefaultWriteBound && !t.sync {
+		p.v.stats.Shed++
+		t.rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusShed}))
+		return
+	}
+	g.queue = append(g.queue, t)
+}
+
+func (p *replicator) startTask(t *writeTask) {
+	if p.v.halted {
+		return
+	}
+	// A sync task reads the key's current value under the gate, so no
+	// later client write can be overtaken by a stale sync.
+	p.v.store.Serve(t.req, t)
+}
+
+// Reply is the store's answer to the task's local step: the read of a
+// sync task, the local apply of any other.
+func (t *writeTask) Reply(b []byte) {
+	p := t.p
+	resp, err := kvs.DecodeResponse(b)
+	switch {
+	case !t.sync && (err != nil || resp.Status != kvs.StatusOK):
+		// Local apply failed (shed, unavailable, IO error): the client
+		// hears the truth and nothing was replicated.
+		t.rep.Reply(b)
+		p.finishTask(t)
+	case !t.sync:
+		t.resp = b
+		p.replicate(t)
+	case err != nil || resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable:
+		p.finishTask(t) // shard unreadable; a later view change retries
+	case resp.Status == kvs.StatusNotFound:
+		t.req.Op = kvs.OpDelete
+		p.replicate(t)
+	default:
+		t.req.Op, t.req.Value = kvs.OpPut, resp.Value
+		p.replicate(t)
+	}
+}
+
+// replicate sends the task's mutation to every replication target and
+// acks the client only when all of them acked (R1). The target set is
+// recomputed under the live view on every attempt, so dead backups
+// drop out; with no live target left the primary is the shard's sole
+// owner and acks alone.
+func (p *replicator) replicate(t *writeTask) {
+	v := p.v
+	if v.halted || t.done {
+		return
+	}
+	t.targets = t.targets[:0]
+	for _, id := range v.repTargets(t.req.Key) {
+		if !t.acked[id] {
+			t.targets = append(t.targets, id)
+		}
+	}
+	if len(t.targets) == 0 {
+		if len(t.acked) == 0 {
+			v.stats.SoloAcks++
+		}
+		p.ackTask(t)
+		return
+	}
+	if t.seq == 0 {
+		p.repSeq++
+		t.seq = p.repSeq
+		p.inflight[t.seq] = t
+	}
+	p.rep = msg.Replicate{Epoch: v.epoch, Seq: t.seq, Del: t.req.Op == kvs.OpDelete, Sync: t.sync, Key: t.req.Key, Value: t.req.Value}
+	for _, b := range t.targets {
+		v.send(b, &p.rep)
+	}
+	t.tm.Arm(v.eng, DefaultRepRetry, t)
+}
+
+// Fire is the retransmit timer: not every target acked within DefaultRepRetry.
+// Retransmit under the current view — a backup may have changed or
+// vanished since the last attempt.
+func (t *writeTask) Fire() { t.p.replicate(t) }
+
+func (p *replicator) onReplicate(src msg.DeviceID, m *msg.Replicate) {
+	if !p.wm[m.Key].before(m.Epoch, m.Seq) {
+		// Already applied (or superseded): re-ack so a lost ack cannot
+		// wedge the primary, but never re-apply (R2).
+		p.v.stats.RepFenced++
+		p.sendAck(src, m.Seq, true)
+		return
+	}
+	apply := kvs.Request{Op: kvs.OpPut, Key: m.Key, Value: m.Value}
+	if m.Del {
+		apply = kvs.Request{Op: kvs.OpDelete, Key: m.Key}
+	}
+	p.v.store.Serve(apply, &applied{p: p, src: src, key: m.Key, epoch: m.Epoch, seq: m.Seq})
+}
+
+// applied is a Replicate this machine applies as a backup: the store's
+// answer moves the key's watermark and acks the primary.
+type applied struct {
+	p     *replicator
+	src   msg.DeviceID
+	key   string
+	epoch uint32
+	seq   uint64
+}
+
+func (a *applied) Reply(b []byte) {
+	p := a.p
+	if p.v.halted {
+		return
+	}
+	resp, err := kvs.DecodeResponse(b)
+	// Deleting an absent key converges to the same state; only real
+	// failures (IO error, unavailable) withhold the ack.
+	ok := err == nil && (resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound)
+	if ok {
+		p.v.stats.Applies++
+		if p.wm[a.key].before(a.epoch, a.seq) {
+			p.wm[a.key] = watermark{epoch: a.epoch, seq: a.seq}
+		}
+	}
+	p.sendAck(a.src, a.seq, ok)
+}
+
+func (p *replicator) sendAck(to msg.DeviceID, seq uint64, ok bool) {
+	p.ack = msg.ReplicateAck{Seq: seq, OK: ok, Epoch: p.v.epoch, Dead: p.v.deadSorted}
+	p.v.send(to, &p.ack)
+}
+
+// onReplicateAck counts a backup's ack. The hub has merged the ack's
+// dead set into the view first.
+func (p *replicator) onReplicateAck(src msg.DeviceID, m *msg.ReplicateAck) {
+	t := p.inflight[m.Seq]
+	if t == nil || !m.OK {
+		return // stale ack, or a failed apply the retransmit timer retries
+	}
+	if t.acked == nil {
+		t.acked = make(map[msg.DeviceID]bool)
+	}
+	t.acked[src] = true
+	// The client is acked only when every CURRENT target acked: targets
+	// are recomputed under the live view, so acks from since-dead (or
+	// since-replaced) backups never complete a task on their own.
+	for _, id := range p.v.repTargets(t.req.Key) {
+		if !t.acked[id] {
+			return
+		}
+	}
+	delete(p.inflight, m.Seq)
+	p.ackTask(t)
+}
+
+// ackTask completes a task: client ack (writes only reach here with the
+// mutation durable on every live owner) and pipeline advance.
+func (p *replicator) ackTask(t *writeTask) {
+	if t.done {
+		return
+	}
+	if t.rep != nil {
+		resp := t.resp
+		if resp == nil {
+			resp = kvs.EncodeResponse(kvs.Response{Status: kvs.StatusOK})
+		}
+		t.rep.Reply(resp)
+	}
+	p.finishTask(t)
+}
+
+// finishTask retires a task without touching the client and starts the
+// key's next queued mutation.
+func (p *replicator) finishTask(t *writeTask) {
+	if t.done {
+		return
+	}
+	t.done = true
+	t.tm.Stop()
+	delete(p.inflight, t.seq)
+	if t.xfer != nil {
+		p.tr.synced(t.xfer)
+	}
+	g := p.gates[t.req.Key]
+	if g == nil || g.cur != t {
+		return
+	}
+	if len(g.queue) == 0 {
+		delete(p.gates, t.req.Key)
+		return
+	}
+	g.cur = g.queue[0]
+	g.queue = g.queue[1:]
+	p.startTask(g.cur)
+}
+
+// resync re-replicates every key whose ownership this view change
+// handed to or re-based under this machine: promotion (the old primary
+// died) and backup replacement both funnel through here, keeping R3 —
+// every key reaches a full live replica set again.
+func (p *replicator) resync(prevDead map[msg.DeviceID]bool) {
+	v := p.v
+	for _, key := range v.store.KeyList() {
+		now := v.ring.Owners(key, v.dead, DefaultReplicas)
+		if len(now) == 0 || now[0] != v.id {
+			continue
+		}
+		was := v.ring.Owners(key, prevDead, DefaultReplicas)
+		if slices.Equal(was, now) {
+			continue
+		}
+		v.stats.Resyncs++
+		p.enqueue(&writeTask{req: kvs.Request{Op: kvs.OpGet, Key: key}, sync: true})
+	}
+}
+
+// keepOwned keeps a key after a ring adoption iff this machine still
+// owns it (any replica slot) or a task for it is in flight. Purging
+// strays matters for safety, not just space: a stale copy on a
+// non-owner could be served as truth if later deaths promote the
+// machine back into the key's owner set.
+func (p *replicator) keepOwned(key string) bool {
+	return p.gates[key] != nil || slices.Contains(p.v.owners(key), p.v.id)
+}
+
+// fresh reports whether the key's watermark was set at ring version ver
+// or later.
+func (p *replicator) fresh(key string, ver uint32) bool {
+	w, ok := p.wm[key]
+	return ok && w.epoch>>8 >= ver
+}
+
+// purge deletes the listed keys from the local store, skipping those
+// keep() wants, one at a time in sorted order — each delete's answer
+// starts the next, so the sweep cannot overrun the store queue bound.
+// done (optional) fires when the sweep ends.
+func (p *replicator) purge(keys []string, keep func(string) bool, done func()) {
+	if p.v.halted {
+		return
+	}
+	for i, key := range keys {
+		if keep(key) {
+			continue
+		}
+		delete(p.wm, key)
+		p.v.stats.Strays++
+		rest := keys[i+1:]
+		p.v.store.Serve(kvs.Request{Op: kvs.OpDelete, Key: key}, smartnic.ReplyFunc(func([]byte) {
+			p.purge(rest, keep, done)
+		}))
+		return
+	}
+	if done != nil {
+		done()
+	}
+}

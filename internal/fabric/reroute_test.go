@@ -27,7 +27,7 @@ func TestWrongOwnerReroutesOnce(t *testing.T) {
 		}, kvs.StatusOK, 1, "o2"},
 		{"a ring commit makes the origin the owner", func(cl *Cluster, origin, _, _ msg.DeviceID) {
 			r := cl.Machine(origin).Router
-			r.applyRingConfig(origin, &msg.RingConfig{Ver: r.RingVer() + 1, Phase: msg.RingCommit, Members: []msg.DeviceID{origin}})
+			r.tr.apply(origin, &msg.RingConfig{Ver: r.RingVer() + 1, Phase: msg.RingCommit, Members: []msg.DeviceID{origin}})
 		}, kvs.StatusOK, 1, "origin"},
 		{"o2 refuses again", nil, kvs.StatusUnavailable, 2, ""},
 	} {
