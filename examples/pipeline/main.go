@@ -24,7 +24,10 @@ import (
 // chunk on the accelerator, and reports totals.
 type pipelineApp struct {
 	file    string
-	fileCli *smartnic.FileClient
+	fileCli smartnic.FileAPI
+	op      smartnic.FileOp
+	size    uint64
+	sized   bool
 	crcCli  *accel.Client
 	rleCli  *accel.Client
 	ready   int
@@ -40,7 +43,7 @@ type pipelineApp struct {
 func (a *pipelineApp) AppID() msg.AppID { return 1 }
 func (a *pipelineApp) Boot(rt *smartnic.Runtime) {
 	// Three Figure-2 sequences, one per service, all in PASID 1.
-	rt.OpenFile(core.ControlID, a.file, 0, 64, func(fc *smartnic.FileClient, err error) {
+	rt.OpenFile(smartnic.Decentralized, core.ControlID, a.file, 0, 64, func(fc smartnic.FileAPI, err error) {
 		a.collect(err, func() { a.fileCli = fc }, rt)
 	})
 	rt.OpenService(core.ControlID, "xform:crc32", 0, 32, func(c *smartnic.Connection, err error) {
@@ -65,19 +68,12 @@ func (a *pipelineApp) collect(err error, ok func(), rt *smartnic.Runtime) {
 func (a *pipelineApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
 func (a *pipelineApp) PeerFailed(msg.DeviceID)                   {}
 
-// run streams the file through the accelerator chunk by chunk.
-func (a *pipelineApp) run() {
-	a.fileCli.Stat(func(size uint64, err error) {
-		if err != nil {
-			a.Err, a.Done = err, true
-			return
-		}
-		a.step(0, size)
-	})
-}
+// run streams the file through the accelerator chunk by chunk: its Stat,
+// then one read at a time, each issued once the previous chunk is through.
+func (a *pipelineApp) run() { a.fileCli.StatOp(&a.op, a) }
 
-func (a *pipelineApp) step(off, size uint64) {
-	if off >= size {
+func (a *pipelineApp) step(off uint64) {
+	if off >= a.size {
 		a.Done = true
 		return
 	}
@@ -85,30 +81,40 @@ func (a *pipelineApp) step(off, size uint64) {
 	if n > 3000 {
 		n = 3000 // keep transform requests within the accel cell
 	}
-	if rem := size - off; uint64(n) > rem {
+	if rem := a.size - off; uint64(n) > rem {
 		n = int(rem)
 	}
-	a.fileCli.Read(off, n, func(chunk []byte, err error) {
+	a.fileCli.ReadOp(&a.op, off, n, a)
+}
+
+// FileDone takes the Stat's size, or a read's chunk through both
+// transforms.
+func (a *pipelineApp) FileDone(op *smartnic.FileOp, err error) {
+	if err != nil {
+		a.Err, a.Done = err, true
+		return
+	}
+	if !a.sized {
+		a.size, a.sized = op.Size, true
+		a.step(0)
+		return
+	}
+	chunk, off := op.Data, op.Off()
+	a.crcCli.Do(chunk, func(crc []byte, err error) {
 		if err != nil {
 			a.Err, a.Done = err, true
 			return
 		}
-		a.crcCli.Do(chunk, func(crc []byte, err error) {
+		a.CRCs = append(a.CRCs, uint32(crc[0])|uint32(crc[1])<<8|uint32(crc[2])<<16|uint32(crc[3])<<24)
+		a.rleCli.Do(chunk, func(compressed []byte, err error) {
 			if err != nil {
 				a.Err, a.Done = err, true
 				return
 			}
-			a.CRCs = append(a.CRCs, uint32(crc[0])|uint32(crc[1])<<8|uint32(crc[2])<<16|uint32(crc[3])<<24)
-			a.rleCli.Do(chunk, func(compressed []byte, err error) {
-				if err != nil {
-					a.Err, a.Done = err, true
-					return
-				}
-				a.Chunks++
-				a.InBytes += len(chunk)
-				a.OutBytes += len(compressed)
-				a.step(off+uint64(len(chunk)), size)
-			})
+			a.Chunks++
+			a.InBytes += len(chunk)
+			a.OutBytes += len(compressed)
+			a.step(off + uint64(len(chunk)))
 		})
 	})
 }

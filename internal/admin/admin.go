@@ -167,7 +167,7 @@ func (c *Console) Ready() bool { return c.ready }
 // Boot implements smartnic.App.
 func (c *Console) Boot(rt *smartnic.Runtime) {
 	c.rt = rt
-	rt.OpenFile(c.cfg.Memctrl, c.cfg.LogFile, c.cfg.LogToken, 32, func(f *smartnic.FileClient, err error) {
+	rt.OpenFile(smartnic.Decentralized, c.cfg.Memctrl, c.cfg.LogFile, c.cfg.LogToken, 32, func(f smartnic.FileAPI, err error) {
 		if err != nil {
 			return // console stays unavailable; operator sees StatusUnavailable
 		}
@@ -200,50 +200,16 @@ func (c *Console) ServeNetwork(payload []byte, reply func([]byte)) {
 	case OpPing:
 		c.Served++
 		reply(EncodeResponse(Response{Status: StatusOK}))
-	case OpStatLog:
+	case OpStatLog, OpTailLog:
 		if !c.ready {
 			reply(EncodeResponse(Response{Status: StatusUnavailable}))
 			return
 		}
-		c.log.Stat(func(size uint64, err error) {
-			if err != nil {
-				reply(EncodeResponse(Response{Status: StatusError}))
-				return
-			}
-			c.Served++
-			reply(EncodeResponse(Response{Status: StatusOK, Size: size}))
-		})
-	case OpTailLog:
-		if !c.ready {
-			reply(EncodeResponse(Response{Status: StatusUnavailable}))
-			return
+		l := &logRead{c: c, reply: reply}
+		if req.Op == OpTailLog {
+			l.n = uint64(req.N)
 		}
-		c.log.Stat(func(size uint64, err error) {
-			if err != nil {
-				reply(EncodeResponse(Response{Status: StatusError}))
-				return
-			}
-			n := uint64(req.N)
-			if max := uint64(c.log.MaxIO()); n > max {
-				n = max
-			}
-			if n > size {
-				n = size
-			}
-			if n == 0 {
-				c.Served++
-				reply(EncodeResponse(Response{Status: StatusOK, Size: size}))
-				return
-			}
-			c.log.Read(size-n, int(n), func(b []byte, err error) {
-				if err != nil {
-					reply(EncodeResponse(Response{Status: StatusError}))
-					return
-				}
-				c.Served++
-				reply(EncodeResponse(Response{Status: StatusOK, Size: size, Data: b}))
-			})
-		})
+		c.log.StatOp(&l.op, l)
 	case OpUpload:
 		if c.cfg.Loader == 0 {
 			reply(EncodeResponse(Response{Status: StatusError}))
@@ -262,4 +228,32 @@ func (c *Console) ServeNetwork(payload []byte, reply func([]byte)) {
 	default:
 		reply(EncodeResponse(Response{Status: StatusError}))
 	}
+}
+
+// logRead is one StatLog or TailLog: the log's Stat, then for a tail a read
+// of its last n bytes. It keeps the Stat's size for the reply, since a read
+// reports the size at its completion.
+type logRead struct {
+	c       *Console
+	op      smartnic.FileOp
+	n, size uint64
+	reading bool
+	reply   func([]byte)
+}
+
+func (l *logRead) FileDone(op *smartnic.FileOp, err error) {
+	if err != nil {
+		l.reply(EncodeResponse(Response{Status: StatusError}))
+		return
+	}
+	if !l.reading {
+		l.size = op.Size
+		if n := min(l.n, uint64(l.c.log.MaxIO()), l.size); n > 0 {
+			l.reading = true
+			l.c.log.ReadOp(op, l.size-n, int(n), l)
+			return
+		}
+	}
+	l.c.Served++
+	l.reply(EncodeResponse(Response{Status: StatusOK, Size: l.size, Data: op.Data}))
 }

@@ -697,16 +697,42 @@ func (a *fileApp) Boot(rt *smartnic.Runtime)         { a.rt = rt }
 func (a *fileApp) ServeNetwork([]byte, func([]byte)) {}
 func (a *fileApp) PeerFailed(msg.DeviceID)           {}
 
-// In both kernel modes a close ends the session: the app's next open gets
-// a fresh one, and it serves.
+// fileStep is a FileCompletion that keeps what it was given.
+type fileStep struct {
+	calls int
+	err   error
+	size  uint64
+	data  []byte
+}
+
+func (st *fileStep) FileDone(op *smartnic.FileOp, err error) {
+	st.calls++
+	st.err, st.size, st.data = err, op.Size, op.Data
+}
+
+// fileOp issues one request through issue and runs the bed; the request
+// must complete once, without error.
+func (cb *centralbed) fileOp(t *testing.T, what string, issue func(*smartnic.FileOp, smartnic.FileCompletion)) *fileStep {
+	t.Helper()
+	st := &fileStep{}
+	issue(new(smartnic.FileOp), st)
+	cb.eng.Run()
+	if st.calls != 1 || st.err != nil {
+		t.Fatalf("%s: %d completions, err %v", what, st.calls, st.err)
+	}
+	return st
+}
+
+// Both kernel placements run one record sequence over the one open: stat,
+// write, read back, truncate, stat again, close. The close ends the
+// session: the app's next open gets a fresh one, and it serves.
 func TestKernelReopenAfterClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mode kvs.Mode
 	}{{"direct", kvs.ModeCentralDirect}, {"mediated", kvs.ModeCentralMediated}} {
-		mode := tc.mode
 		t.Run(tc.name, func(t *testing.T) {
-			cb := newCentralbed(t, mode)
+			cb := newCentralbed(t, tc.mode)
 			created := false
 			cb.ssd.FS().Create("probe.dat", func(_ *smartssd.File, err error) { created = err == nil })
 			cb.eng.Run()
@@ -719,12 +745,7 @@ func TestKernelReopenAfterClose(t *testing.T) {
 			open := func() (smartnic.FileAPI, uint32) {
 				var f smartnic.FileAPI
 				var err error
-				done := func(fa smartnic.FileAPI, e error) { f, err = fa, e }
-				if mode == kvs.ModeCentralDirect {
-					app.rt.OpenFileCentralDirect(cpuID, "probe.dat", 0, 16, done)
-				} else {
-					app.rt.OpenFileMediated(cpuID, "probe.dat", 0, done)
-				}
+				app.rt.OpenFile(tc.mode, cpuID, "probe.dat", 0, 16, func(fa smartnic.FileAPI, e error) { f, err = fa, e })
 				cb.eng.Run()
 				if err != nil || f == nil {
 					t.Fatalf("open: %v", err)
@@ -732,30 +753,44 @@ func TestKernelReopenAfterClose(t *testing.T) {
 				all := cb.cpu.sessions.All()
 				return f, all[len(all)-1].ID
 			}
-			f, first := open()
-			if fc, ok := f.(*smartnic.FileClient); ok {
-				fc.Conn.Close(func(err error) {
-					if err != nil {
-						t.Errorf("close: %v", err)
-					}
+			writeRead := func(f smartnic.FileAPI, data string) {
+				t.Helper()
+				cb.fileOp(t, "write", func(op *smartnic.FileOp, done smartnic.FileCompletion) {
+					copy(op.Payload(len(data)), data)
+					f.WriteOp(op, 0, done)
 				})
-			} else {
-				cb.nic.Device().Send(cpuID, &msg.CloseReq{Service: "mediated:probe.dat", ConnID: first, App: 50})
+				got := cb.fileOp(t, "read", func(op *smartnic.FileOp, done smartnic.FileCompletion) {
+					f.ReadOp(op, 0, len(data), done)
+				}).data
+				if string(got) != data {
+					t.Errorf("read back %q, want %q", got, data)
+				}
 			}
+			f, first := open()
+			if size := cb.fileOp(t, "stat", f.StatOp).size; size != 0 {
+				t.Errorf("a new file's stat = %d", size)
+			}
+			writeRead(f, "first")
+			cb.fileOp(t, "truncate", f.TruncateOp)
+			if size := cb.fileOp(t, "stat after truncate", f.StatOp).size; size != 0 {
+				t.Errorf("stat after truncate = %d, want 0", size)
+			}
+			closed := false
+			f.Close(func(err error) {
+				if err != nil {
+					t.Errorf("close: %v", err)
+				}
+				closed = true
+			})
 			cb.eng.Run()
+			if !closed {
+				t.Fatal("close did not complete")
+			}
 			f, second := open()
 			if second == first {
 				t.Fatalf("the reopen got closed session %d back", first)
 			}
-			var got []byte
-			var werr, rerr error
-			f.Write(0, []byte("fresh"), func(err error) { werr = err })
-			cb.eng.Run()
-			f.Read(0, 5, func(b []byte, err error) { got, rerr = b, err })
-			cb.eng.Run()
-			if werr != nil || rerr != nil || string(got) != "fresh" {
-				t.Errorf("the reopened session wrote (%v) and read %q (%v), want %q", werr, got, rerr, "fresh")
-			}
+			writeRead(f, "fresh")
 		})
 	}
 }

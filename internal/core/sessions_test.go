@@ -7,6 +7,7 @@ import (
 	"nocpu/internal/kvs"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
+	"nocpu/internal/smartnic"
 	"nocpu/internal/smartssd"
 )
 
@@ -147,5 +148,41 @@ func TestOpensOnTwoSSDsAtOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Both queue placements read the SSD's quote at the 128-entry ring it was
+// made for, so a file opened kernel-direct has the cells of one opened
+// decentralized at any ring size, and the two stores compare like for
+// like.
+func TestQueuePlacementsShareCellGeometry(t *testing.T) {
+	for _, entries := range []uint16{32, 64} {
+		maxIO := map[smartnic.Placement]int{}
+		for _, k := range []struct {
+			flavor Flavor
+			p      smartnic.Placement
+		}{{Decentralized, smartnic.Decentralized}, {Centralized, smartnic.KernelDirect}} {
+			s := bootSystem(t, Options{Flavor: k.flavor})
+			createOn(t, s, s.SSDs[0], "g.dat")
+			app := &regionApp{}
+			s.NIC().AddApp(app)
+			s.advance(sim.Millisecond)
+			done := false
+			app.rt.OpenFile(k.p, ControlID, "g.dat", 0, entries, func(f smartnic.FileAPI, err error) {
+				if err != nil {
+					t.Fatalf("%v open at %d entries: %v", k.flavor, entries, err)
+				}
+				maxIO[k.p], done = f.MaxIO(), true
+			})
+			for deadline := s.Eng.Now().Add(sim.Second); !done && s.Eng.Now() < deadline; {
+				s.advance(100 * sim.Microsecond)
+			}
+			if !done {
+				t.Fatalf("%v open at %d entries did not complete", k.flavor, entries)
+			}
+		}
+		if direct, dec := maxIO[smartnic.KernelDirect], maxIO[smartnic.Decentralized]; direct != dec {
+			t.Errorf("at %d entries: kernel-direct MaxIO %d, decentralized %d", entries, direct, dec)
+		}
 	}
 }

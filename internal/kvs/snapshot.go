@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"nocpu/internal/smartnic"
 )
 
 // Index snapshots: §4 recovery rebuilds the index by scanning the whole
@@ -113,79 +115,33 @@ func (s *Store) Snapshot(cb func(error)) {
 		cb(fmt.Errorf("kvs: snapshot unavailable"))
 		return
 	}
-	blob := encodeSnapshot(s.index, s.fileEnd)
-	s.snap.Truncate(func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		s.writeSnapChunks(blob, 0, cb)
-	})
+	w := &snapWrite{s: s, f: s.snap, blob: encodeSnapshot(s.index, s.fileEnd), done: cb}
+	w.f.TruncateOp(&w.op, w)
 }
 
-func (s *Store) writeSnapChunks(blob []byte, off int, cb func(error)) {
-	if off >= len(blob) {
-		s.stats.Snapshots++
-		cb(nil)
-		return
-	}
-	n := s.snap.MaxIO()
-	if off+n > len(blob) {
-		n = len(blob) - off
-	}
-	s.snap.Write(uint64(off), blob[off:off+n], func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		s.writeSnapChunks(blob, off+n, cb)
-	})
+// snapWrite is one snapshot written out: the file's Truncate, then its
+// chunks in order, each issued by the previous one's completion.
+type snapWrite struct {
+	s    *Store
+	f    smartnic.FileAPI
+	op   smartnic.FileOp
+	blob []byte
+	off  int // of the next chunk
+	done func(error)
 }
 
-// loadSnapshot tries to seed the index from the snapshot file; returns
-// the scan start (watermark) or 0 for a full scan.
-func (s *Store) loadSnapshot(cb func(start uint64)) {
-	if s.snap == nil {
-		cb(0)
+func (w *snapWrite) FileDone(op *smartnic.FileOp, err error) {
+	if err != nil {
+		w.done(err)
 		return
 	}
-	s.snap.Stat(func(size uint64, err error) {
-		if err != nil || size == 0 {
-			cb(0)
-			return
-		}
-		s.readSnapChunks(make([]byte, 0, size), 0, size, func(blob []byte, err error) {
-			if err != nil {
-				cb(0)
-				return
-			}
-			idx, watermark, derr := decodeSnapshot(blob)
-			if derr != nil {
-				// Torn or stale-format snapshot: full scan.
-				cb(0)
-				return
-			}
-			s.index = idx
-			s.stats.SnapshotRestores++
-			cb(watermark)
-		})
-	})
-}
-
-func (s *Store) readSnapChunks(acc []byte, off, size uint64, cb func([]byte, error)) {
-	if off >= size {
-		cb(acc, nil)
+	if w.off >= len(w.blob) {
+		w.s.stats.Snapshots++
+		w.done(nil)
 		return
 	}
-	n := s.snap.MaxIO()
-	if rem := size - off; uint64(n) > rem {
-		n = int(rem)
-	}
-	s.snap.Read(off, n, func(b []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		s.readSnapChunks(append(acc, b...), off+uint64(len(b)), size, cb)
-	})
+	n := min(w.f.MaxIO(), len(w.blob)-w.off)
+	copy(op.Payload(n), w.blob[w.off:])
+	w.off += n
+	w.f.WriteOp(op, uint64(w.off-n), w)
 }

@@ -11,20 +11,21 @@ import (
 	"nocpu/internal/tenant"
 )
 
-// Mode selects which machine's control/data planes the store uses.
-type Mode uint8
+// Mode is where the store's file open runs and its I/O goes: smartnic's
+// placement, under the store's own names.
+type Mode = smartnic.Placement
 
 // Store modes.
 const (
 	// ModeDecentralized is the paper's machine: bus discovery, memory
 	// controller authorization, peer-to-peer virtqueue.
-	ModeDecentralized Mode = iota
+	ModeDecentralized = smartnic.Decentralized
 	// ModeCentralDirect is the Omni-X-style baseline: kernel-mediated
 	// setup (syscalls to the CPU), peer-to-peer data plane.
-	ModeCentralDirect
+	ModeCentralDirect = smartnic.KernelDirect
 	// ModeCentralMediated is the traditional stack: every file I/O is a
 	// syscall through the kernel.
-	ModeCentralMediated
+	ModeCentralMediated = smartnic.KernelMediated
 )
 
 // Config parameterizes a Store.
@@ -217,7 +218,7 @@ func (s *Store) Boot(rt *smartnic.Runtime) {
 }
 
 func (s *Store) connect() {
-	done := func(fc smartnic.FileAPI, err error) {
+	s.rt.OpenFile(s.cfg.Mode, s.cfg.Control, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, func(fc smartnic.FileAPI, err error) {
 		if err != nil {
 			if s.OnReady != nil {
 				s.OnReady(fmt.Errorf("kvs: connect: %w", err))
@@ -225,68 +226,44 @@ func (s *Store) connect() {
 			s.scheduleReconnect()
 			return
 		}
-		s.fc = fc
-		s.openSnapshot(func() {
-			s.finishConnect()
-		})
-	}
-	s.dispatchOpen(done)
-}
-
-// dispatchOpen issues the mode-appropriate open for the data file.
-func (s *Store) dispatchOpen(done func(fc smartnic.FileAPI, err error)) {
-	tune := func(fc smartnic.FileAPI, err error) {
-		if err == nil && s.cfg.KickBatch > 1 {
-			if pc, ok := fc.(*smartnic.FileClient); ok {
-				pc.Conn.Queue.KickBatch = s.cfg.KickBatch
-			}
+		if pc, ok := fc.(*smartnic.FileClient); ok && s.cfg.KickBatch > 1 {
+			pc.Conn.Queue.KickBatch = s.cfg.KickBatch
 		}
-		done(fc, err)
-	}
-	switch s.cfg.Mode {
-	case ModeCentralDirect:
-		s.rt.OpenFileCentralDirect(s.cfg.Control, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, tune)
-	case ModeCentralMediated:
-		s.rt.OpenFileMediated(s.cfg.Control, s.cfg.FileName, s.cfg.Token, tune)
-	default:
-		s.rt.OpenFile(s.cfg.Control, s.cfg.FileName, s.cfg.Token, s.cfg.QueueEntries, func(fc *smartnic.FileClient, err error) {
-			tune(fc, err)
-		})
-	}
+		s.fc = fc
+		s.openSnapshot()
+	})
 }
 
 // openSnapshot opens (creating if needed) the snapshot file when
-// configured, on a decentralized store only.
-func (s *Store) openSnapshot(next func()) {
+// configured, on a decentralized store only, then recovers.
+func (s *Store) openSnapshot() {
 	if s.cfg.SnapshotFile == "" || s.cfg.Mode != ModeDecentralized || s.snap != nil {
-		next()
+		s.recover()
 		return
 	}
-	s.rt.OpenFileCreate(s.cfg.Control, s.cfg.SnapshotFile, s.cfg.Token, 16, func(fc *smartnic.FileClient, err error) {
+	s.rt.OpenFileCreate(s.cfg.Control, s.cfg.SnapshotFile, s.cfg.Token, 16, func(fc smartnic.FileAPI, err error) {
 		if err == nil {
 			s.snap = fc
 		}
 		// Snapshot is an accelerator: failure to open it degrades to
 		// full-scan recovery, never to an error.
-		next()
+		s.recover()
 	})
 }
 
-// finishConnect recovers the index and marks the store serving.
-func (s *Store) finishConnect() {
-	s.recover(func(err error) {
-		if err != nil {
-			if s.OnReady != nil {
-				s.OnReady(fmt.Errorf("kvs: recovery: %w", err))
-			}
-			s.scheduleReconnect()
-			return
-		}
-		s.ready = true
+// recovered marks the store serving once recovery is done.
+func (s *Store) recovered(err error) {
+	if err != nil {
 		if s.OnReady != nil {
-			s.OnReady(nil)
+			s.OnReady(fmt.Errorf("kvs: recovery: %w", err))
 		}
-	})
+		s.scheduleReconnect()
+		return
+	}
+	s.ready = true
+	if s.OnReady != nil {
+		s.OnReady(nil)
+	}
 }
 
 func (s *Store) scheduleReconnect() {
@@ -328,73 +305,104 @@ func (s *Store) PeerFailed(dev msg.DeviceID) {
 // recover rebuilds the index: seed from the snapshot when one is valid,
 // then scan the log (all of it, or just the suffix past the snapshot's
 // watermark).
-func (s *Store) recover(cb func(error)) {
+func (s *Store) recover() {
 	s.index = make(map[string]loc)
 	s.fileEnd = 0
 	if s.cache != nil {
 		s.cache.clear()
 	}
-	s.loadSnapshot(func(start uint64) {
-		s.fc.Stat(func(size uint64, err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			if start > size {
-				// Snapshot is ahead of the log (log truncated?): distrust
-				// it entirely.
-				s.index = make(map[string]loc)
-				start = 0
-			}
-			s.scanChunk(start, size, nil, cb)
-		})
-	})
-}
-
-// scanChunk reads forward through [off, size), carrying partial-record
-// bytes between reads.
-func (s *Store) scanChunk(off, size uint64, carry []byte, cb func(error)) {
-	// Consume complete records from carry.
-	for {
-		m, ok := parseRecordHeader(carry)
-		if !ok || len(carry) < m.totalLen() {
-			break
-		}
-		key := string(carry[recordHeader : recordHeader+m.keyLen])
-		consumed := uint64(m.totalLen())
-		valOff := off - uint64(len(carry)) + recordHeader + uint64(m.keyLen)
-		if m.del {
-			delete(s.index, key)
-		} else {
-			s.index[key] = loc{off: valOff, n: uint32(m.valLen)}
-		}
-		s.stats.RecoveredRecords++
-		carry = carry[consumed:]
-	}
-	if off >= size {
-		if len(carry) != 0 {
-			cb(fmt.Errorf("kvs: %d trailing bytes in log (torn write?)", len(carry)))
-			return
-		}
-		s.fileEnd = size
-		cb(nil)
+	r := &recovery{s: s, log: s.fc}
+	if s.snap == nil {
+		r.stat(r.log, 0)
 		return
 	}
-	n := s.fc.MaxIO()
-	if rem := size - off; uint64(n) > rem {
-		n = int(rem)
+	r.stat(s.snap, 0)
+}
+
+// recovery is one index rebuild, the completion of every file op it issues
+// in turn: the snapshot's Stat and chunks when a snapshot is open, then the
+// log's. A snapshot that fails or does not decode leaves a full scan.
+type recovery struct {
+	s     *Store
+	op    smartnic.FileOp
+	log   smartnic.FileAPI // the data file recovery started on
+	f     smartnic.FileAPI // the file being read: the snapshot, then log
+	sized bool             // f's Stat has answered
+	size  uint64           // f's
+	off   uint64           // of f's next read
+	buf   []byte           // the snapshot so far, or the log's partial record
+}
+
+// stat starts on f, whose reading begins at off.
+func (r *recovery) stat(f smartnic.FileAPI, off uint64) {
+	r.f, r.sized, r.off, r.buf = f, false, off, nil
+	f.StatOp(&r.op, r)
+}
+
+func (r *recovery) FileDone(op *smartnic.FileOp, err error) {
+	s := r.s
+	if err == nil && r.sized && len(op.Data) == 0 {
+		err = fmt.Errorf("kvs: empty read during recovery at %d", r.off)
 	}
-	s.fc.Read(off, n, func(b []byte, err error) {
-		if err != nil {
-			cb(err)
+	switch {
+	case err != nil && r.f != r.log:
+		r.stat(r.log, 0) // the snapshot failed: scan the whole log
+		return
+	case err != nil:
+		s.recovered(err)
+		return
+	case !r.sized:
+		r.sized, r.size = true, op.Size
+		if r.off > r.size {
+			// Snapshot is ahead of the log (log truncated?): distrust it
+			// entirely.
+			s.index, r.off = make(map[string]loc), 0
+		}
+	default:
+		r.off += uint64(len(op.Data))
+		r.buf = append(r.buf, op.Data...)
+	}
+	if r.f == r.log {
+		r.scan()
+	}
+	if r.off < r.size {
+		r.f.ReadOp(&r.op, r.off, int(min(uint64(r.f.MaxIO()), r.size-r.off)), r)
+		return
+	}
+	switch {
+	case r.f != r.log:
+		start := uint64(0)
+		if idx, watermark, derr := decodeSnapshot(r.buf); derr == nil {
+			s.index, start = idx, watermark
+			s.stats.SnapshotRestores++
+		}
+		r.stat(r.log, start)
+	case len(r.buf) != 0:
+		s.recovered(fmt.Errorf("kvs: %d trailing bytes in log (torn write?)", len(r.buf)))
+	default:
+		s.fileEnd = r.size
+		s.recovered(nil)
+	}
+}
+
+// scan indexes the complete records the log's bytes so far hold, keeping
+// a partial one for the next read.
+func (r *recovery) scan() {
+	for {
+		m, ok := parseRecordHeader(r.buf)
+		if !ok || len(r.buf) < m.totalLen() {
 			return
 		}
-		if len(b) == 0 {
-			cb(fmt.Errorf("kvs: empty read during recovery at %d", off))
-			return
+		key := string(r.buf[recordHeader : recordHeader+m.keyLen])
+		if m.del {
+			delete(r.s.index, key)
+		} else {
+			valOff := r.off - uint64(len(r.buf)) + recordHeader + uint64(m.keyLen)
+			r.s.index[key] = loc{off: valOff, n: uint32(m.valLen)}
 		}
-		s.scanChunk(off+uint64(len(b)), size, append(carry, b...), cb)
-	})
+		r.s.stats.RecoveredRecords++
+		r.buf = r.buf[m.totalLen():]
+	}
 }
 
 // ShedResponse implements smartnic.Shedder: the reply the NIC sends on

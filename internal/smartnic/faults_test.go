@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"nocpu/internal/faultinject"
+	"nocpu/internal/interconnect"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartssd"
@@ -92,9 +94,9 @@ func newMachineWithSSD(t *testing.T, ssdCfg smartssd.Config) *machine {
 func TestBrokenFlashSurfacesIOErrors(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", []byte("some data on flash"))
-	var fc *FileClient
+	var fc FileAPI
 	m.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "kv.dat", 0, 32, func(c *FileClient, err error) {
+		rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(c FileAPI, err error) {
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return
@@ -108,19 +110,65 @@ func TestBrokenFlashSurfacesIOErrors(t *testing.T) {
 	}
 	// Break the NAND: reads must come back as IO errors, not hangs.
 	m.ssd.BreakFlash()
-	var gotErr error
-	fc.Read(0, 10, func(b []byte, err error) { gotErr = err })
-	m.eng.Run()
+	_, gotErr := fileRead(t, m, fc, 0, 10)
 	if gotErr == nil {
 		t.Fatal("read from broken flash succeeded")
 	}
 	// Repair: service resumes on the same connection.
 	m.ssd.RepairFlash()
-	var got []byte
-	fc.Read(0, 4, func(b []byte, err error) { got = b; gotErr = err })
-	m.eng.Run()
+	got, gotErr := fileRead(t, m, fc, 0, 4)
 	if gotErr != nil || !bytes.Equal(got, []byte("some")) {
 		t.Fatalf("post-repair read: %q, %v", got, gotErr)
+	}
+}
+
+// A failed open gives back what it took. With every GrantReq dropped the
+// open fails after allocating its queue region; with every ConnectReq
+// dropped, after building its driver too. Either way the region goes back
+// to the controller, and the driver's response doorbell reaches no driver.
+func TestFailedOpenGivesBackWhatItTook(t *testing.T) {
+	for _, tc := range []struct {
+		kind  msg.Kind
+		bells int // doorbells the open allocated before it failed
+	}{{msg.KindGrantReq, 0}, {msg.KindConnectReq, 1}} {
+		kind := tc.kind
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newMachine(t)
+			m.createFile(t, "kv.dat", []byte("x"))
+			plane := faultinject.New(3)
+			m.bus.SetFaultPlane(plane)
+			plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: kind, Op: faultinject.Drop})
+			live := m.mc.Stats().BytesLive
+			// Doorbells are numbered in order: the open's lie between two
+			// the test takes.
+			probe := func(uint64) {}
+			first := m.fab.AllocDoorbell(probe)
+			var openErr error
+			m.nic.AddApp(&testApp{id: 7, onBoot: func(rt *Runtime) {
+				rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(_ FileAPI, err error) { openErr = err })
+			}})
+			m.eng.Run()
+			if openErr == nil || !strings.Contains(openErr.Error(), "timed out") {
+				t.Fatalf("open with every %v dropped: err %v", kind, openErr)
+			}
+			if got := m.mc.Stats().BytesLive; got != live {
+				t.Errorf("memctrl BytesLive = %d after the failed open, want %d", got, live)
+			}
+			last := m.fab.AllocDoorbell(probe)
+			if built := int(last - first - 1); built != tc.bells {
+				t.Fatalf("the open allocated %d doorbells, want %d", built, tc.bells)
+			}
+			for bell := first + 1; bell < last; bell++ {
+				func(bell interconnect.DoorbellAddr) {
+					defer func() {
+						if recover() != nil {
+							t.Errorf("doorbell %d still reaches the failed open's driver", bell)
+						}
+					}()
+					m.fab.RegisterDoorbell(bell, probe)
+				}(bell)
+			}
+		})
 	}
 }
 
@@ -168,7 +216,7 @@ func TestNICFailureRebootsApps(t *testing.T) {
 	var lastErr error
 	m2.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) {
 		boots++
-		rt.OpenFile(mcID, "kv.dat", 0, 16, func(c *FileClient, err error) { lastErr = err })
+		rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 16, func(c FileAPI, err error) { lastErr = err })
 	}})
 	m2.eng.RunFor(5 * sim.Millisecond)
 	if boots != 1 || lastErr != nil {

@@ -8,42 +8,68 @@ import (
 	"nocpu/internal/smartssd"
 )
 
+// FileAPI is an open file, whatever its placement: the peer-to-peer
+// client (FileClient) or the kernel-mediated one (mediatedFile). A
+// request is a FileOp record its issuer owns, completed once.
+type FileAPI interface {
+	// ReadOp fetches n bytes at off (n bounded by MaxIO) into op.Data.
+	ReadOp(op *FileOp, off uint64, n int, done FileCompletion)
+	// WriteOp stores op's Payload at off.
+	WriteOp(op *FileOp, off uint64, done FileCompletion)
+	// StatOp reports the file size in op.Size.
+	StatOp(op *FileOp, done FileCompletion)
+	// TruncateOp empties the file.
+	TruncateOp(op *FileOp, done FileCompletion)
+	MaxIO() int
+	// Provider is the device serving the file (for failure tracking).
+	Provider() msg.DeviceID
+	// Fail aborts the connection, erroring out all in-flight requests —
+	// called when the owner learns the provider died.
+	Fail(err error)
+	// Close ends the session at its provider.
+	Close(cb func(error))
+}
+
+// fileIssuer is the half of a file connection that differs between the
+// peer-to-peer client and the kernel-mediated one.
+type fileIssuer interface {
+	issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion)
+}
+
+// fileCalls holds FileAPI's request methods, written once over issue.
+type fileCalls struct{ via fileIssuer }
+
+func (c fileCalls) ReadOp(op *FileOp, off uint64, n int, done FileCompletion) {
+	c.via.issue(op, smartssd.OpRead, off, n, done)
+}
+
+func (c fileCalls) WriteOp(op *FileOp, off uint64, done FileCompletion) {
+	c.via.issue(op, smartssd.OpWrite, off, 0, done)
+}
+
+func (c fileCalls) StatOp(op *FileOp, done FileCompletion) {
+	c.via.issue(op, smartssd.OpStat, 0, 0, done)
+}
+
+func (c fileCalls) TruncateOp(op *FileOp, done FileCompletion) {
+	c.via.issue(op, smartssd.OpTruncate, 0, 0, done)
+}
+
 // FileClient wraps a service Connection with the smart SSD's file
-// protocol, giving NIC applications typed file I/O over the virtqueue. A
-// request is a FileOp record; the callback methods come from fileCalls.
+// protocol, giving NIC applications typed file I/O over the virtqueue.
 type FileClient struct {
 	Conn *Connection
 	fileCalls
 }
 
-func newFileClient(c *Connection) *FileClient {
-	fc := &FileClient{Conn: c}
-	fc.via = fc
-	return fc
-}
+// Provider implements FileAPI.
+func (fc *FileClient) Provider() msg.DeviceID { return fc.Conn.Provider }
 
-// OpenFile runs the Figure-2 sequence for "file:<name>" and wraps the
-// resulting connection in a FileClient.
-func (rt *Runtime) OpenFile(memctrl msg.DeviceID, name string, token uint64, entries uint16, cb func(*FileClient, error)) {
-	rt.openFileQuery(memctrl, "file:"+name, token, entries, cb)
-}
+// Fail implements FileAPI: abort the virtqueue, failing pending requests.
+func (fc *FileClient) Fail(err error) { fc.Conn.Queue.Abort(err) }
 
-// OpenFileCreate is OpenFile but creates the file on the storage device
-// if it does not exist ("file+create:<name>" — used for app-private
-// files like index snapshots).
-func (rt *Runtime) OpenFileCreate(memctrl msg.DeviceID, name string, token uint64, entries uint16, cb func(*FileClient, error)) {
-	rt.openFileQuery(memctrl, "file+create:"+name, token, entries, cb)
-}
-
-func (rt *Runtime) openFileQuery(memctrl msg.DeviceID, query string, token uint64, entries uint16, cb func(*FileClient, error)) {
-	rt.OpenService(memctrl, query, token, entries, func(c *Connection, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(newFileClient(c), nil)
-	})
-}
+// Close implements FileAPI.
+func (fc *FileClient) Close(cb func(error)) { fc.Conn.Close(cb) }
 
 // MaxIO returns the largest read/write payload that fits one cell.
 func (fc *FileClient) MaxIO() int {
@@ -131,4 +157,66 @@ func (op *FileOp) RequestDone(b []byte, err error) {
 		}
 	}
 	op.finish(err)
+}
+
+// mediatedFile is the kernel-mediated FileAPI: every request is a
+// FileIOReq syscall.
+type mediatedFile struct {
+	rt      *Runtime
+	kernel  msg.DeviceID
+	service string
+	handle  uint32
+	maxIO   int
+	seq     uint32
+	dead    bool
+	fileCalls
+}
+
+func (m *mediatedFile) Provider() msg.DeviceID { return m.kernel }
+func (m *mediatedFile) MaxIO() int             { return m.maxIO }
+
+// Fail implements FileAPI: the kernel died, the handle it issued is gone,
+// and every subsequent syscall on it must fail fast so the owner reopens
+// through the rebooted kernel. In-flight calls drain on their own — the
+// revived kernel answers an unknown handle with StatusBadRequest.
+func (m *mediatedFile) Fail(err error) { m.dead = true }
+
+// Close implements FileAPI: the handle is dead from here on, and the
+// kernel forgets its session.
+func (m *mediatedFile) Close(cb func(error)) {
+	m.dead = true
+	m.rt.closeAt(m.kernel, m.service, m.handle, cb)
+}
+
+// issue sends the record as a FileIOReq syscall; the kernel bounds the
+// transfer itself.
+func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion) {
+	b := op.prepare(kind, off, n, done)
+	if m.dead {
+		op.finish(fmt.Errorf("smartnic: mediated handle %d is dead", m.handle))
+		return
+	}
+	m.seq++
+	// Safe to retransmit: the kernel deduplicates FileIOReq by (handle,
+	// seq) and replays the recorded response, so a lost FileIOResp does
+	// not re-apply a write.
+	req := &msg.FileIOReq{
+		App: m.rt.app, Handle: m.handle, Seq: m.seq,
+		Op: uint8(kind), Off: off, Len: uint32(n),
+	}
+	if len(b) > smartssd.ReqHeaderBytes {
+		req.Data = b[smartssd.ReqHeaderBytes:]
+	}
+	m.rt.nic.call(m.rt.Retry, m.kernel, req,
+		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.handle), sub: m.seq},
+		func(_ msg.DeviceID, resp msg.Message, err error) {
+			if err == nil {
+				if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {
+					err = fmt.Errorf("smartnic: mediated %v failed with status %d", kind, r.Status)
+				} else {
+					op.Size, op.Data = r.Size, r.Data
+				}
+			}
+			op.finish(err)
+		})
 }

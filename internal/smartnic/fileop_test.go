@@ -17,11 +17,11 @@ func openTestFile(t *testing.T, m *machine, app msg.AppID, name string, entries 
 	t.Helper()
 	var fc *FileClient
 	m.nic.AddApp(&testApp{id: app, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, name, 0, entries, func(c *FileClient, err error) {
+		rt.OpenFile(Decentralized, mcID, name, 0, entries, func(c FileAPI, err error) {
 			if err != nil {
 				t.Errorf("open: %v", err)
 			}
-			fc = c
+			fc, _ = c.(*FileClient)
 		})
 	}})
 	m.eng.Run()
@@ -51,6 +51,27 @@ func (r *fileRecorder) FileDone(op *FileOp, err error) {
 	}
 }
 
+// fileRead reads n bytes at off through f's record path and runs m until
+// the read has completed.
+func fileRead(t *testing.T, m *machine, f FileAPI, off uint64, n int) ([]byte, error) {
+	t.Helper()
+	rec := fileDo(t, m, func(op *FileOp, rec *fileRecorder) { f.ReadOp(op, off, n, rec) })
+	return rec.data[0], rec.errs[0]
+}
+
+// fileDo issues one record through issue and runs m; the request must
+// have completed once.
+func fileDo(t *testing.T, m *machine, issue func(op *FileOp, rec *fileRecorder)) *fileRecorder {
+	t.Helper()
+	rec := &fileRecorder{}
+	issue(new(FileOp), rec)
+	m.run()
+	if rec.calls != 1 {
+		t.Fatalf("file request completed %d times", rec.calls)
+	}
+	return rec
+}
+
 // A write whose offset wraps used to leave its descriptor pair waiting for
 // a done that never fired. Over a queue of one pair: the request completes
 // (refused, StatusBadRequest) and the pair serves the next one.
@@ -58,21 +79,19 @@ func TestWrappingWriteCompletesAndFreesThePair(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", []byte("seed"))
 	fc := openTestFile(t, m, 7, "kv.dat", 2)
-	var werr error
-	calls := 0
-	fc.Write(^uint64(0)-3, make([]byte, 10), func(err error) { calls++; werr = err })
+	w := &fileRecorder{}
+	var op FileOp
+	op.Payload(10)
+	fc.WriteOp(&op, ^uint64(0)-3, w)
 	m.eng.Run()
+	calls, werr := w.calls, w.errs[0]
 	if calls != 1 || werr == nil || !strings.Contains(werr.Error(), "status 1") {
 		t.Fatalf("%d completions, err %v, want one StatusBadRequest", calls, werr)
 	}
-	var got []byte
-	fc.Read(0, 4, func(b []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		got = b
-	})
-	m.eng.Run()
+	got, err := fileRead(t, m, fc, 0, 4)
+	if err != nil {
+		t.Error(err)
+	}
 	if string(got) != "seed" || fc.Conn.Queue.InFlight() != 0 || fc.Conn.Queue.Dead() {
 		t.Errorf("next request on the pair read %q (in flight %d)", got, fc.Conn.Queue.InFlight())
 	}

@@ -3,6 +3,7 @@ package smartnic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
@@ -171,13 +172,16 @@ func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byt
 }
 
 // open is §3 steps 3-4 against provider: a device's service, or the
-// kernel in the centralized baseline. cb receives the provider's verdict
-// as sent (OK or not), or the call's failure.
+// kernel in the centralized baseline. cb receives the provider's
+// acceptance, or its refusal or the call's failure as an error.
 func (rt *Runtime) open(provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
 	req := &msg.OpenReq{Service: service, App: rt.app, Token: token}
 	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			or, _ := resp.(*msg.OpenResp)
+			if err == nil && !or.OK {
+				err = errors.New(or.Reason)
+			}
 			cb(or, err)
 		})
 }
@@ -185,7 +189,7 @@ func (rt *Runtime) open(provider msg.DeviceID, service string, token uint64, cb 
 // connect builds the driver half of a queue over the shared region at
 // base, then programs the provider's half with it (§3 step 7b; the
 // driver comes first so the ConnectReq can carry the response doorbell).
-// An error names the step that failed.
+// A failed connect gives its doorbell back.
 func (rt *Runtime) connect(provider msg.DeviceID, service string, connID uint32, base uint64, entries uint16, cellSize int, cb func(*virtio.Driver, error)) {
 	n := rt.nic
 	layout := virtio.NewLayout(iommu.VirtAddr(base), entries, cellSize)
@@ -211,7 +215,8 @@ func (rt *Runtime) connect(provider msg.DeviceID, service string, connID uint32,
 				}
 			}
 			if err != nil {
-				cb(nil, fmt.Errorf("connect: %w", err))
+				drv.Quiesce()
+				cb(nil, err)
 				return
 			}
 			drv.SetRequestBell(bell)
@@ -230,6 +235,72 @@ type Connection struct {
 	Queue    *virtio.Driver
 }
 
+// Placement is where a file open runs and where its I/O goes. The same
+// client code runs all three, so an experiment compares the machines on
+// identical workloads.
+type Placement uint8
+
+// The placements.
+const (
+	// Decentralized is the paper's machine: bus discovery, memory
+	// controller authorization, peer-to-peer virtqueue.
+	Decentralized Placement = iota
+	// KernelDirect is the Omni-X-style baseline: the kernel's open maps
+	// the queue region, and the data plane stays peer-to-peer.
+	KernelDirect
+	// KernelMediated is the traditional stack: every file op is a
+	// syscall through the kernel.
+	KernelMediated
+)
+
+// OpenFile opens name at placement p through control: the memory
+// controller for Decentralized, the kernel otherwise. entries sizes a
+// peer-to-peer queue. A failed open's error reads
+// `smartnic: open "<service>": <stage>: …`, wrapping the cause.
+func (rt *Runtime) OpenFile(p Placement, control msg.DeviceID, name string, token uint64, entries uint16, cb func(FileAPI, error)) {
+	switch p {
+	case KernelMediated:
+		service := "mediated:" + name
+		rt.open(control, service, token, func(or *msg.OpenResp, err error) {
+			if err != nil {
+				cb(nil, openError(service, "open", err))
+				return
+			}
+			m := &mediatedFile{rt: rt, kernel: control, service: service, handle: or.ConnID, maxIO: int(or.SharedBytes)}
+			m.via = m
+			cb(m, nil)
+		})
+	case KernelDirect:
+		rt.openAt(0, control, "file:"+name, token, entries, fileConn(cb))
+	default:
+		rt.OpenService(control, "file:"+name, token, entries, fileConn(cb))
+	}
+}
+
+// OpenFileCreate is a decentralized OpenFile that creates the file on the
+// storage device if it does not exist ("file+create:<name>" — used for
+// app-private files like index snapshots).
+func (rt *Runtime) OpenFileCreate(memctrl msg.DeviceID, name string, token uint64, entries uint16, cb func(FileAPI, error)) {
+	rt.OpenService(memctrl, "file+create:"+name, token, entries, fileConn(cb))
+}
+
+// fileConn hands a queue placement's connection on as a FileClient.
+func fileConn(cb func(FileAPI, error)) func(*Connection, error) {
+	return func(c *Connection, err error) {
+		if err != nil {
+			cb(nil, err)
+			return
+		}
+		fc := &FileClient{Conn: c}
+		fc.via = fc
+		cb(fc, nil)
+	}
+}
+
+func openError(service, stage string, err error) error {
+	return fmt.Errorf("smartnic: open %q: %s: %w", service, stage, err)
+}
+
 // OpenService runs the complete Figure-2 sequence:
 //
 //  1. broadcast discovery of the query
@@ -243,55 +314,81 @@ type Connection struct {
 //
 // cb receives a live Connection whose Queue is ready for requests.
 func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64, entries uint16, cb func(*Connection, error)) {
-	fail := func(stage string, err error) {
-		cb(nil, fmt.Errorf("smartnic: open %q: %s: %w", query, stage, err))
-	}
 	// Step 1-2: discovery.
 	rt.Discover(query, func(provider msg.DeviceID, service string, err error) {
 		if err != nil {
-			fail("discover", err)
+			cb(nil, openError(query, "discover", err))
 			return
 		}
-		// Step 3-4: open.
-		rt.open(provider, service, token, func(or *msg.OpenResp, err error) {
-			if err == nil && !or.OK {
-				err = errors.New(or.Reason)
-			}
-			if err != nil {
-				fail("open", err)
-				return
-			}
-			// The provider quotes shared memory for a default 128-entry
-			// ring; scale for the ring size we actually want.
-			cellSize := virtio.CellSizeFromQuote(or.SharedBytes, 128)
-			lay := virtio.NewLayout(0, entries, cellSize)
-			shared := uint64(lay.DataVA) + uint64(lay.DataBytes())
-			// Step 5-6: allocate shared memory (bus maps our IOMMU).
-			rt.AllocShared(memctrl, shared, func(va uint64, err error) {
+		rt.openAt(memctrl, provider, service, token, entries, cb)
+	})
+}
+
+// openAt is Figure 2 from step 3 against provider: a device's service, or
+// the kernel. The provider's verdict decides the rest. One that carries a
+// Base is the kernel's: it mapped the queue region for the app, which
+// connects at once. Otherwise the app allocates the region through memctrl
+// and grants it to the provider first.
+func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token uint64, entries uint16, cb func(*Connection, error)) {
+	// The region the app allocated: a failed open frees it again, best
+	// effort like the rejoin sweep (the answer is not waited for).
+	var va, shared uint64
+	fail := func(stage string, err error) {
+		if va != 0 {
+			rt.Free(memctrl, va, shared, func(error) {})
+		}
+		cb(nil, openError(service, stage, err))
+	}
+	// Step 3-4: open.
+	rt.open(provider, service, token, func(or *msg.OpenResp, err error) {
+		if err != nil {
+			fail("open", err)
+			return
+		}
+		// Every provider quotes shared memory for a default 128-entry
+		// ring: its cells are what the quote holds at that size, whatever
+		// ring the app builds from them.
+		cellSize := virtio.CellSizeFromQuote(or.SharedBytes, 128)
+		// Step 7b: program the provider's queue.
+		connect := func(base, bytes uint64) {
+			rt.connect(provider, service, or.ConnID, base, entries, cellSize, func(drv *virtio.Driver, err error) {
 				if err != nil {
-					fail("alloc", err)
+					fail("connect", err)
 					return
 				}
-				// Step 7a: grant the region to the provider.
-				rt.Grant(va, shared, provider, func(err error) {
-					if err != nil {
-						fail("grant", err)
-						return
-					}
-					// Step 7b: program the provider's queue.
-					rt.connect(provider, service, or.ConnID, va, entries, cellSize, func(drv *virtio.Driver, err error) {
-						if err != nil {
-							cb(nil, fmt.Errorf("smartnic: open %q: %w", query, err))
-							return
-						}
-						conn := &Connection{
-							rt: rt, Provider: provider, Service: service,
-							ConnID: or.ConnID, VA: va, Bytes: shared, Queue: drv,
-						}
-						rt.conns = append(rt.conns, conn)
-						cb(conn, nil)
-					})
-				})
+				conn := &Connection{
+					rt: rt, Provider: provider, Service: service,
+					ConnID: or.ConnID, VA: base, Bytes: bytes, Queue: drv,
+				}
+				if va != 0 {
+					rt.conns = append(rt.conns, conn)
+				}
+				cb(conn, nil)
+			})
+		}
+		if or.Base != 0 {
+			// The kernel's region. Its connection stays out of rt.conns, so
+			// a NIC reset does not quiesce it: registering it moves the E15
+			// goldens, and waits for the one re-baseline.
+			connect(or.Base, or.SharedBytes)
+			return
+		}
+		lay := virtio.NewLayout(0, entries, cellSize)
+		size := uint64(lay.DataVA) + uint64(lay.DataBytes())
+		// Step 5-6: allocate shared memory (bus maps our IOMMU).
+		rt.AllocShared(memctrl, size, func(region uint64, err error) {
+			if err != nil {
+				fail("alloc", err)
+				return
+			}
+			va, shared = region, size
+			// Step 7a: grant the region to the provider.
+			rt.Grant(va, shared, provider, func(err error) {
+				if err != nil {
+					fail("grant", err)
+					return
+				}
+				connect(va, shared)
 			})
 		})
 	})
@@ -300,25 +397,24 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 // Close tears down the connection (service side and local doorbell). If
 // the provider is unreachable the local half is released regardless.
 func (c *Connection) Close(cb func(error)) {
-	n := c.rt.nic
-	req := &msg.CloseReq{Service: c.Service, ConnID: c.ConnID, App: c.rt.app}
-	n.call(c.rt.Retry, c.Provider, req, callKey{kind: msg.KindCloseResp, id: uint64(c.ConnID), sub: uint32(c.Provider)},
+	c.rt.closeAt(c.Provider, c.Service, c.ConnID, func(err error) {
+		c.rt.nic.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
+		// Off the crash-teardown list.
+		if i := slices.Index(c.rt.conns, c); i >= 0 {
+			c.rt.conns = slices.Delete(c.rt.conns, i, i+1)
+		}
+		cb(err)
+	})
+}
+
+// closeAt asks provider to end session id of service.
+func (rt *Runtime) closeAt(provider msg.DeviceID, service string, id uint32, cb func(error)) {
+	req := &msg.CloseReq{Service: service, ConnID: id, App: rt.app}
+	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindCloseResp, id: uint64(id), sub: uint32(provider)},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
-			n.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
-			c.rt.forgetConn(c)
 			if m, _ := resp.(*msg.CloseResp); err == nil && !m.OK {
 				err = fmt.Errorf("smartnic: close refused")
 			}
 			cb(err)
 		})
-}
-
-// forgetConn drops a closed connection from the crash-teardown list.
-func (rt *Runtime) forgetConn(c *Connection) {
-	for i, x := range rt.conns {
-		if x == c {
-			rt.conns = append(rt.conns[:i], rt.conns[i+1:]...)
-			return
-		}
-	}
 }

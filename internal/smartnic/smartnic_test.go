@@ -148,10 +148,10 @@ func TestFigure2OpenFileSequence(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", []byte("the last cpu's data"))
 
-	var fc *FileClient
+	var fc FileAPI
 	var openErr error
 	app := &testApp{id: 42, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "kv.dat", 0, 32, func(c *FileClient, err error) { fc, openErr = c, err })
+		rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(c FileAPI, err error) { fc, openErr = c, err })
 	}}
 	m.nic.AddApp(app)
 	m.eng.Run()
@@ -178,14 +178,10 @@ func TestFigure2OpenFileSequence(t *testing.T) {
 	}
 
 	// Data-plane round trip: read the file through the virtqueue.
-	var got []byte
-	fc.Read(0, 19, func(b []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		got = b
-	})
-	m.eng.Run()
+	got, err := fileRead(t, m, fc, 0, 19)
+	if err != nil {
+		t.Error(err)
+	}
 	if !bytes.Equal(got, []byte("the last cpu's data")) {
 		t.Fatalf("read = %q", got)
 	}
@@ -194,9 +190,9 @@ func TestFigure2OpenFileSequence(t *testing.T) {
 func TestFileWriteAppendStat(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", nil)
-	var fc *FileClient
+	var fc FileAPI
 	app := &testApp{id: 7, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "kv.dat", 0, 32, func(c *FileClient, err error) {
+		rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(c FileAPI, err error) {
 			if err != nil {
 				t.Errorf("open: %v", err)
 				return
@@ -210,33 +206,42 @@ func TestFileWriteAppendStat(t *testing.T) {
 		t.Fatal("no client")
 	}
 
-	var size uint64
-	fc.Append([]byte("record-1|"), func(s uint64, err error) {
-		if err != nil {
-			t.Error(err)
+	// Append has no FileAPI method: it is reached through the issue path
+	// both clients share.
+	pc := fc.(*FileClient)
+	rec := &fileRecorder{}
+	rec.onDone = func(op *FileOp) {
+		switch rec.calls {
+		case 1:
+			if rec.errs[0] != nil {
+				t.Error(rec.errs[0])
+			}
+			copy(op.Payload(9), "record-2|")
+			pc.issue(op, smartssd.OpAppend, 0, 0, rec)
+		case 2:
+			copy(op.Payload(6), "RECORD")
+			fc.WriteOp(op, 0, rec)
+		case 3:
+			if rec.errs[2] != nil {
+				t.Error(rec.errs[2])
+			}
 		}
-		fc.Append([]byte("record-2|"), func(s uint64, err error) {
-			size = s
-			fc.Write(0, []byte("RECORD"), func(err error) {
-				if err != nil {
-					t.Error(err)
-				}
-			})
-		})
-	})
+	}
+	var op FileOp
+	copy(op.Payload(9), "record-1|")
+	pc.issue(&op, smartssd.OpAppend, 0, 0, rec)
 	m.eng.Run()
-	if size != 18 {
+	if rec.calls != 3 {
+		t.Fatalf("%d of 3 requests completed", rec.calls)
+	}
+	if size := rec.sizes[1]; size != 18 {
 		t.Fatalf("size after appends = %d", size)
 	}
-	var got []byte
-	fc.Read(0, 18, func(b []byte, err error) { got = b })
-	m.eng.Run()
+	got, _ := fileRead(t, m, fc, 0, 18)
 	if string(got) != "RECORD-1|record-2|" {
 		t.Fatalf("contents = %q", got)
 	}
-	var statSize uint64
-	fc.Stat(func(s uint64, err error) { statSize = s })
-	m.eng.Run()
+	statSize := fileDo(t, m, func(op *FileOp, rec *fileRecorder) { fc.StatOp(op, rec) }).sizes[0]
 	if statSize != 18 {
 		t.Errorf("stat = %d", statSize)
 	}
@@ -247,7 +252,7 @@ func TestOpenUnknownFileFails(t *testing.T) {
 	var openErr error
 	app := &testApp{id: 7, onBoot: func(rt *Runtime) {
 		rt.DiscoverTimeout = 500 * sim.Microsecond
-		rt.OpenFile(mcID, "ghost.dat", 0, 32, func(c *FileClient, err error) { openErr = err })
+		rt.OpenFile(Decentralized, mcID, "ghost.dat", 0, 32, func(c FileAPI, err error) { openErr = err })
 	}}
 	m.nic.AddApp(app)
 	m.eng.Run()
@@ -261,7 +266,7 @@ func TestOpenWithWrongTokenRefused(t *testing.T) {
 	m.createFile(t, "secret.dat", []byte("classified"))
 	var openErr error
 	app := &testApp{id: 7, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "secret.dat", 0xBAD, 32, func(c *FileClient, err error) { openErr = err })
+		rt.OpenFile(Decentralized, mcID, "secret.dat", 0xBAD, 32, func(c FileAPI, err error) { openErr = err })
 	}}
 	m.nic.AddApp(app)
 	m.eng.Run()
@@ -269,9 +274,9 @@ func TestOpenWithWrongTokenRefused(t *testing.T) {
 		t.Fatalf("err = %v", openErr)
 	}
 	// Correct token succeeds.
-	var fc *FileClient
+	var fc FileAPI
 	app2 := &testApp{id: 8, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "secret.dat", 0xCAFE, 32, func(c *FileClient, err error) { fc = c })
+		rt.OpenFile(Decentralized, mcID, "secret.dat", 0xCAFE, 32, func(c FileAPI, err error) { fc = c })
 	}}
 	m.nic.AddApp(app2)
 	m.eng.Run()
@@ -321,21 +326,25 @@ func TestTwoAppsIsolatedAddressSpaces(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "a.dat", []byte("AAAA"))
 	m.createFile(t, "b.dat", []byte("BBBB"))
-	var fcA, fcB *FileClient
+	var fcA, fcB FileAPI
 	m.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "a.dat", 0, 16, func(c *FileClient, err error) { fcA = c })
+		rt.OpenFile(Decentralized, mcID, "a.dat", 0, 16, func(c FileAPI, err error) { fcA = c })
 	}})
 	m.nic.AddApp(&testApp{id: 2, onBoot: func(rt *Runtime) {
-		rt.OpenFile(mcID, "b.dat", 0, 16, func(c *FileClient, err error) { fcB = c })
+		rt.OpenFile(Decentralized, mcID, "b.dat", 0, 16, func(c FileAPI, err error) { fcB = c })
 	}})
 	m.eng.Run()
 	if fcA == nil || fcB == nil {
 		t.Fatal("opens failed")
 	}
-	var gotA, gotB []byte
-	fcA.Read(0, 4, func(b []byte, err error) { gotA = b })
-	fcB.Read(0, 4, func(b []byte, err error) { gotB = b })
+	recA, recB := &fileRecorder{}, &fileRecorder{}
+	fcA.ReadOp(new(FileOp), 0, 4, recA)
+	fcB.ReadOp(new(FileOp), 0, 4, recB)
 	m.eng.Run()
+	if recA.calls != 1 || recB.calls != 1 {
+		t.Fatalf("reads completed %d and %d times", recA.calls, recB.calls)
+	}
+	gotA, gotB := recA.data[0], recB.data[0]
 	if string(gotA) != "AAAA" || string(gotB) != "BBBB" {
 		t.Fatalf("cross-talk: a=%q b=%q", gotA, gotB)
 	}
