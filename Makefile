@@ -12,11 +12,12 @@
 # `make allocs` prints what every allocation guard measured.
 # `make lines` prints the non-test line counts the ROADMAP's line budgets
 # are stated in; quote a budget from it and from nothing else.
+# `make funcs` lists every struct field of func type with its role.
 # `make reach` lists the functions only tests reach.
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines reach
+.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines funcs reach
 
 build:
 	$(GO) build ./...
@@ -173,6 +174,13 @@ lines:
 	printf '%-42s %6d\n' 'lint+cmd/nocpu-lint' $$(count internal/lint cmd/nocpu-lint); \
 	printf '%-42s %6d\n' 'exp+chaos+overload+faultinject+netsim' $$(count internal/exp internal/chaos internal/overload internal/faultinject internal/netsim); \
 	printf '%-42s %6d\n' 'internal/+cmd/' $$(count internal cmd)
+
+# Every struct field of func type outside internal/lint, with its role
+# from DESIGN.md's "What still holds a func" table, and the library's and
+# the experiment harness's counts. The census test (plain `go test` runs
+# it too) fails on a field the table does not list, or a listed one gone.
+funcs:
+	$(GO) test -count=1 -run '^TestFuncFieldCensus$$' -v ./internal/lint
 
 # The functions of internal/ (the linter aside) that only tests reach: at
 # 0.0% both in the table goldens and examples and in the benchmark's own

@@ -105,13 +105,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		return nil, err
 	}
 	a := &Accel{dev: d, cfg: cfg, eng: eng, pool: sim.NewPool(eng, engines)}
-	svc := &xformService{Sessions: device.Sessions[Op]{
-		Dev: d, CellSize: cellSize, Admit: admit, Handler: a.handlerFor,
-		Resource: func(c *device.Session[Op]) string { return "xform:" + c.State.String() },
-	}}
-	d.AddService(svc)
-	d.OnReset = svc.DropAll
-	d.OnPeerFailed = svc.DropClient
+	d.AddService(&xformService{device.Sessions{Dev: d, CellSize: cellSize, Admit: a.admit}})
 	return a, nil
 }
 
@@ -125,9 +119,11 @@ func (a *Accel) Start() { a.dev.Start() }
 func (a *Accel) Stats() Stats { return a.stats }
 
 // xformService answers "xform:<name>" queries and sessions, one session
-// (device.Sessions) per open transform queue.
+// (device.Sessions) per open transform queue. The chassis ends them when
+// the accelerator is killed or reset and when their client dies: it keeps
+// no other state a reset must drop.
 type xformService struct {
-	device.Sessions[Op]
+	device.Sessions
 }
 
 func (s *xformService) Name() string { return "xform" }
@@ -145,22 +141,23 @@ func lookup(service string) (Op, bool) {
 }
 
 // admit decides an open: any client may use any known transform.
-func admit(_ msg.DeviceID, req *msg.OpenReq) (Op, string) {
+func (a *Accel) admit(_ msg.DeviceID, req *msg.OpenReq) (device.Conn, string) {
 	op, ok := lookup(req.Service)
 	if !ok {
-		return 0, "unknown transform"
+		return nil, "unknown transform"
 	}
-	return op, ""
+	return &xformQueue{a, op}, ""
 }
 
-// handlerFor serves one transform queue: each request runs on a compute
+// xformQueue serves one transform queue: each request runs on a compute
 // engine as an xformJob.
-func (a *Accel) handlerFor(c *device.Session[Op]) virtio.Service { return &xformQueue{a, c} }
-
 type xformQueue struct {
-	a *Accel
-	c *device.Session[Op]
+	a  *Accel
+	op Op
 }
+
+// Resource implements device.Conn.
+func (q *xformQueue) Resource() string { return "xform:" + q.op.String() }
 
 // Serve implements virtio.Service.
 func (q *xformQueue) Serve(req []byte, r virtio.Responder) {
@@ -176,7 +173,7 @@ type xformJob struct {
 }
 
 func (j *xformJob) Fire() {
-	out, ok := Transform(j.q.c.State, j.req)
+	out, ok := Transform(j.q.op, j.req)
 	j.q.a.stats.Ops++
 	j.q.a.stats.BytesProcessed += uint64(len(j.req))
 	if !ok {

@@ -361,9 +361,6 @@ type Port struct {
 	stallG  *metrics.Gauge
 }
 
-// ID returns the attached device's bus address.
-func (p *Port) ID() msg.DeviceID { return p.id }
-
 // Incarnation returns the port's current incarnation (0 until the first
 // crash recovery).
 func (p *Port) Incarnation() uint32 { return p.inc }

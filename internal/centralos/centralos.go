@@ -276,7 +276,7 @@ func (e *reboot) Fire() {
 		flushContexts(c.iommus[id])
 	}
 	flushContexts(c.mmu)
-	for _, o := range c.sessions.DropAll() {
+	for _, o := range c.sessions.Drop(func(*session) bool { return true }) {
 		o.quiesce()
 	}
 	c.regions = memctrl.NewRegions(c.mem, 0)
@@ -362,7 +362,7 @@ func (c *CPU) receive(env msg.Envelope) {
 // new open), then those it served, telling an answered one's app (§4: its
 // handle names the kernel, not the device behind it).
 func (c *CPU) onPeerFailed(dev msg.DeviceID) {
-	for _, o := range c.sessions.DropClient(dev) {
+	for _, o := range c.sessions.Drop(func(o *session) bool { return o.Client == dev }) {
 		o.quiesce()
 	}
 	for _, o := range c.sessions.Drop(func(o *session) bool { return o.dev == dev }) {
@@ -513,7 +513,7 @@ func (c *CPU) open(s *syscall, m *msg.OpenReq) {
 
 // refuseOpen answers a session's open with a refusal and forgets it.
 func (c *CPU) refuseOpen(o *session, reason string) {
-	c.sessions.Remove(o.ID)
+	c.sessions.Drop(func(x *session) bool { return x == o })
 	c.port.Send(o.Client, &msg.OpenResp{Service: o.Service, App: o.App, Reason: reason})
 }
 
@@ -648,6 +648,7 @@ func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, cr *msg.ConnectResp) {
 // mediated session's queue is the kernel's own, and is forgotten here.
 func (c *CPU) close(s *syscall, m *msg.CloseReq) {
 	c.port.Send(s.src, c.sessions.Close(s.src, m, func(o *session) {
+		c.sessions.Drop(func(x *session) bool { return x == o })
 		if o.kf == nil && o.conn != 0 {
 			fwd := *m
 			fwd.ConnID = o.conn

@@ -104,7 +104,7 @@ type Device struct {
 	handlers map[msg.Kind]func(env msg.Envelope)
 
 	// OnReset is called when the device comes back from a bus Reset; the
-	// concrete device rebuilds its volatile state there.
+	// concrete device rebuilds its volatile state there (not its sessions).
 	OnReset func()
 	// OnPeerFailed is called on DeviceFailed broadcasts.
 	OnPeerFailed func(id msg.DeviceID)
@@ -202,10 +202,11 @@ func (e *selfTestDone) Fire() {
 }
 
 // Kill simulates a hard device failure: the device stops responding and
-// stops heartbeating, and a self-test or reset in progress never ends. The
-// bus watchdog will eventually notice (§4).
+// stops heartbeating, its sessions end, and a self-test or reset in
+// progress never ends. The bus watchdog will eventually notice (§4).
 func (d *Device) Kill() {
 	d.state = StateFailed
+	d.endSessions(func(*Instance) bool { return true })
 	d.life.Stop()
 	d.enr.Stop()
 	d.tr.Record(d.eng.Now(), d.cfg.Name, "", "killed", "")
@@ -229,6 +230,17 @@ func (e *resetDone) Fire() {
 	d.enr.Beat()
 	if d.OnAlive != nil {
 		d.OnAlive()
+	}
+}
+
+// endSessions ends, in registration order, the sessions gone reports of
+// every service embedding Sessions: on a kill (a bus Reset kills the
+// device first) and on a client's death.
+func (d *Device) endSessions(gone func(*Instance) bool) {
+	for _, n := range d.svcOrder {
+		if s, ok := d.services[n].(interface{ end(func(*Instance) bool) }); ok {
+			s.end(gone)
+		}
 	}
 }
 
@@ -274,27 +286,25 @@ func (d *Device) receive(env msg.Envelope) {
 			}
 		}
 	case *msg.OpenReq:
-		s := d.lookupService(m.Service)
-		if s == nil {
+		if s := d.lookupService(m.Service); s != nil {
+			d.Send(env.Src, s.Open(env.Src, m))
+		} else {
 			d.Send(env.Src, &msg.OpenResp{Service: m.Service, App: m.App, OK: false, Reason: "no such service"})
-			return
 		}
-		d.Send(env.Src, s.Open(env.Src, m))
 	case *msg.ConnectReq:
-		s := d.lookupService(m.Service)
-		if s == nil {
+		if s := d.lookupService(m.Service); s != nil {
+			d.Send(env.Src, s.Connect(env.Src, m))
+		} else {
 			d.Send(env.Src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "no such service"})
-			return
 		}
-		d.Send(env.Src, s.Connect(env.Src, m))
 	case *msg.CloseReq:
-		s := d.lookupService(m.Service)
-		if s == nil {
+		if s := d.lookupService(m.Service); s != nil {
+			d.Send(env.Src, s.Close(env.Src, m))
+		} else {
 			d.Send(env.Src, &msg.CloseResp{ConnID: m.ConnID, OK: false})
-			return
 		}
-		d.Send(env.Src, s.Close(env.Src, m))
 	case *msg.DeviceFailed:
+		d.endSessions(func(i *Instance) bool { return i.Client == m.Device })
 		if d.OnPeerFailed != nil {
 			d.OnPeerFailed(m.Device)
 		}

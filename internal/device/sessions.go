@@ -27,7 +27,7 @@ func (i *Instance) instance() *Instance { return i }
 
 // Instances is the table of a service's open instances, wherever it runs:
 // a device's Sessions keeps one, and the centralized kernel one for the
-// opens it brokers. It owns the ids (never reused, not even after DropAll,
+// opens it brokers. It owns the ids (never reused, not even after a Drop,
 // so a stale request cannot name a later instance), the opener check
 // (only the same client, for the same app) and iteration in id order.
 // The client retransmits a request whose response was lost (smartnic's
@@ -83,16 +83,13 @@ func (t *Instances[R]) Opened(src msg.DeviceID, app msg.AppID, id uint32) (none 
 	return none, "no such connection"
 }
 
-// Remove forgets instance id unclosed: its open or its transport failed.
-func (t *Instances[R]) Remove(id uint32) { t.Drop(func(r R) bool { return r.instance().ID == id }) }
-
-// Close answers a CloseReq: the opener's ends the instance, after end ran
-// the placement's teardown of it, and rule 3 answers the rest.
+// Close answers a CloseReq: the opener's ends the instance through end,
+// the placement's teardown, which takes it out of the table; rule 3
+// answers the rest.
 func (t *Instances[R]) Close(src msg.DeviceID, req *msg.CloseReq, end func(R)) *msg.CloseResp {
 	resp := &msg.CloseResp{ConnID: req.ConnID, OK: true}
 	if r, refusal := t.Opened(src, req.App, req.ConnID); refusal == "" {
 		end(r)
-		t.Remove(req.ConnID)
 		t.closed = append(t.closed, *r.instance())
 	} else {
 		resp.OK = slices.ContainsFunc(t.closed, func(i Instance) bool {
@@ -114,34 +111,32 @@ func (t *Instances[R]) Drop(gone func(R) bool) (out []R) {
 	return out
 }
 
-// DropClient removes the instances of a client that died (DeviceFailed
-// broadcast): a revived client opens new ones rather than resuming these.
-func (t *Instances[R]) DropClient(peer msg.DeviceID) []R {
-	return t.Drop(func(r R) bool { return r.instance().Client == peer })
+// Conn is an instance's own state, what Admit returns (the SSD's file
+// connection, the accelerator's transform queue): its queue's request
+// service, which names the resource a failed queue's ErrorNotify reports.
+type Conn interface {
+	virtio.Service
+	Resource() string
 }
 
-// DropAll removes every instance: the placement was reset or rebooted.
-func (t *Instances[R]) DropAll() []R { return t.Drop(func(R) bool { return true }) }
-
-// Session is one instance a device serves: its Instance, the provider's
-// own state, and — once connected — the virtqueue endpoint that serves it.
-type Session[T any] struct {
+// session is one instance a device serves: its Instance, the provider's
+// Conn, and — once connected — the virtqueue endpoint that serves it.
+type session struct {
 	Instance
-	State T // what Admit returned: the SSD's file, the accelerator's transform
-
-	ep *virtio.Endpoint
-	// estab is the ConnectReq that built ep, kept for replay rule 2.
-	estab msg.ConnectReq
+	conn  Conn
+	ep    *virtio.Endpoint
+	estab msg.ConnectReq // the ConnectReq that built ep, for replay rule 2
 }
 
 // Sessions is the provider half of the Figure-2 handshake — OpenReq,
 // ConnectReq, CloseReq — for a service whose instances are served over
 // virtqueues. A concrete service embeds it (which supplies the Open,
 // Connect and Close of the Service interface) and fills in what is its
-// own: admission, the queue's cell size, and the request handler. Its
-// Instances table holds the isolation and replay rules; Sessions adds
-// serving: each instance's endpoint and request doorbell, and rule 2.
-type Sessions[T any] struct {
+// own: admission and the queue's cell size. Its Instances table holds the
+// isolation and replay rules; Sessions adds serving: each instance's
+// endpoint and request doorbell, rule 2, and the one teardown every
+// session ends through (end).
+type Sessions struct {
 	Dev *Device
 	// CellSize is the virtqueue buffer cell the service needs; OpenResp
 	// quotes the shared memory of a default 128-entry queue of them (the
@@ -151,43 +146,35 @@ type Sessions[T any] struct {
 	// (0/1 = notify per completion).
 	NotifyBatch int
 	// Admit decides an OpenReq — name, token, whatever the service guards
-	// — and returns the instance's state, or a non-empty refusal.
-	Admit func(src msg.DeviceID, req *msg.OpenReq) (state T, refusal string)
-	// Handler builds the request service bound to one instance.
-	Handler func(*Session[T]) virtio.Service
-	// Resource names an instance in the ErrorNotify its client is sent
-	// when the transport under it fails (§4).
-	Resource func(*Session[T]) string
+	// — and returns the instance's Conn, or a non-empty refusal.
+	Admit func(src msg.DeviceID, req *msg.OpenReq) (Conn, string)
 
-	table Instances[*Session[T]]
+	table Instances[*session]
 }
 
-// release gives back the request doorbells of instances that ended.
-func (s *Sessions[T]) release(cs ...*Session[T]) {
-	for _, c := range cs {
+// end is the one teardown of a session, whatever ends it: its opener's
+// close, its queue's failure, or — from the chassis — its client's death
+// or the device's kill. The sessions gone reports leave the table and
+// give back their request doorbells.
+func (s *Sessions) end(gone func(*Instance) bool) {
+	for _, c := range s.table.Drop(func(c *session) bool { return gone(&c.Instance) }) {
 		if c.ep != nil {
 			s.Dev.Fabric().UnregisterDoorbell(c.ep.ReqBell)
 		}
 	}
 }
 
-// DropAll discards every instance: the device was killed or reset.
-func (s *Sessions[T]) DropAll() { s.release(s.table.DropAll()...) }
-
-// DropClient discards the instances of a client that died.
-func (s *Sessions[T]) DropClient(peer msg.DeviceID) { s.release(s.table.DropClient(peer)...) }
-
 // Open implements Service. Admission runs on a replay too.
-func (s *Sessions[T]) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
+func (s *Sessions) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
 	resp := &msg.OpenResp{Service: req.Service, App: req.App}
-	state, refusal := s.Admit(src, req)
+	conn, refusal := s.Admit(src, req)
 	if refusal != "" {
 		resp.Reason = refusal
 		return resp
 	}
 	c, ok := s.table.Reopen(src, req)
 	if !ok {
-		c = s.table.Add(src, req, &Session[T]{State: state})
+		c = s.table.Add(src, req, &session{conn: conn})
 	}
 	resp.OK, resp.SharedBytes, resp.ConnID = true, virtio.SharedBytes(128, s.CellSize), c.ID
 	return resp
@@ -195,7 +182,7 @@ func (s *Sessions[T]) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
 
 // Connect implements Service: it builds the instance's endpoint over the
 // queue the requester laid out and answers with the doorbell to kick.
-func (s *Sessions[T]) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectResp {
+func (s *Sessions) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectResp {
 	deny := func(reason string) *msg.ConnectResp {
 		return &msg.ConnectResp{ConnID: req.ConnID, Reason: reason}
 	}
@@ -217,7 +204,7 @@ func (s *Sessions[T]) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.Connec
 			CellSize: int(req.DataBytes) / int(req.RingEntries),
 		}
 		ep, err := virtio.NewEndpoint(s.Dev.DMA(), iommu.PASID(req.App), lay,
-			interconnect.DoorbellAddr(req.RespDoorbell), s.Handler(c))
+			interconnect.DoorbellAddr(req.RespDoorbell), c.conn)
 		if err != nil {
 			return deny(err.Error())
 		}
@@ -226,9 +213,9 @@ func (s *Sessions[T]) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.Connec
 		}
 		ep.OnError = func(err error) {
 			// Transport failure (e.g. revoked grant): notify the consumer per
-			// §4 and drop the instance.
-			s.Dev.Send(c.Client, &msg.ErrorNotify{App: c.App, Resource: s.Resource(c), Code: 1, Detail: err.Error()})
-			s.table.Remove(c.ID)
+			// §4 and end the instance.
+			s.Dev.Send(c.Client, &msg.ErrorNotify{App: c.App, Resource: c.conn.Resource(), Code: 1, Detail: err.Error()})
+			s.end(func(i *Instance) bool { return i == &c.Instance })
 		}
 		c.ep, c.estab, c.connected = ep, *req, true
 	}
@@ -237,6 +224,8 @@ func (s *Sessions[T]) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.Connec
 }
 
 // Close implements Service.
-func (s *Sessions[T]) Close(src msg.DeviceID, req *msg.CloseReq) *msg.CloseResp {
-	return s.table.Close(src, req, func(c *Session[T]) { s.release(c) })
+func (s *Sessions) Close(src msg.DeviceID, req *msg.CloseReq) *msg.CloseResp {
+	return s.table.Close(src, req, func(c *session) {
+		s.end(func(i *Instance) bool { return i == &c.Instance })
+	})
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // tagService is a Sessions-backed service: "tag:<word>" opens an instance
-// whose state is the word; "tag:locked" needs token 7.
+// whose queue answers with the word; "tag:locked" needs token 7. It wires
+// no device hook: the chassis ends its sessions.
 type tagService struct {
-	Sessions[string]
+	Sessions
 	admits int
 }
 
@@ -23,27 +24,26 @@ func (s *tagService) Match(query string) bool { return strings.HasPrefix(query, 
 
 func newTagService(d *Device) *tagService {
 	s := &tagService{}
-	s.Sessions = Sessions[string]{
+	s.Sessions = Sessions{
 		Dev: d, CellSize: 256,
-		Admit: func(_ msg.DeviceID, req *msg.OpenReq) (string, string) {
+		Admit: func(_ msg.DeviceID, req *msg.OpenReq) (Conn, string) {
 			s.admits++
 			word := strings.TrimPrefix(req.Service, "tag:")
 			if word == "locked" && req.Token != 7 {
-				return "", "authentication failed"
+				return nil, "authentication failed"
 			}
-			return word, ""
+			return tagQueue(word), ""
 		},
-		Handler:  func(c *Session[string]) virtio.Service { return tagQueue{c} },
-		Resource: func(c *Session[string]) string { return "tag:" + c.State },
 	}
 	d.AddService(s)
 	return s
 }
 
 // tagQueue answers every request on an instance's queue with its word.
-type tagQueue struct{ c *Session[string] }
+type tagQueue string
 
-func (q tagQueue) Serve(_ []byte, r virtio.Responder) { r.Complete([]byte(q.c.State)) }
+func (q tagQueue) Serve(_ []byte, r virtio.Responder) { r.Complete([]byte(q)) }
+func (q tagQueue) Resource() string                   { return "tag:" + string(q) }
 
 // sessionClient is a bare device that records the last answer to each verb.
 type sessionClient struct {
@@ -101,7 +101,7 @@ func queueOf(id uint32, app msg.AppID) msg.ConnectReq {
 }
 
 // session is live instance id.
-func (s *tagService) session(id uint32) *Session[string] {
+func (s *tagService) session(id uint32) *session {
 	for _, c := range s.table.All() {
 		if c.ID == id {
 			return c
@@ -233,29 +233,69 @@ func TestSessionsCloseReplay(t *testing.T) {
 	}
 }
 
-// TestSessionsDrop: a dead client's instances go (and only its), a reset
-// takes the rest, and every request doorbell is released.
+// free reports whether the fabric holds no handler at bell, leaving it so.
+func free(w *world, bell interconnect.DoorbellAddr) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	w.fab.RegisterDoorbell(bell, func(uint64) {})
+	w.fab.UnregisterDoorbell(bell)
+	return true
+}
+
+// openQueue opens and connects one tag:a instance of c's and returns its
+// id and request doorbell.
+func (c *sessionClient) openQueue(w *world, svc *tagService) (uint32, interconnect.DoorbellAddr) {
+	id := c.open(w, "tag:a", 5, 0).ConnID
+	c.connect(w, queueOf(id, 5))
+	return id, svc.session(id).ep.ReqBell
+}
+
+// TestSessionsDrop: a killed device's instances all go, every request
+// doorbell is released, and ids are not reused once a reset revives it.
 func TestSessionsDrop(t *testing.T) {
 	w, svc, a, b := sessionWorld(t)
-	var bells []interconnect.DoorbellAddr
-	for _, c := range []*sessionClient{a, b} {
-		id := c.open(w, "tag:a", 5, 0).ConnID
-		c.connect(w, queueOf(id, 5))
-		bells = append(bells, svc.session(id).ep.ReqBell)
-	}
+	_, bellA := a.openQueue(w, svc)
+	_, bellB := b.openQueue(w, svc)
 	a.open(w, "tag:b", 5, 0) // unconnected: nothing to release
-	svc.DropClient(2)
-	if len(svc.table.All()) != 1 {
-		t.Fatalf("%d instances after client 2 died, want client 3's one", len(svc.table.All()))
-	}
-	w.fab.RegisterDoorbell(bells[0], func(uint64) {})
-	svc.DropAll()
+	svc.Dev.Kill()
 	if len(svc.table.All()) != 0 {
-		t.Fatalf("%d instances after DropAll", len(svc.table.All()))
+		t.Fatalf("%d instances after the kill", len(svc.table.All()))
 	}
-	w.fab.RegisterDoorbell(bells[1], func(uint64) {})
+	if !free(w, bellA) || !free(w, bellB) {
+		t.Error("a dropped instance's request doorbell is still registered")
+	}
+	if err := w.bus.FailDevice(1, "test"); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
 	// Ids are not reused across a drop: a stale CloseReq cannot hit a new instance.
 	if r := a.open(w, "tag:a", 5, 0); r == nil || r.ConnID <= 3 {
 		t.Errorf("open after drop = %+v, want a fresh id", r)
+	}
+}
+
+// TestChassisEndsSessions: the chassis, not a device hook (tagService
+// wires none), ends a dead client's sessions on its DeviceFailed and keeps
+// another client's; a bus Reset of the device ends the rest. Each ended
+// session gives back its request doorbell.
+func TestChassisEndsSessions(t *testing.T) {
+	w, svc, a, b := sessionWorld(t)
+	idA, bellA := a.openQueue(w, svc)
+	idB, bellB := b.openQueue(w, svc)
+	if err := w.bus.FailDevice(a.dev.ID(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if svc.session(idA) != nil || !free(w, bellA) {
+		t.Error("the dead client's session survived its DeviceFailed")
+	}
+	if svc.session(idB) == nil || free(w, bellB) {
+		t.Fatal("another client's session ended with the dead one")
+	}
+	if err := w.bus.FailDevice(1, "test"); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run()
+	if len(svc.table.All()) != 0 || !free(w, bellB) {
+		t.Errorf("%d sessions after the device's reset, want none and every doorbell free", len(svc.table.All()))
 	}
 }

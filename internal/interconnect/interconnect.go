@@ -207,7 +207,6 @@ type FaultHandler func(f *iommu.Fault, retry func(), fail func(error))
 type Port struct {
 	fab  *Fabric
 	mmu  *iommu.IOMMU
-	name string
 	busy *sim.Server // serializes this device's DMA engine
 	// faultHandler, when set, gets a chance to resolve not-present
 	// faults (demand paging) before the operation fails.
@@ -235,9 +234,10 @@ const maxFaultRetries = 4
 // demand-paging opportunities).
 func (p *Port) SetFaultHandler(h FaultHandler) { p.faultHandler = h }
 
-// NewPort attaches a device (with its IOMMU) to the fabric.
-func (f *Fabric) NewPort(name string, mmu *iommu.IOMMU) *Port {
-	p := &Port{fab: f, mmu: mmu, name: name, busy: sim.NewServer(f.eng)}
+// NewPort attaches a device (with its IOMMU) to the fabric. The device's
+// name labels the call; the port keeps none.
+func (f *Fabric) NewPort(_ string, mmu *iommu.IOMMU) *Port {
+	p := &Port{fab: f, mmu: mmu, busy: sim.NewServer(f.eng)}
 	p.waitG = metrics.NewGauge(4 * DMAWindow)
 	return p
 }
@@ -582,6 +582,3 @@ func (p *Port) Write(pasid iommu.PASID, va iommu.VirtAddr, data []byte, done fun
 	c := &writeCall{done: done}
 	p.WriteOp(&c.DMA, pasid, va, bytes.Clone(data), c)
 }
-
-// Name returns the port's device name (for diagnostics).
-func (p *Port) Name() string { return p.name }

@@ -208,13 +208,14 @@ func (s *Store) Boot(rt *smartnic.Runtime) {
 	if s.cache != nil {
 		s.cache.clear()
 	}
-	rt.OnResourceError = func(e *msg.ErrorNotify) {
-		// The provider reset our resource (§4): drop to unavailable and
-		// reconnect.
-		s.ready = false
-		s.scheduleReconnect()
-	}
 	s.connect()
+}
+
+// ResourceError implements smartnic.ResourceErrorer: the provider reset
+// our resource (§4), so drop to unavailable and reconnect.
+func (s *Store) ResourceError(*msg.ErrorNotify) {
+	s.ready = false
+	s.scheduleReconnect()
 }
 
 func (s *Store) connect() {

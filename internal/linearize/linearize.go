@@ -93,9 +93,6 @@ func (h *History) Return(id int, outcome Outcome, ret uint64, now sim.Time) {
 	op.End = now
 }
 
-// Len returns the number of recorded operations.
-func (h *History) Len() int { return len(h.ops) }
-
 // Result is the checker's verdict over one history.
 type Result struct {
 	OK     bool

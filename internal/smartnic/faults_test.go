@@ -172,15 +172,22 @@ func TestFailedOpenGivesBackWhatItTook(t *testing.T) {
 	}
 }
 
-func TestErrorNotifyOnRevokedQueue(t *testing.T) {
-	// Revoke the SSD's grant mid-connection: its next DMA faults, and per
-	// §4 it must send ErrorNotify to the consumer and drop the context.
+// notifiedApp is a testApp that keeps the last §4 error notice it got.
+type notifiedApp struct {
+	testApp
+	notified *msg.ErrorNotify
+}
+
+func (a *notifiedApp) ResourceError(e *msg.ErrorNotify) { a.notified = e }
+
+// revokedQueue opens kv.dat, revokes the SSD's grant on the queue's shared
+// region and drives one request, whose SSD-side DMA faults.
+func revokedQueue(t *testing.T) (*machine, *Connection, *notifiedApp) {
+	t.Helper()
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", []byte("payload"))
 	var conn *Connection
-	var notified *msg.ErrorNotify
-	m.nic.AddApp(&testApp{id: 1, onBoot: func(rt *Runtime) {
-		rt.OnResourceError = func(e *msg.ErrorNotify) { notified = e }
+	app := &notifiedApp{testApp: testApp{id: 1, onBoot: func(rt *Runtime) {
 		rt.OpenService(mcID, "file:kv.dat", 0, 16, func(c *Connection, err error) {
 			if err != nil {
 				t.Errorf("open: %v", err)
@@ -188,23 +195,45 @@ func TestErrorNotifyOnRevokedQueue(t *testing.T) {
 			}
 			conn = c
 		})
-	}})
+	}}}
+	m.nic.AddApp(app)
 	m.eng.Run()
 	if conn == nil {
 		t.Fatal("no connection")
 	}
-	// Revoke the whole shared region from the SSD.
 	m.nic.Device().Send(msg.BusID, &msg.RevokeReq{App: 1, VA: conn.VA, Bytes: conn.Bytes, Target: ssdID})
 	m.eng.Run()
-	// Drive a request: the SSD-side DMA faults.
 	_ = conn.Queue.SubmitOp([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, ignoreResponse{})
 	m.eng.Run()
-	if notified == nil {
+	return m, conn, app
+}
+
+func TestErrorNotifyOnRevokedQueue(t *testing.T) {
+	// Revoke the SSD's grant mid-connection: its next DMA faults, and per
+	// §4 it must send ErrorNotify to the consumer and drop the context.
+	_, _, app := revokedQueue(t)
+	if app.notified == nil {
 		t.Fatal("no ErrorNotify after revocation fault")
 	}
-	if notified.Resource != "file:kv.dat" {
-		t.Errorf("resource = %q", notified.Resource)
+	if app.notified.Resource != "file:kv.dat" {
+		t.Errorf("resource = %q", app.notified.Resource)
 	}
+}
+
+// A session whose queue failed ends like a closed one: its request
+// doorbell is given back. The SSD allocated it right after the driver's
+// response doorbell.
+func TestFailedQueueGivesBackItsDoorbell(t *testing.T) {
+	m, conn, app := revokedQueue(t)
+	if app.notified == nil {
+		t.Fatal("no ErrorNotify after revocation fault")
+	}
+	defer func() {
+		if recover() != nil {
+			t.Error("the failed session's request doorbell is still registered")
+		}
+	}()
+	m.fab.RegisterDoorbell(conn.Queue.RespBell+1, func(uint64) {})
 }
 
 func TestNICFailureRebootsApps(t *testing.T) {

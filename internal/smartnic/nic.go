@@ -48,6 +48,14 @@ type Shedder interface {
 	ShedResponse() []byte
 }
 
+// ResourceErrorer is an optional App extension for §4 error notices: a
+// provider tells the app that a resource it holds failed and was reset
+// (a queue whose transport failed, a file behind a kernel whose device
+// died). An app without it ignores the notice.
+type ResourceErrorer interface {
+	ResourceError(e *msg.ErrorNotify)
+}
+
 // Replier answers one network request. The record that waits for an
 // answer implements it, so a reply needs no closure.
 type Replier interface {
@@ -380,7 +388,7 @@ func (d *delivery) Reply(resp []byte) {
 
 func (n *NIC) onErrorNotify(env msg.Envelope) {
 	m := env.Msg.(*msg.ErrorNotify)
-	if rt, ok := n.rts[m.App]; ok && rt.OnResourceError != nil {
-		rt.OnResourceError(m)
+	if a, ok := n.apps[m.App].(ResourceErrorer); ok {
+		a.ResourceError(m)
 	}
 }

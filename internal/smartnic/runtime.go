@@ -25,9 +25,6 @@ type Runtime struct {
 	// allocator suffices.
 	nextVA uint64
 
-	// OnResourceError receives §4 error notifications from providers.
-	OnResourceError func(*msg.ErrorNotify)
-
 	// DiscoverTimeout bounds how long one discovery attempt waits for an
 	// answer (retransmissions back off from here per Retry).
 	DiscoverTimeout sim.Duration
@@ -64,9 +61,6 @@ func newRuntime(n *NIC, app msg.AppID) *Runtime {
 
 // Engine returns the simulation engine (apps schedule timers with it).
 func (rt *Runtime) Engine() *sim.Engine { return rt.nic.dev.Engine() }
-
-// NIC returns the hosting device.
-func (rt *Runtime) NIC() *NIC { return rt.nic }
 
 // reserveVA carves a page-aligned region out of the app's address space.
 func (rt *Runtime) reserveVA(bytes uint64) uint64 {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"nocpu/internal/device"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/virtio"
@@ -46,7 +45,7 @@ const testCell = 4096 + RespHeaderBytes + ReqHeaderBytes
 
 func serviceOn(f *File) (*SSD, virtio.Service) {
 	s := &SSD{fs: f.fs}
-	return s, s.handlerFor(&device.Session[*File]{State: f})
+	return s, &fileConn{ssd: s, file: f, reqs: make(map[virtio.Responder]*fileReq)}
 }
 
 func rawReq(op FileOp, off uint64, n uint32, data []byte) []byte {
@@ -77,13 +76,16 @@ func TestFileServiceAdmit(t *testing.T) {
 			if got := s.files.Match(tc.query); got != tc.match {
 				t.Errorf("Match = %v, want %v", got, tc.match)
 			}
-			f, refusal := s.admit(0, &msg.OpenReq{Service: tc.query})
+			c, refusal := s.admit(0, &msg.OpenReq{Service: tc.query})
 			eng.Run()
 			if refusal != tc.refusal {
 				t.Fatalf("admit refusal = %q, want %q", refusal, tc.refusal)
 			}
-			if (f != nil) != (tc.refusal == "") {
-				t.Fatalf("admit file = %v with refusal %q", f, refusal)
+			if (c != nil) != (tc.refusal == "") {
+				t.Fatalf("admit connection = %v with refusal %q", c, refusal)
+			}
+			if c != nil && c.Resource() != "file:"+tc.file {
+				t.Errorf("resource = %q, want file:%s", c.Resource(), tc.file)
 			}
 			if _, exists := fs.Lookup(tc.file); exists != (tc.refusal == "") {
 				t.Errorf("%s exists = %v after admit", tc.file, exists)

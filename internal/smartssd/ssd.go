@@ -73,16 +73,13 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	s.ftl = newFTL(eng, s.flash, ftlOPRatio)
 	s.fs = newFS(s.ftl, cfg.FS)
 
-	s.files = &fileService{ssd: s, Sessions: device.Sessions[*File]{
-		Dev: d, CellSize: cellSize, NotifyBatch: cfg.NotifyBatch,
-		Admit: s.admit, Handler: s.handlerFor,
-		Resource: func(c *device.Session[*File]) string { return "file:" + c.State.Name() },
+	s.files = &fileService{ssd: s, Sessions: device.Sessions{
+		Dev: d, CellSize: cellSize, NotifyBatch: cfg.NotifyBatch, Admit: s.admit,
 	}}
 	d.AddService(s.files)
 	d.Handle(msg.KindLoadReq, s.onLoad)
 	d.OnAlive = s.onAlive
 	d.OnReset = s.onReset
-	d.OnPeerFailed = s.onPeerFailed
 	return s, nil
 }
 
@@ -108,7 +105,6 @@ func (s *SSD) Start() { s.dev.Start() }
 func (s *SSD) Kill() {
 	s.dev.Kill()
 	s.ready = false
-	s.files.DropAll()
 }
 
 // BreakFlash makes every subsequent flash operation fail (§4's "resource
@@ -146,15 +142,9 @@ func (s *SSD) onAlive() {
 	s.fs.Mount(finish)
 }
 
-// onReset drops volatile state; flash contents survive, and onAlive will
-// remount.
-func (s *SSD) onReset() {
-	s.ready = false
-	s.files.DropAll()
-}
-
-// onPeerFailed drops the sessions of a client that died.
-func (s *SSD) onPeerFailed(peer msg.DeviceID) { s.files.DropClient(peer) }
+// onReset unmounts: the chassis ended every session, flash contents
+// survive, and onAlive will remount.
+func (s *SSD) onReset() { s.ready = false }
 
 // onLoad services the loader: authenticated image upload into the
 // filesystem (§2.1: "devices that store their applications internally
@@ -203,7 +193,7 @@ func (s *SSD) onLoad(env msg.Envelope) {
 // fileService exposes every file on the volume as "file:<name>", one
 // session (device.Sessions) per open connection.
 type fileService struct {
-	device.Sessions[*File]
+	device.Sessions
 	ssd *SSD
 }
 
@@ -226,9 +216,10 @@ func (fs *fileService) Match(query string) bool {
 	return fs.ssd.fs.index(name) >= 0
 }
 
-// admit decides a file-service open: the name must parse, the volume be mounted, the
-// token match (§3 step 3), and the file exist or be creatable.
-func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (*File, string) {
+// admit decides a file-service open: the name must parse, the volume be
+// mounted, the token match (§3 step 3), and the file exist or be
+// creatable. The connection it returns serves the open's queue.
+func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (device.Conn, string) {
 	createRequested := false
 	name, ok := strings.CutPrefix(req.Service, "file:")
 	if !ok {
@@ -262,12 +253,7 @@ func (s *SSD) admit(_ msg.DeviceID, req *msg.OpenReq) (*File, string) {
 			}
 		}
 	}
-	return f, ""
-}
-
-// handlerFor builds the request service bound to one connection.
-func (s *SSD) handlerFor(c *device.Session[*File]) virtio.Service {
-	return &fileConn{ssd: s, file: c.State, reqs: make(map[virtio.Responder]*fileReq)}
+	return &fileConn{ssd: s, file: f, reqs: make(map[virtio.Responder]*fileReq)}, ""
 }
 
 // fileConn serves one connection's file requests. A request in flight is a
@@ -324,6 +310,9 @@ func (c *fileConn) Serve(b []byte, r virtio.Responder) {
 		q.finish(errBadRequest, 0)
 	}
 }
+
+// Resource implements device.Conn.
+func (c *fileConn) Resource() string { return "file:" + c.file.Name() }
 
 // ioDone answers a read or a write with the file's size as it is now.
 func (q *fileReq) ioDone(_ *fileIO, err error) { q.finish(err, q.c.file.Size()) }

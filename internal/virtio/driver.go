@@ -57,10 +57,10 @@ type Driver struct {
 	unkicked   int
 	flush      sim.Timer // armed with flushDue while a partial batch waits
 
-	// OnError receives transport-level failures (DMA faults after a
-	// revoke, corrupt rings). After it fires the queue is dead.
-	OnError func(error)
-	dead    bool
+	// dead: a transport-level failure (a DMA fault after a revoke, a
+	// corrupt ring) failed every request in flight, and the queue takes no
+	// more.
+	dead bool
 
 	// The reap loop runs one step at a time, so it is one DMA record and
 	// the stage that record is in: used index, then per entry the used
@@ -167,9 +167,6 @@ func (d *Driver) fail(err error) {
 		s.done = nil
 		d.inflight--
 		done.RequestDone(nil, fmt.Errorf("virtio: queue failed: %w", err))
-	}
-	if d.OnError != nil {
-		d.OnError(err)
 	}
 }
 

@@ -232,8 +232,6 @@ func TestDriverRejectsUsedBeforePublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var drvErr error
-	drv.OnError = func(err error) { drvErr = err }
 
 	// The next Submit will take the last free pair.
 	head := drv.freePairs[len(drv.freePairs)-1]
@@ -261,11 +259,8 @@ func TestDriverRejectsUsedBeforePublished(t *testing.T) {
 	}
 	w.eng.Run()
 
-	if !drv.Dead() || drvErr == nil || !strings.Contains(drvErr.Error(), "corrupt used entry") {
-		t.Fatalf("dead=%v err=%v, want a corrupt-ring failure", drv.Dead(), drvErr)
-	}
-	if called != 1 || cbErr == nil {
-		t.Errorf("request completed %d times with err=%v, want once with the queue's failure", called, cbErr)
+	if !drv.Dead() || called != 1 || cbErr == nil || !strings.Contains(cbErr.Error(), "corrupt used entry") {
+		t.Fatalf("dead=%v, request completed %d times with err=%v, want once with a corrupt-ring failure", drv.Dead(), called, cbErr)
 	}
 	if drv.pairs[head/2].publishing() || drv.reapDMA.Pending() {
 		t.Error("records still in flight after the run")
@@ -299,17 +294,10 @@ func TestDriverFailCompletesInHeadOrder(t *testing.T) {
 	if drv.InFlight() != 5 {
 		t.Fatalf("inflight = %d", drv.InFlight())
 	}
-	onErr := 0
-	drv.OnError = func(error) {
-		onErr++
-		if len(order) != 5 {
-			t.Errorf("OnError ran before the completions (%d done)", len(order))
-		}
-	}
 	drv.Abort(errSelfTest)
 	drv.Abort(errSelfTest)
-	if fmt.Sprint(order) != "[6 8 10 12 14]" || onErr != 1 || drv.InFlight() != 0 {
-		t.Errorf("order=%v onErr=%d inflight=%d, want ascending heads, one OnError", order, onErr, drv.InFlight())
+	if fmt.Sprint(order) != "[6 8 10 12 14]" || drv.Stats().Errors != 1 || drv.InFlight() != 0 {
+		t.Errorf("order=%v errors=%d inflight=%d, want ascending heads, one failure", order, drv.Stats().Errors, drv.InFlight())
 	}
 }
 
