@@ -13,7 +13,8 @@
 # `make lines` prints the non-test line counts the ROADMAP's line budgets
 # are stated in; quote a budget from it and from nothing else.
 # `make funcs` lists every struct field of func type with its role.
-# `make reach` lists the functions only tests reach.
+# `make reach` lists the functions only tests reach, then the statements
+# only tests reach, counted per file and in total.
 
 GO ?= go
 
@@ -186,8 +187,13 @@ funcs:
 # 0.0% both in the table goldens and examples and in the benchmark's own
 # tests, yet run by the full suite. Each is a candidate for deletion or a
 # probe a test needs; a code that no non-test code sends does not show
-# here, since its receiving arm runs in the full suite. Three coverage
-# profiles go to bin/, with the test output next to them.
+# here, since its receiving arm runs in the full suite. Then the same at
+# statement level, from the same three profiles: per file, the statements
+# of the blocks the full suite runs and neither the tables and examples
+# nor the benchmark's tests do, and their total. A -coverpkg profile lists
+# a block once per test binary, so a block counts as run if any of its
+# entries is nonzero. The profiles go to bin/, with the test output next
+# to them.
 reach:
 	@mkdir -p bin
 	$(GO) test -count=1 -coverpkg=nocpu/internal/... -coverprofile=bin/reach-all.out ./... > bin/reach-all.log
@@ -198,3 +204,7 @@ reach:
 	done; \
 	LC_ALL=C join bin/reach-tables.txt bin/reach-bench.txt | LC_ALL=C join - bin/reach-all.txt | \
 		awk '$$2 == "0.0%" && $$3 == "0.0%" && $$4 != "0.0%" { print $$1, $$4 }'
+	@echo; awk 'FNR == 1 { p++; next } $$1 !~ /internal\/lint\// { n[$$1] = $$2; if ($$3 > 0) run[p, $$1] = 1 } \
+		END { for (b in n) if (run[1, b] && !run[2, b] && !run[3, b]) { f = b; sub(/:.*/, "", f); s[f] += n[b]; t += n[b] } \
+			for (f in s) print f, s[f] | "LC_ALL=C sort"; close("LC_ALL=C sort"); print "total:", t + 0 }' \
+		bin/reach-all.out bin/reach-tables.out bin/reach-bench.out

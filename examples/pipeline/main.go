@@ -28,6 +28,8 @@ type pipelineApp struct {
 	op      smartnic.FileOp
 	size    uint64
 	sized   bool
+	crcConn *smartnic.Connection
+	rleConn *smartnic.Connection
 	crcCli  *accel.Client
 	rleCli  *accel.Client
 	ready   int
@@ -47,10 +49,10 @@ func (a *pipelineApp) Boot(rt *smartnic.Runtime) {
 		a.collect(err, func() { a.fileCli = fc }, rt)
 	})
 	rt.OpenService(core.ControlID, "xform:crc32", 0, 32, func(c *smartnic.Connection, err error) {
-		a.collect(err, func() { a.crcCli = &accel.Client{Conn: c.Queue} }, rt)
+		a.collect(err, func() { a.crcConn, a.crcCli = c, &accel.Client{Conn: c.Queue} }, rt)
 	})
 	rt.OpenService(core.ControlID, "xform:rle", 0, 32, func(c *smartnic.Connection, err error) {
-		a.collect(err, func() { a.rleCli = &accel.Client{Conn: c.Queue} }, rt)
+		a.collect(err, func() { a.rleConn, a.rleCli = c, &accel.Client{Conn: c.Queue} }, rt)
 	})
 }
 func (a *pipelineApp) collect(err error, ok func(), rt *smartnic.Runtime) {
@@ -133,6 +135,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	liveBefore := sys.Memctrl.Stats().BytesLive
 	app := &pipelineApp{file: "corpus.dat"}
 	sys.NIC().AddApp(app)
 	for !app.Done {
@@ -153,4 +156,23 @@ func main() {
 	fmt.Printf("  accel IOMMU contexts: %d (PASID 1, granted by bus)\n", sys.Accel.Device().IOMMU().Contexts())
 	fmt.Printf("  accel ops served:     %d (%d bytes)\n", sys.Accel.Stats().Ops, sys.Accel.Stats().BytesProcessed)
 	fmt.Printf("  bus grants authorized: %d\n", sys.Bus.Stats().GrantsOK)
+
+	// Done, the app closes what it opened: each close ends the session at
+	// its device and gives the queue region back to the memory controller.
+	liveOpen, closed := sys.Memctrl.Stats().BytesLive, 0
+	for _, c := range []interface{ Close(func(error)) }{app.fileCli, app.crcConn, app.rleConn} {
+		c.Close(func(err error) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			closed++
+		})
+	}
+	for closed < 3 {
+		sys.Eng.RunFor(sim.Millisecond)
+	}
+	fmt.Println("\nthe file and both accelerator connections closed:")
+	fmt.Printf("  memctrl bytes live before the opens: %d\n", liveBefore)
+	fmt.Printf("  memctrl bytes live while open:       %d\n", liveOpen)
+	fmt.Printf("  memctrl bytes live after the closes: %d\n", sys.Memctrl.Stats().BytesLive)
 }

@@ -98,8 +98,7 @@ type Stats struct {
 	PagesMapped uint64
 	BytesCopied uint64
 	Reboots     uint64
-	// IOShed counts mediated I/Os refused with StatusBusy at the
-	// IOBacklogBound.
+	// IOShed counts mediated I/Os refused StatusBusy at IOBacklogBound.
 	IOShed uint64
 }
 
@@ -117,8 +116,7 @@ type CPU struct {
 
 	// iommus are the kernel's direct MMIO handles to device IOMMUs.
 	iommus map[msg.DeviceID]*iommu.IOMMU
-	// registry maps file names to the storage device holding them (the
-	// kernel's mount table).
+	// registry is the kernel's mount table: file name -> storage device.
 	registry map[string]msg.DeviceID
 
 	// appVA is the kernel's per-app mmap pointer.
@@ -156,13 +154,7 @@ type session struct {
 	asked   msg.Message
 	verdict *msg.OpenResp // the app's answer, replayed under rule 1
 	kf      *kernelFile   // a mediated open's queue
-}
-
-// quiesce stops a mediated session's queue, if the kernel built one.
-func (o *session) quiesce() {
-	if o.kf != nil && o.kf.drv != nil {
-		o.kf.drv.Quiesce()
-	}
+	mapped  *syscall      // the map stage that installed the queue region
 }
 
 // kernelFile is a mediated session's queue, its driver half on the CPU,
@@ -276,9 +268,7 @@ func (e *reboot) Fire() {
 		flushContexts(c.iommus[id])
 	}
 	flushContexts(c.mmu)
-	for _, o := range c.sessions.Drop(func(*session) bool { return true }) {
-		o.quiesce()
-	}
+	c.end(false, func(*session) bool { return true })
 	c.regions = memctrl.NewRegions(c.mem, 0)
 	c.appVA = make(map[msg.AppID]uint64)
 	c.ioOutstanding = 0
@@ -362,16 +352,33 @@ func (c *CPU) receive(env msg.Envelope) {
 // new open), then those it served, telling an answered one's app (§4: its
 // handle names the kernel, not the device behind it).
 func (c *CPU) onPeerFailed(dev msg.DeviceID) {
-	for _, o := range c.sessions.Drop(func(o *session) bool { return o.Client == dev }) {
-		o.quiesce()
-	}
-	for _, o := range c.sessions.Drop(func(o *session) bool { return o.dev == dev }) {
-		o.quiesce()
+	c.end(false, func(o *session) bool { return o.Client == dev })
+	for _, o := range c.end(false, func(o *session) bool { return o.dev == dev }) {
 		if o.verdict != nil {
 			c.port.Send(o.Client, &msg.ErrorNotify{App: o.App, Resource: o.Service, Code: 1,
 				Detail: fmt.Sprintf("device %d serving %q failed", dev, o.name)})
 		}
 	}
+}
+
+// end is the one teardown of a kernel session, whatever ends it: the sessions
+// gone reports leave the table, in id order, and a mediated one's driver stops.
+// A close or refusal (give) first fails the I/Os still queued, then frees the
+// queue region; a death or the reboot does neither, as that moves E15 goldens.
+func (c *CPU) end(give bool, gone func(*session) bool) []*session {
+	out := c.sessions.Drop(gone)
+	for _, o := range out {
+		if o.kf != nil && o.kf.drv != nil {
+			if give { // each failed I/O completes, and gives its backlog slot back
+				o.kf.drv.Abort(fmt.Errorf("centralos: session %d ended", o.ID))
+			}
+			o.kf.drv.Quiesce()
+		}
+		if s := o.mapped; give && s != nil {
+			c.regions.Free(c.cfg.ID, &msg.FreeReq{App: o.App, VA: s.va}, s.mmus[:]...)
+		}
+	}
+	return out
 }
 
 // mapRegion answers an AllocReq from the kernel's table and maps a fresh
@@ -511,9 +518,9 @@ func (c *CPU) open(s *syscall, m *msg.OpenReq) {
 	c.port.Send(dev, o.asked)
 }
 
-// refuseOpen answers a session's open with a refusal and forgets it.
+// refuseOpen answers a session's open with a refusal and ends it.
 func (c *CPU) refuseOpen(o *session, reason string) {
-	c.sessions.Drop(func(x *session) bool { return x == o })
+	c.end(true, func(x *session) bool { return x == o })
 	c.port.Send(o.Client, &msg.OpenResp{Service: o.Service, App: o.App, Reason: reason})
 }
 
@@ -578,6 +585,7 @@ func (c *CPU) mapQueue(s *syscall) {
 		c.refuseOpen(o, err.Error())
 		return
 	}
+	o.mapped = s
 	if o.kf == nil {
 		c.accept(o, m.SharedBytes, s.va)
 		return
@@ -643,16 +651,13 @@ func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, cr *msg.ConnectResp) {
 	c.accept(o, uint64(o.kf.drv.CellSize()-smartssd.ReqHeaderBytes), 0)
 }
 
-// close runs a close syscall on the table's rules. A direct session's close
-// is forwarded to its provider, whose CloseResp the kernel drops; a
-// mediated session's queue is the kernel's own, and is forgotten here.
+// close runs a close syscall on the table's rules: the session ends, and
+// the kernel closes its own provider session (whose CloseResp it drops).
 func (c *CPU) close(s *syscall, m *msg.CloseReq) {
 	c.port.Send(s.src, c.sessions.Close(s.src, m, func(o *session) {
-		c.sessions.Drop(func(x *session) bool { return x == o })
-		if o.kf == nil && o.conn != 0 {
-			fwd := *m
-			fwd.ConnID = o.conn
-			c.port.Send(o.dev, &fwd)
+		c.end(true, func(x *session) bool { return x == o })
+		if o.conn != 0 {
+			c.port.Send(o.dev, &msg.CloseReq{Service: "file:" + o.name, ConnID: o.conn, App: o.App})
 		}
 	}))
 }

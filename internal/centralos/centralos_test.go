@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"nocpu/internal/bus"
@@ -524,17 +525,18 @@ func TestSecondResetJoinsPendingReboot(t *testing.T) {
 	}
 }
 
-// TestKernelClose covers both forms of the close syscall: a mediated
-// handle is the kernel's own and is dropped there; a direct connection's
-// close is forwarded to its provider. The app is answered either way.
+// TestKernelClose covers both forms of the close syscall. Either way the
+// kernel closes its own session at the provider, under the provider's
+// ConnID, and the app's close never reaches the provider; the app is
+// answered either way.
 func TestKernelClose(t *testing.T) {
-	forwarded := func(cb *centralbed) bool {
+	closes := func(cb *centralbed, src string) (n int) {
 		for _, ev := range cb.tr.Filter("close.req") {
-			if ev.Src == "cpu" && ev.Dst == "ssd" {
-				return true
+			if ev.Src == src && ev.Dst == "ssd" {
+				n++
 			}
 		}
-		return false
+		return n
 	}
 	closeConn := func(t *testing.T, cb *centralbed, req *msg.CloseReq) {
 		t.Helper()
@@ -548,24 +550,39 @@ func TestKernelClose(t *testing.T) {
 	}
 	t.Run("mediated handle", func(t *testing.T) {
 		cb := newCentralbed(t, kvs.ModeCentralMediated)
-		handles := mediatedHandles(cb.cpu)
-		if len(handles) != 1 {
-			t.Fatalf("kernel holds %d mediated handles, want 1", len(handles))
+		// An open the SSD refuses takes a kernel ID and no SSD one, so the
+		// next session's two IDs differ.
+		cb.cpu.RegisterFile("ghost.dat", ssdID)
+		app := &fileApp{}
+		cb.nic.AddApp(app)
+		cb.eng.Run()
+		app.rt.OpenFile(smartnic.KernelMediated, cpuID, "ghost.dat", 0, 16, func(smartnic.FileAPI, error) {})
+		cb.eng.Run()
+		app.rt.OpenFile(smartnic.KernelMediated, cpuID, "kv.dat", 0, 16, func(smartnic.FileAPI, error) {})
+		cb.eng.Run()
+		all := cb.cpu.sessions.All()
+		o := all[len(all)-1]
+		if o.App != app.AppID() || o.ID == o.conn {
+			t.Fatalf("session %d (app %d) is the SSD's %d", o.ID, o.App, o.conn)
 		}
-		h := handles[0]
-		closeConn(t, cb, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: h, App: 10})
-		if _, refusal := cb.cpu.sessions.Opened(nicID, 10, h); refusal == "" {
+		closeConn(t, cb, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: o.ID, App: o.App})
+		if _, refusal := cb.cpu.sessions.Opened(nicID, o.App, o.ID); refusal == "" {
 			t.Error("mediated handle survives its close")
 		}
-		if forwarded(cb) {
-			t.Error("the close of a kernel-owned handle went to the provider")
+		if n := closes(cb, "cpu"); n != 1 {
+			t.Errorf("the kernel sent the SSD %d closes, want 1", n)
 		}
+		if n := closes(cb, "nic"); n != 0 {
+			t.Errorf("the app's close reached the SSD %d times", n)
+		}
+		// Only a close under the SSD's ConnID ends its session there.
+		freeBell(t, cb.fab, o.kf.drv.RespBell+1, "the SSD's request doorbell")
 	})
 	t.Run("direct connection", func(t *testing.T) {
 		cb := newCentralbed(t, kvs.ModeCentralDirect)
 		closeConn(t, cb, &msg.CloseReq{Service: "file:kv.dat", ConnID: 1, App: 10})
-		if !forwarded(cb) {
-			t.Error("a direct connection's close was not forwarded to its provider")
+		if closes(cb, "cpu") != 1 || closes(cb, "nic") != 0 {
+			t.Error("a direct connection's close did not go to its provider through the kernel alone")
 		}
 	})
 }
@@ -792,6 +809,146 @@ func TestKernelReopenAfterClose(t *testing.T) {
 			}
 			writeRead(f, "fresh")
 		})
+	}
+}
+
+// freeBell fails the test unless bell can be registered again: nothing
+// that an ended session built still answers it.
+func freeBell(t *testing.T, fab *interconnect.Fabric, bell interconnect.DoorbellAddr, what string) {
+	t.Helper()
+	defer func() {
+		if recover() != nil {
+			t.Errorf("%s (doorbell %d) is still registered", what, bell)
+		}
+	}()
+	fab.RegisterDoorbell(bell, func(uint64) {})
+	fab.UnregisterDoorbell(bell)
+}
+
+// openClose runs one open-close cycle of app at placement p and returns
+// the response doorbell of the queue's driver: the app's, or the kernel's
+// for a mediated open.
+func (cb *centralbed) openClose(t *testing.T, app *fileApp, p smartnic.Placement) interconnect.DoorbellAddr {
+	t.Helper()
+	var f smartnic.FileAPI
+	app.rt.OpenFile(p, cpuID, "kv.dat", 0, 16, func(fa smartnic.FileAPI, err error) {
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		f = fa
+	})
+	cb.eng.Run()
+	var bell interconnect.DoorbellAddr
+	if fc, ok := f.(*smartnic.FileClient); ok {
+		bell = fc.Conn.Queue.RespBell
+	} else {
+		all := cb.cpu.sessions.All()
+		bell = all[len(all)-1].kf.drv.RespBell
+	}
+	closed := false
+	f.Close(func(err error) {
+		if err != nil {
+			t.Errorf("close: %v", err)
+		}
+		closed = true
+	})
+	cb.eng.Run()
+	if !closed {
+		t.Fatal("close did not complete")
+	}
+	return bell
+}
+
+// A close gives back what its open took, on both kernel placements: after
+// a first cycle, which builds the app's translation contexts (they outlive
+// a close), three open-close cycles leave physical memory where it was,
+// and every cycle leaves the queue's driver and SSD doorbells free. The SSD
+// allocates its request doorbell right after the driver's response doorbell.
+func TestKernelCloseGivesBackWhatOpenTook(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    smartnic.Placement
+	}{{"direct", smartnic.KernelDirect}, {"mediated", smartnic.KernelMediated}} {
+		p := tc.p
+		t.Run(tc.name, func(t *testing.T) {
+			cb := newCentralbed(t, kvs.ModeCentralDirect)
+			app := &fileApp{}
+			cb.nic.AddApp(app)
+			cb.eng.Run()
+			var allocated uint64
+			for cycle := 0; cycle <= 3; cycle++ {
+				bell := cb.openClose(t, app, p)
+				if got := cb.fab.Memory().AllocatedBytes(); cycle == 0 {
+					allocated = got
+				} else if got != allocated {
+					t.Errorf("cycle %d: %d bytes allocated after the close, want %d", cycle, got, allocated)
+				}
+				freeBell(t, cb.fab, bell, "the driver's response doorbell")
+				freeBell(t, cb.fab, bell+1, "the SSD's request doorbell")
+			}
+		})
+	}
+}
+
+// A mediated open refused after its map stage gives back what the stage
+// took: the SSD refuses the kernel's connect, and the queue region and the
+// kernel driver's doorbell go back. A first cycle builds the app's
+// translation contexts.
+func TestRefusedMediatedOpenGivesBackItsQueue(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	app := &fileApp{}
+	cb.nic.AddApp(app)
+	cb.eng.Run()
+	cb.openClose(t, app, smartnic.KernelMediated)
+	allocated := cb.fab.Memory().AllocatedBytes()
+	var openErr error
+	app.rt.OpenFile(smartnic.KernelMediated, cpuID, "kv.dat", 0, 16, func(_ smartnic.FileAPI, err error) { openErr = err })
+	// Step to the kernel's ConnectReq, then answer it first.
+	var o *session
+	for o == nil && cb.eng.Step() {
+		for _, s := range cb.cpu.sessions.All() {
+			if _, connecting := s.asked.(*msg.ConnectReq); connecting && s.App == app.AppID() {
+				o = s
+			}
+		}
+	}
+	if o == nil {
+		t.Fatal("the open never reached its connect")
+	}
+	cb.ssd.Device().Send(cpuID, &msg.ConnectResp{ConnID: o.conn, Reason: "refused"})
+	cb.eng.Run()
+	if openErr == nil || !strings.Contains(openErr.Error(), "refused") {
+		t.Fatalf("open answered %v, want the refusal", openErr)
+	}
+	if got := cb.fab.Memory().AllocatedBytes(); got != allocated {
+		t.Errorf("%d bytes allocated after the refusal, want %d", got, allocated)
+	}
+	freeBell(t, cb.fab, o.kf.drv.RespBell, "the kernel driver's response doorbell")
+}
+
+// A mediated close with an I/O still in the kernel's queue fails that I/O
+// and gives its backlog slot back: the app's op completes once, with an
+// error, and the kernel holds no I/O outstanding.
+func TestMediatedCloseFailsQueuedIO(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	app := &fileApp{}
+	cb.nic.AddApp(app)
+	cb.eng.Run()
+	var f smartnic.FileAPI
+	app.rt.OpenFile(smartnic.KernelMediated, cpuID, "kv.dat", 0, 16, func(fa smartnic.FileAPI, _ error) { f = fa })
+	cb.eng.Run()
+	st, op := &fileStep{}, new(smartnic.FileOp)
+	copy(op.Payload(4), "data")
+	f.WriteOp(op, 0, st)
+	for cb.cpu.ioOutstanding == 0 && cb.eng.Step() {
+	}
+	f.Close(func(error) {})
+	cb.eng.Run()
+	if st.calls != 1 || st.err == nil {
+		t.Errorf("the queued write completed %d times, err %v; want once, failed", st.calls, st.err)
+	}
+	if cb.cpu.ioOutstanding != 0 {
+		t.Errorf("%d mediated I/Os outstanding after the close", cb.cpu.ioOutstanding)
 	}
 }
 

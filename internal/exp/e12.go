@@ -6,7 +6,6 @@ import (
 	"nocpu/internal/core"
 	"nocpu/internal/iommu"
 	"nocpu/internal/metrics"
-	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartnic"
@@ -14,7 +13,7 @@ import (
 
 // pagingApp exercises eager vs demand-backed buffers.
 type pagingApp struct {
-	id    msg.AppID
+	baseApp
 	lazy  bool
 	bytes uint64
 	rt    *smartnic.Runtime
@@ -23,7 +22,6 @@ type pagingApp struct {
 	err   error
 }
 
-func (a *pagingApp) AppID() msg.AppID { return a.id }
 func (a *pagingApp) Boot(rt *smartnic.Runtime) {
 	a.rt = rt
 	if a.lazy {
@@ -36,8 +34,6 @@ func (a *pagingApp) Boot(rt *smartnic.Runtime) {
 		a.ready = true
 	})
 }
-func (a *pagingApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *pagingApp) PeerFailed(msg.DeviceID)                   {}
 
 // E12DemandPaging ablates §4's page-fault handling: a 4 MiB application
 // buffer backed eagerly at setup vs demand-paged on first touch, under a
@@ -53,7 +49,7 @@ func E12DemandPaging() *Result {
 		"strategy", "setup time", "phys bytes live", "first-touch avg", "warm avg")
 	for _, lazy := range []bool{false, true} {
 		sys := boot(core.Options{Flavor: core.Decentralized, Seed: 121, NoTrace: true})
-		app := &pagingApp{id: 1, lazy: lazy, bytes: bufBytes}
+		app := &pagingApp{baseApp: baseApp{1}, lazy: lazy, bytes: bufBytes}
 		setupStart := sys.Eng.Now()
 		sys.NIC().AddApp(app)
 		for !app.ready {

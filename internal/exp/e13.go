@@ -6,7 +6,6 @@ import (
 	"nocpu/internal/core"
 	"nocpu/internal/iommu"
 	"nocpu/internal/metrics"
-	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartnic"
@@ -14,7 +13,7 @@ import (
 
 // hugeApp allocates one large shared region, 4K- or huge-mapped.
 type hugeApp struct {
-	id    msg.AppID
+	baseApp
 	huge  bool
 	bytes uint64
 	va    uint64
@@ -22,7 +21,6 @@ type hugeApp struct {
 	err   error
 }
 
-func (a *hugeApp) AppID() msg.AppID { return a.id }
 func (a *hugeApp) Boot(rt *smartnic.Runtime) {
 	done := func(va uint64, err error) {
 		a.va, a.err, a.ready = va, err, true
@@ -33,8 +31,6 @@ func (a *hugeApp) Boot(rt *smartnic.Runtime) {
 	}
 	rt.AllocShared(core.ControlID, a.bytes, done)
 }
-func (a *hugeApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *hugeApp) PeerFailed(msg.DeviceID)                   {}
 
 // E13HugePages ablates the IOMMU mapping granule: a 64 MiB region mapped
 // with 4 KiB vs 2 MiB pages — table-programming cost at setup and
@@ -49,7 +45,7 @@ func E13HugePages() *Result {
 			Flavor: core.Decentralized, Seed: 131, NoTrace: true,
 			MemoryBytes: 256 << 20,
 		})
-		app := &hugeApp{id: 1, huge: huge, bytes: regionBytes}
+		app := &hugeApp{baseApp: baseApp{1}, huge: huge, bytes: regionBytes}
 		start := sys.Eng.Now()
 		sys.NIC().AddApp(app)
 		for !app.ready {

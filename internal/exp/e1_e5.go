@@ -6,7 +6,6 @@ import (
 	"nocpu/internal/core"
 	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
-	"nocpu/internal/msg"
 	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartnic"
@@ -180,7 +179,7 @@ func E3SetupScalability() *Result {
 // noisyApp hammers the control plane with alloc/free pairs — the noisy
 // neighbor of E4 and the load generator of E8.
 type noisyApp struct {
-	id    msg.AppID
+	baseApp
 	bytes uint64
 	rt    *smartnic.Runtime
 	stop  bool
@@ -188,13 +187,10 @@ type noisyApp struct {
 	errs  uint64
 }
 
-func (a *noisyApp) AppID() msg.AppID { return a.id }
 func (a *noisyApp) Boot(rt *smartnic.Runtime) {
 	a.rt = rt
 	a.loop()
 }
-func (a *noisyApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
-func (a *noisyApp) PeerFailed(msg.DeviceID)                   {}
 
 func (a *noisyApp) loop() {
 	if a.stop {
@@ -230,7 +226,7 @@ func E4Isolation() *Result {
 			rig.preload(128, 512)
 			noisy := make([]*noisyApp, tenants)
 			for i := range noisy {
-				noisy[i] = &noisyApp{id: appID(100 + i), bytes: 256 << 10}
+				noisy[i] = &noisyApp{baseApp: baseApp{appID(100 + i)}, bytes: 256 << 10}
 				rig.sys.NICs[1].AddApp(noisy[i])
 			}
 			st := rig.getLoad(8, 400, 128)

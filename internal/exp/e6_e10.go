@@ -56,14 +56,13 @@ func E6IOMMUTLB() *Result {
 
 // discoverProbe measures one broadcast discovery round trip.
 type discoverProbe struct {
-	id      msg.AppID
+	baseApp
 	query   string
 	latency sim.Duration
 	done    bool
 	fail    bool
 }
 
-func (p *discoverProbe) AppID() msg.AppID { return p.id }
 func (p *discoverProbe) Boot(rt *smartnic.Runtime) {
 	start := rt.Engine().Now()
 	rt.Discover(p.query, func(provider msg.DeviceID, service string, err error) {
@@ -72,8 +71,6 @@ func (p *discoverProbe) Boot(rt *smartnic.Runtime) {
 		p.fail = err != nil
 	})
 }
-func (p *discoverProbe) ServeNetwork(b []byte, reply func([]byte)) { reply(b) }
-func (p *discoverProbe) PeerFailed(msg.DeviceID)                   {}
 
 // E7Discovery scales the broadcast service-discovery protocol (§2.2,
 // SSDP-like) with the number of attached devices.
@@ -103,7 +100,7 @@ func E7Discovery() *Result {
 		})
 		drain(sys.Eng, func() bool { return created })
 		before := sys.Bus.Stats()
-		probe := &discoverProbe{id: 1, query: "file:far.dat"}
+		probe := &discoverProbe{baseApp: baseApp{1}, query: "file:far.dat"}
 		sys.NIC().AddApp(probe)
 		for !probe.done {
 			sys.Eng.RunFor(10 * sim.Microsecond)
@@ -132,7 +129,7 @@ func E8MemoryOps() *Result {
 			sys := boot(core.Options{Flavor: kind.flavor(), Seed: 81, NoTrace: true})
 			apps := make([]*noisyApp, clients)
 			for i := range apps {
-				apps[i] = &noisyApp{id: appID(i + 1), bytes: 64 << 10}
+				apps[i] = &noisyApp{baseApp: baseApp{appID(i + 1)}, bytes: 64 << 10}
 				sys.NIC().AddApp(apps[i])
 			}
 			const window = 10 * sim.Millisecond

@@ -200,3 +200,10 @@ func kvsIsError(b []byte) bool {
 
 // appID is a convenience for msg.AppID construction in loops.
 func appID(i int) msg.AppID { return msg.AppID(i) }
+
+// baseApp is what every harness app shares: its id, echo, no PeerFailed.
+type baseApp struct{ id msg.AppID }
+
+func (a *baseApp) AppID() msg.AppID                          { return a.id }
+func (a *baseApp) ServeNetwork(p []byte, reply func([]byte)) { reply(p) }
+func (a *baseApp) PeerFailed(msg.DeviceID)                   {}

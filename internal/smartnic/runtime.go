@@ -227,6 +227,7 @@ type Connection struct {
 	VA       uint64 // shared region base
 	Bytes    uint64
 	Queue    *virtio.Driver
+	memctrl  msg.DeviceID // whom the region's free goes to; 0: the kernel mapped it
 }
 
 // Placement is where a file open runs and where its I/O goes. The same
@@ -324,13 +325,9 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 // connects at once. Otherwise the app allocates the region through memctrl
 // and grants it to the provider first.
 func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token uint64, entries uint16, cb func(*Connection, error)) {
-	// The region the app allocated: a failed open frees it again, best
-	// effort like the rejoin sweep (the answer is not waited for).
-	var va, shared uint64
+	conn := &Connection{rt: rt, Provider: provider, Service: service}
 	fail := func(stage string, err error) {
-		if va != 0 {
-			rt.Free(memctrl, va, shared, func(error) {})
-		}
+		conn.release(func(error) {}) // its answer is not waited for
 		cb(nil, openError(service, stage, err))
 	}
 	// Step 3-4: open.
@@ -350,11 +347,8 @@ func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token 
 					fail("connect", err)
 					return
 				}
-				conn := &Connection{
-					rt: rt, Provider: provider, Service: service,
-					ConnID: or.ConnID, VA: base, Bytes: bytes, Queue: drv,
-				}
-				if va != 0 {
+				conn.ConnID, conn.VA, conn.Bytes, conn.Queue = or.ConnID, base, bytes, drv
+				if conn.memctrl != 0 {
 					rt.conns = append(rt.conns, conn)
 				}
 				cb(conn, nil)
@@ -375,30 +369,41 @@ func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token 
 				fail("alloc", err)
 				return
 			}
-			va, shared = region, size
+			conn.memctrl, conn.VA, conn.Bytes = memctrl, region, size
 			// Step 7a: grant the region to the provider.
-			rt.Grant(va, shared, provider, func(err error) {
+			rt.Grant(region, size, provider, func(err error) {
 				if err != nil {
 					fail("grant", err)
 					return
 				}
-				connect(va, shared)
+				connect(region, size)
 			})
 		})
 	})
 }
 
-// Close tears down the connection (service side and local doorbell). If
-// the provider is unreachable the local half is released regardless.
+// Close ends the session at its provider and, answered or not, releases it here.
 func (c *Connection) Close(cb func(error)) {
 	c.rt.closeAt(c.Provider, c.Service, c.ConnID, func(err error) {
-		c.rt.nic.dev.Fabric().UnregisterDoorbell(c.Queue.RespBell)
-		// Off the crash-teardown list.
-		if i := slices.Index(c.rt.conns, c); i >= 0 {
-			c.rt.conns = slices.Delete(c.rt.conns, i, i+1)
-		}
-		cb(err)
+		c.release(func(error) { cb(err) })
 	})
+}
+
+// release gives back what an open took here, as a failed open does: the
+// driver, and the region the app allocated, freed best effort like the
+// rejoin sweep; then runs on the free's answer (at once on a kernel's).
+func (c *Connection) release(then func(error)) {
+	if i := slices.Index(c.rt.conns, c); i >= 0 { // off the crash-teardown list
+		c.rt.conns = slices.Delete(c.rt.conns, i, i+1)
+	}
+	if c.Queue != nil {
+		c.Queue.Quiesce()
+	}
+	if c.memctrl == 0 {
+		then(nil)
+		return
+	}
+	c.rt.Free(c.memctrl, c.VA, c.Bytes, then)
 }
 
 // closeAt asks provider to end session id of service.

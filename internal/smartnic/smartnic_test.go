@@ -8,6 +8,7 @@ import (
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
 	"nocpu/internal/interconnect"
+	"nocpu/internal/iommu"
 	"nocpu/internal/memctrl"
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
@@ -382,6 +383,61 @@ func TestCloseTearsDownConnection(t *testing.T) {
 	m.eng.Run()
 	if !closed {
 		t.Fatal("close did not complete")
+	}
+}
+
+// freeBell fails the test unless bell can be registered again: nothing
+// that an ended session built still answers it.
+func freeBell(t *testing.T, fab *interconnect.Fabric, bell interconnect.DoorbellAddr, what string) {
+	t.Helper()
+	defer func() {
+		if recover() != nil {
+			t.Errorf("%s (doorbell %d) is still registered", what, bell)
+		}
+	}()
+	fab.RegisterDoorbell(bell, func(uint64) {})
+	fab.UnregisterDoorbell(bell)
+}
+
+// A close gives back what its open took: three open-close cycles leave
+// memctrl's live bytes where they were, the SSD's grant unmapped and both
+// ends' doorbells free. The SSD allocated its request doorbell right after
+// the driver's response doorbell.
+func TestCloseGivesBackWhatOpenTook(t *testing.T) {
+	m := newMachine(t)
+	m.createFile(t, "kv.dat", []byte("x"))
+	var rt *Runtime
+	m.nic.AddApp(&testApp{id: 3, onBoot: func(r *Runtime) { rt = r }})
+	m.eng.Run()
+	live := m.mc.Stats().BytesLive
+	for cycle := 1; cycle <= 3; cycle++ {
+		var conn *Connection
+		rt.OpenService(mcID, "file:kv.dat", 0, 16, func(c *Connection, err error) {
+			if err != nil {
+				t.Fatalf("cycle %d: open: %v", cycle, err)
+			}
+			conn = c
+		})
+		m.eng.Run()
+		closed := false
+		conn.Close(func(err error) {
+			if err != nil {
+				t.Errorf("cycle %d: close: %v", cycle, err)
+			}
+			closed = true
+		})
+		m.eng.Run()
+		if !closed {
+			t.Fatalf("cycle %d: close did not complete", cycle)
+		}
+		if got := m.mc.Stats().BytesLive; got != live {
+			t.Errorf("cycle %d: memctrl BytesLive = %d after the close, want %d", cycle, got, live)
+		}
+		if _, _, ok := m.ssd.Device().IOMMU().Lookup(iommu.PASID(3), iommu.VirtAddr(conn.VA)); ok {
+			t.Errorf("cycle %d: the queue region is still granted to the SSD", cycle)
+		}
+		freeBell(t, m.fab, conn.Queue.RespBell, "the driver's response doorbell")
+		freeBell(t, m.fab, conn.Queue.RespBell+1, "the SSD's request doorbell")
 	}
 }
 

@@ -181,8 +181,9 @@ func (d *Driver) Abort(err error) { d.fail(err) }
 // Quiesce kills the queue without running any completion callback — for
 // the case where the driver's *owner* crashed: the pending continuations
 // belong to the dead incarnation and must never fire. The response
-// doorbell is unregistered so the fabric slot is reclaimed.
+// doorbell is unregistered, failed queue or not, to reclaim the slot.
 func (d *Driver) Quiesce() {
+	d.port.Fabric().UnregisterDoorbell(d.RespBell)
 	if d.dead {
 		return
 	}
@@ -194,7 +195,6 @@ func (d *Driver) Quiesce() {
 	}
 	d.inflight = 0
 	d.flush.Stop()
-	d.port.Fabric().UnregisterDoorbell(d.RespBell)
 }
 
 // pair returns head's record, building it on first use.
