@@ -3,7 +3,8 @@
 # under the race detector (once, in shuffled order), a short fuzz run of
 # the wire-format decoder, of the virtqueue endpoint, of the SSD's file
 # service, of the client-request key view and of the fabric's ring
-# transition, and the smoke run of the nested benchmark module. The
+# transition, the recycling tests twice over in shuffled order, and the
+# smoke run of the nested benchmark module. The
 # per-experiment targets below (chaos, overload, fabric, reconcile,
 # tenancy, partition) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -18,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines funcs reach
+.PHONY: build test vet lint allows race recycle fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines funcs reach
 
 build:
 	$(GO) build ./...
@@ -50,6 +51,15 @@ allows:
 # behind fails here instead of passing by accident.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The tests of the records that go on sim.Free lists (the recycling tests,
+# the free-list bound tests and the allocation guards that read 0 only
+# while records come back) in every package that keeps such a list, twice
+# in one shuffled order under the race detector: the second pass runs on
+# whatever the first left on a list, so a record given back while still
+# held shows as a wrong answer there even where one pass hides it.
+recycle:
+	$(GO) test -race -shuffle=on -count=2 -run 'Recycl|Reuse|Free|Allocs$$' ./internal/sim ./internal/bus ./internal/smartnic ./internal/memctrl ./internal/interconnect ./internal/fabric ./internal/kvs ./internal/linearize
 
 # Fuzz the bus wire-format decoder for 10s (regression corpus under
 # internal/msg/testdata/fuzz is always replayed by plain `go test`), then
@@ -130,7 +140,7 @@ bench-smoke:
 bench-full:
 	$(GO) run -C bench . -full -out out
 
-check: vet lint build race fuzz bench-smoke
+check: vet lint build race recycle fuzz bench-smoke
 
 # Every Go benchmark in the tree at a fixed iteration count: the root
 # package's experiment benchmarks and the per-layer ones that sit next to

@@ -21,13 +21,16 @@ type client struct {
 
 	nextReq uint64
 	pending map[uint64]*pendingReq
+	reqs    sim.Free[pendingReq] // answered ops' records (client.drop)
 	fwd     msg.FabricReq
 	resp    msg.FabricResp
 }
 
 // pendingReq is a client op forwarded to another machine, awaiting its
-// FabricResp. It is the one record the forwarding hop allocates: tm is
-// armed with the record itself, whose Fire is the op timeout.
+// FabricResp. tm is armed with the record itself, whose Fire is the op
+// timeout. Only the client's pending map and tm hold it, so it goes back
+// on the client's list as the op leaves the map (client.drop), before
+// the client is answered: an answer that forwards again takes it.
 type pendingReq struct {
 	tm       sim.Timer
 	c        *client
@@ -75,7 +78,8 @@ func (c *client) forward(primary msg.DeviceID, payload []byte, rep smartnic.Repl
 		target = c.v.head
 	}
 	c.nextReq++
-	p := &pendingReq{c: c, id: c.nextReq, target: primary, rep: rep, payload: payload, rerouted: rerouted}
+	p := c.reqs.Get()
+	p.c, p.id, p.target, p.rep, p.payload, p.rerouted = c, c.nextReq, primary, rep, payload, rerouted
 	c.pending[p.id] = p
 	p.tm.Arm(c.v.eng, DefaultOpTimeout, p)
 	c.fwd = msg.FabricReq{Origin: c.v.id, ReqID: p.id, Payload: payload}
@@ -93,9 +97,17 @@ func (p *pendingReq) Fire() {
 
 // finish forgets a forwarded op and answers its client.
 func (p *pendingReq) finish(resp []byte) {
-	delete(p.c.pending, p.id)
+	rep := p.rep
+	p.c.drop(p)
+	rep.Reply(resp)
+}
+
+// drop forgets a forwarded op and puts its record back. The caller has
+// read what it still needs of p.
+func (c *client) drop(p *pendingReq) {
+	delete(c.pending, p.id)
 	p.tm.Stop()
-	p.rep.Reply(resp)
+	c.reqs.Put(p)
 }
 
 // onFabricReq routes a forwarded client op on its key, read in place,
@@ -165,22 +177,22 @@ func (c *client) onFabricResp(m *msg.FabricResp) {
 	}
 	// WrongOwner/unavailable: one re-route with the merged view, then
 	// give up and let the client retry.
-	delete(c.pending, m.ReqID)
-	p.tm.Stop()
-	if key, err := kvs.RequestKey(p.payload); err == nil && !p.rerouted {
+	rep, payload, rerouted := p.rep, p.payload, p.rerouted
+	c.drop(p)
+	if key, err := kvs.RequestKey(payload); err == nil && !rerouted {
 		if own := c.v.owners(string(key)); len(own) > 0 {
 			c.v.stats.Reroutes++
 			if own[0] != c.v.id {
-				c.forward(own[0], p.payload, p.rep, true)
+				c.forward(own[0], payload, rep, true)
 				return
 			}
 			// The merged view promoted us: serve locally after all.
-			req, _ := kvs.DecodeRequest(p.payload) // RequestKey accepted it
-			c.repl.servePrimary(req, p.rep)
+			req, _ := kvs.DecodeRequest(payload) // RequestKey accepted it
+			c.repl.servePrimary(req, rep)
 			return
 		}
 	}
-	p.rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+	rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
 }
 
 // failPendingTo answers every pending op whose target just died, in

@@ -19,12 +19,13 @@ type replicator struct {
 	tr    *transition
 	lease *lease
 
-	repSeq   uint64
-	gates    map[string]*keyGate
-	inflight map[uint64]*writeTask
-	wm       map[string]watermark
-	rep      msg.Replicate
-	ack      msg.ReplicateAck
+	repSeq    uint64
+	gates     map[string]*keyGate
+	idleGates sim.Free[keyGate] // idle keys' gates (finishTask)
+	inflight  map[uint64]*writeTask
+	wm        map[string]watermark
+	rep       msg.Replicate
+	ack       msg.ReplicateAck
 }
 
 // writeTask is one mutation moving through a key's replication
@@ -46,9 +47,13 @@ type writeTask struct {
 	xfer *Ring // the staged ring whose transfer this sync task counts toward
 	seq  uint64
 	// targets is the remaining unacked replication set, recomputed under
-	// the current (and staged, when one exists) view on every attempt.
+	// the current (and staged, when one exists) view on every attempt;
+	// acked holds the backups that acked. Both live in the task's own
+	// arrays unless a staged ring makes the set outgrow a replica set.
 	targets []msg.DeviceID
-	acked   map[msg.DeviceID]bool
+	acked   []msg.DeviceID
+	tbuf    [DefaultReplicas]msg.DeviceID
+	abuf    [DefaultReplicas]msg.DeviceID
 	// tm is the retransmit timer, armed with the task itself (Fire).
 	tm   sim.Timer
 	done bool
@@ -56,7 +61,8 @@ type writeTask struct {
 
 // keyGate serializes a key's mutations: one task in flight, later ones
 // wait. Per-key FIFO order is what makes the backup's watermark fencing
-// equivalent to "newest write wins".
+// equivalent to "newest write wins". Only the gates map holds it, so it
+// goes back on the replicator's list when finishTask deletes it.
 type keyGate struct {
 	cur   *writeTask
 	queue []*writeTask
@@ -98,7 +104,7 @@ func (p *replicator) enqueue(t *writeTask) {
 	t.p = p
 	g := p.gates[t.req.Key]
 	if g == nil {
-		g = &keyGate{}
+		g = p.idleGates.Get()
 		p.gates[t.req.Key] = g
 	}
 	if g.cur == nil {
@@ -162,9 +168,9 @@ func (p *replicator) replicate(t *writeTask) {
 	if v.halted || t.done {
 		return
 	}
-	t.targets = t.targets[:0]
+	t.targets = t.tbuf[:0]
 	for _, id := range v.repTargets(t.req.Key) {
-		if !t.acked[id] {
+		if !slices.Contains(t.acked, id) {
 			t.targets = append(t.targets, id)
 		}
 	}
@@ -248,14 +254,16 @@ func (p *replicator) onReplicateAck(src msg.DeviceID, m *msg.ReplicateAck) {
 		return // stale ack, or a failed apply the retransmit timer retries
 	}
 	if t.acked == nil {
-		t.acked = make(map[msg.DeviceID]bool)
+		t.acked = t.abuf[:0]
 	}
-	t.acked[src] = true
+	if !slices.Contains(t.acked, src) {
+		t.acked = append(t.acked, src)
+	}
 	// The client is acked only when every CURRENT target acked: targets
 	// are recomputed under the live view, so acks from since-dead (or
 	// since-replaced) backups never complete a task on their own.
 	for _, id := range p.v.repTargets(t.req.Key) {
-		if !t.acked[id] {
+		if !slices.Contains(t.acked, id) {
 			return
 		}
 	}
@@ -297,6 +305,7 @@ func (p *replicator) finishTask(t *writeTask) {
 	}
 	if len(g.queue) == 0 {
 		delete(p.gates, t.req.Key)
+		p.idleGates.Put(g)
 		return
 	}
 	g.cur = g.queue[0]

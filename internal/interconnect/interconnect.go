@@ -78,6 +78,8 @@ type Fabric struct {
 	// plane, when set, judges every doorbell and DMA (fault injection);
 	// nil is a pass-through.
 	plane *faultinject.Plane
+	// rings holds delivered doorbell writes' records (doorbell.Fire).
+	rings sim.Free[doorbell]
 }
 
 // FabricStats counts data-plane traffic.
@@ -163,7 +165,6 @@ func (f *Fabric) UnregisterDoorbell(addr DoorbellAddr) { delete(f.bells, addr) }
 func (f *Fabric) Ring(addr DoorbellAddr, value uint64) {
 	f.stats.Doorbells++
 	lat := f.costs.DoorbellLatency
-	deliver := &doorbell{f: f, addr: addr, value: value}
 	d := f.plane.Filter(faultinject.LayerLink, f.eng.Now(), 0, 0, msg.KindInvalid)
 	switch d.Op {
 	case faultinject.Drop:
@@ -175,13 +176,23 @@ func (f *Fabric) Ring(addr DoorbellAddr, value uint64) {
 		lat += d.Delay
 	case faultinject.Dup:
 		// A doubled posted write: the handler runs twice (virtio handlers
-		// tolerate spurious notifications by re-scanning the ring).
-		f.eng.Schedule(lat, deliver)
+		// tolerate spurious notifications by re-scanning the ring). Each
+		// copy is its own record, since each goes back when it fires.
+		f.post(lat, addr, value)
 	}
-	f.eng.Schedule(lat, deliver)
+	f.post(lat, addr, value)
 }
 
-// doorbell is one posted doorbell write on its way to the register.
+// post queues one delivery of a doorbell write.
+func (f *Fabric) post(lat sim.Duration, addr DoorbellAddr, value uint64) {
+	b := f.rings.Get()
+	b.f, b.addr, b.value = f, addr, value
+	f.eng.Schedule(lat, b)
+}
+
+// doorbell is one posted doorbell write on its way to the register. Only
+// the event queue holds it, so it goes back on its fabric's list as it
+// fires, before the handler runs: a handler that rings again takes it.
 type doorbell struct {
 	f     *Fabric
 	addr  DoorbellAddr
@@ -189,8 +200,10 @@ type doorbell struct {
 }
 
 func (b *doorbell) Fire() {
-	if h, ok := b.f.bells[b.addr]; ok {
-		h(b.value)
+	f, addr, value := b.f, b.addr, b.value
+	f.rings.Put(b)
+	if h, ok := f.bells[addr]; ok {
+		h(value)
 	}
 }
 

@@ -145,6 +145,10 @@ type Store struct {
 	inflightG   *metrics.Gauge
 	tenInflight map[tenant.ID]int
 
+	// ops holds answered gets' records that never made a file request
+	// (storeOp.done).
+	ops sim.Free[storeOp]
+
 	stats Stats
 }
 
@@ -440,9 +444,12 @@ func (s *Store) ServeRequest(tn uint16, stamped bool, payload []byte, rep smartn
 
 // storeOp is one admitted request. It is the event that charges the
 // index probe and then the request's completion, so an op that needs no
-// I/O (a cached get, a miss) allocates this record and its response. An
-// op that goes to the data file is also the completion of its file request
-// (FileDone): no continuation is allocated for the trip.
+// I/O (a cached get, a miss) costs only its response: only the event
+// queue held its record, so the record goes back on the store's list when
+// the op is answered. An op that goes to the data file is also the
+// completion of its file request (FileDone): no continuation is allocated
+// for the trip, and its record is never reused, since the file op's ends
+// may still hold it (DESIGN.md "Pool only what the owner alone sees").
 type storeOp struct {
 	s     *Store
 	req   Request
@@ -530,7 +537,7 @@ func (s *Store) Serve(req Request, rep smartnic.Replier) {
 		big := new(fileStoreOp)
 		big.file, op = &big.fileOp, &big.storeOp
 	} else {
-		op = new(storeOp)
+		op = s.ops.Get()
 	}
 	op.s, op.req, op.rep, op.start = s, req, rep, eng.Now()
 	eng.Schedule(s.cfg.IndexCost, op)
@@ -550,7 +557,9 @@ func (op *storeOp) Fire() {
 	}
 }
 
-// done releases the op's admission slots and answers the caller.
+// done releases the op's admission slots and answers the caller. An op
+// that made no file request goes back on the list first: the answer may
+// serve another request (a writeTask's next step), which takes it.
 func (op *storeOp) done(resp Response) {
 	s := op.s
 	// Fold the observed service time into the admission estimate
@@ -562,7 +571,11 @@ func (op *storeOp) done(resp Response) {
 	if who := tenant.ID(op.req.Tenant); who != 0 {
 		s.tenInflight[who]--
 	}
-	op.rep.Reply(EncodeResponse(resp))
+	rep := op.rep
+	if op.file == nil {
+		s.ops.Put(op)
+	}
+	rep.Reply(EncodeResponse(resp))
 }
 
 func (s *Store) get(op *storeOp) {

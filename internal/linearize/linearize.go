@@ -54,24 +54,30 @@ const (
 	Maybe
 )
 
-// Op is one invocation/response pair in a history.
+// Op is one invocation/response pair in a history. Outcome sits next to
+// Kind, so the two share one word.
 type Op struct {
 	ID      int
 	Kind    OpKind
+	Outcome Outcome
 	Key     string
 	Arg     uint64 // value written (Put); unused otherwise
 	Ret     uint64 // value read (Get that returned OK)
 	Start   sim.Time
 	End     sim.Time // response time; meaningless while Pending
-	Outcome Outcome
 }
+
+// blockOps is how many ops one block of a history holds.
+const blockOps = 1024
 
 // History is an append-only record of client-side operations. One
 // recorder per harness run; concurrency in the model comes from
 // overlapping [Start, End] windows, so a single recorder serves any
-// number of simulated clients.
+// number of simulated clients. The ops are kept in fixed blocks, so a
+// growing history never copies the ops it already holds.
 type History struct {
-	ops []Op
+	blocks [][]Op
+	n      int
 }
 
 // NewHistory returns an empty recorder.
@@ -80,14 +86,19 @@ func NewHistory() *History { return &History{} }
 // Invoke records the start of an operation and returns its ID for the
 // matching Return call. Operations left without a Return stay Pending.
 func (h *History) Invoke(kind OpKind, key string, arg uint64, now sim.Time) int {
-	id := len(h.ops)
-	h.ops = append(h.ops, Op{ID: id, Kind: kind, Key: key, Arg: arg, Start: now, Outcome: Pending})
+	id := h.n
+	if id%blockOps == 0 {
+		h.blocks = append(h.blocks, make([]Op, 0, blockOps))
+	}
+	b := &h.blocks[len(h.blocks)-1]
+	*b = append(*b, Op{ID: id, Kind: kind, Key: key, Arg: arg, Start: now, Outcome: Pending})
+	h.n++
 	return id
 }
 
 // Return records the response for the operation Invoke returned id for.
 func (h *History) Return(id int, outcome Outcome, ret uint64, now sim.Time) {
-	op := &h.ops[id]
+	op := &h.blocks[id/blockOps][id%blockOps]
 	op.Outcome = outcome
 	op.Ret = ret
 	op.End = now
@@ -123,23 +134,25 @@ func Check(h *History) Result {
 	perKey := make(map[string][]Op)
 	var keys []string
 	res := Result{OK: true}
-	for _, op := range h.ops {
-		switch {
-		case op.Outcome == Fail:
-			res.Excluded++ // typed refusal: contractually never executed
-			continue
-		case op.Kind == Get && (op.Outcome == Pending || op.Outcome == Maybe):
-			res.Excluded++ // a read nobody saw the result of constrains nothing
-			continue
-		case op.Outcome == Pending || op.Outcome == Maybe:
-			res.Optional++
-		default:
-			res.Required++
+	for _, b := range h.blocks {
+		for _, op := range b {
+			switch {
+			case op.Outcome == Fail:
+				res.Excluded++ // typed refusal: contractually never executed
+				continue
+			case op.Kind == Get && (op.Outcome == Pending || op.Outcome == Maybe):
+				res.Excluded++ // a read nobody saw the result of constrains nothing
+				continue
+			case op.Outcome == Pending || op.Outcome == Maybe:
+				res.Optional++
+			default:
+				res.Required++
+			}
+			if _, ok := perKey[op.Key]; !ok {
+				keys = append(keys, op.Key)
+			}
+			perKey[op.Key] = append(perKey[op.Key], op)
 		}
-		if _, ok := perKey[op.Key]; !ok {
-			keys = append(keys, op.Key)
-		}
-		perKey[op.Key] = append(perKey[op.Key], op)
 	}
 	sort.Strings(keys)
 	res.Keys = len(keys)

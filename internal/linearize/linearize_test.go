@@ -1,7 +1,10 @@
 package linearize
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"nocpu/internal/sim"
 )
@@ -244,5 +247,55 @@ func TestCheckerIsDeterministic(t *testing.T) {
 			got.Excluded != first.Excluded || len(got.Aborted) != len(first.Aborted) {
 			t.Fatalf("run %d: %+v != %+v", i, got, first)
 		}
+	}
+}
+
+// A history longer than one block keeps every op where Invoke put it: a
+// Return into an earlier block lands on its own op, and a stale read
+// there is still found.
+func TestHistorySpansBlocks(t *testing.T) {
+	build := func(stale bool) *History {
+		h := NewHistory()
+		first := h.Invoke(Get, "k", 0, at(0)) // answered last, from block 0
+		for i := 0; i < 3*blockOps; i++ {
+			id := h.Invoke(Put, "o"+strconv.Itoa(i), uint64(i), at(10+2*i))
+			h.Return(id, OK, 0, at(11+2*i))
+		}
+		put := h.Invoke(Put, "k", 7, at(1))
+		h.Return(put, OK, 0, at(2))
+		ret := uint64(7)
+		if stale {
+			ret = 6 // never written
+		}
+		h.Return(first, OK, ret, at(3))
+		return h
+	}
+	mustOK(t, build(false))
+	mustViolate(t, build(true), "k")
+	if res := Check(build(false)); res.Keys != 3*blockOps+1 || res.Required != 3*blockOps+2 {
+		t.Fatalf("checked %d keys and %d required ops, want %d and %d", res.Keys, res.Required, 3*blockOps+1, 3*blockOps+2)
+	}
+}
+
+// TestHistoryAllocs bounds what recording costs per op: an Op is 64 bytes
+// and lives in a fixed block, so a long history never copies itself. It
+// reads 66 B per Invoke (the Op and its share of the block list); 339 while
+// one slice regrew under append and an Op was 72 B.
+func TestHistoryAllocs(t *testing.T) {
+	const n = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHistory()
+	for i := 0; i < n; i++ {
+		h.Invoke(Put, "k", uint64(i), at(i))
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("Invoke: %.1f B per op", per)
+	if per > 80 {
+		t.Errorf("Invoke costs %.1f B per op, want <= 80", per)
+	}
+	if got := unsafe.Sizeof(Op{}); got != 64 {
+		t.Errorf("an Op is %d bytes, want 64", got)
 	}
 }
