@@ -5,8 +5,8 @@
 # service, of the client-request key view and of the fabric's ring
 # transition, the recycling tests twice over in shuffled order, and the
 # smoke run of the nested benchmark module. The
-# per-experiment targets below (chaos, overload, fabric, reconcile,
-# tenancy, partition) are `-run` aliases for working on one area; each
+# per-area targets below (chaos, overload, fabric, reconcile, tenancy,
+# partition, sessions) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
 # `make bench-full` is the whole benchmark (~1 min, sized by host time, so
 # it is not part of `check`): run it before quoting a benchmark number.
@@ -19,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allows race recycle fuzz chaos overload fabric reconcile tenancy partition bench-smoke bench-full check bench allocs tables lines funcs reach
+.PHONY: build test vet lint allows race recycle fuzz chaos overload fabric reconcile tenancy partition sessions bench-smoke bench-full check bench allocs tables lines funcs reach
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,14 @@ partition:
 	$(GO) test -race ./internal/linearize
 	$(GO) test -race -run 'TestTransportFailure|TestOneWayCut|TestMinorityPartition|TestFailSlow|TestTakeoverFence|TestFlappingLink|TestPartitionedActor' ./internal/fabric ./internal/reconcile
 	$(GO) test -race -run 'TestE21' ./internal/exp
+
+# sessions: the open, close and teardown tests of both halves of the
+# Figure-2 handshake (device.Sessions and device.Opener) on every
+# placement: the device's session table, the NIC's failed and closed
+# opens, the kernel's, and the one-faulted-message table over the three
+# machines.
+sessions:
+	$(GO) test -race -run 'Session|Open|Close|GivesBack|Answered' ./internal/device ./internal/smartnic ./internal/centralos ./internal/core
 
 # bench/ is its own module, so `go test ./...` here never enters it and
 # a change to a function it calls would surface only when the benchmark

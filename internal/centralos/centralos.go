@@ -43,7 +43,6 @@ import (
 	"nocpu/internal/sim"
 	"nocpu/internal/smartssd"
 	"nocpu/internal/trace"
-	"nocpu/internal/virtio"
 )
 
 // Config tunes the CPU and kernel cost model.
@@ -142,27 +141,17 @@ type CPU struct {
 }
 
 // session is one open the kernel brokers, from the trap to the close: the
-// table's instance, whose ID the app sees in both modes, and what the
-// kernel keeps to stand between the app and the provider.
+// table's instance, whose ID the app sees in both modes, and the kernel's
+// client half toward the provider, which opens like any client's.
 type session struct {
 	device.Instance
-	dev  msg.DeviceID // the provider
-	name string       // the file in the registry
-	conn uint32       // the provider's ConnID, once it answered
-	// asked is what the session waits on the provider for (the open, a
-	// connect), matched by its answer and resent by a retransmitted open.
-	asked   msg.Message
+	device.Opener
+	name    string        // the file in the registry
 	verdict *msg.OpenResp // the app's answer, replayed under rule 1
-	kf      *kernelFile   // a mediated open's queue
 	mapped  *syscall      // the map stage that installed the queue region
-}
-
-// kernelFile is a mediated session's queue, its driver half on the CPU,
-// and at-most-once I/O (§4): completed replays a retransmitted FileIOReq's
-// recorded response instead of re-applying the write, and inflight
-// suppresses duplicates of a request still in the device queue.
-type kernelFile struct {
-	drv       *virtio.Driver
+	// A mediated open's at-most-once I/O (§4; nil if direct): completed
+	// replays a retransmitted FileIOReq's answer instead of re-applying a
+	// write, inflight drops duplicates of a request still in the queue.
 	completed map[uint32]*msg.FileIOResp
 	inflight  map[uint32]bool
 }
@@ -328,13 +317,11 @@ func (c *CPU) receive(env msg.Envelope) {
 	case *msg.OpenReq:
 		c.stats.Syscalls++
 		c.trap(env.Src, m, c.cfg.SyscallCost+c.cfg.RegistryCost)
-	case *msg.OpenResp:
-		c.onDeviceOpenResp(env.Src, m)
 	case *msg.ConnectReq, *msg.CloseReq:
 		c.stats.Syscalls++
 		c.trap(env.Src, m, c.cfg.SyscallCost)
-	case *msg.ConnectResp:
-		c.onDeviceConnectResp(env.Src, m)
+	case *msg.OpenResp, *msg.ConnectResp:
+		c.onProvider(env.Src, m)
 	case *msg.FileIOReq:
 		c.sysFileIO(env.Src, m)
 	case *msg.AllocReq:
@@ -348,12 +335,16 @@ func (c *CPU) receive(env msg.Envelope) {
 	}
 }
 
-// onPeerFailed drops the sessions a dead device opened (its reopen is a
-// new open), then those it served, telling an answered one's app (§4: its
-// handle names the kernel, not the device behind it).
+// onPeerFailed drops the sessions a dead device opened (its reopen is a new
+// open), closing what their providers accepted, then those it served,
+// telling an answered one's app (§4: its handle names the kernel).
 func (c *CPU) onPeerFailed(dev msg.DeviceID) {
-	c.end(false, func(o *session) bool { return o.Client == dev })
-	for _, o := range c.end(false, func(o *session) bool { return o.dev == dev }) {
+	for _, o := range c.end(false, func(o *session) bool { return o.Client == dev }) {
+		if req := o.Abandon(); req != nil {
+			c.port.Send(o.Provider, req)
+		}
+	}
+	for _, o := range c.end(false, func(o *session) bool { return o.Provider == dev }) {
 		if o.verdict != nil {
 			c.port.Send(o.Client, &msg.ErrorNotify{App: o.App, Resource: o.Service, Code: 1,
 				Detail: fmt.Sprintf("device %d serving %q failed", dev, o.name)})
@@ -364,18 +355,25 @@ func (c *CPU) onPeerFailed(dev msg.DeviceID) {
 // end is the one teardown of a kernel session, whatever ends it: the sessions
 // gone reports leave the table, in id order, and a mediated one's driver stops.
 // A close or refusal (give) first fails the I/Os still queued, then frees the
-// queue region; a death or the reboot does neither, as that moves E15 goldens.
+// queue region and closes what the provider accepted; a death or the reboot
+// frees no region, as that moves E15 goldens.
 func (c *CPU) end(give bool, gone func(*session) bool) []*session {
 	out := c.sessions.Drop(gone)
 	for _, o := range out {
-		if o.kf != nil && o.kf.drv != nil {
+		if o.Queue != nil {
 			if give { // each failed I/O completes, and gives its backlog slot back
-				o.kf.drv.Abort(fmt.Errorf("centralos: session %d ended", o.ID))
+				o.Queue.Abort(fmt.Errorf("centralos: session %d ended", o.ID))
 			}
-			o.kf.drv.Quiesce()
+			o.Queue.Quiesce()
 		}
-		if s := o.mapped; give && s != nil {
+		if !give {
+			continue
+		}
+		if s := o.mapped; s != nil {
 			c.regions.Free(c.cfg.ID, &msg.FreeReq{App: o.App, VA: s.va}, s.mmus[:]...)
+		}
+		if req := o.Abandon(); req != nil {
+			c.port.Send(o.Provider, req)
 		}
 	}
 	return out
@@ -467,18 +465,19 @@ func (s *syscall) Fire() {
 			c.open(s, m)
 		case *msg.ConnectReq:
 			c.connect(s, m)
-		case *msg.CloseReq:
-			c.close(s, m)
+		case *msg.CloseReq: // the session ends, and so does the kernel's own at the provider
+			c.port.Send(s.src, c.sessions.Close(s.src, m, c.endOne))
 		case *msg.FileIOReq:
-			if err := s.o.kf.drv.SubmitOp(smartssd.EncodeFileReq(smartssd.FileReq{
+			if err := s.o.Queue.SubmitOp(smartssd.EncodeFileReq(smartssd.FileReq{
 				Op: smartssd.FileOp(m.Op), Off: m.Off, Len: m.Len, Data: m.Data,
 			}), s); err != nil {
 				s.completeIO(smartssd.FileResp{Status: smartssd.StatusIOError})
 			}
 		case *msg.AllocReq:
-			c.mmap(s, m)
-		case *msg.FreeReq:
-			c.munmap(s, m)
+			r, _ := c.mapRegion(s.src, m, s.mmus[0])
+			c.port.Send(s.src, r)
+		case *msg.FreeReq: // Free unmaps too; a duplicate finds the region gone and replays
+			c.port.Send(s.src, c.regions.Free(s.src, m, s.mmus[0]))
 		}
 	}
 }
@@ -493,36 +492,36 @@ func (c *CPU) open(s *syscall, m *msg.OpenReq) {
 		if o.verdict != nil {
 			resp := *o.verdict
 			c.port.Send(s.src, &resp)
-		} else if o.asked != nil {
-			c.port.Send(o.dev, o.asked)
+		} else if asked := o.Asked(); asked != nil {
+			c.port.Send(o.Provider, asked)
 		}
 		return
 	}
-	name, mediated := strings.CutPrefix(m.Service, "mediated:")
-	ok := mediated
-	if !ok {
-		name, ok = strings.CutPrefix(m.Service, "file:")
-	}
+	class, name, _ := strings.Cut(m.Service, ":")
 	dev, mounted := c.registry[name]
-	if reason := "unknown service class"; !ok || !mounted {
-		if ok {
+	if known := class == "file" || class == "mediated"; !known || !mounted {
+		reason := "unknown service class"
+		if known {
 			reason = "no such file in registry"
 		}
 		c.port.Send(s.src, &msg.OpenResp{Service: m.Service, App: m.App, Reason: reason})
 		return
 	}
-	o := c.sessions.Add(s.src, m, &session{dev: dev, name: name, asked: &msg.OpenReq{Service: "file:" + name, App: m.App, Token: m.Token}})
-	if mediated {
-		o.kf = &kernelFile{completed: make(map[uint32]*msg.FileIOResp), inflight: make(map[uint32]bool)}
+	o := c.sessions.Add(s.src, m, &session{name: name})
+	if class == "mediated" {
+		o.completed, o.inflight = make(map[uint32]*msg.FileIOResp), make(map[uint32]bool)
 	}
-	c.port.Send(dev, o.asked)
+	c.port.Send(dev, o.Open(dev, "file:"+name, m.App, m.Token))
 }
 
-// refuseOpen answers a session's open with a refusal and ends it.
+// refuseOpen ends a session on a refusal and answers its open with it.
 func (c *CPU) refuseOpen(o *session, reason string) {
-	c.end(true, func(x *session) bool { return x == o })
+	c.endOne(o)
 	c.port.Send(o.Client, &msg.OpenResp{Service: o.Service, App: o.App, Reason: reason})
 }
+
+// endOne ends one session on its close or its refusal.
+func (c *CPU) endOne(o *session) { c.end(true, func(x *session) bool { return x == o }) }
 
 // accept records a session's verdict for replay and sends it.
 func (c *CPU) accept(o *session, shared, base uint64) {
@@ -531,53 +530,52 @@ func (c *CPU) accept(o *session, shared, base uint64) {
 	c.port.Send(o.Client, &out)
 }
 
-// waiting is the first session whose request asked of dev answers fits.
-func (c *CPU) waiting(dev msg.DeviceID, answers func(asked msg.Message) bool) *session {
-	for _, o := range c.sessions.All() {
-		if o.dev == dev && o.asked != nil && answers(o.asked) {
-			return o
-		}
+// onProvider continues the session whose request a provider answered, or
+// closes an accept that came after its session ended. An accepted open goes
+// on to one mmap + grant of the queue region into the provider and the app's
+// device (direct) or the kernel's unit (mediated). A connect's answer goes
+// to the app under the kernel's ID (direct), or completes a mediated open.
+func (c *CPU) onProvider(dev msg.DeviceID, m msg.Message) {
+	o, stray := device.Answered(c.sessions.All(), dev, m)
+	if stray != nil {
+		c.port.Send(dev, stray)
 	}
-	return nil
-}
-
-// onDeviceOpenResp continues an open the provider answered: one mmap +
-// grant maps the queue region into the provider and into the app's device
-// (direct) or the kernel's own unit (mediated).
-func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
-	o := c.waiting(dev, func(asked msg.Message) bool {
-		r, ok := asked.(*msg.OpenReq)
-		return ok && r.App == m.App && r.Service == m.Service
-	})
 	if o == nil {
 		return
 	}
-	o.asked = nil
-	if !m.OK {
-		c.refuseOpen(o, m.Reason)
-		return
+	switch r := m.(type) {
+	case *msg.OpenResp:
+		first, devMMU := c.iommus[o.Client], c.iommus[dev]
+		if o.completed != nil {
+			first = c.mmu
+		}
+		if err := o.Opened(r); err != nil {
+			c.refuseOpen(o, err.Error())
+		} else if first == nil || devMMU == nil {
+			c.refuseOpen(o, "kernel has no IOMMU handle")
+		} else {
+			s := &syscall{c: c, src: o.Client, inc: c.port.Incarnation(), stage: sysMap, o: o, grant: r, mmus: [2]*iommu.IOMMU{first, devMMU}}
+			s.bytes = o.RegionBytes(c.cfg.QueueEntries)
+			s.va = c.vaFor(r.App, s.bytes)
+			c.cores.Submit(sim.Duration(2*memctrl.Pages(s.bytes))*c.cfg.MmapPerPage, s)
+		}
+	case *msg.ConnectResp:
+		if o.completed == nil {
+			out := *r
+			out.ConnID = o.ID
+			c.port.Send(o.Client, &out)
+		} else if err := o.Connected(r); err != nil {
+			c.refuseOpen(o, err.Error())
+		} else {
+			c.accept(o, uint64(o.Queue.CellSize()-smartssd.ReqHeaderBytes), 0)
+		}
 	}
-	first, devMMU := c.iommus[o.Client], c.iommus[dev]
-	if o.kf != nil {
-		first = c.mmu
-	}
-	if first == nil || devMMU == nil {
-		c.refuseOpen(o, "kernel has no IOMMU handle")
-		return
-	}
-	o.conn = m.ConnID
-	lay := virtio.NewLayout(0, c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
-	s := &syscall{c: c, src: o.Client, inc: c.port.Incarnation(), stage: sysMap, o: o, grant: m, mmus: [2]*iommu.IOMMU{first, devMMU}}
-	s.bytes = uint64(lay.DataVA) + uint64(lay.DataBytes())
-	s.va = c.vaFor(m.App, s.bytes)
-	c.cores.Submit(sim.Duration(2*memctrl.Pages(s.bytes))*c.cfg.MmapPerPage, s)
 }
 
-// mapQueue is an open's mmap + grant, for a session still open. A direct
-// open is done; a mediated one goes on to connect the kernel's own driver
-// to the device endpoint.
+// mapQueue is an open's mmap + grant, for a session still open; a mediated
+// open goes on to connect the kernel's own driver to the device endpoint.
 func (c *CPU) mapQueue(s *syscall) {
-	o, m := s.o, s.grant
+	o := s.o
 	if _, refusal := c.sessions.Opened(o.Client, o.App, o.ID); refusal != "" {
 		return
 	}
@@ -586,80 +584,27 @@ func (c *CPU) mapQueue(s *syscall) {
 		return
 	}
 	o.mapped = s
-	if o.kf == nil {
-		c.accept(o, m.SharedBytes, s.va)
-		return
-	}
-	lay := virtio.NewLayout(iommu.VirtAddr(s.va), c.cfg.QueueEntries, virtio.CellSizeFromQuote(m.SharedBytes, 128))
-	drv, err := virtio.NewDriver(c.dma, iommu.PASID(o.App), lay, 0)
-	if err != nil {
+	if o.completed == nil {
+		c.accept(o, s.grant.SharedBytes, s.va)
+	} else if req, err := o.Connect(c.dma, s.va, c.cfg.QueueEntries); err != nil {
 		c.refuseOpen(o, err.Error())
-		return
+	} else {
+		c.port.Send(o.Provider, req)
 	}
-	o.kf.drv = drv
-	o.asked = &msg.ConnectReq{Service: m.Service, ConnID: o.conn, App: o.App,
-		RingVA: uint64(lay.Base), RingEntries: c.cfg.QueueEntries, DataVA: uint64(lay.DataVA),
-		DataBytes: uint64(lay.DataBytes()), RespDoorbell: uint64(drv.RespBell)}
-	c.port.Send(o.dev, o.asked)
 }
 
 // connect forwards a direct session's connect syscall to its provider,
 // under the provider's ConnID.
 func (c *CPU) connect(s *syscall, m *msg.ConnectReq) {
 	o, refusal := c.sessions.Opened(s.src, m.App, m.ConnID)
-	if refusal == "" && (o.verdict == nil || o.kf != nil) {
+	if refusal == "" && (o.verdict == nil || o.completed != nil) {
 		refusal = "not a direct connection"
 	}
 	if refusal != "" {
 		c.port.Send(s.src, &msg.ConnectResp{ConnID: m.ConnID, Reason: refusal})
 		return
 	}
-	fwd := *m
-	fwd.ConnID = o.conn
-	o.asked = &fwd
-	c.port.Send(o.dev, &fwd)
-}
-
-// onDeviceConnectResp answers the session waiting on the provider's
-// ConnectResp: a forwarded connect, under the kernel's ID, or a mediated
-// open whose queue is now connected.
-func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, cr *msg.ConnectResp) {
-	o := c.waiting(dev, func(asked msg.Message) bool {
-		r, ok := asked.(*msg.ConnectReq)
-		return ok && r.ConnID == cr.ConnID
-	})
-	if o == nil {
-		return
-	}
-	o.asked = nil
-	if o.kf == nil {
-		out := *cr
-		out.ConnID = o.ID
-		c.port.Send(o.Client, &out)
-		return
-	}
-	if !cr.OK {
-		c.refuseOpen(o, cr.Reason)
-		return
-	}
-	var bell uint64
-	if _, err := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); err != nil {
-		c.refuseOpen(o, "no doorbell")
-		return
-	}
-	o.kf.drv.SetRequestBell(bell)
-	c.accept(o, uint64(o.kf.drv.CellSize()-smartssd.ReqHeaderBytes), 0)
-}
-
-// close runs a close syscall on the table's rules: the session ends, and
-// the kernel closes its own provider session (whose CloseResp it drops).
-func (c *CPU) close(s *syscall, m *msg.CloseReq) {
-	c.port.Send(s.src, c.sessions.Close(s.src, m, func(o *session) {
-		c.end(true, func(x *session) bool { return x == o })
-		if o.conn != 0 {
-			c.port.Send(o.dev, &msg.CloseReq{Service: "file:" + o.name, ConnID: o.conn, App: o.App})
-		}
-	}))
+	c.port.Send(o.Provider, o.Forward(m))
 }
 
 // sysFileIO admits a mediated I/O on behalf of the app.
@@ -667,19 +612,19 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 	c.stats.Syscalls++
 	c.stats.MediatedIOs++
 	o, refusal := c.sessions.Opened(src, m.App, m.Handle)
-	if refusal != "" || o.kf == nil || o.verdict == nil {
+	if refusal != "" || o.completed == nil || o.verdict == nil {
 		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBadRequest)})
 		return
 	}
 	// At-most-once: replay a completed syscall's response; swallow a
 	// duplicate of one still in flight (its response goes out when the
 	// device completes).
-	if done, was := o.kf.completed[m.Seq]; was {
+	if done, was := o.completed[m.Seq]; was {
 		resp := *done
 		c.port.Send(src, &resp)
 		return
 	}
-	if o.kf.inflight[m.Seq] {
+	if o.inflight[m.Seq] {
 		return
 	}
 	// Admission: bound the kernel's mediated-I/O backlog. Rejected
@@ -690,7 +635,7 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 		c.port.Send(src, &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(smartssd.StatusBusy)})
 		return
 	}
-	o.kf.inflight[m.Seq] = true
+	o.inflight[m.Seq] = true
 	c.ioOutstanding++
 	c.ioG.Set(c.ioOutstanding)
 	// Copy-in for writes (app buffer -> kernel page cache).
@@ -720,14 +665,14 @@ func (s *syscall) RequestDone(b []byte, err error) {
 // completeIO records a mediated I/O's final response for replay, then
 // sends it.
 func (s *syscall) completeIO(r smartssd.FileResp) {
-	c, m, kf := s.c, s.req.(*msg.FileIOReq), s.o.kf
+	c, m, o := s.c, s.req.(*msg.FileIOReq), s.o
 	c.ioOutstanding--
 	c.ioG.Set(c.ioOutstanding)
-	delete(kf.inflight, m.Seq)
+	delete(o.inflight, m.Seq)
 	resp := &msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(r.Status), Size: r.Size, Data: r.Data}
-	kf.completed[m.Seq] = resp
+	o.completed[m.Seq] = resp
 	if m.Seq > ioWindow {
-		delete(kf.completed, m.Seq-ioWindow)
+		delete(o.completed, m.Seq-ioWindow)
 	}
 	out := *resp
 	c.port.Send(s.src, &out)
@@ -746,21 +691,10 @@ func (c *CPU) sysMmap(src msg.DeviceID, m *msg.AllocReq) {
 	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(memctrl.Pages(m.Bytes))*c.cfg.MmapPerPage).mmus[0] = mmu
 }
 
-func (c *CPU) mmap(s *syscall, m *msg.AllocReq) {
-	r, _ := c.mapRegion(s.src, m, s.mmus[0])
-	c.port.Send(s.src, r)
-}
-
 // sysMunmap releases a region mapped by sysMmap, charged per frame it
 // holds at admission. A caller with no IOMMU handle owns no region, so
 // Free refuses it before it would unmap.
 func (c *CPU) sysMunmap(src msg.DeviceID, m *msg.FreeReq) {
 	c.stats.Syscalls++
 	c.trap(src, m, c.cfg.SyscallCost+sim.Duration(c.regions.Frames(m.App, m.VA))*c.cfg.MmapPerPage).mmus[0] = c.iommus[src]
-}
-
-// munmap unmaps and frees inside Regions.Free; a duplicate queued behind
-// the first finds the region gone and replays.
-func (c *CPU) munmap(s *syscall, m *msg.FreeReq) {
-	c.port.Send(s.src, c.regions.Free(s.src, m, s.mmus[0]))
 }

@@ -9,6 +9,7 @@ import (
 
 	"nocpu/internal/bus"
 	"nocpu/internal/device"
+	"nocpu/internal/faultinject"
 	"nocpu/internal/interconnect"
 	"nocpu/internal/iommu"
 	"nocpu/internal/kvs"
@@ -147,7 +148,7 @@ func (cb *centralbed) op(t *testing.T, req kvs.Request) kvs.Response {
 func mediatedHandles(c *CPU) []uint32 {
 	var hs []uint32
 	for _, o := range c.sessions.All() {
-		if o.kf != nil && o.verdict != nil {
+		if o.completed != nil && o.verdict != nil {
 			hs = append(hs, o.ID)
 		}
 	}
@@ -562,8 +563,8 @@ func TestKernelClose(t *testing.T) {
 		cb.eng.Run()
 		all := cb.cpu.sessions.All()
 		o := all[len(all)-1]
-		if o.App != app.AppID() || o.ID == o.conn {
-			t.Fatalf("session %d (app %d) is the SSD's %d", o.ID, o.App, o.conn)
+		if o.App != app.AppID() || o.ID == o.ConnID {
+			t.Fatalf("session %d (app %d) is the SSD's %d", o.ID, o.App, o.ConnID)
 		}
 		closeConn(t, cb, &msg.CloseReq{Service: "mediated:kv.dat", ConnID: o.ID, App: o.App})
 		if _, refusal := cb.cpu.sessions.Opened(nicID, o.App, o.ID); refusal == "" {
@@ -576,7 +577,7 @@ func TestKernelClose(t *testing.T) {
 			t.Errorf("the app's close reached the SSD %d times", n)
 		}
 		// Only a close under the SSD's ConnID ends its session there.
-		freeBell(t, cb.fab, o.kf.drv.RespBell+1, "the SSD's request doorbell")
+		freeBell(t, cb.fab, o.Queue.RespBell+1, "the SSD's request doorbell")
 	})
 	t.Run("direct connection", func(t *testing.T) {
 		cb := newCentralbed(t, kvs.ModeCentralDirect)
@@ -843,7 +844,7 @@ func (cb *centralbed) openClose(t *testing.T, app *fileApp, p smartnic.Placement
 		bell = fc.Conn.Queue.RespBell
 	} else {
 		all := cb.cpu.sessions.All()
-		bell = all[len(all)-1].kf.drv.RespBell
+		bell = all[len(all)-1].Queue.RespBell
 	}
 	closed := false
 	f.Close(func(err error) {
@@ -891,9 +892,10 @@ func TestKernelCloseGivesBackWhatOpenTook(t *testing.T) {
 }
 
 // A mediated open refused after its map stage gives back what the stage
-// took: the SSD refuses the kernel's connect, and the queue region and the
-// kernel driver's doorbell go back. A first cycle builds the app's
-// translation contexts.
+// took: the kernel's connect is refused ahead of the SSD's own answer, and
+// the queue region and the kernel driver's doorbell go back. The session
+// the SSD accepted and connected is closed too, so its request doorbell is
+// free. A first cycle builds the app's translation contexts.
 func TestRefusedMediatedOpenGivesBackItsQueue(t *testing.T) {
 	cb := newCentralbed(t, kvs.ModeCentralMediated)
 	app := &fileApp{}
@@ -907,7 +909,7 @@ func TestRefusedMediatedOpenGivesBackItsQueue(t *testing.T) {
 	var o *session
 	for o == nil && cb.eng.Step() {
 		for _, s := range cb.cpu.sessions.All() {
-			if _, connecting := s.asked.(*msg.ConnectReq); connecting && s.App == app.AppID() {
+			if _, connecting := s.Asked().(*msg.ConnectReq); connecting && s.App == app.AppID() {
 				o = s
 			}
 		}
@@ -915,7 +917,7 @@ func TestRefusedMediatedOpenGivesBackItsQueue(t *testing.T) {
 	if o == nil {
 		t.Fatal("the open never reached its connect")
 	}
-	cb.ssd.Device().Send(cpuID, &msg.ConnectResp{ConnID: o.conn, Reason: "refused"})
+	cb.ssd.Device().Send(cpuID, &msg.ConnectResp{ConnID: o.ConnID, Reason: "refused"})
 	cb.eng.Run()
 	if openErr == nil || !strings.Contains(openErr.Error(), "refused") {
 		t.Fatalf("open answered %v, want the refusal", openErr)
@@ -923,7 +925,109 @@ func TestRefusedMediatedOpenGivesBackItsQueue(t *testing.T) {
 	if got := cb.fab.Memory().AllocatedBytes(); got != allocated {
 		t.Errorf("%d bytes allocated after the refusal, want %d", got, allocated)
 	}
-	freeBell(t, cb.fab, o.kf.drv.RespBell, "the kernel driver's response doorbell")
+	freeBell(t, cb.fab, o.Queue.RespBell, "the kernel driver's response doorbell")
+	freeBell(t, cb.fab, o.Queue.RespBell+1, "the SSD's request doorbell")
+}
+
+// A close that reaches the kernel while an open still waits on the SSD
+// ends the session at once, and the SSD's accept, landing after it, names
+// no session: the kernel closes it. The SSD numbers its instances in order
+// and the store holds the first, so the abandoned open is the second. The
+// app's open, retransmitted, then gets a third; an instance the SSD kept
+// would come back instead, under replay rule 1.
+func TestCloseWhileOpenWaitsClosesTheLateAccept(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	app := &fileApp{}
+	cb.nic.AddApp(app)
+	cb.eng.Run()
+	abandoned := cb.cpu.sessions.All()[0].ConnID + 1
+	var openErr error
+	opened := 0
+	app.rt.OpenFile(smartnic.KernelDirect, cpuID, "kv.dat", 0, 16, func(_ smartnic.FileAPI, err error) { openErr, opened = err, opened+1 })
+	var o *session
+	for o == nil && cb.eng.Step() {
+		for _, s := range cb.cpu.sessions.All() {
+			if _, waits := s.Asked().(*msg.OpenReq); waits && s.App == app.AppID() {
+				o = s
+			}
+		}
+	}
+	if o == nil {
+		t.Fatal("the open never waited on the SSD")
+	}
+	cb.nic.Device().Send(cpuID, &msg.CloseReq{Service: "file:kv.dat", ConnID: o.ID, App: o.App})
+	cb.eng.Run()
+	if opened != 1 || openErr != nil {
+		t.Fatalf("the retransmitted open answered %d times, err %v", opened, openErr)
+	}
+	closes := 0
+	for _, ev := range cb.tr.Filter("close.req") {
+		if ev.Src == "cpu" && ev.Dst == "ssd" {
+			closes++
+		}
+	}
+	if closes != 1 {
+		t.Errorf("the kernel sent the SSD %d closes, want 1, for the late accept", closes)
+	}
+	all := cb.cpu.sessions.All()
+	if got := all[len(all)-1].ConnID; got != abandoned+1 {
+		t.Errorf("the reopen holds the SSD's instance %d, want %d: the abandoned %d was not closed", got, abandoned+1, abandoned)
+	}
+}
+
+// A kernel-direct open that fails after the kernel accepted it leaves the
+// app's session at the kernel: the app's runtime closes a session a device
+// accepted, not one the kernel did (smartnic's openAt). Closing it moves
+// E15's "centralized ctl, P2P data / ctl x3" cell, so it waits for the one
+// re-baseline; this pins the session that close will end.
+func TestFailedKernelDirectOpenKeepsItsKernelSession(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralDirect)
+	app := &fileApp{}
+	cb.nic.AddApp(app)
+	cb.eng.Run()
+	plane := faultinject.New(1)
+	plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindConnectResp, Src: cpuID, Op: faultinject.Drop})
+	cb.bus.SetFaultPlane(plane)
+	var openErr error
+	app.rt.OpenFile(smartnic.KernelDirect, cpuID, "kv.dat", 0, 16, func(_ smartnic.FileAPI, err error) { openErr = err })
+	cb.eng.Run()
+	if openErr == nil || !strings.Contains(openErr.Error(), "connect") {
+		t.Fatalf("open with every kernel ConnectResp dropped: err %v", openErr)
+	}
+	held := 0
+	for _, o := range cb.cpu.sessions.All() {
+		if o.App == app.AppID() {
+			held++
+		}
+	}
+	if held != 1 {
+		t.Errorf("the kernel holds %d sessions of the failed open's app, want 1", held)
+	}
+}
+
+// A session whose opener died ends at its provider too: the kernel closes
+// what the SSD accepted, so the SSD's endpoint gives back its request
+// doorbell, on both kernel placements.
+func TestOpenerDeathClosesTheProviderSession(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode kvs.Mode
+	}{{"direct", kvs.ModeCentralDirect}, {"mediated", kvs.ModeCentralMediated}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cb := newCentralbed(t, tc.mode)
+			// The SSD allocated its request doorbell right after the
+			// response doorbell of the queue's driver, the last one taken.
+			bell := cb.fab.AllocDoorbell(func(uint64) {}) - 1
+			if err := cb.bus.FailDevice(nicID, "test"); err != nil {
+				t.Fatal(err)
+			}
+			cb.eng.Run()
+			if n := len(cb.cpu.sessions.All()); n != 0 {
+				t.Fatalf("the kernel holds %d sessions after their opener died", n)
+			}
+			freeBell(t, cb.fab, bell, "the SSD's request doorbell")
+		})
+	}
 }
 
 // A mediated close with an I/O still in the kernel's queue fails that I/O

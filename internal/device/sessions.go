@@ -220,7 +220,7 @@ func (s *Sessions) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectRe
 		c.ep, c.estab, c.connected = ep, *req, true
 	}
 	// Tell the requester which doorbell to kick.
-	return &msg.ConnectResp{ConnID: req.ConnID, OK: true, Reason: fmt.Sprintf("reqbell=%d", c.ep.ReqBell)}
+	return &msg.ConnectResp{ConnID: req.ConnID, OK: true, Reason: fmt.Sprintf(reqBell, c.ep.ReqBell)}
 }
 
 // Close implements Service.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nocpu/internal/faultinject"
-	"nocpu/internal/interconnect"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartssd"
@@ -122,15 +121,19 @@ func TestBrokenFlashSurfacesIOErrors(t *testing.T) {
 	}
 }
 
-// A failed open gives back what it took. With every GrantReq dropped the
-// open fails after allocating its queue region; with every ConnectReq
-// dropped, after building its driver too. Either way the region goes back
-// to the controller, and the driver's response doorbell reaches no driver.
+// A failed open gives back what it took, and closes the session the SSD
+// accepted. With every GrantReq dropped the open fails after allocating its
+// queue region; with every ConnectReq dropped, after building its driver
+// too; with every ConnectResp dropped, after the SSD connected its endpoint.
+// Each time the region goes back to the controller and no doorbell the open
+// or the SSD allocated stays registered. The failed open held the SSD's
+// first instance, and a reopen gets a second: a session the SSD kept
+// unconnected would come back under replay rule 1.
 func TestFailedOpenGivesBackWhatItTook(t *testing.T) {
 	for _, tc := range []struct {
 		kind  msg.Kind
-		bells int // doorbells the open allocated before it failed
-	}{{msg.KindGrantReq, 0}, {msg.KindConnectReq, 1}} {
+		bells int // doorbells the open and the SSD allocated before it failed
+	}{{msg.KindGrantReq, 0}, {msg.KindConnectReq, 1}, {msg.KindConnectResp, 2}} {
 		kind := tc.kind
 		t.Run(kind.String(), func(t *testing.T) {
 			m := newMachine(t)
@@ -143,8 +146,10 @@ func TestFailedOpenGivesBackWhatItTook(t *testing.T) {
 			// the test takes.
 			probe := func(uint64) {}
 			first := m.fab.AllocDoorbell(probe)
+			var rt *Runtime
 			var openErr error
-			m.nic.AddApp(&testApp{id: 7, onBoot: func(rt *Runtime) {
+			m.nic.AddApp(&testApp{id: 7, onBoot: func(r *Runtime) {
+				rt = r
 				rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(_ FileAPI, err error) { openErr = err })
 			}})
 			m.eng.Run()
@@ -159,14 +164,22 @@ func TestFailedOpenGivesBackWhatItTook(t *testing.T) {
 				t.Fatalf("the open allocated %d doorbells, want %d", built, tc.bells)
 			}
 			for bell := first + 1; bell < last; bell++ {
-				func(bell interconnect.DoorbellAddr) {
-					defer func() {
-						if recover() != nil {
-							t.Errorf("doorbell %d still reaches the failed open's driver", bell)
-						}
-					}()
-					m.fab.RegisterDoorbell(bell, probe)
-				}(bell)
+				freeBell(t, m.fab, bell, "a doorbell of the failed open")
+			}
+			m.bus.SetFaultPlane(nil)
+			var conn *Connection
+			rt.OpenService(mcID, "file:kv.dat", 0, 32, func(c *Connection, err error) {
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				conn = c
+			})
+			m.eng.Run()
+			if conn == nil {
+				t.Fatal("the reopen did not complete")
+			}
+			if conn.ConnID != 2 {
+				t.Errorf("the reopen holds the SSD's instance %d, want a fresh 2", conn.ConnID)
 			}
 		})
 	}

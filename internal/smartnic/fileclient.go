@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"nocpu/internal/device"
 	"nocpu/internal/msg"
 	"nocpu/internal/smartssd"
 )
@@ -162,17 +163,15 @@ func (op *FileOp) RequestDone(b []byte, err error) {
 // mediatedFile is the kernel-mediated FileAPI: every request is a
 // FileIOReq syscall.
 type mediatedFile struct {
-	rt      *Runtime
-	kernel  msg.DeviceID
-	service string
-	handle  uint32
-	maxIO   int
-	seq     uint32
-	dead    bool
+	device.Opener // with the kernel: the handle is its ConnID
+	rt            *Runtime
+	maxIO         int
+	seq           uint32
+	dead          bool
 	fileCalls
 }
 
-func (m *mediatedFile) Provider() msg.DeviceID { return m.kernel }
+func (m *mediatedFile) Provider() msg.DeviceID { return m.Opener.Provider }
 func (m *mediatedFile) MaxIO() int             { return m.maxIO }
 
 // Fail implements FileAPI: the kernel died, the handle it issued is gone,
@@ -185,7 +184,7 @@ func (m *mediatedFile) Fail(err error) { m.dead = true }
 // kernel forgets its session.
 func (m *mediatedFile) Close(cb func(error)) {
 	m.dead = true
-	m.rt.closeAt(m.kernel, m.service, m.handle, cb)
+	m.rt.closeAt(m.Opener.Provider, m.Abandon(), cb)
 }
 
 // issue sends the record as a FileIOReq syscall; the kernel bounds the
@@ -193,7 +192,7 @@ func (m *mediatedFile) Close(cb func(error)) {
 func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int, done FileCompletion) {
 	b := op.prepare(kind, off, n, done)
 	if m.dead {
-		op.finish(fmt.Errorf("smartnic: mediated handle %d is dead", m.handle))
+		op.finish(fmt.Errorf("smartnic: mediated handle %d is dead", m.ConnID))
 		return
 	}
 	m.seq++
@@ -201,14 +200,14 @@ func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int
 	// seq) and replays the recorded response, so a lost FileIOResp does
 	// not re-apply a write.
 	req := &msg.FileIOReq{
-		App: m.rt.app, Handle: m.handle, Seq: m.seq,
+		App: m.rt.app, Handle: m.ConnID, Seq: m.seq,
 		Op: uint8(kind), Off: off, Len: uint32(n),
 	}
 	if len(b) > smartssd.ReqHeaderBytes {
 		req.Data = b[smartssd.ReqHeaderBytes:]
 	}
-	m.rt.nic.call(m.rt.Retry, m.kernel, req,
-		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.handle), sub: m.seq},
+	m.rt.nic.call(m.rt.Retry, m.Opener.Provider, req,
+		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.ConnID), sub: m.seq},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			if err == nil {
 				if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {

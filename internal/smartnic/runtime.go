@@ -1,15 +1,14 @@
 package smartnic
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
+	"nocpu/internal/device"
 	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
 	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
-	"nocpu/internal/virtio"
 )
 
 // Runtime is the per-application system-bus library (§4
@@ -165,69 +164,47 @@ func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byt
 		})
 }
 
-// open is §3 steps 3-4 against provider: a device's service, or the
-// kernel in the centralized baseline. cb receives the provider's
-// acceptance, or its refusal or the call's failure as an error.
-func (rt *Runtime) open(provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
-	req := &msg.OpenReq{Service: service, App: rt.app, Token: token}
-	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
+// open is §3 steps 3-4 of o's session with provider: a device's service,
+// or the kernel in the centralized baseline. cb receives the provider's
+// acceptance once o took it, or its refusal or the call's failure as an
+// error.
+func (rt *Runtime) open(o *device.Opener, provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
+	rt.nic.call(rt.Retry, provider, o.Open(provider, service, rt.app, token), callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			or, _ := resp.(*msg.OpenResp)
-			if err == nil && !or.OK {
-				err = errors.New(or.Reason)
+			if err == nil {
+				err = o.Opened(or)
 			}
 			cb(or, err)
 		})
 }
 
-// connect builds the driver half of a queue over the shared region at
-// base, then programs the provider's half with it (§3 step 7b; the
-// driver comes first so the ConnectReq can carry the response doorbell).
-// A failed connect gives its doorbell back.
-func (rt *Runtime) connect(provider msg.DeviceID, service string, connID uint32, base uint64, entries uint16, cellSize int, cb func(*virtio.Driver, error)) {
-	n := rt.nic
-	layout := virtio.NewLayout(iommu.VirtAddr(base), entries, cellSize)
-	drv, err := virtio.NewDriver(n.dev.DMA(), iommu.PASID(rt.app), layout, 0)
+// connect builds o's queue over the shared region at base and programs the
+// provider's half with it (§3 step 7b).
+func (rt *Runtime) connect(o *device.Opener, base uint64, entries uint16, cb func(error)) {
+	req, err := o.Connect(rt.nic.dev.DMA(), base, entries)
 	if err != nil {
-		cb(nil, fmt.Errorf("driver: %w", err))
+		cb(fmt.Errorf("driver: %w", err))
 		return
 	}
-	req := &msg.ConnectReq{
-		Service: service, ConnID: connID, App: rt.app,
-		RingVA: uint64(layout.Base), RingEntries: entries,
-		DataVA: uint64(layout.DataVA), DataBytes: uint64(layout.DataBytes()),
-		RespDoorbell: uint64(drv.RespBell),
-	}
-	n.call(rt.Retry, provider, req, callKey{kind: msg.KindConnectResp, id: uint64(connID), sub: uint32(provider)},
+	rt.nic.call(rt.Retry, o.Provider, req, callKey{kind: msg.KindConnectResp, id: uint64(o.ConnID), sub: uint32(o.Provider)},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
-			var bell uint64
 			if err == nil {
-				if cr := resp.(*msg.ConnectResp); !cr.OK {
-					err = errors.New(cr.Reason)
-				} else if _, serr := fmt.Sscanf(cr.Reason, "reqbell=%d", &bell); serr != nil {
-					err = errors.New("no request doorbell in response")
-				}
+				err = o.Connected(resp.(*msg.ConnectResp))
 			}
-			if err != nil {
-				drv.Quiesce()
-				cb(nil, err)
-				return
-			}
-			drv.SetRequestBell(bell)
-			cb(drv, nil)
+			cb(err)
 		})
 }
 
-// Connection is an established service connection with its virtqueue.
+// Connection is an established service connection: its client half of the
+// session (the provider, the provider's ConnID and the queue) and the
+// shared region the queue lives in.
 type Connection struct {
-	rt       *Runtime
-	Provider msg.DeviceID
-	Service  string
-	ConnID   uint32
-	VA       uint64 // shared region base
-	Bytes    uint64
-	Queue    *virtio.Driver
-	memctrl  msg.DeviceID // whom the region's free goes to; 0: the kernel mapped it
+	device.Opener
+	rt      *Runtime
+	VA      uint64 // shared region base
+	Bytes   uint64
+	memctrl msg.DeviceID // whom the region's free goes to; 0: the kernel mapped it
 }
 
 // Placement is where a file open runs and where its I/O goes. The same
@@ -255,14 +232,14 @@ const (
 func (rt *Runtime) OpenFile(p Placement, control msg.DeviceID, name string, token uint64, entries uint16, cb func(FileAPI, error)) {
 	switch p {
 	case KernelMediated:
-		service := "mediated:" + name
-		rt.open(control, service, token, func(or *msg.OpenResp, err error) {
+		m := &mediatedFile{rt: rt}
+		m.via = m
+		rt.open(&m.Opener, control, "mediated:"+name, token, func(or *msg.OpenResp, err error) {
 			if err != nil {
-				cb(nil, openError(service, "open", err))
+				cb(nil, openError("mediated:"+name, "open", err))
 				return
 			}
-			m := &mediatedFile{rt: rt, kernel: control, service: service, handle: or.ConnID, maxIO: int(or.SharedBytes)}
-			m.via = m
+			m.maxIO = int(or.SharedBytes)
 			cb(m, nil)
 		})
 	case KernelDirect:
@@ -323,46 +300,43 @@ func (rt *Runtime) OpenService(memctrl msg.DeviceID, query string, token uint64,
 // the kernel. The provider's verdict decides the rest. One that carries a
 // Base is the kernel's: it mapped the queue region for the app, which
 // connects at once. Otherwise the app allocates the region through memctrl
-// and grants it to the provider first.
+// and grants it to the provider first. A failed open gives back what it
+// took, and closes what a device accepted.
 func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token uint64, entries uint16, cb func(*Connection, error)) {
-	conn := &Connection{rt: rt, Provider: provider, Service: service}
+	conn := &Connection{rt: rt}
 	fail := func(stage string, err error) {
-		conn.release(func(error) {}) // its answer is not waited for
+		if req := conn.Abandon(); req != nil && memctrl != 0 {
+			rt.closeAt(provider, req, func(error) {})
+		}
+		conn.release(func(error) {}) // neither answer is waited for
 		cb(nil, openError(service, stage, err))
 	}
+	connected := func(err error) {
+		if err != nil {
+			fail("connect", err)
+			return
+		}
+		if conn.memctrl != 0 {
+			rt.conns = append(rt.conns, conn)
+		}
+		cb(conn, nil)
+	}
 	// Step 3-4: open.
-	rt.open(provider, service, token, func(or *msg.OpenResp, err error) {
+	rt.open(&conn.Opener, provider, service, token, func(or *msg.OpenResp, err error) {
 		if err != nil {
 			fail("open", err)
 			return
 		}
-		// Every provider quotes shared memory for a default 128-entry
-		// ring: its cells are what the quote holds at that size, whatever
-		// ring the app builds from them.
-		cellSize := virtio.CellSizeFromQuote(or.SharedBytes, 128)
-		// Step 7b: program the provider's queue.
-		connect := func(base, bytes uint64) {
-			rt.connect(provider, service, or.ConnID, base, entries, cellSize, func(drv *virtio.Driver, err error) {
-				if err != nil {
-					fail("connect", err)
-					return
-				}
-				conn.ConnID, conn.VA, conn.Bytes, conn.Queue = or.ConnID, base, bytes, drv
-				if conn.memctrl != 0 {
-					rt.conns = append(rt.conns, conn)
-				}
-				cb(conn, nil)
-			})
-		}
 		if or.Base != 0 {
 			// The kernel's region. Its connection stays out of rt.conns, so
-			// a NIC reset does not quiesce it: registering it moves the E15
-			// goldens, and waits for the one re-baseline.
-			connect(or.Base, or.SharedBytes)
+			// a NIC reset does not quiesce it, and a failed connect leaves
+			// the app's session at the kernel open (memctrl is 0): either
+			// moves the E15 goldens, and waits for the one re-baseline.
+			conn.VA, conn.Bytes = or.Base, or.SharedBytes
+			rt.connect(&conn.Opener, or.Base, entries, connected)
 			return
 		}
-		lay := virtio.NewLayout(0, entries, cellSize)
-		size := uint64(lay.DataVA) + uint64(lay.DataBytes())
+		size := conn.RegionBytes(entries)
 		// Step 5-6: allocate shared memory (bus maps our IOMMU).
 		rt.AllocShared(memctrl, size, func(region uint64, err error) {
 			if err != nil {
@@ -370,13 +344,13 @@ func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token 
 				return
 			}
 			conn.memctrl, conn.VA, conn.Bytes = memctrl, region, size
-			// Step 7a: grant the region to the provider.
+			// Step 7a: grant the region to the provider; 7b: connect.
 			rt.Grant(region, size, provider, func(err error) {
 				if err != nil {
 					fail("grant", err)
 					return
 				}
-				connect(region, size)
+				rt.connect(&conn.Opener, region, entries, connected)
 			})
 		})
 	})
@@ -384,7 +358,7 @@ func (rt *Runtime) openAt(memctrl, provider msg.DeviceID, service string, token 
 
 // Close ends the session at its provider and, answered or not, releases it here.
 func (c *Connection) Close(cb func(error)) {
-	c.rt.closeAt(c.Provider, c.Service, c.ConnID, func(err error) {
+	c.rt.closeAt(c.Provider, c.Abandon(), func(err error) {
 		c.release(func(error) { cb(err) })
 	})
 }
@@ -406,10 +380,9 @@ func (c *Connection) release(then func(error)) {
 	c.rt.Free(c.memctrl, c.VA, c.Bytes, then)
 }
 
-// closeAt asks provider to end session id of service.
-func (rt *Runtime) closeAt(provider msg.DeviceID, service string, id uint32, cb func(error)) {
-	req := &msg.CloseReq{Service: service, ConnID: id, App: rt.app}
-	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindCloseResp, id: uint64(id), sub: uint32(provider)},
+// closeAt asks provider to end the session req names.
+func (rt *Runtime) closeAt(provider msg.DeviceID, req *msg.CloseReq, cb func(error)) {
+	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindCloseResp, id: uint64(req.ConnID), sub: uint32(provider)},
 		func(_ msg.DeviceID, resp msg.Message, err error) {
 			if m, _ := resp.(*msg.CloseResp); err == nil && !m.OK {
 				err = fmt.Errorf("smartnic: close refused")

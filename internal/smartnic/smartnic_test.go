@@ -458,7 +458,7 @@ func TestConnectByOtherDeviceRefused(t *testing.T) {
 	m.nic.AddApp(&testApp{id: 3, onBoot: func(rt *Runtime) {
 		// Run only open (not the full sequence) so we can hijack.
 		rt.Discover("file:kv.dat", func(provider msg.DeviceID, service string, err error) {
-			rt.open(provider, service, 0, func(or *msg.OpenResp, err error) { connID = or.ConnID })
+			rt.open(new(device.Opener), provider, service, 0, func(or *msg.OpenResp, err error) { connID = or.ConnID })
 		})
 	}})
 	m.eng.Run()
