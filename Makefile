@@ -3,8 +3,8 @@
 # under the race detector (once, in shuffled order), a short fuzz run of
 # the wire-format decoder, of the virtqueue endpoint, of the SSD's file
 # service, of the client-request key view and of the fabric's ring
-# transition, the recycling tests twice over in shuffled order, and the
-# smoke run of the nested benchmark module. The
+# transition, the recycling and lending tests twice over in shuffled
+# order, and the smoke run of the nested benchmark module. The
 # per-area targets below (chaos, overload, fabric, reconcile, tenancy,
 # partition, sessions) are `-run` aliases for working on one area; each
 # is a strict subset of `race`, so `check` does not run them again.
@@ -54,12 +54,15 @@ race:
 
 # The tests of the records that go on sim.Free lists (the recycling tests,
 # the free-list bound tests and the allocation guards that read 0 only
-# while records come back) in every package that keeps such a list, twice
-# in one shuffled order under the race detector: the second pass runs on
-# whatever the first left on a list, so a record given back while still
-# held shows as a wrong answer there even where one pass hides it.
+# while records come back) in every package that keeps such a list, and
+# the tests of the buffers the virtqueue lends (a request until Complete, a
+# response for the length of RequestDone) and of the consumers that copy
+# what they keep, twice in one shuffled order under the race detector: the
+# second pass runs on whatever the first left on a list or in a buffer, so
+# a record given back or a buffer reused while still held shows as a wrong
+# answer there even where one pass hides it.
 recycle:
-	$(GO) test -race -shuffle=on -count=2 -run 'Recycl|Reuse|Free|Allocs$$' ./internal/sim ./internal/bus ./internal/smartnic ./internal/memctrl ./internal/interconnect ./internal/fabric ./internal/kvs ./internal/linearize
+	$(GO) test -race -shuffle=on -count=2 -run 'Recycl|Reuse|Free|Lent|Allocs$$' ./internal/sim ./internal/bus ./internal/smartnic ./internal/memctrl ./internal/interconnect ./internal/virtio ./internal/smartssd ./internal/fabric ./internal/kvs ./internal/linearize
 
 # Fuzz the bus wire-format decoder for 10s (regression corpus under
 # internal/msg/testdata/fuzz is always replayed by plain `go test`), then

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -101,7 +102,8 @@ func (a *pipelineApp) FileDone(op *smartnic.FileOp, err error) {
 		a.step(0)
 		return
 	}
-	chunk, off := op.Data, op.Off()
+	// Data is lent until FileDone returns; the chunk outlives it.
+	chunk, off := bytes.Clone(op.Data), op.Off()
 	a.crcCli.Do(chunk, func(crc []byte, err error) {
 		if err != nil {
 			a.Err, a.Done = err, true

@@ -12,6 +12,7 @@
 package accel
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -249,7 +250,8 @@ type Client struct {
 	Conn *virtio.Driver
 }
 
-// Do runs one transform round trip.
+// Do runs one transform round trip. data is the queue's until done runs;
+// done's resp is a buffer of its own.
 func (c *Client) Do(data []byte, done func(resp []byte, err error)) {
 	if err := c.Conn.SubmitOp(data, &call{done}); err != nil {
 		done(nil, err)
@@ -267,6 +269,6 @@ func (c *call) RequestDone(resp []byte, err error) {
 	case len(resp) < 1 || resp[0] != StatusOK:
 		c.done(nil, fmt.Errorf("accel: transform failed"))
 	default:
-		c.done(resp[1:], nil)
+		c.done(bytes.Clone(resp[1:]), nil) // resp is the queue's, lent for this call
 	}
 }

@@ -27,6 +27,7 @@
 package centralos
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -649,6 +650,9 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 func (s *syscall) RequestDone(b []byte, err error) {
 	if err == nil {
 		s.resp, err = smartssd.DecodeFileResp(b)
+		// b is the driver's, lent for this call: the interrupt stage and
+		// the replay window keep the data.
+		s.resp.Data = bytes.Clone(s.resp.Data)
 	}
 	if err != nil {
 		s.completeIO(smartssd.FileResp{Status: smartssd.StatusIOError})

@@ -1,6 +1,7 @@
 package centralos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -715,7 +716,8 @@ func (a *fileApp) Boot(rt *smartnic.Runtime)         { a.rt = rt }
 func (a *fileApp) ServeNetwork([]byte, func([]byte)) {}
 func (a *fileApp) PeerFailed(msg.DeviceID)           {}
 
-// fileStep is a FileCompletion that keeps what it was given.
+// fileStep is a FileCompletion that keeps what it was given, a read's
+// Data copied since it is lent.
 type fileStep struct {
 	calls int
 	err   error
@@ -725,7 +727,7 @@ type fileStep struct {
 
 func (st *fileStep) FileDone(op *smartnic.FileOp, err error) {
 	st.calls++
-	st.err, st.size, st.data = err, op.Size, op.Data
+	st.err, st.size, st.data = err, op.Size, bytes.Clone(op.Data)
 }
 
 // fileOp issues one request through issue and runs the bed; the request
@@ -1075,5 +1077,52 @@ func TestMediatedHandleRefusesAnotherNIC(t *testing.T) {
 	cb.eng.Run()
 	if resp == nil || smartssd.Status(resp.Status) != smartssd.StatusBadRequest || len(resp.Data) != 0 {
 		t.Fatalf("another NIC's read of app 10's handle answered %+v, want StatusBadRequest and no data", resp)
+	}
+}
+
+// TestReplayedMediatedReadOutlivesLentResponse: the kernel reads a
+// mediated I/O's answer out of its queue's reap buffer, which is lent for
+// the completion only, and keeps the data for the completion interrupt and
+// the replay window. Here the first answer to read a is lost, read b goes
+// through the same queue meanwhile, and the NIC's retransmission of a is
+// answered from the window: with a's own bytes, not b's.
+func TestReplayedMediatedReadOutlivesLentResponse(t *testing.T) {
+	cb := newCentralbed(t, kvs.ModeCentralMediated)
+	app := &fileApp{}
+	cb.nic.AddApp(app)
+	cb.eng.Run()
+	var f smartnic.FileAPI
+	app.rt.OpenFile(smartnic.KernelMediated, cpuID, "kv.dat", 0, 16, func(fa smartnic.FileAPI, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = fa
+	})
+	cb.eng.Run()
+	want := map[uint64]string{0: "bytes-of-read-a", 100: "BYTES-OF-READ-B"}
+	for off, v := range want {
+		cb.fileOp(t, "write", func(op *smartnic.FileOp, done smartnic.FileCompletion) {
+			copy(op.Payload(len(v)), v)
+			f.WriteOp(op, off, done)
+		})
+	}
+	plane := faultinject.New(1)
+	plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindFileIOResp, Src: cpuID, Op: faultinject.Drop, Count: 1})
+	cb.bus.SetFaultPlane(plane)
+	before := cb.cpu.Stats().MediatedIOs
+	a, b := &fileStep{}, &fileStep{}
+	f.ReadOp(new(smartnic.FileOp), 0, len(want[0]), a)
+	f.ReadOp(new(smartnic.FileOp), 100, len(want[100]), b)
+	cb.eng.Run()
+	if cb.cpu.Stats().MediatedIOs != before+3 {
+		t.Fatalf("%d syscalls for two reads, want 3: a's answer was not replayed", cb.cpu.Stats().MediatedIOs-before)
+	}
+	for _, r := range []struct {
+		st  *fileStep
+		off uint64
+	}{{a, 0}, {b, 100}} {
+		if r.st.calls != 1 || r.st.err != nil || string(r.st.data) != want[r.off] {
+			t.Errorf("read at %d: %d completions, err %v, data %q, want %q", r.off, r.st.calls, r.st.err, r.st.data, want[r.off])
+		}
 	}
 }

@@ -166,3 +166,32 @@ func TestCacheOwnsValues(t *testing.T) {
 		t.Fatalf("cached get after the put's buffer was reused: %+v", resp)
 	}
 }
+
+// TestCacheFillKeepsLentValue: a get that misses the cache fills it from
+// the file read, whose bytes are lent (a view of the queue's reap buffer).
+// The cache keeps a copy, so a later read on the same queue, which reuses
+// that buffer, does not change what a cached get answers.
+func TestCacheFillKeepsLentValue(t *testing.T) {
+	tb := cachedTestbed(t, 2)
+	vals := map[string]string{"a": "value-of-a", "b": "value-of-b", "c": "value-of-c"}
+	for _, k := range []string{"a", "b", "c"} { // a is evicted
+		tb.opApp(t, 20, Request{Op: OpPut, Key: k, Value: []byte(vals[k])})
+	}
+	for _, k := range []string{"a", "b"} { // each misses and fills, a first
+		hits := tb.store.Stats().CacheHits
+		if r := tb.opApp(t, 20, Request{Op: OpGet, Key: k}); r.Status != StatusOK || string(r.Value) != vals[k] {
+			t.Fatalf("get %s: %+v", k, r)
+		}
+		if tb.store.Stats().CacheHits != hits {
+			t.Fatalf("get %s was served from the cache", k)
+		}
+	}
+	hits := tb.store.Stats().CacheHits
+	r := tb.opApp(t, 20, Request{Op: OpGet, Key: "a"})
+	if tb.store.Stats().CacheHits != hits+1 {
+		t.Fatal("the get was not served from the cache")
+	}
+	if r.Status != StatusOK || string(r.Value) != vals["a"] {
+		t.Errorf("cached get of a after a read of b answers %+v, want %q", r, vals["a"])
+	}
+}

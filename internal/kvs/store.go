@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -616,7 +617,9 @@ func (op *storeOp) FileDone(f *smartnic.FileOp, err error) {
 	switch req.Op {
 	case OpGet:
 		if s.cache != nil {
-			s.cache.put(req.Key, f.Data)
+			// The read's bytes are lent (smartnic.FileOp.Data): the cache
+			// keeps a copy.
+			s.cache.put(req.Key, bytes.Clone(f.Data))
 		}
 		op.done(Response{Status: StatusOK, Value: f.Data})
 		return

@@ -88,8 +88,9 @@ type FileOp struct {
 	hdr  [smartssd.ReqHeaderBytes]byte
 	req  []byte // Payload's buffer, until issued
 	// Size is the file size the response reported. Data is what a read
-	// returned: a view of the response buffer, which was made for this
-	// request and is the receiver's to keep.
+	// returned, lent: a view of the queue's reap buffer (or, mediated, of
+	// the kernel's decoded answer), valid until FileDone returns. A
+	// completion copies what it keeps.
 	Size uint64
 	Data []byte
 }

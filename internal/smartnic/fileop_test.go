@@ -31,8 +31,9 @@ func openTestFile(t *testing.T, m *machine, app msg.AppID, name string, entries 
 	return fc
 }
 
-// fileRecorder is a FileCompletion that keeps what it was given and may
-// issue the record again from inside the completion.
+// fileRecorder is a FileCompletion that keeps what it was given, a read's
+// Data copied since it is lent, and may issue the record again from inside
+// the completion.
 type fileRecorder struct {
 	calls  int
 	errs   []error
@@ -45,7 +46,7 @@ func (r *fileRecorder) FileDone(op *FileOp, err error) {
 	r.calls++
 	r.errs = append(r.errs, err)
 	r.sizes = append(r.sizes, op.Size)
-	r.data = append(r.data, op.Data)
+	r.data = append(r.data, bytes.Clone(op.Data))
 	if r.onDone != nil {
 		r.onDone(op)
 	}
@@ -97,16 +98,21 @@ func TestWrappingWriteCompletesAndFreesThePair(t *testing.T) {
 	}
 }
 
-// A FileOp is idle inside its completion and may be reissued there; a
-// read's Data is a view of a buffer made for that request, so it survives
-// the pair's next request (the value cache keeps it).
+// A FileOp is idle inside its completion and may be reissued there. A
+// read's Data is lent: a view of the queue's reap buffer, which every
+// request on the pair reuses, so it is read inside FileDone, where each
+// completion sees its own request's bytes.
 func TestFileOpReissueAndDataView(t *testing.T) {
 	m := newMachine(t)
 	m.createFile(t, "kv.dat", []byte("0123456789abcdef"))
 	fc := openTestFile(t, m, 7, "kv.dat", 2) // one pair: every request reuses it
 	var op FileOp
 	rec := &fileRecorder{}
+	wants := []string{"01234567", "89abcdef", "", "01WXYZ67"}
 	rec.onDone = func(op *FileOp) {
+		if i := rec.calls - 1; string(op.Data) != wants[i] || op.Size != 16 {
+			t.Errorf("completion %d: Data %q size %d, want %q", i, op.Data, op.Size, wants[i])
+		}
 		switch rec.calls {
 		case 1:
 			fc.ReadOp(op, 8, 8, rec)
@@ -122,9 +128,9 @@ func TestFileOpReissueAndDataView(t *testing.T) {
 	if rec.calls != 4 || op.done != nil {
 		t.Fatalf("%d completions, errs %v", rec.calls, rec.errs)
 	}
-	for i, want := range []string{"01234567", "89abcdef", "", "01WXYZ67"} {
-		if rec.errs[i] != nil || string(rec.data[i]) != want || rec.sizes[i] != 16 {
-			t.Errorf("completion %d: %q size %d err %v, want %q", i, rec.data[i], rec.sizes[i], rec.errs[i], want)
+	for i, want := range wants { // the recorder's copies
+		if rec.errs[i] != nil || string(rec.data[i]) != want {
+			t.Errorf("completion %d: kept %q err %v, want %q", i, rec.data[i], rec.errs[i], want)
 		}
 	}
 	if op.Off() != 0 {

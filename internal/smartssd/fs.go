@@ -591,8 +591,10 @@ func (io *fileIO) complete(err error) {
 // WriteAt writes data at the byte offset, growing the file as needed.
 // Partial pages are read-modified-written. cb runs after both the data
 // and the metadata update are durable. data is borrowed for the call only
-// and cloned here; the file service, which owns its request buffer, hands
-// that to writeAt as it is. The callback form serves the loader, the
+// and cloned here. The file service's request buffer is lent until
+// Complete, so the service copies a write that covers an aligned full page
+// (fileConn.keepable) and hands any other to writeAt as it is. The
+// callback form serves the loader, the
 // machine's file preload and the benchmark's FS probe (bench/probes.go);
 // the data path issues fileIO records.
 func (f *File) WriteAt(off uint64, data []byte, cb func(error)) {

@@ -14,6 +14,9 @@ import (
 // peer could put in a request cell, and the responder stands in for the
 // descriptor pair it arrived on.
 
+// testResponder copies each answer Complete hands it, as the port moves
+// it: the array is the request record's, and its pair's next request may
+// fill it again.
 type testResponder struct {
 	cap     int
 	answers [][]byte
@@ -24,7 +27,16 @@ func (r *testResponder) Complete(resp []byte) {
 	if len(resp) > r.cap {
 		resp = resp[:r.cap]
 	}
-	r.answers = append(r.answers, resp)
+	r.answers = append(r.answers, bytes.Clone(resp))
+}
+
+// viewResponder keeps a view of each answer instead, as a port costs no
+// allocation: for the allocation guard, and to show that a later request
+// on the same pair reuses the array.
+type viewResponder struct{ testResponder }
+
+func (r *viewResponder) Complete(resp []byte) {
+	r.answers = append(r.answers, resp[:min(len(resp), r.cap)])
 }
 
 // last decodes the one answer the responder holds and forgets it.
@@ -228,15 +240,15 @@ func TestServiceEdges(t *testing.T) {
 	}
 }
 
-// The service owns the request buffer the queue handed it and passes a
-// write's data down as a view of it; its record is per pair and lets go of
-// every buffer when the request is answered.
+// The service's record is per pair and lets go of every page and request
+// buffer when the request is answered; what it keeps is its response
+// array, which the pair's next answer reuses.
 func TestServiceRecordPerPairHoldsNothing(t *testing.T) {
 	eng, f := logFile(t)
 	_, svc := serviceOn(f)
 	c := svc.(*fileConn)
 	a, b := &testResponder{cap: testCell}, &testResponder{cap: testCell}
-	svc.Serve(rawReq(OpWrite, 0, 0, bytes.Repeat([]byte{1}, 4096)), a) // a full page: the flash keeps the view
+	svc.Serve(rawReq(OpWrite, 0, 0, bytes.Repeat([]byte{1}, 4096)), a) // a full page: the flash keeps a copy
 	svc.Serve(rawReq(OpAppend, 0, 0, []byte("tail")), b)
 	if len(c.reqs) != 2 || c.reqs[a].io.done == nil || c.reqs[b].io.done == nil {
 		t.Fatalf("records in flight: %+v", c.reqs)
@@ -259,23 +271,90 @@ func TestServiceRecordPerPairHoldsNothing(t *testing.T) {
 		t.Errorf("%d records for two pairs", len(c.reqs))
 	}
 	for _, q := range c.reqs {
-		if q.resp != nil || q.io.done != nil || q.io.chunks != nil || q.io.inode.page != nil || q.io.inline[0].data != nil || q.io.inline[1].page != nil {
+		if q.io.done != nil || q.io.chunks != nil || q.io.inode.page != nil || q.io.inline[0].data != nil || q.io.inline[1].page != nil {
 			t.Errorf("an idle record still holds a buffer: %+v", q)
+		}
+	}
+	// The response array grows only to the longest answer its pair has
+	// carried: a's 4-byte read, and b's bare headers.
+	for r, want := range map[*testResponder]int{a: RespHeaderBytes + 4, b: RespHeaderBytes} {
+		if got := cap(c.reqs[r].buf); got != want {
+			t.Errorf("an idle record keeps a %d-byte response array, want %d", got, want)
+		}
+	}
+}
+
+// TestFullPageWriteOutlivesLentRequest: a write's request buffer is lent
+// to the service until it answers, and an aligned full page of it is the
+// slice the flash would keep, so the service hands the flash a copy.
+// Scribbling over the request after the answer, as the queue's next
+// request into the same pair does, leaves what the flash holds alone. The
+// aligned page needs the copy; the page-long write at 100 straddles two
+// pages, both merged into pages the flash owns, so it needs none and is
+// handed down as it is.
+func TestFullPageWriteOutlivesLentRequest(t *testing.T) {
+	eng, f := logFile(t)
+	_, svc := serviceOn(f)
+	r := &testResponder{cap: testCell}
+	for _, off := range []uint64{0, 100} {
+		data := make([]byte, 4096)
+		for i := range data {
+			data[i] = byte(i*7 + int(off))
+		}
+		req := rawReq(OpWrite, off, 0, data)
+		svc.Serve(req, r)
+		eng.Run()
+		if resp := r.last(t); resp.Status != StatusOK {
+			t.Fatalf("write at %d: %+v", off, resp)
+		}
+		for i := range req {
+			req[i] = 0xee
+		}
+		svc.Serve(rawReq(OpRead, off, 4096, nil), r)
+		eng.Run()
+		if resp := r.last(t); resp.Status != StatusOK || !bytes.Equal(resp.Data, data) {
+			t.Errorf("write at %d reads back changed after its request was scribbled", off)
+		}
+	}
+}
+
+// TestLentResponsePerPair: a response array is its request record's, one
+// per descriptor pair, and the port moves it after Complete, so no other
+// pair's request may fill it meanwhile. Two reads in flight on two pairs,
+// answered into responders that keep a view as the port does: each view
+// still holds its own read once both have answered.
+func TestLentResponsePerPair(t *testing.T) {
+	eng, f := logFile(t)
+	mustWrite(t, eng, f, 0, []byte("first-pair's-bytes|second-pair's-bytes"))
+	_, svc := serviceOn(f)
+	a, b := &viewResponder{testResponder{cap: testCell}}, &viewResponder{testResponder{cap: testCell}}
+	svc.Serve(rawReq(OpRead, 0, 18, nil), a)
+	svc.Serve(rawReq(OpRead, 19, 19, nil), b)
+	eng.Run()
+	for _, c := range []struct {
+		r    *viewResponder
+		want string
+	}{{a, "first-pair's-bytes"}, {b, "second-pair's-bytes"}} {
+		if resp := c.r.last(t); resp.Status != StatusOK || string(resp.Data) != c.want {
+			t.Errorf("answer %+v, want %q", resp, c.want)
 		}
 	}
 }
 
 // TestFileOpAllocs pins what one request costs the SSD's side in steady
-// state. A 64-byte read: the response buffer. A 64-byte append into a
-// partly filled page: the response header, the read-modify-write page and
-// the inode page (a fourth when the append crosses into a new page and the
-// extent list grows). With a closure per stage and a copy per layer these
-// were 9 and 21 (HEAD, same requests, not counting complete's own clone).
+// state, answered into a responder that keeps a view, as the port does, so
+// the record's response array is reused as it is on a queue. A 64-byte
+// read: nothing, 0 measured. A 64-byte append into a partly filled page:
+// the inode page (the page itself is extended in place; another when the
+// append crosses into a new page and the extent list grows), 1 measured.
+// They read 1 and 2 while each answer had a response buffer of its own,
+// and 9 and 21 with a closure per stage and a copy per layer. Bounds are
+// the measured counts and one to spare.
 func TestFileOpAllocs(t *testing.T) {
 	eng, f := logFile(t)
 	mustWrite(t, eng, f, 4096, make([]byte, 100))
 	_, svc := serviceOn(f)
-	r := &testResponder{cap: testCell}
+	r := &viewResponder{testResponder{cap: testCell}}
 	read, app := rawReq(OpRead, 128, 64, nil), rawReq(OpAppend, 0, 0, make([]byte, 64))
 	serve := func(req []byte) func() {
 		return func() {
@@ -287,13 +366,13 @@ func TestFileOpAllocs(t *testing.T) {
 	serve(read)()
 	n := testing.AllocsPerRun(200, serve(read))
 	t.Logf("64 B read: %v allocations", n)
-	if n > 2 {
-		t.Errorf("64 B read allocates %v times, want <= 2", n)
+	if n > 1 {
+		t.Errorf("64 B read allocates %v times, want <= 1", n)
 	}
 	n = testing.AllocsPerRun(40, serve(app))
 	t.Logf("64 B append: %v allocations", n)
-	if n > 4 {
-		t.Errorf("64 B append allocates %v times, want <= 4", n)
+	if n > 2 {
+		t.Errorf("64 B append allocates %v times, want <= 2", n)
 	}
 	if resp, _ := DecodeFileResp(r.answers[0]); resp.Status != StatusOK || resp.Size != 4096+100+41*64 {
 		t.Errorf("last append answered %+v", resp)
@@ -301,7 +380,8 @@ func TestFileOpAllocs(t *testing.T) {
 }
 
 // DecodeFileReq and DecodeFileResp borrow: Data is a window onto the
-// buffer, which is why both ends need a buffer made for the request.
+// buffer, which at both ends of the queue is lent, so a holder copies what
+// it keeps.
 func TestFileCodecAliases(t *testing.T) {
 	b := rawReq(OpWrite, 7, 0, []byte("payload"))
 	req, err := DecodeFileReq(b)

@@ -1,6 +1,7 @@
 package smartssd
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 
@@ -266,13 +267,18 @@ type fileConn struct {
 }
 
 // fileReq is one request on the SSD's side: where its answer goes, the
-// response buffer (header, then what a read fills in directly) and the
-// file I/O whose completion it is. The request buffer is the service's, so
-// a write's data goes down to the flash as a view of it.
+// response (header, then what a read fills in directly) and the file I/O
+// whose completion it is. The response array is the record's, grown to the
+// longest answer the pair has carried: Complete hands it to the port, and
+// the pair, and with it this record, is not taken again before the port
+// has moved it. The request buffer is lent until Complete, so a write's
+// data goes down to the flash as a view of it, except a write that covers
+// an aligned full page, which the flash would keep: that one is copied.
 type fileReq struct {
 	c        *fileConn
 	r        virtio.Responder
-	resp     []byte
+	buf      []byte // the response array
+	n        int    // bytes a read filled in behind the header
 	io       fileIO
 	metaDone func(error) // made once per record: Truncate's callback
 }
@@ -295,13 +301,13 @@ func (c *fileConn) Serve(b []byte, r virtio.Responder) {
 	switch file := c.file; req.Op {
 	case OpRead:
 		// Len is the peer's: the response cell and the file bound it first.
-		n := file.clip(req.Off, min(int(req.Len), r.Cap()-RespHeaderBytes))
-		q.resp = make([]byte, RespHeaderBytes+n)
-		q.io.readAt(file, req.Off, q.resp[RespHeaderBytes:], q)
+		q.n = file.clip(req.Off, min(int(req.Len), r.Cap()-RespHeaderBytes))
+		q.io.readAt(file, req.Off, q.resp(q.n)[RespHeaderBytes:], q)
 	case OpWrite:
-		q.io.writeAt(file, req.Off, req.Data, q)
+		q.io.writeAt(file, req.Off, c.keepable(req.Off, req.Data), q)
 	case OpAppend:
-		q.io.writeAt(file, file.Size(), req.Data, q)
+		off := file.Size()
+		q.io.writeAt(file, off, c.keepable(off, req.Data), q)
 	case OpStat:
 		q.finish(nil, file.Size())
 	case OpTruncate:
@@ -317,21 +323,41 @@ func (c *fileConn) Resource() string { return "file:" + c.file.Name() }
 // ioDone answers a read or a write with the file's size as it is now.
 func (q *fileReq) ioDone(_ *fileIO, err error) { q.finish(err, q.c.file.Size()) }
 
+// keepable is a write's data at off as the flash may keep it: a write
+// that covers a page-aligned full page is copied, since that page's chunk
+// is the slice the flash programs and keeps, while the request buffer is
+// only lent. Any other write, a page-long one straddling two pages too, is
+// merged chunk by chunk into pages the flash owns.
+func (c *fileConn) keepable(off uint64, data []byte) []byte {
+	ps := uint64(c.file.fs.pageSize)
+	if start := (off + ps - 1) / ps * ps; start+ps <= off+uint64(len(data)) {
+		return bytes.Clone(data)
+	}
+	return data
+}
+
+// resp returns the record's response array cut to the header and n bytes
+// behind it, growing the array if it is shorter.
+func (q *fileReq) resp(n int) []byte {
+	if cap(q.buf) < RespHeaderBytes+n {
+		q.buf = make([]byte, RespHeaderBytes+n)
+	}
+	return q.buf[:RespHeaderBytes+n]
+}
+
 // finish counts the request and hands its response to the port. Only a
 // successful read answers with more than the header.
 func (q *fileReq) finish(err error, size uint64) {
 	q.c.ssd.ServedOps++
-	resp, st := q.resp, StatusOK
-	q.resp = nil
+	n, st := q.n, StatusOK
+	q.n = 0
 	if err != nil {
-		resp, st, size = nil, StatusIOError, 0
+		n, st, size = 0, StatusIOError, 0
 		if errors.Is(err, errBadRequest) {
 			st = StatusBadRequest
 		}
 	}
-	if resp == nil {
-		resp = make([]byte, RespHeaderBytes)
-	}
+	resp := q.resp(n)
 	PutFileRespHeader(resp, st, size)
 	q.r.Complete(resp)
 }

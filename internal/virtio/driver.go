@@ -73,6 +73,11 @@ type Driver struct {
 	// reapBuf receives the index and the element; they are decoded inside
 	// the completion, before the record is reissued.
 	reapBuf [usedElemSize]byte
+	// reapResp receives a response cell, grown to the longest response
+	// reaped. The loop is serial, so one buffer serves every pair: a
+	// completion borrows it for the length of its RequestDone, and the
+	// next response is read into it only after that returns.
+	reapResp []byte
 
 	stats DriverStats
 }
@@ -207,9 +212,11 @@ func (d *Driver) pair(head uint16) *driverPair {
 	return s
 }
 
-// Completion receives the end of a request: the endpoint's response in a
-// buffer made for this request, which the receiver owns, or the error that
-// failed the queue. A per-request record can be the completion itself.
+// Completion receives the end of a request: the endpoint's response, or
+// the error that failed the queue. resp is borrowed, as a byte field of
+// msg.Decode is: it is the driver's reap buffer, valid until RequestDone
+// returns, so a completion copies what it keeps. A per-request record can
+// be the completion itself.
 type Completion interface {
 	RequestDone(resp []byte, err error)
 }
@@ -366,9 +373,12 @@ func (d *Driver) DMADone(op *interconnect.DMA, err error) {
 			d.finish(s, nil)
 			return
 		}
+		if cap(d.reapResp) < int(respLen) {
+			d.reapResp = make([]byte, respLen)
+		}
 		d.reapPair = s
 		d.reapAt = reapResp
-		d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.cellVA(head+1), make([]byte, respLen), d)
+		d.port.ReadOp(&d.reapDMA, d.pasid, d.lay.cellVA(head+1), d.reapResp[:respLen], d)
 	case reapResp:
 		s := d.reapPair
 		if s.done == nil {
@@ -378,8 +388,7 @@ func (d *Driver) DMADone(op *interconnect.DMA, err error) {
 			d.reaping = false
 			return
 		}
-		// The response buffer was made for this request and is handed to
-		// its completion; the record keeps no claim on it.
+		// The completion borrows the reap buffer (see Completion).
 		d.finish(s, op.Bytes())
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"nocpu/internal/iommu"
 )
 
-// Service processes the requests of one queue. req is a buffer made for
-// this request, which the service owns; r is where the answer goes, now or
-// later (e.g. after a flash read completes).
+// Service processes the requests of one queue. req is lent: it is the
+// descriptor pair's buffer, the service's to read until it calls
+// r.Complete, and the pair's next request is read into it. What the
+// service keeps past Complete it copies. r is where the answer goes, now
+// or later (e.g. after a flash read completes).
 type Service interface {
 	Serve(req []byte, r Responder)
 }
@@ -21,8 +23,10 @@ type Service interface {
 type Responder interface {
 	// Cap is the length of the response cell: what Complete cuts resp to.
 	Cap() int
-	// Complete answers the request, exactly once. resp is taken, not
-	// copied: it must stay unmodified until the port has moved it.
+	// Complete answers the request, exactly once, and ends the loan of the
+	// request's bytes. resp is taken, not copied: it must stay unmodified
+	// until the port has moved it, which is before the pair can be taken
+	// again.
 	Complete(resp []byte)
 }
 
@@ -96,9 +100,12 @@ const (
 
 // endpointPair is everything one descriptor pair has in flight on the
 // endpoint's side, from the moment its head is taken off the available
-// ring until its used index is visible: the response descriptor and the
-// response, used-element and used-index writes with the ring bytes they
-// carry. The driver reuses a pair only after
+// ring until its used index is visible: the request's bytes, the response
+// descriptor and the response, used-element and used-index writes with
+// the ring bytes they carry. The request buffer is grown to the longest
+// request the pair has carried and lent to the service until Complete; the
+// pair is taken again only after its used index is published, which
+// follows Complete. The driver reuses a pair only after
 // reaping its used entry, which it cannot see before the used-index write
 // has completed, so a head that arrives while its record is busy can only
 // come from a corrupt ring and fails the queue.
@@ -112,6 +119,7 @@ type endpointPair struct {
 	head  uint16
 	state pairState
 	dresp desc
+	req   []byte
 
 	respW, elemW, idxW interconnect.DMA
 	elem               [usedElemSize]byte
@@ -248,10 +256,13 @@ func (e *Endpoint) DMADone(op *interconnect.DMA, err error) {
 			e.stopPoll(fmt.Errorf("virtio: corrupt descriptor chain at %d", e.pollPair.head))
 			return
 		}
-		e.pollPair.dresp = dresp
-		// The request gets a buffer of its own: the handler may keep it.
+		s := e.pollPair
+		s.dresp = dresp
+		if cap(s.req) < int(dreq.Len) {
+			s.req = make([]byte, dreq.Len)
+		}
 		e.pollAt = pollReq
-		e.port.ReadOp(&e.pollDMA, e.pasid, iommu.VirtAddr(dreq.Addr), make([]byte, dreq.Len), e)
+		e.port.ReadOp(&e.pollDMA, e.pasid, iommu.VirtAddr(dreq.Addr), s.req[:dreq.Len], e)
 	case pollReq:
 		s := e.pollPair
 		s.state = pairHandling

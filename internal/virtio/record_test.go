@@ -88,12 +88,14 @@ func (e *Endpoint) busyRecords() []string {
 }
 
 // TestRoundTripAllocs pins what one request costs the host in steady
-// state: the buffer the service receives (and here hands back as the
-// response) and the buffer the completion receives. SubmitOp and Complete
-// take the buffer they are given, every ring field moves through a record,
-// and the doorbell write each way comes off the fabric's list. (4 while
-// each doorbell write was its own record, 6 while both ends also copied
-// what they were given.)
+// state: nothing, 0 measured. The service reads the request in its pair's
+// buffer (and here hands it back as the response), the completion reads
+// the response in the driver's reap buffer, SubmitOp and Complete take the
+// buffer they are given, every ring field moves through a record, and the
+// doorbell write each way comes off the fabric's list. (2 while the request
+// and the response each had a buffer made for them, 4 while each doorbell
+// write was also its own record, 6 while both ends also copied what they
+// were given.) The bound is the measured count and one to spare.
 func TestRoundTripAllocs(t *testing.T) {
 	w := newQWorld(t, 16, 256)
 	ep, err := NewEndpoint(w.epPrt, testPASID, w.lay, 0, echoService{})
@@ -124,8 +126,8 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(500, one)
 	t.Logf("echo round trip: %v allocations", n)
-	if n > 3 {
-		t.Errorf("echo round trip allocates %v times, want <= 3", n)
+	if n > 1 {
+		t.Errorf("echo round trip allocates %v times, want <= 1", n)
 	}
 	if completed == 0 || drv.InFlight() != 0 {
 		t.Fatalf("completed=%d inflight=%d", completed, drv.InFlight())
@@ -560,30 +562,35 @@ func TestMaxInflightParksAndResumes(t *testing.T) {
 }
 
 // TestPairReuseAcrossGenerations drives one pair (a ring of two entries)
-// through generation after generation with a different response length
-// each time, including none and one cut to the cell. Every completion
-// must see its own generation's bytes, and what the handler and the
-// completions were given must still be theirs afterwards: both sides may
-// keep it (the SSD holds a request's data across flash programs). Submit
-// and done take the buffer they are handed and let go of it once it has
-// been moved: scribbling over both after the completion changes nothing.
+// through generation after generation with a different request and
+// response length each time, including no response and one cut to the
+// cell. The handler's request and the completion's response are lent, so
+// each generation's bytes are checked inside the call. After each
+// generation the test scribbles over both lent buffers and over the two
+// it handed the queue (SubmitOp and Complete take a buffer and let go of it
+// once it has been moved): the next generation must read only its own
+// bytes, though it reuses the lent buffers.
 func TestPairReuseAcrossGenerations(t *testing.T) {
 	const cell = 64
 	w := newQWorld(t, 2, cell)
-	lens := []int{10, 0, 500, 3, cell, 1}
-	respFor := func(gen int) []byte {
-		b := make([]byte, lens[gen])
+	reqLens := []int{9, 1, 40, 3, cell, 2}
+	respLens := []int{10, 0, 500, 3, cell, 1}
+	fill := func(gen, n int) []byte {
+		b := make([]byte, n)
 		for i := range b {
 			b[i] = byte(gen*31 + i)
 		}
 		return b
 	}
-	var keptReqs, handedResps [][]byte
+	var lentReq, lentResp, handedResp []byte
+	gen := 0
 	ep, err := newEndpoint(w.epPrt, testPASID, w.lay, 0, func(req []byte, done func([]byte)) {
-		keptReqs = append(keptReqs, req)
-		resp := respFor(int(req[0]))
-		handedResps = append(handedResps, resp)
-		done(resp)
+		if want := fill(gen, reqLens[gen]); !bytes.Equal(req, want) {
+			t.Errorf("gen %d: handler reads %x, want %x", gen, req, want)
+		}
+		lentReq = req
+		handedResp = fill(gen+100, respLens[gen])
+		done(handedResp)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,45 +601,37 @@ func TestPairReuseAcrossGenerations(t *testing.T) {
 	}
 	ep.respBell = drv.RespBell
 
-	reqFor := func(gen int) []byte {
-		req := make([]byte, 1+gen)
-		req[0] = byte(gen)
-		for i := 1; i < len(req); i++ {
-			req[i] = byte(gen + i)
-		}
-		return req
-	}
-	var keptResps [][]byte
-	for gen := range lens {
-		req := reqFor(gen)
+	completions := 0
+	for gen = range reqLens {
+		req := fill(gen, reqLens[gen])
+		lentResp = nil
 		if err := submit(drv, req, func(resp []byte, err error) {
+			completions++
 			if err != nil {
 				t.Fatalf("gen %d: %v", gen, err)
 			}
-			keptResps = append(keptResps, resp)
+			want := fill(gen+100, respLens[gen])
+			if len(want) > cell {
+				want = want[:cell]
+			}
+			if !bytes.Equal(resp, want) {
+				t.Errorf("gen %d: completion reads %x, want %x", gen, resp, want)
+			}
+			lentResp = resp
 		}); err != nil {
 			t.Fatal(err)
 		}
 		w.eng.Run()
-		clear(req) // moved long ago: the queue holds neither buffer now
-		clear(handedResps[gen])
-	}
-	if len(keptResps) != len(lens) || drv.pairs[0] == nil || ep.pairs[0] == nil {
-		t.Fatalf("%d completions", len(keptResps))
-	}
-	for gen := range lens {
-		want := respFor(gen)
-		if len(want) > cell {
-			want = want[:cell]
-		}
-		if !bytes.Equal(keptResps[gen], want) {
-			t.Errorf("gen %d: completion holds %x, want %x", gen, keptResps[gen], want)
-		}
-		if wantReq := reqFor(gen); !bytes.Equal(keptReqs[gen], wantReq) {
-			t.Errorf("gen %d: handler's request now reads %x, want %x", gen, keptReqs[gen], wantReq)
+		for _, b := range [][]byte{req, handedResp, lentReq, lentResp} {
+			for i := range b {
+				b[i] = 0xee
+			}
 		}
 	}
-	if st := ep.Stats(); st.Processed != uint64(len(lens)) {
+	if completions != len(reqLens) || drv.pairs[0] == nil || ep.pairs[0] == nil {
+		t.Fatalf("%d completions", completions)
+	}
+	if st := ep.Stats(); st.Processed != uint64(len(reqLens)) {
 		t.Errorf("stats = %+v", st)
 	}
 }
