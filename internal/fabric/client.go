@@ -12,8 +12,8 @@ import (
 // client is the router's client path: it routes each client op on its
 // key, serves the ops this machine owns through the replicator, forwards
 // the rest and answers what other machines forward here. It owns the
-// forwarded ops awaiting their answer and the bodies of the frames it
-// sends.
+// forwarded ops awaiting their answer, the records of the ops it serves
+// for other machines, and the bodies of the frames it sends.
 type client struct {
 	v     *view
 	repl  *replicator
@@ -22,8 +22,10 @@ type client struct {
 	nextReq uint64
 	pending map[uint64]*pendingReq
 	reqs    sim.Free[pendingReq] // answered ops' records (client.drop)
+	serves  sim.Free[served]     // answered served records (served.Answer)
 	fwd     msg.FabricReq
 	resp    msg.FabricResp
+	answer  []byte // resp's payload, encoded by answerServed
 }
 
 // pendingReq is a client op forwarded to another machine, awaiting its
@@ -47,12 +49,12 @@ type pendingReq struct {
 func (c *client) onClient(payload []byte, req *kvs.Request, rep smartnic.Replier) {
 	key, err := kvs.RequestKey(payload)
 	if err != nil {
-		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		kvs.Answer(rep, kvs.Response{Status: kvs.StatusError})
 		return
 	}
 	own := c.v.owners(string(key))
 	if len(own) == 0 {
-		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+		kvs.Answer(rep, kvs.Response{Status: kvs.StatusUnavailable})
 		return
 	}
 	if own[0] != c.v.id {
@@ -92,14 +94,22 @@ func (p *pendingReq) Fire() {
 		return
 	}
 	p.c.v.stats.Timeouts++
-	p.finish(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+	p.unavailable()
 }
 
-// finish forgets a forwarded op and answers its client.
+// finish forgets a forwarded op and answers its client with the owner's
+// encoded answer.
 func (p *pendingReq) finish(resp []byte) {
 	rep := p.rep
 	p.c.drop(p)
 	rep.Reply(resp)
+}
+
+// unavailable forgets a forwarded op and answers its client Unavailable.
+func (p *pendingReq) unavailable() {
+	rep := p.rep
+	p.c.drop(p)
+	kvs.Answer(rep, kvs.Response{Status: kvs.StatusUnavailable})
 }
 
 // drop forgets a forwarded op and puts its record back. The caller has
@@ -115,15 +125,16 @@ func (c *client) drop(p *pendingReq) {
 func (c *client) onFabricReq(m *msg.FabricReq) {
 	key, err := kvs.RequestKey(m.Payload)
 	if err != nil {
-		c.respond(m.Origin, m.ReqID, msg.FabricServed,
-			kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		c.answerServed(m.Origin, m.ReqID, kvs.Response{Status: kvs.StatusError})
 		return
 	}
 	own := c.v.owners(string(key))
 	switch {
 	case len(own) > 0 && own[0] == c.v.id:
 		req, _ := kvs.DecodeRequest(m.Payload) // RequestKey accepted it
-		c.repl.servePrimary(req, &served{c: c, origin: m.Origin, id: m.ReqID})
+		s := c.serves.Get()
+		s.c, s.origin, s.id = c, m.Origin, m.ReqID
+		c.repl.servePrimary(req, s)
 	case c.v.isHead() && m.Hops == 0 && len(own) > 0:
 		// Head relay: forward to the shard owner, origin preserved. Hops
 		// guards the (unreachable in a sane view) forwarding loop. A head
@@ -133,8 +144,7 @@ func (c *client) onFabricReq(m *msg.FabricReq) {
 		// flavor, where only the cut-off side stalls.
 		if !c.lease.valid() {
 			c.v.stats.LeaseFenced++
-			c.respond(m.Origin, m.ReqID, msg.FabricServed,
-				kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
+			c.answerServed(m.Origin, m.ReqID, kvs.Response{Status: kvs.StatusFenced})
 			return
 		}
 		c.v.stats.HeadRelayed++
@@ -149,14 +159,31 @@ func (c *client) onFabricReq(m *msg.FabricReq) {
 }
 
 // served is a forwarded op this machine serves as the key's owner: its
-// answer goes back to the origin router.
+// answer goes back to the origin router. Whoever answers it (the store, a
+// write task, a refusal) answers it once and keeps it no longer
+// (kvs.Store.Serve), so it goes back on the client's list as its answer
+// begins, once its fields are read out.
 type served struct {
 	c      *client
 	origin msg.DeviceID
 	id     uint64
 }
 
-func (s *served) Reply(resp []byte) { s.c.respond(s.origin, s.id, msg.FabricServed, resp) }
+func (s *served) Answer(resp kvs.Response) {
+	c, origin, id := s.c, s.origin, s.id
+	c.serves.Put(s)
+	c.answerServed(origin, id, resp)
+}
+
+func (s *served) Reply(b []byte) { replyAnswer(s, b) }
+
+// answerServed answers the forwarded op (origin, id) with resp, encoded
+// into the client's scratch: the send copies it into the frame before it
+// returns, so a lent resp.Value is read only during the call.
+func (c *client) answerServed(origin msg.DeviceID, id uint64, resp kvs.Response) {
+	c.answer = kvs.AppendResponse(c.answer[:0], resp)
+	c.respond(origin, id, msg.FabricServed, c.answer)
+}
 
 // respond sends a FabricResp carrying this router's dead set as gossip.
 func (c *client) respond(origin msg.DeviceID, id uint64, code uint8, resp []byte) {
@@ -192,7 +219,7 @@ func (c *client) onFabricResp(m *msg.FabricResp) {
 			return
 		}
 	}
-	rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+	kvs.Answer(rep, kvs.Response{Status: kvs.StatusUnavailable})
 }
 
 // failPendingTo answers every pending op whose target just died, in
@@ -208,6 +235,6 @@ func (c *client) failPendingTo(died []msg.DeviceID) {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		c.pending[id].finish(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusUnavailable}))
+		c.pending[id].unavailable()
 	}
 }

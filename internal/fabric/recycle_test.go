@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,9 +13,10 @@ import (
 )
 
 // A forwarded op's record goes back on its client's list as the op leaves
-// the pending map, before the client is answered, and a key's gate goes
-// back when its last task finishes. The tests below hold a recycled record
-// to never being seen in flight.
+// the pending map, before the client is answered, a key's gate goes back
+// when its last task finishes, and the owner's served and the backup's
+// applied records go back as the store's one answer to them begins. The
+// tests below hold a recycled record to never being seen in flight.
 
 func answer(status kvs.Status) []byte { return kvs.EncodeResponse(kvs.Response{Status: status}) }
 
@@ -155,5 +158,172 @@ func TestIdleGateIsReused(t *testing.T) {
 	}
 	if resp := do(t, cl, 1, kvs.Request{Op: kvs.OpGet, Key: keyFor(1)}); resp.Status != kvs.StatusOK || string(resp.Value) != string(val64(2)) {
 		t.Fatalf("the gated writes left %+v", resp)
+	}
+}
+
+// top returns the record a free list hands out next, leaving it there.
+func top[T any](f *sim.Free[T]) *T {
+	r := f.Get()
+	f.Put(r)
+	return r
+}
+
+// watchFrames hands every frame the cluster's network delivers to see
+// first; a frame see refuses is lost on the wire.
+func watchFrames(cl *Cluster, see func(dst msg.DeviceID, env msg.Envelope) bool) {
+	deliver := cl.net.deliver
+	cl.net.deliver = func(dst msg.DeviceID, frame []byte) {
+		env, err := msg.Decode(frame[1:])
+		if err != nil || see(dst, env) {
+			deliver(dst, frame)
+		}
+	}
+}
+
+// sentAnswer is one answer a machine sent: a FabricResp to (to, id) or a
+// ReplicateAck to (to, seq).
+type sentAnswer struct {
+	to     msg.DeviceID
+	id     uint64
+	status kvs.Status
+	ok     bool
+	value  string
+}
+
+// An owner answers every copy of a duplicated forwarded op, and a backup
+// applies and acks every copy of a duplicated Replicate. The value cache
+// is off, so the first copy of each is still in its file op when the next
+// arrives, and each later copy takes the record that a quick answer (a get
+// or a delete of an absent key) gave back just before. Every answer goes
+// to its own (origin, ReqID) or (src, Seq), as many times as it was asked.
+func TestDuplicatesReuseAnswerRecords(t *testing.T) {
+	cl := mustBoot(t, Config{N: 3, Seed: 9, MachineMemory: 4 << 20})
+	const owner = msg.DeviceID(2)
+	r := cl.Machine(owner).Router
+	hot, next := keyLedBy(cl.Ring, owner, 0)
+	val := bytes.Repeat([]byte{0x5a}, 40)
+	if resp := do(t, cl, 1, kvs.Request{Op: kvs.OpPut, Key: hot, Value: val}); resp.Status != kvs.StatusOK {
+		t.Fatalf("put: %v", resp.Status)
+	}
+	var sent []sentAnswer
+	watchFrames(cl, func(dst msg.DeviceID, env msg.Envelope) bool {
+		if env.Src != owner {
+			return true
+		}
+		switch m := env.Msg.(type) {
+		case *msg.FabricResp:
+			resp, err := kvs.DecodeResponse(m.Payload)
+			if err != nil {
+				t.Fatalf("answer to req %d does not decode: %v", m.ReqID, err)
+			}
+			sent = append(sent, sentAnswer{to: dst, id: m.ReqID, status: resp.Status, value: string(resp.Value)})
+		case *msg.ReplicateAck:
+			sent = append(sent, sentAnswer{to: dst, id: m.Seq, ok: m.OK})
+		}
+		return true
+	})
+
+	const copies = 3
+	var want []sentAnswer
+	dupReq := &msg.FabricReq{Origin: 1, ReqID: 7, Payload: kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: hot})}
+	dupRep := &msg.Replicate{Epoch: r.v.epoch, Seq: 900, Key: "dup", Value: val}
+	for i := range copies {
+		var absent string
+		absent, next = keyLedBy(cl.Ring, owner, next+1)
+		quick := &msg.FabricReq{Origin: 3, ReqID: uint64(100 + i), Payload: kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: absent})}
+		quickDel := &msg.Replicate{Epoch: r.v.epoch, Seq: uint64(950 + i), Del: true, Key: absent}
+		if i > 0 {
+			// A quick answer gives its record back while the first copies
+			// are still in their file ops.
+			rec, arec := top(&r.client.serves), top(&r.repl.applieds)
+			r.client.onFabricReq(quick)
+			r.repl.onReplicate(3, quickDel)
+			for len(sent) < 2*i && cl.Eng.Step() {
+			}
+			if len(sent) != 2*i || slices.ContainsFunc(sent, func(a sentAnswer) bool { return a.to != 3 }) {
+				t.Fatalf("copy %d: sent %v, want only the quick answers", i, sent)
+			}
+			if top(&r.client.serves) != rec || top(&r.repl.applieds) != arec {
+				t.Fatalf("copy %d: a quick answer did not give its record back", i)
+			}
+		}
+		r.client.onFabricReq(dupReq)
+		r.repl.onReplicate(1, dupRep)
+		want = append(want, sentAnswer{to: 1, id: 7, status: kvs.StatusOK, value: string(val)}, sentAnswer{to: 1, id: 900, ok: true})
+		if i > 0 {
+			want = append(want, sentAnswer{to: 3, id: quick.ReqID, status: kvs.StatusNotFound}, sentAnswer{to: 3, id: quickDel.Seq, ok: true})
+		}
+	}
+	cl.Eng.RunFor(sim.Millisecond)
+	key := func(a sentAnswer) string { return fmt.Sprintf("%d/%d/%d/%v/%x", a.to, a.id, a.status, a.ok, a.value) }
+	got, exp := make([]string, len(sent)), make([]string, len(want))
+	for i, a := range sent {
+		got[i] = key(a)
+	}
+	for i, a := range want {
+		exp[i] = key(a)
+	}
+	slices.Sort(got)
+	slices.Sort(exp)
+	if !slices.Equal(got, exp) {
+		t.Fatalf("sent answers\n%v\nwant\n%v", got, exp)
+	}
+}
+
+// A resync's sync task reads each value from the SSD (the value cache is
+// off), so the store's answer lends it the queue's reap buffer, and it
+// replicates that value until every target acks. It keeps its own copy:
+// when its first Replicate to the backup is lost, the retransmit carries
+// the value it read, not the bytes of a later read that reused the buffer.
+func TestSyncTaskKeepsLentValue(t *testing.T) {
+	cl := mustBoot(t, Config{N: 3, Seed: 9, MachineMemory: 4 << 20})
+	const primary = msg.DeviceID(2)
+	r := cl.Machine(primary).Router
+	var keys []string
+	var backup msg.DeviceID
+	for i := 0; len(keys) < 4; i++ {
+		own := cl.Ring.Owners(keyFor(i), nil, DefaultReplicas)
+		if own[0] != primary || (backup != 0 && own[1] != backup) {
+			continue
+		}
+		backup = own[1]
+		keys = append(keys, keyFor(i))
+	}
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(0xa0 + i)}, 32) }
+	for i, k := range keys {
+		if resp := do(t, cl, primary, kvs.Request{Op: kvs.OpPut, Key: k, Value: value(i)}); resp.Status != kvs.StatusOK {
+			t.Fatalf("put %q: %v", k, resp.Status)
+		}
+	}
+	var lost string
+	resent := 0
+	watchFrames(cl, func(dst msg.DeviceID, env msg.Envelope) bool {
+		m, ok := env.Msg.(*msg.Replicate)
+		switch {
+		case !ok || env.Src != primary || dst != backup:
+		case lost == "":
+			lost = m.Key
+			return false
+		case m.Key == lost:
+			resent++
+		}
+		return true
+	})
+	resyncs := r.v.stats.Resyncs
+	r.repl.resync(map[msg.DeviceID]bool{backup: true}) // as if the backup just came back
+	cl.Eng.RunFor(4 * DefaultRepRetry)
+	if r.v.stats.Resyncs-resyncs != uint64(len(keys)) || resent == 0 || len(r.repl.inflight) != 0 {
+		t.Fatalf("%d resyncs, want %d; the lost Replicate of %q was sent again %d times; %d tasks in flight",
+			r.v.stats.Resyncs-resyncs, len(keys), lost, resent, len(r.repl.inflight))
+	}
+	for i, k := range keys {
+		var got kvs.Response
+		cl.Machine(backup).Store.Serve(kvs.Request{Op: kvs.OpGet, Key: k}, smartnic.ReplyFunc(func(b []byte) {
+			got, _ = kvs.DecodeResponse(b)
+		}))
+		cl.Eng.RunFor(sim.Millisecond)
+		if got.Status != kvs.StatusOK || !bytes.Equal(got.Value, value(i)) {
+			t.Fatalf("the backup holds %q = %x (%v), want %x", k, got.Value, got.Status, value(i))
+		}
 	}
 }

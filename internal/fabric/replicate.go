@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"slices"
 
 	"nocpu/internal/kvs"
@@ -22,6 +23,7 @@ type replicator struct {
 	repSeq    uint64
 	gates     map[string]*keyGate
 	idleGates sim.Free[keyGate] // idle keys' gates (finishTask)
+	applieds  sim.Free[applied] // answered applies' records (applied.Answer)
 	inflight  map[uint64]*writeTask
 	wm        map[string]watermark
 	rep       msg.Replicate
@@ -34,14 +36,13 @@ type replicator struct {
 // (view-change resync and staged-ring transfer) skip the local apply:
 // their request starts as a read of the key, and its answer turns it
 // into the put (or delete) of the value the store holds. The task is
-// the store's answer target for either (Reply).
+// the store's answer target for either (Answer).
 type writeTask struct {
 	p *replicator
 	// req is the mutation: the client's request, or a sync task's read.
 	req kvs.Request
 	// rep acks the client (nil for sync tasks).
-	rep  smartnic.Replier
-	resp []byte // local store response, held until the backups ack
+	rep smartnic.Replier
 
 	sync bool
 	xfer *Ring // the staged ring whose transfer this sync task counts toward
@@ -90,7 +91,7 @@ func (w watermark) before(epoch uint32, seq uint64) bool {
 func (p *replicator) servePrimary(req kvs.Request, rep smartnic.Replier) {
 	if !p.lease.valid() || p.lease.fences(req.Key) {
 		p.v.stats.LeaseFenced++
-		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusFenced}))
+		kvs.Answer(rep, kvs.Response{Status: kvs.StatusFenced})
 		return
 	}
 	if req.Op != kvs.OpPut && req.Op != kvs.OpDelete {
@@ -118,7 +119,7 @@ func (p *replicator) enqueue(t *writeTask) {
 	// counts on its transfer tasks finishing, so those always queue.
 	if len(g.queue) >= DefaultWriteBound && !t.sync {
 		p.v.stats.Shed++
-		t.rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusShed}))
+		kvs.Answer(t.rep, kvs.Response{Status: kvs.StatusShed})
 		return
 	}
 	g.queue = append(g.queue, t)
@@ -133,29 +134,41 @@ func (p *replicator) startTask(t *writeTask) {
 	p.v.store.Serve(t.req, t)
 }
 
-// Reply is the store's answer to the task's local step: the read of a
-// sync task, the local apply of any other.
-func (t *writeTask) Reply(b []byte) {
+// Answer is the store's answer to the task's local step: the read of a
+// sync task, the local apply of any other. The store answers it once.
+func (t *writeTask) Answer(resp kvs.Response) {
 	p := t.p
-	resp, err := kvs.DecodeResponse(b)
 	switch {
-	case !t.sync && (err != nil || resp.Status != kvs.StatusOK):
+	case !t.sync && resp.Status != kvs.StatusOK:
 		// Local apply failed (shed, unavailable, IO error): the client
 		// hears the truth and nothing was replicated.
-		t.rep.Reply(b)
+		kvs.Answer(t.rep, resp)
 		p.finishTask(t)
 	case !t.sync:
-		t.resp = b
 		p.replicate(t)
-	case err != nil || resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable:
+	case resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable:
 		p.finishTask(t) // shard unreadable; a later view change retries
 	case resp.Status == kvs.StatusNotFound:
 		t.req.Op = kvs.OpDelete
 		p.replicate(t)
 	default:
-		t.req.Op, t.req.Value = kvs.OpPut, resp.Value
+		// The read's value is lent for the answer; the put keeps it until
+		// every target acks.
+		t.req.Op, t.req.Value = kvs.OpPut, bytes.Clone(resp.Value)
 		p.replicate(t)
 	}
+}
+
+func (t *writeTask) Reply(b []byte) { replyAnswer(t, b) }
+
+// replyAnswer hands an Answerer an encoded answer; bytes that do not
+// decode answer as StatusError.
+func replyAnswer(a kvs.Answerer, b []byte) {
+	resp, err := kvs.DecodeResponse(b)
+	if err != nil {
+		resp = kvs.Response{Status: kvs.StatusError}
+	}
+	a.Answer(resp)
 }
 
 // replicate sends the task's mutation to every replication target and
@@ -210,11 +223,16 @@ func (p *replicator) onReplicate(src msg.DeviceID, m *msg.Replicate) {
 	if m.Del {
 		apply = kvs.Request{Op: kvs.OpDelete, Key: m.Key}
 	}
-	p.v.store.Serve(apply, &applied{p: p, src: src, key: m.Key, epoch: m.Epoch, seq: m.Seq})
+	a := p.applieds.Get()
+	a.p, a.src, a.key, a.epoch, a.seq = p, src, m.Key, m.Epoch, m.Seq
+	p.v.store.Serve(apply, a)
 }
 
 // applied is a Replicate this machine applies as a backup: the store's
-// answer moves the key's watermark and acks the primary.
+// answer moves the key's watermark and acks the primary. Only the store
+// holds it, and the store answers it once and keeps it no longer
+// (kvs.Store.Serve), so it goes back on the replicator's list as its
+// answer begins, once its fields are read out.
 type applied struct {
 	p     *replicator
 	src   msg.DeviceID
@@ -223,23 +241,26 @@ type applied struct {
 	seq   uint64
 }
 
-func (a *applied) Reply(b []byte) {
-	p := a.p
+// Answer reads only the status.
+func (a *applied) Answer(resp kvs.Response) {
+	p, src, key, epoch, seq := a.p, a.src, a.key, a.epoch, a.seq
+	p.applieds.Put(a)
 	if p.v.halted {
 		return
 	}
-	resp, err := kvs.DecodeResponse(b)
 	// Deleting an absent key converges to the same state; only real
 	// failures (IO error, unavailable) withhold the ack.
-	ok := err == nil && (resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound)
+	ok := resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound
 	if ok {
 		p.v.stats.Applies++
-		if p.wm[a.key].before(a.epoch, a.seq) {
-			p.wm[a.key] = watermark{epoch: a.epoch, seq: a.seq}
+		if p.wm[key].before(epoch, seq) {
+			p.wm[key] = watermark{epoch: epoch, seq: seq}
 		}
 	}
-	p.sendAck(a.src, a.seq, ok)
+	p.sendAck(src, seq, ok)
 }
+
+func (a *applied) Reply(b []byte) { replyAnswer(a, b) }
 
 func (p *replicator) sendAck(to msg.DeviceID, seq uint64, ok bool) {
 	p.ack = msg.ReplicateAck{Seq: seq, OK: ok, Epoch: p.v.epoch, Dead: p.v.deadSorted}
@@ -278,11 +299,7 @@ func (p *replicator) ackTask(t *writeTask) {
 		return
 	}
 	if t.rep != nil {
-		resp := t.resp
-		if resp == nil {
-			resp = kvs.EncodeResponse(kvs.Response{Status: kvs.StatusOK})
-		}
-		t.rep.Reply(resp)
+		kvs.Answer(t.rep, kvs.Response{Status: kvs.StatusOK})
 	}
 	p.finishTask(t)
 }

@@ -277,7 +277,7 @@ func (r *Router) ServeRequest(tn uint16, stamped bool, payload []byte, rep smart
 	}
 	req, err := kvs.DecodeRequest(payload)
 	if err != nil {
-		rep.Reply(kvs.EncodeResponse(kvs.Response{Status: kvs.StatusError}))
+		kvs.Answer(rep, kvs.Response{Status: kvs.StatusError})
 		return
 	}
 	req.Tenant = uint32(tn)

@@ -159,13 +159,17 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// EncodeResponse serializes: status u8 | valLen u32 | val.
+// EncodeResponse serializes r into a buffer of exactly its length.
 func EncodeResponse(r Response) []byte {
-	b := make([]byte, 5+len(r.Value))
-	b[0] = byte(r.Status)
-	binary.LittleEndian.PutUint32(b[1:], uint32(len(r.Value)))
-	copy(b[5:], r.Value)
-	return b
+	return AppendResponse(make([]byte, 0, 5+len(r.Value)), r)
+}
+
+// AppendResponse appends r's encoding to b and returns the extended
+// buffer: status u8 | valLen u32 | val.
+func AppendResponse(b []byte, r Response) []byte {
+	b = append(b, byte(r.Status))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Value)))
+	return append(b, r.Value...)
 }
 
 // DecodeResponse parses a store response.

@@ -420,6 +420,25 @@ func (s *Store) ShedResponse() []byte {
 	return EncodeResponse(Response{Status: StatusShed})
 }
 
+// Answerer is an optional smartnic.Replier extension for a caller on the
+// store's own NIC: the store hands it the Response itself, not an encoded
+// copy. resp.Value is lent until Answer returns (a cache entry or a file
+// read's bytes), as smartnic.FileOp.Data is; an Answerer that keeps it
+// copies it.
+type Answerer interface {
+	Answer(resp Response)
+}
+
+// Answer answers rep with resp: in place when rep is an Answerer, and
+// otherwise with an encoding the Replier owns.
+func Answer(rep smartnic.Replier, resp Response) {
+	if a, ok := rep.(Answerer); ok {
+		a.Answer(resp)
+		return
+	}
+	rep.Reply(EncodeResponse(resp))
+}
+
 // ServeNetwork implements smartnic.App for a caller that hands the store
 // a request directly: it is served as an unstamped ServeRequest.
 func (s *Store) ServeNetwork(payload []byte, reply func([]byte)) {
@@ -434,7 +453,7 @@ func (s *Store) ServeNetwork(payload []byte, reply func([]byte)) {
 func (s *Store) ServeRequest(tn uint16, stamped bool, payload []byte, rep smartnic.Replier) {
 	req, err := DecodeRequest(payload)
 	if err != nil {
-		rep.Reply(EncodeResponse(Response{Status: StatusError}))
+		Answer(rep, Response{Status: StatusError})
 		return
 	}
 	if stamped {
@@ -471,10 +490,15 @@ type fileStoreOp struct {
 // Serve admits and executes one decoded request, for a caller on the
 // same NIC that has already parsed it (the fabric router), and answers
 // rep. Like an unstamped request it trusts the request's Tenant stamp.
+//
+// Serve answers rep at most once, through Answer, and keeps no reference
+// to it after that answer: a caller may put its Replier record back on a
+// free list as the answer begins (DESIGN.md "Pool only what the owner
+// alone sees"). An answer's Value is lent until Answer returns.
 func (s *Store) Serve(req Request, rep smartnic.Replier) {
 	if !s.ready {
 		s.stats.Unavailable++
-		rep.Reply(EncodeResponse(Response{Status: StatusUnavailable}))
+		Answer(rep, Response{Status: StatusUnavailable})
 		return
 	}
 	// Tenancy gate, ahead of all admission: a cross-tenant probe is
@@ -487,7 +511,7 @@ func (s *Store) Serve(req Request, rep smartnic.Replier) {
 			s.stats.Denied++
 			reg.Record(s.rt.Engine().Now(), who, owner, tenant.DenyKVS,
 				fmt.Sprintf("%v %v %q refused", who, req.Op, req.Key))
-			rep.Reply(EncodeResponse(Response{Status: StatusDenied}))
+			Answer(rep, Response{Status: StatusDenied})
 			return
 		}
 		if b := reg.Budget(who); b.KVSInflight > 0 && s.tenInflight[who] >= int(b.KVSInflight) {
@@ -495,7 +519,7 @@ func (s *Store) Serve(req Request, rep smartnic.Replier) {
 			s.stats.TenantShed++
 			reg.Record(s.rt.Engine().Now(), who, 0, tenant.DenyBudget,
 				fmt.Sprintf("%v over kvs budget %d", who, b.KVSInflight))
-			rep.Reply(EncodeResponse(Response{Status: StatusShed}))
+			Answer(rep, Response{Status: StatusShed})
 			return
 		}
 	}
@@ -513,7 +537,7 @@ func (s *Store) Serve(req Request, rep smartnic.Replier) {
 			// the next admitted request pushes the estimate right back.
 			s.estServe -= s.estServe / 8
 			s.stats.Shed++
-			rep.Reply(EncodeResponse(Response{Status: StatusShed}))
+			Answer(rep, Response{Status: StatusShed})
 			return
 		}
 	}
@@ -523,7 +547,7 @@ func (s *Store) Serve(req Request, rep smartnic.Replier) {
 	// open-loop overload rages.
 	if bound := s.cfg.InflightBound; bound > 0 && s.inflight >= bound {
 		s.stats.Shed++
-		rep.Reply(EncodeResponse(Response{Status: StatusShed}))
+		Answer(rep, Response{Status: StatusShed})
 		return
 	}
 	s.inflight++
@@ -561,6 +585,7 @@ func (op *storeOp) Fire() {
 // done releases the op's admission slots and answers the caller. An op
 // that made no file request goes back on the list first: the answer may
 // serve another request (a writeTask's next step), which takes it.
+// resp.Value is lent to the caller for the length of the answer.
 func (op *storeOp) done(resp Response) {
 	s := op.s
 	// Fold the observed service time into the admission estimate
@@ -576,7 +601,7 @@ func (op *storeOp) done(resp Response) {
 	if op.file == nil {
 		s.ops.Put(op)
 	}
-	rep.Reply(EncodeResponse(resp))
+	Answer(rep, resp)
 }
 
 func (s *Store) get(op *storeOp) {

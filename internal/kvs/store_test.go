@@ -152,6 +152,29 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 }
 
+// AppendResponse onto a non-empty prefix leaves the prefix as it was and
+// appends exactly EncodeResponse's bytes, which decode back to the
+// response, for every status with and without a value.
+func TestAppendResponseKeepsPrefix(t *testing.T) {
+	prefix := []byte("prefix")
+	for st := StatusOK; st <= StatusFenced; st++ {
+		for _, val := range [][]byte{nil, []byte("value")} {
+			resp := Response{Status: st, Value: val}
+			b := AppendResponse(bytes.Clone(prefix), resp)
+			if !bytes.HasPrefix(b, prefix) || !bytes.Equal(b[len(prefix):], EncodeResponse(resp)) {
+				t.Fatalf("status %d: appended %x, want %q then %x", st, b, prefix, EncodeResponse(resp))
+			}
+			got, err := DecodeResponse(b[len(prefix):])
+			if err != nil || got.Status != st || !bytes.Equal(got.Value, val) {
+				t.Fatalf("status %d: decoded %+v, %v", st, got, err)
+			}
+		}
+	}
+	if b := EncodeResponse(Response{Status: StatusOK, Value: []byte("v")}); cap(b) != len(b) {
+		t.Fatalf("an encoded response has capacity %d for %d bytes", cap(b), len(b))
+	}
+}
+
 // FuzzRequestKey: a router that routes on RequestKey and a machine that
 // serves with DecodeRequest refuse exactly the same requests, and agree
 // on the key of every one they accept.

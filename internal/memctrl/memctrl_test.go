@@ -238,6 +238,36 @@ func TestFreeRetransmissionReplayed(t *testing.T) {
 	}
 }
 
+// TestEveryFreeLeavesATombstone pins what the free replay costs: each
+// completed free leaves its region's replay record in freed, and only an
+// alloc at the same VA deletes it. The NIC runtime never reuses a VA (its
+// reserveVA only moves forward), so under alloc/free churn the map grows
+// by one entry per free for the life of the table. This test holds the
+// count; bounding it needs the replay generation that VA reuse needs too.
+func TestEveryFreeLeavesATombstone(t *testing.T) {
+	r := NewRegions(physmem.MustNew(64*physmem.PageSize), 0)
+	const cycles = 100
+	va := uint64(0x10000)
+	for i := range cycles {
+		if resp, _ := r.Alloc(2, &msg.AllocReq{App: 1, VA: va, Bytes: physmem.PageSize}); !resp.OK {
+			t.Fatalf("alloc %d: %s", i, resp.Reason)
+		}
+		if resp := r.Free(2, &msg.FreeReq{App: 1, VA: va, Bytes: physmem.PageSize}); !resp.OK {
+			t.Fatalf("free %d: %s", i, resp.Reason)
+		}
+		va += 2 * physmem.PageSize // the next region, past a guard page
+	}
+	if len(r.freed) != cycles || r.live() != 0 {
+		t.Fatalf("%d alloc/free cycles left %d tombstones and %d live regions, want %d and 0", cycles, len(r.freed), r.live(), cycles)
+	}
+	if resp, _ := r.Alloc(2, &msg.AllocReq{App: 1, VA: 0x10000, Bytes: physmem.PageSize}); !resp.OK {
+		t.Fatalf("realloc: %s", resp.Reason)
+	}
+	if len(r.freed) != cycles-1 {
+		t.Fatalf("reusing a VA left %d tombstones, want %d", len(r.freed), cycles-1)
+	}
+}
+
 func TestFreeByNonOwnerDenied(t *testing.T) {
 	w := newWorld(t, 0, 1024)
 	nic := w.newRequester(t, 2, "nic")
