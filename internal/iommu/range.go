@@ -15,8 +15,8 @@ func PageGeometry(huge bool) (bytes uint64, frames int) {
 // MapRange installs one mapping per frame at consecutive addresses from
 // va — 4 KiB pages, or 2 MiB runs when huge — creating the PASID's
 // context on first use; perm 0 means read+write. Frames arrive as the
-// caller holds them: wire-form uint64s on the bus, physmem.Frames in the
-// baseline kernel. It installs all of them or none: on a refusal it takes
+// caller holds them: wire-form uint64s from a memctrl region (the bus and
+// the baseline kernel), or physmem.Frames. It installs all of them or none: on a refusal it takes
 // out the mappings this call put in — never one that was there before,
 // which is what "already mapped" reports — and returns the refusal. A
 // context it created stays; an empty one translates nothing.

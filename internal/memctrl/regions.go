@@ -19,7 +19,7 @@ type Regions struct {
 	quota uint64 // bytes one app may hold; 0 = unlimited
 
 	// table maps app -> base VA -> allocation.
-	table map[msg.AppID]map[uint64]*allocation
+	table map[msg.AppID]map[uint64]allocation
 	// appBytes tracks per-app usage for the quota.
 	appBytes map[msg.AppID]uint64
 	// freed remembers released regions so a retried FreeReq whose first
@@ -30,10 +30,13 @@ type Regions struct {
 }
 
 // allocation is one live region. For huge allocations, frames holds the
-// base frame of each contiguous 2 MiB run.
+// base frame of each contiguous 2 MiB run. frames is in wire form and is
+// lent to every answer about the region (AllocResp, AuthResp): it is never
+// written after Alloc builds it, nor reused after Free, and its holders
+// only read it. A grant's sub-range is capped, so an append reallocates.
 type allocation struct {
 	owner  msg.DeviceID
-	frames []physmem.Frame
+	frames []uint64
 	bytes  uint64
 	huge   bool
 }
@@ -57,7 +60,7 @@ func NewRegions(mem *physmem.Memory, quota uint64) *Regions {
 	return &Regions{
 		mem:      mem,
 		quota:    quota,
-		table:    make(map[msg.AppID]map[uint64]*allocation),
+		table:    make(map[msg.AppID]map[uint64]allocation),
 		appBytes: make(map[msg.AppID]uint64),
 		freed:    make(map[freeKey]freedRegion),
 	}
@@ -98,19 +101,10 @@ func (r *Regions) recount() {
 	}
 }
 
-// wireFrames renders frames as a response carries them.
-func wireFrames(frames []physmem.Frame) []uint64 {
-	out := make([]uint64, len(frames))
-	for i, f := range frames {
-		out[i] = uint64(f)
-	}
-	return out
-}
-
 // overlaps returns the lowest-based region of the app that [va, va+bytes)
 // intersects: the lowest, so that which region a refusal names does not
 // depend on map iteration order.
-func overlaps(regions map[uint64]*allocation, va, bytes uint64) (lowest uint64, hit bool) {
+func overlaps(regions map[uint64]allocation, va, bytes uint64) (lowest uint64, hit bool) {
 	for base, a := range regions {
 		if va < base+a.bytes && base < va+bytes && (!hit || base < lowest) {
 			lowest, hit = base, true
@@ -138,7 +132,7 @@ func (r *Regions) Alloc(src msg.DeviceID, m *msg.AllocReq) (resp *msg.AllocResp,
 	}
 	apps := r.table[m.App]
 	if apps == nil {
-		apps = make(map[uint64]*allocation)
+		apps = make(map[uint64]allocation)
 		r.table[m.App] = apps
 	}
 	// A region is whole units of its page size: 4 KiB pages backed frame
@@ -154,7 +148,7 @@ func (r *Regions) Alloc(src msg.DeviceID, m *msg.AllocReq) (resp *msg.AllocResp,
 	// effect. The frames must be the same ones, or the requester and its
 	// IOMMU would disagree about the region's backing.
 	if a, ok := apps[m.VA]; ok && a.owner == src && a.huge == m.Huge && a.bytes == bytes {
-		return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(a.frames), Perm: m.Perm, Huge: a.huge}, false
+		return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: a.frames, Perm: m.Perm, Huge: a.huge}, false
 	}
 	// Overlap check against this app's existing regions: first the extent
 	// in 4 KiB pages, then — once a huge request's address is known to be
@@ -173,26 +167,26 @@ func (r *Regions) Alloc(src msg.DeviceID, m *msg.AllocReq) (resp *msg.AllocResp,
 	if r.quota > 0 && r.appBytes[m.App]+bytes > r.quota {
 		return deny("quota exceeded")
 	}
-	frames := make([]physmem.Frame, 0, units)
+	frames := make([]uint64, 0, units)
 	for i := 0; i < units; i++ {
 		f, err := r.mem.AllocFrames(per)
 		if err != nil {
 			for _, ff := range frames {
-				_ = r.mem.FreeFrames(ff, per)
+				_ = r.mem.FreeFrames(physmem.Frame(ff), per)
 			}
 			if m.Huge {
 				return deny("out of contiguous physical memory")
 			}
 			return deny("out of physical memory")
 		}
-		frames = append(frames, f)
+		frames = append(frames, uint64(f))
 	}
-	apps[m.VA] = &allocation{owner: src, frames: frames, bytes: bytes, huge: m.Huge}
+	apps[m.VA] = allocation{owner: src, frames: frames, bytes: bytes, huge: m.Huge}
 	delete(r.freed, freeKey{m.App, m.VA})
 	r.appBytes[m.App] += bytes
 	r.stats.Allocs++
 	r.stats.BytesLive += bytes
-	return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(frames), Perm: m.Perm, Huge: m.Huge}, true
+	return &msg.AllocResp{App: m.App, OK: true, VA: m.VA, Frames: frames, Perm: m.Perm, Huge: m.Huge}, true
 }
 
 // Free answers a FreeReq from src. Once every check has passed, the
@@ -225,7 +219,7 @@ func (r *Regions) Free(src msg.DeviceID, m *msg.FreeReq, mapped ...*iommu.IOMMU)
 	}
 	_, per := iommu.PageGeometry(a.huge)
 	for _, f := range a.frames {
-		if err := r.mem.FreeFrames(f, per); err != nil {
+		if err := r.mem.FreeFrames(physmem.Frame(f), per); err != nil {
 			return deny("frame table corruption: " + err.Error())
 		}
 	}
@@ -238,7 +232,8 @@ func (r *Regions) Free(src msg.DeviceID, m *msg.FreeReq, mapped ...*iommu.IOMMU)
 }
 
 // authorize answers the bus's AuthReq for a grant: the frames behind a
-// range of one of the app's regions.
+// range of one of the app's regions, lent as the region's own slice capped
+// to the range.
 func (r *Regions) authorize(src msg.DeviceID, m *msg.AuthReq) *msg.AuthResp {
 	deny := func(reason string) *msg.AuthResp {
 		r.stats.AuthsDenied++
@@ -253,15 +248,16 @@ func (r *Regions) authorize(src msg.DeviceID, m *msg.AuthReq) *msg.AuthResp {
 	}
 	// Find the allocation containing [VA, VA+Bytes). An app's regions
 	// never overlap, so at most one does, whatever the iteration order.
-	var a *allocation
+	var a allocation
 	var base uint64
+	found := false
 	for b, reg := range r.table[m.App] {
 		if m.VA >= b && m.VA+m.Bytes <= b+reg.bytes {
-			base, a = b, reg
+			base, a, found = b, reg, true
 			break
 		}
 	}
-	if a == nil {
+	if !found {
 		return deny("range not allocated to app")
 	}
 	unit, _ := iommu.PageGeometry(a.huge)
@@ -272,5 +268,5 @@ func (r *Regions) authorize(src msg.DeviceID, m *msg.AuthReq) *msg.AuthResp {
 	first := int((m.VA - base) / unit)
 	n := int((m.Bytes + unit - 1) / unit)
 	r.stats.AuthsOK++
-	return &msg.AuthResp{App: m.App, OK: true, VA: m.VA, Frames: wireFrames(a.frames[first : first+n]), Perm: m.Perm, Nonce: m.Nonce, Huge: a.huge}
+	return &msg.AuthResp{App: m.App, OK: true, VA: m.VA, Frames: a.frames[first : first+n : first+n], Perm: m.Perm, Nonce: m.Nonce, Huge: a.huge}
 }

@@ -209,7 +209,7 @@ func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int
 	}
 	m.rt.nic.call(m.rt.Retry, m.Opener.Provider, req,
 		callKey{kind: msg.KindFileIOResp, app: m.rt.app, id: uint64(m.ConnID), sub: m.seq},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
+		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 			if err == nil {
 				if r := resp.(*msg.FileIOResp); smartssd.Status(r.Status) != smartssd.StatusOK {
 					err = fmt.Errorf("smartnic: mediated %v failed with status %d", kind, r.Status)
@@ -218,5 +218,5 @@ func (m *mediatedFile) issue(op *FileOp, kind smartssd.FileOp, off uint64, n int
 				}
 			}
 			op.finish(err)
-		})
+		}))
 }

@@ -62,7 +62,7 @@ func (n *NIC) rejoin() {
 	n.nextNonce++
 	req := &msg.StateQuery{Nonce: n.nextNonce}
 	n.call(DefaultRetryPolicy, msg.BusID, req, callKey{kind: msg.KindStateResp, id: uint64(req.Nonce)},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
+		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 			if err != nil {
 				// The bus answered Hello but not StateQuery — boot anyway and
 				// let per-app allocation failures surface through the normal
@@ -71,7 +71,7 @@ func (n *NIC) rejoin() {
 				return
 			}
 			n.reclaim(resp.(*msg.StateResp).Regions, 0)
-		})
+		}))
 }
 
 // reclaim frees the i-th surviving region, then the next; the StateResp
@@ -91,5 +91,5 @@ func (n *NIC) reclaim(regions []msg.OwnedRegion, i int) {
 	// Answered, refused or timed out, the sweep moves on: a region the
 	// controller will not free is not worth stalling the boot for.
 	n.call(DefaultRetryPolicy, n.lastMemctrl, req, callKey{kind: msg.KindFreeResp, app: reg.App, id: reg.VA},
-		func(msg.DeviceID, msg.Message, error) { n.reclaim(regions, i+1) })
+		rawAnswer(func(msg.DeviceID, msg.Message, error) { n.reclaim(regions, i+1) }))
 }

@@ -63,10 +63,10 @@ func TestTakenOverCallFailsWithItsOwnOp(t *testing.T) {
 	key := callKey{kind: msg.KindFreeResp, app: 1, id: 0x1000}
 	third := callKey{kind: msg.KindAllocResp, app: 1, id: 0x3000}
 	var firstErr, thirdErr error
-	m.nic.call(pol, 99, &msg.FreeReq{App: 1, VA: 0x1000}, key, func(_ msg.DeviceID, _ msg.Message, err error) { firstErr = err })
-	m.nic.call(pol, 99, &msg.GrantReq{App: 1, VA: 0x2000, Target: ssdID}, key, func(msg.DeviceID, msg.Message, error) {
-		m.nic.call(pol, 99, &msg.AllocReq{App: 1, VA: 0x3000, Bytes: 4096}, third, func(_ msg.DeviceID, _ msg.Message, err error) { thirdErr = err })
-	})
+	m.nic.call(pol, 99, &msg.FreeReq{App: 1, VA: 0x1000}, key, rawAnswer(func(_ msg.DeviceID, _ msg.Message, err error) { firstErr = err }))
+	m.nic.call(pol, 99, &msg.GrantReq{App: 1, VA: 0x2000, Target: ssdID}, key, rawAnswer(func(msg.DeviceID, msg.Message, error) {
+		m.nic.call(pol, 99, &msg.AllocReq{App: 1, VA: 0x3000, Bytes: 4096}, third, rawAnswer(func(_ msg.DeviceID, _ msg.Message, err error) { thirdErr = err }))
+	}))
 	second := m.nic.pending[key]
 	m.nic.onResponse(msg.Envelope{Src: mcID, Msg: &msg.FreeResp{App: 1, VA: 0x1000, OK: true}})
 	if m.nic.pending[third] != second {
@@ -94,7 +94,7 @@ func TestLateAnswersForAFinishedCallFindNothing(t *testing.T) {
 	runs := 0
 	// To a device that does not exist: the bus's NACK arrives after the
 	// call has finished.
-	m.nic.call(DefaultRetryPolicy, 99, &msg.FreeReq{App: 1, VA: 0x1000}, key, func(msg.DeviceID, msg.Message, error) { runs++ })
+	m.nic.call(DefaultRetryPolicy, 99, &msg.FreeReq{App: 1, VA: 0x1000}, key, rawAnswer(func(msg.DeviceID, msg.Message, error) { runs++ }))
 	c := m.nic.pending[key]
 	seq := c.seq
 	resp := msg.Envelope{Src: mcID, Msg: &msg.FreeResp{App: 1, VA: 0x1000, OK: true}}
@@ -102,13 +102,13 @@ func TestLateAnswersForAFinishedCallFindNothing(t *testing.T) {
 
 	next := callKey{kind: msg.KindFreeResp, app: 1, id: 0x2000}
 	var answers []*msg.FreeResp
-	m.nic.call(DefaultRetryPolicy, mcID, &msg.FreeReq{App: 1, VA: 0x2000}, next, func(_ msg.DeviceID, r msg.Message, err error) {
+	m.nic.call(DefaultRetryPolicy, mcID, &msg.FreeReq{App: 1, VA: 0x2000}, next, rawAnswer(func(_ msg.DeviceID, r msg.Message, err error) {
 		if err != nil {
 			t.Errorf("next call: %v", err)
 			return
 		}
 		answers = append(answers, r.(*msg.FreeResp))
-	})
+	}))
 	if m.nic.pending[next] != c {
 		t.Fatal("the next call did not reuse the finished call's record")
 	}

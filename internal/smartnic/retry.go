@@ -1,6 +1,7 @@
 package smartnic
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,9 +23,10 @@ import (
 //
 // A call holds the request message itself (a retransmission sends it
 // again), the timer that is its own event, and the one continuation that
-// gets the response or the typed failure. NIC.pending maps a callKey —
-// what keyOf computes from the answering response — to the call, and
-// NIC.inflight the last attempt's link-layer seq, so a bus NACK finds it.
+// gets the response or the typed failure: the caller's own callback, held
+// as an answer. NIC.pending maps a callKey — what keyOf computes from the
+// answering response — to the call, and NIC.inflight the last attempt's
+// link-layer seq, so a bus NACK finds it.
 //
 // Determinism: a request registers, counts, sends, then arms one timer;
 // a response unregisters, stops the timer, then runs the continuation.
@@ -156,7 +158,7 @@ type call struct {
 	n    *NIC
 	req  msg.Message // what every attempt sends
 	key  callKey
-	done func(src msg.DeviceID, resp msg.Message, err error) // runs exactly once
+	done answer // runs exactly once
 
 	pol      RetryPolicy
 	started  sim.Time
@@ -167,11 +169,11 @@ type call struct {
 	delaying bool
 }
 
-// call issues req to dst and runs done with the response whose keyOf is
-// key, or with a *TimeoutError once pol's budget is spent. A second call
-// on a key still pending takes the key over: the response goes to it, and
-// the first call runs out its budget and fails.
-func (n *NIC) call(pol RetryPolicy, dst msg.DeviceID, req msg.Message, key callKey, done func(src msg.DeviceID, resp msg.Message, err error)) {
+// call issues req to dst and answers done with the response whose keyOf
+// is key, or with a *TimeoutError once pol's budget is spent. A second
+// call on a key still pending takes the key over: the response goes to
+// it, and the first call runs out its budget and fails.
+func (n *NIC) call(pol RetryPolicy, dst msg.DeviceID, req msg.Message, key callKey, done answer) {
 	c := n.calls.Get()
 	*c = call{n: n, req: req, key: key, done: done, pol: pol, dst: dst, started: n.dev.Engine().Now()}
 	n.pending[key] = c
@@ -225,20 +227,20 @@ func (c *call) nacked(m *msg.Nack) {
 }
 
 // finish ends the call: it takes it out of both tables, stops its timer,
-// puts the record back on the NIC's list and returns the continuation for
-// the caller to run. The key may have been taken over by a later call;
-// that entry is not ours. Once the tables and the timer let go, nothing
-// holds the record, so the continuation may start the next call at once
-// and that call may reuse it.
-func (c *call) finish() func(src msg.DeviceID, resp msg.Message, err error) {
-	n, done := c.n, c.done
+// puts the record back on the NIC's list and returns the continuation and
+// the key for the caller to run it with. The key may have been taken over
+// by a later call; that entry is not ours. Once the tables and the timer
+// let go, nothing holds the record, so the continuation may start the
+// next call at once and that call may reuse it.
+func (c *call) finish() (answer, callKey) {
+	n, done, key := c.n, c.done, c.key
 	if n.pending[c.key] == c {
 		delete(n.pending, c.key)
 	}
 	c.tm.Stop()
 	delete(n.inflight, c.seq)
 	n.calls.Put(c)
-	return done
+	return done, key
 }
 
 func (c *call) fail() {
@@ -250,7 +252,8 @@ func (c *call) fail() {
 		LastNack: c.lastNack,
 	}
 	c.n.retryStats.Exhausted++
-	c.finish()(0, nil, err)
+	done, key := c.finish()
+	done.answer(key, 0, nil, err)
 }
 
 // opOf names a request for TimeoutError.Op. Only a failed call pays for
@@ -280,12 +283,94 @@ func opOf(req msg.Message) string {
 	return req.Kind().String()
 }
 
+// refusal is the error a provider's !OK answer gives a typed callback;
+// nil for an acceptance. The grant's target and the image come from the
+// key, which echoes them.
+func refusal(key callKey, resp msg.Message) error {
+	switch m := resp.(type) {
+	case *msg.AllocResp:
+		if !m.OK {
+			return fmt.Errorf("smartnic: alloc failed: %s", m.Reason)
+		}
+	case *msg.FreeResp:
+		if !m.OK {
+			return fmt.Errorf("smartnic: free failed: %s", m.Reason)
+		}
+	case *msg.GrantResp:
+		if !m.OK {
+			return fmt.Errorf("smartnic: grant to %v denied: %s", msg.DeviceID(key.sub), m.Reason)
+		}
+	case *msg.LoadResp:
+		if !m.OK {
+			return fmt.Errorf("smartnic: load of %q refused: %s", key.name, m.Reason)
+		}
+	case *msg.CloseResp:
+		if !m.OK {
+			return errors.New("smartnic: close refused")
+		}
+	}
+	return nil
+}
+
+// answer is a call's continuation: the caller's own callback, whose type
+// says what it wants out of the response. A func value is pointer-shaped,
+// so holding one in the interface allocates nothing, where a closure
+// around it would.
+type answer interface {
+	answer(key callKey, src msg.DeviceID, resp msg.Message, err error)
+}
+
+// errAnswer is a free, grant, load or close: only the verdict.
+type errAnswer func(error)
+
+func (f errAnswer) answer(key callKey, _ msg.DeviceID, resp msg.Message, err error) {
+	if err == nil {
+		err = refusal(key, resp)
+	}
+	f(err)
+}
+
+// vaAnswer is an alloc: the region's VA, which the key holds.
+type vaAnswer func(va uint64, err error)
+
+func (f vaAnswer) answer(key callKey, _ msg.DeviceID, resp msg.Message, err error) {
+	if err == nil {
+		err = refusal(key, resp)
+	}
+	if err != nil {
+		f(0, err)
+		return
+	}
+	f(key.id, nil)
+}
+
+// discoverAnswer is a discovery: who answered, and the service it named.
+type discoverAnswer func(provider msg.DeviceID, service string, err error)
+
+func (f discoverAnswer) answer(_ callKey, src msg.DeviceID, resp msg.Message, err error) {
+	if err != nil {
+		f(0, "", err)
+		return
+	}
+	f(src, resp.(*msg.DiscoverResp).Service, nil)
+}
+
+// rawAnswer takes the response as it came, for a continuation that
+// captures state of its own (an open, a connect, a mediated file op, the
+// rejoin's state query and frees).
+type rawAnswer func(src msg.DeviceID, resp msg.Message, err error)
+
+func (f rawAnswer) answer(_ callKey, src msg.DeviceID, resp msg.Message, err error) {
+	f(src, resp, err)
+}
+
 // onResponse routes a response to the call it answers. The first answer
 // wins; a later one for the same key (a second discovery responder, a
 // replay, an answer past the budget) finds nothing pending and is dropped.
 func (n *NIC) onResponse(env msg.Envelope) {
 	if c, ok := n.pending[keyOf(env)]; ok {
-		c.finish()(env.Src, env.Msg, nil)
+		done, key := c.finish()
+		done.answer(key, env.Src, env.Msg, nil)
 	}
 }
 

@@ -346,14 +346,14 @@ func TestKeyTakeover(t *testing.T) {
 
 	var firstErr error
 	var second *msg.OpenResp
-	m.nic.call(pol, msg.DeviceID(99), req, key, func(_ msg.DeviceID, _ msg.Message, err error) { firstErr = err })
-	m.nic.call(DefaultRetryPolicy, ssdID, req, key, func(_ msg.DeviceID, resp msg.Message, err error) {
+	m.nic.call(pol, msg.DeviceID(99), req, key, rawAnswer(func(_ msg.DeviceID, _ msg.Message, err error) { firstErr = err }))
+	m.nic.call(DefaultRetryPolicy, ssdID, req, key, rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 		if err != nil {
 			t.Errorf("second call: %v", err)
 			return
 		}
 		second = resp.(*msg.OpenResp)
-	})
+	}))
 	m.eng.RunFor(sim.Millisecond)
 	var te *TimeoutError
 	if !errors.As(firstErr, &te) || te.LastNack == "" {
@@ -365,6 +365,89 @@ func TestKeyTakeover(t *testing.T) {
 	m.eng.Run()
 	if second == nil || !second.OK {
 		t.Fatalf("second call's response = %+v", second)
+	}
+}
+
+// answered is what a typed continuation was given, and how often.
+type answered struct {
+	va       uint64
+	provider msg.DeviceID
+	service  string
+	err      error
+	runs     int
+}
+
+// TestTypedAnswers feeds each typed continuation a provider's refusal and
+// then a spent retry budget. A refusal reads as it did when each request
+// wrapped its caller's callback in a closure of its own; a timeout gives
+// the callback its *TimeoutError with zero values beside it (va 0,
+// provider 0, an empty service).
+func TestTypedAnswers(t *testing.T) {
+	m := newMachine(t)
+	plane := faultinject.New(7)
+	m.bus.SetFaultPlane(plane)
+	rt := m.bootApp(t, 1)
+	const gone = msg.DeviceID(99) // no such device: the bus NACKs, nobody answers
+	errTo := func(a *answered) func(error) { return func(err error) { a.err = err; a.runs++ } }
+	cases := []struct {
+		name  string
+		issue func(a *answered)
+		// refusal is the !OK answer fed to the pending call; nil for a
+		// request no provider refuses.
+		refusal msg.Envelope
+		want    string
+	}{
+		{"discover", func(a *answered) {
+			rt.Discover("nosuch:service", func(p msg.DeviceID, svc string, err error) {
+				a.provider, a.service, a.err = p, svc, err
+				a.runs++
+			})
+		}, msg.Envelope{}, ""},
+		{"alloc", func(a *answered) {
+			rt.alloc(gone, 0x4000_0000, 4096, false, func(va uint64, err error) { a.va, a.err = va, err; a.runs++ })
+		}, msg.Envelope{Src: gone, Msg: &msg.AllocResp{App: 1, VA: 0x4000_0000, Reason: "quota exceeded"}},
+			"smartnic: alloc failed: quota exceeded"},
+		{"free", func(a *answered) { rt.Free(gone, 0x5000_0000, 4096, errTo(a)) },
+			msg.Envelope{Src: gone, Msg: &msg.FreeResp{App: 1, VA: 0x5000_0000, Reason: "no such region"}},
+			"smartnic: free failed: no such region"},
+		{"grant", func(a *answered) { rt.Grant(0x6000_0000, 4096, ssdID, errTo(a)) },
+			msg.Envelope{Src: msg.BusID, Msg: &msg.GrantResp{App: 1, VA: 0x6000_0000, Target: ssdID, Reason: "not the owner"}},
+			"smartnic: grant to dev2 denied: not the owner"},
+		{"load", func(a *answered) { rt.Load(gone, "img", 7, []byte{1}, errTo(a)) },
+			msg.Envelope{Src: gone, Msg: &msg.LoadResp{Image: "img", Reason: "bad token"}},
+			`smartnic: load of "img" refused: bad token`},
+		{"close", func(a *answered) { rt.closeAt(gone, &msg.CloseReq{ConnID: 4}, errTo(a)) },
+			msg.Envelope{Src: gone, Msg: &msg.CloseResp{ConnID: 4}},
+			"smartnic: close refused"},
+	}
+	for _, tc := range cases {
+		if tc.refusal.Msg == nil {
+			continue
+		}
+		var a answered
+		tc.issue(&a)
+		m.nic.onResponse(tc.refusal)
+		m.eng.Run() // the bus's NACK or own answer finds nothing pending
+		if a.runs != 1 || a.err == nil || a.err.Error() != tc.want || a.va != 0 {
+			t.Errorf("%s refused: ran %d times with va %#x, %v; want once with 0, %q", tc.name, a.runs, a.va, a.err, tc.want)
+		}
+	}
+
+	rt.Retry = RetryPolicy{Timeout: 400 * sim.Microsecond, MaxRetries: 1}
+	rt.DiscoverTimeout = 400 * sim.Microsecond
+	plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindGrantReq, Op: faultinject.Drop})
+	for _, tc := range cases {
+		var a answered
+		tc.issue(&a)
+		m.eng.Run()
+		var te *TimeoutError
+		if a.runs != 1 || !errors.As(a.err, &te) || a.va != 0 || a.provider != 0 || a.service != "" {
+			t.Errorf("%s timed out: ran %d times with va %#x, provider %v, service %q, %v; want once with a *TimeoutError and zeros",
+				tc.name, a.runs, a.va, a.provider, a.service, a.err)
+		}
+	}
+	if len(m.nic.pending) != 0 || len(m.nic.inflight) != 0 {
+		t.Errorf("tables not empty: %d pending, %d inflight", len(m.nic.pending), len(m.nic.inflight))
 	}
 }
 
@@ -501,34 +584,40 @@ func (b *controlBed) cycle(t testing.TB) {
 
 // TestControlCallAllocs pins the host cost of a steady-state AllocShared +
 // Free round trip through the whole control plane (client call, bus route
-// and IOMMU programming, memctrl): 11 — per request the client's message
-// and continuation, and memctrl's region record, frame slices and
-// response. The call, hop and memctrl request records come off their
-// owners' free lists; allocated per use they read 19, with a closure per
-// bus stage and per memctrl request 34, and with a retrier, an op label, a
-// send closure, an onFail closure and an After handle per client request
-// on top of that 46.
+// and IOMMU programming, memctrl): 7 — the client's two messages,
+// memctrl's region frames and two responses, and the test's own two
+// callbacks. No continuation is allocated: a call holds its caller's
+// callback as its typed answer. The call, hop and memctrl request records
+// come off their owners' free lists. With a closure around each callback,
+// a region record and a wire copy of the frames it read 11; allocated per
+// use the records made that 19, with a closure per bus stage and per
+// memctrl request 34, and with a retrier, an op label, a send closure, an
+// onFail closure and an After handle per client request on top of that 46.
 func TestControlCallAllocs(t *testing.T) {
 	b := newControlBed(t)
 	b.allocFree(t)
 	n := testing.AllocsPerRun(200, func() { b.allocFree(t) })
 	t.Logf("alloc+free round trip: %v allocations", n)
-	if n > 12 {
-		t.Errorf("alloc+free round trip allocates %v times, want <= 12", n)
+	if n > 8 {
+		t.Errorf("alloc+free round trip allocates %v times, want <= 8", n)
 	}
 }
 
 // TestControlCycleAllocs pins the host cost of the churn workload's cycle
-// (discover → alloc → grant → free, controlBed.cycle): 23, where the call,
-// hop, grantAck and memctrl request records allocated per use, and
-// discovery allocated a file handle to answer a query, read 46.
+// (discover → alloc → grant → free, controlBed.cycle): 16 — ten message
+// bodies, the region's frames, the bus's grant list and the test's four
+// callbacks, and no continuation. With a closure around each of the four
+// callbacks, a region record and two wire copies of its frames it read
+// 23; where the call, hop, grantAck and memctrl request records were
+// allocated per use, and discovery allocated a file handle to answer a
+// query, 46.
 func TestControlCycleAllocs(t *testing.T) {
 	b := newControlBed(t)
 	b.cycle(t)
 	n := testing.AllocsPerRun(200, func() { b.cycle(t) })
 	t.Logf("discover+alloc+grant+free cycle: %v allocations", n)
-	if n > 24 {
-		t.Errorf("the control cycle allocates %v times, want <= 24", n)
+	if n > 17 {
+		t.Errorf("the control cycle allocates %v times, want <= 17", n)
 	}
 }
 

@@ -77,14 +77,7 @@ func (rt *Runtime) Discover(query string, cb func(provider msg.DeviceID, service
 	n.nextNonce++
 	req := &msg.DiscoverReq{Query: query, Nonce: n.nextNonce}
 	n.call(rt.Retry.withBase(rt.DiscoverTimeout), msg.Broadcast, req,
-		callKey{kind: msg.KindDiscoverResp, id: uint64(req.Nonce)},
-		func(src msg.DeviceID, resp msg.Message, err error) {
-			if err != nil {
-				cb(0, "", err)
-				return
-			}
-			cb(src, resp.(*msg.DiscoverResp).Service, nil)
-		})
+		callKey{kind: msg.KindDiscoverResp, id: uint64(req.Nonce)}, discoverAnswer(cb))
 }
 
 // AllocShared asks the memory controller for shared memory mapped into
@@ -114,54 +107,27 @@ func (rt *Runtime) AllocSharedHuge(memctrl msg.DeviceID, bytes uint64, cb func(v
 func (rt *Runtime) alloc(memctrl msg.DeviceID, va, bytes uint64, huge bool, cb func(va uint64, err error)) {
 	rt.nic.lastMemctrl = memctrl
 	req := &msg.AllocReq{App: rt.app, VA: va, Bytes: bytes, Perm: uint8(iommu.PermRW), Huge: huge}
-	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindAllocResp, app: rt.app, id: va},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if err != nil {
-				cb(0, err)
-			} else if m := resp.(*msg.AllocResp); !m.OK {
-				cb(0, fmt.Errorf("smartnic: alloc failed: %s", m.Reason))
-			} else {
-				cb(va, nil)
-			}
-		})
+	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindAllocResp, app: rt.app, id: va}, vaAnswer(cb))
 }
 
 // Free returns a shared region to the controller.
 func (rt *Runtime) Free(memctrl msg.DeviceID, va, bytes uint64, cb func(error)) {
 	req := &msg.FreeReq{App: rt.app, VA: va, Bytes: bytes}
-	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindFreeResp, app: rt.app, id: va},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if m, _ := resp.(*msg.FreeResp); err == nil && !m.OK {
-				err = fmt.Errorf("smartnic: free failed: %s", m.Reason)
-			}
-			cb(err)
-		})
+	rt.nic.call(rt.Retry, memctrl, req, callKey{kind: msg.KindFreeResp, app: rt.app, id: va}, errAnswer(cb))
 }
 
 // Grant asks the bus to extend one of this app's regions to another
 // device (§3 step 7, first half).
 func (rt *Runtime) Grant(va, bytes uint64, target msg.DeviceID, cb func(error)) {
 	req := &msg.GrantReq{App: rt.app, VA: va, Bytes: bytes, Target: target, Perm: uint8(iommu.PermRW)}
-	rt.nic.call(rt.Retry, msg.BusID, req, callKey{kind: msg.KindGrantResp, app: rt.app, id: va, sub: uint32(target)},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if m, _ := resp.(*msg.GrantResp); err == nil && !m.OK {
-				err = fmt.Errorf("smartnic: grant to %v denied: %s", target, m.Reason)
-			}
-			cb(err)
-		})
+	rt.nic.call(rt.Retry, msg.BusID, req, callKey{kind: msg.KindGrantResp, app: rt.app, id: va, sub: uint32(target)}, errAnswer(cb))
 }
 
 // Load uploads an image to dev's loader service (§2.1) under the
 // device's loader token.
 func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byte, cb func(error)) {
 	req := &msg.LoadReq{Image: image, Token: token, Data: data}
-	rt.nic.call(rt.Retry, dev, req, callKey{kind: msg.KindLoadResp, name: image, sub: uint32(dev)},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if m, _ := resp.(*msg.LoadResp); err == nil && !m.OK {
-				err = fmt.Errorf("smartnic: load of %q refused: %s", image, m.Reason)
-			}
-			cb(err)
-		})
+	rt.nic.call(rt.Retry, dev, req, callKey{kind: msg.KindLoadResp, name: image, sub: uint32(dev)}, errAnswer(cb))
 }
 
 // open is §3 steps 3-4 of o's session with provider: a device's service,
@@ -170,13 +136,13 @@ func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byt
 // error.
 func (rt *Runtime) open(o *device.Opener, provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
 	rt.nic.call(rt.Retry, provider, o.Open(provider, service, rt.app, token), callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
+		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 			or, _ := resp.(*msg.OpenResp)
 			if err == nil {
 				err = o.Opened(or)
 			}
 			cb(or, err)
-		})
+		}))
 }
 
 // connect builds o's queue over the shared region at base and programs the
@@ -188,12 +154,12 @@ func (rt *Runtime) connect(o *device.Opener, base uint64, entries uint16, cb fun
 		return
 	}
 	rt.nic.call(rt.Retry, o.Provider, req, callKey{kind: msg.KindConnectResp, id: uint64(o.ConnID), sub: uint32(o.Provider)},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
+		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 			if err == nil {
 				err = o.Connected(resp.(*msg.ConnectResp))
 			}
 			cb(err)
-		})
+		}))
 }
 
 // Connection is an established service connection: its client half of the
@@ -382,11 +348,5 @@ func (c *Connection) release(then func(error)) {
 
 // closeAt asks provider to end the session req names.
 func (rt *Runtime) closeAt(provider msg.DeviceID, req *msg.CloseReq, cb func(error)) {
-	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindCloseResp, id: uint64(req.ConnID), sub: uint32(provider)},
-		func(_ msg.DeviceID, resp msg.Message, err error) {
-			if m, _ := resp.(*msg.CloseResp); err == nil && !m.OK {
-				err = fmt.Errorf("smartnic: close refused")
-			}
-			cb(err)
-		})
+	rt.nic.call(rt.Retry, provider, req, callKey{kind: msg.KindCloseResp, id: uint64(req.ConnID), sub: uint32(provider)}, errAnswer(cb))
 }

@@ -469,7 +469,7 @@ func TestConnectByOtherDeviceRefused(t *testing.T) {
 	req := &msg.ConnectReq{Service: "file:kv.dat", ConnID: connID, App: 3,
 		RingVA: 0x1000_0000, RingEntries: 16, DataVA: 0x1001_0000, DataBytes: 16 * 4096}
 	nic2.call(DefaultRetryPolicy, ssdID, req, keyOf(msg.Envelope{Src: ssdID, Msg: &msg.ConnectResp{ConnID: connID}}),
-		func(_ msg.DeviceID, resp msg.Message, err error) { refused, _ = resp.(*msg.ConnectResp) })
+		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) { refused, _ = resp.(*msg.ConnectResp) }))
 	m.eng.Run()
 	if refused == nil || refused.OK {
 		t.Fatalf("hijacked connect = %+v", refused)
