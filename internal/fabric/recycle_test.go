@@ -14,9 +14,10 @@ import (
 
 // A forwarded op's record goes back on its client's list as the op leaves
 // the pending map, before the client is answered, a key's gate goes back
-// when its last task finishes, and the owner's served and the backup's
-// applied records go back as the store's one answer to them begins. The
-// tests below hold a recycled record to never being seen in flight.
+// when its last task finishes, a write task when it finishes or is shed,
+// and the owner's served and the backup's applied records go back as the
+// store's one answer to them begins. The tests below hold a recycled
+// record to never being seen in flight.
 
 func answer(status kvs.Status) []byte { return kvs.EncodeResponse(kvs.Response{Status: status}) }
 
@@ -325,5 +326,258 @@ func TestSyncTaskKeepsLentValue(t *testing.T) {
 		if got.Status != kvs.StatusOK || !bytes.Equal(got.Value, value(i)) {
 			t.Fatalf("the backup holds %q = %x (%v), want %x", k, got.Value, got.Status, value(i))
 		}
+	}
+}
+
+// A write task goes back on its replicator's list when it finishes, once
+// its gate has moved on and before the key's next task starts, and a
+// shed write's task goes back as its refusal is answered. More writes
+// than the list keeps queue on one key and one more is shed; the transfer
+// task a staged ring then queues behind them takes the shed write's
+// record. Every write is answered once, in order, with its own status,
+// the transfer drains, and a second burst starts on a record the first
+// gave back.
+func TestQueuedWritesReuseTheirTasks(t *testing.T) {
+	cl := mustBoot(t, Config{N: 4, Seed: 23})
+	key := keyOwnedBy(cl, 1)
+	do(t, cl, 1, kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(1 << 40)})
+	r := cl.Machine(1).Router
+	log := &replyLog{resp: map[int][]kvs.Status{}}
+	ops := 0
+	burst := func(n int) {
+		for range n {
+			r.repl.servePrimary(kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(uint64(ops))}, log.replier(ops))
+			ops++
+		}
+	}
+	// answered checks that ops from..ops-1 were each answered once, in
+	// order, OK but for shed, and that the key's replicas hold the last
+	// accepted write.
+	answered := func(from, shed int) {
+		t.Helper()
+		var order []int
+		for op := from; op < ops; op++ {
+			want := kvs.StatusOK
+			if op == shed {
+				want = kvs.StatusShed
+			} else {
+				order = append(order, op)
+			}
+			if !slices.Equal(log.resp[op], []kvs.Status{want}) {
+				t.Fatalf("write %d answered %v, want %v once", op, log.resp[op], want)
+			}
+		}
+		if got := slices.DeleteFunc(slices.Clone(log.order), func(op int) bool { return op < from || op == shed }); !slices.Equal(got, order) {
+			t.Fatalf("writes acked in order %v, want %v", got, order)
+		}
+		if len(r.repl.gates) != 0 || len(r.repl.inflight) != 0 {
+			t.Fatalf("%d gates open, %d tasks in flight", len(r.repl.gates), len(r.repl.inflight))
+		}
+		last := uint64(ops - 1)
+		if last == uint64(shed) {
+			last--
+		}
+		for _, id := range append([]msg.DeviceID{1}, r.v.repTargets(key)...) {
+			var held kvs.Response
+			cl.Machine(id).Store.Serve(kvs.Request{Op: kvs.OpGet, Key: key}, smartnic.ReplyFunc(func(b []byte) {
+				held, _ = kvs.DecodeResponse(b)
+			}))
+			cl.Eng.RunFor(sim.Millisecond)
+			if !bytes.Equal(held.Value, val64(last)) {
+				t.Fatalf("machine %d holds %x (%v), want write %d's value", id, held.Value, held.Status, last)
+			}
+		}
+	}
+
+	burst(DefaultWriteBound + 2)
+	shed := DefaultWriteBound + 1
+	if !slices.Equal(log.order, []int{shed}) || !slices.Equal(log.resp[shed], []kvs.Status{kvs.StatusShed}) {
+		t.Fatalf("answered %v before the engine ran, want only write %d, shed", log.order, shed)
+	}
+	rec := top(&r.repl.tasks)
+	backup := cl.Ring.Owners(key, nil, DefaultReplicas)[1]
+	var members []msg.DeviceID
+	for _, id := range cl.MachineIDs() {
+		if id != backup {
+			members = append(members, id)
+		}
+	}
+	ringPhase(r, 1, msg.RingPrepare, 1, members...)
+	g := r.repl.gates[key]
+	if last := g.queue[len(g.queue)-1]; last != rec || last.xfer == nil || r.tr.left != 1 {
+		t.Fatalf("the transfer task is %p (xfer %v, %d left), want it on the shed write's record %p", last, last.xfer != nil, r.tr.left, rec)
+	}
+	cl.Eng.RunFor(sim.Second)
+	answered(0, shed)
+	if r.tr.left != 0 || !r.TransferDone() {
+		t.Fatalf("the transfer ended with %d tasks left", r.tr.left)
+	}
+
+	rec, from := top(&r.repl.tasks), ops
+	burst(sim.FreeBound + 1)
+	if r.repl.gates[key].cur != rec {
+		t.Fatal("the second burst did not start on a finished task's record")
+	}
+	cl.Eng.RunFor(sim.Second)
+	answered(from, -1)
+}
+
+// A kill's view change queues a resync task on a key whose gate holds
+// more writes than the list keeps, half of them on records an earlier
+// burst gave back. The writes wait on the dead backup until the view
+// changes, every one is answered once, in order, and the sync task
+// finishes last and leaves the new backup with the last write.
+func TestResyncAfterKillReusesTasks(t *testing.T) {
+	cl := mustBoot(t, Config{N: 3, Seed: 9})
+	key := keyOwnedBy(cl, 1)
+	r := cl.Machine(1).Router
+	log := &replyLog{resp: map[int][]kvs.Status{}}
+	ops := 0
+	burst := func(n int) {
+		for range n {
+			r.repl.servePrimary(kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(uint64(ops))}, log.replier(ops))
+			ops++
+		}
+	}
+	burst(sim.FreeBound)
+	cl.Eng.RunFor(sim.Second)
+	if len(log.order) != sim.FreeBound || len(r.repl.gates) != 0 {
+		t.Fatalf("%d of %d warm-up writes answered, %d gates open", len(log.order), sim.FreeBound, len(r.repl.gates))
+	}
+
+	backup := cl.Ring.Owners(key, nil, DefaultReplicas)[1]
+	cl.Kill(backup)
+	rec := top(&r.repl.tasks)
+	burst(2 * sim.FreeBound)
+	if r.repl.gates[key].cur != rec {
+		t.Fatal("the burst did not start on a warm-up write's record")
+	}
+	views, resyncs := r.v.stats.ViewChanges, r.v.stats.Resyncs
+	for r.v.stats.ViewChanges == views && cl.Eng.Step() {
+	}
+	if r.v.stats.Resyncs == resyncs {
+		t.Fatal("the view change resynced nothing")
+	}
+	g := r.repl.gates[key]
+	if g == nil || len(g.queue) == 0 || !g.queue[len(g.queue)-1].sync {
+		t.Fatal("the resync task did not queue behind the waiting writes")
+	}
+	cl.Eng.RunFor(sim.Second)
+	want := make([]int, ops)
+	for op := range want {
+		want[op] = op
+		if !slices.Equal(log.resp[op], []kvs.Status{kvs.StatusOK}) {
+			t.Fatalf("write %d answered %v, want OK once", op, log.resp[op])
+		}
+	}
+	if !slices.Equal(log.order, want) {
+		t.Fatalf("writes acked in order %v, want %v", log.order, want)
+	}
+	if len(r.repl.gates) != 0 || len(r.repl.inflight) != 0 {
+		t.Fatalf("%d gates open, %d tasks in flight", len(r.repl.gates), len(r.repl.inflight))
+	}
+	now := r.v.repTargets(key)
+	if len(now) != 1 || now[0] == backup {
+		t.Fatalf("replication targets %v after the kill of %d", now, backup)
+	}
+	var held kvs.Response
+	cl.Machine(now[0]).Store.Serve(kvs.Request{Op: kvs.OpGet, Key: key}, smartnic.ReplyFunc(func(b []byte) {
+		held, _ = kvs.DecodeResponse(b)
+	}))
+	cl.Eng.RunFor(sim.Millisecond)
+	if !bytes.Equal(held.Value, val64(uint64(ops-1))) {
+		t.Fatalf("the new backup %d holds %x (%v), want the last write's value", now[0], held.Value, held.Status)
+	}
+}
+
+// The NIC puts a RequestApp's delivery back on its list once the answer
+// has crossed tx, which is safe only because Router.ServeRequest answers
+// each Replier at most once and keeps it no longer. Every exit of
+// ServeRequest answers a byte Replier (as the NIC's delivery is) exactly
+// once, with its own status, and nothing answers it again later.
+func TestServeRequestExitsAnswerOnceForReuse(t *testing.T) {
+	cl := mustBoot(t, Config{N: 3, Seed: 9, Leases: true})
+	r := cl.Machine(1).Router
+	mine, next := keyLedBy(cl.Ring, 1, 0)
+	theirs, next := keyLedBy(cl.Ring, 2, next+1)
+	lost, _ := keyLedBy(cl.Ring, 3, next+1)
+	for _, key := range []string{mine, theirs} {
+		if resp := do(t, cl, 1, kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(1)}); resp.Status != kvs.StatusOK {
+			t.Fatalf("put %q: %v", key, resp.Status)
+		}
+	}
+	// Forwarded ops to machine 3 are lost on the wire; its heartbeats are
+	// not, so it stays alive and an op to it can only time out.
+	watchFrames(cl, func(dst msg.DeviceID, env msg.Envelope) bool {
+		_, req := env.Msg.(*msg.FabricReq)
+		return !req || dst != 3
+	})
+	get := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: mine})
+	put := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: mine, Value: val64(2)})
+	log := &replyLog{resp: map[int][]kvs.Status{}}
+	const fillers = -1
+	var want []kvs.Status
+	for op, c := range []struct {
+		name    string
+		stamped bool
+		payload []byte
+		setup   func() (undo func())
+		want    kvs.Status
+	}{
+		{"bad stamped request", true, []byte{byte(kvs.OpGet)}, nil, kvs.StatusError},
+		{"no live owner", false, get, func() func() {
+			var added []msg.DeviceID
+			for _, id := range cl.MachineIDs() {
+				if !r.v.dead[id] {
+					r.v.dead[id] = true
+					added = append(added, id)
+				}
+			}
+			return func() {
+				for _, id := range added {
+					delete(r.v.dead, id)
+				}
+			}
+		}, kvs.StatusUnavailable},
+		{"forwarded", false, kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: theirs}), nil, kvs.StatusOK},
+		{"served locally", false, get, nil, kvs.StatusOK},
+		{"write acked through the pipeline", false, put, nil, kvs.StatusOK},
+		{"write shed at the bound", false, put, func() func() {
+			for range DefaultWriteBound + 1 {
+				r.repl.servePrimary(kvs.Request{Op: kvs.OpPut, Key: mine, Value: val64(3)}, log.replier(fillers))
+			}
+			return func() {}
+		}, kvs.StatusShed},
+		{"lease-fenced", false, get, func() func() {
+			until := r.lease.until
+			r.lease.until = 0
+			return func() { r.lease.until = until }
+		}, kvs.StatusFenced},
+		{"op timeout", false, kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: lost}), nil, kvs.StatusUnavailable},
+	} {
+		undo := func() {}
+		if c.setup != nil {
+			undo = c.setup()
+		}
+		timeouts := r.v.stats.Timeouts
+		r.ServeRequest(0, c.stamped, c.payload, log.replier(op))
+		undo()
+		cl.Eng.RunFor(300 * sim.Millisecond)
+		if !slices.Equal(log.resp[op], []kvs.Status{c.want}) {
+			t.Errorf("%s: answered %v, want %v once", c.name, log.resp[op], c.want)
+		}
+		if c.name == "op timeout" && r.v.stats.Timeouts != timeouts+1 {
+			t.Errorf("%s: %d timeouts counted, want 1", c.name, r.v.stats.Timeouts-timeouts)
+		}
+		want = append(want, c.want)
+	}
+	cl.Eng.RunFor(2 * DefaultOpTimeout)
+	for op, st := range want {
+		if !slices.Equal(log.resp[op], []kvs.Status{st}) {
+			t.Errorf("exit %d was answered again later: %v", op, log.resp[op])
+		}
+	}
+	if got := log.resp[fillers]; len(got) != DefaultWriteBound+1 || slices.ContainsFunc(got, func(s kvs.Status) bool { return s != kvs.StatusOK }) {
+		t.Errorf("the writes that filled the pipeline were answered %d times (%v), want %d OKs", len(got), got, DefaultWriteBound+1)
 	}
 }

@@ -22,8 +22,9 @@ type replicator struct {
 
 	repSeq    uint64
 	gates     map[string]*keyGate
-	idleGates sim.Free[keyGate] // idle keys' gates (finishTask)
-	applieds  sim.Free[applied] // answered applies' records (applied.Answer)
+	idleGates sim.Free[keyGate]   // idle keys' gates (finishTask)
+	tasks     sim.Free[writeTask] // finished and shed tasks (finishTask, enqueue)
+	applieds  sim.Free[applied]   // answered applies' records (applied.Answer)
 	inflight  map[uint64]*writeTask
 	wm        map[string]watermark
 	rep       msg.Replicate
@@ -37,6 +38,12 @@ type replicator struct {
 // their request starts as a read of the key, and its answer turns it
 // into the put (or delete) of the value the store holds. The task is
 // the store's answer target for either (Answer).
+//
+// Only its key's gate, the inflight map, its own timer and the store
+// hold a task. finishTask is reached only from the store's one answer or
+// after it, and clears the other three, so the task goes back on the
+// replicator's list there, before the key's next task starts; a shed
+// task goes back as its refusal is answered.
 type writeTask struct {
 	p *replicator
 	// req is the mutation: the client's request, or a sync task's read.
@@ -98,11 +105,19 @@ func (p *replicator) servePrimary(req kvs.Request, rep smartnic.Replier) {
 		p.v.store.Serve(req, rep)
 		return
 	}
-	p.enqueue(&writeTask{req: req, rep: rep})
+	p.enqueue(p.newTask(req, rep, nil))
+}
+
+// newTask takes a task off the replicator's list: a client's mutation,
+// acked through rep, or a sync task (rep nil) reading req's key, which
+// counts toward the transfer of the staged ring xfer when one is given.
+func (p *replicator) newTask(req kvs.Request, rep smartnic.Replier, xfer *Ring) *writeTask {
+	t := p.tasks.Get()
+	t.p, t.req, t.rep, t.sync, t.xfer = p, req, rep, rep == nil, xfer
+	return t
 }
 
 func (p *replicator) enqueue(t *writeTask) {
-	t.p = p
 	g := p.gates[t.req.Key]
 	if g == nil {
 		g = p.idleGates.Get()
@@ -119,7 +134,9 @@ func (p *replicator) enqueue(t *writeTask) {
 	// counts on its transfer tasks finishing, so those always queue.
 	if len(g.queue) >= DefaultWriteBound && !t.sync {
 		p.v.stats.Shed++
-		kvs.Answer(t.rep, kvs.Response{Status: kvs.StatusShed})
+		rep := t.rep
+		p.tasks.Put(t)
+		kvs.Answer(rep, kvs.Response{Status: kvs.StatusShed})
 		return
 	}
 	g.queue = append(g.queue, t)
@@ -304,8 +321,8 @@ func (p *replicator) ackTask(t *writeTask) {
 	p.finishTask(t)
 }
 
-// finishTask retires a task without touching the client and starts the
-// key's next queued mutation.
+// finishTask retires a task without touching the client, puts it back
+// on the list and starts the key's next queued mutation.
 func (p *replicator) finishTask(t *writeTask) {
 	if t.done {
 		return
@@ -320,14 +337,17 @@ func (p *replicator) finishTask(t *writeTask) {
 	if g == nil || g.cur != t {
 		return
 	}
+	var next *writeTask
 	if len(g.queue) == 0 {
 		delete(p.gates, t.req.Key)
 		p.idleGates.Put(g)
-		return
+	} else {
+		next, g.cur, g.queue = g.queue[0], g.queue[0], g.queue[1:]
 	}
-	g.cur = g.queue[0]
-	g.queue = g.queue[1:]
-	p.startTask(g.cur)
+	p.tasks.Put(t)
+	if next != nil {
+		p.startTask(next)
+	}
 }
 
 // resync re-replicates every key whose ownership this view change
@@ -346,7 +366,7 @@ func (p *replicator) resync(prevDead map[msg.DeviceID]bool) {
 			continue
 		}
 		v.stats.Resyncs++
-		p.enqueue(&writeTask{req: kvs.Request{Op: kvs.OpGet, Key: key}, sync: true})
+		p.enqueue(p.newTask(kvs.Request{Op: kvs.OpGet, Key: key}, nil, nil))
 	}
 }
 

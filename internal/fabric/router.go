@@ -263,6 +263,11 @@ func (r *Router) ServeNetwork(payload []byte, reply func([]byte)) {
 // authenticated tenant the entry machine did, wherever the key lives.
 // Stamping is the one case in which an ingress decodes a request;
 // otherwise only the machine that serves it does (onClient).
+//
+// ServeRequest answers rep at most once and keeps no reference to it once
+// that answer begins (smartnic.RequestApp): whoever holds it on the way
+// (a forwarded op's pendingReq, a write task, the store) answers it once
+// and lets go. A halted router answers nothing.
 func (r *Router) ServeRequest(tn uint16, stamped bool, payload []byte, rep smartnic.Replier) {
 	if r.v.halted {
 		return

@@ -137,7 +137,7 @@ func (t *transition) startXfer() {
 		}
 		t.left++
 		v.stats.Xfers++
-		t.repl.enqueue(&writeTask{req: kvs.Request{Op: kvs.OpGet, Key: key}, sync: true, xfer: v.staged})
+		t.repl.enqueue(t.repl.newTask(kvs.Request{Op: kvs.OpGet, Key: key}, nil, v.staged))
 	}
 }
 

@@ -9,10 +9,15 @@ import (
 	"nocpu/internal/sim"
 )
 
-// replyTwice answers every request with its payload and then with "again".
-type replyTwice struct{ testApp }
+// replyTwice answers every request with its payload and then with
+// "again", and keeps every reply func it is handed.
+type replyTwice struct {
+	testApp
+	kept []func([]byte)
+}
 
 func (a *replyTwice) ServeNetwork(p []byte, reply func([]byte)) {
+	a.kept = append(a.kept, reply)
 	reply(p)
 	reply([]byte("again"))
 }
@@ -54,9 +59,13 @@ func (a *shedEcho) ShedResponse() []byte { return []byte("shed") }
 // A Delivery carries the app's first response through tx itself. A second
 // response for the same request finds the record in flight and must not
 // reuse it: it pays its own tx submission and still reaches the client.
+// A plain app may keep its reply func and answer once more after another
+// client's request came and went, so its record never goes back on the
+// NIC's list: the late answer still reaches the first client alone.
 func TestSecondReplyPaysItsOwnTx(t *testing.T) {
 	m := newMachine(t)
-	m.nic.AddApp(&replyTwice{testApp{id: 7}})
+	app := &replyTwice{testApp: testApp{id: 7}}
+	m.nic.AddApp(app)
 	m.eng.Run()
 
 	var got [][]byte
@@ -77,6 +86,19 @@ func TestSecondReplyPaysItsOwnTx(t *testing.T) {
 	first := start.Add(DefaultRxCost + DefaultTxCost)
 	if at[0] != first || at[1] != first.Add(DefaultTxCost) {
 		t.Errorf("responses at %v, want %v and one TxCost later", at, first)
+	}
+
+	var other [][]byte
+	m.nic.Deliver(7, []byte("pong"), func(b []byte) { other = append(other, b) })
+	m.eng.Run()
+	late := m.eng.Now()
+	app.kept[0]([]byte("late"))
+	m.eng.Run()
+	if len(got) != 3 || !bytes.Equal(got[2], []byte("late")) || at[2] != late.Add(DefaultTxCost) {
+		t.Errorf("after a late answer the first client saw %q at %v, want a third answer \"late\" at %v", got, at, late.Add(DefaultTxCost))
+	}
+	if len(other) != 2 || !bytes.Equal(other[0], []byte("pong")) || !bytes.Equal(other[1], []byte("again")) {
+		t.Errorf("the second client saw %q, want [pong again]", other)
 	}
 }
 
@@ -157,13 +179,17 @@ func TestOneWayRecordIsNotSeenInFlight(t *testing.T) {
 }
 
 // TestNICDeliverAllocs pins what a frame costs the NIC. A client request
-// to a plain app costs its delivery and the delivery's Reply handed to the
-// app as a func (2). A RequestApp is handed the delivery itself as its
-// Replier, so a request to one costs only its delivery (1). A one-way
-// frame's record comes from the NIC's free list and every app is handed
+// to a plain app costs its delivery, which never goes back on the NIC's
+// list, and the delivery's Reply handed to the app as a func (2). A
+// RequestApp is handed the delivery itself as its Replier and answers it
+// at most once, so its record goes back on the list once its answer has
+// crossed tx and the next request takes it (0; 1 while every client
+// request allocated its record). A
+// one-way frame's record comes from the list too and every app is handed
 // the shared discard, so a frame nobody answers costs nothing (0), and
-// one a RequestApp echoes costs only the echo's tx record (1). A one-way
-// frame read 1 to any app while the caller supplied its record.
+// the tx record of an echo comes off the list as well (0; 1 while
+// transmit allocated its record). A one-way frame read 1 to any app while
+// the caller supplied its record.
 func TestNICDeliverAllocs(t *testing.T) {
 	m := newMachine(t)
 	m.nic.AddApp(&testApp{id: 7})
@@ -179,10 +205,10 @@ func TestNICDeliverAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"client request to a plain app", 2, func() { m.nic.Deliver(7, payload, reply) }},
-		{"client request to a RequestApp", 1, func() { m.nic.Deliver(9, payload, reply) }},
+		{"client request to a RequestApp", 0, func() { m.nic.Deliver(9, payload, reply) }},
 		{"one-way frame to a plain app", 0, func() { m.nic.DeliverOneWay(8, payload) }},
 		{"one-way frame to a RequestApp that does not answer", 0, func() { m.nic.DeliverOneWay(10, payload) }},
-		{"one-way frame to a RequestApp that echoes", 1, func() { m.nic.DeliverOneWay(9, payload) }},
+		{"one-way frame to a RequestApp that echoes", 0, func() { m.nic.DeliverOneWay(9, payload) }},
 	} {
 		n := testing.AllocsPerRun(200, func() {
 			c.run()
@@ -196,18 +222,26 @@ func TestNICDeliverAllocs(t *testing.T) {
 }
 
 // BenchmarkNICDeliver is one frame through the NIC: a request through rx,
-// an echo app and tx; a one-way frame through rx to an app that does not
-// answer.
+// an echo app and tx; the same to a RequestApp that echoes through its
+// Replier; a one-way frame through rx to an app that does not answer.
 func BenchmarkNICDeliver(b *testing.B) {
 	m := newMachine(b)
 	m.nic.AddApp(&testApp{id: 7})
 	m.nic.AddApp(&sink{testApp{id: 8}})
+	m.nic.AddApp(&recordEcho{testApp{id: 9}})
 	m.eng.Run()
 	payload, reply := []byte("ping"), func([]byte) {}
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.nic.Deliver(7, payload, reply)
+			m.eng.Run()
+		}
+	})
+	b.Run("request-app", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.nic.Deliver(9, payload, reply)
 			m.eng.Run()
 		}
 	})

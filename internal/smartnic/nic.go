@@ -73,6 +73,10 @@ func (f ReplyFunc) Reply(resp []byte) { f(resp) }
 // request, with its Replier, instead of calling ServeNetwork. A request
 // that entered through DeliverFrom is stamped: tn is the tenant the edge
 // authenticated, authoritative over anything the payload claims.
+//
+// ServeRequest answers rep at most once and keeps no reference to it once
+// that answer begins: the NIC puts the record behind rep back on its free
+// list when the answer has crossed tx, and the next request takes it.
 type RequestApp interface {
 	ServeRequest(tn uint16, stamped bool, payload []byte, rep Replier)
 }
@@ -147,9 +151,10 @@ type NIC struct {
 	// discard is the reply an app is handed for a one-way frame: one
 	// shared func, so a frame nobody answers costs no closure.
 	discard func([]byte)
-	// oneWay recycles the records of one-way frames, which no app ever
-	// sees (deliver).
-	oneWay sim.Free[delivery]
+	// deliveries recycles every delivery record only the NIC holds once
+	// its last stage ends: a one-way frame's, a RequestApp's and
+	// transmit's (delivery).
+	deliveries sim.Free[delivery]
 }
 
 // New builds the NIC and attaches it.
@@ -270,9 +275,17 @@ func (n *NIC) DeliverOneWay(app msg.AppID, payload []byte) {
 // delivery is one network request's record on this NIC and the event of
 // each of its stages: it is queued on rx, handed to the app, and — for
 // the app's first response — queued on tx, so a request costs one record
-// however many stages it crosses. A one-way frame's record goes no
-// further than rx: its app is handed the shared discard instead, so the
-// record is free again when the app stage begins.
+// however many stages it crosses. Every record comes off the NIC's list,
+// and three kinds go back on it:
+//   - a one-way frame's goes no further than rx: its app is handed the
+//     shared discard instead, so the record is free again when the app
+//     stage begins;
+//   - a RequestApp's is pooled: the app answers it at most once and keeps
+//     it no longer (RequestApp), so it is free once its answer crosses tx;
+//   - transmit's carries one response through tx and nothing else.
+//
+// A plain app is handed Reply as a func, which it may keep and call
+// again after its first answer went out, so its record never goes back.
 type delivery struct {
 	n       *NIC
 	app     App
@@ -281,6 +294,7 @@ type delivery struct {
 	resp    []byte
 	tn      uint16
 	stamped bool
+	pooled  bool // goes back on the list when its tx stage fires
 	stage   uint8
 }
 
@@ -314,12 +328,7 @@ func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, re
 		return
 	}
 	n.rxTenant[tn]++
-	var d *delivery
-	if reply == nil {
-		d = n.oneWay.Get()
-	} else {
-		d = new(delivery)
-	}
+	d := n.deliveries.Get()
 	*d = delivery{n: n, app: a, payload: payload, reply: reply, tn: tn, stamped: stamped}
 	n.rx.Submit(n.cfg.RxCost, d)
 	n.rxG.Set(n.rx.Pending())
@@ -339,15 +348,23 @@ func (n *NIC) shed(a App, reply func([]byte)) {
 // transmit charges tx processing for a response that has no delivery
 // of its own to ride on, then hands it to reply.
 func (n *NIC) transmit(reply func([]byte), resp []byte) {
-	n.tx.Submit(n.cfg.TxCost, &delivery{n: n, reply: reply, resp: resp, stage: stageTx})
+	d := n.deliveries.Get()
+	*d = delivery{n: n, reply: reply, resp: resp, pooled: true, stage: stageTx}
+	n.tx.Submit(n.cfg.TxCost, d)
 }
 
-// Fire runs the stage the delivery was queued for.
+// Fire runs the stage the delivery was queued for. A pooled record goes
+// back on the list before its reply runs, since a reply can deliver the
+// next request, which takes it.
 func (d *delivery) Fire() {
 	n := d.n
 	if d.stage == stageTx {
-		if d.reply != nil {
-			d.reply(d.resp)
+		reply, resp := d.reply, d.resp
+		if d.pooled {
+			n.deliveries.Put(d)
+		}
+		if reply != nil {
+			reply(resp)
 		}
 		return
 	}
@@ -358,7 +375,7 @@ func (d *delivery) Fire() {
 		// so an answer pays a tx job of its own and the record is done
 		// with here.
 		app, payload := d.app, d.payload
-		n.oneWay.Put(d)
+		n.deliveries.Put(d)
 		if ra, ok := app.(RequestApp); ok {
 			ra.ServeRequest(0, false, payload, ReplyFunc(n.discard))
 			return
@@ -368,6 +385,7 @@ func (d *delivery) Fire() {
 	}
 	d.stage = stageApp
 	if ra, ok := d.app.(RequestApp); ok {
+		d.pooled = true
 		ra.ServeRequest(d.tn, d.stamped, d.payload, d)
 		return
 	}
@@ -375,8 +393,9 @@ func (d *delivery) Fire() {
 }
 
 // Reply answers the request. The first response rides the delivery
-// through tx; a later one for the same request finds the record in
-// flight (or spent) and pays for a transmission of its own.
+// through tx; a later one from a plain app finds the record in flight
+// (or spent) and pays for a transmission of its own. A RequestApp never
+// answers twice, so its record may be on the list again by then.
 func (d *delivery) Reply(resp []byte) {
 	if d.stage != stageApp {
 		d.n.transmit(d.reply, resp)

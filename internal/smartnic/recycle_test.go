@@ -2,6 +2,8 @@ package smartnic
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"nocpu/internal/msg"
@@ -124,5 +126,140 @@ func TestLateAnswersForAFinishedCallFindNothing(t *testing.T) {
 	}
 	if len(answers) != 1 || answers[0].VA != 0x2000 {
 		t.Errorf("next call answered %+v, want once, for va 0x2000", answers)
+	}
+}
+
+// A RequestApp's delivery goes back on the NIC's list once its answer has
+// crossed tx, and so does a transmit record. The tests below hold a
+// recycled delivery to never being seen in flight.
+
+// An app holds more requests than the list keeps and answers them in
+// reverse order, delivering a new request right after each answer, while
+// that answer's record is still on tx. A third batch arrives once the
+// first batch's records are back on the list, and the app then answers
+// every request it holds in reverse order again. Every client hears its
+// own answer once, one TxCost after the answer before it, and the third
+// batch's first FreeBound requests run on the first batch's records.
+func TestHeldRequestsReuseTheirRecords(t *testing.T) {
+	m := newMachine(t)
+	app := &keeper{testApp: testApp{id: 7}}
+	m.nic.AddApp(app)
+	m.eng.Run()
+
+	const n = 2 * sim.FreeBound
+	var got [][]string
+	var at []sim.Time
+	deliver := func() {
+		c := len(got)
+		got, at = append(got, nil), append(at, 0)
+		m.nic.Deliver(7, []byte(fmt.Sprintf("q%d", c)), func(b []byte) {
+			got[c] = append(got[c], string(b))
+			at[c] = m.eng.Now()
+		})
+	}
+	want := map[string]sim.Time{}
+	// answer replies to everything the app holds, last first, and delivers
+	// a new request after each answer when more is set.
+	answer := func(more bool) {
+		held, asked := app.reps, app.got
+		app.reps, app.got = nil, nil
+		start := m.eng.Now()
+		for k := range held {
+			i := len(held) - 1 - k
+			held[i].Reply([]byte("a:" + asked[i]))
+			want[asked[i]] = start.Add(sim.Duration(k+1) * DefaultTxCost)
+			if more {
+				deliver()
+			}
+		}
+		m.eng.Run()
+	}
+
+	for range n {
+		deliver()
+	}
+	m.eng.Run()
+	first := map[*delivery]bool{}
+	for _, rep := range app.reps {
+		first[rep.(*delivery)] = true
+	}
+	answer(true)
+	for range n {
+		deliver()
+	}
+	m.eng.Run()
+	reused := 0
+	for _, rep := range app.reps[n:] {
+		if first[rep.(*delivery)] {
+			reused++
+		}
+	}
+	if reused != sim.FreeBound {
+		t.Errorf("the third batch ran on %d of the first batch's records, want %d", reused, sim.FreeBound)
+	}
+	answer(false)
+
+	if len(want) != 3*n {
+		t.Fatalf("%d requests answered, want %d", len(want), 3*n)
+	}
+	for c := range got {
+		q := fmt.Sprintf("q%d", c)
+		if !slices.Equal(got[c], []string{"a:" + q}) || at[c] != want[q] {
+			t.Errorf("client %d heard %q at %v, want [a:%s] once at %v", c, got[c], at[c], q, want[q])
+		}
+	}
+}
+
+// echoLog is a RequestApp that answers every request with its payload
+// and logs the Replier it was handed.
+type echoLog struct {
+	testApp
+	reps []Replier
+}
+
+func (a *echoLog) ServeRequest(_ uint16, _ bool, p []byte, rep Replier) {
+	a.reps = append(a.reps, rep)
+	rep.Reply(p)
+}
+
+// Each client's reply delivers the next request from inside itself. Its
+// record is back on the list by then, so every request runs on the first
+// one's record, and each client still hears its own answer once, one rx
+// and one tx after it was sent.
+func TestReplyThatDeliversReusesItsRecord(t *testing.T) {
+	m := newMachine(t)
+	app := &echoLog{testApp: testApp{id: 7}}
+	m.nic.AddApp(app)
+	m.eng.Run()
+
+	const chain = 8
+	got := make([][]string, chain)
+	at := make([]sim.Time, chain)
+	var send func(c int)
+	send = func(c int) {
+		m.nic.Deliver(7, []byte(fmt.Sprintf("q%d", c)), func(b []byte) {
+			got[c] = append(got[c], string(b))
+			at[c] = m.eng.Now()
+			if c+1 < chain {
+				send(c + 1)
+			}
+		})
+	}
+	start := m.eng.Now()
+	send(0)
+	m.eng.Run()
+	for c := range chain {
+		want := start.Add(sim.Duration(c+1) * (DefaultRxCost + DefaultTxCost))
+		if q := fmt.Sprintf("q%d", c); !slices.Equal(got[c], []string{q}) || at[c] != want {
+			t.Errorf("client %d heard %q at %v, want [%s] once at %v", c, got[c], at[c], q, want)
+		}
+	}
+	if len(app.reps) != chain {
+		t.Fatalf("the app served %d requests, want %d", len(app.reps), chain)
+	}
+	for c, rep := range app.reps {
+		if rep != app.reps[0] {
+			t.Errorf("request %d did not run on the record its predecessor gave back", c)
+		}
 	}
 }
