@@ -89,20 +89,25 @@ fuzz:
 # Subsets of `race`, for humans. Seeds are fixed in the tests, so a
 # failure reproduces bit-for-bit.
 #
-# chaos: the E15 crash schedules on every machine flavor, the campaign
-# client's unit tests, and the chaos ledger and plan-compile unit tests.
+# chaos: the E15 crash schedules on every machine flavor, the load
+# client's timed-op, read-back and history tests (internal/netsim), and
+# the chaos ledger and plan-compile unit tests.
 chaos:
-	$(GO) test -race -run 'TestE15|TestCampaignClient' ./internal/exp
+	$(GO) test -race -run 'TestE15' ./internal/exp
+	$(GO) test -race -run 'TestTimedOps|TestReadback|TestAlternate' ./internal/netsim
 	$(GO) test -race ./internal/chaos
 
-# overload: the E16 open-loop load ramps and the overload-harness units.
+# overload: the E16 open-loop load ramps, the load client's open-loop
+# tests (offered rate, queueing, deadlines, determinism) in
+# internal/netsim, and the overload package's units (ledger, step determinism).
 overload:
 	$(GO) test -race -run 'TestE16' ./internal/exp
+	$(GO) test -race -run 'TestOpenLoop' ./internal/netsim
 	$(GO) test -race ./internal/overload
 
 # fabric: the rack package's suite (golden-trace determinism, ring
 # properties, leases and partitions), the whole-machine-kill mechanism
-# tests (TestChaos*, which live next to the campaign client in
+# tests (TestChaos*, which live next to the rack campaign runner in
 # internal/exp) and the E17 campaigns.
 fabric:
 	$(GO) test -race ./internal/fabric

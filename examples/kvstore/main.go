@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"nocpu/internal/core"
-	"nocpu/internal/kvs"
 	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
@@ -35,44 +34,22 @@ func runFlavor(flavor core.Flavor, mediated bool) netsim.Stats {
 	}
 
 	// Preload keys with a closed loop.
-	preload := &netsim.ClosedLoop{
-		Eng: sys.Eng, Rand: sys.Rand.Fork(), Workers: 8, PerWorker: numKeys / 8,
-		Gen: func(r *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: fmt.Sprintf("key-%04d", seq), Value: make([]byte, valueSize),
-			})
-		},
-		Target: func(p []byte, reply func([]byte)) { sys.NIC().Deliver(1, p, reply) },
+	nic := netsim.Edge{NIC: sys.NIC(), App: 1}
+	keys := make([]string, numKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
-	loaded := false
-	preload.Run(func() { loaded = true })
-	for !loaded {
-		sys.Eng.RunFor(sim.Millisecond)
-	}
+	netsim.Run(sys.Eng, nic, netsim.Spec{
+		Workers: 8, PerWorker: numKeys / 8, Keys: keys, Pick: netsim.Sequential,
+		Ops: netsim.Puts, ValueSize: valueSize, Rand: sys.Rand.Fork(),
+	})
 
 	// Measured phase: 90% gets / 10% puts, Zipf keys.
 	zipf := sim.NewZipf(sys.Rand.Fork(), numKeys, 0.99)
-	wl := &netsim.ClosedLoop{
-		Eng: sys.Eng, Rand: sys.Rand.Fork(), Workers: 16, PerWorker: 500,
-		Gen: func(r *sim.Rand, seq uint64) []byte {
-			key := fmt.Sprintf("key-%04d", zipf.Next())
-			if r.Float64() < getRatio {
-				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			}
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: make([]byte, valueSize)})
-		},
-		IsError: func(b []byte) bool {
-			r, err := kvs.DecodeResponse(b)
-			return err != nil || r.Status != kvs.StatusOK
-		},
-		Target: func(p []byte, reply func([]byte)) { sys.NIC().Deliver(1, p, reply) },
-	}
-	finished := false
-	wl.Run(func() { finished = true })
-	for !finished {
-		sys.Eng.RunFor(sim.Millisecond)
-	}
-	return wl.Stats()
+	return netsim.Run(sys.Eng, nic, netsim.Spec{
+		Workers: 16, PerWorker: 500, Keys: keys, Zipf: zipf,
+		Ops: netsim.Mixed, GetShare: getRatio, ValueSize: valueSize, Rand: sys.Rand.Fork(),
+	})
 }
 
 func main() {
@@ -90,6 +67,6 @@ func main() {
 	for _, r := range rows {
 		st := runFlavor(r.flavor, r.mediated)
 		fmt.Printf("%-32s %12.0f %10v %10v %10d\n",
-			r.name, st.Throughput(), st.Latency.P50(), st.Latency.P99(), st.Errors)
+			r.name, st.Throughput(), st.Latency.P50(), st.Latency.P99(), st.Errors())
 	}
 }

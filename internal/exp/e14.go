@@ -135,7 +135,7 @@ func E14FaultTolerance() *Result {
 			st := rig.getLoad(4, 100, keys)
 			retries := rig.sys.NIC().RetryStats().Retries - before
 			steady.AddRow(kind.label(), fmt.Sprintf("%.0f%%", rate*100),
-				st.Completed, st.Errors, st.Latency.P50(), st.Latency.P99(), retries)
+				st.Completed, st.Errors(), st.Latency.P50(), st.Latency.P99(), retries)
 		}
 	}
 	res.Tables = append(res.Tables, steady)

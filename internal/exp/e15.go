@@ -7,6 +7,7 @@ import (
 	"nocpu/internal/core"
 	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
+	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
 
@@ -26,15 +27,14 @@ import (
 // after the previous write to it is either resolved or provably dead,
 // which is what makes the ledger's per-key value ordering sound.
 const (
-	e15Workers    = 4
-	e15KeysPer    = 8
-	e15Warmup     = 5 * sim.Millisecond
-	e15Window     = 45 * sim.Millisecond
-	e15MinGap     = 8 * sim.Millisecond
-	e15Tail       = 10 * sim.Millisecond // workload continues past the window
-	e15OpTimeout  = 200 * sim.Millisecond
-	e15ProbeGap   = 100 * sim.Microsecond
-	e15ErrBackoff = 200 * sim.Microsecond
+	e15Workers   = 4
+	e15KeysPer   = 8
+	e15Warmup    = 5 * sim.Millisecond
+	e15Window    = 45 * sim.Millisecond
+	e15MinGap    = 8 * sim.Millisecond
+	e15Tail      = 10 * sim.Millisecond // workload continues past the window
+	e15OpTimeout = 200 * sim.Millisecond
+	e15ProbeGap  = 100 * sim.Microsecond
 	// e15G3Bound is the recovery-window bound TestE15Guarantees asserts:
 	// watchdog detection + reset + remount + reconnect + log scan, with
 	// slack for back-to-back failures, is well under this.
@@ -88,7 +88,7 @@ func e15Targets(kind machineKind, sys *core.System, names []string) []chaos.Targ
 // open, so recovery is timed by first service restoration rather than by
 // the write workers' long op timeouts.
 func e15Probe(rig *kvsRig, out *outages, stopAt sim.Time) {
-	eng, send := rig.sys.Eng, rig.target()
+	eng, target := rig.sys.Eng, rig.target()
 	var tick func()
 	tick = func() {
 		if eng.Now() >= stopAt && len(out.open) == 0 {
@@ -96,9 +96,9 @@ func e15Probe(rig *kvsRig, out *outages, stopAt sim.Time) {
 		}
 		if len(out.open) > 0 {
 			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(0)})
-			send(req, func(b []byte) {
-				if !kvsIsError(b) {
-					out.restored()
+			target.Send(req, func(b []byte) {
+				if resp, err := kvs.DecodeResponse(b); err == nil && resp.Status == kvs.StatusOK {
+					out.Acked(eng.Now())
 				}
 			})
 		}
@@ -109,7 +109,7 @@ func e15Probe(rig *kvsRig, out *outages, stopAt sim.Time) {
 
 // e15Row is one (machine, schedule) cell's outcome.
 type e15Row struct {
-	clientCounts
+	netsim.Stats
 	report      chaos.Report
 	crashes     int
 	rejoins     uint64
@@ -139,12 +139,10 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 	// No two workers share a key, so per-key write order equals issue
 	// order.
 	out := &outages{eng: eng}
-	c := &campaignClient{
-		eng: eng, send: rig.target(), led: chaos.NewLedger(),
-		workers: e15Workers, timeout: e15OpTimeout, backoff: e15ErrBackoff,
-		stopAt: plan.Start.Add(e15Window + e15Tail),
-		key:    func(w, i int) string { return keyName(w*e15KeysPer + i%e15KeysPer) },
-		onAck:  func(sim.Time) { out.restored() },
+	spec := netsim.Spec{
+		Workers: e15Workers, Stop: plan.Start.Add(e15Window + e15Tail), Timeout: e15OpTimeout,
+		Keys: keySet(keyName, e15Workers*e15KeysPer), Pick: netsim.Owned, KeysPer: e15KeysPer,
+		Ops: netsim.Versions, Ledger: chaos.NewLedger(), Acks: out,
 	}
 	// Each event crashes its targets in order, then opens its outage so
 	// recovery is timed from the crash instant.
@@ -156,20 +154,20 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 			out.crashed(ev.At)
 		})
 	}
-	c.start()
-	e15Probe(rig, out, c.stopAt)
-	c.wait()
-	c.readback()
+	c := netsim.Start(eng, rig.target(), spec)
+	e15Probe(rig, out, spec.Stop)
+	c.Wait()
+	c.Readback()
 
-	rep := c.led.Report()
+	rep := spec.Ledger.Report()
 	rep.Recoveries = out.recovered
 	bs := rig.sys.Bus.Stats()
 	return e15Row{
-		clientCounts: c.clientCounts,
-		report:       rep,
-		crashes:      sc.crashes,
-		rejoins:      bs.Rejoins,
-		fencedByBus:  bs.DeadSenderDropped,
+		Stats:       c.Stats(),
+		report:      rep,
+		crashes:     sc.crashes,
+		rejoins:     bs.Rejoins,
+		fencedByBus: bs.DeadSenderDropped,
 	}
 }
 
@@ -185,8 +183,8 @@ func E15CrashRecovery() *Result {
 		for i, sc := range e15Scheds {
 			row := e15Run(kind, sc, 0xE15+uint64(i))
 			recovered := fmt.Sprintf("%d/%d", len(row.report.Recoveries), row.crashes)
-			tb.AddRow(kind.label(), sc.name, row.crashes, row.puts, row.report.Acks,
-				row.tmouts, row.report.G1Lost, row.report.G2Dups, recovered,
+			tb.AddRow(kind.label(), sc.name, row.crashes, row.Puts, row.report.Acks,
+				row.Timeouts, row.report.G1Lost, row.report.G2Dups, recovered,
 				row.report.MaxRecovery(), row.rejoins, row.fencedByBus)
 		}
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"nocpu/internal/core"
-	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
+	"nocpu/internal/netsim"
 	"nocpu/internal/overload"
 	"nocpu/internal/sim"
 )
@@ -70,24 +70,6 @@ func e16Rig(kind machineKind, seed uint64) *kvsRig {
 	return rig
 }
 
-// e16Classify maps a KVS response to its overload outcome. NotFound is a
-// served answer (the workload only reads preloaded keys, so it should
-// not occur); lateness is judged by the harness, not here.
-func e16Classify(resp []byte) overload.Outcome {
-	r, err := kvs.DecodeResponse(resp)
-	if err != nil {
-		return overload.OutcomeError
-	}
-	switch r.Status {
-	case kvs.StatusOK, kvs.StatusNotFound:
-		return overload.OutcomeOK
-	case kvs.StatusShed:
-		return overload.OutcomeShed
-	default:
-		return overload.OutcomeError
-	}
-}
-
 // e16Campaign calibrates one flavor's saturation with a closed loop,
 // then runs the ramp, one fresh machine per step so no queue state leaks
 // between load points. Each step's generator seed is the next draw of a
@@ -102,13 +84,11 @@ func e16Campaign(kind machineKind) (sat float64, led *overload.Ledger) {
 	for i, m := range e16Multipliers {
 		seed := seeds.Uint64()
 		rig := e16Rig(kind, e16Seed+uint64(kind)*101+uint64(i)*7)
-		gen := func(rd *sim.Rand, seq uint64, deadline uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpGet, Key: keyName(rd.Intn(e16Keys)), Deadline: deadline,
-			})
-		}
-		res := overload.RunStep(rig.sys.Eng, rig.target(), m*sat, seed, e16Window, e16Deadline, gen, e16Classify)
-		res.Multiplier = m
+		rate := m * sat
+		res := overload.NewStep(m, rate, netsim.Run(rig.sys.Eng, rig.target(), netsim.Spec{
+			Rate: rate, Window: e16Window, Deadline: e16Deadline,
+			Keys: keySet(keyName, e16Keys), Rand: sim.NewRand(seed),
+		}))
 		led.Record(res)
 		// Q1 evidence: every bounded queue this step could have filled.
 		tag := func(q string) string {

@@ -5,7 +5,6 @@ import (
 
 	"nocpu/internal/chaos"
 	"nocpu/internal/fabric"
-	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
 	"nocpu/internal/netsim"
@@ -53,7 +52,6 @@ const (
 	e17ChaosWindow   = 30 * sim.Millisecond
 	e17ChaosTail     = 10 * sim.Millisecond
 	e17ChaosTimeout  = 25 * sim.Millisecond
-	e17ChaosBackoff  = 200 * sim.Microsecond
 	e17ChaosSettle   = 20 * sim.Millisecond
 	e17RecoveryBound = 25 * sim.Millisecond
 )
@@ -78,50 +76,37 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 	})
 	nKeys := e17KeysPerMach * n
 
-	pre := &netsim.ClosedLoop{
-		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 1), Workers: 8, PerWorker: (nKeys + 7) / 8,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: e17Key(int(seq) % nKeys), Value: make([]byte, e17ValSize),
-			})
-		},
-		Target: rackTarget(cl),
-	}
-	runLoop(cl.Eng, pre)
+	keys := keySet(e17Key, nKeys)
+	netsim.Run(cl.Eng, &rackIngress{cl: cl}, netsim.Spec{
+		Workers: 8, PerWorker: (nKeys + 7) / 8, Keys: keys, Pick: netsim.Sequential,
+		Ops: netsim.Puts, ValueSize: e17ValSize,
+	})
 
 	preStats := cl.RouterStatsSum()
 	workers := e17WorkersPer * n
 	if workers > e17MaxWorkers {
 		workers = e17MaxWorkers
 	}
-	z := sim.NewZipf(sim.NewRand(seed^2), nKeys, e17ZipfTheta)
-	load := &netsim.ClosedLoop{
-		Eng: cl.Eng, Rand: sim.NewRand(seed ^ 3), Workers: workers,
-		PerWorker: e17OpsPerMach * n / workers,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			k := rd.Intn(nKeys)
-			if zipf {
-				k = z.Next()
-			}
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: e17Key(k)})
-		},
-		IsError: kvsIsError,
-		Target:  rackTarget(cl),
+	load := netsim.Spec{
+		Workers: workers, PerWorker: e17OpsPerMach * n / workers, Keys: keys, Rand: sim.NewRand(seed ^ 3),
 	}
-	runLoop(cl.Eng, load)
+	if zipf {
+		load.Zipf = sim.NewZipf(sim.NewRand(seed^2), nKeys, e17ZipfTheta)
+	}
+	st := netsim.Run(cl.Eng, &rackIngress{cl: cl}, load)
 
 	// Report the measured phase only: subtract the preload's counters.
-	st := cl.RouterStatsSum()
-	st.Local -= preStats.Local
-	st.Remote -= preStats.Remote
-	st.HeadRelayed -= preStats.HeadRelayed
-	st.Applies -= preStats.Applies
-	return load.Stats(), st
+	rt := cl.RouterStatsSum()
+	rt.Local -= preStats.Local
+	rt.Remote -= preStats.Remote
+	rt.HeadRelayed -= preStats.HeadRelayed
+	rt.Applies -= preStats.Applies
+	return st, rt
 }
 
 // e17ChaosRow is one machine-kill campaign's outcome.
 type e17ChaosRow struct {
-	clientCounts
+	netsim.Stats
 	rep      chaos.Report
 	stats    fabric.RouterStats
 	kills    int
@@ -143,11 +128,11 @@ func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17Chao
 		kills[i] = rackKill{e17ChaosWarmup + sim.Duration(5+10*i)*sim.Millisecond, v}
 	}
 	var out outages
-	cl, c, rep := runRackCampaign(rackCell{
+	cl, st, rep := runRackCampaign(rackCell{
 		cfg: fabric.Config{N: e17ChaosN, Flavor: flavor, Seed: seed, MachineMemory: e17Memory},
-		client: campaignClient{
-			workers: e17ChaosWorkers, timeout: e17ChaosTimeout, backoff: e17ChaosBackoff,
-			key: func(w, i int) string { return e17Key(w*e17ChaosKeysPer + i%e17ChaosKeysPer) },
+		client: netsim.Spec{
+			Workers: e17ChaosWorkers, Timeout: e17ChaosTimeout, Ops: netsim.Versions,
+			Keys: keySet(e17Key, e17ChaosWorkers*e17ChaosKeysPer), Pick: netsim.Owned, KeysPer: e17ChaosKeysPer,
 		},
 		window:   e17ChaosWarmup + e17ChaosWindow + e17ChaosTail,
 		schedule: out.killSchedule(kills),
@@ -155,7 +140,7 @@ func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17Chao
 	})
 	rep.Recoveries = out.recovered
 	return e17ChaosRow{
-		clientCounts: c.clientCounts, rep: rep, stats: cl.RouterStatsSum(),
+		Stats: st, rep: rep, stats: cl.RouterStatsSum(),
 		kills: len(victims), maxEpoch: cl.MaxEpoch(),
 	}
 }
@@ -191,7 +176,7 @@ func E17Fabric() *Result {
 				if total > 0 {
 					remote = fmt.Sprintf("%d%%", rt.Remote*100/total)
 				}
-				scale.AddRow(n, fl.String(), dist, st.Completed, st.Errors,
+				scale.AddRow(n, fl.String(), dist, st.Completed, st.Errors(),
 					fmt.Sprintf("%.0f", st.Throughput()),
 					st.Latency.P50(), st.Latency.P99(), remote, rt.HeadRelayed)
 			}
@@ -208,7 +193,7 @@ func E17Fabric() *Result {
 	for i, fc := range e17Flavors {
 		row := e17Chaos(fc.flavor, fc.victims, 0xE17C+uint64(i))
 		recovered := fmt.Sprintf("%d/%d", len(row.rep.Recoveries), row.kills)
-		kill.AddRow(fc.flavor.String(), row.kills, row.puts, row.rep.Acks, row.tmouts,
+		kill.AddRow(fc.flavor.String(), row.kills, row.Puts, row.rep.Acks, row.Timeouts,
 			row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable), recovered,
 			row.rep.MaxRecovery(), row.maxEpoch, row.stats.Resyncs)
 	}

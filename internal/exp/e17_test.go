@@ -50,7 +50,7 @@ func TestE17ScaleDeterministic(t *testing.T) {
 	runCell := func() string {
 		st, rt := e17Scale(4, fabric.FlavorHead, true)
 		return fmt.Sprintf("%d %d %v %v %d %d %d",
-			st.Completed, st.Errors, st.Latency.P50(), st.Latency.P99(),
+			st.Completed, st.Errors(), st.Latency.P50(), st.Latency.P99(),
 			rt.Local, rt.Remote, rt.HeadRelayed)
 	}
 	a, b := runCell(), runCell()

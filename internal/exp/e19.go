@@ -7,6 +7,7 @@ import (
 	"nocpu/internal/fabric"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
+	"nocpu/internal/netsim"
 	"nocpu/internal/reconcile"
 	"nocpu/internal/sim"
 )
@@ -46,7 +47,6 @@ const (
 	e19Window     = 120 * sim.Millisecond
 	e19Tail       = 10 * sim.Millisecond
 	e19Timeout    = 25 * sim.Millisecond
-	e19Backoff    = 200 * sim.Microsecond
 	e19Bucket     = 4 * sim.Millisecond
 
 	e19KillAt    = 6 * sim.Millisecond
@@ -62,13 +62,7 @@ const _ = uint(e19Timeout - fabric.DefaultOpTimeout - 1)
 
 func e19Key(i int) string { return fmt.Sprintf("e19-%05d", i) }
 
-func e19Keys() []string {
-	out := make([]string, e19Workers*e19KeysPer)
-	for i := range out {
-		out[i] = e19Key(i)
-	}
-	return out
-}
+func e19Keys() []string { return keySet(e19Key, e19Workers*e19KeysPer) }
 
 // e19SingleVictim picks the first scripted kill: the highest-ID serving
 // machine that is not the head. Any single victim is safe at
@@ -147,18 +141,29 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 
 // e19Row is one cell's outcome.
 type e19Row struct {
-	clientCounts
+	netsim.Stats
 	kills int
 
 	rep   chaos.Report
 	fleet reconcile.Report
 
+	// Acked feeds the put latency and the acks per e19Bucket from t0.
+	eng         *sim.Engine
+	t0          sim.Time
 	lat         *metrics.Histogram
-	floor, peak uint64 // worst and best ack bucket past the ramp-up bucket
+	buckets     []uint64 // fixed length: the window's buckets
+	floor, peak uint64   // worst and best ack bucket past the ramp-up bucket
 
 	upgraded  string
 	converged bool
 	maxEpoch  uint32
+}
+
+func (r *e19Row) Acked(issued sim.Time) {
+	if i := int(r.eng.Now().Sub(r.t0) / e19Bucket); i < len(r.buckets) {
+		r.buckets[i]++
+	}
+	r.lat.Observe(r.eng.Now().Sub(issued))
 }
 
 // e19Cell runs one cell of N machines under the write workload.
@@ -175,25 +180,19 @@ func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
 		cfg.Seed ^= 0x4EAD
 	}
 	const window = e19Warmup + e19Window + e19Tail
-	row := e19Row{lat: metrics.NewHistogram()}
-	buckets := make([]uint64, int(window/e19Bucket)) // acks per e19Bucket, fixed length
+	row := e19Row{lat: metrics.NewHistogram(), buckets: make([]uint64, int(window/e19Bucket))}
 	var fl *reconcile.Fleet
 
-	cl, c, rep := runRackCampaign(rackCell{
+	cl, st, rep := runRackCampaign(rackCell{
 		cfg: cfg,
-		client: campaignClient{
-			workers: e19Workers, timeout: e19Timeout, backoff: e19Backoff,
-			key: func(w, i int) string { return e19Key(w*e19KeysPer + i%e19KeysPer) },
+		client: netsim.Spec{
+			Workers: e19Workers, Timeout: e19Timeout, Ops: netsim.Versions,
+			Keys: e19Keys(), Pick: netsim.Owned, KeysPer: e19KeysPer,
 		},
 		window: window,
-		schedule: func(cl *fabric.Cluster, c *campaignClient, t0 sim.Time) {
+		schedule: func(cl *fabric.Cluster, s *netsim.Spec, t0 sim.Time) {
 			eng := cl.Eng
-			c.onAck = func(issued sim.Time) {
-				if i := int(eng.Now().Sub(t0) / e19Bucket); i < len(buckets) {
-					buckets[i]++
-				}
-				row.lat.Observe(eng.Now().Sub(issued))
-			}
+			row.eng, row.t0, s.Acks = eng, t0, &row
 			if !campaign {
 				return
 			}
@@ -241,8 +240,8 @@ func e19Cell(n int, flavor fabric.Flavor, campaign bool) e19Row {
 		},
 	})
 
-	row.clientCounts, row.rep = c.clientCounts, rep
-	for i, b := range buckets[1:] {
+	row.Stats, row.rep = st, rep
+	for i, b := range row.buckets[1:] {
 		if b > row.peak {
 			row.peak = b
 		}
@@ -294,13 +293,13 @@ func E19SelfHealing() *Result {
 	for _, n := range sizes {
 		for _, flavor := range flavors {
 			base := e19Cell(n, flavor, false)
-			disrupt.AddRow(n, flavor.String(), "baseline", 0, base.puts, base.rep.Acks,
-				base.tmouts, base.rep.G1Lost, base.rep.G2Dups, len(base.rep.Unroutable),
+			disrupt.AddRow(n, flavor.String(), "baseline", 0, base.Puts, base.rep.Acks,
+				base.Timeouts, base.rep.G1Lost, base.rep.G2Dups, len(base.rep.Unroutable),
 				e19Floor(base), base.lat.P50(), base.lat.P99())
 
 			row := e19Cell(n, flavor, true)
-			disrupt.AddRow(n, flavor.String(), "chaos+upgrade", row.kills, row.puts, row.rep.Acks,
-				row.tmouts, row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable),
+			disrupt.AddRow(n, flavor.String(), "chaos+upgrade", row.kills, row.Puts, row.rep.Acks,
+				row.Timeouts, row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable),
 				e19Floor(row), row.lat.P50(), row.lat.P99())
 
 			st := row.fleet.Stats

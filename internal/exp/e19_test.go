@@ -66,7 +66,7 @@ func TestE19Reproducible(t *testing.T) {
 	runCell := func() string {
 		row := e19Cell(8, fabric.FlavorDecentralized, true)
 		return fmt.Sprintf("%d %d %d %d %d %v %v %v %d %d %+v",
-			row.puts, row.rep.Acks, row.tmouts, row.errs, row.kills,
+			row.Puts, row.rep.Acks, row.Timeouts, row.Refused, row.kills,
 			row.fleet.MaxWindow(), row.lat.P50(), row.lat.P99(),
 			row.floor, row.peak, row.fleet.Stats)
 	}
@@ -81,9 +81,9 @@ func TestE19Reproducible(t *testing.T) {
 // goodput profile.
 func TestE19BaselineUndisturbed(t *testing.T) {
 	row := e19Cell(8, fabric.FlavorDecentralized, false)
-	if row.tmouts != 0 || row.rep.G1Lost != 0 || len(row.rep.Unroutable) != 0 {
+	if row.Timeouts != 0 || row.rep.G1Lost != 0 || len(row.rep.Unroutable) != 0 {
 		t.Errorf("undisturbed baseline saw disruption: timeouts=%d lost=%d unroutable=%d",
-			row.tmouts, row.rep.G1Lost, len(row.rep.Unroutable))
+			row.Timeouts, row.rep.G1Lost, len(row.rep.Unroutable))
 	}
 	if row.peak == 0 || row.floor*100/row.peak < 50 {
 		t.Errorf("baseline goodput not flat: floor %d of peak %d", row.floor, row.peak)

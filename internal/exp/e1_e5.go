@@ -117,19 +117,11 @@ func E2Dataplane() *Result {
 		for _, rate := range rates {
 			rig := newKVSRig(kind, 21, nil, nil)
 			rig.preload(keys, 512)
-			ol := &netsim.OpenLoop{
-				Eng: rig.sys.Eng, Rand: rig.sys.Rand.Fork(),
-				Rate: rate, Duration: 30 * sim.Millisecond,
-				Gen: func(r *sim.Rand, seq uint64) []byte {
-					return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(r.Intn(keys))})
-				},
-				IsError: kvsIsError,
-				Target:  rig.target(),
-			}
-			runLoop(rig.sys.Eng, ol)
-			st := ol.Stats()
+			st := netsim.Run(rig.sys.Eng, rig.target(), netsim.Spec{
+				Rate: rate, Window: 30 * sim.Millisecond, Keys: keySet(keyName, keys), Rand: rig.sys.Rand.Fork(),
+			})
 			tb.AddRow(kind.label(), fmt.Sprintf("%.0f", rate),
-				fmt.Sprintf("%.0f", st.Throughput()), st.Latency.P50(), st.Latency.P99(), st.Errors)
+				fmt.Sprintf("%.0f", st.Throughput()), st.Latency.P50(), st.Latency.P99(), st.Errors())
 		}
 	}
 	res.Tables = append(res.Tables, tb)
@@ -282,14 +274,10 @@ func E5FaultRecovery() *Result {
 			sys.Eng.RunFor(100 * sim.Microsecond)
 		}
 		// Load the log.
-		cl := &netsim.ClosedLoop{
-			Eng: sys.Eng, Rand: sys.Rand.Fork(), Workers: 8, PerWorker: records / 8,
-			Gen: func(r *sim.Rand, seq uint64) []byte {
-				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: keyName(int(seq)), Value: make([]byte, 256)})
-			},
-			Target: func(p []byte, reply func([]byte)) { sys.NIC().Deliver(1, p, reply) },
-		}
-		runLoop(sys.Eng, cl)
+		netsim.Run(sys.Eng, netsim.Edge{NIC: sys.NIC(), App: 1}, netsim.Spec{
+			Workers: 8, PerWorker: records / 8, Keys: keySet(keyName, records), Pick: netsim.Sequential,
+			Ops: netsim.Puts, ValueSize: 256, Rand: sys.Rand.Fork(),
+		})
 		if cse.snapshot {
 			snapped := false
 			store.Snapshot(func(err error) {
@@ -298,7 +286,7 @@ func E5FaultRecovery() *Result {
 				}
 				snapped = true
 			})
-			drain(sys.Eng, func() bool { return snapped })
+			netsim.Drive(sys.Eng, func() bool { return snapped })
 		}
 
 		killedAt := sys.Eng.Now()

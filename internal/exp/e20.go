@@ -7,7 +7,6 @@ import (
 	"nocpu/internal/adversary"
 	"nocpu/internal/core"
 	"nocpu/internal/fabric"
-	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
@@ -96,7 +95,7 @@ func (c *e20Cell) goodputRatio() float64 {
 
 // e20Audit runs the shared ledger judgment for one cell.
 func e20Audit(cell *e20Cell, led *tenant.Ledger, reg *tenant.Registry) {
-	led.AuditGoodput(c2f(cell.baseline), c2f(cell.attacked),
+	led.AuditGoodput(float64(cell.baseline.Completed), float64(cell.attacked.Completed),
 		cell.baseline.Latency.P99(), cell.attacked.Latency.P99(),
 		e20MinGoodput, e20MaxP99Mult)
 	led.AuditAttribution(reg.Denials())
@@ -105,8 +104,6 @@ func e20Audit(cell *e20Cell, led *tenant.Ledger, reg *tenant.Registry) {
 	cell.denVic = len(reg.DenialsBy(1))
 	cell.rep = led.Report()
 }
-
-func c2f(s netsim.Stats) float64 { return float64(s.Completed) }
 
 // e20BudgetDenials counts budget-exhaustion denials charged to one
 // tenant.
@@ -131,43 +128,6 @@ func e20NoteOutcomes(led *tenant.Ledger, cell *e20Cell, outcomes []adversary.Out
 	}
 }
 
-// e20VictimLoad is the well-behaved tenant's closed-loop get workload,
-// stamped t1 at the NIC edge.
-func e20VictimLoad(eng *sim.Engine, seed uint64, workers, perWorker, keys int, target netsim.Target) *netsim.ClosedLoop {
-	return &netsim.ClosedLoop{
-		Eng: eng, Rand: sim.NewRand(seed), Workers: workers, PerWorker: perWorker,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: e20Key(rd.Intn(keys))})
-		},
-		IsError: kvsIsError,
-		Target:  target,
-	}
-}
-
-// e20Spam is the attacker's open-loop cross-tenant probe generator,
-// stamped t2 at the edge. Replies are classified into the cell's
-// leak/denial tallies; StatusShed is the attacker's own budget biting.
-func e20Spam(eng *sim.Engine, seed uint64, keys int, target netsim.Target, cell *e20Cell) *netsim.OpenLoop {
-	return &netsim.OpenLoop{
-		Eng: eng, Rand: sim.NewRand(seed), Rate: e20SpamRate, Duration: e20SpamWindow,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: e20Key(rd.Intn(keys))})
-		},
-		IsError: func(b []byte) bool {
-			cell.probes++
-			resp, err := kvs.DecodeResponse(b)
-			if err != nil {
-				return true
-			}
-			if resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound {
-				cell.leaked++
-			}
-			return false
-		},
-		Target: target,
-	}
-}
-
 // e20Run is the sequence every cell shares: preload the victim's keys,
 // measure its unattacked baseline, run the cell's attack step, overlay
 // the attacker's probe spam on a second victim workload, and audit.
@@ -175,21 +135,29 @@ func e20Spam(eng *sim.Engine, seed uint64, keys int, target netsim.Target, cell 
 // seeded from seed alone, so a cell's draws are fixed by its seed.
 func e20Run(cell *e20Cell, eng *sim.Engine, reg *tenant.Registry, seed uint64, keys, workers, perWorker int,
 	target func(tn uint16) netsim.Target, attack func(led *tenant.Ledger)) {
-	led := tenant.NewLedger(2, 1)
-	runLoop(eng, e20Preload(eng, seed^1, keys, target(1)))
-	base := e20VictimLoad(eng, seed^2, workers, perWorker, keys, target(1))
-	runLoop(eng, base)
-	cell.baseline = base.Stats()
+	led, pool := tenant.NewLedger(2, 1), keySet(e20Key, keys)
+	victim := func(seed uint64) netsim.Spec { // the well-behaved tenant's gets
+		return netsim.Spec{Workers: workers, PerWorker: perWorker, Keys: pool, Rand: sim.NewRand(seed)}
+	}
+	netsim.Run(eng, target(1), netsim.Spec{
+		Workers: 8, PerWorker: (keys + 7) / 8, Keys: pool, Pick: netsim.Sequential, Ops: netsim.Puts, ValueSize: e20ValSize,
+	})
+	cell.baseline = netsim.Run(eng, target(1), victim(seed^2))
 
 	attack(led)
 
-	spam := e20Spam(eng, seed^3, keys, target(2), cell)
-	spamDone := false
-	spam.Run(func() { spamDone = true })
-	atk := e20VictimLoad(eng, seed^4, workers, perWorker, keys, target(1))
-	runLoop(eng, atk)
-	drain(eng, func() bool { return spamDone })
+	// The attacker's open-loop cross-tenant probes, overlaid on a second
+	// victim workload. A probe answered OK or NotFound leaked; StatusShed
+	// is the attacker's own budget biting.
+	spam := netsim.Start(eng, target(2), netsim.Spec{
+		Rate: e20SpamRate, Window: e20SpamWindow, Keys: pool, Rand: sim.NewRand(seed ^ 3),
+	})
+	atk := netsim.Start(eng, target(1), victim(seed^4))
+	atk.Wait()
+	spam.Wait()
 	cell.attacked = atk.Stats()
+	probes := spam.Stats()
+	cell.probes, cell.leaked = probes.Completed, probes.Served()
 	led.NoteAttack(tenant.DenyKVS, cell.leaked > 0, cell.probes > cell.leaked,
 		fmt.Sprintf("probe spam: %d probes, %d leaked", cell.probes, cell.leaked))
 	cell.mounted++
@@ -216,9 +184,7 @@ func e20Machine(kind machineKind) *e20Cell {
 	cell := &e20Cell{label: kind.label()}
 	eng := rig.sys.Eng
 	stamped := func(tn uint16) netsim.Target {
-		return func(p []byte, reply func([]byte)) {
-			rig.sys.NIC().DeliverFrom(tn, rig.store.AppID(), p, reply)
-		}
+		return netsim.Edge{NIC: rig.sys.NIC(), App: rig.store.AppID(), Tenant: tn}
 	}
 	e20Run(cell, eng, reg, seed, e20Keys, e20Workers, e20PerWorker, stamped, func(led *tenant.Ledger) {
 		adv, err := adversary.Attach(eng, rig.sys.Bus, rig.sys.Mem, reg, adversary.Config{
@@ -258,19 +224,6 @@ func e20Machine(kind machineKind) *e20Cell {
 	return cell
 }
 
-// e20Preload writes the victim's keys, stamped t1.
-func e20Preload(eng *sim.Engine, seed uint64, keys int, target netsim.Target) *netsim.ClosedLoop {
-	return &netsim.ClosedLoop{
-		Eng: eng, Rand: sim.NewRand(seed), Workers: 8, PerWorker: (keys + 7) / 8,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: e20Key(int(seq) % keys), Value: make([]byte, e20ValSize),
-			})
-		},
-		Target: target,
-	}
-}
-
 // e20Misprogram runs the blast-radius control: a centralized machine
 // WITHOUT per-device checks, whose kernel maps tenant 1's app into an
 // arbitrary device unchallenged.
@@ -299,30 +252,18 @@ func e20Fabric(flavor fabric.Flavor) *e20Cell {
 		label = "fabric head-node"
 	}
 	cell := &e20Cell{label: fmt.Sprintf("%s N=%d", label, e20FabricN)}
-	target := func(tn uint16) netsim.Target {
-		pick := rackIngress(cl)
-		return func(p []byte, reply func([]byte)) { cl.TenantIngress(pick(), tn)(p, reply) }
-	}
+	target := func(tn uint16) netsim.Target { return &rackIngress{cl: cl, tenant: tn} }
 	e20Run(cell, cl.Eng, reg, seed, e20FabricKeys, e20FabricWorkers, e20FabricPerWorker, target, func(led *tenant.Ledger) {
 		// Admission flood: the attacker hammers its own shard with a
 		// concurrent burst far past its per-tenant inflight budget — the
 		// stores must shed the excess as DenyBudget on the attacker's tab.
-		burn := &netsim.ClosedLoop{
-			Eng: cl.Eng, Rand: sim.NewRand(seed ^ 5), Workers: 1, PerWorker: 1,
-			Gen: func(rd *sim.Rand, seq uint64) []byte {
-				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: "t2/burn", Value: make([]byte, e20ValSize)})
-			},
-			Target: target(2),
-		}
-		runLoop(cl.Eng, burn)
-		flood := &netsim.ClosedLoop{
-			Eng: cl.Eng, Rand: sim.NewRand(seed ^ 6), Workers: 16, PerWorker: 8,
-			Gen: func(rd *sim.Rand, seq uint64) []byte {
-				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: "t2/burn"})
-			},
-			Target: target(2),
-		}
-		runLoop(cl.Eng, flood)
+		burn := []string{"t2/burn"}
+		netsim.Run(cl.Eng, target(2), netsim.Spec{
+			Workers: 1, PerWorker: 1, Keys: burn, Ops: netsim.Puts, ValueSize: e20ValSize, Rand: sim.NewRand(seed ^ 5),
+		})
+		netsim.Run(cl.Eng, target(2), netsim.Spec{
+			Workers: 16, PerWorker: 8, Keys: burn, Rand: sim.NewRand(seed ^ 6),
+		})
 		floodSheds := e20BudgetDenials(reg, 2)
 		led.NoteAttack(tenant.DenyBudget, false, floodSheds > 0,
 			fmt.Sprintf("admission flood: %d budget sheds", floodSheds))

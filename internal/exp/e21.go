@@ -9,6 +9,7 @@ import (
 	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
+	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
 
@@ -43,7 +44,6 @@ const (
 	// history has genuine cross-client concurrency for the checker
 	e21Window  = 45 * sim.Millisecond
 	e21Timeout = 10 * sim.Millisecond
-	e21Backoff = 200 * sim.Microsecond
 	e21Probe   = 250 * sim.Microsecond
 
 	e21FaultAt = 5 * sim.Millisecond  // after workload start
@@ -151,7 +151,7 @@ type e21Row struct {
 	cell   string
 	flavor fabric.Flavor
 
-	clientCounts
+	netsim.Stats
 	lin       linearize.Result
 	splits    int
 	worstZero sim.Duration
@@ -172,21 +172,21 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 	plane := faultinject.New(seed ^ 0xF17)
 	hist := linearize.NewHistory()
 	var probe e21ProbeState
-	cl, c, rep := runRackCampaign(rackCell{
+	cl, st, rep := runRackCampaign(rackCell{
 		cfg: fabric.Config{
 			N: e21N, Flavor: flavor, Seed: seed, MachineMemory: e17Memory,
 			Leases: true, Net: fabric.NetConfig{Plane: plane},
 		},
 		// Workers walk the shared pool from staggered offsets, so their
 		// collisions interleave.
-		client: campaignClient{
-			workers: e21Workers, timeout: e21Timeout, backoff: e21Backoff, hist: hist,
-			key: func(w, i int) string { return e21Key((w*2 + i) % e21Keys) },
+		client: netsim.Spec{
+			Workers: e21Workers, Timeout: e21Timeout, Ops: netsim.Alternate, History: hist,
+			Keys: keySet(e21Key, e21Keys), Pick: netsim.Walk, KeysPer: 2,
 		},
 		window: e21Window,
-		schedule: func(cl *fabric.Cluster, c *campaignClient, t0 sim.Time) {
+		schedule: func(cl *fabric.Cluster, s *netsim.Spec, t0 sim.Time) {
 			cell.apply(plane, t0)
-			probe.arm(cl, c.stopAt)
+			probe.arm(cl, s.Stop)
 		},
 		// Let in-flight frames, fences, and the last lease rounds settle
 		// before judging routability.
@@ -202,7 +202,7 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 		}
 	}
 	return e21Row{
-		cell: cell.name, flavor: flavor, clientCounts: c.clientCounts,
+		cell: cell.name, flavor: flavor, Stats: st,
 		lin: linearize.Check(hist), splits: probe.splits,
 		worstZero: sim.Duration(probe.worstZero) * e21Probe,
 		rep:       rep, st: cl.RouterStatsSum(), maxEpoch: cl.MaxEpoch(),
@@ -238,8 +238,8 @@ func E21SplitBrain() *Result {
 	for idx, cell := range e21Cells() {
 		for _, flavor := range []fabric.Flavor{fabric.FlavorDecentralized, fabric.FlavorHead} {
 			row := e21Run(flavor, idx, cell)
-			safety.AddRow(row.cell, row.flavor.String(), row.puts, row.gets, row.rep.Acks,
-				row.fenced, row.tmouts, row.maybes,
+			safety.AddRow(row.cell, row.flavor.String(), row.Puts, row.Gets, row.rep.Acks,
+				row.Fenced(), row.Timeouts, row.Ambiguous(),
 				e21L1(row), fmt.Sprintf("%d+%d?", row.lin.Required, row.lin.Optional),
 				row.splits, row.worstZero, row.rep.G1Lost, len(row.rep.Unroutable))
 			detect.AddRow(row.cell, row.flavor.String(), row.st.Suspicions, row.st.SilenceDeaths,

@@ -83,7 +83,7 @@ func TestE21Reproducible(t *testing.T) {
 	runCell := func() string {
 		row := e21Run(fabric.FlavorDecentralized, 2, cells[2]) // flapping link
 		return fmt.Sprintf("%d %d %d %d %d %d %v %v %d %d %v %d %+v",
-			row.puts, row.gets, row.rep.Acks, row.fenced, row.tmouts, row.maybes,
+			row.Puts, row.Gets, row.rep.Acks, row.Fenced(), row.Timeouts, row.Ambiguous(),
 			row.lin.OK, row.worstZero, row.splits, row.rep.G1Lost,
 			row.rep.Unroutable, row.leasedEnd, row.st)
 	}

@@ -98,7 +98,7 @@ func E7Discovery() *Result {
 			}
 			created = true
 		})
-		drain(sys.Eng, func() bool { return created })
+		netsim.Drive(sys.Eng, func() bool { return created })
 		before := sys.Bus.Stats()
 		probe := &discoverProbe{baseApp: baseApp{1}, query: "file:far.dat"}
 		sys.NIC().AddApp(probe)
@@ -204,18 +204,11 @@ func E11ValueCache() *Result {
 	for _, entries := range []int{0, 32, 128, 512} {
 		rig := newKVSRig(kindDecentralized, 111, nil, func(ko *core.KVSOptions) { ko.CacheEntries = entries })
 		rig.preload(keys, 512)
-		zipf := sim.NewZipf(rig.sys.Rand.Fork(), keys, 0.99)
-		cl := &netsim.ClosedLoop{
-			Eng: rig.sys.Eng, Rand: rig.sys.Rand.Fork(), Workers: 16, PerWorker: 400,
-			Gen: func(r *sim.Rand, seq uint64) []byte {
-				return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(zipf.Next())})
-			},
-			IsError: kvsIsError,
-			Target:  rig.target(),
-		}
+		zipf := sim.NewZipf(rig.sys.Rand.Fork(), keys, 0.99) // forked before the loop's Rand
 		base := rig.store.Stats()
-		runLoop(rig.sys.Eng, cl)
-		st := cl.Stats()
+		st := netsim.Run(rig.sys.Eng, rig.target(), netsim.Spec{
+			Workers: 16, PerWorker: 400, Keys: keySet(keyName, keys), Zipf: zipf, Rand: rig.sys.Rand.Fork(),
+		})
 		s := rig.store.Stats()
 		hitRate := 0.0
 		if gets := s.Gets - base.Gets; gets > 0 {

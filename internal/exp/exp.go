@@ -16,7 +16,6 @@ import (
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
 	"nocpu/internal/netsim"
-	"nocpu/internal/sim"
 )
 
 // Result is one experiment's output.
@@ -158,44 +157,37 @@ func newKVSRig(kind machineKind, seed uint64, tweak func(*core.Options), kvsTwea
 	return &kvsRig{sys: sys, store: store}
 }
 
-// preload inserts n keys of valSize bytes via a closed loop.
+// preload inserts n keys of valSize bytes via a closed loop. Its Rand
+// is forked though the keys go in order: the fork advances the machine's
+// Rand, and every later fork depends on it.
 func (r *kvsRig) preload(n, valSize int) {
-	cl := &netsim.ClosedLoop{
-		Eng: r.sys.Eng, Rand: r.sys.Rand.Fork(), Workers: 8, PerWorker: (n + 7) / 8,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{
-				Op: kvs.OpPut, Key: keyName(int(seq) % n), Value: make([]byte, valSize),
-			})
-		},
-		Target: r.target(),
-	}
-	runLoop(r.sys.Eng, cl)
+	netsim.Run(r.sys.Eng, r.target(), netsim.Spec{
+		Workers: 8, PerWorker: (n + 7) / 8, Keys: keySet(keyName, n), Pick: netsim.Sequential,
+		Ops: netsim.Puts, ValueSize: valSize, Rand: r.sys.Rand.Fork(),
+	})
 }
 
 func keyName(i int) string { return fmt.Sprintf("key-%05d", i) }
 
+// keySet is a load's key pool: name(0) to name(n-1).
+func keySet(name func(int) string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = name(i)
+	}
+	return keys
+}
+
 // target returns the NIC network edge for app 1.
-func (r *kvsRig) target() netsim.Target {
-	return func(p []byte, reply func([]byte)) { r.sys.NIC().Deliver(r.store.AppID(), p, reply) }
+func (r *kvsRig) target() netsim.Edge {
+	return netsim.Edge{NIC: r.sys.NIC(), App: r.store.AppID()}
 }
 
 // getLoad runs a closed-loop uniform-get workload and returns its stats.
 func (r *kvsRig) getLoad(workers, perWorker, keys int) netsim.Stats {
-	cl := &netsim.ClosedLoop{
-		Eng: r.sys.Eng, Rand: r.sys.Rand.Fork(), Workers: workers, PerWorker: perWorker,
-		Gen: func(rd *sim.Rand, seq uint64) []byte {
-			return kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(rd.Intn(keys))})
-		},
-		IsError: kvsIsError,
-		Target:  r.target(),
-	}
-	runLoop(r.sys.Eng, cl)
-	return cl.Stats()
-}
-
-func kvsIsError(b []byte) bool {
-	resp, err := kvs.DecodeResponse(b)
-	return err != nil || resp.Status != kvs.StatusOK
+	return netsim.Run(r.sys.Eng, r.target(), netsim.Spec{
+		Workers: workers, PerWorker: perWorker, Keys: keySet(keyName, keys), Rand: r.sys.Rand.Fork(),
+	})
 }
 
 // appID is a convenience for msg.AppID construction in loops.

@@ -7,30 +7,31 @@ import (
 	"nocpu/internal/chaos"
 	"nocpu/internal/fabric"
 	"nocpu/internal/msg"
+	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
 
-// Fabric mechanism regression tests: the campaign client hammers a
+// Fabric mechanism regression tests: the netsim load client hammers a
 // rack with writes aimed at chosen replica roles while whole machines
 // are killed at scripted instants, then the read-back sweep feeds the
 // chaos ledger, which judges R1 (no acked write lost), R2 (no duplicate
 // apply) and R3 (every touched key routable after recovery). They use
-// only the fabric's exported API and live here, next to the client.
+// only the fabric's exported API and live here, next to the campaign
+// runner.
 //
-// Timeout soundness (DESIGN.md, "The campaign client"): the client
+// Timeout soundness (DESIGN.md, "The load client"): the client
 // timeout (25ms) exceeds the worst in-system lifetime of a write —
 // ingress forwarding gives up after OpTimeout (10ms), and an already-
 // forwarded request is applied within microseconds of arrival or
 // dropped forever (dead machine / dead-set fencing).
 const (
-	fcWorkers    = 4
-	fcKeysPer    = 4
-	fcWarmup     = 2 * sim.Millisecond
-	fcWindow     = 30 * sim.Millisecond
-	fcTail       = 10 * sim.Millisecond
-	fcOpTimeout  = 25 * sim.Millisecond
-	fcErrBackoff = 200 * sim.Microsecond
-	fcSettle     = 20 * sim.Millisecond
+	fcWorkers   = 4
+	fcKeysPer   = 4
+	fcWarmup    = 2 * sim.Millisecond
+	fcWindow    = 30 * sim.Millisecond
+	fcTail      = 10 * sim.Millisecond
+	fcOpTimeout = 25 * sim.Millisecond
+	fcSettle    = 20 * sim.Millisecond
 	// fcRecoveryBound caps the window from a machine kill to the next
 	// acknowledged op: unreachable detection is one RTT and failover is a
 	// view change plus one re-route, so even the head-node flavor's
@@ -44,18 +45,16 @@ const (
 // open recovery windows, and the sweep runs after fcSettle.
 func fcRun(t *testing.T, cfg fabric.Config, pickKeys func(cl *fabric.Cluster) []string, kills ...rackKill) (*fabric.Cluster, chaos.Report) {
 	t.Helper()
-	var keys []string
 	var out outages
 	cl, _, rep := runRackCampaign(rackCell{
 		cfg: cfg,
-		client: campaignClient{
-			workers: fcWorkers, timeout: fcOpTimeout, backoff: fcErrBackoff,
-			key: func(w, i int) string { return keys[w*fcKeysPer+i%fcKeysPer] },
+		client: netsim.Spec{
+			Workers: fcWorkers, Timeout: fcOpTimeout, Ops: netsim.Versions, Pick: netsim.Owned, KeysPer: fcKeysPer,
 		},
 		window: fcWarmup + fcWindow + fcTail,
-		schedule: func(cl *fabric.Cluster, c *campaignClient, t0 sim.Time) {
-			keys = pickKeys(cl)
-			out.killSchedule(kills)(cl, c, t0)
+		schedule: func(cl *fabric.Cluster, s *netsim.Spec, t0 sim.Time) {
+			s.Keys = pickKeys(cl)
+			out.killSchedule(kills)(cl, s, t0)
 		},
 		// Let resyncs and view gossip finish.
 		settle: func(cl *fabric.Cluster, _ sim.Time) { cl.Eng.RunFor(fcSettle) },

@@ -10,7 +10,6 @@ import (
 	"nocpu/internal/interconnect"
 	"nocpu/internal/memctrl"
 	"nocpu/internal/msg"
-	"nocpu/internal/netsim"
 	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartnic"
@@ -331,64 +330,5 @@ func TestRequestsDuringOutageGetUnavailable(t *testing.T) {
 	tb.eng.RunFor(200 * sim.Microsecond)
 	if resp.Status != StatusUnavailable {
 		t.Fatalf("during outage: %+v", resp)
-	}
-}
-
-func TestWorkloadThroughputClosedLoop(t *testing.T) {
-	tb := newTestbed(t, 0)
-	// Preload keys.
-	for i := 0; i < 50; i++ {
-		tb.op(t, Request{Op: OpPut, Key: fmt.Sprintf("k%02d", i), Value: bytes.Repeat([]byte{1}, 128)})
-	}
-	cl := &netsim.ClosedLoop{
-		Eng:     tb.eng,
-		Rand:    sim.NewRand(1),
-		Workers: 8, PerWorker: 100,
-		Gen: func(r *sim.Rand, seq uint64) []byte {
-			return EncodeRequest(Request{Op: OpGet, Key: fmt.Sprintf("k%02d", r.Intn(50))})
-		},
-		IsError: func(b []byte) bool {
-			r, err := DecodeResponse(b)
-			return err != nil || r.Status != StatusOK
-		},
-		Target: func(p []byte, reply func([]byte)) { tb.nic.Deliver(10, p, reply) },
-	}
-	doneAt := sim.Time(-1)
-	cl.Run(func() { doneAt = tb.eng.Now() })
-	tb.eng.Run()
-	st := cl.Stats()
-	if doneAt < 0 || st.Completed != 800 {
-		t.Fatalf("completed %d of 800", st.Completed)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("errors: %d", st.Errors)
-	}
-	if st.Throughput() < 1000 {
-		t.Errorf("throughput %.0f ops/s suspiciously low", st.Throughput())
-	}
-	if st.Latency.P50() <= 0 {
-		t.Error("no latency recorded")
-	}
-}
-
-func TestWorkloadOpenLoop(t *testing.T) {
-	tb := newTestbed(t, 0)
-	tb.op(t, Request{Op: OpPut, Key: "hot", Value: []byte("x")})
-	ol := &netsim.OpenLoop{
-		Eng:      tb.eng,
-		Rand:     sim.NewRand(2),
-		Rate:     20000, // 20k ops/s, well under capacity
-		Duration: 20 * sim.Millisecond,
-		Gen: func(r *sim.Rand, seq uint64) []byte {
-			return EncodeRequest(Request{Op: OpGet, Key: "hot"})
-		},
-		Target: func(p []byte, reply func([]byte)) { tb.nic.Deliver(10, p, reply) },
-	}
-	finished := false
-	ol.Run(func() { finished = true })
-	tb.eng.Run()
-	st := ol.Stats()
-	if !finished || st.Completed != st.Sent || st.Sent < 300 {
-		t.Fatalf("open loop: finished=%v sent=%d done=%d", finished, st.Sent, st.Completed)
 	}
 }

@@ -28,11 +28,12 @@ var Layering = &analysis.Analyzer{
 // allowed. The tiers, bottom-up:
 //
 //	leaves   msg, sim, physmem            (import nothing in-module)
-//	infra    trace, metrics, iommu, faultinject, netsim, chaos,
-//	         overload, interconnect, virtio, bus
+//	infra    trace, metrics, iommu, faultinject, chaos, interconnect,
+//	         virtio, bus
 //	devices  device, smartssd, smartnic, memctrl, accel
 //	kernel   centralos                    (baseline; may drive smartssd, runs memctrl's table)
 //	apps     kvs, admin
+//	clients  netsim, overload             (the KVS load client and its ramp ledger)
 //	wiring   core
 //	harness  exp
 //	mains    cmd/*, examples/*
@@ -53,13 +54,9 @@ var layerDAG = map[string][]string{
 	"nocpu/internal/metrics":     {"nocpu/internal/sim"},
 	"nocpu/internal/iommu":       {"nocpu/internal/physmem"},
 	"nocpu/internal/faultinject": {"nocpu/internal/msg", "nocpu/internal/sim"},
-	"nocpu/internal/netsim":      {"nocpu/internal/metrics", "nocpu/internal/sim"},
 	"nocpu/internal/linearize":   {"nocpu/internal/sim"},
 	"nocpu/internal/chaos":       {"nocpu/internal/faultinject", "nocpu/internal/sim"},
 	"nocpu/internal/tenant":      {"nocpu/internal/msg", "nocpu/internal/sim"},
-	"nocpu/internal/overload": {
-		"nocpu/internal/metrics", "nocpu/internal/netsim", "nocpu/internal/sim",
-	},
 	"nocpu/internal/interconnect": {
 		"nocpu/internal/faultinject", "nocpu/internal/iommu", "nocpu/internal/metrics",
 		"nocpu/internal/msg", "nocpu/internal/physmem", "nocpu/internal/sim",
@@ -121,6 +118,17 @@ var layerDAG = map[string][]string{
 	},
 	"nocpu/internal/admin": {"nocpu/internal/msg", "nocpu/internal/smartnic"},
 
+	// Network clients: the one KVS load client, and the overload ledger
+	// built from its stats.
+	"nocpu/internal/netsim": {
+		"nocpu/internal/chaos", "nocpu/internal/kvs", "nocpu/internal/linearize",
+		"nocpu/internal/metrics", "nocpu/internal/msg", "nocpu/internal/sim",
+		"nocpu/internal/smartnic",
+	},
+	"nocpu/internal/overload": {
+		"nocpu/internal/kvs", "nocpu/internal/metrics", "nocpu/internal/netsim", "nocpu/internal/sim",
+	},
+
 	// Machine wiring.
 	"nocpu/internal/core": {
 		"nocpu/internal/accel", "nocpu/internal/bus", "nocpu/internal/centralos",
@@ -180,7 +188,7 @@ var layerDAG = map[string][]string{
 		"nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/sim",
 	},
 	"nocpu/examples/kvstore": {
-		"nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/netsim", "nocpu/internal/sim",
+		"nocpu/internal/core", "nocpu/internal/netsim", "nocpu/internal/sim",
 	},
 	"nocpu/examples/maintenance": {
 		"nocpu/internal/admin", "nocpu/internal/core", "nocpu/internal/kvs", "nocpu/internal/msg", "nocpu/internal/sim",

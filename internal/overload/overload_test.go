@@ -4,67 +4,38 @@ import (
 	"strings"
 	"testing"
 
+	"nocpu/internal/kvs"
 	"nocpu/internal/metrics"
 	"nocpu/internal/netsim"
 	"nocpu/internal/sim"
 )
 
-// echoTarget replies after a fixed service delay (infinite concurrency —
-// a pure delay line, no queueing).
-func echoTarget(eng *sim.Engine, service sim.Duration) netsim.Target {
-	return func(p []byte, reply func([]byte)) {
-		eng.After(service, func() { reply([]byte{0}) })
-	}
+// echoTarget answers every request OK after a fixed service delay
+// (infinite concurrency: a pure delay line, no queueing).
+type echoTarget struct {
+	eng     *sim.Engine
+	service sim.Duration
 }
 
-func TestRunStepClassifiesOutcomes(t *testing.T) {
-	eng := sim.NewEngine()
-	// 1 req/us offered. Service takes 50us: with 2us wire each way the
-	// round trip is ~54us, inside the 100us deadline, so everything is OK.
-	res := RunStep(eng, echoTarget(eng, 50*sim.Microsecond), 1e6, 3, sim.Millisecond, 100*sim.Microsecond,
-		func(rd *sim.Rand, seq uint64, deadline uint64) []byte {
-			if deadline == 0 {
-				t.Fatal("deadline not stamped")
-			}
-			return []byte{1}
-		},
-		func(resp []byte) Outcome { return OutcomeOK })
-	if res.Sent == 0 {
-		t.Fatal("no requests sent")
-	}
-	if res.OK != res.Sent || res.Late+res.Shed+res.Errors != 0 {
-		t.Fatalf("want all OK, got %+v", res)
-	}
-	if res.Resolved() != res.Sent {
-		t.Fatalf("Q3 broken in harness itself: %+v", res)
-	}
-	if res.Goodput <= 0 {
-		t.Fatalf("goodput not computed: %+v", res)
-	}
+func (e echoTarget) Send(p []byte, reply func([]byte)) {
+	resp := kvs.EncodeResponse(kvs.Response{Status: kvs.StatusOK})
+	e.eng.After(e.service, func() { reply(resp) })
 }
 
-func TestRunStepMarksLate(t *testing.T) {
-	eng := sim.NewEngine()
-	// The 10us deadline is below the service time: all late.
-	res := RunStep(eng, echoTarget(eng, 50*sim.Microsecond), 100000, 3, sim.Millisecond, 10*sim.Microsecond,
-		func(rd *sim.Rand, seq uint64, deadline uint64) []byte { return []byte{1} },
-		func(resp []byte) Outcome { return OutcomeOK })
-	if res.Late != res.Sent {
-		t.Fatalf("want all late, got %+v", res)
-	}
-	if res.Goodput != 0 {
-		t.Fatalf("late work counted as goodput: %+v", res)
-	}
-}
-
+// A step is a function of its seed: the same open-loop load with a
+// deadline, read through NewStep, gives the same outcome.
 func TestRunStepDeterministic(t *testing.T) {
 	run := func() StepResult {
 		eng := sim.NewEngine()
-		return RunStep(eng, echoTarget(eng, 5*sim.Microsecond), 100000, 7, 10*sim.Millisecond, sim.Millisecond,
-			func(rd *sim.Rand, seq uint64, deadline uint64) []byte { return []byte{1} },
-			func(resp []byte) Outcome { return OutcomeOK })
+		return NewStep(1, 100000, netsim.Run(eng, echoTarget{eng, 5 * sim.Microsecond}, netsim.Spec{
+			Rate: 100000, Window: 10 * sim.Millisecond, Deadline: sim.Millisecond,
+			Keys: []string{"a", "b", "c"}, Rand: sim.NewRand(7),
+		}))
 	}
 	a, b := run(), run()
+	if a.Sent == 0 || a.Resolved() != a.Sent {
+		t.Fatalf("step did not resolve every request: %+v", a)
+	}
 	if a != b {
 		t.Fatalf("identical plans produced different results:\n%+v\n%+v", a, b)
 	}

@@ -278,3 +278,64 @@ func TestNICFailureRebootsApps(t *testing.T) {
 type ignoreResponse struct{}
 
 func (ignoreResponse) RequestDone([]byte, error) {}
+
+// An accept that lands after its open gave up is closed: the SSD keeps no
+// session for the failed open, so the app's reopen gets a fresh instance
+// instead of the leaked one re-quoted (replay rule 1). An accept that
+// replays a retransmitted OpenReq's answer to a session that lives on —
+// in its connect stage or connected — closes nothing.
+func TestLateAcceptIsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		count int          // OpenResps delayed; 0: every one
+		delay sim.Duration // past the 3 ms first timeout
+	}{
+		{"every accept after the give-up", 0, 200 * sim.Millisecond},
+		{"first accept replayed while connecting", 1, 4 * sim.Millisecond},
+		{"first accept replayed once connected", 1, 20 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t)
+			m.createFile(t, "kv.dat", []byte("x"))
+			plane := faultinject.New(5)
+			m.bus.SetFaultPlane(plane)
+			plane.Add(faultinject.Rule{Layer: faultinject.LayerBus, Kind: msg.KindOpenResp, Op: faultinject.Delay,
+				Delay: tc.delay, Count: tc.count})
+			var rt *Runtime
+			var file FileAPI
+			var openErr error
+			m.nic.AddApp(&testApp{id: 7, onBoot: func(r *Runtime) {
+				rt = r
+				rt.OpenFile(Decentralized, mcID, "kv.dat", 0, 32, func(f FileAPI, err error) { file, openErr = f, err })
+			}})
+			m.eng.Run()
+			m.bus.SetFaultPlane(nil)
+			if tc.count == 0 {
+				if openErr == nil || !strings.Contains(openErr.Error(), "timed out") || len(rt.openers) != 0 {
+					t.Fatalf("open with every OpenResp late: err %v, %d openers left", openErr, len(rt.openers))
+				}
+				var conn *Connection
+				rt.OpenService(mcID, "file:kv.dat", 0, 32, func(c *Connection, err error) {
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					conn = c
+				})
+				m.eng.Run()
+				if conn == nil || conn.ConnID != 2 {
+					t.Fatalf("the reopen holds the SSD's instance %v, want a fresh 2: the late accept's session leaked", conn)
+				}
+				return
+			}
+			if openErr != nil {
+				t.Fatalf("open with its first OpenResp late: %v", openErr)
+			}
+			if got, err := fileRead(t, m, file, 0, 1); err != nil || string(got) != "x" {
+				t.Fatalf("read through the session the replay reached: %q, %v", got, err)
+			}
+			if len(rt.openers) != 1 {
+				t.Errorf("%d openers, want the live session's", len(rt.openers))
+			}
+		})
+	}
+}

@@ -185,6 +185,7 @@ func (m *mediatedFile) Fail(err error) { m.dead = true }
 // kernel forgets its session.
 func (m *mediatedFile) Close(cb func(error)) {
 	m.dead = true
+	m.rt.ended(&m.Opener)
 	m.rt.closeAt(m.Opener.Provider, m.Abandon(), cb)
 }
 

@@ -36,7 +36,7 @@ func (n *NIC) onReset() {
 // restarts at its base: rejoin() frees the old incarnation's surviving
 // regions before any app boots, so the addresses are genuinely free again.
 func (rt *Runtime) reset() {
-	rt.conns = nil
+	rt.conns, rt.openers = nil, nil
 	rt.nextVA = vaBase
 	rt.lazy = nil
 	rt.lazyMemctrl = 0

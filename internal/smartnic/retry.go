@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nocpu/internal/device"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartssd"
@@ -367,10 +368,20 @@ func (f rawAnswer) answer(_ callKey, src msg.DeviceID, resp msg.Message, err err
 // onResponse routes a response to the call it answers. The first answer
 // wins; a later one for the same key (a second discovery responder, a
 // replay, an answer past the budget) finds nothing pending and is dropped.
+// An accept dropped so, unless one of its app's sessions holds it (a
+// replay to a retransmitted OpenReq), came after its open gave up: the
+// provider still keeps that session, so the NIC closes it, as the kernel
+// does (device.Answered).
 func (n *NIC) onResponse(env msg.Envelope) {
 	if c, ok := n.pending[keyOf(env)]; ok {
 		done, key := c.finish()
 		done.answer(key, env.Src, env.Msg, nil)
+		return
+	}
+	if r, ok := env.Msg.(*msg.OpenResp); ok && n.rts[r.App] != nil {
+		if _, stray := device.Answered(n.rts[r.App].openers, env.Src, r); stray != nil {
+			n.dev.Send(env.Src, stray)
+		}
 	}
 }
 

@@ -41,6 +41,12 @@ type Runtime struct {
 	// conns tracks the app's open connections so a crash reset can quiesce
 	// their virtqueues (recovery.go).
 	conns []*Connection
+	// openers holds the client half of every session from its OpenReq
+	// until it ends here (a failed open, a close) or the NIC resets, so
+	// NIC.onResponse tells an accept that came after its open gave up from
+	// a replay to a live session. Like conns, it keeps a session whose
+	// queue failed until then.
+	openers []*device.Opener
 }
 
 // vaBase is where each app's bump allocator starts; low VAs stay unused to
@@ -135,6 +141,7 @@ func (rt *Runtime) Load(dev msg.DeviceID, image string, token uint64, data []byt
 // acceptance once o took it, or its refusal or the call's failure as an
 // error.
 func (rt *Runtime) open(o *device.Opener, provider msg.DeviceID, service string, token uint64, cb func(*msg.OpenResp, error)) {
+	rt.openers = append(rt.openers, o)
 	rt.nic.call(rt.Retry, provider, o.Open(provider, service, rt.app, token), callKey{kind: msg.KindOpenResp, app: rt.app, name: service},
 		rawAnswer(func(_ msg.DeviceID, resp msg.Message, err error) {
 			or, _ := resp.(*msg.OpenResp)
@@ -202,6 +209,7 @@ func (rt *Runtime) OpenFile(p Placement, control msg.DeviceID, name string, toke
 		m.via = m
 		rt.open(&m.Opener, control, "mediated:"+name, token, func(or *msg.OpenResp, err error) {
 			if err != nil {
+				rt.ended(&m.Opener)
 				cb(nil, openError("mediated:"+name, "open", err))
 				return
 			}
@@ -336,6 +344,7 @@ func (c *Connection) release(then func(error)) {
 	if i := slices.Index(c.rt.conns, c); i >= 0 { // off the crash-teardown list
 		c.rt.conns = slices.Delete(c.rt.conns, i, i+1)
 	}
+	c.rt.ended(&c.Opener)
 	if c.Queue != nil {
 		c.Queue.Quiesce()
 	}
@@ -344,6 +353,13 @@ func (c *Connection) release(then func(error)) {
 		return
 	}
 	c.rt.Free(c.memctrl, c.VA, c.Bytes, then)
+}
+
+// ended takes a session that ended here off the openers.
+func (rt *Runtime) ended(o *device.Opener) {
+	if i := slices.Index(rt.openers, o); i >= 0 {
+		rt.openers = slices.Delete(rt.openers, i, i+1)
+	}
 }
 
 // closeAt asks provider to end the session req names.
