@@ -191,7 +191,7 @@ type Bus struct {
 	// allocated app region (app+base VA -> owning device and page count).
 	owners map[ownerKey]ownerInfo
 	// grants records which targets were granted each (possibly sub-)
-	// region, for revoke and free cleanup.
+	// region, for the owner's free to unmap.
 	grants map[ownerKey][]grantRec
 	// pendingGrants correlates AuthReq nonces with the originating
 	// GrantReq.
@@ -879,18 +879,10 @@ func (b *Bus) handleBusMessage(src *attachment, env msg.Envelope) {
 		}
 	case *msg.GrantReq:
 		b.handleGrant(src, m)
-	case *msg.RevokeReq:
-		b.handleRevoke(src, m)
 	case *msg.AuthResp:
 		b.handleAuthResp(src, m)
 	case *msg.StateQuery:
 		b.sendFromBus(src, b.stateRespFor(src, m.Nonce))
-	case *msg.TenantGrant:
-		if b.tenancy == nil {
-			b.nack(src, env, msg.NackUnknownKind, "tenancy is not enabled on this bus")
-			return
-		}
-		b.tenancy.Apply(m)
 	default:
 		b.nack(src, env, msg.NackUnknownKind, "bus cannot handle "+env.Msg.Kind().String())
 	}
@@ -1177,41 +1169,6 @@ func (a *grantAck) reply(ok bool, reason string) {
 	b.sendFromBus(requester, &msg.GrantResp{App: req.App, OK: ok, Reason: reason, VA: req.VA, Target: req.Target})
 }
 
-// handleRevoke removes a previous grant from the target device.
-func (b *Bus) handleRevoke(src *attachment, m *msg.RevokeReq) {
-	key := ownerKey{m.App, m.VA}
-	deny := func(reason string) {
-		b.sendFromBus(src, &msg.RevokeResp{App: m.App, OK: false, Reason: reason})
-	}
-	if !b.ownsRange(src.id, m.App, m.VA, m.Bytes) {
-		deny("requester does not own region")
-		return
-	}
-	var rec grantRec
-	found := false
-	for i, r := range b.grants[key] {
-		if r.target == m.Target {
-			rec = r
-			b.grants[key] = append(b.grants[key][:i], b.grants[key][i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		deny("no such grant")
-		return
-	}
-	if len(b.grants[key]) == 0 {
-		delete(b.grants, key)
-	}
-	if tgt, ok := b.devices[m.Target]; ok && tgt.mmu != nil {
-		pasid := iommu.PASID(m.App)
-		n := b.unmapRegion(tgt.mmu, pasid, m.VA, rec.pages, rec.huge)
-		tgt.mmuEngine.Submit(sim.Duration(n)*b.cfg.MapPerPage, nil)
-	}
-	b.sendFromBus(src, &msg.RevokeResp{App: m.App, OK: true})
-}
-
 // watchdog is the bus as the event of its periodic liveness scan (a
 // pointer conversion: re-arming it allocates nothing).
 type watchdog Bus
@@ -1280,8 +1237,9 @@ func (b *Bus) failDevice(a *attachment, reason string) {
 // real replay attack.
 func (b *Bus) Replay(env msg.Envelope) { b.ingress(env, faultinject.Decision{}) }
 
-// FailDevice force-fails a device by id (fault injection in tests and the
-// fault-tolerance example).
+// FailDevice force-fails a device by id: a fault hook for tests, which
+// fail a device without killing its model (a device that dies on its own
+// is Kill()ed and found by the watchdog).
 func (b *Bus) FailDevice(id msg.DeviceID, reason string) error {
 	a, ok := b.devices[id]
 	if !ok {

@@ -375,6 +375,9 @@ func TestForgedAuthRespIgnored(t *testing.T) {
 	}
 }
 
+// A device may not revoke a grant: the grant ends when its owner frees the
+// region (TestFreeUnmapsOwnerAndGrantees). A RevokeReq is refused as an
+// unknown kind and leaves the owner's and the grantee's mappings in place.
 func TestRevokeFlow(t *testing.T) {
 	h := newHarness(t, DefaultConfig)
 	mc := h.addDev(1, "memctrl", msg.RoleMemoryController)
@@ -387,22 +390,22 @@ func TestRevokeFlow(t *testing.T) {
 	h.eng.Run()
 	nic.port.Send(msg.BusID, &msg.RevokeReq{App: 5, VA: 0x10000, Bytes: 2 * physmem.PageSize, Target: 3})
 	h.eng.Run()
-	rr, ok := nic.lastMsg().(*msg.RevokeResp)
-	if !ok || !rr.OK {
-		t.Fatalf("revoke response = %+v", nic.lastMsg())
+	n, ok := nic.lastMsg().(*msg.Nack)
+	if !ok || n.Of != msg.KindRevokeReq || n.Code != msg.NackUnknownKind {
+		t.Fatalf("revoke answered %+v, want NackUnknownKind of RevokeReq", nic.lastMsg())
 	}
-	if _, _, ok := ssd.mmu.Lookup(5, 0x10000); ok {
-		t.Error("revoked mapping survives")
+	if nic.countKind(msg.KindRevokeResp) != 0 {
+		t.Error("bus answered a RevokeReq with a RevokeResp")
 	}
-	// Owner's own mapping must survive revoke.
-	if _, _, ok := nic.mmu.Lookup(5, 0x10000); !ok {
-		t.Error("owner mapping removed by revoke")
+	for _, d := range []*testDev{nic, ssd} {
+		for _, va := range []iommu.VirtAddr{0x10000, 0x10000 + physmem.PageSize} {
+			if _, _, ok := d.mmu.Lookup(5, va); !ok {
+				t.Errorf("%s: mapping at %#x removed by a refused revoke", d.name, uint64(va))
+			}
+		}
 	}
-	// Second revoke: no such grant.
-	nic.port.Send(msg.BusID, &msg.RevokeReq{App: 5, VA: 0x10000, Bytes: 2 * physmem.PageSize, Target: 3})
-	h.eng.Run()
-	if rr := nic.lastMsg().(*msg.RevokeResp); rr.OK {
-		t.Error("double revoke succeeded")
+	if got := h.bus.GranteesOf(5, 0x10000); len(got) != 1 || got[0] != 3 {
+		t.Errorf("grantees after refused revoke = %v, want [3]", got)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 //   - broadcast: one discovery query fanned out to the three other ports;
 //   - grant_authorize: the whole §3 step-7 exchange — GrantReq, AuthReq to
 //     the controller, AuthResp, the grantee's IOMMU programmed, GrantResp —
-//     then the RevokeReq/RevokeResp that unmaps it, so every iteration
+//     then the controller's FreeResp that unmaps the owner and the grantee
+//     and its AllocResp that maps the owner again, so every iteration
 //     authorizes afresh instead of taking the retransmission re-ack.
 func BenchmarkRoute(b *testing.B) {
 	const (
@@ -57,8 +58,9 @@ func BenchmarkRoute(b *testing.B) {
 	attach(ssdID, "ssd", msg.RoleStorage, sink)
 	attach(accID, "accel", msg.RoleAccelerator, sink)
 	eng.Run()
-	// The region the grant benchmark extends: allocated once, by the controller.
-	ports[mcID].Send(nicID, &msg.AllocResp{App: app, OK: true, VA: va, Frames: frames, Perm: uint8(iommu.PermRW)})
+	// The region the grant benchmark extends, allocated by the controller.
+	alloc := &msg.AllocResp{App: app, OK: true, VA: va, Frames: frames, Perm: uint8(iommu.PermRW)}
+	ports[mcID].Send(nicID, alloc)
 	eng.Run()
 	nic := ports[nicID]
 
@@ -81,7 +83,7 @@ func BenchmarkRoute(b *testing.B) {
 	b.Run("grant_authorize", func(b *testing.B) {
 		b.ReportAllocs()
 		grant := &msg.GrantReq{App: app, VA: va, Bytes: physmem.PageSize, Target: ssdID, Perm: uint8(iommu.PermRW)}
-		revoke := &msg.RevokeReq{App: app, VA: va, Bytes: physmem.PageSize, Target: ssdID}
+		free := &msg.FreeResp{App: app, OK: true, VA: va, Bytes: physmem.PageSize}
 		for i := 0; i < b.N; i++ {
 			granted = false
 			nic.Send(msg.BusID, grant)
@@ -89,7 +91,8 @@ func BenchmarkRoute(b *testing.B) {
 			if !granted {
 				b.Fatal("grant refused")
 			}
-			nic.Send(msg.BusID, revoke)
+			ports[mcID].Send(nicID, free)
+			ports[mcID].Send(nicID, alloc)
 			eng.Run()
 		}
 		if got := bus.Stats().GrantsOK; got < uint64(b.N) {

@@ -1,7 +1,7 @@
 package bus
 
-// Bus-level tenancy tests: grant refusal, discovery scoping, TenantGrant
-// provisioning and per-tenant credit windows. The attacks an adversary
+// Bus-level tenancy tests: grant refusal, discovery scoping, the refused
+// TenantGrant and per-tenant credit windows. The attacks an adversary
 // device would mount against the bus must each produce a typed,
 // attributed refusal — and with tenancy off the bus must behave exactly
 // as before (asserted globally by the golden-table tests).
@@ -105,34 +105,63 @@ func TestDiscoveryScopedToDomain(t *testing.T) {
 	}
 }
 
-func TestTenantGrantProvisionsOverBus(t *testing.T) {
+// A device may not push a tenant binding: bindings are set by whoever
+// builds the machine. A tenant-2 device that sends a TenantGrant moving
+// itself and its app into tenant 1 gets a typed NACK, stays in tenant 2,
+// and its next discovery broadcast is still scoped away from the victim.
+func TestTenantSelfRebindRefused(t *testing.T) {
 	h, reg := tenancyHarness(t, DefaultConfig)
-	admin := h.addDev(3, "admin", msg.RoleNIC)
+	victim := h.addDev(1, "victim", msg.RoleAccelerator)
+	attacker := h.addDev(2, "attacker", msg.RoleAccelerator)
 	h.boot()
 
-	admin.port.Send(msg.BusID, &msg.TenantGrant{Tenant: 3, Device: 9, App: 0x300, KVSInflight: 4})
+	attacker.port.Send(msg.BusID, &msg.TenantGrant{Tenant: 1, Device: 2, App: 200})
 	h.eng.Run()
 
-	if got := reg.DeviceTenant(9); got != 3 {
-		t.Errorf("device 9 tenant = %v, want t3", got)
+	n, ok := attacker.lastOfKind(msg.KindNack).(*msg.Nack)
+	if !ok || n.Of != msg.KindTenantGrant || n.Code != msg.NackUnknownKind {
+		t.Fatalf("self-rebind answered %+v, want NackUnknownKind of TenantGrant", n)
 	}
-	if got := reg.AppTenant(0x300); got != 3 {
-		t.Errorf("app 0x300 tenant = %v, want t3", got)
+	if got := reg.DeviceTenant(2); got != 2 {
+		t.Fatalf("attacker rebound itself to %v, want t2", got)
 	}
-	if b := reg.Budget(3); b.KVSInflight != 4 {
-		t.Errorf("budget = %+v", b)
+	if err := reg.CheckDevApp(1, 200); err == nil {
+		t.Fatal("attacker's app 200 moved into the victim's domain")
+	}
+
+	attacker.port.Send(msg.Broadcast, &msg.DiscoverReq{Query: "kvstore"})
+	h.eng.Run()
+	if n := victim.countKind(msg.KindDiscoverReq); n != 0 {
+		t.Errorf("victim saw %d discovery probes after the rebind attempt, want 0", n)
+	}
+	if n := attacker.countKind(msg.KindDenialReport); n != 1 {
+		t.Errorf("attacker earned %d DenialReports, want 1", n)
 	}
 }
 
-func TestTenantGrantWithoutTenancyNacked(t *testing.T) {
-	h := newHarness(t, DefaultConfig)
-	d := h.addDev(1, "a", msg.RoleAccelerator)
-	h.boot()
-	d.port.Send(msg.BusID, &msg.TenantGrant{Tenant: 1, Device: 2})
-	h.eng.Run()
-	n, ok := d.lastOfKind(msg.KindNack).(*msg.Nack)
-	if !ok || n.Of != msg.KindTenantGrant {
-		t.Fatalf("want typed NACK for TenantGrant on a tenancy-less bus, got %+v", n)
+// TenantGrant has no sender the bus can authorize, so it is refused as an
+// unknown kind whether tenancy is on or off.
+func TestTenantGrantNacked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tenancy bool
+	}{{"tenancy off", false}, {"tenancy on", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h *harness
+			if tc.tenancy {
+				h, _ = tenancyHarness(t, DefaultConfig)
+			} else {
+				h = newHarness(t, DefaultConfig)
+			}
+			d := h.addDev(1, "a", msg.RoleAccelerator)
+			h.boot()
+			d.port.Send(msg.BusID, &msg.TenantGrant{Tenant: 1, Device: 2})
+			h.eng.Run()
+			n, ok := d.lastOfKind(msg.KindNack).(*msg.Nack)
+			if !ok || n.Of != msg.KindTenantGrant || n.Code != msg.NackUnknownKind {
+				t.Fatalf("want NackUnknownKind for TenantGrant, got %+v", n)
+			}
+		})
 	}
 }
 

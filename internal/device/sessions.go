@@ -212,7 +212,7 @@ func (s *Sessions) Connect(src msg.DeviceID, req *msg.ConnectReq) *msg.ConnectRe
 			ep.NotifyBatch = s.NotifyBatch
 		}
 		ep.OnError = func(err error) {
-			// Transport failure (e.g. revoked grant): notify the consumer per
+			// Transport failure (e.g. an unmapped grant): notify the consumer per
 			// §4 and end the instance.
 			s.Dev.Send(c.Client, &msg.ErrorNotify{App: c.App, Resource: c.conn.Resource(), Code: 1, Detail: err.Error()})
 			s.end(func(i *Instance) bool { return i == &c.Instance })

@@ -285,17 +285,6 @@ func (c *Cluster) Ingress(id msg.DeviceID) func([]byte, func([]byte)) {
 	}
 }
 
-// TenantIngress is Ingress with an edge-authenticated tenant stamp:
-// the NIC, not the payload, asserts which tenant each request belongs
-// to, and the router re-stamps the decoded request before routing so
-// the claim survives inter-machine hops.
-func (c *Cluster) TenantIngress(id msg.DeviceID, tn uint16) func([]byte, func([]byte)) {
-	m := c.Machine(id)
-	return func(payload []byte, reply func([]byte)) {
-		m.Sys.NIC().DeliverFrom(tn, RouterApp, payload, reply)
-	}
-}
-
 // deliverFrame hands an arriving fabric frame to the destination's
 // router through its NIC rx pipeline — peer traffic queues behind (and
 // contends with) client traffic, which is what makes a head node a

@@ -11,22 +11,29 @@ import (
 
 // A router keeps the store's two tenancy rules across fabric hops. An
 // unstamped request (Ingress) is the trusted path: its in-payload Tenant
-// reaches the owner's store as sent. A stamped one (TenantIngress) carries
-// the tenant its edge authenticated, which overwrites the payload's claim
-// on every machine, a stamp of 0 included.
+// reaches the owner's store as sent. A stamped one (the NIC's DeliverFrom,
+// what a netsim.Edge with a Tenant calls) carries the tenant its edge
+// authenticated, which overwrites the payload's claim on every machine, a
+// stamp of 0 included.
 func TestTenantStampAcrossHops(t *testing.T) {
 	reg := tenant.NewRegistry()
 	cl := mustBoot(t, Config{N: 3, Seed: 1, Tenancy: reg})
 	payload := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: "t3/k", Tenant: 5})
+	stamped := func(tn uint16) func(msg.DeviceID) func([]byte, func([]byte)) {
+		return func(id msg.DeviceID) func([]byte, func([]byte)) {
+			nic := cl.Machine(id).Sys.NIC()
+			return func(b []byte, reply func([]byte)) { nic.DeliverFrom(tn, RouterApp, b, reply) }
+		}
+	}
 	for _, c := range []struct {
 		name string
 		send func(id msg.DeviceID) func([]byte, func([]byte))
 		want kvs.Status
 	}{
 		{"Ingress trusts the payload", cl.Ingress, kvs.StatusDenied},
-		{"TenantIngress(0) clears it", func(id msg.DeviceID) func([]byte, func([]byte)) { return cl.TenantIngress(id, 0) }, kvs.StatusNotFound},
-		{"TenantIngress(3) stamps the owner", func(id msg.DeviceID) func([]byte, func([]byte)) { return cl.TenantIngress(id, 3) }, kvs.StatusNotFound},
-		{"TenantIngress(7) stamps a prober", func(id msg.DeviceID) func([]byte, func([]byte)) { return cl.TenantIngress(id, 7) }, kvs.StatusDenied},
+		{"stamp 0 clears it", stamped(0), kvs.StatusNotFound},
+		{"stamp 3 is the owner", stamped(3), kvs.StatusNotFound},
+		{"stamp 7 is a prober", stamped(7), kvs.StatusDenied},
 	} {
 		// Every machine as the ingress: the key's owner serves some
 		// requests locally and has the others forwarded to it.

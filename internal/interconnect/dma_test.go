@@ -340,7 +340,7 @@ func TestDMAWindowStallDrainShed(t *testing.T) {
 			}
 		}))
 	}
-	if got := r.port.WaitGauge().Max(); got != stalled {
+	if got := r.port.waitG.Max(); got != stalled {
 		t.Errorf("stall FIFO peaked at %d, want %d", got, stalled)
 	}
 	r.eng.Run()

@@ -227,7 +227,8 @@ type Port struct {
 	// waiting holds transfers stalled on the DMA window, FIFO, bounded at
 	// 4× the window; overflow sheds with an OverloadError.
 	waiting []stalledDMA
-	waitG   *metrics.Gauge
+	// waitG gauges the FIFO's depth; a test reads its high-water mark.
+	waitG *metrics.Gauge
 }
 
 // stalledDMA is a translated, accounted transfer waiting for a window
@@ -254,9 +255,6 @@ func (f *Fabric) NewPort(_ string, mmu *iommu.IOMMU) *Port {
 	p.waitG = metrics.NewGauge(4 * DMAWindow)
 	return p
 }
-
-// WaitGauge exposes the DMA stall-FIFO depth for the overload audit.
-func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
 
 // submitDMA admits a transfer to the port's DMA engine under the window:
 // within the window it goes straight to the engine;

@@ -33,7 +33,7 @@ func TestHugeMapTranslate(t *testing.T) {
 	}
 	run := allocHugeRun(t, mem)
 	va := VirtAddr(HugePageSize) // 2 MiB, aligned
-	if err := u.MapHuge(1, va, run, PermRW); err != nil {
+	if err := u.install(1, va, run, PermRW, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 	// Translation anywhere in the 2 MiB window works, with a 3-read walk
@@ -68,22 +68,22 @@ func TestHugeMapValidation(t *testing.T) {
 	u, mem := hugeRig(t)
 	_ = u.CreateContext(1)
 	run := allocHugeRun(t, mem)
-	if err := u.MapHuge(1, VirtAddr(4096), run, PermRW); err == nil {
+	if err := u.install(1, VirtAddr(4096), run, PermRW, &leaf2M); err == nil {
 		t.Error("unaligned huge va accepted")
 	}
-	if err := u.MapHuge(1, 0, run+1, PermRW); err == nil {
+	if err := u.install(1, 0, run+1, PermRW, &leaf2M); err == nil {
 		t.Error("unaligned huge frame accepted")
 	}
-	if err := u.MapHuge(2, 0, run, PermRW); err == nil {
+	if err := u.install(2, 0, run, PermRW, &leaf2M); err == nil {
 		t.Error("unknown pasid accepted")
 	}
-	if err := u.MapHuge(1, 0, run, 0); err == nil {
+	if err := u.install(1, 0, run, 0, &leaf2M); err == nil {
 		t.Error("empty perms accepted")
 	}
-	if err := u.MapHuge(1, 0, run, AccessRead); err != nil {
+	if err := u.install(1, 0, run, AccessRead, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.MapHuge(1, 0, run, AccessRead); err == nil {
+	if err := u.install(1, 0, run, AccessRead, &leaf2M); err == nil {
 		t.Error("double huge map accepted")
 	}
 }
@@ -99,11 +99,11 @@ func TestHugeAnd4KConflicts(t *testing.T) {
 	if err := u.Map(1, VirtAddr(HugePageSize+4096), f4k, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.MapHuge(1, VirtAddr(HugePageSize), run, PermRW); err == nil {
+	if err := u.install(1, VirtAddr(HugePageSize), run, PermRW, &leaf2M); err == nil {
 		t.Error("huge map over 4K table accepted")
 	}
 	// Huge mapping, then 4K map inside it: refused.
-	if err := u.MapHuge(1, 0, run, PermRW); err != nil {
+	if err := u.install(1, 0, run, PermRW, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Map(1, VirtAddr(8*physmem.PageSize), f4k, PermRW); err == nil {
@@ -115,26 +115,26 @@ func TestHugeUnmap(t *testing.T) {
 	u, mem := hugeRig(t)
 	_ = u.CreateContext(1)
 	run := allocHugeRun(t, mem)
-	if err := u.MapHuge(1, 0, run, PermRW); err != nil {
+	if err := u.install(1, 0, run, PermRW, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := u.Translate(1, 100, AccessRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.UnmapHuge(1, 0); err != nil {
+	if err := u.remove(1, 0, &leaf2M, true); err != nil {
 		t.Fatal(err)
 	}
 	var fault *Fault
 	if _, _, err := u.Translate(1, 100, AccessRead); !errors.As(err, &fault) {
 		t.Fatalf("stale huge TLB after unmap: %v", err)
 	}
-	if err := u.UnmapHuge(1, 0); err == nil {
+	if err := u.remove(1, 0, &leaf2M, true); err == nil {
 		t.Error("double huge unmap accepted")
 	}
 	// Unmapping a 4K page as huge is refused.
 	f4k, _ := mem.AllocFrames(1)
 	_ = u.Map(1, VirtAddr(HugePageSize), f4k, PermRW)
-	if err := u.UnmapHuge(1, VirtAddr(HugePageSize)); err == nil {
+	if err := u.remove(1, VirtAddr(HugePageSize), &leaf2M, true); err == nil {
 		t.Error("huge unmap of 4K table accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestHugePermissionFaults(t *testing.T) {
 	u, mem := hugeRig(t)
 	_ = u.CreateContext(1)
 	run := allocHugeRun(t, mem)
-	if err := u.MapHuge(1, 0, run, AccessRead); err != nil {
+	if err := u.install(1, 0, run, AccessRead, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 	var fault *Fault
@@ -179,7 +179,7 @@ func TestHugeReachVsSmallTLB(t *testing.T) {
 	uh := New("uh", mem, small)
 	_ = uh.CreateContext(1)
 	run := allocHugeRun(t, mem)
-	if err := uh.MapHuge(1, 0, run, PermRW); err != nil {
+	if err := uh.install(1, 0, run, PermRW, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,7 +212,7 @@ func TestUnmapUnderHugeMappingRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := allocHugeRun(t, mem)
-	if err := u.MapHuge(1, 0, run, PermRW); err != nil {
+	if err := u.install(1, 0, run, PermRW, &leaf2M); err != nil {
 		t.Fatal(err)
 	}
 	// Page 8 of the window indexes slot 8 of the "table" a blind walk would
@@ -244,13 +244,13 @@ func TestUnmapUnderHugeMappingRefused(t *testing.T) {
 func TestMapUnmapBothSizes(t *testing.T) {
 	mapAt := func(u *IOMMU, huge bool, va VirtAddr, f physmem.Frame) error {
 		if huge {
-			return u.MapHuge(1, va, f, PermRW)
+			return u.install(1, va, f, PermRW, &leaf2M)
 		}
 		return u.Map(1, va, f, PermRW)
 	}
 	unmapAt := func(u *IOMMU, huge bool, va VirtAddr) error {
 		if huge {
-			return u.UnmapHuge(1, va.HugePage())
+			return u.remove(1, va.HugePage(), &leaf2M, true)
 		}
 		return u.Unmap(1, va)
 	}

@@ -196,8 +196,9 @@ func New(name string, mem *physmem.Memory, cfg Config) *IOMMU {
 func (u *IOMMU) Stats() Stats { return u.st }
 
 // SetDomainCheck installs the tenancy domain check. The check sees every
-// CreateContext, Map and MapHuge; a non-nil return refuses the operation
-// with the check's (typed, attributed) error. Passing nil uninstalls it.
+// CreateContext and every map, of either page size; a non-nil return
+// refuses the operation with the check's (typed, attributed) error.
+// Passing nil uninstalls it.
 func (u *IOMMU) SetDomainCheck(check func(PASID) error) { u.domainCheck = check }
 
 func (u *IOMMU) checkDomain(p PASID) error {
@@ -357,21 +358,15 @@ func (u *IOMMU) Map(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) error 
 	return u.install(p, va, frame, perm, &leaf4K)
 }
 
-// MapHuge installs one HugePageSize translation at a level-2 leaf. va
-// must be HugePageSize-aligned and frame must start a naturally aligned
-// run of HugeFrames contiguous frames (the buddy allocator's
-// power-of-two blocks satisfy this).
-func (u *IOMMU) MapHuge(p PASID, va VirtAddr, frame physmem.Frame, perm Perm) error {
-	return u.install(p, va, frame, perm, &leaf2M)
-}
-
 // install is the one walk that adds a mapping. Every table it descends
 // through is allocated on demand; a huge leaf met on the way down already
 // covers va and is refused before it is followed (its frame holds the
 // application's data, not a table), and a valid leaf slot — a mapping of
 // either size, or for a huge install a table of 4 KiB ones — is refused
 // too. A walk that runs out of frames half way takes back the tables it
-// had added.
+// had added. va and frame are aligned to the leaf's size: a huge frame
+// starts a naturally aligned run of HugeFrames contiguous frames, which
+// the buddy allocator's power-of-two blocks are.
 func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf *leaf) error {
 	c, ok := u.ctx[p]
 	if !ok {
@@ -434,9 +429,6 @@ func (u *IOMMU) install(p PASID, va VirtAddr, frame physmem.Frame, perm Perm, lf
 // Unmap removes the translation for the page holding va and invalidates
 // its TLB entry.
 func (u *IOMMU) Unmap(p PASID, va VirtAddr) error { return u.remove(p, va.Page(), &leaf4K, true) }
-
-// UnmapHuge removes a huge translation and invalidates its TLB entry.
-func (u *IOMMU) UnmapHuge(p PASID, va VirtAddr) error { return u.remove(p, va, &leaf2M, true) }
 
 // remove is the one walk that takes a mapping out. It follows only
 // pointers to tables: a huge leaf above the level it is looking for

@@ -80,7 +80,7 @@ func TestAdversarialTranslations(t *testing.T) {
 			setup: func(t *testing.T, u *IOMMU, mem *physmem.Memory) {
 				mustCreate(t, u, 1)
 				f := mustAlloc(t, mem, HugeFrames)
-				if err := u.MapHuge(1, VirtAddr(HugePageSize), f, PermRW); err != nil {
+				if err := u.install(1, VirtAddr(HugePageSize), f, PermRW, &leaf2M); err != nil {
 					t.Fatal(err)
 				}
 				// Warm the TLB inside the huge page so the straddling
@@ -161,8 +161,8 @@ func TestDomainCheckRefusesForeignContexts(t *testing.T) {
 		t.Fatalf("foreign Map: %v, want domain denial", err)
 	}
 	fh := mustAlloc(t, mem, HugeFrames)
-	if err := u.MapHuge(7, VirtAddr(HugePageSize), fh, PermRW); !errors.Is(err, denied) {
-		t.Fatalf("foreign MapHuge: %v, want domain denial", err)
+	if err := u.install(7, VirtAddr(HugePageSize), fh, PermRW, &leaf2M); !errors.Is(err, denied) {
+		t.Fatalf("foreign huge map: %v, want domain denial", err)
 	}
 	if got := u.Stats().DomainDenials; got != 3 {
 		t.Fatalf("DomainDenials = %d, want 3", got)

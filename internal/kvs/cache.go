@@ -72,6 +72,3 @@ func (c *valueCache) clear() {
 	c.entries = make(map[string]*list.Element, c.cap)
 	c.lru.Init()
 }
-
-// len reports the number of cached entries.
-func (c *valueCache) len() int { return len(c.entries) }

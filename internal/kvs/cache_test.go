@@ -30,15 +30,15 @@ func TestValueCacheLRU(t *testing.T) {
 	if v, _ := c.get("a"); v[0] != 9 {
 		t.Fatal("refresh lost")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	if len(c.entries) != 2 {
+		t.Fatalf("len = %d", len(c.entries))
 	}
 	c.drop("a")
 	if _, ok := c.get("a"); ok {
 		t.Fatal("drop ineffective")
 	}
 	c.clear()
-	if c.len() != 0 {
+	if len(c.entries) != 0 {
 		t.Fatal("clear ineffective")
 	}
 }

@@ -13,16 +13,9 @@ import (
 // in any device IOMMU is backed by a live allocation in the memory
 // controller's tables, for the right app, and was installed by the bus
 // either for the owner or under an explicit authorized grant. This test
-// drives random sequences of alloc/grant/revoke/free from two devices and
+// drives random sequences of alloc/grant/free from two devices and
 // audits the invariant after every quiescent point, and at the end after
 // freeing everything.
-
-type auditOp struct {
-	Kind   uint8 // 0 alloc, 1 grant, 2 revoke, 3 free
-	Region uint8 // which region (of the ones allocated so far)
-	App    uint8 // app selector (2 apps)
-	Dev    uint8 // requester selector (2 devices)
-}
 
 type region struct {
 	app    msg.AppID
@@ -65,7 +58,7 @@ func runInvariantSequence(t *testing.T, seed uint64, steps int) {
 	}
 
 	for step := 0; step < steps; step++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0: // alloc
 			app := msg.AppID(rng.Intn(2) + 1)
 			owner := rng.Intn(2)
@@ -99,26 +92,7 @@ func runInvariantSequence(t *testing.T, seed uint64, steps int) {
 				t.Fatalf("seed %d step %d: grant denied: %s", seed, step, g.Reason)
 			}
 			r.grants[target] = true
-		case 2: // revoke
-			lv := live()
-			if len(lv) == 0 {
-				continue
-			}
-			r := lv[rng.Intn(len(lv))]
-			var target int
-			found := false
-			for tg := range r.grants {
-				target, found = tg, true
-				break
-			}
-			if !found {
-				continue
-			}
-			devs[r.owner].dev.Send(msg.BusID, &msg.RevokeReq{
-				App: r.app, VA: r.va, Bytes: r.bytes, Target: devs[target].dev.ID()})
-			w.eng.Run()
-			delete(r.grants, target)
-		case 3: // free
+		case 2: // free
 			lv := live()
 			if len(lv) == 0 {
 				continue

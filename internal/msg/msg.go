@@ -98,16 +98,16 @@ const (
 	KindCloseResp   // provider → requester
 
 	// Memory management.
-	KindAllocReq  // device → memctrl: allocate shared memory for app at VA
-	KindAllocResp // memctrl → device; bus intercepts and programs IOMMU
-	KindFreeReq   // device → memctrl
-	KindFreeResp  // memctrl → device; bus unmaps
-	KindGrantReq  // device → bus: grant my app mapping to another device
-	KindGrantResp // bus → device
-	KindAuthReq   // bus → memctrl: is this grant authorized?
-	KindAuthResp  // memctrl → bus
-	KindRevokeReq // device → bus: revoke a previous grant
-	KindRevokeResp
+	KindAllocReq   // device → memctrl: allocate shared memory for app at VA
+	KindAllocResp  // memctrl → device; bus intercepts and programs IOMMU
+	KindFreeReq    // device → memctrl
+	KindFreeResp   // memctrl → device; bus unmaps
+	KindGrantReq   // device → bus: grant my app mapping to another device
+	KindGrantResp  // bus → device
+	KindAuthReq    // bus → memctrl: is this grant authorized?
+	KindAuthResp   // memctrl → bus
+	KindRevokeReq  // retired: the bus NACKs it; a grant ends when its owner frees the region
+	KindRevokeResp // retired with RevokeReq; both stay for wire.lock
 
 	// Loader service (§2.1: devices storing applications internally must
 	// expose a loader).
@@ -163,12 +163,14 @@ const (
 	KindDrain      // reconciler → machine: cordon / uncordon / upgrade order
 	KindRingConfig // coordinator → machines: staged membership (prepare/commit/abort)
 
-	// Multi-tenancy (internal/tenant). TenantGrant binds a device or app
-	// to a tenant isolation domain (with optional per-tenant budgets);
-	// DenialReport is the typed, attributed refusal every cross-tenant
-	// attack receives — the S1 invariant ("never silently dropped") made
-	// a wire message so the attacker provably observed a refusal.
-	KindTenantGrant  // provisioner → bus: bind device/app to a tenant domain
+	// Multi-tenancy (internal/tenant). TenantGrant is retired: the bus
+	// NACKs it, since no device may bind itself or an app to a tenant
+	// domain (the machine's builder does, through core.Options.Tenancy),
+	// and it stays for wire.lock. DenialReport is the typed, attributed
+	// refusal every cross-tenant attack receives — the S1 invariant
+	// ("never silently dropped") made a wire message so the attacker
+	// provably observed a refusal.
+	KindTenantGrant  // retired: the bus NACKs it; kept for wire.lock
 	KindDenialReport // bus/device → offender: typed cross-tenant refusal
 
 	// Epoch leases (internal/fabric). A machine may serve as primary (or

@@ -361,7 +361,9 @@ func (m *AuthResp) wire(c *coder) {
 	c.bool(&m.Huge)
 }
 
-// RevokeReq removes a previously granted mapping from Target.
+// RevokeReq asked the bus to remove a granted mapping from Target. It is
+// retired: the bus answers it NackUnknownKind, since a grant ends when its
+// owner frees the region. The body stays for wire.lock.
 type RevokeReq struct {
 	App    AppID
 	VA     uint64
@@ -377,7 +379,7 @@ func (m *RevokeReq) wire(c *coder) {
 	u16(c, &m.Target)
 }
 
-// RevokeResp reports the outcome of a RevokeReq.
+// RevokeResp reported the outcome of a RevokeReq; retired with it.
 type RevokeResp struct {
 	App    AppID
 	OK     bool
@@ -815,13 +817,11 @@ func (m *RingConfig) wire(c *coder) {
 
 // --- Multi-tenancy messages (internal/tenant) ---
 
-// TenantGrant binds a device and/or an app to a tenant isolation
-// domain, optionally declaring the tenant's budgets. It is the
-// provisioning message of the tenancy layer: the bus applies it to its
-// attached registry, after which the per-device domain checks, the
-// per-tenant credit window, and the KVS admission budget all enforce
-// the binding. A zero Device or App field leaves that binding untouched
-// (a grant may bind only one of the two).
+// TenantGrant would bind a device and/or an app to a tenant isolation
+// domain, optionally declaring the tenant's budgets. It is retired: the
+// bus cannot authorize its sender, so it answers NackUnknownKind, and
+// bindings are set by whoever builds the machine (tenant.Registry's
+// BindDevice, BindApp and SetBudget). The body stays for wire.lock.
 type TenantGrant struct {
 	Tenant       uint16 // tenant domain (0 is invalid)
 	Device       uint16 // device to bind (0: none)

@@ -45,10 +45,6 @@ func (rt *Runtime) ReserveLazy(memctrl msg.DeviceID, bytes uint64, chunkPages in
 	return va
 }
 
-// LazyChunksAllocated reports how many demand allocations this app has
-// performed (test/experiment observability).
-func (rt *Runtime) LazyChunksAllocated() int { return rt.lazyAllocs }
-
 // resolveFault handles a not-present fault for this app. Exactly one of
 // retry/fail is eventually called.
 func (rt *Runtime) resolveFault(f *iommu.Fault, retry func(), fail func(error)) {

@@ -50,8 +50,8 @@ func TestDemandPagingFirstTouch(t *testing.T) {
 	if !done || werr != nil {
 		t.Fatalf("first-touch write: done=%v err=%v", done, werr)
 	}
-	if app.rt.LazyChunksAllocated() != 1 {
-		t.Fatalf("chunks allocated = %d", app.rt.LazyChunksAllocated())
+	if app.rt.lazyAllocs != 1 {
+		t.Fatalf("chunks allocated = %d", app.rt.lazyAllocs)
 	}
 	// Exactly one page is live.
 	if live := m.mc.Stats().BytesLive; live != physmem.PageSize {
@@ -67,7 +67,7 @@ func TestDemandPagingFirstTouch(t *testing.T) {
 	// Second touch of the same page: no new allocation.
 	port.Write(1, iommu.VirtAddr(app.va+5100), []byte{1}, func(error) {})
 	m.eng.Run()
-	if app.rt.LazyChunksAllocated() != 1 {
+	if app.rt.lazyAllocs != 1 {
 		t.Fatal("re-touch allocated again")
 	}
 }
@@ -91,13 +91,13 @@ func TestDemandPagingChunkGranularity(t *testing.T) {
 	// A write inside the same chunk (page 3) needs no fault; page 4 does.
 	port.Write(1, iommu.VirtAddr(app.va+3*physmem.PageSize), []byte{2}, func(error) {})
 	m.eng.Run()
-	if app.rt.LazyChunksAllocated() != 1 {
+	if app.rt.lazyAllocs != 1 {
 		t.Fatal("same-chunk touch refaulted")
 	}
 	port.Write(1, iommu.VirtAddr(app.va+4*physmem.PageSize), []byte{3}, func(error) {})
 	m.eng.Run()
-	if app.rt.LazyChunksAllocated() != 2 {
-		t.Fatalf("chunks = %d, want 2", app.rt.LazyChunksAllocated())
+	if app.rt.lazyAllocs != 2 {
+		t.Fatalf("chunks = %d, want 2", app.rt.lazyAllocs)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestDemandPagingCrossChunkDMA(t *testing.T) {
 	if !done || werr != nil {
 		t.Fatalf("cross-chunk write: done=%v err=%v", done, werr)
 	}
-	if app.rt.LazyChunksAllocated() != 4 { // pages 0..3 touched (offset 100 + 3 pages)
-		t.Fatalf("chunks = %d, want 4", app.rt.LazyChunksAllocated())
+	if app.rt.lazyAllocs != 4 { // pages 0..3 touched (offset 100 + 3 pages)
+		t.Fatalf("chunks = %d, want 4", app.rt.lazyAllocs)
 	}
 	var got []byte
 	port.Read(1, iommu.VirtAddr(app.va+100), len(payload), func(b []byte, err error) { got = b })
@@ -153,8 +153,8 @@ func TestDemandPagingConcurrentFaultsCoalesce(t *testing.T) {
 		t.Fatalf("done = %d", done)
 	}
 	// All six writes hit the same page: exactly one demand allocation.
-	if app.rt.LazyChunksAllocated() != 1 {
-		t.Fatalf("chunks = %d, want 1 (coalesced)", app.rt.LazyChunksAllocated())
+	if app.rt.lazyAllocs != 1 {
+		t.Fatalf("chunks = %d, want 1 (coalesced)", app.rt.lazyAllocs)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestDemandPagingSurvivesMessageLoss(t *testing.T) {
 			if st := m.nic.RetryStats(); st.Retries != 1 || st.Exhausted != 0 {
 				t.Errorf("retry stats = %+v, want exactly one retransmission", st)
 			}
-			if n := app.rt.LazyChunksAllocated(); n != 1 {
+			if n := app.rt.lazyAllocs; n != 1 {
 				t.Errorf("chunks allocated = %d, want 1", n)
 			}
 			if live := m.mc.Stats().BytesLive; live != physmem.PageSize {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"nocpu/internal/faultinject"
+	"nocpu/internal/iommu"
 	"nocpu/internal/msg"
+	"nocpu/internal/physmem"
 	"nocpu/internal/sim"
 	"nocpu/internal/smartssd"
 	"nocpu/internal/trace"
@@ -193,8 +195,9 @@ type notifiedApp struct {
 
 func (a *notifiedApp) ResourceError(e *msg.ErrorNotify) { a.notified = e }
 
-// revokedQueue opens kv.dat, revokes the SSD's grant on the queue's shared
-// region and drives one request, whose SSD-side DMA faults.
+// revokedQueue opens kv.dat, takes the queue's shared region out of the
+// SSD's IOMMU (the grantee's half of what the owner's free does) and
+// drives one request, whose SSD-side DMA faults.
 func revokedQueue(t *testing.T) (*machine, *Connection, *notifiedApp) {
 	t.Helper()
 	m := newMachine(t)
@@ -214,15 +217,17 @@ func revokedQueue(t *testing.T) (*machine, *Connection, *notifiedApp) {
 	if conn == nil {
 		t.Fatal("no connection")
 	}
-	m.nic.Device().Send(msg.BusID, &msg.RevokeReq{App: 1, VA: conn.VA, Bytes: conn.Bytes, Target: ssdID})
-	m.eng.Run()
+	pages := int(conn.Bytes / physmem.PageSize)
+	if n := m.ssd.Device().IOMMU().UnmapRange(1, iommu.VirtAddr(conn.VA), pages, false); n != pages {
+		t.Fatalf("unmapped %d of the queue's %d pages from the SSD", n, pages)
+	}
 	_ = conn.Queue.SubmitOp([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, ignoreResponse{})
 	m.eng.Run()
 	return m, conn, app
 }
 
 func TestErrorNotifyOnRevokedQueue(t *testing.T) {
-	// Revoke the SSD's grant mid-connection: its next DMA faults, and per
+	// Unmap the SSD's grant mid-connection: its next DMA faults, and per
 	// §4 it must send ErrorNotify to the consumer and drop the context.
 	_, _, app := revokedQueue(t)
 	if app.notified == nil {

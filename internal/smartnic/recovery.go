@@ -55,7 +55,7 @@ func (n *NIC) bootApps() {
 // boots, ask the bus which regions the previous incarnation still owns
 // (StateQuery/StateResp) and free them through the memory controller. The
 // bus's FreeResp interception unmaps the owner and every grantee, so the
-// reclaim also revokes grants the dead life extended to providers. Without
+// reclaim also ends the grants the dead life extended to providers. Without
 // this the restarted VA allocator would collide with the old regions at
 // the controller ("overlaps existing region") and the frames would leak.
 func (n *NIC) rejoin() {

@@ -35,7 +35,7 @@ type Runtime struct {
 	// Demand-paging state (see demand.go).
 	lazy          []lazyRegion
 	lazyMemctrl   msg.DeviceID
-	lazyAllocs    int
+	lazyAllocs    int // demand allocations since boot; a test reads it
 	pendingFaults map[uint64][]func(error)
 
 	// conns tracks the app's open connections so a crash reset can quiesce

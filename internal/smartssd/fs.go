@@ -285,17 +285,6 @@ func (fs *FS) index(name string) int {
 	return -1
 }
 
-// List returns all file names (directory order).
-func (fs *FS) List() []string {
-	var out []string
-	for i := range fs.inodes {
-		if fs.inodes[i].used {
-			out = append(out, fs.inodes[i].name)
-		}
-	}
-	return out
-}
-
 // Create makes an empty file and persists the directory entry.
 func (fs *FS) Create(name string, cb func(*File, error)) {
 	if name == "" || len(name) > maxName {

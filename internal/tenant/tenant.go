@@ -143,40 +143,8 @@ func (r *Registry) BindApp(a msg.AppID, t ID) { r.apps[a] = t }
 // SetBudget declares a tenant's resource budget.
 func (r *Registry) SetBudget(t ID, b Budget) { r.budgets[t] = b }
 
-// Apply installs a TenantGrant received on the bus: bindings for the
-// named device and/or app, and any declared budgets. Idempotent —
-// re-applying the same grant is a no-op, so bus-level retries are safe.
-func (r *Registry) Apply(g *msg.TenantGrant) {
-	t := ID(g.Tenant)
-	if t == 0 {
-		return
-	}
-	if g.Device != 0 {
-		r.devs[msg.DeviceID(g.Device)] = t
-	}
-	if g.App != 0 {
-		r.apps[msg.AppID(g.App)] = t
-	}
-	if g.CreditWindow != 0 || g.KVSInflight != 0 || g.RxBound != 0 {
-		b := r.budgets[t]
-		if g.CreditWindow != 0 {
-			b.CreditWindow = g.CreditWindow
-		}
-		if g.KVSInflight != 0 {
-			b.KVSInflight = g.KVSInflight
-		}
-		if g.RxBound != 0 {
-			b.RxBound = g.RxBound
-		}
-		r.budgets[t] = b
-	}
-}
-
 // DeviceTenant returns the domain a device is bound to (0: untenanted).
 func (r *Registry) DeviceTenant(d msg.DeviceID) ID { return r.devs[d] }
-
-// AppTenant returns the domain an app is bound to (0: untenanted).
-func (r *Registry) AppTenant(a msg.AppID) ID { return r.apps[a] }
 
 // Budget returns the declared budget for a tenant (zero value: inherit
 // global bounds).

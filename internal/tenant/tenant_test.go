@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 )
 
@@ -66,33 +65,6 @@ func TestDomainCheck(t *testing.T) {
 	}
 	if !r.SameDomain(3, 9) {
 		t.Fatal("untenanted device shares every broadcast domain")
-	}
-}
-
-func TestApplyGrantIdempotent(t *testing.T) {
-	r := NewRegistry()
-	g := &msg.TenantGrant{Tenant: 2, Device: 7, App: 0x100, CreditWindow: 16, KVSInflight: 8, RxBound: 4}
-	r.Apply(g)
-	r.Apply(g) // idempotent
-	if r.DeviceTenant(7) != 2 || r.AppTenant(0x100) != 2 {
-		t.Fatal("grant bindings not applied")
-	}
-	b := r.Budget(2)
-	if b.CreditWindow != 16 || b.KVSInflight != 8 || b.RxBound != 4 {
-		t.Fatalf("budget = %+v", b)
-	}
-
-	// Partial grant updates only the named fields.
-	r.Apply(&msg.TenantGrant{Tenant: 2, KVSInflight: 12})
-	b = r.Budget(2)
-	if b.CreditWindow != 16 || b.KVSInflight != 12 {
-		t.Fatalf("partial budget update = %+v", b)
-	}
-
-	// Tenant 0 is invalid and ignored.
-	r.Apply(&msg.TenantGrant{Tenant: 0, Device: 9})
-	if r.DeviceTenant(9) != 0 {
-		t.Fatal("tenant-0 grant must be ignored")
 	}
 }
 

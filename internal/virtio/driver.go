@@ -57,7 +57,7 @@ type Driver struct {
 	unkicked   int
 	flush      sim.Timer // armed with flushDue while a partial batch waits
 
-	// dead: a transport-level failure (a DMA fault after a revoke, a
+	// dead: a transport-level failure (a DMA fault after an unmap, a
 	// corrupt ring) failed every request in flight, and the queue takes no
 	// more.
 	dead bool

@@ -15,8 +15,8 @@
 //
 // The ring and buffer memory live in the *application's* shared virtual
 // address space: every access below is a DMA translated by the issuing
-// device's IOMMU, so a revoked grant breaks the queue exactly as it would
-// on hardware. Layout follows the VIRTIO 1.1 split-ring format
+// device's IOMMU, so a grant unmapped under it breaks the queue exactly
+// as it would on hardware. Layout follows the VIRTIO 1.1 split-ring format
 // (descriptor table, available ring, used ring), with each request a
 // two-descriptor chain: a device-readable request cell and a
 // device-writable response cell.

@@ -404,8 +404,8 @@ func TestEndpointFaultAfterRevoke(t *testing.T) {
 	drv, ep := w.echoPair(t)
 	var epErr error
 	ep.OnError = func(err error) { epErr = err }
-	// Revoke the endpoint's view of the whole region (as the bus would on
-	// a revoke): its next DMA faults.
+	// Unmap the endpoint's view of the whole region (as the bus does when
+	// the owner frees it): its next DMA faults.
 	base := iommu.VirtAddr(0x100000)
 	total := int(uint64(w.lay.DataVA)-uint64(base)) + w.lay.DataBytes()
 	for i := 0; i < (total+physmem.PageSize-1)/physmem.PageSize; i++ {
